@@ -19,7 +19,7 @@ from typing import Callable, List
 import numpy as np
 
 from repro.frame import DataFrame, concat
-from repro.frame.concat import concat_consuming
+from repro.frame.concat import concat_consuming, shallow_copy
 from repro.frame.io_csv import read_csv
 from repro.memory import SimulatedMemoryError
 from repro.backends.dask_sim.expr import Expr, materialized_expr
@@ -37,8 +37,11 @@ class Evaluator:
     def materialize(self, expr: Expr):
         """Concatenate all partitions of ``expr`` into one eager value.
 
-        The partitions are temporaries, so the consuming concat releases
-        each piece's buffers as they merge.
+        The consuming concat releases each piece's buffers as they
+        merge.  It consumes shallow copies: a temporary partition dies
+        with its copy, while a pinned one (``persist()``, a subexpression
+        two roots share) is handed out by reference and must survive for
+        its next reader.
         """
         parts = []
         for i in range(expr.npartitions):
@@ -47,7 +50,9 @@ class Evaluator:
         if len(parts) == 1:
             return parts[0]
         if isinstance(parts[0], DataFrame):
-            return self._guarded(concat_consuming, parts)
+            return self._guarded(
+                concat_consuming, [shallow_copy(part) for part in parts]
+            )
         return concat(parts)
 
     def persist(self, expr: Expr) -> Expr:

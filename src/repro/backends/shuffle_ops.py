@@ -124,7 +124,26 @@ def _make_headroom(store: ShuffleStore, manager, upcoming: int) -> None:
 
 
 def _bucket_ids(frame: DataFrame, keys, n_buckets: int) -> np.ndarray:
+    """``hash(key tuple) % n_buckets`` per row.
+
+    A single NA-free numeric, bool or categorical key hashes each
+    distinct value once and maps the rows back through the inverse.
+    """
     n = len(frame)
+    if len(keys) == 1:
+        col = frame.column(keys[0])
+        if (
+            col.is_category or col.values.dtype.kind in "iufb"
+        ) and not col.isna().any():
+            distinct, inverse = np.unique(col.values, return_inverse=True)
+            if col.is_category:
+                distinct = col.categories[distinct]
+            hashed = np.fromiter(
+                (hash((v,)) % n_buckets for v in distinct.tolist()),
+                dtype=np.int64,
+                count=len(distinct),
+            )
+            return hashed[inverse]
     normalized = []
     for key in keys:
         col = frame.column(key)

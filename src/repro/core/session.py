@@ -61,11 +61,11 @@ def _auto_worker_cap() -> int:
     return max(1, min(8, os.cpu_count() or 4))
 
 
-def _shutdown_pool(pool) -> None:
+def _shutdown_pool(pool, wait: bool = True) -> None:
     """Best-effort pool shutdown (module-level so a session finalizer
     never keeps the session alive through its own cell)."""
     try:
-        pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=wait, cancel_futures=True)
     except Exception:  # noqa: BLE001 - already-broken pools may raise
         pass
 
@@ -254,8 +254,12 @@ class Session:
                 workers, start_method, self.backend_name.lower()
             )
             self._process_pool_key = key
+            # wait=False: the collector runs this at whatever allocation
+            # it likes, including one inside ``threading``'s own
+            # bookkeeping lock -- joining the pool's manager thread
+            # there deadlocks, and every later ``Thread.start()`` with it
             self._pool_finalizer = weakref.finalize(
-                self, _shutdown_pool, self._process_pool
+                self, _shutdown_pool, self._process_pool, False
             )
         return self._process_pool
 

@@ -58,6 +58,8 @@ class Column:
     Memory model: the column owns its flat buffer (8 B/row pointers for
     object arrays, raw bytes otherwise); heap payloads live in a
     :class:`_HeapStore` shared with derived columns (``shares=``).
+    ``heap_nbytes`` is the size of the payload a column will own, when
+    the caller already knows it (a pickle carries it).
     """
 
     __slots__ = ("values", "categories", "_buffer", "_store", "_owns_store")
@@ -67,6 +69,7 @@ class Column:
         values: np.ndarray,
         categories: Optional[np.ndarray] = None,
         shares: Optional[_HeapStore] = None,
+        heap_nbytes: Optional[int] = None,
     ):
         self.values = values
         self.categories = categories
@@ -78,11 +81,13 @@ class Column:
         if shares is not None:
             self._store = shares
             self._owns_store = False
-        elif categories is not None:
-            self._store = _HeapStore(array_nbytes(categories))
-            self._owns_store = True
-        elif values.dtype == object:
-            self._store = _HeapStore(max(0, array_nbytes(values) - own))
+        elif categories is not None or values.dtype == object:
+            if heap_nbytes is None:
+                heap_nbytes = (
+                    array_nbytes(categories) if categories is not None
+                    else array_nbytes(values) - own
+                )
+            self._store = _HeapStore(heap_nbytes)
             self._owns_store = True
         else:
             self._store = None
@@ -294,11 +299,21 @@ class Column:
     # -- pickling (spill-to-disk support) -----------------------------------
 
     def __getstate__(self) -> dict:
-        return {"values": self.values, "categories": self.categories}
+        # an owned payload travels with its byte count, so loading does
+        # not walk the strings again
+        return {
+            "values": self.values,
+            "categories": self.categories,
+            "heap_nbytes": self._store.nbytes if self._owns_store else None,
+        }
 
     def __setstate__(self, state: dict) -> None:
         # Re-register bytes with the memory manager on load.
-        self.__init__(state["values"], categories=state["categories"])
+        self.__init__(
+            state["values"],
+            categories=state["categories"],
+            heap_nbytes=state.get("heap_nbytes"),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Column(dtype={self.dtype}, len={len(self)})"

@@ -30,6 +30,14 @@ def concat(
     return _concat_frames(objs, ignore_index)
 
 
+def shallow_copy(frame: DataFrame) -> DataFrame:
+    """A new frame over the same columns (default index): consuming the
+    copy -- see :func:`concat_consuming` -- leaves ``frame`` intact."""
+    return DataFrame.from_columns(
+        {name: frame.column(name) for name in frame.columns}
+    )
+
+
 def concat_consuming(frames: list) -> Union[DataFrame, Series]:
     """Concatenate temporary frames, releasing inputs column by column.
 

@@ -9,17 +9,26 @@
 - ``nrows``        -- sampling for the metastore,
 - ``byte_range``   -- partitioned reads for the Dask-like backend.
 
-Parsing uses the stdlib ``csv`` module (C-accelerated); type inference
-tries int64 -> float64 -> object per column, mirroring pandas defaults
-(dates stay strings unless ``parse_dates`` asks for them -- the paper's
-metadata optimization exists precisely because inference is this naive).
+The unit of parsing is a block of lines, not a row.
+:func:`read_line_blocks` returns the newline-aligned bytes of a byte
+range (a row belongs to the range that holds its first byte), each block
+is decoded once, one stdlib ``csv.reader`` (C-accelerated) runs over all
+of a read's blocks, and batches of rows are transposed into columns with
+``zip(*rows)``.  A whole-file read is the same code over the whole file.
+Type inference tries int64 -> float64 -> object per column, mirroring
+pandas defaults (dates stay strings unless ``parse_dates`` asks for
+them -- the paper's metadata optimization exists precisely because
+inference is this naive).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from contextlib import closing
+from itertools import chain, islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +36,13 @@ from repro.frame.column import Column
 from repro.frame.dataframe import DataFrame
 from repro.frame.dtypes import CategoricalDtype, is_categorical, normalize_dtype
 from repro.frame.series import Series
+
+#: bytes of text decoded and split at a time; bounds a read's transient
+#: memory whatever the size of the range.
+LINE_BLOCK_BYTES = 1 << 20
+
+#: rows transposed into columns at a time.
+_ROW_BATCH = 1 << 16
 
 
 def read_csv(
@@ -49,22 +65,7 @@ def read_csv(
         wanted = list(header)
     positions = [header.index(c) for c in wanted]
 
-    raw: List[List[str]] = [[] for _ in wanted]
-    if byte_range is None:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            next(reader)  # header
-            for i, row in enumerate(reader):
-                if nrows is not None and i >= nrows:
-                    break
-                for out, pos in zip(raw, positions):
-                    out.append(row[pos])
-    else:
-        for row in _iter_byte_range(path, byte_range):
-            for out, pos in zip(raw, positions):
-                out.append(row[pos])
-            if nrows is not None and len(raw[0]) >= nrows:
-                break
+    raw = _read_raw_columns(path, byte_range, positions, nrows)
 
     dtype = dtype or {}
     parse_set = set(parse_dates or [])
@@ -112,42 +113,94 @@ def scan_partitions(path: str, n_partitions: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def _iter_byte_range(path: str, byte_range: Tuple[int, int]):
-    """Yield parsed rows whose *start offset* lies in [start, end).
+def read_line_blocks(
+    path: str,
+    byte_range: Optional[Tuple[int, int]] = None,
+    block_bytes: int = LINE_BLOCK_BYTES,
+) -> Iterator[bytes]:
+    """Yield the lines whose *first byte* lies in ``[start, end)``, as
+    newline-aligned blocks of about ``block_bytes`` (``None``: the file).
 
-    Standard partitioned-CSV convention: a reader seeks to ``start``,
-    discards the (possibly partial) line in progress unless at a line
-    boundary, then reads rows until its position passes ``end``.
+    Standard partitioned-text convention: the line in progress at
+    ``start`` belongs upstream unless the previous byte is a newline,
+    and the last line may run past ``end``.  Every row of a file lands
+    in exactly one of any set of ranges that tile it.
     """
-    start, end = byte_range
     with open(path, "rb") as f:
-        f.seek(start)
+        if byte_range is None:
+            start, end = 0, os.fstat(f.fileno()).st_size
+        else:
+            start, end = byte_range
         if start > 0:
             f.seek(start - 1)
             if f.read(1) != b"\n":
                 f.readline()  # finish the partial line; it belongs upstream
-        while f.tell() < end:
-            line = f.readline()
-            if not line:
+        pos = f.tell()
+        while pos < end:
+            block = f.read(min(block_bytes, end - pos))
+            if not block:
                 break
-            text = line.decode("utf-8").rstrip("\r\n")
-            if text:
-                yield next(csv.reader([text]))
+            if not block.endswith(b"\n"):
+                block += f.readline()
+            pos += len(block)
+            yield block
+
+
+def _read_raw_columns(
+    path: str,
+    byte_range: Optional[Tuple[int, int]],
+    positions: List[int],
+    nrows: Optional[int],
+) -> List[List[str]]:
+    """The fields at ``positions`` of every row of the range, by column.
+
+    One reader runs over the lines of all blocks (terminators kept, so a
+    quoted field may hold newlines); blank lines parse to ``[]`` and are
+    skipped.
+    """
+    raw: List[List[str]] = [[] for _ in positions]
+    need = max(positions, default=-1) + 1
+    with closing(read_line_blocks(path, byte_range)) as blocks:
+        rows = filter(None, csv.reader(chain.from_iterable(
+            io.StringIO(block.decode("utf-8"), newline="")
+            for block in blocks
+        )))
+        if byte_range is None:
+            next(rows, None)  # header
+        if nrows is not None:
+            rows = islice(rows, nrows)
+        while True:
+            batch = list(islice(rows, _ROW_BATCH))
+            if not batch:
+                break
+            if min(map(len, batch)) < need:
+                # zip() would silently cut every column to the short row
+                raise IndexError(
+                    f"{path}: a row has fewer than {need} fields"
+                )
+            fields = list(zip(*batch))
+            for out, pos in zip(raw, positions):
+                out.extend(fields[pos])
+    return raw
+
+
+def _as_float64(values: List[str]) -> np.ndarray:
+    """Parse as float64 with '' as NaN."""
+    if "" in values:
+        values = ["nan" if v == "" else v for v in values]
+    return np.asarray(values, dtype=np.float64)
 
 
 def _infer_column(values: List[str]) -> Column:
     """int64 -> float64 -> object inference with '' as NA."""
-    has_empty = any(v == "" for v in values)
+    has_empty = "" in values
     if not has_empty:
         try:
             return Column(np.asarray(values, dtype=np.int64))
         except (ValueError, OverflowError):
             pass
     try:
-        arr = np.asarray(
-            [("nan" if v == "" else v) for v in values], dtype=np.float64
-        )
-        return Column(arr)
+        return Column(_as_float64(values))
     except ValueError:
         pass
     obj = np.asarray(values, dtype=object)
@@ -167,19 +220,13 @@ def _convert_with_dtype(values: List[str], dtype_spec) -> Column:
             return Column.from_values(col.to_array(), dtype=target)
         return col
     if target.kind == "f":
-        arr = np.asarray(
-            [("nan" if v == "" else v) for v in values], dtype=np.float64
-        )
-        return Column(arr)
+        return Column(_as_float64(values))
     if target.kind == "i":
         try:
             return Column(np.asarray(values, dtype=np.int64))
         except ValueError:
             # NA present: silently promote, as pandas does for int columns.
-            arr = np.asarray(
-                [("nan" if v == "" else v) for v in values], dtype=np.float64
-            )
-            return Column(arr)
+            return Column(_as_float64(values))
     if target.kind == "M":
         return _parse_datetime(values)
     if target.kind == "b":
@@ -193,9 +240,9 @@ def _convert_with_dtype(values: List[str], dtype_spec) -> Column:
 
 
 def _parse_datetime(values: List[str]) -> Column:
-    cleaned = ["NaT" if v == "" else v for v in values]
-    arr = np.asarray(cleaned, dtype="datetime64[ns]")
-    return Column(arr)
+    if "" in values:
+        values = ["NaT" if v == "" else v for v in values]
+    return Column(np.asarray(values, dtype="datetime64[ns]"))
 
 
 def to_datetime(data: Union[Series, Sequence[str]]) -> Series:
@@ -214,19 +261,34 @@ def to_datetime(data: Union[Series, Sequence[str]]) -> Series:
 
 def write_csv(frame: DataFrame, path: str, index: bool = False) -> None:
     """Write a frame to CSV (NA as empty string, datetimes in ISO)."""
-    arrays = [frame.column(name).to_array() for name in frame.columns]
+    header = frame.columns
+    arrays = [frame.column(name).to_array() for name in header]
+    if index:
+        header = ["index", *header]
+        arrays.insert(0, frame.index.to_array())
+    # csv.writer renders None as "" and numbers with str()
+    cells = [column_cells(values, _cell) for values in arrays]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        header = frame.columns
-        if index:
-            header = ["index", *header]
         writer.writerow(header)
-        labels = frame.index.to_array() if index else None
-        for i in range(len(frame)):
-            row = [_cell(a[i]) for a in arrays]
-            if index:
-                row.insert(0, _cell(labels[i]))
-            writer.writerow(row)
+        writer.writerows(zip(*cells))
+
+
+def column_cells(values: np.ndarray, scalar) -> list:
+    """A column as plain Python values for a text writer, by dtype kind:
+    NA as ``None``, datetimes as ``YYYY-MM-DD HH:MM:SS`` strings, numbers
+    and strings as they are.  ``scalar`` converts the elements of an
+    object array that holds anything but strings and ``None``."""
+    kind = values.dtype.kind
+    if kind == "M":
+        text = np.datetime_as_string(values.astype("datetime64[s]")).tolist()
+        return [None if t == "NaT" else t.replace("T", " ") for t in text]
+    if kind == "f":
+        return np.where(np.isnan(values), None, values.astype(object)).tolist()
+    cells = values.tolist()
+    if kind == "O" and not set(map(type, cells)) <= {str, type(None)}:
+        return [scalar(value) for value in cells]
+    return cells
 
 
 def _cell(value) -> str:

@@ -59,7 +59,6 @@ class CsvSource(DataSource):
             options.get("partition_bytes") or DEFAULT_PARTITION_BYTES
         )
         self._schema: Optional[List[str]] = None
-        self._full_span: Optional[tuple] = None
         self._parts: Optional[List[Partition]] = None
 
     def schema(self) -> List[str]:
@@ -67,52 +66,33 @@ class CsvSource(DataSource):
             self._schema = read_header(self.path)
         return self._schema
 
-    def full_span(self) -> tuple:
-        """The whole data region ``(data_start, file_size)``."""
-        if self._full_span is None:
-            size = os.path.getsize(self.path)
-            with open(self.path, "rb") as f:
-                f.readline()  # header
-                self._full_span = (f.tell(), size)
-        return self._full_span
-
     def partitions(self) -> List[Partition]:
         if self._parts is not None:
             return self._parts
+        n = max(1, os.path.getsize(self.path) // self.partition_bytes)
         if self.options.get("nrows") is not None:
-            # A row-limited read is inherently sequential: one partition.
-            size = os.path.getsize(self.path)
-            parts = [Partition(0, self.path, byte_range=(0, size),
-                               est_bytes=size)]
-        else:
-            n = max(1, os.path.getsize(self.path) // self.partition_bytes)
-            ranges = scan_partitions(self.path, int(n))
-            parts = [
-                Partition(i, self.path, byte_range=rng,
-                          est_bytes=rng[1] - rng[0])
-                for i, rng in enumerate(ranges)
-            ]
-            if not parts:  # header-only file: one empty piece
-                parts = [Partition(0, self.path, byte_range=(0, 0),
-                                   est_bytes=0)]
+            n = 1  # a row-limited read is inherently sequential
+        parts = [
+            Partition(i, self.path, byte_range=rng,
+                      est_bytes=rng[1] - rng[0])
+            for i, rng in enumerate(scan_partitions(self.path, int(n)))
+        ]
+        if not parts:  # header-only file: one empty piece
+            parts = [Partition(0, self.path, byte_range=(0, 0),
+                               est_bytes=0)]
         attach_file_stats(parts, self.path, self.metastore)
         self._parts = parts
         return parts
 
     def read_partition(self, partition, columns=None, predicate=None):
         read_cols = self._read_columns(columns, predicate)
-        nrows = self.options.get("nrows")
-        byte_range = partition.byte_range
-        if nrows is not None or byte_range == self.full_span():
-            # a single whole-file partition takes the bulk parser path
-            byte_range = None
         frame = read_csv(
             self.path,
             usecols=read_cols,
             dtype=self.options.get("dtype"),
             parse_dates=self.options.get("parse_dates"),
-            nrows=nrows,
-            byte_range=byte_range,
+            nrows=self.options.get("nrows"),
+            byte_range=partition.byte_range,
         )
         return self._finish(frame, columns, predicate)
 

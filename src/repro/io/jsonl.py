@@ -5,21 +5,24 @@ int64, floats float64, ``null`` becomes NA), which is exactly the
 metadata CSV loses -- the format exists here so the scan layer has a
 second real format with different physical characteristics.
 
-Byte-range partitioning reuses the CSV convention (a reader seeks to
-``start``, finishes the partial line, reads until past ``end``) minus
-the header line CSV carries.
+Byte-range partitioning is the CSV reader's
+(:func:`repro.frame.io_csv.read_line_blocks`: a line belongs to the
+range holding its first byte) minus the header line CSV carries; each
+block of lines is decoded once and parsed by one ``json.loads``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.frame import DataFrame
 from repro.frame.column import Column
+from repro.frame.io_csv import column_cells, read_line_blocks
 from repro.io.source import DataSource, Partition
 
 #: Target bytes per partition (same scale as the CSV sources).
@@ -28,14 +31,16 @@ DEFAULT_PARTITION_BYTES = 1 << 20
 
 def write_jsonl(frame: DataFrame, path: str) -> None:
     """Write a frame as one JSON object per line (NA as ``null``)."""
-    arrays = [frame.column(name).to_array() for name in frame.columns]
     names = frame.columns
+    cells = [
+        column_cells(frame.column(name).to_array(), _jsonable)
+        for name in names
+    ]
+    encode = json.JSONEncoder().encode
     with open(path, "w") as f:
-        for i in range(len(frame)):
-            record = {}
-            for name, arr in zip(names, arrays):
-                record[name] = _jsonable(arr[i])
-            f.write(json.dumps(record) + "\n")
+        f.writelines(
+            encode(dict(zip(names, row))) + "\n" for row in zip(*cells)
+        )
 
 
 def _jsonable(value):
@@ -84,10 +89,15 @@ def read_jsonl(
     """Read (a byte range of) a JSONL file into a :class:`DataFrame`."""
     wanted = list(columns) if columns is not None else None
     records: List[dict] = []
-    for line in _iter_lines(path, byte_range):
-        records.append(json.loads(line))
-        if nrows is not None and len(records) >= nrows:
-            break
+    with closing(read_line_blocks(path, byte_range)) as blocks:
+        for block in blocks:
+            text = block.decode("utf-8")
+            lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
+            if nrows is not None:
+                del lines[nrows - len(records):]
+            records.extend(_parse_lines(lines))
+            if nrows is not None and len(records) >= nrows:
+                break
 
     if wanted is None:
         wanted = []
@@ -119,28 +129,17 @@ def read_jsonl(
     return frame
 
 
-def _iter_lines(path: str, byte_range: Optional[Tuple[int, int]]):
-    if byte_range is None:
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    yield line
-        return
-    start, end = byte_range
-    with open(path, "rb") as f:
-        f.seek(start)
-        if start > 0:
-            f.seek(start - 1)
-            if f.read(1) != b"\n":
-                f.readline()  # partial line belongs to the upstream range
-        while f.tell() < end:
-            raw = f.readline()
-            if not raw:
-                break
-            text = raw.decode("utf-8").strip()
-            if text:
-                yield text
+def _parse_lines(lines: List[str]) -> list:
+    """One ``json.loads`` over the lines joined into an array; on a
+    malformed line (or one holding several values) parse line by line so
+    the error names it."""
+    try:
+        records = json.loads("[" + ",".join(lines) + "]")
+        if len(records) == len(lines):
+            return records
+    except json.JSONDecodeError:
+        pass
+    return [json.loads(line) for line in lines]
 
 
 def _column_from_values(values: List[object]) -> Column:

@@ -17,9 +17,11 @@ Two pieces back the ``shuffle_write`` / ``shuffle_read`` operators (see
 Spill files are pickles of ``(name, Column)`` pairs rather than
 JSONL/CSV: ``Column.__getstate__`` round-trips values, categories, and
 dtype exactly, which the bit-identity contract of the shuffle path
-requires.  The spill directory is a ``tempfile.mkdtemp`` under
-``memory.spill_dir`` (or the system tmpdir) and is removed when the
-store is garbage-collected or explicitly closed.
+requires, and carries the chunk's string-payload byte count so reading
+a bucket back re-registers its bytes without walking the strings.  The
+spill directory is a ``tempfile.mkdtemp`` under ``memory.spill_dir``
+(or the system tmpdir) and is removed when the store is
+garbage-collected or explicitly closed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.frame.column import Column
-from repro.frame.concat import concat_consuming
+from repro.frame.concat import concat_consuming, shallow_copy
 from repro.frame.dataframe import DataFrame
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
@@ -337,13 +339,7 @@ class ShuffleStore:
         # concat through shallow wrappers: concat_consuming empties the
         # frames it is given, and these chunks must survive a mid-concat
         # OOM so the caller can restore them
-        wrappers = [
-            DataFrame.from_columns(
-                {name: piece.column(name) for name in piece.columns}
-            )
-            for piece in pieces
-        ]
-        out = concat_consuming(wrappers)
+        out = concat_consuming([shallow_copy(piece) for piece in pieces])
         assert isinstance(out, DataFrame)
         return out
 

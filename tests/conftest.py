@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import faulthandler
+import multiprocessing
 import os
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +26,51 @@ try:  # derandomized profile for CI property-test runs
     )
 except ImportError:  # pragma: no cover - hypothesis is optional
     pass
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "deadline(seconds): fail the test, with every thread's stack on "
+        "stderr, once it has run this long (POSIX main thread only)",
+    )
+
+
+@pytest.fixture(autouse=True)
+def _hard_deadline(request):
+    """``@pytest.mark.deadline(seconds)``: a hung test fails instead of
+    stalling the run.
+
+    For the tests that fork worker pools or drive an event loop: a
+    wedged pool leaves the parent waiting on a lock forever.
+    ``SIGALRM`` interrupts that wait in the main thread; the handler
+    dumps all stacks (the parent's wait is the informative one), kills
+    the worker processes so that neither the pool's shutdown nor its
+    exit hook can wait on a stuck one, and raises.  It re-arms itself:
+    hypothesis replays a failing example, which may hang again.
+    """
+    marker = request.node.get_closest_marker("deadline")
+    if marker is None or not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    seconds = int(marker.args[0])
+
+    def expired(signum, frame):
+        faulthandler.dump_traceback(file=sys.__stderr__, all_threads=True)
+        for child in multiprocessing.active_children():
+            child.kill()
+        signal.alarm(seconds)
+        raise TimeoutError(
+            f"{request.node.nodeid} exceeded its {seconds} s deadline"
+        )
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _clear_session_stack():

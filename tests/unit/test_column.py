@@ -4,8 +4,9 @@ import gc
 import pickle
 
 import numpy as np
+import pytest
 from repro.frame.column import NA_CODE, Column
-from repro.frame.dtypes import CategoricalDtype, normalize_dtype
+from repro.frame.dtypes import CategoricalDtype, normalize_dtype, object_nbytes
 from repro.memory import memory_manager
 
 
@@ -231,3 +232,54 @@ class TestDtypeHelpers:
         assert CategoricalDtype() == "category"
         assert CategoricalDtype(["a"]) == CategoricalDtype(["a"])
         assert CategoricalDtype(["a"]) != CategoricalDtype(["b"])
+
+
+OBJECT_ARRAYS = {
+    "str": ["a", "", "日本語", "x" * 40],
+    "str_none": ["a", None, "bcd", None],
+    "nan": ["a", float("nan"), "bb"],
+    "mixed": ["a", 1, 2.5, None, True, b"bytes", ("t",), np.str_("np")],
+    "none": [None, None],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_ARRAYS))
+class TestPickleCarriesThePayloadCount:
+    """A pickled column carries the byte count of the payload it owns,
+    so loading (a spilled shuffle chunk, a cached result) registers the
+    same bytes without walking the strings again."""
+
+    @staticmethod
+    def _array(name):
+        values = OBJECT_ARRAYS[name]
+        out = np.empty(len(values), dtype=object)
+        out[:] = values
+        return out
+
+    def test_known_heap_bytes_register_like_a_count(self, name):
+        values = self._array(name)
+        told = Column(values, heap_nbytes=object_nbytes(values) - 8 * len(values))
+        assert told.nbytes == Column(values).nbytes == object_nbytes(values)
+
+    def test_round_trip_registers_the_same_bytes(self, name):
+        memory_manager.reset()
+        col = Column(self._array(name))
+        before = memory_manager.live
+        assert col.__getstate__()["heap_nbytes"] == col.nbytes - 8 * len(col)
+        loaded = pickle.loads(pickle.dumps(col))
+        assert loaded.nbytes == col.nbytes == object_nbytes(col.values)
+        assert memory_manager.live == 2 * before
+
+    def test_a_sharing_column_is_counted_on_load(self, name):
+        col = Column(self._array(name))
+        head = col.take(np.arange(len(col))[:1])  # shares col's payload
+        assert head.__getstate__()["heap_nbytes"] is None
+        assert pickle.loads(pickle.dumps(head)).nbytes \
+            == object_nbytes(col.values[:1])
+
+
+def test_categorical_round_trip_keeps_its_dictionary_charge():
+    col = Column.from_values(["x", "yy", None, "x"], dtype="category")
+    loaded = pickle.loads(pickle.dumps(col))
+    assert loaded.nbytes == col.nbytes == 4 * 4 + object_nbytes(col.categories)

@@ -268,3 +268,40 @@ class TestPersistAndSpill:
             b.store.clear()
         finally:
             memory_manager.budget = None
+
+
+class TestPinnedPartitionsSurviveMaterialize:
+    """``dso`` x ``lafp_dask``: two roots share a pinned multi-partition
+    frame; one materializes it (``sort_values`` falls back to pandas),
+    the other groups it afterwards.  The materializing concat consumes
+    its inputs, which emptied the pinned partitions (``KeyError:
+    ['service']``) whenever there were at least two of them."""
+
+    def test_compute_leaves_pinned_partitions_intact(self, backend, wide_csv):
+        pinned = backend.read_csv(path=wide_csv).persist()
+        assert pinned.expr.npartitions >= 2
+        first = pinned.compute()
+        again = pinned.compute()
+        assert again.columns == first.columns == ["k", "v", "g", "pad"]
+        assert again["pad"].values.tolist() == first["pad"].values.tolist()
+        out = pinned.groupby(["g"])["v"].mean()
+        expected = read_csv(wide_csv).groupby(["g"])["v"].mean()
+        assert out.index.to_array().tolist() == expected.index.to_array().tolist()
+        np.testing.assert_allclose(out.values, expected.values)
+
+    def test_materialized_then_grouped_through_a_session(self, wide_csv):
+        import repro.lazyfatpandas.pandas as lfp
+        from repro.core.session import Session
+
+        eager = read_csv(wide_csv)
+        expected = eager[eager["k"] >= 5].groupby(["g"])["v"].mean()
+        with Session(backend="dask"):
+            df = lfp.scan_csv(wide_csv, partition_bytes=2048)
+            errors = df[df.k >= 5]
+            worst = errors.sort_values("v", ascending=False).head(20)
+            per_group = errors.groupby(["g"])["v"].mean()
+            # pins the 5-partition ``errors`` and materializes it for the sort
+            assert len(worst.compute(live_df=[errors])) == 20
+            got = per_group.compute(live_df=[])
+        assert got.index.to_array().tolist() == expected.index.to_array().tolist()
+        np.testing.assert_allclose(got.values, expected.values)

@@ -1,5 +1,7 @@
 """Unit tests for CSV IO, the .str/.dt accessors, and the metastore."""
 
+import csv
+import json
 import os
 import time
 
@@ -125,6 +127,120 @@ class TestWriteCsv:
         frame.to_csv(out)
         again = read_csv(out, parse_dates=["t"])
         assert again["t"].values[0] == np.datetime64("2024-05-01T10:30:00")
+
+
+def _reference_cell(value) -> str:
+    """The per-cell stringifier ``write_csv`` called before it went
+    column-wise (kept as the golden reference)."""
+    if value is None:
+        return ""
+    if isinstance(value, float) and np.isnan(value):
+        return ""
+    if isinstance(value, np.datetime64):
+        if np.isnat(value):
+            return ""
+        return str(value.astype("datetime64[s]")).replace("T", " ")
+    if isinstance(value, np.floating) and np.isnan(value):
+        return ""
+    return str(value)
+
+
+def _reference_write_csv(frame, path, index=False):
+    arrays = [frame.column(name).to_array() for name in frame.columns]
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        header = frame.columns
+        if index:
+            header = ["index", *header]
+        writer.writerow(header)
+        labels = frame.index.to_array() if index else None
+        for i in range(len(frame)):
+            row = [_reference_cell(a[i]) for a in arrays]
+            if index:
+                row.insert(0, _reference_cell(labels[i]))
+            writer.writerow(row)
+
+
+def _reference_jsonable(value):
+    if value is None:
+        return None
+    if isinstance(value, (np.floating, float)):
+        return None if np.isnan(value) else float(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.datetime64):
+        if np.isnat(value):
+            return None
+        return str(value.astype("datetime64[s]")).replace("T", " ")
+    return str(value)
+
+
+def _reference_write_jsonl(frame, path):
+    arrays = [frame.column(name).to_array() for name in frame.columns]
+    with open(path, "w") as f:
+        for i in range(len(frame)):
+            record = {
+                name: _reference_jsonable(arr[i])
+                for name, arr in zip(frame.columns, arrays)
+            }
+            f.write(json.dumps(record) + "\n")
+
+
+class TestColumnWiseWritersKeepTheirBytes:
+    """The writers stringify a column at a time; the files they write
+    must be the ones the cell-at-a-time writers wrote, byte for byte."""
+
+    @pytest.fixture
+    def golden_frame(self):
+        n = 48
+        floats = np.linspace(-1e17, 1e17, n) / 3.0
+        floats[::5] = np.nan
+        floats[1:4] = [1e16, 1e-5, -0.0]
+        floats[6:8] = [np.inf, -np.inf]
+        stamps = np.datetime64("2024-01-01T10:00:00.123456789", "ns") \
+            + np.arange(n) * np.timedelta64(86_400_000_000_123, "ns")
+        stamps[::7] = np.datetime64("NaT")
+        strings = np.array(
+            [None if i % 6 == 0 else f'a,"{i}" é' if i % 4 == 0 else f"s{i}"
+             for i in range(n)], dtype=object)
+        mixed = np.array(
+            [1, "x", None, 2.5, float("nan"), True, np.float32("nan"),
+             np.int64(3)] * (n // 8), dtype=object)
+        frame = DataFrame({
+            "i": np.arange(n) * 10 ** 15 - 7,
+            "f": floats,
+            "b": np.arange(n) % 3 == 0,
+            "s": strings,
+            "t": stamps,
+            "m": mixed,
+        })
+        frame = frame.with_column("c", frame.column("s").astype("category"))
+        return frame
+
+    @pytest.mark.parametrize("index", [False, True])
+    def test_csv_bytes(self, golden_frame, tmp_path, index):
+        from repro.frame.io_csv import write_csv
+
+        for name, frame in (("full", golden_frame),
+                            ("empty", golden_frame.head(0)),
+                            ("lone", DataFrame({"s": [None, "", "x"]}))):
+            new, old = tmp_path / f"{name}.new", tmp_path / f"{name}.old"
+            write_csv(frame, str(new), index=index)
+            _reference_write_csv(frame, str(old), index=index)
+            assert new.read_bytes() == old.read_bytes()
+            assert old.stat().st_size > 0
+
+    def test_jsonl_bytes(self, golden_frame, tmp_path):
+        from repro.io.jsonl import write_jsonl
+
+        for name, frame in (("full", golden_frame),
+                            ("empty", golden_frame.head(0))):
+            new, old = tmp_path / f"{name}.new", tmp_path / f"{name}.old"
+            write_jsonl(frame, str(new))
+            _reference_write_jsonl(frame, str(old))
+            assert new.read_bytes() == old.read_bytes()
 
 
 class TestToDatetime:

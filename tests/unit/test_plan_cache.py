@@ -519,6 +519,7 @@ class TestAutoWorkers:
                     options={"executor.max_workers": "many"})
 
 
+@pytest.mark.deadline(60)
 class TestProcessStrategyCache:
     """Reuse under the process strategy (the CI spawn leg runs this
     file with LAFP_PROCESS_START_METHOD=spawn, so both start methods

@@ -39,6 +39,10 @@ from repro.graph.scheduler.process import _run_task, create_worker_pool
 from repro.io.predicate import Predicate
 from repro.io.source import Partition
 
+#: worker pools, forks and event loops: a wedged one must fail in a
+#: minute with stacks rather than hang the run (see tests/conftest.py)
+pytestmark = pytest.mark.deadline(60)
+
 
 # ---------------------------------------------------------------------------
 # Worker-side helpers: module-level so they pickle by reference (the
@@ -296,6 +300,31 @@ class TestPoolLifecycle:
         assert result == 10
         assert scheduler._private_pool is None  # shut down after the run
 
+    def test_collected_session_never_waits_for_its_pool(self):
+        """The garbage collector runs a dropped session's pool finalizer
+        at an arbitrary allocation -- the tier-1 hang was one inside
+        ``threading._maintain_shutdown_locks``, whose lock the join of
+        the pool's manager thread then wanted again.  The finalizer
+        signals the pool and returns; only ``close()`` waits."""
+        import multiprocessing
+        import time
+
+        session = _process_session()
+        pool = session.process_pool()
+        busy = pool.submit(time.sleep, 30)
+        while not busy.running():
+            time.sleep(0.01)
+        start = time.monotonic()
+        del session
+        gc.collect()
+        try:
+            assert time.monotonic() - start < 5
+            with pytest.raises(RuntimeError):  # it was shut down
+                pool.submit(_double, 1)
+        finally:
+            for child in multiprocessing.active_children():
+                child.kill()
+
     def test_worker_pool_runs_raw_task(self):
         """The worker entry point itself: steps replay against the
         worker's backend and the final result pickles back."""
@@ -519,3 +548,43 @@ class TestStaticOrder:
             if expected is None:
                 expected = got
             assert got == expected
+
+
+def _wait_forever(_):
+    import threading
+
+    threading.Event().wait()
+
+
+class TestDeadline:
+    @pytest.mark.deadline(2)
+    def test_stuck_workers_are_killed_with_the_test(self):
+        """What the fork-pool hang looked like: the parent waits on a
+        worker that never answers.  The deadline must also free the
+        pool, or its shutdown (and the interpreter's exit hook) waits on
+        the same worker."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = ProcessPoolExecutor(
+            2, mp_context=multiprocessing.get_context("fork"))
+        try:
+            with pytest.raises((TimeoutError, BrokenProcessPool)):
+                list(pool.map(_wait_forever, range(2)))
+            for child in multiprocessing.active_children():
+                child.join(5)
+            assert not multiprocessing.active_children()
+        finally:
+            pool.shutdown(wait=True)
+
+    @pytest.mark.deadline(1)
+    def test_a_hung_wait_fails_with_stacks(self, capfd):
+        import threading
+        import time
+
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="1 s deadline"):
+            threading.Event().wait(30)  # what a deadlocked pool looks like
+        assert time.monotonic() - start < 10
+        assert "most recent call first" in capfd.readouterr().err

@@ -36,6 +36,9 @@ from repro.memory import MemoryManager, SimulatedMemoryError, memory_manager
 
 STRATEGIES = ["serial", "threaded", "fused", "process", "async"]
 
+#: the grid forks worker pools and drives event loops (tests/conftest.py)
+pytestmark = pytest.mark.deadline(60)
+
 
 def _diamond():
     src = Node("from_data", args={"data": {"x": [1, 2, 3]}})

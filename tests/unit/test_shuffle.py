@@ -530,3 +530,114 @@ class TestStats:
         with Session(backend="pandas") as session:
             lfp.scan_csv(wide_csv).collect()
             assert session.last_optimize_report["shuffle_lowered"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Block-at-a-time staging: hash each distinct key once; a spilled chunk
+# carries its string-payload byte count.
+# ---------------------------------------------------------------------------
+
+
+def _reference_bucket_ids(frame, keys, n_buckets):
+    """The generic row-tuple path of ``_bucket_ids`` (what every key took
+    before the single-key fast path)."""
+    from repro.backends.shuffle_ops import _NA_TOKEN
+
+    n = len(frame)
+    normalized = []
+    for key in keys:
+        col = frame.column(key)
+        values = col.to_array().tolist()
+        isna = col.isna()
+        normalized.append(
+            [_NA_TOKEN if isna[i] else values[i] for i in range(n)]
+        )
+    return np.array(
+        [hash(row) % n_buckets for row in zip(*normalized)], dtype=np.int64
+    )
+
+
+class TestBucketIds:
+    @pytest.fixture
+    def keyed(self):
+        from repro.frame import DataFrame
+
+        n = 200
+        rng = np.random.default_rng(11)
+        floats = rng.integers(-4, 4, n) / 2.0          # -0.0 and 0.0 both
+        with_nan = floats.copy()
+        with_nan[::9] = np.nan
+        words = np.array([f"w{v}" for v in rng.integers(0, 9, n)], dtype=object)
+        holes = words.copy()
+        holes[::5] = None
+        frame = DataFrame({
+            "i": rng.integers(-3, 40, n),
+            "f": floats,
+            "fna": with_nan,
+            "b": rng.integers(0, 2, n).astype(bool),
+            "s": words,
+            "sna": holes,
+            "t": np.datetime64("2024-01-01", "ns")
+            + rng.integers(0, 5, n) * np.timedelta64(1, "D"),
+        })
+        frame = frame.with_column("c", frame.column("s").astype("category"))
+        return frame.with_column("cna", frame.column("sna").astype("category"))
+
+    @pytest.mark.parametrize("keys", [
+        ["i"], ["f"], ["b"], ["c"],              # distinct-value path
+        ["fna"], ["cna"], ["s"], ["sna"], ["t"],  # NA-bearing / generic
+        ["i", "c"], ["f", "sna"],                # multi-key
+    ])
+    @pytest.mark.parametrize("n_buckets", [1, 7, 16])
+    def test_equals_the_row_tuple_hash(self, keyed, keys, n_buckets):
+        from repro.backends.shuffle_ops import _bucket_ids
+
+        got = _bucket_ids(keyed, keys, n_buckets)
+        assert got.dtype == np.int64
+        assert got.tolist() == _reference_bucket_ids(
+            keyed, keys, n_buckets).tolist()
+
+    def test_equal_keys_of_different_dtypes_colocate(self, keyed):
+        from repro.backends.shuffle_ops import _bucket_ids
+        from repro.frame import DataFrame
+
+        ints = DataFrame({"k": np.arange(-3, 9)})
+        floats = DataFrame({"k": np.arange(-3, 9).astype(np.float64)})
+        assert _bucket_ids(ints, ["k"], 5).tolist() \
+            == _bucket_ids(floats, ["k"], 5).tolist()
+
+
+class TestSpilledChunksCarryTheirPayloadCount:
+    def test_bucket_chunks_and_spilled_chunks_keep_their_bytes(self, tmp_path):
+        from repro.backends.shuffle_ops import _bucket_ids, _split
+        from repro.frame import DataFrame
+        from repro.frame.dtypes import object_nbytes
+        from repro.io.spill import ShuffleStore
+
+        n = 300
+        strings = np.array(
+            [None if i % 7 == 0 else "x" * (i % 13) for i in range(n)],
+            dtype=object)
+        frame = DataFrame({"k": np.arange(n) % 11, "s": strings})
+        frame = frame.with_column("c", frame.column("s").astype("category"))
+        ids = _bucket_ids(frame, ["k"], 4)
+        store = ShuffleStore(4, spill_dir=str(tmp_path))
+        store.set_template(frame)
+        sizes = {}
+        for bucket, piece in _split(frame, ids):
+            rows = np.nonzero(ids == bucket)[0]
+            # the chunk owns exactly the strings it gathered
+            assert piece.column("s").nbytes == object_nbytes(strings[rows])
+            assert piece["s"].values.tolist() == strings[rows].tolist()
+            sizes[bucket] = piece.column("s").nbytes
+            store.append(bucket, piece)
+        del piece
+        assert store.spill_all() == store.bytes_spilled > sum(sizes.values())
+        for bucket, size in sizes.items():
+            # the count travelled in the pickle; a loaded categorical
+            # chunk owns (and is charged for) its own dictionary
+            loaded = store.read_bucket(bucket)
+            assert loaded.column("s").nbytes == size
+            assert loaded.column("c").nbytes == 4 * len(loaded) + object_nbytes(
+                loaded.column("c").categories)
+        store.close()
