@@ -4,9 +4,10 @@ Nodes represent dataframe operations; an edge A -> B means *B depends on
 A's result* (data dependency) or *B must run after A* (ordering edge, used
 by lazy print).  The graph is built implicitly by the lazy wrapper objects
 in :mod:`repro.core` and executed by a strategy from
-:mod:`repro.graph.scheduler` (serial / threaded / fused, selected via the
-``executor.strategy`` session option), all of which free intermediate
-results as soon as their last consumer has run (section 2.6).
+:mod:`repro.graph.scheduler` (serial / threaded / fused / process /
+async, selected via the ``executor.strategy`` session option): one
+ready-set loop behind all five, which frees an intermediate result as
+soon as its last consumer has run (section 2.6).
 """
 
 from repro.graph.node import Node, OpSpec, OPS, register_op, series_used_columns
@@ -22,7 +23,6 @@ from repro.graph.taskgraph import (
     topological_order,
 )
 from repro.graph.explain import render_plan
-from repro.graph.executor import Executor
 from repro.graph.scheduler import (
     DEFAULT_EXECUTORS,
     ExecutionStats,
@@ -34,7 +34,6 @@ from repro.graph.scheduler import (
 __all__ = [
     "DEFAULT_EXECUTORS",
     "ExecutionStats",
-    "Executor",
     "ExecutorRegistry",
     "Node",
     "OPS",

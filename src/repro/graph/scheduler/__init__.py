@@ -5,25 +5,29 @@ strategy (its factory plus the capability facts the session branches
 on), an :class:`ExecutorRegistry` maps names to specs, and sessions pick
 a strategy through the ``executor.strategy`` option -- the Dask split
 between a collection protocol and swappable ``get`` functions, applied
-to the LaFP task graph.  Future async or process-pool executors plug in
-as new specs; no globals involved beyond the default registry.
+to the LaFP task graph.
 
-Strategies shipped:
+There is one scheduling core (:mod:`repro.graph.scheduler.base`): the
+:class:`~repro.graph.scheduler.base.ReadySet` state machine, one
+admission rule (static-priority order, a free slot, memory headroom),
+one release rule, one failure unwind.  A strategy is where an admitted
+task runs -- its *submit seam* -- plus, for two of them, how nodes are
+grouped into tasks:
 
-- ``serial``   -- the paper's single loop (section 2.6), extracted,
-- ``threaded`` -- ready-queue parallel execution with memory-aware
-  admission (needs an engine with ``supports_parallel_apply``),
-- ``fused``    -- linear-chain fusion to cut scheduling overhead on
-  deep-chain workloads,
-- ``process``  -- fused chains shipped to a ProcessPoolExecutor through
+- ``serial``   -- the inline seam, one node per task: the paper's
+  single loop (section 2.6),
+- ``fused``    -- the inline seam over linear-chain tasks,
+- ``threaded`` -- the thread-pool seam (needs an engine with
+  ``supports_parallel_apply``, as do the next two),
+- ``process``  -- the process-pool seam: fused chains shipped through
   the pickle seam, for CPU-bound operators the GIL serializes,
-- ``async``    -- asyncio event-loop scheduling, the seam a server
-  needs to multiplex many concurrent collects over one pool.
+- ``async``    -- the event-loop seam, with the awaitable
+  ``execute_async`` a server needs to multiplex many concurrent
+  collects over one scheduler.
 
-Every strategy consumes the memory-aware static ordering pass
-(:mod:`repro.graph.scheduler.order`, ``executor.static_order``): the
-serial/fused loops follow it directly, the parallel heaps use it as
-their tie-break.
+The key of the ready heap is the memory-aware static ordering pass
+(:mod:`repro.graph.scheduler.order`, ``executor.static_order``); with
+the pass off every strategy falls back to node-id order.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ DEFAULT_EXECUTORS = ExecutorRegistry([
     SchedulerSpec(
         "threaded", ThreadedScheduler,
         requires_parallel_apply=True,
-        description="ready-queue worker pool with memory-aware admission",
+        description="the ready set driven over a thread pool",
     ),
     SchedulerSpec(
         "fused", FusedScheduler,

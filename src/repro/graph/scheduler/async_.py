@@ -1,13 +1,12 @@
-"""The async strategy: event-loop scheduling for concurrent collects.
+"""The async strategy: the event-loop seam, for concurrent collects.
 
 ROADMAP item 3 (a multi-tenant serving layer) needs a seam where many
 concurrent ``collect()`` requests multiplex over one scheduler without
-a coordination thread per request.  This strategy provides it:
-scheduling decisions run on an asyncio event loop, nodes execute in the
-loop's default thread-pool executor (``backend.apply`` holds the GIL
-only as much as the threaded strategy's workers do), and an
-``asyncio.Semaphore`` sized by ``executor.max_workers`` bounds
-concurrency.
+a coordination thread per request.  This strategy provides it: the
+shared ready set is driven from a coroutine (``asyncio.wait`` where the
+pool strategies block on their completion queue), nodes execute in the
+loop's default thread-pool executor, and at most
+``executor.max_workers`` are in flight.
 
 Two entry points:
 
@@ -16,17 +15,17 @@ Two entry points:
   transparently when ``executor.strategy`` is ``"async"``.
 - :meth:`AsyncScheduler.execute_async` is a coroutine for callers that
   already own a loop: a server awaits many of these concurrently on
-  *one* scheduler instance, and the per-execution state (ready sets,
-  refcounts, stats) is local to each call -- only the advisory
-  estimate/priority maps are shared, and those merge by process-unique
-  node id.  ``last_stats`` reflects the most recently *started*
-  execution; concurrent servers should read each call's stats object
-  instead.
+  *one* scheduler instance, and the per-execution state (ready set,
+  stats) is local to each call -- only the advisory estimate/priority
+  maps are shared, and those merge by process-unique node id.
+  ``last_stats`` reflects the most recently *started* execution;
+  concurrent servers should read each call's stats object instead.
 
-Ready nodes are admitted in (static priority, node id) order -- the
-memory-aware static order of :mod:`repro.graph.scheduler.order` -- and
-input release happens on the loop thread after each completion, so the
-section-2.6 eager-release rule needs no locks here.
+Admission is the shared rule (:meth:`Scheduler._admit`), asked only when
+a slot frees: turning every ready node into a task up front would queue
+later, *higher*-priority nodes behind earlier FIFO waiters and break the
+memory-aware order under contention.  Release and readiness run on the
+loop thread after each completion, so they need no locks.
 
 Requires an engine with ``supports_parallel_apply`` (concurrent
 ``backend.apply`` calls); sessions fall back to serial otherwise.
@@ -35,18 +34,11 @@ Requires an engine with ``supports_parallel_apply`` (concurrent
 from __future__ import annotations
 
 import asyncio
-import heapq
-import time
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence
 
 from repro.graph.node import Node
-from repro.graph.scheduler.base import Scheduler
+from repro.graph.scheduler.base import ReadySet, Scheduler, Task
 from repro.graph.scheduler.stats import ExecutionStats
-from repro.graph.taskgraph import (
-    consumers_by_id,
-    dependency_counts,
-    ready_nodes,
-)
 
 
 class AsyncScheduler(Scheduler):
@@ -54,144 +46,52 @@ class AsyncScheduler(Scheduler):
 
     name = "async"
     prefetches_ranges = True
+    default_workers = 4
 
-    def __init__(self, backend, *, session=None, memory=None,
-                 max_workers=None, static_order=True):
-        super().__init__(backend, session=session, memory=memory,
-                         max_workers=max_workers or 4,
-                         static_order=static_order)
-
-    # -- synchronous contract ---------------------------------------------
-
-    def _run(self, order: List[Node], refcounts: Dict[int, int],
-             root_ids: set, stats: ExecutionStats) -> None:
+    def _run(self, ready: ReadySet, stats: ExecutionStats) -> None:
         loop = asyncio.new_event_loop()
         try:
-            loop.run_until_complete(
-                self._arun(order, refcounts, root_ids, stats)
-            )
-            loop.run_until_complete(loop.shutdown_default_executor())
+            loop.run_until_complete(self._arun(ready, stats))
         finally:
+            # join the pool threads on failure too: a thread that has
+            # handed over its node's error still holds the traceback --
+            # and through it the node's inputs -- until it loops round
+            loop.run_until_complete(loop.shutdown_default_executor())
             loop.close()
-
-    # -- async contract (the serving-layer seam) --------------------------
 
     async def execute_async(self, roots: Sequence[Node]) -> List[object]:
         """Awaitable :meth:`~Scheduler.execute`: compute ``roots`` on
         the *current* event loop.  Safe to await concurrently on one
         scheduler instance; see the module docstring."""
-        stats = self._begin_stats()
-        io_counters, io_before = self._begin_io()
-        order, refcounts, root_ids = self._plan(roots, stats)
-        prefetched_urls = self._issue_prefetch(order)
-        started = time.perf_counter()
-        try:
-            await self._arun(order, refcounts, root_ids, stats)
-            results = self._materialize_roots(roots)
-        finally:
-            stats.wall_seconds = time.perf_counter() - started
-            stats.manager_peak_bytes = self.memory.peak
-            self._finish_io(stats, io_counters, io_before, prefetched_urls)
-        return results
+        with self._running(roots) as (ready, stats, started):
+            await self._arun(ready, stats)
+            return self._results(roots, started)
 
-    # -- the scheduling coroutine -----------------------------------------
-
-    async def _arun(self, order: List[Node], refcounts: Dict[int, int],
-                    root_ids: set, stats: ExecutionStats) -> None:
+    async def _arun(self, ready: ReadySet, stats: ExecutionStats) -> None:
         loop = asyncio.get_running_loop()
-        dep_counts = dependency_counts(order)
-        consumers = consumers_by_id(order)
-        total = len(order)
-        done = 0
-        ready: List[Tuple[int, int, Node]] = []
-        ready_since: Dict[int, float] = {}
-
-        def push_ready(node: Node, when: float) -> None:
-            priority = self._priorities.get(node.id, node.id)
-            heapq.heappush(ready, (priority, node.id, node))
-            ready_since[node.id] = when
-
-        now = time.perf_counter()
-        for node in ready_nodes(order, dep_counts):
-            push_ready(node, now)
-
-        def finish(node: Node) -> None:
-            # Loop thread only: propagate readiness (serialized by the
-            # event loop, so no coordination lock).
-            completed_at = time.perf_counter()
-            for consumer in consumers.get(node.id, ()):
-                dep_counts[consumer.id] -= 1
-                if dep_counts[consumer.id] == 0:
-                    push_ready(consumer, completed_at)
-
-        async def run_node(node: Node) -> Node:
-            queue_wait = max(
-                0.0,
-                time.perf_counter()
-                - ready_since.get(node.id, time.perf_counter()),
-            )
-            await loop.run_in_executor(
-                None, self._call_with_session, node, stats, queue_wait
-            )
-            return node
-
-        # Admission pops the priority heap only when a slot frees (no
-        # semaphore): turning every ready node into a task up front
-        # would queue later, *higher*-priority nodes behind earlier
-        # FIFO waiters, breaking the memory-aware static order under
-        # contention -- measurably higher peaks than the threaded
-        # strategy at the same max_workers.
-        in_flight: Set[asyncio.Task] = set()
+        pending: Dict[asyncio.Future, Task] = {}
         try:
-            while done < total:
-                while ready and len(in_flight) < self.max_workers:
-                    node = heapq.heappop(ready)[2]
-                    if node.computed:
-                        # cached (persisted) result; inputs not re-read
-                        stats.record_cache_hit()
-                        done += 1
-                        finish(node)
-                        continue
-                    in_flight.add(asyncio.ensure_future(run_node(node)))
-                if done >= total:
-                    break
-                if not in_flight:  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        f"async scheduler stalled with {total - done} "
-                        "nodes unreachable"
+            while ready.remaining:
+                while len(pending) < self.max_workers:
+                    admitted = self._admit(ready, len(pending), stats)
+                    if admitted is None:
+                        break
+                    task, ready_at = admitted
+                    pending[loop.run_in_executor(
+                        None, self._in_session, self._execute_node,
+                        task[0], stats, ready_at,
+                    )] = task
+                if pending:
+                    finished, _ = await asyncio.wait(
+                        pending, return_when=asyncio.FIRST_COMPLETED
                     )
-                finished, in_flight = await asyncio.wait(
-                    in_flight, return_when=asyncio.FIRST_COMPLETED
-                )
-                for task in finished:
-                    node = task.result()  # re-raises node errors
-                    done += 1
-                    # Eager release before the next admission round, so
-                    # a freed slot never starts a node while this one's
-                    # inputs are still live.
-                    self._release_inputs(node, refcounts, root_ids)
-                    finish(node)
+                    for future in finished:
+                        task = pending.pop(future)
+                        future.result()  # re-raises the node's error
+                        self._finish(ready, task)
         except BaseException:
-            # A node failed (or the caller cancelled us): let already-
-            # running nodes drain -- executor threads cannot be
-            # interrupted -- then surface the original error.
-            for task in in_flight:
-                task.cancel()
-            await asyncio.gather(*in_flight, return_exceptions=True)
+            # A node failed (or the caller cancelled us): executor
+            # threads cannot be interrupted, so let the running nodes
+            # finish before the run scope drops their results.
+            await asyncio.gather(*pending, return_exceptions=True)
             raise
-
-    # -- executor-thread shim ---------------------------------------------
-
-    def _call_with_session(self, node: Node, stats: ExecutionStats,
-                           queue_wait: float) -> None:
-        """Run one node on an executor thread with the owning session
-        active, so mid-node buffer allocations charge the right
-        manager (the loop's default pool threads are shared and
-        long-lived, so activation is per-call, not per-thread)."""
-        if self.session is not None:
-            self.session.activate()
-        try:
-            self._execute_node(node, stats, queue_wait=queue_wait)
-        finally:
-            if self.session is not None:
-                self.session.deactivate()

@@ -1,26 +1,46 @@
-"""Scheduler base class: planning, node execution, eager release.
+"""The scheduling core: one ready-set loop, shared by every strategy.
 
-A scheduler runs a task subgraph against a backend.  The base class owns
-everything strategy-independent -- culling to the needed subgraph,
-refcount initialization, per-node execution with stats capture, the
-section-2.6 eager release rule, and root materialization -- so a
-strategy only implements :meth:`Scheduler._run`.
+A scheduler runs a task subgraph against a backend.  Everything
+strategy-independent lives here exactly once: culling to the needed
+subgraph and the static ordering pass (:meth:`Scheduler._plan`), the
+:class:`ReadySet` state machine (task-level in-degrees, the one ready
+heap, queue-wait stamps, the section-2.6 release rule), the one
+admission rule (:meth:`Scheduler._admit`: cached short-circuit, free
+slot, memory headroom), per-node execution with stats capture, the run
+scope with its failure unwind, and the ``concurrent.futures`` driver
+both pool strategies share.  A strategy is its *submit seam* -- where an
+admitted task runs (inline, thread pool, process pool, event loop) --
+and nothing else.
 """
 
 from __future__ import annotations
 
+import contextlib
+import heapq
+import queue
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from concurrent.futures import Future
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.graph.node import Node
 from repro.graph.scheduler.stats import ExecutionStats
 from repro.graph.taskgraph import (
+    consumers_by_id,
+    dependency_counts,
     initial_refcounts,
     needed_nodes,
     topological_order,
 )
+from repro.memory.manager import SimulatedMemoryError
 
+#: the unit of scheduling: one node, or a linear chain from
+#: :func:`~repro.graph.scheduler.fused.fuse_linear_chains` (every
+#: member but the head depends on its predecessor alone, every member
+#: but the tail is consumed by its successor alone).
+Task = List[Node]
 
 #: pure shuffle-pipeline ops: re-running one against its materialized
 #: inputs is side-effect-free, so an OOM can spill-and-retry.  The
@@ -44,6 +64,104 @@ def _oom_retryable(node: Node, inputs: List[object]) -> bool:
     return not any(isinstance(v, PartitionStream) for v in inputs)
 
 
+def release_inputs(node: Node, refcounts: Dict[int, int],
+                   root_ids: Set[int],
+                   drop: Callable[[Node], None]) -> None:
+    """The section-2.6 release rule, the only copy: ``node`` has run, so
+    each input loses a consumer, and an input nobody else will read is
+    ``drop``-ped (roots and persisted nodes stay).  Execution drops the
+    result itself; :func:`~repro.graph.scheduler.order.
+    simulate_peak_bytes` drops its byte estimate.  Duplicate inputs
+    (``x + x``) count once per edge, as :func:`initial_refcounts` does.
+    """
+    for inp in node.inputs:
+        if inp.id not in refcounts:
+            continue
+        refcounts[inp.id] -= 1
+        if (
+            refcounts[inp.id] == 0
+            and inp.id not in root_ids
+            and not inp.persist
+        ):
+            drop(inp)
+
+
+class ReadySet:
+    """Which task may start next, and what finishing one frees.
+
+    Kahn's algorithm over *all* edges (data and ordering, so lazy-print
+    chains stay in program order) with one heap keyed ``(static
+    priority, head node id)``: popping it one task at a time is the
+    memory-minimizing serial order, and a parallel driver admits in the
+    same order.  Plain, unlocked state: exactly one thread -- the one
+    that drives the run -- may touch an instance.
+
+    ``root_ids=None`` builds an ordering-only set whose :meth:`release`
+    is never called (:func:`~repro.graph.scheduler.order.
+    priority_topological_order`).  ``consumers`` is the
+    ``consumers_by_id`` of the tasks' nodes when the caller has already
+    walked the edges (a run orders, groups and executes one node set);
+    it is only read.
+    """
+
+    def __init__(self, tasks: Sequence[Task], priorities: Dict[int, int],
+                 root_ids: Optional[Set[int]] = None,
+                 consumers: Optional[Dict[int, List[Node]]] = None):
+        order = [node for task in tasks for node in task]
+        self._consumers = (
+            consumers_by_id(order) if consumers is None else consumers
+        )
+        self._waiting = dependency_counts(order, self._consumers)
+        self._by_head = {task[0].id: task for task in tasks}
+        self._priorities = priorities
+        self._root_ids = root_ids or set()
+        self._refcounts = (
+            initial_refcounts(order) if root_ids is not None else {}
+        )
+        #: the ready heap: ``(priority, head node id, task, ready since)``.
+        self.heap: List[Tuple[int, int, Task, float]] = []
+        #: tasks not yet completed; the run is over at zero.
+        self.remaining = len(tasks)
+        #: admission is paused for memory headroom (one throttle event
+        #: is recorded per pause, not per re-check).
+        self.throttled = False
+        now = time.perf_counter()
+        for task in tasks:
+            if self._waiting[task[0].id] == 0:
+                self.push(task, now)
+
+    def push(self, task: Task, when: float) -> None:
+        """Mark ``task`` ready as of ``when`` (also how a lost task is
+        re-queued)."""
+        head = task[0].id
+        heapq.heappush(
+            self.heap, (self._priorities.get(head, head), head, task, when)
+        )
+
+    def pop(self) -> Tuple[Task, float]:
+        """The next task in admission order and when it became ready."""
+        return heapq.heappop(self.heap)[2:]
+
+    def release(self, node: Node) -> None:
+        """``node`` has run: free the inputs it was the last reader of."""
+        release_inputs(node, self._refcounts, self._root_ids,
+                       Node.clear_result)
+
+    def complete(self, task: Task) -> None:
+        """``task`` is done: its consumers with nothing left to wait
+        for become ready.  Only the tail has consumers outside the task,
+        and they are heads (see :data:`Task`)."""
+        self.remaining -= 1
+        consumers = self._consumers.get(task[-1].id)
+        if consumers:
+            waiting = self._waiting
+            now = time.perf_counter()
+            for consumer in consumers:
+                waiting[consumer.id] -= 1
+                if waiting[consumer.id] == 0:
+                    self.push(self._by_head[consumer.id], now)
+
+
 class Scheduler:
     """Runs task subgraphs against a backend (one strategy per class).
 
@@ -59,6 +177,8 @@ class Scheduler:
     #: remote latency overlaps compute (serial strategies gain nothing
     #: -- the scan is the next thing they run anyway).
     prefetches_ranges = False
+    #: pool size when the caller names none.
+    default_workers = 1
 
     def __init__(self, backend, *, session=None,
                  memory=None, max_workers: Optional[int] = None,
@@ -66,7 +186,7 @@ class Scheduler:
         self.backend = backend
         self.session = session
         self._memory = memory
-        self.max_workers = max(1, int(max_workers or 1))
+        self.max_workers = max(1, int(max_workers or self.default_workers))
         #: apply the memory-aware static ordering pass
         #: (``executor.static_order``) before running.
         self.static_order = bool(static_order)
@@ -84,8 +204,7 @@ class Scheduler:
         #: node id -> predicted output bytes (filled per execute()).
         self._estimates: Dict[int, int] = {}
         #: node id -> static priority (filled per execute() when the
-        #: ordering pass ran); parallel strategies use it as the heap
-        #: tie-break ahead of the node id.
+        #: ordering pass ran): the ready heap's key ahead of the node id.
         self._priorities: Dict[int, int] = {}
 
     # -- memory ----------------------------------------------------------
@@ -105,40 +224,57 @@ class Scheduler:
 
         Statistics of the run land in :attr:`last_stats`.
         """
-        stats = self._begin_stats()
-        io_counters, io_before = self._begin_io()
-        order, refcounts, root_ids = self._plan(roots, stats)
-        prefetched_urls = self._issue_prefetch(order)
-        started = time.perf_counter()
-        try:
-            self._run(order, refcounts, root_ids, stats)
-            results = self._materialize_roots(roots)
-            if self.cache_state is not None:
-                # Roots, after materialization: on lazy backends this is
-                # the first (only) point the value is eager.  The whole
-                # run's wall is the honest replacement cost -- serving
-                # the root from cache skips exactly this run.
-                wall = time.perf_counter() - started
-                for root, value in zip(roots, results):
-                    self.cache_state.offer(root, value, wall)
-        finally:
-            # finalized even when a node raises (OOM cells included):
-            # the session publishes these stats either way.
-            stats.wall_seconds = time.perf_counter() - started
-            stats.manager_peak_bytes = self.memory.peak
-            self._finish_io(stats, io_counters, io_before, prefetched_urls)
-        return results
+        with self._running(roots) as (ready, stats, started):
+            self._run(ready, stats)
+            return self._results(roots, started)
 
-    # -- planning (shared by execute and AsyncScheduler.execute_async) ----
+    # -- the run scope (shared with AsyncScheduler.execute_async) ---------
 
-    def _begin_stats(self) -> ExecutionStats:
+    @contextlib.contextmanager
+    def _running(self, roots: Sequence[Node]) -> Iterator[
+            Tuple[ReadySet, ExecutionStats, float]]:
+        """Everything around a strategy's driver: stats, I/O accounting,
+        planning, prefetch, and -- when the body raises -- the unwind.
+
+        The body's driver has let its in-flight work drain by the time
+        an exception reaches this scope, so every result the run
+        produced can be dropped (persisted ones stay, as
+        :meth:`Node.clear_result` defines): a failed run leaves the
+        tracked bytes, and the spill files they pin, as it found them.
+        Side-effect nodes stay done -- a print that reached stdout must
+        not be repeated by the next collect.
+        """
+        from repro.io.fs import session_io_counters
+
         stats = ExecutionStats(
             strategy=self.requested_strategy or self.name,
             effective_strategy=self.name,
             max_workers=self.max_workers,
         )
         self.last_stats = stats
-        return stats
+        io_counters = session_io_counters(self.session)
+        io_before = io_counters.snapshot()
+        order, root_ids, consumers = self._plan(roots, stats)
+        prefetched_urls = self._issue_prefetch(order)
+        cached = {node.id for node in order if node.computed}
+        ready = ReadySet(
+            self._tasks(order, root_ids, consumers, stats),
+            self._priorities, root_ids, consumers,
+        )
+        started = time.perf_counter()
+        try:
+            yield ready, stats, started
+        except BaseException:
+            for node in order:
+                if node.id not in cached and not node.spec.side_effect:
+                    node.clear_result()
+            raise
+        finally:
+            # finalized even when a node raises (OOM cells included):
+            # the session publishes these stats either way.
+            stats.wall_seconds = time.perf_counter() - started
+            stats.manager_peak_bytes = self.memory.peak
+            self._finish_io(stats, io_counters, io_before, prefetched_urls)
 
     def _plan(self, roots: Sequence[Node], stats: ExecutionStats):
         """Cull, estimate, and statically order the subgraph.
@@ -165,14 +301,18 @@ class Scheduler:
         self._estimates.update(estimate_node_bytes(order, self.session))
         if self.static_order:
             # Memory-aware static ordering (ROADMAP item 2): finish the
-            # branch that frees the most bytes first.  Serial strategies
-            # follow the reordered list directly; parallel ones use the
-            # priorities as their heap tie-break.
+            # branch that frees the most bytes first.  The priorities
+            # key the ready heap of every strategy.
             self._priorities.update(
                 static_priorities(order, self._estimates)
             )
-            order = priority_topological_order(order, self._priorities)
-        refcounts = initial_refcounts(order)
+        # the order a one-at-a-time drain of the ready set follows (node
+        # id breaks every tie when the ordering pass is off); the edges
+        # are walked once for ordering, task grouping and the run
+        consumers = consumers_by_id(order)
+        order = priority_topological_order(
+            order, self._priorities, consumers
+        )
         stats.static_order = self.static_order
         stats.estimated_peak_bytes = simulate_peak_bytes(
             order, self._estimates, root_ids
@@ -182,17 +322,31 @@ class Scheduler:
                 stats.estimated_peak_bytes
             )
             stats.max_workers = self.max_workers
-        return order, refcounts, root_ids
+        return order, root_ids, consumers
+
+    def _tasks(self, order: List[Node], root_ids: Set[int], consumers,
+               stats: ExecutionStats) -> List[Task]:
+        """How ``order`` is grouped into tasks: one node each, unless a
+        strategy fuses linear chains."""
+        return [[node] for node in order]
+
+    def _results(self, roots: Sequence[Node], started: float) -> List[object]:
+        results = []
+        for root in roots:
+            value = self.backend.materialize(root.result)
+            root.result = value
+            results.append(value)
+        if self.cache_state is not None:
+            # Roots, after materialization: on lazy backends this is
+            # the first (only) point the value is eager.  The whole
+            # run's wall is the honest replacement cost -- serving
+            # the root from cache skips exactly this run.
+            wall = time.perf_counter() - started
+            for root, value in zip(roots, results):
+                self.cache_state.offer(root, value, wall)
+        return results
 
     # -- filesystem-layer accounting and prefetch -------------------------
-
-    def _begin_io(self):
-        """The session's IOCounters and their pre-run snapshot; the
-        post-run diff is exactly this execution's I/O."""
-        from repro.io.fs import session_io_counters
-
-        counters = session_io_counters(self.session)
-        return counters, counters.snapshot()
 
     def _issue_prefetch(self, order: List[Node]) -> List[str]:
         """Prefetch the plan's scan ranges (parallel strategies only);
@@ -212,7 +366,8 @@ class Scheduler:
 
     def _finish_io(self, stats: ExecutionStats, counters, before,
                    prefetched_urls: Sequence[str]) -> None:
-        """Purge leftover prefetches and publish the run's I/O deltas."""
+        """Purge leftover prefetches and publish the run's I/O deltas
+        (the counters' diff around the run is exactly its I/O)."""
         if prefetched_urls:
             from repro.io.prefetch import range_cache
 
@@ -239,29 +394,142 @@ class Scheduler:
             return cap
         return max(1, min(cap, budget // estimated_peak_bytes))
 
-    def _materialize_roots(self, roots: Sequence[Node]) -> List[object]:
-        results = []
-        for root in roots:
-            value = self.backend.materialize(root.result)
-            root.result = value
-            results.append(value)
-        return results
-
     # -- strategy hook ---------------------------------------------------
 
-    def _run(self, order: List[Node], refcounts: Dict[int, int],
-             root_ids: set, stats: ExecutionStats) -> None:
+    def _run(self, ready: ReadySet, stats: ExecutionStats) -> None:
+        """Drive ``ready`` to completion through the strategy's seam."""
         raise NotImplementedError
+
+    # -- admission (the one rule every driver asks) -----------------------
+
+    def _admit(self, ready: ReadySet, in_flight: int,
+               stats: ExecutionStats) -> Optional[Tuple[Task, float]]:
+        """The next task to start and when it became ready, or ``None``
+        when nothing may start now (nothing is ready, or the head of
+        the heap must wait for memory headroom).  The caller checks its
+        own slot limit.  Cached (persisted) nodes complete here without
+        running: their inputs are not re-read, so nothing is released.
+        """
+        while True:
+            if not ready.heap:
+                if ready.remaining and not in_flight:
+                    raise ExecutionError(
+                        f"{self.name} scheduler stalled with "
+                        f"{ready.remaining} tasks unreachable"
+                    )
+                return None
+            head = ready.heap[0][2][0]
+            if head.computed:
+                stats.record_cache_hit()
+                ready.complete(ready.pop()[0])
+                continue
+            if in_flight and self._throttled(in_flight, head):
+                if not ready.throttled:
+                    stats.record_throttle_wait()
+                    ready.throttled = True
+                return None
+            ready.throttled = False
+            return ready.pop()
+
+    def _throttled(self, in_flight: int, node: Optional[Node] = None) -> bool:
+        """True when admitting ``node`` should pause for memory headroom.
+
+        With a per-node byte estimate (:mod:`repro.graph.scheduler.
+        estimates`) the check is sized: the node is held back while its
+        predicted footprint exceeds the remaining headroom.  Without one
+        it degrades to the all-or-nothing rule (any positive headroom
+        admits).  Admission resumes as running tasks complete and
+        release their inputs -- throttling instead of OOM-ing.  Never
+        throttles the only candidate: with nothing in flight the node
+        must run (and possibly OOM) or the graph would deadlock.
+        """
+        if in_flight == 0:
+            return False
+        headroom = self.memory.headroom()
+        if headroom is None:
+            return False
+        estimate = self._estimates.get(node.id) if node is not None else None
+        if estimate is None:
+            return headroom <= 0
+        return headroom < estimate
 
     # -- shared plumbing -------------------------------------------------
 
+    def _finish(self, ready: ReadySet, task: Task) -> None:
+        """``task`` ran to completion (coordinating thread only)."""
+        for node in task:
+            ready.release(node)
+        ready.complete(task)
+
+    def _run_inline(self, ready: ReadySet, task: Task,
+                    ready_at: Optional[float],
+                    stats: ExecutionStats) -> None:
+        """The inline seam: run ``task`` on the coordinating thread,
+        releasing link by link so a chain never holds more than one
+        interior result."""
+        for node in task:
+            self._execute_node(node, stats, ready_at)
+            ready.release(node)
+            ready_at = None
+        ready.complete(task)
+
+    def _in_session(self, fn, *args):
+        """Call ``fn`` on a pool thread with the owning session active,
+        so ``current_session()`` -- and the per-session memory manager
+        every :class:`~repro.memory.manager.TrackedBuffer` resolves --
+        is right inside backend calls.  Per call, not per thread: an
+        event loop's default pool threads are shared and long-lived."""
+        if self.session is None:
+            return fn(*args)
+        self.session.activate()
+        try:
+            return fn(*args)
+        finally:
+            self.session.deactivate()
+
+    def _drive_pool(self, ready: ReadySet, stats: ExecutionStats,
+                    submit, collect) -> None:
+        """The ``concurrent.futures`` driver of both pool strategies.
+
+        ``submit(task, ready_at)`` returns the future running the task,
+        or ``None`` when it dealt with the task itself (ran it inline,
+        re-queued it); ``collect(future, pending)`` pops the finished
+        future from ``pending`` (future -> ``(task, ready_at, submitted
+        at)``) and completes its task.  Futures announce themselves on
+        a queue (measured ~11 us cheaper per completion than arming a
+        ``wait(FIRST_COMPLETED)``) and are collected on this thread
+        only, which is what lets :class:`ReadySet` go unlocked.
+        """
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        pending: Dict[Future, Tuple[Task, float, float]] = {}
+        try:
+            while ready.remaining:
+                while len(pending) < self.max_workers:
+                    admitted = self._admit(ready, len(pending), stats)
+                    if admitted is None:
+                        break
+                    future = submit(*admitted)
+                    if future is not None:
+                        pending[future] = (*admitted, time.perf_counter())
+                        future.add_done_callback(done.put)
+                if pending:
+                    future = done.get()
+                    if future in pending:  # else lost with a broken pool
+                        collect(future, pending)
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            raise
+
     def _execute_node(self, node: Node, stats: ExecutionStats,
-                      queue_wait: float = 0.0) -> None:
+                      ready_at: Optional[float] = None) -> None:
         """Run one node and record its stats.
 
-        Byte attribution diffs the manager's monotonic counters around
-        the backend call; exact when nodes run one at a time, an
-        approximation when the threaded strategy overlaps nodes.
+        Queue wait is measured from ``ready_at`` (the moment the node's
+        last dependency finished) to the moment it starts here.  Byte
+        attribution diffs the manager's monotonic counters around the
+        backend call; exact when nodes run one at a time, an
+        approximation when a parallel strategy overlaps nodes.
         """
         memory = self.memory
         reg_before = memory.total_registered
@@ -278,7 +546,9 @@ class Scheduler:
         stats.record_node(
             node,
             wall_seconds=wall,
-            queue_wait_seconds=queue_wait,
+            queue_wait_seconds=(
+                max(0.0, started - ready_at) if ready_at is not None else 0.0
+            ),
             bytes_registered=memory.total_registered - reg_before,
             bytes_released=memory.total_released - rel_before,
             worker=threading.current_thread().name,
@@ -329,8 +599,6 @@ class Scheduler:
         -- stream-consuming ops, ordinary user plans with no live store
         -- keeps the existing fail-fast OOM semantics.
         """
-        from repro.memory.manager import SimulatedMemoryError
-
         try:
             return self.backend.apply(node, inputs)
         except SimulatedMemoryError:
@@ -350,31 +618,6 @@ class Scheduler:
                     if attempt == attempts - 1:
                         raise
             raise  # pragma: no cover - loop always returns or raises
-
-    @staticmethod
-    def _release_inputs(node: Node, refcounts: Dict[int, int],
-                        root_ids: set, clear=None) -> None:
-        """Release inputs whose consumers have all run (section 2.6).
-
-        Callers must serialize invocations (the threaded scheduler holds
-        its coordination lock); the counts themselves are plain ints.
-        ``clear`` overrides how a dead input's result is dropped (the
-        threaded strategy wraps it in the input's per-node lock) --
-        there is exactly one copy of the release *rule*.
-        """
-        for inp in node.inputs:
-            if inp.id not in refcounts:
-                continue
-            refcounts[inp.id] -= 1
-            if (
-                refcounts[inp.id] == 0
-                and inp.id not in root_ids
-                and not inp.persist
-            ):
-                if clear is None:
-                    inp.clear_result()
-                else:
-                    clear(inp)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} backend={self.backend!r}>"

@@ -1,13 +1,16 @@
-"""The fused strategy: linear-chain fusion over the serial loop.
+"""The fused strategy: the inline seam over linear-chain tasks.
 
 The paper's deep-chain workloads (long pipelines of row-preserving
-transforms) spend measurable time in per-node scheduling bookkeeping.
-This strategy runs a pre-pass that fuses *linear single-consumer chains*
--- maximal runs ``a -> b -> c`` where each link is its successor's only
-dependency and each node's only consumer is its successor -- into one
-task, then executes tasks serially.  Within a chain no queue bookkeeping
-happens between links, and release still follows the section-2.6
-refcount rule, so results are bit-identical to the serial strategy.
+transforms) pay per-node ready-set bookkeeping on every link.  This
+strategy groups *linear single-consumer chains* -- maximal runs
+``a -> b -> c`` where each link is its successor's only dependency and
+each node's only consumer is its successor -- into one task each, then
+runs tasks exactly as the serial strategy does.  Within a chain no queue
+bookkeeping happens between links, and release still follows the
+section-2.6 refcount rule link by link, so results and peaks are
+bit-identical to the serial strategy.  (Measured on the dispatch-bound
+``interactive_session`` benchmark workload the saving is under 1 %:
+fusion is a task-grouping choice, not a second loop.)
 
 Fusion never crosses roots, persisted nodes, cached nodes, or fan-out/
 fan-in points (a diamond's branches keep their own tasks), and counts
@@ -16,24 +19,30 @@ ordering edges as dependencies, so lazy prints cannot be reordered.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Set
 
 from repro.graph.node import Node
-from repro.graph.scheduler.base import Scheduler
+from repro.graph.scheduler.base import Task
+from repro.graph.scheduler.serial import SerialScheduler
 from repro.graph.scheduler.stats import ExecutionStats
 from repro.graph.taskgraph import consumers_by_id
 
 
-def fuse_linear_chains(order: List[Node], root_ids: set) -> List[List[Node]]:
+def fuse_linear_chains(
+    order: List[Node], root_ids: set,
+    consumers: Optional[Dict[int, List[Node]]] = None,
+) -> List[List[Node]]:
     """Group ``order`` into tasks: chains of length >= 2 plus singletons.
 
     Returned tasks are in executable order (each task's external
     dependencies are satisfied by earlier tasks): a chain inherits its
     head's topological position, and every non-head chain member depends
     only on its predecessor in the same chain by construction.
+    ``consumers`` is ``consumers_by_id(order)`` when the caller has it.
     """
     in_graph = {node.id for node in order}
-    consumers = consumers_by_id(order)
+    if consumers is None:
+        consumers = consumers_by_id(order)
     successor: Dict[int, Node] = {}
     has_predecessor: Dict[int, bool] = {}
     for node in order:
@@ -43,13 +52,10 @@ def fuse_linear_chains(order: List[Node], root_ids: set) -> List[List[Node]]:
         if len(node_consumers) != 1:
             continue
         nxt = node_consumers[0]
-        if nxt.computed:
-            continue
         # ``nxt`` must hang off this node alone (counting ordering edges);
         # otherwise running the chain as one task could start ``nxt``
         # before an unrelated dependency finished.
-        next_deps = {d.id for d in nxt.all_deps() if d.id in in_graph}
-        if next_deps != {node.id}:
+        if any(d is not node and d.id in in_graph for d in nxt.all_deps()):
             continue
         # Roots and persisted nodes keep their results; fusing them is
         # legal but keeps the bookkeeping simpler if we break chains there.
@@ -75,20 +81,15 @@ def fuse_linear_chains(order: List[Node], root_ids: set) -> List[List[Node]]:
     return tasks
 
 
-class FusedScheduler(Scheduler):
+class FusedScheduler(SerialScheduler):
     """Serial execution over fused linear chains."""
 
     name = "fused"
 
-    def _run(self, order: List[Node], refcounts: Dict[int, int],
-             root_ids: set, stats: ExecutionStats) -> None:
-        tasks = fuse_linear_chains(order, root_ids)
+    def _tasks(self, order: List[Node], root_ids: Set[int], consumers,
+               stats: ExecutionStats) -> List[Task]:
+        tasks = fuse_linear_chains(order, root_ids, consumers)
         for chain in tasks:
             if len(chain) > 1:
                 stats.record_fused_chain(len(chain))
-            for node in chain:
-                if node.computed:
-                    stats.record_cache_hit()
-                    continue
-                self._execute_node(node, stats)
-                self._release_inputs(node, refcounts, root_ids)
+        return tasks

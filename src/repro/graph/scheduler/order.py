@@ -1,13 +1,13 @@
 """Memory-aware static ordering of a task subgraph (ROADMAP item 2).
 
-PR 7 made the threaded ready queue a *dynamic* priority heap (biggest
-estimated bytes released first).  This module is the static half: a
-whole-plan ordering pass, in the spirit of dask's ``dask/order.py``,
+A whole-plan ordering pass, in the spirit of dask's ``dask/order.py``,
 that picks *which branch to finish first* so the fewest intermediate
-results are alive at once.  The serial and fused strategies consume it
-directly as their execution order; the threaded and process strategies
-use it as the heap tie-break ahead of the node id, so equally-releasing
-candidates are admitted in the memory-minimizing order.
+results are alive at once.  Its output is a priority per node, and the
+priority is the key of the one ready heap
+(:class:`~repro.graph.scheduler.base.ReadySet`): the inline strategies
+pop it one task at a time, which *is* the memory-minimizing serial
+order, and the pool and event-loop strategies admit in that same order
+as slots free.
 
 The assignment is a generalized Sethi--Ullman numbering over byte
 estimates (:mod:`repro.graph.scheduler.estimates`):
@@ -27,21 +27,17 @@ Nodes without a byte estimate count zero, which degrades the pass to a
 plain depth-first post-order -- still better than interleaving branches
 by node id, because depth-first finishes one branch (and releases it)
 before touching the next.  The pass never changes *what* runs: only the
-relative order of independent nodes, validated by re-running Kahn with
-the priorities as the tie-break.
+relative order of independent nodes: the ready set still gates every
+node on all of its dependencies.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.graph.node import Node
-from repro.graph.taskgraph import (
-    consumers_by_id,
-    dependency_counts,
-    initial_refcounts,
-)
+from repro.graph.scheduler.base import ReadySet, release_inputs
+from repro.graph.taskgraph import initial_refcounts
 
 
 def static_priorities(
@@ -106,39 +102,25 @@ def static_priorities(
 
 
 def priority_topological_order(
-    order: Sequence[Node], priorities: Dict[int, int]
+    order: Sequence[Node], priorities: Dict[int, int],
+    consumers: Optional[Dict[int, List[Node]]] = None,
 ) -> List[Node]:
     """Re-sort ``order`` topologically with ``priorities`` breaking
     every tie -- the memory-minimizing serial execution order.
 
-    Kahn's algorithm over all edges (data and ordering) with a
-    (priority, node id) heap: the result respects exactly the
-    dependencies the schedulers respect, so substituting it for the
-    DFS order can never run a node before its inputs.
+    Drains a :class:`~repro.graph.scheduler.base.ReadySet` one node at
+    a time, so it is by construction the order the serial strategy
+    runs, over exactly the dependencies (data and ordering edges) every
+    strategy respects; nodes without a priority tie-break on node id.
+    ``consumers`` is ``consumers_by_id(order)`` when the caller has it.
     """
-    dep_counts = dependency_counts(order)
-    consumers = consumers_by_id(order)
-    by_id = {node.id: node for node in order}
-    ready = [
-        (priorities.get(node.id, node.id), node.id)
-        for node in order
-        if dep_counts[node.id] == 0
-    ]
-    heapq.heapify(ready)
+    ready = ReadySet([[node] for node in order], priorities,
+                     consumers=consumers)
     result: List[Node] = []
-    while ready:
-        _, node_id = heapq.heappop(ready)
-        node = by_id[node_id]
-        result.append(node)
-        for consumer in consumers.get(node_id, ()):
-            dep_counts[consumer.id] -= 1
-            if dep_counts[consumer.id] == 0:
-                heapq.heappush(
-                    ready,
-                    (priorities.get(consumer.id, consumer.id), consumer.id),
-                )
-    if len(result) != len(order):  # pragma: no cover - defensive
-        return list(order)
+    while ready.remaining:
+        task, _ = ready.pop()
+        result.append(task[0])
+        ready.complete(task)
     return result
 
 
@@ -160,6 +142,11 @@ def simulate_peak_bytes(
     held: Dict[int, int] = {}
     live = 0
     peak = 0
+
+    def drop(inp: Node) -> None:
+        nonlocal live
+        live -= held.pop(inp.id, 0)
+
     for node in exec_order:
         if node.computed:
             continue
@@ -167,15 +154,5 @@ def simulate_peak_bytes(
         held[node.id] = size
         live += size
         peak = max(peak, live)
-        # Mirrors Scheduler._release_inputs, duplicates included.
-        for inp in node.inputs:
-            if inp.id not in refcounts:
-                continue
-            refcounts[inp.id] -= 1
-            if (
-                refcounts[inp.id] == 0
-                and inp.id not in root_ids
-                and not inp.persist
-            ):
-                live -= held.pop(inp.id, 0)
+        release_inputs(node, refcounts, root_ids, drop)
     return peak

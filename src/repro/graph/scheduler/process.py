@@ -31,9 +31,14 @@ Fault tolerance: shipped tasks are pure functions of already-
 materialized inputs, so when a worker dies mid-task
 (``BrokenProcessPool``) the pool is discarded, a fresh one is built,
 and the task is re-run up to ``executor.process_retries`` times before
-an :class:`~repro.graph.scheduler.base.ExecutionError` surfaces.  On
-that error every result this run produced is dropped first, so the
-memory budget and any spill files are reclaimed.
+an :class:`~repro.graph.scheduler.base.ExecutionError` surfaces --
+through the run scope's unwind, like any failure, so every result this
+run produced is dropped and the memory budget and any spill files are
+reclaimed.
+
+Scheduling is the shared core's: this module is the *process-pool
+seam* of :meth:`Scheduler._drive_pool` -- what ships and how it lands,
+the retry, and the pool's lifecycle -- and nothing else.
 
 Workers are started through the session's cached pool
 (:meth:`~repro.core.session.Session.process_pool`; ``fork`` where
@@ -47,13 +52,14 @@ dangerous parts for *any* fork; the initializer resets the rest).
 
 from __future__ import annotations
 
-import heapq
 import pickle
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.graph.node import Node
-from repro.graph.scheduler.base import ExecutionError, Scheduler
+from repro.graph.scheduler.base import (
+    ExecutionError, ReadySet, Scheduler, Task,
+)
 from repro.graph.scheduler.fused import fuse_linear_chains
 from repro.graph.scheduler.stats import ExecutionStats
 
@@ -173,21 +179,11 @@ class ProcessScheduler(Scheduler):
     """Fused-chain tasks on a process pool, inline fallback otherwise."""
 
     name = "process"
-
-    def __init__(self, backend, *, session=None, memory=None,
-                 max_workers=None, static_order=True):
-        super().__init__(backend, session=session, memory=memory,
-                         max_workers=max_workers or 4,
-                         static_order=static_order)
-        #: pool created for a sessionless run, shut down afterwards.
-        self._private_pool = None
+    default_workers = 4
+    #: pool created for a sessionless run, shut down afterwards.
+    _private_pool: Any = None
 
     # -- pool management ---------------------------------------------------
-
-    def _retries(self) -> int:
-        if self.session is not None:
-            return int(self.session.options.get("executor.process_retries"))
-        return 1
 
     def _pool(self):
         if self.session is not None:
@@ -214,187 +210,71 @@ class ProcessScheduler(Scheduler):
         except Exception:  # noqa: BLE001 - broken pools may raise
             pass
 
-    # -- strategy hook -----------------------------------------------------
+    # -- strategy hooks ----------------------------------------------------
 
-    def _run(self, order: List[Node], refcounts: Dict[int, int],
-             root_ids: set, stats: ExecutionStats) -> None:
+    def _tasks(self, order: List[Node], root_ids: Set[int], consumers,
+               stats: ExecutionStats) -> List[Task]:
+        return fuse_linear_chains(order, root_ids, consumers)
+
+    def _run(self, ready: ReadySet, stats: ExecutionStats) -> None:
+        from concurrent.futures.process import BrokenProcessPool
+
+        retries = 1 if self.session is None else int(
+            self.session.options.get("executor.process_retries"))
+        #: head node id -> times the task was lost to a dying worker.
+        attempts: Dict[int, int] = {}
+
+        def retry(lost: List[Task]) -> None:
+            """The pool broke under ``lost``: replace it and re-queue
+            them (pure functions of materialized inputs), within the
+            ``executor.process_retries`` budget."""
+            self._discard_pool(self._pool())
+            now = time.perf_counter()
+            for task in lost:
+                head = task[0].id
+                attempts[head] = attempts.get(head, 0) + 1
+                if attempts[head] > retries:
+                    raise ExecutionError(
+                        f"process pool worker died {attempts[head]} "
+                        f"time(s) running task {[n.op for n in task]}; "
+                        f"giving up after executor.process_retries={retries}"
+                    )
+                stats.record_process_retry()
+                ready.push(task, now)
+
+        def submit(task: Task, ready_at: float):
+            payload = self._ship_payload(task)
+            if payload is None:
+                stats.record_process_task(shipped=False)
+                self._run_inline(ready, task, ready_at, stats)
+                return None
+            try:
+                return self._pool().submit(_run_task, payload)
+            except BrokenProcessPool:  # the pool broke while idle
+                retry([task])
+                return None
+
+        def collect(future, pending) -> None:
+            try:
+                # a worker-raised plan error propagates with its
+                # original type, like every other strategy's.
+                blob = future.result()
+            except BrokenProcessPool:
+                # every in-flight future on a broken pool is lost
+                lost = [entry[0] for entry in pending.values()]
+                pending.clear()
+                retry(lost)
+                return
+            task, ready_at, submitted = pending.pop(future)
+            self._land_result(task, blob, submitted, ready_at, stats)
+            self._finish(ready, task)
+
         try:
-            self._run_tasks(order, refcounts, root_ids, stats)
+            self._drive_pool(ready, stats, submit, collect)
         finally:
             if self._private_pool is not None:
                 self._private_pool.shutdown(wait=True, cancel_futures=True)
                 self._private_pool = None
-
-    def _run_tasks(self, order: List[Node], refcounts: Dict[int, int],
-                   root_ids: set, stats: ExecutionStats) -> None:
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        tasks = fuse_linear_chains(order, root_ids)
-        node_task: Dict[int, int] = {}
-        for index, chain in enumerate(tasks):
-            for node in chain:
-                node_task[node.id] = index
-
-        # Task-level dependency graph (all edges, like the schedulers').
-        indegree = [0] * len(tasks)
-        task_consumers: Dict[int, List[int]] = {}
-        for index, chain in enumerate(tasks):
-            deps: Set[int] = set()
-            for node in chain:
-                if node.computed:
-                    continue
-                for dep in node.all_deps():
-                    producer = node_task.get(dep.id)
-                    if producer is not None and producer != index:
-                        deps.add(producer)
-            indegree[index] = len(deps)
-            for producer in deps:
-                task_consumers.setdefault(producer, []).append(index)
-
-        def task_priority(index: int) -> Tuple[int, int]:
-            head = tasks[index][0]
-            return (self._priorities.get(head.id, head.id), head.id)
-
-        ready: List[Tuple[int, int, int]] = []
-        for index in range(len(tasks)):
-            if indegree[index] == 0:
-                heapq.heappush(ready, (*task_priority(index), index))
-        ready_since: Dict[int, float] = {
-            entry[2]: time.perf_counter() for entry in ready
-        }
-
-        #: results set during this run, dropped on ExecutionError so
-        #: the budget (and spill dirs their buffers pin) come back.
-        completed_nodes: List[Node] = []
-        attempts: Dict[int, int] = {}
-        pending: Dict[object, Tuple[int, float]] = {}
-        done_count = 0
-
-        def complete(index: int) -> None:
-            nonlocal done_count
-            done_count += 1
-            now = time.perf_counter()
-            for consumer in task_consumers.get(index, ()):
-                indegree[consumer] -= 1
-                if indegree[consumer] == 0:
-                    heapq.heappush(ready, (*task_priority(consumer), consumer))
-                    ready_since[consumer] = now
-
-        def release_chain(chain: List[Node]) -> None:
-            for node in chain:
-                self._release_inputs(node, refcounts, root_ids)
-
-        def run_inline(index: int, queue_wait: float) -> None:
-            chain = tasks[index]
-            stats.record_process_task(shipped=False)
-            for position, node in enumerate(chain):
-                self._execute_node(
-                    node, stats,
-                    queue_wait=queue_wait if position == 0 else 0.0,
-                )
-                completed_nodes.append(node)
-            release_chain(chain)
-            complete(index)
-
-        def fail_cleanup() -> None:
-            for fut in pending:
-                fut.cancel()
-            pending.clear()
-            for node in completed_nodes:
-                node.clear_result()
-
-        try:
-            while done_count < len(tasks):
-                while ready and len(pending) < self.max_workers:
-                    index = heapq.heappop(ready)[2]
-                    chain = tasks[index]
-                    queue_wait = max(
-                        0.0,
-                        time.perf_counter()
-                        - ready_since.get(index, time.perf_counter()),
-                    )
-                    if len(chain) == 1 and chain[0].computed:
-                        stats.record_cache_hit()
-                        complete(index)
-                        continue
-                    payload = self._ship_payload(chain)
-                    if payload is None:
-                        run_inline(index, queue_wait)
-                        continue
-                    try:
-                        future = self._pool().submit(_run_task, payload)
-                    except BrokenProcessPool:
-                        # the pool broke while idle; rebuild and retry
-                        # this task through the normal retry budget.
-                        self._discard_pool(self._pool())
-                        attempts[index] = attempts.get(index, 0) + 1
-                        if attempts[index] > self._retries():
-                            fail_cleanup()
-                            raise ExecutionError(
-                                "process pool kept breaking before task "
-                                f"{index} could start"
-                            ) from None
-                        stats.record_process_retry()
-                        heapq.heappush(ready, (*task_priority(index), index))
-                        continue
-                    pending[future] = (index, time.perf_counter())
-                if not pending:
-                    if ready:
-                        continue
-                    if done_count < len(tasks):  # pragma: no cover
-                        raise ExecutionError(
-                            "process scheduler stalled with "
-                            f"{len(tasks) - done_count} tasks unreachable"
-                        )
-                    break
-                finished, _ = wait(
-                    list(pending), return_when=FIRST_COMPLETED
-                )
-                broken: List[int] = []
-                for future in finished:
-                    index, submitted = pending.pop(future)
-                    try:
-                        blob = future.result()
-                    except BrokenProcessPool:
-                        broken.append(index)
-                        continue
-                    # a worker-raised plan error propagates with its
-                    # original type, like every other strategy's.
-                    self._land_result(
-                        tasks[index], blob, submitted, stats,
-                        ready_since.get(index), completed_nodes,
-                    )
-                    release_chain(tasks[index])
-                    complete(index)
-                if broken:
-                    # every in-flight future on a broken pool is lost
-                    for future, (index, _) in list(pending.items()):
-                        broken.append(index)
-                    pending.clear()
-                    self._discard_pool(self._pool())
-                    now = time.perf_counter()
-                    for index in sorted(set(broken)):
-                        attempts[index] = attempts.get(index, 0) + 1
-                        if attempts[index] > self._retries():
-                            fail_cleanup()
-                            raise ExecutionError(
-                                "process pool worker died "
-                                f"{attempts[index]} time(s) running task "
-                                f"{index} (ops: "
-                                f"{[n.op for n in tasks[index]]}); "
-                                "giving up after executor.process_retries="
-                                f"{self._retries()}"
-                            )
-                        stats.record_process_retry()
-                        heapq.heappush(
-                            ready, (*task_priority(index), index)
-                        )
-                        ready_since[index] = now
-        except BaseException:
-            for future in pending:
-                future.cancel()
-            raise
 
     # -- shipping ----------------------------------------------------------
 
@@ -438,10 +318,8 @@ class ProcessScheduler(Scheduler):
         except Exception:  # noqa: BLE001 - unpicklable args or inputs
             return None
 
-    def _land_result(self, chain: List[Node], blob: bytes,
-                     submitted: float, stats: ExecutionStats,
-                     ready_at: Optional[float],
-                     completed_nodes: List[Node]) -> None:
+    def _land_result(self, chain: Task, blob: bytes, submitted: float,
+                     ready_at: float, stats: ExecutionStats) -> None:
         """Unpickle a worker's result on the coordination thread.
 
         This thread has the owning session active, so the rebuilt
@@ -457,19 +335,15 @@ class ProcessScheduler(Scheduler):
             # (exotic op output); re-run it here.
             for node in chain:
                 self._execute_node(node, stats)
-                completed_nodes.append(node)
             stats.record_process_task(shipped=False)
             return
         final = chain[-1]
         if final.persist:
             value = self.backend.persist(value)
         final.set_result(value)
-        completed_nodes.append(final)
         stats.record_process_task(shipped=True)
         done = time.perf_counter()
-        queue_wait = (
-            max(0.0, submitted - ready_at) if ready_at is not None else 0.0
-        )
+        queue_wait = max(0.0, submitted - ready_at)
         registered = memory.total_registered - reg_before
         released = memory.total_released - rel_before
         for node in chain:

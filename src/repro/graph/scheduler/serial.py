@@ -1,56 +1,22 @@
-"""The serial strategy: today's single-loop topological execution.
+"""The serial strategy: the inline seam, one node per task.
 
-Extracted unchanged from the pre-scheduler ``Executor``: nodes run one at
-a time in topological order with refcount-based eager release.  Queue
-wait is measured from the moment a node's last dependency finished to
-the moment it starts -- in a serial loop that is the time spent behind
-earlier-ordered ready nodes.
+The paper's single loop (section 2.6): tasks run on the calling thread
+in the ready set's admission order -- dependencies first, the static
+priority breaking every tie -- with refcount-based eager release.  Queue
+wait is the time a ready node spent behind earlier-ordered ready nodes.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List
-
-from repro.graph.node import Node
-from repro.graph.scheduler.base import Scheduler
+from repro.graph.scheduler.base import ReadySet, Scheduler
 from repro.graph.scheduler.stats import ExecutionStats
-from repro.graph.taskgraph import (
-    consumers_by_id,
-    dependency_counts,
-    ready_nodes,
-)
 
 
 class SerialScheduler(Scheduler):
-    """Dependencies-first, one node at a time (the paper's section 2.6)."""
+    """Dependencies-first, one task at a time (the paper's section 2.6)."""
 
     name = "serial"
 
-    def _run(self, order: List[Node], refcounts: Dict[int, int],
-             root_ids: set, stats: ExecutionStats) -> None:
-        dep_counts = dependency_counts(order)
-        consumers = consumers_by_id(order)
-        now = time.perf_counter()
-        ready_since = {
-            node.id: now for node in ready_nodes(order, dep_counts)
-        }
-        for node in order:
-            if node.computed:
-                stats.record_cache_hit()
-                self._mark_done(node, dep_counts, consumers, ready_since)
-                continue  # cached (persisted) result; inputs not re-read
-            queue_wait = max(0.0, time.perf_counter() - ready_since.get(
-                node.id, time.perf_counter()))
-            self._execute_node(node, stats, queue_wait=queue_wait)
-            self._mark_done(node, dep_counts, consumers, ready_since)
-            self._release_inputs(node, refcounts, root_ids)
-
-    @staticmethod
-    def _mark_done(node: Node, dep_counts: Dict[int, int],
-                   consumers, ready_since) -> None:
-        now = time.perf_counter()
-        for consumer in consumers.get(node.id, ()):
-            dep_counts[consumer.id] -= 1
-            if dep_counts[consumer.id] == 0:
-                ready_since[consumer.id] = now
+    def _run(self, ready: ReadySet, stats: ExecutionStats) -> None:
+        while (admitted := self._admit(ready, 0, stats)) is not None:
+            self._run_inline(ready, *admitted, stats)

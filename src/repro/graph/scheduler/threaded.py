@@ -1,33 +1,16 @@
-"""The threaded strategy: partition-aware ready-queue execution.
+"""The threaded strategy: the thread-pool seam.
 
 Independent task-graph nodes run concurrently on a worker pool sized by
-``executor.max_workers``.  The coordinator keeps a ready queue fed by
-scheduling in-degrees over *all* edges (data and ordering, so lazy-print
-chains stay in program order), releases inputs under one coordination
-lock as their last consumer finishes (the section-2.6 eager release made
-thread-safe), and guards each node's result slot with a per-node lock.
+``executor.max_workers``.  The calling thread coordinates through the
+shared ``concurrent.futures`` driver (:meth:`Scheduler._drive_pool`):
+it admits ready tasks in the one admission order under the one
+memory-headroom rule (:meth:`Scheduler._admit`), waits for a completion,
+and releases inputs and propagates readiness itself -- workers only run
+``backend.apply`` and set their node's result, so the ready set needs no
+lock.  At least one node is always in flight, so progress is guaranteed.
 
-The ready queue is a priority heap ordered by (estimated bytes released
-by running the node, node id): nodes that free the most tracked memory
-are admitted first, and the node-id tie-break makes the admission order
-deterministic across runs (ROADMAP item 2's arbitrary ties) -- which
-keeps spill-path tests stable.
-
-Memory-aware admission: when the session's manager has a budget, a
-candidate node is admitted only while its *predicted* footprint (the
-per-node byte estimates of :mod:`repro.graph.scheduler.estimates`:
-metastore width x rows for scans and reads, propagated through
-operators) fits the remaining headroom; nodes without an estimate fall
-back to the old all-or-nothing check (any positive headroom admits).
-Once admission pauses, it resumes as running nodes complete (completions
-release inputs, freeing tracked bytes) -- throttling instead of
-OOM-ing.  At least one node is always in flight, so progress is
-guaranteed.
-
-Worker threads activate the owning session so ``current_session()`` --
-and therefore the per-session memory manager every
-:class:`~repro.memory.manager.TrackedBuffer` resolves -- is correct
-inside backend calls.
+Worker calls are wrapped in :meth:`Scheduler._in_session`, so buffers
+allocated mid-node charge the owning session's memory manager.
 
 Requires an engine whose :class:`~repro.backends.engine.EngineSpec`
 declares ``supports_parallel_apply``; sessions fall back to the serial
@@ -38,167 +21,33 @@ thread-safe).
 
 from __future__ import annotations
 
-import heapq
-import threading
-import time
-from typing import Dict, List, Optional, Tuple
-
-from repro.graph.node import Node
-from repro.graph.scheduler.base import Scheduler
+from repro.graph.scheduler.base import ReadySet, Scheduler
 from repro.graph.scheduler.stats import ExecutionStats
-from repro.graph.taskgraph import (
-    consumers_by_id,
-    dependency_counts,
-    ready_nodes,
-)
 
 
 class ThreadedScheduler(Scheduler):
-    """Ready-queue scheduler over a thread pool."""
+    """Ready-set scheduling over a thread pool."""
 
     name = "threaded"
     prefetches_ranges = True
+    default_workers = 4
 
-    def __init__(self, backend, *, session=None, memory=None,
-                 max_workers=None, static_order=True):
-        super().__init__(backend, session=session, memory=memory,
-                         max_workers=max_workers or 4,
-                         static_order=static_order)
-
-    def _run(self, order: List[Node], refcounts: Dict[int, int],
-             root_ids: set, stats: ExecutionStats) -> None:
+    def _run(self, ready: ReadySet, stats: ExecutionStats) -> None:
         from concurrent.futures import ThreadPoolExecutor
 
-        dep_counts = dependency_counts(order)
-        consumers = consumers_by_id(order)
-        node_locks = {node.id: threading.Lock() for node in order}
-        cond = threading.Condition()
-        # priority heap: (-estimated bytes released, static priority,
-        # node id, node) -- deterministic admission, biggest memory
-        # release first, then the memory-aware static order.
-        ready: List[Tuple[int, int, int, Node]] = []
-        ready_since: Dict[int, float] = {}
-        total = len(order)
-        state = {"done": 0, "in_flight": 0}
-        errors: List[BaseException] = []
+        def submit(task, ready_at):
+            return pool.submit(self._in_session, self._execute_node,
+                               task[0], stats, ready_at)
 
-        def push_ready(node: Node) -> None:
-            released = sum(
-                self._estimates.get(inp.id, 0) for inp in node.inputs
-            )
-            priority = self._priorities.get(node.id, node.id)
-            heapq.heappush(ready, (-released, priority, node.id, node))
+        def collect(future, pending):
+            task = pending.pop(future)[0]
+            future.result()  # re-raises the node's error
+            self._finish(ready, task)
 
-        now = time.perf_counter()
-        for node in ready_nodes(order, dep_counts):
-            push_ready(node)
-            ready_since[node.id] = now
-
-        def clear_locked(inp: Node) -> None:
-            with node_locks[inp.id]:
-                inp.clear_result()
-
-        def finish(node: Node, release: bool) -> None:
-            # Caller holds ``cond``: propagate completion to consumers and
-            # run the eager-release rule under the coordination lock.
-            state["done"] += 1
-            done_at = time.perf_counter()
-            for consumer in consumers.get(node.id, ()):
-                dep_counts[consumer.id] -= 1
-                if dep_counts[consumer.id] == 0:
-                    push_ready(consumer)
-                    ready_since[consumer.id] = done_at
-            if release:
-                self._release_inputs(node, refcounts, root_ids,
-                                     clear=clear_locked)
-
-        def worker(node: Node, enqueued_at: float) -> None:
-            queue_wait = max(0.0, time.perf_counter() - enqueued_at)
-            error = None
-            try:
-                with node_locks[node.id]:
-                    self._execute_node(node, stats, queue_wait=queue_wait)
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                error = exc
-            with cond:
-                state["in_flight"] -= 1
-                if error is not None:
-                    errors.append(error)
-                    state["done"] += 1  # consumers stay blocked; loop exits
-                else:
-                    finish(node, release=True)
-                cond.notify_all()
-
+        # leaving the block joins the workers: when a node failed, the
+        # others have set (or not set) their results before the run
+        # scope unwinds them
         with ThreadPoolExecutor(
-            max_workers=self.max_workers,
-            thread_name_prefix="lafp-worker",
-            initializer=self._bind_session,
+            max_workers=self.max_workers, thread_name_prefix="lafp-worker"
         ) as pool:
-            with cond:
-                stalled = False
-                while state["done"] < total and not errors:
-                    while ready and state["in_flight"] < self.max_workers:
-                        head = ready[0][3]
-                        if head.computed:
-                            # cached (persisted) result; inputs not re-read
-                            stats.record_cache_hit()
-                            finish(heapq.heappop(ready)[3], release=False)
-                            continue
-                        if self._throttled(state["in_flight"], head):
-                            # one throttle event per stall, however many
-                            # timeout wakeups re-observe it.
-                            if not stalled:
-                                stats.record_throttle_wait()
-                                stalled = True
-                            break
-                        stalled = False
-                        node = heapq.heappop(ready)[3]
-                        state["in_flight"] += 1
-                        pool.submit(
-                            worker, node,
-                            ready_since.get(node.id, time.perf_counter()),
-                        )
-                    if state["done"] >= total or errors:
-                        break
-                    # Nothing more can be admitted right now (queue empty,
-                    # pool full, or memory-throttled): wait for a
-                    # completion.  The timeout is a liveness backstop.
-                    cond.wait(timeout=0.5)
-                while state["in_flight"]:
-                    cond.wait()
-        if errors:
-            raise errors[0]
-
-    # -- admission control ------------------------------------------------
-
-    def _throttled(self, in_flight: int, node: Optional[Node] = None) -> bool:
-        """True when admitting ``node`` should pause for memory headroom.
-
-        With a per-node byte estimate the check is sized: the node is
-        held back while its predicted footprint exceeds the remaining
-        headroom.  Without one it degrades to the all-or-nothing rule
-        (any positive headroom admits).  Never throttles the only
-        candidate -- with nothing in flight the node must run (and
-        possibly OOM) or the graph would deadlock.
-        """
-        if in_flight == 0:
-            return False
-        headroom = self.memory.headroom()
-        if headroom is None:
-            return False
-        estimate = self._estimates.get(node.id) if node is not None else None
-        if estimate is None:
-            return headroom <= 0
-        return headroom < estimate
-
-    # -- worker-thread session binding ------------------------------------
-
-    def _bind_session(self) -> None:
-        """Push the owning session onto this worker's thread-local stack.
-
-        Workers live exactly as long as the pool (one pool per
-        ``execute``), so the stack entry dies with the thread -- no
-        explicit deactivation needed.
-        """
-        if self.session is not None:
-            self.session.activate()
+            self._drive_pool(ready, stats, submit, collect)

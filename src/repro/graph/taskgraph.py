@@ -8,7 +8,7 @@ counting and DOT export (Figures 6 and 9 render with ``to_dot``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.graph.node import Node
 
@@ -92,21 +92,24 @@ def initial_refcounts(order: Sequence[Node]) -> Dict[int, int]:
     return counts
 
 
-def dependency_counts(order: Sequence[Node]) -> Dict[int, int]:
+def dependency_counts(
+    order: Sequence[Node],
+    consumers: Optional[Dict[int, List[Node]]] = None,
+) -> Dict[int, int]:
     """Scheduling in-degrees: distinct unfinished in-graph dependencies.
 
     Counts *all* edges (data and ordering) since both gate when a node
     may run; cached nodes contribute an in-degree of zero (they complete
-    instantly).  A node whose count is zero is *ready*.
+    instantly).  A node whose count is zero is *ready*.  The edges are
+    those of :func:`consumers_by_id`, read the other way; a caller that
+    already holds that map passes it as ``consumers``.
     """
-    in_graph = {node.id for node in order}
-    counts: Dict[int, int] = {}
-    for node in order:
-        if node.computed:
-            counts[node.id] = 0
-            continue
-        deps = {dep.id for dep in node.all_deps() if dep.id in in_graph}
-        counts[node.id] = len(deps)
+    if consumers is None:
+        consumers = consumers_by_id(order)
+    counts: Dict[int, int] = {node.id: 0 for node in order}
+    for waiting in consumers.values():
+        for node in waiting:
+            counts[node.id] += 1
     return counts
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.backends import PandasBackend
 from repro.frame import DataFrame
-from repro.graph import Executor, Node, collect_subgraph, to_dot, topological_order
+from repro.graph import Node, collect_subgraph, to_dot, topological_order
+from repro.graph.scheduler import SerialScheduler
 from repro.graph.taskgraph import consumer_counts
 
 
@@ -112,14 +113,14 @@ class TestExecutor:
         data = Node("from_data", args={"data": {"x": [1, 2, 3]}})
         col = Node("getitem_column", inputs=[data], args={"column": "x"})
         agg = Node("series_agg", inputs=[col], args={"func": "sum"})
-        result = Executor(PandasBackend()).execute([agg])
+        result = SerialScheduler(PandasBackend()).execute([agg])
         assert result == [6]
 
     def test_intermediate_results_cleared(self):
         data = Node("from_data", args={"data": {"x": [1, 2]}})
         col = Node("getitem_column", inputs=[data], args={"column": "x"})
         agg = Node("series_agg", inputs=[col], args={"func": "sum"})
-        Executor(PandasBackend()).execute([agg])
+        SerialScheduler(PandasBackend()).execute([agg])
         assert data.result is None  # released after its consumers ran
         assert col.result is None
         assert agg.result == 3
@@ -129,7 +130,7 @@ class TestExecutor:
         data.persist = True
         col = Node("getitem_column", inputs=[data], args={"column": "x"})
         agg = Node("series_agg", inputs=[col], args={"func": "sum"})
-        Executor(PandasBackend()).execute([agg])
+        SerialScheduler(PandasBackend()).execute([agg])
         assert isinstance(data.result, DataFrame)
 
     def test_cached_results_reused(self):
@@ -138,7 +139,7 @@ class TestExecutor:
         data.persist = True
         col = Node("getitem_column", inputs=[data], args={"column": "x"})
         agg = Node("series_agg", inputs=[col], args={"func": "sum"})
-        result = Executor(PandasBackend()).execute([agg])
+        result = SerialScheduler(PandasBackend()).execute([agg])
         assert result == [99]  # came from cache, not args
 
     def test_shared_input_executes_once(self):
@@ -154,7 +155,7 @@ class TestExecutor:
         c2 = Node("getitem_column", inputs=[data], args={"column": "x"})
         s1 = Node("series_agg", inputs=[c1], args={"func": "sum"})
         s2 = Node("series_agg", inputs=[c2], args={"func": "sum"})
-        Executor(CountingBackend()).execute([s1, s2])
+        SerialScheduler(CountingBackend()).execute([s1, s2])
         assert calls.count("from_data") == 1
 
     def test_multiple_roots_all_returned(self):
@@ -162,5 +163,5 @@ class TestExecutor:
         col = Node("getitem_column", inputs=[data], args={"column": "x"})
         s = Node("series_agg", inputs=[col], args={"func": "sum"})
         m = Node("series_agg", inputs=[col], args={"func": "max"})
-        out = Executor(PandasBackend()).execute([s, m])
+        out = SerialScheduler(PandasBackend()).execute([s, m])
         assert out == [3, 2]

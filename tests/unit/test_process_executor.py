@@ -30,6 +30,7 @@ from repro.graph.scheduler import (
     ExecutionError,
     ProcessScheduler,
 )
+from repro.graph.scheduler.base import ReadySet
 from repro.graph.scheduler.order import (
     priority_topological_order,
     simulate_peak_bytes,
@@ -505,6 +506,34 @@ class TestStaticOrder:
         assert baseline >= 400  # 4 sources resident together
         assert optimized <= 150  # one source + accumulated aggregates
 
+    @pytest.mark.parametrize("branches", [1, 4, 7])
+    @pytest.mark.parametrize("with_estimates", [True, False])
+    def test_simulated_peak_is_the_drained_peak(self, branches,
+                                                with_estimates):
+        """The simulation and the run apply one release rule: draining
+        a ReadySet serially keeps exactly the simulated bytes live."""
+        order, estimates, join, _, _ = self._reduction_dag(branches)
+        priorities = static_priorities(
+            order, estimates if with_estimates else {}
+        )
+        ready = ReadySet([[node] for node in order], priorities, {join.id})
+        peak = 0
+        while ready.remaining:
+            task, _ = ready.pop()
+            task[0].set_result(object())
+            peak = max(peak, sum(
+                estimates[node.id] for node in order if node.computed
+            ))
+            ready.release(task[0])
+            ready.complete(task)
+        assert peak == simulate_peak_bytes(
+            priority_topological_order(order, priorities),
+            estimates, {join.id},
+        )
+        assert [node.computed for node in order] == [
+            node is join for node in order
+        ]
+
     def test_missing_estimates_degrade_to_depth_first(self):
         order, _, join, _, _ = self._reduction_dag()
         priorities = static_priorities(order, {})
@@ -564,6 +593,7 @@ class TestDeadline:
         pool, or its shutdown (and the interpreter's exit hook) waits on
         the same worker."""
         import multiprocessing
+        import time
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
@@ -572,8 +602,13 @@ class TestDeadline:
         try:
             with pytest.raises((TimeoutError, BrokenProcessPool)):
                 list(pool.map(_wait_forever, range(2)))
-            for child in multiprocessing.active_children():
-                child.join(5)
+            # poll rather than join-then-look: the pool's manager thread
+            # reaps the killed workers too, and a child it has waited on
+            # but not yet recorded still reads as alive for a moment
+            gone_by = time.monotonic() + 5
+            while (multiprocessing.active_children()
+                   and time.monotonic() < gone_by):
+                time.sleep(0.01)
             assert not multiprocessing.active_children()
         finally:
             pool.shutdown(wait=True)

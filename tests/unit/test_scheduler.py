@@ -17,7 +17,6 @@ from repro.backends import PandasBackend
 from repro.core.session import Session
 from repro.graph import (
     DEFAULT_EXECUTORS,
-    Executor,
     ExecutorRegistry,
     Node,
     SchedulerSpec,
@@ -27,14 +26,20 @@ from repro.graph import (
     topological_order,
 )
 from repro.graph.scheduler import (
+    AsyncScheduler,
     FusedScheduler,
+    ProcessScheduler,
     SerialScheduler,
     ThreadedScheduler,
     fuse_linear_chains,
 )
+from repro.graph.scheduler.order import priority_topological_order
 from repro.memory import MemoryManager, SimulatedMemoryError, memory_manager
 
 STRATEGIES = ["serial", "threaded", "fused", "process", "async"]
+
+#: the drivers that overlap tasks: all three ask the one admission rule
+PARALLEL_SCHEDULERS = [ThreadedScheduler, AsyncScheduler, ProcessScheduler]
 
 #: the grid forks worker pools and drives event loops (tests/conftest.py)
 pytestmark = pytest.mark.deadline(60)
@@ -46,6 +51,34 @@ def _diamond():
     right = Node("identity", inputs=[src])
     join = Node("concat", inputs=[left, right])
     return src, left, right, join
+
+
+def _multi_root():
+    src_a = Node("from_data", args={"data": {"x": [1]}})
+    src_b = Node("from_data", args={"data": {"x": [2]}})
+    col_a = Node("getitem_column", inputs=[src_a], args={"column": "x"})
+    col_b = Node("getitem_column", inputs=[src_b], args={"column": "x"})
+    return src_a, src_b, col_a, col_b
+
+
+def _shared_subexpression():
+    src = Node("from_data", args={"data": {"x": [1, 2]}})
+    shared = Node("getitem_column", inputs=[src], args={"column": "x"})
+    s1 = Node("series_agg", inputs=[shared], args={"func": "sum"})
+    s2 = Node("series_agg", inputs=[shared], args={"func": "max"})
+    return src, shared, s1, s2
+
+
+#: name -> roots of a fresh graph of that shape
+GRAPH_ROOTS = {
+    "diamond": lambda: [_diamond()[3]],
+    "multi_root": lambda: list(_multi_root()[2:]),
+    "shared_subexpression": lambda: list(_shared_subexpression()[2:]),
+}
+
+
+def _raises(value):
+    raise ValueError("boom")
 
 
 def _frames_equal(a, b) -> bool:
@@ -136,10 +169,7 @@ class TestReadySetHelpers:
         assert ready_nodes(order, counts) == [src]
 
     def test_multi_root_ready_set(self):
-        src_a = Node("from_data", args={"data": {"x": [1]}})
-        src_b = Node("from_data", args={"data": {"x": [2]}})
-        col_a = Node("getitem_column", inputs=[src_a], args={"column": "x"})
-        col_b = Node("getitem_column", inputs=[src_b], args={"column": "x"})
+        src_a, src_b, col_a, col_b = _multi_root()
         order = topological_order([col_a, col_b])
         counts = dependency_counts(order)
         assert set(n.id for n in ready_nodes(order, counts)) == {
@@ -151,10 +181,7 @@ class TestReadySetHelpers:
         assert positions[src_b.id] < positions[col_b.id]
 
     def test_shared_subexpression_counts(self):
-        src = Node("from_data", args={"data": {"x": [1, 2]}})
-        shared = Node("getitem_column", inputs=[src], args={"column": "x"})
-        s1 = Node("series_agg", inputs=[shared], args={"func": "sum"})
-        s2 = Node("series_agg", inputs=[shared], args={"func": "max"})
+        src, shared, s1, s2 = _shared_subexpression()
         order = topological_order([s1, s2])
         counts = dependency_counts(order)
         consumers = consumers_by_id(order)
@@ -187,6 +214,32 @@ class TestReadySetHelpers:
         order = topological_order([twice])
         counts = dependency_counts(order)
         assert counts[twice.id] == 1  # distinct deps, not edge count
+
+    @pytest.mark.parametrize("shape", sorted(GRAPH_ROOTS))
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_driver_runs_the_ready_set_order(self, strategy, shape):
+        """One slot, one order: each strategy starts nodes in the order
+        a one-at-a-time drain of the ready set gives."""
+        applied = []
+
+        class RecordingBackend(PandasBackend):
+            def apply(self, node, inputs):
+                applied.append(node.id)
+                return super().apply(node, inputs)
+
+        roots = GRAPH_ROOTS[shape]()
+        scheduler = DEFAULT_EXECUTORS.create(
+            strategy, RecordingBackend(), max_workers=1
+        )
+        scheduler.execute(roots)
+        expected = [
+            node.id for node in priority_topological_order(
+                topological_order(roots), scheduler._priorities
+            )
+        ]
+        assert [s.node_id for s in scheduler.last_stats.nodes] == expected
+        if strategy != "process":  # its tasks run in the pool's workers
+            assert applied == expected
 
 
 class TestStrategyEquivalence:
@@ -267,6 +320,76 @@ class TestStrategyEquivalence:
             bad = df.x.map(lambda v: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 bad.collect()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_failed_collect_leaves_no_tracked_bytes(self, strategy, make_csv):
+        """The one unwind: whatever a failed run computed is dropped, so
+        no strategy leaves bytes (or stale cache hits) behind."""
+        import gc
+
+        path = make_csv({"a": np.arange(5000), "b": np.arange(5000) * 2},
+                        "leak.csv")
+        with Session(backend="pandas",
+                     options={"executor.strategy": strategy,
+                              "analysis.level": "off"}) as s:
+            df = lfp.read_csv(path)
+            df["c"] = df["a"] + df["b"]
+            gc.collect()
+            before = s.memory.live
+            with pytest.raises(ValueError, match="boom"):
+                df["c"].map(_raises).collect()
+            gc.collect()
+            assert s.memory.live == before
+            assert s.last_execution_stats.effective_strategy == strategy
+            # nothing stale is served as a cache hit afterwards
+            assert df["c"].sum().collect() == int(np.arange(5000).sum() * 3)
+            assert s.last_execution_stats.cache_hits == 0
+
+    @pytest.mark.parametrize("strategy", ["threaded", "async"])
+    def test_coordinator_only_completion_under_stress(self, strategy):
+        """Workers only set their own node's result; release and
+        readiness run on the coordinating thread without locks.  More
+        workers than cores and a short switch interval: a lost update
+        would leave a node unrun, a result unreleased, or a wrong sum."""
+        import sys
+
+        fan, rows = 48, 64
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                src = Node("from_data",
+                           args={"data": {"x": list(range(rows))}})
+                col = Node("getitem_column", inputs=[src],
+                           args={"column": "x"})
+                leaves = [
+                    Node("series_agg", inputs=[Node("identity", inputs=[col])],
+                         args={"func": "sum"})
+                    for _ in range(fan)
+                ]
+                scheduler = DEFAULT_EXECUTORS.create(
+                    strategy, PandasBackend(), max_workers=8,
+                    memory=MemoryManager(),
+                )
+                results = scheduler.execute(leaves)
+                assert results == [sum(range(rows))] * fan
+                assert scheduler.last_stats.nodes_executed == 2 + 2 * fan
+                # every intermediate was released exactly once
+                assert not src.computed and not col.computed
+                assert all(not leaf.inputs[0].computed for leaf in leaves)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failed_collect_does_not_repeat_prints(self, capsys):
+        with Session(backend="pandas") as s:
+            df = lfp.DataFrame({"x": [1, 2, 3]})
+            s.add_print(Node("print", args={
+                "segments": [{"kind": "literal", "value": "once"}],
+            }))
+            with pytest.raises(ZeroDivisionError):
+                df.x.map(lambda v: 1 / 0).collect()
+            s.flush()
+        assert capsys.readouterr().out.count("once") == 1
 
 
 class TestFusion:
@@ -378,35 +501,43 @@ class TestExecutionStats:
 
 
 class TestMemoryAwareAdmission:
+    # each case runs over the three parallel drivers in its body, not
+    # through parametrize: the test ids are pinned by the floor list
+
     def test_throttle_requires_exhausted_headroom(self):
-        manager = MemoryManager(budget=100)
-        scheduler = ThreadedScheduler(PandasBackend(), memory=manager)
-        assert not scheduler._throttled(1)
-        manager.register(100)
-        assert scheduler._throttled(1)
+        for cls in PARALLEL_SCHEDULERS:
+            manager = MemoryManager(budget=100)
+            scheduler = cls(PandasBackend(), memory=manager)
+            assert not scheduler._throttled(1)
+            manager.register(100)
+            assert scheduler._throttled(1)
 
     def test_never_throttles_an_empty_pool(self):
-        manager = MemoryManager(budget=10)
-        manager.register(10)
-        scheduler = ThreadedScheduler(PandasBackend(), memory=manager)
-        assert not scheduler._throttled(0)
+        for cls in PARALLEL_SCHEDULERS:
+            manager = MemoryManager(budget=10)
+            manager.register(10)
+            scheduler = cls(PandasBackend(), memory=manager)
+            assert not scheduler._throttled(0)
 
     def test_unbudgeted_manager_never_throttles(self):
-        scheduler = ThreadedScheduler(PandasBackend(), memory=MemoryManager())
-        assert not scheduler._throttled(3)
+        for cls in PARALLEL_SCHEDULERS:
+            scheduler = cls(PandasBackend(), memory=MemoryManager())
+            assert not scheduler._throttled(3)
 
     def test_threaded_completes_under_tight_budget(self, make_csv):
         path = make_csv({"x": np.arange(400), "y": np.arange(400) % 3},
                         "tight.csv")
-        with Session(backend="pandas",
-                     options={"executor.strategy": "threaded",
-                              "executor.max_workers": 4}) as s:
-            with s.option_context("memory.budget", 1 << 20):
-                df = lfp.read_csv(path)
-                a = df.x.sum()
-                b = df.y.sum()
-                c = (df.x * 2).sum()
-                assert a.collect() + b.collect() + c.collect() > 0
+        for cls in PARALLEL_SCHEDULERS:
+            with Session(backend="pandas",
+                         options={"executor.strategy": cls.name,
+                                  "executor.max_workers": 4}) as s:
+                with s.option_context("memory.budget", 1 << 20):
+                    df = lfp.read_csv(path)
+                    a = df.x.sum()
+                    b = df.y.sum()
+                    c = (df.x * 2).sum()
+                    assert a.collect() + b.collect() + c.collect() > 0
+                assert s.last_execution_stats.effective_strategy == cls.name
 
 
 class TestPerSessionBudgets:
@@ -490,16 +621,3 @@ class TestPerSessionBudgets:
         with session.option_context("memory.budget", 2048):
             assert session.memory.budget == 2048
         assert session.memory.budget == 1 << 30
-
-
-class TestExecutorShim:
-    def test_executor_is_the_serial_strategy(self):
-        assert issubclass(Executor, SerialScheduler)
-
-    def test_executor_records_stats(self):
-        data = Node("from_data", args={"data": {"x": [1, 2, 3]}})
-        col = Node("getitem_column", inputs=[data], args={"column": "x"})
-        agg = Node("series_agg", inputs=[col], args={"func": "sum"})
-        executor = Executor(PandasBackend())
-        assert executor.execute([agg]) == [6]
-        assert executor.last_stats.nodes_executed == 3

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Three structural rules the linters cannot express, checked with nothing
+Four structural rules the linters cannot express, checked with nothing
 but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -23,6 +23,13 @@ but the stdlib ``ast`` module:
    ``used_attrs``; a registration that omits either silently inherits a
    default that over- or under-claims.  Each call must pass both
    keywords explicitly.
+
+4. **One ready-set loop.**  Under ``graph/scheduler/`` exactly one
+   module imports ``heapq`` and exactly one imports
+   ``taskgraph.dependency_counts`` (the ``ReadySet`` in ``base.py``):
+   every strategy drives that state machine through its submit seam, so
+   a strategy module that grows its own ready heap or in-degree map is
+   a second scheduling loop reappearing.
 
 Usage::
 
@@ -235,12 +242,48 @@ def check_register_op(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 4: one ready-set loop under graph/scheduler/
+
+_SCHEDULER_DIR = "graph/scheduler/"
+#: what a ready-set loop cannot be written without.
+_READY_LOOP_IMPORTS = ("heapq", "dependency_counts")
+
+
+def ready_loop_imports(tree: ast.Module) -> Iterator[str]:
+    """The ``_READY_LOOP_IMPORTS`` this module imports (anywhere, so a
+    function-level import counts)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            if name in _READY_LOOP_IMPORTS:
+                yield name
+
+
+def check_one_ready_loop(importers: dict) -> Iterator[str]:
+    for name in _READY_LOOP_IMPORTS:
+        modules = sorted(importers.get(name, ()))
+        if len(modules) != 1:
+            yield (
+                f"src/repro/{_SCHEDULER_DIR}: '{name}' must be imported by "
+                f"exactly one module (the ReadySet's), found "
+                f"{modules or 'none'} -- drive the shared ReadySet instead "
+                f"of adding a scheduling loop"
+            )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op)
 
 
 def run(src: Path = SRC) -> List[str]:
     failures: List[str] = []
+    loop_importers: dict = {}
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
         try:
@@ -250,6 +293,10 @@ def run(src: Path = SRC) -> List[str]:
             continue
         for check in CHECKS:
             failures.extend(check(tree, rel))
+        if rel.startswith(_SCHEDULER_DIR):
+            for name in ready_loop_imports(tree):
+                loop_importers.setdefault(name, set()).add(rel)
+    failures.extend(check_one_ready_loop(loop_importers))
     return failures
 
 
