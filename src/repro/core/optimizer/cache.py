@@ -175,7 +175,7 @@ def substitute_cached_subplans(
                     node.op = "from_cached"
                     node.inputs = []
                     node.args = {
-                        "key": fp[:12],
+                        "key": fp,
                         "blob": blob,
                         "nbytes": len(blob),
                         "kind": kind,

@@ -17,10 +17,10 @@ Two related mechanisms:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.graph.node import Node
-from repro.graph.taskgraph import collect_subgraph, topological_order
+from repro.graph.taskgraph import ConsumerIndex, collect_subgraph, topological_order
 
 
 def _signature(node: Node):
@@ -31,6 +31,9 @@ def _signature(node: Node):
     """
     if node.spec.side_effect:
         return None
+    if node.op == "from_cached":
+        # the plan fingerprint names the value; the blob is megabytes
+        return (node.op, node.args["key"])
     parts = []
     for key in sorted(node.args):
         value = node.args[key]
@@ -43,31 +46,28 @@ def _signature(node: Node):
     return (node.op, tuple(parts), tuple(inp.id for inp in node.inputs))
 
 
-def eliminate_common_subexpressions(roots: Sequence[Node]) -> int:
+def eliminate_common_subexpressions(
+    roots: Sequence[Node], index: Optional[ConsumerIndex] = None
+) -> int:
     """Merge structurally identical nodes; returns the number merged.
 
     Processes in topological order so children merge before parents,
     letting whole identical chains collapse.
     """
-    order = topological_order(roots)
+    index = index or ConsumerIndex(roots)
     canonical: Dict[object, Node] = {}
     replaced = 0
-    for node in order:
-        # Re-key after potential child replacement.
+    for node in topological_order(roots):
+        # Keyed now, after its children were (possibly) replaced.
         signature = _signature(node)
         if signature is None:
             continue
-        winner = canonical.get(signature)
-        if winner is None:
-            canonical[signature] = node
-            continue
-        # Point every consumer of `node` at the canonical twin.
-        for consumer in order:
-            consumer.replace_input(node, winner)
-            consumer.order_deps = [
-                winner if dep is node else dep for dep in consumer.order_deps
-            ]
-        replaced += 1
+        winner = canonical.setdefault(signature, node)
+        if winner is not node:
+            # Point every consumer of `node` at the canonical twin.
+            for consumer in list(index.of(node)):
+                index.replace(consumer, node, winner)
+            replaced += 1
     return replaced
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.graph.node import Node
+from repro.graph.taskgraph import ConsumerIndex
 from repro.core.optimizer.cache import substitute_cached_subplans
 from repro.core.optimizer.common_subexpr import (
     eliminate_common_subexpressions,
@@ -46,13 +47,15 @@ def optimize(
         report["reuse_hits"] = state.hits
         report["reuse_misses"] = state.misses
         report["reuse_bytes"] = state.bytes_reused
+    # who reads whom, walked once; the rewiring passes keep it current
+    index = ConsumerIndex(roots)
     if opts.get("optimizer.common_subexpression"):
-        report["cse"] = eliminate_common_subexpressions(roots)
+        report["cse"] = eliminate_common_subexpressions(roots, index)
     if opts.get("optimizer.predicate_pushdown"):
-        report["pushdown"] = push_down_predicates(roots)
+        report["pushdown"] = push_down_predicates(roots, index)
         # The terminating step: filters sitting on capable scan sources
         # fold into the scan's args (the source filters while reading).
-        report["scan_fold"] = fold_predicates_into_scans(roots)
+        report["scan_fold"] = fold_predicates_into_scans(roots, index)
     if opts.get("optimizer.projection_pushdown"):
         report["projection"] = push_down_projections(roots)
     if opts.get("optimizer.metadata"):

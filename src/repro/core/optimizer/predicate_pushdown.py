@@ -14,16 +14,29 @@ Two multi-parent extensions are also implemented:
 - all parents of ``u`` are filters with *structurally equal* predicates:
   one filter pushes below ``u`` and the parents are removed;
 - all parents of ``u`` are filters with different predicates: their
-  conjunction pushes below ``u`` while the originals stay.
+  disjunction (the rows at least one parent keeps) pushes below ``u``
+  while the originals stay.
 
-Pushdown used to stop at the source node; :func:`fold_predicates_into_scans`
-now takes the final step for generic ``scan`` sources whose format
-declares ``supports_predicate``: a filter sitting directly on a scan --
-typically the end state of the swaps above -- is converted to the
-serializable conjunct form (:mod:`repro.io.predicate`) and folded into
-the scan node's args, so the source filters rows while reading and the
-partition-pruning pass has something to prove against.  The conversion
-is all-or-nothing; inexpressible masks leave the filter in the graph.
+The pass is one worklist over the ``ConsumerIndex`` that ``optimize()``
+builds once: filters are taken lowest first and each sinks as far as the
+conditions allow before the next is looked at.  It terminates by
+construction -- a swap moves one predicate one op down and nothing moves
+one up, so there are at most (filters x chain depth) swaps -- and it is
+idempotent, because the one rewrite that could undo itself is never
+made: a filter (itself row-preserving) hops a run of other filters only
+in a move that also passes the op the run sits on.  A filter the user
+built leaves an ``identity`` alias where it stood (it may be a root);
+the filters the pass builds on the way down replace each other and see
+through aliases, so a moved filter costs one ``identity`` at most.
+
+:func:`fold_predicates_into_scans` takes the final step for generic
+``scan`` sources whose format declares ``supports_predicate``: a filter
+sitting directly on a scan -- typically the end state of the swaps
+above -- is converted to the serializable conjunct form
+(:mod:`repro.io.predicate`) and folded into the scan node's args, so the
+source filters rows while reading and the partition-pruning pass has
+something to prove against.  The conversion is all-or-nothing;
+inexpressible masks leave the filter in the graph.
 
 Pushing rebases the predicate expression: the mask was built against
 ``u``'s output, so its column reads are re-rooted onto ``u``'s input
@@ -32,141 +45,161 @@ Pushing rebases the predicate expression: the mask was built against
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.graph.node import ALL_COLUMNS, Node
-from repro.graph.taskgraph import collect_subgraph, consumers_of
+from repro.graph.node import _ELEMENTWISE_SERIES_OPS, ALL_COLUMNS, Node
+from repro.graph.taskgraph import ConsumerIndex, topological_order
 
-_MAX_PASSES = 50
+#: label of a pushed disjunction; it stays under ``u`` (on the filter,
+#: or on the alias it leaves when it sinks on, which nothing sees
+#: through) and tells a later pass that ``u``'s parents were served.
+_DISJUNCTION = "pushed_disjunction"
 
 
-def push_down_predicates(roots: Sequence[Node]) -> int:
+def push_down_predicates(
+    roots: Sequence[Node], index: Optional[ConsumerIndex] = None
+) -> int:
     """Move filters toward sources; returns the number of swaps made."""
+    index = index or ConsumerIndex(roots)
+    # popped lowest first, and a pushed filter goes back on top: it sinks
+    # as far as it can before any filter above it is looked at
+    work = [n for n in reversed(topological_order(roots)) if n.spec.is_filter]
+    #: filters this pass built: nobody holds them, so when they move on
+    #: their readers are rewired instead of being left an alias
+    own: Set[int] = set()
     swaps = 0
-    for _ in range(_MAX_PASSES):
-        moved = _one_pass(roots)
-        if not moved:
-            break
-        swaps += moved
+    while work:
+        f = work.pop()
+        if not f.spec.is_filter or f not in index:
+            continue  # merged into a sibling, or cut loose by a rebase
+        u = _see_through_aliases(f, index)
+        pushed = _push_below(u, [f], index, own)
+        if pushed is None:
+            parents = [c for c in index.of(u)
+                       if c.spec.is_filter and c.inputs[0] is u]
+            if len(parents) > 1:
+                pushed = _push_below(u, parents, index, own)
+        if pushed is not None:
+            work.append(pushed)
+            swaps += 1
     return swaps
 
 
-def fold_predicates_into_scans(roots: Sequence[Node]) -> int:
+def fold_predicates_into_scans(
+    roots: Sequence[Node], index: Optional[ConsumerIndex] = None
+) -> int:
     """Fold filters over capable ``scan`` sources into the scan's args;
     returns the number of filters absorbed."""
-    folded = 0
-    for _ in range(_MAX_PASSES):
-        if not _one_fold_pass(roots):
-            break
-        folded += 1
-    return folded
+    index = index or ConsumerIndex(roots)
+    # lowest first: the next filter up sees through a folded one's alias
+    return sum(
+        _fold(f, index) for f in topological_order(roots)
+        if f.spec.is_filter and len(f.inputs) > 1 and f in index
+    )
 
 
-def _one_fold_pass(roots: Sequence[Node]) -> int:
+def _fold(f: Node, index: ConsumerIndex) -> bool:
     from repro.io.predicate import conjuncts_from_mask, merge_conjuncts
     from repro.io.registry import source_capabilities
 
-    nodes = collect_subgraph(roots)
-    consumers = consumers_of(nodes)
-    root_ids = {r.id for r in roots}
-    for f in nodes:
-        if not f.spec.is_filter or len(f.inputs) < 2:
-            continue
-        # Chase identity aliases earlier rewrites (swaps, prior folds)
-        # left between the filter and the scan.
-        chain: List[Node] = []
-        u = f.inputs[0]
-        while u.op == "identity" and u.inputs:
-            chain.append(u)
-            u = u.inputs[0]
-        if u.op != "scan" or u.id in root_ids:
-            continue
-        if any(n.id in root_ids for n in chain):
-            continue
-        spec = source_capabilities(u.args.get("format"))
-        if spec is None or not spec.supports_predicate:
-            continue
-        # The scan's unfiltered output must reach nobody but this filter
-        # (its own mask reads move into the predicate with it), and the
-        # mask subgraph must be exclusively this filter's: CSE can share
-        # a mask's column read with an unrelated consumer (an unfiltered
-        # aggregate of the same column), which after folding would see
-        # pre-filtered rows.
-        mask_nodes = collect_subgraph([f.inputs[1]])
-        mask_ids = {n.id for n in mask_nodes}
-        chain_ids = {n.id for n in chain}
-        allowed = chain_ids | mask_ids | {f.id}
-        if any(n.id in root_ids for n in mask_nodes):
-            continue
-        if any(
-            consumer.id not in allowed
-            for hop in [u, *chain, *mask_nodes]
-            for consumer in consumers.get(hop.id, [])
-        ):
-            continue
-        conjuncts = conjuncts_from_mask(f.inputs[1], u, aliases=chain)
-        if conjuncts is None:
-            continue
-        u.args["predicate"] = merge_conjuncts(
-            u.args.get("predicate"), conjuncts
-        )
-        _alias(f, u)
-        return 1
-    return 0
-
-
-def _one_pass(roots: Sequence[Node]) -> int:
-    nodes = collect_subgraph(roots)
-    consumers = consumers_of(nodes)
-    root_ids = {r.id for r in roots}
-    moved = 0
-    for f in nodes:
-        if not f.spec.is_filter:
-            continue
-        u = f.inputs[0]
-        if _can_swap(f, u, consumers, root_ids):
-            _swap(f, u)
-            return 1  # graph changed; recompute consumer map
-        merged = _try_multi_parent(u, consumers, root_ids, nodes)
-        if merged:
-            return merged
-    return moved
-
-
-def _can_swap(f: Node, u: Node, consumers: Dict[int, List[Node]], root_ids) -> bool:
-    if u.spec.is_source or u.spec.side_effect or not u.spec.row_preserving:
+    u = _see_through_aliases(f, index)
+    if u.op != "scan":
         return False
-    if not u.inputs:
+    spec = source_capabilities(u.args.get("format"))
+    if spec is None or not spec.supports_predicate:
         return False
-    if u.id in root_ids:
-        return False  # u's unfiltered output is requested elsewhere
-    mods = u.mod_attrs()
-    used = f.used_attrs()
-    if ALL_COLUMNS in mods and used:
+    conjuncts = conjuncts_from_mask(f.inputs[1], u)
+    if conjuncts is None or not _passable(u, [f], index):
         return False
-    if ALL_COLUMNS in used and mods:
-        return False
-    if mods & used:
-        return False
-    # Condition 3: f is the only data consumer of u -- but predicate
-    # column reads that feed f's own mask are allowed, since they move
-    # with the filter.
-    mask_nodes = {n.id for n in collect_subgraph([f.inputs[1]])}
-    for consumer in consumers.get(u.id, []):
-        if consumer is f:
-            continue
-        if consumer.id in mask_nodes:
-            continue
-        return False
-    # u's side inputs (e.g. a setitem's value series) are row-aligned
-    # with u's frame input; after the swap they must be recomputed on the
-    # *filtered* frame.  That is only sound when the side expression is a
-    # pure elementwise derivation of the frame input.
-    base = u.inputs[0]
-    for side in u.inputs[1:]:
-        if not _elementwise_over(side, base):
-            return False
+    u.args["predicate"] = merge_conjuncts(u.args.get("predicate"), conjuncts)
+    _alias(f, u, index)
     return True
+
+
+def _push_below(u: Node, parents: List[Node], index: ConsumerIndex,
+                own: Set[int]) -> Optional[Node]:
+    """The one rewrite: the predicate of ``parents`` -- filters on ``u``,
+    one in the plain case -- moves below ``u``.  Returns the new filter,
+    or ``None`` when a safe-point condition fails."""
+    if not _opens(u, parents, index):
+        return None
+    base = u.inputs[0]
+    masks = [p.inputs[1] for p in parents]
+    same = all(structurally_equal(mask, masks[0]) for mask in masks[1:])
+    if same:
+        masks = masks[:1]
+    elif base.label == _DISJUNCTION:
+        return None
+    # One predicate (the paper's same-filter rule when there are several
+    # parents) moves below u and the parents drop out.  Of different
+    # predicates only the rows no parent keeps may go, and each parent
+    # still filters for itself above u.
+    either = _rebase(masks[0], old=u, new=base)
+    for mask in masks[1:]:
+        either = Node("binop", args={"op": "|"}, label="or", inputs=[
+            either, _rebase(mask, old=u, new=base)])
+    new_filter = Node("filter", inputs=[base, either],
+                      label=parents[0].label if same else _DISJUNCTION)
+    # side inputs (a setitem's value, a hopped filter's mask) follow
+    index.set_inputs(u, [new_filter] + [
+        _rebase(side, old=base, new=new_filter) for side in u.inputs[1:]])
+    if same:
+        own.add(new_filter.id)
+        for p in parents:
+            if p.id in own:
+                for reader in list(index.of(p)):
+                    index.replace(reader, p, u)
+            else:
+                _alias(p, u, index)
+    return new_filter
+
+
+def _opens(u: Node, parents: List[Node], index: ConsumerIndex) -> bool:
+    """The safe-point conditions -- and when ``u`` is a filter or an
+    alias, not for ``u`` alone but for the whole run down to and
+    including the op it sits on: hopping filters alone gains nothing (two
+    adjacent filters would trade places for ever), so a predicate enters
+    a run only when it will also pass what the run sits on."""
+    op = u
+    while op.op in ("filter", "identity") and op.inputs:
+        op = op.inputs[0]
+    # Conditions 1 and 2, on the op under the run (its members modify
+    # nothing) -- the cheap ones first.
+    spec = op.spec
+    if (spec.is_source or spec.side_effect or not spec.row_preserving
+            or not op.inputs):
+        return False
+    mods = op.mod_attrs()
+    used: Set[str] = set().union(*(p.used_attrs() for p in parents))
+    if mods and (ALL_COLUMNS in used or mods & used
+                 or (used and ALL_COLUMNS in mods)):
+        return False
+    while _passable(u, parents, index):
+        if u is op:
+            return True
+        parents, u = [u], u.inputs[0]
+    return False
+
+
+def _passable(u: Node, parents: List[Node], index: ConsumerIndex) -> bool:
+    """Condition 3: ``parents`` are ``u``'s only data consumers, and
+    ``u`` is no root (its unfiltered output is requested).  The column
+    reads that feed the parents' own masks move with the filter, so they
+    are allowed -- if they are the filters' alone: CSE can share one with
+    an unfiltered aggregate of the same column, which would go on reading
+    ``u`` and see filtered rows.  And ``u``'s side inputs (a setitem's
+    value, a hopped filter's mask) are recomputed on the *filtered* frame
+    after the swap: only sound for a pure elementwise derivation of it."""
+    hops = [u]
+    for p in parents:
+        for side in p.inputs[1:]:
+            hops.extend(_above(side, u))
+    allowed = {n.id for n in hops}.union(p.id for p in parents)
+    return not any(
+        hop.id in index.root_ids
+        or any(reader.id not in allowed for reader in index.of(hop))
+        for hop in hops
+    ) and all(_elementwise_over(side, u.inputs[0]) for side in u.inputs[1:])
 
 
 def _elementwise_over(node: Node, base: Node) -> bool:
@@ -176,8 +209,6 @@ def _elementwise_over(node: Node, base: Node) -> bool:
     row-preserving series operators, so re-rooting it onto a filtered
     frame yields the filtered rows of the same values.
     """
-    from repro.graph.node import _ELEMENTWISE_SERIES_OPS
-
     stack = [node]
     seen = set()
     while stack:
@@ -185,140 +216,64 @@ def _elementwise_over(node: Node, base: Node) -> bool:
         if current is base or current.id in seen:
             continue
         seen.add(current.id)
-        if current.op == "getitem_column":
-            # reads a column of whatever frame it points at; fine.
+        if (current.op == "getitem_column"  # reads whatever frame it is on
+                or current.op in _ELEMENTWISE_SERIES_OPS):
             stack.extend(current.inputs)
-            continue
-        if current.op in _ELEMENTWISE_SERIES_OPS:
-            stack.extend(current.inputs)
-            continue
-        if current.spec.is_source:
-            continue
-        return False
+        elif not current.spec.is_source:
+            return False
     return True
 
 
-def _swap(f: Node, u: Node) -> None:
-    """Rewire so the filter runs before ``u``."""
-    base = u.inputs[0]
-    new_mask = _rebase(f.inputs[1], old=u, new=base)
-    new_filter = Node("filter", inputs=[base, new_mask], label=f.label)
-    u.replace_input(base, new_filter)
-    # Side inputs (setitem values, second filter masks) were row-aligned
-    # with the unfiltered base; recompute them on the filtered frame.
-    for i in range(1, len(u.inputs)):
-        u.inputs[i] = _rebase(u.inputs[i], old=base, new=new_filter)
-    # f becomes a passthrough of u: consumers of f now see u's output.
-    _alias(f, u)
+def _see_through_aliases(f: Node, index: ConsumerIndex) -> Node:
+    """Re-root ``f`` on what the aliases under it (filters that moved
+    on, or folded into their scan) stand for; returns its frame input."""
+    u = f.inputs[0]
+    while u.op == "identity" and u.inputs and u.label != _DISJUNCTION:
+        below = u.inputs[0]
+        index.set_inputs(f, [below] + [
+            _rebase(side, old=u, new=below) for side in f.inputs[1:]])
+        u = below
+    return u
 
 
-def _alias(old: Node, new: Node) -> None:
-    """Make ``old`` a transparent alias of ``new``.
-
-    Consumers hold direct references to ``old``; rather than hunting all
-    of them down we convert ``old`` into an identity projection of
-    ``new``.  The later CSE/identity cleanup or executor handles it at
-    zero cost (identity is implemented as a no-op).
-    """
+def _alias(old: Node, new: Node, index: ConsumerIndex) -> None:
+    """Make ``old`` -- a node the user built and may hold (it can be a
+    root), so it stays -- an identity projection of ``new``, which the
+    executor runs at zero cost."""
     old.op = "identity"
-    old.inputs = [new]
     old.args = {}
+    index.set_inputs(old, [new])
 
 
-def _rebase(mask: Node, old: Node, new: Node) -> Node:
-    """Clone the predicate expression with reads re-rooted on ``new``."""
-    memo: Dict[int, Node] = {}
-
-    def clone(node: Node) -> Node:
-        if node is old:
-            return new
-        if node.id in memo:
-            return memo[node.id]
-        if not _depends_on(node, old):
-            return node  # untouched branch; safe to share
-        copy = Node(
-            node.op,
-            inputs=[clone(inp) for inp in node.inputs],
-            args=dict(node.args),
-            label=node.label,
-        )
-        memo[node.id] = copy
-        return copy
-
-    return clone(mask)
+def _above(expr: Node, floor: Node) -> List[Node]:
+    """``expr``'s subgraph cut off at ``floor``, dependencies first: what
+    a predicate over ``floor``'s output is made of.  The walk is bounded
+    by the expression, not by the plan under ``floor``."""
+    out: List[Node] = []
+    seen = {floor.id}
+    stack: List[Tuple[Node, bool]] = [(expr, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            out.append(node)
+        elif node.id not in seen:
+            seen.add(node.id)
+            stack.append((node, True))
+            stack.extend((inp, False) for inp in node.inputs)
+    return out
 
 
-def _depends_on(node: Node, target: Node) -> bool:
-    return any(n is target for n in collect_subgraph([node]))
-
-
-def _try_multi_parent(
-    u: Node,
-    consumers: Dict[int, List[Node]],
-    root_ids,
-    nodes: List[Node],
-) -> int:
-    """The paper's multi-parent rules (same-filter and conjunction)."""
-    all_consumers = consumers.get(u.id, [])
-    if u.spec.is_source or u.spec.side_effect or not u.spec.row_preserving:
-        return 0
-    if not u.inputs or u.id in root_ids:
-        return 0
-    parents = [
-        c for c in all_consumers if c.spec.is_filter and c.inputs[0] is u
-    ]
-    if len(parents) < 2:
-        return 0
-    # Consumers inside the parents' own mask expressions move with the
-    # filters; any other consumer sees u's unfiltered output and blocks
-    # the rewrite.
-    mask_nodes = set()
-    for p in parents:
-        mask_nodes |= {n.id for n in collect_subgraph([p.inputs[1]])}
-    for c in all_consumers:
-        if c in parents or c.id in mask_nodes:
-            continue
-        return 0
-    mods = u.mod_attrs()
-    for p in parents:
-        used = p.used_attrs()
-        if (ALL_COLUMNS in mods and used) or (ALL_COLUMNS in used and mods):
-            return 0
-        if mods & used:
-            return 0
-    if u.args.get("_pp_conj_done"):
-        return 0
-
-    base = u.inputs[0]
-    for side in u.inputs[1:]:
-        if not _elementwise_over(side, base):
-            return 0
-
-    first_mask = parents[0].inputs[1]
-    if all(structurally_equal(p.inputs[1], first_mask) for p in parents[1:]):
-        # Same filter everywhere: push one below, drop the parents.
-        new_mask = _rebase(first_mask, old=u, new=base)
-        new_filter = Node("filter", inputs=[base, new_mask], label=parents[0].label)
-        u.replace_input(base, new_filter)
-        for i in range(1, len(u.inputs)):
-            u.inputs[i] = _rebase(u.inputs[i], old=base, new=new_filter)
-        for p in parents:
-            _alias(p, u)
-        return len(parents)
-
-    # Different predicates: push the conjunction below, keep originals.
-    conj: Optional[Node] = None
-    for p in parents:
-        rebased = _rebase(p.inputs[1], old=u, new=base)
-        conj = rebased if conj is None else Node(
-            "binop", inputs=[conj, rebased], args={"op": "&"}, label="and"
-        )
-    new_filter = Node("filter", inputs=[base, conj], label="pushed_conjunction")
-    u.replace_input(base, new_filter)
-    for i in range(1, len(u.inputs)):
-        u.inputs[i] = _rebase(u.inputs[i], old=base, new=new_filter)
-    u.args["_pp_conj_done"] = True  # avoid re-pushing every pass
-    return 1
+def _rebase(expr: Node, old: Node, new: Node) -> Node:
+    """Clone ``expr`` with its reads of ``old`` re-rooted on ``new``;
+    branches that never reach ``old`` are shared, not copied."""
+    moved: Dict[int, Node] = {old.id: new}
+    for node in _above(expr, old):
+        inputs = [moved.get(inp.id, inp) for inp in node.inputs]
+        if any(a is not b for a, b in zip(inputs, node.inputs)):
+            moved[node.id] = Node(
+                node.op, inputs=inputs, args=dict(node.args), label=node.label
+            )
+    return moved.get(expr.id, expr)
 
 
 def structurally_equal(a: Node, b: Node) -> bool:

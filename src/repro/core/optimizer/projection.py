@@ -78,10 +78,11 @@ def _required_columns(
         bucket.update(cols)
 
     for node in reversed(order):
-        out_req = required.get(node.id, set())
         if node.id in root_ids and not node.spec.scalar:
-            # A root frame is handed to the user whole.
-            out_req = out_req | {ALL_COLUMNS}
+            # A root frame is handed to the user whole -- a source that
+            # is itself a root included, whoever else reads it.
+            demand(node, {ALL_COLUMNS})
+        out_req = required.get(node.id, set())
 
         op = node.op
         if op in ("read_csv", "scan", "from_data", "from_pandas"):

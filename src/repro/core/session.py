@@ -490,21 +490,26 @@ class Session:
     def _run(self, roots: List[Node], live_nodes: List[Node]):
         from repro.core.optimizer import optimize
 
-        gate_key = self._analysis_gate(roots)
+        # A re-collect -- every root holds its result (so no print is
+        # pending) and nothing asks to pin more -- has no plan to gate,
+        # optimize or restore: the scheduler just hands the values back.
+        planned = bool(live_nodes) or not all(r.computed for r in roots)
+        gate_key = self._analysis_gate(roots) if planned else None
         # Optimization is transactional: the rules rewire the shared graph
         # for *this* execution (like Dask optimizing a copy of its graph),
         # then the original wiring is restored -- later computations may
         # demand columns or rows this execution's rewrites pruned away.
         # Results survive restoration: a node's value is the same in the
         # optimized and original graphs.
-        snapshot = self._snapshot(roots)
+        snapshot = self._snapshot(roots) if planned else ()
         scheduler = self.scheduler()
         fingerprint_version = len(self.node_registry)
         try:
-            optimize(roots, self, live_nodes=live_nodes)
-            # the reuse pass (optimizer.cache) left its run state here;
-            # the scheduler offers executed results back through it.
-            scheduler.cache_state = self._cache_run
+            if planned:
+                optimize(roots, self, live_nodes=live_nodes)
+                # the reuse pass left its run state here; the scheduler
+                # offers executed results back through it.
+                scheduler.cache_state = self._cache_run
             results = scheduler.execute(roots)
         finally:
             self._restore(snapshot)

@@ -17,7 +17,6 @@ from repro.graph.taskgraph import (
     dependency_counts,
     initial_refcounts,
     needed_nodes,
-    node_counter,
     ready_nodes,
     to_dot,
     topological_order,
@@ -45,7 +44,6 @@ __all__ = [
     "dependency_counts",
     "initial_refcounts",
     "needed_nodes",
-    "node_counter",
     "ready_nodes",
     "register_op",
     "render_plan",

@@ -123,9 +123,6 @@ class Node:
         self.result = value
         self.computed = True
 
-    def replace_input(self, old: "Node", new: "Node") -> None:
-        self.inputs = [new if inp is old else inp for inp in self.inputs]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         extra = f" {self.label}" if self.label else ""
         return f"<Node {self.id} {self.op}{extra}>"
@@ -286,7 +283,7 @@ register_op(OpSpec(
 ))
 register_op(OpSpec(
     # a cache-substituted subplan: args carry the serialized result
-    # blob, its size, kind, and a short key for explain().  Emitted
+    # blob, its size, kind, and the plan fingerprint as key.  Emitted
     # only by the substitution pass in ``repro.core.optimizer.cache``;
     # never built by user code and never re-cached.
     "from_cached",

@@ -8,7 +8,7 @@ counting and DOT export (Figures 6 and 9 render with ``to_dot``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.graph.node import Node
 
@@ -147,18 +147,61 @@ def consumer_counts(nodes: Iterable[Node]) -> Dict[int, int]:
     return counts
 
 
-def consumers_of(nodes: Iterable[Node]) -> Dict[int, List[Node]]:
-    """Map node id -> consumer nodes (data edges) within the set."""
-    out: Dict[int, List[Node]] = {}
-    for node in nodes:
+class ConsumerIndex:
+    """Who reads each node of the subgraph under ``roots``: built once
+    per ``optimize()`` and kept current by the rewrite passes, which
+    route every rewire through :meth:`set_inputs` / :meth:`replace`.
+
+    One entry per edge, data and ordering alike (ordering edges only
+    point at side-effect nodes, which no rewrite moves or merges).  A
+    node that loses its last reader, and that no root names, is dead: its
+    edges leave the index with it, so :meth:`of` never reports a reader
+    a fresh ``collect_subgraph`` would not reach.
+    """
+
+    def __init__(self, roots: Sequence[Node]):
+        self.root_ids = {root.id for root in roots}
+        self._readers: Dict[int, List[Node]] = {}
+        self._live: Set[int] = set()
+        self._link(roots)
+
+    def __contains__(self, node: Node) -> bool:
+        return node.id in self._live
+
+    def of(self, node: Node) -> Sequence[Node]:
+        return self._readers.get(node.id, ())
+
+    def set_inputs(self, node: Node, inputs: Sequence[Node]) -> None:
+        """Rewire ``node`` (which must be live) to read ``inputs``."""
+        pending = [(node, dep) for dep in node.inputs]
+        node.inputs = list(inputs)
         for dep in node.inputs:
-            out.setdefault(dep.id, []).append(node)
-    return out
+            self._readers.setdefault(dep.id, []).append(node)
+        self._link(node.inputs)
+        while pending:
+            reader, dep = pending.pop()
+            readers = self._readers[dep.id]
+            readers.remove(reader)
+            if not readers and dep.id not in self.root_ids:
+                self._live.discard(dep.id)
+                pending.extend((dep, below) for below in dep.all_deps())
 
+    def replace(self, reader: Node, old: Node, new: Node) -> None:
+        """Point ``reader``'s reads of ``old`` at ``new`` instead."""
+        self.set_inputs(
+            reader, [new if dep is old else dep for dep in reader.inputs])
 
-def node_counter(roots: Sequence[Node], predicate: Callable[[Node], bool]) -> int:
-    """Count subgraph nodes satisfying ``predicate`` (testing helper)."""
-    return sum(1 for node in collect_subgraph(roots) if predicate(node))
+    def _link(self, nodes: Iterable[Node]) -> None:
+        """Record the edges of every node reached that is not live yet
+        (the initial subgraph; later, what a rewrite just built)."""
+        stack = list(nodes)
+        while stack:
+            node = stack.pop()
+            if node.id not in self._live:
+                self._live.add(node.id)
+                for dep in node.all_deps():
+                    self._readers.setdefault(dep.id, []).append(node)
+                    stack.append(dep)
 
 
 def to_dot(roots: Sequence[Node]) -> str:

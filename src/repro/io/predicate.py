@@ -391,22 +391,19 @@ def _range_all_match(lo, hi, nulls, conj: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def conjuncts_from_mask(mask, source, aliases=()) -> Optional[List[dict]]:
+def conjuncts_from_mask(mask, source) -> Optional[List[dict]]:
     """Convert a filter's mask expression into conjuncts, or ``None``.
 
     ``mask`` is the filter node's second input; ``source`` the scan node
-    the filter would fold into (``aliases`` are identity nodes standing
-    for it).  The conversion is all-or-nothing: every leaf comparison
-    must read a column *directly off the source* and compare against a
-    plain literal.  Anything else -- derived columns, series-vs-series
-    comparisons, OR, negation -- returns ``None`` and the filter stays
-    in the graph.
+    the filter would fold into.  The conversion is all-or-nothing: every
+    leaf comparison must read a column *directly off the source* and
+    compare against a plain literal.  Anything else -- derived columns,
+    series-vs-series comparisons, OR, negation -- returns ``None`` and
+    the filter stays in the graph.
     """
-    accepted = {id(source)} | {id(a) for a in aliases}
-
     def source_column(node) -> Optional[str]:
         if node.op == "getitem_column" and node.inputs \
-                and id(node.inputs[0]) in accepted:
+                and node.inputs[0] is source:
             return node.args["column"]
         return None
 

@@ -1,0 +1,216 @@
+"""Properties of the optimizer's rewriting passes on random chains.
+
+Hypothesis builds chains of filter / setitem / drop / rename / merge
+steps over a small table and checks two things the fixed examples
+cannot:
+
+- every ``optimizer.*`` flag, switched off on its own, leaves the
+  collected result bit-identical on every backend (the equivalence
+  fuzzer next door varies strategies and formats; this is its optimizer
+  axis);
+- predicate pushdown is a bounded, idempotent rewrite: a filter hops
+  each op of its chain at most once, a swap adds at most one node (the
+  alias a user-built filter leaves), and a second run finds nothing
+  left to do.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.lazyfatpandas.pandas as lfp
+from repro.core.optimizer import optimize, push_down_predicates
+from repro.core.optimizer.predicate_pushdown import (
+    fold_predicates_into_scans,
+)
+from repro.core.session import Session
+from repro.graph import collect_subgraph
+from repro.lazyfatpandas.func import print as lazy_print
+
+from test_strategy_equivalence import (
+    BACKENDS, _equal, _fresh_dir, _write_table, right_tables, tables,
+)
+
+pytestmark = pytest.mark.deadline(120)
+
+FLAGS = [
+    "optimizer.predicate_pushdown",
+    "optimizer.common_subexpression",
+    "optimizer.projection_pushdown",
+    "optimizer.metadata",
+    "optimizer.partition_pruning",
+    "optimizer.shuffle",
+]
+
+_values = st.integers(min_value=-100, max_value=100)
+
+
+@st.composite
+def chains(draw):
+    """A random chain as data; tracks live columns so every step reads
+    columns that exist, whatever the drops and renames before it did."""
+    numeric = ["k", "v", "f"]  # "w" (strings) rides along unfiltered
+    merged = False
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        kinds = ["filter", "filter", "derive", "overwrite", "running",
+                 "peaks", "tap"]
+        droppable = [c for c in numeric if c != "k"]
+        if len(droppable) > 1:
+            kinds += ["drop", "rename"]
+        if not merged and "k" in numeric:
+            kinds.append("merge")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "filter":
+            steps.append(("filter", draw(st.sampled_from(numeric)),
+                          draw(st.sampled_from([">", "<=", "!="])),
+                          draw(_values)))
+        elif kind == "derive":
+            # a new column from two old ones (a setitem filters pass)
+            a, b = draw(st.sampled_from(numeric)), draw(
+                st.sampled_from(numeric))
+            name = f"d{len(steps)}"
+            steps.append(("setitem", name, a, b))
+            numeric = numeric + [name]
+        elif kind == "running":
+            # not elementwise: no filter may pass it, nor enter a run
+            # of filters that sits on it
+            name = f"d{len(steps)}"
+            steps.append(("running", name, draw(st.sampled_from(numeric))))
+            numeric = numeric + [name]
+        elif kind == "peaks":
+            # a filter whose mask is not elementwise: nothing hops it
+            steps.append(("peaks", draw(st.sampled_from(numeric)),
+                          draw(_values)))
+        elif kind == "tap":
+            # the frame as it stands is read a second time, unfiltered
+            steps.append(("tap",))
+        elif kind == "overwrite":
+            # rewrites a column in place: a filter reading it must stay
+            column = draw(st.sampled_from(droppable))
+            steps.append(("setitem", column, column, column))
+        elif kind == "drop":
+            column = draw(st.sampled_from(droppable))
+            numeric = [c for c in numeric if c != column]
+            steps.append(("drop", column))
+        elif kind == "rename":
+            column = draw(st.sampled_from(droppable))
+            name = f"n{len(steps)}"
+            numeric = [name if c == column else c for c in numeric]
+            steps.append(("rename", column, name))
+        else:
+            merged = True
+            numeric = numeric + ["r"]
+            steps.append(("merge",))
+    return steps
+
+
+def _build(steps, source, left, right):
+    """The chain's frame, and the frames tapped on the way up."""
+    read = lfp.read_csv if source == "read" else lfp.scan_csv
+    frame = read(left)
+    taps = []
+    for step in steps:
+        if step[0] == "filter":
+            _, column, op, value = step
+            series = frame[column]
+            frame = frame[{">": series > value, "<=": series <= value,
+                           "!=": series != value}[op]]
+        elif step[0] == "setitem":
+            _, name, a, b = step
+            frame[name] = frame[a] + frame[b]
+        elif step[0] == "running":
+            frame[step[1]] = frame[step[2]].cummax()
+        elif step[0] == "peaks":
+            frame = frame[frame[step[1]].cummax() > step[2]]
+        elif step[0] == "tap":
+            taps.append(frame)
+        elif step[0] == "drop":
+            frame = frame.drop(columns=[step[1]])
+        elif step[0] == "rename":
+            frame = frame.rename(columns={step[1]: step[2]})
+        else:
+            frame = frame.merge(read(right), on="k", how="inner")
+    return frame, taps
+
+
+def _collect(frame, taps):
+    """One plan that reads the frame and every tap: a lazy print per
+    tap, which the frame's collect runs ("k" is never dropped or renamed,
+    and an integer sum does not depend on the partitioning)."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        for tap in taps:
+            lazy_print(tap.k.sum())
+        return frame.collect(), printed.getvalue()
+
+
+class TestOptimizerFlagsAreInvisible:
+    @given(data=tables(), right=right_tables(), steps=chains(),
+           source=st.sampled_from(["read", "scan"]))
+    @settings(max_examples=15, deadline=None)
+    def test_each_flag_off_is_bit_identical_on_every_backend(
+        self, tmp_path_factory, data, right, steps, source
+    ):
+        tmp_dir = _fresh_dir(tmp_path_factory)
+        left = _write_table(data, tmp_dir, "left", "csv")
+        right = _write_table(right, tmp_dir, "right", "csv")
+        # the simulated dask cannot put a whole-column op (one partition
+        # out) back on a partitioned frame
+        ordered = any(step[0] in ("running", "peaks") for step in steps)
+        for backend in BACKENDS:
+            if ordered and backend == "dask":
+                continue
+            with Session(backend=backend):
+                expected = _collect(*_build(steps, source, left, right))
+            for flag in FLAGS:
+                with Session(backend=backend, options={flag: False}):
+                    plan, taps = _build(steps, source, left, right)
+                    got = _collect(plan, taps)
+                    if not (_equal(got[0], expected[0])
+                            and got[1] == expected[1]):
+                        raise AssertionError(
+                            f"{flag}=False changed the result on "
+                            f"{backend!r}.\nsteps: {steps}\n"
+                            f"{plan.explain()}"
+                        )
+
+
+class TestPushdownIsBoundedAndIdempotent:
+    @given(data=tables(), right=right_tables(), steps=chains(),
+           source=st.sampled_from(["read", "scan"]))
+    @settings(max_examples=40, deadline=None)
+    def test_swaps_nodes_and_second_run(
+        self, tmp_path_factory, data, right, steps, source
+    ):
+        tmp_dir = _fresh_dir(tmp_path_factory)
+        left = _write_table(data, tmp_dir, "left", "csv")
+        right = _write_table(right, tmp_dir, "right", "csv")
+        filters = sum(step[0] in ("filter", "peaks") for step in steps)
+
+        def roots():
+            frame, taps = _build(steps, source, left, right)
+            return [frame.node] + [tap.node for tap in taps]
+
+        with Session(backend="pandas") as session:
+            plan = roots()
+            raw = len(collect_subgraph(plan))
+            swaps = push_down_predicates(plan)
+            # a filter hops each op under it at most once ...
+            assert swaps <= filters * len(steps), steps
+            # ... leaving one alias where it stood; the filters the pass
+            # builds on the way down replace each other
+            assert len(collect_subgraph(plan)) <= raw + swaps, steps
+            assert push_down_predicates(plan) == 0, steps
+            fold_predicates_into_scans(plan)
+            assert fold_predicates_into_scans(plan) == 0, steps
+
+            # and through the pipeline: optimizing an optimized plan
+            # moves no filter
+            plan = roots()
+            assert optimize(plan, session, live_nodes=[])[
+                "pushdown"] <= filters * len(steps), steps
+            again = optimize(plan, session, live_nodes=[])
+            assert (again["pushdown"], again["scan_fold"]) == (0, 0), steps

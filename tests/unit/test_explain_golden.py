@@ -70,6 +70,37 @@ N8 identity <- [N7]
 N9 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N8]"""
 
 
+def chained_filters_pipeline(path):
+    """Two filters in a row above a derived column (the shape of
+    ``bench/plans.py::paper``): neither reads ``hour``, so both belong
+    on the read."""
+    df = lfp.read_csv(path, parse_dates=["pickup_time"])
+    df["hour"] = df.pickup_time.dt.hour
+    df = df[df.fare > 0]
+    df = df[df.passengers <= 3]
+    return df.groupby(["hour"])["passengers"].sum()
+
+
+# Lowest first: the fare filter sinks to the read, then the passengers
+# filter sees through the alias it left, passes the setitem and stops on
+# it -- two swaps, and one identity (each filter leaves an alias where it
+# stood; the lower one, read by nobody any more, is gone).  The two
+# filters never trade places.
+OPTIMIZED_PLAN_CHAINED_FILTERS = """\
+N1 read_csv(path=trips.csv, parse_dates=['pickup_time'], usecols=['fare', 'passengers', 'pickup_time'])
+N2 getitem_column(column='fare') <- [N1]
+N3 binop(op='>', reflected=False, right=0) <- [N2]
+N4 filter <- [N1,N3]
+N5 getitem_column(column='passengers') <- [N4]
+N6 binop(op='<=', reflected=False, right=3) <- [N5]
+N7 filter <- [N4,N6]
+N8 getitem_column(column='pickup_time') <- [N7]
+N9 dt_field(field='hour') <- [N8]
+N10 setitem(column='hour') <- [N7,N9]
+N11 identity <- [N10]
+N12 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N11]"""
+
+
 def _sections(text):
     """Split explain() output into (raw, optimized) plan bodies."""
     raw, optimized = text.split("== optimized plan ==")
@@ -84,6 +115,14 @@ class TestExplainGolden:
             raw, optimized = _sections(out.explain())
         assert raw == RAW_PLAN
         assert optimized == OPTIMIZED_PLAN_PUSHDOWN_ON
+
+    def test_chained_filters_both_reach_the_read(self, trips_csv):
+        with Session(backend="pandas") as session:
+            out = chained_filters_pipeline(trips_csv)
+            _, optimized = _sections(out.explain())
+            out.collect()
+            assert session.last_optimize_report["pushdown"] == 2
+        assert optimized == OPTIMIZED_PLAN_CHAINED_FILTERS
 
     def test_plan_with_pushdown_off(self, trips_csv):
         with Session(backend="pandas") as session:

@@ -24,11 +24,19 @@ class TestNode:
         assert a.id != b.id
 
     def test_replace_input(self):
+        """Rewiring goes through the consumer index, which drops what
+        the rewire cut loose and picks up what it brought in."""
+        from repro.graph.taskgraph import ConsumerIndex
+
         src = Node("from_data", args={"data": {}})
         other = Node("from_data", args={"data": {}})
-        child = Node("identity", inputs=[src])
-        child.replace_input(src, other)
-        assert child.inputs == [other]
+        child = Node("binop", inputs=[src, src], args={"op": "+"})
+        index = ConsumerIndex([child])
+        assert list(index.of(src)) == [child, child]
+        index.replace(child, src, other)
+        assert child.inputs == [other, other]
+        assert src not in index and not index.of(src)
+        assert other in index and list(index.of(other)) == [child, child]
 
     def test_mod_and_used_attrs(self):
         src = Node("from_data", args={"data": {}})

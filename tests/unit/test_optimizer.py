@@ -91,6 +91,35 @@ class TestPredicatePushdown:
         push_down_predicates([filtered.node, other_use.node])
         assert df.node.inputs[0].op == "read_csv"
 
+    def test_not_pushed_when_cse_shares_the_masks_column_read(self, taxi_csv):
+        """The mask's own column reads move with the filter -- unless
+        CSE merged one with an unfiltered read of the same column, which
+        stays behind reading the op and must not see filtered rows."""
+        def build():
+            df = lfp.read_csv(taxi_csv).drop(columns=["tip_amount"])
+            return (df[df.fare_amount > 10].fare_amount.sum()
+                    + df.fare_amount.sum() * 1000)
+
+        session = current_session()
+        with session.option_context("optimizer.predicate_pushdown", False):
+            expected = build().compute()
+        assert build().compute() == expected
+        assert session.last_optimize_report["pushdown"] == 0
+
+    def test_filter_enters_a_run_only_to_pass_what_it_sits_on(self, taxi_csv):
+        """A filter hops the filter under it when it will also pass the
+        op under both -- every condition, not just the columns: here the
+        derived column is not elementwise, so nothing may move, once or
+        on any later run."""
+        df = lfp.read_csv(taxi_csv)
+        df["running"] = df.tip_amount.cummax()
+        low = df[df.fare_amount > 0]
+        top = low[low.passenger_count > 1]
+        before = len(collect_subgraph([top.node]))
+        assert push_down_predicates([top.node]) == 0
+        assert len(collect_subgraph([top.node])) == before
+        assert top.node.inputs[0] is low.node
+
     def test_same_filter_multi_parent_merged(self, taxi_csv):
         df = lfp.read_csv(taxi_csv)
         df["k"] = df.passenger_count + 1
@@ -100,7 +129,7 @@ class TestPredicatePushdown:
         assert merged >= 1
         assert df.node.inputs[0].op == "filter"
 
-    def test_conjunction_pushed_for_different_filters(self, taxi_csv):
+    def test_disjunction_pushed_for_different_filters(self, taxi_csv):
         df = lfp.read_csv(taxi_csv)
         df["k"] = df.passenger_count + 1
         a = df[df.fare_amount > 0]
@@ -108,7 +137,28 @@ class TestPredicatePushdown:
         push_down_predicates([a.node, b.node])
         pushed = df.node.inputs[0]
         assert pushed.op == "filter"
-        assert pushed.inputs[1].args.get("op") == "&"
+        # below the shared op only the rows *neither* parent keeps may
+        # go: each parent still filters for itself above it
+        assert pushed.inputs[1].args.get("op") == "|"
+        assert a.node.op == b.node.op == "filter"
+        assert push_down_predicates([a.node, b.node]) == 0
+
+    @pytest.mark.parametrize("same", [True, False])
+    def test_multi_parent_pushdown_keeps_every_parents_rows(
+        self, taxi_csv, same
+    ):
+        def build():
+            df = lfp.read_csv(taxi_csv)
+            df["k"] = df.passenger_count + 1
+            a = df[df.fare_amount > 10]
+            b = df[df.fare_amount > 10] if same else df[df.tip_amount > 2]
+            return a.k.sum() + b.k.sum() * 1000
+
+        session = current_session()
+        with session.option_context("optimizer.predicate_pushdown", False):
+            expected = build().compute()
+        assert build().compute() == expected
+        assert session.last_optimize_report["pushdown"] >= 1
 
     def test_structural_equality(self, taxi_csv):
         df = lfp.read_csv(taxi_csv)
@@ -188,6 +238,12 @@ class TestProjectionPushdown:
         filtered = df[df.fare_amount > 0]
         assert push_down_projections([filtered.node]) == 0
         assert filtered.node.inputs[0].args.get("usecols") is None
+
+    def test_root_source_stays_whole_whoever_else_reads_it(self, taxi_csv):
+        df = lfp.read_csv(taxi_csv)
+        total = df.fare_amount.sum()
+        assert push_down_projections([df.node, total.node]) == 0
+        assert "usecols" not in df.node.args
 
     def test_head_print_heuristic_allows_projection(self, taxi_csv):
         from repro.lazyfatpandas.func import print as lazy_print
@@ -284,6 +340,80 @@ class TestMetadataOptimization:
         out = df.fare_amount.sum()
         assert apply_metadata_hints([out.node], None) == 0
         assert "dtype" not in df.node.args
+
+
+class TestPlannerBudget:
+    """How many times ``optimize()`` walks the whole graph must not
+    depend on the plan's size: a planner that re-derives the subgraph
+    per filter (or per sweep) is quadratic, and fails here without a
+    clock.  Bounded walks over one predicate's expression are free."""
+
+    @pytest.fixture
+    def graph_walks(self, monkeypatch):
+        import sys
+
+        from repro.graph import taskgraph
+
+        calls = []
+
+        def counted(func):
+            def wrapper(*args, **kwargs):
+                calls.append(func.__name__)
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in ("collect_subgraph", "topological_order",
+                     "ConsumerIndex"):
+            real = getattr(taskgraph, name)
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("repro.")
+                        and getattr(module, name, None) is real):
+                    monkeypatch.setattr(module, name, counted(real))
+        return calls
+
+    @staticmethod
+    def _deep(path, n):
+        df = lfp.read_csv(path)
+        for j in range(n):
+            df = df[df.fare_amount > -1000 - j]
+        return df.tip_amount.sum()
+
+    @staticmethod
+    def _wide(path, n):
+        df = lfp.read_csv(path)
+        df = df[df.fare_amount > -1000]
+        total = (df.tip_amount + 0).sum()
+        for k in range(1, n):
+            total = total + (df.tip_amount + k).sum()
+        return total
+
+    @staticmethod
+    def _sinking(path, n):
+        """One filter above ``n`` derived columns: it makes ``n`` swaps."""
+        df = lfp.read_csv(path)
+        for j in range(n):
+            df[f"c{j}"] = df.tip_amount + j
+        return df[df.fare_amount > 0].c0.sum()
+
+    @pytest.mark.parametrize("shape, small, large", [
+        ("_deep", 10, 40), ("_wide", 3, 12), ("_sinking", 5, 20),
+    ])
+    def test_graph_walks_do_not_grow_with_the_plan(
+        self, taxi_csv, graph_walks, shape, small, large
+    ):
+        from repro.core.optimizer import optimize
+
+        session = current_session()
+        counts = []
+        for size in (small, large):
+            root = getattr(self, shape)(taxi_csv, size).node
+            del graph_walks[:]
+            report = optimize([root], session, live_nodes=[])
+            counts.append(sorted(graph_walks))
+            if shape == "_sinking":
+                assert report["pushdown"] == size
+        assert counts[0] == counts[1]
+        assert len(counts[1]) <= 12
 
 
 class TestFlagToggles:

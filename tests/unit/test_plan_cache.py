@@ -425,6 +425,39 @@ class TestSubstitution:
         assert "from_cached" in text
         assert "blob=" not in text
 
+    def test_cse_tells_cached_leaves_apart_by_fingerprint(self, make_csv):
+        """CSE keys a ``from_cached`` leaf by its plan fingerprint, not
+        by a repr of the blob: twins of one plan merge, and leaves of
+        two plans never do -- not even when their blobs are equal."""
+        from repro.core.optimizer import eliminate_common_subexpressions
+        from repro.core.optimizer.cache import substitute_cached_subplans
+        from repro.graph import collect_subgraph
+
+        paths = [make_csv({"x": [1, 2, 3]}, name) for name in ("a.csv", "b.csv")]
+        for path in paths:  # two plans, the same value
+            with Session(backend="pandas", options=REUSE):
+                lfp.read_csv(path).x.sum().collect()
+        with Session(backend="pandas", options=REUSE) as session:
+            a, b = (lfp.read_csv(path) for path in paths)
+            plan = a.x.sum() + a.x.sum() + b.x.sum()
+            assert substitute_cached_subplans([plan.node], session).hits == 3
+            leaves = [n for n in collect_subgraph([plan.node])
+                      if n.op == "from_cached"]
+            assert len({n.args["key"] for n in leaves}) == 2
+            assert len({n.args["blob"] for n in leaves}) == 1
+
+            class Unprintable(bytes):
+                def __repr__(self):
+                    raise AssertionError("CSE printed a cached result")
+
+            for leaf in leaves:
+                leaf.args["blob"] = Unprintable(leaf.args["blob"])
+            assert eliminate_common_subexpressions([plan.node]) == 1
+            leaves = [n for n in collect_subgraph([plan.node])
+                      if n.op == "from_cached"]
+            assert len(leaves) == 2
+            assert plan.collect() == 18
+
     def test_backend_is_part_of_the_key(self, make_csv):
         path = make_csv({"x": [1, 2, 3], "y": [4, 5, 6]})
         with Session(backend="pandas", options=REUSE):

@@ -547,6 +547,102 @@ class TestCollectPersistExplain:
             assert positive.persist() is positive
 
 
+class TestRecollect:
+    """A collect of a root that still holds its result plans nothing
+    (no gate, no optimize, no snapshot): everything a collect promises
+    besides planning must be exactly what it was."""
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """How many times a collect reached the optimizer."""
+        from repro.core.optimizer import pipeline
+
+        calls = []
+        real = pipeline.optimize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("repro.core.optimizer.optimize", counting)
+        return calls
+
+    def test_recollect_skips_planning_and_keeps_the_books(
+        self, numbers_csv, planned
+    ):
+        with Session(backend="pandas") as session:
+            total = lfp.read_csv(numbers_csv).y.sum()
+            first = total.collect()
+            report = session.last_optimize_report
+            executed = session.stats["nodes_executed"]
+            assert total.collect() == first
+            assert len(planned) == 1
+            assert session.stats["computes"] == 2
+            assert session.stats["nodes_executed"] == executed
+            assert session.last_execution_stats.nodes_executed == 0
+            # no optimize ran, so the last report is still the last one
+            assert session.last_optimize_report is report
+
+    def test_pending_prints_flush_once(self, numbers_csv, planned, capsys):
+        from repro.lazyfatpandas.func import print as lazy_print
+
+        with Session(backend="pandas") as session:
+            total = lfp.read_csv(numbers_csv).y.sum()
+            first = total.collect()
+            lazy_print("between")
+            assert capsys.readouterr().out == ""
+            assert total.collect() == first  # a print is pending: planned
+            assert capsys.readouterr().out == "between\n"
+            assert not session.pending_prints
+            assert total.collect() == first
+            assert capsys.readouterr().out == ""
+        assert capsys.readouterr().out == ""  # nothing left for the exit
+        assert len(planned) == 2
+
+    def test_live_df_still_pins_and_plain_recollect_still_releases(
+        self, numbers_csv, planned
+    ):
+        with Session(backend="pandas") as session:
+            frame = lfp.read_csv(numbers_csv)
+            positive = frame[frame.x > 0]
+            total = positive.y.sum()
+            first = total.collect()
+            # live= asks to pin more than the root: planned as before
+            assert total.collect(live=[positive]) == first
+            assert len(planned) == 2
+            assert positive.node.persist
+            assert positive.node in session.persisted
+            # the next collect names nothing live: handed back without
+            # planning, and the pins are released after it (section 3.5)
+            assert total.collect() == first
+            assert len(planned) == 2
+            assert not positive.node.persist
+            assert session.persisted == []
+
+    def test_cleared_result_is_recomputed(self, numbers_csv, planned):
+        with Session(backend="pandas") as session:
+            total = lfp.read_csv(numbers_csv).y.sum()
+            first = total.collect()
+            total.node.clear_result()
+            assert total.collect() == first
+            assert len(planned) == 2
+            assert session.last_execution_stats.nodes_executed > 0
+
+    def test_strict_gate_still_rejects_a_broken_plan(
+        self, numbers_csv, planned
+    ):
+        from repro.analysis.plan import PlanValidationError
+
+        with Session(backend="pandas",
+                     options={"analysis.level": "strict"}) as session:
+            bad = lfp.read_csv(numbers_csv)[["x", "missing"]]
+            for _ in range(2):  # never computed, so never waved through
+                with pytest.raises(PlanValidationError):
+                    bad.collect()
+            assert not planned and not bad.node.computed
+            assert session.stats["computes"] == 0
+
+
 class TestDeprecationShims:
     def test_get_session_warns_and_returns_current(self):
         from repro.core.session import get_session

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Four structural rules the linters cannot express, checked with nothing
+Five structural rules the linters cannot express, checked with nothing
 but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -30,6 +30,15 @@ but the stdlib ``ast`` module:
    every strategy drives that state machine through its submit seam, so
    a strategy module that grows its own ready heap or in-degree map is
    a second scheduling loop reappearing.
+
+5. **No sweep cap in an optimizer pass.**  A pass under
+   ``core/optimizer/`` that repeats a whole-graph sweep until nothing
+   changes needs a cap (``for _ in range(_MAX_PASSES)``) only because it
+   cannot show that it terminates -- and the cap then hides a rewrite
+   that undoes itself (two adjacent filters traded places 50 times per
+   ``optimize()`` that way).  A pass visits each node a bounded number
+   of times over a worklist; a counted throwaway loop there is the
+   fixpoint-of-sweeps coming back.
 
 Usage::
 
@@ -277,8 +286,40 @@ def check_one_ready_loop(importers: dict) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 5: no sweep cap in an optimizer pass
 
-CHECKS = (check_mutable_globals, check_real_pandas, check_register_op)
+_OPTIMIZER_DIR = "core/optimizer/"
+
+
+def check_no_sweep_cap(tree: ast.Module, rel: str) -> Iterator[str]:
+    if not rel.startswith(_OPTIMIZER_DIR):
+        return
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.For)
+                and isinstance(node.target, ast.Name)
+                and node.target.id.startswith("_")
+                and isinstance(node.iter, ast.Call)
+                and getattr(node.iter.func, "id", None) == "range"
+                and len(node.iter.args) == 1):
+            continue
+        bound = node.iter.args[0]
+        capped = (
+            isinstance(bound, ast.Constant)
+            or isinstance(bound, ast.Name) and bound.id.isupper()
+        )
+        if capped:
+            yield (
+                f"src/repro/{rel}:{node.lineno}: a loop that runs a fixed "
+                f"number of times and ignores its counter -- a sweep cap; "
+                f"an optimizer pass terminates by construction (visit "
+                f"each node a bounded number of times over a worklist)"
+            )
+
+
+# ---------------------------------------------------------------------------
+
+CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
+          check_no_sweep_cap)
 
 
 def run(src: Path = SRC) -> List[str]:
