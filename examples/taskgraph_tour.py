@@ -59,10 +59,10 @@ print(f"\nCSE merged {merged} node(s)")
 print(f"predicate pushdown performed {swaps} swap(s)")
 print(f"projection pushdown narrowed {narrowed} read(s)")
 
-read_node = next(
-    n for n in collect_subgraph([result.node]) if n.op == "read_csv"
+scan_node = next(
+    n for n in collect_subgraph([result.node]) if n.op == "scan"
 )
-print(f"read_csv usecols after optimization: {read_node.args.get('usecols')}")
+print(f"the read's columns after optimization: {scan_node.args.get('columns')}")
 
 print("\n=== task graph after optimization ===")
 print(to_dot([result.node]))

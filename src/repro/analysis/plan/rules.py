@@ -307,21 +307,17 @@ def check_pushdown_blocked(spec: RuleSpec,
     from repro.io.predicate import conjuncts_from_mask
     from repro.io.registry import source_capabilities
 
-    scans = [n for n in ctx.order if n.op in ("scan", "read_csv")]
+    scans = [n for n in ctx.order if n.op == "scan"]
     if not scans:
         return
 
     required = _required_columns(ctx.roots, ctx.order, order=ctx.order)
     root_ids = {r.id for r in ctx.roots}
     for scan in scans:
-        if scan.op == "scan":
-            caps = source_capabilities(scan.args.get("format"))
-            can_project = caps is not None and caps.supports_projection
-            can_predicate = caps is not None and caps.supports_predicate
-            narrowed = scan.args.get("columns") is not None
-        else:
-            can_project, can_predicate = True, False
-            narrowed = scan.args.get("usecols") is not None
+        caps = source_capabilities(scan.args.get("format"))
+        can_project = caps is not None and caps.supports_projection
+        can_predicate = caps is not None and caps.supports_predicate
+        narrowed = scan.args.get("columns") is not None
 
         needs = required.get(scan.id)
         if (can_project and not narrowed and needs

@@ -23,7 +23,6 @@ so a newly registered operator without schema semantics fails loudly.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.node import Node
@@ -268,59 +267,6 @@ def _columns_arg(node: Node, key: str) -> Optional[List[str]]:
 
 
 # -- sources ----------------------------------------------------------------
-
-
-#: (path, mtime_ns, size) -> header columns.  Analysis re-runs on every
-#: computation under the ``analysis.level`` gate; without this each pass
-#: would re-read the same CSV headers from disk.  Keyed by file identity
-#: so an overwritten file invalidates naturally; bounded by eviction.
-_HEADER_CACHE: Dict[Tuple[str, int, int], Tuple[str, ...]] = {}
-_HEADER_CACHE_MAX = 256
-
-
-def _cached_header(path) -> Optional[Tuple[str, ...]]:
-    from repro.frame.io_csv import read_header
-
-    try:
-        stat = os.stat(path)
-    except (OSError, TypeError):
-        return None
-    key = (str(path), stat.st_mtime_ns, stat.st_size)
-    cached = _HEADER_CACHE.get(key)
-    if cached is None:
-        try:
-            cached = tuple(read_header(path))
-        except (OSError, TypeError):
-            return None
-        if len(_HEADER_CACHE) >= _HEADER_CACHE_MAX:
-            _HEADER_CACHE.clear()
-        _HEADER_CACHE[key] = cached
-    return cached
-
-
-@schema_rule("read_csv")
-def _read_csv_schema(node, inputs, ctx) -> NodeSchema:
-    path = node.args.get("path")
-    header = _cached_header(path)
-    if header is None:
-        return NodeSchema.unknown(FRAME)
-    columns = list(header)
-    if node.args.get("usecols") is not None:
-        wanted = set(node.args["usecols"])
-        columns = [c for c in columns if c in wanted]
-    dtypes = ctx.file_dtypes(path)
-    for name, spec in (node.args.get("dtype") or {}).items():
-        norm = normalize_dtype(spec)
-        if norm:
-            dtypes[name] = norm
-    for name in node.args.get("parse_dates") or ():
-        dtypes[name] = "datetime64[ns]"
-    index: Tuple[str, ...] = ()
-    index_col = node.args.get("index_col")
-    if index_col is not None and index_col in columns:
-        columns = [c for c in columns if c != index_col]
-        index = (index_col,)
-    return NodeSchema.frame(columns, dtypes, index=index)
 
 
 @schema_rule("scan")

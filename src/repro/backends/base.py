@@ -4,7 +4,7 @@ A backend supplies frame-like objects that implement the eager frame API
 (:mod:`repro.frame`'s method names).  :func:`apply_generic` executes most
 operators by plain method calls on those objects, so the three backends
 share one dispatch table; a backend overrides only what differs
-(``read_csv`` partitioning, unsupported ops).
+(``scan`` partitioning, unsupported ops).
 
 When a backend raises :class:`BackendUnsupported`, the caller converts the
 inputs to eager frames, runs the operation there, and converts the result
@@ -38,11 +38,8 @@ class Backend:
 
     # -- frame construction ----------------------------------------------
 
-    def read_csv(self, **kwargs):
-        raise NotImplementedError
-
     def scan(self, args: dict):
-        """Execute a generic ``scan`` node: resolve the source named by
+        """Execute a ``scan`` node: resolve the source named by
         ``args['format']`` through the source registry and materialize
         the selected partitions (projection and folded predicate applied
         inside the source).  Eager backends concatenate the per-partition
@@ -185,8 +182,6 @@ def apply_generic(backend: Backend, node: Node, inputs: List[object]):
     op = node.op
     args = node.args
 
-    if op == "read_csv":
-        return backend.read_csv(**args)
     if op == "scan":
         return backend.scan(args)
     if op == "from_data":

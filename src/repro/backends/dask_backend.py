@@ -14,12 +14,8 @@ read instead.  Ops the simulator refuses (``sort_values``, ``describe``,
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 from repro.backends.base import Backend
 from repro.backends.dask_sim.compute import Evaluator
-from repro.backends.dask_sim.expr import read_csv_expr
 from repro.backends.dask_sim.frame import (
     DaskCollection,
     DaskFrame,
@@ -29,7 +25,6 @@ from repro.backends.dask_sim.frame import (
 )
 from repro.backends.dask_sim.store import PartitionStore
 from repro.frame import DataFrame, Series
-from repro.frame.io_csv import read_header, scan_partitions
 
 #: Target bytes of CSV per partition (scaled-down analogue of Dask's 64 MB).
 DEFAULT_PARTITION_BYTES = 1 << 20
@@ -61,43 +56,24 @@ class DaskBackend(Backend):
         self.store = PartitionStore()
         self.evaluator = Evaluator(self.store)
 
-    def read_csv(
-        self,
-        path: str,
-        usecols=None,
-        dtype=None,
-        parse_dates=None,
-        index_col: Optional[str] = None,
-        nrows=None,
-        **kwargs,
-    ) -> DaskFrame:
-        kwargs.pop("read_only_cols", None)
-        kwargs.pop("mutated_cols", None)
-        ranges = scan_partitions(
-            path,
-            int(max(1, os.path.getsize(path) // _auto_partition_bytes(self.partition_bytes))),
-        )
-        expr = read_csv_expr(
-            path,
-            ranges,
-            usecols=list(usecols) if usecols is not None else None,
-            dtype=dtype,
-            parse_dates=list(parse_dates) if parse_dates is not None else None,
-        )
-        columns = (
-            [c for c in read_header(path) if usecols is None or c in set(usecols)]
-        )
-        frame = DaskFrame(expr, self.evaluator, columns=columns)
+    def read_csv(self, path: str, usecols=None, index_col=None,
+                 **options) -> DaskFrame:
+        """The baseline Dask mode's user API: a CSV ``scan`` (LaFP plans
+        never call this; they carry ``scan`` nodes)."""
+        args = {"format": "csv", "path": path, **options}
+        if usecols is not None:
+            args["columns"] = list(usecols)
+        frame = self.scan(args)
         if index_col is not None:
             # Dask's read_csv lacks index_col; emulate via set_index.
             frame = frame.set_index(index_col)
         return frame
 
     def scan(self, args: dict) -> DaskFrame:
-        """Generic source scan, kept lazy: one expression partition per
-        source partition, so depth-first evaluation streams pieces
-        through the elementwise pipeline exactly like ``read_csv``.
-        Partition sizing respects the same memory-aware target."""
+        """Source scan, kept lazy: one expression partition per source
+        partition, so depth-first evaluation streams pieces through the
+        elementwise pipeline.  Partition sizing respects the
+        memory-aware target."""
         from repro.backends.dask_sim.expr import scan_expr
         from repro.io import Predicate, resolve_source
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.frame import DataFrame, concat
 from repro.frame.concat import concat_consuming, shallow_copy
-from repro.frame.io_csv import read_csv
 from repro.memory import SimulatedMemoryError
 from repro.backends.dask_sim.expr import Expr, materialized_expr
 from repro.backends.dask_sim.store import PartitionStore
@@ -74,8 +73,6 @@ class Evaluator:
 
     def eval_partition(self, expr: Expr, i: int):
         kind = expr.kind
-        if kind == "read_csv":
-            return self._read_partition(expr, i)
         if kind == "scan":
             return self._scan_partition(expr, i)
         if kind == "materialized":
@@ -111,16 +108,6 @@ class Evaluator:
             parts[i],
             columns=params["columns"],
             predicate=params["predicate"],
-        )
-
-    def _read_partition(self, expr: Expr, i: int):
-        params = expr.params
-        return read_csv(
-            params["path"],
-            usecols=params.get("usecols"),
-            dtype=params.get("dtype"),
-            parse_dates=params.get("parse_dates"),
-            byte_range=params["byte_ranges"][i],
         )
 
     def _eval_tree(self, expr: Expr):

@@ -3,7 +3,7 @@
 Kinds:
 
 =============== ============================================================
-``read_csv``     byte-range partitioned CSV source
+``scan``         one partition per source partition (any format)
 ``materialized`` partitions already computed (``persist()`` / shuffles)
 ``from_pandas``  eager frame split into row partitions
 ``blockwise``    partition-aligned map over child partitions (elementwise
@@ -55,7 +55,7 @@ class Expr:
 
 
 def scan_expr(source, partitions, columns=None, predicate=None) -> Expr:
-    """Generic source scan: one expression partition per
+    """Source scan: one expression partition per
     :class:`~repro.io.source.Partition`, read through the source's
     ``read_partition`` (projection and folded predicate applied there).
     """
@@ -68,26 +68,6 @@ def scan_expr(source, partitions, columns=None, predicate=None) -> Expr:
             "predicate": predicate,
         },
         npartitions=max(1, len(partitions)),
-    )
-
-
-def read_csv_expr(
-    path: str,
-    byte_ranges: Sequence[tuple],
-    usecols=None,
-    dtype=None,
-    parse_dates=None,
-) -> Expr:
-    return Expr(
-        "read_csv",
-        params={
-            "path": path,
-            "byte_ranges": list(byte_ranges),
-            "usecols": usecols,
-            "dtype": dtype,
-            "parse_dates": parse_dates,
-        },
-        npartitions=len(byte_ranges),
     )
 
 

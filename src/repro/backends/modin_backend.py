@@ -33,9 +33,8 @@ class ModinBackend(Backend):
         self.partition_bytes = partition_bytes
 
     def read_csv(self, path: str, **kwargs) -> ModinFrame:
-        kwargs.pop("read_only_cols", None)
-        kwargs.pop("mutated_cols", None)
-        kwargs.pop("nrows", None)
+        """The baseline Modin mode's user API (LaFP plans never call
+        this; they carry ``scan`` nodes)."""
         return modin_read_csv(path, self.partition_bytes, **kwargs)
 
     def from_data(self, data, **kwargs) -> ModinFrame:

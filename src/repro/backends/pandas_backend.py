@@ -17,34 +17,9 @@ class PandasBackend(Backend):
     name = "pandas"
     is_lazy = False
 
-    def read_csv(self, path, index_col=None, **kwargs):
-        kwargs.pop("read_only_cols", None)  # analysis hints, not IO knobs
-        kwargs.pop("mutated_cols", None)
-        usecols = kwargs.pop("usecols", None)
-        nrows = kwargs.pop("nrows", None)
-        byte_range = kwargs.pop("byte_range", None)
-        if byte_range is not None or nrows is not None:
-            # range/row-limited reads stay on the raw reader (metastore
-            # sampling, partitioned re-reads).
-            return read_csv(path, usecols=usecols, nrows=nrows,
-                            byte_range=byte_range, index_col=index_col,
-                            **kwargs)
-        # Whole-file reads route through the CSV DataSource -- one code
-        # path from scan_csv() and read_csv() down to the parser.  The
-        # whole file is one partition here: this backend is the eager
-        # whole-frame engine, chunking belongs to the partitioned ones.
-        import os
-
-        from repro.io import CsvSource
-
-        source = CsvSource(
-            path, partition_bytes=os.path.getsize(path) + 1, **kwargs
-        )
-        frames = list(source.scan(columns=usecols))
-        frame = frames[0] if frames else source.empty_frame(usecols)
-        if index_col is not None:
-            frame = frame.set_index(index_col)
-        return frame
+    def read_csv(self, path, **kwargs):
+        """The eager engine's own reader (a ``scan`` node never comes here)."""
+        return read_csv(path, **kwargs)
 
     def from_data(self, data, **kwargs):
         return DataFrame(data)

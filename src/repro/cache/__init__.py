@@ -17,7 +17,6 @@ Three layers:
 from repro.cache.fingerprint import (
     Unfingerprintable,
     fingerprint_node,
-    restamp_fingerprints,
     source_signature,
 )
 from repro.cache.result_cache import (
@@ -34,7 +33,6 @@ __all__ = [
     "Unfingerprintable",
     "deserialize_value",
     "fingerprint_node",
-    "restamp_fingerprints",
     "result_cache",
     "serialize_value",
     "source_signature",

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.graph.node import Node
 
 #: fingerprint-format version: bump when the encoding changes so stale
 #: cross-process cache keys can never alias new ones.
-_VERSION = b"lafp-fp-1"
+_VERSION = b"lafp-fp-2"
 
 
 class Unfingerprintable(ValueError):
@@ -207,6 +207,9 @@ def _node_digest(node: Node, memo: Dict[int, str],
     cached = memo.get(node.id)
     if cached is not None:
         return cached
+    if node.op == "from_cached":
+        # a substituted subplan stands for the plan it was cached under
+        return node.args["key"]
     h = hashlib.sha256(_VERSION)
     _update(h, b"o", node.op.encode())
     spec = node.spec
@@ -228,7 +231,8 @@ def _node_digest(node: Node, memo: Dict[int, str],
     return digest
 
 
-def fingerprint_node(node: Node, session=None) -> str:
+def fingerprint_node(node: Node, session=None,
+                     memo: Optional[Dict[int, str]] = None) -> str:
     """Hex digest of the plan rooted at ``node``.
 
     Raises :class:`Unfingerprintable` when any value in the subgraph
@@ -237,6 +241,8 @@ def fingerprint_node(node: Node, session=None) -> str:
     graph is append-only (optimizer rewrites are transactional and
     restored before the next fingerprint runs) -- and a memo hit
     re-stats the source files it depends on before being trusted.
+    Without one, ``memo`` (node id -> digest) lets several calls over
+    one unchanging graph share their subtrees.
     """
     store = getattr(session, "_fingerprint_cache", None) if session else None
     version = len(session.node_registry) if session is not None else -1
@@ -247,32 +253,10 @@ def fingerprint_node(node: Node, session=None) -> str:
             if all(source_signature(path) == sig for path, sig in deps):
                 return hit[2]
             store.pop(node.id, None)
-    memo: Dict[int, str] = {}
     stat_deps: List[Tuple[str, StatSig]] = []
-    digest = _node_digest(node, memo, stat_deps)
+    digest = _node_digest(node, {} if memo is None else memo, stat_deps)
     if store is not None:
         if len(store) >= 256:
             store.clear()
         store[node.id] = (version, tuple(stat_deps), digest)
     return digest
-
-
-def restamp_fingerprints(session, old_version: int) -> None:
-    """Re-stamp memo entries after a transactional optimize grew the
-    node registry but restored the raw plan unchanged (the analysis
-    gate does the same for its memo).
-
-    Only entries computed at exactly ``old_version`` -- the registry
-    size when this run's raw graph was fingerprinted -- are promoted to
-    the current version; anything older is from a previous graph state
-    and stays stale.
-    """
-    store = getattr(session, "_fingerprint_cache", None)
-    if not store:
-        return
-    version = len(session.node_registry)
-    if version == old_version:
-        return
-    for node_id, hit in list(store.items()):
-        if hit[0] == old_version:
-            store[node_id] = (version, hit[1], hit[2])

@@ -14,8 +14,6 @@
 - :mod:`repro.core.optimizer` -- runtime DAG optimizations (section 3):
   predicate pushdown, common-subexpression elimination, projection
   pushdown, metadata-driven dtypes, and ``live_df`` persistence.
-- :mod:`repro.core.compat` -- deprecation shims for the retired
-  process-global ``get_session`` / ``reset_session`` API.
 """
 
 from repro.core.config import (
@@ -30,7 +28,6 @@ from repro.core.session import (
     reset_root_session,
     root_session,
 )
-from repro.core.compat import get_session, reset_session
 from repro.core.lazyframe import LazyFrame, LazyGroupBy, LazyScalar, LazySeries
 
 __all__ = [
@@ -43,9 +40,7 @@ __all__ = [
     "SessionOptions",
     "current_session",
     "describe_options",
-    "get_session",
     "options",
     "reset_root_session",
-    "reset_session",
     "root_session",
 ]

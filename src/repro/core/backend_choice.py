@@ -5,11 +5,15 @@ use depend on whether the dataframes can fit in memory, which can be
 inferred from the metadata statistics", plus row-order dependence.  This
 module implements it:
 
-- estimate the in-memory footprint of each source read (columns actually
-  needed, via the metastore's per-column widths),
-- model each backend's memory behaviour (pandas: eager whole-frame with
-  a working-copy factor; Modin: dictionary-compressed strings; Dask:
-  bounded by partitions + spill),
+- estimate the in-memory footprint of each ``scan`` leaf by asking its
+  source (:meth:`~repro.io.source.DataSource.estimated_bytes`: the
+  metastore's per-column widths x rows over the columns and partitions
+  the scan will actually read) -- the same number the scheduler's
+  admission throttle trusts,
+- model each backend's memory behaviour (pandas and Modin: eager
+  whole-frame with a working-copy factor -- through the one scan leaf
+  Modin holds what pandas holds, re-split; Dask: bounded by partitions
+  + spill),
 - respect *order sensitivity*: programs using order-dependent operations
   (sort + positional access) must not run on Dask (section 5.1's caveat),
 - pick the fastest backend that fits.
@@ -25,13 +29,11 @@ import dataclasses
 from typing import List, Optional, Sequence
 
 from repro.graph.node import Node
+from repro.graph.scheduler.estimates import estimate_scan_bytes
 from repro.graph.taskgraph import collect_subgraph
 
 #: eager engines hold the source frame plus roughly one working copy.
 EAGER_WORKING_FACTOR = 2.0
-#: fraction of string bytes Arrow-style dictionary encoding removes for
-#: repetitive columns (selectivity below the category threshold).
-DICTIONARY_SAVINGS = 0.8
 #: operations whose results depend on global row order.
 ORDER_SENSITIVE_OPS = {"sort_values", "sort_index", "head", "tail", "nlargest", "nsmallest"}
 
@@ -48,31 +50,6 @@ class BackendEstimate:
     @property
     def viable(self) -> bool:
         return self.fits and self.order_safe
-
-
-def estimate_read_bytes(node: Node, metastore, compressed_strings: bool) -> Optional[int]:
-    """In-memory bytes of one ``read_csv`` node, per the metastore."""
-    path = node.args.get("path")
-    if path is None or metastore is None:
-        return None
-    meta = metastore.get(path)
-    if meta is None:
-        return None
-    columns = node.args.get("usecols") or list(meta.columns)
-    total = 0.0
-    for name in columns:
-        stats = meta.columns.get(name)
-        if stats is None:
-            continue
-        width = stats.avg_width
-        if (
-            compressed_strings
-            and stats.dtype == "object"
-            and stats.selectivity <= 0.5
-        ):
-            width = width * (1 - DICTIONARY_SAVINGS) + 4  # codes
-        total += width * meta.n_rows
-    return int(total)
 
 
 def order_sensitive(roots: Sequence[Node]) -> bool:
@@ -93,27 +70,26 @@ def choose_backend_for_roots(
     paper's default order (pandas fastest when everything fits is
     unknowable, so the lazy default wins: dask).
     """
-    reads = [n for n in collect_subgraph(list(roots)) if n.op == "read_csv"]
-    plain = [estimate_read_bytes(n, metastore, compressed_strings=False) for n in reads]
-    packed = [estimate_read_bytes(n, metastore, compressed_strings=True) for n in reads]
+    scans = [n for n in collect_subgraph(list(roots)) if n.op == "scan"]
+    sizes = [estimate_scan_bytes(n, metastore) for n in scans]
     sensitive = order_sensitive(roots)
 
-    if budget_bytes is None or not reads or any(b is None for b in plain):
+    if (budget_bytes is None or metastore is None or not scans
+            or any(b is None for b in sizes)):
         # no basis for a cost decision: prefer the safe lazy default,
         # falling back to pandas when row order matters.
         default = "pandas" if sensitive else "dask"
         return [BackendEstimate(default, 0, True, True)]
 
-    pandas_bytes = int(sum(plain) * EAGER_WORKING_FACTOR)
-    modin_bytes = int(sum(packed) * EAGER_WORKING_FACTOR)
-    estimates = [
-        BackendEstimate("pandas", pandas_bytes, pandas_bytes <= budget_bytes, True),
-        BackendEstimate("modin", modin_bytes, modin_bytes <= budget_bytes, True),
+    eager_bytes = int(sum(sizes) * EAGER_WORKING_FACTOR)
+    fits = eager_bytes <= budget_bytes
+    return [
+        BackendEstimate("pandas", eager_bytes, fits, True),
+        BackendEstimate("modin", eager_bytes, fits, True),
         # Dask needs only a few partitions resident; treat as always
         # fitting, but unusable for order-sensitive programs.
         BackendEstimate("dask", 0, True, not sensitive),
     ]
-    return estimates
 
 
 def pick(estimates: List[BackendEstimate]) -> str:

@@ -214,7 +214,7 @@ register_option(
 )
 register_option(
     "optimizer.projection_pushdown", True,
-    doc="Narrow read_csv to the columns the graph actually uses.",
+    doc="Narrow scan leaves to the columns the graph actually uses.",
     validator=_validate_bool,
 )
 register_option(
@@ -388,10 +388,10 @@ def _validate_source_format(value: object) -> None:
 register_option(
     "workload.source_format", None,
     doc="Physical source format benchmark programs read (the runner's "
-        "--source-format axis): None/'csv' keeps the plain read_csv "
-        "path; 'jsonl'/'dataset'/'columnar' reroutes pd.read_csv "
-        "through the matching scan source when the sibling dataset "
-        "variant exists.",
+        "--source-format axis): the format of the scan leaf "
+        "pd.read_csv builds.  None/'csv' scans the CSV itself; "
+        "'jsonl'/'dataset'/'columnar' scans the sibling dataset "
+        "variant when it exists.",
     validator=_validate_source_format,
     # flipping the format changes which physical files a program's
     # read_csv resolves to, so a cached result keyed under one format

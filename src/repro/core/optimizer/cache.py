@@ -6,10 +6,15 @@ it computes are exactly the ones a later session's raw plan will
 produce.  Node identity survives the rest of the pipeline (rewrites
 mutate op/args/inputs in place, they never re-id a node), which is what
 lets the post-execution insertion path map an executed node back to the
-raw fingerprint recorded here even after, say, shuffle lowering turned
-its subtree into a bucket pipeline: the rewritten plan computes a
-bit-identical value (pinned by the equivalence fuzzer), so caching it
-under the raw fingerprint is sound.
+raw fingerprint recorded here.  A *root* keeps its raw value whatever
+the rewrites did below it (that is the optimizer's contract, pinned by
+the equivalence fuzzer), so it is always offered.  An *interior* node
+does not: a scan narrowed by projection pushdown, a frame a filter sank
+below, a scan a predicate folded into all hold fewer columns or rows
+than the raw plan's node of the same id.  :func:`retain_unrewritten`
+therefore runs after the last rewriting pass and keeps an interior
+candidate only if its optimized subtree still fingerprints as the raw
+one did.
 
 Substitution rewrites a hit node in place into a ``from_cached`` leaf
 whose args carry the serialized blob itself.  Carrying the bytes (not
@@ -38,6 +43,7 @@ from repro.cache.result_cache import (
 )
 from repro.core.config import semantic_signature
 from repro.graph.node import Node
+from repro.graph.taskgraph import collect_subgraph
 
 
 class CacheRunState:
@@ -131,6 +137,23 @@ def _subtree_cacheable(
     )
     memo[node.id] = ok
     return ok
+
+
+def retain_unrewritten(state: CacheRunState, roots: Sequence[Node]) -> None:
+    """Withdraw the interior candidates whose subtree the optimizer
+    rewrote (see the module docstring); call after the last pass."""
+    root_ids = {root.id for root in roots}
+    memo: Dict[int, str] = {}
+    for node in collect_subgraph(roots):
+        key = state.candidates.get(node.id)
+        if key is None or node.id in root_ids:
+            continue
+        try:
+            unchanged = fingerprint_node(node, memo=memo) == key[0]
+        except Unfingerprintable:
+            unchanged = False
+        if not unchanged:
+            del state.candidates[node.id]
 
 
 def substitute_cached_subplans(

@@ -75,7 +75,7 @@ def eliminate_common_subexpressions(
 #: lazy backend (a shared series is cheap to recompute; a shared frame
 #: pipeline is not).
 _SHARABLE_OPS = {
-    "read_csv", "filter", "setitem", "merge", "dropna", "fillna",
+    "scan", "filter", "setitem", "merge", "dropna", "fillna",
     "astype", "rename", "drop", "getitem_columns", "concat", "identity",
 }
 

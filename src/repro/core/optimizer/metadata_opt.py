@@ -1,8 +1,7 @@
 """Metadata-driven read optimization (section 3.6).
 
-For each ``read_csv`` node (and each generic ``scan`` node over a CSV
-source -- the file-backed format whose untyped text the hints exist
-for), consult the metastore and:
+For each ``scan`` node over a CSV source (the file-backed format whose
+untyped text the hints exist for), consult the metastore and:
 
 - pass ``dtype`` hints for numeric columns (avoids inference work and
   object fallbacks),
@@ -34,9 +33,7 @@ def apply_metadata_hints(roots: Sequence[Node], metastore) -> int:
     modified_columns = _modified_columns(nodes)
     updated = 0
     for node in nodes:
-        if node.op != "read_csv" and not (
-            node.op == "scan" and node.args.get("format") == "csv"
-        ):
+        if node.op != "scan" or node.args.get("format") != "csv":
             continue
         path = node.args.get("path")
         if path is None:

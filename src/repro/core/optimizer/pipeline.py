@@ -6,7 +6,10 @@ from typing import List, Optional, Sequence
 
 from repro.graph.node import Node
 from repro.graph.taskgraph import ConsumerIndex
-from repro.core.optimizer.cache import substitute_cached_subplans
+from repro.core.optimizer.cache import (
+    retain_unrewritten,
+    substitute_cached_subplans,
+)
 from repro.core.optimizer.common_subexpr import (
     eliminate_common_subexpressions,
     mark_persistent_nodes,
@@ -39,6 +42,7 @@ def optimize(
               "metadata": 0, "pruned_partitions": 0, "shuffle_lowered": 0,
               "persisted": 0, "reuse_hits": 0, "reuse_misses": 0,
               "reuse_bytes": 0}
+    state = None
     if opts.get("optimizer.reuse"):
         # First, against the RAW plan: later rewrites would change the
         # fingerprints, and substituted subtrees need no optimizing.
@@ -73,6 +77,10 @@ def optimize(
     report["shuffle_lowered"] = lower_shuffle_nodes(
         roots, session, live_nodes,
     )
+    if state is not None:
+        # results are cached under raw-plan fingerprints: withdraw the
+        # interior nodes that no longer compute what theirs names
+        retain_unrewritten(state, roots)
     cache = opts.get("executor.cache")
     if cache and live_nodes:
         report["persisted"] = len(

@@ -4,9 +4,9 @@ Static analysis (section 3.1) already injects ``usecols`` where the whole
 program is analysable.  This runtime pass is the complement for graphs
 built purely dynamically: it propagates a *required-column* set backward
 from the roots to each source, with per-operator transfer functions, and
-terminates by narrowing the source itself: ``usecols`` on ``read_csv``
-nodes, or the ``columns`` arg folded into a generic ``scan`` node when
-its registered source format declares ``supports_projection``.
+terminates by narrowing the source itself: the ``columns`` arg folded
+into a ``scan`` node when its registered source format declares
+``supports_projection``.
 
 Conservative by construction: any operator whose column flow is unknown
 (merge outputs, UDF apply, prints of whole frames, describe, ...) marks
@@ -34,20 +34,16 @@ def push_down_projections(roots: Sequence[Node]) -> int:
     required = _required_columns(roots, nodes)
     narrowed = 0
     for node in nodes:
-        if node.op == "read_csv":
-            arg_name = "usecols"
-        elif node.op == "scan" and _scan_supports_projection(node):
-            arg_name = "columns"
-        else:
+        if node.op != "scan" or not _scan_supports_projection(node):
             continue
-        if node.args.get(arg_name) is not None:
+        if node.args.get("columns") is not None:
             continue
         needs = required.get(node.id)
         if needs is None or ALL_COLUMNS in needs:
             continue
         if not needs:
             continue  # degenerate; leave untouched
-        node.args[arg_name] = sorted(needs)
+        node.args["columns"] = sorted(needs)
         narrowed += 1
     return narrowed
 
@@ -85,7 +81,7 @@ def _required_columns(
         out_req = required.get(node.id, set())
 
         op = node.op
-        if op in ("read_csv", "scan", "from_data", "from_pandas"):
+        if node.spec.is_source:
             continue
         if op == "getitem_column":
             demand(node.inputs[0], {node.args["column"]})
@@ -144,12 +140,10 @@ def _required_columns(
                 demand(inp, _print_demand(inp))
             continue
         # Unknown / whole-frame consumers: merge, concat, describe, apply,
-        # info, to_csv, nlargest*, reset/set_index, ...
+        # info, to_csv, nlargest*, reset/set_index, ...  (A series-valued
+        # input ignores the demand: only frame ops pass one on.)
         for inp in node.inputs:
-            if _is_frame_producer(inp):
-                demand(inp, {ALL_COLUMNS})
-            else:
-                demand(inp, set())
+            demand(inp, {ALL_COLUMNS})
     return required
 
 
@@ -168,21 +162,4 @@ def _print_demand(node: Node) -> Set[str]:
     """
     if node.op in ("head", "tail", "describe", "info"):
         return set()
-    if _is_frame_producer(node):
-        return {ALL_COLUMNS}
-    return set()
-
-
-_FRAME_OPS = {
-    "read_csv", "scan", "from_data", "from_pandas",
-    "getitem_columns", "filter", "setitem",
-    "dropna", "fillna", "astype", "rename", "drop", "sort_values",
-    "sort_index", "drop_duplicates", "head", "tail", "sample", "merge",
-    "concat", "nlargest", "nsmallest", "describe", "reset_index",
-    "set_index", "round", "abs", "identity", "groupby_agg_multi",
-    "to_frame_series",
-}
-
-
-def _is_frame_producer(node: Node) -> bool:
-    return node.op in _FRAME_OPS
+    return {ALL_COLUMNS}

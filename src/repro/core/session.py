@@ -27,9 +27,7 @@ Sessions are resolved through a *thread-local stack*::
 
 :func:`current_session` returns the innermost active session of the
 calling thread, falling back to a shared process root session so
-paper-verbatim scripts (no explicit session) keep working.  The old
-process-global ``get_session`` / ``reset_session`` entry points live
-on as deprecation shims in :mod:`repro.core.compat`.
+paper-verbatim scripts (no explicit session) keep working.
 """
 
 from __future__ import annotations
@@ -445,13 +443,11 @@ class Session:
             raise PlanValidationError(diagnostics)
         return diagnostics
 
-    def _analysis_gate(self, roots: List[Node]) -> Optional[tuple]:
+    def _analysis_gate(self, roots: List[Node]) -> None:
         """The ``analysis.level`` hook: every computation passes through
         here *before* the optimizer or scheduler touch the plan, so
         strict sessions reject provably broken plans without reading a
-        single partition.  Returns the memo key of the analyzed plan
-        (``None`` when analysis is off) so ``_run`` can re-stamp the
-        cache after the transactional optimize grew the node registry."""
+        single partition."""
         level = str(self.options.get("analysis.level"))
         if level == "off":
             return
@@ -474,7 +470,7 @@ class Session:
             self._analysis_cache[key] = (version, diagnostics)
         errors = [d for d in diagnostics if d.is_error]
         if not errors:
-            return key
+            return
         if level == "strict":
             raise PlanValidationError(diagnostics)
         summary = "; ".join(f"{d.code} {d.message}" for d in errors[:3])
@@ -485,7 +481,6 @@ class Session:
             PlanDiagnosticsWarning,
             stacklevel=4,
         )
-        return key
 
     def _run(self, roots: List[Node], live_nodes: List[Node]):
         from repro.core.optimizer import optimize
@@ -494,7 +489,8 @@ class Session:
         # pending) and nothing asks to pin more -- has no plan to gate,
         # optimize or restore: the scheduler just hands the values back.
         planned = bool(live_nodes) or not all(r.computed for r in roots)
-        gate_key = self._analysis_gate(roots) if planned else None
+        if planned:
+            self._analysis_gate(roots)
         # Optimization is transactional: the rules rewire the shared graph
         # for *this* execution (like Dask optimizing a copy of its graph),
         # then the original wiring is restored -- later computations may
@@ -503,7 +499,6 @@ class Session:
         # optimized and original graphs.
         snapshot = self._snapshot(roots) if planned else ()
         scheduler = self.scheduler()
-        fingerprint_version = len(self.node_registry)
         try:
             if planned:
                 optimize(roots, self, live_nodes=live_nodes)
@@ -523,20 +518,6 @@ class Session:
             self._cache_run = None
         self.stats["computes"] += 1
         self._release_dead_persists(live_nodes)
-        if gate_key is not None and gate_key in self._analysis_cache:
-            # the optimizer's temporary rewrite nodes grew the registry,
-            # but the raw plan was restored unchanged -- re-stamp so the
-            # next collect of the same roots reuses this analysis.
-            self._analysis_cache[gate_key] = (
-                len(self.node_registry),
-                self._analysis_cache[gate_key][1],
-            )
-        if self._fingerprint_cache:
-            # same re-stamp for the plan-fingerprint memo: digests
-            # computed against the raw pre-optimize graph stay valid.
-            from repro.cache.fingerprint import restamp_fingerprints
-
-            restamp_fingerprints(self, fingerprint_version)
         return results
 
     @staticmethod
@@ -673,13 +654,3 @@ def _live_nodes(live_df) -> List[Node]:
         if node is not None:
             nodes.append(node)
     return nodes
-
-
-def __getattr__(name: str):
-    # Deprecated process-global entry points live in repro.core.compat;
-    # keep `from repro.core.session import get_session` importable.
-    if name in ("get_session", "reset_session"):
-        from repro.core import compat
-
-        return getattr(compat, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -262,14 +262,7 @@ _NO_COLS = lambda n: set()          # noqa: E731 - registration shorthand
 _ALL_COLS = lambda n: {ALL_COLUMNS}  # noqa: E731 - registration shorthand
 
 register_op(OpSpec(
-    "read_csv",
-    mod_attrs=_NO_COLS,
-    used_attrs=_NO_COLS,
-    is_source=True,
-    volatile_args=frozenset({"read_only_cols", "mutated_cols"}),
-))
-register_op(OpSpec(
-    # the generic source node: args carry a format name, a path, and the
+    # the one file-source leaf: args carry a format name, a path, and the
     # folded-in scan contract (columns / predicate / kept partitions);
     # repro.io resolves them back into a DataSource at execution time.
     "scan",

@@ -5,11 +5,10 @@ to be all-or-nothing (any headroom admits any node).  This module gives
 every node a *predicted in-memory size* so admission can ask the real
 question -- "does THIS node fit in the remaining headroom?":
 
-- source nodes get width x rows from statistics: ``scan`` nodes ask
-  their :class:`~repro.io.source.DataSource` (per-partition byte/row
+- ``scan`` nodes get width x rows from statistics: they ask their
+  :class:`~repro.io.source.DataSource` (per-partition byte/row
   estimates from the metastore, narrowed by folded projection and
-  pruned partitions), ``read_csv`` nodes ask the metastore directly,
-  falling back to the file size on disk,
+  pruned partitions; the file size on disk without statistics),
 - operator nodes inherit their largest input's estimate and rescale it
   by the *inferred schema width ratio* (the analyzer's forward schema
   pass, :func:`repro.analysis.plan.schema.infer_schemas`): a projection
@@ -26,7 +25,6 @@ heuristic is audited.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Sequence
 
 from repro.graph.node import Node
@@ -102,7 +100,7 @@ def _estimate(
             # a streaming scan materializes nothing up front; its
             # consumer pays per partition
             return _SCALAR_BYTES
-        return _scan_estimate(node, metastore)
+        return estimate_scan_bytes(node, metastore)
     if op in ("shuffle_write", "shuffle_read"):
         # working set of the write, output size of the read: one bucket
         total = node.args.get("est_total")
@@ -117,8 +115,6 @@ def _estimate(
             return None
         parts = max(1, int(node.args.get("n_parts", 1)))
         return max(1, int(total) // parts)
-    if op == "read_csv":
-        return _read_csv_estimate(node, metastore)
     if op == "from_cached":
         nbytes = node.args.get("nbytes")
         return int(nbytes) if isinstance(nbytes, (int, float)) else None
@@ -154,7 +150,10 @@ def _estimate(
     return widest
 
 
-def _scan_estimate(node: Node, metastore) -> Optional[int]:
+def estimate_scan_bytes(node: Node, metastore) -> Optional[int]:
+    """Predicted in-memory bytes of one ``scan`` leaf, as its source
+    sees it (``None`` = unknown): the one size model of a read, shared
+    by admission and by automatic backend choice."""
     stamped = node.args.get("est_bytes")
     if stamped is not None:
         # the pruning pass computed this with the source in hand; reuse
@@ -169,17 +168,4 @@ def _scan_estimate(node: Node, metastore) -> Optional[int]:
             partitions=node.args.get("partitions"),
         )
     except Exception:  # noqa: BLE001 - missing path, unknown format
-        return None
-
-
-def _read_csv_estimate(node: Node, metastore) -> Optional[int]:
-    path = node.args.get("path")
-    if path is None:
-        return None
-    meta = metastore.get(path) if metastore is not None else None
-    if meta is not None:
-        return meta.estimated_bytes(node.args.get("usecols"))
-    try:
-        return os.path.getsize(path)
-    except OSError:
         return None

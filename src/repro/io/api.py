@@ -1,14 +1,19 @@
-"""Top-level scan constructors: LazyFrames rooted at generic ``scan``
-nodes.
+"""Top-level scan constructors: LazyFrames rooted at the one ``scan``
+leaf.
 
-``repro.scan_csv() / scan_jsonl() / scan_dataset()`` are the unified
-ingress: each returns a :class:`~repro.core.lazyframe.LazyFrame` whose
-root is a ``scan`` node carrying the format name, the path, and the
-format's read options.  The optimizer folds projections and predicates
-into those args when the format's registry spec says the source can
-execute them, and the pruning pass drops partitions whose statistics
-provably fail the folded predicate; backends resolve the args back into
-a :class:`~repro.io.source.DataSource` at execution time.
+``repro.scan_csv() / scan_jsonl() / scan_dataset() / scan_columnar()``
+are the ingress -- the facade's ``pd.read_csv`` is the pandas spelling
+of ``scan_csv`` and builds the same node: each returns a
+:class:`~repro.core.lazyframe.LazyFrame` whose root is a ``scan`` node
+carrying the format name, the path, and the format's read options.
+There is no other file-source op in the graph, so everything that
+inspects a read (pushdown, pruning, prefetch, estimates, the I/O
+counters, backend choice) has one thing to look at.  The optimizer
+folds projections and predicates into those args when the format's
+registry spec says the source can execute them, and the pruning pass
+drops partitions whose statistics provably fail the folded predicate;
+backends resolve the args back into a
+:class:`~repro.io.source.DataSource` at execution time.
 
 ``scan_source()`` is the generic spelling custom formats use after
 registering a :class:`~repro.io.registry.SourceSpec`.  ``from_pandas()``
@@ -80,14 +85,15 @@ def scan_csv(
     read_only_cols: Optional[Sequence[str]] = None,
     mutated_cols: Optional[Sequence[str]] = None,
 ) -> LazyFrame:
-    """Lazy CSV scan (the ``read_csv`` path behind the source protocol)."""
+    """Lazy CSV scan (``pd.read_csv`` builds exactly this node)."""
     return scan_source(
         "csv", path, usecols=usecols, index_col=index_col,
         dtype=dict(dtype) if dtype else None,
         parse_dates=list(parse_dates) if parse_dates else None,
         nrows=nrows, partition_bytes=partition_bytes,
-        read_only_cols=list(read_only_cols) if read_only_cols else None,
-        mutated_cols=list(mutated_cols) if mutated_cols else None,
+        # an empty list is a statement ("nothing is read-only"), not a default
+        read_only_cols=None if read_only_cols is None else list(read_only_cols),
+        mutated_cols=None if mutated_cols is None else list(mutated_cols),
     )
 
 
@@ -156,14 +162,18 @@ def from_pandas(frame) -> LazyFrame:
     return LazyFrame(session.register(node), session, columns=columns)
 
 
-def sibling_variant(csv_path: str, fmt: str) -> Optional[str]:
+def sibling_variant(
+    csv_path: str, fmt: Optional[str], dtype=None, nrows=None
+) -> Optional[str]:
     """The on-disk variant of ``csv_path`` in another physical format.
 
     The naming convention shared with the workload generator: ``x.csv``
     has a JSONL sibling ``x.jsonl``, a hive-partitioned sibling
     directory ``x_hive/``, and a columnar sibling ``x.lfc``.  Returns
-    ``None`` when the variant does not exist (callers fall back to the
-    CSV).
+    ``None`` -- callers stay on the CSV -- when ``fmt`` names no other
+    format, the variant does not exist, or the variant cannot honour
+    the read's options: only JSONL has a row limit, and a columnar
+    footer's dtypes are authoritative.
     """
     stem, ext = os.path.splitext(csv_path)
     if ext != ".csv":
@@ -171,10 +181,12 @@ def sibling_variant(csv_path: str, fmt: str) -> Optional[str]:
     if fmt == "jsonl":
         candidate = stem + ".jsonl"
         return candidate if os.path.isfile(candidate) else None
+    if nrows is not None:
+        return None
     if fmt == "dataset":
         candidate = stem + "_hive"
         return candidate if os.path.isdir(candidate) else None
-    if fmt == "columnar":
+    if fmt == "columnar" and not dtype:
         candidate = stem + ".lfc"
         return candidate if os.path.isfile(candidate) else None
     return None

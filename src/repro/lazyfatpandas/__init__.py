@@ -34,11 +34,9 @@ Configuration is pandas-style, per session, dotted-key, and nestable::
     with pd.option_context("optimizer.metadata", False):
         ...
 
-See ``examples/sessions_and_options.py`` for a guided tour.  The retired
-process-global API (``get_session`` / ``reset_session`` /
-``BACKEND_ENGINE`` sync hooks) survives only as deprecation shims in
-:mod:`repro.core.compat`; the module-level ``pd.BACKEND_ENGINE``
-assignment now writes straight through to the current session.
+See ``examples/sessions_and_options.py`` for a guided tour.  The
+module-level ``pd.BACKEND_ENGINE`` assignment writes straight through to
+the current session.
 
 A top-level ``lazyfatpandas`` alias package is installed as well, so the
 paper's verbatim ``import lazyfatpandas.pandas as pd`` also works.

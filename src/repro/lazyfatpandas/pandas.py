@@ -4,11 +4,11 @@ Importing this module as ``pd`` gives the paper's API:
 
 - ``pd.read_csv`` and friends return :class:`~repro.core.LazyFrame`s that
   build the task graph instead of executing,
-- ``pd.scan_csv`` / ``pd.scan_jsonl`` / ``pd.scan_dataset`` /
-  ``pd.scan_columnar`` / ``pd.from_pandas`` are the unified
-  source-layer ingress
-  (:mod:`repro.io`): LazyFrames rooted at generic ``scan`` nodes the
-  optimizer folds projections and predicates *into*,
+- ``pd.scan_csv`` (of which ``pd.read_csv`` is the pandas spelling) /
+  ``pd.scan_jsonl`` / ``pd.scan_dataset`` / ``pd.scan_columnar`` /
+  ``pd.from_pandas`` are the source-layer ingress (:mod:`repro.io`):
+  LazyFrames rooted at the one ``scan`` leaf the optimizer folds
+  projections and predicates *into*,
 - ``pd.analyze()`` triggers JIT static analysis of the calling program
   (section 2.4),
 - ``pd.flush()`` forces pending lazy prints (section 3.3).
@@ -54,7 +54,6 @@ from repro.core.config import (
 )
 from repro.core.lazyframe import LazyFrame, LazyObject, LazySeries
 from repro.core.session import Session, current_session, reset_root_session
-from repro.frame.io_csv import read_header
 from repro.graph.node import Node
 from repro.io.api import (
     from_pandas,
@@ -63,6 +62,7 @@ from repro.io.api import (
     scan_dataset,
     scan_jsonl,
     scan_source,
+    sibling_variant,
 )
 
 __all__ = [
@@ -250,7 +250,7 @@ def read_csv(
     read_only_cols: Optional[Sequence[str]] = None,
     mutated_cols: Optional[Sequence[str]] = None,
 ) -> LazyFrame:
-    """Lazy CSV read.
+    """Lazy CSV read: the pandas spelling of :func:`scan_csv`.
 
     ``read_only_cols`` / ``mutated_cols`` carry the static analyzer's
     kill-set result (section 3.6): either the columns proven read-only,
@@ -258,82 +258,24 @@ def read_csv(
     mutated).  The runtime optimizer intersects them with metastore
     cardinality candidates to choose ``category`` dtypes safely.
 
-    When the session's ``workload.source_format`` option names another
-    physical format (the runner's ``--source-format`` axis) and the
-    sibling variant of ``path`` exists, the read is rerouted through the
-    matching scan source -- the program text stays pandas-verbatim while
-    the bytes come from JSONL or a hive-partitioned dataset.
+    The session's ``workload.source_format`` option (the runner's
+    ``--source-format`` axis) picks the leaf's format: the program text
+    stays pandas-verbatim while the bytes come from the JSONL, hive or
+    columnar sibling of ``path`` (see
+    :func:`repro.io.api.sibling_variant`).
     """
-    session = current_session()
-    rerouted = _reroute_by_source_format(
-        session, path, usecols=usecols, dtype=dtype,
-        parse_dates=parse_dates, nrows=nrows, index_col=index_col,
-    )
-    if rerouted is not None:
-        return rerouted
-    args = {"path": path}
-    if usecols is not None:
-        args["usecols"] = list(usecols)
-    if dtype is not None:
-        args["dtype"] = dict(dtype)
-    if parse_dates is not None:
-        args["parse_dates"] = list(parse_dates)
-    if nrows is not None:
-        args["nrows"] = nrows
-    if index_col is not None:
-        args["index_col"] = index_col
-    if read_only_cols is not None:
-        args["read_only_cols"] = list(read_only_cols)
-    if mutated_cols is not None:
-        args["mutated_cols"] = list(mutated_cols)
-    node = Node("read_csv", args=args, label=f"read_csv {path}")
-    try:
-        columns = read_header(path)
-        if usecols is not None:
-            columns = [c for c in columns if c in set(usecols)]
-        if index_col is not None:
-            columns = [c for c in columns if c != index_col]
-    except OSError:
-        columns = None
-    return LazyFrame(session.register(node), session, columns=columns)
-
-
-def _reroute_by_source_format(
-    session, path, usecols=None, dtype=None, parse_dates=None,
-    nrows=None, index_col=None,
-):
-    """Reroute a ``read_csv`` onto another physical format, or ``None``.
-
-    Only fires when ``workload.source_format`` names a non-CSV format
-    AND the sibling variant exists on disk (see
-    :func:`repro.io.api.sibling_variant`); a missing variant falls back
-    to the plain CSV read rather than failing the program.
-    """
-    fmt = session.get_option("workload.source_format")
-    if fmt in (None, "csv"):
-        return None
-    from repro.io.api import sibling_variant
-
-    variant = sibling_variant(path, fmt)
+    fmt = current_session().get_option("workload.source_format")
+    variant = sibling_variant(path, fmt, dtype=dtype, nrows=nrows)
     if variant is None:
-        return None
-    if fmt == "jsonl":
-        return scan_jsonl(
-            variant, usecols=usecols, dtype=dtype,
-            parse_dates=parse_dates, nrows=nrows, index_col=index_col,
-        )
-    if nrows is not None:
-        return None  # columnar/dataset scans have no row limit; stay on CSV
-    if fmt == "columnar":
-        if dtype is not None:
-            return None  # footer dtypes are authoritative; stay on CSV
-        return scan_columnar(
-            variant, usecols=usecols, parse_dates=parse_dates,
-            index_col=index_col,
-        )
-    return scan_dataset(
-        variant, usecols=usecols, dtype=dtype,
-        parse_dates=parse_dates, index_col=index_col,
+        fmt, variant = "csv", path
+    return scan_source(
+        fmt, variant, usecols=usecols, index_col=index_col,
+        dtype=dict(dtype) if dtype else None,
+        parse_dates=list(parse_dates) if parse_dates else None,
+        nrows=nrows,
+        # (an empty kill set is a statement, not a default: see scan_csv)
+        read_only_cols=None if read_only_cols is None else list(read_only_cols),
+        mutated_cols=None if mutated_cols is None else list(mutated_cols),
     )
 
 

@@ -2,10 +2,13 @@
 
 Computes and persists per-file metadata -- column names and types, value
 ranges, distinct counts (selectivity), approximate row size and row count
--- keyed by file path with modified-time invalidation.  LaFP's
-``read_csv`` wrapper consults the store to pass ``dtype`` hints to the
-backend and to choose ``category`` dtype for low-cardinality read-only
-string columns.
+-- keyed by file path with modified-time invalidation.  The optimizer's
+metadata pass consults the store for every CSV ``scan`` leaf (what
+``pd.read_csv`` builds) to fold ``dtype`` hints into the read and to
+choose ``category`` dtype for low-cardinality read-only string columns;
+the same statistics size the leaf for the scheduler's admission
+throttle and for automatic backend choice
+(:meth:`repro.io.source.DataSource.estimated_bytes`).
 """
 
 from repro.metastore.stats import (

@@ -147,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--source-format",
         choices=["csv", "jsonl", "dataset", "columnar"], default=None,
         help="physical source format: generates the matching dataset "
-             "variant and reroutes the program's reads through the scan "
-             "source layer (lafp modes)",
+             "variant; the program's pd.read_csv calls scan that format "
+             "(lafp modes)",
     )
     run.add_argument(
         "--stats", action="store_true",

@@ -86,7 +86,7 @@ def generate_variant(name: str, directory: str, fmt: str) -> str:
 
     Naming matches :func:`repro.io.api.sibling_variant`, which is how
     the facade's ``read_csv`` finds the variant when
-    ``workload.source_format`` reroutes a program's reads.
+    ``workload.source_format`` names another format for its scan leaf.
     """
     from repro.frame.io_csv import read_csv
     from repro.io import write_columnar, write_dataset, write_jsonl

@@ -369,9 +369,9 @@ class Runner:
         is shorthand for ``{"executor.strategy": ...}``;
         ``source_format`` (``csv`` / ``jsonl`` / ``dataset``) prepares
         the matching dataset variants and sets
-        ``workload.source_format`` so the facade reroutes the program's
-        ``pd.read_csv`` calls through the scan source layer (lafp modes
-        only -- baseline modes read the plain CSV regardless).  Dataset and
+        ``workload.source_format`` so the program's ``pd.read_csv``
+        calls build their scan leaf over that format (lafp modes only
+        -- baseline modes read the plain CSV regardless).  Dataset and
         result paths, the memory budget, and the stdout capture travel
         on the cell's session (``workload.*`` / ``memory.budget``
         options, session-routed capture) rather than process env vars,

@@ -124,7 +124,7 @@ class TestPaperFigures:
         out = df.groupby(["day"])["passenger_count"].sum()
         ops = {n.op for n in collect_subgraph([out.node])}
         assert {
-            "read_csv", "getitem_column", "binop", "filter",
+            "scan", "getitem_column", "binop", "filter",
             "dt_field", "setitem", "groupby_agg",
         } <= ops
         lfp.BACKEND_ENGINE = lfp.BackendEngines.DASK

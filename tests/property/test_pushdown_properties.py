@@ -12,6 +12,11 @@ cannot:
   each op of its chain at most once, a swap adds at most one node (the
   alias a user-built filter leaves), and a second run finds nothing
   left to do.
+
+The chain's leaf is one more input: ``pd.read_csv``, ``pd.scan_csv``,
+or a ``scan_csv`` cut into several partitions.  The first two are one
+leaf under two names, so every chain must explain and fingerprint the
+same from either.
 """
 
 import contextlib
@@ -21,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.lazyfatpandas.pandas as lfp
+from repro.cache.fingerprint import fingerprint_node
 from repro.core.optimizer import optimize, push_down_predicates
 from repro.core.optimizer.predicate_pushdown import (
     fold_predicates_into_scans,
@@ -107,9 +113,17 @@ def chains(draw):
     return steps
 
 
-def _build(steps, source, left, right):
+#: how a chain spells its leaf; "split" cuts the file into partitions
+LEAVES = {
+    "read": lfp.read_csv,
+    "scan": lfp.scan_csv,
+    "split": lambda path: lfp.scan_csv(path, partition_bytes=96),
+}
+
+
+def _build(steps, leaf, left, right):
     """The chain's frame, and the frames tapped on the way up."""
-    read = lfp.read_csv if source == "read" else lfp.scan_csv
+    read = LEAVES[leaf]
     frame = read(left)
     taps = []
     for step in steps:
@@ -149,10 +163,10 @@ def _collect(frame, taps):
 
 class TestOptimizerFlagsAreInvisible:
     @given(data=tables(), right=right_tables(), steps=chains(),
-           source=st.sampled_from(["read", "scan"]))
+           leaf=st.sampled_from(sorted(LEAVES)))
     @settings(max_examples=15, deadline=None)
     def test_each_flag_off_is_bit_identical_on_every_backend(
-        self, tmp_path_factory, data, right, steps, source
+        self, tmp_path_factory, data, right, steps, leaf
     ):
         tmp_dir = _fresh_dir(tmp_path_factory)
         left = _write_table(data, tmp_dir, "left", "csv")
@@ -164,10 +178,10 @@ class TestOptimizerFlagsAreInvisible:
             if ordered and backend == "dask":
                 continue
             with Session(backend=backend):
-                expected = _collect(*_build(steps, source, left, right))
+                expected = _collect(*_build(steps, leaf, left, right))
             for flag in FLAGS:
                 with Session(backend=backend, options={flag: False}):
-                    plan, taps = _build(steps, source, left, right)
+                    plan, taps = _build(steps, leaf, left, right)
                     got = _collect(plan, taps)
                     if not (_equal(got[0], expected[0])
                             and got[1] == expected[1]):
@@ -178,12 +192,29 @@ class TestOptimizerFlagsAreInvisible:
                         )
 
 
+class TestOneScanLeaf:
+    @given(data=tables(), right=right_tables(), steps=chains())
+    @settings(max_examples=25, deadline=None)
+    def test_read_csv_and_scan_csv_build_the_same_plan(
+        self, tmp_path_factory, data, right, steps
+    ):
+        tmp_dir = _fresh_dir(tmp_path_factory)
+        left = _write_table(data, tmp_dir, "left", "csv")
+        right = _write_table(right, tmp_dir, "right", "csv")
+        with Session(backend="pandas"):
+            read, scan = (_build(steps, leaf, left, right)[0]
+                          for leaf in ("read", "scan"))
+            assert read.explain() == scan.explain(), steps
+            assert (fingerprint_node(read.node)
+                    == fingerprint_node(scan.node)), steps
+
+
 class TestPushdownIsBoundedAndIdempotent:
     @given(data=tables(), right=right_tables(), steps=chains(),
-           source=st.sampled_from(["read", "scan"]))
+           leaf=st.sampled_from(sorted(LEAVES)))
     @settings(max_examples=40, deadline=None)
     def test_swaps_nodes_and_second_run(
-        self, tmp_path_factory, data, right, steps, source
+        self, tmp_path_factory, data, right, steps, leaf
     ):
         tmp_dir = _fresh_dir(tmp_path_factory)
         left = _write_table(data, tmp_dir, "left", "csv")
@@ -191,7 +222,7 @@ class TestPushdownIsBoundedAndIdempotent:
         filters = sum(step[0] in ("filter", "peaks") for step in steps)
 
         def roots():
-            frame, taps = _build(steps, source, left, right)
+            frame, taps = _build(steps, leaf, left, right)
             return [frame.node] + [tap.node for tap in taps]
 
         with Session(backend="pandas") as session:

@@ -36,7 +36,7 @@ class TestLazyReads:
         frame = backend.read_csv(path=wide_csv)
         assert isinstance(frame, DaskFrame)
         assert frame.npartitions > 1
-        assert frame.expr.kind == "read_csv"
+        assert frame.expr.kind == "scan"
 
     def test_compute_assembles_all_rows(self, backend, wide_csv):
         frame = backend.read_csv(path=wide_csv)

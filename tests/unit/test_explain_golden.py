@@ -46,7 +46,7 @@ def quickstart_pipeline(path):
 
 
 RAW_PLAN = """\
-N1 read_csv(path=trips.csv, parse_dates=['pickup_time'])
+N1 scan(format='csv', path=trips.csv, parse_dates=['pickup_time'])
 N2 getitem_column(column='pickup_time') <- [N1]
 N3 dt_field(field='hour') <- [N2]
 N4 setitem(column='hour') <- [N1,N3]
@@ -55,19 +55,26 @@ N6 binop(op='>', reflected=False, right=0) <- [N5]
 N7 filter <- [N4,N6]
 N8 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N7]"""
 
-# With pushdown on: the filter drops below the setitem (N4 filter reads
-# N1 directly), an identity fills the filter's old slot, and the read is
-# narrowed to the three used columns.
+# With pushdown on: the filter drops below the setitem and folds into
+# the read (``predicate=``; an identity stands where it landed and one
+# fills its old slot), and the read is narrowed to the two columns the
+# plan uses -- ``fare`` is only the predicate's, the source reads it to
+# filter and drops it.
 OPTIMIZED_PLAN_PUSHDOWN_ON = """\
-N1 read_csv(path=trips.csv, parse_dates=['pickup_time'], usecols=['fare', 'passengers', 'pickup_time'])
-N2 getitem_column(column='fare') <- [N1]
-N3 binop(op='>', reflected=False, right=0) <- [N2]
-N4 filter <- [N1,N3]
-N5 getitem_column(column='pickup_time') <- [N4]
-N6 dt_field(field='hour') <- [N5]
-N7 setitem(column='hour') <- [N4,N6]
-N8 identity <- [N7]
-N9 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N8]"""
+N1 scan(format='csv', path=trips.csv, parse_dates=['pickup_time'], columns=['passengers', 'pickup_time'], predicate=(fare>0), partitions=1/1)
+N2 identity <- [N1]
+N3 getitem_column(column='pickup_time') <- [N2]
+N4 dt_field(field='hour') <- [N3]
+N5 setitem(column='hour') <- [N2,N4]
+N6 identity <- [N5]
+N7 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N6]"""
+
+# With both pushdowns off only the pruning pass's bookkeeping shows: it
+# still counts the partitions the read will touch.
+OPTIMIZED_PLAN_PUSHDOWN_OFF = RAW_PLAN.replace(
+    "parse_dates=['pickup_time'])",
+    "parse_dates=['pickup_time'], partitions=1/1)",
+)
 
 
 def chained_filters_pipeline(path):
@@ -83,22 +90,17 @@ def chained_filters_pipeline(path):
 
 # Lowest first: the fare filter sinks to the read, then the passengers
 # filter sees through the alias it left, passes the setitem and stops on
-# it -- two swaps, and one identity (each filter leaves an alias where it
-# stood; the lower one, read by nobody any more, is gone).  The two
-# filters never trade places.
+# it -- two swaps (each filter leaves an alias where it stood; the lower
+# one, read by nobody any more, is gone).  The two filters never trade
+# places, and both fold into the read as one conjunction.
 OPTIMIZED_PLAN_CHAINED_FILTERS = """\
-N1 read_csv(path=trips.csv, parse_dates=['pickup_time'], usecols=['fare', 'passengers', 'pickup_time'])
-N2 getitem_column(column='fare') <- [N1]
-N3 binop(op='>', reflected=False, right=0) <- [N2]
-N4 filter <- [N1,N3]
-N5 getitem_column(column='passengers') <- [N4]
-N6 binop(op='<=', reflected=False, right=3) <- [N5]
-N7 filter <- [N4,N6]
-N8 getitem_column(column='pickup_time') <- [N7]
-N9 dt_field(field='hour') <- [N8]
-N10 setitem(column='hour') <- [N7,N9]
-N11 identity <- [N10]
-N12 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N11]"""
+N1 scan(format='csv', path=trips.csv, parse_dates=['pickup_time'], columns=['passengers', 'pickup_time'], predicate=(fare>0 & passengers<=3), partitions=1/1)
+N2 identity <- [N1]
+N3 getitem_column(column='pickup_time') <- [N2]
+N4 dt_field(field='hour') <- [N3]
+N5 setitem(column='hour') <- [N2,N4]
+N6 identity <- [N5]
+N7 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N6]"""
 
 
 def _sections(text):
@@ -133,8 +135,8 @@ class TestExplainGolden:
             ):
                 raw, optimized = _sections(out.explain())
         assert raw == RAW_PLAN
-        # no filter motion, no usecols narrowing: plan is unchanged
-        assert optimized == RAW_PLAN
+        # no filter motion, no narrowing of the read's columns
+        assert optimized == OPTIMIZED_PLAN_PUSHDOWN_OFF
 
     def test_explain_has_no_side_effects(self, trips_csv):
         """explain() must not change what a later collect computes."""

@@ -5,7 +5,7 @@ import io
 import pytest
 
 import repro.lazyfatpandas.pandas as lfp
-from repro.core.session import get_session, reset_session
+from repro.core.session import current_session, reset_root_session
 from repro.lazyfatpandas.func import len as lazy_len
 from repro.lazyfatpandas.func import print as lazy_print
 
@@ -13,7 +13,7 @@ from repro.lazyfatpandas.func import print as lazy_print
 @pytest.fixture(autouse=True)
 def _pandas_backend():
     lfp.BACKEND_ENGINE = lfp.BackendEngines.PANDAS
-    reset_session("pandas")
+    reset_root_session("pandas")
     yield
     lfp.BACKEND_ENGINE = lfp.BackendEngines.DASK
 
@@ -25,7 +25,8 @@ def lazy_taxi(taxi_csv):
 class TestLazyConstruction:
     def test_read_csv_is_lazy(self, taxi_csv):
         frame = lazy_taxi(taxi_csv)
-        assert frame.node.op == "read_csv"
+        assert frame.node.op == "scan"
+        assert frame.node.args["format"] == "csv"
         assert frame.node.result is None
 
     def test_columns_tracked_from_header(self, taxi_csv):
@@ -209,14 +210,14 @@ class TestLazyPrint:
 
 class TestSession:
     def test_backend_switch(self, taxi_csv):
-        session = get_session()
+        session = current_session()
         session.set_backend("modin")
         assert session.backend.name == "modin"
         session.set_backend("pandas")
         assert session.backend.name == "pandas"
 
     def test_unknown_backend_rejected(self):
-        session = get_session()
+        session = current_session()
         session.set_backend("spark")
         with pytest.raises(ValueError):
             _ = session.backend
@@ -225,7 +226,7 @@ class TestSession:
         lfp.BACKEND_ENGINE = lfp.BackendEngines.MODIN
         frame = lfp.read_csv(taxi_csv)
         frame.fare_amount.sum().compute()
-        assert get_session().backend.name == "modin"
+        assert current_session().backend.name == "modin"
 
     def test_live_df_marks_persist(self, taxi_csv):
         frame = lazy_taxi(taxi_csv)
@@ -235,26 +236,23 @@ class TestSession:
         assert frame.node.persist
         assert frame.node.result is not None
 
-    def test_persisted_node_reused(self, taxi_csv):
+    def test_persisted_node_reused(self, taxi_csv, monkeypatch):
         calls = []
         from repro.backends.pandas_backend import PandasBackend
 
-        original = PandasBackend.read_csv
+        original = PandasBackend.scan
 
-        def counting(self, **kwargs):
+        def counting(self, args):
             calls.append(1)
-            return original(self, **kwargs)
+            return original(self, args)
 
-        PandasBackend.read_csv = counting
-        try:
-            frame = lazy_taxi(taxi_csv)
-            frame = frame[frame.fare_amount > 0]
-            frame.passenger_count.sum().compute(live_df=[frame])
-            frame.passenger_count.mean().compute()
-            # second compute reuses the persisted filter result: one read
-            assert sum(calls) == 1
-        finally:
-            PandasBackend.read_csv = original
+        monkeypatch.setattr(PandasBackend, "scan", counting)
+        frame = lazy_taxi(taxi_csv)
+        frame = frame[frame.fare_amount > 0]
+        frame.passenger_count.sum().compute(live_df=[frame])
+        frame.passenger_count.mean().compute()
+        # second compute reuses the persisted filter result: one read
+        assert sum(calls) == 1
 
     def test_dead_persists_released(self, taxi_csv):
         frame = lazy_taxi(taxi_csv)

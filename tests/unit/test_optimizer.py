@@ -81,7 +81,7 @@ class TestPredicatePushdown:
         setitem_node = df.node
         push_down_predicates([filtered.node])
         # the setitem must still consume the read directly
-        assert setitem_node.inputs[0].op == "read_csv"
+        assert setitem_node.inputs[0].op == "scan"
 
     def test_not_pushed_when_intermediate_has_other_consumer(self, taxi_csv):
         df = lfp.read_csv(taxi_csv)
@@ -89,7 +89,7 @@ class TestPredicatePushdown:
         other_use = df.k.sum()  # second consumer of the setitem
         filtered = df[df.fare_amount > 0]
         push_down_predicates([filtered.node, other_use.node])
-        assert df.node.inputs[0].op == "read_csv"
+        assert df.node.inputs[0].op == "scan"
 
     def test_not_pushed_when_cse_shares_the_masks_column_read(self, taxi_csv):
         """The mask's own column reads move with the filter -- unless
@@ -221,29 +221,29 @@ class TestProjectionPushdown:
         total = df.groupby(["vendor"])["fare_amount"].sum()
         narrowed = push_down_projections([total.node])
         assert narrowed == 1
-        read = _ops_below(total.node, "read_csv")[0]
-        assert set(read.args["usecols"]) == {"vendor", "fare_amount"}
+        read = _ops_below(total.node, "scan")[0]
+        assert set(read.args["columns"]) == {"vendor", "fare_amount"}
 
     def test_setitem_column_not_required_from_source(self, taxi_csv):
         df = lfp.read_csv(taxi_csv)
         df["extra"] = df.fare_amount * 2
         out = df.groupby(["vendor"])["extra"].sum()
         push_down_projections([out.node])
-        read = _ops_below(out.node, "read_csv")[0]
-        assert "extra" not in read.args["usecols"]
-        assert "fare_amount" in read.args["usecols"]
+        read = _ops_below(out.node, "scan")[0]
+        assert "extra" not in read.args["columns"]
+        assert "fare_amount" in read.args["columns"]
 
     def test_whole_frame_root_blocks_projection(self, taxi_csv):
         df = lfp.read_csv(taxi_csv)
         filtered = df[df.fare_amount > 0]
         assert push_down_projections([filtered.node]) == 0
-        assert filtered.node.inputs[0].args.get("usecols") is None
+        assert filtered.node.inputs[0].args.get("columns") is None
 
     def test_root_source_stays_whole_whoever_else_reads_it(self, taxi_csv):
         df = lfp.read_csv(taxi_csv)
         total = df.fare_amount.sum()
         assert push_down_projections([df.node, total.node]) == 0
-        assert "usecols" not in df.node.args
+        assert "columns" not in df.node.args
 
     def test_head_print_heuristic_allows_projection(self, taxi_csv):
         from repro.lazyfatpandas.func import print as lazy_print
@@ -272,16 +272,16 @@ class TestProjectionPushdown:
         df = lfp.read_csv(taxi_csv, usecols=["vendor", "fare_amount", "tip_amount"])
         total = df.groupby(["vendor"])["fare_amount"].sum()
         push_down_projections([total.node])
-        read = _ops_below(total.node, "read_csv")[0]
-        assert set(read.args["usecols"]) == {"vendor", "fare_amount", "tip_amount"}
+        read = _ops_below(total.node, "scan")[0]
+        assert set(read.args["columns"]) == {"vendor", "fare_amount", "tip_amount"}
 
     def test_rename_maps_requirements_back(self, taxi_csv):
         df = lfp.read_csv(taxi_csv)
         renamed = df.rename(columns={"fare_amount": "fare"})
         out = renamed.groupby(["vendor"])["fare"].sum()
         push_down_projections([out.node])
-        read = _ops_below(out.node, "read_csv")[0]
-        assert "fare_amount" in read.args["usecols"]
+        read = _ops_below(out.node, "scan")[0]
+        assert "fare_amount" in read.args["columns"]
 
 
 class TestMetadataOptimization:

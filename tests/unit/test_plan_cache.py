@@ -62,7 +62,7 @@ def _golden_plan():
 #: fingerprint encoding on purpose, bump ``_VERSION`` in
 #: ``repro/cache/fingerprint.py`` and re-pin this digest.
 GOLDEN_DIGEST = (
-    "32c77fe13dcbbeccff49ce2af6cd3fadb6b0157dcafb4e5ef480de1206404754"
+    "9aa8c89969959f3fe1fa24d83ab69ad1050932ae27a038d849806381223115dc"
 )
 
 _GOLDEN_SNIPPET = """
@@ -155,8 +155,8 @@ class TestFingerprint:
 
     def test_volatile_args_excluded(self, make_csv):
         """The column-prune / pruning passes stamp advisory args
-        (``read_only_cols`` on read_csv, ``est_bytes`` on scan) onto
-        nodes; those must not shift the digest."""
+        (``read_only_cols``, ``est_bytes``, the pruned ``partitions``)
+        onto the scan leaf; those must not shift the digest."""
         path = make_csv({"x": [1, 2, 3]})
         with Session(backend="pandas") as session:
             node = lfp.read_csv(path).x.sum().node
@@ -164,13 +164,16 @@ class TestFingerprint:
             source = node
             while source.inputs:
                 source = source.inputs[0]
-            assert source.op == "read_csv"
-            source.args["read_only_cols"] = ("x",)
+            assert source.op == "scan"
+            stamped = {"read_only_cols": ("x",), "est_bytes": 24,
+                       "partitions": [0], "partitions_total": 1}
+            source.args.update(stamped)
             try:
                 session._fingerprint_cache.clear()
                 assert fingerprint_node(node) == base
             finally:
-                source.args.pop("read_only_cols", None)
+                for key in stamped:
+                    source.args.pop(key, None)
 
     def test_udf_plans_are_unfingerprintable(self):
         with Session(backend="pandas"):
@@ -457,6 +460,75 @@ class TestSubstitution:
                       if n.op == "from_cached"]
             assert len(leaves) == 2
             assert plan.collect() == 18
+
+    @pytest.mark.parametrize("case", [
+        "narrowed", "folded", "folded_scalar", "sunk", "sunk_frame",
+    ])
+    @pytest.mark.parametrize("later_session", [False, True])
+    def test_a_warm_plan_that_differs_from_the_cold_one(
+        self, make_csv, case, later_session
+    ):
+        """Results are cached under RAW-plan fingerprints, but the value
+        an interior node held was the OPTIMIZED plan's: a scan narrowed
+        to the cold plan's columns, a scan the cold plan's filter folded
+        into, a setitem the filter sank below.  A warm plan that shares
+        the raw prefix but needs the rest of it must not be served that
+        value (``KeyError: 'z'`` / filtered rows at PR 16)."""
+        path = make_csv({"x": list(range(40)), "y": [2 * i for i in range(40)],
+                         "z": [i % 7 for i in range(40)]})
+
+        def derived(frame):
+            frame["w"] = frame.x + frame.y
+            return frame
+
+        cold, warm = {
+            "narrowed": (lambda f: f.x.sum(), lambda f: f.z.sum()),
+            "folded": (lambda f: f[f.x > 20], lambda f: f),
+            "folded_scalar": (lambda f: f[f.x > 20].y.sum(),
+                              lambda f: f.y.sum()),
+            "sunk": (lambda f: derived(f)[derived(f).x > 20].w.sum(),
+                     lambda f: derived(f).w.sum()),
+            "sunk_frame": (lambda f: (lambda d: d[d.x > 20])(derived(f)),
+                           lambda f: derived(f)),
+        }[case]
+        with Session(backend="pandas"):
+            expected = warm(lfp.read_csv(path)).collect()
+        def collect(build):
+            return build(lfp.read_csv(path)).collect()
+
+        if later_session:
+            with Session(backend="pandas", options=REUSE):
+                collect(cold)
+            with Session(backend="pandas", options=REUSE):
+                got = collect(warm)
+        else:
+            with Session(backend="pandas", options=REUSE):
+                collect(cold)
+                got = collect(warm)
+        if isinstance(expected, DataFrame):
+            assert got.to_dict() == expected.to_dict()
+        else:
+            assert got == expected
+
+    def test_an_unrewritten_prefix_is_still_reused(self, make_csv):
+        """The other side of the rule above: an interior node the
+        optimizer left alone keeps its candidacy, so a new suffix on a
+        cached prefix hits below the root."""
+        left = make_csv({"k": [1, 2, 3, 4], "a": [1, 2, 3, 4]}, "l.csv")
+        right = make_csv({"k": [1, 2, 3, 4], "b": [5, 6, 7, 8]}, "r.csv")
+
+        def prefix():
+            joined = lfp.read_csv(left).merge(lfp.read_csv(right), on="k")
+            joined["t"] = joined.a + joined.b
+            return joined
+
+        with Session(backend="pandas", options=REUSE):
+            prefix().t.sum().collect()
+        with Session(backend="pandas", options=REUSE) as session:
+            joined = prefix()
+            assert joined[joined.k > 2].b.sum().collect() == 15
+            stats = session.last_execution_stats
+        assert stats.cache_hits >= 1 and stats.nodes_executed > 1
 
     def test_backend_is_part_of_the_key(self, make_csv):
         path = make_csv({"x": [1, 2, 3], "y": [4, 5, 6]})

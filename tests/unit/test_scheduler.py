@@ -446,7 +446,7 @@ class TestExecutionStats:
             stats = s.last_execution_stats
         assert stats.nodes_executed == len(stats.nodes) > 0
         ops = [stat.op for stat in stats.nodes]
-        assert "read_csv" in ops
+        assert "scan" in ops
         for stat in stats.nodes:
             assert stat.wall_seconds >= 0.0
             assert stat.queue_wait_seconds >= 0.0
@@ -457,7 +457,7 @@ class TestExecutionStats:
             df = lfp.read_csv(numbers_csv)
             df.x.sum().collect()
             stats = s.last_execution_stats
-        read = next(st for st in stats.nodes if st.op == "read_csv")
+        read = next(st for st in stats.nodes if st.op == "scan")
         assert read.bytes_registered > 0
 
     def test_session_node_counter_accumulates(self, numbers_csv):
@@ -478,7 +478,7 @@ class TestExecutionStats:
             text = df.explain(stats=True)
         assert "== last execution stats ==" in text
         assert "strategy=serial" in text
-        assert "read_csv" in text
+        assert "scan scan_csv " in text and "scan partitions read: 1/1" in text
 
     def test_stats_to_dict_is_json_ready(self, numbers_csv):
         import json

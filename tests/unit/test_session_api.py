@@ -514,31 +514,28 @@ class TestCollectPersistExplain:
                 frame.y.sum().collect() == frame.y.sum().compute()
             )
 
-    def test_persist_pins_and_reuses(self, numbers_csv):
+    def test_persist_pins_and_reuses(self, numbers_csv, monkeypatch):
         from repro.backends.pandas_backend import PandasBackend
 
         calls = []
-        original = PandasBackend.read_csv
+        original = PandasBackend.scan
 
-        def counting(self, **kwargs):
+        def counting(self, args):
             calls.append(1)
-            return original(self, **kwargs)
+            return original(self, args)
 
-        PandasBackend.read_csv = counting
-        try:
-            with Session(backend="pandas"):
-                frame = lfp.read_csv(numbers_csv)
-                positive = frame[frame.x > 0].persist()
-                assert positive.node.persist
-                assert positive.node.result is not None
-                # keep `positive` live so the pin survives this collect
-                positive.y.sum().collect(live=[positive])
-                # last use: the pin is reused, then released (section 3.5)
-                positive.y.mean().collect()
-            # one read: every collect reused the pinned filter result
-            assert sum(calls) == 1
-        finally:
-            PandasBackend.read_csv = original
+        monkeypatch.setattr(PandasBackend, "scan", counting)
+        with Session(backend="pandas"):
+            frame = lfp.read_csv(numbers_csv)
+            positive = frame[frame.x > 0].persist()
+            assert positive.node.persist
+            assert positive.node.result is not None
+            # keep `positive` live so the pin survives this collect
+            positive.y.sum().collect(live=[positive])
+            # last use: the pin is reused, then released (section 3.5)
+            positive.y.mean().collect()
+        # one read: every collect reused the pinned filter result
+        assert sum(calls) == 1
 
     def test_persist_returns_self_for_chaining(self, numbers_csv):
         with Session(backend="pandas"):
@@ -644,38 +641,23 @@ class TestRecollect:
 
 
 class TestDeprecationShims:
-    def test_get_session_warns_and_returns_current(self):
-        from repro.core.session import get_session
-
-        with pytest.warns(DeprecationWarning, match="get_session"):
-            session = get_session()
-        assert session is current_session()
-
-    def test_reset_session_warns_and_resets_root(self):
-        from repro.core.session import reset_session
-
-        with pytest.warns(DeprecationWarning, match="reset_session"):
-            session = reset_session("pandas")
-        assert session is root_session()
-        assert session.backend_name == "pandas"
-
-    def test_shims_importable_from_repro_core(self):
-        from repro.core import get_session, reset_session  # noqa: F401
-
     def test_no_get_session_call_sites_left_in_src(self):
-        """Acceptance: only the compat shim module may call/define the
-        old entry points."""
+        """Acceptance: nothing calls or defines the old entry points
+        (the ``core/compat.py`` shims are gone too)."""
         import pathlib
         import repro
+        import repro.core
+        import repro.core.session
 
         src_root = pathlib.Path(repro.__file__).resolve().parent.parent
-        offenders = []
-        for path in src_root.rglob("*.py"):
-            if path.name == "compat.py":
-                continue
-            if "get_session()" in path.read_text():
-                offenders.append(str(path))
+        offenders = [
+            str(path) for path in src_root.rglob("*.py")
+            if "get_session()" in path.read_text()
+        ]
         assert offenders == []
+        for module in (repro.core, repro.core.session):
+            assert not hasattr(module, "get_session")
+            assert not hasattr(module, "reset_session")
 
     def test_backend_engine_assignment_still_selects_backend(
         self, numbers_csv

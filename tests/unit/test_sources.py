@@ -751,13 +751,48 @@ class TestTopLevelApi:
             total = lfp.from_pandas(frame)["a"].sum()
             assert float(total.collect()) == 15.0
 
-    def test_compat_read_csv_shim_warns(self, make_csv):
-        from repro.core import compat
+    def test_read_csv_is_the_pandas_spelling_of_scan_csv(self, make_csv):
+        """One leaf: both spellings build the same plan -- same explain
+        text, raw and optimized, and the same fingerprint."""
+        from repro.cache.fingerprint import fingerprint_node
 
-        path = make_csv({"a": np.arange(3)})
-        with pytest.warns(DeprecationWarning, match="scan_csv"):
-            lf = compat.read_csv(path)
-        assert lf.collect().column("a").to_array().tolist() == [0, 1, 2]
+        path = make_csv({"a": np.arange(20), "b": np.arange(20) * 5,
+                         "c": np.arange(20) % 3})
+        with Session(backend="pandas"):
+            plans = []
+            for read in (lfp.read_csv, lfp.scan_csv):
+                lf = read(path, dtype={"b": "float64"})
+                plans.append(lf[lf["a"] > 4]["b"].sum())
+            read_plan, scan_plan = plans
+            assert read_plan.node.inputs[0].op == scan_plan.node.inputs[0].op
+            assert read_plan.explain() == scan_plan.explain()
+            assert "predicate=(a>4)" in read_plan.explain()
+            assert (fingerprint_node(read_plan.node)
+                    == fingerprint_node(scan_plan.node))
+            assert read_plan.collect() == scan_plan.collect()
+
+    def test_shared_csv_leaf_is_read_once_on_dask(self, make_csv,
+                                                  monkeypatch):
+        """A leaf two consumers share is pinned on the lazy engine
+        (section 3.5), so each of its partitions is read once -- not
+        once per consumer."""
+        path = make_csv({"a": np.arange(400), "b": np.arange(400) % 9})
+        reads = []
+        original = CsvSource.read_partition
+
+        def counting(self, partition, **kwargs):
+            reads.append(partition.index)
+            return original(self, partition, **kwargs)
+
+        monkeypatch.setattr(CsvSource, "read_partition", counting)
+        for read in (lfp.read_csv,
+                     lambda p: lfp.scan_csv(p, partition_bytes=512)):
+            del reads[:]
+            with Session(backend="dask"):
+                lf = read(path)
+                both = lfp.concat([lf[lf["b"] > 4], lf[lf["b"] <= 4]])
+                assert len(both.collect()) == 400
+            assert reads and len(reads) == len(set(reads))
 
     def test_scan_csv_index_col(self, make_csv):
         path = make_csv({"a": np.arange(4), "b": np.arange(4) * 5})

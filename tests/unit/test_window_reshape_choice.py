@@ -122,6 +122,22 @@ class TestBackendChoice:
         estimates = choose_backend_for_roots([root], store, budget_bytes=10**9)
         assert pick(estimates) == "pandas"
 
+    def test_roomy_budget_chooses_pandas_for_a_scan_csv_plan(self, setup):
+        """The cost decision reads the one scan leaf, however the
+        program spelled it (``scan_csv`` plans used to get the default
+        engine: "no basis for a cost decision")."""
+        import repro.lazyfatpandas.pandas as lfp
+        from repro.core.backend_choice import choose_backend_for_roots, pick
+        from repro.core.session import Session
+
+        path, store = setup
+        with Session(backend="dask"):
+            root = lfp.scan_csv(path).groupby(["cat"])["num"].sum().node
+        estimates = choose_backend_for_roots([root], store, budget_bytes=10**9)
+        assert [e.backend for e in estimates] == ["pandas", "modin", "dask"]
+        assert estimates[0].bytes_needed > 0
+        assert pick(estimates) == "pandas"
+
     def test_tight_budget_chooses_dask(self, setup):
         from repro.core.backend_choice import choose_backend_for_roots, pick
 
@@ -136,8 +152,8 @@ class TestBackendChoice:
         path, store = setup
         wide = self._graph(path)
         narrow = self._graph(path, usecols=["cat", "num"])
-        wide_est = choose_backend_for_roots([wide], store, budget_bytes=60_000)
-        narrow_est = choose_backend_for_roots([narrow], store, budget_bytes=60_000)
+        wide_est = choose_backend_for_roots([wide], store, budget_bytes=20_000)
+        narrow_est = choose_backend_for_roots([narrow], store, budget_bytes=20_000)
         assert pick(narrow_est) == "pandas"
         assert pick(wide_est) != "pandas"
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Five structural rules the linters cannot express, checked with nothing
+Six structural rules the linters cannot express, checked with nothing
 but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -14,9 +14,9 @@ but the stdlib ``ast`` module:
 
 2. **No real-pandas shortcuts.**  The repro stack *simulates* the
    pandas surface; ``src/repro`` must never import the real thing (nor
-   call ``pandas.read_csv``) outside the designated seams -- ``io/``
-   (the source layer) and ``core/compat.py`` (the deprecation shims).
-   Today there are zero such imports; this keeps it that way.
+   call ``pandas.read_csv``) outside the designated seam -- ``io/``
+   (the source layer).  Today there are zero such imports; this keeps
+   it that way.
 
 3. **Every ``register_op`` declares its column contract.**  The
    optimizer's projection and predicate passes trust ``mod_attrs`` /
@@ -39,6 +39,15 @@ but the stdlib ``ast`` module:
    ``optimize()`` that way).  A pass visits each node a bounded number
    of times over a worklist; a counted throwaway loop there is the
    fixpoint-of-sweeps coming back.
+
+6. **One scan leaf.**  A file read is a ``scan`` node whatever its
+   format; ``pd.read_csv`` is the pandas spelling of ``scan_csv``.
+   ``"read_csv"`` must not come back as an ``OpSpec`` name, as a
+   dask-sim ``Expr`` kind, or on the right of an ``.op`` / ``.kind``
+   comparison anywhere under ``src/repro`` -- each of those is the
+   second leaf, and the 19 modules that told the two apart, returning.
+   (The JIT's matches on the *pandas name* -- ``func.attr ==
+   "read_csv"`` over program source -- are not graph ops and pass.)
 
 Usage::
 
@@ -88,7 +97,6 @@ MUTABLE_GLOBAL_ALLOWLIST = {
     ("analysis/plan/rules.py", "BUILTIN_RULES"),
     ("analysis/plan/schema.py", "_NUMERIC_DTYPES"),
     ("analysis/plan/schema.py", "_UNKNOWN_SCHEMAS"),
-    ("analysis/plan/schema.py", "_HEADER_CACHE"),
     ("analysis/plan/schema.py", "SCHEMA_RULES"),
     ("analysis/rewrite/forced_compute.py", "_LAZY_KINDS"),
     ("backends/base.py", "_BINOPS"),
@@ -100,7 +108,6 @@ MUTABLE_GLOBAL_ALLOWLIST = {
     ("core/lazyframe.py", "_BINOP_LABELS"),
     ("core/optimizer/common_subexpr.py", "_SHARABLE_OPS"),
     ("core/optimizer/projection.py", "_PASSTHROUGH"),
-    ("core/optimizer/projection.py", "_FRAME_OPS"),
     ("frame/dtypes.py", "_ALIASES"),
     ("graph/explain.py", "_ELIDED_ARGS"),
     ("graph/explain.py", "_SCAN_SPECIAL"),
@@ -173,9 +180,9 @@ def check_mutable_globals(tree: ast.Module, rel: str) -> Iterator[str]:
 # check 2: real-pandas imports / pandas.read_csv calls
 
 #: modules allowed to touch real pandas, should the need ever arise:
-#: the source layer and the deprecation shims.
+#: the source layer.
 _PANDAS_ALLOWED_PREFIXES = ("io/",)
-_PANDAS_ALLOWED_FILES = ("core/compat.py",)
+_PANDAS_ALLOWED_FILES = ()
 
 
 def _pandas_allowed(rel: str) -> bool:
@@ -196,7 +203,7 @@ def check_real_pandas(tree: ast.Module, rel: str) -> Iterator[str]:
                     yield (
                         f"src/repro/{rel}:{node.lineno}: imports real "
                         f"pandas; the repro stack must stay "
-                        f"self-contained outside io/ and core/compat.py"
+                        f"self-contained outside io/"
                     )
         elif isinstance(node, ast.ImportFrom):
             if node.module == "pandas" or (
@@ -205,7 +212,7 @@ def check_real_pandas(tree: ast.Module, rel: str) -> Iterator[str]:
                 yield (
                     f"src/repro/{rel}:{node.lineno}: imports from real "
                     f"pandas; the repro stack must stay self-contained "
-                    f"outside io/ and core/compat.py"
+                    f"outside io/"
                 )
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
@@ -317,9 +324,53 @@ def check_no_sweep_cap(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 6: one scan leaf
+
+_SECOND_LEAF = "read_csv"
+#: what a graph node and a dask-sim expression call their kind.
+_KIND_ATTRS = ("op", "kind")
+
+
+def _names_second_leaf(value: ast.expr) -> bool:
+    if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_second_leaf(item) for item in value.elts)
+    return isinstance(value, ast.Constant) and value.value == _SECOND_LEAF
+
+
+def check_one_scan_leaf(tree: ast.Module, rel: str) -> Iterator[str]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(
+                node.func, "attr", None)
+            named = node.args[:1] + [
+                kw.value for kw in node.keywords if kw.arg in ("name", "kind")
+            ]
+            if name in ("OpSpec", "Expr") and any(
+                _names_second_leaf(value) for value in named
+            ):
+                yield (
+                    f"src/repro/{rel}:{node.lineno}: {name}("
+                    f"{_SECOND_LEAF!r}) -- a file read is a 'scan' node; "
+                    f"do not add a second leaf"
+                )
+        elif isinstance(node, ast.Compare):
+            left = node.left
+            kind = getattr(left, "attr", None) or getattr(left, "id", None)
+            if kind in _KIND_ATTRS and any(
+                _names_second_leaf(value) for value in node.comparators
+            ):
+                yield (
+                    f"src/repro/{rel}:{node.lineno}: compares .{kind} with "
+                    f"{_SECOND_LEAF!r} -- there is no such op; a file read "
+                    f"is a 'scan' node (branch on args['format'] if the "
+                    f"format matters)"
+                )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
-          check_no_sweep_cap)
+          check_no_sweep_cap, check_one_scan_leaf)
 
 
 def run(src: Path = SRC) -> List[str]:
