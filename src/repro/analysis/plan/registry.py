@@ -16,9 +16,10 @@ custom engines, executor strategies and scan formats do.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro.analysis.plan.diagnostics import Diagnostic, Severity
+from repro.registry import SpecRegistry
 
 #: check(ctx) yields diagnostics; ctx is rules.AnalysisContext (kept
 #: untyped here to avoid a circular import with the rules module).
@@ -48,39 +49,16 @@ class RuleSpec:
         )
 
 
-class AnalyzerRegistry:
+class AnalyzerRegistry(SpecRegistry[RuleSpec]):
     """Diagnostic code -> :class:`RuleSpec` lookup."""
 
-    def __init__(self, specs: Iterable[RuleSpec] = ()):
-        self._specs: Dict[str, RuleSpec] = {}
-        for spec in specs:
-            self.register(spec)
+    key_attr = "code"
+    noun = "analyzer rule"
+    codes = SpecRegistry.names
 
-    def register(self, spec: RuleSpec, replace: bool = False) -> RuleSpec:
-        key = spec.code.upper()
-        if key in self._specs and not replace:
-            raise ValueError(
-                f"analyzer rule {spec.code!r} already registered"
-            )
-        self._specs[key] = spec
-        return spec
-
-    def unregister(self, code: str) -> None:
-        self._specs.pop(str(code).upper(), None)
-
-    def spec(self, code: str) -> RuleSpec:
-        key = str(code).upper()
-        if key not in self._specs:
-            raise ValueError(
-                f"unknown analyzer rule {code!r}; choose from {self.codes()}"
-            )
-        return self._specs[key]
-
-    def get(self, code: str) -> Optional[RuleSpec]:
-        return self._specs.get(str(code).upper())
-
-    def codes(self) -> List[str]:
-        return sorted(self._specs)
+    @staticmethod
+    def _key(code) -> str:
+        return str(code).upper()
 
     def rules(self, scope: Optional[str] = None) -> List[RuleSpec]:
         """Specs in code order; ``scope`` filters to rules that apply
@@ -89,9 +67,6 @@ class AnalyzerRegistry:
         if scope is None:
             return specs
         return [s for s in specs if s.scope == "plan" or s.scope == scope]
-
-    def __contains__(self, code: str) -> bool:
-        return str(code).upper() in self._specs
 
 
 #: The stock registry; populated by repro.analysis.plan.rules on import.

@@ -316,10 +316,11 @@ def _from_payload_schema(node, inputs, ctx) -> NodeSchema:
     return NodeSchema.frame(list(columns), dtypes)
 
 
-@schema_rule("from_cached")
+@schema_rule("from_cached", "held")
 def _from_cached_schema(node, inputs, ctx) -> NodeSchema:
     # The cached blob is opaque until deserialized; only the value kind
-    # recorded at insertion time is known statically.
+    # recorded at insertion time is known statically (a held value's
+    # kind is not recorded at all).
     kind = node.args.get("kind")
     if kind in (FRAME, SERIES, SCALAR):
         return NodeSchema.unknown(kind)

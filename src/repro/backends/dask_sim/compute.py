@@ -37,10 +37,12 @@ class Evaluator:
         """Concatenate all partitions of ``expr`` into one eager value.
 
         The consuming concat releases each piece's buffers as they
-        merge.  It consumes shallow copies: a temporary partition dies
-        with its copy, while a pinned one (``persist()``, a subexpression
-        two roots share) is handed out by reference and must survive for
-        its next reader.
+        merge.  It consumes shallow copies: a pinned partition
+        (``persist()``, a subexpression two roots share) is handed out
+        by reference and must survive for its next reader.  The copies
+        are made inside the guarded call, so the retry after a
+        :class:`SimulatedMemoryError` starts from whole pieces again,
+        not from the columns the interrupted concat had not yet popped.
         """
         parts = []
         for i in range(expr.npartitions):
@@ -50,7 +52,7 @@ class Evaluator:
             return parts[0]
         if isinstance(parts[0], DataFrame):
             return self._guarded(
-                concat_consuming, [shallow_copy(part) for part in parts]
+                lambda: concat_consuming([shallow_copy(p) for p in parts])
             )
         return concat(parts)
 

@@ -22,9 +22,10 @@ that backend's store).  This module replaces it:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List
+from typing import Callable
 
 from repro.backends.base import Backend
+from repro.registry import SpecRegistry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,38 +81,14 @@ class Engine:
         return f"<Engine {self.name} lazy={self.is_lazy}>"
 
 
-class EngineRegistry:
+class EngineRegistry(SpecRegistry[EngineSpec]):
     """Name -> :class:`EngineSpec` lookup; sessions create instances."""
 
-    def __init__(self, specs: Iterable[EngineSpec] = ()):
-        self._specs: Dict[str, EngineSpec] = {}
-        for spec in specs:
-            self.register(spec)
-
-    def register(self, spec: EngineSpec, replace: bool = False) -> EngineSpec:
-        key = spec.name.lower()
-        if key in self._specs and not replace:
-            raise ValueError(f"engine {spec.name!r} already registered")
-        self._specs[key] = spec
-        return spec
-
-    def spec(self, name: str) -> EngineSpec:
-        key = str(name).lower()
-        if key not in self._specs:
-            raise ValueError(
-                f"unknown backend {name!r}; choose from {self.names()}"
-            )
-        return self._specs[key]
+    noun, unknown_noun = "engine", "backend"
 
     def create(self, name: str) -> Engine:
         """A fresh engine instance (one backend object, never shared)."""
         return Engine(self.spec(name))
-
-    def names(self) -> List[str]:
-        return sorted(self._specs)
-
-    def __contains__(self, name: str) -> bool:
-        return str(name).lower() in self._specs
 
 
 def _pandas_factory() -> Backend:

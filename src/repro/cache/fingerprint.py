@@ -210,6 +210,9 @@ def _node_digest(node: Node, memo: Dict[int, str],
     if node.op == "from_cached":
         # a substituted subplan stands for the plan it was cached under
         return node.args["key"]
+    if node.op == "held":
+        # a held value stands for the raw plan that produced it
+        return _node_digest(node.args["node"], memo, stat_deps)
     h = hashlib.sha256(_VERSION)
     _update(h, b"o", node.op.encode())
     spec = node.spec
@@ -238,9 +241,9 @@ def fingerprint_node(node: Node, session=None,
     Raises :class:`Unfingerprintable` when any value in the subgraph
     has no canonical encoding.  With a ``session``, digests are
     memoized per (node id, graph-version) -- valid because the raw
-    graph is append-only (optimizer rewrites are transactional and
-    restored before the next fingerprint runs) -- and a memo hit
-    re-stats the source files it depends on before being trusted.
+    graph is append-only and never rewritten (the optimizer works on a
+    private copy whose nodes keep the raw ids, and only its first pass
+    fingerprints with a session) -- and a memo hit re-stats the source files it depends on before being trusted.
     Without one, ``memo`` (node id -> digest) lets several calls over
     one unchanging graph share their subtrees.
     """

@@ -63,11 +63,6 @@ key                                       default
 ``analysis.level``                        "warn"     static plan analysis before
                                                      execution (off / warn / strict)
 ========================================  =========  ==================================
-
-The pre-Session ``OptimizationFlags`` attribute names (``caching``,
-``predicate_pushdown``, ...) are accepted everywhere a key is accepted,
-and ``session.flags`` exposes the same attribute view, so ablation
-harness code written against the old API keeps working.
 """
 
 from __future__ import annotations
@@ -108,15 +103,6 @@ class OptionSpec:
 
 _REGISTRY: Dict[str, OptionSpec] = {}
 
-#: Pre-Session flag names (``OptimizationFlags`` fields) -> dotted keys.
-LEGACY_FLAG_KEYS: Dict[str, str] = {
-    "predicate_pushdown": "optimizer.predicate_pushdown",
-    "common_subexpression": "optimizer.common_subexpression",
-    "projection_pushdown": "optimizer.projection_pushdown",
-    "metadata": "optimizer.metadata",
-    "caching": "executor.cache",
-}
-
 
 def register_option(
     key: str,
@@ -150,11 +136,9 @@ def registered_options() -> Dict[str, OptionSpec]:
 
 
 def canonical_key(key: str) -> str:
-    """Resolve ``key`` (dotted or legacy flag name) to its registry key."""
+    """``key`` if it is a registered option, else :class:`OptionError`."""
     if key in _REGISTRY:
         return key
-    if key in LEGACY_FLAG_KEYS:
-        return LEGACY_FLAG_KEYS[key]
     raise OptionError(
         f"unknown option {key!r}; known options: {sorted(_REGISTRY)}"
     )
@@ -165,11 +149,11 @@ def is_foreign_option_key(key: str) -> bool:
 
     True for keys in a pandas namespace (``display.*`` etc.) and for
     bare dotless keys (pandas accepts shorthand like ``"max_columns"``)
-    that are not LaFP keys or legacy flags.  Unknown *dotted* keys
+    that are not LaFP keys.  Unknown *dotted* keys
     outside the pandas namespaces are never foreign -- a typo'd LaFP
     key must error, not silently no-op.
     """
-    if key in _REGISTRY or key in LEGACY_FLAG_KEYS:
+    if key in _REGISTRY:
         return False
     root = key.split(".", 1)[0]
     return root in FOREIGN_OPTION_ROOTS or "." not in key
@@ -489,9 +473,9 @@ register_option(
 )
 
 
-def iter_option_pairs(args: tuple, kwargs: Mapping) -> Iterator[Tuple[str, object]]:
-    """Yield (key, value) pairs from pandas-style positional pairs, a
-    single mapping argument, and/or legacy-flag keyword arguments.
+def iter_option_pairs(args: tuple) -> Iterator[Tuple[str, object]]:
+    """Yield (key, value) pairs from pandas-style positional pairs or a
+    single mapping argument.
 
     Shared by ``SessionOptions.context`` and the facade's ``set_option``
     / ``option_context`` so every entry point accepts the same shapes.
@@ -505,7 +489,6 @@ def iter_option_pairs(args: tuple, kwargs: Mapping) -> Iterator[Tuple[str, objec
                 "option_context('executor.cache', False)"
             )
         yield from zip(args[::2], args[1::2])
-    yield from kwargs.items()
 
 
 class SessionOptions:
@@ -540,16 +523,15 @@ class SessionOptions:
         return {key: self.get(key) for key in sorted(_REGISTRY)}
 
     @contextlib.contextmanager
-    def context(self, *args, **kwargs):
+    def context(self, *args):
         """Temporarily override options; restores prior state on exit.
 
-        Accepts pandas-style pairs (``context("a.b", 1, "c.d", 2)``), a
-        single mapping, or legacy flag names as keywords
-        (``context(caching=False)``).  Nestable.
+        Accepts pandas-style pairs (``context("a.b", 1, "c.d", 2)``) or
+        a single mapping.  Nestable.
         """
         saved = []
         try:
-            for key, value in iter_option_pairs(args, kwargs):
+            for key, value in iter_option_pairs(args):
                 canon = canonical_key(key)
                 saved.append((canon, canon in self._values,
                               self._values.get(canon)))
@@ -564,42 +546,6 @@ class SessionOptions:
 
     def __repr__(self) -> str:
         return f"SessionOptions({self.to_dict()!r})"
-
-
-class OptimizerFlagsView:
-    """Attribute view with the old ``OptimizationFlags`` field names.
-
-    ``session.flags.predicate_pushdown = False`` writes through to the
-    session's options; reads come from them.  Kept so the ablation
-    benchmarks and seed tests run unchanged on the new config layer.
-    """
-
-    __slots__ = ("_options",)
-
-    def __init__(self, options: SessionOptions):
-        object.__setattr__(self, "_options", options)
-
-    def __getattr__(self, name: str):
-        try:
-            key = LEGACY_FLAG_KEYS[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        return self._options.get(key)
-
-    def __setattr__(self, name: str, value) -> None:
-        try:
-            key = LEGACY_FLAG_KEYS[name]
-        except KeyError:
-            raise AttributeError(
-                f"no such optimization flag {name!r}; "
-                f"known flags: {sorted(LEGACY_FLAG_KEYS)}"
-            ) from None
-        self._options.set(key, value)
-
-    def __repr__(self) -> str:
-        values = {name: self._options.get(key)
-                  for name, key in LEGACY_FLAG_KEYS.items()}
-        return f"OptimizerFlagsView({values!r})"
 
 
 def _current_options() -> SessionOptions:

@@ -64,11 +64,12 @@ class LazyObject:
     def persist(self) -> "LazyObject":
         """Compute this object's graph and pin its result for reuse.
 
-        Subsumes ``compute(live_df=[self])``: shared interior nodes are
-        marked persistent so later collections reuse them instead of
-        recomputing (source reads are deliberately not pinned -- that
-        would defeat column pruning).  Returns ``self`` so pipelines can
-        chain: ``hot = df[df.x > 0].persist()``.
+        Subsumes ``compute(live_df=[self])``: the value stays on this
+        object's node, and later collections plan over it as a ``held``
+        leaf instead of recomputing -- whatever they build on top runs
+        against the kept value, nothing is planned beneath it.  Returns
+        ``self`` so pipelines can chain:
+        ``hot = df[df.x > 0].persist()``.
 
         The pin follows the paper's section 3.5 release rule: it
         survives until the first collection whose ``live`` list does not

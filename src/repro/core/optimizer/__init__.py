@@ -11,8 +11,11 @@ order chosen so each rule sees the previous rule's output:
    the ``scan`` leaves that static analysis could not rewrite;
 4. **metadata optimization** (section 3.6) -- dtype hints and safe
    ``category`` encoding from the metastore;
-5. **persistence marking** (section 3.5) -- nodes shared between the
-   computed subgraph and ``live_df`` expressions are marked ``persist``.
+5. **persistence marking** (section 3.5) -- the nodes of the plan that
+   ``live_df`` expressions will read are marked ``persist``.
+
+The plan is rewritten in place and is the caller's to give away: a
+session hands over a private copy of the user's graph, never the graph.
 
 Each rule honours its per-session option toggle
 (``optimizer.predicate_pushdown``, ``optimizer.common_subexpression``,
@@ -25,8 +28,8 @@ from repro.core.optimizer.pipeline import optimize
 from repro.core.optimizer.predicate_pushdown import push_down_predicates
 from repro.core.optimizer.common_subexpr import (
     eliminate_common_subexpressions,
-    mark_persistent_nodes,
     persist_shared_nodes,
+    pin_frontier,
 )
 from repro.core.optimizer.projection import push_down_projections
 from repro.core.optimizer.metadata_opt import apply_metadata_hints
@@ -34,8 +37,8 @@ from repro.core.optimizer.metadata_opt import apply_metadata_hints
 __all__ = [
     "apply_metadata_hints",
     "eliminate_common_subexpressions",
-    "mark_persistent_nodes",
     "persist_shared_nodes",
+    "pin_frontier",
     "optimize",
     "push_down_predicates",
     "push_down_projections",

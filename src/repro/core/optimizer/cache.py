@@ -1,9 +1,10 @@
 """Cache substitution: serve fingerprint-hit subplans, insert new ones.
 
 Runs as the *first* optimizer pass (``optimizer.reuse``), against the
-raw plan -- before CSE or any rewrite mutates it -- so the fingerprints
-it computes are exactly the ones a later session's raw plan will
-produce.  Node identity survives the rest of the pipeline (rewrites
+plan as built -- before CSE or any rewrite mutates it -- so the
+fingerprints it computes are exactly the ones a later session's raw plan
+will produce (a ``held`` leaf fingerprints as the raw node whose value
+it carries).  Node identity survives the rest of the pipeline (rewrites
 mutate op/args/inputs in place, they never re-id a node), which is what
 lets the post-execution insertion path map an executed node back to the
 raw fingerprint recorded here.  A *root* keeps its raw value whatever
@@ -21,9 +22,9 @@ whose args carry the serialized blob itself.  Carrying the bytes (not
 the cache key) makes the rewrite eviction-proof -- a concurrent session
 evicting the entry between substitution and execution cannot fault the
 plan -- and defers deserialization to execution, where its cost is
-attributed to the node like any other.  The rewrite is undone by
-``Session._run``'s transactional snapshot/restore like every other
-optimizer mutation.
+attributed to the node like any other.  Like every other optimizer
+mutation the rewrite lands on the run's private copy of the plan and is
+gone with it.
 
 A subtree is eligible only when *every* node in it is deterministic and
 replayable: a ``sample`` (unseeded randomness) or a side-effect node
@@ -132,6 +133,8 @@ def _subtree_cacheable(
     cached = memo.get(node.id)
     if cached is not None:
         return cached
+    if node.op == "held":
+        node = node.args["node"]  # judged by the plan that produced it
     ok = node.spec.cacheable and not node.spec.side_effect and all(
         _subtree_cacheable(inp, memo) for inp in node.inputs
     )
@@ -181,8 +184,8 @@ def substitute_cached_subplans(
         if node.id in seen:
             return
         seen.add(node.id)
-        if node.computed or node.op == "from_cached":
-            return
+        if node.op in ("held", "from_cached"):
+            return  # the value is in hand already
         if _subtree_cacheable(node, cacheable_memo):
             try:
                 fp = fingerprint_node(node, session)

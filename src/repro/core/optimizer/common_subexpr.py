@@ -7,17 +7,16 @@ Two related mechanisms:
   predicates share a node (also the enabler for the paper's multi-parent
   pushdown rule).
 
-- :func:`mark_persistent_nodes` handles reuse *across* compute
-  boundaries: when ``compute(live_df=[...])`` fires, any node shared
-  between the computed subgraph and a live dataframe's expression is
-  marked ``persist`` so its result survives execution and later
-  computations reuse it instead of recomputing (the 13x-vs-1.4x `stu`
-  ablation of section 5.3).
+- :func:`pin_frontier` handles reuse *across* compute boundaries: when
+  ``compute(live_df=[...])`` fires, it names the nodes of the run's
+  plan whose values a live dataframe's expression will read, so they
+  survive execution and later computations reuse them instead of
+  recomputing (the 13x-vs-1.4x `stu` ablation of section 5.3).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.node import Node
 from repro.graph.taskgraph import ConsumerIndex, collect_subgraph, topological_order
@@ -107,29 +106,33 @@ def persist_shared_nodes(roots: Sequence[Node]) -> List[Node]:
     return marked
 
 
-def mark_persistent_nodes(
-    roots: Sequence[Node],
-    live_nodes: Sequence[Node],
-    session,
-) -> List[Node]:
-    """Mark common nodes of (roots x live_df) for persistence.
+def pin_frontier(
+    plan: Dict[int, Node], live_nodes: Sequence[Node]
+) -> List[Tuple[Node, Node]]:
+    """What a run pins for the raw ``live_nodes``, as (raw node, its
+    twin in ``plan``) pairs: a live frame itself when the plan computes
+    it, else the plan's nodes that the rest of the frame's graph reads.
 
-    Returns the nodes newly marked.  Sources (reads) are not persisted:
-    re-reading is what the backends are good at, and persisting a full
-    read would defeat column pruning.
+    Only that frontier is pinned -- a later computation of the live
+    frame stops at it, so nothing beneath is read again.  The twins go
+    to ``optimize()`` as ``live_nodes`` and count as roots there, which
+    keeps each one's value the raw plan's (no filter sinks below it, no
+    projection narrows it) and so fit to stand for the raw node.
+    Sources are not pinned: re-reading is what the backends are good
+    at, and pinning a full read would defeat column pruning; a value
+    already held (a source too) needs no pin.
     """
-    if not live_nodes:
-        return []
-    computed = {n.id: n for n in collect_subgraph(roots)}
-    marked: List[Node] = []
-    for live in live_nodes:
-        for node in collect_subgraph([live]):
-            if node.id not in computed:
-                continue
-            if node.spec.side_effect or node.spec.is_source:
-                continue
-            if not node.persist:
-                node.persist = True
-                marked.append(node)
-    session.persisted.extend(marked)
-    return marked
+    pins: List[Tuple[Node, Node]] = []
+    seen: Set[int] = set()
+    stack = list(live_nodes)
+    while stack:
+        node = stack.pop()
+        if node.id in seen:
+            continue
+        seen.add(node.id)
+        twin = plan.get(node.id)
+        if twin is None:
+            stack.extend(node.inputs)
+        elif not (twin.spec.is_source or twin.spec.side_effect):
+            pins.append((node, twin))
+    return pins

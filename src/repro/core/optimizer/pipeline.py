@@ -12,7 +12,6 @@ from repro.core.optimizer.cache import (
 )
 from repro.core.optimizer.common_subexpr import (
     eliminate_common_subexpressions,
-    mark_persistent_nodes,
     persist_shared_nodes,
 )
 from repro.core.optimizer.metadata_opt import apply_metadata_hints
@@ -32,12 +31,25 @@ def optimize(
 ) -> dict:
     """Optimize the subgraph under ``roots`` in place.
 
+    The plan is the caller's to give away: the rules rewire, re-op and
+    stamp its nodes.  A session hands over a private copy of the user's
+    graph (:func:`~repro.graph.taskgraph.physical_plan`), never the
+    graph itself, so nothing is put back afterwards.  ``live_nodes`` are
+    nodes of the plan whose values outlive the run besides the roots
+    (:func:`~repro.core.optimizer.common_subexpr.pin_frontier`): under
+    ``executor.cache`` they are optimized as roots -- a root keeps the
+    value its raw plan defines, whatever moves beneath it -- and marked
+    ``persist``.
+
     Each rule is gated by the session's options (``optimizer.*`` /
     ``executor.cache``), which ``option_context()`` and the ablation
     benchmarks flip per session.  Returns a report of what each rule did
     (used by tests and the ablation benchmarks).
     """
     opts = session.options
+    cache = opts.get("executor.cache")
+    pins = list(live_nodes or ()) if cache else []
+    roots = list(roots) + pins
     report = {"cse": 0, "pushdown": 0, "scan_fold": 0, "projection": 0,
               "metadata": 0, "pruned_partitions": 0, "shuffle_lowered": 0,
               "persisted": 0, "reuse_hits": 0, "reuse_misses": 0,
@@ -47,7 +59,6 @@ def optimize(
         # First, against the RAW plan: later rewrites would change the
         # fingerprints, and substituted subtrees need no optimizing.
         state = substitute_cached_subplans(roots, session)
-        session._cache_run = state
         report["reuse_hits"] = state.hits
         report["reuse_misses"] = state.misses
         report["reuse_bytes"] = state.bytes_reused
@@ -74,21 +85,16 @@ def optimize(
     )
     # After pruning stamped per-scan byte estimates: lower oversized
     # merge/groupby nodes into the partition-wise shuffle pipeline.
-    report["shuffle_lowered"] = lower_shuffle_nodes(
-        roots, session, live_nodes,
-    )
+    report["shuffle_lowered"] = lower_shuffle_nodes(roots, session)
     if state is not None:
         # results are cached under raw-plan fingerprints: withdraw the
         # interior nodes that no longer compute what theirs names
         retain_unrewritten(state, roots)
-    cache = opts.get("executor.cache")
-    if cache and live_nodes:
-        report["persisted"] = len(
-            mark_persistent_nodes(roots, live_nodes, session)
-        )
+    # the run's scheduler offers executed results back through this
+    session._cache_run = state
+    for pin in pins:
+        pin.persist = True
+    report["persisted"] = len(pins)
     if cache and session.engine.is_lazy:
-        shared = persist_shared_nodes(roots)
-        session.persisted.extend(shared)
-        report["persisted"] += len(shared)
-    session.last_optimize_report = report
+        report["persisted"] += len(persist_shared_nodes(roots))
     return report

@@ -21,9 +21,9 @@ Blockwise/Shuffle/broadcast lowering is the pattern, ROADMAP item 1):
   shuffle: each key lands wholly in one bucket, so per-bucket
   aggregation is exact.
 
-The pass mutates the consuming node in place (the session snapshots and
-restores plans around execution, so user graphs are untouched) and is
-gated on ``optimizer.shuffle`` plus an actual size limit:
+The pass mutates the consuming node in place (a session only ever hands
+it a private copy of the user's graph) and is gated on
+``optimizer.shuffle`` plus an actual size limit:
 ``optimizer.shuffle_threshold_bytes`` if set, else the session's
 ``memory.budget`` headroom.  Lazy engines shuffle internally already
 and are never lowered.
@@ -54,7 +54,8 @@ def lower_shuffle_nodes(
     live_nodes: Optional[List[Node]] = None,
 ) -> int:
     """Lower eligible merge/groupby nodes under ``roots``; returns the
-    number of nodes rewritten."""
+    number of nodes rewritten.  ``live_nodes`` is not read: what a run
+    keeps for live frames it hands over among the roots."""
     opts = session.options
     if not opts.get("optimizer.shuffle"):
         return 0
@@ -69,15 +70,11 @@ def lower_shuffle_nodes(
     nodes = collect_subgraph(list(roots))
     counts = consumer_counts(nodes)
     # scans referenced outside the pure data flow (order deps, the roots
-    # themselves, live user frames) must stay materializable
+    # themselves) must stay materializable
     pinned = {dep.id for node in nodes for dep in node.order_deps}
     pinned.update(root.id for root in roots)
-    for live in live_nodes or ():
-        pinned.update(n.id for n in collect_subgraph([live]))
     lowered = 0
     for node in list(nodes):
-        if node.computed:
-            continue
         if node.op == "merge":
             lowered += _lower_merge(node, counts, pinned, opts, limit)
         elif node.op in ("groupby_agg", "groupby_agg_multi"):
@@ -89,7 +86,7 @@ def _streamable_scan(node: Node, counts: Dict[int, int],
                      pinned: set) -> Optional[int]:
     """Byte estimate of ``node`` when it is a scan that may legally
     stream (sole consumer, not pinned, stats stamped), else None."""
-    if node.op != "scan" or node.computed or node.persist:
+    if node.op != "scan" or node.persist:
         return None
     if node.id in pinned or counts.get(node.id, 0) != 1:
         return None

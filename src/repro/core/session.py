@@ -39,8 +39,8 @@ import weakref
 from typing import Dict, List, Optional, Sequence
 
 from repro.backends.engine import DEFAULT_REGISTRY, Engine, EngineRegistry
-from repro.core.config import OptimizerFlagsView, SessionOptions
-from repro.graph import Node, collect_subgraph, render_plan
+from repro.core.config import SessionOptions
+from repro.graph import Node, collect_subgraph, physical_plan, render_plan
 from repro.graph.scheduler import (
     DEFAULT_EXECUTORS,
     ExecutionStats,
@@ -115,8 +115,9 @@ class Session:
         #: deps, digest); same versioning scheme as the analysis gate
         #: (see repro.cache.fingerprint).
         self._fingerprint_cache: Dict[int, tuple] = {}
-        #: the in-flight run's CacheRunState, installed by the
-        #: ``optimizer.reuse`` pass and handed to the scheduler by _run.
+        #: the CacheRunState of the last ``optimize()`` (None with
+        #: ``optimizer.reuse`` off): where the reuse pass leaves it for
+        #: _run to hand to the scheduler.
         self._cache_run = None
         #: lazily-created process-strategy worker pool (see
         #: :meth:`process_pool`), its creation key, and the finalizer
@@ -127,21 +128,16 @@ class Session:
 
     # -- options -----------------------------------------------------------
 
-    @property
-    def flags(self) -> OptimizerFlagsView:
-        """Legacy ``OptimizationFlags``-shaped view over the options."""
-        return OptimizerFlagsView(self.options)
-
     def get_option(self, key: str):
         return self.options.get(key)
 
     def set_option(self, key: str, value) -> None:
         self.options.set(key, value)
 
-    def option_context(self, *args, **kwargs):
+    def option_context(self, *args):
         """Nestable temporary option overrides (see
         :meth:`SessionOptions.context`)."""
-        return self.options.context(*args, **kwargs)
+        return self.options.context(*args)
 
     # -- engine / backend --------------------------------------------------
 
@@ -390,9 +386,11 @@ class Session:
         appended (deterministically ordered and numbered like the raw
         plan itself, so the section golden-tests the same way).
 
-        Purely observational: the graph, persist marks, and the session's
-        persisted set are restored afterwards, so ``explain()`` never
-        changes what a later ``collect()`` computes.
+        Purely observational: the optimizer runs on a private copy of
+        the plan, so ``explain()`` never changes what a later
+        ``collect()`` computes -- and it shows what that ``collect()``
+        would run: a frame that already holds its value is a ``held``
+        leaf with nothing planned beneath it.
         """
         from repro.core.optimizer import optimize
 
@@ -406,19 +404,9 @@ class Session:
                 render_diagnostics(analyze_plan(roots, session=self)),
             ]
         if optimized:
-            snapshot = self._snapshot(roots)
-            persist_marks = [(entry[0], entry[0].persist) for entry in snapshot]
-            persisted_before = list(self.persisted)
-            report_before = self.last_optimize_report
-            try:
-                optimize(roots, self, live_nodes=[])
-                sections += ["", "== optimized plan ==", render_plan(roots)]
-            finally:
-                self._restore(snapshot)
-                for marked, flag in persist_marks:
-                    marked.persist = flag
-                self.persisted = persisted_before
-                self.last_optimize_report = report_before
+            twins = [physical_plan(roots)[node.id]]
+            optimize(twins, self, live_nodes=[])
+            sections += ["", "== optimized plan ==", render_plan(twins)]
         if stats:
             sections += ["", "== last execution stats =="]
             if self.last_execution_stats is None:
@@ -483,58 +471,65 @@ class Session:
         )
 
     def _run(self, roots: List[Node], live_nodes: List[Node]):
+        """Compute ``roots``: the one planning seam.
+
+        A run optimizes and executes a private copy of the user's graph
+        (like Dask optimizing a copy of its graph): twins with the raw
+        ids but their own wiring and args, a ``held`` leaf wherever a
+        node already holds its value.  The rules rewrite that copy for
+        *this* execution only -- later computations may demand columns
+        or rows it pruned away -- and the user's graph gets back just
+        the values it is meant to keep: the roots' (every pending
+        side-effect node is one) and the pins' for ``live_nodes``.  A
+        pin's twin is a root to the optimizer, so it holds what its raw
+        node defines, but not to the scheduler: a lazy engine
+        materializes a root whole, a persisted interior node stays
+        partitioned.
+        """
         from repro.core.optimizer import optimize
+        from repro.core.optimizer.common_subexpr import pin_frontier
 
         # A re-collect -- every root holds its result (so no print is
-        # pending) and nothing asks to pin more -- has no plan to gate,
-        # optimize or restore: the scheduler just hands the values back.
-        planned = bool(live_nodes) or not all(r.computed for r in roots)
+        # pending, and nothing under a held root is left to pin) -- has
+        # no plan to gate, copy or optimize: the scheduler just hands
+        # the values back.
+        planned = not all(r.computed for r in roots)
         if planned:
             self._analysis_gate(roots)
-        # Optimization is transactional: the rules rewire the shared graph
-        # for *this* execution (like Dask optimizing a copy of its graph),
-        # then the original wiring is restored -- later computations may
-        # demand columns or rows this execution's rewrites pruned away.
-        # Results survive restoration: a node's value is the same in the
-        # optimized and original graphs.
-        snapshot = self._snapshot(roots) if planned else ()
+        twins, pins = roots, []
         scheduler = self.scheduler()
         try:
             if planned:
-                optimize(roots, self, live_nodes=live_nodes)
+                plan = physical_plan(roots)
+                twins = [plan[root.id] for root in roots]
+                pins = pin_frontier(plan, live_nodes)
+                self.last_optimize_report = optimize(
+                    twins, self, live_nodes=[twin for _, twin in pins])
                 # the reuse pass left its run state here; the scheduler
                 # offers executed results back through it.
                 scheduler.cache_state = self._cache_run
-            results = scheduler.execute(roots)
+            results = scheduler.execute(twins)
         finally:
-            self._restore(snapshot)
-            if scheduler.last_stats is not None:
-                self.last_execution_stats = scheduler.last_stats
-                self.stats["nodes_executed"] += (
-                    scheduler.last_stats.nodes_executed
-                )
-                if self._cache_run is not None:
-                    self._cache_run.flush_to_stats(scheduler.last_stats)
-            self._cache_run = None
+            # also when the run failed: the scheduler's unwind dropped
+            # every result but the side-effect nodes' (a print that
+            # reached stdout must not repeat) and the persisted ones'
+            for raw, twin in zip(roots, twins):
+                if twin.computed and not raw.computed:
+                    raw.set_result(twin.result)
+            for raw, twin in pins:
+                if twin.persist and twin.computed:
+                    raw.set_result(twin.result)
+                    raw.persist = True
+                    self.persisted.append(raw)
+            stats = scheduler.last_stats
+            if stats is not None:
+                self.last_execution_stats = stats
+                self.stats["nodes_executed"] += stats.nodes_executed
+                if scheduler.cache_state is not None:
+                    scheduler.cache_state.flush_to_stats(stats)
         self.stats["computes"] += 1
         self._release_dead_persists(live_nodes)
         return results
-
-    @staticmethod
-    def _snapshot(roots: List[Node]):
-        nodes = collect_subgraph(roots)
-        return [
-            (node, node.op, list(node.inputs), dict(node.args), list(node.order_deps))
-            for node in nodes
-        ]
-
-    @staticmethod
-    def _restore(snapshot) -> None:
-        for node, op, inputs, args, order_deps in snapshot:
-            node.op = op
-            node.inputs = inputs
-            node.args = args
-            node.order_deps = order_deps
 
     def _release_dead_persists(self, live_nodes: List[Node]) -> None:
         """Drop persisted results that no live dataframe still references

@@ -17,6 +17,7 @@ from repro.graph.taskgraph import (
     dependency_counts,
     initial_refcounts,
     needed_nodes,
+    physical_plan,
     ready_nodes,
     to_dot,
     topological_order,
@@ -44,6 +45,7 @@ __all__ = [
     "dependency_counts",
     "initial_refcounts",
     "needed_nodes",
+    "physical_plan",
     "ready_nodes",
     "register_op",
     "render_plan",

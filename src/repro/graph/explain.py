@@ -16,7 +16,7 @@ from repro.graph.node import Node
 from repro.graph.taskgraph import topological_order
 
 #: args whose values are payloads, not plan structure.
-_ELIDED_ARGS = {"segments", "marker_map", "data", "frame", "blob"}
+_ELIDED_ARGS = {"segments", "marker_map", "data", "frame", "blob", "node"}
 
 _MAX_VALUE_CHARS = 48
 

@@ -123,6 +123,33 @@ class Node:
         self.result = value
         self.computed = True
 
+    def twin(self) -> "Node":
+        """This node's stand-in in one run's private plan
+        (:func:`repro.graph.taskgraph.physical_plan` wires them up).
+
+        Same id -- fingerprints, ``explain()`` numbering and the copy
+        back of values all go by it -- but an ``args`` dict of its own,
+        so a pass may stamp or rewire the twin at will.  A node that
+        already holds its value is stood for, not copied: a ``held``
+        leaf naming it and carrying the value, so no pass looks, or
+        moves an operator, below a value somebody keeps.
+        """
+        twin = Node.__new__(Node)
+        twin.id = self.id
+        if self.computed:
+            twin.op = "held"
+            twin.args = {"node": self}
+        else:
+            twin.op = self.op
+            twin.args = dict(self.args)
+        twin.inputs = []
+        twin.order_deps = []
+        twin.result = self.result
+        twin.computed = self.computed
+        twin.persist = self.persist
+        twin.label = self.label
+        return twin
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         extra = f" {self.label}" if self.label else ""
         return f"<Node {self.id} {self.op}{extra}>"
@@ -284,6 +311,16 @@ register_op(OpSpec(
     used_attrs=_NO_COLS,
     is_source=True,
     cacheable=False,
+))
+register_op(OpSpec(
+    # a value the user's graph already holds (a collected root, a pin):
+    # the leaf :meth:`Node.twin` puts in a plan where that node stood.
+    # ``args["node"]`` names the raw node, whose plan the leaf stands
+    # for wherever plans are compared (fingerprints, cacheability).
+    "held",
+    mod_attrs=_NO_COLS,
+    used_attrs=_NO_COLS,
+    is_source=True,
 ))
 register_op(OpSpec(
     "from_data",

@@ -33,7 +33,7 @@ the pass off every strategy falls back to node-id order.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List
+from typing import Callable
 
 from repro.graph.scheduler.async_ import AsyncScheduler
 from repro.graph.scheduler.base import ExecutionError, Scheduler
@@ -42,6 +42,7 @@ from repro.graph.scheduler.process import ProcessScheduler
 from repro.graph.scheduler.serial import SerialScheduler
 from repro.graph.scheduler.stats import ExecutionStats, NodeStat
 from repro.graph.scheduler.threaded import ThreadedScheduler
+from repro.registry import SpecRegistry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,40 +60,14 @@ class SchedulerSpec:
         return self.factory(backend, **kwargs)
 
 
-class ExecutorRegistry:
+class ExecutorRegistry(SpecRegistry[SchedulerSpec]):
     """Name -> :class:`SchedulerSpec` lookup; sessions create instances."""
 
-    def __init__(self, specs: Iterable[SchedulerSpec] = ()):
-        self._specs: Dict[str, SchedulerSpec] = {}
-        for spec in specs:
-            self.register(spec)
-
-    def register(self, spec: SchedulerSpec,
-                 replace: bool = False) -> SchedulerSpec:
-        key = spec.name.lower()
-        if key in self._specs and not replace:
-            raise ValueError(f"strategy {spec.name!r} already registered")
-        self._specs[key] = spec
-        return spec
-
-    def spec(self, name: str) -> SchedulerSpec:
-        key = str(name).lower()
-        if key not in self._specs:
-            raise ValueError(
-                f"unknown executor strategy {name!r}; "
-                f"choose from {self.names()}"
-            )
-        return self._specs[key]
+    noun, unknown_noun = "strategy", "executor strategy"
 
     def create(self, name: str, backend, **kwargs) -> Scheduler:
         """A fresh scheduler instance for one execution."""
         return self.spec(name).create(backend, **kwargs)
-
-    def names(self) -> List[str]:
-        return sorted(self._specs)
-
-    def __contains__(self, name: str) -> bool:
-        return str(name).lower() in self._specs
 
 
 #: The stock registry with the five shipped strategies.

@@ -118,8 +118,9 @@ def _estimate(
     if op == "from_cached":
         nbytes = node.args.get("nbytes")
         return int(nbytes) if isinstance(nbytes, (int, float)) else None
-    if op in ("from_data", "from_pandas"):
-        payload = node.args.get("data") or node.args.get("frame")
+    if op in ("from_data", "from_pandas", "held"):
+        payload = (node.result if op == "held"
+                   else node.args.get("data") or node.args.get("frame"))
         nbytes = getattr(payload, "nbytes", None)
         return int(nbytes) if isinstance(nbytes, (int, float)) else None
     if node.spec.scalar:

@@ -39,78 +39,83 @@ class NodeStat:
         return dataclasses.asdict(self)
 
 
+@dataclasses.dataclass(eq=False, repr=False)
 class ExecutionStats:
-    """Aggregated runtime statistics of one scheduler execution."""
+    """Aggregated runtime statistics of one scheduler execution.
 
-    def __init__(self, strategy: str, effective_strategy: Optional[str] = None,
-                 max_workers: int = 1):
-        #: the strategy the session asked for (``executor.strategy``).
-        self.strategy = strategy
-        #: the strategy that actually ran (capability fallbacks may
-        #: downgrade ``threaded`` to ``serial`` on lazy engines).
-        self.effective_strategy = effective_strategy or strategy
-        self.max_workers = max_workers
-        self.wall_seconds = 0.0
-        self.nodes_executed = 0
-        self.cache_hits = 0
-        #: cross-session result-cache accounting (``optimizer.reuse``):
-        #: fingerprint probes that missed, serialized bytes served from
-        #: the cache instead of recomputed, entries this run's inserts
-        #: pushed out of the cache, and results inserted for later runs.
-        #: ``cache_hits`` above counts both per-session persisted-node
-        #: reuse and cross-session substitutions.
-        self.cache_misses = 0
-        self.cache_bytes_reused = 0
-        self.cache_evictions = 0
-        self.cache_inserted = 0
-        self.fused_chains = 0
-        self.fused_nodes = 0
-        self.throttle_waits = 0
-        self.bytes_registered = 0
-        self.bytes_released = 0
-        #: sum of per-node size predictions (nodes with one).
-        self.bytes_estimated = 0
-        #: scan-source partition accounting: how many partitions the
-        #: executed scans actually read vs how many their sources have
-        #: (pruning shows up as read < total).
-        self.partitions_read = 0
-        self.partitions_total = 0
-        #: shuffle accounting: buckets written by shuffle_write nodes,
-        #: bytes their stores pushed to spill files, and merges that
-        #: took the broadcast fast path instead of shuffling.
-        self.shuffle_partitions = 0
-        self.bytes_spilled = 0
-        self.broadcast_joins = 0
-        #: was the memory-aware static ordering pass applied to this
-        #: run's execution order (``executor.static_order``)?
-        self.static_order = False
-        #: predicted peak live bytes of the execution order actually
-        #: used (the eager-release simulation over per-node estimates);
-        #: None when the scheduler never planned an order.
-        self.estimated_peak_bytes: Optional[int] = None
-        #: filesystem-layer accounting (diffed from the session's
-        #: IOCounters around the run): bytes actually fetched through
-        #: the byte-range layer, ranges the scheduler prefetched, scan
-        #: reads served from the prefetch cache, and transient range
-        #: failures absorbed by the retry layer.
-        self.bytes_read = 0
-        self.ranges_prefetched = 0
-        self.prefetch_hits = 0
-        self.io_retries = 0
-        #: process-strategy accounting: tasks shipped to pool workers,
-        #: tasks that fell back to in-process execution (unpicklable
-        #: args or results, stream/store inputs, side effects), and
-        #: tasks re-run after a worker died mid-flight.
-        self.process_tasks = 0
-        self.process_fallbacks = 0
-        self.process_retries = 0
-        #: the session manager's high-water mark when the run finished.
-        #: The manager's peak is *not* reset per run (the workload runner
-        #: measures whole-program peaks on the same manager), so this can
-        #: predate the run; per-run allocation volume is
-        #: ``bytes_registered``.
-        self.manager_peak_bytes = 0
-        self.nodes: List[NodeStat] = []
+    The fields, in declaration order, are the keys of :meth:`to_dict`.
+    """
+
+    #: the strategy the session asked for (``executor.strategy``).
+    strategy: str
+    #: the strategy that actually ran (capability fallbacks may
+    #: downgrade ``threaded`` to ``serial`` on lazy engines).
+    effective_strategy: Optional[str] = None
+    max_workers: int = 1
+    wall_seconds: float = 0.0
+    nodes_executed: int = 0
+    cache_hits: int = 0
+    #: cross-session result-cache accounting (``optimizer.reuse``):
+    #: fingerprint probes that missed, serialized bytes served from
+    #: the cache instead of recomputed, entries this run's inserts
+    #: pushed out of the cache, and results inserted for later runs.
+    #: ``cache_hits`` above counts both per-session persisted-node
+    #: reuse and cross-session substitutions.
+    cache_misses: int = 0
+    cache_bytes_reused: int = 0
+    cache_evictions: int = 0
+    cache_inserted: int = 0
+    fused_chains: int = 0
+    fused_nodes: int = 0
+    throttle_waits: int = 0
+    bytes_registered: int = 0
+    bytes_released: int = 0
+    #: sum of per-node size predictions (nodes with one).
+    bytes_estimated: int = 0
+    #: scan-source partition accounting: how many partitions the
+    #: executed scans actually read vs how many their sources have
+    #: (pruning shows up as read < total).
+    partitions_read: int = 0
+    partitions_total: int = 0
+    #: shuffle accounting: buckets written by shuffle_write nodes,
+    #: bytes their stores pushed to spill files, and merges that
+    #: took the broadcast fast path instead of shuffling.
+    shuffle_partitions: int = 0
+    bytes_spilled: int = 0
+    broadcast_joins: int = 0
+    #: filesystem-layer accounting (diffed from the session's
+    #: IOCounters around the run): bytes actually fetched through
+    #: the byte-range layer, ranges the scheduler prefetched, scan
+    #: reads served from the prefetch cache, and transient range
+    #: failures absorbed by the retry layer.
+    bytes_read: int = 0
+    ranges_prefetched: int = 0
+    prefetch_hits: int = 0
+    io_retries: int = 0
+    #: was the memory-aware static ordering pass applied to this
+    #: run's execution order (``executor.static_order``)?
+    static_order: bool = False
+    #: predicted peak live bytes of the execution order actually
+    #: used (the eager-release simulation over per-node estimates);
+    #: None when the scheduler never planned an order.
+    estimated_peak_bytes: Optional[int] = None
+    #: process-strategy accounting: tasks shipped to pool workers,
+    #: tasks that fell back to in-process execution (unpicklable
+    #: args or results, stream/store inputs, side effects), and
+    #: tasks re-run after a worker died mid-flight.
+    process_tasks: int = 0
+    process_fallbacks: int = 0
+    process_retries: int = 0
+    #: the session manager's high-water mark when the run finished.
+    #: The manager's peak is *not* reset per run (the workload runner
+    #: measures whole-program peaks on the same manager), so this can
+    #: predate the run; per-run allocation volume is
+    #: ``bytes_registered``.
+    manager_peak_bytes: int = 0
+    nodes: List[NodeStat] = dataclasses.field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.effective_strategy = self.effective_strategy or self.strategy
         self._lock = threading.Lock()
 
     # -- recording (thread-safe) ----------------------------------------
@@ -199,40 +204,12 @@ class ExecutionStats:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready dict (the workload runner embeds this verbatim)."""
-        return {
-            "strategy": self.strategy,
-            "effective_strategy": self.effective_strategy,
-            "max_workers": self.max_workers,
-            "wall_seconds": self.wall_seconds,
-            "nodes_executed": self.nodes_executed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_bytes_reused": self.cache_bytes_reused,
-            "cache_evictions": self.cache_evictions,
-            "cache_inserted": self.cache_inserted,
-            "fused_chains": self.fused_chains,
-            "fused_nodes": self.fused_nodes,
-            "throttle_waits": self.throttle_waits,
-            "bytes_registered": self.bytes_registered,
-            "bytes_released": self.bytes_released,
-            "bytes_estimated": self.bytes_estimated,
-            "partitions_read": self.partitions_read,
-            "partitions_total": self.partitions_total,
-            "shuffle_partitions": self.shuffle_partitions,
-            "bytes_spilled": self.bytes_spilled,
-            "broadcast_joins": self.broadcast_joins,
-            "bytes_read": self.bytes_read,
-            "ranges_prefetched": self.ranges_prefetched,
-            "prefetch_hits": self.prefetch_hits,
-            "io_retries": self.io_retries,
-            "static_order": self.static_order,
-            "estimated_peak_bytes": self.estimated_peak_bytes,
-            "process_tasks": self.process_tasks,
-            "process_fallbacks": self.process_fallbacks,
-            "process_retries": self.process_retries,
-            "manager_peak_bytes": self.manager_peak_bytes,
-            "nodes": [stat.to_dict() for stat in self.nodes],
+        out: Dict[str, object] = {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
         }
+        out["nodes"] = [stat.to_dict() for stat in self.nodes]
+        return out
 
     def render(self) -> str:
         """Terminal rendering for ``explain(stats=True)``."""

@@ -8,7 +8,7 @@ counting and DOT export (Figures 6 and 9 render with ``to_dot``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.node import Node
 
@@ -26,6 +26,33 @@ def collect_subgraph(roots: Sequence[Node]) -> List[Node]:
         out.append(node)
         stack.extend(node.all_deps())
     return out
+
+
+def physical_plan(roots: Sequence[Node]) -> Dict[int, Node]:
+    """A private copy of the subgraph under ``roots``, as node id ->
+    twin (:meth:`Node.twin`), for one run to rewrite and execute.
+
+    The optimizer passes rewire, re-op and stamp whatever plan they are
+    handed; handing them twins is what keeps the graph the user holds
+    exactly as it was built, with nothing to restore afterwards.  The
+    copy stops at nodes that hold their value: each is a ``held`` leaf.
+    """
+    plan: Dict[int, Node] = {}
+    interior: List[Tuple[Node, Node]] = []
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node.id in plan:
+            continue
+        plan[node.id] = twin = node.twin()
+        if not node.computed:
+            interior.append((node, twin))
+            stack.extend(node.inputs)
+            stack.extend(node.order_deps)
+    for node, twin in interior:
+        twin.inputs = [plan[dep.id] for dep in node.inputs]
+        twin.order_deps = [plan[dep.id] for dep in node.order_deps]
+    return plan
 
 
 def topological_order(roots: Sequence[Node]) -> List[Node]:

@@ -14,13 +14,14 @@ strategies do.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Optional
 
 from repro.io.columnar import ColumnarSource
 from repro.io.csv_source import CsvSource
 from repro.io.dataset import DatasetSource
 from repro.io.jsonl import JsonlSource
 from repro.io.source import DataSource
+from repro.registry import SpecRegistry
 
 #: scan-node arg keys owned by the runtime, not the source constructor.
 STRUCTURAL_ARGS = frozenset({
@@ -58,40 +59,12 @@ class SourceSpec:
         return self.factory(path, metastore=metastore, **options)
 
 
-class SourceRegistry:
+class SourceRegistry(SpecRegistry[SourceSpec]):
     """Format name -> :class:`SourceSpec` lookup."""
 
-    def __init__(self, specs: Iterable[SourceSpec] = ()):
-        self._specs: Dict[str, SourceSpec] = {}
-        for spec in specs:
-            self.register(spec)
-
-    def register(self, spec: SourceSpec, replace: bool = False) -> SourceSpec:
-        key = spec.format.lower()
-        if key in self._specs and not replace:
-            raise ValueError(f"source format {spec.format!r} already registered")
-        self._specs[key] = spec
-        return spec
-
-    def unregister(self, fmt: str) -> None:
-        self._specs.pop(str(fmt).lower(), None)
-
-    def spec(self, fmt: str) -> SourceSpec:
-        key = str(fmt).lower()
-        if key not in self._specs:
-            raise ValueError(
-                f"unknown source format {fmt!r}; choose from {self.formats()}"
-            )
-        return self._specs[key]
-
-    def get(self, fmt: str) -> Optional[SourceSpec]:
-        return self._specs.get(str(fmt).lower())
-
-    def formats(self) -> List[str]:
-        return sorted(self._specs)
-
-    def __contains__(self, fmt: str) -> bool:
-        return str(fmt).lower() in self._specs
+    key_attr = "format"
+    noun = "source format"
+    formats = SpecRegistry.names
 
 
 #: The stock registry with the four built-in formats.

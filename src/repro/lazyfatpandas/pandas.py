@@ -157,17 +157,17 @@ def _install_backend_sync(module_name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_pairs(args: tuple, kwargs: dict):
+def _canonical_pairs(args: tuple):
     """Resolve (key, value) pairs to canonical LaFP keys, dropping
     pandas-compat keys (``display.*``-style namespaces and bare
     shorthand keys like ``"max_columns"``) with a warning so a dotless
-    typo of a legacy flag is at least visible.  Unknown dotted keys
+    typo is at least visible.  Unknown dotted keys
     outside the pandas namespaces raise -- a typo'd LaFP key must
     error, never silently no-op.  One policy for ``set_option``,
     ``get_option`` and ``option_context``.
     """
     pairs = []
-    for k, v in iter_option_pairs(args, kwargs):
+    for k, v in iter_option_pairs(args):
         key = str(k)
         try:
             pairs.append((canonical_key(key), v))
@@ -181,18 +181,17 @@ def _canonical_pairs(args: tuple, kwargs: dict):
     return pairs
 
 
-def set_option(*args, **kwargs) -> None:
+def set_option(*args) -> None:
     """Set options on the current session.
 
-    Accepts the same shapes as :func:`option_context`: key/value pairs,
-    a single mapping, or legacy flag names as keywords.  Dotted LaFP
-    keys (``optimizer.*``, ``backend.engine``, ``executor.cache``) and
-    legacy flag names are applied -- with their validation errors
-    surfaced.  pandas option keys are accepted and ignored so
-    unmodified pandas scripts keep running.
+    Accepts the same shapes as :func:`option_context`: key/value pairs
+    or a single mapping.  Dotted LaFP keys (``optimizer.*``,
+    ``backend.engine``, ``executor.cache``) are applied -- with their
+    validation errors surfaced.  pandas option keys are accepted and
+    ignored so unmodified pandas scripts keep running.
     """
     session = current_session()
-    for canon, v in _canonical_pairs(args, kwargs):
+    for canon, v in _canonical_pairs(args):
         session.set_option(canon, v)
 
 
@@ -212,7 +211,7 @@ def get_option(key):
     return current_session().get_option(canon)
 
 
-def option_context(*args, **kwargs):
+def option_context(*args):
     """Nestable temporary option overrides on the current session::
 
         with pd.option_context("optimizer.predicate_pushdown", False):
@@ -226,7 +225,7 @@ def option_context(*args, **kwargs):
     session; the reverse order targets whatever session was current
     before the statement.
     """
-    return _option_context_cm(dict(_canonical_pairs(args, kwargs)))
+    return _option_context_cm(dict(_canonical_pairs(args)))
 
 
 @contextlib.contextmanager

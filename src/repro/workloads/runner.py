@@ -353,7 +353,6 @@ class Runner:
         program: str,
         mode: str,
         size: str = "S",
-        flag_overrides: Optional[Dict[str, bool]] = None,
         options: Optional[Dict[str, object]] = None,
         strategy: Optional[str] = None,
         source_format: Optional[str] = None,
@@ -364,10 +363,8 @@ class Runner:
         the thread-local stack for the duration of the program), with
         ``options`` applied through ``option_context`` -- no session or
         flag state leaks between cells.  ``options`` takes dotted keys
-        (``{"executor.cache": False}``); ``flag_overrides`` accepts the
-        legacy flag names and is kept for older harnesses; ``strategy``
-        is shorthand for ``{"executor.strategy": ...}``;
-        ``source_format`` (``csv`` / ``jsonl`` / ``dataset``) prepares
+        (``{"executor.cache": False}``); ``strategy`` is shorthand for
+        ``{"executor.strategy": ...}``; ``source_format`` (``csv`` / ``jsonl`` / ``dataset``) prepares
         the matching dataset variants and sets
         ``workload.source_format`` so the program's ``pd.read_csv``
         calls build their scan leaf over that format (lafp modes only
@@ -393,8 +390,7 @@ class Runner:
         with open(program_path, "w") as f:
             f.write(source)
 
-        overrides: Dict[str, object] = dict(flag_overrides or {})
-        overrides.update(options or {})
+        overrides: Dict[str, object] = dict(options or {})
         if strategy is not None:
             overrides["executor.strategy"] = strategy
         if source_format is not None:

@@ -143,21 +143,26 @@ class TestExplainGolden:
         with Session(backend="pandas"):
             out = quickstart_pipeline(trips_csv)
             before = out.explain()
+            assert out.explain() == before
             value = out.collect().values.sum()
-            after = out.explain()
-        assert before == after
+            raw, optimized = _sections(out.explain())
         assert value == 134
+        # the raw graph is as it was built; the plan of the *next*
+        # collect is the value this one left on the root
+        assert raw == _sections(before)[0] == RAW_PLAN
+        assert optimized == "N1 held"
 
     def test_explain_restores_persist_marks(self, trips_csv):
-        """On a lazy backend the optimizer pins shared nodes; explain()
-        must roll those marks back."""
-        with Session(backend="dask"):
+        """On a lazy backend the optimizer pins shared nodes -- of the
+        plan it was handed, never of the user's graph."""
+        with Session(backend="dask") as session:
             df = lfp.read_csv(trips_csv)
             filtered = df[df.fare > 0]
             # two consumers of `filtered` => persist_shared_nodes fires
             total = filtered.passengers.sum() + filtered.fare.sum()
-            total.explain()
+            assert "[persist]" in total.explain()
             assert not filtered.node.persist
+            assert session.persisted == []
 
     def test_raw_only(self, trips_csv):
         with Session(backend="pandas"):
@@ -249,7 +254,9 @@ class TestScanGolden:
         with Session(backend="pandas"):
             out = scan_pipeline(sales_dataset)
             before = out.explain()
+            assert out.explain() == before
             value = out.collect().column("amount").to_array().sum()
-            after = out.explain()
-        assert before == after
+            raw, optimized = _sections(out.explain())
         assert value == 60
+        assert raw == _sections(before)[0] == SCAN_RAW_PLAN
+        assert optimized == "N1 held"

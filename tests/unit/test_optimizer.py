@@ -419,9 +419,9 @@ class TestPlannerBudget:
 class TestFlagToggles:
     def test_flags_disable_rules(self, taxi_csv):
         session = current_session()
-        session.flags.predicate_pushdown = False
-        session.flags.projection_pushdown = False
-        session.flags.common_subexpression = False
+        session.set_option("optimizer.predicate_pushdown", False)
+        session.set_option("optimizer.projection_pushdown", False)
+        session.set_option("optimizer.common_subexpression", False)
         df = lfp.read_csv(taxi_csv)
         df["day"] = df.passenger_count + 1
         filtered = df[df.fare_amount > 0]

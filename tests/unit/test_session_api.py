@@ -228,19 +228,6 @@ class TestOptions:
         with pytest.raises(OptionError):
             session.set_option("executor.cache", "yes")
 
-    def test_legacy_flag_names_accepted(self):
-        session = Session()
-        session.set_option("caching", False)
-        assert session.get_option("executor.cache") is False
-
-    def test_flags_view_round_trip(self):
-        session = Session()
-        session.flags.predicate_pushdown = False
-        assert session.get_option("optimizer.predicate_pushdown") is False
-        assert session.flags.predicate_pushdown is False
-        with pytest.raises(AttributeError):
-            session.flags.not_a_flag = True
-
     def test_option_context_nests_and_restores(self):
         session = Session()
         with session.option_context("optimizer.metadata", False):
@@ -261,11 +248,9 @@ class TestOptions:
                 raise ValueError("boom")
         assert session.get_option("executor.cache") is True
 
-    def test_option_context_accepts_mapping_and_kwargs(self):
+    def test_option_context_accepts_mapping(self):
         session = Session()
         with session.option_context({"executor.cache": False}):
-            assert session.get_option("executor.cache") is False
-        with session.option_context(caching=False):
             assert session.get_option("executor.cache") is False
         assert session.get_option("executor.cache") is True
 
@@ -285,12 +270,12 @@ class TestOptions:
         with pytest.raises(OptionError):
             lfp.set_option("optimizer.not_a_rule", True)
 
-    def test_facade_set_option_validates_legacy_flag_values(self):
-        """Regression: a bad value for a legacy flag name must raise,
-        not be swallowed as a foreign pandas option."""
+    def test_facade_set_option_validates_values(self):
+        """A bad value for an LaFP key must raise through the facade,
+        not be swallowed like a foreign pandas option."""
         with pytest.raises(OptionError):
-            lfp.set_option("caching", "not-a-bool")
-        lfp.set_option("caching", False)
+            lfp.set_option("executor.cache", "not-a-bool")
+        lfp.set_option("executor.cache", False)
         assert current_session().get_option("executor.cache") is False
 
     def test_facade_set_option_rejects_typoed_roots(self):
@@ -310,12 +295,13 @@ class TestOptions:
         with pytest.raises(AttributeError):
             lfp.options.optimzer  # typo'd root still errors
 
-    def test_facade_set_option_accepts_mapping_and_kwargs(self):
+    def test_facade_set_option_accepts_mapping(self):
         """set_option shares option_context's accepted call shapes."""
         lfp.set_option({"executor.cache": False})
         assert current_session().get_option("executor.cache") is False
-        lfp.set_option(caching=True)
+        lfp.set_option("executor.cache", True, "optimizer.metadata", False)
         assert current_session().get_option("executor.cache") is True
+        assert current_session().get_option("optimizer.metadata") is False
 
     def test_pandas_shorthand_and_paired_compat_calls(self):
         """pandas' bare shorthand keys and the get/set/context trio must
@@ -325,8 +311,8 @@ class TestOptions:
         with lfp.option_context("display.max_rows", 5):
             pass  # dropped, not an error
         # LaFP keys still work through the same paths
-        assert lfp.get_option("caching") is True
-        with lfp.option_context("caching", False):
+        assert lfp.get_option("executor.cache") is True
+        with lfp.option_context("executor.cache", False):
             assert lfp.get_option("executor.cache") is False
 
     def test_reset_accepts_string_backend_engine(self):
@@ -546,7 +532,7 @@ class TestCollectPersistExplain:
 
 class TestRecollect:
     """A collect of a root that still holds its result plans nothing
-    (no gate, no optimize, no snapshot): everything a collect promises
+    (no gate, no copy, no optimize): everything a collect promises
     besides planning must be exactly what it was."""
 
     @pytest.fixture
@@ -604,14 +590,22 @@ class TestRecollect:
             positive = frame[frame.x > 0]
             total = positive.y.sum()
             first = total.collect()
-            # live= asks to pin more than the root: planned as before
+            # a pin request over a root that already holds its value:
+            # nothing under it runs, so nothing is pinned or planned
             assert total.collect(live=[positive]) == first
+            assert len(planned) == 1
+            assert session.last_execution_stats.nodes_executed == 0
+            assert not positive.node.persist
+            assert session.persisted == []
+            # live= on a run that computes the live frame pins it
+            mean = positive.y.mean()
+            expected = mean.collect(live=[positive])
             assert len(planned) == 2
             assert positive.node.persist
             assert positive.node in session.persisted
             # the next collect names nothing live: handed back without
             # planning, and the pins are released after it (section 3.5)
-            assert total.collect() == first
+            assert mean.collect() == expected
             assert len(planned) == 2
             assert not positive.node.persist
             assert session.persisted == []

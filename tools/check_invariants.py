@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Six structural rules the linters cannot express, checked with nothing
+Seven structural rules the linters cannot express, checked with nothing
 but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -48,6 +48,17 @@ but the stdlib ``ast`` module:
    second leaf, and the 19 modules that told the two apart, returning.
    (The JIT's matches on the *pandas name* -- ``func.attr ==
    "read_csv"`` over program source -- are not graph ops and pass.)
+
+7. **A plan is a private copy.**  The graph the user holds is built
+   once and never rewired: a run optimizes and executes twins of it
+   (``graph/taskgraph.py::physical_plan``).  Under ``src/repro`` only
+   ``graph/`` and ``core/optimizer/`` may assign a node's ``op``,
+   ``inputs``, ``args`` or ``order_deps`` (an object initialising its
+   own ``self.`` attributes aside); ``_snapshot`` / ``_restore`` must
+   not reappear in ``core/session.py`` -- with nothing rewired there is
+   nothing to put back; and a ``"held"`` leaf is built only by the twin
+   constructor (``Node.twin``), so "this value is already computed" has
+   one spelling that every pass sees, not a ``.computed`` test per pass.
 
 Usage::
 
@@ -104,7 +115,6 @@ MUTABLE_GLOBAL_ALLOWLIST = {
     ("backends/dask_sim/frame.py", "_RECOMBINE"),
     ("core/backend_choice.py", "ORDER_SENSITIVE_OPS"),
     ("core/config.py", "_REGISTRY"),
-    ("core/config.py", "LEGACY_FLAG_KEYS"),
     ("core/lazyframe.py", "_BINOP_LABELS"),
     ("core/optimizer/common_subexpr.py", "_SHARABLE_OPS"),
     ("core/optimizer/projection.py", "_PASSTHROUGH"),
@@ -368,9 +378,96 @@ def check_one_scan_leaf(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 7: a plan is a private copy
+
+#: the wiring of a graph node: what a rewrite changes.
+_NODE_WIRING = ("op", "inputs", "args", "order_deps")
+#: where nodes are built and where plans (never the user's) are rewritten.
+_MAY_REWIRE = ("graph/", _OPTIMIZER_DIR)
+_SESSION = "core/session.py"
+_REPAIR_NAMES = ("_snapshot", "_restore")
+_HELD = "held"
+_TWIN_CONSTRUCTOR = ("graph/node.py", "twin")
+
+
+def _assigned_attributes(tree: ast.AST) -> Iterator[Tuple[ast.Attribute, ast.AST]]:
+    """(attribute target, assigned value or None) of every assignment,
+    tuple targets unpacked."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            pairs = [(node.target, node.value)]
+        else:
+            continue
+        while pairs:
+            target, value = pairs.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                values = (
+                    value.elts
+                    if isinstance(value, (ast.Tuple, ast.List))
+                    and len(value.elts) == len(target.elts)
+                    else [None] * len(target.elts)
+                )
+                pairs.extend(zip(target.elts, values))
+            elif isinstance(target, ast.Attribute):
+                yield target, value
+
+
+def _builds_held(tree: ast.AST) -> Iterator[int]:
+    """Lines that make a ``held`` node: ``x.op = "held"`` or
+    ``Node("held", ...)``."""
+    for target, value in _assigned_attributes(tree):
+        if (target.attr == "op" and isinstance(value, ast.Constant)
+                and value.value == _HELD):
+            yield target.lineno
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "Node"
+                and node.args and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value == _HELD):
+            yield node.lineno
+
+
+def check_plan_is_private(tree: ast.Module, rel: str) -> Iterator[str]:
+    if not rel.startswith(_MAY_REWIRE):
+        for target, _value in _assigned_attributes(tree):
+            own = getattr(target.value, "id", None) == "self"
+            if target.attr in _NODE_WIRING and not own:
+                yield (
+                    f"src/repro/{rel}:{target.lineno}: assigns a node's "
+                    f".{target.attr} -- only graph/ and core/optimizer/ "
+                    f"rewire nodes, and only those of a private plan "
+                    f"(graph/taskgraph.py::physical_plan)"
+                )
+    if rel == _SESSION:
+        for node in ast.walk(tree):
+            name = getattr(node, "name", None) or getattr(node, "attr", None)
+            if name in _REPAIR_NAMES:
+                yield (
+                    f"src/repro/{rel}:{node.lineno}: {name} -- a run "
+                    f"rewrites a private copy of the graph; there is "
+                    f"nothing to snapshot or restore"
+                )
+    module, constructor = _TWIN_CONSTRUCTOR
+    allowed = set()
+    if rel == module:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == constructor:
+                allowed.update(_builds_held(node))
+    for lineno in _builds_held(tree):
+        if lineno not in allowed:
+            yield (
+                f"src/repro/{rel}:{lineno}: builds a {_HELD!r} node -- "
+                f"only {module}::Node.{constructor} does, from a node "
+                f"that holds its value"
+            )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
-          check_no_sweep_cap, check_one_scan_leaf)
+          check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private)
 
 
 def run(src: Path = SRC) -> List[str]:
