@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.frame.groupby import agg_outputs
 from repro.graph.node import Node
 from repro.graph.taskgraph import topological_order
 
@@ -550,14 +551,20 @@ def _scalar_schema(node, inputs, ctx) -> NodeSchema:
     return NodeSchema.scalar()
 
 
+def _agg_dtype(func, source: Optional[str]) -> Optional[str]:
+    """Static dtype of one aggregate output (``source``: its column's)."""
+    if func in ("count", "size", "nunique"):
+        return "int64"
+    if func in ("mean", "std"):
+        return "float64"
+    return source
+
+
 @schema_rule("groupby_agg")
 def _groupby_agg_schema(node, inputs, ctx) -> NodeSchema:
-    frame = _first(inputs)
     column = node.args.get("column")
-    dtype = frame.dtype_of(column) if column else None
-    if node.args.get("func") == "count":
-        dtype = "int64"
-    return NodeSchema.series(column, dtype,
+    source = _first(inputs).dtype_of(column) if column else None
+    return NodeSchema.series(column, _agg_dtype(node.args.get("func"), source),
                              index=tuple(node.args.get("keys", ())))
 
 
@@ -565,16 +572,20 @@ def _groupby_agg_schema(node, inputs, ctx) -> NodeSchema:
 def _groupby_agg_multi_schema(node, inputs, ctx) -> NodeSchema:
     frame = _first(inputs)
     keys = list(node.args.get("keys", ()))
-    columns = _columns_arg(node, "columns")
-    if columns is None:
-        spec = node.args.get("spec")
-        columns = list(spec) if isinstance(spec, dict) else None
-    if columns is None:
+    spec = node.args.get("spec")
+    if not isinstance(spec, dict):
         return NodeSchema.unknown(FRAME)
-    dtypes = {k: v for k, v in frame.dtypes if k in set(columns) | set(keys)}
+    triples = agg_outputs(spec)
+    labels = [label for _column, _func, label in triples]
+    dtypes = {k: v for k, v in frame.dtypes if k in set(keys)}
+    for column, func, label in triples:
+        dtype = _agg_dtype(func, frame.dtype_of(column))
+        if dtype:
+            dtypes[label] = dtype
     if node.args.get("as_index", True):
-        return NodeSchema.frame(columns, dtypes, index=tuple(keys))
-    return NodeSchema.frame(keys + [c for c in columns if c not in keys],
+        return NodeSchema.frame(labels, dtypes, index=tuple(keys))
+    # a label that names a key overwrites that key column in place
+    return NodeSchema.frame(keys + [c for c in labels if c not in keys],
                             dtypes)
 
 

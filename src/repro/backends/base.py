@@ -99,7 +99,8 @@ class Backend:
         return frame
 
     def adopt_cached(self, value):
-        """Wrap a deserialized cache-hit value (``from_cached`` nodes).
+        """Wrap an eager *computed* value: a deserialized cache hit
+        (``from_cached`` nodes) or a pandas-fallback result.
 
         Must round-trip exactly: ``materialize(adopt_cached(v))`` has to
         reproduce ``v`` bit-for-bit, *index and name included* -- unlike
@@ -131,7 +132,8 @@ class Backend:
         eager_inputs = [self.materialize(v) for v in inputs]
         result = apply_generic(PandasBackend(), node, eager_inputs)
         if _is_framelike(result):
-            return self.from_pandas(result)
+            # a computed result, not a source: its index and name stay
+            return self.adopt_cached(result)
         return result
 
     # -- materialization -------------------------------------------------------

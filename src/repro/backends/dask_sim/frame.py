@@ -14,7 +14,7 @@ matching the Dask limitations section 5.1 reports working around.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -29,6 +29,12 @@ from repro.backends.dask_sim.expr import (
     tree_expr,
 )
 from repro.frame import DataFrame, Series
+from repro.frame.groupby import (
+    GroupBy,
+    combine_partials,
+    decompose,
+    partial_aggregate,
+)
 
 
 class DaskCollection:
@@ -592,231 +598,29 @@ class DaskDatetimeAccessor:
         return DaskSeries(expr, self._series.evaluator, name=self._series.name)
 
 
-class DaskGroupBy:
-    """Grouped lazy frame; aggregations tree-reduce across partitions."""
+class DaskGroupBy(GroupBy):
+    """Grouped lazy frame: an aggregation tree-reduces across partitions
+    -- :func:`~repro.frame.groupby.partial_aggregate` per partition, one
+    :func:`~repro.frame.groupby.combine_partials` -- so memory stays
+    bounded by the number of groups, not the number of rows.  A holistic
+    function has no partials and is refused (the pandas fallback)."""
 
-    def __init__(self, frame: DaskFrame, keys: List[str], as_index: bool = True):
-        self._frame = frame
-        self._keys = keys
-        self._as_index = as_index
-
-    def __getitem__(self, column: Union[str, List[str]]):
-        if isinstance(column, str):
-            return DaskSeriesGroupBy(self._frame, self._keys, column)
-        return DaskFrameGroupBy(self._frame, self._keys, list(column))
-
-    def size(self) -> Series:
-        keys = self._keys
-
-        def _map(part: DataFrame) -> DataFrame:
-            tmp = part[keys].with_column("__one__", 1)
-            return tmp.groupby(keys, as_index=False).agg({"__one__": "sum"})
-
-        def _combine(combined: DataFrame) -> Series:
-            return combined.groupby(keys)["__one__"].sum().rename("size")
-
-        expr = tree_expr(self._frame.expr, _map, _combine, "groupby.size")
-        return self._frame.evaluator._guarded(
-            self._frame.evaluator.eval_partition, expr, 0
+    def aggregate(self, triples, series=None):
+        plan = decompose(triples)
+        if plan is None:
+            raise BackendUnsupported("holistic groupby aggregate on Dask")
+        pairs, outputs = plan
+        keys, as_index = self._keys, self._as_index
+        expr = tree_expr(
+            self._frame.expr,
+            lambda part: partial_aggregate(part, keys, pairs),
+            lambda stacked: combine_partials(
+                stacked, keys, outputs, as_index=as_index, series=series
+            ),
+            "groupby.agg",
         )
-
-    def agg(self, spec: dict) -> DataFrame:
-        return groupby_agg_tree(
-            self._frame, self._keys, spec, as_index=self._as_index
-        )
-
-
-class DaskSeriesGroupBy:
-    """``df.groupby(keys)[col]`` on the Dask simulator."""
-
-    def __init__(self, frame: DaskFrame, keys: List[str], column: str):
-        self._frame = frame
-        self._keys = keys
-        self._column = column
-
-    def _agg(self, func: str) -> Series:
-        result = groupby_agg_tree(
-            self._frame, self._keys, {self._column: func}, as_index=True
-        )
-        return result[self._column] if hasattr(result, "columns") else result
-
-    def sum(self) -> Series:
-        return self._agg("sum")
-
-    def mean(self) -> Series:
-        return self._agg("mean")
-
-    def count(self) -> Series:
-        return self._agg("count")
-
-    def min(self) -> Series:
-        return self._agg("min")
-
-    def max(self) -> Series:
-        return self._agg("max")
-
-    def agg(self, func: str) -> Series:
-        return self._agg(func)
-
-
-class DaskFrameGroupBy:
-    """``df.groupby(keys)[[c1, c2]]`` on the Dask simulator."""
-
-    def __init__(self, frame: DaskFrame, keys: List[str], columns: List[str]):
-        self._frame = frame
-        self._keys = keys
-        self._columns = columns
-
-    def _agg_all(self, func: str) -> DataFrame:
-        return groupby_agg_tree(
-            self._frame, self._keys, {c: func for c in self._columns}, as_index=True
-        )
-
-    def sum(self) -> DataFrame:
-        return self._agg_all("sum")
-
-    def mean(self) -> DataFrame:
-        return self._agg_all("mean")
-
-    def count(self) -> DataFrame:
-        return self._agg_all("count")
-
-    def min(self) -> DataFrame:
-        return self._agg_all("min")
-
-    def max(self) -> DataFrame:
-        return self._agg_all("max")
-
-    def agg(self, spec) -> DataFrame:
-        if isinstance(spec, str):
-            return self._agg_all(spec)
-        return groupby_agg_tree(self._frame, self._keys, spec, as_index=True)
-
-
-# ---------------------------------------------------------------------------
-# Tree-reduction group-by.
-# ---------------------------------------------------------------------------
-
-_PARTIAL_PLANS = {
-    "sum": (("sum",), lambda s: s["sum"]),
-    "count": (("count",), lambda s: s["count"]),
-    "size": (("size",), lambda s: s["size"]),
-    "min": (("min",), lambda s: s["min"]),
-    "max": (("max",), lambda s: s["max"]),
-    "mean": (("sum", "count"), lambda s: s["sum"] / s["count"]),
-}
-
-_RECOMBINE = {"sum": "sum", "count": "sum", "size": "sum", "min": "min", "max": "max"}
-
-
-def groupby_agg_tree(frame: DaskFrame, keys, spec: dict, as_index: bool):
-    """Partial-aggregate per partition, re-aggregate the partials.
-
-    The classic distributed group-by: memory stays bounded by the number
-    of groups, not the number of rows.  Partial columns get deterministic
-    ``{column}__{partial}`` names so the combine step can find them.
-    """
-    normalized = {}  # output label -> (column, func)
-    needed = set()   # (column, partial) pairs to compute per partition
-    for column, funcs in spec.items():
-        func_list = [funcs] if isinstance(funcs, str) else list(funcs)
-        for func in func_list:
-            if func not in _PARTIAL_PLANS:
-                raise BackendUnsupported(f"groupby agg {func!r} on Dask")
-            if column in keys and func not in ("count", "size"):
-                raise BackendUnsupported(
-                    f"aggregating group key {column!r} on Dask"
-                )
-            label = column if len(func_list) == 1 else f"{column}_{func}"
-            normalized[label] = (column, func)
-            for partial in _PARTIAL_PLANS[func][0]:
-                needed.add((column, partial))
-    ordered_needed = sorted(needed)
-
-    def _map(part: DataFrame) -> DataFrame:
-        grouped = part.groupby(keys, as_index=False)
-        key_frame = None
-        partial_values = {}
-        for column, partial in ordered_needed:
-            pname = f"{column}__{partial}"
-            if partial == "size" or (column in keys and partial == "count"):
-                # counting the key column equals the group size (NA keys
-                # are dropped by grouping); aggregating a key any other
-                # way is rejected upstream.
-                tmp = part[keys].with_column("__one__", 1)
-                agg_frame = tmp.groupby(keys, as_index=False).agg({"__one__": "sum"})
-                partial_values[pname] = agg_frame["__one__"].values
-            else:
-                agg_frame = grouped.agg({column: partial})
-                partial_values[pname] = agg_frame[column].values
-            if key_frame is None:
-                key_frame = agg_frame[keys]
-        out = key_frame
-        for pname, values in partial_values.items():
-            out = out.with_column(pname, values)
-        return out
-
-    def _combine(combined: DataFrame):
-        spec2 = {
-            f"{column}__{partial}": _RECOMBINE[partial]
-            for column, partial in ordered_needed
-        }
-        rolled = combined.groupby(keys, as_index=False).agg(spec2)
-        finalized = {}
-        for label, (column, func) in normalized.items():
-            partials, finalize = _PARTIAL_PLANS[func]
-            lookup = {p: rolled[f"{column}__{p}"] for p in partials}
-            finalized[label] = finalize(lookup)
-        from repro.frame.index import Index as _Index
-
-        if as_index:
-            if len(keys) == 1:
-                index = _Index(
-                    rolled.column(keys[0]).to_array(), name=keys[0]
-                )
-            else:
-                joined = np.array(
-                    [
-                        "|".join(map(str, row))
-                        for row in zip(*(rolled[k].values for k in keys))
-                    ],
-                    dtype=object,
-                )
-                index = _Index(joined, name="|".join(keys))
-            if len(normalized) == 1:
-                label, series = next(iter(finalized.items()))
-                return Series(series.column, index=index, name=label)
-            result = DataFrame(
-                {label: s.column for label, s in finalized.items()},
-                index=index,
-            )
-            return result
-        result = rolled[keys]
-        for label, series in finalized.items():
-            if label in keys:
-                raise BackendUnsupported(
-                    f"as_index=False groupby output label {label!r} "
-                    "collides with a key column on Dask"
-                )
-            result = result.with_column(label, series)
-        return result
-
-    expr = tree_expr(frame.expr, _map, _combine, "groupby.agg")
-    return frame.evaluator._guarded(frame.evaluator.eval_partition, expr, 0)
-
-
-def _series_to_frame(series: Series, keys: List[str], value_name: str) -> DataFrame:
-    """Rebuild key columns from a grouped series' (possibly joined) index."""
-    labels = series.index.to_array()
-    if len(keys) == 1:
-        return DataFrame({keys[0]: labels, value_name: series.values})
-    parts = [str(label).split("|") for label in labels]
-    data = {
-        key: np.asarray([p[i] for p in parts], dtype=object)
-        for i, key in enumerate(keys)
-    }
-    data[value_name] = series.values
-    return DataFrame(data)
+        evaluator = self._frame.evaluator
+        return evaluator._guarded(evaluator.eval_partition, expr, 0)
 
 
 def _merged_columns(left_cols, right_cols, kwargs) -> Optional[List[str]]:

@@ -2,22 +2,28 @@
 
 A :class:`ModinFrame` is a list of eager :class:`repro.frame.DataFrame`
 row partitions.  Operations execute immediately, partition-parallel on a
-thread pool.  Aggregations use the same partial/combine strategy as the
-Dask simulator but run eagerly.  There is no spilling: all partitions are
-memory-resident, so the simulated budget binds exactly as it does for
-pandas (Figure 12's middle column).
+thread pool.  Group-by aggregations run the one partial/combine plan of
+:mod:`repro.frame.groupby`, eagerly.  There is no spilling: all
+partitions are memory-resident, so the simulated budget binds exactly as
+it does for pandas (Figure 12's middle column).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.backends.base import BackendUnsupported
 from repro.frame import DataFrame, Series, concat
+from repro.frame.groupby import (
+    GroupBy,
+    combine_partials,
+    decompose,
+    partial_aggregate,
+)
 from repro.frame.io_csv import read_csv, scan_partitions
 
 _POOL = ThreadPoolExecutor(
@@ -515,169 +521,31 @@ class ModinDatetimeAccessor:
         return self._series._map(lambda p: getattr(p.dt, field))
 
 
-class ModinGroupBy:
+class ModinGroupBy(GroupBy):
     """Eager partial/combine group-by.
 
     Aggregates each partition independently, concatenates the (small)
-    partials, and re-aggregates -- the same strategy the Dask simulator
-    uses, but eager.  Memory stays bounded by the number of groups
-    rather than the number of rows, matching real Modin's map-reduce
-    group-by.
+    partials, and re-aggregates -- the same plan the Dask simulator
+    runs lazily.  Memory stays bounded by the number of groups rather
+    than the number of rows, matching real Modin's map-reduce group-by.
+    A holistic function has no partials: the whole frame aggregates.
     """
 
-    _RECOMBINE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
-
-    def __init__(self, frame: ModinFrame, keys: List[str], as_index: bool = True):
-        self._frame = frame
-        self._keys = keys
-        self._as_index = as_index
-
-    def __getitem__(self, column: Union[str, List[str]]):
-        if isinstance(column, str):
-            return ModinSeriesGroupBy(self, column)
-        return ModinFrameGroupBy(self, list(column))
-
-    def size(self) -> Series:
+    def aggregate(self, triples, series=None):
         keys = self._keys
+        plan = decompose(triples)
+        if plan is None:
+            whole = self._frame.to_pandas().groupby(keys, self._as_index)
+            return whole.aggregate(triples, series)
+        pairs, outputs = plan
         partials = _pmap(
-            lambda p: (
-                p[keys]
-                .with_column("__one__", 1)
-                .groupby(keys, as_index=False)
-                .agg({"__one__": "sum"})
-            ),
+            lambda part: partial_aggregate(part, keys, pairs),
             self._frame.partitions,
         )
-        combined = concat(partials)
-        return combined.groupby(keys)["__one__"].sum().rename("size")
-
-    def agg(self, spec: dict):
-        """Two-phase aggregation; mean decomposes into sum + count."""
-        needed = set()
-        normalized = {}
-        for column, funcs in spec.items():
-            func_list = [funcs] if isinstance(funcs, str) else list(funcs)
-            for func in func_list:
-                label = column if len(func_list) == 1 else f"{column}_{func}"
-                normalized[label] = (column, func)
-                partial_funcs = (
-                    ("sum", "count") if func == "mean" else (func,)
-                )
-                for partial in partial_funcs:
-                    if partial in self._RECOMBINE:
-                        needed.add((column, partial))
-                    else:
-                        # Non-decomposable aggregate: whole-frame fallback.
-                        whole = self._frame.to_pandas()
-                        return whole.groupby(
-                            self._keys, as_index=self._as_index
-                        ).agg(spec)
-        ordered = sorted(needed)
-        keys = self._keys
-
-        def _partial(part: DataFrame) -> DataFrame:
-            grouped = part.groupby(keys, as_index=False)
-            out = None
-            for column, partial in ordered:
-                agg_frame = grouped.agg({column: partial})
-                if out is None:
-                    out = agg_frame[keys]
-                out = out.with_column(
-                    f"{column}__{partial}", agg_frame[column].values
-                )
-            return out
-
-        combined = concat(_pmap(_partial, self._frame.partitions))
-        rolled = combined.groupby(keys, as_index=False).agg(
-            {
-                f"{c}__{p}": self._RECOMBINE[p]
-                for c, p in ordered
-            }
+        return combine_partials(
+            concat(partials), keys, outputs,
+            as_index=self._as_index, series=series,
         )
-        result = rolled[keys]
-        for label, (column, func) in normalized.items():
-            if func == "mean":
-                values = (
-                    rolled[f"{column}__sum"] / rolled[f"{column}__count"]
-                )
-            else:
-                values = rolled[f"{column}__{func}"]
-            result = result.with_column(label, values)
-        if self._as_index:
-            if len(keys) == 1:
-                result = result.set_index(keys[0])
-            else:
-                joined = np.array(
-                    [
-                        "|".join(map(str, row))
-                        for row in zip(*(result[k].values for k in keys))
-                    ],
-                    dtype=object,
-                )
-                result = result.drop(columns=keys)
-                from repro.frame.index import Index as _Index
-
-                result.index = _Index(joined, name="|".join(keys))
-        return result
-
-
-class ModinSeriesGroupBy:
-    def __init__(self, parent: ModinGroupBy, column: str):
-        self._parent = parent
-        self._column = column
-
-    def _agg(self, func: str) -> Series:
-        result = self._parent.agg({self._column: func})
-        if isinstance(result, Series):
-            return result
-        return result[self._column]
-
-    def sum(self):
-        return self._agg("sum")
-
-    def mean(self):
-        return self._agg("mean")
-
-    def count(self):
-        return self._agg("count")
-
-    def min(self):
-        return self._agg("min")
-
-    def max(self):
-        return self._agg("max")
-
-    def agg(self, func: str):
-        return self._agg(func)
-
-
-class ModinFrameGroupBy:
-    def __init__(self, parent: ModinGroupBy, columns: List[str]):
-        self._parent = parent
-        self._columns = columns
-
-    def _agg_all(self, func: str):
-        return self._parent.agg({c: func for c in self._columns})
-
-    def sum(self):
-        return self._agg_all("sum")
-
-    def mean(self):
-        return self._agg_all("mean")
-
-    def count(self):
-        return self._agg_all("count")
-
-    def min(self):
-        return self._agg_all("min")
-
-    def max(self):
-        return self._agg_all("max")
-
-    def agg(self, spec):
-        if isinstance(spec, str):
-            return self._agg_all(spec)
-        return self._parent.agg(spec)
 
 
 def _resplit(frame: DataFrame, npartitions: int) -> ModinFrame:

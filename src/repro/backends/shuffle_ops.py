@@ -25,8 +25,7 @@ import numpy as np
 from repro.frame.column import Column
 from repro.frame.concat import concat_consuming
 from repro.frame.dataframe import DataFrame
-from repro.frame.groupby import GroupBy, _aggregate, partial_aggregate
-from repro.frame.series import Series
+from repro.frame.groupby import combine_partials, partial_aggregate
 from repro.io.spill import PartitionStream, ShuffleStore, spill_live_stores
 from repro.memory.manager import SimulatedMemoryError
 
@@ -280,7 +279,14 @@ def exec_partial_agg(backend, node, inputs) -> DataFrame:
 def exec_combine_agg(backend, node, inputs):
     if node.args.get("kind") == "merge":
         return backend.from_pandas(_combine_merge(backend, node, inputs))
-    return backend.from_pandas(_combine_groupby(backend, node, inputs))
+    args = node.args
+    return backend.from_pandas(combine_partials(
+        _stack_inputs(backend, inputs),
+        [str(k) for k in args["keys"]],
+        args["outputs"],
+        as_index=args.get("as_index", True),
+        series=args.get("name") if args.get("output") == "series" else None,
+    ))
 
 
 def _combine_merge(backend, node, inputs) -> DataFrame:
@@ -306,44 +312,6 @@ def _combine_merge(backend, node, inputs) -> DataFrame:
         if name not in (lpos_name, rpos_name)
     }
     return DataFrame.from_columns(cols)
-
-
-def _combine_groupby(backend, node, inputs):
-    """Re-aggregate stacked partials into the final Series / DataFrame.
-
-    Grouping the stacked partial frame reproduces the canonical group
-    order of the in-memory path (per-column rank codes are a monotone
-    transform, so lexicographic key order is frame-independent).
-    """
-    args = node.args
-    keys = [str(k) for k in args["keys"]]
-    stacked = _stack_inputs(backend, inputs)
-    gb = GroupBy(stacked, keys, as_index=False)
-    codes, _, n_groups = gb._factorize()
-    cols = {}
-    for spec in args["outputs"]:
-        if spec.get("mode") == "mean":
-            sums = _aggregate(
-                stacked.column(spec["sum"]), codes, n_groups, "sum"
-            ).astype(np.float64)
-            counts = _aggregate(
-                stacked.column(spec["count"]), codes, n_groups, "sum"
-            ).astype(np.float64)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                values = sums / counts
-        else:
-            values = _aggregate(
-                stacked.column(spec["partial"]), codes, n_groups, spec["func"]
-            )
-        cols[spec["label"]] = Column.from_values(values)
-    if args.get("output") == "series":
-        label = args["outputs"][0]["label"]
-        return Series(cols[label], index=gb._key_index(), name=args.get("name"))
-    if args.get("as_index", True):
-        return DataFrame.from_columns(cols, index=gb._key_index())
-    out = dict(gb._key_columns())
-    out.update(cols)
-    return DataFrame.from_columns(out)
 
 
 def _stack_inputs(backend, inputs) -> DataFrame:

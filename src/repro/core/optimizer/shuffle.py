@@ -14,11 +14,11 @@ Blockwise/Shuffle/broadcast lowering is the pattern, ROADMAP item 1):
   global row-position column per side); P independent bucket-pair
   ``merge`` nodes then feed one ``combine_agg`` that restores the exact
   in-memory row order from the position columns.
-- **partial aggregation** -- decomposable groupby functions (sum /
-  count / min / max / mean / size / first) aggregate per partition in a
-  ``partial_agg`` node; ``combine_agg`` re-aggregates the stacked
-  partials.  Holistic functions (nunique / std) fall back to the
-  shuffle: each key lands wholly in one bucket, so per-bucket
+- **partial aggregation** -- a groupby whose functions all decompose
+  (:func:`repro.frame.groupby.decompose` owns the table) aggregates per
+  partition in a ``partial_agg`` node; ``combine_agg`` re-aggregates the
+  stacked partials.  Holistic functions (nunique / std) fall back to
+  the shuffle: each key lands wholly in one bucket, so per-bucket
   aggregation is exact.
 
 The pass mutates the consuming node in place (a session only ever hands
@@ -33,15 +33,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.frame.groupby import agg_outputs, decompose
 from repro.graph.node import Node
 from repro.graph.taskgraph import collect_subgraph, consumer_counts
-
-#: functions whose partials re-aggregate exactly across partitions
-_DECOMPOSABLE = frozenset(
-    {"sum", "count", "min", "max", "mean", "size", "first"}
-)
-#: functions the per-bucket (holistic) path supports
-_BUCKETABLE = _DECOMPOSABLE | frozenset({"std", "nunique"})
 
 _LPOS = "__lafp_lpos__"
 _RPOS = "__lafp_rpos__"
@@ -199,36 +193,29 @@ def _lower_groupby(node: Node, counts, pinned, opts, limit: int) -> int:
     sources = {col for col, _f, _l in triples}
     if (labels | sources) & set(keys):
         return 0  # aggregating a key column: label collisions
-    funcs = {func for _c, func, _l in triples}
-    if funcs <= _DECOMPOSABLE:
-        _rewrite_partial(node, scan, keys, triples, est)
-        return 1
-    if funcs <= _BUCKETABLE:
+    plan = decompose(triples)
+    if plan is not None:
+        _rewrite_partial(node, scan, keys, *plan, est)
+    else:
         _rewrite_bucketed(node, scan, keys, triples, est, opts, limit)
-        return 1
-    return 0
+    return 1
 
 
 def _output_triples(node: Node) -> Optional[List[Tuple[str, str, str]]]:
     """(source column, func, output label) per output, in output order;
     None when the spec is not lowerable."""
     if node.op == "groupby_agg":
-        column = node.args.get("column")
-        func = node.args.get("func")
-        if not isinstance(column, str) or not isinstance(func, str):
-            return None
-        return [(column, func, column)]
-    spec = node.args.get("spec")
+        spec = {node.args.get("column"): node.args.get("func")}
+    else:
+        spec = node.args.get("spec")
     if not isinstance(spec, dict):
         return None
-    triples: List[Tuple[str, str, str]] = []
-    for name, funcs in spec.items():
-        func_list = [funcs] if isinstance(funcs, str) else list(funcs)
-        if not all(isinstance(f, str) for f in func_list):
-            return None
-        for func in func_list:
-            label = name if len(func_list) == 1 else f"{name}_{func}"
-            triples.append((name, func, label))
+    triples = agg_outputs(spec)
+    if not all(
+        isinstance(column, str) and isinstance(func, str)
+        for column, func, _label in triples
+    ):
+        return None
     return triples
 
 
@@ -242,24 +229,8 @@ def _combine_args(node: Node, keys: List[str], outputs: List[dict]) -> dict:
 
 
 def _rewrite_partial(node: Node, scan: Node, keys: List[str],
-                     triples, est: int) -> None:
+                     pairs, outputs: List[dict], est: int) -> None:
     """Decomposable path: per-partition partials, one re-aggregation."""
-    pairs: List[Tuple[str, str, str]] = []
-    outputs: List[dict] = []
-    combine_of = {"sum": "sum", "count": "sum", "size": "sum",
-                  "min": "min", "max": "max", "first": "first"}
-    for i, (column, func, label) in enumerate(triples):
-        if func == "mean":
-            sum_label, count_label = f"__lafp{i}_sum", f"__lafp{i}_count"
-            pairs.append((column, "sum", sum_label))
-            pairs.append((column, "count", count_label))
-            outputs.append({"label": label, "mode": "mean",
-                            "sum": sum_label, "count": count_label})
-        else:
-            partial = f"__lafp{i}_{func}"
-            pairs.append((column, func, partial))
-            outputs.append({"label": label, "mode": "direct",
-                            "partial": partial, "func": combine_of[func]})
     combine = _combine_args(node, keys, outputs)
     n_parts = _scan_parts(scan)
     scan.args["stream"] = True

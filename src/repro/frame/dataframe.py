@@ -155,7 +155,7 @@ class DataFrame:
                     name: col.slice(key.start, key.stop, key.step)
                     for name, col in self._columns.items()
                 },
-                index=Index(self.index.to_array()[key]),
+                index=Index(self.index.to_array()[key], name=self.index.name),
             )
         raise TypeError(f"unsupported DataFrame key: {key!r}")
 
@@ -396,6 +396,9 @@ class DataFrame:
         from repro.frame.groupby import GroupBy
 
         names = [by] if isinstance(by, str) else list(by)
+        missing = [k for k in names if k not in self._columns]
+        if missing:
+            raise KeyError(missing)
         return GroupBy(self, names, as_index=as_index)
 
     # -- rowwise apply -------------------------------------------------------------------

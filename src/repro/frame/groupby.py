@@ -9,11 +9,19 @@ Implements the split-apply-combine subset the benchmark programs use:
 Grouping factorizes the key tuple to dense codes (see
 :func:`repro.frame.dataframe._row_group_codes`) and aggregates with
 ``np.bincount`` / ``ufunc.at`` -- no Python-level loops over rows.
+
+This module also owns the *aggregate plan*: how a spec becomes output
+columns (:func:`agg_outputs`), how those split into per-partition
+partials (:func:`decompose`, :func:`partial_aggregate`) and how stacked
+partials re-aggregate (:func:`combine_partials`).  The partitioned
+backends and the shuffle lowering call these; the whole-frame
+:meth:`GroupBy.aggregate` is the reference they must reproduce.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,19 +32,75 @@ from repro.frame.series import Series
 
 _AGG_NAMES = ("sum", "mean", "count", "min", "max", "size", "std", "first", "nunique")
 
+#: one output column of an aggregation: (source column, func, label)
+Triple = Tuple[str, str, str]
+
+#: the function that re-aggregates each function's per-partition
+#: partials.  ``mean`` is the sum partial over the count partial; a
+#: function absent here (``std``, ``nunique``) is holistic.
+_COMBINE_BY = MappingProxyType({
+    "sum": "sum", "count": "sum", "size": "sum",
+    "min": "min", "max": "max", "first": "first",
+})
+
+
+def agg_outputs(spec: Dict[str, Union[str, Sequence[str]]]) -> List[Triple]:
+    """The label rule: one ``(column, func, label)`` per output column
+    of ``{column: func | [funcs]}``, in output order.  A column under
+    one function keeps its name; under several, ``{column}_{func}``."""
+    triples: List[Triple] = []
+    for column, funcs in spec.items():
+        func_list = [funcs] if isinstance(funcs, str) else list(funcs)
+        for func in func_list:
+            label = column if len(func_list) == 1 else f"{column}_{func}"
+            triples.append((column, func, label))
+    return triples
+
+
+def decompose(triples: Sequence[Triple]) -> Optional[Tuple[List[Triple], List[dict]]]:
+    """Split aggregates across partitions, or ``None`` when a function
+    is holistic.
+
+    Returns ``(pairs, outputs)``: :func:`partial_aggregate` computes
+    ``pairs`` per partition and :func:`combine_partials` folds the
+    stacked partials into ``outputs`` -- the arguments of the
+    ``partial_agg`` / ``combine_agg`` operators.  Partial labels are
+    positional (``__lafp{i}_{func}``), so they collide neither with the
+    keys nor with each other whatever the spec aggregates.
+    """
+    pairs: List[Triple] = []
+    outputs: List[dict] = []
+    for i, (column, func, label) in enumerate(triples):
+        if func == "mean":
+            sum_label, count_label = f"__lafp{i}_sum", f"__lafp{i}_count"
+            pairs.append((column, "sum", sum_label))
+            pairs.append((column, "count", count_label))
+            outputs.append({"label": label, "mode": "mean",
+                            "sum": sum_label, "count": count_label})
+        elif func in _COMBINE_BY:
+            partial = f"__lafp{i}_{func}"
+            pairs.append((column, func, partial))
+            outputs.append({"label": label, "mode": "direct",
+                            "partial": partial, "func": _COMBINE_BY[func]})
+        else:
+            return None
+    return pairs, outputs
+
 
 class GroupBy:
-    """Grouped view of a frame; aggregation methods trigger computation."""
+    """Grouped view of a frame; aggregation methods trigger computation.
 
-    def __init__(self, frame: DataFrame, keys: Sequence[str], as_index: bool = True):
-        missing = [k for k in keys if k not in frame.columns]
-        if missing:
-            raise KeyError(missing)
+    Every public aggregation reduces to :meth:`aggregate`.  The
+    partitioned backends subclass this over their own frame type and
+    override only that method (``DataFrame.groupby`` checks the keys;
+    a lazy frame's column list is only a hint).
+    """
+
+    def __init__(self, frame, keys: Sequence[str], as_index: bool = True):
         self._frame = frame
         self._keys = list(keys)
         self._as_index = as_index
         self._codes = None
-        self._uniques = None
 
     # -- factorization -----------------------------------------------------
 
@@ -81,36 +145,43 @@ class GroupBy:
         )
         return Index(labels, name="|".join(self._keys))
 
-    # -- column selection -----------------------------------------------------
+    def _wrap(self, cols: Dict[str, Column], series: Optional[str]):
+        """Per-group columns as the result: a Series named ``series``
+        (one column), else a frame indexed by the keys or -- under
+        ``as_index=False`` -- led by them as columns."""
+        if series is not None:
+            (column,) = cols.values()
+            return Series(column, index=self._key_index(), name=series)
+        if self._as_index:
+            return DataFrame.from_columns(cols, index=self._key_index())
+        out = dict(self._key_columns())
+        out.update(cols)
+        return DataFrame.from_columns(out)
+
+    # -- aggregation ---------------------------------------------------------
+
+    def aggregate(self, triples: Sequence[Triple], series: Optional[str] = None):
+        """Compute ``(column, func, label)`` outputs over the whole frame."""
+        codes, _, n_groups = self._factorize()
+        cols = {
+            label: Column.from_values(
+                _aggregate(self._frame.column(column), codes, n_groups, func)
+            )
+            for column, func, label in triples
+        }
+        return self._wrap(cols, series)
+
+    def size(self) -> Series:
+        return self.aggregate([(self._keys[0], "size", "size")], series="size")
+
+    def agg(self, spec: Dict[str, Union[str, Sequence[str]]]) -> DataFrame:
+        """Aggregate several columns at once; returns key cols + agg cols."""
+        return self.aggregate(agg_outputs(spec))
 
     def __getitem__(self, key: Union[str, List[str]]):
         if isinstance(key, str):
             return SeriesGroupBy(self, key)
         return FrameGroupBy(self, list(key))
-
-    # -- frame-level aggregations ------------------------------------------------
-
-    def size(self) -> Series:
-        codes, _, n_groups = self._factorize()
-        counts = np.bincount(codes[codes >= 0], minlength=n_groups).astype(np.int64)
-        return Series(Column(counts), index=self._key_index(), name="size")
-
-    def agg(self, spec: Dict[str, Union[str, Sequence[str]]]) -> DataFrame:
-        """Aggregate several columns at once; returns key cols + agg cols."""
-        codes, _, n_groups = self._factorize()
-        out: Dict[str, Column] = {}
-        if not self._as_index:
-            out.update(self._key_columns())
-        for name, funcs in spec.items():
-            func_list = [funcs] if isinstance(funcs, str) else list(funcs)
-            for func in func_list:
-                values = _aggregate(
-                    self._frame.column(name), codes, n_groups, func
-                )
-                label = name if len(func_list) == 1 else f"{name}_{func}"
-                out[label] = Column.from_values(values)
-        index = self._key_index() if self._as_index else None
-        return DataFrame.from_columns(out, index=index)
 
     def __getattr__(self, name: str):
         if name in _AGG_NAMES:
@@ -130,20 +201,12 @@ class SeriesGroupBy:
     """``df.groupby(keys)[col]`` -- single-column aggregation target."""
 
     def __init__(self, parent: GroupBy, column: str):
-        if column not in parent._frame.columns:
-            raise KeyError(column)
         self._parent = parent
         self._column = column
 
     def _agg(self, func: str) -> Series:
-        codes, _, n_groups = self._parent._factorize()
-        values = _aggregate(
-            self._parent._frame.column(self._column), codes, n_groups, func
-        )
-        return Series(
-            Column.from_values(values),
-            index=self._parent._key_index(),
-            name=self._column,
+        return self._parent.aggregate(
+            [(self._column, func, self._column)], series=self._column
         )
 
     def sum(self) -> Series:
@@ -209,7 +272,7 @@ class FrameGroupBy:
 
 
 def partial_aggregate(
-    frame: DataFrame, keys: Sequence[str], pairs: Sequence[Tuple[str, str, str]]
+    frame: DataFrame, keys: Sequence[str], pairs: Sequence[Triple]
 ) -> DataFrame:
     """One shuffle/partial-aggregation step: group ``frame`` by ``keys``
     and emit the key columns as data plus one labeled column per
@@ -220,13 +283,41 @@ def partial_aggregate(
     ``combine_agg``), or per shuffle bucket with the final functions
     (each group lives entirely in one bucket, so the result is exact).
     """
-    gb = GroupBy(frame, list(keys), as_index=False)
+    return GroupBy(frame, keys, as_index=False).aggregate(pairs)
+
+
+def combine_partials(
+    stacked: DataFrame,
+    keys: Sequence[str],
+    outputs: Sequence[dict],
+    as_index: bool = True,
+    series: Optional[str] = None,
+):
+    """Re-aggregate stacked partials into the final Series / DataFrame.
+
+    Grouping the stacked partial frame reproduces the canonical group
+    order of the in-memory path (per-column rank codes are a monotone
+    transform, so lexicographic key order is frame-independent).
+    """
+    gb = GroupBy(stacked, keys, as_index=as_index)
     codes, _, n_groups = gb._factorize()
-    out: Dict[str, Column] = dict(gb._key_columns())
-    for column, func, label in pairs:
-        values = _aggregate(frame.column(column), codes, n_groups, func)
-        out[label] = Column.from_values(values)
-    return DataFrame.from_columns(out)
+    cols = {}
+    for spec in outputs:
+        if spec.get("mode") == "mean":
+            sums = _aggregate(
+                stacked.column(spec["sum"]), codes, n_groups, "sum"
+            ).astype(np.float64)
+            counts = _aggregate(
+                stacked.column(spec["count"]), codes, n_groups, "sum"
+            ).astype(np.float64)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                values = sums / counts
+        else:
+            values = _aggregate(
+                stacked.column(spec["partial"]), codes, n_groups, spec["func"]
+            )
+        cols[spec["label"]] = Column.from_values(values)
+    return gb._wrap(cols, series)
 
 
 def _aggregate(column: Column, codes: np.ndarray, n_groups: int, func: str) -> np.ndarray:

@@ -215,7 +215,7 @@ class Series:
         if isinstance(key, slice):
             return Series(
                 self._column.slice(key.start, key.stop, key.step),
-                index=Index(self.index.to_array()[key]),
+                index=Index(self.index.to_array()[key], name=self.index.name),
                 name=self.name,
             )
         if isinstance(key, (int, np.integer)):

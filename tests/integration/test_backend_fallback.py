@@ -69,6 +69,29 @@ class TestDaskFallbacks:
         assert int(total) == int(expected)
 
 
+class TestFallbackKeepsTheResultIndex:
+    @pytest.mark.parametrize("backend", ["dask", "modin"])
+    def test_holistic_aggregate_keeps_its_group_keys(self, backend, taxi_csv):
+        """A pandas-fallback result is a computed value, not a source:
+        it is adopted whole (``adopt_cached``).  ``from_pandas`` re-split
+        it by position on Dask, so the group keys came back as 0..n-1."""
+        from repro.core.session import Session
+
+        eager = read_csv(taxi_csv).groupby(["vendor"]).agg(
+            {"fare_amount": "std", "passenger_count": "nunique"})
+        with Session(backend=backend):
+            df = lfp.read_csv(taxi_csv)
+            out = df.groupby(["vendor"]).agg(
+                {"fare_amount": "std", "passenger_count": "nunique"})
+            doubled = (out["passenger_count"] * 2).collect()
+            got = out.collect()
+        assert got.index.name == "vendor"
+        assert got.index.to_array().tolist() == eager.index.to_array().tolist()
+        assert got["fare_amount"].to_list() == eager["fare_amount"].to_list()
+        assert doubled.index.to_array().tolist() == eager.index.to_array().tolist()
+        assert doubled.to_list() == (eager["passenger_count"] * 2).to_list()
+
+
 class TestModinPath:
     def test_full_pipeline_on_modin(self, taxi_csv):
         lfp.BACKEND_ENGINE = lfp.BackendEngines.MODIN

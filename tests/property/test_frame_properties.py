@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.frame import DataFrame, Series, concat, merge
 
+from test_strategy_equivalence import _equal
+
 # -- strategies -------------------------------------------------------------
 
 ints = st.integers(min_value=-10_000, max_value=10_000)
@@ -127,6 +129,76 @@ def test_groupby_mean_bounded_by_min_max(data):
     maxs = frame.groupby("s")["f"].max()
     for lo, mid, hi in zip(mins.values, means.values, maxs.values):
         assert lo - 1e-9 <= mid <= hi + 1e-9
+
+
+# -- one aggregate plan: partials + combine == the whole frame ------------------------
+
+_DECOMPOSABLE = ["sum", "count", "min", "max", "mean", "size", "first"]
+#: quarters: a float sum is exact, so it is the same in any order
+_quarters = st.one_of(
+    st.integers(min_value=-4000, max_value=4000).map(lambda i: i / 4),
+    st.just(float("nan")),
+)
+
+
+@st.composite
+def partitioned_aggregations(draw):
+    """(table, partition bounds, keys, as_index, triples, series name)."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    col = lambda elems: draw(st.lists(elems, min_size=n, max_size=n))
+    data = {
+        "k": col(st.integers(min_value=0, max_value=4)),
+        "s": col(st.sampled_from(["a", "b", "c", None])),
+        "i": col(ints),
+        "f": col(_quarters),
+        "w": col(words),
+    }
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    bounds = list(zip([0] + cuts, cuts + [n]))  # empty partitions included
+    keys = draw(st.lists(st.sampled_from(["k", "s"]), min_size=1,
+                         max_size=2, unique=True))
+    shape = draw(st.sampled_from(["frame", "series", "size"]))
+    if shape == "size":
+        return data, bounds, keys, True, [(keys[0], "size", "size")], "size"
+    numeric = st.sampled_from(_DECOMPOSABLE)
+    funcs = {"i": numeric, "f": numeric, "k": numeric,
+             "w": st.sampled_from(["count", "size", "first"])}
+    if shape == "series":
+        column = draw(st.sampled_from(sorted(funcs)))
+        return (data, bounds, keys, True,
+                [(column, draw(funcs[column]), column)], column)
+    from repro.frame.groupby import agg_outputs
+
+    spec = {
+        column: draw(st.one_of(
+            funcs[column],
+            st.lists(funcs[column], min_size=1, max_size=3, unique=True),
+        ))
+        for column in draw(st.lists(st.sampled_from(sorted(funcs)),
+                                    min_size=1, max_size=4, unique=True))
+    }
+    return data, bounds, keys, draw(st.booleans()), agg_outputs(spec), None
+
+
+@given(partitioned_aggregations())
+@settings(max_examples=150, deadline=None)
+def test_partials_combine_to_the_whole_frame_aggregate(case):
+    """For every spec ``decompose`` accepts and every split of the rows:
+    ``combine_partials(concat(partial_aggregate(p) for p in parts))`` is
+    the eager ``GroupBy`` result, bit for bit."""
+    from repro.frame.groupby import (
+        GroupBy, combine_partials, decompose, partial_aggregate,
+    )
+
+    data, bounds, keys, as_index, triples, series = case
+    frame = DataFrame(data)
+    whole = GroupBy(frame, keys, as_index=as_index).aggregate(triples, series)
+    pairs, outputs = decompose(triples)
+    partials = [partial_aggregate(frame[lo:hi], keys, pairs)
+                for lo, hi in bounds]
+    combined = combine_partials(concat(partials), keys, outputs,
+                                as_index=as_index, series=series)
+    assert _equal(combined, whole), (combined, whole)
 
 
 # -- merge -----------------------------------------------------------------------------

@@ -69,6 +69,12 @@ def right_tables(draw):
 # -- plan generation --------------------------------------------------------
 
 
+#: integer inputs keep every one of these exact; ``std`` / ``nunique``
+#: are holistic (the bucketed lowering, the Dask fallback)
+_AGG_FUNCS = ["sum", "mean", "count", "min", "max", "size", "first",
+              "std", "nunique"]
+
+
 @st.composite
 def plans(draw, force_wide=False):
     """A random plan as data: (transform steps, terminal step).
@@ -114,11 +120,12 @@ def plans(draw, force_wide=False):
     if int_cols:
         terminals.append("sum")
     if "k" in live and int_cols != ["k"]:
-        terminals.append("groupby")
+        terminals += ["groupby", "groupby_spec"]
     if "k" in live:
         terminals.append("merge")
     if force_wide:
-        terminals = [t for t in terminals if t in ("groupby", "merge")]
+        terminals = [t for t in terminals
+                     if t in ("groupby", "groupby_spec", "merge")]
         if not terminals:
             terminals = ["frame"]
     terminal = draw(st.sampled_from(terminals))
@@ -130,6 +137,18 @@ def plans(draw, force_wide=False):
             draw(st.sampled_from([c for c in int_cols if c != "k"])),
             draw(st.sampled_from(["sum", "mean", "count"])),
         )
+    elif terminal == "groupby_spec":
+        # the forms the programs use (``programs.py``: ``.agg({"pm25":
+        # "mean", "pm10": "max"})``): a dict spec, one function or a
+        # list per column, ``as_index`` either way, or ``size()``
+        funcs = st.sampled_from(_AGG_FUNCS)
+        spec = draw(st.one_of(st.none(), st.dictionaries(
+            st.sampled_from(int_cols),  # the key column included
+            st.one_of(funcs, st.lists(funcs, min_size=1, max_size=3,
+                                      unique=True)),
+            min_size=1,
+        )))
+        terminal = ("groupby_spec", spec, draw(st.booleans()))
     else:
         terminal = (terminal,)
     return steps, terminal
@@ -189,6 +208,10 @@ def _build(plan, fmt, left_path, right_path, partition_bytes=512):
         return frame[terminal[1]].sum()
     if terminal[0] == "groupby":
         return frame.groupby(["k"])[terminal[1]].agg(terminal[2])
+    if terminal[0] == "groupby_spec":
+        _, spec, as_index = terminal
+        grouped = frame.groupby(["k"], as_index=as_index)
+        return grouped.size() if spec is None else grouped.agg(spec)
     if terminal[0] == "merge":
         right = _scan(fmt, right_path, 256)
         return frame.merge(right, on="k", how="inner")
@@ -223,7 +246,15 @@ def _equal(a, b) -> bool:
             return False
         return _columns_equal(a.column, b.column)
     if type(a).__name__ == "DataFrame":
+        if type(b).__name__ != "DataFrame":
+            return False
         if list(a.columns) != list(b.columns) or len(a) != len(b):
+            return False
+        # a named index is data (the group keys); bare row labels are
+        # not compared: a filter folded into the scan renumbers them
+        if a.index.name != b.index.name or a.index.name is not None and (
+            not np.array_equal(a.index.to_array(), b.index.to_array())
+        ):
             return False
         return all(_columns_equal(a.column(c), b.column(c)) for c in a.columns)
     if isinstance(a, float) and isinstance(b, float):
@@ -236,7 +267,11 @@ def _equal(a, b) -> bool:
 
 def _collect_grid(plan, fmt, left, right, options, tmp_dir):
     """Collect the plan on every (backend, strategy) pair; every
-    strategy must match its backend's serial result bit-for-bit."""
+    strategy must match its backend's serial result bit-for-bit.  A
+    group-by is also the same on every backend (one aggregate plan); a
+    merge is not yet -- the Dask sim's broadcast flip reorders columns."""
+    across_backends = plan[1][0] in ("groupby", "groupby_spec")
+    reference = None
     for backend in BACKENDS:
         baseline = None
         ordered = ["serial"] + [s for s in STRATEGIES if s != "serial"]
@@ -249,6 +284,13 @@ def _collect_grid(plan, fmt, left, right, options, tmp_dir):
                 result = out.collect()
             if strategy == "serial":
                 baseline = result
+                if reference is None:
+                    reference = baseline
+                assert not across_backends or _equal(baseline, reference), (
+                    f"backend {backend!r} diverged from {BACKENDS[0]!r} "
+                    f"with options {options}.\nplan: {plan}\n"
+                    f"{baseline}\n{reference}"
+                )
             elif not _equal(result, baseline):
                 with Session(backend=backend, options=opts):
                     text = _build(plan, fmt, left, right).explain()

@@ -1,9 +1,13 @@
 """Unit tests for groupby, merge, sorting, dedup, and concat."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.frame import DataFrame, concat, merge
+import repro.lazyfatpandas.pandas as lfp
+from repro.core.session import Session
+from repro.frame import DataFrame, Series, concat, merge
 
 
 def sales():
@@ -101,6 +105,144 @@ class TestGroupBy:
     def test_frame_groupby_multi_columns(self):
         out = sales().groupby("region")[["units", "price"]].sum()
         assert out.columns == ["units", "price"]
+
+
+# -- one aggregate plan: every backend against the eager GroupBy -------------
+
+_NAN = float("nan")
+
+
+def _agg_table():
+    """Twelve rows; group ``k == 4`` has no valid ``v`` at all.  Floats
+    are quarters, so a sum is exact in whatever order it is taken."""
+    return {
+        "k": [1, 4, 1, 4, 1, 2, 1, 2, 4, 1, 2, 1],
+        "c": ["x", "y", "x", "x", "y", "y", "x", "x", "y", "x", "y", "x"],
+        "n": [1.5, _NAN, 1.5, 2.0, _NAN, 2.0, 0.5, 0.5, 1.5, _NAN, 2.0, 1.5],
+        "s": ["b", None, "a", "b", "a", None, "a", "b", "b", "a", None, "b"],
+        "v": [0.25, _NAN, 1.5, _NAN, 2.0, 4.75, _NAN, 0.5, _NAN, 8.0, 1.25, 3.0],
+        "i": [3, -1, 4, 1, -5, 9, 2, 6, 5, 3, 5, 8],
+        "j": ["p", "q", "p", "r", "q", "q", "r", "p", "p", "q", "r", "r"],
+    }
+
+
+def _categorical(df):
+    df["c"] = df["c"].astype("category")
+    return df
+
+
+#: name -> the same pandas program over an eager or a lazy frame
+_AGG_CASES = {
+    "single_output_spec": lambda df: df.groupby(["k"]).agg({"v": "sum"}),
+    "multi_function_spec": lambda df: df.groupby(["k"]).agg(
+        {"v": ["sum", "mean"], "i": ["min", "max", "count"], "j": "count"}),
+    "column_list_func": lambda df: df.groupby(["k"])[["v", "i"]].sum(),
+    "column_func": lambda df: df.groupby(["k"])["i"].max(),
+    "size": lambda df: df.groupby(["k"]).size(),
+    "as_index_false": lambda df: df.groupby(["k"], as_index=False).agg(
+        {"v": ["sum", "mean"], "i": "min"}),
+    "two_keys_one_categorical": lambda df: _categorical(df).groupby(
+        ["k", "c"]).agg({"i": "sum", "v": "max"}),
+    "two_keys_as_columns": lambda df: _categorical(df).groupby(
+        ["c", "k"], as_index=False).agg({"i": ["sum", "count"]}),
+    "na_float_key": lambda df: df.groupby(["n"]).agg({"i": "sum"}),
+    "na_string_key": lambda df: df.groupby(["s"])["i"].sum(),
+    "na_keys_size": lambda df: df.groupby(["s", "n"]).size(),
+    "all_na_group_mean": lambda df: df.groupby(["k"])["v"].mean(),
+    "all_na_group_min": lambda df: df.groupby(["k"]).agg({"v": ["min", "count"]}),
+    "key_column_count": lambda df: df.groupby(["k"]).agg({"k": "count"}),
+    "key_column_count_as_columns": lambda df: df.groupby(
+        ["k"], as_index=False).agg({"k": "count", "i": "sum"}),
+    "holistic_std": lambda df: df.groupby(["k"]).agg({"i": "std", "v": "sum"}),
+    "holistic_nunique": lambda df: df.groupby(["k"])["j"].agg("nunique"),
+    "holistic_first": lambda df: df.groupby(["k"]).agg({"j": "first"}),
+}
+
+
+def _assert_same_column(got, want, what):
+    assert got.dtype == want.dtype, f"{what}: dtype {got.dtype} != {want.dtype}"
+    a, b = got.to_array(), want.to_array()
+    assert a.dtype == b.dtype, what
+    if a.dtype.kind == "f":
+        same = (a == b) | ((a != a) & (b != b))
+    else:
+        same = np.array([x == y or (x is None and y is None)
+                         for x, y in zip(a, b)], dtype=bool)
+    assert len(a) == len(b) and same.all(), f"{what}: {a} != {b}"
+
+
+def _assert_same_result(got, want):
+    assert type(got) is type(want)
+    assert got.index.name == want.index.name
+    assert got.index.to_array().tolist() == want.index.to_array().tolist()
+    if isinstance(want, Series):
+        assert got.name == want.name
+        _assert_same_column(got.column, want.column, got.name)
+        return
+    assert got.columns == want.columns
+    for name in want.columns:
+        _assert_same_column(got.column(name), want.column(name), name)
+
+
+class TestOneAggregatePlan:
+    """``frame/groupby.py`` owns the spec -> labels rule and the
+    partial/combine decomposition; each backend must return exactly what
+    the eager whole-frame ``GroupBy`` returns -- type, columns, dtypes,
+    index and values -- with no warning leaked on the way."""
+
+    @pytest.mark.parametrize("case", sorted(_AGG_CASES))
+    @pytest.mark.parametrize("backend", ["pandas", "modin", "dask"])
+    def test_backend_matches_eager_groupby(self, backend, case):
+        program = _AGG_CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = program(DataFrame(_agg_table()))
+            with Session(backend=backend) as session:
+                if backend == "modin":
+                    # several partitions out of twelve rows
+                    session.backend.partition_bytes = 400
+                got = program(lfp.DataFrame(_agg_table())).collect()
+        _assert_same_result(got, want)
+
+    def test_strict_analysis_knows_the_output_labels(self):
+        """The schema rule used to list the *source* columns, so a valid
+        program failed LFP001 on ``v_sum`` under ``analysis.level=strict``
+        and warned at the default level."""
+        with Session(backend="pandas",
+                     options={"analysis.level": "strict"}) as session:
+            # arrays: a from_data leaf knows the dtypes of those
+            df = lfp.DataFrame({name: np.asarray(values) for name, values
+                                in _agg_table().items() if name in "kvj"})
+            out = df.groupby(["k"], as_index=False).agg(
+                {"v": ["sum", "mean"], "j": "nunique"})
+            assert "(no diagnostics)" in out["v_sum"].explain(diagnostics=True)
+            assert out["v_sum"].collect().to_list() == [14.75, 6.5, 0.0]
+            from repro.analysis.plan.schema import infer_schemas_for_roots
+
+            schema = infer_schemas_for_roots([out.node], session)[out.node.id]
+            assert schema.columns == ("k", "v_sum", "v_mean", "j")
+            assert schema.dtype_map() == {
+                "k": "int64", "v_sum": "float64", "v_mean": "float64",
+                "j": "int64",
+            }
+
+
+    def test_invariant_tool_rejects_a_second_aggregate_table(self):
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "tools" / "check_invariants.py"
+        spec = importlib.util.spec_from_file_location("check_invariants", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        table = ast.parse(
+            'class G:\n    _RECOMBINE = {"sum": "sum", "count": "sum", "min": "min"}'
+        )
+        for sim in ("backends/modin_sim/frame.py", "core/optimizer/shuffle.py"):
+            assert list(tool.check_one_aggregate_plan(table, sim))
+        assert not list(tool.check_one_aggregate_plan(table, "frame/groupby.py"))
+        assert tool.run() == []
 
 
 class TestMerge:

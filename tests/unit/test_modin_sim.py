@@ -137,6 +137,20 @@ class TestGroupBy:
         assert frame["sku"].nunique() == 400
 
 
+    def test_adopted_result_keeps_its_named_index(self):
+        """A cache hit or fallback result is re-split by row slices; a
+        slice used to drop the index *name*, so a warm ``from_cached``
+        group-by came back with its key index unnamed."""
+        out = DataFrame({"k": [3, 1, 3, 2] * 40, "v": list(range(160))}) \
+            .groupby(["k"]).agg({"v": "sum"})
+        backend = ModinBackend(partition_bytes=8)
+        adopted = backend.adopt_cached(out)
+        assert adopted.npartitions > 1
+        for part in adopted.partitions:
+            assert part.index.name == "k"
+        assert out["v"][0:2].index.name == "k"
+
+
 class TestMemoryBehaviour:
     def test_no_spill_means_oom_under_budget(self, make_csv):
         n = 2000

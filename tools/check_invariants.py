@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Seven structural rules the linters cannot express, checked with nothing
+Eight structural rules the linters cannot express, checked with nothing
 but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -10,7 +10,8 @@ but the stdlib ``ast`` module:
    sanctioned pattern for module-level mutable state.  Everything
    mutable at module scope that exists today is pinned in
    ``MUTABLE_GLOBAL_ALLOWLIST``; adding a new one fails this check so
-   the pattern is adopted deliberately, not by drift.
+   the pattern is adopted deliberately, not by drift.  An entry whose
+   global is gone fails too, so the list can only shrink.
 
 2. **No real-pandas shortcuts.**  The repro stack *simulates* the
    pandas surface; ``src/repro`` must never import the real thing (nor
@@ -59,6 +60,16 @@ but the stdlib ``ast`` module:
    nothing to put back; and a ``"held"`` leaf is built only by the twin
    constructor (``Node.twin``), so "this value is already computed" has
    one spelling that every pass sees, not a ``.computed`` test per pass.
+
+8. **One aggregate plan.**  How an aggregate spec becomes output
+   columns and how each function splits into per-partition partials
+   and a combine step is decided in ``frame/groupby.py``
+   (``agg_outputs`` / ``decompose`` / ``combine_partials``); the
+   partitioned backends and the shuffle lowering call it.  Under
+   ``backends/`` and ``core/`` a dict or set literal holding three or
+   more of the aggregate names ``sum`` / ``count`` / ``min`` / ``max`` /
+   ``mean`` / ``size`` / ``first`` is a second copy of that table (the
+   Dask sim's ``_PARTIAL_PLANS``, either ``_RECOMBINE``) coming back.
 
 Usage::
 
@@ -111,8 +122,6 @@ MUTABLE_GLOBAL_ALLOWLIST = {
     ("analysis/plan/schema.py", "SCHEMA_RULES"),
     ("analysis/rewrite/forced_compute.py", "_LAZY_KINDS"),
     ("backends/base.py", "_BINOPS"),
-    ("backends/dask_sim/frame.py", "_PARTIAL_PLANS"),
-    ("backends/dask_sim/frame.py", "_RECOMBINE"),
     ("core/backend_choice.py", "ORDER_SENSITIVE_OPS"),
     ("core/config.py", "_REGISTRY"),
     ("core/lazyframe.py", "_BINOP_LABELS"),
@@ -158,7 +167,8 @@ def _is_mutable_value(value: ast.expr) -> bool:
     return False
 
 
-def check_mutable_globals(tree: ast.Module, rel: str) -> Iterator[str]:
+def mutable_globals(tree: ast.Module) -> Iterator[Tuple[str, int]]:
+    """(name, line) of every module-level mutable container."""
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign):
             targets = [t for t in stmt.targets if isinstance(t, ast.Name)]
@@ -174,16 +184,27 @@ def check_mutable_globals(tree: ast.Module, rel: str) -> Iterator[str]:
         if not _is_mutable_value(value):
             continue
         for target in targets:
-            if target.id == "__all__":
-                continue
-            if (rel, target.id) in MUTABLE_GLOBAL_ALLOWLIST:
-                continue
+            if target.id != "__all__":
+                yield target.id, stmt.lineno
+
+
+def check_mutable_globals(tree: ast.Module, rel: str) -> Iterator[str]:
+    for name, lineno in mutable_globals(tree):
+        if (rel, name) not in MUTABLE_GLOBAL_ALLOWLIST:
             yield (
-                f"src/repro/{rel}:{stmt.lineno}: new module-level mutable "
-                f"global '{target.id}' -- use a registry "
+                f"src/repro/{rel}:{lineno}: new module-level mutable "
+                f"global '{name}' -- use a registry "
                 f"(see tools/check_invariants.py) or pin it in "
                 f"MUTABLE_GLOBAL_ALLOWLIST"
             )
+
+
+def check_allowlist_is_live(pinned_seen: set) -> Iterator[str]:
+    for rel, name in sorted(MUTABLE_GLOBAL_ALLOWLIST - pinned_seen):
+        yield (
+            f"tools/check_invariants.py: MUTABLE_GLOBAL_ALLOWLIST pins "
+            f"('{rel}', '{name}'), which no longer exists -- drop the entry"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +486,50 @@ def check_plan_is_private(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 8: one aggregate plan
+
+_AGGREGATE_NAMES = frozenset(
+    {"sum", "count", "min", "max", "mean", "size", "first"})
+#: where a table of them is a copy of ``frame/groupby.py``'s.
+_NO_AGGREGATE_TABLES = ("backends/", "core/")
+
+
+def check_one_aggregate_plan(tree: ast.Module, rel: str) -> Iterator[str]:
+    if not rel.startswith(_NO_AGGREGATE_TABLES):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            items = [*node.keys, *node.values]
+        elif isinstance(node, ast.Set):
+            items = node.elts
+        else:
+            continue
+        named = {
+            item.value for item in items
+            if isinstance(item, ast.Constant)
+            and item.value in _AGGREGATE_NAMES
+        }
+        if len(named) >= 3:
+            yield (
+                f"src/repro/{rel}:{node.lineno}: a table of aggregate "
+                f"functions ({', '.join(sorted(named))}) -- which "
+                f"functions decompose and how their partials recombine "
+                f"is frame/groupby.py's decision (decompose / "
+                f"combine_partials); call it instead of copying it"
+            )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
-          check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private)
+          check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
+          check_one_aggregate_plan)
 
 
 def run(src: Path = SRC) -> List[str]:
     failures: List[str] = []
     loop_importers: dict = {}
+    pinned_seen: set = set()
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
         try:
@@ -482,10 +539,12 @@ def run(src: Path = SRC) -> List[str]:
             continue
         for check in CHECKS:
             failures.extend(check(tree, rel))
+        pinned_seen.update((rel, name) for name, _ in mutable_globals(tree))
         if rel.startswith(_SCHEDULER_DIR):
             for name in ready_loop_imports(tree):
                 loop_importers.setdefault(name, set()).add(rel)
     failures.extend(check_one_ready_loop(loop_importers))
+    failures.extend(check_allowlist_is_live(pinned_seen))
     return failures
 
 
