@@ -30,6 +30,35 @@ from repro.frame.dtypes import (
 NA_CODE = -1
 
 
+def value_codes(values: np.ndarray):
+    """``(codes, n)``: ``values`` as int64 codes below ``n``, equal
+    exactly where the values are -- or ``None`` when equality is not the
+    dtype's: an object array that holds anything but ``str`` / ``None``
+    compares by its elements' own ``__eq__`` / ``__hash__``, which only
+    hashing them asks.  NaN / NaT get a code like any value; a caller
+    to whom they equal nothing masks them.
+
+    Numbers sort (``np.unique``); strings go through a dict in order of
+    first appearance, because sorting ``str`` objects costs more than
+    the per-row loops this replaces -- here only the distinct cells
+    meet a Python-level loop."""
+    if values.dtype.kind in "iubfM":
+        uniques, codes = np.unique(values, return_inverse=True)
+        return codes.astype(np.int64, copy=False), len(uniques)
+    if values.dtype.kind != "O":
+        return None
+    cells = values.tolist()
+    if not set(map(type, cells)) <= {str, type(None)}:
+        return None
+    table = dict.fromkeys(cells)
+    for code, cell in enumerate(table):
+        table[cell] = code
+    codes = np.fromiter(
+        map(table.__getitem__, cells), dtype=np.int64, count=len(cells)
+    )
+    return codes, len(table)
+
+
 class _HeapStore:
     """Shared heap payload (string bodies / category dictionaries).
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.frame.column import Column
+from repro.frame.column import Column, value_codes
 from repro.frame.dataframe import DataFrame, _row_group_codes
 from repro.frame.index import Index
 from repro.frame.series import Series
@@ -335,16 +335,15 @@ def _aggregate(column: Column, codes: np.ndarray, n_groups: int, func: str) -> n
 
     if func == "nunique":
         values = column.to_array() if column.is_category else column.values
-        out = np.zeros(n_groups, dtype=np.int64)
-        seen: dict = {}
-        for code, value, na in zip(codes, values, isna):
-            if na:
-                continue
-            bucket = seen.setdefault(int(code), set())
-            bucket.add(value)
-        for code, bucket in seen.items():
-            out[code] = len(bucket)
-        return out
+        valid = ~isna
+        codes, values = codes[valid], values[valid]
+        coded = value_codes(values)
+        if coded is None:
+            return _nunique_by_set(codes, values, n_groups)
+        # one entry per distinct (group, value) pair, counted per group
+        of_value, n_values = coded
+        pairs = np.unique(codes * n_values + of_value)
+        return np.bincount(pairs // n_values, minlength=n_groups).astype(np.int64)
 
     if func == "first":
         values = column.to_array() if column.is_category else column.values
@@ -392,6 +391,17 @@ def _aggregate(column: Column, codes: np.ndarray, n_groups: int, func: str) -> n
         var = np.where(counts > 1, np.maximum(var, 0.0), np.nan)
         return np.sqrt(var)
     raise ValueError(f"unsupported aggregate {func!r}")
+
+
+def _nunique_by_set(codes: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """The reference count: a set of values per group, row by row."""
+    out = np.zeros(n_groups, dtype=np.int64)
+    seen: dict = {}
+    for code, value in zip(codes, values):
+        seen.setdefault(int(code), set()).add(value)
+    for code, bucket in seen.items():
+        out[code] = len(bucket)
+    return out
 
 
 def _minmax(values: np.ndarray, codes: np.ndarray, n_groups: int, func: str) -> np.ndarray:

@@ -11,11 +11,26 @@
 
 The unit of parsing is a block of lines, not a row.
 :func:`read_line_blocks` returns the newline-aligned bytes of a byte
-range (a row belongs to the range that holds its first byte), each block
-is decoded once, one stdlib ``csv.reader`` (C-accelerated) runs over all
-of a read's blocks, and batches of rows are transposed into columns with
-``zip(*rows)``.  A whole-file read is the same code over the whole file.
-Type inference tries int64 -> float64 -> object per column, mirroring
+range (a row belongs to the range that holds its first byte).  A block
+is tokenized one of two ways, chosen from its bytes:
+
+- A *regular* block -- no quote, no NUL, one line terminator throughout
+  (``\n`` or ``\r\n``), a final newline, every row exactly the
+  header's number of fields -- is a byte grid (:class:`_Grid`): the
+  positions of its ``,`` and ``\n`` bytes reshaped to ``(rows, fields)``
+  give every field's offset and length without touching a cell.  Only
+  the wanted columns are then materialized: a column whose fields all
+  read ``-?[0-9]{1,18}`` is summed from its digit bytes straight into
+  int64; any other column is gathered, decoded once and split into the
+  same ``str`` cells the row reader would have produced.
+- From the first block that is not regular (or too small to repay the
+  grid's fixed cost; always under ``nrows``) the rest of the range goes
+  through one stdlib ``csv.reader`` chained over the remaining blocks
+  (terminators kept, so a quoted field may span blocks), and batches
+  of rows are transposed into columns with ``zip(*rows)``.
+
+A whole-file read is the same code over the whole file.  Type inference
+tries int64 -> float64 -> object per column over the cells, mirroring
 pandas defaults (dates stay strings unless ``parse_dates`` asks for
 them -- the paper's metadata optimization exists precisely because
 inference is this naive).
@@ -28,13 +43,20 @@ import io
 import os
 from contextlib import closing
 from itertools import chain, islice
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.frame.column import Column
 from repro.frame.dataframe import DataFrame
-from repro.frame.dtypes import CategoricalDtype, is_categorical, normalize_dtype
+from repro.frame.dtypes import (
+    STRING_OVERHEAD,
+    CategoricalDtype,
+    is_categorical,
+    normalize_dtype,
+)
 from repro.frame.series import Series
 
 #: bytes of text decoded and split at a time; bounds a read's transient
@@ -43,6 +65,15 @@ LINE_BLOCK_BYTES = 1 << 20
 
 #: rows transposed into columns at a time.
 _ROW_BATCH = 1 << 16
+
+#: a block shorter than this goes to the row reader: the grid's dozen
+#: numpy calls cost more than ``csv.reader`` over a few hundred rows.
+_GRID_MIN_BYTES = 1 << 13
+
+_COMMA, _LF, _CR, _MINUS, _ZERO = b",\n\r-0"
+#: most digits whose value always fits int64
+_MAX_DIGITS = 18
+_POW10 = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
 
 
 def read_csv(
@@ -53,9 +84,13 @@ def read_csv(
     nrows: Optional[int] = None,
     index_col: Optional[str] = None,
     byte_range: Optional[Tuple[int, int]] = None,
+    header: Optional[Sequence[str]] = None,
 ) -> DataFrame:
-    """Read a CSV file into a :class:`DataFrame`."""
-    header = read_header(path)
+    """Read a CSV file into a :class:`DataFrame`.
+
+    ``header`` is the file's column names, for a caller that has read
+    them already (a source reading its partitions)."""
+    header = read_header(path) if header is None else list(header)
     if usecols is not None:
         unknown = [c for c in usecols if c not in header]
         if unknown:
@@ -65,18 +100,31 @@ def read_csv(
         wanted = list(header)
     positions = [header.index(c) for c in wanted]
 
-    raw = _read_raw_columns(path, byte_range, positions, nrows)
+    grids, tail = _read_raw_columns(
+        path, byte_range, positions, nrows, len(header)
+    )
 
     dtype = dtype or {}
     parse_set = set(parse_dates or [])
     columns: Dict[str, Column] = {}
-    for name, values in zip(wanted, raw):
+    for name, pos, tail_cells in zip(wanted, positions, tail):
+        target = normalize_dtype(dtype[name]) if name in dtype else None
+        if name not in parse_set and (
+            target is None
+            or (not is_categorical(target) and target.kind == "i")
+        ):
+            # what int64 inference / conversion of the cells would give
+            ints = _int_column(grids, pos, tail_cells)
+            if ints is not None:
+                columns[name] = Column(ints)
+                continue
+        values, heap_nbytes = _cell_list(grids, pos, tail_cells)
         if name in parse_set:
             columns[name] = _parse_datetime(values)
-        elif name in dtype:
-            columns[name] = _convert_with_dtype(values, dtype[name])
+        elif target is not None:
+            columns[name] = _convert_with_dtype(values, target, heap_nbytes)
         else:
-            columns[name] = _infer_column(values)
+            columns[name] = _infer_column(values, heap_nbytes)
 
     frame = DataFrame.from_columns(columns)
     if index_col is not None:
@@ -86,7 +134,7 @@ def read_csv(
 
 def read_header(path: str) -> List[str]:
     """Column names from the first line."""
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         return next(csv.reader(f))
 
 
@@ -146,13 +194,146 @@ def read_line_blocks(
             yield block
 
 
+class _Grid(NamedTuple):
+    """Where the fields of one regular block are (see the module doc).
+
+    ``starts`` / ``lens`` are ``(rows, fields)`` byte offsets and byte
+    lengths into ``buf``; ``ascii`` says byte length is ``len(str)``.
+    Nothing is decoded until a column is asked for.
+    """
+
+    buf: np.ndarray
+    starts: np.ndarray
+    lens: np.ndarray
+    ascii: bool
+
+    @classmethod
+    def of(cls, block: bytes, n_fields: int) -> Optional["_Grid"]:
+        """The grid of ``block``, or ``None`` when it is not regular."""
+        if (
+            len(block) < _GRID_MIN_BYTES
+            or not block.endswith(b"\n")
+            or b'"' in block
+            or b"\0" in block
+        ):
+            return None
+        buf = np.frombuffer(block, dtype=np.uint8)
+        delims = np.flatnonzero((buf == _COMMA) | (buf == _LF))
+        if len(delims) % n_fields:
+            return None
+        delims = delims.reshape(-1, n_fields)
+        # every row reads ", , ... \n": exactly n_fields fields
+        kinds = buf[delims]
+        if (kinds[:, -1] != _LF).any() or (kinds[:, :-1] != _COMMA).any():
+            return None
+        starts = np.empty_like(delims)
+        starts[0, 0] = 0
+        starts[1:, 0] = delims[:-1, -1] + 1
+        starts[:, 1:] = delims[:, :-1] + 1
+        lens = delims - starts
+        n_cr = block.count(b"\r")
+        if n_cr:
+            # "\r\n" ends every row or the terminators are mixed (a
+            # lone "\r" is itself a line break to the row reader)
+            if n_cr != len(delims) or (buf[delims[:, -1] - 1] != _CR).any():
+                return None
+            lens[:, -1] -= 1
+        if n_fields == 1 and not lens.all():
+            return None  # a blank line, which the row reader skips
+        ascii = block.isascii()
+        if not ascii:
+            block.decode("utf-8")  # malformed text raises, wanted or not
+        return cls(buf, starts, lens, ascii)
+
+    def without_first_row(self) -> "_Grid":
+        return self._replace(starts=self.starts[1:], lens=self.lens[1:])
+
+    def ints(self, pos: int) -> Optional[np.ndarray]:
+        """Column ``pos`` as int64 when every field reads
+        ``-?[0-9]{1,18}`` (what ``int()`` parses with no surprises and
+        int64 always holds), else ``None``: digits are gathered
+        right-aligned and summed against powers of ten."""
+        starts, lens = self.starts[:, pos], self.lens[:, pos]
+        if not len(starts):
+            return np.empty(0, dtype=np.int64)
+        if not lens.all():
+            return None
+        negative = self.buf[starts] == _MINUS
+        first = starts + negative
+        ends = starts + lens
+        n_digits = ends - first
+        width = int(n_digits.max())
+        if width > _MAX_DIGITS or not n_digits.all():
+            return None
+        at = ends[:, None] - np.arange(width, 0, -1)
+        pad = at < first[:, None]
+        # uint8: a byte below "0" wraps far above 9
+        digits = self.buf[np.where(pad, first[:, None], at)] - _ZERO
+        if (digits > 9).any():
+            return None
+        digits[pad] = 0
+        value = digits.astype(np.int64) @ _POW10[-width:]
+        return np.where(negative, -value, value)
+
+    def cells(self, pos: int) -> Tuple[List[str], Optional[int]]:
+        """Column ``pos`` as the row reader's ``str`` cells, and the
+        heap bytes of the non-empty ones when the lengths tell
+        (:func:`repro.frame.dtypes.object_nbytes` without the walk).
+
+        The fields' bytes are gathered into one newline-separated run
+        -- no field holds a newline in a regular block -- decoded once
+        and split."""
+        starts, lens = self.starts[:, pos], self.lens[:, pos]
+        if not len(starts):
+            return [], 0
+        step = lens + 1
+        run_ends = np.cumsum(step)
+        shift = starts - (run_ends - step)  # source minus output offset
+        flat = self.buf[np.arange(run_ends[-1]) + np.repeat(shift, step)]
+        flat[run_ends - 1] = _LF  # each run's last byte was its delimiter
+        cells = flat.tobytes().decode("utf-8").split("\n")
+        del cells[-1]
+        if not self.ascii:
+            return cells, None
+        return cells, int(STRING_OVERHEAD * np.count_nonzero(lens) + lens.sum())
+
+
 def _read_raw_columns(
     path: str,
     byte_range: Optional[Tuple[int, int]],
     positions: List[int],
     nrows: Optional[int],
+    n_fields: int,
+) -> Tuple[List[_Grid], List[List[str]]]:
+    """The rows of the range: the grids of its leading regular blocks,
+    then -- from the first block that is not regular -- the cells at
+    ``positions`` of the remaining rows, by column."""
+    grids: List[_Grid] = []
+    skip_header = byte_range is None
+    with closing(read_line_blocks(path, byte_range)) as blocks:
+        rest: Iterable[bytes] = blocks
+        if nrows is None and n_fields:
+            rest = ()
+            for block in blocks:
+                grid = _Grid.of(block, n_fields)
+                if grid is None:
+                    rest = chain([block], blocks)
+                    break
+                if skip_header:
+                    grid, skip_header = grid.without_first_row(), False
+                grids.append(grid)
+        tail = _read_rows(path, rest, positions, nrows, skip_header)
+    return grids, tail
+
+
+def _read_rows(
+    path: str,
+    blocks: Iterable[bytes],
+    positions: List[int],
+    nrows: Optional[int],
+    skip_header: bool,
 ) -> List[List[str]]:
-    """The fields at ``positions`` of every row of the range, by column.
+    """The fields at ``positions`` of every row of ``blocks``, by column.
 
     One reader runs over the lines of all blocks (terminators kept, so a
     quoted field may hold newlines); blank lines parse to ``[]`` and are
@@ -160,28 +341,59 @@ def _read_raw_columns(
     """
     raw: List[List[str]] = [[] for _ in positions]
     need = max(positions, default=-1) + 1
-    with closing(read_line_blocks(path, byte_range)) as blocks:
-        rows = filter(None, csv.reader(chain.from_iterable(
-            io.StringIO(block.decode("utf-8"), newline="")
-            for block in blocks
-        )))
-        if byte_range is None:
-            next(rows, None)  # header
-        if nrows is not None:
-            rows = islice(rows, nrows)
-        while True:
-            batch = list(islice(rows, _ROW_BATCH))
-            if not batch:
-                break
-            if min(map(len, batch)) < need:
-                # zip() would silently cut every column to the short row
-                raise IndexError(
-                    f"{path}: a row has fewer than {need} fields"
-                )
-            fields = list(zip(*batch))
-            for out, pos in zip(raw, positions):
-                out.extend(fields[pos])
+    rows = filter(None, csv.reader(chain.from_iterable(
+        io.StringIO(block.decode("utf-8"), newline="")
+        for block in blocks
+    )))
+    if skip_header:
+        next(rows, None)
+    if nrows is not None:
+        rows = islice(rows, nrows)
+    while True:
+        batch = list(islice(rows, _ROW_BATCH))
+        if not batch:
+            break
+        if min(map(len, batch)) < need:
+            # zip() would silently cut every column to the short row
+            raise IndexError(
+                f"{path}: a row has fewer than {need} fields"
+            )
+        fields = list(zip(*batch))
+        for out, pos in zip(raw, positions):
+            out.extend(fields[pos])
     return raw
+
+
+def _int_column(
+    grids: List[_Grid], pos: int, tail_cells: List[str]
+) -> Optional[np.ndarray]:
+    """The column as int64 when the digit kernel parses all of it."""
+    if tail_cells:
+        return None
+    parts = []
+    for grid in grids:
+        part = grid.ints(pos)
+        if part is None:
+            return None
+        parts.append(part)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _cell_list(
+    grids: List[_Grid], pos: int, tail_cells: List[str]
+) -> Tuple[List[str], Optional[int]]:
+    """The column's cells, with their heap bytes when every piece of it
+    came from an ASCII grid."""
+    cells: List[str] = []
+    sizes: List[Optional[int]] = []
+    for grid in grids:
+        part, part_nbytes = grid.cells(pos)
+        cells += part
+        sizes.append(part_nbytes)
+    if tail_cells:
+        cells += tail_cells
+        sizes.append(None)
+    return cells, None if None in sizes else sum(sizes)
 
 
 def _as_float64(values: List[str]) -> np.ndarray:
@@ -191,8 +403,11 @@ def _as_float64(values: List[str]) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _infer_column(values: List[str]) -> Column:
-    """int64 -> float64 -> object inference with '' as NA."""
+def _infer_column(
+    values: List[str], heap_nbytes: Optional[int] = None
+) -> Column:
+    """int64 -> float64 -> object inference with '' as NA.
+    ``heap_nbytes``: the cells' string payload, when the caller knows."""
     has_empty = "" in values
     if not has_empty:
         try:
@@ -206,10 +421,12 @@ def _infer_column(values: List[str]) -> Column:
     obj = np.asarray(values, dtype=object)
     if has_empty:
         obj = np.where(obj == "", None, obj)
-    return Column(obj)
+    return Column(obj, heap_nbytes=heap_nbytes)
 
 
-def _convert_with_dtype(values: List[str], dtype_spec) -> Column:
+def _convert_with_dtype(
+    values: List[str], dtype_spec, heap_nbytes: Optional[int] = None
+) -> Column:
     target = normalize_dtype(dtype_spec)
     if is_categorical(target):
         arr = np.asarray(values, dtype=object)
@@ -236,7 +453,7 @@ def _convert_with_dtype(values: List[str], dtype_spec) -> Column:
         return Column(arr)
     obj = np.asarray(values, dtype=object)
     obj = np.where(obj == "", None, obj)
-    return Column(obj)
+    return Column(obj, heap_nbytes=heap_nbytes)
 
 
 def _parse_datetime(values: List[str]) -> Column:

@@ -1,11 +1,25 @@
-"""Hash-join merge.
+"""Equi-join merge.
 
 Supports ``how`` in {inner, left, right, outer} with ``on`` /
 ``left_on`` / ``right_on`` single- or multi-column keys -- the join shapes
 the benchmark programs (`mov`, `fdb`, `stu`) use.
 
-Algorithm: build a hash table on the right side's key tuples, probe with
-the left side, emit matching row-index pairs, then gather both sides.
+Algorithm: factorize both sides' key columns jointly to int64 codes
+(equal keys get equal codes; NaN and NaT keys get -1 and never match;
+several key columns combine pairwise and re-factorize, so codes stay
+below the row count), stable-argsort the right codes so each code's
+right rows are one run ``[lo, lo + hits)`` (``bincount`` / ``cumsum``
+give the runs; the codes are dense, so a left row finds its run by
+indexing, not searching), and expand the runs into row-index pairs with
+``repeat`` / ``cumsum``; then gather both sides.  Row order is the
+contract: left order, a left row's hits in right positional order, then
+-- ``right`` / ``outer`` -- the unmatched right rows ascending.
+
+Keys whose equality is not their dtype's -- the two sides differ in
+dtype (int64 and float64 match by value), or an object column holds
+anything but ``str`` / ``None`` -- are matched by the reference rule
+itself, a hash table of per-row key tuples
+(:func:`_match_rows_by_tuple`).
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.frame.column import Column
+from repro.frame.column import Column, value_codes
 from repro.frame.dataframe import DataFrame
 
 
@@ -94,21 +108,97 @@ def _resolve_keys(left, right, on, left_on, right_on) -> Tuple[List[str], List[s
     return common, common
 
 
-def _key_tuples(frame: DataFrame, keys: Sequence[str]) -> List[tuple]:
-    arrays = [frame.column(k).to_array() for k in keys]
-    return list(zip(*arrays)) if arrays else []
-
-
 def _match_rows(left, right, left_keys, right_keys, how):
     """Emit aligned row-position arrays; -1 marks a non-match (NA side)."""
+    left_arrays = [left.column(k).to_array() for k in left_keys]
+    right_arrays = [right.column(k).to_array() for k in right_keys]
+    codes = _joint_codes(left_arrays, right_arrays)
+    if codes is None:
+        return _match_rows_by_tuple(
+            left_arrays, right_arrays, len(right), how
+        )
+    left_codes, right_codes = codes
+    # the right rows of each code are one run of ``order``; slot 0 is
+    # the -1 code's, which nothing matches
+    order = np.argsort(right_codes, kind="stable")
+    run_len = np.bincount(
+        right_codes + 1, minlength=int(left_codes.max(initial=-1)) + 2
+    )
+    run_lo = np.cumsum(run_len) - run_len
+    run_len[0] = 0
+    lo = run_lo[left_codes + 1]
+    hits = run_len[left_codes + 1]
+
+    # every left row emits its hits -- or one NA-sided pair
+    emit = np.maximum(hits, 1) if how in ("left", "outer") else hits
+    left_out = np.repeat(np.arange(len(left_codes)), emit)
+    run_start = np.cumsum(emit) - emit
+    within_run = np.arange(len(left_out)) - np.repeat(run_start, emit)
+    hit = np.repeat(hits > 0, emit)
+    right_out = np.full(len(left_out), -1, dtype=np.int64)
+    right_out[hit] = order[(np.repeat(lo, emit) + within_run)[hit]]
+
+    if how in ("right", "outer"):
+        matched_right = np.zeros(len(right_codes), dtype=bool)
+        matched_right[right_out[hit]] = True
+        unmatched = np.flatnonzero(~matched_right)
+        left_out = np.concatenate(
+            [left_out, np.full(len(unmatched), -1, dtype=np.int64)]
+        )
+        right_out = np.concatenate([right_out, unmatched])
+    return left_out, right_out
+
+
+def _joint_codes(left_arrays, right_arrays):
+    """int64 codes per row of each side, equal exactly where the key
+    tuples are equal, -1 where a key is NaN/NaT (equal to nothing).
+    ``None`` when some key pair has no array form of its equality."""
+    n_left = len(left_arrays[0]) if left_arrays else 0
+    codes = None
+    for left_values, right_values in zip(left_arrays, right_arrays):
+        column = _column_codes(left_values, right_values)
+        if column is None:
+            return None
+        if codes is None:
+            codes = column
+            continue
+        # combine, then re-factorize so the next product cannot overflow
+        na = (codes < 0) | (column < 0)
+        pair = codes * (int(column.max(initial=0)) + 1) + column
+        codes = np.unique(pair, return_inverse=True)[1].astype(np.int64)
+        codes[na] = -1
+    if codes is None:
+        return None
+    return codes[:n_left], codes[n_left:]
+
+
+def _column_codes(left_values, right_values):
+    """Joint codes of one key column pair (left rows, then right rows)."""
+    if left_values.dtype != right_values.dtype:
+        return None
+    values = np.concatenate([left_values, right_values])
+    coded = value_codes(values)
+    if coded is None:
+        return None
+    codes = coded[0]
+    if values.dtype.kind == "f":
+        codes[np.isnan(values)] = -1
+    elif values.dtype.kind == "M":
+        codes[np.isnat(values)] = -1
+    return codes
+
+
+def _match_rows_by_tuple(left_arrays, right_arrays, n_right, how):
+    """The reference matcher: a hash table on the right side's key
+    tuples, probed with the left side's."""
     table: Dict[tuple, List[int]] = {}
-    for pos, key in enumerate(_key_tuples(right, right_keys)):
+    for pos, key in enumerate(zip(*right_arrays)):
         table.setdefault(key, []).append(pos)
 
     left_out: List[int] = []
     right_out: List[int] = []
-    matched_right = np.zeros(len(right), dtype=bool)
-    for pos, key in enumerate(_key_tuples(left, left_keys)):
+    matched_right = np.zeros(n_right, dtype=bool)
+    for pos, key in enumerate(zip(*left_arrays)):
         hits = table.get(key)
         if hits:
             for hit in hits:

@@ -86,12 +86,15 @@ class ExecutionStats:
     #: filesystem-layer accounting (diffed from the session's
     #: IOCounters around the run): bytes actually fetched through
     #: the byte-range layer, ranges the scheduler prefetched, scan
-    #: reads served from the prefetch cache, and transient range
-    #: failures absorbed by the retry layer.
+    #: reads served from the prefetch cache, transient range
+    #: failures absorbed by the retry layer, rows x columns the scans'
+    #: readers materialized, and spill files the shuffle stores made.
     bytes_read: int = 0
     ranges_prefetched: int = 0
     prefetch_hits: int = 0
     io_retries: int = 0
+    cells_decoded: int = 0
+    spill_files: int = 0
     #: was the memory-aware static ordering pass applied to this
     #: run's execution order (``executor.static_order``)?
     static_order: bool = False
@@ -183,13 +186,16 @@ class ExecutionStats:
             self.cache_inserted += inserted
 
     def record_io(self, bytes_read: int = 0, ranges_prefetched: int = 0,
-                  prefetch_hits: int = 0, io_retries: int = 0) -> None:
+                  prefetch_hits: int = 0, io_retries: int = 0,
+                  cells_decoded: int = 0, spill_files: int = 0) -> None:
         """Publish one run's filesystem-layer counter deltas."""
         with self._lock:
             self.bytes_read += bytes_read
             self.ranges_prefetched += ranges_prefetched
             self.prefetch_hits += prefetch_hits
             self.io_retries += io_retries
+            self.cells_decoded += cells_decoded
+            self.spill_files += spill_files
 
     def record_throttle_wait(self) -> None:
         with self._lock:
@@ -242,10 +248,13 @@ class ExecutionStats:
                 f"scan partitions read: {self.partitions_read}"
                 f"/{self.partitions_total}"
             )
+        if self.cells_decoded:
+            lines.append(f"scan cells decoded: {self.cells_decoded}")
         if self.shuffle_partitions:
             lines.append(
                 f"shuffle buckets: {self.shuffle_partitions} "
-                f"(spilled {self.bytes_spilled}B)"
+                f"(spilled {self.bytes_spilled}B"
+                f" in {self.spill_files} files)"
             )
         if self.broadcast_joins:
             lines.append(f"broadcast joins: {self.broadcast_joins}")

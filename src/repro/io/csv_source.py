@@ -93,6 +93,7 @@ class CsvSource(DataSource):
             parse_dates=self.options.get("parse_dates"),
             nrows=self.options.get("nrows"),
             byte_range=partition.byte_range,
+            header=self.schema(),
         )
         return self._finish(frame, columns, predicate)
 

@@ -123,6 +123,9 @@ class DatasetSource(DataSource):
         self._leaves: Optional[List[dict]] = None
         self._schema: Optional[List[str]] = None
         self._parts: Optional[List[Partition]] = None
+        #: csv leaf path -> its header, read once per leaf (a leaf split
+        #: into byte ranges is read many times)
+        self._leaf_headers: Dict[str, List[str]] = {}
 
     # -- layout -----------------------------------------------------------
 
@@ -142,9 +145,15 @@ class DatasetSource(DataSource):
             if first.endswith(".jsonl"):
                 leaf_cols = read_jsonl_header(first)
             else:
-                leaf_cols = read_header(first)
+                leaf_cols = self._leaf_header(first)
             self._schema = leaf_cols + self.key_columns()
         return self._schema
+
+    def _leaf_header(self, path: str) -> List[str]:
+        header = self._leaf_headers.get(path)
+        if header is None:
+            header = self._leaf_headers[path] = read_header(path)
+        return header
 
     def partitions(self) -> List[Partition]:
         if self._parts is not None:
@@ -215,6 +224,7 @@ class DatasetSource(DataSource):
                 byte_range=partition.byte_range,
                 dtype=self.options.get("dtype"),
                 parse_dates=self.options.get("parse_dates"),
+                header=self._leaf_header(partition.path),
             )
         n = len(frame)
         for name, value in keys.items():

@@ -16,7 +16,7 @@ pluggable compression-codec registry (gzip built-in), bounded
 retry-with-backoff over transient range-read failures, and per-session
 :class:`IOCounters` feeding the scheduler's ``ExecutionStats``
 (``bytes_read`` / ``ranges_prefetched`` / ``prefetch_hits`` /
-``io_retries``).
+``io_retries`` / ``cells_decoded`` / ``spill_files``).
 """
 
 from __future__ import annotations
@@ -321,14 +321,22 @@ class IOCounters:
         self.ranges_prefetched = 0
         self.prefetch_hits = 0
         self.io_retries = 0
+        #: rows x columns the scans' readers materialized (before the
+        #: predicate and the projection are applied to the frame)
+        self.cells_decoded = 0
+        #: spill files created by shuffle stores
+        self.spill_files = 0
 
     def add(self, *, bytes_read: int = 0, ranges_prefetched: int = 0,
-            prefetch_hits: int = 0, io_retries: int = 0) -> None:
+            prefetch_hits: int = 0, io_retries: int = 0,
+            cells_decoded: int = 0, spill_files: int = 0) -> None:
         with self._lock:
             self.bytes_read += bytes_read
             self.ranges_prefetched += ranges_prefetched
             self.prefetch_hits += prefetch_hits
             self.io_retries += io_retries
+            self.cells_decoded += cells_decoded
+            self.spill_files += spill_files
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
@@ -337,6 +345,8 @@ class IOCounters:
                 "ranges_prefetched": self.ranges_prefetched,
                 "prefetch_hits": self.prefetch_hits,
                 "io_retries": self.io_retries,
+                "cells_decoded": self.cells_decoded,
+                "spill_files": self.spill_files,
             }
 
 

@@ -11,17 +11,22 @@ Two pieces back the ``shuffle_write`` / ``shuffle_read`` operators (see
 - :class:`ShuffleStore` -- P hash buckets of frame chunks.  Chunks live
   in memory (their :class:`~repro.frame.column.Column` buffers charged
   to the session's ``memory.budget``) until headroom runs out, then are
-  pickled to per-chunk spill files and their buffers released.  Reading
-  a bucket back re-registers the bytes and deletes the file eagerly.
+  pickled onto the end of the store's one spill file and their buffers
+  released; the chunk stays in its bucket as an ``(offset, length)``.
+  Reading a bucket back ``pread``s its chunks (distinct buckets drain
+  from concurrent threads over the one descriptor) and re-registers
+  the bytes.  Nothing is reclaimed chunk by chunk: a file created and
+  deleted per chunk cost more than the pickling it carried.
 
-Spill files are pickles of ``(name, Column)`` pairs rather than
+A spilled chunk is the pickle of ``(name, Column)`` pairs rather than
 JSONL/CSV: ``Column.__getstate__`` round-trips values, categories, and
 dtype exactly, which the bit-identity contract of the shuffle path
 requires, and carries the chunk's string-payload byte count so reading
 a bucket back re-registers its bytes without walking the strings.  The
-spill directory is a ``tempfile.mkdtemp`` under ``memory.spill_dir``
-(or the system tmpdir) and is removed when the store is
-garbage-collected or explicitly closed.
+file lives in a ``tempfile.mkdtemp`` under ``memory.spill_dir`` (or the
+system tmpdir), created at the first spill -- a store that never spills
+touches no disk -- and both go when the store is explicitly closed or
+garbage-collected.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 from repro.frame.column import Column
 from repro.frame.concat import concat_consuming, shallow_copy
 from repro.frame.dataframe import DataFrame
+from repro.io.fs import session_io_counters
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 
@@ -68,15 +74,18 @@ def live_store_count() -> int:
 
 def _disarm_after_fork() -> None:
     # A forked child inherits every live store -- and each store's
-    # finalizer, which would rmtree the PARENT's spill directory when
-    # the child exits or collects the store.  Detach them all in the
-    # child (the parent's copies are untouched; memory is separate)
-    # and forget the stores so child-side spill pressure cannot mutate
-    # chunk lists the parent still owns on disk.
+    # finalizer, which would close the spill file and rmtree the
+    # PARENT's spill directory when the child exits or collects the
+    # store.  Detach them all in the child (the parent's copies are
+    # untouched; memory is separate), forget the descriptor without
+    # closing it -- the child's copy dies with the child -- and forget
+    # the stores so child-side spill pressure cannot append to a file
+    # whose offsets the parent owns.
     for store in list(_LIVE_STORES):
         if store._finalizer is not None:
             store._finalizer.detach()
             store._finalizer = None
+        store._fd = None
         _LIVE_STORES.discard(store)
 
 
@@ -96,6 +105,11 @@ def spill_live_stores(nbytes: int) -> int:
             break
         freed += store.spill(nbytes - freed)
     return freed
+
+
+def _remove_spill(fd: int, directory: str) -> None:
+    os.close(fd)
+    shutil.rmtree(directory, ignore_errors=True)
 
 
 class PartitionStream:
@@ -155,12 +169,15 @@ class PartitionStream:
 
 
 class _SpilledChunk:
-    """On-disk replacement for an in-memory bucket chunk."""
+    """On-disk replacement for an in-memory bucket chunk: where its
+    pickle sits in the store's spill file, and the tracked bytes it
+    had in memory."""
 
-    __slots__ = ("path", "nbytes")
+    __slots__ = ("offset", "length", "nbytes")
 
-    def __init__(self, path: str, nbytes: int) -> None:
-        self.path = path
+    def __init__(self, offset: int, length: int, nbytes: int) -> None:
+        self.offset = offset
+        self.length = length
         self.nbytes = nbytes
 
 
@@ -181,10 +198,12 @@ class ShuffleStore:
     ) -> None:
         self.n_buckets = int(n_buckets)
         self._spill_root = spill_dir
-        self._dir: Optional[str] = None
+        #: the spill file's descriptor and its length so far (appends
+        #: happen under ``_lock``; reads are positional)
+        self._fd: Optional[int] = None
+        self._file_end = 0
         self._chunks: List[List[_Chunk]] = [[] for _ in range(self.n_buckets)]
         self._template: Optional[DataFrame] = None
-        self._seq = 0
         self._lock = threading.Lock()
         self._finalizer: Optional[weakref.finalize] = None
         #: total bytes written to spill files (monotonic counter)
@@ -260,7 +279,7 @@ class ShuffleStore:
                     break
                 chunk = self._chunks[b][i]
                 assert isinstance(chunk, DataFrame)
-                self._chunks[b][i] = self._spill_chunk(b, chunk)
+                self._chunks[b][i] = self._spill_chunk(chunk)
                 freed += size
             return freed
 
@@ -268,38 +287,49 @@ class ShuffleStore:
         """Spill every in-memory chunk (out-of-memory recovery)."""
         return self.spill(1 << 62)
 
-    def _spill_chunk(self, bucket: int, frame: DataFrame) -> _SpilledChunk:
-        path = os.path.join(
-            self._ensure_dir(), f"b{bucket:04d}-{self._seq:06d}.pkl"
+    def _spill_chunk(self, frame: DataFrame) -> _SpilledChunk:
+        payload = pickle.dumps(
+            [(name, frame.column(name)) for name in frame.columns],
+            protocol=pickle.HIGHEST_PROTOCOL,
         )
-        self._seq += 1
-        payload = [(name, frame.column(name)) for name in frame.columns]
         nbytes = frame.nbytes
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        fd = self._ensure_file()
+        offset = self._file_end
+        written = 0
+        while written < len(payload):
+            written += os.pwrite(
+                fd, memoryview(payload)[written:], offset + written
+            )
+        self._file_end = offset + len(payload)
         self.bytes_spilled += nbytes
         self.spill_chunks += 1
         # dropping the frame reference releases its tracked buffers
-        return _SpilledChunk(path, nbytes)
+        return _SpilledChunk(offset, len(payload), nbytes)
 
-    def _ensure_dir(self) -> str:
-        if self._dir is None:
+    def _ensure_file(self) -> int:
+        if self._fd is None:
             root = self._spill_root
             if root is not None:
                 os.makedirs(root, exist_ok=True)
-            self._dir = tempfile.mkdtemp(prefix="lafp-shuffle-", dir=root)
-            self._finalizer = weakref.finalize(
-                self, shutil.rmtree, self._dir, True
+            directory = tempfile.mkdtemp(prefix="lafp-shuffle-", dir=root)
+            self._fd = os.open(
+                os.path.join(directory, "chunks.pkl"),
+                os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600,
             )
-        return self._dir
+            self._finalizer = weakref.finalize(
+                self, _remove_spill, self._fd, directory
+            )
+            session_io_counters().add(spill_files=1)
+        return self._fd
 
     # -- read phase ----------------------------------------------------
 
     def read_bucket(self, bucket: int) -> DataFrame:
         """Drain bucket ``bucket`` into one eager frame (consuming).
 
-        Failure-atomic: the bucket's chunks go back into the store (and
-        no spill file is deleted) if building the output raises, so a
+        Failure-atomic: the bucket's chunks go back into the store if
+        building the output raises (a spilled chunk is still where its
+        offset says), so a
         :class:`~repro.memory.manager.SimulatedMemoryError` mid-drain --
         concurrent bucket pipelines can race past the reader's headroom
         check -- leaves everything in place for a spill-and-retry.
@@ -313,20 +343,13 @@ class ShuffleStore:
             with self._lock:
                 self._chunks[bucket] = chunks + self._chunks[bucket]
             raise
-        for chunk in chunks:
-            if isinstance(chunk, _SpilledChunk):
-                try:
-                    os.unlink(chunk.path)
-                except OSError:  # pragma: no cover - best effort
-                    pass
         return out
 
     def _build_bucket_frame(self, chunks: List[_Chunk]) -> DataFrame:
         pieces: List[DataFrame] = []
         for chunk in chunks:
             if isinstance(chunk, _SpilledChunk):
-                with open(chunk.path, "rb") as fh:
-                    payload = pickle.load(fh)
+                payload = pickle.loads(self._pread(chunk))
                 pieces.append(DataFrame.from_columns(dict(payload)))
             else:
                 pieces.append(chunk)
@@ -343,15 +366,28 @@ class ShuffleStore:
         assert isinstance(out, DataFrame)
         return out
 
+    def _pread(self, chunk: _SpilledChunk) -> bytes:
+        if self._fd is None:
+            raise RuntimeError("ShuffleStore's spill file is gone")
+        parts = []
+        got = 0
+        while got < chunk.length:
+            part = os.pread(self._fd, chunk.length - got, chunk.offset + got)
+            if not part:
+                raise EOFError("ShuffleStore's spill file is truncated")
+            parts.append(part)
+            got += len(part)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
+
     def close(self) -> None:
-        """Drop all chunks and remove the spill directory."""
+        """Drop all chunks and remove the spill file and its directory."""
         _LIVE_STORES.discard(self)
         with self._lock:
             self._chunks = [[] for _ in range(self.n_buckets)]
         if self._finalizer is not None:
             self._finalizer()
             self._finalizer = None
-            self._dir = None
+            self._fd = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

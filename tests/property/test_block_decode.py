@@ -9,6 +9,14 @@ multi-byte UTF-8, empty fields) and random cut points,
 (a) the partitions, concatenated, are the whole-file read,
 (b) each partition is the oracle's rows, row for row,
 (c) ``nrows``, ``usecols`` order and ragged rows behave as before.
+
+The byte-grid kernel that tokenizes regular blocks answers to the same
+oracle: the whole module runs with the kernel's size floor removed, so
+every block that is regular goes through the grid and every other one
+through the chained ``csv.reader``, and the second half of the CSV
+section aims files at the line between the two (decorated integers,
+terminator mixes, a quote or NUL in a late block, ragged rows) and
+compares typed columns and their tracked bytes.
 """
 
 import csv
@@ -19,12 +27,23 @@ import os
 import tempfile
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.frame import io_csv
+from repro.frame.dtypes import array_nbytes
 from repro.frame.io_csv import read_csv, read_line_blocks
 from repro.io.jsonl import read_jsonl
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _grid_at_any_size():
+    """These files are tiny: let the grid kernel take them anyway."""
+    floor, io_csv._GRID_MIN_BYTES = io_csv._GRID_MIN_BYTES, 0
+    yield
+    io_csv._GRID_MIN_BYTES = floor
+
 
 # -- the row-at-a-time oracles (the bodies this PR deleted) -----------------
 
@@ -200,6 +219,157 @@ def test_short_row_raises_only_when_a_missing_field_is_wanted(
     # a long row's extra field is ignored, a short row's absent one unread
     frame = read_csv(path, byte_range=byte_range, usecols=["b", "a"])
     assert _rows(frame) == [(1, 2), (4, 5), (6, 7)]
+
+
+# -- CSV aimed at the grid kernel ------------------------------------------------
+
+#: cells on both sides of ``-?[0-9]{1,18}``, and what inference does
+#: with the ones int() reads differently from the kernel's pattern
+int_cells = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(0, 999).map(lambda i: f"{i:05d}"),
+    st.sampled_from([
+        "0", "-0", "-7", "007", "-007",
+        "9" * 18, "-" + "9" * 18, "1" + "0" * 18, "9" * 19,
+        "9223372036854775807", "-9223372036854775808",
+        "9223372036854775808",
+        "1_0", "+3", " 5", "5 ", "-", "--1", "1-", "",
+    ]),
+)
+float_cells = st.sampled_from(["1.5", "-2e3", "nan", "", "7", "inf"])
+text_cells = st.sampled_from(["", "x", "ab c", "é", "日本", "7é", "-", "ünï"])
+
+
+@st.composite
+def kernel_files(draw):
+    """(bytes, cuts, block size): three columns drawn from one cell kind
+    each; per-line terminators (one kind, or mixed); sometimes a blank
+    line, a ragged row, a quoted cell or a NUL somewhere."""
+    kinds = draw(st.lists(
+        st.sampled_from([int_cells, float_cells, text_cells]),
+        min_size=3, max_size=3))
+    rows = draw(st.lists(st.tuples(*kinds).map(list), max_size=20))
+    lines = [_csv_line(row) for row in rows]
+    for spoiler in draw(st.lists(st.sampled_from(
+            ["", "1,2", "1,2,3,4", '1,"a,""b",3', "1,\0,3"]), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), spoiler)
+    eols = draw(st.one_of(
+        st.sampled_from([["\n"], ["\r\n"]]),
+        st.just(["\n", "\r\n"]),
+    ))
+    body = "".join(line + draw(st.sampled_from(eols)) for line in lines)
+    if body and draw(st.booleans()) and draw(st.booleans()):
+        body = body.rstrip("\r\n")
+    data = body.encode("utf-8")
+    cuts = draw(st.lists(st.integers(0, len(data)), max_size=4))
+    return data, cuts, draw(st.sampled_from([7, 40, 1 << 20]))
+
+
+def _oracle_columns(path, byte_range, positions):
+    """The oracle's rows as inferred columns, or the IndexError the
+    row-at-a-time reader raised on a row too short for ``positions``."""
+    rows = list(oracle_csv_rows(path, byte_range))
+    cells = [[row[p] for row in rows] for p in positions]
+    return [io_csv._infer_column(values) for values in cells]
+
+
+def _assert_same_column(got, expected):
+    assert got.values.dtype == expected.values.dtype
+    if got.values.dtype.kind == "f":
+        np.testing.assert_array_equal(got.values, expected.values)
+    else:
+        assert got.values.tolist() == expected.values.tolist()
+    # the decode's carried heap bytes are what walking the cells gives
+    assert got.nbytes == expected.nbytes == array_nbytes(got.values)
+
+
+@given(kernel_files())
+@settings(max_examples=150, deadline=None)
+def test_grid_kernel_equals_the_oracle(file):
+    data, cuts, block_bytes = file
+    header = (",".join(HEADER) + "\n").encode()
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(directory, "t.csv", header + data)
+        size = len(header) + len(data)
+        ranges = [None] + _tiles(
+            [len(header) + c for c in cuts], len(header), size)
+        subsets = [
+            [HEADER[p] for p in range(3) if mask >> p & 1]
+            for mask in range(1, 8)
+        ]
+        blocks = partial(read_line_blocks, block_bytes=block_bytes)
+        original, io_csv.read_line_blocks = io_csv.read_line_blocks, blocks
+        try:
+            for rng in ranges:
+                for usecols in subsets:
+                    positions = [HEADER.index(c) for c in usecols]
+                    try:
+                        expected = _oracle_columns(
+                            path, rng or (len(header), size), positions)
+                    except IndexError:
+                        with pytest.raises(IndexError):
+                            read_csv(path, usecols=usecols, byte_range=rng)
+                        continue
+                    got = read_csv(path, usecols=usecols, byte_range=rng)
+                    assert got.columns == usecols
+                    for name, column in zip(usecols, expected):
+                        _assert_same_column(got.column(name), column)
+        finally:
+            io_csv.read_line_blocks = original
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_regular_blocks_take_the_grid_and_the_rest_the_row_reader(
+    tmp_path, monkeypatch, eol
+):
+    """The dispatch itself: which tokenizer saw which block."""
+    seen = []
+    grid_of = io_csv._Grid.of.__func__
+
+    def spy(cls, block, n_fields):
+        grid = grid_of(cls, block, n_fields)
+        seen.append(grid is not None)
+        return grid
+
+    monkeypatch.setattr(io_csv._Grid, "of", classmethod(spy))
+    monkeypatch.setattr(
+        io_csv, "read_line_blocks", partial(read_line_blocks, block_bytes=12)
+    )
+    rows = [f"{i},{i * i},s{i}" for i in range(12)]
+    path = _write(str(tmp_path), "r.csv",
+                  eol.join(["a,b,c", *rows, ""]).encode())
+    frame = read_csv(path)
+    assert seen and all(seen)
+    assert frame.column("b").values.tolist() == [i * i for i in range(12)]
+    assert frame.column("b").values.dtype == np.int64
+
+    # a quote in a late block: the grid up to it, one reader from there on
+    del seen[:]
+    rows[8] = '8,"6\n4",s8'
+    path = _write(str(tmp_path), "q.csv",
+                  eol.join(["a,b,c", *rows, ""]).encode())
+    frame = read_csv(path)
+    assert seen[0] and not seen[-1] and seen.count(False) == 1
+    assert frame.column("b").values.tolist() == [
+        "6\n4" if i == 8 else str(i * i) for i in range(12)]
+    assert frame.column("a").values.tolist() == list(range(12))
+
+
+def test_small_blocks_go_to_the_row_reader(tmp_path, monkeypatch):
+    monkeypatch.setattr(io_csv, "_GRID_MIN_BYTES", 1 << 13)
+    path = _write(str(tmp_path), "s.csv", b"a,b\n1,2\n3,4\n")
+    assert io_csv._Grid.of(b"1,2\n3,4\n", 2) is None
+    assert _rows(read_csv(path)) == [(1, 2), (3, 4)]
+
+
+def test_declared_int_dtype_takes_the_digit_kernel_or_promotes(tmp_path):
+    path = _write(str(tmp_path), "d.csv", b"a,b\n1,2\n-03,\n5,7\n")
+    frame = read_csv(path, dtype={"a": "int", "b": "int"})
+    assert frame.column("a").values.tolist() == [1, -3, 5]
+    assert frame.column("a").values.dtype == np.int64
+    # NA present: promoted to float, as the cell path always did
+    assert frame.column("b").values.dtype == np.float64
+    assert _rows(frame[["b"]]) == [(2.0,), (None,), (7.0,)]
 
 
 # -- JSONL ----------------------------------------------------------------------

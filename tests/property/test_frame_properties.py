@@ -131,6 +131,66 @@ def test_groupby_mean_bounded_by_min_max(data):
         assert lo - 1e-9 <= mid <= hi + 1e-9
 
 
+def oracle_nunique(codes, values, isna, n_groups):
+    """``frame/groupby.py::_aggregate``'s ``nunique`` loop before it
+    counted on codes, verbatim: a set of values per group."""
+    out = np.zeros(n_groups, dtype=np.int64)
+    seen: dict = {}
+    for code, value, na in zip(codes, values, isna):
+        if na:
+            continue
+        bucket = seen.setdefault(int(code), set())
+        bucket.add(value)
+    for code, bucket in seen.items():
+        out[code] = len(bucket)
+    return out
+
+
+#: value columns by dtype kind; ``mixed`` is the object array that keeps
+#: the loop (1 == 1.0 == True under hashing, which no code array says)
+NUNIQUE_VALUES = {
+    "int": st.integers(-3, 3),
+    "float": st.sampled_from([0.0, -0.0, 1.5, float("nan"), float("inf")]),
+    "bool": st.booleans(),
+    "date": st.sampled_from(["2020-01-01", "2021-06-01", "NaT"]),
+    "str": st.sampled_from(["a", "b", "", None]),
+    "category": st.sampled_from(["a", "b", "c", None]),
+    "mixed": st.sampled_from(["a", 1, 1.0, True, None, 2.5]),
+}
+
+
+@given(st.data(), st.sampled_from(sorted(NUNIQUE_VALUES)))
+@settings(max_examples=200, deadline=None)
+def test_groupby_nunique_equals_the_per_row_sets(data, flavour):
+    from repro.frame.groupby import GroupBy, _aggregate
+
+    n = data.draw(st.integers(0, 40))
+    keys = data.draw(st.lists(
+        st.sampled_from([0, 1, 2, 3, None]), min_size=n, max_size=n))
+    values = data.draw(st.lists(NUNIQUE_VALUES[flavour], min_size=n, max_size=n))
+    dtype = {"int": np.int64, "float": np.float64, "bool": bool,
+             "date": "datetime64[ns]"}.get(flavour, object)
+    frame = DataFrame({
+        "k": np.array([np.nan if k is None else k for k in keys], dtype=float),
+    })
+    column = frame.with_column("v", np.array(values, dtype=dtype)).column("v")
+    if flavour == "category":
+        column = column.astype("category")
+    frame = frame.with_column("v", column)
+
+    codes, _, n_groups = GroupBy(frame, ["k"])._factorize()
+    keep = codes >= 0
+    kept = column.filter(keep)
+    expected = oracle_nunique(
+        codes[keep],
+        kept.to_array() if kept.is_category else kept.values,
+        kept.isna(), n_groups)
+    got = _aggregate(column, codes, n_groups, "nunique")
+    assert got.dtype == expected.dtype
+    assert got.tolist() == expected.tolist()
+    assert frame.groupby("k")["v"].nunique().values.tolist() == expected.tolist()
+
+
 # -- one aggregate plan: partials + combine == the whole frame ------------------------
 
 _DECOMPOSABLE = ["sum", "count", "min", "max", "mean", "size", "first"]

@@ -76,6 +76,72 @@ class TestReadCsv:
         assert read_header(path) == ["a", "b"]
 
 
+class TestHeaderIsReadOnceAsUtf8:
+    def test_non_ascii_header_under_the_c_locale(self, tmp_path):
+        """Blocks decode as UTF-8 whatever the locale; so must the
+        header (``open`` defaults to the locale's encoding)."""
+        import subprocess
+        import sys
+
+        path = tmp_path / "h.csv"
+        path.write_bytes("é,日本,c\n1,2,3\n".encode("utf-8"))
+        env = {
+            "PATH": os.environ.get("PATH", ""),
+            "PYTHONPATH": os.pathsep.join(sys.path),
+            # a C locale that stays ASCII: no coercion, no UTF-8 mode
+            "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+        }
+        script = (
+            "import locale, sys\n"
+            "from repro.frame.io_csv import read_csv, read_header\n"
+            "assert locale.getpreferredencoding(False).upper() "
+            "not in ('UTF-8', 'UTF8')\n"
+            "header = read_header(sys.argv[1])\n"
+            "frame = read_csv(sys.argv[1])\n"
+            "assert frame.columns == header\n"
+            "sys.stdout.buffer.write(repr(header).encode('ascii', "
+            "'backslashreplace'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        assert done.stdout.decode("ascii") == (
+            "['\\xe9', '\\u65e5\\u672c', 'c']")
+
+    def test_a_partition_read_opens_the_file_once(self, make_csv, monkeypatch):
+        import builtins
+
+        from repro.io import CsvSource
+
+        path = make_csv({"a": list(range(50)), "b": [f"s{i}" for i in range(50)]})
+        source = CsvSource(path, partition_bytes=64)
+        parts = source.partitions()
+        assert len(parts) > 2
+        source.schema()
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        frames = [source.read_partition(part) for part in parts]
+        monkeypatch.undo()
+        assert opened == [path] * len(parts)
+        assert sum(len(f) for f in frames) == 50
+
+    def test_a_given_header_is_used_as_is(self, make_csv):
+        path = make_csv({"a": [1, 2], "b": [3, 4]})
+        size = os.path.getsize(path)
+        frame = read_csv(path, byte_range=(5, size), header=["x", "y"],
+                         usecols=["y"])
+        assert frame.columns == ["y"]
+        assert frame["y"].to_list() == [3, 4]
+
+
 class TestPartitionedRead:
     def test_partitions_cover_all_rows_exactly(self, make_csv):
         path = make_csv({"a": list(range(997))})

@@ -641,3 +641,202 @@ class TestSpilledChunksCarryTheirPayloadCount:
             assert loaded.column("c").nbytes == 4 * len(loaded) + object_nbytes(
                 loaded.column("c").categories)
         store.close()
+
+
+# ---------------------------------------------------------------------------
+# One spill file per store: chunks are (offset, length) in one append-only
+# file, read back positionally.
+# ---------------------------------------------------------------------------
+
+
+def _files_under(root):
+    return [
+        os.path.join(directory, name)
+        for directory, _dirs, names in os.walk(root)
+        for name in names
+    ]
+
+
+def _filled_store(tmp_path, n_buckets=4, chunks_per_bucket=3, rows=200):
+    """A store of ``n_buckets * chunks_per_bucket`` in-memory chunks and
+    what each bucket should drain to."""
+    from repro.frame import DataFrame
+    from repro.io.spill import ShuffleStore
+
+    store = ShuffleStore(n_buckets, spill_dir=str(tmp_path))
+    expected = {b: [] for b in range(n_buckets)}
+    for bucket in range(n_buckets):
+        for chunk in range(chunks_per_bucket):
+            base = (bucket * chunks_per_bucket + chunk) * rows
+            frame = DataFrame({
+                "k": np.arange(base, base + rows),
+                "s": np.array([f"s{i % 9}" for i in range(rows)], dtype=object),
+            })
+            store.set_template(frame)
+            store.append(bucket, frame)
+            expected[bucket] += list(range(base, base + rows))
+    return store, expected
+
+
+class TestOneSpillFilePerStore:
+    def test_a_store_that_never_spills_touches_no_disk(self, tmp_path):
+        store, expected = _filled_store(tmp_path)
+        assert store.read_bucket(0)["k"].values.tolist() == expected[0]
+        store.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_n_spilled_chunks_are_one_file_gone_at_close(self, tmp_path):
+        from repro.io.fs import session_io_counters
+
+        before = session_io_counters().snapshot()["spill_files"]
+        store, expected = _filled_store(tmp_path)
+        assert store.spill(1) > 0  # the first spill makes the file
+        store.spill_all()
+        assert store.spill_chunks == 12
+        assert store.in_memory_bytes() == 0
+        (path,) = _files_under(tmp_path)
+        size = os.path.getsize(path)
+        for bucket, rows in expected.items():
+            assert store.read_bucket(bucket)["k"].values.tolist() == rows
+        # draining reclaims nothing chunk by chunk and creates nothing
+        assert _files_under(tmp_path) == [path]
+        assert os.path.getsize(path) == size
+        assert session_io_counters().snapshot()["spill_files"] == before + 1
+        store.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_the_finalizer_removes_the_file_of_an_abandoned_store(self, tmp_path):
+        store, _ = _filled_store(tmp_path)
+        store.spill_all()
+        assert len(_files_under(tmp_path)) == 1
+        del store
+        gc.collect()
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.deadline(60)
+    def test_concurrent_drains_equal_the_serial_drain(self, tmp_path):
+        """Distinct buckets read over the one descriptor from two
+        threads at once (positional reads share no file offset)."""
+        import sys
+        import threading
+
+        serial, expected = _filled_store(tmp_path / "serial", 8, 6)
+        serial.spill_all()
+        reference = {
+            b: serial.read_bucket(b)["s"].values.tolist() for b in expected
+        }
+        serial.close()
+
+        store, _ = _filled_store(tmp_path / "threads", 8, 6)
+        store.spill_all()
+        got, errors = {}, []
+        gate = threading.Barrier(2)
+
+        def drain(buckets):
+            try:
+                gate.wait(timeout=30)
+                for bucket in buckets:
+                    frame = store.read_bucket(bucket)
+                    got[bucket] = (frame["k"].values.tolist(),
+                                   frame["s"].values.tolist())
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=drain, args=(range(half, 8, 2),))
+                for half in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert {b: rows for b, (rows, _) in got.items()} == expected
+        assert {b: strings for b, (_, strings) in got.items()} == reference
+        store.close()
+
+    def test_a_mid_drain_oom_leaves_the_bucket_in_place(self, tmp_path):
+        from repro.memory import (
+            SimulatedMemoryError, current_memory_manager, memory_budget,
+        )
+
+        store, expected = _filled_store(tmp_path)
+        chunk_bytes = store.appended_bytes // 12
+        store.spill_all()
+        (path,) = _files_under(tmp_path)
+        manager = current_memory_manager()
+        live = manager.live
+        # two of the bucket's three chunks load, the third does not
+        with memory_budget(live + 2 * chunk_bytes + chunk_bytes // 2):
+            with pytest.raises(SimulatedMemoryError):
+                store.read_bucket(1)
+            assert manager.peak >= live + 2 * chunk_bytes
+        assert store.in_memory_bytes() == 0
+        assert _files_under(tmp_path) == [path]
+        assert store.read_bucket(1)["k"].values.tolist() == expected[1]
+        store.close()
+
+    @pytest.mark.deadline(60)
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_leaves_the_parents_file_intact(self, tmp_path):
+        from repro.io.spill import live_store_count
+
+        store, expected = _filled_store(tmp_path)
+        store.spill_all()
+        (path,) = _files_under(tmp_path)
+        pid = os.fork()
+        if pid == 0:
+            # the child forgot the store and its descriptor: collecting
+            # it, or exiting, must not close or remove anything
+            status = 1
+            try:
+                ok = live_store_count() == 0 and store._fd is None
+                store.close()
+                gc.collect()
+                status = 0 if ok else 2
+            finally:
+                os._exit(status)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert _files_under(tmp_path) == [path]
+        for bucket, rows in expected.items():
+            assert store.read_bucket(bucket)["k"].values.tolist() == rows
+        store.close()
+        assert os.listdir(tmp_path) == []
+
+
+class TestDataPathCounters:
+    def test_a_projected_scan_decodes_only_its_columns(self, wide_csv):
+        with Session(backend="pandas") as session:
+            full = lfp.scan_csv(wide_csv).collect()
+            everything = session.last_execution_stats.to_dict()["cells_decoded"]
+            lfp.scan_csv(wide_csv).groupby("k")["v"].agg("sum").collect()
+            stats = session.last_execution_stats
+        rows, n_columns = len(full), len(full.columns)
+        assert n_columns > 2
+        assert everything == rows * n_columns
+        assert stats.to_dict()["cells_decoded"] == rows * 2
+        assert f"scan cells decoded: {rows * 2}" in stats.render()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_forced_spill_join_makes_at_most_one_file_per_store(
+        self, tmp_path, spill_left_csv, rightbig_csv, strategy
+    ):
+        def pipeline():
+            left = lfp.scan_csv(spill_left_csv, partition_bytes=2048)
+            right = lfp.scan_csv(rightbig_csv, partition_bytes=512)
+            return left.merge(right, on="k", how="inner")
+
+        _, _, stats = _run(pipeline, "pandas", strategy, {
+            "memory.budget": 150_000,
+            "optimizer.shuffle_threshold_bytes": 100,
+            "memory.spill_dir": str(tmp_path),
+        })
+        assert stats["bytes_spilled"] > 0
+        assert 1 <= stats["spill_files"] <= 2  # two stores, one file each
+        assert os.listdir(tmp_path) == []

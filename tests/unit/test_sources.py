@@ -540,6 +540,29 @@ class TestPartitionPruning:
         assert pruned.column("year").to_array().tolist() == \
             [2022] * 3 + [2023] * 6
 
+    def test_a_split_leaf_has_its_header_read_once(
+        self, hive_root, metastore, monkeypatch
+    ):
+        from repro.frame.io_csv import scan_partitions
+        from repro.io import dataset
+
+        source = DatasetSource(hive_root, metastore=metastore)
+        for leaf in source.leaves():
+            ranges = [tuple(r) for r in scan_partitions(leaf["path"], 2)]
+            metastore.compute_and_store(
+                leaf["path"], sample_rows=None, partition_ranges=ranges
+            )
+        parts = source.partitions()
+        assert len(parts) == 8
+        reads = []
+        real = dataset.read_header
+        monkeypatch.setattr(
+            dataset, "read_header",
+            lambda path: reads.append(path) or real(path))
+        rows = sum(len(source.read_partition(part)) for part in parts)
+        assert rows == 24
+        assert sorted(reads) == sorted(leaf["path"] for leaf in source.leaves())
+
     def test_csv_byte_range_pruning_via_partition_stats(
         self, make_csv, metastore
     ):
