@@ -60,38 +60,3 @@ def solve_backward(cfg: CFG, transfer: Transfer, boundary: Fact = frozenset()) -
             fact = transfer(stmt, fact)
             stmt_in[stmt.id] = fact
     return DataflowResult(stmt_in, stmt_out, block_in, block_out)
-
-
-def solve_forward(cfg: CFG, transfer: Transfer, boundary: Fact = frozenset()) -> DataflowResult:
-    """Forward may-analysis: In(n) = U Out(pred); Out = transfer(stmt, In)."""
-    blocks = cfg.blocks()
-    block_in: Dict[int, Fact] = {b.id: frozenset() for b in blocks}
-    block_out: Dict[int, Fact] = {b.id: frozenset() for b in blocks}
-    block_in[cfg.entry.id] = boundary
-
-    changed = True
-    while changed:
-        changed = False
-        for block in blocks:
-            in_fact: Fact = frozenset()
-            for pred in block.preds:
-                in_fact = in_fact | block_out.get(pred.id, frozenset())
-            if block is cfg.entry:
-                in_fact = in_fact | boundary
-            new_out = in_fact
-            for stmt in block.live_stmts():
-                new_out = transfer(stmt, new_out)
-            if in_fact != block_in[block.id] or new_out != block_out[block.id]:
-                block_in[block.id] = in_fact
-                block_out[block.id] = new_out
-                changed = True
-
-    stmt_in: Dict[int, Fact] = {}
-    stmt_out: Dict[int, Fact] = {}
-    for block in blocks:
-        fact = block_in[block.id]
-        for stmt in block.live_stmts():
-            stmt_in[stmt.id] = fact
-            fact = transfer(stmt, fact)
-            stmt_out[stmt.id] = fact
-    return DataflowResult(stmt_in, stmt_out, block_in, block_out)

@@ -15,7 +15,7 @@ The workloads CLI's ``lint`` command drives this via
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.analysis.plan.diagnostics import Diagnostic
 from repro.analysis.plan.rules import analyze_plan
@@ -118,10 +118,3 @@ class LintSession(Session):
             scope="session",
             computed_ids=self.computed_ids,
         )
-
-
-def lint_roots(
-    roots: List[Node], session: Optional[Session] = None
-) -> List[Diagnostic]:
-    """One-shot plan analysis for already-built roots (library entry)."""
-    return analyze_plan(roots, session=session)

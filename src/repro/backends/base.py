@@ -18,6 +18,7 @@ import re
 from typing import Callable, Dict, List
 
 from repro.graph.node import Node
+from repro.graph.scheduler.stats import count
 
 #: Escape sequence wrapping a task-graph node id inside an f-string
 #: (section 3.3's deferred formatted print).
@@ -185,6 +186,11 @@ def apply_generic(backend: Backend, node: Node, inputs: List[object]):
     args = node.args
 
     if op == "scan":
+        total = args.get("partitions_total")
+        if total is not None:  # stamped by the pruning pass
+            kept = args.get("partitions")
+            count(partitions_read=total if kept is None else len(kept),
+                  partitions_total=total)
         return backend.scan(args)
     if op == "from_data":
         return backend.from_data(args["data"])

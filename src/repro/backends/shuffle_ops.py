@@ -26,6 +26,7 @@ from repro.frame.column import Column
 from repro.frame.concat import concat_consuming
 from repro.frame.dataframe import DataFrame
 from repro.frame.groupby import combine_partials, partial_aggregate
+from repro.graph.scheduler.stats import count
 from repro.io.spill import PartitionStream, ShuffleStore, spill_live_stores
 from repro.memory.manager import SimulatedMemoryError
 
@@ -61,6 +62,7 @@ def exec_shuffle_write(backend, node, inputs) -> ShuffleStore:
     pos_name = args.get("pos_name")
     manager = _current_manager()
     store = ShuffleStore(n_buckets, spill_dir=_spill_dir())
+    count(shuffle_partitions=n_buckets)
     parts, empty_factory = _iter_parts(backend, inputs[0])
     offset = 0
     # cushion for the stream's first partition read: a merge's second
@@ -333,6 +335,7 @@ def broadcast_merge(backend, node, inputs):
     """Merge a streamed left side against a small materialized right
     side, one partition at a time (the broadcast-join fast path)."""
     stream, right = inputs
+    count(broadcast_joins=1)
     right_frame = (
         right.materialize()
         if isinstance(right, PartitionStream)

@@ -35,7 +35,8 @@ from repro.graph.taskgraph import collect_subgraph
 #: eager engines hold the source frame plus roughly one working copy.
 EAGER_WORKING_FACTOR = 2.0
 #: operations whose results depend on global row order.
-ORDER_SENSITIVE_OPS = {"sort_values", "sort_index", "head", "tail", "nlargest", "nsmallest"}
+ORDER_SENSITIVE_OPS = frozenset(
+    {"sort_values", "sort_index", "head", "tail", "nlargest", "nsmallest"})
 
 
 @dataclasses.dataclass

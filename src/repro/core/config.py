@@ -11,58 +11,9 @@ runtime.  The public surface mirrors pandas:
 - ``lfp.option_context("optimizer.metadata", False)`` -- a nestable
   context manager restoring prior values on exit.
 
-Registered keys:
-
-========================================  =========  ==================================
-key                                       default
-========================================  =========  ==================================
-``backend.engine``                        "dask"     execution engine name
-``optimizer.predicate_pushdown``          True       section 3.2 filter motion
-``optimizer.common_subexpression``        True       CSE + shared-node merging
-``optimizer.projection_pushdown``         True       required-column inference
-``optimizer.metadata``                    True       metastore dtype hints (section 3.6)
-``optimizer.partition_pruning``           True       stats-driven scan partition pruning
-``optimizer.shuffle``                     True       lower oversized merge/groupby into
-                                                     the partition-wise shuffle pipeline
-``optimizer.shuffle_partitions``          None       bucket count P (None = derived
-                                                     from byte estimates)
-``optimizer.shuffle_threshold_bytes``     None       shuffle/broadcast size limit
-                                                     (None = memory.budget headroom)
-``executor.cache``                        True       live_df persistence (section 3.5)
-``executor.strategy``                     "serial"   scheduler strategy (serial /
-                                                     threaded / fused / process /
-                                                     async); env default via
-                                                     ``LAFP_EXECUTOR_STRATEGY``
-``executor.max_workers``                  4          threaded/process/async pool size
-                                                     ("auto" = sized from the static
-                                                     order's simulated peak vs budget)
-``executor.static_order``                 True       memory-aware static ordering pass
-``executor.process_retries``              1          re-runs of a task whose process
-                                                     worker died, before ExecutionError
-``executor.process_start_method``         None       multiprocessing start method of the
-                                                     process strategy (None = fork when
-                                                     available); env default via
-                                                     ``LAFP_PROCESS_START_METHOD``
-``optimizer.reuse``                       False      serve cache-hit subplans from the
-                                                     cross-session result cache and
-                                                     insert cache-worthy results
-``cache.budget``                          64 MiB     in-memory byte budget of the
-                                                     process-global result cache
-``cache.spill_budget``                    256 MiB    disk-tier byte budget; beyond it
-                                                     entries are evicted (files deleted)
-``cache.min_cost``                        0.01       wall x bytes floor (byte-seconds)
-                                                     below which a result is never
-                                                     inserted
-``memory.budget``                         None       per-session simulated byte budget
-``memory.spill_dir``                      None       shuffle spill directory (None =
-                                                     system temp dir)
-``workload.data_dir``                     None       dataset dir for benchmark programs
-``workload.result_dir``                   None       result dir for benchmark programs
-``workload.source_format``                None       physical source format axis
-                                                     (csv / jsonl / dataset)
-``analysis.level``                        "warn"     static plan analysis before
-                                                     execution (off / warn / strict)
-========================================  =========  ==================================
+Every registered key, with its default and doc line, is listed by
+:func:`describe_options` (``lfp.describe_options()``): the registrations
+below are the one table, and that listing is read off them.
 """
 
 from __future__ import annotations
@@ -128,11 +79,6 @@ def semantic_signature(options: "SessionOptions") -> Tuple[Tuple[str, str], ...]
     return tuple(
         (key, repr(options.get(key))) for key in semantic_option_keys()
     )
-
-
-def registered_options() -> Dict[str, OptionSpec]:
-    """Snapshot of the registry (key -> spec)."""
-    return dict(_REGISTRY)
 
 
 def canonical_key(key: str) -> str:

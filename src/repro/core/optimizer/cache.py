@@ -44,12 +44,14 @@ from repro.cache.result_cache import (
 )
 from repro.core.config import semantic_signature
 from repro.graph.node import Node
+from repro.graph.scheduler.stats import count
 from repro.graph.taskgraph import collect_subgraph
 
 
 class CacheRunState:
     """Per-run cache bookkeeping, shared between the substitution pass
-    and the scheduler's post-execution insertion seam.
+    and the scheduler's post-execution insertion seam.  What either
+    did is counted into the run's record, not here.
 
     ``offer`` is called from scheduler worker threads (and the process
     strategy's coordination thread); everything it touches is guarded.
@@ -71,11 +73,6 @@ class CacheRunState:
         #: raw-graph fingerprint key per eligible node id (cache misses
         #: the insertion seam may fill after execution)
         self.candidates: Dict[int, CacheKey] = {}
-        self.hits = 0
-        self.misses = 0
-        self.bytes_reused = 0
-        self.inserted = 0
-        self.evictions = 0
         self._offered: Set[int] = set()
         self._lock = threading.Lock()
 
@@ -109,22 +106,8 @@ class CacheRunState:
             key, blob, kind,
             budget=self.budget, spill_budget=self.spill_budget,
         )
-        with self._lock:
-            self.inserted += 1
-            self.evictions += evicted
+        count(cache_inserted=1, cache_evictions=evicted)
         return True
-
-    def flush_to_stats(self, stats) -> None:
-        """Publish this run's cache counters into ``ExecutionStats``."""
-        if stats is None:
-            return
-        stats.record_cache_run(
-            hits=self.hits,
-            misses=self.misses,
-            bytes_reused=self.bytes_reused,
-            evictions=self.evictions,
-            inserted=self.inserted,
-        )
 
 
 def _subtree_cacheable(
@@ -196,8 +179,7 @@ def substitute_cached_subplans(
                 hit = cache.get(key, budget=state.budget)
                 if hit is not None:
                     blob, kind = hit
-                    state.hits += 1
-                    state.bytes_reused += len(blob)
+                    count(cache_hits=1, cache_bytes_reused=len(blob))
                     node.op = "from_cached"
                     node.inputs = []
                     node.args = {
@@ -207,7 +189,7 @@ def substitute_cached_subplans(
                         "kind": kind,
                     }
                     return  # the subtree is served; nothing below runs
-                state.misses += 1
+                count(cache_misses=1)
                 state.candidates[node.id] = key
         for inp in node.inputs:
             visit(inp)

@@ -73,10 +73,10 @@ def eliminate_common_subexpressions(
 #: frame-producing ops worth pinning when consumed more than once on a
 #: lazy backend (a shared series is cheap to recompute; a shared frame
 #: pipeline is not).
-_SHARABLE_OPS = {
+_SHARABLE_OPS = frozenset({
     "scan", "filter", "setitem", "merge", "dropna", "fillna",
     "astype", "rename", "drop", "getitem_columns", "concat", "identity",
-}
+})
 
 
 def persist_shared_nodes(roots: Sequence[Node]) -> List[Node]:

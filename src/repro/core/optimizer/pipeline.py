@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.graph.node import Node
+from repro.graph.scheduler.stats import bound_record
 from repro.graph.taskgraph import ConsumerIndex
 from repro.core.optimizer.cache import (
     retain_unrewritten,
@@ -58,10 +59,14 @@ def optimize(
     if opts.get("optimizer.reuse"):
         # First, against the RAW plan: later rewrites would change the
         # fingerprints, and substituted subtrees need no optimizing.
+        # Its hits and misses are counted into the run's record, which
+        # nothing else has written to yet.
         state = substitute_cached_subplans(roots, session)
-        report["reuse_hits"] = state.hits
-        report["reuse_misses"] = state.misses
-        report["reuse_bytes"] = state.bytes_reused
+        run = bound_record()
+        if run is not None:
+            report["reuse_hits"] = run.cache_hits
+            report["reuse_misses"] = run.cache_misses
+            report["reuse_bytes"] = run.cache_bytes_reused
     # who reads whom, walked once; the rewiring passes keep it current
     index = ConsumerIndex(roots)
     if opts.get("optimizer.common_subexpression"):

@@ -205,9 +205,12 @@ def _passable(u: Node, parents: List[Node], index: ConsumerIndex) -> bool:
 def _elementwise_over(node: Node, base: Node) -> bool:
     """True when ``node``'s subgraph down to ``base`` is elementwise.
 
-    Walks the expression; every path must reach ``base`` only through
-    row-preserving series operators, so re-rooting it onto a filtered
-    frame yields the filtered rows of the same values.
+    Walks the expression; every path must end at ``base``, reached only
+    through row-preserving series operators, so re-rooting it onto a
+    filtered frame yields the filtered rows of the same values.  A path
+    that ends anywhere else -- a ``held`` or ``from_cached`` series, a
+    second source -- carries rows the re-rooting cannot filter: its
+    full-length value would meet the filtered frame.
     """
     stack = [node]
     seen = set()
@@ -219,7 +222,7 @@ def _elementwise_over(node: Node, base: Node) -> bool:
         if (current.op == "getitem_column"  # reads whatever frame it is on
                 or current.op in _ELEMENTWISE_SERIES_OPS):
             stack.extend(current.inputs)
-        elif not current.spec.is_source:
+        else:
             return False
     return True
 

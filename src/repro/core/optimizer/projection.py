@@ -21,11 +21,11 @@ from repro.graph.node import ALL_COLUMNS, Node
 from repro.graph.taskgraph import collect_subgraph, topological_order
 
 #: Operators through which the requirement set passes untouched.
-_PASSTHROUGH = {
+_PASSTHROUGH = frozenset({
     "filter", "dropna", "head", "tail", "sample", "sort_index",
     "drop_duplicates", "sort_values", "fillna", "astype", "round",
     "identity", "abs",
-}
+})
 
 
 def push_down_projections(roots: Sequence[Node]) -> int:

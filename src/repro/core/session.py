@@ -215,11 +215,11 @@ class Session:
                 _auto_worker_cap() if auto_workers else int(raw_workers)
             ),
             static_order=bool(self.options.get("executor.static_order")),
+            requested_strategy=requested,
         )
         # "auto" resolves per run inside Scheduler._plan, once the
         # static order's simulated peak bytes exist to size against.
         scheduler.auto_workers = auto_workers
-        scheduler.requested_strategy = requested
         return scheduler
 
     def process_pool(self, workers: Optional[int] = None):
@@ -498,13 +498,17 @@ class Session:
             self._analysis_gate(roots)
         twins, pins = roots, []
         scheduler = self.scheduler()
+        # the run's record exists before the plan does: what the reuse
+        # pass serves and misses belongs to this run
+        stats = scheduler.stats
         try:
             if planned:
                 plan = physical_plan(roots)
                 twins = [plan[root.id] for root in roots]
                 pins = pin_frontier(plan, live_nodes)
-                self.last_optimize_report = optimize(
-                    twins, self, live_nodes=[twin for _, twin in pins])
+                with stats.bound():
+                    self.last_optimize_report = optimize(
+                        twins, self, live_nodes=[twin for _, twin in pins])
                 # the reuse pass left its run state here; the scheduler
                 # offers executed results back through it.
                 scheduler.cache_state = self._cache_run
@@ -521,12 +525,9 @@ class Session:
                     raw.set_result(twin.result)
                     raw.persist = True
                     self.persisted.append(raw)
-            stats = scheduler.last_stats
-            if stats is not None:
+            if scheduler.last_stats is stats:  # planning got as far as a run
                 self.last_execution_stats = stats
                 self.stats["nodes_executed"] += stats.nodes_executed
-                if scheduler.cache_state is not None:
-                    scheduler.cache_state.flush_to_stats(stats)
         self.stats["computes"] += 1
         self._release_dead_persists(live_nodes)
         return results

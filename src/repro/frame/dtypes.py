@@ -106,11 +106,6 @@ def is_categorical(dtype: object) -> bool:
     return isinstance(dtype, CategoricalDtype) or dtype == "category"
 
 
-def is_datetime(dtype: object) -> bool:
-    """True for datetime64[ns] dtypes (any unit)."""
-    return isinstance(dtype, np.dtype) and dtype.kind == "M"
-
-
 def is_numeric(dtype: object) -> bool:
     """True for int/float/bool NumPy dtypes."""
     return isinstance(dtype, np.dtype) and dtype.kind in "ifb"

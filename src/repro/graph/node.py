@@ -228,7 +228,7 @@ def series_used_columns(node: Node) -> Set[str]:
     return out
 
 
-_ELEMENTWISE_SERIES_OPS = {
+_ELEMENTWISE_SERIES_OPS = frozenset({
     "binop",
     "unop",
     "str_method",
@@ -241,7 +241,7 @@ _ELEMENTWISE_SERIES_OPS = {
     "series_astype",
     "to_datetime",
     "series_map",
-}
+})
 
 
 def _filter_used(node: Node) -> Set[str]:

@@ -78,7 +78,7 @@ class AsyncScheduler(Scheduler):
                         break
                     task, ready_at = admitted
                     pending[loop.run_in_executor(
-                        None, self._in_session, self._execute_node,
+                        None, self._on_pool_thread,
                         task[0], stats, ready_at,
                     )] = task
                 if pending:

@@ -26,7 +26,7 @@ from typing import (
 )
 
 from repro.graph.node import Node
-from repro.graph.scheduler.stats import ExecutionStats
+from repro.graph.scheduler.stats import ExecutionStats, NodeStat
 from repro.graph.taskgraph import (
     consumers_by_id,
     dependency_counts,
@@ -182,7 +182,8 @@ class Scheduler:
 
     def __init__(self, backend, *, session=None,
                  memory=None, max_workers: Optional[int] = None,
-                 static_order: bool = True):
+                 static_order: bool = True,
+                 requested_strategy: Optional[str] = None):
         self.backend = backend
         self.session = session
         self._memory = memory
@@ -192,7 +193,11 @@ class Scheduler:
         self.static_order = bool(static_order)
         #: the strategy the caller asked for, when a capability fallback
         #: substituted this scheduler (stats report both).
-        self.requested_strategy: Optional[str] = None
+        self.requested_strategy = requested_strategy
+        #: the record the next run fills.  It exists before the run
+        #: does, so planning that belongs to the run (the session's
+        #: reuse pass) can already write to it.
+        self.stats = self._fresh_stats()
         self.last_stats: Optional[ExecutionStats] = None
         #: per-run cache bookkeeping (a CacheRunState) installed by
         #: Session._run when ``optimizer.reuse`` is on; every strategy's
@@ -228,12 +233,21 @@ class Scheduler:
             self._run(ready, stats)
             return self._results(roots, started)
 
+    def _fresh_stats(self) -> ExecutionStats:
+        return ExecutionStats(
+            strategy=self.requested_strategy or self.name,
+            effective_strategy=self.name,
+            max_workers=self.max_workers,
+        )
+
     # -- the run scope (shared with AsyncScheduler.execute_async) ---------
 
     @contextlib.contextmanager
     def _running(self, roots: Sequence[Node]) -> Iterator[
             Tuple[ReadySet, ExecutionStats, float]]:
-        """Everything around a strategy's driver: stats, I/O accounting,
+        """Everything around a strategy's driver: the run's record
+        (bound here for the coordinating thread: planning reads, inline
+        nodes and a lazy engine's materialization count into it),
         planning, prefetch, and -- when the body raises -- the unwind.
 
         The body's driver has let its in-flight work drain by the time
@@ -244,37 +258,30 @@ class Scheduler:
         Side-effect nodes stay done -- a print that reached stdout must
         not be repeated by the next collect.
         """
-        from repro.io.fs import session_io_counters
-
-        stats = ExecutionStats(
-            strategy=self.requested_strategy or self.name,
-            effective_strategy=self.name,
-            max_workers=self.max_workers,
-        )
+        stats, self.stats = self.stats, self._fresh_stats()
         self.last_stats = stats
-        io_counters = session_io_counters(self.session)
-        io_before = io_counters.snapshot()
-        order, root_ids, consumers = self._plan(roots, stats)
-        prefetched_urls = self._issue_prefetch(order)
-        cached = {node.id for node in order if node.computed}
-        ready = ReadySet(
-            self._tasks(order, root_ids, consumers, stats),
-            self._priorities, root_ids, consumers,
-        )
-        started = time.perf_counter()
-        try:
-            yield ready, stats, started
-        except BaseException:
-            for node in order:
-                if node.id not in cached and not node.spec.side_effect:
-                    node.clear_result()
-            raise
-        finally:
-            # finalized even when a node raises (OOM cells included):
-            # the session publishes these stats either way.
-            stats.wall_seconds = time.perf_counter() - started
-            stats.manager_peak_bytes = self.memory.peak
-            self._finish_io(stats, io_counters, io_before, prefetched_urls)
+        with stats.bound():
+            order, root_ids, consumers = self._plan(roots, stats)
+            prefetched_urls = self._issue_prefetch(order, stats)
+            cached = {node.id for node in order if node.computed}
+            ready = ReadySet(
+                self._tasks(order, root_ids, consumers, stats),
+                self._priorities, root_ids, consumers,
+            )
+            started = time.perf_counter()
+            try:
+                yield ready, stats, started
+            except BaseException:
+                for node in order:
+                    if node.id not in cached and not node.spec.side_effect:
+                        node.clear_result()
+                raise
+            finally:
+                # finalized even when a node raises (OOM cells included):
+                # the session publishes these stats either way.
+                stats.wall_seconds = time.perf_counter() - started
+                stats.manager_peak_bytes = self.memory.peak
+                self._purge_prefetch(prefetched_urls)
 
     def _plan(self, roots: Sequence[Node], stats: ExecutionStats):
         """Cull, estimate, and statically order the subgraph.
@@ -346,37 +353,30 @@ class Scheduler:
                 self.cache_state.offer(root, value, wall)
         return results
 
-    # -- filesystem-layer accounting and prefetch -------------------------
+    # -- prefetch --------------------------------------------------------
 
-    def _issue_prefetch(self, order: List[Node]) -> List[str]:
-        """Prefetch the plan's scan ranges (parallel strategies only);
-        returns the URLs touched so the run's finally can purge
-        leftovers (pruned partitions, failed runs)."""
-        if not self.prefetches_ranges:
-            return []
-        from repro.io.prefetch import prefetch_scan_node
+    def _issue_prefetch(self, order: List[Node],
+                        stats: ExecutionStats) -> Set[str]:
+        """Prefetch the plan's scan ranges (parallel strategies only),
+        counted into ``stats`` from the fetch threads; returns the URLs
+        touched so the run's finally can purge leftovers (pruned
+        partitions, failed runs)."""
+        urls: Set[str] = set()
+        if self.prefetches_ranges:
+            from repro.io.prefetch import prefetch_scan_node
 
-        urls: List[str] = []
-        for node in order:
-            if node.op == "scan":
-                for url in prefetch_scan_node(node, self.session):
-                    if url not in urls:
-                        urls.append(url)
+            for node in order:
+                if node.op == "scan":
+                    urls.update(prefetch_scan_node(node, self.session, stats))
         return urls
 
-    def _finish_io(self, stats: ExecutionStats, counters, before,
-                   prefetched_urls: Sequence[str]) -> None:
-        """Purge leftover prefetches and publish the run's I/O deltas
-        (the counters' diff around the run is exactly its I/O)."""
+    @staticmethod
+    def _purge_prefetch(prefetched_urls: Set[str]) -> None:
         if prefetched_urls:
             from repro.io.prefetch import range_cache
 
             for url in prefetched_urls:
                 range_cache().purge_url(url)
-        after = counters.snapshot()
-        stats.record_io(**{
-            key: after[key] - before[key] for key in after
-        })
 
     def _resolve_auto_workers(self, estimated_peak_bytes: int) -> int:
         """Pool size for ``executor.max_workers="auto"``.
@@ -420,12 +420,12 @@ class Scheduler:
                 return None
             head = ready.heap[0][2][0]
             if head.computed:
-                stats.record_cache_hit()
+                stats.add(cache_hits=1)
                 ready.complete(ready.pop()[0])
                 continue
             if in_flight and self._throttled(in_flight, head):
                 if not ready.throttled:
-                    stats.record_throttle_wait()
+                    stats.add(throttle_waits=1)
                     ready.throttled = True
                 return None
             ready.throttled = False
@@ -473,19 +473,22 @@ class Scheduler:
             ready_at = None
         ready.complete(task)
 
-    def _in_session(self, fn, *args):
-        """Call ``fn`` on a pool thread with the owning session active,
-        so ``current_session()`` -- and the per-session memory manager
-        every :class:`~repro.memory.manager.TrackedBuffer` resolves --
-        is right inside backend calls.  Per call, not per thread: an
-        event loop's default pool threads are shared and long-lived."""
-        if self.session is None:
-            return fn(*args)
-        self.session.activate()
-        try:
-            return fn(*args)
-        finally:
-            self.session.deactivate()
+    def _on_pool_thread(self, node: Node, stats: ExecutionStats,
+                        ready_at: Optional[float]) -> None:
+        """:meth:`_execute_node` on a pool thread: the run's record
+        bound and the owning session active, so ``count()``,
+        ``current_session()`` and the per-session memory manager every
+        :class:`~repro.memory.manager.TrackedBuffer` resolves are right
+        inside backend calls.  Per call, not per thread: an event
+        loop's default pool threads are shared and long-lived."""
+        with stats.bound():
+            if self.session is None:
+                return self._execute_node(node, stats, ready_at)
+            self.session.activate()
+            try:
+                return self._execute_node(node, stats, ready_at)
+            finally:
+                self.session.deactivate()
 
     def _drive_pool(self, ready: ReadySet, stats: ExecutionStats,
                     submit, collect) -> None:
@@ -523,7 +526,7 @@ class Scheduler:
 
     def _execute_node(self, node: Node, stats: ExecutionStats,
                       ready_at: Optional[float] = None) -> None:
-        """Run one node and record its stats.
+        """Run one node and account it in the run's record.
 
         Queue wait is measured from ``ready_at`` (the moment the node's
         last dependency finished) to the moment it starts here.  Byte
@@ -543,7 +546,7 @@ class Scheduler:
             value = self.backend.persist(value)
         node.set_result(value)
         wall = time.perf_counter() - started
-        stats.record_node(
+        stats.add(NodeStat.of(
             node,
             wall_seconds=wall,
             queue_wait_seconds=(
@@ -553,37 +556,9 @@ class Scheduler:
             bytes_released=memory.total_released - rel_before,
             worker=threading.current_thread().name,
             bytes_estimated=self._estimates.get(node.id),
-        )
-        self._record_op_stats(node, value, inputs, stats)
+        ))
         if self.cache_state is not None:
             self.cache_state.offer(node, value, wall)
-
-    @staticmethod
-    def _record_op_stats(node: Node, value: object, inputs: List[object],
-                         stats: ExecutionStats) -> None:
-        """Op-specific counters (scan pruning, shuffle, broadcast).
-
-        Shared by every in-process path and by the process strategy's
-        shipped tasks, whose nodes run in a worker but must account
-        against the parent's stats object.
-        """
-        if node.op == "scan":
-            total = node.args.get("partitions_total")
-            if total is not None:
-                kept = node.args.get("partitions")
-                stats.record_scan(
-                    len(kept) if kept is not None else total, total
-                )
-        elif node.op == "shuffle_write":
-            stats.record_shuffle(
-                int(getattr(value, "n_buckets", 0)),
-                int(getattr(value, "bytes_spilled", 0)),
-            )
-        elif node.op == "merge" and inputs:
-            from repro.io.spill import PartitionStream
-
-            if isinstance(inputs[0], PartitionStream):
-                stats.record_broadcast_join()
 
     def _apply_with_spill_retry(self, node: Node,
                                 inputs: List[object]) -> object:

@@ -25,6 +25,7 @@ heuristic is audited.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Optional, Sequence
 
 from repro.graph.node import Node
@@ -34,10 +35,10 @@ _SCALAR_BYTES = 64
 
 #: per-value in-memory widths by inferred dtype; strings are a pointer
 #: plus a short heap payload, unknown dtypes split the difference.
-_DTYPE_WIDTHS = {
+_DTYPE_WIDTHS = MappingProxyType({
     "int64": 8, "float64": 8, "bool": 1, "datetime64[ns]": 8,
     "category": 2,
-}
+})
 _OBJECT_WIDTH = 32
 _DEFAULT_WIDTH = 16
 

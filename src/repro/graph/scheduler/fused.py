@@ -91,5 +91,5 @@ class FusedScheduler(SerialScheduler):
         tasks = fuse_linear_chains(order, root_ids, consumers)
         for chain in tasks:
             if len(chain) > 1:
-                stats.record_fused_chain(len(chain))
+                stats.add(fused_chains=1, fused_nodes=len(chain))
         return tasks

@@ -11,11 +11,15 @@ A task ships through the pickle seam PR 2 called out: its steps are
 ``(op, args, input_slots)`` triples (``Partition`` lists and predicate
 conjuncts in ``args`` are serializable by design) plus the pickled
 external input frames; a worker replays them against its own backend
-instance and returns the pickled final result.  The parent unpickles
-that result on the coordination thread -- where the owning session is
-active -- so the rebuilt :class:`~repro.frame.column.Column` buffers
-register with the *parent session's* memory manager: result-size
-accounting is charged back exactly as if the node had run in-process.
+instance and returns the pickled final result beside its account of the
+work: the counters its steps bumped and the bytes each step registered
+and released with the worker's manager, which the parent adds to the
+run's record -- a count means the same thing wherever the node ran.
+The parent unpickles the result on the coordination thread -- where
+the owning session is active -- so the rebuilt
+:class:`~repro.frame.column.Column` buffers register with the *parent
+session's* memory manager: result-size accounting is charged back
+exactly as if the node had run in-process.
 
 Graceful fallback keeps the strategy total: tasks whose args or inputs
 do not pickle (lambdas in ``apply``/``map``), side-effect ops (prints
@@ -61,7 +65,7 @@ from repro.graph.scheduler.base import (
     ExecutionError, ReadySet, Scheduler, Task,
 )
 from repro.graph.scheduler.fused import fuse_linear_chains
-from repro.graph.scheduler.stats import ExecutionStats
+from repro.graph.scheduler.stats import ExecutionStats, NodeStat
 
 #: ops that must run in the parent whatever their picklability: shuffle
 #: stores hold locks and parent-side spill directories, streams are
@@ -118,29 +122,43 @@ def _pool_worker_init(backend_name: str) -> None:
     _WORKER_BACKEND = DEFAULT_REGISTRY.create(backend_name).backend
 
 
-def _run_task(payload: bytes) -> bytes:
-    """Replay one shipped task; returns the pickled final result.
+def _run_task(payload: bytes) -> Tuple[
+        bytes, Dict[str, int], List[Tuple[int, int]]]:
+    """Replay one shipped task; returns ``(pickled final result, the
+    counters the steps bumped, per-step (registered, released) bytes)``.
 
     ``payload`` decodes to ``(steps, externals)``: each step is
     ``(op, args, slots)`` where a slot ``("ext", i)`` reads the i-th
     external input and ``("step", j)`` the j-th step's output.
     Exceptions propagate (the pool pickles them back to the parent).
     """
+    from repro.memory import current_memory_manager
+
     steps, externals = pickle.loads(payload)
     backend = _WORKER_BACKEND
     assert backend is not None, "worker pool initializer did not run"
+    memory = current_memory_manager()
+    stats = ExecutionStats(strategy="process")
     results: List[object] = []
-    for op, args, slots in steps:
-        inputs = [
-            externals[index] if kind == "ext" else results[index]
-            for kind, index in slots
-        ]
-        results.append(backend.apply(_StepNode(op, args), inputs))
+    step_bytes: List[Tuple[int, int]] = []
+    with stats.bound():
+        for op, args, slots in steps:
+            inputs = [
+                externals[index] if kind == "ext" else results[index]
+                for kind, index in slots
+            ]
+            registered = memory.total_registered
+            released = memory.total_released
+            results.append(backend.apply(_StepNode(op, args), inputs))
+            step_bytes.append((memory.total_registered - registered,
+                               memory.total_released - released))
     final = results[-1]
     try:
-        return pickle.dumps(final, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(final, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:  # noqa: BLE001 - anything unpicklable
-        return pickle.dumps(_UnpicklableResult(type(final).__name__))
+        blob = pickle.dumps(_UnpicklableResult(type(final).__name__))
+    counts = {k: v for k, v in stats.counters().items() if v}
+    return blob, counts, step_bytes
 
 
 def create_worker_pool(max_workers: int, start_method: Optional[str],
@@ -239,13 +257,13 @@ class ProcessScheduler(Scheduler):
                         f"time(s) running task {[n.op for n in task]}; "
                         f"giving up after executor.process_retries={retries}"
                     )
-                stats.record_process_retry()
+                stats.add(process_retries=1)
                 ready.push(task, now)
 
         def submit(task: Task, ready_at: float):
             payload = self._ship_payload(task)
             if payload is None:
-                stats.record_process_task(shipped=False)
+                stats.add(process_fallbacks=1)
                 self._run_inline(ready, task, ready_at, stats)
                 return None
             try:
@@ -258,7 +276,7 @@ class ProcessScheduler(Scheduler):
             try:
                 # a worker-raised plan error propagates with its
                 # original type, like every other strategy's.
-                blob = future.result()
+                landed = future.result()
             except BrokenProcessPool:
                 # every in-flight future on a broken pool is lost
                 lost = [entry[0] for entry in pending.values()]
@@ -266,7 +284,7 @@ class ProcessScheduler(Scheduler):
                 retry(lost)
                 return
             task, ready_at, submitted = pending.pop(future)
-            self._land_result(task, blob, submitted, ready_at, stats)
+            self._land_result(task, landed, submitted, ready_at, stats)
             self._finish(ready, task)
 
         try:
@@ -318,45 +336,54 @@ class ProcessScheduler(Scheduler):
         except Exception:  # noqa: BLE001 - unpicklable args or inputs
             return None
 
-    def _land_result(self, chain: Task, blob: bytes, submitted: float,
+    def _land_result(self, chain: Task, landed, submitted: float,
                      ready_at: float, stats: ExecutionStats) -> None:
-        """Unpickle a worker's result on the coordination thread.
+        """Unpickle a worker's result on the coordination thread and
+        add the worker's account of the chain to the run's record.
 
         This thread has the owning session active, so the rebuilt
         column buffers register with the parent session's manager --
-        the charge-back half of the shipping contract.
+        the charge-back half of the shipping contract; the landing is
+        charged to the chain's last node on top of what that step
+        registered in the worker.
         """
+        blob, counts, step_bytes = landed
         memory = self.memory
         reg_before = memory.total_registered
         rel_before = memory.total_released
         value = pickle.loads(blob)
         if isinstance(value, _UnpicklableResult):
             # the chain ran, but its result cannot cross the boundary
-            # (exotic op output); re-run it here.
+            # (exotic op output); re-run it here -- and count that run,
+            # not the worker's.
             for node in chain:
                 self._execute_node(node, stats)
-            stats.record_process_task(shipped=False)
+            stats.add(process_fallbacks=1)
             return
         final = chain[-1]
         if final.persist:
             value = self.backend.persist(value)
         final.set_result(value)
-        stats.record_process_task(shipped=True)
         done = time.perf_counter()
-        queue_wait = max(0.0, submitted - ready_at)
-        registered = memory.total_registered - reg_before
-        released = memory.total_released - rel_before
-        for node in chain:
-            last = node is final
-            stats.record_node(
+        registered, released = step_bytes[-1]
+        step_bytes[-1] = (
+            registered + memory.total_registered - reg_before,
+            released + memory.total_released - rel_before,
+        )
+        stats.add(*(
+            NodeStat.of(
                 node,
-                wall_seconds=(done - submitted) if last else 0.0,
-                queue_wait_seconds=queue_wait if node is chain[0] else 0.0,
-                bytes_registered=registered if last else 0,
-                bytes_released=released if last else 0,
+                wall_seconds=(done - submitted) if node is final else 0.0,
+                queue_wait_seconds=(
+                    max(0.0, submitted - ready_at) if node is chain[0]
+                    else 0.0
+                ),
+                bytes_registered=registered,
+                bytes_released=released,
                 worker="process-pool",
                 bytes_estimated=self._estimates.get(node.id),
             )
-            self._record_op_stats(node, value if last else None, [], stats)
+            for node, (registered, released) in zip(chain, step_bytes)
+        ), process_tasks=1, **counts)
         if self.cache_state is not None:
             self.cache_state.offer(final, value, done - submitted)

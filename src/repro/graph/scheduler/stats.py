@@ -1,22 +1,42 @@
-"""Per-execution runtime statistics.
+"""The stats model: one record per run, one way to write to it.
 
 Every scheduler strategy fills one :class:`ExecutionStats` per
-``collect()``: per-node wall time, queue wait (time between a node
-becoming ready and starting to run), and bytes registered/released with
-the session's memory manager while the node ran.  The object is surfaced
-through ``LazyFrame.explain(stats=True)`` and the workload runner's
-result JSON.
+``collect()``.  Its additive counters are *declared* here, once -- a
+dataclass field made by :func:`_counter` carries its doc line, the
+:data:`_LINES` template that names it is where ``render()`` shows it --
+and :meth:`ExecutionStats.add` is the only way one changes.
+``to_dict()`` (the workload runner's JSON), ``render()``
+(``explain(stats=True)``) and the CLI (:func:`counter_lines`) are read
+off that declaration: a new counter is one field here plus one ``add``
+where the work happens.
 
-Byte attribution is exact under the serial and fused strategies; under
-the threaded strategy concurrently-running nodes share the manager's
-counters, so per-node bytes are an approximation (totals stay exact).
+A count is written *where the work happens, into the run it belongs
+to*: the scheduler binds the run's record around everything it executes
+(:meth:`ExecutionStats.bound`, a context variable, so pool threads and
+concurrent event-loop tasks each see their own run) and the deep layers
+-- source reads, range fetches, spills, shuffle operators, the reuse
+pass -- call :func:`count`, which adds to the bound record.  Work done
+outside any run (metastore sampling, ``explain()``, the eager
+baselines) is counted nowhere.  A process-pool worker fills a record of
+its own and ships :meth:`~ExecutionStats.counters` back beside its
+result; the parent adds it.
+
+Per-node byte attribution diffs the memory manager's monotonic totals
+around the node: exact when nodes run one at a time, an approximation
+when a parallel strategy overlaps nodes (run totals stay exact).
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
+import string
 import threading
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
+)
 
 
 @dataclasses.dataclass
@@ -35,8 +55,18 @@ class NodeStat:
     #: compare against ``bytes_registered`` to audit the estimator.
     bytes_estimated: Optional[int] = None
 
+    @classmethod
+    def of(cls, node, **measured) -> "NodeStat":
+        """``node``'s record: its identity plus what was measured."""
+        return cls(node_id=node.id, op=node.op, label=node.label, **measured)
+
     def to_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
+
+
+def _counter(doc: str):
+    """Declare one additive counter; ``doc`` says what it counts."""
+    return dataclasses.field(default=0, metadata={"doc": doc})
 
 
 @dataclasses.dataclass(eq=False, repr=False)
@@ -53,48 +83,49 @@ class ExecutionStats:
     effective_strategy: Optional[str] = None
     max_workers: int = 1
     wall_seconds: float = 0.0
-    nodes_executed: int = 0
-    cache_hits: int = 0
-    #: cross-session result-cache accounting (``optimizer.reuse``):
-    #: fingerprint probes that missed, serialized bytes served from
-    #: the cache instead of recomputed, entries this run's inserts
-    #: pushed out of the cache, and results inserted for later runs.
-    #: ``cache_hits`` above counts both per-session persisted-node
-    #: reuse and cross-session substitutions.
-    cache_misses: int = 0
-    cache_bytes_reused: int = 0
-    cache_evictions: int = 0
-    cache_inserted: int = 0
-    fused_chains: int = 0
-    fused_nodes: int = 0
-    throttle_waits: int = 0
-    bytes_registered: int = 0
-    bytes_released: int = 0
-    #: sum of per-node size predictions (nodes with one).
-    bytes_estimated: int = 0
-    #: scan-source partition accounting: how many partitions the
-    #: executed scans actually read vs how many their sources have
-    #: (pruning shows up as read < total).
-    partitions_read: int = 0
-    partitions_total: int = 0
-    #: shuffle accounting: buckets written by shuffle_write nodes,
-    #: bytes their stores pushed to spill files, and merges that
-    #: took the broadcast fast path instead of shuffling.
-    shuffle_partitions: int = 0
-    bytes_spilled: int = 0
-    broadcast_joins: int = 0
-    #: filesystem-layer accounting (diffed from the session's
-    #: IOCounters around the run): bytes actually fetched through
-    #: the byte-range layer, ranges the scheduler prefetched, scan
-    #: reads served from the prefetch cache, transient range
-    #: failures absorbed by the retry layer, rows x columns the scans'
-    #: readers materialized, and spill files the shuffle stores made.
-    bytes_read: int = 0
-    ranges_prefetched: int = 0
-    prefetch_hits: int = 0
-    io_retries: int = 0
-    cells_decoded: int = 0
-    spill_files: int = 0
+    nodes_executed: int = _counter("nodes that ran (one NodeStat each)")
+    cache_hits: int = _counter(
+        "nodes served without running: persisted results of this "
+        "session plus cross-session result-cache substitutions")
+    cache_misses: int = _counter("result-cache fingerprint probes that missed")
+    cache_bytes_reused: int = _counter(
+        "serialized bytes served from the result cache instead of "
+        "recomputed")
+    cache_evictions: int = _counter(
+        "entries this run's inserts pushed out of the result cache")
+    cache_inserted: int = _counter("results this run inserted for later runs")
+    fused_chains: int = _counter("linear chains run as one task")
+    fused_nodes: int = _counter("nodes inside those chains")
+    throttle_waits: int = _counter(
+        "times admission paused for memory headroom")
+    bytes_registered: int = _counter(
+        "bytes registered with the memory manager while nodes ran")
+    bytes_released: int = _counter(
+        "bytes released to the memory manager while nodes ran")
+    bytes_estimated: int = _counter(
+        "sum of per-node size predictions (nodes with one)")
+    partitions_read: int = _counter(
+        "partitions the executed scans were planned to read "
+        "(pruning shows up as read < total)")
+    partitions_total: int = _counter(
+        "partitions the executed scans' sources have")
+    shuffle_partitions: int = _counter(
+        "buckets written by shuffle_write nodes")
+    bytes_spilled: int = _counter(
+        "tracked bytes shuffle stores pushed to their spill files, "
+        "whenever the spill happened")
+    broadcast_joins: int = _counter(
+        "merges that streamed one side against a broadcast other "
+        "instead of shuffling")
+    bytes_read: int = _counter("bytes fetched through the byte-range layer")
+    ranges_prefetched: int = _counter("byte ranges the scheduler prefetched")
+    prefetch_hits: int = _counter("range reads served from the prefetch cache")
+    io_retries: int = _counter(
+        "transient range-read failures absorbed by the retry layer")
+    cells_decoded: int = _counter(
+        "rows x columns the scans' readers materialized (before the "
+        "predicate and the projection)")
+    spill_files: int = _counter("spill files the shuffle stores made")
     #: was the memory-aware static ordering pass applied to this
     #: run's execution order (``executor.static_order``)?
     static_order: bool = False
@@ -102,13 +133,12 @@ class ExecutionStats:
     #: used (the eager-release simulation over per-node estimates);
     #: None when the scheduler never planned an order.
     estimated_peak_bytes: Optional[int] = None
-    #: process-strategy accounting: tasks shipped to pool workers,
-    #: tasks that fell back to in-process execution (unpicklable
-    #: args or results, stream/store inputs, side effects), and
-    #: tasks re-run after a worker died mid-flight.
-    process_tasks: int = 0
-    process_fallbacks: int = 0
-    process_retries: int = 0
+    process_tasks: int = _counter("tasks shipped to pool workers")
+    process_fallbacks: int = _counter(
+        "tasks run in the parent instead (unpicklable args or "
+        "results, stream/store inputs, side effects)")
+    process_retries: int = _counter(
+        "tasks re-run after a worker died mid-flight")
     #: the session manager's high-water mark when the run finished.
     #: The manager's peak is *not* reset per run (the workload runner
     #: measures whole-program peaks on the same manager), so this can
@@ -121,92 +151,46 @@ class ExecutionStats:
         self.effective_strategy = self.effective_strategy or self.strategy
         self._lock = threading.Lock()
 
-    # -- recording (thread-safe) ----------------------------------------
+    # -- writing (thread-safe) -------------------------------------------
 
-    def record_node(self, node, wall_seconds: float, queue_wait_seconds: float,
-                    bytes_registered: int, bytes_released: int,
-                    worker: str,
-                    bytes_estimated: Optional[int] = None) -> None:
-        stat = NodeStat(
-            node_id=node.id,
-            op=node.op,
-            label=node.label,
-            wall_seconds=wall_seconds,
-            queue_wait_seconds=queue_wait_seconds,
-            bytes_registered=bytes_registered,
-            bytes_released=bytes_released,
-            worker=worker,
-            bytes_estimated=bytes_estimated,
-        )
+    def add(self, *nodes: NodeStat, **deltas: int) -> None:
+        """The one way a count changes: add ``deltas`` to the declared
+        counters they name, and account each executed node's
+        :class:`NodeStat` (``nodes_executed`` and the byte totals follow
+        from it).  An undeclared name is a ``TypeError``."""
+        for name in deltas:
+            if name not in COUNTERS:
+                raise TypeError(
+                    f"undeclared counter {name!r}; declare a field with "
+                    f"_counter() in {__name__}")
+        values = self.__dict__
         with self._lock:
-            self.nodes.append(stat)
-            self.nodes_executed += 1
-            self.bytes_registered += bytes_registered
-            self.bytes_released += bytes_released
-            if bytes_estimated is not None:
-                self.bytes_estimated += bytes_estimated
+            for stat in nodes:
+                self.nodes.append(stat)
+                self.nodes_executed += 1
+                self.bytes_registered += stat.bytes_registered
+                self.bytes_released += stat.bytes_released
+                self.bytes_estimated += stat.bytes_estimated or 0
+            for name, delta in deltas.items():
+                values[name] += delta
 
-    def record_scan(self, partitions_read: int, partitions_total: int) -> None:
-        with self._lock:
-            self.partitions_read += partitions_read
-            self.partitions_total += partitions_total
-
-    def record_shuffle(self, n_buckets: int, bytes_spilled: int) -> None:
-        with self._lock:
-            self.shuffle_partitions += n_buckets
-            self.bytes_spilled += bytes_spilled
-
-    def record_broadcast_join(self) -> None:
-        with self._lock:
-            self.broadcast_joins += 1
-
-    def record_process_task(self, shipped: bool) -> None:
-        with self._lock:
-            if shipped:
-                self.process_tasks += 1
-            else:
-                self.process_fallbacks += 1
-
-    def record_process_retry(self) -> None:
-        with self._lock:
-            self.process_retries += 1
-
-    def record_cache_hit(self) -> None:
-        with self._lock:
-            self.cache_hits += 1
-
-    def record_cache_run(self, hits: int, misses: int, bytes_reused: int,
-                         evictions: int, inserted: int) -> None:
-        """Publish one run's cross-session result-cache counters."""
-        with self._lock:
-            self.cache_hits += hits
-            self.cache_misses += misses
-            self.cache_bytes_reused += bytes_reused
-            self.cache_evictions += evictions
-            self.cache_inserted += inserted
-
-    def record_io(self, bytes_read: int = 0, ranges_prefetched: int = 0,
-                  prefetch_hits: int = 0, io_retries: int = 0,
-                  cells_decoded: int = 0, spill_files: int = 0) -> None:
-        """Publish one run's filesystem-layer counter deltas."""
-        with self._lock:
-            self.bytes_read += bytes_read
-            self.ranges_prefetched += ranges_prefetched
-            self.prefetch_hits += prefetch_hits
-            self.io_retries += io_retries
-            self.cells_decoded += cells_decoded
-            self.spill_files += spill_files
-
-    def record_throttle_wait(self) -> None:
-        with self._lock:
-            self.throttle_waits += 1
-
-    def record_fused_chain(self, length: int) -> None:
-        with self._lock:
-            self.fused_chains += 1
-            self.fused_nodes += length
+    @contextlib.contextmanager
+    def bound(self) -> Iterator["ExecutionStats"]:
+        """Make this the record :func:`count` writes to, for the calling
+        thread (or event-loop task) until the block exits."""
+        token = _BOUND.set(self)
+        try:
+            yield self
+        finally:
+            _BOUND.reset(token)
 
     # -- export ----------------------------------------------------------
+
+    def counters(self) -> Dict[str, int]:
+        """The declared counters' values (what a pool worker ships back
+        for its parent to :meth:`add`)."""
+        with self._lock:
+            return {name: getattr(self, name) for name in COUNTERS}
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready dict (the workload runner embeds this verbatim)."""
@@ -228,57 +212,15 @@ class ExecutionStats:
             f" wall={self.wall_seconds:.4f}s"
             f" manager_peak={self.manager_peak_bytes}B"
         )
-        lines = [head]
-        if (self.cache_misses or self.cache_bytes_reused
-                or self.cache_evictions or self.cache_inserted):
-            lines.append(
-                f"result cache: {self.cache_bytes_reused}B reused, "
-                f"{self.cache_misses} misses, "
-                f"{self.cache_inserted} inserted, "
-                f"{self.cache_evictions} evictions"
-            )
-        if self.fused_chains:
-            lines.append(
-                f"fused {self.fused_nodes} nodes into {self.fused_chains} chains"
-            )
-        if self.throttle_waits:
-            lines.append(f"memory throttle waits: {self.throttle_waits}")
-        if self.partitions_total:
-            lines.append(
-                f"scan partitions read: {self.partitions_read}"
-                f"/{self.partitions_total}"
-            )
-        if self.cells_decoded:
-            lines.append(f"scan cells decoded: {self.cells_decoded}")
-        if self.shuffle_partitions:
-            lines.append(
-                f"shuffle buckets: {self.shuffle_partitions} "
-                f"(spilled {self.bytes_spilled}B"
-                f" in {self.spill_files} files)"
-            )
-        if self.broadcast_joins:
-            lines.append(f"broadcast joins: {self.broadcast_joins}")
-        if (self.bytes_read or self.ranges_prefetched
-                or self.prefetch_hits or self.io_retries):
-            lines.append(
-                f"io: {self.bytes_read}B read, "
-                f"{self.ranges_prefetched} ranges prefetched, "
-                f"{self.prefetch_hits} prefetch hits, "
-                f"{self.io_retries} retries"
-            )
+        counts = self.counters()
+        lines = [head, *counter_lines(
+            counts, [group for group in _LINES if group != "process"])]
         if self.estimated_peak_bytes is not None:
             lines.append(
                 f"estimated peak live bytes: {self.estimated_peak_bytes}"
                 + (" (static order)" if self.static_order else "")
             )
-        if self.process_tasks or self.process_fallbacks:
-            line = (
-                f"process tasks: {self.process_tasks} shipped, "
-                f"{self.process_fallbacks} inline"
-            )
-            if self.process_retries:
-                line += f", {self.process_retries} retried"
-            lines.append(line)
+        lines += counter_lines(counts, ["process"])
         for stat in self.nodes:
             label = f" {stat.label}" if stat.label else ""
             estimate = (
@@ -299,3 +241,72 @@ class ExecutionStats:
             f"<ExecutionStats {self.effective_strategy} "
             f"nodes={self.nodes_executed} wall={self.wall_seconds:.4f}s>"
         )
+
+
+#: the declared counters: name -> what it counts (declaration order).
+COUNTERS: Mapping[str, str] = MappingProxyType({
+    field.name: field.metadata["doc"]
+    for field in dataclasses.fields(ExecutionStats)
+    if "doc" in field.metadata
+})
+
+#: the summary lines of ``render()``, in order.  A line is shown when a
+#: counter its template names is non-zero; a template after the first
+#: is a suffix that is added when one of its own is.
+_LINES: Mapping[str, Tuple[str, ...]] = MappingProxyType({
+    "result cache": (
+        "result cache: {cache_bytes_reused}B reused, {cache_misses} misses,"
+        " {cache_inserted} inserted, {cache_evictions} evictions",),
+    "fusion": ("fused {fused_nodes} nodes into {fused_chains} chains",),
+    "throttle": ("memory throttle waits: {throttle_waits}",),
+    "scan": ("scan partitions read: {partitions_read}/{partitions_total}",),
+    "decode": ("scan cells decoded: {cells_decoded}",),
+    "shuffle": (
+        "shuffle buckets: {shuffle_partitions} "
+        "(spilled {bytes_spilled}B in {spill_files} files)",),
+    "broadcast": ("broadcast joins: {broadcast_joins}",),
+    "io": (
+        "io: {bytes_read}B read, {ranges_prefetched} ranges prefetched,"
+        " {prefetch_hits} prefetch hits, {io_retries} retries",),
+    "process": (
+        "process tasks: {process_tasks} shipped,"
+        " {process_fallbacks} inline",
+        ", {process_retries} retried"),
+})
+
+
+def _counts_any(template: str, counts: Mapping[str, object]) -> bool:
+    return any(counts.get(name)
+               for _, name, _, _ in string.Formatter().parse(template)
+               if name)
+
+
+def counter_lines(counts: Mapping[str, object],
+                  groups: Optional[Iterable[str]] = None) -> List[str]:
+    """The summary lines for ``counts`` (a record's :meth:`~
+    ExecutionStats.counters` or its ``to_dict()``, e.g. back from the
+    runner's JSON): every line of :data:`_LINES`, or those of
+    ``groups`` in the order given."""
+    lines = []
+    for group in _LINES if groups is None else groups:
+        line, *suffixes = _LINES[group]
+        if _counts_any(line, counts):
+            shown = [line] + [
+                part for part in suffixes if _counts_any(part, counts)]
+            lines.append("".join(shown).format_map(counts))
+    return lines
+
+
+_BOUND: "contextvars.ContextVar[Optional[ExecutionStats]]" = (
+    contextvars.ContextVar("repro_run_stats", default=None))
+#: the record of the run executing on this thread / event-loop task
+#: (None outside any run).
+bound_record = _BOUND.get
+
+
+def count(**deltas: int) -> None:
+    """Add ``deltas`` to the record of the run this code is executing
+    for; outside any run the work is counted nowhere."""
+    stats = bound_record()
+    if stats is not None:
+        stats.add(**deltas)

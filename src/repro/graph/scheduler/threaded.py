@@ -9,8 +9,9 @@ and releases inputs and propagates readiness itself -- workers only run
 ``backend.apply`` and set their node's result, so the ready set needs no
 lock.  At least one node is always in flight, so progress is guaranteed.
 
-Worker calls are wrapped in :meth:`Scheduler._in_session`, so buffers
-allocated mid-node charge the owning session's memory manager.
+Worker calls go through :meth:`Scheduler._on_pool_thread`, so buffers
+allocated mid-node charge the owning session's memory manager and the
+work is counted into the run's record.
 
 Requires an engine whose :class:`~repro.backends.engine.EngineSpec`
 declares ``supports_parallel_apply``; sessions fall back to the serial
@@ -36,7 +37,7 @@ class ThreadedScheduler(Scheduler):
         from concurrent.futures import ThreadPoolExecutor
 
         def submit(task, ready_at):
-            return pool.submit(self._in_session, self._execute_node,
+            return pool.submit(self._on_pool_thread,
                                task[0], stats, ready_at)
 
         def collect(future, pending):

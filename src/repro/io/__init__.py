@@ -14,8 +14,8 @@ Structure (mirrors the engine and scheduler subsystems):
   ``scan_dataset`` / ``scan_columnar`` / ``from_pandas`` building
   LazyFrames over ``scan`` nodes,
 - :mod:`repro.io.fs`        -- the :class:`ByteRangeFilesystem`
-  protocol (``file://`` / ``memory://``), compression codecs, retried
-  range reads, and per-session :class:`IOCounters`,
+  protocol (``file://`` / ``memory://``), compression codecs and
+  retried range reads,
 - :mod:`repro.io.prefetch`  -- the scheduler-driven range prefetch
   cache overlapping remote latency with compute,
 - :mod:`repro.io.columnar`  -- the ``.lfc`` columnar container format
@@ -38,14 +38,12 @@ from repro.io.fs import (
     ByteRangeFilesystem,
     FileStat,
     InMemoryObjectStore,
-    IOCounters,
     LocalFilesystem,
     TransientIOError,
     memory_store,
     register_codec,
     register_filesystem,
     resolve_filesystem,
-    session_io_counters,
 )
 from repro.io.jsonl import JsonlSource, read_jsonl, write_jsonl
 from repro.io.predicate import Predicate, conjuncts_from_mask
@@ -68,7 +66,6 @@ __all__ = [
     "DataSource",
     "DatasetSource",
     "FileStat",
-    "IOCounters",
     "InMemoryObjectStore",
     "JsonlSource",
     "LocalFilesystem",
@@ -90,7 +87,6 @@ __all__ = [
     "register_filesystem",
     "resolve_filesystem",
     "resolve_source",
-    "session_io_counters",
     "source_capabilities",
     "write_columnar",
     "write_dataset",

@@ -12,11 +12,10 @@ Every remote-capable format reads through one small protocol,
   exercised hermetically.
 
 On top of the protocol live the pieces every consumer shares: a
-pluggable compression-codec registry (gzip built-in), bounded
-retry-with-backoff over transient range-read failures, and per-session
-:class:`IOCounters` feeding the scheduler's ``ExecutionStats``
-(``bytes_read`` / ``ranges_prefetched`` / ``prefetch_hits`` /
-``io_retries`` / ``cells_decoded`` / ``spill_files``).
+pluggable compression-codec registry (gzip built-in) and bounded
+retry-with-backoff over transient range-read failures, counted
+(``bytes_read`` / ``io_retries``) into the record of the run the read
+is for (:mod:`repro.graph.scheduler.stats`).
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ import os
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.graph.scheduler.stats import ExecutionStats, count
 
 
 @dataclasses.dataclass(frozen=True)
@@ -302,79 +303,6 @@ def decompress_chunk(data: bytes, codec: Optional[str]) -> bytes:
     return _CODECS[str(codec or "none").lower()][1](data)
 
 
-# ---------------------------------------------------------------------------
-# Per-session I/O counters.
-# ---------------------------------------------------------------------------
-
-
-class IOCounters:
-    """Thread-safe I/O accounting, diffed into ``ExecutionStats``.
-
-    One instance rides on each :class:`~repro.core.session.Session`
-    (created lazily); the scheduler snapshots it around a run so the
-    run's stats carry exactly that run's bytes.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.bytes_read = 0
-        self.ranges_prefetched = 0
-        self.prefetch_hits = 0
-        self.io_retries = 0
-        #: rows x columns the scans' readers materialized (before the
-        #: predicate and the projection are applied to the frame)
-        self.cells_decoded = 0
-        #: spill files created by shuffle stores
-        self.spill_files = 0
-
-    def add(self, *, bytes_read: int = 0, ranges_prefetched: int = 0,
-            prefetch_hits: int = 0, io_retries: int = 0,
-            cells_decoded: int = 0, spill_files: int = 0) -> None:
-        with self._lock:
-            self.bytes_read += bytes_read
-            self.ranges_prefetched += ranges_prefetched
-            self.prefetch_hits += prefetch_hits
-            self.io_retries += io_retries
-            self.cells_decoded += cells_decoded
-            self.spill_files += spill_files
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "bytes_read": self.bytes_read,
-                "ranges_prefetched": self.ranges_prefetched,
-                "prefetch_hits": self.prefetch_hits,
-                "io_retries": self.io_retries,
-                "cells_decoded": self.cells_decoded,
-                "spill_files": self.spill_files,
-            }
-
-
-_COUNTER_LOCK = threading.Lock()
-_FALLBACK_COUNTERS = IOCounters()
-
-
-def session_io_counters(session=None) -> IOCounters:
-    """The active session's counters (a shared fallback outside one)."""
-    if session is None:
-        from repro.core.session import current_session
-
-        try:
-            session = current_session()
-        except Exception:
-            session = None
-    if session is None:
-        return _FALLBACK_COUNTERS
-    counters = getattr(session, "_io_counters", None)
-    if counters is None:
-        with _COUNTER_LOCK:
-            counters = getattr(session, "_io_counters", None)
-            if counters is None:
-                counters = IOCounters()
-                session._io_counters = counters
-    return counters
-
-
 def _retry_policy() -> Tuple[int, float]:
     """(retries, backoff seconds) from the active session's options."""
     from repro.core.session import current_session
@@ -396,7 +324,7 @@ def read_range_with_retry(
     end: int,
     retries: Optional[int] = None,
     backoff: Optional[float] = None,
-    counters: Optional[IOCounters] = None,
+    counters: Optional[ExecutionStats] = None,
 ) -> bytes:
     """One range read with bounded retry-with-backoff.
 
@@ -404,13 +332,15 @@ def read_range_with_retry(
     exponential backoff; exhaustion surfaces as the scheduler's
     :class:`~repro.graph.scheduler.base.ExecutionError` (infrastructure
     failure, not a plan bug).  Successful reads count ``bytes_read``
-    once -- prefetch-cache hits never re-enter here.
+    once -- prefetch-cache hits never re-enter here -- into ``counters``
+    (a prefetch thread's explicit sink), else into the run bound on the
+    calling thread.
     """
     if retries is None or backoff is None:
         opt_retries, opt_backoff = _retry_policy()
         retries = opt_retries if retries is None else retries
         backoff = opt_backoff if backoff is None else backoff
-    counters = counters or session_io_counters()
+    add = counters.add if counters is not None else count
     last_error: Optional[Exception] = None
     for attempt in range(int(retries) + 1):
         try:
@@ -418,10 +348,10 @@ def read_range_with_retry(
         except TransientIOError as exc:
             last_error = exc
             if attempt < retries:
-                counters.add(io_retries=1)
+                add(io_retries=1)
                 time.sleep(backoff * (2 ** attempt))
             continue
-        counters.add(bytes_read=len(data))
+        add(bytes_read=len(data))
         return data
     from repro.graph.scheduler.base import ExecutionError
 

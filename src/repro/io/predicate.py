@@ -36,13 +36,15 @@ legacy min/max-only behaviour).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import List, Optional, Sequence, Set
 
 #: comparison ops a conjunct may carry (plus "between" and "isin").
-_COMPARISONS = {"<", "<=", ">", ">=", "==", "!="}
+_COMPARISONS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 
 #: mirror image used when a reflected binop (``5 > col``) is normalized.
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+_FLIPPED = MappingProxyType(
+    {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="})
 
 
 def _is_literal(value) -> bool:
@@ -196,32 +198,6 @@ def _conjunct_mask(series, conj: dict):
     raise ValueError(f"unknown predicate op {op!r}")
 
 
-def _scalar_matches(value, conj: dict) -> bool:
-    """Evaluate a conjunct against one exact value (a hive key)."""
-    op = conj["op"]
-    try:
-        if op == "between":
-            inclusive = conj.get("inclusive", "both")
-            low_ok = (value >= conj["low"]) if inclusive in ("both", "left") \
-                else (value > conj["low"])
-            high_ok = (value <= conj["high"]) if inclusive in ("both", "right") \
-                else (value < conj["high"])
-            return bool(low_ok and high_ok)
-        if op == "isin":
-            return value in set(conj["values"])
-        other = conj["value"]
-        return bool({
-            "<": value < other,
-            "<=": value <= other,
-            ">": value > other,
-            ">=": value >= other,
-            "==": value == other,
-            "!=": value != other,
-        }[op])
-    except TypeError:
-        return True  # incomparable types: never prune
-
-
 def _range_may_match(lo, hi, conj: dict) -> bool:
     """Can any value in ``[lo, hi]`` satisfy the conjunct?"""
     op = conj["op"]
@@ -323,8 +299,8 @@ def _prove_leaf(conj: dict, partition) -> Optional[bool]:
 
 
 def _scalar_proof(value, conj: dict) -> Optional[bool]:
-    """Three-valued :func:`_scalar_matches`: ``None`` on incomparable
-    types instead of the may-match default."""
+    """Three-valued evaluation of a conjunct against one exact value
+    (a hive key): ``None`` on incomparable types."""
     op = conj["op"]
     try:
         if op == "between":

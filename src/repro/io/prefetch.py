@@ -27,14 +27,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Set, Tuple
 
-from repro.io.fs import (
-    IOCounters,
-    read_range_with_retry,
-    resolve_filesystem,
-    session_io_counters,
-)
+from repro.graph.scheduler.stats import ExecutionStats, count
+from repro.io.fs import read_range_with_retry, resolve_filesystem
 
 #: fetch parallelism: small and shared, like dask's IO pool.
 _POOL_WORKERS = 4
@@ -77,11 +73,12 @@ class RangeCache:
     # -- producer side ----------------------------------------------------
 
     def submit(self, url: str, start: int, end: int,
-               counters: IOCounters, manager=None,
+               counters: ExecutionStats, manager=None,
                budget: Optional[int] = None,
                retries: Optional[int] = None,
                backoff: Optional[float] = None) -> bool:
-        """Schedule one range fetch; False when already cached/in-flight."""
+        """Schedule one range fetch, counted into ``counters`` (the
+        issuing run's record); False when already cached/in-flight."""
         key = (url, int(start), int(end))
         with self._lock:
             if key in self._entries:
@@ -95,7 +92,7 @@ class RangeCache:
         )
         return True
 
-    def _fetch(self, key, entry: _Entry, counters: IOCounters,
+    def _fetch(self, key, entry: _Entry, counters: ExecutionStats,
                manager, budget, retries, backoff) -> None:
         url, start, end = key
         try:
@@ -207,27 +204,27 @@ def range_cache() -> RangeCache:
     return _CACHE
 
 
-def fetch_range(url: str, start: int, end: int,
-                counters: Optional[IOCounters] = None) -> bytes:
+def fetch_range(url: str, start: int, end: int) -> bytes:
     """Consumer entry point: prefetched bytes when available, a direct
-    (retried, counted) read otherwise."""
-    counters = counters or session_io_counters()
+    (retried) read otherwise; counted into the run bound on the calling
+    thread."""
     data = _CACHE.consume(url, start, end)
     if data is not None:
-        counters.add(prefetch_hits=1)
+        count(prefetch_hits=1)
         return data
-    return read_range_with_retry(
-        resolve_filesystem(url), url, start, end, counters=counters
-    )
+    return read_range_with_retry(resolve_filesystem(url), url, start, end)
 
 
-def prefetch_scan_node(node, session=None) -> List[str]:
+def prefetch_scan_node(node, session,
+                       counters: ExecutionStats) -> Set[str]:
     """Issue prefetches for one ``scan`` node's byte ranges.
 
     Asks the node's source for ``prefetch_ranges`` (sources without the
     hook -- whole-file text formats -- simply don't prefetch) and
-    schedules each range against the active session's budget.  Returns
-    the URLs touched so the scheduler can purge leftovers after the run.
+    schedules each range against the active session's budget, counted
+    into ``counters`` (the run's record; the fetch pool's threads are
+    not the run's, so the sink is explicit).  Returns the URLs
+    touched so the scheduler can purge leftovers after the run.
     """
     args = node.args
     try:
@@ -237,29 +234,23 @@ def prefetch_scan_node(node, session=None) -> List[str]:
 
         session = session or current_session()
         if not session.get_option("io.prefetch"):
-            return []
+            return set()
         source = resolve_source(args, metastore=session.metastore)
         hook = getattr(source, "prefetch_ranges", None)
         if hook is None:
-            return []
+            return set()
         ranges = hook(
             columns=args.get("columns"),
             predicate=Predicate.from_arg(args.get("predicate")),
             partitions=args.get("partitions"),
         )
     except Exception:
-        return []  # prefetch is an optimization: never fail the plan
-    if not ranges:
-        return []
-    counters = session_io_counters(session)
+        return set()  # prefetch is an optimization: never fail the plan
     budget = session.get_option("io.prefetch_budget")
     retries = int(session.get_option("io.retries"))
     backoff = float(session.get_option("io.retry_backoff"))
     manager = session.memory
-    urls = []
     for url, start, end in ranges:
         _CACHE.submit(url, start, end, counters, manager=manager,
                       budget=budget, retries=retries, backoff=backoff)
-        if url not in urls:
-            urls.append(url)
-    return urls
+    return {url for url, _, _ in ranges}

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.frame import DataFrame
 from repro.frame.column import Column
-from repro.io.fs import session_io_counters
+from repro.graph.scheduler.stats import count
 from repro.io.predicate import Predicate, required_read_columns
 
 
@@ -180,9 +180,7 @@ class DataSource:
         project to the requested columns.  Output preserves the source's
         physical column order (the ``read_csv``/pandas ``usecols``
         convention), not the request order."""
-        session_io_counters().add(
-            cells_decoded=len(frame) * len(frame.columns)
-        )
+        count(cells_decoded=len(frame) * len(frame.columns))
         if predicate is not None:
             frame = predicate.filter(frame)
         if columns is not None:

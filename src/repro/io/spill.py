@@ -44,7 +44,7 @@ import numpy as np
 from repro.frame.column import Column
 from repro.frame.concat import concat_consuming, shallow_copy
 from repro.frame.dataframe import DataFrame
-from repro.io.fs import session_io_counters
+from repro.graph.scheduler.stats import count
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 
@@ -303,6 +303,9 @@ class ShuffleStore:
         self._file_end = offset + len(payload)
         self.bytes_spilled += nbytes
         self.spill_chunks += 1
+        # into the run whose pressure forced this chunk out, whenever
+        # that is: long after the store's shuffle_write node finished
+        count(bytes_spilled=nbytes)
         # dropping the frame reference releases its tracked buffers
         return _SpilledChunk(offset, len(payload), nbytes)
 
@@ -319,7 +322,7 @@ class ShuffleStore:
             self._finalizer = weakref.finalize(
                 self, _remove_spill, self._fd, directory
             )
-            session_io_counters().add(spill_files=1)
+            count(spill_files=1)
         return self._fd
 
     # -- read phase ----------------------------------------------------

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 
+from repro.graph.scheduler.stats import counter_lines
 from repro.workloads.programs import PROGRAMS
 from repro.workloads.runner import MODES, Runner
 from repro.workloads.verify import verify_program
@@ -43,19 +44,9 @@ def _cmd_run(args) -> int:
           f"  source: {result.source_format or 'csv'}")
     if result.result_hash:
         print(f"  result md5: {result.result_hash}")
-    stats = result.execution_stats or {}
-    if any(stats.get(k) for k in ("cache_bytes_reused", "cache_misses",
-                                  "cache_inserted", "cache_evictions")):
-        print(f"  result cache: {stats.get('cache_bytes_reused', 0)}B reused,"
-              f" {stats.get('cache_misses', 0)} misses,"
-              f" {stats.get('cache_inserted', 0)} inserted,"
-              f" {stats.get('cache_evictions', 0)} evictions")
-    if any(stats.get(k) for k in ("bytes_read", "ranges_prefetched",
-                                  "prefetch_hits", "io_retries")):
-        print(f"  io: {stats.get('bytes_read', 0)}B read,"
-              f" {stats.get('ranges_prefetched', 0)} ranges prefetched,"
-              f" {stats.get('prefetch_hits', 0)} prefetch hits,"
-              f" {stats.get('io_retries', 0)} retries")
+    for line in counter_lines(result.execution_stats or {},
+                              groups=("result cache", "io")):
+        print(f"  {line}")
     if args.stats:
         print(json.dumps(result.to_dict(), indent=2, default=str))
     if args.show_output:

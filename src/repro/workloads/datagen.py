@@ -26,7 +26,7 @@ dataset's natural low-cardinality column (:data:`PARTITION_KEYS`).
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, Dict, Iterable
 
 import numpy as np
 
@@ -106,14 +106,6 @@ def generate_variant(name: str, directory: str, fmt: str) -> str:
         write_dataset(frame, out, partition_on=PARTITION_KEYS[name])
         return out
     raise ValueError(f"unknown source-format variant {fmt!r}")
-
-
-def generate_all(directory: str, rows: int = BASE_ROWS) -> List[str]:
-    return [generate(name, directory, rows) for name in sorted(_GENERATORS)]
-
-
-def dataset_names() -> List[str]:
-    return sorted(_GENERATORS)
 
 
 def _rng(name: str) -> np.random.Generator:

@@ -322,7 +322,3 @@ print(top)
 save_result(top, "zip")
 """,
 ))
-
-
-def program_names() -> List[str]:
-    return sorted(PROGRAMS)

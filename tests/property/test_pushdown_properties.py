@@ -16,7 +16,9 @@ cannot:
 A chain may stop on the way up to ``collect()`` or ``persist()`` the
 frame as it stands and then keep building on it: the steps above such a
 "hold" are planned over a value the graph already keeps, which no pass
-may look, or move an operator, beneath.
+may look, or move an operator, beneath.  A "pinned" step holds a
+*series* and assigns it as a column: a later filter must stay above
+that setitem, because the held value cannot be re-rooted.
 
 The chain's leaf is one more input: ``pd.read_csv``, ``pd.scan_csv``,
 or a ``scan_csv`` cut into several partitions.  The first two are one
@@ -67,7 +69,7 @@ def chains(draw):
     steps = []
     for _ in range(draw(st.integers(min_value=1, max_value=7))):
         kinds = ["filter", "filter", "derive", "overwrite", "running",
-                 "peaks", "tap", "hold"]
+                 "peaks", "tap", "hold", "pinned"]
         droppable = [c for c in numeric if c != "k"]
         if len(droppable) > 1:
             kinds += ["drop", "rename"]
@@ -84,6 +86,13 @@ def chains(draw):
                 st.sampled_from(numeric))
             name = f"d{len(steps)}"
             steps.append(("setitem", name, a, b))
+            numeric = numeric + [name]
+        elif kind == "pinned":
+            # the same column, persisted first: a held leaf on the side
+            a, b = draw(st.sampled_from(numeric)), draw(
+                st.sampled_from(numeric))
+            name = f"d{len(steps)}"
+            steps.append(("pinned", name, a, b))
             numeric = numeric + [name]
         elif kind == "running":
             # not elementwise: no filter may pass it, nor enter a run
@@ -144,6 +153,9 @@ def _build(steps, leaf, left, right):
         elif step[0] == "setitem":
             _, name, a, b = step
             frame[name] = frame[a] + frame[b]
+        elif step[0] == "pinned":
+            _, name, a, b = step
+            frame[name] = (frame[a] + frame[b]).persist()
         elif step[0] == "running":
             frame[step[1]] = frame[step[2]].cummax()
         elif step[0] == "peaks":
@@ -183,8 +195,10 @@ class TestOptimizerFlagsAreInvisible:
         left = _write_table(data, tmp_dir, "left", "csv")
         right = _write_table(right, tmp_dir, "right", "csv")
         # the simulated dask cannot put a whole-column op (one partition
-        # out) back on a partitioned frame
-        ordered = any(step[0] in ("running", "peaks") for step in steps)
+        # out) back on a partitioned frame -- nor a held series, which is
+        # one partition too, on a leaf cut into several
+        ordered = any(step[0] in ("running", "peaks") for step in steps) or (
+            leaf == "split" and any(step[0] == "pinned" for step in steps))
         for backend in BACKENDS:
             if ordered and backend == "dask":
                 continue

@@ -20,7 +20,6 @@ from repro.io import (
     Predicate,
     memory_store,
     read_columnar_footer,
-    session_io_counters,
     write_columnar,
 )
 from repro.io.api import sibling_variant

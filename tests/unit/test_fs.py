@@ -1,11 +1,13 @@
 """The byte-range filesystem layer: URL dispatch, the in-memory object
-store, codecs, retry-with-backoff, I/O counters, and the prefetch cache.
+store, codecs, retry-with-backoff, the I/O counts a run's record gets,
+and the prefetch cache.
 
 Remote behaviour (latency, transient failures) is exercised hermetically
 through :class:`InMemoryObjectStore`'s injectable knobs -- no network.
 """
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -14,9 +16,9 @@ import pytest
 from repro.core.session import Session
 from repro.frame import DataFrame
 from repro.graph.scheduler.base import ExecutionError
+from repro.graph.scheduler.stats import ExecutionStats
 from repro.io.fs import (
     InMemoryObjectStore,
-    IOCounters,
     LocalFilesystem,
     TransientIOError,
     codec_names,
@@ -28,7 +30,6 @@ from repro.io.fs import (
     read_range_with_retry,
     register_codec,
     resolve_filesystem,
-    session_io_counters,
     url_scheme,
 )
 from repro.io.prefetch import fetch_range, range_cache
@@ -41,6 +42,11 @@ def _clean_io_state():
     yield
     memory_store().reset()
     range_cache().clear()
+
+
+def _record() -> ExecutionStats:
+    """A run's record, standing alone as a counter sink."""
+    return ExecutionStats(strategy="serial")
 
 
 class TestUrlDispatch:
@@ -148,28 +154,26 @@ class TestRetry:
         with store.open_output("memory://b/k") as out:
             out.write(b"0123456789")
         store.fail_every = 2  # every other read fails
-        counters = IOCounters()
+        counters = _record()
         for _ in range(2):  # the second read hits the injected failure
             data = read_range_with_retry(store, "memory://b/k", 0, 10,
                                          retries=2, backoff=0.0,
                                          counters=counters)
             assert data == b"0123456789"
-        snap = counters.snapshot()
-        assert snap["bytes_read"] == 20
-        assert snap["io_retries"] >= 1
+        assert counters.bytes_read == 20
+        assert counters.io_retries >= 1
 
     def test_exhaustion_raises_execution_error(self):
         store = memory_store()
         with store.open_output("memory://b/k") as out:
             out.write(b"0123456789")
         store.fail_every = 1  # every read fails
-        counters = IOCounters()
+        counters = _record()
         with pytest.raises(ExecutionError, match="after 3 attempts"):
             read_range_with_retry(store, "memory://b/k", 0, 10,
                                   retries=2, backoff=0.0, counters=counters)
-        snap = counters.snapshot()
-        assert snap["io_retries"] == 2  # retries, not attempts
-        assert snap["bytes_read"] == 0
+        assert counters.io_retries == 2  # retries, not attempts
+        assert counters.bytes_read == 0
 
     def test_policy_comes_from_session_options(self):
         store = memory_store()
@@ -182,28 +186,59 @@ class TestRetry:
                 read_range_with_retry(store, "memory://b/k", 0, 3)
 
 
-class TestIOCounters:
-    def test_counters_are_per_session(self):
-        with Session(backend="pandas") as s1:
-            session_io_counters().add(bytes_read=5)
-            assert session_io_counters(s1).snapshot()["bytes_read"] == 5
-        with Session(backend="pandas") as s2:
-            assert session_io_counters(s2).snapshot()["bytes_read"] == 0
+class TestRunRecord:
+    def test_reads_count_into_the_bound_run_and_nowhere_outside_one(self):
+        """Per run, not per session: two records bound in turn on one
+        session each get their own reads; an unbound read gets counted
+        nowhere (and does not fail)."""
+        store = memory_store()
+        with store.open_output("memory://b/k") as out:
+            out.write(b"0123456789")
+        first, second = _record(), _record()
+        with Session(backend="pandas"):
+            with first.bound():
+                read_range_with_retry(store, "memory://b/k", 0, 5)
+                with second.bound():  # a nested run shadows, then restores
+                    read_range_with_retry(store, "memory://b/k", 0, 3)
+                read_range_with_retry(store, "memory://b/k", 0, 2)
+            assert read_range_with_retry(store, "memory://b/k", 0, 4) == b"0123"
+        assert (first.bytes_read, second.bytes_read) == (7, 3)
+
+    def test_a_binding_is_per_thread(self):
+        """A thread sees only what was bound on it: the scheduler binds
+        the run's record around every node it runs on a pool thread."""
+        store = memory_store()
+        with store.open_output("memory://b/k") as out:
+            out.write(b"0123456789")
+        run = _record()
+        with run.bound():
+            worker = threading.Thread(
+                target=read_range_with_retry,
+                args=(store, "memory://b/k", 0, 10),
+            )
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert run.bytes_read == 0
 
     def test_thread_safety(self):
-        counters = IOCounters()
+        counters = _record()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def bump():
+                for _ in range(1000):
+                    counters.add(bytes_read=1, prefetch_hits=1)
 
-        def bump():
-            for _ in range(1000):
-                counters.add(bytes_read=1, prefetch_hits=1)
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        snap = counters.snapshot()
-        assert snap["bytes_read"] == snap["prefetch_hits"] == 4000
+            threads = [threading.Thread(target=bump) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert counters.bytes_read == counters.prefetch_hits == 8000
 
 
 class TestPrefetchCache:
@@ -215,30 +250,31 @@ class TestPrefetchCache:
 
     def test_submit_then_consume_counts_hit(self):
         url = self._put("k", b"0123456789")
-        counters = IOCounters()
+        counters = _record()
         cache = range_cache()
         cache.submit(url, 2, 8, counters=counters, retries=0, backoff=0.0)
-        data = fetch_range(url, 2, 8, counters=counters)
+        with counters.bound():
+            data = fetch_range(url, 2, 8)
         assert data == b"234567"
-        snap = counters.snapshot()
-        assert snap["ranges_prefetched"] == 1
-        assert snap["prefetch_hits"] == 1
-        assert snap["bytes_read"] == 6  # fetched once, by the worker
+        assert counters.ranges_prefetched == 1
+        assert counters.prefetch_hits == 1
+        assert counters.bytes_read == 6  # fetched once, by the worker
 
     def test_consume_is_once(self):
         url = self._put("k", b"0123456789")
-        counters = IOCounters()
+        counters = _record()
         cache = range_cache()
         cache.submit(url, 0, 4, counters=counters, retries=0, backoff=0.0)
-        fetch_range(url, 0, 4, counters=counters)
-        before = memory_store().range_reads
-        fetch_range(url, 0, 4, counters=counters)  # second read is direct
+        with counters.bound():
+            fetch_range(url, 0, 4)
+            before = memory_store().range_reads
+            fetch_range(url, 0, 4)  # second read is direct
         assert memory_store().range_reads == before + 1
-        assert counters.snapshot()["prefetch_hits"] == 1
+        assert counters.prefetch_hits == 1
 
     def test_purge_url_leaves_nothing_pending(self):
         url = self._put("k", b"x" * 100)
-        counters = IOCounters()
+        counters = _record()
         cache = range_cache()
         for i in range(5):
             cache.submit(url, i * 10, i * 10 + 10, counters=counters,
@@ -247,23 +283,21 @@ class TestPrefetchCache:
         assert cache.pending_count() == 0
 
     def test_budget_eviction_keeps_cache_bounded(self):
-        counters = IOCounters()
+        counters = _record()
         cache = range_cache()
         urls = [self._put(f"k{i}", bytes(64)) for i in range(8)]
         for url in urls:
             cache.submit(url, 0, 64, counters=counters, retries=0,
                          backoff=0.0, budget=128)
         # drain workers deterministically: consuming forces completion
-        held = sum(
-            1 for url in urls if fetch_range(url, 0, 64, counters=counters)
-        )
+        held = sum(1 for url in urls if fetch_range(url, 0, 64))
         assert held == 8  # every consume still yields correct bytes
         assert cache.pending_count() == 0
 
     def test_prefetch_error_surfaces_at_consume(self):
         url = self._put("k", b"0123456789")
         memory_store().fail_every = 1
-        counters = IOCounters()
+        counters = _record()
         cache = range_cache()
         cache.submit(url, 0, 10, counters=counters, retries=0, backoff=0.0)
         with pytest.raises(ExecutionError):
@@ -296,7 +330,7 @@ class TestFaultInjectionThroughScheduler:
                               "io.retry_backoff": 0.0}) as session:
             lf = lfp.scan_columnar(url)
             out = lf[lf["a"] >= 390][["a"]].collect()
-            retried = session_io_counters(session).snapshot()["io_retries"]
+            retried = session.last_execution_stats.io_retries
         assert out.column("a").to_array().tolist() == list(range(390, 400))
         assert retried >= 1
         assert range_cache().pending_count() == 0

@@ -249,8 +249,10 @@ class TestSession:
         monkeypatch.setattr(PandasBackend, "scan", counting)
         frame = lazy_taxi(taxi_csv)
         frame = frame[frame.fare_amount > 0]
-        frame.passenger_count.sum().compute(live_df=[frame])
-        frame.passenger_count.mean().compute()
+        # serial: the patched reader counts in this process only
+        with lfp.option_context("executor.strategy", "serial"):
+            frame.passenger_count.sum().compute(live_df=[frame])
+            frame.passenger_count.mean().compute()
         # second compute reuses the persisted filter result: one read
         assert sum(calls) == 1
 

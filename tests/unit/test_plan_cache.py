@@ -32,7 +32,7 @@ from repro.cache.result_cache import (
 )
 from repro.core.session import Session
 from repro.frame import DataFrame, Series
-from repro.graph.scheduler import SerialScheduler
+from repro.graph.scheduler import ExecutionStats, SerialScheduler
 from repro.memory.manager import MemoryManager
 
 #: reuse enabled with the cost floor disarmed, so even tiny test plans
@@ -362,12 +362,19 @@ class TestSubstitution:
         with Session(backend="pandas", options=REUSE) as s1:
             cold = _collect_sum(path)
             cold_stats = s1.last_execution_stats
+            cold_report = s1.last_optimize_report
         assert cold_stats.cache_inserted >= 1
         assert cold_stats.cache_misses >= 1
+        assert cold_report["reuse_hits"] == 0
+        assert cold_report["reuse_misses"] == cold_stats.cache_misses
         with Session(backend="pandas", options=REUSE) as s2:
             warm = _collect_sum(path)
             warm_stats = s2.last_execution_stats
+            warm_report = s2.last_optimize_report
         assert warm == cold
+        # the optimize report's view of the reuse pass is the record's
+        assert warm_report["reuse_hits"] == warm_stats.cache_hits
+        assert warm_report["reuse_bytes"] == warm_stats.cache_bytes_reused
         assert warm_stats.cache_hits >= 1
         assert warm_stats.cache_bytes_reused > 0
         # the whole plan collapsed to one from_cached leaf
@@ -422,8 +429,10 @@ class TestSubstitution:
             from repro.core.optimizer.cache import (
                 substitute_cached_subplans,
             )
-            state = substitute_cached_subplans([expr.node], session)
-            assert state.hits >= 1
+            run = ExecutionStats(strategy="serial")
+            with run.bound():
+                substitute_cached_subplans([expr.node], session)
+            assert run.cache_hits >= 1
             text = expr.explain(optimized=False)
         assert "from_cached" in text
         assert "blob=" not in text
@@ -443,7 +452,10 @@ class TestSubstitution:
         with Session(backend="pandas", options=REUSE) as session:
             a, b = (lfp.read_csv(path) for path in paths)
             plan = a.x.sum() + a.x.sum() + b.x.sum()
-            assert substitute_cached_subplans([plan.node], session).hits == 3
+            run = ExecutionStats(strategy="serial")
+            with run.bound():
+                substitute_cached_subplans([plan.node], session)
+            assert run.cache_hits == 3
             leaves = [n for n in collect_subgraph([plan.node])
                       if n.op == "from_cached"]
             assert len({n.args["key"] for n in leaves}) == 2

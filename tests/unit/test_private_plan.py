@@ -82,6 +82,45 @@ class TestHeldValuesAreLeaves:
             assert list(a.collect(live=[a]).columns) == ["x", "y", "c", "k"]
             assert len(a[a.x > 8].collect()) == 1
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_no_filter_sinks_below_a_persisted_series_set_as_a_column(
+        self, make_csv, engine
+    ):
+        """``df["t"] = t`` with ``t`` held: a filter re-rooted below the
+        setitem would put the 4-row value on the 2-row filtered frame
+        (pandas and dask raised, modin returned 14)."""
+        path = make_csv({"k": [1, 2, 3, 4], "a": [1, 2, 3, 4],
+                         "b": [5, 6, 7, 8]}, "kab.csv")
+        with Session(backend=engine):
+            df = lfp.read_csv(path)
+            t = (df.a + df.b).persist()
+            df["t"] = t
+            assert df[df.k > 2].t.sum().collect(live=[t]) == 22
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_no_filter_sinks_below_a_cached_series_set_as_a_column(
+        self, make_csv, engine
+    ):
+        """The ``optimizer.reuse`` spelling: the setitem's value is a
+        ``from_cached`` leaf a first session warmed."""
+        from repro.cache.result_cache import result_cache
+
+        path = make_csv({"k": [1, 2, 3, 4], "a": [1, 2, 3, 4],
+                         "b": [5, 6, 7, 8]}, "kab.csv")
+        options = {"optimizer.reuse": True, "cache.min_cost": 0}
+        result_cache().clear()
+        try:
+            with Session(backend=engine, options=options):
+                j = lfp.read_csv(path)
+                (j.a + j.b).collect()
+            with Session(backend=engine, options=options) as session:
+                j = lfp.read_csv(path)
+                j["t"] = j.a + j.b
+                assert j[j.k > 2].t.sum().collect() == 22
+                assert session.last_execution_stats.cache_hits == 1
+        finally:
+            result_cache().clear()
+
     @every_engine_and_flag
     def test_explain_shows_the_plan_a_collect_runs(
         self, table, engine, flag, on

@@ -328,7 +328,8 @@ class TestPoolLifecycle:
 
     def test_worker_pool_runs_raw_task(self):
         """The worker entry point itself: steps replay against the
-        worker's backend and the final result pickles back."""
+        worker's backend and the final result pickles back, beside the
+        worker's account of the work (counters, bytes per step)."""
         pool = create_worker_pool(1, None, "pandas")
         try:
             steps = [
@@ -337,8 +338,11 @@ class TestPoolLifecycle:
                 ("series_agg", {"func": "sum"}, [("step", 1)]),
             ]
             payload = pickle.dumps((steps, []))
-            blob = pool.submit(_run_task, payload).result(timeout=60)
+            blob, counts, step_bytes = pool.submit(
+                _run_task, payload).result(timeout=60)
             assert pickle.loads(blob) == 5
+            assert counts == {}  # nothing these steps do is counted
+            assert len(step_bytes) == 3 and step_bytes[0][0] > 0
         finally:
             pool.shutdown()
 

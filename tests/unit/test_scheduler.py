@@ -7,6 +7,7 @@ per-node execution statistics, memory-aware admission, and per-session
 memory-budget isolation under concurrency.
 """
 
+import re
 import threading
 
 import numpy as np
@@ -33,7 +34,14 @@ from repro.graph.scheduler import (
     ThreadedScheduler,
     fuse_linear_chains,
 )
+from repro.graph.scheduler import stats as stats_module
 from repro.graph.scheduler.order import priority_topological_order
+from repro.graph.scheduler.stats import (
+    COUNTERS,
+    ExecutionStats,
+    count,
+    counter_lines,
+)
 from repro.memory import MemoryManager, SimulatedMemoryError, memory_manager
 
 STRATEGIES = ["serial", "threaded", "fused", "process", "async"]
@@ -498,6 +506,255 @@ class TestExecutionStats:
             hot.persist()
             hot.x.sum().collect(live=[hot])
             assert s.last_execution_stats.cache_hits >= 1
+
+
+#: ``ExecutionStats.to_dict()``'s keys, in order: what ``bench/`` and the
+#: workload runner's JSON read.  A new counter is appended, never
+#: inserted.
+STATS_KEYS = [
+    "strategy", "effective_strategy", "max_workers", "wall_seconds",
+    "nodes_executed", "cache_hits", "cache_misses", "cache_bytes_reused",
+    "cache_evictions", "cache_inserted", "fused_chains", "fused_nodes",
+    "throttle_waits", "bytes_registered", "bytes_released",
+    "bytes_estimated", "partitions_read", "partitions_total",
+    "shuffle_partitions", "bytes_spilled", "broadcast_joins", "bytes_read",
+    "ranges_prefetched", "prefetch_hits", "io_retries", "cells_decoded",
+    "spill_files", "static_order", "estimated_peak_bytes", "process_tasks",
+    "process_fallbacks", "process_retries", "manager_peak_bytes", "nodes",
+]
+
+#: counts that follow from the plan alone: the same on every strategy
+PLAN_COUNTS = ("nodes_executed", "partitions_read", "partitions_total",
+               "cells_decoded", "shuffle_partitions", "broadcast_joins")
+
+
+def _write_kv(path, rows):
+    with open(path, "w") as f:
+        f.write("k,v\n")
+        f.writelines(f"{i % 7},{i}\n" for i in range(rows))
+    return str(path)
+
+
+class TestOneStatsModel:
+    """One declared table of counters, one ``add``, written where the
+    work happens into the run it belongs to."""
+
+    def test_to_dict_keys_are_pinned(self):
+        assert list(ExecutionStats(strategy="serial").to_dict()) == STATS_KEYS
+        assert set(COUNTERS) < set(STATS_KEYS)
+        assert all(COUNTERS.values()), "every counter carries its doc line"
+
+    def test_add_rejects_an_undeclared_counter(self):
+        stats = ExecutionStats(strategy="serial")
+        with pytest.raises(TypeError, match="typo"):
+            stats.add(typo=1)
+        with pytest.raises(TypeError, match="wall_seconds"):
+            stats.add(wall_seconds=1)  # a field, but not a counter
+        assert not any(stats.counters().values())
+
+    def test_count_outside_a_run_goes_nowhere(self):
+        count(cells_decoded=5)  # no record bound: not an error
+        stats = ExecutionStats(strategy="serial")
+        with stats.bound():
+            count(cells_decoded=5)
+        assert stats.cells_decoded == 5
+
+    def test_every_line_of_render_comes_from_the_declaration(self):
+        stats = ExecutionStats(strategy="serial")
+        assert counter_lines(stats.counters()) == []
+        stats.add(**{name: 1 for name in COUNTERS})
+        lines = counter_lines(stats.to_dict())
+        assert lines == stats.render().splitlines()[1:]
+        # every counter shows: on the line whose template names it, or
+        # in the head (the three byte totals are the per-node lines' sums)
+        text = stats.render()
+        shown = set(re.findall(r"\{(\w+)\}", "".join(
+            part for parts in stats_module._LINES.values() for part in parts)))
+        assert shown <= set(COUNTERS)
+        assert set(COUNTERS) - shown == {
+            "nodes_executed", "cache_hits", "bytes_registered",
+            "bytes_released", "bytes_estimated"}
+        assert "io: 1B read, 1 ranges prefetched, 1 prefetch hits, 1 retries" \
+            in lines
+        assert counter_lines(stats.to_dict(), groups=("io",)) == [
+            "io: 1B read, 1 ranges prefetched, 1 prefetch hits, 1 retries"]
+        assert "nodes=1 cache_hits=1" in text
+
+    def test_render_keeps_its_line_order(self):
+        """``explain(stats=True)`` text is what it was before the lines
+        came from a table: the process line follows the peak estimate,
+        and retries are its suffix, shown only when there were any."""
+        stats = ExecutionStats(strategy="process")
+        stats.estimated_peak_bytes = 64
+        stats.static_order = True
+        stats.add(bytes_read=8, process_tasks=3, process_fallbacks=1)
+        assert stats.render().splitlines()[1:] == [
+            "io: 8B read, 0 ranges prefetched, 0 prefetch hits, 0 retries",
+            "estimated peak live bytes: 64 (static order)",
+            "process tasks: 3 shipped, 1 inline",
+        ]
+        stats.add(process_retries=2)
+        assert stats.render().splitlines()[-1] == \
+            "process tasks: 3 shipped, 1 inline, 2 retried"
+
+    def test_plan_counts_agree_across_strategies(self, tmp_path):
+        """The Motivation's plan: a shipped scan's cells used to stay in
+        the worker (``cells_decoded`` 0 under ``process``)."""
+        path = _write_kv(tmp_path / "kv.csv", 5000)
+        seen = {}
+        for strategy in STRATEGIES:
+            with Session(backend="pandas",
+                         options={"executor.strategy": strategy}) as s:
+                df = lfp.read_csv(path)
+                df[df.v > 10].groupby("k")["v"].sum().collect()
+                stats = s.last_execution_stats.to_dict()
+            assert stats["effective_strategy"] == strategy
+            seen[strategy] = {key: stats[key] for key in PLAN_COUNTS}
+        assert seen["serial"]["cells_decoded"] == 10_000
+        assert seen["serial"]["partitions_read"] == 1
+        for strategy in STRATEGIES:
+            assert seen[strategy] == seen["serial"], strategy
+
+    def test_shuffle_counts_agree_across_strategies(self, tmp_path):
+        """A shuffled merge and a broadcast one: written by the shuffle
+        operators themselves, whichever seam ran them."""
+        big = _write_kv(tmp_path / "big.csv", 1400)
+        other = _write_kv(tmp_path / "other.csv", 700)
+        small = _write_kv(tmp_path / "small.csv", 5)
+        seen = {}
+        for strategy in STRATEGIES:
+            counts = []
+            for right, threshold in ((other, 100), (small, 2000)):
+                with Session(backend="pandas", options={
+                    "executor.strategy": strategy,
+                    "optimizer.shuffle_threshold_bytes": threshold,
+                    "optimizer.shuffle_partitions": 4,
+                }) as s:
+                    left = lfp.scan_csv(big, partition_bytes=2048)
+                    left.merge(lfp.scan_csv(right), on="k").collect()
+                    stats = s.last_execution_stats.to_dict()
+                counts.append({key: stats[key] for key in PLAN_COUNTS})
+            seen[strategy] = counts
+        shuffled, broadcast = seen["serial"]
+        assert shuffled["shuffle_partitions"] == 8
+        assert broadcast["broadcast_joins"] == 1
+        assert shuffled["cells_decoded"] == 2 * (1400 + 700)
+        for strategy in STRATEGIES:
+            assert seen[strategy] == seen["serial"], strategy
+
+    def test_overlapping_collects_each_count_their_own_cells(
+        self, tmp_path, monkeypatch
+    ):
+        """Two collects on one session, each inside its read at the same
+        moment: a before/after window around one run held the other's
+        reads too (240 000 where each read 120 000)."""
+        from repro.io.csv_source import CsvSource
+
+        rows = 60_000
+        paths = [_write_kv(tmp_path / f"{name}.csv", rows)
+                 for name in ("first", "second")]
+        both_reading = threading.Barrier(2)
+        first_reported = threading.Event()
+        original = CsvSource.read_partition
+
+        def gated(self, *args, **kwargs):
+            both_reading.wait(timeout=30)
+            if self.path == paths[1]:
+                assert first_reported.wait(timeout=30)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CsvSource, "read_partition", gated)
+        reported = {}
+
+        def collect(session, path):
+            session.activate()
+            try:
+                lfp.read_csv(path).v.sum().collect()
+                reported[path] = session.last_execution_stats.cells_decoded
+            finally:
+                session.deactivate()
+                first_reported.set()
+
+        # serial: each collect reads on the thread that called it
+        with Session(backend="pandas",
+                     options={"executor.strategy": "serial",
+                              "optimizer.projection_pushdown": False}) as s:
+            threads = [threading.Thread(target=collect, args=(s, path))
+                       for path in paths]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert reported == {path: rows * 2 for path in paths}
+
+    def test_a_spill_after_the_write_phase_is_counted(
+        self, tmp_path, monkeypatch
+    ):
+        """``bytes_spilled`` used to be read off the store when its
+        ``shuffle_write`` node finished; what pressure pushed out later
+        was never counted."""
+        from repro.backends import shuffle_ops
+        from repro.io.spill import spill_live_stores
+
+        big = _write_kv(tmp_path / "big.csv", 1400)
+        other = _write_kv(tmp_path / "other.csv", 700)
+        original = shuffle_ops.exec_shuffle_read
+        forced = []
+
+        def spill_then_read(node, store):
+            # this store's write phase is over, and (no budget) spilled
+            # nothing; now every resident chunk of every store goes
+            if not forced:
+                assert store.bytes_spilled == 0
+            forced.append(spill_live_stores(1 << 62))
+            return original(node, store)
+
+        monkeypatch.setattr(shuffle_ops, "exec_shuffle_read", spill_then_read)
+        with Session(backend="pandas", options={
+            "executor.strategy": "serial",
+            "optimizer.shuffle_threshold_bytes": 100,
+            "optimizer.shuffle_partitions": 4,
+        }) as s:
+            left = lfp.scan_csv(big, partition_bytes=2048)
+            left.merge(lfp.scan_csv(other), on="k").collect()
+            stats = s.last_execution_stats
+        assert stats.bytes_spilled == sum(forced) > 0
+        assert stats.spill_files == 2  # one per store
+
+    def test_invariant_tool_rejects_a_second_stats_route(self):
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "tools" / "check_invariants.py"
+        spec = importlib.util.spec_from_file_location("check_invariants", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        for second_route in (
+            "class IOCounters:\n    pass",
+            "from repro.io.fs import session_io_counters",
+            "def run(state, stats):\n    state.flush_to_stats(stats)",
+            "class Scheduler:\n    def _record_op_stats(self): ...",
+            "class ExecutionStats:\n    def record_scan(self, n): ...",
+        ):
+            assert list(tool.check_one_stats_model(
+                ast.parse(second_route), "io/fs.py")), second_route
+        fine = "class ExecutionStats:\n    def add(self, **deltas): ..."
+        assert not list(tool.check_one_stats_model(ast.parse(fine), "x.py"))
+        assert tool.run() == []
+
+    def test_a_worker_ships_its_account_back(self, numbers_csv):
+        """Per-node bytes of a shipped chain are the worker's, not 0."""
+        with Session(backend="pandas",
+                     options={"executor.strategy": "process"}) as s:
+            lfp.read_csv(numbers_csv).x.sum().collect()
+            stats = s.last_execution_stats
+        assert stats.process_tasks >= 1
+        scan = next(st for st in stats.nodes if st.op == "scan")
+        assert scan.worker == "process-pool" and scan.bytes_registered > 0
+        assert stats.bytes_registered == sum(
+            st.bytes_registered for st in stats.nodes)
 
 
 class TestMemoryAwareAdmission:

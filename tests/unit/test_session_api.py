@@ -13,7 +13,7 @@ import pytest
 
 import repro.lazyfatpandas.pandas as lfp
 from repro.backends.engine import DEFAULT_REGISTRY, EngineRegistry, EngineSpec
-from repro.core.config import OptionError
+from repro.core.config import OptionError, SessionOptions
 from repro.core.session import (
     Session,
     current_session,
@@ -208,6 +208,20 @@ class TestOptions:
         assert session.get_option("backend.engine") == "dask"
         assert session.get_option("optimizer.predicate_pushdown") is True
         assert session.get_option("executor.cache") is True
+
+    def test_describe_options_is_the_option_table(self):
+        """The registrations are the one table: every registered key is
+        listed with its default (the hand-kept docstring copy had lost
+        the ``io.*`` options)."""
+        defaults = SessionOptions().to_dict()
+        assert {"io.prefetch", "io.prefetch_budget", "io.retries",
+                "io.retry_backoff"} <= set(defaults)
+        text = lfp.describe_options()
+        for key, default in defaults.items():
+            assert f"{key} (default: {default!r})" in text
+        headings = [line for line in text.splitlines()
+                    if not line.startswith(" ")]
+        assert len(headings) == len(defaults)
 
     def test_constructor_overrides(self):
         session = Session(
@@ -511,7 +525,9 @@ class TestCollectPersistExplain:
             return original(self, args)
 
         monkeypatch.setattr(PandasBackend, "scan", counting)
-        with Session(backend="pandas"):
+        # serial: the patched reader counts in this process only
+        with Session(backend="pandas",
+                     options={"executor.strategy": "serial"}):
             frame = lfp.read_csv(numbers_csv)
             positive = frame[frame.x > 0].persist()
             assert positive.node.persist

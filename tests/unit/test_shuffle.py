@@ -312,24 +312,62 @@ class TestForcedSpill:
         ]
         assert leftover == []
 
-    def test_spilled_bytes_deterministic(self, spill_left_csv, rightbig_csv):
-        """The (bytes released, node id) ready-queue tie-break makes the
-        threaded spill volume reproducible run to run."""
+    FORCED = {
+        "memory.budget": 150_000,
+        "optimizer.shuffle_threshold_bytes": 100,
+    }
+
+    @staticmethod
+    def _forced_merge(spill_left_csv, rightbig_csv):
         def pipeline():
             left = lfp.scan_csv(spill_left_csv, partition_bytes=2048)
             right = lfp.scan_csv(rightbig_csv, partition_bytes=512)
             return left.merge(right, on="k", how="inner")
+        return pipeline
 
-        options = {
-            "memory.budget": 150_000,
-            "optimizer.shuffle_threshold_bytes": 100,
-        }
+    def test_spilled_bytes_deterministic(self, spill_left_csv, rightbig_csv,
+                                         monkeypatch):
+        """The (bytes released, node id) ready-queue tie-break makes the
+        threaded write phase's spill volume reproducible run to run:
+        what each store had pushed out when its ``shuffle_write``
+        finished (what ``bytes_spilled`` counted before it became the
+        run's whole volume; the read phase's share is the bucket
+        pipelines racing for headroom, and varies)."""
+        from repro.backends.base import Backend
+
+        written = []
+        apply = Backend.apply
+
+        def recording_apply(backend, node, inputs):
+            value = apply(backend, node, inputs)
+            if node.op == "shuffle_write":
+                written.append(value.bytes_spilled)
+            return value
+
+        monkeypatch.setattr(Backend, "apply", recording_apply)
+        pipeline = self._forced_merge(spill_left_csv, rightbig_csv)
         first, _, stats_a = _run(pipeline, strategy="threaded",
-                                 options=options)
+                                 options=self.FORCED)
+        written_a = written[:]
+        del written[:]
         second, _, stats_b = _run(pipeline, strategy="threaded",
-                                  options=options)
-        assert stats_a["bytes_spilled"] == stats_b["bytes_spilled"]
+                                  options=self.FORCED)
+        assert len(written_a) == len(written) == 2
+        assert sum(written_a) == sum(written) > 0
+        assert stats_a["bytes_spilled"] >= sum(written_a)
+        assert stats_b["bytes_spilled"] >= sum(written)
         assert stats_a["shuffle_partitions"] == stats_b["shuffle_partitions"]
+        assert _equal(first, second)
+
+    def test_whole_spill_volume_deterministic_one_node_at_a_time(
+            self, spill_left_csv, rightbig_csv):
+        """Under ``serial`` everything ``bytes_spilled`` counts -- write
+        phase, read phase and OOM retries -- is reproducible."""
+        pipeline = self._forced_merge(spill_left_csv, rightbig_csv)
+        first, _, stats_a = _run(pipeline, options=self.FORCED)
+        second, _, stats_b = _run(pipeline, options=self.FORCED)
+        assert stats_a["bytes_spilled"] == stats_b["bytes_spilled"] > 0
+        assert stats_a["spill_files"] == stats_b["spill_files"]
         assert _equal(first, second)
 
     def test_groupby_holistic_under_budget(self, spill_left_csv):
@@ -686,12 +724,13 @@ class TestOneSpillFilePerStore:
         assert os.listdir(tmp_path) == []
 
     def test_n_spilled_chunks_are_one_file_gone_at_close(self, tmp_path):
-        from repro.io.fs import session_io_counters
+        from repro.graph.scheduler.stats import ExecutionStats
 
-        before = session_io_counters().snapshot()["spill_files"]
+        run = ExecutionStats(strategy="serial")
         store, expected = _filled_store(tmp_path)
-        assert store.spill(1) > 0  # the first spill makes the file
-        store.spill_all()
+        with run.bound():
+            assert store.spill(1) > 0  # the first spill makes the file
+            store.spill_all()
         assert store.spill_chunks == 12
         assert store.in_memory_bytes() == 0
         (path,) = _files_under(tmp_path)
@@ -701,7 +740,8 @@ class TestOneSpillFilePerStore:
         # draining reclaims nothing chunk by chunk and creates nothing
         assert _files_under(tmp_path) == [path]
         assert os.path.getsize(path) == size
-        assert session_io_counters().snapshot()["spill_files"] == before + 1
+        assert run.spill_files == 1
+        assert run.bytes_spilled == store.bytes_spilled
         store.close()
         assert os.listdir(tmp_path) == []
 

@@ -525,7 +525,10 @@ class TestPartitionPruning:
                 leaf["path"], sample_rows=None, partition_ranges=ranges
             )
 
-        with Session(backend="pandas") as session:
+        # serial: a pool worker resolves sources against its own
+        # metastore, not one injected into the parent's session object
+        with Session(backend="pandas",
+                     options={"executor.strategy": "serial"}) as session:
             session.metastore = metastore
             lf = lfp.scan_dataset(hive_root)
             pruned = lf[lf["v"] >= 15].collect()

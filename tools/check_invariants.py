@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Eight structural rules the linters cannot express, checked with nothing
+Nine structural rules the linters cannot express, checked with nothing
 but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -71,6 +71,16 @@ but the stdlib ``ast`` module:
    ``mean`` / ``size`` / ``first`` is a second copy of that table (the
    Dask sim's ``_PARTIAL_PLANS``, either ``_RECOMBINE``) coming back.
 
+9. **One stats model.**  A run's counters are the fields declared in
+   ``graph/scheduler/stats.py``, ``ExecutionStats.add`` is the one
+   method that bumps them, and the layer doing the work calls it (or
+   ``count``, for the run bound on its thread).  The second routes must
+   not come back under ``src/repro``: a per-session ``IOCounters`` /
+   ``session_io_counters`` diffed around the run, a ``flush_to_stats``
+   copying counters someone else kept, the scheduler's
+   ``_record_op_stats`` inspection of nodes after they ran, or a
+   ``def record_*`` method per counter.
+
 Usage::
 
     python tools/check_invariants.py          # repo root, exit 1 on fail
@@ -122,22 +132,15 @@ MUTABLE_GLOBAL_ALLOWLIST = {
     ("analysis/plan/schema.py", "SCHEMA_RULES"),
     ("analysis/rewrite/forced_compute.py", "_LAZY_KINDS"),
     ("backends/base.py", "_BINOPS"),
-    ("core/backend_choice.py", "ORDER_SENSITIVE_OPS"),
     ("core/config.py", "_REGISTRY"),
     ("core/lazyframe.py", "_BINOP_LABELS"),
-    ("core/optimizer/common_subexpr.py", "_SHARABLE_OPS"),
-    ("core/optimizer/projection.py", "_PASSTHROUGH"),
     ("frame/dtypes.py", "_ALIASES"),
     ("graph/explain.py", "_ELIDED_ARGS"),
     ("graph/explain.py", "_SCAN_SPECIAL"),
     ("graph/node.py", "OPS"),
-    ("graph/node.py", "_ELEMENTWISE_SERIES_OPS"),
-    ("graph/scheduler/estimates.py", "_DTYPE_WIDTHS"),
     ("io/columnar.py", "_FOOTER_CACHE"),
     ("io/fs.py", "_FILESYSTEMS"),
     ("io/fs.py", "_CODECS"),
-    ("io/predicate.py", "_COMPARISONS"),
-    ("io/predicate.py", "_FLIPPED"),
     ("lazyfatpandas/pandas.py", "_SYNCED_MODULES"),
     ("workloads/datagen.py", "PARTITION_KEYS"),
     ("workloads/datagen.py", "_GENERATORS"),
@@ -520,10 +523,46 @@ def check_one_aggregate_plan(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 9: one stats model
+
+#: the deleted routes by which a counter reached ``ExecutionStats``.
+_SECOND_STATS_ROUTES = frozenset({
+    "IOCounters", "session_io_counters", "flush_to_stats",
+    "_record_op_stats",
+})
+_PER_COUNTER_METHOD = "record_"
+
+
+def check_one_stats_model(tree: ast.Module, rel: str) -> Iterator[str]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names = [node.name.rsplit(".", 1)[-1], node.asname]
+        else:
+            names = [getattr(node, "name", None), getattr(node, "id", None),
+                     getattr(node, "attr", None)]
+        lineno = getattr(node, "lineno", 0)
+        for name in names:
+            if name in _SECOND_STATS_ROUTES:
+                yield (
+                    f"src/repro/{rel}:{lineno}: {name} -- a count is "
+                    f"written where the work happens, into the run's one "
+                    f"record (graph/scheduler/stats.py: ExecutionStats.add "
+                    f"/ count); nothing keeps counters beside it"
+                )
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith(_PER_COUNTER_METHOD)):
+            yield (
+                f"src/repro/{rel}:{lineno}: def {node.name} -- one method "
+                f"bumps a counter (ExecutionStats.add); declare the "
+                f"counter as a field and add() to it at the site"
+            )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
-          check_one_aggregate_plan)
+          check_one_aggregate_plan, check_one_stats_model)
 
 
 def run(src: Path = SRC) -> List[str]:
