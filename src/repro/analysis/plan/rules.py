@@ -223,13 +223,10 @@ def check_merge_key_types(spec: RuleSpec,
         if node.op != "merge" or len(node.inputs) < 2:
             continue
         left, right = ctx.schema(node.inputs[0]), ctx.schema(node.inputs[1])
-        left_keys, right_keys = merge_key_columns(node)
+        left_keys, right_keys = merge_key_columns(
+            node, left.columns, right.columns)
         if left_keys is None:
-            if not (left.known and right.known):
-                continue
-            left_keys = right_keys = [
-                c for c in left.columns if c in set(right.columns)
-            ]
+            continue
         for lk, rk in zip(left_keys, right_keys):
             lfam = dtype_family(left.dtype_of(lk))
             rfam = dtype_family(right.dtype_of(rk))

@@ -26,6 +26,7 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.frame.groupby import agg_outputs
+from repro.frame.merge import join_keys, join_labels
 from repro.graph.node import Node
 from repro.graph.taskgraph import topological_order
 
@@ -258,13 +259,6 @@ def infer_schema(
 
 def _first(inputs: List[NodeSchema]) -> NodeSchema:
     return inputs[0] if inputs else NodeSchema.unknown()
-
-
-def _columns_arg(node: Node, key: str) -> Optional[List[str]]:
-    value = node.args.get(key)
-    if value is None:
-        return None
-    return [value] if isinstance(value, str) else list(value)
 
 
 # -- sources ----------------------------------------------------------------
@@ -598,18 +592,16 @@ def _groupby_size_schema(node, inputs, ctx) -> NodeSchema:
 # -- combination ------------------------------------------------------------
 
 
-def merge_key_columns(node: Node) -> Tuple[Optional[List[str]],
-                                           Optional[List[str]]]:
-    """(left keys, right keys) of a merge node, ``None`` when implied
-    (natural join on the shared columns)."""
-    on = _columns_arg(node, "on")
-    if on is not None:
-        return on, on
-    left_on = _columns_arg(node, "left_on")
-    right_on = _columns_arg(node, "right_on")
-    if left_on is not None and right_on is not None:
-        return left_on, right_on
-    return None, None
+def merge_key_columns(node: Node, left_columns=None, right_columns=None
+                      ) -> Tuple[Optional[List[str]], Optional[List[str]]]:
+    """(left keys, right keys) of a merge node by the one key rule
+    (:func:`repro.frame.merge.join_keys`); ``(None, None)`` for a natural
+    join without both column lists, or for keys the rule rejects."""
+    try:
+        return join_keys(left_columns, right_columns, **node.args) or (
+            None, None)
+    except ValueError:
+        return None, None
 
 
 @schema_rule("merge")
@@ -617,34 +609,15 @@ def _merge_schema(node, inputs, ctx) -> NodeSchema:
     if len(inputs) < 2 or not inputs[0].known or not inputs[1].known:
         return NodeSchema.unknown(FRAME)
     left, right = inputs[0], inputs[1]
-    left_keys, right_keys = merge_key_columns(node)
-    if left_keys is None:
-        left_keys = right_keys = [
-            c for c in left.columns if c in set(right.columns)
-        ]
-    suffixes = tuple(node.args.get("suffixes", ("_x", "_y")))
-    same_key = left_keys == right_keys
-    right_drop = set(right_keys) if same_key else set()
-    overlap = (set(left.columns) & set(right.columns)) - (
-        set(left_keys) if same_key else set()
-    )
-    columns: List[str] = []
+    labels = join_labels(
+        left.columns, right.columns,
+        join_keys(left.columns, right.columns, **node.args), **node.args)
     dtypes: Dict[str, str] = {}
-    for name in left.columns:
-        label = name + suffixes[0] if name in overlap else name
-        columns.append(label)
-        dtype = left.dtype_of(name)
+    for side, name, label in labels:
+        dtype = inputs[side].dtype_of(name)
         if dtype:
             dtypes[label] = dtype
-    for name in right.columns:
-        if name in right_drop:
-            continue
-        label = name + suffixes[1] if name in overlap else name
-        columns.append(label)
-        dtype = right.dtype_of(name)
-        if dtype:
-            dtypes[label] = dtype
-    return NodeSchema.frame(columns, dtypes)
+    return NodeSchema.frame([label for _s, _n, label in labels], dtypes)
 
 
 @schema_rule("concat")

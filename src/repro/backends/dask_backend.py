@@ -122,19 +122,12 @@ class DaskBackend(Backend):
         # position and would reset both).
         from repro.backends.dask_sim.expr import materialized_expr
 
-        if isinstance(value, DataFrame):
-            handle = self.evaluator.store.put(value)
-            return DaskFrame(
-                materialized_expr([handle]), self.evaluator,
-                columns=list(value.columns),
-            )
+        if not isinstance(value, (DataFrame, Series)):
+            return value
+        expr = materialized_expr([self.evaluator.store.put(value)])
         if isinstance(value, Series):
-            handle = self.evaluator.store.put(value)
-            return DaskSeries(
-                materialized_expr([handle]), self.evaluator,
-                name=value.name,
-            )
-        return value
+            return DaskSeries(expr, self.evaluator, name=value.name)
+        return DaskFrame(expr, self.evaluator, columns=list(value.columns))
 
     def to_datetime(self, series: DaskSeries) -> DaskSeries:
         from repro.backends.dask_sim.expr import blockwise_expr

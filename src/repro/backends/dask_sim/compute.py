@@ -6,23 +6,29 @@ elementwise chain on it, and releases it before partition ``i+1`` starts.
 Combined with spilling (:mod:`repro.backends.dask_sim.store`) this yields
 out-of-core execution.
 
+A shuffle join runs the eager engines' shuffle kernels
+(:mod:`repro.backends.shuffle_ops`): its buckets spill and count like
+theirs, and their stores close when the join is done.
+
 On a :class:`~repro.memory.SimulatedMemoryError` the evaluator spills all
-resident partitions and retries once; if the retry fails the program
-genuinely cannot run (e.g. a forced whole-frame materialization, the `emp`
-failure of Figure 12) and the error propagates.
+resident partitions and bucket chunks and retries once; if the retry
+fails the program genuinely cannot run (e.g. a forced whole-frame
+materialization, the `emp` failure of Figure 12) and the error
+propagates.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable
 
-import numpy as np
-
-from repro.frame import DataFrame, concat
-from repro.frame.concat import concat_consuming, shallow_copy
-from repro.memory import SimulatedMemoryError
 from repro.backends.dask_sim.expr import Expr, materialized_expr
 from repro.backends.dask_sim.store import PartitionStore
+from repro.backends.shuffle_ops import hash_split, merge_bucket_pairs, restitch
+from repro.frame import DataFrame, concat
+from repro.frame.concat import concat_consuming, shallow_copy
+from repro.frame.merge import POSITION_COLUMNS
+from repro.io.spill import spill_live_stores
+from repro.memory import SimulatedMemoryError
 
 
 class Evaluator:
@@ -69,6 +75,7 @@ class Evaluator:
             return func(*args)
         except SimulatedMemoryError:
             self.store.spill_all()
+            spill_live_stores(1 << 62)
             return func(*args)
 
     # -- partition evaluation -----------------------------------------------
@@ -80,10 +87,7 @@ class Evaluator:
         if kind == "materialized":
             return expr.params["handles"][i].get()
         if kind == "blockwise":
-            args = [
-                self.eval_partition(c, i if c.npartitions > 1 else 0)
-                for c in expr.children
-            ]
+            args = [self.eval_partition(c, i) for c in expr.children]
             return expr.params["func"](args, expr.params["bparams"])
         if kind == "tree":
             return self._eval_tree(expr)
@@ -96,7 +100,7 @@ class Evaluator:
             right = self.eval_partition(expr.children[1], 0)
             return left.merge(right, **expr.params["kwargs"])
         if kind == "merge_shuffle":
-            return self._eval_shuffle_bucket(expr, i)
+            return self._eval_shuffle_merge(expr)
         raise ValueError(f"unknown expression kind {kind!r}")
 
     def _scan_partition(self, expr: Expr, i: int):
@@ -152,87 +156,26 @@ class Evaluator:
 
     # -- shuffle join -----------------------------------------------------------
 
-    def _eval_shuffle_bucket(self, expr: Expr, bucket: int):
-        buckets = expr.params.get("_buckets")
-        if buckets is None:
-            buckets = self._shuffle(expr)
-            expr.params["_buckets"] = buckets
-        (left_handles, left_template), (right_handles, right_template) = (
-            buckets
-        )
-        kwargs = expr.params["kwargs"]
-        left = self._gather_bucket(left_handles[bucket], left_template)
-        right = self._gather_bucket(right_handles[bucket], right_template)
-        return left.merge(right, **kwargs)
+    def _eval_shuffle_merge(self, expr: Expr) -> DataFrame:
+        """Hash-split both sides into bucket stores, merge the bucket
+        pairs and restitch the eager row order; the stores (and their
+        spill file) go when the join is done, however it ends."""
+        stores = []
+        try:
+            for side, keys, pos_name in zip(
+                expr.children, expr.params["keys"], POSITION_COLUMNS
+            ):
+                stores.append(hash_split(
+                    self._partitions(side), keys, expr.params["nbuckets"],
+                    pos_name,
+                ))
+            pieces = merge_bucket_pairs(*stores, expr.params["kwargs"])
+            return restitch(pieces, POSITION_COLUMNS)
+        finally:
+            for store in stores:
+                store.close()
 
-    def _gather_bucket(self, handles, template) -> DataFrame:
-        frames = [h.get() for h in handles]
-        if not frames:
-            # zero-row template, not DataFrame({}): an empty bucket
-            # must keep the side's schema or the merge drops columns
-            return template if template is not None else DataFrame({})
-        return frames[0] if len(frames) == 1 else concat(frames)
-
-    def _shuffle(self, expr: Expr):
-        left_expr, right_expr = expr.children
-        kwargs = expr.params["kwargs"]
-        nbuckets = expr.params["nbuckets"]
-        left_keys, right_keys = _merge_keys(kwargs)
-
-        left_buckets = self._partition_side(left_expr, left_keys, nbuckets)
-        right_buckets = self._partition_side(right_expr, right_keys, nbuckets)
-        return left_buckets, right_buckets
-
-    def _partition_side(self, side: Expr, keys: List[str], nbuckets: int):
-        buckets: List[list] = [[] for _ in range(nbuckets)]
-        template = None
-        for i in range(side.npartitions):
-            part = self.eval_partition(side, i)
-            if template is None:
-                template = part[np.zeros(len(part), dtype=bool)]
-            codes = _bucket_codes(part, keys, nbuckets)
-            for b in range(nbuckets):
-                piece = part[codes == b]
-                if len(piece):
-                    buckets[b].append(self.store.put(piece))
-            del part
+    def _partitions(self, expr: Expr):
+        for i in range(expr.npartitions):
+            yield self.eval_partition(expr, i)
             self.store.ensure_headroom()
-        return buckets, template
-
-
-def _merge_keys(kwargs: dict):
-    on = kwargs.get("on")
-    if on is not None:
-        keys = [on] if isinstance(on, str) else list(on)
-        return keys, keys
-    left_on = kwargs.get("left_on")
-    right_on = kwargs.get("right_on")
-    lk = [left_on] if isinstance(left_on, str) else list(left_on)
-    rk = [right_on] if isinstance(right_on, str) else list(right_on)
-    return lk, rk
-
-
-def _bucket_codes(frame: DataFrame, keys: List[str], nbuckets: int) -> np.ndarray:
-    """Deterministic per-row bucket assignment on the key tuple."""
-    combined = np.zeros(len(frame), dtype=np.uint64)
-    for key in keys:
-        values = frame.column(key).to_array()
-        if values.dtype.kind in "if":
-            h = values.astype(np.float64).view(np.uint64)
-        elif values.dtype.kind == "M":
-            h = values.view("int64").astype(np.uint64)
-        else:
-            h = np.array(
-                [_string_hash(v) for v in values], dtype=np.uint64
-            )
-        combined = combined * np.uint64(1099511628211) + h
-    return (combined % np.uint64(nbuckets)).astype(np.int64)
-
-
-def _string_hash(value) -> int:
-    """Stable FNV-1a hash (Python's hash() is salted per process)."""
-    data = ("" if value is None else str(value)).encode("utf-8")
-    h = 1469598103934665603
-    for byte in data:
-        h = ((h ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
-    return h

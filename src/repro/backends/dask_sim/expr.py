@@ -12,22 +12,28 @@ Kinds:
                  the partials, apply a combine function -> one partition
                  (group-by aggregation, drop_duplicates, nlargest,
                  value_counts, scalar reductions)
-``merge_broadcast`` hash-join where the right side is a single partition
-``merge_shuffle``   hash-partition both sides into buckets, join per bucket
+``merge_broadcast`` join each left partition against a one-partition
+                 right side (inner / left joins only)
+``merge_shuffle``   both sides through the shared shuffle kernels
+                 (:mod:`repro.backends.shuffle_ops`) -> one partition
 ``concat``       union of the children's partition lists
 ``head``         first ``n`` rows from the leading partitions
 =============== ============================================================
 
-``blockwise`` children must agree on partition count (single-partition
-children broadcast).  Evaluation is depth-first per partition, which gives
-operator *fusion* for free: an entire elementwise pipeline runs on one
-partition before the next partition is read.
+``blockwise`` children must agree on partition count: rows pair up by
+position, so a child cut differently (a held or fallen-back value is one
+partition) is refused and the node takes the pandas fallback.
+Evaluation is depth-first per partition, which gives operator *fusion*
+for free: an entire elementwise pipeline runs on one partition before
+the next partition is read.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Callable, List, Optional, Sequence
+
+from repro.backends.base import BackendUnsupported
 
 _expr_ids = itertools.count(1)
 
@@ -85,12 +91,12 @@ def blockwise_expr(
     description: str,
     bparams: Optional[dict] = None,
 ) -> Expr:
-    nparts = max(c.npartitions for c in children)
-    for child in children:
-        if child.npartitions not in (1, nparts):
-            raise ValueError(
-                f"blockwise partition mismatch: {child.npartitions} vs {nparts}"
-            )
+    counts = {c.npartitions for c in children}
+    if len(counts) > 1:
+        raise BackendUnsupported(
+            f"blockwise over differently cut operands: {sorted(counts)}"
+        )
+    nparts = counts.pop()
     return Expr(
         "blockwise",
         children=children,
@@ -134,23 +140,12 @@ def merge_broadcast_expr(left: Expr, right: Expr, kwargs: dict) -> Expr:
     )
 
 
-def merge_shuffle_expr(left: Expr, right: Expr, kwargs: dict, nbuckets: int) -> Expr:
+def merge_shuffle_expr(left: Expr, right: Expr, kwargs: dict, keys,
+                       nbuckets: int) -> Expr:
     return Expr(
         "merge_shuffle",
         children=[left, right],
-        params={"kwargs": kwargs, "nbuckets": nbuckets},
-        npartitions=nbuckets,
+        params={"kwargs": kwargs, "keys": keys, "nbuckets": nbuckets},
+        npartitions=1,
     )
 
-
-def walk(expr: Expr):
-    """All reachable expression nodes (each yielded once)."""
-    seen = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if node.id in seen:
-            continue
-        seen.add(node.id)
-        yield node
-        stack.extend(node.children)

@@ -35,6 +35,7 @@ from repro.frame.groupby import (
     decompose,
     partial_aggregate,
 )
+from repro.frame.merge import can_broadcast, join_keys, join_labels
 
 
 class DaskCollection:
@@ -57,6 +58,12 @@ class DaskCollection:
         for i in range(self.expr.npartitions):
             total += len(self.evaluator.eval_partition(self.expr, i))
         return total
+
+    def head(self, n: int = 5):
+        """Eager, like Dask's ``df.head()`` (reads only leading partitions)."""
+        return self.evaluator._guarded(
+            self.evaluator.eval_partition, head_expr(self.expr, n), 0
+        )
 
 
 class DaskFrame(DaskCollection):
@@ -128,6 +135,10 @@ class DaskFrame(DaskCollection):
                 f"setitem[{name}]",
                 {"name": name},
             )
+        elif isinstance(value, Series) and self.npartitions > 1:
+            # rows pair up by position; the pieces' lengths are not known
+            # before they run
+            raise BackendUnsupported("eager series onto several partitions")
         else:
             expr = blockwise_expr(
                 lambda parts, p: parts[0].with_column(p["name"], p["value"]),
@@ -136,12 +147,6 @@ class DaskFrame(DaskCollection):
                 {"name": name, "value": value},
             )
         return self._frame(expr, columns=columns)
-
-    def head(self, n: int = 5) -> DataFrame:
-        """Eager, like Dask's ``df.head()`` (reads only leading partitions)."""
-        return self.evaluator._guarded(
-            self.evaluator.eval_partition, head_expr(self.expr, n), 0
-        )
 
     # -- per-partition transforms ------------------------------------------------
 
@@ -243,18 +248,24 @@ class DaskFrame(DaskCollection):
     # -- join & groupby ------------------------------------------------------------------
 
     def merge(self, right, **kwargs) -> "DaskFrame":
+        """A join planned by :mod:`repro.frame.merge`: partition at a time
+        against a one-partition right side when the broadcast rule allows
+        it, else one partition from the shared shuffle kernels."""
         if isinstance(right, DataFrame):
             right = from_pandas(right, self.evaluator, npartitions=1)
-        columns = _merged_columns(self.columns, right.columns, kwargs)
-        if right.npartitions == 1:
+        keys = join_keys(self.columns, right.columns, **kwargs)
+        if keys is None:
+            raise BackendUnsupported("natural join over unknown columns")
+        columns = None
+        if self.columns is not None and right.columns is not None:
+            columns = [label for _side, _name, label in join_labels(
+                self.columns, right.columns, keys, **kwargs)]
+        if right.npartitions == 1 and can_broadcast(kwargs.get("how", "inner")):
             expr = merge_broadcast_expr(self.expr, right.expr, kwargs)
-        elif self.npartitions == 1:
-            # Swap sides so the broadcast side is the single partition.
-            flipped = _flip_merge_kwargs(kwargs)
-            expr = merge_broadcast_expr(right.expr, self.expr, flipped)
         else:
             nbuckets = max(self.npartitions, right.npartitions)
-            expr = merge_shuffle_expr(self.expr, right.expr, kwargs, nbuckets)
+            expr = merge_shuffle_expr(
+                self.expr, right.expr, kwargs, keys, nbuckets)
         return self._frame(expr, columns=columns)
 
     def groupby(self, by, as_index: bool = True) -> "DaskGroupBy":
@@ -490,11 +501,7 @@ class DaskSeries(DaskCollection):
         )
 
     def nunique(self) -> int:
-        uniques = set()
-        for i in range(self.npartitions):
-            part = self.evaluator.eval_partition(self.expr, i)
-            uniques.update(part.unique())
-        return len(uniques)
+        return len(self.unique())
 
     def unique(self) -> np.ndarray:
         uniques: set = set()
@@ -517,11 +524,6 @@ class DaskSeries(DaskCollection):
 
         expr = tree_expr(self.expr, _map, _combine, "value_counts")
         return self.evaluator._guarded(self.evaluator.eval_partition, expr, 0)
-
-    def head(self, n: int = 5) -> Series:
-        return self.evaluator._guarded(
-            self.evaluator.eval_partition, head_expr(self.expr, n), 0
-        )
 
     def sort_values(self, ascending: bool = True):
         raise BackendUnsupported("sort_values on Dask series")
@@ -621,40 +623,6 @@ class DaskGroupBy(GroupBy):
         )
         evaluator = self._frame.evaluator
         return evaluator._guarded(evaluator.eval_partition, expr, 0)
-
-
-def _merged_columns(left_cols, right_cols, kwargs) -> Optional[List[str]]:
-    """Output columns of a same-key merge (mirrors the eager engine)."""
-    if left_cols is None or right_cols is None:
-        return None
-    on = kwargs.get("on")
-    if on is None:
-        return None  # left_on/right_on or natural join: skip tracking
-    keys = {on} if isinstance(on, str) else set(on)
-    suffixes = kwargs.get("suffixes", ("_x", "_y"))
-    overlap = (set(left_cols) & set(right_cols)) - keys
-    out = [
-        c + suffixes[0] if c in overlap else c
-        for c in left_cols
-    ]
-    out += [
-        c + suffixes[1] if c in overlap else c
-        for c in right_cols
-        if c not in keys
-    ]
-    return out
-
-
-def _flip_merge_kwargs(kwargs: dict) -> dict:
-    flipped = dict(kwargs)
-    left_on = flipped.pop("left_on", None)
-    right_on = flipped.pop("right_on", None)
-    if left_on is not None or right_on is not None:
-        flipped["left_on"] = right_on
-        flipped["right_on"] = left_on
-    how = flipped.get("how", "inner")
-    flipped["how"] = {"left": "right", "right": "left"}.get(how, how)
-    return flipped
 
 
 def from_pandas(frame: DataFrame, evaluator: Evaluator, npartitions: int = 4) -> DaskFrame:

@@ -25,6 +25,7 @@ from repro.frame.groupby import (
     partial_aggregate,
 )
 from repro.frame.io_csv import read_csv, scan_partitions
+from repro.frame.merge import can_broadcast
 
 _POOL = ThreadPoolExecutor(
     max_workers=min(4, os.cpu_count() or 1),
@@ -275,14 +276,16 @@ class ModinFrame:
         return self.to_pandas().describe()
 
     def merge(self, right, **kwargs) -> "ModinFrame":
+        """Partition at a time against the whole right side when the
+        broadcast rule (:func:`repro.frame.merge.can_broadcast`) allows
+        it, else the whole frame at once."""
         if isinstance(right, DataFrame):
             right_frame = right
         elif isinstance(right, ModinFrame):
             right_frame = right.to_pandas()
         else:
             raise BackendUnsupported(f"merge with {type(right).__name__}")
-        if right_frame.nbytes <= 8 * (1 << 20):
-            # Broadcast join: keep the left side partitioned.
+        if can_broadcast(kwargs.get("how", "inner")):
             return self._map(lambda p: p.merge(right_frame, **kwargs))
         whole = self.to_pandas().merge(right_frame, **kwargs)
         return _resplit(whole, self.npartitions)
@@ -462,10 +465,7 @@ class ModinSeries:
         return max(values) if values else None
 
     def nunique(self) -> int:
-        uniques = set()
-        for p in self.partitions:
-            uniques.update(p.unique())
-        return len(uniques)
+        return len(self.unique())
 
     def unique(self) -> np.ndarray:
         uniques: set = set()

@@ -24,9 +24,6 @@ class PandasBackend(Backend):
     def from_data(self, data, **kwargs):
         return DataFrame(data)
 
-    def from_pandas(self, frame):
-        return frame
-
     def to_datetime(self, series: Series) -> Series:
         return to_datetime(series)
 

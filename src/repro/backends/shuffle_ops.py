@@ -3,9 +3,10 @@
 ``repro.core.optimizer.shuffle`` rewrites oversized merges / groupbys
 into graphs of ``shuffle_write`` / ``shuffle_read`` / ``partial_agg`` /
 ``combine_agg`` nodes plus ``stream=True`` scans; this module is how
-the eager backends (pandas, modin) run them.  The Dask sim never sees
-these ops -- the lowering pass skips lazy engines, which shuffle
-internally already.
+the eager backends (pandas, modin) run them.  A shuffle join is three
+kernels over frames -- :func:`hash_split`, :func:`merge_bucket_pairs`,
+:func:`restitch` -- which the ops call and the Dask sim's merge calls
+directly (the lowering pass skips lazy engines).
 
 Bucket assignment uses Python's builtin ``hash`` on key tuples: it is
 the only cheap hash that is *equality-consistent* across mixed numeric
@@ -19,6 +20,7 @@ group order (groupby).
 from __future__ import annotations
 
 import time
+from typing import List
 
 import numpy as np
 
@@ -27,7 +29,12 @@ from repro.frame.concat import concat_consuming
 from repro.frame.dataframe import DataFrame
 from repro.frame.groupby import combine_partials, partial_aggregate
 from repro.graph.scheduler.stats import count
-from repro.io.spill import PartitionStream, ShuffleStore, spill_live_stores
+from repro.io.spill import (
+    PartitionStream,
+    ShuffleStore,
+    session_spill_dir,
+    spill_live_stores,
+)
 from repro.memory.manager import SimulatedMemoryError
 
 #: all NA key values colocate in one bucket (NA never joins, but the
@@ -41,7 +48,7 @@ def apply_shuffle_op(backend, node, inputs):
     if op == "shuffle_write":
         return exec_shuffle_write(backend, node, inputs)
     if op == "shuffle_read":
-        return exec_shuffle_read(node, inputs[0])
+        return drain_bucket(inputs[0], int(node.args["bucket"]))
     if op == "partial_agg":
         return exec_partial_agg(backend, node, inputs)
     if op == "combine_agg":
@@ -57,13 +64,20 @@ def apply_shuffle_op(backend, node, inputs):
 def exec_shuffle_write(backend, node, inputs) -> ShuffleStore:
     """Hash-split the input's partitions into a spillable bucket store."""
     args = node.args
-    keys = [str(k) for k in args["keys"]]
-    n_buckets = int(args["n_buckets"])
-    pos_name = args.get("pos_name")
-    manager = _current_manager()
-    store = ShuffleStore(n_buckets, spill_dir=_spill_dir())
-    count(shuffle_partitions=n_buckets)
     parts, empty_factory = _iter_parts(backend, inputs[0])
+    return hash_split(parts, args["keys"], int(args["n_buckets"]),
+                      args.get("pos_name"), empty_factory)
+
+
+def hash_split(parts, keys, n_buckets: int, pos_name=None,
+               empty_factory=None) -> ShuffleStore:
+    """Kernel: hash-split partition frames on ``keys`` into a new store,
+    each row tagged with its global position in column ``pos_name`` if
+    named; ``empty_factory`` types the buckets of an empty stream."""
+    keys = [str(k) for k in keys]
+    manager = _current_manager()
+    store = ShuffleStore(n_buckets, spill_dir=session_spill_dir())
+    count(shuffle_partitions=n_buckets)
     offset = 0
     # cushion for the stream's first partition read: a merge's second
     # write starts with the first side's store holding ~the whole budget
@@ -180,12 +194,7 @@ def exec_compact(backend, node, inputs):
     payload -- so a small per-bucket result would pin its whole input
     bucket's string payload until the final combine drains every
     bucket.  Re-owning here lets the bucket die with its payload."""
-    frame = inputs[0]
-    if isinstance(frame, PartitionStream):
-        frame = frame.materialize()
-    else:
-        frame = backend.materialize(frame)
-    return backend.from_pandas(_owned_frame(frame))
+    return backend.from_pandas(_owned_frame(_eager(backend, inputs[0])))
 
 
 def _owned_frame(frame: DataFrame) -> DataFrame:
@@ -222,7 +231,7 @@ def _owned_take(column: Column, idx: np.ndarray) -> Column:
 # -- shuffle_read ------------------------------------------------------
 
 
-def exec_shuffle_read(node, store: ShuffleStore) -> DataFrame:
+def drain_bucket(store: ShuffleStore, bucket: int) -> DataFrame:
     """Drain one bucket, spilling other resident chunks first when the
     write phase left the budget too full to materialize it.
 
@@ -231,7 +240,6 @@ def exec_shuffle_read(node, store: ShuffleStore) -> DataFrame:
     store's own appended-byte counter sizes the bucket (the planner's
     disk-based estimate undershoots in-memory width badly for CSV).
     """
-    bucket = int(node.args["bucket"])
     manager = _current_manager()
     if manager is not None:
         headroom = manager.headroom()
@@ -253,6 +261,18 @@ def exec_shuffle_read(node, store: ShuffleStore) -> DataFrame:
             spill_live_stores(1 << 62)
             time.sleep(0.005 * (attempt + 1))
     return store.read_bucket(bucket)
+
+
+def merge_bucket_pairs(left: ShuffleStore, right: ShuffleStore,
+                       merge_args: dict) -> List[DataFrame]:
+    """Kernel: merge bucket ``i`` of ``left`` with bucket ``i`` of
+    ``right`` for every ``i``, each result re-owning its payload (as
+    ``compact`` does) so the drained buckets die with the merge."""
+    return [
+        _owned_frame(drain_bucket(left, bucket).merge(
+            drain_bucket(right, bucket), **merge_args))
+        for bucket in range(left.n_buckets)
+    ]
 
 
 # -- partial_agg -------------------------------------------------------
@@ -279,11 +299,12 @@ def exec_partial_agg(backend, node, inputs) -> DataFrame:
 
 
 def exec_combine_agg(backend, node, inputs):
-    if node.args.get("kind") == "merge":
-        return backend.from_pandas(_combine_merge(backend, node, inputs))
     args = node.args
+    frames = [_eager(backend, piece) for piece in inputs]
+    if args.get("kind") == "merge":
+        return backend.from_pandas(restitch(frames, args["pos_names"]))
     return backend.from_pandas(combine_partials(
-        _stack_inputs(backend, inputs),
+        _stack(frames),
         [str(k) for k in args["keys"]],
         args["outputs"],
         as_index=args.get("as_index", True),
@@ -291,11 +312,11 @@ def exec_combine_agg(backend, node, inputs):
     ))
 
 
-def _combine_merge(backend, node, inputs) -> DataFrame:
-    """Restitch bucket-local merge results into the in-memory row order
-    using the global position columns, then drop them."""
-    lpos_name, rpos_name = node.args["pos_names"]
-    stacked = _stack_inputs(backend, inputs)
+def restitch(frames: List[DataFrame], pos_names) -> DataFrame:
+    """Kernel: stack bucket-local merge results in the eager merge's
+    row order, read off the position columns, which are dropped."""
+    lpos_name, rpos_name = pos_names
+    stacked = _stack(frames)
     lpos = stacked.column(lpos_name)
     rpos = stacked.column(rpos_name)
     # unmatched-left rows (NaN rpos) keep their slot among the matches;
@@ -316,16 +337,10 @@ def _combine_merge(backend, node, inputs) -> DataFrame:
     return DataFrame.from_columns(cols)
 
 
-def _stack_inputs(backend, inputs) -> DataFrame:
-    pieces = [
-        piece.materialize()
-        if isinstance(piece, PartitionStream)
-        else backend.materialize(piece)
-        for piece in inputs
-    ]
-    if len(pieces) == 1:
-        return pieces[0]
-    return concat_consuming(pieces)
+def _stack(frames: List[DataFrame]) -> DataFrame:
+    if len(frames) == 1:
+        return frames[0]
+    return concat_consuming(frames)
 
 
 # -- broadcast merge ---------------------------------------------------
@@ -336,11 +351,7 @@ def broadcast_merge(backend, node, inputs):
     side, one partition at a time (the broadcast-join fast path)."""
     stream, right = inputs
     count(broadcast_joins=1)
-    right_frame = (
-        right.materialize()
-        if isinstance(right, PartitionStream)
-        else backend.materialize(right)
-    )
+    right_frame = _eager(backend, right)
     # each piece re-owns its payload so the source partition (whose
     # heap store a plain merge result would share) can die immediately
     pieces = [
@@ -359,6 +370,12 @@ def broadcast_merge(backend, node, inputs):
 # -- session context ---------------------------------------------------
 
 
+def _eager(backend, value):
+    if isinstance(value, PartitionStream):
+        return value.materialize()
+    return backend.materialize(value)
+
+
 def _iter_parts(backend, value):
     """Iterate a value as partition frames; eager values are one part."""
     if isinstance(value, PartitionStream):
@@ -373,12 +390,3 @@ def _current_manager():
 
     return current_memory_manager()
 
-
-def _spill_dir():
-    try:
-        from repro.core.session import current_session
-
-        value = current_session().options.get("memory.spill_dir")
-        return str(value) if value is not None else None
-    except Exception:
-        return None

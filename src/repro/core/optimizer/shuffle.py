@@ -25,8 +25,10 @@ The pass mutates the consuming node in place (a session only ever hands
 it a private copy of the user's graph) and is gated on
 ``optimizer.shuffle`` plus an actual size limit:
 ``optimizer.shuffle_threshold_bytes`` if set, else the session's
-``memory.budget`` headroom.  Lazy engines shuffle internally already
-and are never lowered.
+``memory.budget`` headroom.  A lazy engine is never lowered: its scans
+have no streamed form, and its own merge plans by the same rules
+(:mod:`repro.frame.merge`) and runs the same kernels
+(:mod:`repro.backends.shuffle_ops`) over its partitions.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.frame.groupby import agg_outputs, decompose
+from repro.frame.merge import POSITION_COLUMNS, can_broadcast
 from repro.graph.node import Node
 from repro.graph.taskgraph import collect_subgraph, consumer_counts
 
-_LPOS = "__lafp_lpos__"
-_RPOS = "__lafp_rpos__"
 _MAX_BUCKETS = 32
 
 
@@ -114,7 +115,7 @@ def _lower_merge(node: Node, counts, pinned, opts, limit: int) -> int:
     left_keys, right_keys = merge_key_columns(node)
     if left_keys is None or right_keys is None:
         return 0  # natural join: key set unknown until schemas meet
-    if {_LPOS, _RPOS} & (set(left_keys) | set(right_keys)):
+    if set(POSITION_COLUMNS) & (set(left_keys) | set(right_keys)):
         return 0
     left, right = node.inputs
     left_est = _streamable_scan(left, counts, pinned)
@@ -124,24 +125,25 @@ def _lower_merge(node: Node, counts, pinned, opts, limit: int) -> int:
     if left_est + right_est <= limit:
         return 0  # fits in memory anyway
     small = max(1, limit // 4)
-    if right_est <= small and how in ("inner", "left"):
+    if right_est <= small and can_broadcast(how):
         # broadcast fast path: stream the big left side only; the
         # merge node itself is untouched and detects the stream input
         left.args["stream"] = True
         return 1
     n_buckets = _partition_count(opts, left_est + right_est, limit)
+    left_pos, right_pos = POSITION_COLUMNS
     left.args["stream"] = True
     right.args["stream"] = True
     write_left = Node(
         "shuffle_write", [left],
         {"keys": list(left_keys), "n_buckets": n_buckets,
-         "pos_name": _LPOS, "est_total": left_est},
+         "pos_name": left_pos, "est_total": left_est},
         label="shuffle left",
     )
     write_right = Node(
         "shuffle_write", [right],
         {"keys": list(right_keys), "n_buckets": n_buckets,
-         "pos_name": _RPOS, "est_total": right_est},
+         "pos_name": right_pos, "est_total": right_est},
         label="shuffle right",
     )
     merge_args = dict(node.args)
@@ -168,7 +170,7 @@ def _lower_merge(node: Node, counts, pinned, opts, limit: int) -> int:
         ))
     node.op = "combine_agg"
     node.inputs = pieces
-    node.args = {"kind": "merge", "pos_names": [_LPOS, _RPOS]}
+    node.args = {"kind": "merge", "pos_names": list(POSITION_COLUMNS)}
     return 1
 
 

@@ -4,6 +4,11 @@ Supports ``how`` in {inner, left, right, outer} with ``on`` /
 ``left_on`` / ``right_on`` single- or multi-column keys -- the join shapes
 the benchmark programs (`mov`, `fdb`, `stu`) use.
 
+This module is the one join plan: every engine and the planner ask it
+which columns are the keys (:func:`join_keys`), what the output columns
+are called (:func:`join_labels`) and whether a partition-at-a-time merge
+against a materialized right side is exact (:func:`can_broadcast`).
+
 Algorithm: factorize both sides' key columns jointly to int64 codes
 (equal keys get equal codes; NaN and NaT keys get -1 and never match;
 several key columns combine pairwise and re-factorize, so codes stay
@@ -42,6 +47,62 @@ def _as_eager(frame):
     return frame
 
 
+#: per side, the global row position a shuffle join carries to restitch
+#: its bucket-local results into :func:`merge`'s row order
+POSITION_COLUMNS = ("__lafp_lpos__", "__lafp_rpos__")
+
+
+def join_keys(left_columns, right_columns, on=None, left_on=None,
+              right_on=None, **_merge_options):
+    """The key rule: ``(left keys, right keys)`` -- ``on``, or
+    ``left_on`` plus ``right_on``, or the shared columns in left order
+    (natural join; ``None`` if a column list is unknown).  Other merge
+    options are ignored, so a merge's kwargs pass through whole."""
+    if on is not None:
+        keys = [on] if isinstance(on, str) else list(on)
+        return keys, keys
+    if left_on is not None and right_on is not None:
+        lk = [left_on] if isinstance(left_on, str) else list(left_on)
+        rk = [right_on] if isinstance(right_on, str) else list(right_on)
+        if len(lk) != len(rk):
+            raise ValueError("left_on and right_on must have equal length")
+        return lk, rk
+    if left_columns is None or right_columns is None:
+        return None
+    shared = set(right_columns)
+    common = [c for c in left_columns if c in shared]
+    if not common:
+        raise ValueError("no common columns to merge on")
+    return common, common
+
+
+def join_labels(left_columns, right_columns, keys, suffixes=("_x", "_y"),
+                **_merge_options) -> List[Tuple[int, str, str]]:
+    """The label rule: ``(side, column, label)`` per output column (side
+    0 left, 1 right) -- left columns, then right columns minus same-name
+    keys; a name both sides carry, such keys aside, takes a suffix.
+    ``keys`` is :func:`join_keys`' pair; other merge options pass."""
+    left_keys, right_keys = keys
+    same_key = left_keys == right_keys
+    right_drop = set(right_keys) if same_key else set()
+    overlap = (set(left_columns) & set(right_columns)) - (
+        set(left_keys) if same_key else set()
+    )
+    return [
+        (side, name, name + suffixes[side] if name in overlap else name)
+        for side, columns in enumerate((left_columns, right_columns))
+        for name in columns
+        if side == 0 or name not in right_drop
+    ]
+
+
+def can_broadcast(how: str) -> bool:
+    """The broadcast rule: merging each left partition against the whole
+    right side is exact unless unmatched right rows are emitted (every
+    partition would emit them again)."""
+    return how in ("inner", "left")
+
+
 def merge(
     left: DataFrame,
     right: DataFrame,
@@ -60,29 +121,22 @@ def merge(
     # its eager form here.
     left = _as_eager(left)
     right = _as_eager(right)
-    left_keys, right_keys = _resolve_keys(left, right, on, left_on, right_on)
+    left_keys, right_keys = join_keys(
+        left.columns, right.columns, on, left_on, right_on
+    )
 
     left_idx, right_idx = _match_rows(left, right, left_keys, right_keys, how)
 
-    same_key = left_keys == right_keys
-    out: Dict[str, Column] = {}
-    right_drop = set(right_keys) if same_key else set()
-    overlap = (set(left.columns) & set(right.columns)) - (
-        set(left_keys) if same_key else set()
-    )
-
-    for name in left.columns:
-        label = name + suffixes[0] if name in overlap else name
-        out[label] = _gather(left.column(name), left_idx)
-    for name in right.columns:
-        if name in right_drop:
-            continue
-        label = name + suffixes[1] if name in overlap else name
-        out[label] = _gather(right.column(name), right_idx)
+    sides, rows = (left, right), (left_idx, right_idx)
+    out: Dict[str, Column] = {
+        label: _gather(sides[side].column(name), rows[side])
+        for side, name, label in join_labels(
+            left.columns, right.columns, (left_keys, right_keys), suffixes)
+    }
 
     # For right/outer joins the left key gather may contain NA slots that
     # the right side can fill (same-name keys only).
-    if same_key and how in ("right", "outer"):
+    if left_keys == right_keys and how in ("right", "outer"):
         for key in left_keys:
             filled = _fill_key(
                 left.column(key), left_idx, right.column(key), right_idx
@@ -90,22 +144,6 @@ def merge(
             out[key] = filled
 
     return DataFrame.from_columns(out)
-
-
-def _resolve_keys(left, right, on, left_on, right_on) -> Tuple[List[str], List[str]]:
-    if on is not None:
-        keys = [on] if isinstance(on, str) else list(on)
-        return keys, keys
-    if left_on is not None and right_on is not None:
-        lk = [left_on] if isinstance(left_on, str) else list(left_on)
-        rk = [right_on] if isinstance(right_on, str) else list(right_on)
-        if len(lk) != len(rk):
-            raise ValueError("left_on and right_on must have equal length")
-        return lk, rk
-    common = [c for c in left.columns if c in set(right.columns)]
-    if not common:
-        raise ValueError("no common columns to merge on")
-    return common, common
 
 
 def _match_rows(left, right, left_keys, right_keys, how):

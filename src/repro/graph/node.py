@@ -18,6 +18,8 @@ import dataclasses
 import itertools
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
+from repro.frame.merge import join_keys
+
 _node_ids = itertools.count(1)
 
 #: Wildcard marker: "all columns of the frame".
@@ -265,18 +267,10 @@ def _rename_mod(node: Node) -> Set[str]:
 
 
 def _merge_used(node: Node) -> Set[str]:
-    """Join keys when declared; a natural join (no ``on``/``left_on``)
-    inspects every shared column, so it degrades to ALL_COLUMNS."""
-    out: Set[str] = set()
-    for arg in ("on", "left_on", "right_on"):
-        value = node.args.get(arg)
-        if value is None:
-            continue
-        if isinstance(value, str):
-            out.add(value)
-        else:
-            out.update(value)
-    return out if out else {ALL_COLUMNS}
+    """Join keys by the one key rule; a natural join inspects every
+    shared column, so it degrades to ALL_COLUMNS."""
+    keys = join_keys(None, None, **node.args)
+    return set(keys[0]) | set(keys[1]) if keys else {ALL_COLUMNS}
 
 
 # Every registration passes ``mod_attrs`` and ``used_attrs`` explicitly

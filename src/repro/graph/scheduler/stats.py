@@ -110,10 +110,10 @@ class ExecutionStats:
     partitions_total: int = _counter(
         "partitions the executed scans' sources have")
     shuffle_partitions: int = _counter(
-        "buckets written by shuffle_write nodes")
+        "buckets a shuffle (a shuffle_write node, a Dask-sim join) wrote")
     bytes_spilled: int = _counter(
-        "tracked bytes shuffle stores pushed to their spill files, "
-        "whenever the spill happened")
+        "tracked bytes shuffle stores and the Dask sim's partition store "
+        "pushed to disk, whenever the spill happened")
     broadcast_joins: int = _counter(
         "merges that streamed one side against a broadcast other "
         "instead of shuffling")
@@ -125,7 +125,9 @@ class ExecutionStats:
     cells_decoded: int = _counter(
         "rows x columns the scans' readers materialized (before the "
         "predicate and the projection)")
-    spill_files: int = _counter("spill files the shuffle stores made")
+    spill_files: int = _counter(
+        "spill files the shuffle stores and the Dask sim's partition "
+        "store made")
     #: was the memory-aware static ordering pass applied to this
     #: run's execution order (``executor.static_order``)?
     static_order: bool = False

@@ -107,6 +107,18 @@ def spill_live_stores(nbytes: int) -> int:
     return freed
 
 
+def session_spill_dir() -> Optional[str]:
+    """The current session's ``memory.spill_dir`` (None: the system
+    tmpdir), where every spill of the session's engine goes."""
+    try:
+        from repro.core.session import current_session
+
+        value = current_session().options.get("memory.spill_dir")
+        return str(value) if value is not None else None
+    except Exception:
+        return None
+
+
 def _remove_spill(fd: int, directory: str) -> None:
     os.close(fd)
     shutil.rmtree(directory, ignore_errors=True)
@@ -131,10 +143,6 @@ class PartitionStream:
         self._empty_factory = empty_factory
         self.n_partitions = n_partitions
         self._consumed = False
-
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
 
     def __iter__(self) -> Iterator[DataFrame]:
         if self._consumed:

@@ -194,14 +194,7 @@ class TestOptimizerFlagsAreInvisible:
         tmp_dir = _fresh_dir(tmp_path_factory)
         left = _write_table(data, tmp_dir, "left", "csv")
         right = _write_table(right, tmp_dir, "right", "csv")
-        # the simulated dask cannot put a whole-column op (one partition
-        # out) back on a partitioned frame -- nor a held series, which is
-        # one partition too, on a leaf cut into several
-        ordered = any(step[0] in ("running", "peaks") for step in steps) or (
-            leaf == "split" and any(step[0] == "pinned" for step in steps))
         for backend in BACKENDS:
-            if ordered and backend == "dask":
-                continue
             with Session(backend=backend):
                 expected = _collect(*_build(steps, leaf, left, right))
             for flag in FLAGS:

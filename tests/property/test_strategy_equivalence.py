@@ -73,6 +73,7 @@ def right_tables(draw):
 #: are holistic (the bucketed lowering, the Dask fallback)
 _AGG_FUNCS = ["sum", "mean", "count", "min", "max", "size", "first",
               "std", "nunique"]
+_HOWS = ["inner", "left", "right", "outer"]
 
 
 @st.composite
@@ -137,6 +138,8 @@ def plans(draw, force_wide=False):
             draw(st.sampled_from([c for c in int_cols if c != "k"])),
             draw(st.sampled_from(["sum", "mean", "count"])),
         )
+    elif terminal == "merge":
+        terminal = ("merge", draw(st.sampled_from(_HOWS)))
     elif terminal == "groupby_spec":
         # the forms the programs use (``programs.py``: ``.agg({"pm25":
         # "mean", "pm10": "max"})``): a dict spec, one function or a
@@ -214,7 +217,7 @@ def _build(plan, fmt, left_path, right_path, partition_bytes=512):
         return grouped.size() if spec is None else grouped.agg(spec)
     if terminal[0] == "merge":
         right = _scan(fmt, right_path, 256)
-        return frame.merge(right, on="k", how="inner")
+        return frame.merge(right, on="k", how=terminal[1])
     return frame
 
 
@@ -268,9 +271,9 @@ def _equal(a, b) -> bool:
 def _collect_grid(plan, fmt, left, right, options, tmp_dir):
     """Collect the plan on every (backend, strategy) pair; every
     strategy must match its backend's serial result bit-for-bit.  A
-    group-by is also the same on every backend (one aggregate plan); a
-    merge is not yet -- the Dask sim's broadcast flip reorders columns."""
-    across_backends = plan[1][0] in ("groupby", "groupby_spec")
+    group-by and a merge are also the same on every backend (one
+    aggregate plan, one join plan)."""
+    across_backends = plan[1][0] in ("groupby", "groupby_spec", "merge")
     reference = None
     for backend in BACKENDS:
         baseline = None
@@ -387,11 +390,9 @@ class TestStrategyEquivalence:
     def test_forced_spill_identical_across_grid(
         self, tmp_path_factory, seed, key_range
     ):
-        """A tight budget over a ~300KB join forces buckets to disk;
-        spilled and resident runs must agree bit-for-bit.  The dask
-        sim gets a wider budget: its join working set (materialized
-        bucket outputs) is not spillable below ~400KB on this shape.
-        """
+        """A tight budget over a ~300KB join forces buckets to disk on
+        every backend (the Dask sim's join runs the same bucket stores);
+        spilled and resident runs must agree bit-for-bit."""
         tmp_dir = _fresh_dir(tmp_path_factory)
         rng = np.random.RandomState(seed)
         n = 4000
@@ -407,8 +408,7 @@ class TestStrategyEquivalence:
             tmp_dir, "right", "csv",
         )
         spill_dir = os.path.join(tmp_dir, "spill")
-        budgets = {"pandas": 300_000, "modin": 300_000, "dask": 450_000}
-        plan = ([], ("merge",))
+        plan = ([], ("merge", "inner"))
         for backend in BACKENDS:
             baseline = None
             ordered = ["serial"] + [s for s in STRATEGIES if s != "serial"]
@@ -416,7 +416,7 @@ class TestStrategyEquivalence:
                 with Session(backend=backend, options={
                     "executor.strategy": strategy,
                     "executor.max_workers": 2,
-                    "memory.budget": budgets[backend],
+                    "memory.budget": 300_000,
                     "optimizer.shuffle_threshold_bytes": 100,
                     "memory.spill_dir": spill_dir,
                 }) as session:
@@ -427,11 +427,10 @@ class TestStrategyEquivalence:
                     stats = session.last_execution_stats.to_dict()
                 if baseline is None:
                     baseline = result
-                    if backend in ("pandas", "modin"):
-                        assert stats["bytes_spilled"] > 0, (
-                            f"{backend} never spilled -- the budget no "
-                            "longer forces the spill path"
-                        )
+                    assert stats["bytes_spilled"] > 0, (
+                        f"{backend} never spilled -- the budget no "
+                        "longer forces the spill path"
+                    )
                 else:
                     assert _equal(result, baseline), (
                         f"forced-spill run diverged: {backend}/{strategy}"

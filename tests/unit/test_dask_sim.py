@@ -184,15 +184,136 @@ class TestMerges:
         out = left.merge(right, on="k").compute()
         expected = read_csv(left_path).merge(read_csv(right_path), on="k")
         assert len(out) > 0
-        assert len(out) == len(expected)
-        assert sorted(out["w"].to_list()) == sorted(expected["w"].to_list())
+        assert out.columns == expected.columns
+        for name in expected.columns:
+            assert out[name].dtype == expected[name].dtype
+            assert out[name].to_list() == expected[name].to_list()
         b.store.clear()
+
+    def test_shuffle_join_spills_counts_and_cleans_up(self, make_csv, tmp_path):
+        """A Dask shuffle join runs the shared bucket stores: under a
+        tight budget they spill under ``memory.spill_dir`` and count it,
+        and once the join is done no store is live and no file is left."""
+        import os
+
+        import repro.lazyfatpandas.pandas as lfp
+        from repro.core.session import Session
+        from repro.io.spill import live_store_count
+
+        n = 4000
+        left_path = make_csv({"k": np.arange(n) % 40, "v": np.arange(n),
+                              "s": [f"s{i % 7}" for i in range(n)]}, "l.csv")
+        right_path = make_csv({"k": list(range(1000, 1300)) + list(range(8)),
+                               "r": np.arange(308)}, "r.csv")
+        spill_dir = str(tmp_path / "spill")
+        expected = read_csv(left_path).merge(
+            read_csv(right_path), on="k", how="right")
+        with Session(backend="dask", options={
+            "memory.budget": 300_000, "memory.spill_dir": spill_dir,
+        }) as session:
+            left = lfp.scan_csv(left_path, partition_bytes=2048)
+            right = lfp.scan_csv(right_path, partition_bytes=256)
+            out = left.merge(right, on="k", how="right").collect()
+            stats = session.last_execution_stats.to_dict()
+        assert out.columns == expected.columns
+        for name in expected.columns:
+            np.testing.assert_array_equal(
+                out[name].values, expected[name].values)
+        assert stats["shuffle_partitions"] > 0
+        assert stats["bytes_spilled"] > 0 and stats["spill_files"] > 0
+        assert live_store_count() == 0
+        assert os.listdir(spill_dir) == []
 
     def test_merge_tracks_columns(self, backend, wide_csv):
         lazy = backend.read_csv(path=wide_csv)
         dim = DataFrame({"k": [1], "label": ["x"]})
         out = lazy.merge(dim, on="k")
         assert "label" in out.columns
+
+
+class TestPartitionCountMismatch:
+    """An operand cut into a different number of partitions than the
+    frame (a held series, a fallen-back whole-column op) cannot pair
+    rows by position: the node takes the pandas fallback."""
+
+    @pytest.mark.parametrize("backend", ["pandas", "modin", "dask"])
+    def test_held_and_whole_column_series_assign(self, backend, make_csv):
+        import repro.lazyfatpandas.pandas as lfp
+        from repro.core.session import Session
+
+        path = make_csv({"a": np.arange(200) % 13, "b": np.arange(200)})
+        with Session(backend=backend):
+            df = lfp.scan_csv(path, partition_bytes=256)
+            t = (df.a + df.b).persist()
+            df["t"] = t
+            df["m"] = df.a.cummax()
+            out = df.collect()
+        eager = read_csv(path)
+        assert out["t"].to_list() == (eager["a"] + eager["b"]).to_list()
+        assert out["m"].to_list() == eager["a"].cummax().to_list()
+
+    def test_blockwise_over_different_cuts_is_unsupported(self, backend,
+                                                          wide_csv):
+        lazy = backend.read_csv(path=wide_csv)
+        one = backend.adopt_cached(read_csv(wide_csv)["v"])
+        assert lazy.npartitions > 1 and one.npartitions == 1
+        with pytest.raises(BackendUnsupported):
+            lazy.with_column("w", one)
+        with pytest.raises(BackendUnsupported):
+            lazy[one > 50.0]
+
+
+class TestPartitionStoreLifetime:
+    def test_collect_loop_leaves_no_tracked_bytes(self, make_csv):
+        """Persisted partitions, ``from_pandas`` splits and adopted
+        values die with the expressions holding them: six rounds of
+        read, filter, persist, group-by and a ``from_pandas`` sum leave
+        the dask session holding what the pandas session holds."""
+        import gc
+
+        import repro.lazyfatpandas.pandas as lfp
+        from repro.core.session import Session
+
+        path = make_csv({"k": np.arange(4000) % 7, "a": np.arange(4000),
+                         "s": [f"s{i}" for i in range(4000)]})
+        live = {}
+        for name in ("pandas", "dask"):
+            with Session(backend=name) as session:
+                for _ in range(6):
+                    df = lfp.read_csv(path)
+                    hot = df[df.a > 3].persist()
+                    hot.groupby("k")["a"].sum().collect()
+                    lfp.DataFrame({"a": np.arange(5000)}).a.sum().collect()
+                del df, hot
+                gc.collect()
+                live[name] = session.memory.live
+        assert live["dask"] == live["pandas"]
+
+    def test_spill_directory_made_on_first_spill_and_removed(
+        self, make_csv, tmp_path
+    ):
+        import os
+
+        from repro.core.session import Session
+
+        path = make_csv({"s": [f"text-{i:07d}-xxxxxxxx" for i in range(2000)]})
+        spill_dir = str(tmp_path / "spill")
+        with Session(backend="dask", options={
+            "memory.spill_dir": spill_dir,
+        }) as session:
+            b = session.backend
+            pinned = b.read_csv(path=path).persist()
+            assert not os.path.exists(spill_dir)  # nothing spilled yet
+            b.store.spill_all()
+            (made,) = os.listdir(spill_dir)
+            assert made.startswith("lafp-spill-")
+            assert len(os.listdir(os.path.join(spill_dir, made))) == (
+                pinned.npartitions)
+            assert len(pinned.compute()) == 2000
+            del pinned  # a handle's file goes with it
+            assert os.listdir(os.path.join(spill_dir, made)) == []
+            b.store.clear()
+            assert os.listdir(spill_dir) == []
 
 
 class TestUnsupportedOps:

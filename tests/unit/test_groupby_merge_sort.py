@@ -245,6 +245,131 @@ class TestOneAggregatePlan:
         assert tool.run() == []
 
 
+# -- one join plan: every backend and partition shape against frame.merge ----
+
+
+def _join_tables():
+    """A 30-row left and a 12-row right table: duplicate keys on both
+    sides, NA keys (``k`` is read back as float64), a string key pair
+    for ``left_on`` / ``right_on``, ``v`` on both sides (suffixed, or a
+    second natural-join key), and keys only one side has."""
+    left_k = [1, 2, 2, None, 5, 1, 7, None, 3, 2] * 3
+    right_k = [2, 1, None, 4, 2, 8, 1, 3, None, 11, 2, 6]
+    left = {
+        "k": left_k,
+        "s": [f"s{i % 6}" for i in range(30)],
+        "v": [i % 4 for i in range(30)],
+        "a": list(range(30)),
+    }
+    right = {
+        "k": right_k,
+        "t": [f"s{i % 8}" for i in range(12)],
+        "v": [i % 3 for i in range(12)],
+        "b": [100 + i for i in range(12)],
+    }
+    return left, right
+
+
+#: name -> the merge keyword arguments
+_JOIN_CASES = {
+    "on": {"on": "k"},
+    "left_on_right_on": {"left_on": "s", "right_on": "t"},
+    "two_keys": {"on": ["k", "v"]},
+    "suffixes": {"on": "k", "suffixes": ("_l", "_r")},
+    "natural": {},
+}
+
+#: name -> (left split, right split)
+_JOIN_SHAPES = {
+    "left_single_right_split": (False, True),
+    "left_split_right_single": (True, False),
+    "both_split": (True, True),
+}
+
+
+def _assert_same_frame(got, want):
+    assert got.columns == want.columns
+    for name in want.columns:
+        _assert_same_column(got.column(name), want.column(name), name)
+
+
+class TestOneJoinPlan:
+    """``frame/merge.py`` owns the key rule, the output-label rule and
+    the broadcast rule; every backend, however its inputs are cut, must
+    return what the eager ``merge`` returns -- columns, dtypes, row
+    order and values."""
+
+    @pytest.fixture
+    def tables(self, make_csv):
+        left, right = _join_tables()
+        return make_csv(left, "left.csv"), make_csv(right, "right.csv")
+
+    def _collect(self, backend, tables, shape, kwargs):
+        left_split, right_split = _JOIN_SHAPES[shape]
+        left_path, right_path = tables
+        with Session(backend=backend) as session:
+            if backend == "modin":
+                # the scan re-splits by in-memory bytes: >= 3 pieces
+                session.backend.partition_bytes = 200 if left_split else 1 << 30
+            left = lfp.scan_csv(
+                left_path, partition_bytes=64 if left_split else 1 << 20)
+            right = lfp.scan_csv(
+                right_path, partition_bytes=64 if right_split else 1 << 20)
+            return left.merge(right, **kwargs).collect()
+
+    @pytest.mark.parametrize("how", ["inner", "left", "right", "outer"])
+    @pytest.mark.parametrize("case", sorted(_JOIN_CASES))
+    @pytest.mark.parametrize("shape", sorted(_JOIN_SHAPES))
+    @pytest.mark.parametrize("backend", ["pandas", "modin", "dask"])
+    def test_backend_matches_eager_merge(self, tables, backend, shape, case,
+                                         how):
+        from repro.frame import read_csv
+
+        kwargs = dict(_JOIN_CASES[case], how=how)
+        want = read_csv(tables[0]).merge(read_csv(tables[1]), **kwargs)
+        assert len(want) > 0
+        got = self._collect(backend, tables, shape, kwargs)
+        _assert_same_frame(got, want)
+
+    def test_the_rules_have_one_definition(self):
+        from repro.frame.merge import can_broadcast, join_keys, join_labels
+
+        assert join_keys(["k", "v", "a"], ["b", "v", "k"]) == (
+            ["k", "v"], ["k", "v"])
+        assert join_keys(None, None) is None  # natural, columns unknown
+        assert join_keys(None, None, left_on="s", right_on=["t"],
+                         how="left") == (["s"], ["t"])
+        with pytest.raises(ValueError):
+            join_keys(["a"], ["b"])
+        assert [label for _s, _n, label in join_labels(
+            ["k", "v", "a"], ["k", "v", "b"], (["k"], ["k"]))] == [
+            "k", "v_x", "a", "v_y", "b"]
+        assert [label for _s, _n, label in join_labels(
+            ["s", "v"], ["t", "v"], (["s"], ["t"]), suffixes=("_l", "_r"),
+            how="outer")] == ["s", "v_l", "t", "v_r"]
+        assert [how for how in ("inner", "left", "right", "outer")
+                if can_broadcast(how)] == ["inner", "left"]
+
+    def test_invariant_tool_rejects_a_second_join_plan(self):
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "tools" / "check_invariants.py"
+        spec = importlib.util.spec_from_file_location("check_invariants", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        flip = ast.parse("def _flip_merge_kwargs(kwargs):\n    return kwargs")
+        rule = ast.parse("ok = how in ('left', 'inner')")
+        for module in ("backends/dask_sim/frame.py", "core/optimizer/shuffle.py"):
+            assert list(tool.check_one_join_plan(flip, module))
+            assert list(tool.check_one_join_plan(rule, module))
+        assert not list(tool.check_one_join_plan(rule, "frame/merge.py"))
+        assert not list(tool.check_one_join_plan(
+            ast.parse("x = how in ('left', 'outer')"), "frame/merge.py"))
+        assert tool.run() == []
+
+
 class TestMerge:
     def left(self):
         return DataFrame({"k": [1, 2, 3], "l": ["a", "b", "c"]})

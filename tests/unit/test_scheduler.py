@@ -699,18 +699,18 @@ class TestOneStatsModel:
 
         big = _write_kv(tmp_path / "big.csv", 1400)
         other = _write_kv(tmp_path / "other.csv", 700)
-        original = shuffle_ops.exec_shuffle_read
+        original = shuffle_ops.drain_bucket
         forced = []
 
-        def spill_then_read(node, store):
+        def spill_then_read(store, bucket):
             # this store's write phase is over, and (no budget) spilled
             # nothing; now every resident chunk of every store goes
             if not forced:
                 assert store.bytes_spilled == 0
             forced.append(spill_live_stores(1 << 62))
-            return original(node, store)
+            return original(store, bucket)
 
-        monkeypatch.setattr(shuffle_ops, "exec_shuffle_read", spill_then_read)
+        monkeypatch.setattr(shuffle_ops, "drain_bucket", spill_then_read)
         with Session(backend="pandas", options={
             "executor.strategy": "serial",
             "optimizer.shuffle_threshold_bytes": 100,

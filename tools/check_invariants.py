@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Nine structural rules the linters cannot express, checked with nothing
+Ten structural rules the linters cannot express, checked with nothing
 but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -80,6 +80,18 @@ but the stdlib ``ast`` module:
    copying counters someone else kept, the scheduler's
    ``_record_op_stats`` inspection of nodes after they ran, or a
    ``def record_*`` method per counter.
+
+10. **One join plan.**  Which columns a merge joins on, what its output
+    columns are called and whether merging partition by partition
+    against a materialized right side is exact are decided in
+    ``frame/merge.py`` (``join_keys`` / ``join_labels`` /
+    ``can_broadcast``), and a shuffle join runs the kernels of
+    ``backends/shuffle_ops.py``; the planner and both simulators call
+    them.  The Dask sim's private copies must not come back under
+    ``src/repro`` -- its side flip, hash, bucket gatherer, key and
+    column rules -- and outside ``frame/merge.py`` neither may a second
+    broadcast rule: a ``can_broadcast`` definition, or a membership test
+    against exactly ``("inner", "left")``.
 
 Usage::
 
@@ -559,10 +571,66 @@ def check_one_stats_model(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 10: one join plan
+
+#: the Dask sim's deleted private join planner.
+_SECOND_JOIN_PLAN = frozenset({
+    "_flip_merge_kwargs", "_bucket_codes", "_string_hash", "_partition_side",
+    "_gather_bucket", "_merged_columns", "_merge_keys",
+})
+_JOIN_PLAN = "frame/merge.py"
+_BROADCAST_RULE = "can_broadcast"
+_BROADCAST_HOWS = frozenset({"inner", "left"})
+
+
+def _is_broadcast_test(node: ast.AST) -> bool:
+    """``x in ("inner", "left")`` (any literal collection, any order)."""
+    if not (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.In, ast.NotIn))):
+        return False
+    values = node.comparators[0]
+    if not isinstance(values, (ast.Tuple, ast.List, ast.Set)):
+        return False
+    named = [item.value for item in values.elts
+             if isinstance(item, ast.Constant)]
+    return len(named) == len(values.elts) and set(named) == _BROADCAST_HOWS
+
+
+def check_one_join_plan(tree: ast.Module, rel: str) -> Iterator[str]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names = [node.name.rsplit(".", 1)[-1], node.asname]
+        else:
+            names = [getattr(node, "name", None), getattr(node, "id", None),
+                     getattr(node, "attr", None)]
+        lineno = getattr(node, "lineno", 0)
+        for name in names:
+            if name in _SECOND_JOIN_PLAN:
+                yield (
+                    f"src/repro/{rel}:{lineno}: {name} -- a merge's keys, "
+                    f"labels and broadcast rule are {_JOIN_PLAN}'s, its "
+                    f"shuffle kernels backends/shuffle_ops.py's; call "
+                    f"them instead of planning a join of your own"
+                )
+        if rel == _JOIN_PLAN:
+            continue
+        second_rule = _is_broadcast_test(node) or (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == _BROADCAST_RULE)
+        if second_rule:
+            yield (
+                f"src/repro/{rel}:{lineno}: a second broadcast rule -- "
+                f"whether a partition-at-a-time merge is exact is "
+                f"{_JOIN_PLAN}::{_BROADCAST_RULE}'s decision"
+            )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
-          check_one_aggregate_plan, check_one_stats_model)
+          check_one_aggregate_plan, check_one_stats_model,
+          check_one_join_plan)
 
 
 def run(src: Path = SRC) -> List[str]:
