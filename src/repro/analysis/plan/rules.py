@@ -308,7 +308,8 @@ def check_pushdown_blocked(spec: RuleSpec,
     if not scans:
         return
 
-    required = _required_columns(ctx.roots, ctx.order, order=ctx.order)
+    required = _required_columns(ctx.roots, order=ctx.order,
+                                 schemas=ctx.schemas)
     root_ids = {r.id for r in ctx.roots}
     for scan in scans:
         caps = source_capabilities(scan.args.get("format"))

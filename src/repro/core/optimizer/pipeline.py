@@ -77,7 +77,10 @@ def optimize(
         # fold into the scan's args (the source filters while reading).
         report["scan_fold"] = fold_predicates_into_scans(roots, index)
     if opts.get("optimizer.projection_pushdown"):
-        report["projection"] = push_down_projections(roots)
+        # a merge the reuse pass will cache keeps its raw columns
+        report["projection"] = push_down_projections(
+            roots, session,
+            whole=state.candidates if state is not None else ())
     if opts.get("optimizer.metadata"):
         report["metadata"] = apply_metadata_hints(roots, session.metastore)
     # After folding: drop partitions whose statistics prove the pushed

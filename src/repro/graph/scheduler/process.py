@@ -73,6 +73,18 @@ from repro.graph.scheduler.stats import ExecutionStats, NodeStat
 _INLINE_OPS = frozenset({"shuffle_write", "shuffle_read"})
 
 
+def _streams(node: Node) -> bool:
+    return node.op == "scan" and bool(node.args.get("stream"))
+
+
+def _runs_inline(node: Node) -> bool:
+    """Must ``node`` run in the parent, whatever its inputs' values?
+    Side effects, shuffle-store plumbing, and streams: a streaming
+    scan, or a node reading one."""
+    return (node.spec.side_effect or node.op in _INLINE_OPS
+            or _streams(node) or any(_streams(inp) for inp in node.inputs))
+
+
 # ---------------------------------------------------------------------------
 # Worker side (these run inside pool processes).
 # ---------------------------------------------------------------------------
@@ -232,7 +244,17 @@ class ProcessScheduler(Scheduler):
 
     def _tasks(self, order: List[Node], root_ids: Set[int], consumers,
                stats: ExecutionStats) -> List[Task]:
-        return fuse_linear_chains(order, root_ids, consumers)
+        """Fused chains, each cut after its inline-only head: a chain
+        ships whole or not at all, so a head that must stay here (a
+        broadcast merge reading a stream) would otherwise pull the
+        shippable tail -- UDFs included -- into this process."""
+        tasks: List[Task] = []
+        for chain in fuse_linear_chains(order, root_ids, consumers):
+            while len(chain) > 1 and _runs_inline(chain[0]):
+                tasks.append(chain[:1])
+                chain = chain[1:]
+            tasks.append(chain)
+        return tasks
 
     def _run(self, ready: ReadySet, stats: ExecutionStats) -> None:
         from concurrent.futures.process import BrokenProcessPool
@@ -311,9 +333,7 @@ class ProcessScheduler(Scheduler):
         external_index: Dict[int, int] = {}
         step_index: Dict[int, int] = {}
         for node in chain:
-            if node.spec.side_effect or node.op in _INLINE_OPS:
-                return None
-            if node.op == "scan" and node.args.get("stream"):
+            if _runs_inline(node):
                 return None
             slots: List[Tuple[str, int]] = []
             for inp in node.inputs:

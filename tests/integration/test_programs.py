@@ -46,6 +46,34 @@ def test_every_program_saves_a_result(runner):
         assert result.result_hash is not None, program
 
 
+def test_join_programs_read_only_the_columns_they_use(runner, monkeypatch):
+    """Column selection passes through the merges of ``fdb`` and ``mov``:
+    every scan of their optimized plans is narrowed."""
+    import os
+
+    import repro.core.optimizer as optimizer
+    from repro.graph import collect_subgraph
+
+    widths = {}
+    optimize = optimizer.optimize
+
+    def recording(roots, session, live_nodes=None):
+        report = optimize(roots, session, live_nodes=live_nodes)
+        for node in collect_subgraph(list(roots)):
+            if node.op == "scan":
+                name = os.path.basename(node.args["path"])
+                columns = node.args.get("columns")
+                widths[name] = None if columns is None else len(columns)
+        return report
+
+    monkeypatch.setattr(optimizer, "optimize", recording)
+    for program in ("fdb", "mov"):
+        result = runner.run(program, "lafp_pandas", "S")
+        assert result.ok, result.error
+    assert widths == {"orders.csv": 3, "items.csv": 3,
+                      "ratings.csv": 2, "movies.csv": 2}
+
+
 def test_stdout_captured_not_leaked(runner, capsys):
     runner.run("cty", "lafp_dask", "S")
     assert capsys.readouterr().out == ""

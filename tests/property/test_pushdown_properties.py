@@ -20,6 +20,12 @@ may look, or move an operator, beneath.  A "pinned" step holds a
 *series* and assigns it as a column: a later filter must stay above
 that setitem, because the held value cannot be re-rooted.
 
+A chain ends in the frame itself, a column subset, or a
+``groupby(["k"])[...].sum()``: the last two leave columns unread, so
+projection pushdown narrows the scans -- through the merge too, whose
+right table shares the non-key column ``v`` with the left (its ``_x`` /
+``_y`` labels must not change when a side narrows).
+
 The chain's leaf is one more input: ``pd.read_csv``, ``pd.scan_csv``,
 or a ``scan_csv`` cut into several partitions.  The first two are one
 leaf under two names, so every chain must explain and fingerprint the
@@ -43,7 +49,7 @@ from repro.graph import collect_subgraph
 from repro.lazyfatpandas.func import print as lazy_print
 
 from test_strategy_equivalence import (
-    BACKENDS, _equal, _fresh_dir, _write_table, right_tables, tables,
+    BACKENDS, _equal, _fresh_dir, _ints, _write_table, right_tables, tables,
 )
 
 pytestmark = pytest.mark.deadline(120)
@@ -58,6 +64,15 @@ FLAGS = [
 ]
 
 _values = st.integers(min_value=-100, max_value=100)
+
+
+@st.composite
+def shared_right_tables(draw):
+    """The merge's right table, with a non-key ``v`` beside the left's."""
+    right = draw(right_tables())
+    n = len(right["k"])
+    right["v"] = draw(st.lists(_ints, min_size=n, max_size=n))
+    return right
 
 
 @st.composite
@@ -126,8 +141,16 @@ def chains(draw):
             steps.append(("rename", column, name))
         else:
             merged = True
-            numeric = numeric + ["r"]
+            # a "v" still on the left meets the right's: both suffixed
+            numeric = [c for c in numeric if c != "v"] + (
+                ["v_x", "v_y"] if "v" in numeric else ["v"]) + ["r"]
             steps.append(("merge",))
+    ending = draw(st.sampled_from(["whole", "subset", "groupby"]))
+    if ending != "whole":
+        values = [c for c in numeric if c != "k"]
+        picked = draw(st.lists(st.sampled_from(values), min_size=1,
+                               max_size=len(values), unique=True))
+        steps.append((ending, picked))
     return steps
 
 
@@ -168,6 +191,10 @@ def _build(steps, leaf, left, right):
             frame = frame.drop(columns=[step[1]])
         elif step[0] == "rename":
             frame = frame.rename(columns={step[1]: step[2]})
+        elif step[0] == "subset":
+            frame = frame[step[1]]
+        elif step[0] == "groupby":
+            frame = frame.groupby(["k"])[step[1]].sum()
         else:
             frame = frame.merge(read(right), on="k", how="inner")
     return frame, taps
@@ -185,7 +212,7 @@ def _collect(frame, taps):
 
 
 class TestOptimizerFlagsAreInvisible:
-    @given(data=tables(), right=right_tables(), steps=chains(),
+    @given(data=tables(), right=shared_right_tables(), steps=chains(),
            leaf=st.sampled_from(sorted(LEAVES)))
     @settings(max_examples=15, deadline=None)
     def test_each_flag_off_is_bit_identical_on_every_backend(
@@ -211,7 +238,7 @@ class TestOptimizerFlagsAreInvisible:
 
 
 class TestOneScanLeaf:
-    @given(data=tables(), right=right_tables(), steps=chains())
+    @given(data=tables(), right=shared_right_tables(), steps=chains())
     @settings(max_examples=25, deadline=None)
     def test_read_csv_and_scan_csv_build_the_same_plan(
         self, tmp_path_factory, data, right, steps
@@ -230,7 +257,7 @@ class TestOneScanLeaf:
 
 
 class TestPushdownIsBoundedAndIdempotent:
-    @given(data=tables(), right=right_tables(), steps=chains(),
+    @given(data=tables(), right=shared_right_tables(), steps=chains(),
            leaf=st.sampled_from(sorted(LEAVES)))
     @settings(max_examples=40, deadline=None)
     def test_swaps_nodes_and_second_run(

@@ -254,6 +254,32 @@ class TestRules:
         assert diags[0].op == "dropna"
         assert diags[0].severity is Severity.HINT
 
+    @pytest.fixture
+    def join_csvs(self, make_csv):
+        left = make_csv({"k": [1, 2], "a": [3, 4], "s": ["p", "q"]}, "l.csv")
+        right = make_csv({"k": [1, 2], "b": [5, 6]}, "r.csv")
+        return left, right
+
+    def test_lfp006_silent_on_merge_that_passes_projection(self, join_csvs):
+        left, right = join_csvs
+        with Session(backend="pandas") as session:
+            joined = lfp.read_csv(left).merge(lfp.read_csv(right))
+            out = joined[["b"]]
+            assert analyze_plan([out.node], session=session) == []
+
+    def test_lfp006_names_merge_printed_whole(self, join_csvs):
+        from repro.lazyfatpandas.func import print as lazy_print
+
+        left, right = join_csvs
+        with Session(backend="pandas") as session:
+            joined = lfp.read_csv(left).merge(lfp.read_csv(right))
+            lazy_print(joined)
+            roots = list(session.pending_prints)
+            diags = analyze_plan(roots, session=session)
+            session.pending_prints.clear()
+        assert _codes(diags) == ["LFP006", "LFP006"]
+        assert {d.op for d in diags} == {"merge"}
+
     def test_lfp006_silent_on_foldable_plan(self, sales_dataset):
         with Session(backend="pandas") as session:
             df = lfp.scan_dataset(sales_dataset)

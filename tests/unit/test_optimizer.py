@@ -283,6 +283,116 @@ class TestProjectionPushdown:
         read = _ops_below(out.node, "scan")[0]
         assert "fare_amount" in read.args["columns"]
 
+    # -- through a merge ---------------------------------------------------
+
+    @pytest.fixture
+    def join_csvs(self, make_csv):
+        left = make_csv({"k": [1, 2, 3, 4], "a": [1, 2, 3, 4],
+                         "s": ["p", "q", "r", "s"], "x": [9, 8, 7, 6]},
+                        "left.csv")
+        right = make_csv({"k": [1, 2, 3, 5], "b": [5, 6, 7, 8],
+                          "t": ["u", "v", "w", "z"], "x": [0, 1, 0, 1]},
+                         "right.csv")
+        return left, right
+
+    @staticmethod
+    def _scan_columns(root, *paths):
+        by_path = {n.args["path"]: n.args.get("columns")
+                   for n in _ops_below(root, "scan")}
+        return [by_path[p] for p in paths]
+
+    def test_merge_on_narrows_both_sides(self, join_csvs):
+        left, right = join_csvs
+        joined = lfp.read_csv(left).merge(lfp.read_csv(right), on="k")
+        out = joined.groupby(["k"])["b"].sum()
+        assert push_down_projections([out.node]) == 2
+        # the key, the shared "x" (its suffixes), and the label asked for
+        assert self._scan_columns(out.node, left, right) == [
+            ["k", "x"], ["b", "k", "x"]]
+
+    def test_merge_left_on_right_on(self, make_csv):
+        left = make_csv({"lk": [1, 2], "a": [3, 4], "s": ["p", "q"]}, "l.csv")
+        right = make_csv({"rk": [1, 2], "b": [5, 6], "t": ["u", "v"]},
+                         "r.csv")
+        joined = lfp.read_csv(left).merge(
+            lfp.read_csv(right), left_on="lk", right_on="rk")
+        out = joined.groupby(["rk"])["a"].sum()
+        assert push_down_projections([out.node]) == 2
+        assert self._scan_columns(out.node, left, right) == [
+            ["a", "lk"], ["rk"]]
+
+    def test_natural_join_keys_on_shared_columns(self, make_csv):
+        left = make_csv({"k": [1, 2], "a": [3, 4], "s": ["p", "q"]}, "l.csv")
+        right = make_csv({"k": [1, 2], "b": [5, 6], "t": ["u", "v"]},
+                         "r.csv")
+        joined = lfp.read_csv(left).merge(lfp.read_csv(right))
+        out = joined[["b"]]
+        assert push_down_projections([out.node]) == 2
+        assert self._scan_columns(out.node, left, right) == [
+            ["k"], ["b", "k"]]
+
+    def test_shared_column_keeps_both_sides_and_suffixes(self, join_csvs):
+        left, right = join_csvs
+        out = lfp.read_csv(left).merge(lfp.read_csv(right), on="k")[
+            ["x_y", "a"]]
+        push_down_projections([out.node])
+        assert self._scan_columns(out.node, left, right) == [
+            ["a", "k", "x"], ["k", "x"]]
+        got = out.collect()
+        assert list(got.columns) == ["x_y", "a"]
+        assert got.x_y.to_list() == [0, 1, 0]
+
+    def test_whole_merge_root_or_print_keeps_both_sides(self, join_csvs):
+        from repro.lazyfatpandas.func import print as lazy_print
+
+        left, right = join_csvs
+        joined = lfp.read_csv(left).merge(lfp.read_csv(right), on="k")
+        assert push_down_projections([joined.node]) == 0
+
+        joined = lfp.read_csv(left).merge(lfp.read_csv(right), on="k")
+        lazy_print(joined)
+        total = joined.a.sum()
+        session = current_session()
+        roots = list(session.pending_prints) + [total.node]
+        assert push_down_projections(roots) == 0
+        session.pending_prints.clear()
+
+    def test_unresolvable_source_keeps_both_sides(self, join_csvs, tmp_path):
+        left, _right = join_csvs
+        missing = str(tmp_path / "missing.csv")
+        joined = lfp.read_csv(left).merge(lfp.read_csv(missing), on="k")
+        out = joined.groupby(["k"])["a"].sum()
+        assert push_down_projections([out.node]) == 0
+        assert self._scan_columns(out.node, left, missing) == [None, None]
+
+    def test_reuse_candidate_merge_stays_whole_and_hits(self, join_csvs):
+        from repro.cache.result_cache import result_cache
+        from repro.core.optimizer import optimize
+        from repro.core.session import Session
+        from repro.graph.taskgraph import physical_plan
+
+        left, right = join_csvs
+        reuse = {"optimizer.reuse": True, "cache.min_cost": 0.0}
+
+        def suffix(column):
+            joined = lfp.read_csv(left).merge(lfp.read_csv(right), on="k")
+            return joined.groupby(["k"])[column].sum()
+
+        result_cache().clear()
+        try:
+            with Session(backend="pandas", options=reuse) as session:
+                plan = suffix("a")
+                twin = physical_plan([plan.node])[plan.node.id]
+                optimize([twin], session, live_nodes=[])
+                assert self._scan_columns(twin, left, right) == [None, None]
+                plan.collect()
+            with Session(backend="pandas", options=reuse) as session:
+                assert suffix("b").collect().to_list() == [5, 6, 7]
+                stats = session.last_execution_stats
+            assert stats.cache_hits >= 1 and stats.nodes_executed > 1
+        finally:
+            result_cache().clear()
+
 
 class TestMetadataOptimization:
     def test_dtype_hints_injected(self, make_csv, tmp_path):

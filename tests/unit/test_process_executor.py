@@ -253,6 +253,32 @@ class TestProcessFaults:
         ]
         assert leftover == []
 
+    def test_udf_after_broadcast_merge_ships_to_the_pool(self, make_csv):
+        """A right side small enough for the streaming broadcast merge
+        fuses ``[merge, getitem_column, series_map, series_agg]``; the
+        merge reads a stream and stays in this process, but the UDF
+        after it must ship (here: die in a worker, not kill the test)."""
+        n = 4000
+        rng = np.random.RandomState(0)
+        left = make_csv(
+            {"k": rng.randint(0, 40, n), "v": np.arange(n)}, "left.csv"
+        )
+        right = make_csv(
+            {"k": np.arange(8), "w": np.arange(8) * 10}, "right.csv"
+        )
+        with _process_session(**{
+            "memory.budget": 150_000,
+            "optimizer.shuffle_threshold_bytes": 100,
+        }) as session:
+            with pytest.raises(ExecutionError, match="worker died"):
+                merged = lfp.scan_csv(left, partition_bytes=2048).merge(
+                    lfp.scan_csv(right, partition_bytes=512, usecols=["k"]),
+                    on="k",
+                )
+                merged["v"].map(_kill_worker_always).sum().collect()
+            gc.collect()
+            assert session.memory.live == 0
+
     def test_plan_errors_keep_their_type(self, numbers_csv):
         """A worker-raised *plan* error is not an infrastructure
         failure: it propagates with its original type, like serial."""
