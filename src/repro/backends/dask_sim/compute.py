@@ -10,16 +10,13 @@ A shuffle join runs the eager engines' shuffle kernels
 (:mod:`repro.backends.shuffle_ops`): its buckets spill and count like
 theirs, and their stores close when the join is done.
 
-On a :class:`~repro.memory.SimulatedMemoryError` the evaluator spills all
-resident partitions and bucket chunks and retries once; if the retry
-fails the program genuinely cannot run (e.g. a forced whole-frame
-materialization, the `emp` failure of Figure 12) and the error
-propagates.
+A :class:`~repro.memory.SimulatedMemoryError` propagates: the store
+spills ahead of pressure between partitions, so an OOM that still
+happens means the program cannot run in the budget (e.g. a forced
+whole-frame materialization, the `emp` failure of Figure 12).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.backends.dask_sim.expr import Expr, materialized_expr
 from repro.backends.dask_sim.store import PartitionStore
@@ -27,8 +24,6 @@ from repro.backends.shuffle_ops import hash_split, merge_bucket_pairs, restitch
 from repro.frame import DataFrame, concat
 from repro.frame.concat import concat_consuming, shallow_copy
 from repro.frame.merge import POSITION_COLUMNS
-from repro.io.spill import spill_live_stores
-from repro.memory import SimulatedMemoryError
 
 
 class Evaluator:
@@ -45,38 +40,24 @@ class Evaluator:
         The consuming concat releases each piece's buffers as they
         merge.  It consumes shallow copies: a pinned partition
         (``persist()``, a subexpression two roots share) is handed out
-        by reference and must survive for its next reader.  The copies
-        are made inside the guarded call, so the retry after a
-        :class:`SimulatedMemoryError` starts from whole pieces again,
-        not from the columns the interrupted concat had not yet popped.
+        by reference and must survive for its next reader.
         """
         parts = []
         for i in range(expr.npartitions):
-            parts.append(self._guarded(self.eval_partition, expr, i))
+            parts.append(self.eval_partition(expr, i))
             self.store.ensure_headroom()
         if len(parts) == 1:
             return parts[0]
         if isinstance(parts[0], DataFrame):
-            return self._guarded(
-                lambda: concat_consuming([shallow_copy(p) for p in parts])
-            )
+            return concat_consuming([shallow_copy(p) for p in parts])
         return concat(parts)
 
     def persist(self, expr: Expr) -> Expr:
         """Compute every partition and pin it in the (spillable) store."""
         handles = []
         for i in range(expr.npartitions):
-            value = self._guarded(self.eval_partition, expr, i)
-            handles.append(self.store.put(value))
+            handles.append(self.store.put(self.eval_partition(expr, i)))
         return materialized_expr(handles)
-
-    def _guarded(self, func: Callable, *args):
-        try:
-            return func(*args)
-        except SimulatedMemoryError:
-            self.store.spill_all()
-            spill_live_stores(1 << 62)
-            return func(*args)
 
     # -- partition evaluation -----------------------------------------------
 

@@ -61,9 +61,7 @@ class DaskCollection:
 
     def head(self, n: int = 5):
         """Eager, like Dask's ``df.head()`` (reads only leading partitions)."""
-        return self.evaluator._guarded(
-            self.evaluator.eval_partition, head_expr(self.expr, n), 0
-        )
+        return self.evaluator.eval_partition(head_expr(self.expr, n), 0)
 
 
 class DaskFrame(DaskCollection):
@@ -523,7 +521,7 @@ class DaskSeries(DaskCollection):
             return total.sort_values(ascending=False).rename("count")
 
         expr = tree_expr(self.expr, _map, _combine, "value_counts")
-        return self.evaluator._guarded(self.evaluator.eval_partition, expr, 0)
+        return self.evaluator.eval_partition(expr, 0)
 
     def sort_values(self, ascending: bool = True):
         raise BackendUnsupported("sort_values on Dask series")
@@ -546,7 +544,7 @@ class DaskScalar:
         self.evaluator = evaluator
 
     def compute(self):
-        return self.evaluator._guarded(self.evaluator.eval_partition, self.expr, 0)
+        return self.evaluator.eval_partition(self.expr, 0)
 
     def __float__(self) -> float:
         return float(self.compute())
@@ -621,8 +619,7 @@ class DaskGroupBy(GroupBy):
             ),
             "groupby.agg",
         )
-        evaluator = self._frame.evaluator
-        return evaluator._guarded(evaluator.eval_partition, expr, 0)
+        return self._frame.evaluator.eval_partition(expr, 0)
 
 
 def from_pandas(frame: DataFrame, evaluator: Evaluator, npartitions: int = 4) -> DaskFrame:

@@ -150,7 +150,7 @@ class PartitionStore:
             self.spill_count += 1
 
     def spill_all(self) -> None:
-        """Emergency spill of every resident partition (OOM recovery)."""
+        """Spill every resident partition."""
         for handle in self._resident():
             handle.spill()
             self.spill_count += 1

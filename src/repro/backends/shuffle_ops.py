@@ -19,7 +19,6 @@ group order (groupby).
 
 from __future__ import annotations
 
-import time
 from typing import List
 
 import numpy as np
@@ -86,22 +85,10 @@ def hash_split(parts, keys, n_buckets: int, pos_name=None,
         # the pos column and the split copies arrive while the
         # partition itself is still resident
         _make_headroom(store, manager, part.nbytes)
-        try:
-            frame = _with_pos(part, pos_name, offset)
-        except SimulatedMemoryError:
-            spill_live_stores(1 << 62)
-            frame = _with_pos(part, pos_name, offset)
+        frame = _with_pos(part, pos_name, offset)
         offset += len(frame)
         store.set_template(frame)
-        ids = _bucket_ids(frame, keys, n_buckets)
-        try:
-            pieces = _split(frame, ids)
-        except SimulatedMemoryError:
-            # drop half-built pieces, push everything to disk, retry once
-            pieces = None
-            spill_live_stores(1 << 62)
-            pieces = _split(frame, ids)
-        for bucket, piece in pieces:
+        for bucket, piece in _split(frame, _bucket_ids(frame, keys, n_buckets)):
             store.append(bucket, piece)
         # the stream materializes the next partition before the loop
         # body can spill for it: clear the way now
@@ -249,17 +236,15 @@ def drain_bucket(store: ShuffleStore, bucket: int) -> DataFrame:
             need = 4 * store.bucket_estimate()
             if headroom < need:
                 spill_live_stores(need - headroom)
-    for attempt in range(8):
-        try:
-            return store.read_bucket(bucket)
-        except SimulatedMemoryError:
-            # concurrent bucket pipelines can race past the headroom
-            # check above; read_bucket is failure-atomic, so push
-            # everything still resident (this bucket included) to disk,
-            # back off while the other pipelines' in-flight results --
-            # which no spill can reach -- finish and release, and retry
-            spill_live_stores(1 << 62)
-            time.sleep(0.005 * (attempt + 1))
+    try:
+        return store.read_bucket(bucket)
+    except SimulatedMemoryError:
+        # the bucket estimate undershoots on the Dask sim's serial join;
+        # read_bucket is failure-atomic, so push everything still
+        # resident (this bucket included) to disk
+        spill_live_stores(1 << 62)
+    # read again only out here: inside the except block the traceback
+    # keeps the failed attempt's chunks alive
     return store.read_bucket(bucket)
 
 

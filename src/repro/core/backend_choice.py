@@ -9,7 +9,7 @@ module implements it:
   source (:meth:`~repro.io.source.DataSource.estimated_bytes`: the
   metastore's per-column widths x rows over the columns and partitions
   the scan will actually read) -- the same number the scheduler's
-  admission throttle trusts,
+  static order ranks branches by,
 - model each backend's memory behaviour (pandas and Modin: eager
   whole-frame with a working-copy factor -- through the one scan leaf
   Modin holds what pandas holds, re-split; Dask: bounded by partitions

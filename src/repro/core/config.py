@@ -206,9 +206,9 @@ def _validate_max_workers(value: object) -> None:
 register_option(
     "executor.max_workers", 4,
     doc="Worker-pool size of the threaded, process, and async scheduler "
-        "strategies.  'auto' sizes the pool per run from the static "
-        "order's simulated peak bytes against memory.budget (capped at "
-        "the CPU count), so concurrency never plans past the budget.",
+        "strategies ('auto': the CPU count, capped at 8).  It bounds "
+        "unbudgeted runs only: under memory.budget every strategy runs "
+        "one task at a time, in the static order.",
     validator=_validate_max_workers,
 )
 register_option(

@@ -55,7 +55,8 @@ _BUDGET_UNSYNCED = object()
 
 
 def _auto_worker_cap() -> int:
-    """Hard pool-size ceiling for ``executor.max_workers="auto"``."""
+    """Pool size for ``executor.max_workers="auto"``: the CPU count,
+    capped at 8."""
     return max(1, min(8, os.cpu_count() or 4))
 
 
@@ -205,40 +206,33 @@ class Session:
             and not self.engine.supports_parallel_apply
         ):
             spec = self.executors.spec("serial")
-        raw_workers = self.options.get("executor.max_workers")
-        auto_workers = raw_workers == "auto"
-        scheduler = spec.create(
+        return spec.create(
             self.backend,
             session=self,
             memory=self.memory,
-            max_workers=(
-                _auto_worker_cap() if auto_workers else int(raw_workers)
-            ),
+            max_workers=self._max_workers(),
             static_order=bool(self.options.get("executor.static_order")),
             requested_strategy=requested,
         )
-        # "auto" resolves per run inside Scheduler._plan, once the
-        # static order's simulated peak bytes exist to size against.
-        scheduler.auto_workers = auto_workers
-        return scheduler
+
+    def _max_workers(self) -> int:
+        """``executor.max_workers``, with ``"auto"`` resolved to the CPU
+        cap."""
+        raw = self.options.get("executor.max_workers")
+        return _auto_worker_cap() if raw == "auto" else int(raw)
 
     def process_pool(self, workers: Optional[int] = None):
         """The session's shared process-strategy worker pool.
 
         Created on first use by :class:`~repro.graph.scheduler.process.
-        ProcessScheduler` (which passes its resolved ``workers``, so
-        ``max_workers="auto"`` sizes the pool too) and reused across
-        ``collect()`` calls (forking a pool per execution would dominate
-        small plans); resized when ``executor.max_workers`` changes.
-        ``close()`` shuts it down; a finalizer does the same when the
-        session is garbage-collected.
+        ProcessScheduler` and reused across ``collect()`` calls (forking
+        a pool per execution would dominate small plans); resized when
+        ``executor.max_workers`` changes.  ``close()`` shuts it down; a
+        finalizer does the same when the session is garbage-collected.
         """
         from repro.graph.scheduler.process import create_worker_pool
 
-        if workers is None:
-            raw = self.options.get("executor.max_workers")
-            workers = _auto_worker_cap() if raw == "auto" else int(raw)
-        workers = int(workers)
+        workers = self._max_workers() if workers is None else int(workers)
         start_method = self.options.get("executor.process_start_method")
         key = (workers, start_method, self.backend_name.lower())
         if self._process_pool is not None and self._process_pool_key != key:

@@ -9,8 +9,8 @@ to the LaFP task graph.
 
 There is one scheduling core (:mod:`repro.graph.scheduler.base`): the
 :class:`~repro.graph.scheduler.base.ReadySet` state machine, one
-admission rule (static-priority order, a free slot, memory headroom),
-one release rule, one failure unwind.  A strategy is where an admitted
+admission rule (static-priority order, a free slot, one task at a time
+under a memory budget), one release rule, one failure unwind.  A strategy is where an admitted
 task runs -- its *submit seam* -- plus, for two of them, how nodes are
 grouped into tasks:
 

@@ -6,7 +6,7 @@ a coordination thread per request.  This strategy provides it: the
 shared ready set is driven from a coroutine (``asyncio.wait`` where the
 pool strategies block on their completion queue), nodes execute in the
 loop's default thread-pool executor, and at most
-``executor.max_workers`` are in flight.
+``executor.max_workers`` are in flight -- one, under a memory budget.
 
 Two entry points:
 
@@ -24,8 +24,11 @@ Two entry points:
 Admission is the shared rule (:meth:`Scheduler._admit`), asked only when
 a slot frees: turning every ready node into a task up front would queue
 later, *higher*-priority nodes behind earlier FIFO waiters and break the
-memory-aware order under contention.  Release and readiness run on the
-loop thread after each completion, so they need no locks.
+memory-aware order under contention.  The rule's memory half is per
+execution: concurrent ``execute_async`` calls under one budget each keep
+one task in flight, but do not wait for each other.  Release and
+readiness run on the loop thread after each completion, so they need no
+locks.
 
 Requires an engine with ``supports_parallel_apply`` (concurrent
 ``backend.apply`` calls); sessions fall back to serial otherwise.

@@ -6,11 +6,18 @@ subgraph and the static ordering pass (:meth:`Scheduler._plan`), the
 :class:`ReadySet` state machine (task-level in-degrees, the one ready
 heap, queue-wait stamps, the section-2.6 release rule), the one
 admission rule (:meth:`Scheduler._admit`: cached short-circuit, free
-slot, memory headroom), per-node execution with stats capture, the run
-scope with its failure unwind, and the ``concurrent.futures`` driver
+slot, the one memory rule), per-node execution with stats capture, the
+run scope with its failure unwind, and the ``concurrent.futures`` driver
 both pool strategies share.  A strategy is its *submit seam* -- where an
 admitted task runs (inline, thread pool, process pool, event loop) --
 and nothing else.
+
+The memory rule: a run whose memory manager has a budget admits a task
+only when nothing else is in flight.  Tasks still leave the heap in the
+static order, so every strategy allocates, spills and fails exactly
+where ``serial`` does -- spill volume and OOM are functions of the plan,
+not of thread timing, and nothing needs repairing after the fact.
+Unbudgeted runs keep ``max_workers`` tasks in flight.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from repro.graph.taskgraph import (
     needed_nodes,
     topological_order,
 )
-from repro.memory.manager import SimulatedMemoryError
 
 #: the unit of scheduling: one node, or a linear chain from
 #: :func:`~repro.graph.scheduler.fused.fuse_linear_chains` (every
@@ -42,26 +48,12 @@ from repro.memory.manager import SimulatedMemoryError
 #: but the tail is consumed by its successor alone).
 Task = List[Node]
 
-#: pure shuffle-pipeline ops: re-running one against its materialized
-#: inputs is side-effect-free, so an OOM can spill-and-retry.  The
-#: stream-consuming variants (broadcast merge, streamed partial_agg)
-#: are excluded by the PartitionStream input check.
-_OOM_RETRYABLE_OPS = frozenset({"merge", "compact", "partial_agg"})
-
 
 class ExecutionError(RuntimeError):
     """A strategy failed to complete a plan for an infrastructure
     reason (e.g. the process pool's workers kept dying), as opposed to
     the plan itself raising.  The scheduler guarantees budget and spill
     files were reclaimed before this surfaces."""
-
-
-def _oom_retryable(node: Node, inputs: List[object]) -> bool:
-    if node.op not in _OOM_RETRYABLE_OPS:
-        return False
-    from repro.io.spill import PartitionStream
-
-    return not any(isinstance(v, PartitionStream) for v in inputs)
 
 
 def release_inputs(node: Node, refcounts: Dict[int, int],
@@ -122,8 +114,8 @@ class ReadySet:
         self.heap: List[Tuple[int, int, Task, float]] = []
         #: tasks not yet completed; the run is over at zero.
         self.remaining = len(tasks)
-        #: admission is paused for memory headroom (one throttle event
-        #: is recorded per pause, not per re-check).
+        #: admission is paused by the memory rule (one throttle event is
+        #: recorded per pause, not per re-check).
         self.throttled = False
         now = time.perf_counter()
         for task in tasks:
@@ -203,9 +195,6 @@ class Scheduler:
         #: Session._run when ``optimizer.reuse`` is on; every strategy's
         #: node-completion path offers executed results through it.
         self.cache_state = None
-        #: resolve ``max_workers`` per run from the static order's
-        #: simulated peak vs the memory budget (``max_workers="auto"``).
-        self.auto_workers = False
         #: node id -> predicted output bytes (filled per execute()).
         self._estimates: Dict[int, int] = {}
         #: node id -> static priority (filled per execute() when the
@@ -295,9 +284,8 @@ class Scheduler:
         order = [n for n in order if n.id in needed]
         root_ids = {r.id for r in roots}
         # Per-node size predictions (width x rows from source statistics,
-        # propagated through operators): admission control asks them
-        # whether a candidate fits the remaining memory headroom, and
-        # stats record them next to the actual bytes.
+        # propagated through operators): the static order ranks branches
+        # by them, and stats record them next to the actual bytes.
         from repro.graph.scheduler.estimates import estimate_node_bytes
         from repro.graph.scheduler.order import (
             priority_topological_order,
@@ -324,11 +312,6 @@ class Scheduler:
         stats.estimated_peak_bytes = simulate_peak_bytes(
             order, self._estimates, root_ids
         )
-        if self.auto_workers:
-            self.max_workers = self._resolve_auto_workers(
-                stats.estimated_peak_bytes
-            )
-            stats.max_workers = self.max_workers
         return order, root_ids, consumers
 
     def _tasks(self, order: List[Node], root_ids: Set[int], consumers,
@@ -378,22 +361,6 @@ class Scheduler:
             for url in prefetched_urls:
                 range_cache().purge_url(url)
 
-    def _resolve_auto_workers(self, estimated_peak_bytes: int) -> int:
-        """Pool size for ``executor.max_workers="auto"``.
-
-        The static order's simulated peak is (roughly) one worker's
-        working set, so ``budget // peak`` concurrent workers is the
-        most parallelism the budget provably sustains.  Unbudgeted
-        sessions (or plans with no byte estimates) get the CPU cap.
-        """
-        import os
-
-        cap = max(1, min(8, os.cpu_count() or 4))
-        budget = self.memory.budget
-        if budget is None or estimated_peak_bytes <= 0:
-            return cap
-        return max(1, min(cap, budget // estimated_peak_bytes))
-
     # -- strategy hook ---------------------------------------------------
 
     def _run(self, ready: ReadySet, stats: ExecutionStats) -> None:
@@ -405,8 +372,8 @@ class Scheduler:
     def _admit(self, ready: ReadySet, in_flight: int,
                stats: ExecutionStats) -> Optional[Tuple[Task, float]]:
         """The next task to start and when it became ready, or ``None``
-        when nothing may start now (nothing is ready, or the head of
-        the heap must wait for memory headroom).  The caller checks its
+        when nothing may start now (nothing is ready, or the memory
+        rule holds the head of the heap back).  The caller checks its
         own slot limit.  Cached (persisted) nodes complete here without
         running: their inputs are not re-read, so nothing is released.
         """
@@ -423,7 +390,7 @@ class Scheduler:
                 stats.add(cache_hits=1)
                 ready.complete(ready.pop()[0])
                 continue
-            if in_flight and self._throttled(in_flight, head):
+            if self._throttled(in_flight):
                 if not ready.throttled:
                     stats.add(throttle_waits=1)
                     ready.throttled = True
@@ -431,27 +398,13 @@ class Scheduler:
             ready.throttled = False
             return ready.pop()
 
-    def _throttled(self, in_flight: int, node: Optional[Node] = None) -> bool:
-        """True when admitting ``node`` should pause for memory headroom.
-
-        With a per-node byte estimate (:mod:`repro.graph.scheduler.
-        estimates`) the check is sized: the node is held back while its
-        predicted footprint exceeds the remaining headroom.  Without one
-        it degrades to the all-or-nothing rule (any positive headroom
-        admits).  Admission resumes as running tasks complete and
-        release their inputs -- throttling instead of OOM-ing.  Never
-        throttles the only candidate: with nothing in flight the node
-        must run (and possibly OOM) or the graph would deadlock.
-        """
-        if in_flight == 0:
-            return False
-        headroom = self.memory.headroom()
-        if headroom is None:
-            return False
-        estimate = self._estimates.get(node.id) if node is not None else None
-        if estimate is None:
-            return headroom <= 0
-        return headroom < estimate
+    def _throttled(self, in_flight: int) -> bool:
+        """The memory rule: under a budget, nothing starts beside a
+        running task.  A budgeted run therefore allocates in exactly
+        ``serial``'s order, whatever the strategy; an unbudgeted one is
+        bounded by the caller's slot limit alone.  Never throttles an
+        empty pool, so the graph cannot deadlock."""
+        return in_flight > 0 and self.memory.budget is not None
 
     # -- shared plumbing -------------------------------------------------
 
@@ -538,8 +491,7 @@ class Scheduler:
         reg_before = memory.total_registered
         rel_before = memory.total_released
         started = time.perf_counter()
-        inputs = [inp.result for inp in node.inputs]
-        value = self._apply_with_spill_retry(node, inputs)
+        value = self.backend.apply(node, [inp.result for inp in node.inputs])
         if node.persist:
             # Section 3.5: persist shared subexpressions.  On lazy
             # backends this materializes (and pins) the partitions.
@@ -559,40 +511,6 @@ class Scheduler:
         ))
         if self.cache_state is not None:
             self.cache_state.offer(node, value, wall)
-
-    def _apply_with_spill_retry(self, node: Node,
-                                inputs: List[object]) -> object:
-        """Run the backend call; under shuffle memory pressure, spill
-        and retry pure pipeline ops instead of surfacing the OOM.
-
-        Concurrent bucket pipelines can each pass their headroom checks
-        and then allocate together past the budget.  The ops in
-        ``_OOM_RETRYABLE_OPS`` are pure functions of already-materialized
-        inputs, so when one OOMs we spill every live shuffle store, back
-        off while the other pipelines' in-flight results (which no spill
-        can reach) complete and release, and re-run it.  Anything else
-        -- stream-consuming ops, ordinary user plans with no live store
-        -- keeps the existing fail-fast OOM semantics.
-        """
-        try:
-            return self.backend.apply(node, inputs)
-        except SimulatedMemoryError:
-            if not _oom_retryable(node, inputs):
-                raise
-            from repro.io.spill import live_store_count, spill_live_stores
-
-            attempts = 8
-            for attempt in range(attempts):
-                freed = spill_live_stores(1 << 62)
-                if freed <= 0 and live_store_count() == 0:
-                    raise
-                time.sleep(0.005 * (attempt + 1))
-                try:
-                    return self.backend.apply(node, inputs)
-                except SimulatedMemoryError:
-                    if attempt == attempts - 1:
-                        raise
-            raise  # pragma: no cover - loop always returns or raises
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} backend={self.backend!r}>"

@@ -1,9 +1,12 @@
-"""Per-node byte estimates for memory-aware admission.
+"""Per-node byte estimates: the static order's input and the stats'
+predicted column.
 
-Closes the PR 2 seam: the threaded scheduler's admission throttle used
-to be all-or-nothing (any headroom admits any node).  This module gives
-every node a *predicted in-memory size* so admission can ask the real
-question -- "does THIS node fit in the remaining headroom?":
+Every node gets a *predicted in-memory size*.  The static ordering pass
+(:mod:`repro.graph.scheduler.order`) ranks branches by them and
+simulates the run's peak; :class:`~repro.graph.scheduler.stats.
+ExecutionStats` records them beside the actual bytes.  Admission does
+not read them: under a budget it runs one task at a time whatever the
+estimates say, because they are too rough to gate on.
 
 - ``scan`` nodes get width x rows from statistics: they ask their
   :class:`~repro.io.source.DataSource` (per-partition byte/row
@@ -16,8 +19,8 @@ question -- "does THIS node fit in the remaining headroom?":
   series extraction costs one column, a setitem adds one.  Nodes whose
   schema is unknown keep the old bounded-by-largest-input behaviour.
 
-Estimates are advisory: a missing estimate degrades that node to the
-old all-or-nothing behaviour, never blocks execution, and the recorded
+Estimates are advisory: a missing estimate counts as zero bytes in the
+static order, never blocks execution, and the recorded
 estimated-vs-actual pairs in
 :class:`~repro.graph.scheduler.stats.ExecutionStats` are how the
 heuristic is audited.
@@ -155,7 +158,7 @@ def _estimate(
 def estimate_scan_bytes(node: Node, metastore) -> Optional[int]:
     """Predicted in-memory bytes of one ``scan`` leaf, as its source
     sees it (``None`` = unknown): the one size model of a read, shared
-    by admission and by automatic backend choice."""
+    by the static order and by automatic backend choice."""
     stamped = node.args.get("est_bytes")
     if stamped is not None:
         # the pruning pass computed this with the source in hand; reuse

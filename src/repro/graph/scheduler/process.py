@@ -26,8 +26,8 @@ do not pickle (lambdas in ``apply``/``map``), side-effect ops (prints
 must appear on the parent's stdout, in program order), shuffle-store
 and partition-stream plumbing (live locks / single-use iterators), and
 workers that return an unpicklable result all run inline on the
-coordination thread instead, with the session's spill-retry and
-accounting semantics unchanged.  Engines without
+coordination thread instead, with the session's accounting semantics
+unchanged.  Engines without
 ``supports_parallel_apply`` never reach this class (the session falls
 back to serial).
 
@@ -217,8 +217,6 @@ class ProcessScheduler(Scheduler):
 
     def _pool(self):
         if self.session is not None:
-            # pass the resolved size through: under max_workers="auto"
-            # the per-run resolution in _plan must size the pool too.
             return self.session.process_pool(self.max_workers)
         if self._private_pool is None:
             self._private_pool = create_worker_pool(

@@ -97,7 +97,8 @@ class ExecutionStats:
     fused_chains: int = _counter("linear chains run as one task")
     fused_nodes: int = _counter("nodes inside those chains")
     throttle_waits: int = _counter(
-        "times admission paused for memory headroom")
+        "times a budgeted run held a ready task back because another "
+        "was in flight")
     bytes_registered: int = _counter(
         "bytes registered with the memory manager while nodes ran")
     bytes_released: int = _counter(

@@ -3,11 +3,14 @@
 Independent task-graph nodes run concurrently on a worker pool sized by
 ``executor.max_workers``.  The calling thread coordinates through the
 shared ``concurrent.futures`` driver (:meth:`Scheduler._drive_pool`):
-it admits ready tasks in the one admission order under the one
-memory-headroom rule (:meth:`Scheduler._admit`), waits for a completion,
-and releases inputs and propagates readiness itself -- workers only run
-``backend.apply`` and set their node's result, so the ready set needs no
-lock.  At least one node is always in flight, so progress is guaranteed.
+it admits ready tasks in the one admission order (:meth:`Scheduler.
+_admit`), waits for a completion, and releases inputs and propagates
+readiness itself -- workers only run ``backend.apply`` and set their
+node's result, so the ready set needs no lock.  Under a memory budget
+the one memory rule keeps a single task in flight, so the pool then
+runs the plan exactly as ``serial`` would; unbudgeted, up to
+``max_workers`` overlap.  At least one node is always in flight, so
+progress is guaranteed.
 
 Worker calls go through :meth:`Scheduler._on_pool_thread`, so buffers
 allocated mid-node charge the owning session's memory manager and the

@@ -27,7 +27,7 @@ def attach_file_stats(parts: List[Partition], path: str, metastore) -> None:
     computed over the *same* byte ranges the source derives -- ranges are
     matched exactly and silently ignored otherwise, so stale chunking
     can never mis-prune.  Exact per-partition min/max enables pruning;
-    row/byte estimates feed the scheduler's admission throttle.
+    row/byte estimates feed the scheduler's static order.
     """
     meta = metastore.get(path) if metastore is not None else None
     if meta is None:

@@ -18,8 +18,8 @@ exposes exactly what the lazy runtime negotiates at the scan boundary:
 
 The optimizer folds pushdown *into* a ``scan`` node's args only when the
 source's flags say the fold is executable; partition pruning consults
-``Partition`` statistics; the threaded scheduler's admission throttle
-consumes ``estimated_bytes``.  Formats register in
+``Partition`` statistics; the scheduler's static order and automatic
+backend choice consume ``estimated_bytes``.  Formats register in
 :mod:`repro.io.registry`, mirroring the engine and executor registries.
 """
 

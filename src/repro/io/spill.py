@@ -292,7 +292,7 @@ class ShuffleStore:
             return freed
 
     def spill_all(self) -> int:
-        """Spill every in-memory chunk (out-of-memory recovery)."""
+        """Spill every in-memory chunk."""
         return self.spill(1 << 62)
 
     def _spill_chunk(self, frame: DataFrame) -> _SpilledChunk:
@@ -341,9 +341,9 @@ class ShuffleStore:
         Failure-atomic: the bucket's chunks go back into the store if
         building the output raises (a spilled chunk is still where its
         offset says), so a
-        :class:`~repro.memory.manager.SimulatedMemoryError` mid-drain --
-        concurrent bucket pipelines can race past the reader's headroom
-        check -- leaves everything in place for a spill-and-retry.
+        :class:`~repro.memory.manager.SimulatedMemoryError` mid-drain
+        leaves everything in place for the reader to spill and read
+        again (:func:`repro.backends.shuffle_ops.drain_bucket`).
         """
         with self._lock:
             chunks = self._chunks[bucket]

@@ -6,8 +6,8 @@ ranges, distinct counts (selectivity), approximate row size and row count
 metadata pass consults the store for every CSV ``scan`` leaf (what
 ``pd.read_csv`` builds) to fold ``dtype`` hints into the read and to
 choose ``category`` dtype for low-cardinality read-only string columns;
-the same statistics size the leaf for the scheduler's admission
-throttle and for automatic backend choice
+the same statistics size the leaf for the scheduler's static order and
+for automatic backend choice
 (:meth:`repro.io.source.DataSource.estimated_bytes`).
 """
 

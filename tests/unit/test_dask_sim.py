@@ -410,43 +410,6 @@ class TestPinnedPartitionsSurviveMaterialize:
         assert out.index.to_array().tolist() == expected.index.to_array().tolist()
         np.testing.assert_allclose(out.values, expected.values)
 
-    def test_concat_retry_after_oom_keeps_every_column(
-        self, backend, wide_csv, monkeypatch
-    ):
-        """A ``SimulatedMemoryError`` in the middle of the materializing
-        concat spills and retries; the retry must not start from the
-        half-consumed copies of the first attempt (it used to return
-        only the columns the first attempt had not popped yet)."""
-        from repro.frame.column import Column
-        from repro.memory import SimulatedMemoryError
-
-        pinned = backend.read_csv(path=wide_csv).persist()
-        assert pinned.expr.npartitions >= 2
-        expected = pinned.compute()
-        real = Column.concat
-        calls = []
-
-        def failing_once(columns):
-            calls.append(1)
-            if len(calls) == 3:  # two columns merged and popped already
-                raise SimulatedMemoryError(1, 0, 0)
-            return real(columns)
-
-        spills = []
-        spill_all = backend.store.spill_all
-        monkeypatch.setattr(
-            backend.store, "spill_all",
-            lambda: spills.append(1) or spill_all(),
-        )
-        monkeypatch.setattr(Column, "concat", staticmethod(failing_once))
-        got = pinned.compute()
-        assert spills == [1]  # the error was raised, and retried once
-        assert got.columns == expected.columns == ["k", "v", "g", "pad"]
-        for name in expected.columns:
-            assert got[name].values.tolist() == expected[name].values.tolist()
-        # and the pinned partitions are still whole for the next reader
-        assert pinned.compute().columns == expected.columns
-
     def test_materialized_then_grouped_through_a_session(self, wide_csv):
         import repro.lazyfatpandas.pandas as lfp
         from repro.core.session import Session

@@ -32,8 +32,7 @@ from repro.cache.result_cache import (
 )
 from repro.core.session import Session
 from repro.frame import DataFrame, Series
-from repro.graph.scheduler import ExecutionStats, SerialScheduler
-from repro.memory.manager import MemoryManager
+from repro.graph.scheduler import ExecutionStats
 
 #: reuse enabled with the cost floor disarmed, so even tiny test plans
 #: are cache-worthy.
@@ -596,26 +595,16 @@ class TestInvalidation:
 
 
 class TestAutoWorkers:
-    def _scheduler(self, budget):
-        from repro.backends.pandas_backend import PandasBackend
-
-        scheduler = SerialScheduler(
-            PandasBackend(), memory=MemoryManager(budget=budget)
-        )
-        scheduler.auto_workers = True
-        return scheduler
-
     def test_unbudgeted_resolves_to_cpu_cap(self):
-        resolved = self._scheduler(None)._resolve_auto_workers(10_000)
-        assert resolved == max(1, min(8, os.cpu_count() or 4))
-
-    def test_budget_bounds_workers(self):
-        cap = max(1, min(8, os.cpu_count() or 4))
-        scheduler = self._scheduler(30_000)
-        # budget sustains 3 concurrent working sets (clamped to the cap)
-        assert scheduler._resolve_auto_workers(10_000) == min(cap, 3)
-        # one working set alone exceeds the budget: never go below 1
-        assert scheduler._resolve_auto_workers(40_000) == 1
+        # a budget no longer sizes the pool: one task runs at a time
+        for budget in (None, 30_000):
+            with Session(backend="pandas", options={
+                "executor.strategy": "threaded",
+                "executor.max_workers": "auto",
+                "memory.budget": budget,
+            }) as s:
+                resolved = s.scheduler().max_workers
+            assert resolved == max(1, min(8, os.cpu_count() or 4))
 
     def test_auto_option_threads_through_session(self, make_csv):
         path = make_csv({"x": list(range(50)), "y": list(range(50))})

@@ -7,8 +7,10 @@ per-node execution statistics, memory-aware admission, and per-session
 memory-budget isolation under concurrency.
 """
 
+import os
 import re
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -757,17 +759,97 @@ class TestOneStatsModel:
             st.bytes_registered for st in stats.nodes)
 
 
+def _peak_concurrency(cls, tmp_path, monkeypatch, budget) -> int:
+    """Run four independent two-node chains on ``cls`` (three workers)
+    and return how many ``Backend.apply`` calls were ever running at
+    once.  Each call appends its interval to a log file, so calls in
+    forked pool workers are seen too."""
+    from repro.backends.base import Backend
+
+    log = str(tmp_path / f"{cls.name}-{budget}.log")
+    apply = Backend.apply
+
+    def timed_apply(backend, node, inputs):
+        start = time.monotonic()
+        time.sleep(0.05)  # long enough for overlapping calls to meet
+        try:
+            return apply(backend, node, inputs)
+        finally:
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, f"{start!r} {time.monotonic()!r}\n".encode())
+            os.close(fd)
+
+    monkeypatch.setattr(Backend, "apply", timed_apply)
+    roots = [
+        Node("getitem_column", args={"column": "x"}, inputs=[
+            Node("from_data", args={"data": {"x": [i, i + 1]}})])
+        for i in range(4)
+    ]
+    scheduler = cls(PandasBackend(), memory=MemoryManager(budget=budget),
+                    max_workers=3)
+    scheduler.execute(roots)
+    monkeypatch.undo()
+    events = []
+    with open(log) as f:
+        for line in f:
+            start, end = map(float, line.split())
+            events += [(start, 1), (end, -1)]
+    peak = running = 0
+    for _when, delta in sorted(events):  # an end sorts before a start
+        running += delta
+        peak = max(peak, running)
+    return peak
+
+
 class TestMemoryAwareAdmission:
     # each case runs over the three parallel drivers in its body, not
     # through parametrize: the test ids are pinned by the floor list
 
-    def test_throttle_requires_exhausted_headroom(self):
+    def test_budgeted_run_keeps_one_task_in_flight(self, tmp_path,
+                                                    monkeypatch):
         for cls in PARALLEL_SCHEDULERS:
-            manager = MemoryManager(budget=100)
-            scheduler = cls(PandasBackend(), memory=manager)
-            assert not scheduler._throttled(1)
-            manager.register(100)
-            assert scheduler._throttled(1)
+            assert _peak_concurrency(
+                cls, tmp_path, monkeypatch, budget=1 << 30) == 1, cls.name
+
+    def test_unbudgeted_run_fills_the_pool(self, tmp_path, monkeypatch):
+        for cls in PARALLEL_SCHEDULERS:
+            assert _peak_concurrency(
+                cls, tmp_path, monkeypatch, budget=None) == 3, cls.name
+
+    def test_invariant_tool_rejects_an_oom_repair(self):
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "tools" / "check_invariants.py"
+        spec = importlib.util.spec_from_file_location("check_invariants", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        catch = ("def drain_bucket(store, bucket):\n"
+                 "    try:\n        return store.read_bucket(bucket)\n"
+                 "    except SimulatedMemoryError:\n        pass\n")
+        for repair in (
+            "import time\ntime.sleep(0.005)",
+            "from time import sleep",
+            "def run(store):\n    try:\n        pass\n"
+            "    except (ValueError, SimulatedMemoryError):\n        pass",
+            "class Evaluator:\n    def _guarded(self, func): ...",
+            "_OOM_RETRYABLE_OPS = frozenset({'merge'})",
+            "value = self._apply_with_spill_retry(node, inputs)",
+            "workers = self._resolve_auto_workers(peak)",
+        ):
+            for module in ("backends/dask_sim/compute.py",
+                           "graph/scheduler/base.py"):
+                assert list(tool.check_one_memory_rule(
+                    ast.parse(repair), module)), (repair, module)
+        # the one fallback, and code outside the two layers, pass
+        assert list(tool.check_one_memory_rule(
+            ast.parse(catch), "backends/dask_sim/compute.py"))
+        assert not list(tool.check_one_memory_rule(
+            ast.parse(catch), "backends/shuffle_ops.py"))
+        assert not list(tool.check_one_memory_rule(
+            ast.parse("import time\ntime.sleep(0.1)"), "io/fs.py"))
+        assert tool.run() == []
 
     def test_never_throttles_an_empty_pool(self):
         for cls in PARALLEL_SCHEDULERS:

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Ten structural rules the linters cannot express, checked with nothing
-but the stdlib ``ast`` module:
+Eleven structural rules the linters cannot express, checked with
+nothing but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
    singleton session; the registries (``OPS``, ``_REGISTRY`` options,
@@ -92,6 +92,17 @@ but the stdlib ``ast`` module:
     column rules -- and outside ``frame/merge.py`` neither may a second
     broadcast rule: a ``can_broadcast`` definition, or a membership test
     against exactly ``("inner", "left")``.
+
+11. **One memory rule.**  A budgeted run admits one task at a time
+    (``graph/scheduler/base.py::Scheduler._throttled``), so every
+    strategy allocates and spills where ``serial`` does and an OOM is a
+    real one.  Under ``backends/`` and ``graph/scheduler/`` the repairs
+    that concurrency used to need must not come back: a ``time.sleep``
+    back-off, an ``except SimulatedMemoryError`` anywhere but
+    ``shuffle_ops.drain_bucket`` (the one spill-and-read-again fallback,
+    for the Dask sim's undershooting bucket estimate), or the names
+    ``_guarded``, ``_OOM_RETRYABLE_OPS``, ``_apply_with_spill_retry`` and
+    ``_resolve_auto_workers``.
 
 Usage::
 
@@ -626,11 +637,80 @@ def check_one_join_plan(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 11: one memory rule
+
+_MEMORY_RULE_DIRS = ("backends/", _SCHEDULER_DIR)
+#: the deleted after-the-fact OOM repairs and the pool sizing they fed.
+_OOM_REPAIRS = frozenset({
+    "_guarded", "_OOM_RETRYABLE_OPS", "_apply_with_spill_retry",
+    "_resolve_auto_workers",
+})
+_OOM = "SimulatedMemoryError"
+_OOM_FALLBACK = ("backends/shuffle_ops.py", "drain_bucket")
+
+
+def _catches_oom(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type
+    types = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+    return any(
+        (getattr(t, "id", None) or getattr(t, "attr", None)) == _OOM
+        for t in types
+    )
+
+
+def _sleeps(node: ast.AST) -> bool:
+    """``time.sleep`` or ``from time import sleep``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "sleep" and getattr(node.value, "id", None) == "time"
+    return isinstance(node, ast.ImportFrom) and node.module == "time" and any(
+        alias.name == "sleep" for alias in node.names)
+
+
+def check_one_memory_rule(tree: ast.Module, rel: str) -> Iterator[str]:
+    if not rel.startswith(_MEMORY_RULE_DIRS):
+        return
+    module, fallback = _OOM_FALLBACK
+    allowed = set()
+    if rel == module:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == fallback:
+                allowed.update(id(h) for h in ast.walk(node)
+                               if isinstance(h, ast.ExceptHandler))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names = [node.name.rsplit(".", 1)[-1], node.asname]
+        else:
+            names = [getattr(node, "name", None), getattr(node, "id", None),
+                     getattr(node, "attr", None)]
+        lineno = getattr(node, "lineno", 0)
+        for name in names:
+            if name in _OOM_REPAIRS:
+                yield (
+                    f"src/repro/{rel}:{lineno}: {name} -- a budgeted run "
+                    f"admits one task at a time, so there is no OOM to "
+                    f"repair after the fact and no pool to size"
+                )
+        if _sleeps(node):
+            yield (
+                f"src/repro/{rel}:{lineno}: time.sleep -- waiting for "
+                f"other tasks to free memory is a race; under a budget "
+                f"nothing else is in flight"
+            )
+        if (isinstance(node, ast.ExceptHandler) and _catches_oom(node)
+                and id(node) not in allowed):
+            yield (
+                f"src/repro/{rel}:{lineno}: except {_OOM} -- an OOM under "
+                f"the one memory rule is a real one; only "
+                f"{module}::{fallback} spills and reads again"
+            )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
           check_one_aggregate_plan, check_one_stats_model,
-          check_one_join_plan)
+          check_one_join_plan, check_one_memory_rule)
 
 
 def run(src: Path = SRC) -> List[str]:
