@@ -39,6 +39,20 @@ def result_dir(session=None) -> str:
     return path
 
 
+def remove_stale(path: str) -> None:
+    """Delete ``path`` before a run writes it again.
+
+    Truncating an existing file and writing it anew makes ext4
+    (``auto_da_alloc``) force the new blocks to disk on close, tens of
+    milliseconds per file; a fresh inode is written back lazily.  Only
+    for files the runner owns: a user's path may be a link whose target
+    must keep its identity, and keeps truncate semantics."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
 def _resolve(session, option_key: str, env_key: str, default: str) -> str:
     if session is None:
         from repro.core.session import current_session

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.frame import DataFrame, Series
 from repro.frame.column import Column
+from repro.workloads.paths import remove_stale
 
 #: every figure's rendered "canvas" adds this many simulated bytes.
 _CANVAS_BYTES = 1 << 16
@@ -112,6 +113,7 @@ def hist(data, bins: int = 10, **kwargs) -> None:
 def savefig(path: str) -> None:
     """Render to ``path`` (writes a small placeholder file)."""
     canvas = Column(np.zeros(_CANVAS_BYTES // 8, dtype=np.int64))
+    remove_stale(path)
     with open(path, "w") as f:
         f.write(f"figure with {len(state.artists)} artists\n")
     state.saved.append(path)

@@ -20,6 +20,7 @@ import os
 import numpy as np
 
 from repro.frame import DataFrame, Series
+from repro.workloads.paths import remove_stale
 
 
 def result_dir() -> str:
@@ -38,8 +39,10 @@ def save_result(obj, name: str) -> str:
     frame = _materialize(obj)
     frame = _normalize(frame)
     path = os.path.join(result_dir(), f"{name}.csv")
+    remove_stale(path)
     frame.to_csv(path, index=False)
     digest = file_md5(path)
+    remove_stale(path + ".md5")
     with open(path + ".md5", "w") as f:
         f.write(digest + "\n")
     return digest

@@ -42,6 +42,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.core.session import Session
 from repro.metastore import MetaStore
 from repro.workloads import datagen
+from repro.workloads.paths import remove_stale
 from repro.workloads.programs import PROGRAMS
 from repro.workloads.resultio import file_md5
 
@@ -387,6 +388,7 @@ class Runner:
         result_dir = os.path.join(self.workdir, "results", program, mode, size)
         os.makedirs(result_dir, exist_ok=True)
         program_path = os.path.join(result_dir, f"{program}.py")
+        remove_stale(program_path)
         with open(program_path, "w") as f:
             f.write(source)
 
