@@ -14,6 +14,7 @@ matching the Dask limitations section 5.1 reports working around.
 
 from __future__ import annotations
 
+import operator
 from typing import List, Optional
 
 import numpy as np
@@ -537,7 +538,9 @@ class DaskSeries(DaskCollection):
 
 
 class DaskScalar:
-    """Lazy scalar produced by a reduction."""
+    """Lazy scalar produced by a reduction.  Arithmetic with another
+    scalar, lazy or plain, stays lazy: one single-partition blockwise
+    step over the operands' expressions."""
 
     def __init__(self, expr: Expr, evaluator: Evaluator):
         self.expr = expr
@@ -549,8 +552,53 @@ class DaskScalar:
     def __float__(self) -> float:
         return float(self.compute())
 
+    def _binop(self, other, func, reflected: bool = False):
+        if isinstance(other, DaskCollection):
+            return NotImplemented
+        children = [self.expr]
+        if isinstance(other, DaskScalar):
+            children.append(other.expr)
+            other = None
+        expr = blockwise_expr(
+            _scalar_binop, children, f"scalar {func.__name__}",
+            {"f": func, "v": other, "r": reflected},
+        )
+        return DaskScalar(expr, self.evaluator)
+
+    def __add__(self, other):
+        return self._binop(other, operator.add)
+
+    def __radd__(self, other):
+        return self._binop(other, operator.add, reflected=True)
+
+    def __sub__(self, other):
+        return self._binop(other, operator.sub)
+
+    def __rsub__(self, other):
+        return self._binop(other, operator.sub, reflected=True)
+
+    def __mul__(self, other):
+        return self._binop(other, operator.mul)
+
+    def __rmul__(self, other):
+        return self._binop(other, operator.mul, reflected=True)
+
+    def __truediv__(self, other):
+        return self._binop(other, operator.truediv)
+
+    def __rtruediv__(self, other):
+        return self._binop(other, operator.truediv, reflected=True)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"<DaskScalar {self.expr!r}>"
+
+
+def _scalar_binop(parts, p):
+    """``f(left, right)`` of a scalar and the other operand: the second
+    partition value, or ``p["v"]`` when that operand is a plain value."""
+    left = parts[0]
+    right = parts[1] if len(parts) > 1 else p["v"]
+    return p["f"](right, left) if p["r"] else p["f"](left, right)
 
 
 class DaskStringAccessor:

@@ -14,7 +14,7 @@ run out of memory) and Figure 15 (peak memory) are reproduced.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,7 +47,17 @@ def value_codes(values: np.ndarray):
         return codes.astype(np.int64, copy=False), len(uniques)
     if values.dtype.kind != "O":
         return None
-    cells = values.tolist()
+    coded = _factorize_strings(values.tolist())
+    if coded is None:
+        return None
+    codes, uniques = coded
+    return codes, len(uniques)
+
+
+def _factorize_strings(cells: Sequence):
+    """``(codes, uniques)``: ``cells`` as int64 codes into ``uniques``,
+    the distinct cells in order of first appearance -- or ``None`` when
+    a cell is anything but ``str`` / ``None``."""
     if not set(map(type, cells)) <= {str, type(None)}:
         return None
     table = dict.fromkeys(cells)
@@ -56,7 +66,7 @@ def value_codes(values: np.ndarray):
     codes = np.fromiter(
         map(table.__getitem__, cells), dtype=np.int64, count=len(cells)
     )
-    return codes, len(table)
+    return codes, list(table)
 
 
 class _HeapStore:
@@ -155,17 +165,41 @@ class Column:
         return arr
 
     @classmethod
-    def from_strings_as_category(cls, values: np.ndarray) -> "Column":
-        """Dictionary-encode an object array of strings.
+    def from_strings_as_category(
+        cls, values: Sequence, na_value: Optional[str] = None
+    ) -> "Column":
+        """Dictionary-encode a sequence (or object array) of strings.
 
-        ``None`` entries become the NA code.
+        ``None`` cells, and string cells equal to ``na_value`` (CSV's
+        empty field), become the NA code.  The result is ``np.unique``'s
+        over the cells with NA read as ``""``: the sorted distinct
+        values -- ``""`` among them when NA is present -- and int32
+        codes.  String cells are factorized through a dict first, so
+        only the distinct values are sorted; cells of any other type
+        take ``np.unique`` itself.
         """
-        mask = np.array([v is None for v in values], dtype=bool)
-        filled = np.where(mask, "", values)
-        categories, codes = np.unique(filled.astype(object), return_inverse=True)
-        codes = codes.astype(np.int32)
-        codes[mask] = NA_CODE
-        return cls(codes, categories=categories)
+        cells = values.tolist() if isinstance(values, np.ndarray) else values
+        coded = _factorize_strings(cells)
+        if coded is None:
+            mask = np.array([
+                v is None or (isinstance(v, str) and v == na_value)
+                for v in cells
+            ], dtype=bool)
+            filled = np.where(mask, "", np.asarray(values, dtype=object))
+            categories, codes = np.unique(
+                filled.astype(object), return_inverse=True)
+            codes = codes.astype(np.int32)
+            codes[mask] = NA_CODE
+            return cls(codes, categories=categories)
+        codes, uniques = coded
+        missing = [u is None or u == na_value for u in uniques]
+        categories = sorted({"" if m else u for u, m in zip(uniques, missing)})
+        rank = {category: i for i, category in enumerate(categories)}
+        lookup = np.array(
+            [NA_CODE if m else rank[u] for u, m in zip(uniques, missing)],
+            dtype=np.int32,
+        )
+        return cls(lookup[codes], categories=np.array(categories, dtype=object))
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, categories: np.ndarray) -> "Column":

@@ -11,18 +11,24 @@
 
 The unit of parsing is a block of lines, not a row.
 :func:`read_line_blocks` returns the newline-aligned bytes of a byte
-range (a row belongs to the range that holds its first byte).  A block
-is tokenized one of two ways, chosen from its bytes:
+range (a row belongs to the range that holds its first byte).  Each
+block is read from the file once, into the buffer it is handed out as:
+the read runs a little past the block's boundary and the block is a
+view cut after the first ``\n`` there, so no block is copied or
+concatenated.  A block is tokenized one of two ways, chosen from its
+bytes, which are scanned with numpy over that same buffer:
 
 - A *regular* block -- no quote, no NUL, one line terminator throughout
-  (``\n`` or ``\r\n``), a final newline, every row exactly the
-  header's number of fields -- is a byte grid (:class:`_Grid`): the
-  positions of its ``,`` and ``\n`` bytes reshaped to ``(rows, fields)``
-  give every field's offset and length without touching a cell.  Only
-  the wanted columns are then materialized: a column whose fields all
-  read ``-?[0-9]{1,18}`` is summed from its digit bytes straight into
-  int64; any other column is gathered, decoded once and split into the
-  same ``str`` cells the row reader would have produced.
+  (``\n`` or ``\r\n``: the count of ``\r`` bytes is zero or the number
+  of rows, each right before a row's ``\n``), a final newline, every
+  row exactly the header's number of fields -- is a byte grid
+  (:class:`_Grid`): the positions of its ``,`` and ``\n`` bytes
+  reshaped to ``(rows, fields)`` give every field's offset and length
+  without touching a cell.  Only the wanted columns are then
+  materialized: a column whose fields all read ``-?[0-9]{1,18}`` is
+  summed from its digit bytes straight into int64; any other column is
+  gathered, decoded once and split into the same ``str`` cells the row
+  reader would have produced.
 - From the first block that is not regular (or too small to repay the
   grid's fixed cost; always under ``nrows``) the rest of the range goes
   through one stdlib ``csv.reader`` chained over the remaining blocks
@@ -33,7 +39,8 @@ A whole-file read is the same code over the whole file.  Type inference
 tries int64 -> float64 -> object per column over the cells, mirroring
 pandas defaults (dates stay strings unless ``parse_dates`` asks for
 them -- the paper's metadata optimization exists precisely because
-inference is this naive).
+inference is this naive).  A ``category`` dtype hands the cells, ``""``
+as NA, straight to :meth:`Column.from_strings_as_category`.
 """
 
 from __future__ import annotations
@@ -63,6 +70,9 @@ from repro.frame.series import Series
 #: memory whatever the size of the range.
 LINE_BLOCK_BYTES = 1 << 20
 
+#: bytes read past a block's boundary to find the end of its last line.
+_LINE_SLACK = 1 << 12
+
 #: rows transposed into columns at a time.
 _ROW_BATCH = 1 << 16
 
@@ -70,7 +80,7 @@ _ROW_BATCH = 1 << 16
 #: numpy calls cost more than ``csv.reader`` over a few hundred rows.
 _GRID_MIN_BYTES = 1 << 13
 
-_COMMA, _LF, _CR, _MINUS, _ZERO = b",\n\r-0"
+_COMMA, _LF, _CR, _QUOTE, _MINUS, _ZERO = b',\n\r"-0'
 #: most digits whose value always fits int64
 _MAX_DIGITS = 18
 _POW10 = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
@@ -165,7 +175,7 @@ def read_line_blocks(
     path: str,
     byte_range: Optional[Tuple[int, int]] = None,
     block_bytes: int = LINE_BLOCK_BYTES,
-) -> Iterator[bytes]:
+) -> Iterator[memoryview]:
     """Yield the lines whose *first byte* lies in ``[start, end)``, as
     newline-aligned blocks of about ``block_bytes`` (``None``: the file).
 
@@ -173,6 +183,11 @@ def read_line_blocks(
     ``start`` belongs upstream unless the previous byte is a newline,
     and the last line may run past ``end``.  Every row of a file lands
     in exactly one of any set of ranges that tile it.
+
+    Each block is read once: ``block_bytes`` plus some slack, cut after
+    the first ``\\n`` at or past the boundary (a view, not a copy), and
+    the file position set back to the cut.  A line longer than the slack
+    reads the block again with more.
     """
     with open(path, "rb") as f:
         if byte_range is None:
@@ -185,13 +200,21 @@ def read_line_blocks(
                 f.readline()  # finish the partial line; it belongs upstream
         pos = f.tell()
         while pos < end:
-            block = f.read(min(block_bytes, end - pos))
+            size = min(block_bytes, end - pos)
+            slack = _LINE_SLACK
+            while True:
+                block = f.read(size + slack)
+                cut = block.find(b"\n", size - 1) + 1
+                if cut or len(block) < size + slack:
+                    break  # a line ends past the boundary, or the file does
+                f.seek(pos)
+                slack *= 4
             if not block:
                 break
-            if not block.endswith(b"\n"):
-                block += f.readline()
-            pos += len(block)
-            yield block
+            cut = cut or len(block)  # the file's last line, unterminated
+            pos += cut
+            f.seek(pos)
+            yield memoryview(block)[:cut]
 
 
 class _Grid(NamedTuple):
@@ -208,16 +231,18 @@ class _Grid(NamedTuple):
     ascii: bool
 
     @classmethod
-    def of(cls, block: bytes, n_fields: int) -> Optional["_Grid"]:
+    def of(
+        cls, block: Union[bytes, memoryview], n_fields: int
+    ) -> Optional["_Grid"]:
         """The grid of ``block``, or ``None`` when it is not regular."""
+        buf = np.frombuffer(block, dtype=np.uint8)
         if (
-            len(block) < _GRID_MIN_BYTES
-            or not block.endswith(b"\n")
-            or b'"' in block
-            or b"\0" in block
+            len(buf) < _GRID_MIN_BYTES
+            or block[-1:] != b"\n"
+            or (buf == _QUOTE).any()
+            or not buf.all()  # a NUL byte
         ):
             return None
-        buf = np.frombuffer(block, dtype=np.uint8)
         delims = np.flatnonzero((buf == _COMMA) | (buf == _LF))
         if len(delims) % n_fields:
             return None
@@ -231,7 +256,7 @@ class _Grid(NamedTuple):
         starts[1:, 0] = delims[:-1, -1] + 1
         starts[:, 1:] = delims[:, :-1] + 1
         lens = delims - starts
-        n_cr = block.count(b"\r")
+        n_cr = np.count_nonzero(buf == _CR)
         if n_cr:
             # "\r\n" ends every row or the terminators are mixed (a
             # lone "\r" is itself a line break to the row reader)
@@ -240,9 +265,9 @@ class _Grid(NamedTuple):
             lens[:, -1] -= 1
         if n_fields == 1 and not lens.all():
             return None  # a blank line, which the row reader skips
-        ascii = block.isascii()
+        ascii = bool(buf.max() < 0x80)
         if not ascii:
-            block.decode("utf-8")  # malformed text raises, wanted or not
+            str(block, "utf-8")  # malformed text raises, wanted or not
         return cls(buf, starts, lens, ascii)
 
     def without_first_row(self) -> "_Grid":
@@ -311,7 +336,7 @@ def _read_raw_columns(
     grids: List[_Grid] = []
     skip_header = byte_range is None
     with closing(read_line_blocks(path, byte_range)) as blocks:
-        rest: Iterable[bytes] = blocks
+        rest: Iterable[memoryview] = blocks
         if nrows is None and n_fields:
             rest = ()
             for block in blocks:
@@ -328,7 +353,7 @@ def _read_raw_columns(
 
 def _read_rows(
     path: str,
-    blocks: Iterable[bytes],
+    blocks: Iterable[memoryview],
     positions: List[int],
     nrows: Optional[int],
     skip_header: bool,
@@ -342,7 +367,7 @@ def _read_rows(
     raw: List[List[str]] = [[] for _ in positions]
     need = max(positions, default=-1) + 1
     rows = filter(None, csv.reader(chain.from_iterable(
-        io.StringIO(block.decode("utf-8"), newline="")
+        io.StringIO(str(block, "utf-8"), newline="")
         for block in blocks
     )))
     if skip_header:
@@ -429,9 +454,7 @@ def _convert_with_dtype(
 ) -> Column:
     target = normalize_dtype(dtype_spec)
     if is_categorical(target):
-        arr = np.asarray(values, dtype=object)
-        arr = np.where(arr == "", None, arr)
-        col = Column.from_strings_as_category(arr)
+        col = Column.from_strings_as_category(values, na_value="")
         if isinstance(target, CategoricalDtype) and target.categories is not None:
             # Re-encode against the declared category set.
             return Column.from_values(col.to_array(), dtype=target)

@@ -91,7 +91,7 @@ def read_jsonl(
     records: List[dict] = []
     with closing(read_line_blocks(path, byte_range)) as blocks:
         for block in blocks:
-            text = block.decode("utf-8")
+            text = str(block, "utf-8")
             lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
             if nrows is not None:
                 del lines[nrows - len(records):]

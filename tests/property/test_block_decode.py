@@ -183,7 +183,7 @@ def test_line_blocks_tile_a_range_at_any_block_size(file, block_bytes):
         path = _write(directory, "t.txt", body)
         for rng in _tiles(cuts, 0, len(body)):
             blocks = list(read_line_blocks(path, rng, block_bytes=block_bytes))
-            assert all(block.endswith(b"\n") for block in blocks[:-1])
+            assert all(bytes(block).endswith(b"\n") for block in blocks[:-1])
             assert b"".join(blocks) == b"".join(
                 read_line_blocks(path, rng, block_bytes=1 << 20)
             )

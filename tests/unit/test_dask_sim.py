@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.backends import BackendUnsupported, DaskBackend
-from repro.backends.dask_sim.frame import DaskFrame
+from repro.backends.dask_sim.frame import DaskFrame, DaskScalar
 from repro.frame import DataFrame, read_csv
 from repro.memory import memory_manager
+from repro.workloads import pandas_compat
 
 
 @pytest.fixture
@@ -135,6 +136,34 @@ class TestAggregations:
         assert float(lazy["v"].min().compute()) == pytest.approx(eager["v"].min())
         assert float(lazy["v"].max().compute()) == pytest.approx(eager["v"].max())
         assert int(lazy["v"].count().compute()) == 500
+
+    def test_scalar_arithmetic_stays_lazy(self, backend, wide_csv):
+        lazy = backend.read_csv(path=wide_csv)["v"]
+        eager = read_csv(wide_csv)["v"]
+        total = 1 - lazy.sum() / (lazy.count() * 2) + lazy.max()
+        assert isinstance(total, DaskScalar)
+        assert float(total) == pytest.approx(
+            1 - eager.sum() / (eager.count() * 2) + eager.max())
+
+    @pytest.mark.parametrize("engine", ["pandas", "modin", "dask"])
+    def test_wide_fan_out_of_sums_matches_pandas(self, engine, wide_csv):
+        """The benchmark's ``wide`` plan shape: scalar + scalar across
+        a dozen reductions of one shared filter."""
+        import repro.lazyfatpandas.pandas as lfp
+        from repro.core.session import Session
+
+        def wide(pd):
+            df = pd.read_csv(wide_csv)
+            df = df[df.k > -1]
+            combined = (df.v + 0).sum()
+            for k in range(1, 12):
+                combined = combined + (df.v + k).sum()
+            return combined
+
+        expected = wide(pandas_compat)
+        with Session(backend=engine):
+            got = wide(lfp).compute()
+        assert float(got) == pytest.approx(expected, rel=1e-12)
 
     def test_nunique_and_unique(self, backend, wide_csv):
         lazy = backend.read_csv(path=wide_csv)

@@ -4,7 +4,8 @@
 Four probes over the ``out_of_core`` workload's fact table shape
 (``k,v,s``: a duplicate-heavy int key, a row number, a 7-value string):
 
-- ``read_csv`` at three projections (all columns, ``k,v``, ``k``),
+- ``read_csv`` at three projections (all columns, ``k,v``, ``k``), and
+  of all columns with ``s`` as ``category``,
 - ``merge`` of the fact table with a dimension a quarter its size whose
   keys mostly miss, ``inner`` and ``outer``,
 - ``groupby(k)[s].nunique()``,
@@ -97,6 +98,8 @@ def run_probes(directory: str, rows: int, repeats: int, seed: int) -> dict:
     for label, usecols in (("full", None), ("k_v", ["k", "v"]), ("k", ["k"])):
         out[f"read_csv.{label}_ms"] = timed(
             lambda _: read_csv(paths["fact"], usecols=usecols), repeats)
+    out["read_csv.category_ms"] = timed(
+        lambda _: read_csv(paths["fact"], dtype={"s": "category"}), repeats)
     fact, dim = read_csv(paths["fact"]), read_csv(paths["dim"])
     for how in ("inner", "outer"):
         out[f"merge.{how}_ms"] = timed(
