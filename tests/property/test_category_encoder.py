@@ -8,10 +8,11 @@ the encoder its raw cells, ``""`` read as NA, so ``read_csv(dtype=
 {c: "category"})`` answers to the same oracle over the rows a
 ``csv.reader`` sees, at any block size and either line terminator.
 
-``_Grid.of`` checks its blocks (``\\r`` count, ASCII, quote and NUL)
-with numpy over a view of the block: a stray ``\\r`` inside a field
-still sends the block to the row reader, and malformed UTF-8 raises
-whether or not its column is wanted.
+``read_line_blocks`` hands out views of one over-read buffer per block,
+and a line longer than the over-read reads its block again; ``_Grid.of``
+checks those views (``\\r`` count, ASCII, quote and NUL) with numpy: a
+stray ``\\r`` inside a field still sends the block to the row reader,
+and malformed UTF-8 raises whether or not its column is wanted.
 """
 
 import csv
@@ -156,6 +157,26 @@ def test_read_csv_category_equals_the_oracle(tmp_path_factory, rows, eol,
 
 
 # -- the block checks -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3, 8, 1 << 20])
+def test_a_line_longer_than_the_slack_reads_its_block_again(
+    tmp_path, monkeypatch, block_bytes
+):
+    body = b"".join(b"x" * n + b"\n" for n in (0, 5, 40, 3, 0)) + b"tail"
+    path = _write(str(tmp_path), "long.txt", body)
+    expected = [
+        b"".join(read_line_blocks(path, (start, len(body))))
+        for start in range(len(body))
+    ]
+    monkeypatch.setattr(io_csv, "_LINE_SLACK", 1)
+    blocks = list(read_line_blocks(path, block_bytes=block_bytes))
+    assert all(bytes(block).endswith(b"\n") for block in blocks[:-1])
+    assert b"".join(blocks) == body
+    assert expected == [
+        b"".join(read_line_blocks(path, (start, len(body)), block_bytes))
+        for start in range(len(body))
+    ]
 
 
 def _read_or_error(path, **kwargs):
