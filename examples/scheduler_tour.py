@@ -76,7 +76,9 @@ with Session(backend="pandas") as session:
     print()
     print(by_group.explain(stats=True))
 
-# -- 4. lazy engines keep the serial path automatically ---------------------
+# -- 4. every engine runs every strategy ------------------------------------
+# The Dask engine's plan is cut per partition, so the pool runs its
+# partitions like any other independent nodes.
 
 with Session(backend="dask",
              options={"executor.strategy": "threaded"}) as session:
@@ -85,4 +87,5 @@ with Session(backend="dask",
     stats = session.last_execution_stats
     print(f"\ndask + threaded: requested={stats.strategy} "
           f"ran-as={stats.effective_strategy} "
-          "(lazy engines do not support parallel apply)")
+          f"(nodes cut per partition: "
+          f"{session.last_optimize_report['partitions_cut']})")

@@ -686,6 +686,8 @@ def _partial_agg_schema(node, inputs, ctx) -> NodeSchema:
 
 @schema_rule("combine_agg")
 def _combine_agg_schema(node, inputs, ctx) -> NodeSchema:
+    if node.args.get("kind") == "scalar":
+        return NodeSchema.scalar()
     if node.args.get("kind") == "merge":
         frame = _first(inputs)
         if not frame.known or frame.columns is None:

@@ -4,8 +4,8 @@ Three backends mirror the paper's setup:
 
 - :class:`PandasBackend` -- eager, whole-frame, in-memory
   (:mod:`repro.frame` stands in for pandas),
-- :class:`DaskBackend` -- lazy, partitioned, out-of-core with spilling
-  (:mod:`repro.backends.dask_sim` stands in for Dask),
+- :class:`DaskBackend` -- plans cut per partition, out-of-core with
+  spilling (:mod:`repro.backends.dask_sim` stands in for Dask),
 - :class:`ModinBackend` -- eager, partitioned, in-memory
   (:mod:`repro.backends.modin_sim` stands in for Modin on Ray).
 

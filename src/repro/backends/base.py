@@ -33,9 +33,6 @@ class Backend:
     """Base class for execution backends."""
 
     name = "abstract"
-    #: lazy backends build their own expression graphs; materialization
-    #: happens once at the roots.
-    is_lazy = False
 
     # -- frame construction ----------------------------------------------
 
@@ -105,9 +102,9 @@ class Backend:
 
         Must round-trip exactly: ``materialize(adopt_cached(v))`` has to
         reproduce ``v`` bit-for-bit, *index and name included* -- unlike
-        ``from_pandas``, which some lazy sims implement by re-splitting
-        (dropping non-default indexes, acceptable for sources but not
-        for computed results).
+        ``from_pandas``, which a partitioned sim may implement by
+        re-splitting (dropping non-default indexes, acceptable for
+        sources but not for computed results).
         """
         return self.from_pandas(value)
 
@@ -186,11 +183,12 @@ def apply_generic(backend: Backend, node: Node, inputs: List[object]):
     args = node.args
 
     if op == "scan":
-        total = args.get("partitions_total")
-        if total is not None:  # stamped by the pruning pass
-            kept = args.get("partitions")
+        # stamped by the pruning pass; a scan cut per partition reads
+        # one each, and its first piece carries the source's total
+        kept, total = args.get("partitions"), args.get("partitions_total")
+        if kept is not None or total is not None:
             count(partitions_read=total if kept is None else len(kept),
-                  partitions_total=total)
+                  partitions_total=total or 0)
         return backend.scan(args)
     if op == "from_data":
         return backend.from_data(args["data"])

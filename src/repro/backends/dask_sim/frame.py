@@ -1,116 +1,139 @@
-"""Lazy frame/series/scalar wrappers of the Dask simulator.
+"""Baseline Dask mode's collections: lists of per-partition nodes.
 
-These mirror the eager frame API (method names and semantics) so the
-generic operator dispatch in :mod:`repro.backends.base` drives them
-unchanged.  Methods build :class:`~repro.backends.dask_sim.expr.Expr`
-nodes; ``compute()`` runs the evaluator.
+A :class:`DaskFrame` / :class:`DaskSeries` *is* a Dask collection: one
+task-graph node per partition, built by the partition cut's expansion
+helpers (:mod:`repro.core.optimizer.partitions`), so a program ported
+by hand to the Dask API (the ``dask_body`` variants) runs exactly the
+per-partition graph a LaFP plan on the Dask engine is cut into.
+``compute()`` runs a ``concat`` over the partitions through the current
+session's scheduler with the LaFP passes off; ``persist()`` keeps the
+partitions' values on their nodes.
 
-Deliberately unsupported (raise :class:`BackendUnsupported`, triggering
-the pandas-fallback conversion the paper describes): global
+The API mirrors the eager frame's method names.  Like Dask, a group-by
+aggregate, ``value_counts``, ``unique``, ``head`` and ``len`` compute
+right away (small results), a scalar reduction stays lazy until
+``compute()``, and these raise :class:`BackendUnsupported` (the Dask
+limitations section 5.1 reports working around): global
 ``sort_values`` / ``sort_index``, ``describe``, ``reset_index``,
-position-based indexing, and ``apply`` without an explicit ``meta`` --
-matching the Dask limitations section 5.1 reports working around.
+position-based indexing, ``apply`` without ``meta``, and operands cut
+into different partitions.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.backends.base import BackendUnsupported
-from repro.backends.dask_sim.compute import Evaluator
-from repro.backends.dask_sim.expr import (
-    Expr,
-    blockwise_expr,
-    head_expr,
-    merge_broadcast_expr,
-    merge_shuffle_expr,
-    tree_expr,
+from repro.core.optimizer.partitions import (
+    aggregate,
+    blockwise,
+    gather,
+    join,
+    joinable,
+    recombine,
+    reduce_scalar,
 )
 from repro.frame import DataFrame, Series
-from repro.frame.groupby import (
-    GroupBy,
-    combine_partials,
-    decompose,
-    partial_aggregate,
-)
-from repro.frame.merge import can_broadcast, join_keys, join_labels
+from repro.frame.groupby import GroupBy
+from repro.frame.merge import join_keys, join_labels
+from repro.graph.node import Node
+
+
+def _run(backend, roots: Sequence[Node]) -> list:
+    """Execute ``roots`` on the current session's scheduler, whose
+    record becomes the session's last execution stats."""
+    from repro.core.session import current_session
+
+    session = current_session()
+    scheduler = session.scheduler(backend)
+    try:
+        return scheduler.execute(list(roots))
+    finally:
+        session.last_execution_stats = scheduler.last_stats
 
 
 class DaskCollection:
-    """Shared lazy-collection plumbing."""
+    """Shared collection plumbing: ``parts`` are the partition nodes."""
 
-    def __init__(self, expr: Expr, evaluator: Evaluator):
-        self.expr = expr
-        self.evaluator = evaluator
+    def __init__(self, parts: Sequence[Node], backend):
+        self.parts = list(parts)
+        self.backend = backend
 
     @property
     def npartitions(self) -> int:
-        return self.expr.npartitions
+        return len(self.parts)
+
+    def _blockwise(self, op: str, args: dict, *others: "DaskCollection"):
+        """``op`` per partition of this collection and ``others``."""
+        inputs = [self.parts] + [other.parts for other in others]
+        if len({len(parts) for parts in inputs}) > 1:
+            # rows pair up by position: a different cut cannot pair
+            raise BackendUnsupported(
+                f"{op} over differently cut operands: "
+                f"{sorted(len(parts) for parts in inputs)}")
+        return blockwise(op, args, inputs)
+
+    def _compute_node(self, node: Node):
+        return _run(self.backend, [node])[0]
 
     def compute(self):
-        """Materialize to an eager value."""
-        return self.evaluator.materialize(self.expr)
+        """Materialize to an eager value (a fresh root over the parts)."""
+        root = gather(self.parts)
+        if root is self.parts[0]:
+            root = Node("identity", [root])
+        return self._compute_node(root)
+
+    def persist(self):
+        """Compute every partition and keep the values on their nodes."""
+        _run(self.backend, self.parts)
+        for part in self.parts:
+            part.persist = True
+        return self
 
     def __len__(self) -> int:
-        total = 0
-        for i in range(self.expr.npartitions):
-            total += len(self.evaluator.eval_partition(self.expr, i))
-        return total
+        op = "frame_len" if isinstance(self, DaskFrame) else "series_len"
+        return self._compute_node(reduce_scalar(self.parts, op))
 
     def head(self, n: int = 5):
-        """Eager, like Dask's ``df.head()`` (reads only leading partitions)."""
-        return self.evaluator.eval_partition(head_expr(self.expr, n), 0)
+        """Eager, like Dask's ``df.head()``."""
+        return self._compute_node(recombine(self.parts, "head", {"n": n}))
 
 
 class DaskFrame(DaskCollection):
     """Lazy partitioned dataframe."""
 
-    def __init__(self, expr: Expr, evaluator: Evaluator, columns: Optional[List[str]] = None):
-        super().__init__(expr, evaluator)
+    def __init__(self, parts: Sequence[Node], backend,
+                 columns: Optional[List[str]] = None):
+        super().__init__(parts, backend)
         self.columns = columns
 
-    def _frame(self, expr: Expr, columns=None) -> "DaskFrame":
-        return DaskFrame(expr, self.evaluator, columns=columns)
+    def _frame(self, parts, columns=None) -> "DaskFrame":
+        return DaskFrame(parts, self.backend, columns=columns)
 
-    def _series(self, expr: Expr, name=None) -> "DaskSeries":
-        return DaskSeries(expr, self.evaluator, name=name)
-
-    def persist(self) -> "DaskFrame":
-        return self._frame(self.evaluator.persist(self.expr), columns=self.columns)
+    def _map(self, op: str, /, **args) -> "DaskFrame":
+        """A row-local op that keeps the columns."""
+        return self._frame(self._blockwise(op, args), columns=self.columns)
 
     # -- selection ------------------------------------------------------------
 
     def __getitem__(self, key):
         if isinstance(key, str):
-            expr = blockwise_expr(
-                lambda parts, p: parts[0][p["col"]],
-                [self.expr],
-                f"getitem[{key}]",
-                {"col": key},
-            )
-            return self._series(expr, name=key)
+            return DaskSeries(self._blockwise("getitem_column",
+                                              {"column": key}),
+                              self.backend, name=key)
         if isinstance(key, list):
-            expr = blockwise_expr(
-                lambda parts, p: parts[0][list(p["cols"])],
-                [self.expr],
-                f"project{key}",
-                {"cols": list(key)},
-            )
-            return self._frame(expr, columns=list(key))
+            return self._frame(
+                self._blockwise("getitem_columns", {"columns": list(key)}),
+                columns=list(key))
         if isinstance(key, DaskSeries):
-            expr = blockwise_expr(
-                lambda parts, p: parts[0][parts[1]],
-                [self.expr, key.expr],
-                "filter",
-            )
-            return self._frame(expr, columns=self.columns)
+            return self._frame(self._blockwise("filter", {}, key),
+                               columns=self.columns)
         raise BackendUnsupported(f"getitem with {type(key).__name__}")
 
     def __getattr__(self, name: str):
-        if name.startswith("_") or name in ("expr", "evaluator", "columns"):
+        if name.startswith("_") or name in ("parts", "backend", "columns"):
             raise AttributeError(name)
         if self.columns is not None and name in self.columns:
             return self[name]
@@ -118,154 +141,103 @@ class DaskFrame(DaskCollection):
 
     def __setitem__(self, name: str, value) -> None:
         """In-place pandas idiom ``df[c] = s``: rebinds this wrapper's
-        expression (the expressions themselves stay immutable)."""
+        partitions (the nodes themselves stay immutable)."""
         out = self.with_column(name, value)
-        self.expr = out.expr
-        self.columns = out.columns
+        self.parts, self.columns = out.parts, out.columns
 
     def with_column(self, name: str, value) -> "DaskFrame":
         columns = None
         if self.columns is not None:
-            columns = self.columns + ([name] if name not in self.columns else [])
+            columns = self.columns + ([name] if name not in self.columns
+                                      else [])
         if isinstance(value, DaskSeries):
-            expr = blockwise_expr(
-                lambda parts, p: parts[0].with_column(p["name"], parts[1]),
-                [self.expr, value.expr],
-                f"setitem[{name}]",
-                {"name": name},
-            )
+            parts = self._blockwise("setitem", {"column": name}, value)
         elif isinstance(value, Series) and self.npartitions > 1:
             # rows pair up by position; the pieces' lengths are not known
             # before they run
             raise BackendUnsupported("eager series onto several partitions")
         else:
-            expr = blockwise_expr(
-                lambda parts, p: parts[0].with_column(p["name"], p["value"]),
-                [self.expr],
-                f"setitem[{name}]",
-                {"name": name, "value": value},
-            )
-        return self._frame(expr, columns=columns)
+            parts = self._blockwise("setitem",
+                                    {"column": name, "value": value})
+        return self._frame(parts, columns=columns)
 
     # -- per-partition transforms ------------------------------------------------
 
-    def _blockwise_frame(self, method: str, desc: str, /, **kwargs) -> "DaskFrame":
-        expr = blockwise_expr(
-            lambda parts, p: getattr(parts[0], p["m"])(**p["kw"]),
-            [self.expr],
-            desc,
-            {"m": method, "kw": kwargs},
-        )
-        return self._frame(expr, columns=self.columns)
-
     def dropna(self, subset=None) -> "DaskFrame":
-        return self._blockwise_frame("dropna", "dropna", subset=subset)
+        return self._map("dropna", subset=subset)
 
     def fillna(self, value) -> "DaskFrame":
-        return self._blockwise_frame("fillna", "fillna", value=value)
+        return self._map("fillna", value=value)
 
     def astype(self, dtype) -> "DaskFrame":
-        return self._blockwise_frame("astype", "astype", dtype=dtype)
+        return self._map("astype", dtype=dtype)
 
     def rename(self, columns) -> "DaskFrame":
-        out = self._blockwise_frame("rename", "rename", columns=columns)
-        if self.columns is not None:
-            out.columns = [columns.get(c, c) for c in self.columns]
-        return out
+        return self._frame(
+            self._blockwise("rename", {"columns": columns}),
+            columns=None if self.columns is None
+            else [columns.get(c, c) for c in self.columns])
 
     def drop(self, columns) -> "DaskFrame":
         drop_list = [columns] if isinstance(columns, str) else list(columns)
-        out = self._blockwise_frame("drop", "drop", columns=drop_list)
-        if self.columns is not None:
-            out.columns = [c for c in self.columns if c not in set(drop_list)]
-        return out
+        return self._frame(
+            self._blockwise("drop", {"columns": drop_list}),
+            columns=None if self.columns is None
+            else [c for c in self.columns if c not in set(drop_list)])
 
     def round(self, decimals: int = 0) -> "DaskFrame":
-        return self._blockwise_frame("round", "round", decimals=decimals)
+        return self._map("round", decimals=decimals)
 
     def set_index(self, column: str) -> "DaskFrame":
         # Per-partition set_index; global order is not guaranteed anyway.
-        expr = blockwise_expr(
-            lambda parts, p: parts[0].set_index(p["col"]),
-            [self.expr],
-            f"set_index[{column}]",
-            {"col": column},
-        )
-        cols = [c for c in self.columns if c != column] if self.columns else None
-        return self._frame(expr, columns=cols)
+        return self._frame(
+            self._blockwise("set_index", {"column": column}),
+            columns=[c for c in self.columns if c != column]
+            if self.columns else None)
 
     def sample(self, n: int, seed: int = 0) -> "DaskFrame":
-        expr = blockwise_expr(
-            lambda parts, p: parts[0].sample(p["n"], seed=p["seed"]),
-            [self.expr],
-            "sample",
-            {"n": n, "seed": seed},
-        )
-        return self._frame(expr, columns=self.columns)
+        return self._map("sample", n=n, seed=seed)
 
     def apply(self, func, axis: int = 1, meta=None):
         if meta is None:
             # Dask requires output metadata for apply (section 3.6).
             raise BackendUnsupported("apply without meta")
-        expr = blockwise_expr(
-            lambda parts, p: parts[0].apply(p["func"], axis=p["axis"]),
-            [self.expr],
-            "apply",
-            {"func": func, "axis": axis},
-        )
-        return DaskSeries(expr, self.evaluator)
+        return DaskSeries(self._blockwise("apply",
+                                          {"func": func, "axis": axis}),
+                          self.backend)
 
     # -- tree operators ---------------------------------------------------------------
 
+    def _recombined(self, op: str, **args) -> "DaskFrame":
+        return self._frame([recombine(self.parts, op, args)],
+                           columns=self.columns)
+
     def drop_duplicates(self, subset=None) -> "DaskFrame":
-        expr = tree_expr(
-            self.expr,
-            lambda part: part.drop_duplicates(subset=subset),
-            lambda combined: combined.drop_duplicates(subset=subset),
-            "drop_duplicates",
-        )
-        return self._frame(expr, columns=self.columns)
+        return self._recombined("drop_duplicates", subset=subset)
 
     def nlargest(self, n: int, columns) -> "DaskFrame":
-        expr = tree_expr(
-            self.expr,
-            lambda part: part.nlargest(n, columns),
-            lambda combined: combined.nlargest(n, columns),
-            "nlargest",
-        )
-        return self._frame(expr, columns=self.columns)
+        return self._recombined("nlargest", n=n, columns=columns)
 
     def nsmallest(self, n: int, columns) -> "DaskFrame":
-        expr = tree_expr(
-            self.expr,
-            lambda part: part.nsmallest(n, columns),
-            lambda combined: combined.nsmallest(n, columns),
-            "nsmallest",
-        )
-        return self._frame(expr, columns=self.columns)
+        return self._recombined("nsmallest", n=n, columns=columns)
 
     # -- join & groupby ------------------------------------------------------------------
 
     def merge(self, right, **kwargs) -> "DaskFrame":
         """A join planned by :mod:`repro.frame.merge`: partition at a time
         against a one-partition right side when the broadcast rule allows
-        it, else one partition from the shared shuffle kernels."""
+        it, else through the shuffle ops."""
         if isinstance(right, DataFrame):
-            right = from_pandas(right, self.evaluator, npartitions=1)
+            right = from_pandas(right, self.backend, npartitions=1)
         keys = join_keys(self.columns, right.columns, **kwargs)
-        if keys is None:
+        if keys is None or not joinable(keys):
             raise BackendUnsupported("natural join over unknown columns")
         columns = None
         if self.columns is not None and right.columns is not None:
             columns = [label for _side, _name, label in join_labels(
                 self.columns, right.columns, keys, **kwargs)]
-        if right.npartitions == 1 and can_broadcast(kwargs.get("how", "inner")):
-            expr = merge_broadcast_expr(self.expr, right.expr, kwargs)
-        else:
-            nbuckets = max(self.npartitions, right.npartitions)
-            expr = merge_shuffle_expr(
-                self.expr, right.expr, kwargs, keys, nbuckets)
-        return self._frame(expr, columns=columns)
+        return self._frame(join(self.parts, right.parts, kwargs, keys),
+                           columns=columns)
 
     def groupby(self, by, as_index: bool = True) -> "DaskGroupBy":
         keys = [by] if isinstance(by, str) else list(by)
@@ -290,169 +262,88 @@ class DaskFrame(DaskCollection):
         raise BackendUnsupported("iloc (position-based access)")
 
 
+def _binop_method(symbol: str, reflected: bool = False):
+    """``self <symbol> other`` (``other <symbol> self`` if reflected)."""
+    def method(self, other):
+        return self._binop(other, symbol, reflected)
+    return method
+
+
+def _map_method(op: str, /, **args):
+    """``op`` per partition, with fixed ``args``."""
+    def method(self):
+        return self._map(op, **args)
+    return method
+
+
+def _reduction_method(func: str):
+    """``series.<func>()``: per-partition partials and their fold, a
+    :class:`DaskScalar` lazy until computed."""
+    def method(self) -> "DaskScalar":
+        return DaskScalar(reduce_scalar(self.parts, "series_agg", func),
+                          self.backend)
+    return method
+
+
 class DaskSeries(DaskCollection):
     """Lazy partitioned series."""
 
-    def __init__(self, expr: Expr, evaluator: Evaluator, name: Optional[str] = None):
-        super().__init__(expr, evaluator)
+    def __init__(self, parts: Sequence[Node], backend,
+                 name: Optional[str] = None):
+        super().__init__(parts, backend)
         self.name = name
 
-    def _series(self, expr: Expr, name=None) -> "DaskSeries":
-        return DaskSeries(expr, self.evaluator, name=name or self.name)
-
-    def persist(self) -> "DaskSeries":
-        return self._series(self.evaluator.persist(self.expr))
+    def _map(self, op: str, /, *others: "DaskSeries",
+             **args) -> "DaskSeries":
+        return DaskSeries(self._blockwise(op, args, *others), self.backend,
+                          name=self.name)
 
     # -- elementwise --------------------------------------------------------
 
-    def _binop(self, other, symbol: str, reflected: bool = False) -> "DaskSeries":
-        import operator as _op
-
-        table = {
-            "+": _op.add, "-": _op.sub, "*": _op.mul, "/": _op.truediv,
-            "//": _op.floordiv, "%": _op.mod, "==": _op.eq, "!=": _op.ne,
-            "<": _op.lt, "<=": _op.le, ">": _op.gt, ">=": _op.ge,
-            "&": _op.and_, "|": _op.or_,
-        }
-        func = table[symbol]
+    def _binop(self, other, symbol: str, reflected: bool = False):
         if isinstance(other, DaskSeries):
-            expr = blockwise_expr(
-                lambda parts, p: (
-                    p["f"](parts[1], parts[0]) if p["r"] else p["f"](parts[0], parts[1])
-                ),
-                [self.expr, other.expr],
-                f"binop[{symbol}]",
-                {"f": func, "r": reflected},
-            )
-        else:
-            expr = blockwise_expr(
-                lambda parts, p: (
-                    p["f"](p["v"], parts[0]) if p["r"] else p["f"](parts[0], p["v"])
-                ),
-                [self.expr],
-                f"binop[{symbol}]",
-                {"f": func, "v": other, "r": reflected},
-            )
-        return self._series(expr)
+            return self._map("binop", other, op=symbol, reflected=reflected)
+        return self._map("binop", op=symbol, right=other, reflected=reflected)
 
-    def __add__(self, other):
-        return self._binop(other, "+")
-
-    def __radd__(self, other):
-        return self._binop(other, "+", reflected=True)
-
-    def __sub__(self, other):
-        return self._binop(other, "-")
-
-    def __rsub__(self, other):
-        return self._binop(other, "-", reflected=True)
-
-    def __mul__(self, other):
-        return self._binop(other, "*")
-
-    def __rmul__(self, other):
-        return self._binop(other, "*", reflected=True)
-
-    def __truediv__(self, other):
-        return self._binop(other, "/")
-
-    def __rtruediv__(self, other):
-        return self._binop(other, "/", reflected=True)
-
-    def __floordiv__(self, other):
-        return self._binop(other, "//")
-
-    def __mod__(self, other):
-        return self._binop(other, "%")
-
-    def __eq__(self, other):  # type: ignore[override]
-        return self._binop(other, "==")
-
-    def __ne__(self, other):  # type: ignore[override]
-        return self._binop(other, "!=")
-
-    def __lt__(self, other):
-        return self._binop(other, "<")
-
-    def __le__(self, other):
-        return self._binop(other, "<=")
-
-    def __gt__(self, other):
-        return self._binop(other, ">")
-
-    def __ge__(self, other):
-        return self._binop(other, ">=")
-
+    __add__, __radd__ = _binop_method("+"), _binop_method("+", True)
+    __sub__, __rsub__ = _binop_method("-"), _binop_method("-", True)
+    __mul__, __rmul__ = _binop_method("*"), _binop_method("*", True)
+    __truediv__ = _binop_method("/")
+    __rtruediv__ = _binop_method("/", True)
+    __floordiv__, __mod__ = _binop_method("//"), _binop_method("%")
+    __eq__, __ne__ = _binop_method("=="), _binop_method("!=")  # type: ignore[assignment]
+    __lt__, __le__ = _binop_method("<"), _binop_method("<=")
+    __gt__, __ge__ = _binop_method(">"), _binop_method(">=")
+    __and__, __or__ = _binop_method("&"), _binop_method("|")
     __hash__ = None  # type: ignore[assignment]
 
-    def __and__(self, other):
-        return self._binop(other, "&")
-
-    def __or__(self, other):
-        return self._binop(other, "|")
-
-    def __invert__(self) -> "DaskSeries":
-        expr = blockwise_expr(lambda parts, p: ~parts[0], [self.expr], "invert")
-        return self._series(expr)
-
-    def _blockwise(self, desc: str, func, **bparams) -> "DaskSeries":
-        expr = blockwise_expr(func, [self.expr], desc, bparams)
-        return self._series(expr)
-
-    def abs(self) -> "DaskSeries":
-        return self._blockwise("abs", lambda parts, p: parts[0].abs())
+    __invert__, abs = _map_method("unop", op="~"), _map_method("unop", op="abs")
+    isna, notna = _map_method("isna"), _map_method("notna")
 
     def round(self, decimals: int = 0) -> "DaskSeries":
-        return self._blockwise(
-            "round", lambda parts, p: parts[0].round(p["d"]), d=decimals
-        )
+        return self._map("round", decimals=decimals)
 
     def isin(self, values) -> "DaskSeries":
-        return self._blockwise(
-            "isin", lambda parts, p: parts[0].isin(p["v"]), v=list(values)
-        )
+        return self._map("isin", values=list(values))
 
     def between(self, left, right, inclusive: str = "both") -> "DaskSeries":
-        return self._blockwise(
-            "between",
-            lambda parts, p: parts[0].between(p["l"], p["r"], inclusive=p["i"]),
-            l=left, r=right, i=inclusive,
-        )
-
-    def isna(self) -> "DaskSeries":
-        return self._blockwise("isna", lambda parts, p: parts[0].isna())
-
-    def notna(self) -> "DaskSeries":
-        return self._blockwise("notna", lambda parts, p: parts[0].notna())
+        return self._map("between", left=left, right=right,
+                         inclusive=inclusive)
 
     def fillna(self, value) -> "DaskSeries":
-        return self._blockwise(
-            "fillna", lambda parts, p: parts[0].fillna(p["v"]), v=value
-        )
+        return self._map("series_fillna", value=value)
 
     def astype(self, dtype) -> "DaskSeries":
-        return self._blockwise(
-            "astype", lambda parts, p: parts[0].astype(p["d"]), d=dtype
-        )
+        return self._map("series_astype", dtype=dtype)
 
     def map(self, func) -> "DaskSeries":
-        return self._blockwise(
-            "map", lambda parts, p: parts[0].map(p["f"]), f=func
-        )
+        return self._map("series_map", func=func)
 
     apply = map
 
-    def dropna(self) -> "DaskSeries":
-        return self._blockwise("dropna", lambda parts, p: parts[0].dropna())
-
     def __getitem__(self, key):
         if isinstance(key, DaskSeries):
-            expr = blockwise_expr(
-                lambda parts, p: parts[0][parts[1]],
-                [self.expr, key.expr],
-                "filter",
-            )
-            return self._series(expr)
+            return self._map("filter", key)
         raise BackendUnsupported("series position indexing")
 
     @property
@@ -465,140 +356,61 @@ class DaskSeries(DaskCollection):
 
     # -- reductions ----------------------------------------------------------
 
-    def _reduction(self, partial_cols: dict, finalize) -> "DaskScalar":
-        """Tree-reduce: per-partition partials -> combine -> scalar."""
-        def _map(part: Series) -> DataFrame:
-            return DataFrame({k: [f(part)] for k, f in partial_cols.items()})
+    sum, count = _reduction_method("sum"), _reduction_method("count")
+    mean = _reduction_method("mean")
+    min, max = _reduction_method("min"), _reduction_method("max")
 
-        expr = tree_expr(self.expr, _map, finalize, "reduction")
-        return DaskScalar(expr, self.evaluator)
-
-    def sum(self) -> "DaskScalar":
-        return self._reduction(
-            {"s": lambda p: p.sum()}, lambda c: c["s"].sum()
-        )
-
-    def count(self) -> "DaskScalar":
-        return self._reduction(
-            {"c": lambda p: p.count()}, lambda c: int(c["c"].sum())
-        )
-
-    def mean(self) -> "DaskScalar":
-        return self._reduction(
-            {"s": lambda p: p.dropna().sum(), "c": lambda p: p.count()},
-            lambda c: c["s"].sum() / c["c"].sum() if c["c"].sum() else float("nan"),
-        )
-
-    def min(self) -> "DaskScalar":
-        return self._reduction(
-            {"m": lambda p: p.min()}, lambda c: c["m"].dropna().min()
-        )
-
-    def max(self) -> "DaskScalar":
-        return self._reduction(
-            {"m": lambda p: p.max()}, lambda c: c["m"].dropna().max()
-        )
+    def _gathered(self, op: str):
+        """Eager: ``op`` over the whole series."""
+        return self._compute_node(Node(op, [gather(self.parts)]))
 
     def nunique(self) -> int:
-        return len(self.unique())
+        return self._gathered("nunique")
 
     def unique(self) -> np.ndarray:
-        uniques: set = set()
-        for i in range(self.npartitions):
-            part = self.evaluator.eval_partition(self.expr, i)
-            uniques.update(part.unique())
-        return np.asarray(sorted(uniques, key=str), dtype=object)
+        return self._gathered("unique")
 
     def value_counts(self) -> Series:
-        """Eagerly computed (tree) -- matches Dask's small-result behaviour."""
-        def _map(part: Series) -> DataFrame:
-            counts = part.value_counts()
-            return DataFrame(
-                {"value": counts.index.to_array(), "n": counts.values}
-            )
-
-        def _combine(combined: DataFrame) -> Series:
-            total = combined.groupby("value")["n"].sum()
-            return total.sort_values(ascending=False).rename("count")
-
-        expr = tree_expr(self.expr, _map, _combine, "value_counts")
-        return self.evaluator.eval_partition(expr, 0)
+        return self._gathered("value_counts")
 
     def sort_values(self, ascending: bool = True):
         raise BackendUnsupported("sort_values on Dask series")
 
     def to_frame(self, name=None):
-        expr = blockwise_expr(
-            lambda parts, p: parts[0].to_frame(p["n"]),
-            [self.expr],
-            "to_frame",
-            {"n": name},
-        )
-        return DaskFrame(expr, self.evaluator)
+        return DaskFrame(self._blockwise("to_frame_series", {"name": name}),
+                         self.backend)
 
 
 class DaskScalar:
     """Lazy scalar produced by a reduction.  Arithmetic with another
-    scalar, lazy or plain, stays lazy: one single-partition blockwise
-    step over the operands' expressions."""
+    scalar, lazy or plain, stays lazy: one more ``binop`` node."""
 
-    def __init__(self, expr: Expr, evaluator: Evaluator):
-        self.expr = expr
-        self.evaluator = evaluator
+    def __init__(self, node: Node, backend):
+        self.node = node
+        self.backend = backend
 
     def compute(self):
-        return self.evaluator.eval_partition(self.expr, 0)
+        return _run(self.backend, [self.node])[0]
 
     def __float__(self) -> float:
         return float(self.compute())
 
-    def _binop(self, other, func, reflected: bool = False):
+    def _binop(self, other, symbol: str, reflected: bool = False):
         if isinstance(other, DaskCollection):
             return NotImplemented
-        children = [self.expr]
         if isinstance(other, DaskScalar):
-            children.append(other.expr)
-            other = None
-        expr = blockwise_expr(
-            _scalar_binop, children, f"scalar {func.__name__}",
-            {"f": func, "v": other, "r": reflected},
-        )
-        return DaskScalar(expr, self.evaluator)
+            node = Node("binop", [self.node, other.node],
+                        {"op": symbol, "reflected": reflected})
+        else:
+            node = Node("binop", [self.node],
+                        {"op": symbol, "right": other, "reflected": reflected})
+        return DaskScalar(node, self.backend)
 
-    def __add__(self, other):
-        return self._binop(other, operator.add)
-
-    def __radd__(self, other):
-        return self._binop(other, operator.add, reflected=True)
-
-    def __sub__(self, other):
-        return self._binop(other, operator.sub)
-
-    def __rsub__(self, other):
-        return self._binop(other, operator.sub, reflected=True)
-
-    def __mul__(self, other):
-        return self._binop(other, operator.mul)
-
-    def __rmul__(self, other):
-        return self._binop(other, operator.mul, reflected=True)
-
-    def __truediv__(self, other):
-        return self._binop(other, operator.truediv)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, operator.truediv, reflected=True)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<DaskScalar {self.expr!r}>"
-
-
-def _scalar_binop(parts, p):
-    """``f(left, right)`` of a scalar and the other operand: the second
-    partition value, or ``p["v"]`` when that operand is a plain value."""
-    left = parts[0]
-    right = parts[1] if len(parts) > 1 else p["v"]
-    return p["f"](right, left) if p["r"] else p["f"](left, right)
+    __add__, __radd__ = _binop_method("+"), _binop_method("+", True)
+    __sub__, __rsub__ = _binop_method("-"), _binop_method("-", True)
+    __mul__, __rmul__ = _binop_method("*"), _binop_method("*", True)
+    __truediv__ = _binop_method("/")
+    __rtruediv__ = _binop_method("/", True)
 
 
 class DaskStringAccessor:
@@ -612,13 +424,8 @@ class DaskStringAccessor:
             raise AttributeError(method)
 
         def _call(*args, **kwargs):
-            expr = blockwise_expr(
-                lambda parts, p: getattr(parts[0].str, p["m"])(*p["a"], **p["k"]),
-                [self._series.expr],
-                f"str.{method}",
-                {"m": method, "a": args, "k": kwargs},
-            )
-            return DaskSeries(expr, self._series.evaluator, name=self._series.name)
+            return self._series._map("str_method", method=method,
+                                     args=args, kwargs=kwargs)
 
         return _call
 
@@ -637,49 +444,31 @@ class DaskDatetimeAccessor:
     def __getattr__(self, field: str):
         if field not in self._FIELDS:
             raise AttributeError(field)
-        expr = blockwise_expr(
-            lambda parts, p: getattr(parts[0].dt, p["f"]),
-            [self._series.expr],
-            f"dt.{field}",
-            {"f": field},
-        )
-        return DaskSeries(expr, self._series.evaluator, name=self._series.name)
+        return self._series._map("dt_field", field=field)
 
 
 class DaskGroupBy(GroupBy):
-    """Grouped lazy frame: an aggregation tree-reduces across partitions
-    -- :func:`~repro.frame.groupby.partial_aggregate` per partition, one
-    :func:`~repro.frame.groupby.combine_partials` -- so memory stays
-    bounded by the number of groups, not the number of rows.  A holistic
-    function has no partials and is refused (the pandas fallback)."""
+    """Grouped lazy frame: an aggregation is per-partition
+    ``partial_agg`` and one ``combine_agg``, computed right away, so
+    memory stays bounded by the number of groups, not the number of
+    rows.  A holistic function has no partials and is refused (the
+    pandas fallback)."""
 
     def aggregate(self, triples, series=None):
-        plan = decompose(triples)
-        if plan is None:
+        frame = self._frame
+        node = aggregate(frame.parts, self._keys, triples, series=series,
+                         as_index=self._as_index)
+        if node is None:
             raise BackendUnsupported("holistic groupby aggregate on Dask")
-        pairs, outputs = plan
-        keys, as_index = self._keys, self._as_index
-        expr = tree_expr(
-            self._frame.expr,
-            lambda part: partial_aggregate(part, keys, pairs),
-            lambda stacked: combine_partials(
-                stacked, keys, outputs, as_index=as_index, series=series
-            ),
-            "groupby.agg",
-        )
-        return self._frame.evaluator.eval_partition(expr, 0)
+        return frame._compute_node(node)
 
 
-def from_pandas(frame: DataFrame, evaluator: Evaluator, npartitions: int = 4) -> DaskFrame:
+def from_pandas(frame: DataFrame, backend,
+                npartitions: int = 4) -> DaskFrame:
     """Split an eager frame into a lazy partitioned one."""
-    from repro.backends.dask_sim.expr import materialized_expr
-
     n = len(frame)
     npartitions = max(1, min(npartitions, max(1, n)))
     bounds = np.linspace(0, n, npartitions + 1).astype(int)
-    handles = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        handles.append(evaluator.store.put(frame[int(lo):int(hi)]))
-    return DaskFrame(
-        materialized_expr(handles), evaluator, columns=list(frame.columns)
-    )
+    parts = [Node("from_pandas", [], {"frame": frame[int(lo):int(hi)]})
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return DaskFrame(parts, backend, columns=list(frame.columns))

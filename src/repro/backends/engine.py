@@ -8,9 +8,11 @@ any module-level state, and a session switching back to a backend lost
 that backend's store).  This module replaces it:
 
 - :class:`EngineSpec` describes a backend *kind*: its factory plus the
-  capability facts callers branch on (lazy vs eager, partitioned,
-  out-of-core) -- the shape of Dask's per-collection
-  ``__dask_scheduler__`` hooks, but declared once per engine.
+  capability facts callers branch on (partitioned, out-of-core) -- the
+  shape of Dask's per-collection ``__dask_scheduler__`` hooks, but
+  declared once per engine.  Every engine runs under every executor
+  strategy: a backend's ``apply`` runs one node on eager values, so
+  independent nodes may run concurrently.
 - :class:`EngineRegistry` maps names to specs.  Sessions hold a registry
   reference (the shared :data:`DEFAULT_REGISTRY` unless injected), so
   tests can register simulated engines without touching global state.
@@ -34,17 +36,12 @@ class EngineSpec:
 
     name: str
     factory: Callable[[], Backend]
-    #: builds its own expression graph; materialization happens at roots.
-    is_lazy: bool = False
     #: splits frames into row partitions.
     partitioned: bool = False
-    #: can spill partitions to disk under memory pressure.
+    #: plans are cut per partition (:mod:`repro.core.optimizer.
+    #: partitions`), so a budgeted run holds a partition at a time and
+    #: spills through the shuffle stores.
     out_of_core: bool = False
-    #: ``backend.apply`` may run for independent nodes concurrently from
-    #: scheduler worker threads.  Lazy simulators keep this False: their
-    #: "apply" just extends a shared expression graph, so the threaded
-    #: strategy would serialize on the store anyway.
-    supports_parallel_apply: bool = False
     description: str = ""
 
 
@@ -61,24 +58,8 @@ class Engine:
     def name(self) -> str:
         return self.spec.name
 
-    @property
-    def is_lazy(self) -> bool:
-        return self.spec.is_lazy
-
-    @property
-    def partitioned(self) -> bool:
-        return self.spec.partitioned
-
-    @property
-    def out_of_core(self) -> bool:
-        return self.spec.out_of_core
-
-    @property
-    def supports_parallel_apply(self) -> bool:
-        return self.spec.supports_parallel_apply
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Engine {self.name} lazy={self.is_lazy}>"
+        return f"<Engine {self.name}>"
 
 
 class EngineRegistry(SpecRegistry[EngineSpec]):
@@ -113,17 +94,16 @@ def _modin_factory() -> Backend:
 DEFAULT_REGISTRY = EngineRegistry([
     EngineSpec(
         "pandas", _pandas_factory,
-        supports_parallel_apply=True,
         description="eager, whole-frame, in-memory",
     ),
     EngineSpec(
         "dask", _dask_factory,
-        is_lazy=True, partitioned=True, out_of_core=True,
-        description="lazy, partitioned, out-of-core with spilling",
+        partitioned=True, out_of_core=True,
+        description="plans cut per partition, out-of-core with spilling",
     ),
     EngineSpec(
         "modin", _modin_factory,
-        partitioned=True, supports_parallel_apply=True,
+        partitioned=True,
         description="eager, partitioned, in-memory",
     ),
 ])

@@ -27,7 +27,6 @@ class ModinBackend(Backend):
     """Eager partitioned execution (thread-pool workers, no spilling)."""
 
     name = "modin"
-    is_lazy = False
 
     def __init__(self, partition_bytes: int = DEFAULT_PARTITION_BYTES):
         self.partition_bytes = partition_bytes

@@ -15,7 +15,6 @@ class PandasBackend(Backend):
     """Direct execution on the eager frame engine."""
 
     name = "pandas"
-    is_lazy = False
 
     def read_csv(self, path, **kwargs):
         """The eager engine's own reader (a ``scan`` node never comes here)."""

@@ -2,11 +2,12 @@
 
 ``repro.core.optimizer.shuffle`` rewrites oversized merges / groupbys
 into graphs of ``shuffle_write`` / ``shuffle_read`` / ``partial_agg`` /
-``combine_agg`` nodes plus ``stream=True`` scans; this module is how
-the eager backends (pandas, modin) run them.  A shuffle join is three
-kernels over frames -- :func:`hash_split`, :func:`merge_bucket_pairs`,
-:func:`restitch` -- which the ops call and the Dask sim's merge calls
-directly (the lowering pass skips lazy engines).
+``combine_agg`` nodes plus ``stream=True`` scans, and the Dask
+engine's partition cut (``repro.core.optimizer.partitions``) emits the
+same ops over per-partition nodes; this module is how every backend
+runs them.  A shuffle join is a :func:`hash_split` per input (one
+``shuffle_write`` per partition on Dask, tagging rows with positions
+that order the partitions), bucket-local merges, and :func:`restitch`.
 
 Bucket assignment uses Python's builtin ``hash`` on key tuples: it is
 the only cheap hash that is *equality-consistent* across mixed numeric
@@ -27,6 +28,7 @@ from repro.frame.column import Column
 from repro.frame.concat import concat_consuming
 from repro.frame.dataframe import DataFrame
 from repro.frame.groupby import combine_partials, partial_aggregate
+from repro.frame.series import Series
 from repro.graph.scheduler.stats import count
 from repro.io.spill import (
     PartitionStream,
@@ -47,7 +49,7 @@ def apply_shuffle_op(backend, node, inputs):
     if op == "shuffle_write":
         return exec_shuffle_write(backend, node, inputs)
     if op == "shuffle_read":
-        return drain_bucket(inputs[0], int(node.args["bucket"]))
+        return drain_bucket(inputs, int(node.args["bucket"]))
     if op == "partial_agg":
         return exec_partial_agg(backend, node, inputs)
     if op == "combine_agg":
@@ -65,19 +67,21 @@ def exec_shuffle_write(backend, node, inputs) -> ShuffleStore:
     args = node.args
     parts, empty_factory = _iter_parts(backend, inputs[0])
     return hash_split(parts, args["keys"], int(args["n_buckets"]),
-                      args.get("pos_name"), empty_factory)
+                      args.get("pos_name"), empty_factory,
+                      int(args.get("pos_base", 0)))
 
 
 def hash_split(parts, keys, n_buckets: int, pos_name=None,
-               empty_factory=None) -> ShuffleStore:
+               empty_factory=None, pos_base: int = 0) -> ShuffleStore:
     """Kernel: hash-split partition frames on ``keys`` into a new store,
-    each row tagged with its global position in column ``pos_name`` if
-    named; ``empty_factory`` types the buckets of an empty stream."""
+    each row tagged with its position, counted from ``pos_base``, in
+    column ``pos_name`` if named; ``empty_factory`` types the buckets
+    of an empty stream."""
     keys = [str(k) for k in keys]
     manager = _current_manager()
     store = ShuffleStore(n_buckets, spill_dir=session_spill_dir())
     count(shuffle_partitions=n_buckets)
-    offset = 0
+    offset = pos_base
     # cushion for the stream's first partition read: a merge's second
     # write starts with the first side's store holding ~the whole budget
     _make_headroom(store, manager, 16384)
@@ -94,7 +98,7 @@ def hash_split(parts, keys, n_buckets: int, pos_name=None,
         # body can spill for it: clear the way now
         _make_headroom(store, manager, part.nbytes)
     if store.template is None:
-        store.set_template(_with_pos(empty_factory(), pos_name, 0))
+        store.set_template(_with_pos(empty_factory(), pos_name, pos_base))
     return store
 
 
@@ -218,13 +222,15 @@ def _owned_take(column: Column, idx: np.ndarray) -> Column:
 # -- shuffle_read ------------------------------------------------------
 
 
-def drain_bucket(store: ShuffleStore, bucket: int) -> DataFrame:
-    """Drain one bucket, spilling other resident chunks first when the
-    write phase left the budget too full to materialize it.
+def drain_bucket(stores: List[ShuffleStore], bucket: int) -> DataFrame:
+    """Drain one bucket of every store (one per write: a cut frame
+    writes a store per partition) into one frame, spilling other
+    resident chunks first when the write phase left the budget too full
+    to materialize it.
 
     The write phase keeps live bytes just under the budget, so without
     this the very first unpickle of a spilled chunk can OOM.  The
-    store's own appended-byte counter sizes the bucket (the planner's
+    stores' own appended-byte counters size the bucket (the planner's
     disk-based estimate undershoots in-memory width badly for CSV).
     """
     manager = _current_manager()
@@ -233,31 +239,23 @@ def drain_bucket(store: ShuffleStore, bucket: int) -> DataFrame:
         if headroom is not None:
             # the drained chunks, their concat copy, and the downstream
             # bucket-local merge/agg output all coexist briefly
-            need = 4 * store.bucket_estimate()
+            need = 4 * sum(store.bucket_estimate() for store in stores)
             if headroom < need:
                 spill_live_stores(need - headroom)
-    try:
-        return store.read_bucket(bucket)
-    except SimulatedMemoryError:
-        # the bucket estimate undershoots on the Dask sim's serial join;
-        # read_bucket is failure-atomic, so push everything still
-        # resident (this bucket included) to disk
-        spill_live_stores(1 << 62)
-    # read again only out here: inside the except block the traceback
-    # keeps the failed attempt's chunks alive
-    return store.read_bucket(bucket)
-
-
-def merge_bucket_pairs(left: ShuffleStore, right: ShuffleStore,
-                       merge_args: dict) -> List[DataFrame]:
-    """Kernel: merge bucket ``i`` of ``left`` with bucket ``i`` of
-    ``right`` for every ``i``, each result re-owning its payload (as
-    ``compact`` does) so the drained buckets die with the merge."""
-    return [
-        _owned_frame(drain_bucket(left, bucket).merge(
-            drain_bucket(right, bucket), **merge_args))
-        for bucket in range(left.n_buckets)
-    ]
+    frames = []
+    for store in stores:
+        try:
+            frames.append(store.read_bucket(bucket))
+            continue
+        except SimulatedMemoryError:
+            # the bucket estimate can undershoot a skewed bucket;
+            # read_bucket is failure-atomic, so push everything still
+            # resident (this bucket included) to disk
+            spill_live_stores(1 << 62)
+        # read again only out here: inside the except block the
+        # traceback keeps the failed attempt's chunks alive
+        frames.append(store.read_bucket(bucket))
+    return _stack(frames)
 
 
 # -- partial_agg -------------------------------------------------------
@@ -285,6 +283,8 @@ def exec_partial_agg(backend, node, inputs) -> DataFrame:
 
 def exec_combine_agg(backend, node, inputs):
     args = node.args
+    if args.get("kind") == "scalar":
+        return combine_scalars(args["func"], inputs)
     frames = [_eager(backend, piece) for piece in inputs]
     if args.get("kind") == "merge":
         return backend.from_pandas(restitch(frames, args["pos_names"]))
@@ -295,6 +295,21 @@ def exec_combine_agg(backend, node, inputs):
         as_index=args.get("as_index", True),
         series=args.get("name") if args.get("output") == "series" else None,
     ))
+
+
+def combine_scalars(func: str, partials: list):
+    """Fold per-partition reductions: ``sum``, ``min`` or ``max`` of
+    the partials, or for ``mean`` the sum of the first half (the sums)
+    over the sum of the second (the counts)."""
+    if func == "mean":
+        half = len(partials) // 2
+        total = Series(partials[:half]).sum()
+        n = Series(partials[half:]).sum()
+        return total / n if n else float("nan")
+    folded = Series(partials)
+    if func == "sum":
+        return folded.sum()
+    return getattr(folded.dropna(), func)()
 
 
 def restitch(frames: List[DataFrame], pos_names) -> DataFrame:

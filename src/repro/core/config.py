@@ -274,7 +274,7 @@ register_option(
         "(shuffle_write / shuffle_read / partial_agg / combine_agg). "
         "Only fires when a size limit exists: optimizer."
         "shuffle_threshold_bytes if set, else the memory.budget "
-        "headroom. Lazy engines (the Dask sim) are never lowered.",
+        "headroom.",
     validator=_validate_bool,
 )
 register_option(

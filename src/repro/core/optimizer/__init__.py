@@ -28,7 +28,6 @@ from repro.core.optimizer.pipeline import optimize
 from repro.core.optimizer.predicate_pushdown import push_down_predicates
 from repro.core.optimizer.common_subexpr import (
     eliminate_common_subexpressions,
-    persist_shared_nodes,
     pin_frontier,
 )
 from repro.core.optimizer.projection import push_down_projections
@@ -37,7 +36,6 @@ from repro.core.optimizer.metadata_opt import apply_metadata_hints
 __all__ = [
     "apply_metadata_hints",
     "eliminate_common_subexpressions",
-    "persist_shared_nodes",
     "pin_frontier",
     "optimize",
     "push_down_predicates",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.node import Node
-from repro.graph.taskgraph import ConsumerIndex, collect_subgraph, topological_order
+from repro.graph.taskgraph import ConsumerIndex, topological_order
 
 
 def _signature(node: Node):
@@ -68,42 +68,6 @@ def eliminate_common_subexpressions(
                 index.replace(consumer, node, winner)
             replaced += 1
     return replaced
-
-
-#: frame-producing ops worth pinning when consumed more than once on a
-#: lazy backend (a shared series is cheap to recompute; a shared frame
-#: pipeline is not).
-_SHARABLE_OPS = frozenset({
-    "scan", "filter", "setitem", "merge", "dropna", "fillna",
-    "astype", "rename", "drop", "getitem_columns", "concat", "identity",
-})
-
-
-def persist_shared_nodes(roots: Sequence[Node]) -> List[Node]:
-    """Pin frame nodes with multiple consumers (lazy backends only).
-
-    Eager backends share results for free: the executor holds each
-    node's materialized value until its last consumer ran.  On a lazy
-    backend a node's "result" is an unevaluated expression, so two
-    consumers would *recompute* the shared pipeline partition by
-    partition -- the behaviour real Dask exhibits when ``compute()`` is
-    called per output instead of once.  Persisting the shared node makes
-    LaFP behave like ``dask.compute(*outputs)``: shared work runs once
-    (at the price of materialized partitions, which Figure 15 shows as
-    LaFP-Dask's memory cost).
-    """
-    from repro.graph.taskgraph import consumer_counts
-
-    nodes = collect_subgraph(roots)
-    counts = consumer_counts(nodes)
-    marked = []
-    for node in nodes:
-        if node.persist or node.op not in _SHARABLE_OPS:
-            continue
-        if counts.get(node.id, 0) >= 2:
-            node.persist = True
-            marked.append(node)
-    return marked
 
 
 def pin_frontier(

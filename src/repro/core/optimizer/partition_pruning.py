@@ -13,10 +13,12 @@ statistics:
 
 Partitions without statistics are always kept -- pruning is a proof, not
 a guess, which is what makes the pruned scan bit-identical to the full
-one.  The kept indices land in the scan's ``partitions`` arg (total in
-``partitions_total``), where backends, ``explain()``, and the
-scheduler's :class:`~repro.graph.scheduler.stats.ExecutionStats` read
-them.
+one.  The kept :class:`~repro.io.source.Partition` objects land in the
+scan's ``partitions`` arg (total in ``partitions_total``), where
+backends, ``explain()``, and the scheduler's
+:class:`~repro.graph.scheduler.stats.ExecutionStats` read them.  They
+carry their byte ranges: a process worker reads exactly the pieces
+pruned here, whatever partition set its own metastore would list.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def prune_scan_partitions(
         node.args["partitions_total"] = len(parts)
         predicate = Predicate.from_arg(node.args.get("predicate"))
         if prune and predicate is not None and parts:
-            kept = [p.index for p in parts if predicate.may_match(p)]
+            kept = [p for p in parts if predicate.may_match(p)]
             if len(kept) < len(parts):
                 node.args["partitions"] = kept
                 pruned += len(parts) - len(kept)

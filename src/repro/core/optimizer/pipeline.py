@@ -13,7 +13,6 @@ from repro.core.optimizer.cache import (
 )
 from repro.core.optimizer.common_subexpr import (
     eliminate_common_subexpressions,
-    persist_shared_nodes,
 )
 from repro.core.optimizer.metadata_opt import apply_metadata_hints
 from repro.core.optimizer.partition_pruning import prune_scan_partitions
@@ -22,6 +21,7 @@ from repro.core.optimizer.predicate_pushdown import (
     push_down_predicates,
 )
 from repro.core.optimizer.projection import push_down_projections
+from repro.core.optimizer.partitions import cut_partitions
 from repro.core.optimizer.shuffle import lower_shuffle_nodes
 
 
@@ -53,8 +53,8 @@ def optimize(
     roots = list(roots) + pins
     report = {"cse": 0, "pushdown": 0, "scan_fold": 0, "projection": 0,
               "metadata": 0, "pruned_partitions": 0, "shuffle_lowered": 0,
-              "persisted": 0, "reuse_hits": 0, "reuse_misses": 0,
-              "reuse_bytes": 0}
+              "partitions_cut": 0, "persisted": 0, "reuse_hits": 0,
+              "reuse_misses": 0, "reuse_bytes": 0}
     state = None
     if opts.get("optimizer.reuse"):
         # First, against the RAW plan: later rewrites would change the
@@ -98,11 +98,15 @@ def optimize(
         # results are cached under raw-plan fingerprints: withdraw the
         # interior nodes that no longer compute what theirs names
         retain_unrewritten(state, roots)
+    if session.engine.spec.out_of_core:
+        # Last: cut every frame node into per-partition nodes.  A cut
+        # node that keeps its id still computes its raw value (a root
+        # gathers its partitions; a pin's plan is not cut), so it stays
+        # a reuse candidate.
+        report["partitions_cut"] = cut_partitions(roots, session, pins)
     # the run's scheduler offers executed results back through this
     session._cache_run = state
     for pin in pins:
         pin.persist = True
     report["persisted"] = len(pins)
-    if cache and session.engine.is_lazy:
-        report["persisted"] += len(persist_shared_nodes(roots))
     return report

@@ -25,10 +25,10 @@ The pass mutates the consuming node in place (a session only ever hands
 it a private copy of the user's graph) and is gated on
 ``optimizer.shuffle`` plus an actual size limit:
 ``optimizer.shuffle_threshold_bytes`` if set, else the session's
-``memory.budget`` headroom.  A lazy engine is never lowered: its scans
-have no streamed form, and its own merge plans by the same rules
-(:mod:`repro.frame.merge`) and runs the same kernels
-(:mod:`repro.backends.shuffle_ops`) over its partitions.
+``memory.budget`` headroom.  On the Dask engine the partition cut
+(:mod:`repro.core.optimizer.partitions`) runs next and builds the same
+bucket join (:func:`bucket_join`) for merges whose inputs are not
+direct scans.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ def lower_shuffle_nodes(
     keeps for live frames it hands over among the roots."""
     opts = session.options
     if not opts.get("optimizer.shuffle"):
-        return 0
-    if session.engine.is_lazy:
         return 0
     limit = opts.get("optimizer.shuffle_threshold_bytes")
     if limit is None and session.memory is not None:
@@ -131,47 +129,47 @@ def _lower_merge(node: Node, counts, pinned, opts, limit: int) -> int:
         left.args["stream"] = True
         return 1
     n_buckets = _partition_count(opts, left_est + right_est, limit)
-    left_pos, right_pos = POSITION_COLUMNS
-    left.args["stream"] = True
-    right.args["stream"] = True
-    write_left = Node(
-        "shuffle_write", [left],
-        {"keys": list(left_keys), "n_buckets": n_buckets,
-         "pos_name": left_pos, "est_total": left_est},
-        label="shuffle left",
-    )
-    write_right = Node(
-        "shuffle_write", [right],
-        {"keys": list(right_keys), "n_buckets": n_buckets,
-         "pos_name": right_pos, "est_total": right_est},
-        label="shuffle right",
-    )
-    merge_args = dict(node.args)
+    writes = []
+    for scan, keys, pos_name, est, side in zip(
+            (left, right), (left_keys, right_keys), POSITION_COLUMNS,
+            (left_est, right_est), ("left", "right")):
+        scan.args["stream"] = True
+        writes.append([Node(
+            "shuffle_write", [scan],
+            {"keys": list(keys), "n_buckets": n_buckets,
+             "pos_name": pos_name, "est_total": est},
+            label=f"shuffle {side}",
+        )])
+    joined = bucket_join(*writes, n_buckets, node.args,
+                         est=(left_est, right_est))
+    node.op, node.inputs, node.args = "combine_agg", joined.inputs, joined.args
+    return 1
+
+
+def bucket_join(left: List[Node], right: List[Node], n_buckets: int,
+                merge_args: dict, est=(None, None)) -> Node:
+    """The bucket-pair join over each side's ``shuffle_write`` nodes:
+    per bucket, a ``shuffle_read`` of every write, a ``merge`` and a
+    ``compact``; one ``combine_agg`` restitches the eager row order."""
     pieces = []
     for i in range(n_buckets):
-        read_left = Node(
-            "shuffle_read", [write_left],
-            {"bucket": i, "n_buckets": n_buckets, "est_total": left_est},
-            label=f"left bucket {i}",
-        )
-        read_right = Node(
-            "shuffle_read", [write_right],
-            {"bucket": i, "n_buckets": n_buckets, "est_total": right_est},
-            label=f"right bucket {i}",
-        )
-        piece = Node(
-            "merge", [read_left, read_right], dict(merge_args),
-            label=f"merge bucket {i}",
-        )
+        reads = [
+            Node("shuffle_read", writes,
+                 {"bucket": i, "n_buckets": n_buckets,
+                  **({} if side_est is None else {"est_total": side_est})},
+                 label=f"{side} bucket {i}")
+            for writes, side_est, side in zip((left, right), est,
+                                              ("left", "right"))
+        ]
+        piece = Node("merge", reads, dict(merge_args),
+                     label=f"merge bucket {i}")
         # re-own the result's payload so the (much larger) bucket
         # frames can release as soon as the bucket-local merge is done
         pieces.append(Node(
             "compact", [piece], {}, label=f"compact bucket {i}",
         ))
-    node.op = "combine_agg"
-    node.inputs = pieces
-    node.args = {"kind": "merge", "pos_names": list(POSITION_COLUMNS)}
-    return 1
+    return Node("combine_agg", pieces,
+                {"kind": "merge", "pos_names": list(POSITION_COLUMNS)})
 
 
 # -- groupby -----------------------------------------------------------
@@ -184,28 +182,50 @@ def _lower_groupby(node: Node, counts, pinned, opts, limit: int) -> int:
     est = _streamable_scan(scan, counts, pinned)
     if est is None or est <= limit:
         return 0
-    keys_arg = node.args.get("keys")
-    keys = [keys_arg] if isinstance(keys_arg, str) else list(keys_arg or ())
-    if not keys:
+    spec = groupby_spec(node)
+    if spec is None:
         return 0
-    triples = _output_triples(node)
-    if triples is None:
-        return 0
+    keys, triples, series, as_index = spec
     labels = {label for _c, _f, label in triples}
     sources = {col for col, _f, _l in triples}
     if (labels | sources) & set(keys):
         return 0  # aggregating a key column: label collisions
     plan = decompose(triples)
     if plan is not None:
-        _rewrite_partial(node, scan, keys, *plan, est)
+        pairs, outputs = plan
+        _rewrite_partial(node, scan, pairs,
+                         combine_args(keys, outputs, series, as_index), est)
     else:
-        _rewrite_bucketed(node, scan, keys, triples, est, opts, limit)
+        _rewrite_bucketed(node, scan, keys, triples,
+                          combine_args(keys, [
+                              {"label": label, "mode": "direct",
+                               "partial": label, "func": "first"}
+                              for _column, _func, label in triples
+                          ], series, as_index), est, opts, limit)
     return 1
 
 
-def _output_triples(node: Node) -> Optional[List[Tuple[str, str, str]]]:
-    """(source column, func, output label) per output, in output order;
-    None when the spec is not lowerable."""
+def combine_args(keys: List[str], outputs: List[dict],
+                 series: Optional[str], as_index: bool) -> dict:
+    """The args of the ``combine_agg`` that folds stacked partials into
+    ``outputs``: a Series named ``series``, else a frame."""
+    shape = ({"output": "frame", "as_index": as_index} if series is None
+             else {"output": "series", "name": series})
+    return {"kind": "agg", "keys": keys, "outputs": outputs, **shape}
+
+
+def groupby_spec(node: Node) -> Optional[Tuple[
+        List[str], List[Tuple[str, str, str]], Optional[str], bool]]:
+    """``(keys, triples, series name, as_index)`` of a group-by node --
+    one ``(source column, func, output label)`` per output, in output
+    order, as :meth:`repro.frame.groupby.GroupBy.aggregate` takes them;
+    None when the node is not lowerable."""
+    keys_arg = node.args.get("keys")
+    keys = [keys_arg] if isinstance(keys_arg, str) else list(keys_arg or ())
+    if not keys:
+        return None
+    if node.op == "groupby_size":
+        return keys, [(keys[0], "size", "size")], "size", True
     if node.op == "groupby_agg":
         spec = {node.args.get("column"): node.args.get("func")}
     else:
@@ -218,27 +238,20 @@ def _output_triples(node: Node) -> Optional[List[Tuple[str, str, str]]]:
         for column, func, _label in triples
     ):
         return None
-    return triples
-
-
-def _combine_args(node: Node, keys: List[str], outputs: List[dict]) -> dict:
     if node.op == "groupby_agg":
-        return {"kind": "agg", "keys": keys, "outputs": outputs,
-                "output": "series", "name": node.args.get("column")}
-    return {"kind": "agg", "keys": keys, "outputs": outputs,
-            "output": "frame",
-            "as_index": bool(node.args.get("as_index", True))}
+        return keys, triples, node.args.get("column"), True
+    return keys, triples, None, bool(node.args.get("as_index", True))
 
 
-def _rewrite_partial(node: Node, scan: Node, keys: List[str],
-                     pairs, outputs: List[dict], est: int) -> None:
+def _rewrite_partial(node: Node, scan: Node, pairs, combine: dict,
+                     est: int) -> None:
     """Decomposable path: per-partition partials, one re-aggregation."""
-    combine = _combine_args(node, keys, outputs)
     n_parts = _scan_parts(scan)
     scan.args["stream"] = True
     partial = Node(
         "partial_agg", [scan],
-        {"keys": keys, "pairs": pairs, "est_total": est, "n_parts": n_parts},
+        {"keys": combine["keys"], "pairs": pairs, "est_total": est,
+         "n_parts": n_parts},
         label="partial agg",
     )
     node.op = "combine_agg"
@@ -246,14 +259,10 @@ def _rewrite_partial(node: Node, scan: Node, keys: List[str],
     node.args = combine
 
 
-def _rewrite_bucketed(node: Node, scan: Node, keys: List[str],
-                      triples, est: int, opts, limit: int) -> None:
+def _rewrite_bucketed(node: Node, scan: Node, keys: List[str], triples,
+                      combine: dict, est: int, opts, limit: int) -> None:
     """Holistic path: hash-shuffle so each key is whole in one bucket,
     aggregate exactly per bucket, stack (groups never straddle)."""
-    combine = _combine_args(node, keys, [
-        {"label": label, "mode": "direct", "partial": label, "func": "first"}
-        for _column, _func, label in triples
-    ])
     n_buckets = _partition_count(opts, est, limit)
     scan.args["stream"] = True
     write = Node(

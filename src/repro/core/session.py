@@ -149,8 +149,8 @@ class Session:
     @property
     def engine(self) -> Engine:
         """The engine named by ``backend.engine``, instantiated per
-        session and cached, so its state (e.g. the Dask partition store)
-        survives switching away and back."""
+        session and cached, so its state survives switching away and
+        back."""
         name = self.backend_name.lower()
         engine = self._engines.get(name)
         if engine is None:
@@ -190,29 +190,17 @@ class Session:
 
     # -- scheduling --------------------------------------------------------
 
-    def scheduler(self) -> Scheduler:
-        """Build the scheduler the ``executor.strategy`` option names.
-
-        Strategies that run ``backend.apply`` concurrently fall back to
-        ``serial`` on engines without ``supports_parallel_apply`` (the
-        lazy simulators build shared expression graphs); the returned
-        scheduler's stats report both the requested and effective
-        strategy.
-        """
-        requested = str(self.options.get("executor.strategy")).lower()
-        spec = self.executors.spec(requested)
-        if (
-            spec.requires_parallel_apply
-            and not self.engine.supports_parallel_apply
-        ):
-            spec = self.executors.spec("serial")
-        return spec.create(
-            self.backend,
+    def scheduler(self, backend=None) -> Scheduler:
+        """Build the scheduler the ``executor.strategy`` option names,
+        running nodes on ``backend`` (default: this session's engine's;
+        baseline Dask mode passes its own)."""
+        strategy = str(self.options.get("executor.strategy")).lower()
+        return self.executors.spec(strategy).create(
+            self.backend if backend is None else backend,
             session=self,
             memory=self.memory,
             max_workers=self._max_workers(),
             static_order=bool(self.options.get("executor.static_order")),
-            requested_strategy=requested,
         )
 
     def _max_workers(self) -> int:
@@ -239,7 +227,7 @@ class Session:
             self.close_pool()
         if self._process_pool is None:
             self._process_pool = create_worker_pool(
-                workers, start_method, self.backend_name.lower()
+                workers, start_method, self.engine.spec.factory
             )
             self._process_pool_key = key
             # wait=False: the collector runs this at whatever allocation
@@ -476,9 +464,8 @@ class Session:
         the values it is meant to keep: the roots' (every pending
         side-effect node is one) and the pins' for ``live_nodes``.  A
         pin's twin is a root to the optimizer, so it holds what its raw
-        node defines, but not to the scheduler: a lazy engine
-        materializes a root whole, a persisted interior node stays
-        partitioned.
+        node defines, but not to the scheduler, which computes it as its
+        consumers' input (the Dask engine leaves a pin's plan uncut).
         """
         from repro.core.optimizer import optimize
         from repro.core.optimizer.common_subexpr import pin_frontier

@@ -41,7 +41,7 @@ def shallow_copy(frame: DataFrame) -> DataFrame:
 def concat_consuming(frames: list) -> Union[DataFrame, Series]:
     """Concatenate temporary frames, releasing inputs column by column.
 
-    Used by the partitioned evaluators when the input pieces are
+    Used by the partitioned engines when the input pieces are
     throwaway: each source column's buffer is dropped as soon as it has
     been merged, so peak memory is ~1.5x the output instead of 2x (the
     difference between passing and OOM for borderline materializations).

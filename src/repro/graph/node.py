@@ -493,7 +493,9 @@ register_op(OpSpec("concat", mod_attrs=_NO_COLS, used_attrs=_NO_COLS))
 # Shuffle-lowering operators.  These are never built by user code: the
 # optimizer pass in ``repro.core.optimizer.shuffle`` rewrites oversized
 # ``merge`` / ``groupby_agg`` nodes over partitioned scans into a
-# hash-partition -> spill -> stream pipeline built from these four ops.
+# hash-partition -> spill -> stream pipeline built from these four ops,
+# and the Dask engine's partition cut (``repro.core.optimizer.
+# partitions``) builds its per-partition aggregates and joins from them.
 
 def _shuffle_write_mod(node: Node) -> Set[str]:
     # the appended row-position column used to restore merge row order
@@ -561,8 +563,9 @@ register_op(OpSpec(
     used_attrs=_partial_agg_used,
 ))
 register_op(OpSpec(
-    # fan-in: re-aggregate stacked partials, or restitch merged buckets
-    # back into the in-memory row order via the position columns
+    # fan-in: re-aggregate stacked partials, restitch merged buckets
+    # back into the in-memory row order via the position columns, or
+    # fold per-partition scalar reductions
     "combine_agg",
     mod_attrs=_combine_agg_mod,
     used_attrs=_combine_agg_used,

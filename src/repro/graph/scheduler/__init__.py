@@ -1,11 +1,13 @@
 """Pluggable execution strategies (the scheduler subsystem).
 
 Mirrors the engine layer: a :class:`SchedulerSpec` describes one
-strategy (its factory plus the capability facts the session branches
-on), an :class:`ExecutorRegistry` maps names to specs, and sessions pick
-a strategy through the ``executor.strategy`` option -- the Dask split
-between a collection protocol and swappable ``get`` functions, applied
-to the LaFP task graph.
+strategy (its factory), an :class:`ExecutorRegistry` maps names to
+specs, and sessions pick a strategy through the ``executor.strategy``
+option -- the Dask split between a collection protocol and swappable
+``get`` functions, applied to the LaFP task graph.  Every strategy
+drives every engine: on the Dask engine the graph is already cut per
+partition (:mod:`repro.core.optimizer.partitions`), so the pool
+strategies run partitions in parallel.
 
 There is one scheduling core (:mod:`repro.graph.scheduler.base`): the
 :class:`~repro.graph.scheduler.base.ReadySet` state machine, one
@@ -17,8 +19,7 @@ grouped into tasks:
 - ``serial``   -- the inline seam, one node per task: the paper's
   single loop (section 2.6),
 - ``fused``    -- the inline seam over linear-chain tasks,
-- ``threaded`` -- the thread-pool seam (needs an engine with
-  ``supports_parallel_apply``, as do the next two),
+- ``threaded`` -- the thread-pool seam,
 - ``process``  -- the process-pool seam: fused chains shipped through
   the pickle seam, for CPU-bound operators the GIL serializes,
 - ``async``    -- the event-loop seam, with the awaitable
@@ -51,9 +52,6 @@ class SchedulerSpec:
 
     name: str
     factory: Callable[..., Scheduler]
-    #: runs backend.apply concurrently; the session falls back to the
-    #: serial strategy on engines without ``supports_parallel_apply``.
-    requires_parallel_apply: bool = False
     description: str = ""
 
     def create(self, backend, **kwargs) -> Scheduler:
@@ -78,7 +76,6 @@ DEFAULT_EXECUTORS = ExecutorRegistry([
     ),
     SchedulerSpec(
         "threaded", ThreadedScheduler,
-        requires_parallel_apply=True,
         description="the ready set driven over a thread pool",
     ),
     SchedulerSpec(
@@ -87,13 +84,11 @@ DEFAULT_EXECUTORS = ExecutorRegistry([
     ),
     SchedulerSpec(
         "process", ProcessScheduler,
-        requires_parallel_apply=True,
         description="fused chains shipped to a process pool via the "
                     "pickle seam; inline fallback for unpicklable tasks",
     ),
     SchedulerSpec(
         "async", AsyncScheduler,
-        requires_parallel_apply=True,
         description="asyncio event-loop scheduling with an awaitable "
                     "execute_async for concurrent collects",
     ),

@@ -29,9 +29,6 @@ execution: concurrent ``execute_async`` calls under one budget each keep
 one task in flight, but do not wait for each other.  Release and
 readiness run on the loop thread after each completion, so they need no
 locks.
-
-Requires an engine with ``supports_parallel_apply`` (concurrent
-``backend.apply`` calls); sessions fall back to serial otherwise.
 """
 
 from __future__ import annotations

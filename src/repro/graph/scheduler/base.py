@@ -174,8 +174,7 @@ class Scheduler:
 
     def __init__(self, backend, *, session=None,
                  memory=None, max_workers: Optional[int] = None,
-                 static_order: bool = True,
-                 requested_strategy: Optional[str] = None):
+                 static_order: bool = True):
         self.backend = backend
         self.session = session
         self._memory = memory
@@ -183,9 +182,6 @@ class Scheduler:
         #: apply the memory-aware static ordering pass
         #: (``executor.static_order``) before running.
         self.static_order = bool(static_order)
-        #: the strategy the caller asked for, when a capability fallback
-        #: substituted this scheduler (stats report both).
-        self.requested_strategy = requested_strategy
         #: the record the next run fills.  It exists before the run
         #: does, so planning that belongs to the run (the session's
         #: reuse pass) can already write to it.
@@ -224,8 +220,7 @@ class Scheduler:
 
     def _fresh_stats(self) -> ExecutionStats:
         return ExecutionStats(
-            strategy=self.requested_strategy or self.name,
-            effective_strategy=self.name,
+            strategy=self.name,
             max_workers=self.max_workers,
         )
 
@@ -236,7 +231,7 @@ class Scheduler:
             Tuple[ReadySet, ExecutionStats, float]]:
         """Everything around a strategy's driver: the run's record
         (bound here for the coordinating thread: planning reads, inline
-        nodes and a lazy engine's materialization count into it),
+        nodes and the roots' materialization count into it),
         planning, prefetch, and -- when the body raises -- the unwind.
 
         The body's driver has let its in-flight work drain by the time
@@ -327,10 +322,9 @@ class Scheduler:
             root.result = value
             results.append(value)
         if self.cache_state is not None:
-            # Roots, after materialization: on lazy backends this is
-            # the first (only) point the value is eager.  The whole
-            # run's wall is the honest replacement cost -- serving
-            # the root from cache skips exactly this run.
+            # Roots, after materialization.  The whole run's wall is
+            # the honest replacement cost -- serving the root from
+            # cache skips exactly this run.
             wall = time.perf_counter() - started
             for root, value in zip(roots, results):
                 self.cache_state.offer(root, value, wall)
@@ -493,8 +487,7 @@ class Scheduler:
         started = time.perf_counter()
         value = self.backend.apply(node, [inp.result for inp in node.inputs])
         if node.persist:
-            # Section 3.5: persist shared subexpressions.  On lazy
-            # backends this materializes (and pins) the partitions.
+            # Section 3.5: persist shared subexpressions.
             value = self.backend.persist(value)
         node.set_result(value)
         wall = time.perf_counter() - started

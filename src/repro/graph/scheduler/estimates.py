@@ -105,18 +105,13 @@ def _estimate(
             # consumer pays per partition
             return _SCALAR_BYTES
         return estimate_scan_bytes(node, metastore)
-    if op in ("shuffle_write", "shuffle_read"):
+    total = node.args.get("est_total")
+    if total is not None and op in ("shuffle_write", "shuffle_read"):
         # working set of the write, output size of the read: one bucket
-        total = node.args.get("est_total")
-        if total is None:
-            return None
         buckets = max(1, int(node.args.get("n_buckets", 1)))
         return max(1, int(total) // buckets)
-    if op == "partial_agg":
+    if total is not None and op == "partial_agg":
         # bounded by one partition of partials
-        total = node.args.get("est_total")
-        if total is None:
-            return None
         parts = max(1, int(node.args.get("n_parts", 1)))
         return max(1, int(total) // parts)
     if op == "from_cached":

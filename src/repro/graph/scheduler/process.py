@@ -27,9 +27,9 @@ must appear on the parent's stdout, in program order), shuffle-store
 and partition-stream plumbing (live locks / single-use iterators), and
 workers that return an unpicklable result all run inline on the
 coordination thread instead, with the session's accounting semantics
-unchanged.  Engines without
-``supports_parallel_apply`` never reach this class (the session falls
-back to serial).
+unchanged.  A scan ships with the :class:`~repro.io.source.Partition`
+objects it reads (byte ranges included), so a worker never re-lists a
+source against a metastore it does not have.
 
 Fault tolerance: shipped tasks are pure functions of already-
 materialized inputs, so when a worker dies mid-task
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import pickle
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.graph.node import Node
 from repro.graph.scheduler.base import (
@@ -115,7 +115,7 @@ class _UnpicklableResult:
         self.type_name = type_name
 
 
-def _pool_worker_init(backend_name: str) -> None:
+def _pool_worker_init(backend_factory: Callable[[], Any]) -> None:
     """Pool initializer: give the worker a clean runtime of its own.
 
     Runs in the child.  Fork-started workers inherit the parent's root
@@ -123,15 +123,16 @@ def _pool_worker_init(backend_name: str) -> None:
     must never OOM against the parent's budget, so the root session is
     rebuilt and the process manager unbudgeted.  Spawn-started workers
     import everything fresh and this is a no-op beyond backend setup.
+    The backend comes from the engine's own factory, so an engine of a
+    session's private registry runs in the worker too.
     """
     global _WORKER_BACKEND
-    from repro.backends.engine import DEFAULT_REGISTRY
     from repro.core.session import reset_root_session
     from repro.memory.manager import memory_manager
 
-    reset_root_session(backend=backend_name)
+    reset_root_session()
     memory_manager.budget = None
-    _WORKER_BACKEND = DEFAULT_REGISTRY.create(backend_name).backend
+    _WORKER_BACKEND = backend_factory()
 
 
 def _run_task(payload: bytes) -> Tuple[
@@ -174,7 +175,7 @@ def _run_task(payload: bytes) -> Tuple[
 
 
 def create_worker_pool(max_workers: int, start_method: Optional[str],
-                       backend_name: str):
+                       backend_factory: Callable[[], Any]):
     """A ``ProcessPoolExecutor`` whose workers run LaFP tasks.
 
     ``start_method=None`` picks ``fork`` where the platform has it
@@ -196,7 +197,7 @@ def create_worker_pool(max_workers: int, start_method: Optional[str],
         max_workers=max(1, int(max_workers)),
         mp_context=context,
         initializer=_pool_worker_init,
-        initargs=(backend_name,),
+        initargs=(backend_factory,),
     )
 
 
@@ -219,10 +220,11 @@ class ProcessScheduler(Scheduler):
         if self.session is not None:
             return self.session.process_pool(self.max_workers)
         if self._private_pool is None:
+            from repro.backends.engine import DEFAULT_REGISTRY
+
+            name = getattr(self.backend, "name", "pandas")
             self._private_pool = create_worker_pool(
-                self.max_workers, None,
-                getattr(self.backend, "name", "pandas"),
-            )
+                self.max_workers, None, DEFAULT_REGISTRY.spec(name).factory)
         return self._private_pool
 
     def _discard_pool(self, pool) -> None:

@@ -78,8 +78,7 @@ class ExecutionStats:
 
     #: the strategy the session asked for (``executor.strategy``).
     strategy: str
-    #: the strategy that actually ran (capability fallbacks may
-    #: downgrade ``threaded`` to ``serial`` on lazy engines).
+    #: the strategy that actually ran (the scheduler's own name).
     effective_strategy: Optional[str] = None
     max_workers: int = 1
     wall_seconds: float = 0.0
@@ -111,10 +110,10 @@ class ExecutionStats:
     partitions_total: int = _counter(
         "partitions the executed scans' sources have")
     shuffle_partitions: int = _counter(
-        "buckets a shuffle (a shuffle_write node, a Dask-sim join) wrote")
+        "buckets a shuffle (its shuffle_write nodes) wrote")
     bytes_spilled: int = _counter(
-        "tracked bytes shuffle stores and the Dask sim's partition store "
-        "pushed to disk, whenever the spill happened")
+        "tracked bytes the shuffle stores pushed to disk, whenever the "
+        "spill happened")
     broadcast_joins: int = _counter(
         "merges that streamed one side against a broadcast other "
         "instead of shuffling")
@@ -127,8 +126,7 @@ class ExecutionStats:
         "rows x columns the scans' readers materialized (before the "
         "predicate and the projection)")
     spill_files: int = _counter(
-        "spill files the shuffle stores and the Dask sim's partition "
-        "store made")
+        "spill files the shuffle stores made")
     #: was the memory-aware static ordering pass applied to this
     #: run's execution order (``executor.static_order``)?
     static_order: bool = False
@@ -208,9 +206,7 @@ class ExecutionStats:
         """Terminal rendering for ``explain(stats=True)``."""
         head = (
             f"strategy={self.strategy}"
-            + (f" (ran as {self.effective_strategy})"
-               if self.effective_strategy != self.strategy else "")
-            + f" workers={self.max_workers}"
+            f" workers={self.max_workers}"
             f" nodes={self.nodes_executed} cache_hits={self.cache_hits}"
             f" wall={self.wall_seconds:.4f}s"
             f" manager_peak={self.manager_peak_bytes}B"

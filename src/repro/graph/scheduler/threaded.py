@@ -15,12 +15,6 @@ progress is guaranteed.
 Worker calls go through :meth:`Scheduler._on_pool_thread`, so buffers
 allocated mid-node charge the owning session's memory manager and the
 work is counted into the run's record.
-
-Requires an engine whose :class:`~repro.backends.engine.EngineSpec`
-declares ``supports_parallel_apply``; sessions fall back to the serial
-strategy otherwise (lazy simulators build expression graphs where
-per-node parallelism buys nothing and shared stores are not
-thread-safe).
 """
 
 from __future__ import annotations

@@ -418,7 +418,7 @@ class ColumnarSource(DataSource):
         self,
         columns: Optional[Sequence[str]] = None,
         predicate=None,
-        partitions: Optional[Sequence[int]] = None,
+        partitions: Optional[Sequence] = None,
     ) -> List[Tuple[str, int, int]]:
         """Byte ranges a scan with these args will fetch, in read order
         (chunk-skipped row groups excluded -- pruned bytes stay pruned)."""

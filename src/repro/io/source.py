@@ -99,25 +99,30 @@ class DataSource:
         self,
         columns: Optional[Sequence[str]] = None,
         predicate: Optional[Predicate] = None,
-        partitions: Optional[Sequence[int]] = None,
+        partitions: Optional[Sequence] = None,
     ) -> Iterator[DataFrame]:
         """Iterate eager frames for the selected partitions.
 
-        ``partitions`` names partition *indices* to read (the optimizer's
-        pruning pass narrows this); ``None`` reads everything.
+        ``partitions`` names the partitions to read (the optimizer's
+        pruning pass narrows this), see :meth:`select_partitions`;
+        ``None`` reads everything.
         """
         for part in self.select_partitions(partitions):
             yield self.read_partition(part, columns=columns,
                                       predicate=predicate)
 
     def select_partitions(
-        self, partitions: Optional[Sequence[int]] = None
+        self, partitions: Optional[Sequence] = None
     ) -> List[Partition]:
-        parts = self.partitions()
+        """``partitions`` as :class:`Partition` objects: given so
+        (planned scans carry them, byte ranges included), looked up by
+        index, or -- ``None`` -- all of them."""
         if partitions is None:
-            return parts
+            return self.partitions()
+        if all(isinstance(p, Partition) for p in partitions):
+            return list(partitions)
         keep = set(partitions)
-        return [p for p in parts if p.index in keep]
+        return [p for p in self.partitions() if p.index in keep]
 
     def empty_frame(
         self,
@@ -149,7 +154,7 @@ class DataSource:
     def estimated_bytes(
         self,
         columns: Optional[Sequence[str]] = None,
-        partitions: Optional[Sequence[int]] = None,
+        partitions: Optional[Sequence] = None,
     ) -> Optional[int]:
         """Predicted in-memory bytes of scanning (post-projection,
         post-pruning); ``None`` when nothing is known.  Default: sum of

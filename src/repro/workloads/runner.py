@@ -425,7 +425,6 @@ class Runner:
         seconds = time.perf_counter() - start
         peak = session.memory.peak
         exec_stats = session.last_execution_stats
-        self._cleanup_engines(session)
 
         digest = None
         result_csv = os.path.join(result_dir, f"{program}.csv")
@@ -441,8 +440,7 @@ class Runner:
             error=error,
             result_hash=digest,
             stdout=captured.getvalue(),
-            # report what actually ran: capability fallbacks can downgrade
-            # the requested strategy (threaded on a lazy engine -> serial).
+            # report what actually ran
             strategy=(exec_stats.effective_strategy if exec_stats
                       else requested_strategy),
             source_format=source_format,
@@ -565,19 +563,9 @@ class Runner:
         return session
 
     def _reset_compat_state(self) -> None:
-        from repro.workloads import dask_compat, plotlib
+        from repro.workloads import plotlib
 
         plotlib.state.reset()
-        dask_compat.reset()
-
-    def _cleanup_engines(self, session: Session) -> None:
-        from repro.workloads import dask_compat
-
-        for engine in session._engines.values():
-            store = getattr(engine.backend, "store", None)
-            if store is not None:
-                store.clear()
-        dask_compat.reset()
 
     def cleanup(self) -> None:
         shutil.rmtree(self.workdir, ignore_errors=True)

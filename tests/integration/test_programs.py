@@ -82,14 +82,14 @@ def test_stdout_captured_not_leaked(runner, capsys):
 class TestSchedulerStrategies:
     """All three executor strategies reproduce the same paper results."""
 
+    @pytest.mark.parametrize("mode", ["lafp_pandas", "lafp_dask"])
     @pytest.mark.parametrize("program", ["nyt", "stu", "mov"])
     def test_strategies_hash_identical_on_paper_workloads(
-        self, runner, program
+        self, runner, program, mode
     ):
         hashes = {}
         for strategy in ("serial", "threaded", "fused"):
-            result = runner.run(program, "lafp_pandas", "S",
-                                strategy=strategy)
+            result = runner.run(program, mode, "S", strategy=strategy)
             assert result.ok, f"{strategy}: {result.error}"
             assert result.strategy == strategy
             hashes[strategy] = result.result_hash
@@ -115,12 +115,13 @@ class TestSchedulerStrategies:
         assert result.execution_stats is None
 
     def test_result_strategy_reports_what_actually_ran(self, runner):
-        """A lazy engine downgrades threaded to serial; the RunResult
-        must say so instead of echoing the request."""
+        """The RunResult reports the strategy that ran, on every engine:
+        the Dask engine's per-partition plan runs threaded too."""
         result = runner.run("nyt", "lafp_dask", "S", strategy="threaded")
         assert result.ok, result.error
-        assert result.strategy == "serial"
+        assert result.strategy == "threaded"
         assert result.execution_stats["strategy"] == "threaded"
+        assert result.execution_stats["effective_strategy"] == "threaded"
 
     def test_concurrent_cells_do_not_race_on_paths(self, runner):
         """The env-var and redirect seams are gone: two cells running

@@ -393,11 +393,10 @@ class TestStrategyEquivalence:
         self, tmp_path_factory, seed, key_range
     ):
         """A tight budget over a ~300KB join forces buckets to disk on
-        every backend (the Dask sim's join runs the same bucket stores);
-        spilled and resident runs must agree bit-for-bit.  On the eager
-        engines a budgeted parallel strategy runs one task at a time in
-        the static order, so it spills exactly what ``serial`` spills,
-        and holding ready tasks back shows up as throttle waits."""
+        every backend; spilled and resident runs must agree bit-for-bit.
+        A budgeted parallel strategy runs one task at a time in the
+        static order, so it spills exactly what ``serial`` spills, and
+        holding ready tasks back shows up as throttle waits."""
         tmp_dir = _fresh_dir(tmp_path_factory)
         rng = np.random.RandomState(seed)
         n = 4000
@@ -442,10 +441,9 @@ class TestStrategyEquivalence:
                         f"forced-spill run diverged: {backend}/{strategy}"
                     )
                 spilled[strategy] = stats["bytes_spilled"]
-                if backend != "dask" and strategy in PARALLEL_STRATEGIES:
+                if strategy in PARALLEL_STRATEGIES:
                     assert stats["throttle_waits"] > 0, (
                         f"{backend}/{strategy} never held a task back")
-            if backend != "dask":
-                assert len(set(spilled.values())) == 1, (
-                    f"{backend} spill volume depends on the strategy: "
-                    f"{spilled}")
+            assert len(set(spilled.values())) == 1, (
+                f"{backend} spill volume depends on the strategy: "
+                f"{spilled}")

@@ -43,7 +43,6 @@ class TestDaskEquivalence:
         size = os.path.getsize(path)
         backend = DaskBackend(partition_bytes=max(1, size // nparts))
         lazy = backend.read_csv(path=path).groupby("k")["v"].sum()
-        backend.store.clear()
 
         got = dict(zip(lazy.index.to_array(), lazy.values))
         want = dict(zip(eager.index.to_array(), eager.values))
@@ -63,7 +62,6 @@ class TestDaskEquivalence:
         backend = DaskBackend(partition_bytes=max(1, size // nparts))
         lazy = backend.read_csv(path=path)
         got = sorted(lazy[lazy["v"] > threshold].compute()["v"].to_list())
-        backend.store.clear()
         assert got == expected
 
 

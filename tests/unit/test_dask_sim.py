@@ -1,10 +1,16 @@
-"""Unit tests for the Dask simulator: lazy partitioned execution."""
+"""Unit tests for the Dask simulator: the task graph cut per partition.
+
+Baseline Dask mode's collections are lists of per-partition nodes, and a
+LaFP plan on the Dask engine is cut into the same nodes
+(``repro.core.optimizer.partitions``); both run on the one scheduler.
+"""
 
 import numpy as np
 import pytest
 
 from repro.backends import BackendUnsupported, DaskBackend
-from repro.backends.dask_sim.frame import DaskFrame, DaskScalar
+from repro.backends.dask_sim.frame import DaskFrame, DaskScalar, from_pandas
+from repro.core.session import current_session
 from repro.frame import DataFrame, read_csv
 from repro.memory import memory_manager
 from repro.workloads import pandas_compat
@@ -12,9 +18,7 @@ from repro.workloads import pandas_compat
 
 @pytest.fixture
 def backend():
-    b = DaskBackend(partition_bytes=2_000)
-    yield b
-    b.store.clear()
+    return DaskBackend(partition_bytes=2_000)
 
 
 @pytest.fixture
@@ -37,7 +41,12 @@ class TestLazyReads:
         frame = backend.read_csv(path=wide_csv)
         assert isinstance(frame, DaskFrame)
         assert frame.npartitions > 1
-        assert frame.expr.kind == "scan"
+        # one scan per partition, each carrying its byte range
+        assert all(part.op == "scan" for part in frame.parts)
+        assert not any(part.computed for part in frame.parts)
+        ranges = [part.args["partitions"][0].byte_range
+                  for part in frame.parts]
+        assert ranges == sorted(ranges) and len(set(ranges)) == len(ranges)
 
     def test_compute_assembles_all_rows(self, backend, wide_csv):
         frame = backend.read_csv(path=wide_csv)
@@ -100,7 +109,6 @@ class TestBlockwise:
         assert len(lazy.dropna().compute()) == 60
         filled = lazy.fillna(0.0).compute()
         assert not np.isnan(filled["a"].values).any()
-        b.store.clear()
 
 
 class TestAggregations:
@@ -217,7 +225,6 @@ class TestMerges:
         for name in expected.columns:
             assert out[name].dtype == expected[name].dtype
             assert out[name].to_list() == expected[name].to_list()
-        b.store.clear()
 
     def test_shuffle_join_spills_counts_and_cleans_up(self, make_csv, tmp_path):
         """A Dask shuffle join runs the shared bucket stores: under a
@@ -284,7 +291,7 @@ class TestPartitionCountMismatch:
     def test_blockwise_over_different_cuts_is_unsupported(self, backend,
                                                           wide_csv):
         lazy = backend.read_csv(path=wide_csv)
-        one = backend.adopt_cached(read_csv(wide_csv)["v"])
+        one = from_pandas(read_csv(wide_csv), backend, npartitions=1)["v"]
         assert lazy.npartitions > 1 and one.npartitions == 1
         with pytest.raises(BackendUnsupported):
             lazy.with_column("w", one)
@@ -318,31 +325,45 @@ class TestPartitionStoreLifetime:
                 live[name] = session.memory.live
         assert live["dask"] == live["pandas"]
 
-    def test_spill_directory_made_on_first_spill_and_removed(
-        self, make_csv, tmp_path
-    ):
+    def test_spills_leave_no_directory_behind(self, make_csv, tmp_path):
+        """A budgeted Dask run spills through the shuffle stores, under
+        ``memory.spill_dir``, and leaves nothing there: no store's file
+        and no ``lafp-spill-*`` directory of a partition store."""
         import os
 
+        import repro.lazyfatpandas.pandas as lfp
         from repro.core.session import Session
+        from repro.io.spill import live_store_count
 
-        path = make_csv({"s": [f"text-{i:07d}-xxxxxxxx" for i in range(2000)]})
+        left_path, right_path = _join_tables(make_csv)
         spill_dir = str(tmp_path / "spill")
         with Session(backend="dask", options={
-            "memory.spill_dir": spill_dir,
+            "memory.budget": 300_000, "memory.spill_dir": spill_dir,
         }) as session:
-            b = session.backend
-            pinned = b.read_csv(path=path).persist()
-            assert not os.path.exists(spill_dir)  # nothing spilled yet
-            b.store.spill_all()
-            (made,) = os.listdir(spill_dir)
-            assert made.startswith("lafp-spill-")
-            assert len(os.listdir(os.path.join(spill_dir, made))) == (
-                pinned.npartitions)
-            assert len(pinned.compute()) == 2000
-            del pinned  # a handle's file goes with it
-            assert os.listdir(os.path.join(spill_dir, made)) == []
-            b.store.clear()
-            assert os.listdir(spill_dir) == []
+            left = lfp.scan_csv(left_path, partition_bytes=8192)
+            left["w"] = left.v + 0  # not a bare scan: cut, not lowered
+            right = lfp.scan_csv(right_path, partition_bytes=256)
+            out = left.merge(right, on="k", how="right").collect()
+            stats = session.last_execution_stats
+        assert stats.spill_files > 0 and stats.bytes_spilled > 0
+        assert len(out) == len(read_csv(left_path).merge(
+            read_csv(right_path), on="k", how="right"))
+        assert live_store_count() == 0
+        assert os.listdir(spill_dir) == []
+
+
+def _join_tables(make_csv):
+    """A 3000-row table with a string payload and a 160-row one whose
+    keys match a few of its rows: the join's inputs dwarf its output."""
+    n = 3000
+    left = make_csv({
+        "k": np.arange(n) % 997, "v": np.arange(n),
+        "s": np.array([f"text-{i:07d}-xxxxxxxx" for i in range(n)],
+                      dtype=object),
+    }, "left.csv")
+    right = make_csv({"k": np.arange(900, 1060),
+                      "r": [f"r{i:05d}" for i in range(160)]}, "right.csv")
+    return left, right
 
 
 class TestUnsupportedOps:
@@ -372,34 +393,30 @@ class TestPersistAndSpill:
     def test_persist_materializes(self, backend, wide_csv):
         lazy = backend.read_csv(path=wide_csv)
         pinned = lazy.persist()
-        assert pinned.expr.kind == "materialized"
+        assert all(part.computed and part.persist for part in pinned.parts)
         assert len(pinned.compute()) == 500
 
     def test_spill_under_pressure_still_correct(self, make_csv):
-        n = 2000
-        path = make_csv(
-            {
-                "k": np.arange(n) % 10,
-                "s": np.array([f"text-{i:07d}-xxxxxxxx" for i in range(n)], dtype=object),
-            },
-            "big.csv",
-        )
-        eager_total = read_csv(path).groupby("k")["k"].count()
-        frame_bytes = read_csv(path).nbytes
+        """A join whose inputs do not fit the budget spills its shuffle
+        stores and still matches the eager join."""
+        left_path, right_path = _join_tables(make_csv)
+        expected = read_csv(left_path).merge(read_csv(right_path), on="k")
         memory_manager.reset()
-        memory_manager.budget = int(frame_bytes * 0.6)  # cannot hold it all
+        memory_manager.budget = 300_000
         try:
-            b = DaskBackend(partition_bytes=2_000)
-            lazy = b.read_csv(path=path)
-            pinned = lazy.persist()  # must spill to fit
-            out = pinned.groupby("k")["k"].count()
-            assert b.store.spill_count > 0
-            assert dict(zip(out.index.to_array(), out.values)) == dict(
-                zip(eager_total.index.to_array(), eager_total.values)
-            )
-            b.store.clear()
+            b = DaskBackend(partition_bytes=8192)
+            lazy = b.read_csv(path=left_path)
+            right = b.read_csv(path=right_path, partition_bytes=256)
+            assert lazy.npartitions > 1 and right.npartitions > 1
+            out = lazy.merge(right, on="k").compute()
+            stats = current_session().last_execution_stats
+            assert stats.spill_files > 0 and stats.bytes_spilled > 0
         finally:
             memory_manager.budget = None
+        assert out.columns == expected.columns
+        for name in out.columns:
+            np.testing.assert_array_equal(out[name].values,
+                                          expected[name].values)
 
     def test_oom_when_materializing_too_much(self, make_csv):
         n = 3000
@@ -415,7 +432,6 @@ class TestPersistAndSpill:
             lazy = b.read_csv(path=path)
             with pytest.raises(MemoryError):
                 lazy.compute()  # full materialization cannot fit
-            b.store.clear()
         finally:
             memory_manager.budget = None
 
@@ -429,7 +445,7 @@ class TestPinnedPartitionsSurviveMaterialize:
 
     def test_compute_leaves_pinned_partitions_intact(self, backend, wide_csv):
         pinned = backend.read_csv(path=wide_csv).persist()
-        assert pinned.expr.npartitions >= 2
+        assert pinned.npartitions >= 2
         first = pinned.compute()
         again = pinned.compute()
         assert again.columns == first.columns == ["k", "v", "g", "pad"]
@@ -455,3 +471,119 @@ class TestPinnedPartitionsSurviveMaterialize:
             got = per_group.compute(live_df=[])
         assert got.index.to_array().tolist() == expected.index.to_array().tolist()
         np.testing.assert_allclose(got.values, expected.values)
+
+
+class TestPartitionCut:
+    """A LaFP plan on the Dask engine is cut per partition and runs on
+    every strategy, bit-identical to the eager engine."""
+
+    @staticmethod
+    def _queries(path):
+        import repro.lazyfatpandas.pandas as lfp
+
+        df = lfp.scan_csv(path, partition_bytes=2_000)
+        df = df[df.v > 10.0]
+        df["w"] = df.v * 2 + df.k
+        dim = lfp.DataFrame({"k": list(range(20)),
+                             "label": [f"L{i}" for i in range(20)]})
+        joined = df.merge(dim, on="k")
+        return [
+            joined.groupby(["g"])["w"].sum(),
+            joined.groupby(["label"]).agg({"v": "mean", "k": "max"}),
+            df.w.sum(), df.w.mean(), df.drop_duplicates(subset=["g"]),
+            df.nlargest(3, "v"), df.head(7),
+            df.sort_values("v"),  # no partition-wise form: the fallback
+        ]
+
+    @pytest.mark.parametrize("strategy",
+                             ["serial", "threaded", "process", "async"])
+    def test_every_strategy_matches_pandas(self, wide_csv, strategy):
+        from repro.core.session import Session
+
+        with Session(backend="pandas"):
+            expected = [q.collect() for q in self._queries(wide_csv)]
+        with Session(backend="dask", options={
+            "executor.strategy": strategy, "executor.max_workers": 2,
+        }) as session:
+            got, tasks = [], 0
+            for query in self._queries(wide_csv):
+                got.append(query.collect())
+                assert session.last_optimize_report["partitions_cut"] > 0
+                stats = session.last_execution_stats
+                assert stats.effective_strategy == strategy
+                tasks += stats.process_tasks
+        if strategy == "process":
+            assert tasks > 0  # per-partition chains pickled to workers
+        for want, have in zip(expected, got):
+            if isinstance(want, DataFrame):
+                assert have.columns == want.columns
+                pairs = [(have[c].values, want[c].values) for c in want.columns]
+            elif hasattr(want, "values"):
+                pairs = [(have.values, want.values)]
+            else:
+                pairs = [(np.asarray(have), np.asarray(want))]
+            for h, w in pairs:
+                if w.dtype.kind == "f":
+                    # partial sums associate differently: last bits only
+                    np.testing.assert_allclose(h, w, rtol=1e-12)
+                else:
+                    np.testing.assert_array_equal(h, w)
+
+    def test_one_piece_plans_stay_uncut(self, wide_csv):
+        import repro.lazyfatpandas.pandas as lfp
+        from repro.core.session import Session
+
+        with Session(backend="dask") as session:
+            lfp.read_csv(wide_csv).groupby("g")["v"].sum().collect()
+            assert session.last_optimize_report["partitions_cut"] == 0
+
+    def test_pinned_frame_is_read_whole(self, wide_csv):
+        """A frame kept live past a collect is held whole, so its plan is
+        not cut: the run never holds its pieces and their concat at once,
+        and peaks where the eager engine does."""
+        import repro.lazyfatpandas.pandas as lfp
+        from repro.core.session import Session
+
+        peaks, values = {}, {}
+        for name in ("pandas", "dask"):
+            with Session(backend=name) as session:
+                df = lfp.scan_csv(wide_csv, partition_bytes=2_000)
+                df = df[df.v > 10.0]
+                got = df.groupby("g")["v"].sum().compute(live_df=[df])
+                peaks[name], values[name] = session.memory.peak, got.values
+                if name == "dask":
+                    report = session.last_optimize_report
+                    assert report["persisted"] == 1
+                    assert report["partitions_cut"] == 0
+        assert peaks["dask"] == peaks["pandas"]
+        np.testing.assert_array_equal(values["dask"], values["pandas"])
+
+    def test_invariant_tool_rejects_a_second_executor(self):
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        path = (Path(__file__).resolve().parents[2] / "tools"
+                / "check_invariants.py")
+        spec = importlib.util.spec_from_file_location("check_invariants",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        for second in (
+            "class Expr:\n    pass",
+            "class Evaluator:\n    pass",
+            "value = evaluator.eval_partition(expr, 0)",
+            "def eval_partition(self, expr, i): ...",
+            "from repro.backends.dask_sim.store import PartitionStore",
+            "store = PartitionStore()",
+            "marked = persist_shared_nodes(roots)",
+            "if session.engine.is_lazy:\n    pass",
+            "is_lazy = True",
+        ):
+            assert list(tool.check_one_partitioned_executor(
+                ast.parse(second), "backends/dask_backend.py")), second
+        # other classes and names pass
+        assert not list(tool.check_one_partitioned_executor(
+            ast.parse("class DaskFrame:\n    is_lazy_safe = 1"),
+            "backends/dask_sim/frame.py"))
+        assert tool.run() == []

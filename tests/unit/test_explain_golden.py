@@ -152,18 +152,6 @@ class TestExplainGolden:
         assert raw == _sections(before)[0] == RAW_PLAN
         assert optimized == "N1 held"
 
-    def test_explain_restores_persist_marks(self, trips_csv):
-        """On a lazy backend the optimizer pins shared nodes -- of the
-        plan it was handed, never of the user's graph."""
-        with Session(backend="dask") as session:
-            df = lfp.read_csv(trips_csv)
-            filtered = df[df.fare > 0]
-            # two consumers of `filtered` => persist_shared_nodes fires
-            total = filtered.passengers.sum() + filtered.fare.sum()
-            assert "[persist]" in total.explain()
-            assert not filtered.node.persist
-            assert session.persisted == []
-
     def test_raw_only(self, trips_csv):
         with Session(backend="pandas"):
             out = quickstart_pipeline(trips_csv)

@@ -7,7 +7,6 @@ import repro.lazyfatpandas.pandas as lfp
 from repro.core.optimizer import (
     apply_metadata_hints,
     eliminate_common_subexpressions,
-    persist_shared_nodes,
     push_down_predicates,
     push_down_projections,
 )
@@ -198,21 +197,6 @@ class TestCSE:
         p1 = Node("print", args={"segments": []})
         p2 = Node("print", args={"segments": []})
         assert eliminate_common_subexpressions([p1, p2]) == 0
-
-    def test_persist_shared_nodes_marks_multi_consumer_frames(self, taxi_csv):
-        df = lfp.read_csv(taxi_csv)
-        filtered = df[df.fare_amount > 0]
-        a = filtered.passenger_count.sum()
-        b = filtered.tip_amount.sum()
-        marked = persist_shared_nodes([a.node, b.node])
-        assert filtered.node in marked
-
-    def test_persist_shared_ignores_single_consumer(self, taxi_csv):
-        df = lfp.read_csv(taxi_csv)
-        filtered = df[df.fare_amount > 0]
-        a = filtered.passenger_count.sum()
-        marked = persist_shared_nodes([a.node])
-        assert filtered.node not in marked
 
 
 class TestProjectionPushdown:

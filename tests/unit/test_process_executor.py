@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro.lazyfatpandas.pandas as lfp
+from repro.backends import PandasBackend
 from repro.core.session import Session
 from repro.graph import Node
 from repro.graph.scheduler import (
@@ -165,13 +166,17 @@ class TestProcessShipping:
         assert stats.effective_strategy == "process"
         assert stats.process_tasks >= 1
 
-    def test_lazy_engine_falls_back_to_serial(self, numbers_csv):
+    def test_dask_engine_ships_partition_tasks(self, numbers_csv):
+        """No serial fallback: the Dask plan is cut per partition and
+        each partition's chain ships to the pool like any task."""
+        expected = int((np.arange(150) - 20).sum())
         with Session(backend="dask",
                      options={"executor.strategy": "process"}) as session:
-            lfp.read_csv(numbers_csv).x.sum().collect()
+            got = lfp.scan_csv(numbers_csv, partition_bytes=256).x.sum()
+            assert got.collect() == expected
             stats = session.last_execution_stats
-            assert stats.strategy == "process"
-            assert stats.effective_strategy == "serial"
+            assert stats.strategy == stats.effective_strategy == "process"
+            assert stats.process_tasks > 1
 
     def test_print_side_effect_runs_on_parent_stdout(
         self, numbers_csv, capsys
@@ -317,8 +322,6 @@ class TestPoolLifecycle:
                 assert session.process_pool() is not pool
 
     def test_sessionless_scheduler_uses_private_pool(self):
-        from repro.backends import PandasBackend
-
         scheduler = ProcessScheduler(PandasBackend(), max_workers=2)
         src = Node("from_data", args={"data": {"x": [1, 2, 3, 4]}})
         column = Node("getitem_column", inputs=[src], args={"column": "x"})
@@ -356,7 +359,7 @@ class TestPoolLifecycle:
         """The worker entry point itself: steps replay against the
         worker's backend and the final result pickles back, beside the
         worker's account of the work (counters, bytes per step)."""
-        pool = create_worker_pool(1, None, "pandas")
+        pool = create_worker_pool(1, None, PandasBackend)
         try:
             steps = [
                 ("from_data", {"data": {"x": [2, 3]}}, []),

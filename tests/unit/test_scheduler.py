@@ -289,14 +289,21 @@ class TestStrategyEquivalence:
                     session.last_execution_stats.effective_strategy == strategy
                 )
 
-    def test_threaded_falls_back_to_serial_on_lazy_engine(self, numbers_csv):
+    def test_threaded_runs_parallel_on_dask_engine(self, numbers_csv):
+        """No capability fallback: the Dask engine's plan is the task
+        graph cut per partition, and the pool runs its partitions."""
         with Session(backend="dask",
-                     options={"executor.strategy": "threaded"}) as s:
-            df = lfp.read_csv(numbers_csv)
-            df.x.sum().collect()
+                     options={"executor.strategy": "threaded",
+                              "executor.max_workers": 3}) as s:
+            df = lfp.scan_csv(numbers_csv, partition_bytes=64)
+            expected = int((np.arange(120) - 17).sum())
+            assert df.x.sum().collect() == expected
             stats = s.last_execution_stats
-            assert stats.strategy == "threaded"
-            assert stats.effective_strategy == "serial"
+            assert stats.strategy == stats.effective_strategy == "threaded"
+            assert s.last_optimize_report["partitions_cut"] > 0
+            assert all(
+                stat.worker.startswith("lafp-worker") for stat in stats.nodes
+            )
 
     def test_threaded_runs_parallel_on_eager_engine(self, numbers_csv):
         with Session(backend="pandas",
@@ -704,13 +711,13 @@ class TestOneStatsModel:
         original = shuffle_ops.drain_bucket
         forced = []
 
-        def spill_then_read(store, bucket):
+        def spill_then_read(stores, bucket):
             # this store's write phase is over, and (no budget) spilled
             # nothing; now every resident chunk of every store goes
             if not forced:
-                assert store.bytes_spilled == 0
+                assert [store.bytes_spilled for store in stores] == [0]
             forced.append(spill_live_stores(1 << 62))
-            return original(store, bucket)
+            return original(stores, bucket)
 
         monkeypatch.setattr(shuffle_ops, "drain_bucket", spill_then_read)
         with Session(backend="pandas", options={

@@ -428,9 +428,9 @@ class TestEngines:
 
     def test_capability_descriptors(self):
         dask = DEFAULT_REGISTRY.spec("dask")
-        assert dask.is_lazy and dask.partitioned and dask.out_of_core
+        assert dask.partitioned and dask.out_of_core
         pandas = DEFAULT_REGISTRY.spec("pandas")
-        assert not pandas.is_lazy and not pandas.partitioned
+        assert not pandas.partitioned and not pandas.out_of_core
 
     def test_custom_registry_injection(self, numbers_csv):
         from repro.backends.pandas_backend import PandasBackend

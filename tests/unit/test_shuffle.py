@@ -22,7 +22,7 @@ import repro.lazyfatpandas.pandas as lfp
 from repro.core.session import Session
 
 STRATEGIES = ["serial", "threaded", "fused"]
-BACKENDS = ["pandas", "modin"]
+BACKENDS = ["pandas", "modin", "dask"]
 
 #: forces lowering on the small fixtures (their disk estimates are a
 #: few KB) while leaving room for the tiny right side to broadcast
@@ -110,11 +110,6 @@ def _columns_equal(ca, cb) -> bool:
     return bool(np.asarray(eq).all())
 
 
-def _rows_sorted(frame):
-    cols = [frame.column(c).to_array().tolist() for c in frame.columns]
-    return sorted(zip(*cols), key=repr)
-
-
 def _run(pipeline, backend="pandas", strategy="serial", options=None):
     opts = {"executor.strategy": strategy}
     opts.update(options or {})
@@ -166,20 +161,23 @@ class TestMergeEquivalence:
         assert stats["shuffle_partitions"] == 0
         assert _equal(base, out)
 
-    def test_lazy_backend_never_lowered(self, wide_csv, rightbig_csv):
+    def test_dask_cut_join_matches_the_lowered_one(self, wide_csv,
+                                                   rightbig_csv):
+        """A join the shuffle lowering cannot take (its inputs are not
+        bare scans) is cut per partition on the Dask engine: one bucket
+        shuffle over per-partition writes, the eager row order."""
         def pipeline():
             left = lfp.scan_csv(wide_csv, partition_bytes=2048)
+            left["w"] = left.v * 2
             right = lfp.scan_csv(rightbig_csv, partition_bytes=512)
-            return left.merge(right, on="k", how="inner")
+            return left.merge(right, on="k", how="outer")
 
         base, *_ = _run(pipeline)
-        out, report, _ = _run(pipeline, backend="dask", options={
-            "optimizer.shuffle_threshold_bytes": 100,
-        })
+        out, report, stats = _run(pipeline, backend="dask")
         assert report["shuffle_lowered"] == 0
-        # the lazy engine shuffles internally and owns its row order:
-        # compare as row multisets
-        assert _rows_sorted(base) == _rows_sorted(out)
+        assert report["partitions_cut"] > 0
+        assert stats["shuffle_partitions"] > 0
+        assert _equal(base, out)
 
 
 class TestGroupbyEquivalence:

@@ -510,12 +510,17 @@ class TestPartitionPruning:
         assert stats.partitions_total == 4
         assert got.column("v").to_array().tolist() == list(range(18, 24))
 
+    @pytest.mark.parametrize("backend", ["pandas", "dask"])
+    @pytest.mark.parametrize("strategy", ["serial", "threaded", "process"])
     def test_dataset_leaves_split_into_byte_range_partitions(
-        self, hive_root, metastore
+        self, hive_root, metastore, strategy, backend
     ):
         """Per-byte-range stats on hive leaves turn each leaf into
         several prunable pieces: a payload predicate then prunes at
-        sub-file granularity, not just whole leaves."""
+        sub-file granularity, not just whole leaves.  The scan ships the
+        kept pieces' byte ranges, so a pool worker -- which has no
+        handle on a metastore injected into the parent's session --
+        reads exactly those."""
         from repro.frame.io_csv import scan_partitions
 
         source = DatasetSource(hive_root)
@@ -525,10 +530,8 @@ class TestPartitionPruning:
                 leaf["path"], sample_rows=None, partition_ranges=ranges
             )
 
-        # serial: a pool worker resolves sources against its own
-        # metastore, not one injected into the parent's session object
-        with Session(backend="pandas",
-                     options={"executor.strategy": "serial"}) as session:
+        with Session(backend=backend,
+                     options={"executor.strategy": strategy}) as session:
             session.metastore = metastore
             lf = lfp.scan_dataset(hive_root)
             pruned = lf[lf["v"] >= 15].collect()
@@ -799,9 +802,9 @@ class TestTopLevelApi:
 
     def test_shared_csv_leaf_is_read_once_on_dask(self, make_csv,
                                                   monkeypatch):
-        """A leaf two consumers share is pinned on the lazy engine
-        (section 3.5), so each of its partitions is read once -- not
-        once per consumer."""
+        """A leaf two consumers share is cut into per-partition scans
+        both consumers read, so each partition is read once -- not once
+        per consumer.  (Counted in this process: a serial run.)"""
         path = make_csv({"a": np.arange(400), "b": np.arange(400) % 9})
         reads = []
         original = CsvSource.read_partition
@@ -814,7 +817,8 @@ class TestTopLevelApi:
         for read in (lfp.read_csv,
                      lambda p: lfp.scan_csv(p, partition_bytes=512)):
             del reads[:]
-            with Session(backend="dask"):
+            with Session(backend="dask",
+                         options={"executor.strategy": "serial"}):
                 lf = read(path)
                 both = lfp.concat([lf[lf["b"] > 4], lf[lf["b"] <= 4]])
                 assert len(both.collect()) == 400

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Eleven structural rules the linters cannot express, checked with
+Twelve structural rules the linters cannot express, checked with
 nothing but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -103,6 +103,15 @@ nothing but the stdlib ``ast`` module:
     for the Dask sim's undershooting bucket estimate), or the names
     ``_guarded``, ``_OOM_RETRYABLE_OPS``, ``_apply_with_spill_retry`` and
     ``_resolve_auto_workers``.
+
+12. **One partitioned executor.**  The Dask engine runs the task graph
+    cut per partition (``core/optimizer/partitions.py``) on the one
+    scheduler; baseline Dask mode builds the same per-partition nodes.
+    The simulator's second executor must not come back under
+    ``src/repro``: a ``class Expr`` graph, a ``class Evaluator`` or an
+    ``eval_partition`` walk, a ``PartitionStore`` of its own beside the
+    shuffle stores, ``persist_shared_nodes`` pinning around it, or an
+    ``is_lazy`` flag for the planner and the session to branch on.
 
 Usage::
 
@@ -706,11 +715,46 @@ def check_one_memory_rule(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 12: one partitioned executor
+
+#: the Dask sim's deleted executor and the branches around it.
+_SECOND_EXECUTOR_CLASSES = frozenset({"Expr", "Evaluator"})
+_SECOND_EXECUTOR_NAMES = frozenset({
+    "eval_partition", "PartitionStore", "persist_shared_nodes", "is_lazy",
+})
+
+
+def check_one_partitioned_executor(tree: ast.Module,
+                                   rel: str) -> Iterator[str]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names = [node.name.rsplit(".", 1)[-1], node.asname]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.append(node.name)
+            elif (isinstance(node, ast.ClassDef)
+                  and node.name in _SECOND_EXECUTOR_CLASSES):
+                names.append(f"class {node.name}")
+        lineno = getattr(node, "lineno", 0)
+        for name in names:
+            if name in _SECOND_EXECUTOR_NAMES or (
+                    name or "").startswith("class "):
+                yield (
+                    f"src/repro/{rel}:{lineno}: {name} -- the Dask engine "
+                    f"is the task graph cut per partition "
+                    f"(core/optimizer/partitions.py) on the one scheduler; "
+                    f"no second executor, store or lazy-engine branch"
+                )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
           check_one_aggregate_plan, check_one_stats_model,
-          check_one_join_plan, check_one_memory_rule)
+          check_one_join_plan, check_one_memory_rule,
+          check_one_partitioned_executor)
 
 
 def run(src: Path = SRC) -> List[str]:
