@@ -9,7 +9,10 @@ columns that ``set_index`` / ``groupby(as_index=True)`` introduce.
 
 The pass is a single forward walk in topological order with one
 *transfer function per operator* (:data:`SCHEMA_RULES`); results are
-memoized per node within the pass.  Inference is three-valued by
+memoized per node within the pass.  A scan's header, footer dtypes and
+metastore entry come from the session's source table
+(:mod:`repro.io.source_table`), read once per session however many
+passes infer over the plan.  Inference is three-valued by
 design: anything not statically derivable degrades to *unknown*
 (``columns is None``), never to a guess -- lint rules only fire on known
 facts, and byte estimates fall back to their old heuristics.
@@ -172,52 +175,34 @@ def schema_rule(*ops: str) -> Callable[[TransferFn], TransferFn]:
 
 
 class SchemaContext:
-    """Pass-wide state: the session's metastore and a per-path source
-    schema cache (resolving a source may touch the filesystem once)."""
+    """Pass-wide state: the session, whose source table holds each
+    scan's source -- its header (or footer) and metastore entry are read
+    once per session, not once per pass (:mod:`repro.io.source_table`)."""
 
     def __init__(self, session=None):
         self.session = session
         self.metastore = getattr(session, "metastore", None)
-        self._source_cache: Dict[Tuple[str, str], Optional[List[str]]] = {}
-        self._dtype_cache: Dict[Tuple[str, str], Dict[str, str]] = {}
 
-    def source_schema(self, args: dict) -> Optional[List[str]]:
-        key = (str(args.get("format")), str(args.get("path")))
-        if key not in self._source_cache:
-            try:
-                from repro.io.registry import resolve_source
+    def scan_facts(self, args: dict) -> Tuple[Optional[List[str]],
+                                              Dict[str, str]]:
+        """A scan's physical columns (``None`` when unknown) and the
+        dtypes its source knows: the metastore's sampled ones under the
+        authoritative ones a columnar footer declares."""
+        from repro.io.source_table import session_source
 
-                source = resolve_source(args, metastore=self.metastore)
-                self._source_cache[key] = list(source.schema())
-            except Exception:  # noqa: BLE001 - missing file, bad format
-                self._source_cache[key] = None
-        return self._source_cache[key]
-
-    def file_dtypes(self, path: Optional[str]) -> Dict[str, str]:
-        if path is None or self.metastore is None:
-            return {}
         try:
-            meta = self.metastore.get(path)
-        except Exception:  # noqa: BLE001 - unreadable store entry
-            return {}
-        if meta is None:
-            return {}
-        return {name: stats.dtype for name, stats in meta.columns.items()}
-
-    def source_dtypes(self, args: dict) -> Dict[str, str]:
-        """Dtypes declared by the source itself (a columnar footer):
-        authoritative -- the file records what it stores, no sampling."""
-        key = (str(args.get("format")), str(args.get("path")))
-        if key not in self._dtype_cache:
-            try:
-                from repro.io.registry import resolve_source
-
-                source = resolve_source(args, metastore=self.metastore)
-                hook = getattr(source, "dtypes", None)
-                self._dtype_cache[key] = dict(hook()) if hook else {}
-            except Exception:  # noqa: BLE001 - missing file, bad footer
-                self._dtype_cache[key] = {}
-        return dict(self._dtype_cache[key])
+            source = session_source(args, self.metastore, self.session)
+            schema = list(source.schema())
+        except Exception:  # noqa: BLE001 - missing file, bad format
+            return None, {}
+        try:
+            meta = source.file_meta()
+            dtypes = {name: stats.dtype for name, stats in
+                      (meta.columns.items() if meta else ())}
+            dtypes.update(getattr(source, "dtypes", dict)())
+        except Exception:  # noqa: BLE001 - unreadable entry, bad footer
+            dtypes = {}
+        return schema, dtypes
 
 
 def infer_schemas(
@@ -266,15 +251,12 @@ def _first(inputs: List[NodeSchema]) -> NodeSchema:
 
 @schema_rule("scan")
 def _scan_schema(node, inputs, ctx) -> NodeSchema:
-    schema = ctx.source_schema(node.args)
-    if schema is None:
+    columns, dtypes = ctx.scan_facts(node.args)
+    if columns is None:
         return NodeSchema.unknown(FRAME)
-    columns = list(schema)
     if node.args.get("columns") is not None:
         wanted = set(node.args["columns"])
         columns = [c for c in columns if c in wanted]
-    dtypes = ctx.file_dtypes(node.args.get("path"))
-    dtypes.update(ctx.source_dtypes(node.args))
     for name, spec in (node.args.get("dtype") or {}).items():
         norm = normalize_dtype(spec)
         if norm:

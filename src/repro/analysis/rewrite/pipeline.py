@@ -86,7 +86,6 @@ def optimize_program(
     else:
         module = rewrite_shell_no_print(module, pandas_alias)
 
-    ast.fix_missing_locations(module)
     return ast.unparse(module), report
 
 
@@ -104,6 +103,4 @@ def rewrite_shell_no_print(module: ast.Module, pandas_alias) -> ast.Module:
 
     body = [_rewrite_import(s) for s in module.body]
     body = [s for s in body if not _is_analyze_call(s, pandas_alias)]
-    out = ast.Module(body=body, type_ignores=[])
-    ast.fix_missing_locations(out)
-    return out
+    return ast.Module(body=body, type_ignores=[])

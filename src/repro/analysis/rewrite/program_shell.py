@@ -49,9 +49,7 @@ def rewrite_shell(module: ast.Module, pandas_alias: Optional[str]) -> ast.Module
             )
         )
 
-    out = ast.Module(body=body, type_ignores=[])
-    ast.fix_missing_locations(out)
-    return out
+    return ast.Module(body=body, type_ignores=[])
 
 
 def _rewrite_import(stmt: ast.stmt) -> ast.stmt:

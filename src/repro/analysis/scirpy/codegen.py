@@ -27,9 +27,7 @@ def cfg_to_source(cfg: CFG) -> str:
     """Rebuild Python source from a (possibly rewritten) CFG."""
     region = build_regions(cfg)
     body = region_to_stmts(region)
-    module = ast.Module(body=body or [ast.Pass()], type_ignores=[])
-    ast.fix_missing_locations(module)
-    return ast.unparse(module)
+    return ast.unparse(ast.Module(body=body or [ast.Pass()], type_ignores=[]))
 
 
 def region_to_stmts(region: Optional[Region]) -> List[ast.stmt]:
@@ -52,12 +50,12 @@ def region_to_stmts(region: Optional[Region]) -> List[ast.stmt]:
         body = region_to_stmts(region.body) or [ast.Pass()]
         if region.header.loop_kind == "while":
             return [ast.While(test=header.test, body=body, orelse=[])]
-        return [
-            ast.For(
-                target=header.target,
-                iter=header.iter,
-                body=body,
-                orelse=[],
-            )
-        ]
+        # ast.unparse reads a for loop's line (its type-comment lookup);
+        # of the statements rebuilt here only the loop needs one
+        return [ast.copy_location(ast.For(
+            target=header.target,
+            iter=header.iter,
+            body=body,
+            orelse=[],
+        ), header)]
     raise TypeError(f"unknown region type {type(region).__name__}")

@@ -37,21 +37,24 @@ class Backend:
     # -- frame construction ----------------------------------------------
 
     def scan(self, args: dict):
-        """Execute a ``scan`` node: resolve the source named by
-        ``args['format']`` through the source registry and materialize
-        the selected partitions (projection and folded predicate applied
-        inside the source).  Eager backends concatenate the per-partition
-        frames; partitioned backends override to keep the pieces apart.
+        """Execute a ``scan`` node: take the session's source for the
+        args (:mod:`repro.io.source_table`), bound to the scan's read
+        options, and materialize the selected partitions (projection and
+        folded predicate applied inside the source).  Eager backends
+        concatenate the per-partition frames; partitioned backends
+        override to keep the pieces apart.
         """
         from repro.core.session import current_session
         from repro.frame.concat import concat_consuming
-        from repro.io import Predicate, resolve_source
+        from repro.io import Predicate
+        from repro.io.source_table import session_source
 
         # the metastore must match the one the optimizer pruned against:
         # sub-file partition stats change the partition SET (one piece
         # per byte range), so resolving without it would misalign the
         # pruned partition indices.
-        source = resolve_source(args, metastore=current_session().metastore)
+        session = current_session()
+        source = session_source(args, session.metastore, session).bind(args)
         predicate = Predicate.from_arg(args.get("predicate"))
         if args.get("stream"):
             # the shuffle lowering marked this scan: its sole consumer

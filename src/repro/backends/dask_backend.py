@@ -42,7 +42,7 @@ class DaskBackend(PandasBackend):
         from repro.backends.dask_sim.frame import DaskFrame
         from repro.core.optimizer.partitions import partition_bytes, scan_parts
         from repro.core.session import current_session
-        from repro.io.registry import resolve_source
+        from repro.io.source_table import session_source
 
         args = {"format": "csv", "path": path, **options}
         if usecols is not None:
@@ -50,7 +50,7 @@ class DaskBackend(PandasBackend):
         session = current_session()
         parts = scan_parts(args, session.metastore, partition_bytes(
             self.partition_bytes, session.memory.budget))
-        columns = resolve_source(args).schema()
+        columns = session_source(args, session.metastore, session).schema()
         if usecols is not None:
             keep = set(usecols)
             columns = [c for c in columns if c in keep]

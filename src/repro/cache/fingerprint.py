@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import stat
 import struct
 from typing import Dict, List, Optional, Tuple
 
@@ -181,7 +182,7 @@ def source_signature(path: str) -> StatSig:
         st = os.stat(path)
     except OSError:
         return ((path, -1, -1),)
-    if not os.path.isdir(path):
+    if not stat.S_ISDIR(st.st_mode):
         return ((path, st.st_size, st.st_mtime_ns),)
     entries: List[Tuple[str, int, int]] = []
     for dirpath, dirnames, filenames in os.walk(path):

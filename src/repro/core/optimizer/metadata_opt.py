@@ -1,7 +1,8 @@
 """Metadata-driven read optimization (section 3.6).
 
 For each ``scan`` node over a CSV source (the file-backed format whose
-untyped text the hints exist for), consult the metastore and:
+untyped text the hints exist for), consult the metastore entry its
+session source decoded (:mod:`repro.io.source_table`) and:
 
 - pass ``dtype`` hints for numeric columns (avoids inference work and
   object fallbacks),
@@ -27,6 +28,8 @@ from repro.graph.taskgraph import collect_subgraph
 
 def apply_metadata_hints(roots: Sequence[Node], metastore) -> int:
     """Inject dtype hints into sources; returns sources updated."""
+    from repro.io.source_table import session_source
+
     if metastore is None:
         return 0
     nodes = collect_subgraph(roots)
@@ -35,10 +38,9 @@ def apply_metadata_hints(roots: Sequence[Node], metastore) -> int:
     for node in nodes:
         if node.op != "scan" or node.args.get("format") != "csv":
             continue
-        path = node.args.get("path")
-        if path is None:
+        if node.args.get("path") is None:
             continue
-        meta = metastore.get(path)
+        meta = session_source(node.args, metastore).file_meta()
         if meta is None:
             continue
         static_read_only = node.args.get("read_only_cols")

@@ -2,7 +2,8 @@
 
 Runs after predicate pushdown has folded filters into ``scan`` nodes
 (:func:`~repro.core.optimizer.predicate_pushdown.fold_predicates_into_scans`).
-For every scan the pass resolves the source, lists its partitions, and
+For every scan the pass takes the session's source (its partitions are
+listed once per session, :mod:`repro.io.source_table`), and
 keeps only those the predicate *may* match, judged against trusted
 statistics:
 
@@ -40,14 +41,14 @@ def prune_scan_partitions(
     an honest ``read/total`` instead of an unknown -- but never drops a
     partition."""
     from repro.io.predicate import Predicate
-    from repro.io.registry import resolve_source
+    from repro.io.source_table import session_source
 
     pruned = 0
     for node in collect_subgraph(roots):
         if node.op != "scan" or node.args.get("partitions") is not None:
             continue
         try:
-            source = resolve_source(node.args, metastore=metastore)
+            source = session_source(node.args, metastore)
             parts = source.partitions()
         except Exception:  # noqa: BLE001 - missing path, unknown format
             continue
@@ -60,8 +61,7 @@ def prune_scan_partitions(
                 pruned += len(parts) - len(kept)
         # Stamp the post-pruning byte estimate while the source is in
         # hand -- the scheduler's per-node estimator reads it from the
-        # args instead of re-resolving the source and re-listing its
-        # partitions from the filesystem.
+        # args.
         estimate = source.estimated_bytes(
             columns=node.args.get("columns"),
             partitions=node.args.get("partitions"),

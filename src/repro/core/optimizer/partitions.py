@@ -169,7 +169,7 @@ def scan_parts(args: dict, metastore, piece_bytes: int) -> List[Node]:
     """One ``scan`` per selected source partition, each carrying its
     :class:`~repro.io.source.Partition`; the first also carries the
     source's partition total, so a cut scan counts it once."""
-    from repro.io.registry import resolve_source
+    from repro.io.source_table import session_source
 
     args = dict(args)
     if args.get("partitions") is None:
@@ -179,7 +179,7 @@ def scan_parts(args: dict, metastore, piece_bytes: int) -> List[Node]:
         total = None
     else:
         total = args.get("partitions_total")
-    source = resolve_source(args, metastore=metastore)
+    source = session_source(args, metastore)
     parts = source.select_partitions(args.get("partitions"))
     if len(parts) <= 1:
         return [Node("scan", [], args)]

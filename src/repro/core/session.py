@@ -17,6 +17,8 @@ A :class:`Session` owns everything one logical program needs:
 - the chain of pending lazy-print nodes (section 3.3),
 - the set of persisted nodes from ``persist()`` / ``compute(live_df=...)``
   calls (section 3.5), released once no longer live,
+- its source table (:mod:`repro.io.source_table`): one snapshot of each
+  scanned file's header, partitions and metastore entry,
 - the node registry that resolves f-string escape markers back to nodes.
 
 Sessions are resolved through a *thread-local stack*::
@@ -105,6 +107,9 @@ class Session:
         self.node_registry: Dict[int, Node] = {}
         self.persisted: List[Node] = []
         self.metastore = metastore  # set lazily; tests may inject one
+        from repro.io.source_table import SourceTable
+
+        self.sources = SourceTable()
         self.stats = {"computes": 0, "nodes_executed": 0}
         self.last_optimize_report: Optional[dict] = None
         self.last_execution_stats: Optional[ExecutionStats] = None

@@ -156,14 +156,12 @@ def estimate_scan_bytes(node: Node, metastore) -> Optional[int]:
     by the static order and by automatic backend choice."""
     stamped = node.args.get("est_bytes")
     if stamped is not None:
-        # the pruning pass computed this with the source in hand; reuse
-        # it instead of re-listing partitions from the filesystem.
+        # the pruning pass computed this with the source in hand
         return int(stamped)
-    from repro.io.registry import resolve_source
+    from repro.io.source_table import session_source
 
     try:
-        source = resolve_source(node.args, metastore=metastore)
-        return source.estimated_bytes(
+        return session_source(node.args, metastore).estimated_bytes(
             columns=node.args.get("columns"),
             partitions=node.args.get("partitions"),
         )

@@ -12,8 +12,8 @@ counters, backend choice) has one thing to look at.  The optimizer
 folds projections and predicates into those args when the format's
 registry spec says the source can execute them, and the pruning pass
 drops partitions whose statistics provably fail the folded predicate;
-backends resolve the args back into a
-:class:`~repro.io.source.DataSource` at execution time.
+backends look the args up in the session's source table
+(:mod:`repro.io.source_table`) at execution time.
 
 ``scan_source()`` is the generic spelling custom formats use after
 registering a :class:`~repro.io.registry.SourceSpec`.  ``from_pandas()``
@@ -28,7 +28,8 @@ from typing import Optional, Sequence
 from repro.core.lazyframe import LazyFrame
 from repro.core.session import current_session
 from repro.graph.node import Node
-from repro.io.registry import DEFAULT_SOURCES, resolve_source
+from repro.io.registry import DEFAULT_SOURCES
+from repro.io.source_table import session_source
 
 
 def scan_source(
@@ -64,8 +65,7 @@ def scan_source(
 def _static_schema(args: dict, session) -> Optional[list]:
     """Best-effort column tracking at graph-build time (never fatal)."""
     try:
-        source = resolve_source(args, metastore=session.metastore)
-        schema = source.schema()
+        schema = session_source(args, session.metastore, session).schema()
     except Exception:  # noqa: BLE001 - missing file, unknown format, ...
         return None
     if args.get("columns") is not None:

@@ -306,17 +306,10 @@ class ColumnarSource(DataSource):
     supports_predicate = True
     partitioned = True
 
-    def __init__(self, path: str, metastore=None, **options):
-        super().__init__(path, metastore=metastore, **options)
-        self._footer: Optional[dict] = None
-        self._parts: Optional[List[Partition]] = None
-
     # -- footer-backed protocol ------------------------------------------
 
     def footer(self) -> dict:
-        if self._footer is None:
-            self._footer = read_columnar_footer(self.path)
-        return self._footer
+        return self.fact("footer", lambda: read_columnar_footer(self.path))
 
     def schema(self) -> List[str]:
         return [c["name"] for c in self.footer()["columns"]]
@@ -325,9 +318,7 @@ class ColumnarSource(DataSource):
         """Column dtypes straight from the footer (no inference)."""
         return {c["name"]: c["dtype"] for c in self.footer()["columns"]}
 
-    def partitions(self) -> List[Partition]:
-        if self._parts is not None:
-            return self._parts
+    def list_partitions(self) -> List[Partition]:
         parts = []
         for index, group in enumerate(self.footer()["row_groups"]):
             chunks = group["chunks"]
@@ -356,7 +347,6 @@ class ColumnarSource(DataSource):
                 max_values=max_values,
                 null_counts=null_counts,
             ))
-        self._parts = parts
         return parts
 
     # -- reading ----------------------------------------------------------

@@ -11,7 +11,7 @@ metastore's per-partition min/max statistics
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import List, Tuple
 
 from repro.frame.io_csv import read_csv, read_header, scan_partitions
 from repro.io.source import DataSource, Partition
@@ -20,8 +20,9 @@ from repro.io.source import DataSource, Partition
 DEFAULT_PARTITION_BYTES = 1 << 20
 
 
-def attach_file_stats(parts: List[Partition], path: str, metastore) -> None:
-    """Fill partition statistics from the metastore, when available.
+def attach_file_stats(parts: List[Partition], meta) -> None:
+    """Fill partition statistics from the file's metastore entry
+    ``meta``, when there is one.
 
     Per-partition entries (``FileMetadata.partitions``) must have been
     computed over the *same* byte ranges the source derives -- ranges are
@@ -29,7 +30,6 @@ def attach_file_stats(parts: List[Partition], path: str, metastore) -> None:
     can never mis-prune.  Exact per-partition min/max enables pruning;
     row/byte estimates feed the scheduler's static order.
     """
-    meta = metastore.get(path) if metastore is not None else None
     if meta is None:
         return
     by_range = {
@@ -45,12 +45,12 @@ def attach_file_stats(parts: List[Partition], path: str, metastore) -> None:
         part.max_values = dict(stat.max_values)
 
 
-class CsvSource(DataSource):
-    """Byte-range partitioned CSV (migrated from the ``io_csv`` path)."""
+class ByteRangeSource(DataSource):
+    """A text file read in newline-aligned byte ranges of about
+    ``partition_bytes`` each (a row-limited read is inherently
+    sequential: one range), carrying the metastore's statistics for
+    the ranges they were computed over."""
 
-    format_name = "csv"
-    supports_projection = True
-    supports_predicate = True
     partitioned = True
 
     def __init__(self, path: str, metastore=None, **options):
@@ -58,31 +58,35 @@ class CsvSource(DataSource):
         self.partition_bytes = int(
             options.get("partition_bytes") or DEFAULT_PARTITION_BYTES
         )
-        self._schema: Optional[List[str]] = None
-        self._parts: Optional[List[Partition]] = None
+
+    def byte_ranges(self, n: int) -> List[Tuple[int, int]]:
+        """About ``n`` ranges that tile the file's rows."""
+        raise NotImplementedError
+
+    def list_partitions(self) -> List[Partition]:
+        n = 1 if self.options.get("nrows") is not None else max(
+            1, os.path.getsize(self.path) // self.partition_bytes)
+        parts = [
+            Partition(i, self.path, byte_range=rng, est_bytes=rng[1] - rng[0])
+            for i, rng in enumerate(self.byte_ranges(int(n)))
+        ]
+        attach_file_stats(parts, self.file_meta())
+        return parts
+
+
+class CsvSource(ByteRangeSource):
+    """Byte-range partitioned CSV (migrated from the ``io_csv`` path)."""
+
+    format_name = "csv"
+    supports_projection = True
+    supports_predicate = True
 
     def schema(self) -> List[str]:
-        if self._schema is None:
-            self._schema = read_header(self.path)
-        return self._schema
+        return self.fact("schema", lambda: read_header(self.path))
 
-    def partitions(self) -> List[Partition]:
-        if self._parts is not None:
-            return self._parts
-        n = max(1, os.path.getsize(self.path) // self.partition_bytes)
-        if self.options.get("nrows") is not None:
-            n = 1  # a row-limited read is inherently sequential
-        parts = [
-            Partition(i, self.path, byte_range=rng,
-                      est_bytes=rng[1] - rng[0])
-            for i, rng in enumerate(scan_partitions(self.path, int(n)))
-        ]
-        if not parts:  # header-only file: one empty piece
-            parts = [Partition(0, self.path, byte_range=(0, 0),
-                               est_bytes=0)]
-        attach_file_stats(parts, self.path, self.metastore)
-        self._parts = parts
-        return parts
+    def byte_ranges(self, n: int) -> List[Tuple[int, int]]:
+        # a header-only file is one empty piece
+        return scan_partitions(self.path, n) or [(0, 0)]
 
     def read_partition(self, partition, columns=None, predicate=None):
         read_cols = self._read_columns(columns, predicate)
@@ -99,7 +103,7 @@ class CsvSource(DataSource):
 
     def estimated_bytes(self, columns=None, partitions=None):
         parts = self.select_partitions(partitions)
-        meta = self.metastore.get(self.path) if self.metastore else None
+        meta = self.file_meta()
         if meta is not None and meta.columns:
             # width x rows from column statistics, per selected partition.
             names = list(columns) if columns is not None else list(meta.columns)

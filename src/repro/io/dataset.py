@@ -23,13 +23,14 @@ from an eager frame (the datagen "partitioned variant" path).
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.frame import DataFrame
 from repro.frame.column import Column
 from repro.frame.io_csv import read_csv, read_header, write_csv
+from repro.io.csv_source import attach_file_stats
 from repro.io.jsonl import read_jsonl, read_jsonl_header, write_jsonl
 from repro.io.source import DataSource, Partition
 
@@ -118,65 +119,51 @@ class DatasetSource(DataSource):
     supports_predicate = True
     partitioned = True
 
-    def __init__(self, path: str, metastore=None, **options):
-        super().__init__(path, metastore=metastore, **options)
-        self._leaves: Optional[List[dict]] = None
-        self._schema: Optional[List[str]] = None
-        self._parts: Optional[List[Partition]] = None
-        #: csv leaf path -> its header, read once per leaf (a leaf split
-        #: into byte ranges is read many times)
-        self._leaf_headers: Dict[str, List[str]] = {}
-
     # -- layout -----------------------------------------------------------
 
     def leaves(self) -> List[dict]:
-        if self._leaves is None:
-            self._leaves = discover_leaves(self.path)
-            if not self._leaves:
-                raise OSError(f"no partition files under {self.path!r}")
-        return self._leaves
+        return self.fact("leaves", self._discover)
+
+    def _discover(self) -> List[dict]:
+        leaves = discover_leaves(self.path)
+        if not leaves:
+            raise OSError(f"no partition files under {self.path!r}")
+        return leaves
 
     def key_columns(self) -> List[str]:
         return list(self.leaves()[0]["key_values"])
 
     def schema(self) -> List[str]:
-        if self._schema is None:
-            first = self.leaves()[0]["path"]
-            if first.endswith(".jsonl"):
-                leaf_cols = read_jsonl_header(first)
-            else:
-                leaf_cols = self._leaf_header(first)
-            self._schema = leaf_cols + self.key_columns()
-        return self._schema
+        first = self.leaves()[0]["path"]
+        if first.endswith(".jsonl"):
+            leaf_cols = self.fact("schema", lambda: read_jsonl_header(first))
+        else:
+            leaf_cols = self._leaf_header(first)
+        return leaf_cols + self.key_columns()
 
     def _leaf_header(self, path: str) -> List[str]:
-        header = self._leaf_headers.get(path)
-        if header is None:
-            header = self._leaf_headers[path] = read_header(path)
-        return header
+        """A csv leaf's header, read once (a leaf split into byte ranges
+        is read many times)."""
+        return self.fact(("header", path), lambda: read_header(path))
 
-    def partitions(self) -> List[Partition]:
-        if self._parts is not None:
-            return self._parts
+    def list_partitions(self) -> List[Partition]:
         parts: List[Partition] = []
         for leaf in self.leaves():
-            meta = self.metastore.get(leaf["path"]) if self.metastore else None
+            meta = self.file_meta(leaf["path"])
             ranges = getattr(meta, "partitions", None) if meta else None
             if ranges:
                 # Sub-file chunk stats (metadata computed with
                 # ``partition_ranges``): one partition per byte range,
                 # so payload-column pruning can discard a *slice* of a
                 # leaf the per-file extrema could never rule out.
-                for ps in ranges:
-                    parts.append(Partition(
-                        len(parts), leaf["path"],
-                        byte_range=(ps.start, ps.end),
-                        key_values=dict(leaf["key_values"]),
-                        est_rows=ps.n_rows,
-                        est_bytes=ps.n_bytes,
-                        min_values=dict(ps.min_values),
-                        max_values=dict(ps.max_values),
-                    ))
+                pieces = [
+                    Partition(len(parts) + i, leaf["path"],
+                              byte_range=(ps.start, ps.end),
+                              key_values=dict(leaf["key_values"]))
+                    for i, ps in enumerate(ranges)
+                ]
+                attach_file_stats(pieces, meta)
+                parts += pieces
                 continue
             part = Partition(
                 len(parts), leaf["path"],
@@ -185,7 +172,6 @@ class DatasetSource(DataSource):
             )
             self._attach_leaf_stats(part, meta)
             parts.append(part)
-        self._parts = parts
         return parts
 
     def _attach_leaf_stats(self, part: Partition, meta) -> None:

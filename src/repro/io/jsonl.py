@@ -23,10 +23,7 @@ import numpy as np
 from repro.frame import DataFrame
 from repro.frame.column import Column
 from repro.frame.io_csv import column_cells, read_line_blocks
-from repro.io.source import DataSource, Partition
-
-#: Target bytes per partition (same scale as the CSV sources).
-DEFAULT_PARTITION_BYTES = 1 << 20
+from repro.io.csv_source import ByteRangeSource
 
 
 def write_jsonl(frame: DataFrame, path: str) -> None:
@@ -188,46 +185,18 @@ def jsonl_partitions(path: str, n_partitions: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-class JsonlSource(DataSource):
+class JsonlSource(ByteRangeSource):
     """Byte-range partitioned newline-delimited JSON."""
 
     format_name = "jsonl"
     supports_projection = True
     supports_predicate = True
-    partitioned = True
-
-    def __init__(self, path: str, metastore=None, **options):
-        super().__init__(path, metastore=metastore, **options)
-        self.partition_bytes = int(
-            options.get("partition_bytes") or DEFAULT_PARTITION_BYTES
-        )
-        self._schema: Optional[List[str]] = None
-        self._parts: Optional[List[Partition]] = None
 
     def schema(self) -> List[str]:
-        if self._schema is None:
-            self._schema = read_jsonl_header(self.path)
-        return self._schema
+        return self.fact("schema", lambda: read_jsonl_header(self.path))
 
-    def partitions(self) -> List[Partition]:
-        from repro.io.csv_source import attach_file_stats
-
-        if self._parts is not None:
-            return self._parts
-        if self.options.get("nrows") is not None:
-            size = os.path.getsize(self.path)
-            parts = [Partition(0, self.path, byte_range=(0, size),
-                               est_bytes=size)]
-        else:
-            n = max(1, os.path.getsize(self.path) // self.partition_bytes)
-            parts = [
-                Partition(i, self.path, byte_range=rng,
-                          est_bytes=rng[1] - rng[0])
-                for i, rng in enumerate(jsonl_partitions(self.path, int(n)))
-            ]
-        attach_file_stats(parts, self.path, self.metastore)
-        self._parts = parts
-        return parts
+    def byte_ranges(self, n: int) -> List[Tuple[int, int]]:
+        return jsonl_partitions(self.path, n)
 
     def read_partition(self, partition, columns=None, predicate=None):
         read_cols = self._read_columns(columns, predicate)

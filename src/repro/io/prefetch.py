@@ -230,12 +230,12 @@ def prefetch_scan_node(node, session,
     try:
         from repro.core.session import current_session
         from repro.io.predicate import Predicate
-        from repro.io.registry import resolve_source
+        from repro.io.source_table import session_source
 
         session = session or current_session()
         if not session.get_option("io.prefetch"):
             return set()
-        source = resolve_source(args, metastore=session.metastore)
+        source = session_source(args, session.metastore, session)
         hook = getattr(source, "prefetch_ranges", None)
         if hook is None:
             return set()

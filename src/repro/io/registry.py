@@ -5,7 +5,10 @@
 A :class:`SourceSpec` carries the capability facts the *optimizer*
 branches on without touching the filesystem (can projections fold in?
 predicates? is the source partitioned at all?); ``create`` instantiates
-the source lazily for passes that need real partitions.  Third-party
+the source for passes that need real partitions.  Only the session's
+source table (:mod:`repro.io.source_table`) calls
+:func:`resolve_source`: everything else takes the session's one source
+per identity, so a file is read once per session.  Third-party
 formats register into :data:`DEFAULT_SOURCES` (or a private registry
 handed to the resolving call) exactly like custom engines and executor
 strategies do.

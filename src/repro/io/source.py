@@ -21,12 +21,17 @@ source's flags say the fold is executable; partition pruning consults
 ``Partition`` statistics; the scheduler's static order and automatic
 backend choice consume ``estimated_bytes``.  Formats register in
 :mod:`repro.io.registry`, mirroring the engine and executor registries.
+
+What a source reads about its file (header, footer, layout, metastore
+entries) is kept in :attr:`DataSource.facts`, which a session's source
+table (:mod:`repro.io.source_table`) shares between the file's sources.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +39,11 @@ from repro.frame import DataFrame
 from repro.frame.column import Column
 from repro.graph.scheduler.stats import count
 from repro.io.predicate import Predicate, required_read_columns
+
+#: scan options that shape one read, not the source: bound at read time
+#: (:meth:`DataSource.bind`), so scans of one file that differ only in
+#: them share a source.
+READ_OPTIONS = ("dtype", "parse_dates")
 
 
 @dataclasses.dataclass
@@ -73,6 +83,10 @@ class DataSource:
         self.path = path
         self.metastore = metastore
         self.options = options
+        #: what was read about the file, by :meth:`fact` key; a session's
+        #: source table shares one dict between the file's sources.
+        self.facts: Dict[object, object] = {}
+        self._parts: Optional[List[Partition]] = None
 
     # -- protocol ---------------------------------------------------------
 
@@ -81,7 +95,13 @@ class DataSource:
         raise NotImplementedError
 
     def partitions(self) -> List[Partition]:
-        """The source's pieces, with whatever statistics are available."""
+        """The source's pieces, with whatever statistics are available
+        (listed once, by :meth:`list_partitions`)."""
+        if self._parts is None:
+            self._parts = self.list_partitions()
+        return self._parts
+
+    def list_partitions(self) -> List[Partition]:
         raise NotImplementedError
 
     def read_partition(
@@ -94,6 +114,30 @@ class DataSource:
         raise NotImplementedError
 
     # -- shared behaviour -------------------------------------------------
+
+    def fact(self, key, read: Callable[[], object]):
+        """``facts[key]``, read by ``read()`` the first time."""
+        if key not in self.facts:
+            self.facts[key] = read()
+        return self.facts[key]
+
+    def file_meta(self, path: Optional[str] = None):
+        """The metastore's entry for ``path`` (default: the source's
+        own file), decoded once; ``None`` without one."""
+        path = self.path if path is None else path
+        if self.metastore is None:
+            return None
+        return self.fact(("meta", path), lambda: self.metastore.get(path))
+
+    def bind(self, args: dict) -> "DataSource":
+        """This source reading with the scan ``args``' own
+        :data:`READ_OPTIONS`: a copy sharing its facts and partitions."""
+        options = {k: args[k] for k in READ_OPTIONS if args.get(k) is not None}
+        if not options:
+            return self
+        reader = copy.copy(self)
+        reader.options = {**self.options, **options}
+        return reader
 
     def scan(
         self,

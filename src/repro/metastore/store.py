@@ -4,6 +4,8 @@ Metadata is kept as one JSON file per data file (hashed path name) under a
 store directory (default ``~/.lafp_metastore`` or ``$LAFP_METASTORE``).
 ``get`` returns ``None`` when metadata is missing or stale, so callers can
 fall back to un-hinted reads (the paper: outdated metadata "is not used").
+Writes are counted (``generation``), so a session's source table drops
+the entries it decoded before a write.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ class MetaStore:
             )
         self.root = root
         os.makedirs(self.root, exist_ok=True)
+        #: writes through this store (put / invalidate / clear): a
+        #: session's source table drops what it decoded before one
+        self.generation = 0
 
     def _entry_path(self, data_path: str) -> str:
         digest = hashlib.md5(
@@ -51,6 +56,7 @@ class MetaStore:
     def put(self, meta: FileMetadata) -> None:
         with open(self._entry_path(meta.path), "w") as f:
             json.dump(meta.to_dict(), f)
+        self.generation += 1
 
     def compute_and_store(
         self,
@@ -91,8 +97,10 @@ class MetaStore:
         entry = self._entry_path(data_path)
         if os.path.exists(entry):
             os.remove(entry)
+        self.generation += 1
 
     def clear(self) -> None:
         for name in os.listdir(self.root):
             if name.endswith(".json"):
                 os.remove(os.path.join(self.root, name))
+        self.generation += 1

@@ -213,3 +213,42 @@ class TestJit:
         result, caught = call_without_file()
         assert result is None
         assert any("source not found" in str(w.message) for w in caught)
+
+
+class TestUnparseNeedsNoLocations:
+    def test_programs_optimize_as_with_located_trees(self, monkeypatch):
+        """Rewritten trees go to ``ast.unparse`` without a
+        ``fix_missing_locations`` walk (a rebuilt ``for`` keeps its
+        header's line, the one location unparse reads): the ten programs
+        under the three LaFP headers, and one with every block statement,
+        optimize to the same source as with the walk run first, and
+        that source compiles."""
+        import ast
+
+        from repro.workloads.programs import PROGRAMS
+        from repro.workloads.runner import _HEADERS
+
+        sources = [
+            _HEADERS[mode] + PROGRAMS[name].body_for("pandas")
+            for mode in ("lafp_pandas", "lafp_modin", "lafp_dask")
+            for name in sorted(PROGRAMS)
+        ] + [HEADER + "pd.analyze()\n" + (
+            "df = pd.read_csv('d.csv')\n"
+            "for i in range(2):\n"
+            "    for j in []:\n"
+            "        x = 1  # type: int\n"
+            "    print(df.a.sum())\n"
+            "while False:\n    pass\n"
+            "with open('d.csv') as f:\n    y = 1\n"
+            "def g(a):\n    return a\n"
+            "if df.a.sum() > 1:\n    print(1)\nelse:\n    print(2)\n"
+        )]
+        plain = [optimize_source(source) for source in sources]
+        unparse = ast.unparse
+        monkeypatch.setattr(
+            ast, "unparse",
+            lambda tree: unparse(ast.fix_missing_locations(tree)))
+        assert [optimize_source(source) for source in sources] == plain
+        assert len(plain) == 31 and "for i in range(2):" in plain[-1]
+        for text in plain:
+            compile(text, "<optimized>", "exec")

@@ -41,6 +41,7 @@ from repro.graph.scheduler.order import priority_topological_order
 from repro.graph.scheduler.stats import (
     COUNTERS,
     ExecutionStats,
+    NodeStat,
     count,
     counter_lines,
 )
@@ -552,6 +553,22 @@ class TestOneStatsModel:
         assert list(ExecutionStats(strategy="serial").to_dict()) == STATS_KEYS
         assert set(COUNTERS) < set(STATS_KEYS)
         assert all(COUNTERS.values()), "every counter carries its doc line"
+
+    def test_node_stat_to_dict_is_asdict(self):
+        import dataclasses
+
+        stat = NodeStat(node_id=7, op="scan", label="scan_csv t.csv",
+                        wall_seconds=0.25, queue_wait_seconds=0.5,
+                        bytes_registered=4096, bytes_released=1024,
+                        worker="ThreadPool-1", bytes_estimated=2048)
+        assert stat.to_dict() == dataclasses.asdict(stat)
+        assert list(stat.to_dict()) == list(dataclasses.asdict(stat))
+        stats = ExecutionStats(strategy="threaded", nodes_executed=1,
+                               nodes=[stat])
+        expected = {f.name: getattr(stats, f.name)
+                    for f in dataclasses.fields(stats)}
+        expected["nodes"] = [dataclasses.asdict(stat)]
+        assert stats.to_dict() == expected
 
     def test_add_rejects_an_undeclared_counter(self):
         stats = ExecutionStats(strategy="serial")

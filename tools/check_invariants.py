@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Twelve structural rules the linters cannot express, checked with
+Thirteen structural rules the linters cannot express, checked with
 nothing but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -112,6 +112,15 @@ nothing but the stdlib ``ast`` module:
     ``eval_partition`` walk, a ``PartitionStore`` of its own beside the
     shuffle stores, ``persist_shared_nodes`` pinning around it, or an
     ``is_lazy`` flag for the planner and the session to branch on.
+
+13. **One source per session.**  Every consumer of a ``scan`` node
+    takes its :class:`~repro.io.source.DataSource` from the session's
+    source table (``io/source_table.py::session_source``), which reads a
+    file's header, partitions and metastore entry once per session.  A
+    ``resolve_source(...)`` call anywhere else under ``src/repro`` is a
+    fresh source re-reading all three -- five to eight times per
+    ``collect()``, as before the table; only the table and the
+    function's own module (``io/registry.py``) call it.
 
 Usage::
 
@@ -749,12 +758,38 @@ def check_one_partitioned_executor(tree: ast.Module,
 
 
 # ---------------------------------------------------------------------------
+# check 13: one source per session
+
+#: the modules that may call ``resolve_source``: the session source
+#: table and the registry that defines it.
+_RESOLVERS = frozenset({"io/source_table.py", "io/registry.py"})
+
+
+def check_one_source_per_session(tree: ast.Module,
+                                 rel: str) -> Iterator[str]:
+    if rel in _RESOLVERS:
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (getattr(func, "id", None) or getattr(func, "attr", None)) \
+                == "resolve_source":
+            yield (
+                f"src/repro/{rel}:{node.lineno}: resolve_source(...) -- a "
+                f"fresh source re-reads the header, partitions and "
+                f"metastore entry; take the session's one "
+                f"(io/source_table.py::session_source)"
+            )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
           check_one_aggregate_plan, check_one_stats_model,
           check_one_join_plan, check_one_memory_rule,
-          check_one_partitioned_executor)
+          check_one_partitioned_executor, check_one_source_per_session)
 
 
 def run(src: Path = SRC) -> List[str]:
