@@ -43,8 +43,9 @@ class ModinBackend(Backend):
         if isinstance(value, Series):
             return _split_series(value, [len(value)])
         if isinstance(value, DataFrame):
-            nparts = max(1, value.nbytes // self.partition_bytes)
-            return _resplit(value, int(nparts))
+            nparts = int(value.nbytes // self.partition_bytes)
+            # one piece is adopted as it is: a copy would double it
+            return _resplit(value, nparts) if nparts > 1 else ModinFrame([value])
         return value
 
     def to_datetime(self, series):

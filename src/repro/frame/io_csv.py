@@ -35,7 +35,10 @@ bytes, which are scanned with numpy over that same buffer:
   (terminators kept, so a quoted field may span blocks), and batches
   of rows are transposed into columns with ``zip(*rows)``.
 
-A whole-file read is the same code over the whole file.  Type inference
+A whole-file read is the same code over the whole file.  Each wanted
+column is typed, over all the rows, when its *builder*
+(:func:`column_builders`) is called -- by ``read_csv`` all at once, by
+a scan source one at a time (``DataSource.assemble``).  Type inference
 tries int64 -> float64 -> object per column over the cells, mirroring
 pandas defaults (dates stay strings unless ``parse_dates`` asks for
 them -- the paper's metadata optimization exists precisely because
@@ -49,9 +52,11 @@ import csv
 import io
 import os
 from contextlib import closing
+from functools import partial
 from itertools import chain, islice
 from typing import (
-    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple, Union,
 )
 
 import numpy as np
@@ -96,10 +101,24 @@ def read_csv(
     byte_range: Optional[Tuple[int, int]] = None,
     header: Optional[Sequence[str]] = None,
 ) -> DataFrame:
-    """Read a CSV file into a :class:`DataFrame`.
+    """Read a CSV file into a :class:`DataFrame`."""
+    _, builders = column_builders(
+        path, usecols, dtype, parse_dates, nrows, byte_range, header)
+    frame = DataFrame.from_columns({n: build() for n, build in builders.items()})
+    if index_col is not None:
+        frame = frame.set_index(index_col)
+    return frame
 
-    ``header`` is the file's column names, for a caller that has read
-    them already (a source reading its partitions)."""
+
+def column_builders(
+    path: str, usecols: Optional[Sequence[str]] = None, dtype: Optional[Dict[str, object]] = None,
+    parse_dates: Optional[Sequence[str]] = None, nrows: Optional[int] = None,
+    byte_range: Optional[Tuple[int, int]] = None, header: Optional[Sequence[str]] = None,
+) -> Tuple[int, Dict[str, Callable[[], Column]]]:
+    """The number of rows, and per wanted column in file order the
+    function that types it.  ``header`` is the file's column names, for
+    a caller that has read them already (a source reading its
+    partitions)."""
     header = read_header(path) if header is None else list(header)
     if usecols is not None:
         unknown = [c for c in usecols if c not in header]
@@ -110,36 +129,35 @@ def read_csv(
         wanted = list(header)
     positions = [header.index(c) for c in wanted]
 
-    grids, tail = _read_raw_columns(
+    grids, tail, n_rows = _read_raw_columns(
         path, byte_range, positions, nrows, len(header)
     )
 
     dtype = dtype or {}
     parse_set = set(parse_dates or [])
-    columns: Dict[str, Column] = {}
-    for name, pos, tail_cells in zip(wanted, positions, tail):
-        target = normalize_dtype(dtype[name]) if name in dtype else None
-        if name not in parse_set and (
-            target is None
-            or (not is_categorical(target) and target.kind == "i")
-        ):
-            # what int64 inference / conversion of the cells would give
-            ints = _int_column(grids, pos, tail_cells)
-            if ints is not None:
-                columns[name] = Column(ints)
-                continue
-        values, heap_nbytes = _cell_list(grids, pos, tail_cells)
-        if name in parse_set:
-            columns[name] = _parse_datetime(values)
-        elif target is not None:
-            columns[name] = _convert_with_dtype(values, target, heap_nbytes)
-        else:
-            columns[name] = _infer_column(values, heap_nbytes)
+    return n_rows, {
+        name: partial(_build_column, grids, pos, cells, dtype.get(name),
+                      name in parse_set)
+        for name, pos, cells in zip(wanted, positions, tail)
+    }
 
-    frame = DataFrame.from_columns(columns)
-    if index_col is not None:
-        frame = frame.set_index(index_col)
-    return frame
+
+def _build_column(grids: List["_Grid"], pos: int, tail_cells: List[str],
+                  spec, parse_date: bool) -> Column:
+    target = None if spec is None else normalize_dtype(spec)
+    if not parse_date and (
+        target is None or (not is_categorical(target) and target.kind == "i")
+    ):
+        # what int64 inference / conversion of the cells would give
+        ints = _int_column(grids, pos, tail_cells)
+        if ints is not None:
+            return Column(ints)
+    values, heap_nbytes = _cell_list(grids, pos, tail_cells)
+    if parse_date:
+        return _parse_datetime(values)
+    if target is not None:
+        return _convert_with_dtype(values, target, heap_nbytes)
+    return _infer_column(values, heap_nbytes)
 
 
 def read_header(path: str) -> List[str]:
@@ -329,10 +347,10 @@ def _read_raw_columns(
     positions: List[int],
     nrows: Optional[int],
     n_fields: int,
-) -> Tuple[List[_Grid], List[List[str]]]:
-    """The rows of the range: the grids of its leading regular blocks,
-    then -- from the first block that is not regular -- the cells at
-    ``positions`` of the remaining rows, by column."""
+) -> Tuple[List[_Grid], List[List[str]], int]:
+    """The grids of the range's leading regular blocks, the cells at
+    ``positions`` of the rows from the first block that is not regular
+    on, by column, and the number of rows."""
     grids: List[_Grid] = []
     skip_header = byte_range is None
     with closing(read_line_blocks(path, byte_range)) as blocks:
@@ -347,8 +365,8 @@ def _read_raw_columns(
                 if skip_header:
                     grid, skip_header = grid.without_first_row(), False
                 grids.append(grid)
-        tail = _read_rows(path, rest, positions, nrows, skip_header)
-    return grids, tail
+        tail, n_tail = _read_rows(path, rest, positions, nrows, skip_header)
+    return grids, tail, sum(len(grid.lens) for grid in grids) + n_tail
 
 
 def _read_rows(
@@ -357,7 +375,7 @@ def _read_rows(
     positions: List[int],
     nrows: Optional[int],
     skip_header: bool,
-) -> List[List[str]]:
+) -> Tuple[List[List[str]], int]:
     """The fields at ``positions`` of every row of ``blocks``, by column.
 
     One reader runs over the lines of all blocks (terminators kept, so a
@@ -365,6 +383,7 @@ def _read_rows(
     skipped.
     """
     raw: List[List[str]] = [[] for _ in positions]
+    n_rows = 0
     need = max(positions, default=-1) + 1
     rows = filter(None, csv.reader(chain.from_iterable(
         io.StringIO(str(block, "utf-8"), newline="")
@@ -383,10 +402,11 @@ def _read_rows(
             raise IndexError(
                 f"{path}: a row has fewer than {need} fields"
             )
+        n_rows += len(batch)
         fields = list(zip(*batch))
         for out, pos in zip(raw, positions):
             out.extend(fields[pos])
-    return raw
+    return raw, n_rows
 
 
 def _int_column(

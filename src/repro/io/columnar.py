@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import struct
 import threading
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -360,19 +361,22 @@ class ColumnarSource(DataSource):
             # chunk skip: the stats prove no row matches; zero fetches.
             return self._typed_empty(columns)
         parse_set = set(self.options.get("parse_dates") or [])
-        chunks = group["chunks"]
-        out: Dict[str, Column] = {}
-        for name in wanted:
-            meta = chunks[name]
-            data = fetch_range(
-                self.path, meta["offset"], meta["offset"] + meta["length"]
-            )
-            col = _decode_chunk(data, meta, group["n_rows"])
-            if name in parse_set and col.values.dtype.kind == "O":
-                col = _parse_datetime_column(col)
-            out[name] = col
-        frame = DataFrame.from_columns(out)
-        return self._finish(frame, columns, predicate)
+        builders = {
+            name: partial(self._read_chunk, group["chunks"][name],
+                          group["n_rows"], name in parse_set)
+            for name in wanted
+        }
+        return self.assemble(group["n_rows"], builders, columns, predicate)
+
+    def _read_chunk(self, meta: dict, n_rows: int, parse_date: bool) -> Column:
+        """Fetch and decode one column chunk."""
+        data = fetch_range(
+            self.path, meta["offset"], meta["offset"] + meta["length"]
+        )
+        col = _decode_chunk(data, meta, n_rows)
+        if parse_date and col.values.dtype.kind == "O":
+            col = _parse_datetime_column(col)
+        return col
 
     def _typed_empty(self, columns: Optional[Sequence[str]]) -> DataFrame:
         dtypes = self.dtypes()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from typing import List, Tuple
 
-from repro.frame.io_csv import read_csv, read_header, scan_partitions
+from repro.frame.io_csv import column_builders, read_header, scan_partitions
 from repro.io.source import DataSource, Partition
 
 #: Target bytes of CSV per partition (the Dask backend's scale).
@@ -89,17 +89,16 @@ class CsvSource(ByteRangeSource):
         return scan_partitions(self.path, n) or [(0, 0)]
 
     def read_partition(self, partition, columns=None, predicate=None):
-        read_cols = self._read_columns(columns, predicate)
-        frame = read_csv(
+        n_rows, builders = column_builders(
             self.path,
-            usecols=read_cols,
+            usecols=self._read_columns(columns, predicate),
             dtype=self.options.get("dtype"),
             parse_dates=self.options.get("parse_dates"),
             nrows=self.options.get("nrows"),
             byte_range=partition.byte_range,
             header=self.schema(),
         )
-        return self._finish(frame, columns, predicate)
+        return self.assemble(n_rows, builders, columns, predicate)
 
     def estimated_bytes(self, columns=None, partitions=None):
         parts = self.select_partitions(partitions)

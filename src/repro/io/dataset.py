@@ -23,15 +23,16 @@ from an eager frame (the datagen "partitioned variant" path).
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import List
 
 import numpy as np
 
 from repro.frame import DataFrame
 from repro.frame.column import Column
-from repro.frame.io_csv import read_csv, read_header, write_csv
+from repro.frame.io_csv import column_builders as csv_builders, read_header, write_csv
 from repro.io.csv_source import attach_file_stats
-from repro.io.jsonl import read_jsonl, read_jsonl_header, write_jsonl
+from repro.io.jsonl import column_builders as jsonl_builders, read_jsonl_header, write_jsonl
 from repro.io.source import DataSource, Partition
 
 _LEAF_EXTENSIONS = (".csv", ".jsonl")
@@ -196,7 +197,7 @@ class DatasetSource(DataSource):
         if read_cols is not None:
             leaf_cols = [c for c in read_cols if c not in keys]
         if partition.path.endswith(".jsonl"):
-            frame = read_jsonl(
+            n_rows, builders = jsonl_builders(
                 partition.path,
                 columns=leaf_cols,
                 byte_range=partition.byte_range,
@@ -204,7 +205,7 @@ class DatasetSource(DataSource):
                 dtype=self.options.get("dtype"),
             )
         else:
-            frame = read_csv(
+            n_rows, builders = csv_builders(
                 partition.path,
                 usecols=leaf_cols,
                 byte_range=partition.byte_range,
@@ -212,12 +213,10 @@ class DatasetSource(DataSource):
                 parse_dates=self.options.get("parse_dates"),
                 header=self._leaf_header(partition.path),
             )
-        n = len(frame)
         for name, value in keys.items():
-            if read_cols is not None and name not in read_cols:
-                continue
-            frame = frame.with_column(name, _constant_column(value, n))
-        return self._finish(frame, columns, predicate)
+            if read_cols is None or name in read_cols:
+                builders[name] = partial(_constant_column, value, n_rows)
+        return self.assemble(n_rows, builders, columns, predicate)
 
 
 def _constant_column(value, n: int) -> Column:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import os
 from contextlib import closing
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,15 +76,20 @@ def read_jsonl_header(path: str) -> List[str]:
     return names
 
 
-def read_jsonl(
-    path: str,
-    columns: Optional[Sequence[str]] = None,
-    nrows: Optional[int] = None,
-    byte_range: Optional[Tuple[int, int]] = None,
-    parse_dates: Optional[Sequence[str]] = None,
-    dtype: Optional[dict] = None,
-) -> DataFrame:
-    """Read (a byte range of) a JSONL file into a :class:`DataFrame`."""
+def read_jsonl(path: str, **options) -> DataFrame:
+    """Read (a byte range of) a JSONL file into a :class:`DataFrame`:
+    every column of :func:`column_builders` (same options), built."""
+    _, builders = column_builders(path, **options)
+    return DataFrame.from_columns({n: build() for n, build in builders.items()})
+
+
+def column_builders(
+    path: str, columns: Optional[Sequence[str]] = None,
+    nrows: Optional[int] = None, byte_range: Optional[Tuple[int, int]] = None,
+    parse_dates: Optional[Sequence[str]] = None, dtype: Optional[dict] = None,
+) -> Tuple[int, Dict[str, Callable[[], Column]]]:
+    """The number of records, and per wanted column the function that
+    types its values."""
     wanted = list(columns) if columns is not None else None
     records: List[dict] = []
     with closing(read_line_blocks(path, byte_range)) as blocks:
@@ -107,23 +113,24 @@ def read_jsonl(
         if not wanted and os.path.getsize(path):
             wanted = read_jsonl_header(path)
 
-    columns_out: Dict[str, Column] = {}
     parse_set = set(parse_dates or [])
-    for name in wanted:
-        values = [record.get(name) for record in records]
-        if name in parse_set:
-            cleaned = ["NaT" if v in (None, "") else str(v) for v in values]
-            columns_out[name] = Column(
-                np.asarray(cleaned, dtype="datetime64[ns]")
-            )
-        else:
-            columns_out[name] = _column_from_values(values)
-    frame = DataFrame.from_columns(columns_out)
-    if dtype:
-        applicable = {k: v for k, v in dtype.items() if k in set(wanted)}
-        if applicable:
-            frame = frame.astype(applicable)
-    return frame
+    dtype = dtype or {}
+    return len(records), {
+        name: partial(_build_column, records, name, name in parse_set,
+                      dtype.get(name))
+        for name in wanted
+    }
+
+
+def _build_column(records: List[dict], name: str, parse_date: bool,
+                  dtype) -> Column:
+    values = [record.get(name) for record in records]
+    if parse_date:
+        cleaned = ["NaT" if v in (None, "") else str(v) for v in values]
+        column = Column(np.asarray(cleaned, dtype="datetime64[ns]"))
+    else:
+        column = _column_from_values(values)
+    return column if dtype is None else column.astype(dtype)
 
 
 def _parse_lines(lines: List[str]) -> list:
@@ -199,16 +206,15 @@ class JsonlSource(ByteRangeSource):
         return jsonl_partitions(self.path, n)
 
     def read_partition(self, partition, columns=None, predicate=None):
-        read_cols = self._read_columns(columns, predicate)
-        frame = read_jsonl(
+        n_rows, builders = column_builders(
             partition.path,
-            columns=read_cols,
+            columns=self._read_columns(columns, predicate),
             nrows=self.options.get("nrows"),
             byte_range=partition.byte_range,
             parse_dates=self.options.get("parse_dates"),
             dtype=self.options.get("dtype"),
         )
-        return self._finish(frame, columns, predicate)
+        return self.assemble(n_rows, builders, columns, predicate)
 
     def estimated_bytes(self, columns=None, partitions=None):
         estimate = super().estimated_bytes(columns=columns,

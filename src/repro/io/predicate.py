@@ -87,12 +87,6 @@ class Predicate:
             combined = part if combined is None else (combined & part)
         return combined
 
-    def filter(self, frame):
-        mask = self.mask(frame)
-        if mask is None:
-            return frame
-        return frame[mask]
-
     # -- statistics evaluation (partition pruning) ------------------------
 
     def may_match(self, partition) -> bool:

@@ -16,6 +16,9 @@ exposes exactly what the lazy runtime negotiates at the scan boundary:
 - ``scan(...)``            -- an iterator of eager per-partition frames,
                               after projection and predicate are applied.
 
+Every format reads a partition by handing :meth:`DataSource.assemble`
+one *builder* per column (a function decoding it over all the rows).
+
 The optimizer folds pushdown *into* a ``scan`` node's args only when the
 source's flags say the fold is executable; partition pruning consults
 ``Partition`` statistics; the scheduler's static order and automatic
@@ -37,6 +40,7 @@ import numpy as np
 
 from repro.frame import DataFrame
 from repro.frame.column import Column
+from repro.frame.index import default_index
 from repro.graph.scheduler.stats import count
 from repro.io.predicate import Predicate, required_read_columns
 
@@ -218,26 +222,38 @@ class DataSource:
 
     # -- helpers for subclasses -------------------------------------------
 
-    def _finish(
-        self,
-        frame: DataFrame,
-        columns: Optional[Sequence[str]],
-        predicate: Optional[Predicate],
-    ) -> DataFrame:
-        """Apply the scan contract to a freshly read frame: filter rows
-        first (the mask may need columns the projection drops), then
-        project to the requested columns.  Output preserves the source's
-        physical column order (the ``read_csv``/pandas ``usecols``
-        convention), not the request order."""
-        count(cells_decoded=len(frame) * len(frame.columns))
+    def assemble(self, n_rows: int, builders: Dict[str, Callable[[], Column]],
+                 columns: Optional[Sequence[str]], predicate: Optional[Predicate]) -> DataFrame:
+        """The scan contract: the ``n_rows`` rows matching ``predicate``
+        of the read's columns (``builders``, in file order), projected
+        to ``columns`` in file order (the pandas ``usecols`` convention).
+
+        The predicate's columns are built first, for the mask; then each
+        projected column is built, filtered and dropped before the next,
+        so the peak is the output plus the predicate's columns plus one
+        column -- never the unfiltered read beside its filtered copy."""
+        count(cells_decoded=n_rows * len(builders))
+        index = default_index(n_rows)
+        keep = [name for name in builders
+                if columns is None or name in columns]
+        built: Dict[str, Column] = {}
+        mask: Optional[np.ndarray] = None
         if predicate is not None:
-            frame = predicate.filter(frame)
-        if columns is not None:
-            keep = set(columns)
-            wanted = [c for c in frame.columns if c in keep]
-            if wanted != list(frame.columns):
-                frame = frame[wanted]
-        return frame
+            needed = predicate.columns()
+            built = {name: build() for name, build in builders.items()
+                     if name in needed}
+            matches = predicate.mask(DataFrame.from_columns(built, index))
+            if matches is not None:
+                mask = np.asarray(matches.column.values, dtype=bool)
+            built = {name: built[name] for name in keep if name in built}
+        out: Dict[str, Column] = {}
+        # the predicate's columns first, so none waits unfiltered
+        for name in sorted(keep, key=lambda name: name not in built):
+            column = built.pop(name) if name in built else builders[name]()
+            out[name] = column if mask is None else column.filter(mask)
+            del column
+        return DataFrame.from_columns({name: out[name] for name in keep},
+                                      index if mask is None else index.filter(mask))
 
     def _read_columns(
         self,

@@ -15,6 +15,7 @@ import repro
 import repro.lazyfatpandas.pandas as lfp
 from repro.core.session import Session
 from repro.frame import DataFrame
+from repro.frame.column import Column
 from repro.io import (
     CsvSource,
     DEFAULT_SOURCES,
@@ -108,6 +109,17 @@ class TestBuiltinSources:
         assert out.column("year").to_array().tolist() == [2022] * 6
         assert out.column("v").to_array().tolist() == list(range(12, 18))
 
+    def test_a_key_only_read_keeps_the_leaf_rows(self, hive_root):
+        """Reading only a hive key still reads the leaf's row count: the
+        key column is as long as the leaf, not empty."""
+        source = DatasetSource(hive_root)
+        out = source.read_partition(source.partitions()[1], columns=["year"])
+        assert out.column("year").to_array().tolist() == [2021] * 6
+        with Session(backend="pandas"):
+            lf = lfp.scan_dataset(hive_root)
+            assert int(lf["year"].sum().collect()) == 6 * (2020 + 2021
+                                                           + 2022 + 2023)
+
     def test_scan_partitions_subset_and_empty_frame(self, hive_root):
         source = DatasetSource(hive_root)
         frames = list(source.scan(partitions=[1, 3]))
@@ -160,8 +172,8 @@ class _ArangeSource(DataSource):
         lo = partition.min_values["n"]
         hi = partition.max_values["n"] + 1
         n = np.arange(lo, hi)
-        frame = DataFrame({"n": n, "double": n * 2})
-        return self._finish(frame, columns, predicate)
+        builders = {"n": lambda: Column(n), "double": lambda: Column(n * 2)}
+        return self.assemble(len(n), builders, columns, predicate)
 
 
 @pytest.fixture
@@ -258,7 +270,7 @@ class TestPredicate:
             {"column": "x", "op": ">", "value": 2},
             {"column": "s", "op": "==", "value": "a"},
         ])
-        out = predicate.filter(frame)
+        out = frame[predicate.mask(frame)]
         assert out.column("x").to_array().tolist() == [4, 6, 8]
 
     @pytest.mark.parametrize("conj,expected", [
@@ -369,13 +381,14 @@ class TestPredicate:
             "terms": [[{"column": "x", "op": "<", "value": 2}],
                       [{"column": "x", "op": ">=", "value": 8}]],
         }])
-        out = predicate.filter(frame)
+        out = frame[predicate.mask(frame)]
         assert out.column("x").to_array().tolist() == [0, 1, 8, 9]
         negated = Predicate([{
             "op": "not",
             "term": [{"column": "x", "op": "<", "value": 7}],
         }])
-        assert negated.filter(frame).column("x").to_array().tolist() == [7, 8, 9]
+        out = frame[negated.mask(frame)]
+        assert out.column("x").to_array().tolist() == [7, 8, 9]
 
 
 # ---------------------------------------------------------------------------
@@ -872,3 +885,41 @@ class TestTopLevelApi:
             session.set_option("workload.source_format", "jsonl")
             out = lfp.read_csv(path).collect()  # no sibling: plain CSV
         assert out.column("a").to_array().tolist() == [0, 1, 2, 3]
+
+
+class TestOneScanContract:
+    def test_invariant_tool_rejects_a_filter_after_the_read(self):
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        path = (Path(__file__).resolve().parents[2] / "tools"
+                / "check_invariants.py")
+        spec = importlib.util.spec_from_file_location("check_invariants",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        for whole in (
+            "frame = frame[predicate.mask(frame)]",
+            "keep = predicate.mask(frame)",
+            "return piece.filter(mask)",
+            "return self._finish(frame, columns, predicate)",
+            "def _finish(self, frame, columns, predicate):\n    return frame",
+        ):
+            for module in ("io/csv_source.py", "io/jsonl.py",
+                           "io/dataset.py", "io/source.py"):
+                assert list(tool.check_one_scan_contract(
+                    ast.parse(whole), module)), (whole, module)
+        # the assembly step, and code outside the source layer
+        assembly = ("class DataSource:\n"
+                    "    def assemble(self, n, builders, columns, p):\n"
+                    "        mask = p.mask(frame)\n"
+                    "        return column.filter(mask)\n")
+        assert not list(tool.check_one_scan_contract(
+            ast.parse(assembly), "io/source.py"))
+        assert list(tool.check_one_scan_contract(
+            ast.parse(assembly), "io/columnar.py"))
+        assert not list(tool.check_one_scan_contract(
+            ast.parse("frame = frame[predicate.mask(frame)]"),
+            "backends/base.py"))
+        assert tool.run() == []

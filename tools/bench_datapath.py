@@ -1,11 +1,14 @@
 #!/usr/bin/env python
 """Micro-benchmark of the out-of-core data path, before and after.
 
-Four probes over the ``out_of_core`` workload's fact table shape
+Five probes over the ``out_of_core`` workload's fact table shape
 (``k,v,s``: a duplicate-heavy int key, a row number, a 7-value string):
 
 - ``read_csv`` at three projections (all columns, ``k,v``, ``k``), and
   of all columns with ``s`` as ``category``,
+- a filtered scan: ``CsvSource.read_partition`` of the whole table into
+  ``k,v`` with a 1-in-7 predicate on ``s``, timed and with its tracked
+  peak (``scan.predicate_peak_bytes``, the same every time),
 - ``merge`` of the fact table with a dimension a quarter its size whose
   keys mostly miss, ``inner`` and ``outer``,
 - ``groupby(k)[s].nunique()``,
@@ -15,7 +18,8 @@ Four probes over the ``out_of_core`` workload's fact table shape
 Each probe is timed ``--repeats`` times (at least 7 unless ``--quick``)
 per round and reported as median and quartiles in milliseconds.  Only
 the stdlib and numpy are used, and only names both sides of a comparison
-have: ``read_csv``, ``merge``, ``DataFrame.groupby`` and ``ShuffleStore``.
+have: ``read_csv``, ``CsvSource``, ``merge``, ``DataFrame.groupby`` and
+``ShuffleStore``.
 
     python tools/bench_datapath.py --quick            # this checkout, printed
     python tools/bench_datapath.py --parent-rev REV   # writes BENCH_datapath.json
@@ -91,7 +95,10 @@ def run_probes(directory: str, rows: int, repeats: int, seed: int) -> dict:
     import numpy as np
 
     from repro.frame import DataFrame, merge, read_csv
+    from repro.io.csv_source import CsvSource
+    from repro.io.predicate import Predicate
     from repro.io.spill import ShuffleStore
+    from repro.memory.manager import current_memory_manager
 
     paths = write_tables(directory, rows, seed)
     out = {}
@@ -100,6 +107,22 @@ def run_probes(directory: str, rows: int, repeats: int, seed: int) -> dict:
             lambda _: read_csv(paths["fact"], usecols=usecols), repeats)
     out["read_csv.category_ms"] = timed(
         lambda _: read_csv(paths["fact"], dtype={"s": "category"}), repeats)
+
+    source = CsvSource(paths["fact"], partition_bytes=1 << 40)
+    (part,) = source.partitions()
+    one_in_seven = Predicate([{"column": "s", "op": "==",
+                               "value": f"s3-{'x' * 16}"}])
+    manager = current_memory_manager()
+    peaks = []
+
+    def filtered_scan(_):
+        before = manager.live
+        manager.reset_peak()
+        source.read_partition(part, columns=["k", "v"], predicate=one_in_seven)
+        peaks.append(manager.peak - before)
+
+    out["scan.predicate_ms"] = timed(filtered_scan, repeats)
+    out["scan.predicate_peak_bytes"] = peaks
     fact, dim = read_csv(paths["fact"]), read_csv(paths["dim"])
     for how in ("inner", "outer"):
         out[f"merge.{how}_ms"] = timed(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Thirteen structural rules the linters cannot express, checked with
+Fourteen structural rules the linters cannot express, checked with
 nothing but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -121,6 +121,14 @@ nothing but the stdlib ``ast`` module:
     fresh source re-reading all three -- five to eight times per
     ``collect()``, as before the table; only the table and the
     function's own module (``io/registry.py``) call it.
+
+14. **One scan contract.**  A source hands the columns a read needs to
+    ``DataSource.assemble`` (``io/source.py``) as builders; the
+    assembly builds the predicate's columns, computes the mask, and
+    builds, filters and drops one column at a time.  No module under
+    ``io/`` filters a whole read frame after the fact, which holds the
+    unfiltered frame beside its filtered copy: outside ``assemble`` no
+    ``.filter(...)`` or ``.mask(...)`` call, and no ``_finish`` at all.
 
 Usage::
 
@@ -784,12 +792,50 @@ def check_one_source_per_session(tree: ast.Module,
 
 
 # ---------------------------------------------------------------------------
+# check 14: one scan contract
+
+#: row-filtering calls a read must leave to the assembly step.
+_ROW_FILTER_CALLS = frozenset({"filter", "mask"})
+
+
+def check_one_scan_contract(tree: ast.Module, rel: str) -> Iterator[str]:
+    if not rel.startswith("io/"):
+        return
+    assembly = set()
+    if rel == "io/source.py":
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "assemble":
+                assembly.update(map(id, ast.walk(node)))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        else:
+            name = getattr(node, "attr", None)
+        if name == "_finish":
+            yield (
+                f"src/repro/{rel}:{node.lineno}: _finish -- a read is "
+                f"assembled column by column (DataSource.assemble), not "
+                f"filtered whole after the fact"
+            )
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) in _ROW_FILTER_CALLS
+                and id(node) not in assembly):
+            yield (
+                f"src/repro/{rel}:{node.lineno}: .{node.func.attr}(...) -- "
+                f"rows are filtered in DataSource.assemble (io/source.py), "
+                f"one column at a time; a whole read frame filtered here "
+                f"is live beside its filtered copy"
+            )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
           check_one_aggregate_plan, check_one_stats_model,
           check_one_join_plan, check_one_memory_rule,
-          check_one_partitioned_executor, check_one_source_per_session)
+          check_one_partitioned_executor, check_one_source_per_session,
+          check_one_scan_contract)
 
 
 def run(src: Path = SRC) -> List[str]:
