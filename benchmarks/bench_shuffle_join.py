@@ -10,8 +10,8 @@ half of it (the dataset is then provably >= 2x ``memory.budget``):
   independently, and the run must complete (the in-memory path cannot)
   with a bit-identical result.
 - *broadcast* -- the right side shrunk to a handful of rows: the
-  lowering skips the shuffle and streams left partitions against the
-  materialized right side.  The acceptance bar: within 1.2x of the
+  lowering skips the shuffle and merges each left partition against
+  the gathered right side.  The acceptance bar: within 1.2x of the
   in-memory join.
 
 A groupby.agg("nunique") leg runs the bucketed holistic path under the

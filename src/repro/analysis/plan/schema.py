@@ -624,8 +624,8 @@ def _concat_schema(node, inputs, ctx) -> NodeSchema:
 
 # -- shuffle lowering operators ---------------------------------------------
 #
-# These are optimizer-internal (repro.core.optimizer.shuffle emits them
-# after the analysis gate runs), but the coverage contract still holds:
+# These are optimizer-internal (repro.core.optimizer.partitions emits
+# them after the analysis gate runs), but the coverage contract still holds:
 # every registered op has a transfer function.
 
 

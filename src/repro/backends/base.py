@@ -33,6 +33,10 @@ class Backend:
     """Base class for execution backends."""
 
     name = "abstract"
+    #: target bytes of a piece when a plan is cut per partition, before
+    #: a memory budget shrinks it
+    #: (:func:`repro.core.optimizer.partitions.partition_bytes`).
+    partition_bytes = 1 << 20
 
     # -- frame construction ----------------------------------------------
 
@@ -40,9 +44,8 @@ class Backend:
         """Execute a ``scan`` node: take the session's source for the
         args (:mod:`repro.io.source_table`), bound to the scan's read
         options, and materialize the selected partitions (projection and
-        folded predicate applied inside the source).  Eager backends
-        concatenate the per-partition frames; partitioned backends
-        override to keep the pieces apart.
+        folded predicate applied inside the source), concatenated.  A
+        plan cut per partition reads one partition per ``scan``.
         """
         from repro.core.session import current_session
         from repro.frame.concat import concat_consuming
@@ -56,28 +59,6 @@ class Backend:
         session = current_session()
         source = session_source(args, session.metastore, session).bind(args)
         predicate = Predicate.from_arg(args.get("predicate"))
-        if args.get("stream"):
-            # the shuffle lowering marked this scan: its sole consumer
-            # processes partitions one at a time, so hand it a lazy
-            # stream instead of concatenating (PR 5 seam, ROADMAP item 1)
-            from repro.io.spill import PartitionStream
-
-            columns = args.get("columns")
-            partitions = args.get("partitions")
-            return PartitionStream(
-                lambda: source.scan(
-                    columns=columns,
-                    predicate=predicate,
-                    partitions=partitions,
-                ),
-                empty_factory=lambda: source.empty_frame(
-                    columns, predicate=predicate
-                ),
-                n_partitions=(
-                    len(partitions) if partitions is not None
-                    else args.get("partitions_total")
-                ),
-            )
         frames = list(source.scan(
             columns=args.get("columns"),
             predicate=predicate,
@@ -141,10 +122,6 @@ class Backend:
 
     def materialize(self, value):
         """Force a backend value to an eager frame / series / scalar."""
-        from repro.io.spill import PartitionStream
-
-        if isinstance(value, PartitionStream):
-            return value.materialize()
         return value
 
     def persist(self, value):
@@ -293,13 +270,6 @@ def apply_generic(backend: Backend, node: Node, inputs: List[object]):
     if op == "groupby_size":
         return inputs[0].groupby(args["keys"]).size()
     if op == "merge":
-        from repro.io.spill import PartitionStream
-
-        if any(isinstance(v, PartitionStream) for v in inputs):
-            # broadcast fast path: streamed big side x small eager side
-            from repro.backends.shuffle_ops import broadcast_merge
-
-            return broadcast_merge(backend, node, inputs)
         return inputs[0].merge(inputs[1], **args)
     if op == "concat":
         return backend.concat(inputs)

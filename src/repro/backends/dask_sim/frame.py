@@ -226,7 +226,7 @@ class DaskFrame(DaskCollection):
     def merge(self, right, **kwargs) -> "DaskFrame":
         """A join planned by :mod:`repro.frame.merge`: partition at a time
         against a one-partition right side when the broadcast rule allows
-        it, else through the shuffle ops."""
+        it, else through the shuffle ops (one store per side)."""
         if isinstance(right, DataFrame):
             right = from_pandas(right, self.backend, npartitions=1)
         keys = join_keys(self.columns, right.columns, **kwargs)
@@ -451,15 +451,16 @@ class DaskGroupBy(GroupBy):
     """Grouped lazy frame: an aggregation is per-partition
     ``partial_agg`` and one ``combine_agg``, computed right away, so
     memory stays bounded by the number of groups, not the number of
-    rows.  A holistic function has no partials and is refused (the
-    pandas fallback)."""
+    rows; a holistic function hash-shuffles the partitions so each
+    group is whole in one bucket.  A holistic aggregate of a key column
+    is refused (the pandas fallback)."""
 
     def aggregate(self, triples, series=None):
         frame = self._frame
         node = aggregate(frame.parts, self._keys, triples, series=series,
                          as_index=self._as_index)
         if node is None:
-            raise BackendUnsupported("holistic groupby aggregate on Dask")
+            raise BackendUnsupported("holistic aggregate of a key column")
         return frame._compute_node(node)
 
 

@@ -8,9 +8,10 @@ any module-level state, and a session switching back to a backend lost
 that backend's store).  This module replaces it:
 
 - :class:`EngineSpec` describes a backend *kind*: its factory plus the
-  capability facts callers branch on (partitioned, out-of-core) -- the
-  shape of Dask's per-collection ``__dask_scheduler__`` hooks, but
-  declared once per engine.  Every engine runs under every executor
+  capability facts callers branch on (partitioned) and its partition
+  cut policy (``out_of_core``: cut every plan, or only what exceeds the
+  size limit) -- the shape of Dask's per-collection
+  ``__dask_scheduler__`` hooks, but declared once per engine.  Every engine runs under every executor
   strategy: a backend's ``apply`` runs one node on eager values, so
   independent nodes may run concurrently.
 - :class:`EngineRegistry` maps names to specs.  Sessions hold a registry
@@ -38,9 +39,11 @@ class EngineSpec:
     factory: Callable[[], Backend]
     #: splits frames into row partitions.
     partitioned: bool = False
-    #: plans are cut per partition (:mod:`repro.core.optimizer.
-    #: partitions`), so a budgeted run holds a partition at a time and
-    #: spills through the shuffle stores.
+    #: the partition cut policy (:mod:`repro.core.optimizer.shuffle`):
+    #: True cuts every plan per partition, so a budgeted run holds a
+    #: partition at a time and spills through the shuffle stores; False
+    #: cuts only the scans over the size limit that feed a merge or a
+    #: group-by, so a plan that fits runs whole.
     out_of_core: bool = False
     description: str = ""
 
@@ -94,7 +97,7 @@ def _modin_factory() -> Backend:
 DEFAULT_REGISTRY = EngineRegistry([
     EngineSpec(
         "pandas", _pandas_factory,
-        description="eager, whole-frame, in-memory",
+        description="eager, whole-frame; cut per partition over the limit",
     ),
     EngineSpec(
         "dask", _dask_factory,
@@ -104,6 +107,6 @@ DEFAULT_REGISTRY = EngineRegistry([
     EngineSpec(
         "modin", _modin_factory,
         partitioned=True,
-        description="eager, partitioned, in-memory",
+        description="eager, partitioned; cut per partition over the limit",
     ),
 ])

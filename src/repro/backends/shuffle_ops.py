@@ -1,13 +1,14 @@
-"""Eager execution of the shuffle-lowering operators.
+"""Eager execution of the shuffle operators.
 
-``repro.core.optimizer.shuffle`` rewrites oversized merges / groupbys
-into graphs of ``shuffle_write`` / ``shuffle_read`` / ``partial_agg`` /
-``combine_agg`` nodes plus ``stream=True`` scans, and the Dask
-engine's partition cut (``repro.core.optimizer.partitions``) emits the
-same ops over per-partition nodes; this module is how every backend
-runs them.  A shuffle join is a :func:`hash_split` per input (one
-``shuffle_write`` per partition on Dask, tagging rows with positions
-that order the partitions), bucket-local merges, and :func:`restitch`.
+The partition cut (``repro.core.optimizer.partitions``) lowers
+oversized merges and group-bys, on every engine, into graphs of
+``shuffle_write`` / ``shuffle_read`` / ``partial_agg`` /
+``combine_agg`` / ``compact`` nodes over per-partition pieces; this
+module is how every backend runs them.  A shuffle join is one store per
+side -- each piece's ``shuffle_write`` splits it (:func:`hash_split`)
+into the store the previous piece's write filled, tagging rows with
+their position in the side -- bucket-local merges, and
+:func:`restitch`.
 
 Bucket assignment uses Python's builtin ``hash`` on key tuples: it is
 the only cheap hash that is *equality-consistent* across mixed numeric
@@ -20,7 +21,7 @@ group order (groupby).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -30,12 +31,7 @@ from repro.frame.dataframe import DataFrame
 from repro.frame.groupby import combine_partials, partial_aggregate
 from repro.frame.series import Series
 from repro.graph.scheduler.stats import count
-from repro.io.spill import (
-    PartitionStream,
-    ShuffleStore,
-    session_spill_dir,
-    spill_live_stores,
-)
+from repro.io.spill import ShuffleStore, session_spill_dir, spill_live_stores
 from repro.memory.manager import SimulatedMemoryError
 
 #: all NA key values colocate in one bucket (NA never joins, but the
@@ -63,42 +59,35 @@ def apply_shuffle_op(backend, node, inputs):
 
 
 def exec_shuffle_write(backend, node, inputs) -> ShuffleStore:
-    """Hash-split the input's partitions into a spillable bucket store."""
+    """Hash-split one piece into its side's store: the store of the
+    previous piece's write (a second input), else a new one."""
     args = node.args
-    parts, empty_factory = _iter_parts(backend, inputs[0])
-    return hash_split(parts, args["keys"], int(args["n_buckets"]),
-                      args.get("pos_name"), empty_factory,
-                      int(args.get("pos_base", 0)))
+    return hash_split(backend.materialize(inputs[0]), args["keys"],
+                      int(args["n_buckets"]), args.get("pos_name"),
+                      inputs[1] if len(inputs) > 1 else None)
 
 
-def hash_split(parts, keys, n_buckets: int, pos_name=None,
-               empty_factory=None, pos_base: int = 0) -> ShuffleStore:
-    """Kernel: hash-split partition frames on ``keys`` into a new store,
-    each row tagged with its position, counted from ``pos_base``, in
-    column ``pos_name`` if named; ``empty_factory`` types the buckets
-    of an empty stream."""
+def hash_split(frame: DataFrame, keys, n_buckets: int, pos_name=None,
+               store: Optional[ShuffleStore] = None) -> ShuffleStore:
+    """Kernel: hash-split ``frame`` on ``keys`` into ``store`` (a new
+    one if None), each row tagged with its position in the store's rows
+    so far in column ``pos_name`` if named."""
     keys = [str(k) for k in keys]
     manager = _current_manager()
-    store = ShuffleStore(n_buckets, spill_dir=session_spill_dir())
-    count(shuffle_partitions=n_buckets)
-    offset = pos_base
-    # cushion for the stream's first partition read: a merge's second
-    # write starts with the first side's store holding ~the whole budget
-    _make_headroom(store, manager, 16384)
-    for part in parts:
-        # the pos column and the split copies arrive while the
-        # partition itself is still resident
-        _make_headroom(store, manager, part.nbytes)
-        frame = _with_pos(part, pos_name, offset)
-        offset += len(frame)
-        store.set_template(frame)
-        for bucket, piece in _split(frame, _bucket_ids(frame, keys, n_buckets)):
-            store.append(bucket, piece)
-        # the stream materializes the next partition before the loop
-        # body can spill for it: clear the way now
-        _make_headroom(store, manager, part.nbytes)
-    if store.template is None:
-        store.set_template(_with_pos(empty_factory(), pos_name, pos_base))
+    if store is None:
+        store = ShuffleStore(n_buckets, spill_dir=session_spill_dir())
+        count(shuffle_partitions=n_buckets)
+    # the pos column and the split copies arrive while the piece itself
+    # is still resident
+    _make_headroom(manager, frame.nbytes)
+    tagged = _with_pos(frame, pos_name, store.rows)
+    store.rows += len(tagged)
+    store.set_template(tagged)
+    for bucket, piece in _split(tagged, _bucket_ids(tagged, keys, n_buckets)):
+        store.append(bucket, piece)
+    # the next piece is read before its write can spill for it: clear
+    # the way now
+    _make_headroom(manager, frame.nbytes)
     return store
 
 
@@ -113,7 +102,7 @@ def _with_pos(frame: DataFrame, pos_name, offset: int) -> DataFrame:
     return DataFrame.from_columns(cols)
 
 
-def _make_headroom(store: ShuffleStore, manager, upcoming: int) -> None:
+def _make_headroom(manager, upcoming: int) -> None:
     """Spill ahead of a split that will roughly double ``upcoming``.
 
     Spills across *all* live stores: when a merge writes its second
@@ -185,7 +174,7 @@ def exec_compact(backend, node, inputs):
     payload -- so a small per-bucket result would pin its whole input
     bucket's string payload until the final combine drains every
     bucket.  Re-owning here lets the bucket die with its payload."""
-    return backend.from_pandas(_owned_frame(_eager(backend, inputs[0])))
+    return backend.from_pandas(_owned_frame(backend.materialize(inputs[0])))
 
 
 def _owned_frame(frame: DataFrame) -> DataFrame:
@@ -223,10 +212,10 @@ def _owned_take(column: Column, idx: np.ndarray) -> Column:
 
 
 def drain_bucket(stores: List[ShuffleStore], bucket: int) -> DataFrame:
-    """Drain one bucket of every store (one per write: a cut frame
-    writes a store per partition) into one frame, spilling other
-    resident chunks first when the write phase left the budget too full
-    to materialize it.
+    """Drain one bucket of the stores (a ``shuffle_read``'s inputs: its
+    side's one store) into one frame, spilling other resident chunks
+    first when the write phase left the budget too full to materialize
+    it.
 
     The write phase keeps live bytes just under the budget, so without
     this the very first unpickle of a spilled chunk can OOM.  The
@@ -262,20 +251,14 @@ def drain_bucket(stores: List[ShuffleStore], bucket: int) -> DataFrame:
 
 
 def exec_partial_agg(backend, node, inputs) -> DataFrame:
-    """Per-partition (or per-bucket) grouped partials, stacked in
-    partition order."""
+    """Grouped partials of one piece (or bucket)."""
     args = node.args
-    keys = [str(k) for k in args["keys"]]
-    pairs = [tuple(p) for p in args["pairs"]]
-    parts, empty_factory = _iter_parts(backend, inputs[0])
-    partials = [partial_aggregate(part, keys, pairs) for part in parts]
-    if not partials:
-        partials = [partial_aggregate(empty_factory(), keys, pairs)]
-    if len(partials) == 1:
-        # own the payload: a lone partial's key columns are take-derived
-        # from the source partition/bucket and would pin its heap store
-        return _owned_frame(partials[0])
-    return concat_consuming(partials)
+    partial = partial_aggregate(
+        backend.materialize(inputs[0]), [str(k) for k in args["keys"]],
+        [tuple(p) for p in args["pairs"]])
+    # own the payload: the key columns are take-derived from the piece
+    # and would pin its heap store
+    return _owned_frame(partial)
 
 
 # -- combine_agg -------------------------------------------------------
@@ -285,7 +268,7 @@ def exec_combine_agg(backend, node, inputs):
     args = node.args
     if args.get("kind") == "scalar":
         return combine_scalars(args["func"], inputs)
-    frames = [_eager(backend, piece) for piece in inputs]
+    frames = [backend.materialize(piece) for piece in inputs]
     if args.get("kind") == "merge":
         return backend.from_pandas(restitch(frames, args["pos_names"]))
     return backend.from_pandas(combine_partials(
@@ -343,46 +326,7 @@ def _stack(frames: List[DataFrame]) -> DataFrame:
     return concat_consuming(frames)
 
 
-# -- broadcast merge ---------------------------------------------------
-
-
-def broadcast_merge(backend, node, inputs):
-    """Merge a streamed left side against a small materialized right
-    side, one partition at a time (the broadcast-join fast path)."""
-    stream, right = inputs
-    count(broadcast_joins=1)
-    right_frame = _eager(backend, right)
-    # each piece re-owns its payload so the source partition (whose
-    # heap store a plain merge result would share) can die immediately
-    pieces = [
-        _owned_frame(part.merge(right_frame, **node.args))
-        for part in stream
-    ]
-    if not pieces:
-        return backend.from_pandas(
-            stream.empty_frame().merge(right_frame, **node.args)
-        )
-    if len(pieces) == 1:
-        return backend.from_pandas(pieces[0])
-    return backend.from_pandas(concat_consuming(pieces))
-
-
 # -- session context ---------------------------------------------------
-
-
-def _eager(backend, value):
-    if isinstance(value, PartitionStream):
-        return value.materialize()
-    return backend.materialize(value)
-
-
-def _iter_parts(backend, value):
-    """Iterate a value as partition frames; eager values are one part."""
-    if isinstance(value, PartitionStream):
-        return iter(value), value.empty_frame
-    frame = backend.materialize(value)
-    empty = np.empty(0, dtype=np.int64)
-    return iter([frame]), (lambda: frame.take(empty))
 
 
 def _current_manager():

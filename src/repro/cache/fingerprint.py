@@ -140,7 +140,7 @@ def _hash_payload(h, value) -> None:
             _hash_value(h, str(name))
             _hash_value(h, value.column(name))
     else:
-        # callables (UDFs), stores, streams, arbitrary objects: no
+        # callables (UDFs), stores, arbitrary objects: no
         # canonical encoding exists -- refuse rather than mis-key.
         raise Unfingerprintable(
             f"value of type {type(value).__name__!r} has no canonical "

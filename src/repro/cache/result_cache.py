@@ -55,7 +55,7 @@ def serialize_value(value: Any) -> Tuple[bytes, str]:
 
     Returns ``(blob, kind)`` where ``kind`` is ``"frame"``,
     ``"series"``, or ``"scalar"``.  Raises :class:`TypeError` for
-    values that are not eager results (streams, stores, lazy exprs) --
+    values that are not eager results (stores, lazy exprs) --
     callers treat that as "not cacheable", never as an error.
     """
     from repro.frame import DataFrame, Series

@@ -269,19 +269,21 @@ register_option(
 )
 register_option(
     "optimizer.shuffle", True,
-    doc="Lower oversized merge / groupby-agg nodes over partitioned "
-        "scans into the hash-partition -> spill -> stream pipeline "
-        "(shuffle_write / shuffle_read / partial_agg / combine_agg). "
-        "Only fires when a size limit exists: optimizer."
+    doc="Give the partition cut a size limit: optimizer."
         "shuffle_threshold_bytes if set, else the memory.budget "
-        "headroom.",
+        "headroom.  On pandas and Modin the scans over it that feed a "
+        "merge / groupby-agg are cut per partition and the wide op "
+        "lowered (shuffle_write / shuffle_read / partial_agg / "
+        "combine_agg); the Dask engine cuts every plan and sizes its "
+        "broadcasts and buckets by it.",
     validator=_validate_bool,
 )
 register_option(
     "optimizer.shuffle_partitions", None,
-    doc="Bucket count P for lowered shuffles (None = derived from the "
-        "scan byte estimates so one bucket is roughly a quarter of the "
-        "size limit, clamped to [2, 32]).",
+    doc="Bucket count P for lowered shuffles (None = one per piece, "
+        "and under a size limit at least enough that one bucket is "
+        "roughly a quarter of it by the scan byte estimates, clamped "
+        "to [2, 32]).",
     validator=_validate_optional_positive_int,
 )
 register_option(

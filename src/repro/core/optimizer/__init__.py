@@ -12,7 +12,10 @@ order chosen so each rule sees the previous rule's output:
 4. **metadata optimization** (section 3.6) -- dtype hints and safe
    ``category`` encoding from the metastore;
 5. **persistence marking** (section 3.5) -- the nodes of the plan that
-   ``live_df`` expressions will read are marked ``persist``.
+   ``live_df`` expressions will read are marked ``persist``;
+6. **the partition cut** (section 2.6) -- behind one size gate, the
+   plan is cut per partition as the engine's policy says
+   (:mod:`repro.core.optimizer.shuffle`).
 
 The plan is rewritten in place and is the caller's to give away: a
 session hands over a private copy of the user's graph, never the graph.

@@ -81,8 +81,8 @@ class CacheRunState:
 
         Worthiness = the node was fingerprinted as a raw-plan miss AND
         its actual cost (wall seconds x serialized bytes) meets
-        ``cache.min_cost``.  Non-eager values (streams, stores, lazy
-        expressions) are silently skipped.  Returns True on insert.
+        ``cache.min_cost``.  Non-eager values (stores, lazy expressions)
+        are silently skipped.  Returns True on insert.
         """
         key = self.candidates.get(node.id)
         if key is None:

@@ -21,7 +21,6 @@ from repro.core.optimizer.predicate_pushdown import (
     push_down_predicates,
 )
 from repro.core.optimizer.projection import push_down_projections
-from repro.core.optimizer.partitions import cut_partitions
 from repro.core.optimizer.shuffle import lower_shuffle_nodes
 
 
@@ -91,22 +90,20 @@ def optimize(
         roots, session.metastore,
         prune=bool(opts.get("optimizer.partition_pruning")),
     )
-    # After pruning stamped per-scan byte estimates: lower oversized
-    # merge/groupby nodes into the partition-wise shuffle pipeline.
-    report["shuffle_lowered"] = lower_shuffle_nodes(roots, session)
     if state is not None:
         # results are cached under raw-plan fingerprints: withdraw the
         # interior nodes that no longer compute what theirs names
         retain_unrewritten(state, roots)
-    if session.engine.spec.out_of_core:
-        # Last: cut every frame node into per-partition nodes.  A cut
-        # node that keeps its id still computes its raw value (a root
-        # gathers its partitions; a pin's plan is not cut), so it stays
-        # a reuse candidate.
-        report["partitions_cut"] = cut_partitions(roots, session, pins)
-    # the run's scheduler offers executed results back through this
-    session._cache_run = state
     for pin in pins:
         pin.persist = True
     report["persisted"] = len(pins)
+    # Last, after pruning stamped per-scan byte estimates: the size gate
+    # cuts the plan per partition as the engine's policy says.  A cut
+    # node that keeps its id still computes its raw value (a root
+    # gathers its partitions; a pin's plan is not cut), so it stays a
+    # reuse candidate.
+    lowered, cut = lower_shuffle_nodes(roots, session)
+    report["shuffle_lowered"], report["partitions_cut"] = lowered, cut
+    # the run's scheduler offers executed results back through this
+    session._cache_run = state
     return report

@@ -48,7 +48,7 @@ class OpSpec:
     volatile_args: FrozenSet[str] = frozenset()
     #: False when the op's result must never be served from (or
     #: inserted into) the cross-session result cache -- nondeterminism
-    #: (``sample``) or store/stream-valued results (shuffle staging).
+    #: (``sample``) or store-valued results (shuffle staging).
     #: Non-cacheable ops poison their whole consumer subtree.
     cacheable: bool = True
 
@@ -490,12 +490,9 @@ register_op(OpSpec("merge", mod_attrs=_NO_COLS, used_attrs=_merge_used))
 register_op(OpSpec("concat", mod_attrs=_NO_COLS, used_attrs=_NO_COLS))
 
 
-# Shuffle-lowering operators.  These are never built by user code: the
-# optimizer pass in ``repro.core.optimizer.shuffle`` rewrites oversized
-# ``merge`` / ``groupby_agg`` nodes over partitioned scans into a
-# hash-partition -> spill -> stream pipeline built from these four ops,
-# and the Dask engine's partition cut (``repro.core.optimizer.
-# partitions``) builds its per-partition aggregates and joins from them.
+# Shuffle operators.  These are never built by user code: the partition
+# cut (``repro.core.optimizer.partitions``) builds its per-partition
+# aggregates and joins from them, on every engine.
 
 def _shuffle_write_mod(node: Node) -> Set[str]:
     # the appended row-position column used to restore merge row order

@@ -100,20 +100,7 @@ def _estimate(
 ) -> Optional[int]:
     op = node.op
     if op == "scan":
-        if node.args.get("stream"):
-            # a streaming scan materializes nothing up front; its
-            # consumer pays per partition
-            return _SCALAR_BYTES
         return estimate_scan_bytes(node, metastore)
-    total = node.args.get("est_total")
-    if total is not None and op in ("shuffle_write", "shuffle_read"):
-        # working set of the write, output size of the read: one bucket
-        buckets = max(1, int(node.args.get("n_buckets", 1)))
-        return max(1, int(total) // buckets)
-    if total is not None and op == "partial_agg":
-        # bounded by one partition of partials
-        parts = max(1, int(node.args.get("n_parts", 1)))
-        return max(1, int(total) // parts)
     if op == "from_cached":
         nbytes = node.args.get("nbytes")
         return int(nbytes) if isinstance(nbytes, (int, float)) else None
@@ -153,7 +140,7 @@ def _estimate(
 def estimate_scan_bytes(node: Node, metastore) -> Optional[int]:
     """Predicted in-memory bytes of one ``scan`` leaf, as its source
     sees it (``None`` = unknown): the one size model of a read, shared
-    by the static order and by automatic backend choice."""
+    by the static order and the stats."""
     stamped = node.args.get("est_bytes")
     if stamped is not None:
         # the pruning pass computed this with the source in hand

@@ -24,10 +24,9 @@ exactly as if the node had run in-process.
 Graceful fallback keeps the strategy total: tasks whose args or inputs
 do not pickle (lambdas in ``apply``/``map``), side-effect ops (prints
 must appear on the parent's stdout, in program order), shuffle-store
-and partition-stream plumbing (live locks / single-use iterators), and
-workers that return an unpicklable result all run inline on the
-coordination thread instead, with the session's accounting semantics
-unchanged.  A scan ships with the :class:`~repro.io.source.Partition`
+plumbing (live locks, parent-side spill files), and workers that return
+an unpicklable result all run inline on the coordination thread
+instead, with the session's accounting semantics unchanged.  A scan ships with the :class:`~repro.io.source.Partition`
 objects it reads (byte ranges included), so a worker never re-lists a
 source against a metastore it does not have.
 
@@ -68,21 +67,14 @@ from repro.graph.scheduler.fused import fuse_linear_chains
 from repro.graph.scheduler.stats import ExecutionStats, NodeStat
 
 #: ops that must run in the parent whatever their picklability: shuffle
-#: stores hold locks and parent-side spill directories, streams are
-#: single-use iterators over parent file handles.
+#: stores hold locks and parent-side spill directories.
 _INLINE_OPS = frozenset({"shuffle_write", "shuffle_read"})
-
-
-def _streams(node: Node) -> bool:
-    return node.op == "scan" and bool(node.args.get("stream"))
 
 
 def _runs_inline(node: Node) -> bool:
     """Must ``node`` run in the parent, whatever its inputs' values?
-    Side effects, shuffle-store plumbing, and streams: a streaming
-    scan, or a node reading one."""
-    return (node.spec.side_effect or node.op in _INLINE_OPS
-            or _streams(node) or any(_streams(inp) for inp in node.inputs))
+    Side effects and shuffle-store plumbing."""
+    return node.spec.side_effect or node.op in _INLINE_OPS
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +238,8 @@ class ProcessScheduler(Scheduler):
                stats: ExecutionStats) -> List[Task]:
         """Fused chains, each cut after its inline-only head: a chain
         ships whole or not at all, so a head that must stay here (a
-        broadcast merge reading a stream) would otherwise pull the
-        shippable tail -- UDFs included -- into this process."""
+        ``shuffle_read``) would otherwise pull the shippable tail --
+        UDFs included -- into this process."""
         tasks: List[Task] = []
         for chain in fuse_linear_chains(order, root_ids, consumers):
             while len(chain) > 1 and _runs_inline(chain[0]):
@@ -322,11 +314,11 @@ class ProcessScheduler(Scheduler):
         """Serialize ``chain`` for a worker, or ``None`` to run inline.
 
         Inline reasons: side-effect ops (parent stdout, program order),
-        shuffle-store / stream plumbing in ops or input values, stream-
-        returning scans, and any args or input that fails to pickle
-        (lambdas in ``apply``/``map`` being the common case).
+        shuffle-store plumbing in ops or input values, and any args or
+        input that fails to pickle (lambdas in ``apply``/``map`` being
+        the common case).
         """
-        from repro.io.spill import PartitionStream, ShuffleStore
+        from repro.io.spill import ShuffleStore
 
         steps: List[Tuple[str, dict, List[Tuple[str, int]]]] = []
         externals: List[object] = []
@@ -341,7 +333,7 @@ class ProcessScheduler(Scheduler):
                     slots.append(("step", step_index[inp.id]))
                     continue
                 value = inp.result
-                if isinstance(value, (PartitionStream, ShuffleStore)):
+                if isinstance(value, ShuffleStore):
                     return None
                 if inp.id not in external_index:
                     external_index[inp.id] = len(externals)

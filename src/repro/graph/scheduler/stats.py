@@ -120,7 +120,7 @@ class ExecutionStats:
         "tracked bytes the shuffle stores pushed to disk, whenever the "
         "spill happened")
     broadcast_joins: int = _counter(
-        "merges that streamed one side against a broadcast other "
+        "merges run piece by piece against a gathered right side "
         "instead of shuffling")
     bytes_read: int = _counter("bytes fetched through the byte-range layer")
     ranges_prefetched: int = _counter("byte ranges the scheduler prefetched")
@@ -142,7 +142,7 @@ class ExecutionStats:
     process_tasks: int = _counter("tasks shipped to pool workers")
     process_fallbacks: int = _counter(
         "tasks run in the parent instead (unpicklable args or "
-        "results, stream/store inputs, side effects)")
+        "results, store inputs, side effects)")
     process_retries: int = _counter(
         "tasks re-run after a worker died mid-flight")
     #: the session manager's high-water mark when the run finished.

@@ -20,9 +20,8 @@ Structure (mirrors the engine and scheduler subsystems):
   cache overlapping remote latency with compute,
 - :mod:`repro.io.columnar`  -- the ``.lfc`` columnar container format
   and its chunk-pruning :class:`ColumnarSource`,
-- :mod:`repro.io.spill`     -- :class:`PartitionStream` (streaming
-  scans) and :class:`ShuffleStore` (spillable hash buckets) backing the
-  shuffle operators,
+- :mod:`repro.io.spill`     -- :class:`ShuffleStore` (spillable hash
+  buckets, one per shuffled side) backing the shuffle operators,
 - format modules            -- :mod:`~repro.io.csv_source`,
   :mod:`~repro.io.jsonl`, :mod:`~repro.io.dataset`.
 """
@@ -56,7 +55,7 @@ from repro.io.registry import (
     source_capabilities,
 )
 from repro.io.source import DataSource, Partition
-from repro.io.spill import PartitionStream, ShuffleStore
+from repro.io.spill import ShuffleStore
 
 __all__ = [
     "ByteRangeFilesystem",
@@ -70,7 +69,6 @@ __all__ = [
     "JsonlSource",
     "LocalFilesystem",
     "Partition",
-    "PartitionStream",
     "Predicate",
     "ShuffleStore",
     "SourceRegistry",

@@ -8,7 +8,7 @@ of ``scan_csv`` and builds the same node: each returns a
 carrying the format name, the path, and the format's read options.
 There is no other file-source op in the graph, so everything that
 inspects a read (pushdown, pruning, prefetch, estimates, the I/O
-counters, backend choice) has one thing to look at.  The optimizer
+counters, the size gate) has one thing to look at.  The optimizer
 folds projections and predicates into those args when the format's
 registry spec says the source can execute them, and the pruning pass
 drops partitions whose statistics provably fail the folded predicate;

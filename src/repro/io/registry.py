@@ -30,7 +30,6 @@ from repro.registry import SpecRegistry
 STRUCTURAL_ARGS = frozenset({
     "format", "path", "columns", "predicate", "partitions",
     "partitions_total", "est_bytes", "read_only_cols", "mutated_cols",
-    "stream",
 })
 
 

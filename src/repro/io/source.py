@@ -21,8 +21,8 @@ one *builder* per column (a function decoding it over all the rows).
 
 The optimizer folds pushdown *into* a ``scan`` node's args only when the
 source's flags say the fold is executable; partition pruning consults
-``Partition`` statistics; the scheduler's static order and automatic
-backend choice consume ``estimated_bytes``.  Formats register in
+``Partition`` statistics; the scheduler's static order and the
+partition cut's size gate consume ``estimated_bytes``.  Formats register in
 :mod:`repro.io.registry`, mirroring the engine and executor registries.
 
 What a source reads about its file (header, footer, layout, metastore

@@ -1,22 +1,17 @@
-"""Spill-backed staging for the partition-wise shuffle pipeline.
+"""Spill-backed staging for the shuffle operators.
 
-Two pieces back the ``shuffle_write`` / ``shuffle_read`` operators (see
-``repro.core.optimizer.shuffle`` for the lowering pass that emits them):
-
-- :class:`PartitionStream` -- a single-use stream of a scan's partition
-  frames.  ``Backend.scan`` returns one instead of concatenating when
-  the plan marked the scan with ``stream=True``, so downstream shuffle
-  operators see partitions one at a time and peak memory stays at a
-  partition, not the table.
-- :class:`ShuffleStore` -- P hash buckets of frame chunks.  Chunks live
-  in memory (their :class:`~repro.frame.column.Column` buffers charged
-  to the session's ``memory.budget``) until headroom runs out, then are
-  pickled onto the end of the store's one spill file and their buffers
-  released; the chunk stays in its bucket as an ``(offset, length)``.
-  Reading a bucket back ``pread``s its chunks (distinct buckets drain
-  from concurrent threads over the one descriptor) and re-registers
-  the bytes.  Nothing is reclaimed chunk by chunk: a file created and
-  deleted per chunk cost more than the pickling it carried.
+:class:`ShuffleStore` backs ``shuffle_write`` / ``shuffle_read`` (the
+partition cut, ``repro.core.optimizer.partitions``, emits them): P hash
+buckets of frame chunks, one store per shuffled side, filled by one
+write per piece.  Chunks live in memory (their
+:class:`~repro.frame.column.Column` buffers charged to the session's
+``memory.budget``) until headroom runs out, then are pickled onto the
+end of the store's one spill file and their buffers released; the
+chunk stays in its bucket as an ``(offset, length)``.  Reading a bucket
+back ``pread``s its chunks (distinct buckets drain from concurrent
+threads over the one descriptor) and re-registers the bytes.  Nothing
+is reclaimed chunk by chunk: a file created and deleted per chunk cost
+more than the pickling it carried.
 
 A spilled chunk is the pickle of ``(name, Column)`` pairs rather than
 JSONL/CSV: ``Column.__getstate__`` round-trips values, categories, and
@@ -37,7 +32,7 @@ import shutil
 import tempfile
 import threading
 import weakref
-from typing import Callable, Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -124,58 +119,6 @@ def _remove_spill(fd: int, directory: str) -> None:
     shutil.rmtree(directory, ignore_errors=True)
 
 
-class PartitionStream:
-    """Single-use iterator over a scan's partition frames.
-
-    ``factory`` opens the underlying source scan; ``empty_factory``
-    yields a zero-row frame with the scan's exact output schema (used
-    for empty sources and dtype templates).  ``n_partitions`` is the
-    planned partition count when known.
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[], Iterator[DataFrame]],
-        empty_factory: Callable[[], DataFrame],
-        n_partitions: Optional[int] = None,
-    ) -> None:
-        self._factory = factory
-        self._empty_factory = empty_factory
-        self.n_partitions = n_partitions
-        self._consumed = False
-
-    def __iter__(self) -> Iterator[DataFrame]:
-        if self._consumed:
-            raise RuntimeError(
-                "PartitionStream is single-use and was already consumed"
-            )
-        self._consumed = True
-        return iter(self._factory())
-
-    def empty_frame(self) -> DataFrame:
-        """Zero-row frame with the stream's output schema."""
-        return self._empty_factory()
-
-    def materialize(self) -> DataFrame:
-        """Concatenate the remaining partitions into one eager frame.
-
-        Safety valve for consumers that cannot stream (fallback paths);
-        the shuffle operators never call this.
-        """
-        frames = list(self)
-        if not frames:
-            return self.empty_frame()
-        if len(frames) == 1:
-            return frames[0]
-        out = concat_consuming(frames)
-        assert isinstance(out, DataFrame)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "consumed" if self._consumed else "pending"
-        return f"<PartitionStream parts={self.n_partitions} {state}>"
-
-
 class _SpilledChunk:
     """On-disk replacement for an in-memory bucket chunk: where its
     pickle sits in the store's spill file, and the tracked bytes it
@@ -218,6 +161,9 @@ class ShuffleStore:
         self.bytes_spilled = 0
         #: number of chunks that hit disk
         self.spill_chunks = 0
+        #: rows written so far: the position of the next piece's first
+        #: row (:func:`repro.backends.shuffle_ops.hash_split`)
+        self.rows = 0
         #: total in-memory bytes ever appended (monotonic); divided by
         #: ``n_buckets`` this predicts a bucket's materialized size far
         #: better than the planner's disk-based estimate.
@@ -225,10 +171,6 @@ class ShuffleStore:
         _LIVE_STORES.add(self)
 
     # -- write phase ---------------------------------------------------
-
-    @property
-    def template(self) -> Optional[DataFrame]:
-        return self._template
 
     def set_template(self, frame: DataFrame) -> None:
         """Remember a zero-row frame for empty buckets.

@@ -7,7 +7,7 @@ metadata pass consults the store for every CSV ``scan`` leaf (what
 ``pd.read_csv`` builds) to fold ``dtype`` hints into the read and to
 choose ``category`` dtype for low-cardinality read-only string columns;
 the same statistics size the leaf for the scheduler's static order and
-for automatic backend choice
+for the partition cut's size gate
 (:meth:`repro.io.source.DataSource.estimated_bytes`).
 """
 

@@ -5,9 +5,10 @@ plans over them -- filters, projections, assigns, sorts, heads, merges
 and groupby aggregations -- then collects each plan on every
 (backend, strategy) pair in the grid and demands the result be
 **bit-identical** (dtypes included) to the same backend's serial run.
-A second pass forces the shuffle lowering, and a third layers a real
-memory budget on top so the spill machinery engages; neither may change
-a single bit.  On a mismatch the failing plan's ``explain()`` is
+A second pass forces the shuffle lowering, a third puts a row-local
+chain between the scans and the lowered merge or group-by, and a fourth
+layers a real memory budget on top so the spill machinery engages; none
+may change a single bit.  On a mismatch the failing plan's ``explain()`` is
 printed so the counterexample is actionable.
 
 Aggregations stay on integer columns (exact partial sums), so the
@@ -50,8 +51,8 @@ _words = st.sampled_from(["ab", "cd", "ef", "gh", ""])
 
 
 @st.composite
-def tables(draw):
-    n = draw(st.integers(min_value=1, max_value=50))
+def tables(draw, min_rows=1):
+    n = draw(st.integers(min_value=min_rows, max_value=50))
     col = lambda elems: draw(st.lists(elems, min_size=n, max_size=n))
     return {
         "k": col(_keys),
@@ -156,6 +157,34 @@ def plans(draw, force_wide=False):
         terminal = ("groupby_spec", spec, draw(st.booleans()))
     else:
         terminal = (terminal,)
+    return steps, terminal
+
+
+@st.composite
+def row_local_plans(draw):
+    """A row-local chain -- a derived column, then filters and
+    projections -- before a merge or a group-by: the scan does not feed
+    the wide op directly, yet the chain pairs rows piece by piece."""
+    live = ["k", "v", "f", "w", "z"]
+    steps = [("assign",)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if len(live) == 1 or draw(st.booleans()):
+            column = draw(st.sampled_from([c for c in live if c != "w"]))
+            steps.append(("filter", column,
+                          draw(st.sampled_from([">", "<=", "!="])),
+                          draw(_ints)))
+        else:
+            keep = draw(st.lists(st.sampled_from(live[1:]), max_size=4,
+                                 unique=True))
+            live = [c for c in live if c == "k" or c in keep]
+            steps.append(("project", live))
+    int_cols = [c for c in live if c in ("v", "z")]
+    if int_cols and draw(st.booleans()):
+        funcs = [f for f in _AGG_FUNCS if f != "size"]
+        terminal = ("groupby", draw(st.sampled_from(int_cols)),
+                    draw(st.sampled_from(funcs)))
+    else:
+        terminal = ("merge", draw(st.sampled_from(_HOWS)))
     return steps, terminal
 
 
@@ -341,6 +370,43 @@ class TestStrategyEquivalence:
             plan, "csv", left_path, right_path,
             {"optimizer.shuffle_threshold_bytes": 100}, tmp_dir,
         )
+
+    @given(data=tables(min_rows=20), right=right_tables(),
+           plan=row_local_plans())
+    @settings(max_examples=6, deadline=None)
+    def test_row_local_chain_before_a_wide_op_is_lowered(
+        self, tmp_path_factory, data, right, plan
+    ):
+        """Under a limit the eager engines cut the scans under a
+        row-local chain too, not only a merge's or group-by's bare
+        scans: the wide op is lowered, and every strategy returns the
+        unlowered plan's bits."""
+        tmp_dir = _fresh_dir(tmp_path_factory)
+        left_path = _write_table(data, tmp_dir, "left", "csv")
+        right_path = _write_table(right, tmp_dir, "right", "csv")
+        with Session(backend="pandas"):
+            reference = _build(plan, "csv", left_path, right_path).collect()
+        # several pieces even at 20 rows, so a broadcast has a left side
+        # to run piece by piece
+        for backend in ("pandas", "modin"):
+            for strategy in STRATEGIES:
+                with Session(backend=backend, options={
+                    "executor.strategy": strategy,
+                    "executor.max_workers": 2,
+                    "optimizer.shuffle_threshold_bytes": 100,
+                }) as session:
+                    result = _build(plan, "csv", left_path, right_path,
+                                    partition_bytes=64).collect()
+                    stats = session.last_execution_stats.to_dict()
+                # a small right side is broadcast, not shuffled
+                assert stats["shuffle_partitions"] or stats[
+                    "broadcast_joins"] or any(
+                    node["op"] == "partial_agg" for node in stats["nodes"]
+                ), f"{backend}/{strategy} did not lower {plan}"
+                assert _equal(result, reference), (
+                    f"lowered run diverged: {backend}/{strategy}\n"
+                    f"plan: {plan}"
+                )
 
     @given(data=tables(), right=right_tables(), plan=plans(),
            fmt=st.sampled_from(["csv", "jsonl", "columnar"]))

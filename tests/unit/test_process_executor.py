@@ -259,10 +259,9 @@ class TestProcessFaults:
         assert leftover == []
 
     def test_udf_after_broadcast_merge_ships_to_the_pool(self, make_csv):
-        """A right side small enough for the streaming broadcast merge
-        fuses ``[merge, getitem_column, series_map, series_agg]``; the
-        merge reads a stream and stays in this process, but the UDF
-        after it must ship (here: die in a worker, not kill the test)."""
+        """A right side small enough to broadcast: each left piece is
+        merged on its own, and the UDF after the merge must ship (here:
+        die in a worker, not kill the test)."""
         n = 4000
         rng = np.random.RandomState(0)
         left = make_csv(

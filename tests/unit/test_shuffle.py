@@ -1,9 +1,10 @@
 """Partition-wise shuffle execution: lowering, spill, broadcast.
 
 The correctness contract under test everywhere: lowering a merge or
-groupby into the hash-partition -> spill -> stream pipeline must be
-invisible in the collected result -- bit-identical values, dtypes, and
-row order versus the plain in-memory path, across backends and executor
+groupby into per-partition pieces -- hash-partitioned into spillable
+buckets, or merged against a broadcast right side -- must be invisible
+in the collected result: bit-identical values, dtypes, and row order
+versus the plain in-memory path, across backends and executor
 strategies, whether or not budget pressure forced buckets to disk.
 
 ``optimizer.shuffle_threshold_bytes`` stands in for budget headroom so
@@ -254,6 +255,24 @@ class TestBroadcast:
         assert stats["broadcast_joins"] == 1
         assert stats["shuffle_partitions"] == 0
         assert stats["bytes_spilled"] == 0
+        assert _equal(base, out)
+
+    @pytest.mark.parametrize("strategy", ["serial", "threaded", "process"])
+    def test_a_dask_merge_against_one_piece_counts_its_broadcast(
+            self, wide_csv, tiny_csv, strategy):
+        """The Dask engine's per-piece merges against a one-piece right
+        side are a broadcast join, and are counted as one."""
+        def pipeline():
+            left = lfp.scan_csv(wide_csv, partition_bytes=2048)
+            left["w"] = left.v * 2
+            right = lfp.scan_csv(tiny_csv, partition_bytes=512)
+            return left.merge(right, on="k", how="inner")
+
+        base, *_ = _run(pipeline)
+        out, report, stats = _run(pipeline, "dask", strategy)
+        assert report["partitions_cut"] > 0
+        assert stats["broadcast_joins"] == 1
+        assert stats["shuffle_partitions"] == 0
         assert _equal(base, out)
 
     def test_right_join_cannot_broadcast(self, wide_csv, tiny_csv):
@@ -547,6 +566,92 @@ class TestStats:
         with Session(backend="pandas") as session:
             lfp.scan_csv(wide_csv).collect()
             assert session.last_optimize_report["shuffle_lowered"] == 0
+
+    @pytest.mark.parametrize("backend", ["pandas", "modin"])
+    def test_no_limit_cuts_nothing(self, wide_csv, rightbig_csv, backend):
+        """With no budget and no threshold there is no limit: the eager
+        engines run the plan whole."""
+        with Session(backend=backend) as session:
+            left = lfp.scan_csv(wide_csv, partition_bytes=2048)
+            left = left[left.v > 10]
+            right = lfp.scan_csv(rightbig_csv, partition_bytes=512)
+            left.merge(right, on="k").groupby("k")["v"].sum().collect()
+            report = session.last_optimize_report
+            stats = session.last_execution_stats.to_dict()
+        assert report["partitions_cut"] == 0
+        assert report["shuffle_lowered"] == 0
+        assert stats["shuffle_partitions"] == 0
+        assert not any(node["op"] == "partial_agg" for node in stats["nodes"])
+
+
+class TestOnePartitionLowering:
+    def test_a_chain_before_a_merge_is_cut_on_the_eager_engines(
+            self, wide_csv, rightbig_csv):
+        """A row-local chain between the scans and the merge no longer
+        keeps the merge whole: the oversized scans are cut and the
+        merge is shuffled."""
+        def pipeline():
+            left = lfp.scan_csv(wide_csv, partition_bytes=2048)
+            left["w"] = left.v * 2
+            right = lfp.scan_csv(rightbig_csv, partition_bytes=512)
+            return left[left.w > 100].merge(right, on="k", how="outer")
+
+        base, *_ = _run(pipeline)
+        for backend in ("pandas", "modin"):
+            out, report, stats = _run(pipeline, backend, options={
+                "optimizer.shuffle_threshold_bytes": 100,
+            })
+            assert report["shuffle_lowered"] == 1
+            assert stats["shuffle_partitions"] > 0
+            assert _equal(base, out)
+
+    def test_one_store_per_side(self, wide_csv, rightbig_csv):
+        """Every piece of a side writes into that side's one store: a
+        cut join counts its buckets once per side."""
+        def pipeline():
+            left = lfp.scan_csv(wide_csv, partition_bytes=512)
+            right = lfp.scan_csv(rightbig_csv, partition_bytes=512)
+            return left.merge(right, on="k", how="outer")
+
+        for backend in BACKENDS:
+            _, _, stats = _run(pipeline, backend, options={
+                "optimizer.shuffle_threshold_bytes": 100,
+                "optimizer.shuffle_partitions": 5,
+            })
+            writes = [node for node in stats["nodes"]
+                      if node["op"] == "shuffle_write"]
+            assert len(writes) > 2
+            assert stats["shuffle_partitions"] == 10
+
+    def test_invariant_tool_rejects_a_second_lowering(self):
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        path = (Path(__file__).resolve().parents[2] / "tools"
+                / "check_invariants.py")
+        spec = importlib.util.spec_from_file_location("check_invariants",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        for second in (
+            "from repro.io.spill import PartitionStream",
+            "class PartitionStream:\n    pass",
+            "scan.args['stream'] = True",
+            "if args.get('stream'):\n    pass",
+            "def _lower_merge(node, counts, pinned, opts, limit): ...",
+            "lowered += _lower_groupby(node, counts, pinned, opts, limit)",
+            "_rewrite_partial(node, scan, pairs, combine, est)",
+            "def _rewrite_bucketed(node): ...",
+            "est = _streamable_scan(scan, counts, pinned)",
+        ):
+            assert list(tool.check_one_partition_lowering(
+                ast.parse(second), "core/optimizer/shuffle.py")), second
+        # the shuffle ops and the cut's own names pass
+        assert not list(tool.check_one_partition_lowering(
+            ast.parse("store = shuffle(parts, keys, 4)\nupstream = 1"),
+            "core/optimizer/partitions.py"))
+        assert tool.run() == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests: window ops, reshaping, backend choice, and the CLI."""
+"""Unit tests: window ops, reshaping, and the CLI."""
 
 import numpy as np
 import pytest
@@ -84,106 +84,6 @@ class TestReshape:
         )
         out = frame.pivot_table("v", "r", "c", "mean")
         assert np.isnan(out["v"].values[0])  # (p, v) never observed
-
-
-class TestBackendChoice:
-    def _graph(self, path, usecols=None, with_sort=False):
-        import repro.lazyfatpandas.pandas as lfp
-        from repro.core.session import reset_root_session
-
-        lfp.BACKEND_ENGINE = lfp.BackendEngines.PANDAS
-        reset_root_session("pandas")
-        df = lfp.read_csv(path, usecols=usecols)
-        if with_sort:
-            df = df.sort_values("num")
-        out = df.groupby(["cat"])["num"].sum()
-        return out.node
-
-    @pytest.fixture
-    def setup(self, make_csv, tmp_path):
-        from repro.metastore import MetaStore
-
-        path = make_csv(
-            {
-                "cat": ["a", "b"] * 200,
-                "num": list(range(400)),
-                "blob": [f"pad-{i}-xxxxxxxxxxxxxxxx" for i in range(400)],
-            }
-        )
-        store = MetaStore(str(tmp_path / "ms"))
-        store.compute_and_store(path, sample_rows=None)
-        return path, store
-
-    def test_roomy_budget_chooses_pandas(self, setup):
-        from repro.core.backend_choice import choose_backend_for_roots, pick
-
-        path, store = setup
-        root = self._graph(path)
-        estimates = choose_backend_for_roots([root], store, budget_bytes=10**9)
-        assert pick(estimates) == "pandas"
-
-    def test_roomy_budget_chooses_pandas_for_a_scan_csv_plan(self, setup):
-        """The cost decision reads the one scan leaf, however the
-        program spelled it (``scan_csv`` plans used to get the default
-        engine: "no basis for a cost decision")."""
-        import repro.lazyfatpandas.pandas as lfp
-        from repro.core.backend_choice import choose_backend_for_roots, pick
-        from repro.core.session import Session
-
-        path, store = setup
-        with Session(backend="dask"):
-            root = lfp.scan_csv(path).groupby(["cat"])["num"].sum().node
-        estimates = choose_backend_for_roots([root], store, budget_bytes=10**9)
-        assert [e.backend for e in estimates] == ["pandas", "modin", "dask"]
-        assert estimates[0].bytes_needed > 0
-        assert pick(estimates) == "pandas"
-
-    def test_tight_budget_chooses_dask(self, setup):
-        from repro.core.backend_choice import choose_backend_for_roots, pick
-
-        path, store = setup
-        root = self._graph(path)
-        estimates = choose_backend_for_roots([root], store, budget_bytes=1000)
-        assert pick(estimates) == "dask"
-
-    def test_usecols_shrinks_estimate_toward_pandas(self, setup):
-        from repro.core.backend_choice import choose_backend_for_roots, pick
-
-        path, store = setup
-        wide = self._graph(path)
-        narrow = self._graph(path, usecols=["cat", "num"])
-        wide_est = choose_backend_for_roots([wide], store, budget_bytes=20_000)
-        narrow_est = choose_backend_for_roots([narrow], store, budget_bytes=20_000)
-        assert pick(narrow_est) == "pandas"
-        assert pick(wide_est) != "pandas"
-
-    def test_order_sensitivity_blocks_dask(self, setup):
-        from repro.core.backend_choice import choose_backend_for_roots
-
-        path, store = setup
-        root = self._graph(path, with_sort=True)
-        estimates = choose_backend_for_roots([root], store, budget_bytes=10**9)
-        dask = next(e for e in estimates if e.backend == "dask")
-        assert not dask.order_safe
-
-    def test_no_metadata_defaults_to_dask(self, setup):
-        from repro.core.backend_choice import choose_backend_for_roots, pick
-
-        path, _store = setup
-        root = self._graph(path)
-        estimates = choose_backend_for_roots([root], None, budget_bytes=10**6)
-        assert pick(estimates) == "dask"
-
-    def test_auto_select_installs_backend(self, setup):
-        from repro.core.backend_choice import auto_select
-        from repro.core.session import current_session
-
-        path, store = setup
-        root = self._graph(path)
-        session = current_session()
-        session.metastore = store
-        chosen = auto_select(session, [root])
-        assert session.backend_name == chosen
 
 
 class TestCli:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Fourteen structural rules the linters cannot express, checked with
+Fifteen structural rules the linters cannot express, checked with
 nothing but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -129,6 +129,16 @@ nothing but the stdlib ``ast`` module:
     ``io/`` filters a whole read frame after the fact, which holds the
     unfiltered frame beside its filtered copy: outside ``assemble`` no
     ``.filter(...)`` or ``.mask(...)`` call, and no ``_finish`` at all.
+
+15. **One partition lowering.**  A merge or a group-by too big for
+    memory is lowered by the partition cut
+    (``core/optimizer/partitions.py``) behind one size gate
+    (``core/optimizer/shuffle.py::lower_shuffle_nodes``), on every
+    engine.  The second lowering must not come back under
+    ``src/repro``: a streaming scan (a ``PartitionStream``, or a
+    ``"stream"`` scan arg) or the shuffle pass's own rewrites
+    (``_lower_merge``, ``_lower_groupby``, ``_rewrite_partial``,
+    ``_rewrite_bucketed``, ``_streamable_scan``).
 
 Usage::
 
@@ -829,13 +839,48 @@ def check_one_scan_contract(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 15: one partition lowering
+
+#: the streaming scan and the shuffle pass's deleted rewrites.
+_SECOND_LOWERING_NAMES = frozenset({
+    "PartitionStream", "_lower_merge", "_lower_groupby", "_rewrite_partial",
+    "_rewrite_bucketed", "_streamable_scan",
+})
+
+
+def check_one_partition_lowering(tree: ast.Module,
+                                 rel: str) -> Iterator[str]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value == "stream":
+            yield (
+                f"src/repro/{rel}:{node.lineno}: \"stream\" -- a scan is "
+                f"cut per partition (core/optimizer/partitions.py), "
+                f"never streamed to its consumer"
+            )
+            continue
+        if isinstance(node, ast.alias):
+            names = [node.name.rsplit(".", 1)[-1], node.asname]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)]
+        for name in names:
+            if name in _SECOND_LOWERING_NAMES:
+                yield (
+                    f"src/repro/{rel}:{node.lineno}: {name} -- merges and "
+                    f"group-bys are lowered by the partition cut "
+                    f"(core/optimizer/partitions.py) behind one size gate "
+                    f"(core/optimizer/shuffle.py::lower_shuffle_nodes)"
+                )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
           check_one_aggregate_plan, check_one_stats_model,
           check_one_join_plan, check_one_memory_rule,
           check_one_partitioned_executor, check_one_source_per_session,
-          check_one_scan_contract)
+          check_one_scan_contract, check_one_partition_lowering)
 
 
 def run(src: Path = SRC) -> List[str]:
