@@ -6,7 +6,8 @@ Three backends mirror the paper's setup:
   (:mod:`repro.frame` stands in for pandas),
 - :class:`DaskBackend` -- plans cut per partition, out-of-core with
   spilling (:mod:`repro.backends.dask_sim` stands in for Dask),
-- :class:`ModinBackend` -- eager, partitioned, in-memory
+- :class:`ModinBackend` -- eager like pandas for LaFP plans; baseline
+  Modin mode's partitioned frames run as each op is built
   (:mod:`repro.backends.modin_sim` stands in for Modin on Ray).
 
 All three consume the same operator nodes; ops a backend cannot express

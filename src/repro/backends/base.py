@@ -80,18 +80,6 @@ class Backend:
         """Wrap an eager frame into this backend's representation."""
         return frame
 
-    def adopt_cached(self, value):
-        """Wrap an eager *computed* value: a deserialized cache hit
-        (``from_cached`` nodes) or a pandas-fallback result.
-
-        Must round-trip exactly: ``materialize(adopt_cached(v))`` has to
-        reproduce ``v`` bit-for-bit, *index and name included* -- unlike
-        ``from_pandas``, which a partitioned sim may implement by
-        re-splitting (dropping non-default indexes, acceptable for
-        sources but not for computed results).
-        """
-        return self.from_pandas(value)
-
     def to_datetime(self, series):
         raise BackendUnsupported("to_datetime")
 
@@ -113,10 +101,7 @@ class Backend:
 
         eager_inputs = [self.materialize(v) for v in inputs]
         result = apply_generic(PandasBackend(), node, eager_inputs)
-        if _is_framelike(result):
-            # a computed result, not a source: its index and name stay
-            return self.adopt_cached(result)
-        return result
+        return self.from_pandas(result) if _is_framelike(result) else result
 
     # -- materialization -------------------------------------------------------
 
@@ -181,9 +166,7 @@ def apply_generic(backend: Backend, node: Node, inputs: List[object]):
         from repro.cache.result_cache import deserialize_value
 
         value = deserialize_value(args["blob"])
-        if _is_framelike(value):
-            return backend.adopt_cached(value)
-        return value
+        return backend.from_pandas(value) if _is_framelike(value) else value
     if op == "identity":
         return inputs[0]
     if op == "getitem_column":

@@ -39,21 +39,9 @@ class DaskBackend(PandasBackend):
     def read_csv(self, path: str, usecols=None, index_col=None, **options):
         """The baseline Dask mode's user API: a lazy frame of one
         ``scan`` per partition (LaFP plans never call this)."""
-        from repro.backends.dask_sim.frame import DaskFrame
-        from repro.core.optimizer.partitions import partition_bytes, scan_parts
-        from repro.core.session import current_session
-        from repro.io.source_table import session_source
+        from repro.backends.dask_sim.frame import DaskFrame, scan_csv
 
-        args = {"format": "csv", "path": path, **options}
-        if usecols is not None:
-            args["columns"] = list(usecols)
-        session = current_session()
-        parts = scan_parts(args, session.metastore, partition_bytes(
-            self.partition_bytes, session.memory.budget))
-        columns = session_source(args, session.metastore, session).schema()
-        if usecols is not None:
-            keep = set(usecols)
-            columns = [c for c in columns if c in keep]
+        parts, columns = scan_csv(self, path, usecols, **options)
         frame = DaskFrame(parts, self, columns=columns)
         if index_col is not None:
             # Dask's read_csv lacks index_col; emulate via set_index.

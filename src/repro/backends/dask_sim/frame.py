@@ -9,6 +9,11 @@ per-partition graph a LaFP plan on the Dask engine is cut into.
 session's scheduler with the LaFP passes off; ``persist()`` keeps the
 partitions' values on their nodes.
 
+The collections an op builds come from class hooks (``_frame``,
+``_series``, ``_map``, ``_scalar``), so baseline Modin mode's
+collections (:mod:`repro.backends.modin_sim.frame`) are subclasses
+that run each op as it is built.
+
 The API mirrors the eager frame's method names.  Like Dask, a group-by
 aggregate, ``value_counts``, ``unique``, ``head`` and ``len`` compute
 right away (small results), a scalar reduction stays lazy until
@@ -21,7 +26,7 @@ into different partitions.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +37,10 @@ from repro.core.optimizer.partitions import (
     gather,
     join,
     joinable,
+    partition_bytes,
     recombine,
     reduce_scalar,
+    scan_parts,
 )
 from repro.frame import DataFrame, Series
 from repro.frame.groupby import GroupBy
@@ -109,8 +116,13 @@ class DaskFrame(DaskCollection):
         super().__init__(parts, backend)
         self.columns = columns
 
+    # -- class hooks: the collections an op builds are this class's --------
+
     def _frame(self, parts, columns=None) -> "DaskFrame":
-        return DaskFrame(parts, self.backend, columns=columns)
+        return type(self)(parts, self.backend, columns=columns)
+
+    def _series(self, parts, name=None) -> "DaskSeries":
+        return DaskSeries(parts, self.backend, name=name)
 
     def _map(self, op: str, /, **args) -> "DaskFrame":
         """A row-local op that keeps the columns."""
@@ -120,9 +132,8 @@ class DaskFrame(DaskCollection):
 
     def __getitem__(self, key):
         if isinstance(key, str):
-            return DaskSeries(self._blockwise("getitem_column",
-                                              {"column": key}),
-                              self.backend, name=key)
+            return self._series(
+                self._blockwise("getitem_column", {"column": key}), name=key)
         if isinstance(key, list):
             return self._frame(
                 self._blockwise("getitem_columns", {"columns": list(key)}),
@@ -202,9 +213,8 @@ class DaskFrame(DaskCollection):
         if meta is None:
             # Dask requires output metadata for apply (section 3.6).
             raise BackendUnsupported("apply without meta")
-        return DaskSeries(self._blockwise("apply",
-                                          {"func": func, "axis": axis}),
-                          self.backend)
+        return self._series(self._blockwise("apply",
+                                            {"func": func, "axis": axis}))
 
     # -- tree operators ---------------------------------------------------------------
 
@@ -277,11 +287,9 @@ def _map_method(op: str, /, **args):
 
 
 def _reduction_method(func: str):
-    """``series.<func>()``: per-partition partials and their fold, a
-    :class:`DaskScalar` lazy until computed."""
-    def method(self) -> "DaskScalar":
-        return DaskScalar(reduce_scalar(self.parts, "series_agg", func),
-                          self.backend)
+    """``series.<func>()``: per-partition partials and their fold."""
+    def method(self):
+        return self._scalar(reduce_scalar(self.parts, "series_agg", func))
     return method
 
 
@@ -293,10 +301,20 @@ class DaskSeries(DaskCollection):
         super().__init__(parts, backend)
         self.name = name
 
+    # -- class hooks: the collections an op builds are this class's --------
+
     def _map(self, op: str, /, *others: "DaskSeries",
              **args) -> "DaskSeries":
-        return DaskSeries(self._blockwise(op, args, *others), self.backend,
+        return type(self)(self._blockwise(op, args, *others), self.backend,
                           name=self.name)
+
+    def _frame(self, parts) -> DaskFrame:
+        return DaskFrame(parts, self.backend)
+
+    def _scalar(self, node: Node):
+        """A reduction's result: a :class:`DaskScalar`, lazy until
+        computed."""
+        return DaskScalar(node, self.backend)
 
     # -- elementwise --------------------------------------------------------
 
@@ -360,9 +378,9 @@ class DaskSeries(DaskCollection):
     mean = _reduction_method("mean")
     min, max = _reduction_method("min"), _reduction_method("max")
 
-    def _gathered(self, op: str):
+    def _gathered(self, op: str, **args):
         """Eager: ``op`` over the whole series."""
-        return self._compute_node(Node(op, [gather(self.parts)]))
+        return self._compute_node(Node(op, [gather(self.parts)], args))
 
     def nunique(self) -> int:
         return self._gathered("nunique")
@@ -377,8 +395,8 @@ class DaskSeries(DaskCollection):
         raise BackendUnsupported("sort_values on Dask series")
 
     def to_frame(self, name=None):
-        return DaskFrame(self._blockwise("to_frame_series", {"name": name}),
-                         self.backend)
+        return self._frame(self._blockwise("to_frame_series",
+                                           {"name": name}))
 
 
 class DaskScalar:
@@ -462,6 +480,27 @@ class DaskGroupBy(GroupBy):
         if node is None:
             raise BackendUnsupported("holistic aggregate of a key column")
         return frame._compute_node(node)
+
+
+def scan_csv(backend, path: str, usecols=None,
+             **options) -> Tuple[List[Node], List[str]]:
+    """A baseline mode's ``read_csv``: one ``scan`` per partition of the
+    session's source (``backend.partition_bytes`` each, smaller under a
+    budget), and the columns they read."""
+    from repro.core.session import current_session
+    from repro.io.source_table import session_source
+
+    args = {"format": "csv", "path": path, **options}
+    if usecols is not None:
+        args["columns"] = list(usecols)
+    session = current_session()
+    parts = scan_parts(args, session.metastore, partition_bytes(
+        backend.partition_bytes, session.memory.budget))
+    columns = session_source(args, session.metastore, session).schema()
+    if usecols is not None:
+        keep = set(usecols)
+        columns = [c for c in columns if c in keep]
+    return parts, columns
 
 
 def from_pandas(frame: DataFrame, backend,

@@ -7,13 +7,12 @@ concurrent sessions (two sessions on the same name would still race on
 any module-level state, and a session switching back to a backend lost
 that backend's store).  This module replaces it:
 
-- :class:`EngineSpec` describes a backend *kind*: its factory plus the
-  capability facts callers branch on (partitioned) and its partition
-  cut policy (``out_of_core``: cut every plan, or only what exceeds the
-  size limit) -- the shape of Dask's per-collection
-  ``__dask_scheduler__`` hooks, but declared once per engine.  Every engine runs under every executor
-  strategy: a backend's ``apply`` runs one node on eager values, so
-  independent nodes may run concurrently.
+- :class:`EngineSpec` describes a backend *kind*: its factory plus its
+  partition cut policy (``out_of_core``: cut every plan, or only what
+  exceeds the size limit) -- the shape of Dask's per-collection
+  ``__dask_scheduler__`` hooks, but declared once per engine.  Every
+  engine runs under every executor strategy: a backend's ``apply`` runs
+  one node on eager values, so independent nodes may run concurrently.
 - :class:`EngineRegistry` maps names to specs.  Sessions hold a registry
   reference (the shared :data:`DEFAULT_REGISTRY` unless injected), so
   tests can register simulated engines without touching global state.
@@ -37,8 +36,6 @@ class EngineSpec:
 
     name: str
     factory: Callable[[], Backend]
-    #: splits frames into row partitions.
-    partitioned: bool = False
     #: the partition cut policy (:mod:`repro.core.optimizer.shuffle`):
     #: True cuts every plan per partition, so a budgeted run holds a
     #: partition at a time and spills through the shuffle stores; False
@@ -101,12 +98,11 @@ DEFAULT_REGISTRY = EngineRegistry([
     ),
     EngineSpec(
         "dask", _dask_factory,
-        partitioned=True, out_of_core=True,
+        out_of_core=True,
         description="plans cut per partition, out-of-core with spilling",
     ),
     EngineSpec(
         "modin", _modin_factory,
-        partitioned=True,
-        description="eager, partitioned; cut per partition over the limit",
+        description="eager like pandas; cut per partition over the limit",
     ),
 ])

@@ -1,69 +1,49 @@
-"""Backend adapter for the Modin simulator.
+"""Backend adapter for the Modin engine.
 
-Eager execution: each LaFP node materializes a :class:`ModinFrame` /
-:class:`ModinSeries` immediately.  Because the backend cannot optimize
-across nodes, LaFP's own optimizations carry all the benefit here
-(section 2.6: "the backend cannot perform optimization across nodes, and
-thus LaFP optimizations are even more important").
+A LaFP plan on the Modin engine runs eager, node by node, like one on
+pandas: the backend "cannot perform optimization across nodes, and thus
+LaFP optimizations are even more important" (section 2.6).  The plan is
+cut per partition only where the size gate cuts it
+(:attr:`~repro.backends.engine.EngineSpec.out_of_core` is False), on
+the session's scheduler.
+
+Baseline Modin mode (a pandas program with Modin's import swap) reads
+through :meth:`ModinBackend.read_csv`, whose
+:class:`~repro.backends.modin_sim.frame.ModinFrame` is baseline Dask
+mode's per-partition collection, run as each op is built.
 """
 
 from __future__ import annotations
 
-from repro.backends.base import Backend
-from repro.backends.modin_sim.frame import (
-    ModinFrame,
-    ModinSeries,
-    _resplit,
-    _split_series,
-    modin_read_csv,
-)
-from repro.frame import DataFrame, Series, concat, to_datetime
+from repro.backends.pandas_backend import PandasBackend
 
 #: Scaled-down analogue of Modin's default partition sizing.
 DEFAULT_PARTITION_BYTES = 1 << 20
 
 
-class ModinBackend(Backend):
-    """Eager partitioned execution (thread-pool workers, no spilling)."""
+class ModinBackend(PandasBackend):
+    """Eager execution, partitioned only by the size gate; no spilling."""
 
     name = "modin"
 
     def __init__(self, partition_bytes: int = DEFAULT_PARTITION_BYTES):
+        #: the baseline reads' partition target before a memory budget
+        #: shrinks it (:func:`repro.core.optimizer.partitions.partition_bytes`)
         self.partition_bytes = partition_bytes
 
-    def read_csv(self, path: str, **kwargs) -> ModinFrame:
-        """The baseline Modin mode's user API (LaFP plans never call
-        this; they carry ``scan`` nodes)."""
+    def read_csv(self, path: str, **kwargs):
+        """The baseline Modin mode's user API: an eager frame of one
+        piece per partition (LaFP plans never call this)."""
+        from repro.backends.modin_sim.frame import modin_read_csv
+
         return modin_read_csv(path, self.partition_bytes, **kwargs)
 
-    def from_data(self, data, **kwargs) -> ModinFrame:
-        return self.from_pandas(DataFrame(data))
-
-    def from_pandas(self, value):
-        if isinstance(value, Series):
-            return _split_series(value, [len(value)])
-        if isinstance(value, DataFrame):
-            nparts = int(value.nbytes // self.partition_bytes)
-            # one piece is adopted as it is: a copy would double it
-            return _resplit(value, nparts) if nparts > 1 else ModinFrame([value])
-        return value
-
-    def to_datetime(self, series):
-        if isinstance(series, Series):
-            return to_datetime(series)
-        return series._map(to_datetime)
-
-    def concat(self, frames):
-        eager = [
-            f.to_pandas() if isinstance(f, (ModinFrame, ModinSeries)) else f
-            for f in frames
-        ]
-        return self.from_pandas(concat(eager))
+    # -- materialization ---------------------------------------------------
+    # Defined here, not only inherited: the benchmark's tracer
+    # (bench/spans.py) wraps each backend class's own methods.
 
     def materialize(self, value):
-        if isinstance(value, (ModinFrame, ModinSeries)):
-            return value.to_pandas()
-        return value
+        return super().materialize(value)
 
     def persist(self, value):
-        return value  # everything is already memory-resident
+        return super().persist(value)

@@ -2,10 +2,12 @@
 
 Reproduces the Modin properties that matter to the paper:
 
-- **eager evaluation**: every operation runs immediately (so LaFP's
-  cross-operation optimizations matter *more* here -- section 2.6),
-- **row partitioning with a worker pool**: operations map over partitions
-  in parallel threads (the Ray-executor analogue),
+- **eager evaluation**: every operation runs as soon as it is called
+  (so LaFP's cross-operation optimizations matter *more* here --
+  section 2.6),
+- **row partitioning**: a frame is Dask's per-partition collection
+  (:mod:`repro.backends.dask_sim`), its pieces run on the session's
+  scheduler -- in parallel under the pool strategies,
 - **Arrow-like storage**: string columns are dictionary-encoded on read,
   which is why Modin survives a few more programs than pandas in
   Figure 12 despite being equally memory-bound,

@@ -37,16 +37,6 @@ from repro.frame.column import Column, value_codes
 from repro.frame.dataframe import DataFrame
 
 
-def _as_eager(frame):
-    if isinstance(frame, DataFrame):
-        return frame
-    if hasattr(frame, "to_pandas"):
-        return frame.to_pandas()
-    if hasattr(frame, "compute"):
-        return frame.compute()
-    return frame
-
-
 #: per side, the global row position a shuffle join carries to restitch
 #: its bucket-local results into :func:`merge`'s row order
 POSITION_COLUMNS = ("__lafp_lpos__", "__lafp_rpos__")
@@ -115,12 +105,6 @@ def merge(
     """Join two frames on equality of key columns."""
     if how not in ("inner", "left", "right", "outer"):
         raise ValueError(f"unsupported how={how!r}")
-    # Mixed-representation joins: a plan can hand an eager left a
-    # partitioned or lazy right (e.g. modin scan -> eager head ->
-    # merge); a frame exposing to_pandas() / compute() collapses to
-    # its eager form here.
-    left = _as_eager(left)
-    right = _as_eager(right)
     left_keys, right_keys = join_keys(
         left.columns, right.columns, on, left_on, right_on
     )

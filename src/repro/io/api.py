@@ -152,9 +152,8 @@ def scan_columnar(
 def from_pandas(frame) -> LazyFrame:
     """Wrap an eager frame into the lazy graph.
 
-    The frame enters as a source node; the session's backend converts it
-    into its own representation (partitioned on Dask/Modin) on first
-    execution.
+    The frame enters as a source node, read whole on every engine (the
+    partition cut splits scans, not held frames).
     """
     session = current_session()
     node = Node("from_pandas", args={"frame": frame}, label="from_pandas")

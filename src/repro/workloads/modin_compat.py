@@ -8,11 +8,11 @@ is that import target.  Frames are eager and partitioned
 
 from __future__ import annotations
 
-from repro.backends.modin_backend import DEFAULT_PARTITION_BYTES
+from repro.backends.dask_sim.frame import from_pandas
+from repro.backends.modin_backend import DEFAULT_PARTITION_BYTES, ModinBackend
 from repro.backends.modin_sim.frame import (
     ModinFrame,
     ModinSeries,
-    _resplit,
     modin_read_csv,
 )
 from repro.frame import DataFrame as _EagerFrame
@@ -20,32 +20,36 @@ from repro.frame import concat as _eager_concat
 from repro.frame import to_datetime as _eager_to_datetime
 
 
+def _split(frame: _EagerFrame) -> ModinFrame:
+    """An eager frame in pieces of about the partition size."""
+    backend = ModinBackend()
+    pieces = max(1, frame.nbytes // DEFAULT_PARTITION_BYTES)
+    return ModinFrame(from_pandas(frame, backend, int(pieces)).parts, backend)
+
+
 def read_csv(path: str, **kwargs) -> ModinFrame:
     return modin_read_csv(path, DEFAULT_PARTITION_BYTES, **kwargs)
 
 
 def DataFrame(data) -> ModinFrame:
-    frame = _EagerFrame(data)
-    nparts = max(1, frame.nbytes // DEFAULT_PARTITION_BYTES)
-    return _resplit(frame, int(nparts))
+    return _split(_EagerFrame(data))
 
 
 def merge(left: ModinFrame, right, **kwargs) -> ModinFrame:
     return left.merge(right, **kwargs)
 
 
-def concat(objs, ignore_index: bool = True):
+def concat(objs, ignore_index: bool = True) -> ModinFrame:
     eager = [
         o.to_pandas() if isinstance(o, (ModinFrame, ModinSeries)) else o
         for o in objs
     ]
-    merged = _eager_concat(eager, ignore_index=ignore_index)
-    return _resplit(merged, max(1, merged.nbytes // DEFAULT_PARTITION_BYTES))
+    return _split(_eager_concat(eager, ignore_index=ignore_index))
 
 
 def to_datetime(series):
     if isinstance(series, ModinSeries):
-        return series._map(_eager_to_datetime)
+        return series._map("to_datetime")
     return _eager_to_datetime(series)
 
 

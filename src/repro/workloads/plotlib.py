@@ -46,16 +46,19 @@ def _require_materialized(data):
             "(lazy frameworks must force computation before external "
             "function calls)"
         )
-    if hasattr(data, "compute") and not isinstance(data, (DataFrame, Series)):
+    if isinstance(data, (DataFrame, Series)):
+        return data
+    to_pandas = getattr(data, "to_pandas", None)
+    if to_pandas is not None:
+        # Eager partitioned (Modin) input -- a Dask collection too, but
+        # computed: a real renderer densifies it, materializing the
+        # whole frame -- that allocation is the point.
+        return to_pandas()
+    if hasattr(data, "compute"):
         raise TypeError(
             "plotlib requires an eager pandas-like object, got lazy "
             f"{type(data).__name__}; call .compute() first"
         )
-    to_pandas = getattr(data, "to_pandas", None)
-    if to_pandas is not None and not isinstance(data, (DataFrame, Series)):
-        # Eager partitioned (Modin) input: a real renderer densifies it,
-        # materializing the whole frame -- that allocation is the point.
-        return to_pandas()
     return data
 
 

@@ -73,8 +73,8 @@ class TestFallbackKeepsTheResultIndex:
     @pytest.mark.parametrize("backend", ["dask", "modin"])
     def test_holistic_aggregate_keeps_its_group_keys(self, backend, taxi_csv):
         """A pandas-fallback result is a computed value, not a source:
-        it is adopted whole (``adopt_cached``).  ``from_pandas`` re-split
-        it by position on Dask, so the group keys came back as 0..n-1."""
+        it is kept whole.  Re-splitting it by position on Dask once
+        brought the group keys back as 0..n-1."""
         from repro.core.session import Session
 
         eager = read_csv(taxi_csv).groupby(["vendor"]).agg(

@@ -137,20 +137,6 @@ class TestGroupBy:
         assert frame["sku"].nunique() == 400
 
 
-    def test_adopted_result_keeps_its_named_index(self):
-        """A cache hit or fallback result is re-split by row slices; a
-        slice used to drop the index *name*, so a warm ``from_cached``
-        group-by came back with its key index unnamed."""
-        out = DataFrame({"k": [3, 1, 3, 2] * 40, "v": list(range(160))}) \
-            .groupby(["k"]).agg({"v": "sum"})
-        backend = ModinBackend(partition_bytes=8)
-        adopted = backend.adopt_cached(out)
-        assert adopted.npartitions > 1
-        for part in adopted.partitions:
-            assert part.index.name == "k"
-        assert out["v"][0:2].index.name == "k"
-
-
 class TestMemoryBehaviour:
     def test_no_spill_means_oom_under_budget(self, make_csv):
         n = 2000
@@ -171,4 +157,52 @@ class TestMemoryBehaviour:
         backend = ModinBackend()
         frame = backend.read_csv(path=shop_csv)
         assert isinstance(frame, ModinFrame)
-        assert isinstance(backend.materialize(frame), DataFrame)
+        assert isinstance(frame.to_pandas(), DataFrame)
+
+    def test_finished_work_is_not_kept_alive(self, shop_csv):
+        """Each op's pieces are fresh leaves: rebinding a name frees the
+        frames before it, so the live bytes are the last frame's."""
+        from repro.core.session import Session
+
+        with Session(backend="pandas") as session:
+            df = load(shop_csv)
+            df = df.dropna()
+            df = df[df.units > 4]
+            assert df.npartitions > 1
+            live = session.memory.live
+            pieces = df.partitions
+            del df  # its nodes go; only the piece values stay
+            assert session.memory.live == live
+            del pieces
+            assert session.memory.live == 0
+
+    def test_invariant_tool_rejects_a_second_executor(self):
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        path = (Path(__file__).resolve().parents[2] / "tools"
+                / "check_invariants.py")
+        spec = importlib.util.spec_from_file_location("check_invariants",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        for second in (
+            "from concurrent.futures import ThreadPoolExecutor",
+            "_POOL = futures.ThreadPoolExecutor(max_workers=4)",
+            "os.register_at_fork(after_in_child=_rebuild_pool_after_fork)",
+            "parts = _pmap(read, ranges)",
+            "def _zip_map(self, other_parts, func): ...",
+            "return _resplit(whole, self.npartitions)",
+            "from repro.backends.modin_sim.frame import _split_series",
+        ):
+            assert list(tool.check_one_partitioned_executor(
+                ast.parse(second), "backends/modin_sim/frame.py")), second
+        # the scheduler's own pools pass, and so do Dask's hooks
+        assert not list(tool.check_one_partitioned_executor(
+            ast.parse("from concurrent.futures import ThreadPoolExecutor"),
+            "graph/scheduler/threaded.py"))
+        assert not list(tool.check_one_partitioned_executor(
+            ast.parse("out = self._map('dropna', subset=None)"),
+            "backends/modin_sim/frame.py"))
+        assert tool.run() == []

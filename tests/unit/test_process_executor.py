@@ -154,7 +154,7 @@ class TestProcessShipping:
             assert shipped, "no shipped node recorded registered bytes"
 
     def test_modin_backend_ships_through_pool(self, numbers_csv):
-        """The fork hooks rebuild modin's thread pool in workers."""
+        """A Modin-engine plan ships to the pool like a pandas one."""
         with Session(backend="modin",
                      options={"executor.strategy": "process",
                               "executor.max_workers": 2}) as session:

@@ -106,12 +106,17 @@ nothing but the stdlib ``ast`` module:
 
 12. **One partitioned executor.**  The Dask engine runs the task graph
     cut per partition (``core/optimizer/partitions.py``) on the one
-    scheduler; baseline Dask mode builds the same per-partition nodes.
-    The simulator's second executor must not come back under
+    scheduler; baseline Dask mode builds the same per-partition nodes,
+    and baseline Modin mode runs them as each op is built.  The
+    simulators' second executors must not come back under
     ``src/repro``: a ``class Expr`` graph, a ``class Evaluator`` or an
     ``eval_partition`` walk, a ``PartitionStore`` of its own beside the
     shuffle stores, ``persist_shared_nodes`` pinning around it, or an
-    ``is_lazy`` flag for the planner and the session to branch on.
+    ``is_lazy`` flag for the planner and the session to branch on; and
+    under ``backends/`` a ``ThreadPoolExecutor`` of a backend's own,
+    the ``register_at_fork`` hook rebuilding it, or the Modin sim's
+    partition maps and re-splits (``_pmap``, ``_zip_map``,
+    ``_resplit``, ``_split_series``).
 
 13. **One source per session.**  Every consumer of a ``scan`` node
     takes its :class:`~repro.io.source.DataSource` from the session's
@@ -749,10 +754,19 @@ _SECOND_EXECUTOR_CLASSES = frozenset({"Expr", "Evaluator"})
 _SECOND_EXECUTOR_NAMES = frozenset({
     "eval_partition", "PartitionStore", "persist_shared_nodes", "is_lazy",
 })
+#: the Modin sim's deleted executor: a pool of its own, the fork hook
+#: rebuilding it, and the maps and re-splits it ran.
+_BACKEND_POOL_NAMES = frozenset({
+    "ThreadPoolExecutor", "register_at_fork", "_pmap", "_zip_map",
+    "_resplit", "_split_series",
+})
 
 
 def check_one_partitioned_executor(tree: ast.Module,
                                    rel: str) -> Iterator[str]:
+    banned = _SECOND_EXECUTOR_NAMES
+    if rel.startswith("backends/"):
+        banned = banned | _BACKEND_POOL_NAMES
     for node in ast.walk(tree):
         if isinstance(node, ast.alias):
             names = [node.name.rsplit(".", 1)[-1], node.asname]
@@ -765,13 +779,12 @@ def check_one_partitioned_executor(tree: ast.Module,
                 names.append(f"class {node.name}")
         lineno = getattr(node, "lineno", 0)
         for name in names:
-            if name in _SECOND_EXECUTOR_NAMES or (
-                    name or "").startswith("class "):
+            if name in banned or (name or "").startswith("class "):
                 yield (
-                    f"src/repro/{rel}:{lineno}: {name} -- the Dask engine "
-                    f"is the task graph cut per partition "
+                    f"src/repro/{rel}:{lineno}: {name} -- the partitioned "
+                    f"engines run the task graph cut per partition "
                     f"(core/optimizer/partitions.py) on the one scheduler; "
-                    f"no second executor, store or lazy-engine branch"
+                    f"no second executor, pool, store or lazy-engine branch"
                 )
 
 
