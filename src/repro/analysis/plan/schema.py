@@ -604,6 +604,8 @@ def _merge_schema(node, inputs, ctx) -> NodeSchema:
 
 @schema_rule("concat")
 def _concat_schema(node, inputs, ctx) -> NodeSchema:
+    if node.args.get("shifted"):  # the pieces, then their row counts
+        inputs = inputs[:len(inputs) // 2]
     if not inputs or not all(s.known for s in inputs):
         return NodeSchema.unknown(FRAME)
     if all(s.kind == SERIES for s in inputs):

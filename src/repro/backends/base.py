@@ -255,6 +255,12 @@ def apply_generic(backend: Backend, node: Node, inputs: List[object]):
     if op == "merge":
         return inputs[0].merge(inputs[1], **args)
     if op == "concat":
+        if args.get("shifted"):
+            # the pieces' results, then each piece's row count
+            from repro.frame.concat import concat_shifted
+
+            half = len(inputs) // 2
+            return concat_shifted(inputs[:half], inputs[half:])
         return backend.concat(inputs)
     if op == "head":
         return inputs[0].head(args.get("n", 5))

@@ -144,7 +144,9 @@ register_option(
 )
 register_option(
     "optimizer.projection_pushdown", True,
-    doc="Narrow scan leaves to the columns the graph actually uses.",
+    doc="Narrow scan leaves, and the inputs of row copies and merges, "
+        "to the columns the graph actually uses; a sort + head becomes "
+        "a top-n.",
     validator=_validate_bool,
 )
 register_option(

@@ -8,7 +8,9 @@ order chosen so each rule sees the previous rule's output:
 2. **predicate pushdown** (section 3.2) -- filters move toward sources
    past safe points;
 3. **projection pushdown** -- required-column inference narrows
-   the ``scan`` leaves that static analysis could not rewrite;
+   the ``scan`` leaves to what the run reads, the input edges of row
+   copies and merges to what their readers read, and a sort + head to
+   a top-n;
 4. **metadata optimization** (section 3.6) -- dtype hints and safe
    ``category`` encoding from the metastore;
 5. **persistence marking** (section 3.5) -- the nodes of the plan that

@@ -17,7 +17,8 @@ finalized by a concat over them (Dask's ``core_blockwise`` and
   and an exact ``partial_agg``, stacked by one ``combine_agg``;
 - a scalar reduction becomes N partial reductions and one
   ``combine_agg``; ``drop_duplicates`` / ``nlargest`` / ``nsmallest`` /
-  ``head`` N copies, a ``concat`` and the op once more;
+  ``head`` N copies, a ``concat`` and the op once more, each row keeping
+  the label the concat of the whole pieces gives it;
 - a merge becomes N merges against the gathered right side, each
   followed by a ``compact`` so its piece can be freed, when the
   broadcast rule allows, else the hash shuffle: per side one
@@ -106,8 +107,20 @@ def gather(parts: Sequence[Node]) -> Node:
 
 def recombine(parts: Sequence[Node], op: str, args: dict) -> Node:
     """``op`` per piece, the concat of the results, and ``op`` once
-    more (first-occurrence dedup, top-n and head are exact so)."""
-    return Node(op, [gather(blockwise(op, args, [parts]))], dict(args))
+    more (first-occurrence dedup, top-n and head are exact so).
+
+    A row keeps the label the gather would give it -- its position in
+    the concat of the pieces: ``op`` runs on each piece relabelled by
+    position, and the concat shifts each result by the rows of the
+    pieces before it.  A head needs neither: its rows lead the concat,
+    whose own renumbering gives them their positions."""
+    if len(parts) == 1 or op == "head":
+        return Node(op, [gather(blockwise(op, args, [parts]))], dict(args))
+    results = [Node(op, [Node("reset_index", [part], {"drop": True})],
+                    dict(args)) for part in parts]
+    counts = [Node("frame_len", [part]) for part in parts]
+    return Node(op, [Node("concat", results + counts, {"shifted": True})],
+                dict(args))
 
 
 def shuffle(parts: Sequence[Node], keys: Sequence[str], n_buckets: int,

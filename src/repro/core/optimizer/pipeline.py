@@ -76,7 +76,7 @@ def optimize(
         # fold into the scan's args (the source filters while reading).
         report["scan_fold"] = fold_predicates_into_scans(roots, index)
     if opts.get("optimizer.projection_pushdown"):
-        # a merge the reuse pass will cache keeps its raw columns
+        # a node the reuse pass will cache keeps its raw value
         report["projection"] = push_down_projections(
             roots, session,
             whole=state.candidates if state is not None else ())

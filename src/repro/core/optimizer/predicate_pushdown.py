@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.optimizer.projection import NARROWED
 from repro.graph.node import _ELEMENTWISE_SERIES_OPS, ALL_COLUMNS, Node
 from repro.graph.taskgraph import ConsumerIndex, topological_order
 
@@ -160,6 +161,10 @@ def _opens(u: Node, parents: List[Node], index: ConsumerIndex) -> bool:
     including the op it sits on: hopping filters alone gains nothing (two
     adjacent filters would trade places for ever), so a predicate enters
     a run only when it will also pass what the run sits on."""
+    if u.label is not None and u.label.startswith(NARROWED):
+        # put there by projection pushdown after the filter sank as far
+        # as it could, and it copies nothing: passing it gains nothing
+        return False
     op = u
     while op.op in ("filter", "identity") and op.inputs:
         op = op.inputs[0]

@@ -30,6 +30,21 @@ def concat(
     return _concat_frames(objs, ignore_index)
 
 
+def concat_shifted(objs: Sequence[Union[DataFrame, Series]],
+                   counts: Sequence[int]) -> Union[DataFrame, Series]:
+    """Concatenate results taken from consecutive pieces, each labelled
+    by row position in its piece: a label moves on by the rows of the
+    pieces before its own (``counts``, one per piece), so each row keeps
+    the label a concat of the whole pieces would have given it."""
+    out = concat(objs)
+    starts = np.cumsum([0] + [int(c) for c in counts[:-1]])
+    out.index = Index(np.concatenate([
+        obj.index.to_array().astype(np.int64) + start
+        for obj, start in zip(objs, starts)
+    ]))
+    return out
+
+
 def shallow_copy(frame: DataFrame) -> DataFrame:
     """A new frame over the same columns (default index): consuming the
     copy -- see :func:`concat_consuming` -- leaves ``frame`` intact."""

@@ -335,6 +335,14 @@ class DataFrame:
         by: Union[str, Sequence[str]],
         ascending: Union[bool, Sequence[bool]] = True,
     ) -> "DataFrame":
+        return self.take(self._sort_order(by, ascending))
+
+    def _sort_order(
+        self,
+        by: Union[str, Sequence[str]],
+        ascending: Union[bool, Sequence[bool]],
+    ) -> np.ndarray:
+        """Row positions in ``sort_values`` order."""
         names = [by] if isinstance(by, str) else list(by)
         if isinstance(ascending, bool):
             flags = [ascending] * len(names)
@@ -352,7 +360,7 @@ class DataFrame:
             if not asc:
                 codes = -codes
             order = order[np.argsort(codes, kind="stable")]
-        return self.take(order)
+        return order
 
     def sort_index(self) -> "DataFrame":
         labels = self.index.to_array()
@@ -361,12 +369,12 @@ class DataFrame:
         return self.take(np.argsort(labels, kind="stable"))
 
     def nlargest(self, n: int, columns: Union[str, Sequence[str]]) -> "DataFrame":
-        names = [columns] if isinstance(columns, str) else list(columns)
-        return self.sort_values(names, ascending=False).head(n)
+        """``sort_values(columns, ascending=False).head(n)``, copying only
+        the ``n`` rows kept."""
+        return self.take(self._sort_order(columns, False)[:n])
 
     def nsmallest(self, n: int, columns: Union[str, Sequence[str]]) -> "DataFrame":
-        names = [columns] if isinstance(columns, str) else list(columns)
-        return self.sort_values(names, ascending=True).head(n)
+        return self.take(self._sort_order(columns, True)[:n])
 
     # -- index ---------------------------------------------------------------------
 

@@ -15,6 +15,11 @@ from typing import Dict, List, Sequence
 from repro.graph.node import Node
 from repro.graph.taskgraph import topological_order
 
+#: label prefix of a node an optimizer rewrite built or rewrote: the
+#: rendering shows what follows it, so the plan says what was done (the
+#: facade's labels are names only, and are not shown).
+REWRITE_NOTE = "rewrite: "
+
 #: args whose values are payloads, not plan structure.
 _ELIDED_ARGS = {"segments", "marker_map", "data", "frame", "blob", "node"}
 
@@ -94,6 +99,8 @@ def render_node_line(node: Node, numbers: Dict[int, int]) -> str:
         line += f" <- [{deps}]"
     if node.persist:
         line += "  [persist]"
+    if node.label and node.label.startswith(REWRITE_NOTE):
+        line += f"  [{node.label[len(REWRITE_NOTE):]}]"
     return line
 
 

@@ -74,6 +74,15 @@ def test_join_programs_read_only_the_columns_they_use(runner, monkeypatch):
                       "ratings.csv": 2, "movies.csv": 2}
 
 
+@pytest.mark.parametrize("program", ["ais", "dso"])
+def test_dask_mode_peaks_no_higher_than_pandas_mode(runner, program):
+    """The partition cut is for memory (Fig. 15): a dedup and a top-n
+    recombine their pieces instead of gathering them."""
+    peaks = {mode: runner.run(program, mode, "S").peak_bytes
+             for mode in ("lafp_pandas", "lafp_dask")}
+    assert peaks["lafp_dask"] <= peaks["lafp_pandas"], peaks
+
+
 def test_stdout_captured_not_leaked(runner, capsys):
     runner.run("cty", "lafp_dask", "S")
     assert capsys.readouterr().out == ""

@@ -473,6 +473,37 @@ class TestPinnedPartitionsSurviveMaterialize:
         np.testing.assert_allclose(got.values, expected.values)
 
 
+class TestRecombineKeepsTheGatherLabels:
+    """A recombined op (per piece, concat, once more) labels each row as
+    the op over the gathered pieces does: by its position in the concat
+    of the whole pieces, though filtered pieces carry gaps."""
+
+    @pytest.mark.parametrize("op, args", [
+        ("drop_duplicates", {"subset": ["k"]}),
+        ("nlargest", {"n": 2, "columns": ["v"]}),
+        ("nsmallest", {"n": 3, "columns": ["v"]}),
+        ("head", {"n": 3}),
+    ])
+    def test_recombine_equals_gather_then_op(self, backend, op, args):
+        from repro.backends.dask_sim.frame import _run
+        from repro.core.optimizer.partitions import gather, recombine
+        from repro.graph.node import Node
+
+        frame = DataFrame({"k": [1, 0, 1, 2, 3, 1, 3, 4],
+                           "v": [5.0, -1.0, 7.0, 9.0, 8.0, -2.0, 9.5, 6.0]})
+        lazy = from_pandas(frame, backend, npartitions=2)
+        pieces = lazy[lazy["v"] > 0].parts  # p0: 0, 2, 3; p1: 4, 6, 7
+        want, got = _run(backend, [
+            Node(op, [gather(pieces)], dict(args)),
+            recombine(pieces, op, args),
+        ])
+        assert list(got.index.to_array()) == list(want.index.to_array())
+        for name in want.columns:
+            assert list(got[name].values) == list(want[name].values)
+        if op == "drop_duplicates":
+            assert list(got.index.to_array()) == [0, 2, 3, 5]
+
+
 class TestPartitionCut:
     """A LaFP plan on the Dask engine is cut per partition and runs on
     every strategy, bit-identical to the eager engine."""

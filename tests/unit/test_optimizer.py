@@ -252,12 +252,17 @@ class TestProjectionPushdown:
         assert push_down_projections(roots) == 0
         session.pending_prints.clear()
 
-    def test_existing_usecols_untouched(self, taxi_csv):
-        df = lfp.read_csv(taxi_csv, usecols=["vendor", "fare_amount", "tip_amount"])
+    def test_existing_usecols_narrowed_to_the_run(self, taxi_csv):
+        """A ``usecols`` is the most the program may read; a run reads
+        only what it uses of it."""
+        usecols = ["vendor", "fare_amount", "tip_amount"]
+        df = lfp.read_csv(taxi_csv, usecols=usecols)
         total = df.groupby(["vendor"])["fare_amount"].sum()
-        push_down_projections([total.node])
+        assert push_down_projections([total.node]) == 1
         read = _ops_below(total.node, "scan")[0]
-        assert set(read.args["columns"]) == {"vendor", "fare_amount", "tip_amount"}
+        assert read.args["columns"] == ["fare_amount", "vendor"]
+        frame = lfp.read_csv(taxi_csv, usecols=usecols).collect()
+        assert sorted(frame.columns) == sorted(usecols)
 
     def test_rename_maps_requirements_back(self, taxi_csv):
         df = lfp.read_csv(taxi_csv)
@@ -376,6 +381,137 @@ class TestProjectionPushdown:
             assert stats.cache_hits >= 1 and stats.nodes_executed > 1
         finally:
             result_cache().clear()
+
+
+class TestNarrowedIntermediates:
+    """Projection pushdown past the scans: row copies and merge sides
+    carry only what their readers use, a sort + head is a top-n, and
+    none of it changes a value or a printed line."""
+
+    def test_row_copy_reads_only_its_readers_columns(self, taxi_csv):
+        from repro.graph.explain import render_plan
+
+        df = lfp.read_csv(taxi_csv)  # a root: the scan stays whole
+        tips = df.sort_values("fare_amount")[["tip_amount"]]
+        assert push_down_projections([df.node, tips.node]) == 1
+        edge = _ops_below(tips.node, "sort_values")[0].inputs[0]
+        assert edge.op == "getitem_columns"
+        assert edge.args["columns"] == ["fare_amount", "tip_amount"]
+        assert "[narrowed for sort_values]" in render_plan([tips.node])
+
+    def test_a_filter_edge_leaves_out_its_mask_columns(self, taxi_csv):
+        df = lfp.read_csv(taxi_csv)
+        cheap = df[df.fare_amount < 10.0][["vendor"]]
+        assert push_down_projections([df.node, cheap.node]) == 1
+        kept = _ops_below(cheap.node, "filter")[0]
+        assert kept.inputs[0].args["columns"] == ["vendor"]
+        assert kept.inputs[1].inputs[0].args["column"] == "fare_amount"
+
+    def test_a_run_through_an_edge_keeps_every_value(self, taxi_csv):
+        from repro.core.session import Session
+
+        got = {}
+        for on in (True, False):
+            with Session(backend="pandas", options={
+                    "optimizer.projection_pushdown": on}) as session:
+                df = lfp.read_csv(taxi_csv)
+                cheap = df[df.fare_amount < 10.0][["vendor", "note"]]
+                # ``df`` is kept live, so its scan is read whole
+                got[on] = cheap.compute(live_df=[df])
+                report = session.last_optimize_report
+            assert report["projection"] == (1 if on else 0)
+        for name in ("vendor", "note"):
+            assert got[True][name].to_list() == got[False][name].to_list()
+        assert list(got[True].index.to_array()) == list(
+            got[False].index.to_array())
+
+    def test_a_merge_side_is_narrowed_on_its_edge(self, make_csv):
+        left = make_csv({"k": [1, 2, 3], "a": [1, 2, 3], "s": ["p", "q", "r"]},
+                        "left.csv")
+        right = make_csv({"k": [1, 2, 5], "b": [5, 6, 7]}, "right.csv")
+        df = lfp.read_csv(left)
+        out = df.merge(lfp.read_csv(right), on="k").groupby(["k"])["b"].sum()
+        # the right scan narrows; the left one is a root, so its edge does
+        assert push_down_projections([df.node, out.node]) == 2
+        merge = _ops_below(out.node, "merge")[0]
+        assert merge.inputs[0].op == "getitem_columns"
+        assert merge.inputs[0].args["columns"] == ["k"]
+        assert out.collect().to_list() == [5, 6]
+
+    def test_sort_and_head_is_a_top_n(self, taxi_csv):
+        from repro.frame import read_csv
+
+        worst = lfp.read_csv(taxi_csv).sort_values(
+            "fare_amount", ascending=False).head(4)
+        assert worst.explain().count("[top-n of sort_values + head]") == 1
+        assert push_down_projections([worst.node]) == 1
+        assert worst.node.op == "nlargest"
+        assert worst.node.args == {"n": 4, "columns": "fare_amount"}
+        assert not _ops_below(worst.node, "sort_values")
+        want = read_csv(taxi_csv).sort_values(
+            "fare_amount", ascending=False).head(4)
+        got = worst.collect()
+        assert list(got.index.to_array()) == list(want.index.to_array())
+        assert got.fare_amount.to_list() == want["fare_amount"].to_list()
+
+    @pytest.mark.parametrize("shape", ["mixed", "series", "shared", "root"])
+    def test_a_sort_that_is_not_only_a_heads_input_stays(self, taxi_csv,
+                                                          shape):
+        df = lfp.read_csv(taxi_csv)
+        by = ["vendor", "fare_amount"]
+        if shape == "mixed":
+            head = df.sort_values(by, ascending=[True, False]).head(3)
+            roots = [head.node]
+        elif shape == "series":
+            head = df.fare_amount.sort_values().head(3)
+            roots = [head.node]
+        else:
+            ranked = df.sort_values(by)
+            head = ranked.head(3)
+            other = ranked.tip_amount.sum() if shape == "shared" else ranked
+            roots = [head.node, other.node]
+        push_down_projections(roots)
+        assert head.node.op == "head"
+
+    def test_usecols_scan_keeps_what_a_head_print_shows(self, taxi_csv,
+                                                        capsys):
+        """A printed head needs every column that reaches it: the run
+        narrows no further than the ``usecols``, and prints the same."""
+        from repro.core.session import Session
+        from repro.lazyfatpandas.func import print as lazy_print
+
+        usecols = ["vendor", "fare_amount", "tip_amount"]
+        printed = []
+        for on in (True, False):
+            with Session(backend="pandas", options={
+                    "optimizer.projection_pushdown": on}):
+                df = lfp.read_csv(taxi_csv, usecols=usecols)
+                lazy_print(df.sort_values("fare_amount").head())
+                # the collect runs the pending print too
+                df[df.tip_amount > 2.0].groupby(["vendor"])[
+                    "fare_amount"].sum().collect()
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and "tip_amount" in printed[0]
+
+    def test_optimizing_an_optimized_plan_rewrites_nothing(self, taxi_csv):
+        from repro.core.optimizer import optimize
+        from repro.core.session import Session
+        from repro.graph.taskgraph import physical_plan
+
+        with Session(backend="pandas") as session:
+            df = lfp.read_csv(taxi_csv, usecols=[
+                "vendor", "fare_amount", "tip_amount", "note"])
+            df = df[df.fare_amount > 5.0]
+            top = df.sort_values("tip_amount").head(3)[["vendor"]]
+            total = df[df.vendor != "v1"].groupby(["vendor"])[
+                "tip_amount"].sum()
+            twins = physical_plan([top.node, total.node])
+            plan = [twins[top.node.id], twins[total.node.id]]
+            first = optimize(plan, session, live_nodes=[])
+            assert first["projection"] >= 2
+            again = optimize(plan, session, live_nodes=[])
+            assert (again["pushdown"], again["scan_fold"],
+                    again["projection"]) == (0, 0, 0)
 
 
 class TestMetadataOptimization:
