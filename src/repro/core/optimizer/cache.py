@@ -1,30 +1,28 @@
 """Cache substitution: serve fingerprint-hit subplans, insert new ones.
 
 Runs as the *first* optimizer pass (``optimizer.reuse``), against the
-plan as built -- before CSE or any rewrite mutates it -- so the
+plan as built -- before CSE or any rewrite changes it -- so the
 fingerprints it computes are exactly the ones a later session's raw plan
 will produce (a ``held`` leaf fingerprints as the raw node whose value
-it carries).  Node identity survives the rest of the pipeline (rewrites
-mutate op/args/inputs in place, they never re-id a node), which is what
-lets the post-execution insertion path map an executed node back to the
-raw fingerprint recorded here.  A *root* keeps its raw value whatever
-the rewrites did below it (that is the optimizer's contract, pinned by
-the equivalence fuzzer), so it is always offered.  An *interior* node
-does not: a scan narrowed by projection pushdown, a frame a filter sank
-below, a scan a predicate folded into all hold fewer columns or rows
-than the raw plan's node of the same id.  :func:`retain_unrewritten`
-therefore runs after the last rewriting pass and keeps an interior
-candidate only if its optimized subtree still fingerprints as the raw
-one did.
+it carries).  A miss's key follows its node through every rewrite that
+replaces the node with one computing its value
+(``ConsumerIndex.substitute``), which is what lets the post-execution
+insertion path offer an executed value under the raw fingerprint
+recorded here.  A *root* keeps its raw value whatever the rewrites did
+below it (that is the optimizer's contract, pinned by the equivalence
+fuzzer), so it is always offered.  An *interior* node need not: a scan
+narrowed by projection pushdown, a frame a filter sank below, a scan a
+predicate folded into all hold fewer columns or rows than the raw
+plan's node of the same id.  :func:`retain_unrewritten` therefore runs
+after the last rewriting pass and keeps an interior candidate only if
+its optimized subtree still fingerprints as the raw one did.
 
-Substitution rewrites a hit node in place into a ``from_cached`` leaf
-whose args carry the serialized blob itself.  Carrying the bytes (not
-the cache key) makes the rewrite eviction-proof -- a concurrent session
-evicting the entry between substitution and execution cannot fault the
-plan -- and defers deserialization to execution, where its cost is
-attributed to the node like any other.  Like every other optimizer
-mutation the rewrite lands on the run's private copy of the plan and is
-gone with it.
+A hit is replaced by a fresh ``from_cached`` leaf whose args carry the
+serialized blob itself.  Carrying the bytes (not the cache key) makes
+the rewrite eviction-proof -- a concurrent session evicting the entry
+between substitution and execution cannot fault the plan -- and defers
+deserialization to execution, where its cost is attributed to the node
+like any other.
 
 A subtree is eligible only when *every* node in it is deterministic and
 replayable: a ``sample`` (unseeded randomness) or a side-effect node
@@ -34,7 +32,7 @@ replayable: a ``sample`` (unseeded randomness) or a side-effect node
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.cache.fingerprint import Unfingerprintable, fingerprint_node
 from repro.cache.result_cache import (
@@ -45,7 +43,7 @@ from repro.cache.result_cache import (
 from repro.core.config import semantic_signature
 from repro.graph.node import Node
 from repro.graph.scheduler.stats import count
-from repro.graph.taskgraph import collect_subgraph
+from repro.graph.taskgraph import ConsumerIndex, collect_subgraph
 
 
 class CacheRunState:
@@ -143,14 +141,15 @@ def retain_unrewritten(state: CacheRunState, roots: Sequence[Node]) -> None:
 
 
 def substitute_cached_subplans(
-    roots: Sequence[Node], session
+    roots: List[Node], session, index: Optional[ConsumerIndex] = None
 ) -> CacheRunState:
-    """Rewrite cache-hit subgraphs under ``roots`` into ``from_cached``
+    """Replace cache-hit subgraphs under ``roots`` with ``from_cached``
     leaves; record every eligible miss as an insertion candidate.
 
     Top-down: a hit at a node serves the whole subtree, so its inputs
     are never probed (the biggest reusable prefix wins).
     """
+    index = index or ConsumerIndex(roots)
     opts = session.options
     state = CacheRunState(
         backend=session.engine.name,
@@ -180,20 +179,15 @@ def substitute_cached_subplans(
                 if hit is not None:
                     blob, kind = hit
                     count(cache_hits=1, cache_bytes_reused=len(blob))
-                    node.op = "from_cached"
-                    node.inputs = []
-                    node.args = {
-                        "key": fp,
-                        "blob": blob,
-                        "nbytes": len(blob),
-                        "kind": kind,
-                    }
+                    index.substitute(node, Node("from_cached", args={
+                        "key": fp, "blob": blob, "nbytes": len(blob),
+                        "kind": kind}))
                     return  # the subtree is served; nothing below runs
                 count(cache_misses=1)
                 state.candidates[node.id] = key
         for inp in node.inputs:
             visit(inp)
 
-    for root in roots:
+    for root in list(roots):
         visit(root)
     return state

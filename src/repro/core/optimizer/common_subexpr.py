@@ -46,12 +46,13 @@ def _signature(node: Node):
 
 
 def eliminate_common_subexpressions(
-    roots: Sequence[Node], index: Optional[ConsumerIndex] = None
+    roots: List[Node], index: Optional[ConsumerIndex] = None
 ) -> int:
     """Merge structurally identical nodes; returns the number merged.
 
     Processes in topological order so children merge before parents,
-    letting whole identical chains collapse.
+    letting whole identical chains collapse -- equal roots included,
+    which then share one slot and are computed once.
     """
     index = index or ConsumerIndex(roots)
     canonical: Dict[object, Node] = {}
@@ -63,9 +64,7 @@ def eliminate_common_subexpressions(
             continue
         winner = canonical.setdefault(signature, node)
         if winner is not node:
-            # Point every consumer of `node` at the canonical twin.
-            for consumer in list(index.of(node)):
-                index.replace(consumer, node, winner)
+            index.substitute(node, winner)
             replaced += 1
     return replaced
 

@@ -59,7 +59,8 @@ from repro.frame.groupby import agg_outputs, decompose
 from repro.frame.merge import POSITION_COLUMNS, can_broadcast
 from repro.graph.node import Node
 from repro.graph.scheduler.stats import count
-from repro.graph.taskgraph import collect_subgraph, topological_order
+from repro.graph.taskgraph import (ConsumerIndex, collect_subgraph,
+                                   topological_order)
 
 #: ops whose output piece ``i`` needs only piece ``i`` of each input.
 ROW_LOCAL_OPS = frozenset({
@@ -376,22 +377,24 @@ def _oversized_feeds(order: Sequence[Node], limit: int) -> Set[int]:
     return found
 
 
-def cut_partitions(roots: Sequence[Node], session, limit: Optional[int],
-                   every_scan: bool) -> Tuple[int, int]:
-    """Cut the plan under ``roots`` per partition in place (see the
-    module docstring): every scan when ``every_scan``, else the
-    oversized scans feeding a merge or group-by.  Returns the merges
-    and group-bys lowered over a scan bigger than ``limit``, and the
-    number of nodes cut.  The scans under a pin (a root marked
-    ``persist``) stay whole: a pin is held whole, and gathering its
-    pieces would hold them and their concat at once."""
+def cut_partitions(roots: List[Node], session, limit: Optional[int],
+                   every_scan: bool,
+                   index: Optional[ConsumerIndex] = None) -> Tuple[int, int]:
+    """Cut the plan under ``roots`` per partition (see the module
+    docstring): every scan when ``every_scan``, else the oversized scans
+    feeding a merge or group-by.  Returns the merges and group-bys
+    lowered over a scan bigger than ``limit``, and the number of nodes
+    cut.  The scans under a pin (a root marked ``persist``) stay whole:
+    a pin is held whole, and gathering its pieces would hold them and
+    their concat at once."""
     from repro.analysis.plan.schema import merge_key_columns
     from repro.frame import DataFrame, Series
 
     opts = session.options
     piece_bytes = partition_bytes(session.backend.partition_bytes,
                                   session.memory.budget)
-    order = topological_order(list(roots))
+    index = index or ConsumerIndex(roots)
+    order = topological_order(roots)
     held = {node.id for node in topological_order(
         [root for root in roots if root.persist])}
     wanted = None if every_scan else _oversized_feeds(order, limit)
@@ -406,7 +409,7 @@ def cut_partitions(roots: Sequence[Node], session, limit: Optional[int],
     def whole(node: Node) -> None:
         parts = pieces.pop(node.id, None)
         if parts is not None and len(parts) > 1:
-            node.op, node.inputs, node.args = "concat", list(parts), {}
+            index.substitute(node, Node("concat", parts))
 
     for node in order:
         for dep in node.order_deps:
@@ -488,11 +491,12 @@ def cut_partitions(roots: Sequence[Node], session, limit: Optional[int],
         elif len(ins) == 1 and node.op in _RECOMBINED_OPS:
             replacement = recombine(ins[0], node.op, node.args)
         if replacement is not None:
-            node.op, node.inputs = replacement.op, replacement.inputs
-            node.args = replacement.args
+            if node.id in scalars:
+                scalars.add(replacement.id)
+            index.substitute(node, replacement)
         else:
             for inp in multi:
                 whole(inp)
-    for root in roots:
+    for root in list(roots):
         whole(root)
     return lowered, cut

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.graph.node import Node
 from repro.graph.scheduler.stats import bound_record
@@ -25,17 +25,18 @@ from repro.core.optimizer.shuffle import lower_shuffle_nodes
 
 
 def optimize(
-    roots: Sequence[Node],
+    roots: List[Node],
     session,
     live_nodes: Optional[List[Node]] = None,
 ) -> dict:
-    """Optimize the subgraph under ``roots`` in place.
+    """Optimize the subgraph under ``roots``.
 
-    The plan is the caller's to give away: the rules rewire, re-op and
-    stamp its nodes.  A session hands over a private copy of the user's
+    The plan is the caller's to give away: the rules stamp its nodes and
+    replace them, a root in its slot of ``roots`` (a pin, of
+    ``live_nodes``).  A session hands over a private copy of the user's
     graph (:func:`~repro.graph.taskgraph.physical_plan`), never the
-    graph itself, so nothing is put back afterwards.  ``live_nodes`` are
-    nodes of the plan whose values outlive the run besides the roots
+    graph itself.  ``live_nodes`` are nodes of the plan whose values
+    outlive the run besides the roots
     (:func:`~repro.core.optimizer.common_subexpr.pin_frontier`): under
     ``executor.cache`` they are optimized as roots -- a root keeps the
     value its raw plan defines, whatever moves beneath it -- and marked
@@ -47,27 +48,27 @@ def optimize(
     (used by tests and the ablation benchmarks).
     """
     opts = session.options
-    cache = opts.get("executor.cache")
-    pins = list(live_nodes or ()) if cache else []
-    roots = list(roots) + pins
+    pins = live_nodes if opts.get("executor.cache") and live_nodes else []
+    slots, roots = roots, list(roots) + pins
     report = {"cse": 0, "pushdown": 0, "scan_fold": 0, "projection": 0,
               "metadata": 0, "pruned_partitions": 0, "shuffle_lowered": 0,
               "partitions_cut": 0, "persisted": 0, "reuse_hits": 0,
               "reuse_misses": 0, "reuse_bytes": 0}
+    # who reads whom, walked once; the rewriting passes keep it current
+    index = ConsumerIndex(roots)
     state = None
     if opts.get("optimizer.reuse"):
         # First, against the RAW plan: later rewrites would change the
         # fingerprints, and substituted subtrees need no optimizing.
         # Its hits and misses are counted into the run's record, which
         # nothing else has written to yet.
-        state = substitute_cached_subplans(roots, session)
+        state = substitute_cached_subplans(roots, session, index)
+        index.keys = state.candidates  # a key follows its value
         run = bound_record()
         if run is not None:
             report["reuse_hits"] = run.cache_hits
             report["reuse_misses"] = run.cache_misses
             report["reuse_bytes"] = run.cache_bytes_reused
-    # who reads whom, walked once; the rewiring passes keep it current
-    index = ConsumerIndex(roots)
     if opts.get("optimizer.common_subexpression"):
         report["cse"] = eliminate_common_subexpressions(roots, index)
     if opts.get("optimizer.predicate_pushdown"):
@@ -79,7 +80,8 @@ def optimize(
         # a node the reuse pass will cache keeps its raw value
         report["projection"] = push_down_projections(
             roots, session,
-            whole=state.candidates if state is not None else ())
+            whole=state.candidates if state is not None else (),
+            index=index)
     if opts.get("optimizer.metadata"):
         report["metadata"] = apply_metadata_hints(roots, session.metastore)
     # After folding: drop partitions whose statistics prove the pushed
@@ -94,16 +96,16 @@ def optimize(
         # results are cached under raw-plan fingerprints: withdraw the
         # interior nodes that no longer compute what theirs names
         retain_unrewritten(state, roots)
-    for pin in pins:
+    for pin in roots[len(slots):]:
         pin.persist = True
     report["persisted"] = len(pins)
     # Last, after pruning stamped per-scan byte estimates: the size gate
-    # cuts the plan per partition as the engine's policy says.  A cut
-    # node that keeps its id still computes its raw value (a root
-    # gathers its partitions; a pin's plan is not cut), so it stays a
-    # reuse candidate.
-    lowered, cut = lower_shuffle_nodes(roots, session)
+    # cuts the plan per partition as the engine's policy says.  A node
+    # the cut replaces hands its candidacy to the replacement, which
+    # gathers or recombines the same value (a pin's plan is not cut).
+    lowered, cut = lower_shuffle_nodes(roots, session, index=index)
     report["shuffle_lowered"], report["partitions_cut"] = lowered, cut
+    slots[:], pins[:] = roots[:len(slots)], roots[len(slots):]
     # the run's scheduler offers executed results back through this
     session._cache_run = state
     return report

@@ -12,10 +12,10 @@ paper's three safe-point conditions hold:
 Two multi-parent extensions are also implemented:
 
 - all parents of ``u`` are filters with *structurally equal* predicates:
-  one filter pushes below ``u`` and the parents are removed;
+  one filter pushes below ``u``, and ``u`` stands for the parents;
 - all parents of ``u`` are filters with different predicates: their
   disjunction (the rows at least one parent keeps) pushes below ``u``
-  while the originals stay.
+  while the parents stay.
 
 The pass is one worklist over the ``ConsumerIndex`` that ``optimize()``
 builds once: filters are taken lowest first and each sinks as far as the
@@ -24,19 +24,19 @@ construction -- a swap moves one predicate one op down and nothing moves
 one up, so there are at most (filters x chain depth) swaps -- and it is
 idempotent, because the one rewrite that could undo itself is never
 made: a filter (itself row-preserving) hops a run of other filters only
-in a move that also passes the op the run sits on.  A filter the user
-built leaves an ``identity`` alias where it stood (it may be a root);
-the filters the pass builds on the way down replace each other and see
-through aliases, so a moved filter costs one ``identity`` at most.
+in a move that also passes the op the run sits on.  A filter that moves
+on is replaced by the op it passed, which now computes its value
+(``ConsumerIndex.substitute``); the parents a pushed disjunction serves
+are rebuilt :data:`SERVED`, so no second one is pushed.
 
 :func:`fold_predicates_into_scans` takes the final step for generic
 ``scan`` sources whose format declares ``supports_predicate``: a filter
 sitting directly on a scan -- typically the end state of the swaps
 above -- is converted to the serializable conjunct form
-(:mod:`repro.io.predicate`) and folded into the scan node's args, so the
-source filters rows while reading and the partition-pruning pass has
-something to prove against.  The conversion is all-or-nothing;
-inexpressible masks leave the filter in the graph.
+(:mod:`repro.io.predicate`), folded into the scan node's args and
+replaced by the scan, so the source filters rows while reading and the
+partition-pruning pass has something to prove against.  The conversion
+is all-or-nothing; inexpressible masks leave the filter in the graph.
 
 Pushing rebases the predicate expression: the mask was built against
 ``u``'s output, so its column reads are re-rooted onto ``u``'s input
@@ -45,41 +45,39 @@ Pushing rebases the predicate expression: the mask was built against
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.optimizer.projection import NARROWED
+from repro.graph.explain import REWRITE_NOTE
 from repro.graph.node import _ELEMENTWISE_SERIES_OPS, ALL_COLUMNS, Node
 from repro.graph.taskgraph import ConsumerIndex, topological_order
 
-#: label of a pushed disjunction; it stays under ``u`` (on the filter,
-#: or on the alias it leaves when it sinks on, which nothing sees
-#: through) and tells a later pass that ``u``'s parents were served.
+#: labels of a pushed disjunction and of the parents it serves: either
+#: tells a later pass that those parents were served.
 _DISJUNCTION = "pushed_disjunction"
+SERVED = REWRITE_NOTE + "served by a pushed disjunction"
 
 
 def push_down_predicates(
-    roots: Sequence[Node], index: Optional[ConsumerIndex] = None
+    roots: List[Node], index: Optional[ConsumerIndex] = None
 ) -> int:
     """Move filters toward sources; returns the number of swaps made."""
     index = index or ConsumerIndex(roots)
     # popped lowest first, and a pushed filter goes back on top: it sinks
     # as far as it can before any filter above it is looked at
     work = [n for n in reversed(topological_order(roots)) if n.spec.is_filter]
-    #: filters this pass built: nobody holds them, so when they move on
-    #: their readers are rewired instead of being left an alias
-    own: Set[int] = set()
     swaps = 0
     while work:
         f = work.pop()
-        if not f.spec.is_filter or f not in index:
-            continue  # merged into a sibling, or cut loose by a rebase
-        u = _see_through_aliases(f, index)
-        pushed = _push_below(u, [f], index, own)
+        if f not in index:
+            continue  # moved on, merged into a sibling, or cut loose
+        u = f.inputs[0]
+        pushed = _push_below(u, [f], index)
         if pushed is None:
             parents = [c for c in index.of(u)
                        if c.spec.is_filter and c.inputs[0] is u]
             if len(parents) > 1:
-                pushed = _push_below(u, parents, index, own)
+                pushed = _push_below(u, parents, index)
         if pushed is not None:
             work.append(pushed)
             swaps += 1
@@ -87,12 +85,12 @@ def push_down_predicates(
 
 
 def fold_predicates_into_scans(
-    roots: Sequence[Node], index: Optional[ConsumerIndex] = None
+    roots: List[Node], index: Optional[ConsumerIndex] = None
 ) -> int:
     """Fold filters over capable ``scan`` sources into the scan's args;
     returns the number of filters absorbed."""
     index = index or ConsumerIndex(roots)
-    # lowest first: the next filter up sees through a folded one's alias
+    # lowest first: once a filter folded, the next one up reads the scan
     return sum(
         _fold(f, index) for f in topological_order(roots)
         if f.spec.is_filter and len(f.inputs) > 1 and f in index
@@ -103,7 +101,7 @@ def _fold(f: Node, index: ConsumerIndex) -> bool:
     from repro.io.predicate import conjuncts_from_mask, merge_conjuncts
     from repro.io.registry import source_capabilities
 
-    u = _see_through_aliases(f, index)
+    u = f.inputs[0]
     if u.op != "scan":
         return False
     spec = source_capabilities(u.args.get("format"))
@@ -113,12 +111,12 @@ def _fold(f: Node, index: ConsumerIndex) -> bool:
     if conjuncts is None or not _passable(u, [f], index):
         return False
     u.args["predicate"] = merge_conjuncts(u.args.get("predicate"), conjuncts)
-    _alias(f, u, index)
+    index.substitute(f, u)
     return True
 
 
-def _push_below(u: Node, parents: List[Node], index: ConsumerIndex,
-                own: Set[int]) -> Optional[Node]:
+def _push_below(u: Node, parents: List[Node],
+                index: ConsumerIndex) -> Optional[Node]:
     """The one rewrite: the predicate of ``parents`` -- filters on ``u``,
     one in the plain case -- moves below ``u``.  Returns the new filter,
     or ``None`` when a safe-point condition fails."""
@@ -129,12 +127,12 @@ def _push_below(u: Node, parents: List[Node], index: ConsumerIndex,
     same = all(structurally_equal(mask, masks[0]) for mask in masks[1:])
     if same:
         masks = masks[:1]
-    elif base.label == _DISJUNCTION:
+    elif base.label == _DISJUNCTION or SERVED in {p.label for p in parents}:
         return None
     # One predicate (the paper's same-filter rule when there are several
-    # parents) moves below u and the parents drop out.  Of different
+    # parents) moves below u, and u stands for the parents.  Of different
     # predicates only the rows no parent keeps may go, and each parent
-    # still filters for itself above u.
+    # still filters for itself above u, rebuilt as served.
     either = _rebase(masks[0], old=u, new=base)
     for mask in masks[1:]:
         either = Node("binop", args={"op": "|"}, label="or", inputs=[
@@ -144,29 +142,24 @@ def _push_below(u: Node, parents: List[Node], index: ConsumerIndex,
     # side inputs (a setitem's value, a hopped filter's mask) follow
     index.set_inputs(u, [new_filter] + [
         _rebase(side, old=base, new=new_filter) for side in u.inputs[1:]])
-    if same:
-        own.add(new_filter.id)
-        for p in parents:
-            if p.id in own:
-                for reader in list(index.of(p)):
-                    index.replace(reader, p, u)
-            else:
-                _alias(p, u, index)
+    for p in parents:
+        index.substitute(p, u if same else Node(
+            "filter", list(p.inputs), dict(p.args), label=SERVED))
     return new_filter
 
 
 def _opens(u: Node, parents: List[Node], index: ConsumerIndex) -> bool:
-    """The safe-point conditions -- and when ``u`` is a filter or an
-    alias, not for ``u`` alone but for the whole run down to and
-    including the op it sits on: hopping filters alone gains nothing (two
-    adjacent filters would trade places for ever), so a predicate enters
-    a run only when it will also pass what the run sits on."""
+    """The safe-point conditions -- and when ``u`` is a filter, not for
+    ``u`` alone but for the whole run down to and including the op it
+    sits on: hopping filters alone gains nothing (two adjacent filters
+    would trade places for ever), so a predicate enters a run only when
+    it will also pass what the run sits on."""
     if u.label is not None and u.label.startswith(NARROWED):
         # put there by projection pushdown after the filter sank as far
         # as it could, and it copies nothing: passing it gains nothing
         return False
     op = u
-    while op.op in ("filter", "identity") and op.inputs:
+    while op.op == "filter":
         op = op.inputs[0]
     # Conditions 1 and 2, on the op under the run (its members modify
     # nothing) -- the cheap ones first.
@@ -230,27 +223,6 @@ def _elementwise_over(node: Node, base: Node) -> bool:
         else:
             return False
     return True
-
-
-def _see_through_aliases(f: Node, index: ConsumerIndex) -> Node:
-    """Re-root ``f`` on what the aliases under it (filters that moved
-    on, or folded into their scan) stand for; returns its frame input."""
-    u = f.inputs[0]
-    while u.op == "identity" and u.inputs and u.label != _DISJUNCTION:
-        below = u.inputs[0]
-        index.set_inputs(f, [below] + [
-            _rebase(side, old=u, new=below) for side in f.inputs[1:]])
-        u = below
-    return u
-
-
-def _alias(old: Node, new: Node, index: ConsumerIndex) -> None:
-    """Make ``old`` -- a node the user built and may hold (it can be a
-    root), so it stays -- an identity projection of ``new``, which the
-    executor runs at zero cost."""
-    old.op = "identity"
-    old.args = {}
-    index.set_inputs(old, [new])
 
 
 def _above(expr: Node, floor: Node) -> List[Node]:

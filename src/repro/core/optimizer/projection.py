@@ -58,7 +58,6 @@ inputs as requiring *all* columns.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import (
     Collection, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
@@ -66,7 +65,7 @@ from typing import (
 from repro.frame.merge import join_keys, join_labels
 from repro.graph.explain import REWRITE_NOTE
 from repro.graph.node import ALL_COLUMNS, Node
-from repro.graph.taskgraph import topological_order
+from repro.graph.taskgraph import ConsumerIndex, topological_order
 
 #: Operators through which the requirement set passes untouched.
 _PASSTHROUGH = frozenset({
@@ -92,22 +91,24 @@ NARROWED = REWRITE_NOTE + "narrowed for "
 TOP_N = REWRITE_NOTE + "top-n of sort_values + head"
 
 
-def push_down_projections(roots: Sequence[Node], session=None,
-                          whole: Collection[int] = ()) -> int:
+def push_down_projections(roots: List[Node], session=None,
+                          whole: Collection[int] = (),
+                          index: Optional[ConsumerIndex] = None) -> int:
     """Make the rewrites of the module docstring; returns how many.
 
     ``session`` resolves source schemas; the nodes whose ids are in
     ``whole`` keep their values as the raw plan defines them.
     """
+    index = index or ConsumerIndex(roots)
     order = topological_order(roots)
     schemas = _Schemas(session=session)
     demands = _demands(roots, order, schemas, whole)
-    dead = _top_n(order, demands, whole)
+    top_n = _top_n(order, demands, whole, index)
     narrowed = [node for node in order
                 if node.op == "scan" and _narrow_scan(node, demands)]
     schemas.narrowed(narrowed, order)
-    edges = _project_edges(order, demands, schemas, dead)
-    return len(dead) + len(narrowed) + edges
+    edges = _project_edges(order, demands, schemas, index)
+    return top_n + len(narrowed) + edges
 
 
 def _scan_supports_projection(node: Node) -> bool:
@@ -135,17 +136,13 @@ def _narrow_scan(node: Node, demands: "_Demands") -> bool:
 
 
 def _top_n(order: Sequence[Node], demands: "_Demands",
-           whole: Collection[int]) -> Set[int]:
-    """Rewrite 4; returns the ids of the sorts it cut out."""
-    heads = [node for node in order if node.op == "head"
-             and node.inputs[0].op == "sort_values" and node.id not in whole]
-    if not heads:
-        return set()
-    readers = Counter(inp.id for node in order for inp in node.inputs)
-    dead: Set[int] = set()
-    for node in heads:
-        sort = node.inputs[0]
-        if (sort.args.get("by") is None or readers[sort.id] != 1
+           whole: Collection[int], index: ConsumerIndex) -> int:
+    """Rewrite 4; returns how many heads it replaced."""
+    made = 0
+    for node in order:
+        sort = node.inputs[0] if node.op == "head" else None
+        if (sort is None or sort.op != "sort_values" or node.id in whole
+                or sort.args.get("by") is None or len(index.of(sort)) != 1
                 or sort.id in demands.kept or sort.order_deps):
             continue
         ascending = sort.args.get("ascending", True)
@@ -153,22 +150,22 @@ def _top_n(order: Sequence[Node], demands: "_Demands",
         if len(flags) != 1:
             continue
         # the sort's demand was its one reader's, so nothing else moves
-        node.op = "nsmallest" if flags.pop() else "nlargest"
-        node.args = {"n": node.args.get("n", 5), "columns": sort.args["by"]}
-        node.inputs = list(sort.inputs)
-        node.label = TOP_N
-        dead.add(sort.id)
-    return dead
+        index.substitute(node, Node(
+            "nsmallest" if flags.pop() else "nlargest", list(sort.inputs),
+            {"n": node.args.get("n", 5), "columns": sort.args["by"]},
+            label=TOP_N))
+        made += 1
+    return made
 
 
 def _project_edges(order: Sequence[Node], demands: "_Demands",
-                   schemas: "_Schemas", dead: Set[int]) -> int:
+                   schemas: "_Schemas", index: ConsumerIndex) -> int:
     """Rewrite 3; returns the number of projections put on edges (a
     ``wide`` node -- ``whole`` ones included -- keeps its inputs)."""
     made: Dict[Tuple[int, Tuple[str, ...]], Node] = {}
     count = 0
     for node in order:
-        if node.id in dead or node.id in demands.wide:
+        if node not in index or node.id in demands.wide:
             continue
         out_req = demands.informative.get(node.id, set())
         if node.op in _ROW_COPYING:
@@ -179,6 +176,7 @@ def _project_edges(order: Sequence[Node], demands: "_Demands",
             sides = _merge_demand(node, out_req, schemas.inputs) or ()
         else:
             continue
+        inputs = list(node.inputs)
         for i, needs in enumerate(sides):
             if ALL_COLUMNS in needs:
                 continue
@@ -195,7 +193,9 @@ def _project_edges(order: Sequence[Node], demands: "_Demands",
                                  {"columns": list(kept)},
                                  label=NARROWED + node.op)
                 count += 1
-            node.inputs[i] = made[key]
+            inputs[i] = made[key]
+        if inputs != node.inputs:
+            index.set_inputs(node, inputs)
     return count
 
 

@@ -17,16 +17,18 @@ Merge -> Blockwise/Shuffle/broadcast lowering is the pattern):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.optimizer.partitions import cut_partitions
 from repro.graph.node import Node
+from repro.graph.taskgraph import ConsumerIndex
 
 
 def lower_shuffle_nodes(
-    roots: Sequence[Node],
+    roots: List[Node],
     session,
     live_nodes: Optional[List[Node]] = None,
+    index: Optional[ConsumerIndex] = None,
 ) -> Tuple[int, int]:
     """Cut the plan under ``roots`` as the engine's policy and the size
     limit say; returns the merges and group-bys lowered over a scan
@@ -44,5 +46,5 @@ def lower_shuffle_nodes(
     every_scan = session.engine.spec.out_of_core
     if limit is None and not every_scan:
         return 0, 0
-    return cut_partitions(roots, session,
-                          None if limit is None else int(limit), every_scan)
+    limit = None if limit is None else int(limit)
+    return cut_partitions(roots, session, limit, every_scan, index)

@@ -465,11 +465,12 @@ class Session:
         ids but their own wiring and args, a ``held`` leaf wherever a
         node already holds its value.  The rules rewrite that copy for
         *this* execution only -- later computations may demand columns
-        or rows it pruned away -- and the user's graph gets back just
+        or rows it pruned away -- a root or pin perhaps as a fresh node
+        in its slot, and the user's graph gets back from the slots just
         the values it is meant to keep: the roots' (every pending
         side-effect node is one) and the pins' for ``live_nodes``.  A
-        pin's twin is a root to the optimizer, so it holds what its raw
-        node defines, but not to the scheduler, which computes it as its
+        pin is a root to the optimizer, so it holds what its raw node
+        defines, but not to the scheduler, which computes it as its
         consumers' input (the Dask engine leaves a pin's plan uncut).
         """
         from repro.core.optimizer import optimize
@@ -482,7 +483,7 @@ class Session:
         planned = not all(r.computed for r in roots)
         if planned:
             self._analysis_gate(roots)
-        twins, pins = roots, []
+        twins, pins, pinned = roots, [], []
         scheduler = self.scheduler()
         # the run's record exists before the plan does: what the reuse
         # pass serves and misses belongs to this run
@@ -492,9 +493,10 @@ class Session:
                 plan = physical_plan(roots)
                 twins = [plan[root.id] for root in roots]
                 pins = pin_frontier(plan, live_nodes)
+                pinned = [twin for _, twin in pins]
                 with stats.bound():
                     self.last_optimize_report = optimize(
-                        twins, self, live_nodes=[twin for _, twin in pins])
+                        twins, self, live_nodes=pinned)
                 # the reuse pass left its run state here; the scheduler
                 # offers executed results back through it.
                 scheduler.cache_state = self._cache_run
@@ -506,7 +508,7 @@ class Session:
             for raw, twin in zip(roots, twins):
                 if twin.computed and not raw.computed:
                     raw.set_result(twin.result)
-            for raw, twin in pins:
+            for (raw, _), twin in zip(pins, pinned):
                 if twin.persist and twin.computed:
                     raw.set_result(twin.result)
                     raw.persist = True

@@ -8,7 +8,7 @@ counting and DOT export (Figures 6 and 9 render with ``to_dot``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.node import Node
 
@@ -32,8 +32,8 @@ def physical_plan(roots: Sequence[Node]) -> Dict[int, Node]:
     """A private copy of the subgraph under ``roots``, as node id ->
     twin (:meth:`Node.twin`), for one run to rewrite and execute.
 
-    The optimizer passes rewire, re-op and stamp whatever plan they are
-    handed; handing them twins is what keeps the graph the user holds
+    The optimizer passes rewire, replace and stamp whatever plan they
+    are handed; handing them twins is what keeps the graph the user holds
     exactly as it was built, with nothing to restore afterwards.  The
     copy stops at nodes that hold their value: each is a ``held`` leaf.
     """
@@ -175,19 +175,21 @@ def consumer_counts(nodes: Iterable[Node]) -> Dict[int, int]:
 
 
 class ConsumerIndex:
-    """Who reads each node of the subgraph under ``roots``: built once
-    per ``optimize()`` and kept current by the rewrite passes, which
-    route every rewire through :meth:`set_inputs` / :meth:`replace`.
+    """Who reads each node of the subgraph under ``roots`` (the caller's
+    list, its slots kept by :meth:`substitute`): built once per
+    ``optimize()`` and kept current through every rewire a pass makes.
 
-    One entry per edge, data and ordering alike (ordering edges only
-    point at side-effect nodes, which no rewrite moves or merges).  A
-    node that loses its last reader, and that no root names, is dead: its
-    edges leave the index with it, so :meth:`of` never reports a reader
-    a fresh ``collect_subgraph`` would not reach.
+    One entry per edge, data and ordering alike.  A node that loses its
+    last reader, and that no root names, is dead: its edges leave the
+    index with it, so :meth:`of` never reports a reader a fresh
+    ``collect_subgraph`` would not reach.
     """
 
-    def __init__(self, roots: Sequence[Node]):
+    def __init__(self, roots: List[Node]):
+        self.roots = roots
         self.root_ids = {root.id for root in roots}
+        #: values by node id that follow their node through a substitution
+        self.keys: Dict[int, Any] = {}
         self._readers: Dict[int, List[Node]] = {}
         self._live: Set[int] = set()
         self._link(roots)
@@ -200,23 +202,45 @@ class ConsumerIndex:
 
     def set_inputs(self, node: Node, inputs: Sequence[Node]) -> None:
         """Rewire ``node`` (which must be live) to read ``inputs``."""
-        pending = [(node, dep) for dep in node.inputs]
-        node.inputs = list(inputs)
-        for dep in node.inputs:
+        self._rewire(node, inputs, node.order_deps)
+
+    def substitute(self, old: Node, new: Node) -> None:
+        """Put ``new`` -- it computes ``old``'s value, and does not read
+        ``old`` -- wherever ``old`` stood: every reader's edges, every
+        root slot, :attr:`keys` (dropping ``new``'s own).  ``old`` dies."""
+        self._link([new])
+        for reader in dict.fromkeys(self.of(old)):
+            self._rewire(
+                reader, [new if dep is old else dep for dep in reader.inputs],
+                [new if dep is old else dep for dep in reader.order_deps])
+        if old.id in self.root_ids:
+            self.roots[:] = [new if r is old else r for r in self.roots]
+            self.root_ids = (self.root_ids - {old.id}) | {new.id}
+        self.keys.pop(new.id, None)
+        if old.id in self.keys:
+            self.keys[new.id] = self.keys.pop(old.id)
+        if old.id in self._live:
+            self._live.discard(old.id)
+            self._drop([(old, dep) for dep in old.all_deps()])
+
+    def _rewire(self, node: Node, inputs: Sequence[Node],
+                order_deps: Sequence[Node]) -> None:
+        dropped = [(node, dep) for dep in node.all_deps()]
+        node.inputs, node.order_deps = list(inputs), list(order_deps)
+        for dep in node.all_deps():
             self._readers.setdefault(dep.id, []).append(node)
-        self._link(node.inputs)
-        while pending:
-            reader, dep = pending.pop()
+        self._link(node.all_deps())
+        self._drop(dropped)
+
+    def _drop(self, edges: List[Tuple[Node, Node]]) -> None:
+        """Remove ``(reader, dep)`` edges; a dep left unread dies."""
+        while edges:
+            reader, dep = edges.pop()
             readers = self._readers[dep.id]
             readers.remove(reader)
             if not readers and dep.id not in self.root_ids:
                 self._live.discard(dep.id)
-                pending.extend((dep, below) for below in dep.all_deps())
-
-    def replace(self, reader: Node, old: Node, new: Node) -> None:
-        """Point ``reader``'s reads of ``old`` at ``new`` instead."""
-        self.set_inputs(
-            reader, [new if dep is old else dep for dep in reader.inputs])
+                edges.extend((dep, below) for below in dep.all_deps())
 
     def _link(self, nodes: Iterable[Node]) -> None:
         """Record the edges of every node reached that is not live yet

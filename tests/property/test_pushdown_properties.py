@@ -9,9 +9,9 @@ cannot:
   (the equivalence fuzzer next door varies strategies and formats; this
   is its optimizer axis);
 - predicate pushdown is a bounded, idempotent rewrite: a filter hops
-  each op of its chain at most once, a swap adds at most one node (the
-  alias a user-built filter leaves), and a second run finds nothing
-  left to do.
+  each op of its chain at most once, a swap adds at most one node (a
+  pushed disjunction adds its own filter and mask once besides), and a
+  second run finds nothing left to do.
 
 A chain may stop on the way up to ``collect()`` or ``persist()`` the
 frame as it stands and then keep building on it: the steps above such a
@@ -24,7 +24,10 @@ A chain may also sort and keep the first rows (a top-n when every key
 sorts one way), and may branch off the frame as it stands a filtered
 aggregate of other columns, which the frame's collect prints: the frame
 then feeds two readers that need different columns, so projection
-pushdown narrows the edges into its row copies.
+pushdown narrows the edges into its row copies.  A "fork" branches so
+and goes on filtered differently: with two filters its only readers,
+the frame takes the multi-parent rule, and their disjunction is pushed
+below it.
 
 A chain ends in the frame itself, a column subset, or a
 ``groupby(["k"])[...].sum()``: the last two leave columns unread, so
@@ -50,7 +53,7 @@ from repro.cache.fingerprint import fingerprint_node
 from repro.core.optimizer import optimize, push_down_predicates
 from repro.core.lazyframe import LazyFrame
 from repro.core.optimizer.predicate_pushdown import (
-    fold_predicates_into_scans,
+    _DISJUNCTION, _above, fold_predicates_into_scans,
 )
 from repro.core.session import Session
 from repro.graph import collect_subgraph
@@ -97,7 +100,7 @@ def chains(draw):
         if len(droppable) > 1:
             kinds += ["drop", "rename"]
         if droppable:
-            kinds.append("branch")
+            kinds += ["branch", "fork"]
         if not merged and "k" in numeric:
             kinds.append("merge")
         kind = draw(st.sampled_from(kinds))
@@ -137,6 +140,11 @@ def chains(draw):
             # frame feeds two branches that read different columns
             steps.append(("branch", draw(st.sampled_from(droppable)),
                           draw(_values), draw(st.sampled_from(droppable))))
+        elif kind == "fork":
+            # ... and the chain goes on under a different filter
+            steps.append(("fork", draw(st.sampled_from(droppable)),
+                          draw(_values), draw(st.sampled_from(droppable)),
+                          draw(st.sampled_from(numeric)), draw(_values)))
         elif kind == "top":
             # a sort and a head: a top-n when every key sorts one way
             by = draw(st.lists(st.sampled_from(numeric), min_size=1,
@@ -212,6 +220,11 @@ def _build(steps, leaf, left, right):
             _, column, value, summed = step
             taps.append(frame[frame[column] > value].groupby(["k"])[
                 summed].sum())
+        elif step[0] == "fork":
+            _, column, value, summed, other, bound = step
+            taps.append(frame[frame[column] > value].groupby(["k"])[
+                summed].sum())
+            frame = frame[frame[other] <= bound]
         elif step[0] == "top":
             _, by, ascending, n = step
             frame = frame.sort_values(by, ascending=ascending).head(n)
@@ -305,7 +318,8 @@ class TestPushdownIsBoundedAndIdempotent:
         tmp_dir = _fresh_dir(tmp_path_factory)
         left = _write_table(data, tmp_dir, "left", "csv")
         right = _write_table(right, tmp_dir, "right", "csv")
-        filters = sum(step[0] in ("filter", "peaks") for step in steps)
+        filters = sum({"filter": 1, "peaks": 1, "fork": 2}.get(step[0], 0)
+                      for step in steps)
 
         def roots():
             frame, taps = _build(steps, leaf, left, right)
@@ -317,9 +331,13 @@ class TestPushdownIsBoundedAndIdempotent:
             swaps = push_down_predicates(plan)
             # a filter hops each op under it at most once ...
             assert swaps <= filters * len(steps), steps
-            # ... leaving one alias where it stood; the filters the pass
-            # builds on the way down replace each other
-            assert len(collect_subgraph(plan)) <= raw + swaps, steps
+            # ... and the op it passed stands where it stood; the filters
+            # the pass builds on the way down replace each other, and a
+            # pushed disjunction's own filter and mask are built once
+            after = collect_subgraph(plan)
+            pushed = sum(1 + len(_above(n.inputs[1], n.inputs[0]))
+                         for n in after if n.label == _DISJUNCTION)
+            assert len(after) <= raw + swaps + pushed, steps
             assert push_down_predicates(plan) == 0, steps
             fold_predicates_into_scans(plan)
             assert fold_predicates_into_scans(plan) == 0, steps

@@ -56,18 +56,16 @@ N7 filter <- [N4,N6]
 N8 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N7]"""
 
 # With pushdown on: the filter drops below the setitem and folds into
-# the read (``predicate=``; an identity stands where it landed and one
-# fills its old slot), and the read is narrowed to the two columns the
-# plan uses -- ``fare`` is only the predicate's, the source reads it to
-# filter and drops it.
+# the read (``predicate=``; the setitem it passed and the read it folded
+# into stand where it stood), and the read is narrowed to the two
+# columns the plan uses -- ``fare`` is only the predicate's, the source
+# reads it to filter and drops it.
 OPTIMIZED_PLAN_PUSHDOWN_ON = """\
 N1 scan(format='csv', path=trips.csv, parse_dates=['pickup_time'], columns=['passengers', 'pickup_time'], predicate=(fare>0), partitions=1/1)
-N2 identity <- [N1]
-N3 getitem_column(column='pickup_time') <- [N2]
-N4 dt_field(field='hour') <- [N3]
-N5 setitem(column='hour') <- [N2,N4]
-N6 identity <- [N5]
-N7 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N6]"""
+N2 getitem_column(column='pickup_time') <- [N1]
+N3 dt_field(field='hour') <- [N2]
+N4 setitem(column='hour') <- [N1,N3]
+N5 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N4]"""
 
 # With both pushdowns off only the pruning pass's bookkeeping shows: it
 # still counts the partitions the read will touch.
@@ -89,18 +87,16 @@ def chained_filters_pipeline(path):
 
 
 # Lowest first: the fare filter sinks to the read, then the passengers
-# filter sees through the alias it left, passes the setitem and stops on
-# it -- two swaps (each filter leaves an alias where it stood; the lower
-# one, read by nobody any more, is gone).  The two filters never trade
-# places, and both fold into the read as one conjunction.
+# filter, which now reads the setitem the first one passed, passes it
+# too and stops on the first -- two swaps (each filter is replaced by
+# the op it passed).  The two filters never trade places, and both fold
+# into the read as one conjunction.
 OPTIMIZED_PLAN_CHAINED_FILTERS = """\
 N1 scan(format='csv', path=trips.csv, parse_dates=['pickup_time'], columns=['passengers', 'pickup_time'], predicate=(fare>0 & passengers<=3), partitions=1/1)
-N2 identity <- [N1]
-N3 getitem_column(column='pickup_time') <- [N2]
-N4 dt_field(field='hour') <- [N3]
-N5 setitem(column='hour') <- [N2,N4]
-N6 identity <- [N5]
-N7 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N6]"""
+N2 getitem_column(column='pickup_time') <- [N1]
+N3 dt_field(field='hour') <- [N2]
+N4 setitem(column='hour') <- [N1,N3]
+N5 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N4]"""
 
 
 def _sections(text):
@@ -197,8 +193,7 @@ N5 getitem_columns(columns=['amount']) <- [N4]"""
 # keeps 1 of the 3 region partitions.
 SCAN_OPTIMIZED_PLAN = """\
 N1 scan(format='dataset', path=sales_hive, columns=['amount'], predicate=(region=='east'), partitions=1/3)
-N2 identity <- [N1]
-N3 getitem_columns(columns=['amount']) <- [N2]"""
+N2 getitem_columns(columns=['amount']) <- [N1]"""
 
 # Ablated: the fold and the pruning are off; the filter stays a graph
 # node and the scan still reports how many partitions exist.

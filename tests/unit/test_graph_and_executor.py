@@ -33,10 +33,28 @@ class TestNode:
         child = Node("binop", inputs=[src, src], args={"op": "+"})
         index = ConsumerIndex([child])
         assert list(index.of(src)) == [child, child]
-        index.replace(child, src, other)
+        index.substitute(src, other)
         assert child.inputs == [other, other]
         assert src not in index and not index.of(src)
         assert other in index and list(index.of(other)) == [child, child]
+
+    def test_substitute_keeps_root_slots_and_keys(self):
+        """A substituted root is replaced in the caller's list, its key
+        moves with it, the replacement's own key goes, and the old node
+        -- left as it was -- leaves the index."""
+        from repro.graph.taskgraph import ConsumerIndex
+
+        src = Node("from_data", args={"data": {}})
+        old = Node("binop", inputs=[src, src], args={"op": "+"})
+        new = Node("binop", inputs=[src, src], args={"op": "+"})
+        roots = [old, src]
+        index = ConsumerIndex(roots)
+        index.keys.update({old.id: "old's", new.id: "stale"})
+        index.substitute(old, new)
+        assert roots == [new, src] and index.root_ids == {new.id, src.id}
+        assert index.keys == {new.id: "old's"}
+        assert old not in index and old.inputs == [src, src]
+        assert list(index.of(src)) == [new, new]
 
     def test_mod_and_used_attrs(self):
         src = Node("from_data", args={"data": {}})

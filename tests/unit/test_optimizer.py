@@ -159,6 +159,42 @@ class TestPredicatePushdown:
         assert build().compute() == expected
         assert session.last_optimize_report["pushdown"] >= 1
 
+    def test_a_disjunction_that_sinks_on_is_pushed_once(self, make_csv):
+        """A pushed disjunction can sink past more ops than the one its
+        parents share; the parents it serves are rebuilt with a label
+        that says so, and no second disjunction follows it."""
+        from repro.core.optimizer.predicate_pushdown import (
+            fold_predicates_into_scans,
+        )
+        from repro.core.session import Session
+        from repro.graph.explain import render_plan
+
+        path = make_csv({"x": list(range(60)),
+                         "y": [i * 3 % 17 for i in range(60)],
+                         "z": [i % 9 for i in range(60)]})
+
+        def build():
+            df = lfp.read_csv(path)
+            df["w"] = df.x + 1
+            df["q"] = df.y * 2
+            return df[df.x > 30].w.sum(), df[df.z > 5].q.sum()
+
+        plan = [total.node for total in build()]
+        assert push_down_predicates(plan) == 2
+        assert fold_predicates_into_scans(plan) == 1
+        assert push_down_predicates(plan) == 0
+        assert fold_predicates_into_scans(plan) == 0
+        rendered = render_plan(plan)
+        assert rendered.count("[served by a pushed disjunction]") == 2
+        assert "predicate=(((z>5) | (x>30)))" in rendered
+
+        got = {}
+        for on in (True, False):
+            with Session(backend="pandas", options={
+                    "optimizer.predicate_pushdown": on}):
+                got[on] = [total.collect() for total in build()]
+        assert got[True] == got[False]
+
     def test_structural_equality(self, taxi_csv):
         df = lfp.read_csv(taxi_csv)
         m1 = (df.fare_amount > 0).node
@@ -197,6 +233,42 @@ class TestCSE:
         p1 = Node("print", args={"segments": []})
         p2 = Node("print", args={"segments": []})
         assert eliminate_common_subexpressions([p1, p2]) == 0
+
+
+class TestPlansArePrivate:
+    def test_invariant_tool_rejects_an_in_place_rewrite(self):
+        """Rule 7: under core/optimizer/ a pass stamps args but never
+        assigns a node's op, inputs or order deps -- into them neither;
+        only graph/ rewires."""
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        path = (Path(__file__).resolve().parents[2] / "tools"
+                / "check_invariants.py")
+        spec = importlib.util.spec_from_file_location("check_invariants",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        for rewrite in (
+            "old.op = 'identity'",
+            "node.inputs = list(sort.inputs)",
+            "node.op, node.inputs = new.op, new.inputs",
+            "node.inputs[i] = made[key]",
+            "node.order_deps[0] = dep",
+            "del node.inputs[1]",
+        ):
+            for module in ("core/optimizer/projection.py", "core/session.py"):
+                assert list(tool.check_plan_is_private(
+                    ast.parse(rewrite), module)), (rewrite, module)
+            assert not list(tool.check_plan_is_private(
+                ast.parse(rewrite), "graph/taskgraph.py")), rewrite
+        stamp = "node.args['columns'] = sorted(needs)\nnode.persist = True"
+        assert not list(tool.check_plan_is_private(
+            ast.parse(stamp), "core/optimizer/projection.py"))
+        assert list(tool.check_plan_is_private(
+            ast.parse("node.args = {}"), "backends/base.py"))
+        assert tool.run() == []
 
 
 class TestProjectionPushdown:
@@ -444,10 +516,13 @@ class TestNarrowedIntermediates:
         worst = lfp.read_csv(taxi_csv).sort_values(
             "fare_amount", ascending=False).head(4)
         assert worst.explain().count("[top-n of sort_values + head]") == 1
-        assert push_down_projections([worst.node]) == 1
-        assert worst.node.op == "nlargest"
-        assert worst.node.args == {"n": 4, "columns": "fare_amount"}
-        assert not _ops_below(worst.node, "sort_values")
+        roots = [worst.node]
+        assert push_down_projections(roots) == 1
+        # the head is replaced in its root slot; the user's node stays
+        top, = roots
+        assert top.op == "nlargest" and worst.node.op == "head"
+        assert top.args == {"n": 4, "columns": "fare_amount"}
+        assert not _ops_below(top, "sort_values")
         want = read_csv(taxi_csv).sort_values(
             "fare_amount", ascending=False).head(4)
         got = worst.collect()
@@ -471,7 +546,7 @@ class TestNarrowedIntermediates:
             other = ranked.tip_amount.sum() if shape == "shared" else ranked
             roots = [head.node, other.node]
         push_down_projections(roots)
-        assert head.node.op == "head"
+        assert roots[0] is head.node and head.node.op == "head"
 
     def test_usecols_scan_keeps_what_a_head_print_shows(self, taxi_csv,
                                                         capsys):

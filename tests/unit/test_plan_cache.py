@@ -432,7 +432,9 @@ class TestSubstitution:
             with run.bound():
                 substitute_cached_subplans([expr.node], session)
             assert run.cache_hits >= 1
-            text = expr.explain(optimized=False)
+            # the hit replaces the root in the run's plan, not the node
+            # the user holds: the optimized plan shows the leaf
+            text = expr.explain()
         assert "from_cached" in text
         assert "blob=" not in text
 
@@ -540,6 +542,54 @@ class TestSubstitution:
             assert joined[joined.k > 2].b.sum().collect() == 15
             stats = session.last_execution_stats
         assert stats.cache_hits >= 1 and stats.nodes_executed > 1
+
+    def test_a_folded_root_is_cached_under_its_raw_key(self, make_csv):
+        """A root filter that folds into its scan is replaced by the
+        scan: the value goes into the cache under the root's raw key --
+        the scan's own key, of the unfiltered read, is dropped -- and a
+        later session is served from it."""
+        path = make_csv({"x": list(range(40)), "y": list(range(40))})
+
+        def build():
+            frame = lfp.read_csv(path)
+            return frame[frame.x > 20]
+
+        with Session(backend="pandas", options=REUSE) as s1:
+            cold = build().collect()
+            assert s1.last_optimize_report["scan_fold"] == 1
+            assert s1.last_execution_stats.cache_inserted == 1
+        with Session(backend="pandas", options=REUSE) as s2:
+            warm = build().collect()
+            stats = s2.last_execution_stats
+        assert warm.to_dict() == cold.to_dict()
+        assert stats.cache_hits == 1 and stats.nodes_executed == 1
+        with Session(backend="pandas", options=REUSE):
+            assert len(lfp.read_csv(path).collect()) == 40
+
+    def test_equal_roots_merged_by_cse_run_once(self, make_csv):
+        """Two structurally equal roots share one slot after CSE: the
+        plan computes the value once, both roots get it, and it is
+        cached under their one raw key."""
+        from repro.core.optimizer import optimize
+        from repro.graph.taskgraph import physical_plan
+
+        path = make_csv({"x": [1, 2, 3], "y": [4, 5, 6]})
+        with Session(backend="pandas", options=REUSE) as session:
+            frame = lfp.read_csv(path)
+            first, second = frame.x.sum().node, frame.x.sum().node
+            plan = physical_plan([first, second])
+            roots = [plan[first.id], plan[second.id]]
+            assert optimize(roots, session, live_nodes=[])["cse"] == 2
+            assert roots[0] is roots[1]
+            scheduler = session.scheduler()
+            scheduler.cache_state = session._cache_run
+            assert scheduler.execute(roots) == [6, 6]
+            # scan, column, sum
+            assert scheduler.last_stats.nodes_executed == 3
+        with Session(backend="pandas", options=REUSE) as session:
+            assert lfp.read_csv(path).x.sum().collect() == 6
+            stats = session.last_execution_stats
+        assert stats.cache_hits == 1 and stats.nodes_executed == 1
 
     def test_backend_is_part_of_the_key(self, make_csv):
         path = make_csv({"x": [1, 2, 3], "y": [4, 5, 6]})

@@ -53,13 +53,16 @@ nothing but the stdlib ``ast`` module:
 7. **A plan is a private copy.**  The graph the user holds is built
    once and never rewired: a run optimizes and executes twins of it
    (``graph/taskgraph.py::physical_plan``).  Under ``src/repro`` only
-   ``graph/`` and ``core/optimizer/`` may assign a node's ``op``,
-   ``inputs``, ``args`` or ``order_deps`` (an object initialising its
-   own ``self.`` attributes aside); ``_snapshot`` / ``_restore`` must
-   not reappear in ``core/session.py`` -- with nothing rewired there is
-   nothing to put back; and a ``"held"`` leaf is built only by the twin
-   constructor (``Node.twin``), so "this value is already computed" has
-   one spelling that every pass sees, not a ``.computed`` test per pass.
+   ``graph/`` may assign a node's ``op``, ``inputs`` or ``order_deps``,
+   or assign into them (``x.inputs[i] = ...``) -- an optimizer pass
+   builds a fresh node and hands it to ``ConsumerIndex.substitute`` --
+   and only ``graph/`` and ``core/optimizer/`` its ``args`` (an object
+   initialising its own ``self.`` attributes aside); ``_snapshot`` /
+   ``_restore`` must not reappear in ``core/session.py`` -- with nothing
+   rewired there is nothing to put back; and a ``"held"`` leaf is built
+   only by the twin constructor (``Node.twin``), so "this value is
+   already computed" has one spelling that every pass sees, not a
+   ``.computed`` test per pass.
 
 8. **One aggregate plan.**  How an aggregate spec becomes output
    columns and how each function splits into per-partition partials
@@ -468,10 +471,12 @@ def check_one_scan_leaf(tree: ast.Module, rel: str) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # check 7: a plan is a private copy
 
-#: the wiring of a graph node: what a rewrite changes.
-_NODE_WIRING = ("op", "inputs", "args", "order_deps")
-#: where nodes are built and where plans (never the user's) are rewritten.
-_MAY_REWIRE = ("graph/", _OPTIMIZER_DIR)
+#: the wiring of a graph node: what only graph/ changes.
+_NODE_WIRING = ("op", "inputs", "order_deps")
+#: where nodes are built and rewired.
+_MAY_REWIRE = "graph/"
+#: where plans (never the user's) have their args stamped, besides.
+_MAY_STAMP = ("graph/", _OPTIMIZER_DIR)
 _SESSION = "core/session.py"
 _REPAIR_NAMES = ("_snapshot", "_restore")
 _HELD = "held"
@@ -502,6 +507,25 @@ def _assigned_attributes(tree: ast.AST) -> Iterator[Tuple[ast.Attribute, ast.AST
                 yield target, value
 
 
+def _assigned_wiring(tree: ast.AST) -> Iterator[ast.Attribute]:
+    """Each attribute assigned to, and each wiring attribute assigned
+    or deleted into (``x.inputs[i] = ...``)."""
+    for target, _value in _assigned_attributes(tree):
+        yield target
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        else:
+            continue
+        for target in targets:
+            if (isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Attribute)
+                    and target.value.attr in _NODE_WIRING):
+                yield target.value
+
+
 def _builds_held(tree: ast.AST) -> Iterator[int]:
     """Lines that make a ``held`` node: ``x.op = "held"`` or
     ``Node("held", ...)``."""
@@ -519,13 +543,21 @@ def _builds_held(tree: ast.AST) -> Iterator[int]:
 
 def check_plan_is_private(tree: ast.Module, rel: str) -> Iterator[str]:
     if not rel.startswith(_MAY_REWIRE):
-        for target, _value in _assigned_attributes(tree):
-            own = getattr(target.value, "id", None) == "self"
-            if target.attr in _NODE_WIRING and not own:
+        for target in _assigned_wiring(tree):
+            if getattr(target.value, "id", None) == "self":
+                continue
+            if target.attr in _NODE_WIRING:
                 yield (
                     f"src/repro/{rel}:{target.lineno}: assigns a node's "
-                    f".{target.attr} -- only graph/ and core/optimizer/ "
-                    f"rewire nodes, and only those of a private plan "
+                    f".{target.attr} -- only graph/ rewires nodes: a "
+                    f"rewrite builds a fresh node and hands it to "
+                    f"graph/taskgraph.py::ConsumerIndex.substitute"
+                )
+            elif target.attr == "args" and not rel.startswith(_MAY_STAMP):
+                yield (
+                    f"src/repro/{rel}:{target.lineno}: assigns a node's "
+                    f".args -- only graph/ and core/optimizer/ stamp "
+                    f"args, and only those of a private plan "
                     f"(graph/taskgraph.py::physical_plan)"
                 )
     if rel == _SESSION:
