@@ -3,9 +3,10 @@
 A fingerprint is a ``tokenize()``-style recursive hash (the dask
 exemplars in SNIPPETS.md are the proven recipe): every node hashes its
 op name, its *normalized* args (sorted keys, canonical per-type byte
-encodings, the :attr:`~repro.graph.node.OpSpec.volatile_args` advisory
-keys excluded), and the fingerprints of its inputs in order.  Source
-leaves additionally hash the identity of the data they read -- the
+encodings, the facade's :data:`_HINT_ARGS` excluded), and the
+fingerprints of its inputs in order, once per run, before any rewrite
+(which builds fresh nodes; none is stamped).  Source leaves
+additionally hash the identity of the data they read -- the
 absolute path plus an ``os.stat`` signature (size + mtime_ns per file,
 the same invalidation signal the :class:`~repro.metastore.store.
 MetaStore` keys its entries on) -- so a file rewritten in place changes
@@ -22,7 +23,7 @@ raise :class:`Unfingerprintable`, and the caller treats the plan as
 uncacheable rather than risking a false hit.
 
 Steady-state cost is ~µs: fingerprints are memoized per (node,
-graph-version) on the session -- the same pattern as the PR 6 analysis
+graph-version) on the session -- the same pattern as the analysis
 gate -- and a memo hit only re-stats the source files it depends on
 before trusting the stored digest.
 """
@@ -33,7 +34,7 @@ import hashlib
 import os
 import stat
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -42,6 +43,9 @@ from repro.graph.node import Node
 #: fingerprint-format version: bump when the encoding changes so stale
 #: cross-process cache keys can never alias new ones.
 _VERSION = b"lafp-fp-2"
+
+#: the facade's hints to a scan for its dtypes: not what it reads.
+_HINT_ARGS = frozenset({"read_only_cols", "mutated_cols"})
 
 
 class Unfingerprintable(ValueError):
@@ -126,6 +130,7 @@ def _hash_payload(h, value) -> None:
     (both are process- and version-dependent)."""
     from repro.frame import DataFrame, Series
     from repro.frame.column import Column
+    from repro.io.source import Partition
 
     if isinstance(value, Column):
         _update(h, b"C")
@@ -139,6 +144,12 @@ def _hash_payload(h, value) -> None:
         for name in value.columns:
             _hash_value(h, str(name))
             _hash_value(h, value.column(name))
+    elif isinstance(value, Partition):
+        # the piece of the source it reads; its statistics follow from
+        # the file, whose stat signature the scan hashes
+        _update(h, b"p")
+        _hash_value(h, (value.index, value.path, value.byte_range,
+                        value.key_values))
     else:
         # callables (UDFs), stores, arbitrary objects: no
         # canonical encoding exists -- refuse rather than mis-key.
@@ -217,9 +228,8 @@ def _node_digest(node: Node, memo: Dict[int, str],
     h = hashlib.sha256(_VERSION)
     _update(h, b"o", node.op.encode())
     spec = node.spec
-    volatile = spec.volatile_args
-    args = {k: v for k, v in node.args.items() if k not in volatile}
-    _hash_value(h, args)
+    _hash_value(h, {k: v for k, v in node.args.items()
+                    if k not in _HINT_ARGS})
     for path_arg in ("path", "filepath"):
         path = node.args.get(path_arg)
         if spec.is_source and isinstance(path, str):
@@ -235,18 +245,16 @@ def _node_digest(node: Node, memo: Dict[int, str],
     return digest
 
 
-def fingerprint_node(node: Node, session=None,
-                     memo: Optional[Dict[int, str]] = None) -> str:
+def fingerprint_node(node: Node, session=None) -> str:
     """Hex digest of the plan rooted at ``node``.
 
     Raises :class:`Unfingerprintable` when any value in the subgraph
     has no canonical encoding.  With a ``session``, digests are
     memoized per (node id, graph-version) -- valid because the raw
-    graph is append-only and never rewritten (the optimizer works on a
-    private copy whose nodes keep the raw ids, and only its first pass
-    fingerprints with a session) -- and a memo hit re-stats the source files it depends on before being trusted.
-    Without one, ``memo`` (node id -> digest) lets several calls over
-    one unchanging graph share their subtrees.
+    graph is append-only and a node's op and args never change (a run's
+    plan keeps the raw ids only for twins, which share their args, and
+    the optimizer fingerprints it before any rewrite) -- and a memo hit
+    re-stats the source files it depends on before being trusted.
     """
     store = getattr(session, "_fingerprint_cache", None) if session else None
     version = len(session.node_registry) if session is not None else -1
@@ -258,7 +266,7 @@ def fingerprint_node(node: Node, session=None,
                 return hit[2]
             store.pop(node.id, None)
     stat_deps: List[Tuple[str, StatSig]] = []
-    digest = _node_digest(node, {} if memo is None else memo, stat_deps)
+    digest = _node_digest(node, {}, stat_deps)
     if store is not None:
         if len(store) >= 256:
             store.clear()

@@ -4,18 +4,17 @@ Runs as the *first* optimizer pass (``optimizer.reuse``), against the
 plan as built -- before CSE or any rewrite changes it -- so the
 fingerprints it computes are exactly the ones a later session's raw plan
 will produce (a ``held`` leaf fingerprints as the raw node whose value
-it carries).  A miss's key follows its node through every rewrite that
-replaces the node with one computing its value
-(``ConsumerIndex.substitute``), which is what lets the post-execution
-insertion path offer an executed value under the raw fingerprint
-recorded here.  A *root* keeps its raw value whatever the rewrites did
-below it (that is the optimizer's contract, pinned by the equivalence
-fuzzer), so it is always offered.  An *interior* node need not: a scan
-narrowed by projection pushdown, a frame a filter sank below, a scan a
-predicate folded into all hold fewer columns or rows than the raw
-plan's node of the same id.  :func:`retain_unrewritten` therefore runs
-after the last rewriting pass and keeps an interior candidate only if
-its optimized subtree still fingerprints as the raw one did.
+it carries).  A miss's key names the value its node holds, and
+``ConsumerIndex.substitute`` keeps it true.  No rewrite changes a node:
+each puts a fresh one in its place.  When the new node computes the old
+one's value (a CSE merge, a cache hit, a pruning stamp, the partition
+cut), the key moves to it.  When it does not (a sunk or folded filter, a
+top-n, a narrowed scan or edge, a dtype hint), the old node's key goes,
+and so do the keys of the nodes above it, which now read a different
+value.  A *root* keeps its raw value whatever the rewrites did below it
+(the optimizer's contract, pinned by the equivalence fuzzer), so its
+key follows its slot.  The post-execution insertion path thus offers a
+value only under a raw fingerprint that names it.
 
 A hit is replaced by a fresh ``from_cached`` leaf whose args carry the
 serialized blob itself.  Carrying the bytes (not the cache key) makes
@@ -32,7 +31,7 @@ replayable: a ``sample`` (unseeded randomness) or a side-effect node
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.cache.fingerprint import Unfingerprintable, fingerprint_node
 from repro.cache.result_cache import (
@@ -43,7 +42,7 @@ from repro.cache.result_cache import (
 from repro.core.config import semantic_signature
 from repro.graph.node import Node
 from repro.graph.scheduler.stats import count
-from repro.graph.taskgraph import ConsumerIndex, collect_subgraph
+from repro.graph.taskgraph import ConsumerIndex
 
 
 class CacheRunState:
@@ -121,23 +120,6 @@ def _subtree_cacheable(
     )
     memo[node.id] = ok
     return ok
-
-
-def retain_unrewritten(state: CacheRunState, roots: Sequence[Node]) -> None:
-    """Withdraw the interior candidates whose subtree the optimizer
-    rewrote (see the module docstring); call after the last pass."""
-    root_ids = {root.id for root in roots}
-    memo: Dict[int, str] = {}
-    for node in collect_subgraph(roots):
-        key = state.candidates.get(node.id)
-        if key is None or node.id in root_ids:
-            continue
-        try:
-            unchanged = fingerprint_node(node, memo=memo) == key[0]
-        except Unfingerprintable:
-            unchanged = False
-        if not unchanged:
-            del state.candidates[node.id]
 
 
 def substitute_cached_subplans(

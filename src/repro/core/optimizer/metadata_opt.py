@@ -20,18 +20,21 @@ cardinality candidates:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.graph.node import ALL_COLUMNS, Node
-from repro.graph.taskgraph import collect_subgraph
+from repro.graph.taskgraph import ConsumerIndex, collect_subgraph
 
 
-def apply_metadata_hints(roots: Sequence[Node], metastore) -> int:
-    """Inject dtype hints into sources; returns sources updated."""
+def apply_metadata_hints(roots: List[Node], metastore,
+                         index: Optional[ConsumerIndex] = None) -> int:
+    """Put dtype hints on sources (each a fresh scan in the old one's
+    place); returns sources updated."""
     from repro.io.source_table import session_source
 
     if metastore is None:
         return 0
+    index = index or ConsumerIndex(roots)
     nodes = collect_subgraph(roots)
     modified_columns = _modified_columns(nodes)
     updated = 0
@@ -61,7 +64,10 @@ def apply_metadata_hints(roots: Sequence[Node], metastore) -> int:
                 continue
             existing[column] = dtype
         if existing:
-            node.args["dtype"] = existing
+            if existing != node.args.get("dtype"):
+                # the read's dtypes change, and so its value
+                index.substitute(node, node.rebuilt(dtype=existing),
+                                 exact=False)
             updated += 1
     return updated
 

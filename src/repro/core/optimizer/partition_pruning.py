@@ -15,7 +15,8 @@ statistics:
 Partitions without statistics are always kept -- pruning is a proof, not
 a guess, which is what makes the pruned scan bit-identical to the full
 one.  The kept :class:`~repro.io.source.Partition` objects land in the
-scan's ``partitions`` arg (total in ``partitions_total``), where
+``partitions`` arg (total in ``partitions_total``) of a fresh scan put
+in the old one's place -- it reads the same rows -- where
 backends, ``explain()``, and the scheduler's
 :class:`~repro.graph.scheduler.stats.ExecutionStats` read them.  They
 carry their byte ranges: a process worker reads exactly the pieces
@@ -24,17 +25,18 @@ pruned here, whatever partition set its own metastore would list.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Optional
 
 from repro.graph.node import Node
-from repro.graph.taskgraph import collect_subgraph
+from repro.graph.taskgraph import ConsumerIndex, collect_subgraph
 
 
 def prune_scan_partitions(
-    roots: Sequence[Node], metastore, prune: bool = True
+    roots: List[Node], metastore, prune: bool = True,
+    index: Optional[ConsumerIndex] = None,
 ) -> int:
-    """Annotate scan nodes with kept partitions; returns partitions
-    pruned across the subgraph.
+    """Replace each scan with one that names its kept partitions;
+    returns partitions pruned across the subgraph.
 
     ``prune=False`` (the ``optimizer.partition_pruning`` ablation) still
     records ``partitions_total`` -- stats and ``explain()`` then report
@@ -43,6 +45,7 @@ def prune_scan_partitions(
     from repro.io.predicate import Predicate
     from repro.io.source_table import session_source
 
+    index = index or ConsumerIndex(roots)
     pruned = 0
     for node in collect_subgraph(roots):
         if node.op != "scan" or node.args.get("partitions") is not None:
@@ -52,20 +55,21 @@ def prune_scan_partitions(
             parts = source.partitions()
         except Exception:  # noqa: BLE001 - missing path, unknown format
             continue
-        node.args["partitions_total"] = len(parts)
+        stamps = {"partitions_total": len(parts)}
         predicate = Predicate.from_arg(node.args.get("predicate"))
         if prune and predicate is not None and parts:
             kept = [p for p in parts if predicate.may_match(p)]
             if len(kept) < len(parts):
-                node.args["partitions"] = kept
+                stamps["partitions"] = kept
                 pruned += len(parts) - len(kept)
         # Stamp the post-pruning byte estimate while the source is in
         # hand -- the scheduler's per-node estimator reads it from the
         # args.
         estimate = source.estimated_bytes(
             columns=node.args.get("columns"),
-            partitions=node.args.get("partitions"),
+            partitions=stamps.get("partitions"),
         )
         if estimate is not None:
-            node.args["est_bytes"] = int(estimate)
+            stamps["est_bytes"] = int(estimate)
+        index.substitute(node, node.rebuilt(**stamps))
     return pruned

@@ -7,10 +7,7 @@ from typing import List, Optional
 from repro.graph.node import Node
 from repro.graph.scheduler.stats import bound_record
 from repro.graph.taskgraph import ConsumerIndex
-from repro.core.optimizer.cache import (
-    retain_unrewritten,
-    substitute_cached_subplans,
-)
+from repro.core.optimizer.cache import substitute_cached_subplans
 from repro.core.optimizer.common_subexpr import (
     eliminate_common_subexpressions,
 )
@@ -31,8 +28,9 @@ def optimize(
 ) -> dict:
     """Optimize the subgraph under ``roots``.
 
-    The plan is the caller's to give away: the rules stamp its nodes and
-    replace them, a root in its slot of ``roots`` (a pin, of
+    The plan is the caller's to give away: the rules change none of its
+    nodes' ops or args, but replace nodes with fresh ones, repointing
+    their readers, and a root in its slot of ``roots`` (a pin, of
     ``live_nodes``).  A session hands over a private copy of the user's
     graph (:func:`~repro.graph.taskgraph.physical_plan`), never the
     graph itself.  ``live_nodes`` are nodes of the plan whose values
@@ -83,19 +81,16 @@ def optimize(
             whole=state.candidates if state is not None else (),
             index=index)
     if opts.get("optimizer.metadata"):
-        report["metadata"] = apply_metadata_hints(roots, session.metastore)
+        report["metadata"] = apply_metadata_hints(
+            roots, session.metastore, index=index)
     # After folding: drop partitions whose statistics prove the pushed
     # predicate can never match.  Runs even when pruning is ablated --
     # it then only records totals, so explain()/stats still report
     # read-vs-existing partition counts.
     report["pruned_partitions"] = prune_scan_partitions(
         roots, session.metastore,
-        prune=bool(opts.get("optimizer.partition_pruning")),
+        prune=bool(opts.get("optimizer.partition_pruning")), index=index,
     )
-    if state is not None:
-        # results are cached under raw-plan fingerprints: withdraw the
-        # interior nodes that no longer compute what theirs names
-        retain_unrewritten(state, roots)
     for pin in roots[len(slots):]:
         pin.persist = True
     report["persisted"] = len(pins)

@@ -25,16 +25,17 @@ one up, so there are at most (filters x chain depth) swaps -- and it is
 idempotent, because the one rewrite that could undo itself is never
 made: a filter (itself row-preserving) hops a run of other filters only
 in a move that also passes the op the run sits on.  A filter that moves
-on is replaced by the op it passed, which now computes its value
-(``ConsumerIndex.substitute``); the parents a pushed disjunction serves
-are rebuilt :data:`SERVED`, so no second one is pushed.
+on is replaced by a fresh copy of the op it passed, over the sunk
+filter, which computes its value (``ConsumerIndex.substitute``); the
+parents a pushed disjunction serves are rebuilt :data:`SERVED` over that
+copy, so no second one is pushed.  No node is changed in place.
 
 :func:`fold_predicates_into_scans` takes the final step for generic
 ``scan`` sources whose format declares ``supports_predicate``: a filter
 sitting directly on a scan -- typically the end state of the swaps
 above -- is converted to the serializable conjunct form
-(:mod:`repro.io.predicate`), folded into the scan node's args and
-replaced by the scan, so the source filters rows while reading and the
+(:mod:`repro.io.predicate`) and replaced by a fresh scan that carries
+it in its args, so the source filters rows while reading and the
 partition-pruning pass has something to prove against.  The conversion
 is all-or-nothing; inexpressible masks leave the filter in the graph.
 
@@ -110,8 +111,8 @@ def _fold(f: Node, index: ConsumerIndex) -> bool:
     conjuncts = conjuncts_from_mask(f.inputs[1], u)
     if conjuncts is None or not _passable(u, [f], index):
         return False
-    u.args["predicate"] = merge_conjuncts(u.args.get("predicate"), conjuncts)
-    index.substitute(f, u)
+    index.substitute(f, u.rebuilt(predicate=merge_conjuncts(
+        u.args.get("predicate"), conjuncts)), exact=False)
     return True
 
 
@@ -139,12 +140,14 @@ def _push_below(u: Node, parents: List[Node],
             either, _rebase(mask, old=u, new=base)])
     new_filter = Node("filter", inputs=[base, either],
                       label=parents[0].label if same else _DISJUNCTION)
-    # side inputs (a setitem's value, a hopped filter's mask) follow
-    index.set_inputs(u, [new_filter] + [
+    # u again, over the filtered rows: its side inputs (a setitem's
+    # value, a hopped filter's mask) follow
+    filtered = u.rebuilt([new_filter] + [
         _rebase(side, old=base, new=new_filter) for side in u.inputs[1:]])
     for p in parents:
-        index.substitute(p, u if same else Node(
-            "filter", list(p.inputs), dict(p.args), label=SERVED))
+        index.substitute(p, filtered if same else Node(
+            "filter", [filtered, _rebase(p.inputs[1], old=u, new=filtered)],
+            p.args, label=SERVED), exact=False)
     return new_filter
 
 
@@ -183,11 +186,13 @@ def _passable(u: Node, parents: List[Node], index: ConsumerIndex) -> bool:
     """Condition 3: ``parents`` are ``u``'s only data consumers, and
     ``u`` is no root (its unfiltered output is requested).  The column
     reads that feed the parents' own masks move with the filter, so they
-    are allowed -- if they are the filters' alone: CSE can share one with
-    an unfiltered aggregate of the same column, which would go on reading
-    ``u`` and see filtered rows.  And ``u``'s side inputs (a setitem's
-    value, a hopped filter's mask) are recomputed on the *filtered* frame
-    after the swap: only sound for a pure elementwise derivation of it."""
+    are allowed -- if they are the filters' alone: another reader (a
+    column read CSE shares with an unfiltered aggregate) would keep the
+    unfiltered ``u``, computed a second time, and the paper's condition
+    is one computation of ``u``, one read per scan.  And ``u``'s side
+    inputs (a setitem's value, a hopped filter's mask) are recomputed on
+    the *filtered* frame after the swap: only sound for a pure
+    elementwise derivation of it."""
     hops = [u]
     for p in parents:
         for side in p.inputs[1:]:
@@ -250,9 +255,7 @@ def _rebase(expr: Node, old: Node, new: Node) -> Node:
     for node in _above(expr, old):
         inputs = [moved.get(inp.id, inp) for inp in node.inputs]
         if any(a is not b for a, b in zip(inputs, node.inputs)):
-            moved[node.id] = Node(
-                node.op, inputs=inputs, args=dict(node.args), label=node.label
-            )
+            moved[node.id] = node.rebuilt(inputs)
     return moved.get(expr.id, expr)
 
 

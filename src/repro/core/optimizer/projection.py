@@ -104,11 +104,16 @@ def push_down_projections(roots: List[Node], session=None,
     schemas = _Schemas(session=session)
     demands = _demands(roots, order, schemas, whole)
     top_n = _top_n(order, demands, whole, index)
-    narrowed = [node for node in order
-                if node.op == "scan" and _narrow_scan(node, demands)]
-    schemas.narrowed(narrowed, order)
+    narrowed = 0
+    for node in order:
+        columns = node.op == "scan" and _narrowed_columns(node, demands)
+        if columns:
+            index.substitute(node, node.rebuilt(columns=columns), exact=False)
+            narrowed += 1
+    if narrowed:  # what lies above a narrowed scan is inferred anew
+        schemas = _Schemas(session=session)
     edges = _project_edges(order, demands, schemas, index)
-    return top_n + len(narrowed) + edges
+    return top_n + narrowed + edges
 
 
 def _scan_supports_projection(node: Node) -> bool:
@@ -118,21 +123,21 @@ def _scan_supports_projection(node: Node) -> bool:
     return spec is not None and spec.supports_projection
 
 
-def _narrow_scan(node: Node, demands: "_Demands") -> bool:
-    """Rewrites 1 and 2 on one scan; True when its columns changed."""
+def _narrowed_columns(node: Node, demands: "_Demands") -> Optional[List[str]]:
+    """Rewrites 1 and 2 on one scan: the columns it should read, or
+    ``None`` when they stay as they are."""
     if not _scan_supports_projection(node):
-        return False
+        return None
     columns = node.args.get("columns")
     needs = (demands.informative.get(node.id) if columns is None
              else demands.exact(node))
     if not needs or ALL_COLUMNS in needs:
-        return False  # (no demand at all is degenerate: left untouched)
+        return None  # (no demand at all is degenerate: left untouched)
     if columns is not None:
         needs = needs & set(columns)
         if not needs or len(needs) == len(set(columns)):
-            return False
-    node.args["columns"] = sorted(needs)
-    return True
+            return None
+    return sorted(needs)
 
 
 def _top_n(order: Sequence[Node], demands: "_Demands",
@@ -153,7 +158,7 @@ def _top_n(order: Sequence[Node], demands: "_Demands",
         index.substitute(node, Node(
             "nsmallest" if flags.pop() else "nlargest", list(sort.inputs),
             {"n": node.args.get("n", 5), "columns": sort.args["by"]},
-            label=TOP_N))
+            label=TOP_N), exact=False)
         made += 1
     return made
 
@@ -195,7 +200,7 @@ def _project_edges(order: Sequence[Node], demands: "_Demands",
                 count += 1
             inputs[i] = made[key]
         if inputs != node.inputs:
-            index.set_inputs(node, inputs)
+            index.substitute(node, node.rebuilt(inputs), exact=False)
     return count
 
 
@@ -334,28 +339,6 @@ class _Schemas:
 
     def inputs(self, node: Node) -> List[Optional[Tuple[str, ...]]]:
         return [self.columns(inp) for inp in node.inputs]
-
-    def narrowed(self, scans: Sequence[Node], order: Sequence[Node]) -> None:
-        """Bring what was inferred up to date with ``scans``' new
-        ``columns``: a scan keeps its schema's share of them (its source
-        is not asked again), and what lies above is inferred anew."""
-        from repro.analysis.plan.schema import NodeSchema
-
-        stale = {scan.id for scan in scans if scan.id in self.known}
-        if not stale:
-            return
-        for scan in scans:
-            schema = self.known.get(scan.id)
-            if schema is not None and schema.columns is not None:
-                wanted = set(scan.args["columns"])
-                self.known[scan.id] = NodeSchema.frame(
-                    [name for name in schema.columns if name in wanted],
-                    schema.dtype_map(), schema.index)
-        for node in order:
-            if node.id not in stale and any(inp.id in stale
-                                            for inp in node.inputs):
-                stale.add(node.id)
-                self.known.pop(node.id, None)
 
     def _infer(self, node: Node) -> None:
         from repro.analysis.plan.schema import infer_schema

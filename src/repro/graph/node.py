@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.frame.merge import join_keys
 
@@ -42,10 +42,6 @@ class OpSpec:
     is_filter: bool = False
     #: True when the op returns a scalar (aggregations, len).
     scalar: bool = False
-    #: arg keys excluded from plan fingerprints: scheduling hints the
-    #: optimizer stamps (or the facade derives) that never change the
-    #: operator's result (see ``repro.cache.fingerprint``).
-    volatile_args: FrozenSet[str] = frozenset()
     #: False when the op's result must never be served from (or
     #: inserted into) the cross-session result cache -- nondeterminism
     #: (``sample``) or store-valued results (shuffle staging).
@@ -74,6 +70,7 @@ class Node:
         "computed",
         "persist",
         "label",
+        "rank",
         # weak-referenceable: the cross-session node map (marker
         # resolution for lazy print) holds nodes weakly.
         "__weakref__",
@@ -99,6 +96,8 @@ class Node:
         self.computed = False
         self.persist = False
         self.label = label
+        #: its place in the program: its id, kept by what is rebuilt from it
+        self.rank = self.id
 
     # -- semantics ---------------------------------------------------------
 
@@ -125,16 +124,28 @@ class Node:
         self.result = value
         self.computed = True
 
+    def rebuilt(self, inputs: Optional[Sequence["Node"]] = None,
+                **args) -> "Node":
+        """A fresh node for a rewrite to put in this one's place: the
+        same op, ordering deps, label and rank, ``inputs`` when given,
+        and ``args`` over this one's."""
+        node = Node(self.op, self.inputs if inputs is None else inputs,
+                    {**self.args, **args} if args else self.args,
+                    self.order_deps, self.label)
+        node.rank = self.rank
+        return node
+
     def twin(self) -> "Node":
         """This node's stand-in in one run's private plan
         (:func:`repro.graph.taskgraph.physical_plan` wires them up).
 
-        Same id -- fingerprints, ``explain()`` numbering and the copy
-        back of values all go by it -- but an ``args`` dict of its own,
-        so a pass may stamp or rewire the twin at will.  A node that
-        already holds its value is stood for, not copied: a ``held``
-        leaf naming it and carrying the value, so no pass looks, or
-        moves an operator, below a value somebody keeps.
+        Same id -- fingerprints and the copy back of values go by it --
+        and the same ``args``, which no pass changes (a rewrite builds a
+        fresh node), but wiring of its own, so a pass may repoint the
+        twin's inputs at will.  A node that already holds its value is
+        stood for, not copied: a ``held`` leaf naming it and carrying
+        the value, so no pass looks, or moves an operator, below a
+        value somebody keeps.
         """
         twin = Node.__new__(Node)
         twin.id = self.id
@@ -143,13 +154,14 @@ class Node:
             twin.args = {"node": self}
         else:
             twin.op = self.op
-            twin.args = dict(self.args)
+            twin.args = self.args
         twin.inputs = []
         twin.order_deps = []
         twin.result = self.result
         twin.computed = self.computed
         twin.persist = self.persist
         twin.label = self.label
+        twin.rank = self.rank
         return twin
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -290,10 +302,6 @@ register_op(OpSpec(
     mod_attrs=_NO_COLS,
     used_attrs=_NO_COLS,
     is_source=True,
-    volatile_args=frozenset({
-        "est_bytes", "partitions", "partitions_total",
-        "read_only_cols", "mutated_cols",
-    }),
 ))
 register_op(OpSpec(
     # a cache-substituted subplan: args carry the serialized result

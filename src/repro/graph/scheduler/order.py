@@ -14,8 +14,9 @@ estimates (:mod:`repro.graph.scheduler.estimates`):
 
 1. Bottom-up, every node gets a *subtree peak*: evaluating child ``c``
    costs ``peak(c)`` transient bytes and leaves ``est(c)`` resident, so
-   evaluating children in decreasing ``peak(c) - est(c)`` order
-   provably minimizes the running maximum for a tree (shared DAG nodes
+   evaluating children in decreasing ``peak(c) - est(c)`` order (ties
+   in program order, :attr:`~repro.graph.node.Node.rank`) provably
+   minimizes the running maximum for a tree (shared DAG nodes
    make it a heuristic, which is all an advisory pass can be).
 2. A depth-first post-order walk from the roots, visiting children in
    that per-node order, assigns each node its visit index as its
@@ -62,7 +63,7 @@ def static_priorities(
                 deps.append(dep)
         ranked = sorted(
             deps,
-            key=lambda d: (-(peak.get(d.id, 0) - est(d.id)), d.id),
+            key=lambda d: (-(peak.get(d.id, 0) - est(d.id)), d.rank),
         )
         child_order[node.id] = ranked
         held = 0

@@ -32,9 +32,9 @@ def physical_plan(roots: Sequence[Node]) -> Dict[int, Node]:
     """A private copy of the subgraph under ``roots``, as node id ->
     twin (:meth:`Node.twin`), for one run to rewrite and execute.
 
-    The optimizer passes rewire, replace and stamp whatever plan they
-    are handed; handing them twins is what keeps the graph the user holds
-    exactly as it was built, with nothing to restore afterwards.  The
+    The optimizer passes put fresh nodes in place of whatever plan they
+    are handed, repointing readers; handing them twins is what keeps the
+    user's graph exactly as it was built, with nothing to restore.  The
     copy stops at nodes that hold their value: each is a ``held`` leaf.
     """
     plan: Dict[int, Node] = {}
@@ -177,7 +177,7 @@ def consumer_counts(nodes: Iterable[Node]) -> Dict[int, int]:
 class ConsumerIndex:
     """Who reads each node of the subgraph under ``roots`` (the caller's
     list, its slots kept by :meth:`substitute`): built once per
-    ``optimize()`` and kept current through every rewire a pass makes.
+    ``optimize()`` and kept current by every :meth:`substitute`.
 
     One entry per edge, data and ordering alike.  A node that loses its
     last reader, and that no root names, is dead: its edges leave the
@@ -188,7 +188,7 @@ class ConsumerIndex:
     def __init__(self, roots: List[Node]):
         self.roots = roots
         self.root_ids = {root.id for root in roots}
-        #: values by node id that follow their node through a substitution
+        #: the key of each node's value, by id: :meth:`substitute` keeps it
         self.keys: Dict[int, Any] = {}
         self._readers: Dict[int, List[Node]] = {}
         self._live: Set[int] = set()
@@ -200,19 +200,22 @@ class ConsumerIndex:
     def of(self, node: Node) -> Sequence[Node]:
         return self._readers.get(node.id, ())
 
-    def set_inputs(self, node: Node, inputs: Sequence[Node]) -> None:
-        """Rewire ``node`` (which must be live) to read ``inputs``."""
-        self._rewire(node, inputs, node.order_deps)
-
-    def substitute(self, old: Node, new: Node) -> None:
-        """Put ``new`` -- it computes ``old``'s value, and does not read
-        ``old`` -- wherever ``old`` stood: every reader's edges, every
-        root slot, :attr:`keys` (dropping ``new``'s own).  ``old`` dies."""
+    def substitute(self, old: Node, new: Node, exact: bool = True) -> None:
+        """Put ``new`` -- it does not read ``old`` -- wherever ``old``
+        stood: every reader's edges, every root slot.  ``old`` dies.
+        When ``exact``, ``new`` computes ``old``'s value and takes over
+        its key (dropping its own); otherwise the keys of ``old`` and of
+        the nodes above it go, but a root's, which follows its slot (a
+        root keeps its value whatever moves beneath it)."""
+        if self.keys and not exact:
+            self._forget_above(old)
         self._link([new])
-        for reader in dict.fromkeys(self.of(old)):
-            self._rewire(
-                reader, [new if dep is old else dep for dep in reader.inputs],
-                [new if dep is old else dep for dep in reader.order_deps])
+        readers = self._readers.pop(old.id, [])
+        for reader in dict.fromkeys(readers):
+            reader.inputs = [new if d is old else d for d in reader.inputs]
+            reader.order_deps = [new if d is old else d
+                                 for d in reader.order_deps]
+        self._readers.setdefault(new.id, []).extend(readers)
         if old.id in self.root_ids:
             self.roots[:] = [new if r is old else r for r in self.roots]
             self.root_ids = (self.root_ids - {old.id}) | {new.id}
@@ -223,14 +226,18 @@ class ConsumerIndex:
             self._live.discard(old.id)
             self._drop([(old, dep) for dep in old.all_deps()])
 
-    def _rewire(self, node: Node, inputs: Sequence[Node],
-                order_deps: Sequence[Node]) -> None:
-        dropped = [(node, dep) for dep in node.all_deps()]
-        node.inputs, node.order_deps = list(inputs), list(order_deps)
-        for dep in node.all_deps():
-            self._readers.setdefault(dep.id, []).append(node)
-        self._link(node.all_deps())
-        self._drop(dropped)
+    def _forget_above(self, node: Node) -> None:
+        """Drop the keys of ``node`` and of every reader above it but
+        the roots'."""
+        seen: Set[int] = set()
+        stack = [node]
+        while stack:
+            top = stack.pop()
+            if top.id not in seen:
+                seen.add(top.id)
+                stack.extend(self.of(top))
+                if top.id not in self.root_ids:
+                    self.keys.pop(top.id, None)
 
     def _drop(self, edges: List[Tuple[Node, Node]]) -> None:
         """Remove ``(reader, dep)`` edges; a dep left unread dies."""

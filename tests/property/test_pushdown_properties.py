@@ -11,7 +11,8 @@ cannot:
 - predicate pushdown is a bounded, idempotent rewrite: a filter hops
   each op of its chain at most once, a swap adds at most one node (a
   pushed disjunction adds its own filter and mask once besides), and a
-  second run finds nothing left to do.
+  second run finds nothing left to do; and no pass changes the op or
+  args of a node it is handed, the reuse pass included.
 
 A chain may stop on the way up to ``collect()`` or ``persist()`` the
 frame as it stands and then keep building on it: the steps above such a
@@ -42,6 +43,7 @@ same from either.
 """
 
 import contextlib
+import copy
 import io
 
 import numpy as np
@@ -325,7 +327,8 @@ class TestPushdownIsBoundedAndIdempotent:
             frame, taps = _build(steps, leaf, left, right)
             return [frame.node] + [tap.node for tap in taps]
 
-        with Session(backend="pandas") as session:
+        with Session(backend="pandas",
+                     options={"optimizer.reuse": True}) as session:
             plan = roots()
             raw = len(collect_subgraph(plan))
             swaps = push_down_predicates(plan)
@@ -342,10 +345,16 @@ class TestPushdownIsBoundedAndIdempotent:
             fold_predicates_into_scans(plan)
             assert fold_predicates_into_scans(plan) == 0, steps
 
-            # and through the pipeline: optimizing an optimized plan
-            # moves no filter
+            # and through the pipeline, every flag on and reuse too: no
+            # node of the plan handed in changes its op or args (a
+            # rewrite builds a fresh node), and optimizing an optimized
+            # plan moves no filter
             plan = roots()
+            handed = [(node, node.op, copy.deepcopy(node.args))
+                      for node in collect_subgraph(plan)]
             assert optimize(plan, session, live_nodes=[])[
                 "pushdown"] <= filters * len(steps), steps
+            assert all(node.op == op and node.args == args
+                       for node, op, args in handed), steps
             again = optimize(plan, session, live_nodes=[])
             assert (again["pushdown"], again["scan_fold"]) == (0, 0), steps

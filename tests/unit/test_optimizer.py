@@ -33,12 +33,14 @@ class TestPredicatePushdown:
         df = lfp.read_csv(taxi_csv, parse_dates=["tpep_pickup_datetime"])
         df["day"] = df.tpep_pickup_datetime.dt.dayofweek
         filtered = df[df.fare_amount > 0]
-        root = filtered.node
-        swaps = push_down_predicates([root])
+        roots = [filtered.node]
+        swaps = push_down_predicates(roots)
         assert swaps >= 1
-        # after pushdown the setitem consumes a filter, not the raw read
-        setitems = _ops_below(root, "setitem")
+        # after pushdown a fresh setitem consumes a filter, not the raw
+        # read; the user's setitem still reads the raw read
+        setitems = _ops_below(roots[0], "setitem")
         assert any(s.inputs[0].op == "filter" for s in setitems)
+        assert df.node.inputs[0].op == "scan"
 
     def test_pushdown_result_is_correct(self, taxi_csv):
         from repro.frame import read_csv
@@ -124,23 +126,31 @@ class TestPredicatePushdown:
         df["k"] = df.passenger_count + 1
         a = df[df.fare_amount > 0]
         b = df[df.fare_amount > 0]
-        merged = push_down_predicates([a.node, b.node])
+        roots = [a.node, b.node]
+        merged = push_down_predicates(roots)
         assert merged >= 1
-        assert df.node.inputs[0].op == "filter"
+        # one fresh setitem over the filter stands for both parents
+        assert roots[0] is roots[1]
+        assert roots[0].op == "setitem"
+        assert roots[0].inputs[0].op == "filter"
 
     def test_disjunction_pushed_for_different_filters(self, taxi_csv):
         df = lfp.read_csv(taxi_csv)
         df["k"] = df.passenger_count + 1
         a = df[df.fare_amount > 0]
         b = df[df.tip_amount > 1]
-        push_down_predicates([a.node, b.node])
-        pushed = df.node.inputs[0]
+        roots = [a.node, b.node]
+        push_down_predicates(roots)
+        # below a fresh copy of the shared op only the rows *neither*
+        # parent keeps may go: each parent still filters for itself
+        # above it
+        assert roots[0].op == roots[1].op == "filter"
+        shared = roots[0].inputs[0]
+        assert shared is roots[1].inputs[0] and shared.op == "setitem"
+        pushed = shared.inputs[0]
         assert pushed.op == "filter"
-        # below the shared op only the rows *neither* parent keeps may
-        # go: each parent still filters for itself above it
         assert pushed.inputs[1].args.get("op") == "|"
-        assert a.node.op == b.node.op == "filter"
-        assert push_down_predicates([a.node, b.node]) == 0
+        assert push_down_predicates(roots) == 0
 
     @pytest.mark.parametrize("same", [True, False])
     def test_multi_parent_pushdown_keeps_every_parents_rows(
@@ -237,9 +247,9 @@ class TestCSE:
 
 class TestPlansArePrivate:
     def test_invariant_tool_rejects_an_in_place_rewrite(self):
-        """Rule 7: under core/optimizer/ a pass stamps args but never
-        assigns a node's op, inputs or order deps -- into them neither;
-        only graph/ rewires."""
+        """Rule 7: outside graph/ nothing assigns a node's op, inputs,
+        order deps or args -- into them neither, nor through a dict
+        method; a pass builds a fresh node instead."""
         import ast
         import importlib.util
         from pathlib import Path
@@ -263,11 +273,31 @@ class TestPlansArePrivate:
                     ast.parse(rewrite), module)), (rewrite, module)
             assert not list(tool.check_plan_is_private(
                 ast.parse(rewrite), "graph/taskgraph.py")), rewrite
-        stamp = "node.args['columns'] = sorted(needs)\nnode.persist = True"
-        assert not list(tool.check_plan_is_private(
-            ast.parse(stamp), "core/optimizer/projection.py"))
-        assert list(tool.check_plan_is_private(
-            ast.parse("node.args = {}"), "backends/base.py"))
+        for stamp in (
+            "node.args = {}",
+            "node.args['columns'] = sorted(needs)",
+            "node.args['n'] += 1",
+            "del node.args['predicate']",
+            "node.args.update(stamped)",
+            "node.args.pop('est_bytes', None)",
+            "node.args.setdefault('dtype', {})",
+            "node.args.clear()",
+        ):
+            for module in ("core/optimizer/projection.py", "backends/base.py"):
+                assert list(tool.check_plan_is_private(
+                    ast.parse(stamp), module)), (stamp, module)
+            assert not list(tool.check_plan_is_private(
+                ast.parse(stamp), "graph/node.py")), stamp
+        # what is no node's args stays allowed: a pin's persistence, a
+        # local dict, and the JIT's edit of an ``ast.Call``'s arguments
+        for allowed, module in (
+            ("node.persist = True", "core/optimizer/pipeline.py"),
+            ("args['columns'] = list(usecols)", "io/api.py"),
+            ("call.args[i] = _wrap_compute(arg, live_out)",
+             "analysis/rewrite/forced_compute.py"),
+        ):
+            assert not list(tool.check_plan_is_private(
+                ast.parse(allowed), module)), allowed
         assert tool.run() == []
 
 
@@ -603,7 +633,9 @@ class TestMetadataOptimization:
 
         updated = apply_metadata_hints([total_series.node], store)
         assert updated == 1
-        read_args = df.node.args
+        # a fresh scan with the hints stands where the read stood
+        read_args = _ops_below(total_series.node, "scan")[0].args
+        assert "dtype" not in df.node.args
         assert read_args["dtype"]["num"] == "int64"
         assert read_args["dtype"]["cat"] == "category"
         assert total_series.compute().values.sum() == sum(range(200))

@@ -153,26 +153,31 @@ class TestFingerprint:
         assert before != after
 
     def test_volatile_args_excluded(self, make_csv):
-        """The column-prune / pruning passes stamp advisory args
-        (``read_only_cols``, ``est_bytes``, the pruned ``partitions``)
-        onto the scan leaf; those must not shift the digest."""
+        """The facade's hints to a scan (``read_only_cols``,
+        ``mutated_cols``) say nothing about what it reads; they must
+        not shift the digest."""
         path = make_csv({"x": [1, 2, 3]})
+        with Session(backend="pandas"):
+            base = fingerprint_node(lfp.read_csv(path).x.sum().node)
+            hinted = lfp.read_csv(path, read_only_cols=["x"],
+                                  mutated_cols=[])
+            assert hinted.node.args["read_only_cols"] == ["x"]
+            assert hinted.node.args["mutated_cols"] == []
+            assert fingerprint_node(hinted.x.sum().node) == base
+
+    def test_pieces_of_one_file_digest_apart(self, make_csv):
+        """A baseline-Dask read is one scan per piece of the file, each
+        naming the partition it reads: no two pieces share a digest."""
+        from repro.core.optimizer.partitions import scan_parts
+
+        path = make_csv({"x": list(range(6000))})
         with Session(backend="pandas") as session:
-            node = lfp.read_csv(path).x.sum().node
-            base = fingerprint_node(node)
-            source = node
-            while source.inputs:
-                source = source.inputs[0]
-            assert source.op == "scan"
-            stamped = {"read_only_cols": ("x",), "est_bytes": 24,
-                       "partitions": [0], "partitions_total": 1}
-            source.args.update(stamped)
-            try:
-                session._fingerprint_cache.clear()
-                assert fingerprint_node(node) == base
-            finally:
-                for key in stamped:
-                    source.args.pop(key, None)
+            pieces = scan_parts({"format": "csv", "path": path},
+                                session.metastore,
+                                os.path.getsize(path) // 6)
+            assert len(pieces) >= 4
+            digests = {fingerprint_node(piece) for piece in pieces}
+        assert len(digests) == len(pieces)
 
     def test_udf_plans_are_unfingerprintable(self):
         with Session(backend="pandas"):
@@ -476,6 +481,7 @@ class TestSubstitution:
 
     @pytest.mark.parametrize("case", [
         "narrowed", "folded", "folded_scalar", "sunk", "sunk_frame",
+        "disjunction",
     ])
     @pytest.mark.parametrize("later_session", [False, True])
     def test_a_warm_plan_that_differs_from_the_cold_one(
@@ -484,15 +490,24 @@ class TestSubstitution:
         """Results are cached under RAW-plan fingerprints, but the value
         an interior node held was the OPTIMIZED plan's: a scan narrowed
         to the cold plan's columns, a scan the cold plan's filter folded
-        into, a setitem the filter sank below.  A warm plan that shares
-        the raw prefix but needs the rest of it must not be served that
-        value (``KeyError: 'z'`` / filtered rows at PR 16)."""
+        into, a setitem the filter -- or the disjunction of two filters
+        -- sank below.  A warm plan that shares the raw prefix but needs
+        the rest of it must not be served that value (``KeyError: 'z'``
+        / filtered rows at PR 16)."""
         path = make_csv({"x": list(range(40)), "y": [2 * i for i in range(40)],
                          "z": [i % 7 for i in range(40)]})
 
         def derived(frame):
             frame["w"] = frame.x + frame.y
             return frame
+
+        def reindexed(frame):
+            # a reset_index reads every column and stops a filter: no
+            # later rewrite below the setitem hides what pushdown did
+            return derived(frame.reset_index(drop=True))
+
+        def fork(d):
+            return d[d.x > 30].w.sum() + d[d.x < 5].w.sum()
 
         cold, warm = {
             "narrowed": (lambda f: f.x.sum(), lambda f: f.z.sum()),
@@ -503,6 +518,7 @@ class TestSubstitution:
                      lambda f: derived(f).w.sum()),
             "sunk_frame": (lambda f: (lambda d: d[d.x > 20])(derived(f)),
                            lambda f: derived(f)),
+            "disjunction": (lambda f: fork(reindexed(f)), reindexed),
         }[case]
         with Session(backend="pandas"):
             expected = warm(lfp.read_csv(path)).collect()

@@ -53,16 +53,18 @@ nothing but the stdlib ``ast`` module:
 7. **A plan is a private copy.**  The graph the user holds is built
    once and never rewired: a run optimizes and executes twins of it
    (``graph/taskgraph.py::physical_plan``).  Under ``src/repro`` only
-   ``graph/`` may assign a node's ``op``, ``inputs`` or ``order_deps``,
-   or assign into them (``x.inputs[i] = ...``) -- an optimizer pass
-   builds a fresh node and hands it to ``ConsumerIndex.substitute`` --
-   and only ``graph/`` and ``core/optimizer/`` its ``args`` (an object
-   initialising its own ``self.`` attributes aside); ``_snapshot`` /
-   ``_restore`` must not reappear in ``core/session.py`` -- with nothing
-   rewired there is nothing to put back; and a ``"held"`` leaf is built
-   only by the twin constructor (``Node.twin``), so "this value is
-   already computed" has one spelling that every pass sees, not a
-   ``.computed`` test per pass.
+   ``graph/`` may assign a node's ``op``, ``inputs``, ``order_deps`` or
+   ``args``, or assign into them (``x.inputs[i] = ...``,
+   ``del x.args[k]``, ``x.args.update(...)``) -- an optimizer pass
+   builds a fresh node and hands it to ``ConsumerIndex.substitute``, so
+   a node's op and args never change once it is built (an object
+   initialising its own ``self.`` attributes aside, and the JIT's
+   source rewriter, whose nodes are Python ``ast`` nodes);
+   ``_snapshot`` / ``_restore`` must not reappear in
+   ``core/session.py`` -- with nothing rewired there is nothing to put
+   back; and a ``"held"`` leaf is built only by the twin constructor
+   (``Node.twin``), so "this value is already computed" has one
+   spelling that every pass sees, not a ``.computed`` test per pass.
 
 8. **One aggregate plan.**  How an aggregate spec becomes output
    columns and how each function splits into per-partition partials
@@ -471,12 +473,15 @@ def check_one_scan_leaf(tree: ast.Module, rel: str) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # check 7: a plan is a private copy
 
-#: the wiring of a graph node: what only graph/ changes.
-_NODE_WIRING = ("op", "inputs", "order_deps")
+#: what a graph node is: only graph/ builds it, or rewires it.
+_NODE_WIRING = ("op", "inputs", "order_deps", "args")
 #: where nodes are built and rewired.
 _MAY_REWIRE = "graph/"
-#: where plans (never the user's) have their args stamped, besides.
-_MAY_STAMP = ("graph/", _OPTIMIZER_DIR)
+#: the JIT's source rewriter: the nodes it edits are Python ``ast``
+#: nodes (``call.args[i] = ...`` is an ``ast.Call``'s).
+_EDITS_PYTHON_AST = "analysis/rewrite/"
+#: the dict methods that change a node's args in place.
+_DICT_WRITES = ("update", "pop", "popitem", "setdefault", "clear")
 _SESSION = "core/session.py"
 _REPAIR_NAMES = ("_snapshot", "_restore")
 _HELD = "held"
@@ -508,11 +513,18 @@ def _assigned_attributes(tree: ast.AST) -> Iterator[Tuple[ast.Attribute, ast.AST
 
 
 def _assigned_wiring(tree: ast.AST) -> Iterator[ast.Attribute]:
-    """Each attribute assigned to, and each wiring attribute assigned
-    or deleted into (``x.inputs[i] = ...``)."""
+    """Each attribute assigned to, each wiring attribute assigned or
+    deleted into (``x.inputs[i] = ...``), and each ``x.args`` a dict
+    method writes to (``x.args.update(...)``)."""
     for target, _value in _assigned_attributes(tree):
         yield target
     for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _DICT_WRITES
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "args"):
+            yield node.func.value
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = getattr(node, "targets", None) or [node.target]
         elif isinstance(node, ast.Delete):
@@ -542,23 +554,16 @@ def _builds_held(tree: ast.AST) -> Iterator[int]:
 
 
 def check_plan_is_private(tree: ast.Module, rel: str) -> Iterator[str]:
-    if not rel.startswith(_MAY_REWIRE):
+    if not rel.startswith((_MAY_REWIRE, _EDITS_PYTHON_AST)):
         for target in _assigned_wiring(tree):
             if getattr(target.value, "id", None) == "self":
                 continue
             if target.attr in _NODE_WIRING:
                 yield (
                     f"src/repro/{rel}:{target.lineno}: assigns a node's "
-                    f".{target.attr} -- only graph/ rewires nodes: a "
-                    f"rewrite builds a fresh node and hands it to "
-                    f"graph/taskgraph.py::ConsumerIndex.substitute"
-                )
-            elif target.attr == "args" and not rel.startswith(_MAY_STAMP):
-                yield (
-                    f"src/repro/{rel}:{target.lineno}: assigns a node's "
-                    f".args -- only graph/ and core/optimizer/ stamp "
-                    f"args, and only those of a private plan "
-                    f"(graph/taskgraph.py::physical_plan)"
+                    f".{target.attr} -- only graph/ builds or rewires "
+                    f"nodes: a rewrite builds a fresh node and hands it "
+                    f"to graph/taskgraph.py::ConsumerIndex.substitute"
                 )
     if rel == _SESSION:
         for node in ast.walk(tree):
