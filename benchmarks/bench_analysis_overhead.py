@@ -97,6 +97,7 @@ def test_plan_analyzer_overhead(tmp_path, benchmark):
     from repro.analysis.plan import analyze_plan
     from repro.core.session import Session
     from repro.frame import DataFrame
+    from repro.graph import collect_subgraph
 
     # Analysis cost depends on plan shape, not data size; 4x the base
     # row count gives collect() enough real work that the 5% budget
@@ -126,7 +127,7 @@ def test_plan_analyzer_overhead(tmp_path, benchmark):
 
     with Session(backend="pandas") as session:
         out = _deep_paper_plan(lfp, trips_path, zones_path)
-        plan_nodes = len(session.node_registry)
+        plan_nodes = len(collect_subgraph([out.node]))
 
         def analyze_once():
             return analyze_plan([out.node], session=session)

@@ -12,12 +12,12 @@ eager whole-frame engine would OOM; the script demonstrates both.
 import os
 import tempfile
 
-from repro.memory import memory_manager
+import repro.lazyfatpandas.pandas as pd
 from repro.workloads import datagen
 
 # analyze() re-executes this file, so dataset generation must be
 # idempotent (and must not run under the budget installed below).
-memory_manager.budget = None
+pd.set_option("memory.budget", None)
 _work = os.path.join(tempfile.gettempdir(), "lafp-taxi-demo")
 _csv = os.path.join(_work, "taxi.csv")
 if not os.path.exists(_csv):
@@ -29,8 +29,7 @@ budget = int(os.path.getsize(_csv) * 32 / 12.6)
 # --- first, show the eager engine dying under the same budget -----------
 from repro.frame import read_csv as eager_read_csv  # noqa: E402
 
-memory_manager.reset()
-memory_manager.budget = budget
+pd.set_option("memory.budget", budget)
 try:
     eager_read_csv(_csv)
     raise AssertionError("expected the eager full-width read to OOM")
@@ -38,13 +37,8 @@ except MemoryError as exc:
     import builtins
 
     builtins.print(f"[eager pandas-style read failed as expected: {exc}]\n")
-memory_manager.budget = None
-memory_manager.reset()
-memory_manager.budget = budget
 
 # --- the same workload under LaFP on Dask -------------------------------
-import repro.lazyfatpandas.pandas as pd  # noqa: E402
-
 pd.BACKEND_ENGINE = pd.BackendEngines.DASK
 pd.analyze()
 

@@ -22,7 +22,7 @@ The package is organised bottom-up:
 
 __version__ = "0.1.0"
 
-from repro.memory import MemoryManager, SimulatedMemoryError, memory_manager
+from repro.memory import MemoryManager, SimulatedMemoryError
 
 #: top-level source-layer constructors, resolved lazily (PEP 562) so
 #: ``import repro`` stays light and free of circular imports -- the scan
@@ -34,7 +34,6 @@ _SCAN_API = (
 __all__ = [
     "MemoryManager",
     "SimulatedMemoryError",
-    "memory_manager",
     "__version__",
     *_SCAN_API,
 ]

@@ -15,7 +15,7 @@ The workloads CLI's ``lint`` command drives this via
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Set
 
 from repro.analysis.plan.diagnostics import Diagnostic
 from repro.analysis.plan.rules import analyze_plan
@@ -88,6 +88,12 @@ class LintSession(Session):
         super().__init__(*args, **kwargs)
         #: roots the program forced (collect / flush / len / save).
         self.computed_ids: Set[int] = set()
+        #: every node the program built, for :meth:`finish`.
+        self.built: Dict[int, Node] = {}
+
+    def register(self, node: Node) -> Node:
+        self.built[node.id] = node
+        return super().register(node)
 
     def _run(self, roots: List[Node], live_nodes: List[Node]):
         # Record what the program would have executed; nothing runs, no
@@ -104,7 +110,7 @@ class LintSession(Session):
         pass covers every subgraph -- including ones the program never
         forced, which is exactly what the dead-subgraph rule looks for.
         """
-        nodes = list(self.node_registry.values())
+        nodes = list(self.built.values())
         consumed: Set[int] = set()
         for node in nodes:
             for dep in node.all_deps():

@@ -27,15 +27,6 @@ from repro.backends.engine import (
 )
 
 
-def get_backend(name: str) -> Backend:
-    """Instantiate a standalone backend by name (registry-backed).
-
-    Sessions resolve engines through their own :class:`EngineRegistry`;
-    this helper remains for code that needs a throwaway backend object.
-    """
-    return DEFAULT_REGISTRY.create(name).backend
-
-
 __all__ = [
     "Backend",
     "BackendUnsupported",
@@ -47,5 +38,4 @@ __all__ = [
     "ModinBackend",
     "PandasBackend",
     "apply_generic",
-    "get_backend",
 ]

@@ -21,7 +21,8 @@ from repro.graph.node import Node
 from repro.graph.scheduler.stats import count
 
 #: Escape sequence wrapping a task-graph node id inside an f-string
-#: (section 3.3's deferred formatted print).
+#: (section 3.3's deferred formatted print), and its pattern.
+MARKER = "\x00LAFP:{}\x00"
 MARKER_PATTERN = re.compile("\x00LAFP:(\\d+)\x00")
 
 

@@ -1,7 +1,7 @@
 """Engine abstraction: capability descriptors + registry + instances.
 
 The pre-Session runtime resolved backends through a module-level
-``get_backend(name)`` that returned a *fresh* backend object whenever the
+lookup that returned a *fresh* backend object whenever the
 session's name changed -- fine for one program per process, wrong for
 concurrent sessions (two sessions on the same name would still race on
 any module-level state, and a session switching back to a backend lost

@@ -257,7 +257,7 @@ def fingerprint_node(node: Node, session=None) -> str:
     re-stats the source files it depends on before being trusted.
     """
     store = getattr(session, "_fingerprint_cache", None) if session else None
-    version = len(session.node_registry) if session is not None else -1
+    version = session.graph_version if session is not None else -1
     if store is not None:
         hit = store.get(node.id)
         if hit is not None and hit[0] == version:

@@ -238,14 +238,6 @@ def _validate_start_method(value: object) -> None:
 
 
 register_option(
-    "executor.process_retries", 1,
-    doc="How many times the process strategy re-runs a shipped task "
-        "whose worker died (BrokenProcessPool) before raising "
-        "ExecutionError.  Shipped tasks are pure, so re-running is "
-        "always safe.",
-    validator=_validate_non_negative_int,
-)
-register_option(
     "executor.process_start_method",
     os.environ.get("LAFP_PROCESS_START_METHOD") or None,
     doc="multiprocessing start method of the process strategy's worker "
@@ -382,14 +374,6 @@ register_option(
     validator=_validate_bool,
 )
 register_option(
-    "io.prefetch_budget", 32 * 1024 * 1024,
-    doc="Byte ceiling of prefetched-but-unconsumed ranges (None = "
-        "unbounded).  Completed entries beyond it are evicted "
-        "oldest-first; every resident entry also charges the session's "
-        "memory budget through a TrackedBuffer.",
-    validator=_validate_optional_bytes,
-)
-register_option(
     "optimizer.reuse", False,
     doc="Serve subplans whose fingerprint hits the process-global "
         "result cache as pre-materialized from_cached leaves, and "
@@ -456,10 +440,6 @@ class SessionOptions:
         if key in self._values:
             return self._values[key]
         return _REGISTRY[key].default
-
-    def is_set(self, key: str) -> bool:
-        """True when ``key`` was explicitly set (not falling to default)."""
-        return canonical_key(key) in self._values
 
     def set(self, key: str, value: object) -> None:
         key = canonical_key(key)

@@ -23,8 +23,6 @@ from typing import List, Optional, Sequence, Union
 from repro.graph.node import Node
 from repro.core.session import Session, current_session
 
-_MARKER = "\x00LAFP:{}\x00"
-
 
 class LazyObject:
     """Common plumbing for lazy frame/series/scalar wrappers."""
@@ -107,10 +105,10 @@ class LazyObject:
     # -- deferred formatting (section 3.3) ---------------------------------
 
     def __format__(self, spec: str) -> str:
-        return _MARKER.format(self._node.id)
+        return self._session.marker(self._node)
 
     def __str__(self) -> str:
-        return _MARKER.format(self._node.id)
+        return self._session.marker(self._node)
 
 
 class LazyFrame(LazyObject):

@@ -7,19 +7,23 @@ A :class:`Session` owns everything one logical program needs:
 - per-session :class:`~repro.backends.engine.Engine` instances resolved
   through an :class:`~repro.backends.engine.EngineRegistry`, so two
   sessions can run different backends concurrently,
-- a per-session :class:`~repro.memory.manager.MemoryManager` (budgeted
-  via the ``memory.budget`` option), so concurrent sessions account and
-  budget their allocations independently -- the root session adopts the
-  historical process-wide manager,
+- its own :class:`~repro.memory.manager.MemoryManager`, whose budget is
+  the ``memory.budget`` option, so concurrent sessions account and
+  budget their allocations independently -- the root session included,
 - an :class:`~repro.graph.scheduler.ExecutorRegistry` from which the
   ``executor.strategy`` option picks the execution strategy (serial /
-  threaded / fused) for every ``collect()``,
+  threaded / fused / process / async) for every ``collect()``,
 - the chain of pending lazy-print nodes (section 3.3),
 - the set of persisted nodes from ``persist()`` / ``compute(live_df=...)``
   calls (section 3.5), released once no longer live,
 - its source table (:mod:`repro.io.source_table`): one snapshot of each
   scanned file's header, partitions and metastore entry,
-- the node registry that resolves f-string escape markers back to nodes.
+- the nodes it minted f-string escape markers for, so a marker resolves
+  for as long as the session lives.
+
+A session holds no other node: a plan lives exactly as long as the
+program's frames reach it, so a dropped frame's value stops counting
+against the budget.
 
 Sessions are resolved through a *thread-local stack*::
 
@@ -40,6 +44,7 @@ import warnings
 import weakref
 from typing import Dict, List, Optional, Sequence
 
+from repro.backends.base import MARKER
 from repro.backends.engine import DEFAULT_REGISTRY, Engine, EngineRegistry
 from repro.core.config import SessionOptions
 from repro.graph import Node, collect_subgraph, physical_plan, render_plan
@@ -49,11 +54,7 @@ from repro.graph.scheduler import (
     ExecutorRegistry,
     Scheduler,
 )
-from repro.memory.manager import MemoryManager, memory_manager as _root_memory
-
-
-#: "the memory.budget option has never written through to the manager".
-_BUDGET_UNSYNCED = object()
+from repro.memory.manager import MemoryManager
 
 
 def _auto_worker_cap() -> int:
@@ -86,7 +87,6 @@ class Session:
         registry: Optional[EngineRegistry] = None,
         metastore=None,
         executors: Optional[ExecutorRegistry] = None,
-        memory: Optional[MemoryManager] = None,
     ):
         self.options = SessionOptions(options)
         if backend is not None:
@@ -94,17 +94,14 @@ class Session:
         self.registry = registry or DEFAULT_REGISTRY
         self.executors = executors or DEFAULT_EXECUTORS
         self._engines: Dict[str, Engine] = {}
-        # Each session accounts memory on its own manager; the root
-        # session injects the historical process-wide one.
-        if memory is None:
-            memory = MemoryManager()
-        self._memory = memory
-        #: manager budget saved before the first option write-through, so
-        #: leaving an option_context restores it (sentinel = never synced).
-        self._budget_before_option: object = _BUDGET_UNSYNCED
+        self._memory = MemoryManager()
         self.last_print: Optional[Node] = None
         self.pending_prints: List[Node] = []
-        self.node_registry: Dict[int, Node] = {}
+        #: nodes an f-string escape marker was minted for (see
+        #: :meth:`marker`), kept so the marker resolves.
+        self._marked: Dict[int, Node] = {}
+        #: bumped by every :meth:`register`: "was any node built since?"
+        self.graph_version = 0
         self.persisted: List[Node] = []
         self.metastore = metastore  # set lazily; tests may inject one
         from repro.io.source_table import SourceTable
@@ -114,8 +111,6 @@ class Session:
         self.last_optimize_report: Optional[dict] = None
         self.last_execution_stats: Optional[ExecutionStats] = None
         #: analysis-gate memo: roots key -> (graph version, diagnostics).
-        #: The node registry only ever grows, so its size is a cheap
-        #: version stamp for "was any node built since the last gate?".
         self._analysis_cache: Dict[tuple, tuple] = {}
         #: plan-fingerprint memo: node id -> (graph version, source stat
         #: deps, digest); same versioning scheme as the analysis gate
@@ -177,20 +172,11 @@ class Session:
     def memory(self) -> MemoryManager:
         """This session's memory manager.
 
-        An explicitly-set ``memory.budget`` option writes through on
-        access, and the manager's prior budget comes back once the
-        option is unset again -- ``option_context("memory.budget", ...)``
-        budgets exactly its scope.  When the option was never touched
-        the manager's own budget is authoritative, so harness code that
-        assigns ``memory_manager.budget`` directly keeps working at root.
+        Its budget is the ``memory.budget`` option, written through on
+        every access, so ``option_context("memory.budget", ...)``
+        budgets exactly its scope.
         """
-        if self.options.is_set("memory.budget"):
-            if self._budget_before_option is _BUDGET_UNSYNCED:
-                self._budget_before_option = self._memory.budget
-            self._memory.budget = self.options.get("memory.budget")
-        elif self._budget_before_option is not _BUDGET_UNSYNCED:
-            self._memory.budget = self._budget_before_option
-            self._budget_before_option = _BUDGET_UNSYNCED
+        self._memory.budget = self.options.get("memory.budget")
         return self._memory
 
     # -- scheduling --------------------------------------------------------
@@ -325,9 +311,20 @@ class Session:
     # -- node bookkeeping --------------------------------------------------
 
     def register(self, node: Node) -> Node:
-        self.node_registry[node.id] = node
-        _nodes_by_id[node.id] = node
+        """Note that ``node`` was built in this session.  Nothing keeps
+        it: the program's frames do."""
+        self.graph_version += 1
         return node
+
+    def marker(self, node: Node) -> str:
+        """The f-string escape marker of ``node`` (section 3.3).
+
+        The session keeps ``node`` from here on, and
+        :func:`node_for_id` resolves the marker from any session: the
+        string may outlive the frame it was formatted from."""
+        self._marked[node.id] = node
+        _nodes_by_id[node.id] = node
+        return MARKER.format(node.id)
 
     def add_print(self, node: Node) -> None:
         """Chain a lazy print for deterministic output order."""
@@ -434,7 +431,7 @@ class Session:
         # the raw graph is append-only between computations, so "same
         # roots + no new nodes" means "same plan".
         key = tuple(sorted({r.id for r in roots}))
-        version = len(self.node_registry)
+        version = self.graph_version
         cached = self._analysis_cache.get(key)
         if cached is not None and cached[0] == version:
             diagnostics = cached[1]
@@ -552,17 +549,17 @@ _tls = threading.local()
 _root_lock = threading.RLock()
 _root: Optional[Session] = None
 
-#: node id -> node (weak: an entry lives exactly as long as its node,
-#: i.e. no longer than the owning session's registry keeps it -- this
-#: adds no growth beyond the registry itself).  Node ids come from one
-#: process-wide counter, so ids are unambiguous across sessions.
+#: node id -> node, for the nodes a marker was minted for (weak: an
+#: entry lives as long as the minting session keeps its node).  Node
+#: ids come from one process-wide counter, so ids are unambiguous
+#: across sessions.
 _nodes_by_id: "weakref.WeakValueDictionary[int, Node]" = (
     weakref.WeakValueDictionary()
 )
 
 
 def node_for_id(node_id: int) -> Optional[Node]:
-    """Resolve a registered node by id, across all live sessions.
+    """Resolve a marked node by id, across all live sessions.
 
     Lets f-string escape markers (section 3.3) resolve even when the
     embedding string outlives the ``with Session(...)`` block it was
@@ -604,7 +601,7 @@ def root_session() -> Session:
     if _root is None:
         with _root_lock:
             if _root is None:
-                _root = Session(memory=_root_memory)
+                _root = Session()
     return _root
 
 
@@ -620,9 +617,8 @@ def reset_root_session(
     with _root_lock:
         # `backend=None` falls through to the options dict (or the
         # registry default "dask"), so an options-supplied engine is
-        # not clobbered.  The root session always adopts the process
-        # manager so direct `memory_manager.budget = ...` keeps working.
-        _root = Session(backend=backend, options=options, memory=_root_memory)
+        # not clobbered.
+        _root = Session(backend=backend, options=options)
         return _root
 
 

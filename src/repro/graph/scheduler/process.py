@@ -33,7 +33,7 @@ source against a metastore it does not have.
 Fault tolerance: shipped tasks are pure functions of already-
 materialized inputs, so when a worker dies mid-task
 (``BrokenProcessPool``) the pool is discarded, a fresh one is built,
-and the task is re-run up to ``executor.process_retries`` times before
+and the task is re-run up to :data:`PROCESS_RETRIES` times before
 an :class:`~repro.graph.scheduler.base.ExecutionError` surfaces --
 through the run scope's unwind, like any failure, so every result this
 run produced is dropped and the memory budget and any spill files are
@@ -69,6 +69,12 @@ from repro.graph.scheduler.stats import ExecutionStats, NodeStat
 #: ops that must run in the parent whatever their picklability: shuffle
 #: stores hold locks and parent-side spill directories.
 _INLINE_OPS = frozenset({"shuffle_write", "shuffle_read"})
+
+
+#: how many times a shipped task whose worker died (BrokenProcessPool)
+#: is re-run before ExecutionError; shipped tasks are pure, so re-running
+#: is always safe.
+PROCESS_RETRIES = 1
 
 
 def _runs_inline(node: Node) -> bool:
@@ -113,17 +119,15 @@ def _pool_worker_init(backend_factory: Callable[[], Any]) -> None:
     Runs in the child.  Fork-started workers inherit the parent's root
     session (whose options may carry a simulated budget) -- a worker
     must never OOM against the parent's budget, so the root session is
-    rebuilt and the process manager unbudgeted.  Spawn-started workers
+    rebuilt, with a fresh, unbudgeted manager.  Spawn-started workers
     import everything fresh and this is a no-op beyond backend setup.
     The backend comes from the engine's own factory, so an engine of a
     session's private registry runs in the worker too.
     """
     global _WORKER_BACKEND
     from repro.core.session import reset_root_session
-    from repro.memory.manager import memory_manager
 
     reset_root_session()
-    memory_manager.budget = None
     _WORKER_BACKEND = backend_factory()
 
 
@@ -251,25 +255,23 @@ class ProcessScheduler(Scheduler):
     def _run(self, ready: ReadySet, stats: ExecutionStats) -> None:
         from concurrent.futures.process import BrokenProcessPool
 
-        retries = 1 if self.session is None else int(
-            self.session.options.get("executor.process_retries"))
         #: head node id -> times the task was lost to a dying worker.
         attempts: Dict[int, int] = {}
 
         def retry(lost: List[Task]) -> None:
             """The pool broke under ``lost``: replace it and re-queue
             them (pure functions of materialized inputs), within the
-            ``executor.process_retries`` budget."""
+            :data:`PROCESS_RETRIES` budget."""
             self._discard_pool(self._pool())
             now = time.perf_counter()
             for task in lost:
                 head = task[0].id
                 attempts[head] = attempts.get(head, 0) + 1
-                if attempts[head] > retries:
+                if attempts[head] > PROCESS_RETRIES:
                     raise ExecutionError(
                         f"process pool worker died {attempts[head]} "
                         f"time(s) running task {[n.op for n in task]}; "
-                        f"giving up after executor.process_retries={retries}"
+                        f"giving up after PROCESS_RETRIES={PROCESS_RETRIES}"
                     )
                 stats.add(process_retries=1)
                 ready.push(task, now)

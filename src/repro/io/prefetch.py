@@ -15,7 +15,7 @@ The cache is deliberately narrow:
   fetch instead of issuing a duplicate read,
 - completed entries charge a :class:`~repro.memory.manager.TrackedBuffer`
   against the active session's budget and are evicted FIFO past
-  ``io.prefetch_budget``; a budget-refused charge drops the data (the
+  :data:`PREFETCH_BUDGET`; a budget-refused charge drops the data (the
   consumer re-reads) rather than holding untracked bytes,
 - :func:`purge_url` abandons a plan's leftovers (pruned partitions,
   failed runs) -- in-flight workers see the flag and discard without
@@ -34,6 +34,10 @@ from repro.io.fs import read_range_with_retry, resolve_filesystem
 
 #: fetch parallelism: small and shared, like dask's IO pool.
 _POOL_WORKERS = 4
+
+#: byte ceiling of prefetched-but-unconsumed ranges: completed entries
+#: beyond it are evicted oldest-first.
+PREFETCH_BUDGET = 32 * 1024 * 1024
 
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()
@@ -246,11 +250,10 @@ def prefetch_scan_node(node, session,
         )
     except Exception:
         return set()  # prefetch is an optimization: never fail the plan
-    budget = session.get_option("io.prefetch_budget")
     retries = int(session.get_option("io.retries"))
     backoff = float(session.get_option("io.retry_backoff"))
     manager = session.memory
     for url, start, end in ranges:
         _CACHE.submit(url, start, end, counters, manager=manager,
-                      budget=budget, retries=retries, backoff=backoff)
+                      budget=PREFETCH_BUDGET, retries=retries, backoff=backoff)
     return {url for url, _, _ in ranges}

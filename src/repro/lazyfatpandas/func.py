@@ -8,9 +8,9 @@ preserved.  Execution happens at the next forced computation or at
 
 f-strings evaluate before ``print`` is called, so lazy values embedded in
 them format themselves as escape markers carrying their node id
-(``LazyObject.__format__``); the print node resolves the markers against
-the session's node registry at execution time -- the paper's unique-ID
-escape-sequence mechanism.
+(``LazyObject.__format__``), and the session keeps each node it minted
+a marker for; the print resolves the markers through the cross-session
+map of marked nodes -- the paper's unique-ID escape-sequence mechanism.
 
 ``len`` is the lazy length: applied to a lazy frame/series it returns a
 :class:`~repro.core.LazyScalar`; on anything else it is the builtin.
@@ -41,7 +41,7 @@ def print(*args, sep: str = " ", end: str = "\n", file=None, flush: bool = False
     # Session(...)` exit) the caller can reach, so output is never
     # stranded on an exited session.  Lazy values and markers from
     # *other* sessions still resolve: inputs reference their nodes
-    # directly, and markers fall back to the cross-session node map.
+    # directly, and markers resolve through the cross-session node map.
     session = current_session()
     involves_lazy = any(isinstance(a, LazyObject) for a in args) or any(
         isinstance(a, str) and MARKER_PATTERN.search(a) for a in args
@@ -68,11 +68,9 @@ def print(*args, sep: str = " ", end: str = "\n", file=None, flush: bool = False
         elif isinstance(arg, str) and MARKER_PATTERN.search(arg):
             for match in MARKER_PATTERN.finditer(arg):
                 node_id = int(match.group(1))
-                # Each marker resolves through its *own* owner: the
-                # print's session first, then the cross-session map, so
-                # a marker string can mix with lazy values from another
-                # session.
-                node = session.node_registry.get(node_id) or node_for_id(node_id)
+                # The map spans sessions, so a marker string can mix
+                # with lazy values from another session.
+                node = node_for_id(node_id)
                 if node is None:
                     raise KeyError(
                         f"lazy print marker references unknown node {node_id}"

@@ -109,30 +109,21 @@ class BackendEngines(enum.Enum):
 BACKEND_ENGINE = BackendEngines.DASK
 
 
-#: every module carrying the BACKEND_ENGINE write-through (the canonical
-#: module plus the ``lazyfatpandas.pandas`` alias).
-_SYNCED_MODULES = set()
-
-
 def set_backend(engine) -> None:
     """Select the current session's execution backend by enum or name.
 
-    Also mirrors the choice into ``BACKEND_ENGINE`` on every facade
-    module, so the legacy selector and helpers that read it (e.g. the
-    ``reset()`` default) always reflect the last explicit choice, no
-    matter which module or API spelling made it.
+    Also records the choice in ``BACKEND_ENGINE``, so the legacy
+    selector and helpers that read it (e.g. the ``reset()`` default)
+    always reflect the last explicit choice, whichever API spelling
+    made it.
     """
+    global BACKEND_ENGINE
     name = engine.value if isinstance(engine, BackendEngines) else str(engine)
     current_session().set_option("backend.engine", name)
     try:
-        mirror = BackendEngines(name)
+        BACKEND_ENGINE = BackendEngines(name)
     except ValueError:
-        mirror = name  # custom-registry engines keep their string name
-    # Direct ModuleType.__setattr__ avoids re-entering the write-through.
-    for module_name in _SYNCED_MODULES:
-        module = sys.modules.get(module_name)
-        if module is not None:
-            types.ModuleType.__setattr__(module, "BACKEND_ENGINE", mirror)
+        BACKEND_ENGINE = name  # custom-registry engines keep their name
 
 
 class _BackendSyncModule(types.ModuleType):
@@ -143,13 +134,6 @@ class _BackendSyncModule(types.ModuleType):
         super().__setattr__(name, value)
         if name == "BACKEND_ENGINE":
             set_backend(value)
-
-
-def _install_backend_sync(module_name: str) -> None:
-    """Give a facade module the ``BACKEND_ENGINE`` write-through (also
-    applied to the ``lazyfatpandas.pandas`` alias module)."""
-    _SYNCED_MODULES.add(module_name)
-    sys.modules[module_name].__class__ = _BackendSyncModule
 
 
 # ---------------------------------------------------------------------------
@@ -358,4 +342,6 @@ def reset(backend: Optional[str] = None) -> None:
     reset_root_session(backend)
 
 
-_install_backend_sync(__name__)
+# ``pd.BACKEND_ENGINE = ...`` reaches the current session; the
+# ``lazyfatpandas.pandas`` alias is this very module.
+sys.modules[__name__].__class__ = _BackendSyncModule

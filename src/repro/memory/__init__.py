@@ -14,7 +14,6 @@ from repro.memory.manager import (
     TrackedBuffer,
     current_memory_manager,
     memory_budget,
-    memory_manager,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "TrackedBuffer",
     "current_memory_manager",
     "memory_budget",
-    "memory_manager",
 ]

@@ -7,11 +7,9 @@ when a backend spills them to disk.
 
 Each :class:`~repro.core.session.Session` owns its own manager, so two
 concurrent sessions account (and budget) their allocations independently
--- a multi-tenant executor cannot OOM a neighbour.  The module-level
-:data:`memory_manager` is the *root session's* manager, kept so
-paper-verbatim scripts and older harness code that poke the process-wide
-budget directly keep working; new code should resolve the current
-manager through :func:`current_memory_manager`.
+-- a multi-tenant executor cannot OOM a neighbour.  The root session is
+no exception; :func:`current_memory_manager` resolves the manager of the
+calling thread's current session.
 
 The manager keeps these numbers:
 
@@ -25,8 +23,9 @@ The manager keeps these numbers:
   below zero (a caller bug; clamped, counted, and warned about).
 
 A ``budget`` of ``None`` (the default) disables the ceiling, so ordinary
-library use is unaffected; the benchmark runner installs a budget scaled to
-the paper's RAM:data ratio.
+library use is unaffected.  A session's budget is its ``memory.budget``
+option; the benchmark runner sets one scaled to the paper's RAM:data
+ratio.
 """
 
 from __future__ import annotations
@@ -182,23 +181,10 @@ class MemoryManager:
             self.double_release_count = 0
 
 
-#: The root session's manager.  Deprecation shim: code that mutated the
-#: process-wide budget directly still works because the root session
-#: adopts this exact instance; per-session work should go through
-#: :func:`current_memory_manager`.
-memory_manager = MemoryManager()
-
-
 def current_memory_manager() -> MemoryManager:
-    """The memory manager of the calling thread's current session.
+    """The memory manager of the calling thread's current session."""
+    from repro.core.session import current_session
 
-    Falls back to the process-root manager when the session layer is not
-    importable yet (early interpreter shutdown, partial installs).
-    """
-    try:
-        from repro.core.session import current_session
-    except ImportError:  # pragma: no cover - import-order edge
-        return memory_manager
     return current_session().memory
 
 
@@ -232,35 +218,15 @@ class TrackedBuffer:
 
 @contextmanager
 def memory_budget(budget: Optional[int]) -> Iterator[MemoryManager]:
-    """Temporarily install ``budget`` on the *current session's* manager.
+    """Temporarily budget the *current session's* manager at ``budget``.
 
-    At root (no active ``with Session``) this governs the process-wide
-    manager exactly as before.  Peak tracking is reset on entry so the
-    recorded peak reflects only the governed region.  The previous budget
-    is restored on exit.
-
-    Implemented through the session's ``memory.budget`` option so it
-    composes with option-driven budgets: a session whose budget came
-    from options gets this override for exactly the context's scope
-    (a direct ``manager.budget`` write would be clobbered by the
-    option's write-through on the next allocation).
+    Sets the session's ``memory.budget`` option for the context's scope
+    (the option is the budget's one source), and resets peak tracking
+    on entry so the recorded peak reflects only the governed region.
     """
-    try:
-        from repro.core.session import current_session
-    except ImportError:  # pragma: no cover - import-order edge
-        session = None
-    else:
-        session = current_session()
-    if session is None:
-        manager = memory_manager
-        previous = manager.budget
-        manager.budget = budget
-        manager.reset_peak()
-        try:
-            yield manager
-        finally:
-            manager.budget = previous
-        return
+    from repro.core.session import current_session
+
+    session = current_session()
     try:
         with session.option_context("memory.budget", budget):
             manager = session.memory  # write the override through

@@ -365,16 +365,17 @@ class Runner:
         ``options`` applied through ``option_context`` -- no session or
         flag state leaks between cells.  ``options`` takes dotted keys
         (``{"executor.cache": False}``); ``strategy`` is shorthand for
-        ``{"executor.strategy": ...}``; ``source_format`` (``csv`` / ``jsonl`` / ``dataset``) prepares
-        the matching dataset variants and sets
-        ``workload.source_format`` so the program's ``pd.read_csv``
-        calls build their scan leaf over that format (lafp modes only
-        -- baseline modes read the plain CSV regardless).  Dataset and
-        result paths, the memory budget, and the stdout capture travel
-        on the cell's session (``workload.*`` / ``memory.budget``
-        options, session-routed capture) rather than process env vars,
-        the global manager, or a global redirect, so cells cannot race
-        each other on any of them.
+        ``{"executor.strategy": ...}``; ``source_format`` (``csv`` /
+        ``jsonl`` / ``dataset`` / ``columnar``) prepares the matching
+        dataset variants and sets ``workload.source_format`` so the
+        program's ``pd.read_csv`` calls build their scan leaf over that
+        format (lafp modes only -- baseline modes read the plain CSV
+        regardless).  Dataset and result paths, the memory budget, and
+        the stdout capture travel on the cell's session (``workload.*``
+        options, the ``memory.budget`` of the session's own manager,
+        session-routed capture) rather than process env vars or a
+        global redirect, so cells cannot race each other on any of
+        them.
         """
         if mode not in _HEADERS:
             raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")

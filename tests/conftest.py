@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.session import reset_root_session
 from repro.frame import DataFrame
-from repro.memory import memory_manager
 
 try:  # derandomized profile for CI property-test runs
     from hypothesis import settings as _hypothesis_settings
@@ -84,13 +83,11 @@ def _clear_session_stack():
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Every test starts with a fresh root session and unbudgeted memory."""
-    memory_manager.budget = None
-    memory_manager.reset()
+    """Every test starts with a fresh root session (and so with a fresh,
+    unbudgeted memory manager)."""
     _clear_session_stack()
     reset_root_session("pandas")
     yield
-    memory_manager.budget = None
     _clear_session_stack()
     reset_root_session("pandas")
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from repro.frame.column import NA_CODE, Column
 from repro.frame.dtypes import CategoricalDtype, normalize_dtype, object_nbytes
-from repro.memory import memory_manager
+from repro.memory import current_memory_manager
 
 
 class TestConstruction:
@@ -167,24 +167,24 @@ class TestStats:
 
 class TestMemoryAccounting:
     def test_numeric_column_charges_raw_bytes(self):
-        before = memory_manager.live
+        before = current_memory_manager().live
         col = Column.from_values(np.arange(100, dtype=np.int64))
-        assert memory_manager.live - before == 800
+        assert current_memory_manager().live - before == 800
         del col
 
     def test_object_column_charges_pointers_and_payload(self):
-        before = memory_manager.live
+        before = current_memory_manager().live
         col = Column.from_values(np.array(["abcd"] * 10, dtype=object))
         # 10 pointers (80 B) plus payload (10 * (49 + 4)).
-        assert memory_manager.live - before == 80 + 10 * 53
+        assert current_memory_manager().live - before == 80 + 10 * 53
         del col
 
     def test_derived_column_shares_payload(self):
         col = Column.from_values(np.array(["abcd"] * 100, dtype=object))
-        before = memory_manager.live
+        before = current_memory_manager().live
         derived = col.filter(np.ones(100, dtype=bool))
         # only fresh pointers are charged, not the string payload
-        assert memory_manager.live - before == 800
+        assert current_memory_manager().live - before == 800
         del derived
 
     def test_payload_released_when_last_sharer_dies(self):
@@ -193,22 +193,22 @@ class TestMemoryAccounting:
         derived = col.take(np.arange(10))
         pointers = 80       # 10 rows x 8 B
         payload = 10 * 53   # 10 x (49 overhead + 4 chars)
-        baseline = memory_manager.live
+        baseline = current_memory_manager().live
         del col
         gc.collect()
         # only the source's pointer buffer frees; the payload survives
         # via the derived column
-        assert memory_manager.live == baseline - pointers
+        assert current_memory_manager().live == baseline - pointers
         del derived
         gc.collect()
-        assert memory_manager.live == baseline - 2 * pointers - payload
+        assert current_memory_manager().live == baseline - 2 * pointers - payload
 
     def test_pickle_roundtrip_reregisters(self):
         col = Column.from_values([1, 2, 3])
         data = pickle.dumps(col)
-        before = memory_manager.live
+        before = current_memory_manager().live
         loaded = pickle.loads(data)
-        assert memory_manager.live == before + 24
+        assert current_memory_manager().live == before + 24
         assert list(loaded.values) == [1, 2, 3]
 
     def test_pickle_categorical(self):
@@ -263,13 +263,13 @@ class TestPickleCarriesThePayloadCount:
         assert told.nbytes == Column(values).nbytes == object_nbytes(values)
 
     def test_round_trip_registers_the_same_bytes(self, name):
-        memory_manager.reset()
+        current_memory_manager().reset()
         col = Column(self._array(name))
-        before = memory_manager.live
+        before = current_memory_manager().live
         assert col.__getstate__()["heap_nbytes"] == col.nbytes - 8 * len(col)
         loaded = pickle.loads(pickle.dumps(col))
         assert loaded.nbytes == col.nbytes == object_nbytes(col.values)
-        assert memory_manager.live == 2 * before
+        assert current_memory_manager().live == 2 * before
 
     def test_a_sharing_column_is_counted_on_load(self, name):
         col = Column(self._array(name))

@@ -10,9 +10,8 @@ import pytest
 
 from repro.backends import BackendUnsupported, DaskBackend
 from repro.backends.dask_sim.frame import DaskFrame, DaskScalar, from_pandas
-from repro.core.session import current_session
+from repro.core.session import Session
 from repro.frame import DataFrame, read_csv
-from repro.memory import memory_manager
 from repro.workloads import pandas_compat
 
 
@@ -401,18 +400,14 @@ class TestPersistAndSpill:
         stores and still matches the eager join."""
         left_path, right_path = _join_tables(make_csv)
         expected = read_csv(left_path).merge(read_csv(right_path), on="k")
-        memory_manager.reset()
-        memory_manager.budget = 300_000
-        try:
+        with Session(options={"memory.budget": 300_000}) as session:
             b = DaskBackend(partition_bytes=8192)
             lazy = b.read_csv(path=left_path)
             right = b.read_csv(path=right_path, partition_bytes=256)
             assert lazy.npartitions > 1 and right.npartitions > 1
             out = lazy.merge(right, on="k").compute()
-            stats = current_session().last_execution_stats
+            stats = session.last_execution_stats
             assert stats.spill_files > 0 and stats.bytes_spilled > 0
-        finally:
-            memory_manager.budget = None
         assert out.columns == expected.columns
         for name in out.columns:
             np.testing.assert_array_equal(out[name].values,
@@ -425,15 +420,11 @@ class TestPersistAndSpill:
             "huge.csv",
         )
         frame_bytes = read_csv(path).nbytes
-        memory_manager.reset()
-        memory_manager.budget = int(frame_bytes * 0.5)
-        try:
+        with Session(options={"memory.budget": int(frame_bytes * 0.5)}):
             b = DaskBackend(partition_bytes=2_000)
             lazy = b.read_csv(path=path)
             with pytest.raises(MemoryError):
                 lazy.compute()  # full materialization cannot fit
-        finally:
-            memory_manager.budget = None
 
 
 class TestPinnedPartitionsSurviveMaterialize:

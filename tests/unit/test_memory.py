@@ -9,8 +9,8 @@ from repro.memory import (
     MemoryManager,
     SimulatedMemoryError,
     TrackedBuffer,
+    current_memory_manager,
     memory_budget,
-    memory_manager,
 )
 
 
@@ -154,38 +154,38 @@ class TestMemoryManager:
 
 class TestTrackedBuffer:
     def test_buffer_registers_on_creation(self):
-        before = memory_manager.live
+        before = current_memory_manager().live
         buffer = TrackedBuffer(512)
-        assert memory_manager.live == before + 512
+        assert current_memory_manager().live == before + 512
         buffer.release()
 
     def test_buffer_releases_on_gc(self):
-        before = memory_manager.live
+        before = current_memory_manager().live
         buffer = TrackedBuffer(256)
         del buffer
         gc.collect()
-        assert memory_manager.live == before
+        assert current_memory_manager().live == before
 
     def test_explicit_release_is_idempotent(self):
-        before = memory_manager.live
+        before = current_memory_manager().live
         buffer = TrackedBuffer(128)
         buffer.release()
         buffer.release()
-        assert memory_manager.live == before
+        assert current_memory_manager().live == before
 
 
 class TestMemoryBudgetContext:
     def test_budget_installed_and_restored(self):
-        assert memory_manager.budget is None
+        assert current_memory_manager().budget is None
         with memory_budget(1 << 20):
-            assert memory_manager.budget == 1 << 20
-        assert memory_manager.budget is None
+            assert current_memory_manager().budget == 1 << 20
+        assert current_memory_manager().budget is None
 
     def test_budget_restored_on_error(self):
         with pytest.raises(RuntimeError):
             with memory_budget(1 << 20):
                 raise RuntimeError("boom")
-        assert memory_manager.budget is None
+        assert current_memory_manager().budget is None
 
     def test_budget_context_overrides_option_driven_budget(self):
         """memory_budget() must win over a session's memory.budget
@@ -204,10 +204,41 @@ class TestMemoryBudgetContext:
             buffer.release()
 
     def test_budget_context_binds_to_current_session(self):
-        from repro.core.session import Session
+        from repro.core.session import Session, root_session
 
         with Session(backend="pandas") as session:
             with memory_budget(64) as manager:
                 assert manager is session.memory
-                assert memory_manager.budget is None
+                assert root_session().memory.budget is None
             assert session.memory.budget is None
+
+
+class TestOneBudgetOwner:
+    def test_invariant_tool_rejects_a_module_level_manager(self):
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        path = (Path(__file__).resolve().parents[2] / "tools"
+                / "check_invariants.py")
+        spec = importlib.util.spec_from_file_location("check_invariants",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        for owner in (
+            "ROOT_MEMORY = MemoryManager()",
+            "ROOT: MemoryManager = manager.MemoryManager(budget=None)",
+            "if True:\n    shared = MemoryManager()",
+            "class Holder:\n    memory = MemoryManager()",
+            "def run(memory=MemoryManager()): ...",
+            "@cache(MemoryManager())\ndef run(): ...",
+        ):
+            assert list(tool.check_one_budget_owner(
+                ast.parse(owner), "memory/manager.py")), owner
+        # a manager built when a session (or a test) asks for one passes
+        assert not list(tool.check_one_budget_owner(
+            ast.parse("class Session:\n    def __init__(self):\n"
+                      "        self._memory = MemoryManager()\n"
+                      "fresh = lambda: MemoryManager()"),
+            "core/session.py"))
+        assert tool.run() == []

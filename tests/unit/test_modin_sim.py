@@ -6,7 +6,7 @@ import pytest
 from repro.backends import ModinBackend
 from repro.backends.modin_sim.frame import ModinFrame, ModinSeries, modin_read_csv
 from repro.frame import DataFrame, read_csv
-from repro.memory import memory_manager
+from repro.core.session import Session
 
 
 @pytest.fixture
@@ -145,13 +145,9 @@ class TestMemoryBehaviour:
             "big.csv",
         )
         frame_bytes = read_csv(path).nbytes
-        memory_manager.reset()
-        memory_manager.budget = int(frame_bytes * 0.5)
-        try:
+        with Session(options={"memory.budget": int(frame_bytes * 0.5)}):
             with pytest.raises(MemoryError):
                 modin_read_csv(path, partition_bytes=2_000)
-        finally:
-            memory_manager.budget = None
 
     def test_backend_wrapper(self, shop_csv):
         backend = ModinBackend()

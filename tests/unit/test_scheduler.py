@@ -45,7 +45,7 @@ from repro.graph.scheduler.stats import (
     count,
     counter_lines,
 )
-from repro.memory import MemoryManager, SimulatedMemoryError, memory_manager
+from repro.memory import MemoryManager, SimulatedMemoryError
 
 STRATEGIES = ["serial", "threaded", "fused", "process", "async"]
 
@@ -952,19 +952,25 @@ class TestPerSessionBudgets:
             "b_oom": True,
         }
 
-    def test_root_session_adopts_process_manager(self):
-        from repro.core.session import root_session
+    def test_root_session_owns_a_fresh_option_budgeted_manager(self):
+        from repro.core.session import reset_root_session, root_session
 
-        assert root_session().memory is memory_manager
+        old = root_session().memory
+        root = reset_root_session(options={"memory.budget": 4096})
+        assert root.memory is not old
+        assert root.memory.budget == 4096
+        assert old.budget is None
 
     def test_session_buffers_do_not_touch_root_manager(self):
+        from repro.core.session import root_session
         from repro.memory import TrackedBuffer
 
-        before = memory_manager.live
+        root = root_session().memory
+        before = root.live
         with Session(backend="pandas") as session:
             buffer = TrackedBuffer(777)
             assert session.memory.live == 777
-            assert memory_manager.live == before
+            assert root.live == before
             buffer.release()
 
     def test_budget_option_writes_through_option_context(self):
@@ -978,9 +984,7 @@ class TestPerSessionBudgets:
         session.set_option("memory.budget", 4096)
         assert session.memory.budget == 4096
 
-    def test_option_context_restores_directly_assigned_budget(self):
+    def test_budget_comes_from_the_option_alone(self):
         session = Session(backend="pandas")
-        session._memory.budget = 1 << 30  # harness-style direct assignment
-        with session.option_context("memory.budget", 2048):
-            assert session.memory.budget == 2048
-        assert session.memory.budget == 1 << 30
+        session.memory.budget = 1 << 30  # a direct write does not stick
+        assert session.memory.budget is None

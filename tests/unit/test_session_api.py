@@ -201,6 +201,17 @@ class TestSessionStack:
             lfp.BACKEND_ENGINE = lfp.BackendEngines.DASK
             assert alias.BACKEND_ENGINE is lfp.BackendEngines.DASK
 
+    def test_alias_modules_are_the_canonical_modules(self):
+        """The paper-verbatim import names the canonical module object,
+        so ``BACKEND_ENGINE`` has one module to live on."""
+        import lazyfatpandas.func
+        import lazyfatpandas.pandas
+
+        import repro.lazyfatpandas.func
+
+        assert lazyfatpandas.pandas is lfp
+        assert lazyfatpandas.func is repro.lazyfatpandas.func
+
 
 class TestOptions:
     def test_defaults(self):
@@ -214,7 +225,7 @@ class TestOptions:
         listed with its default (the hand-kept docstring copy had lost
         the ``io.*`` options)."""
         defaults = SessionOptions().to_dict()
-        assert {"io.prefetch", "io.prefetch_budget", "io.retries",
+        assert {"io.prefetch", "io.retries",
                 "io.retry_backoff"} <= set(defaults)
         text = lfp.describe_options()
         for key, default in defaults.items():
@@ -401,8 +412,8 @@ class TestEngines:
 
     def test_no_staleness_after_option_change(self):
         """Regression: options set after construction (or after the first
-        backend access) must be honoured -- the old cached get_backend
-        path could hand out a stale instance."""
+        backend access) must be honoured -- the old cached module-level
+        backend lookup could hand out a stale instance."""
         session = Session(backend="pandas")
         _ = session.backend  # prime the cache
         session.set_option("backend.engine", "modin")

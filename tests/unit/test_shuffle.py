@@ -368,6 +368,24 @@ class TestForcedSpill:
         assert stats_a["spill_files"] == stats_b["spill_files"]
         assert _equal(first, second)
 
+    @pytest.mark.parametrize("backend", ["pandas", "dask"])
+    @pytest.mark.parametrize("strategy", ["serial", "threaded"])
+    def test_session_keeps_no_dropped_result(self, spill_left_csv,
+                                             rightbig_csv, backend, strategy):
+        """A session charges its budget only for values the program can
+        still reach: a result the program dropped is freed, so the
+        same forced-spill merge collects again and again in one
+        session, and nothing stays live once the program holds
+        nothing."""
+        pipeline = self._forced_merge(spill_left_csv, rightbig_csv)
+        options = dict(self.FORCED, **{"executor.strategy": strategy})
+        with Session(backend=backend, options=options) as session:
+            for _ in range(3):
+                pipeline().collect()
+                assert session.last_execution_stats.bytes_spilled > 0
+        gc.collect()
+        assert session.memory.live == 0
+
     def test_groupby_holistic_under_budget(self, spill_left_csv):
         def pipeline():
             df = lfp.scan_csv(spill_left_csv, partition_bytes=2048)

@@ -104,6 +104,20 @@ class TestCli:
         assert code == 0
         assert "zip/pandas/S: ok" in capsys.readouterr().out
 
+    def test_run_takes_every_registered_strategy(self):
+        """``--strategy`` / ``--source-format`` choices come from the
+        executor and source registries, so no strategy is missing."""
+        from repro.graph.scheduler import DEFAULT_EXECUTORS
+        from repro.workloads.cli import build_parser
+
+        parser = build_parser()
+        args = parser.parse_args(["run", "zip", "--strategy", "process",
+                                  "--source-format", "columnar"])
+        assert (args.strategy, args.source_format) == ("process", "columnar")
+        for strategy in DEFAULT_EXECUTORS.names():
+            args = parser.parse_args(["run", "zip", "--strategy", strategy])
+            assert args.strategy == strategy
+
     def test_verify_single_program(self, capsys):
         from repro.workloads.cli import main
 

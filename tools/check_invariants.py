@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Fifteen structural rules the linters cannot express, checked with
+Sixteen structural rules the linters cannot express, checked with
 nothing but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -150,6 +150,14 @@ nothing but the stdlib ``ast`` module:
     (``_lower_merge``, ``_lower_groupby``, ``_rewrite_partial``,
     ``_rewrite_bucketed``, ``_streamable_scan``).
 
+16. **One budget owner.**  Every session -- the root one included --
+    owns a fresh ``MemoryManager`` whose budget is its ``memory.budget``
+    option.  No ``MemoryManager()`` is built at module scope under
+    ``src/repro`` (an assignment, a class attribute or a default
+    argument): a process-global manager is a second owner of the
+    budget, and keeping it in step with the option is the repair
+    machinery this rule keeps out.
+
 Usage::
 
     python tools/check_invariants.py          # repo root, exit 1 on fail
@@ -210,7 +218,6 @@ MUTABLE_GLOBAL_ALLOWLIST = {
     ("io/columnar.py", "_FOOTER_CACHE"),
     ("io/fs.py", "_FILESYSTEMS"),
     ("io/fs.py", "_CODECS"),
-    ("lazyfatpandas/pandas.py", "_SYNCED_MODULES"),
     ("workloads/datagen.py", "PARTITION_KEYS"),
     ("workloads/datagen.py", "_GENERATORS"),
     ("workloads/programs.py", "PROGRAMS"),
@@ -924,13 +931,47 @@ def check_one_partition_lowering(tree: ast.Module,
 
 
 # ---------------------------------------------------------------------------
+# check 16: one budget owner
+
+
+def _module_scope(node: ast.AST) -> Iterator[ast.AST]:
+    """Every node evaluated when the module is imported: function
+    bodies are skipped, their decorators and defaults are not."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda)):
+            scope = [*getattr(child, "decorator_list", ()),
+                     *child.args.defaults,
+                     *(d for d in child.args.kw_defaults if d is not None)]
+            for expr in scope:
+                yield from ast.walk(expr)
+            continue
+        yield child
+        yield from _module_scope(child)
+
+
+def check_one_budget_owner(tree: ast.Module, rel: str) -> Iterator[str]:
+    for node in _module_scope(tree):
+        if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None)
+                or getattr(node.func, "attr", None)) == "MemoryManager":
+            yield (
+                f"src/repro/{rel}:{node.lineno}: module-level "
+                f"MemoryManager() -- every session owns its manager, "
+                f"budgeted by its memory.budget option; a process-global "
+                f"one is a second owner of the budget"
+            )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
           check_one_aggregate_plan, check_one_stats_model,
           check_one_join_plan, check_one_memory_rule,
           check_one_partitioned_executor, check_one_source_per_session,
-          check_one_scan_contract, check_one_partition_lowering)
+          check_one_scan_contract, check_one_partition_lowering,
+          check_one_budget_owner)
 
 
 def run(src: Path = SRC) -> List[str]:
