@@ -10,11 +10,12 @@ Three legs over a join + aggregate workload:
   expensive merge prefix (lowered to the hash-shuffle pipeline); the
   second session recomputes only its suffix, and must beat a
   reuse-off run of the same plan by >= 2x.
-- **budget adherence** -- many distinct results inserted against a
-  deliberately small ``cache.budget``; the cache's private memory
-  manager peak must stay within the budget (admission demotes before
+- **budget adherence** -- many distinct results inserted into a private
+  ``ResultCache`` against deliberately small budgets (the process-wide
+  cache's budgets are constants); the cache's private memory manager
+  peak must stay within the memory budget (admission demotes before
   registering) while demotions/evictions are observed and the disk
-  tier honours ``cache.spill_budget``.
+  tier honours the spill budget.
 
 ``LAFP_BENCH_ROWS`` scales the tables (default 3000); the speedup
 assertions only arm at ``PERF_ASSERT_MIN_ROWS`` so tiny smoke runs
@@ -31,7 +32,11 @@ import pytest
 from conftest import print_table
 
 import repro.lazyfatpandas.pandas as lfp
-from repro.cache.result_cache import result_cache
+from repro.cache.result_cache import (
+    ResultCache,
+    result_cache,
+    serialize_value,
+)
 from repro.core.session import Session
 from repro.frame import DataFrame
 
@@ -128,29 +133,27 @@ def test_bench_plan_cache(tables):
     # -- leg 3: budget adherence under churn ---------------------------
     result_cache().clear()
     left, right = tables
-    probe_blob = None
-    with Session(backend="pandas", options=REUSE):
-        frame = _prefix(left, right).collect()
-        from repro.cache.result_cache import serialize_value
-
-        probe_blob, _ = serialize_value(frame)
+    with Session(backend="pandas"):
+        probe_blob, _ = serialize_value(_prefix(left, right).collect())
     budget = max(4096, len(probe_blob) // 2)  # forces demotion
     spill_budget = len(probe_blob) * 2  # forces disk-tier eviction
-    tight = dict(REUSE)
-    tight["cache.budget"] = budget
-    tight["cache.spill_budget"] = spill_budget
-    result_cache().clear()
-    result_cache().memory.reset_peak()  # legs 1-2 ran unbounded
+    cache = ResultCache()
     churn_evictions = 0
     for i in range(6):
-        with Session(backend="pandas", options=tight) as session:
+        with Session(backend="pandas"):
             frame = _prefix(left, right)
             frame[f"v{i}"] = frame["total"] * (i + 1)
-            frame.groupby(["k"])[f"v{i}"].agg("sum").collect()
-            churn_evictions += session.last_execution_stats.cache_evictions
-    cache_info = result_cache().info()
+            variant = frame.collect()
+        # a third of the rows fits the memory tier, the whole goes to disk
+        for part, value in (("head", variant.head(len(variant) // 3)),
+                            ("all", variant)):
+            blob, kind = serialize_value(value)
+            churn_evictions += cache.put(
+                (f"v{i}.{part}", "pandas", ()), blob, kind,
+                budget=budget, spill_budget=spill_budget)
+    cache_info = cache.info()
     assert cache_info["memory_peak_bytes"] <= budget, (
-        f"cache overshot cache.budget: peak "
+        f"cache overshot its budget: peak "
         f"{cache_info['memory_peak_bytes']} > {budget}"
     )
     assert cache_info["disk_bytes"] <= spill_budget
@@ -158,7 +161,7 @@ def test_bench_plan_cache(tables):
     assert cache_info["evictions"] > 0, (
         "spill budget never forced an eviction"
     )
-    result_cache().clear()
+    cache.clear()
 
     report = {
         "rows": ROWS,

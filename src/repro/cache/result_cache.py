@@ -19,14 +19,18 @@ Residency is two-tiered with byte-cost LRU:
 
 - **memory** -- blobs charged to a private :class:`~repro.memory.
   manager.MemoryManager` via :class:`~repro.memory.manager.
-  TrackedBuffer`; total held within ``cache.budget``.  Admission
+  TrackedBuffer`; total held within :data:`BUDGET`.  Admission
   *demotes* least-recently-used blobs to disk first, so the manager's
   peak never overshoots the budget.
 - **disk** -- per-entry pickle files under a ``tempfile.mkdtemp``
   (reusing the spill idiom of :mod:`repro.io.spill`), held within
-  ``cache.spill_budget``.  Eviction from the disk tier deletes the
+  :data:`SPILL_BUDGET`.  Eviction from the disk tier deletes the
   file *immediately* -- a cached-then-evicted result must never leak
   spill files until interpreter exit.
+
+Both budgets are the cache's own constants, not session options: the
+cache is shared by every session, so no session's admission may demote
+or evict the others' entries under a budget of its own choosing.
 
 Fork safety follows ``io/spill.py``: a forked child detaches the
 directory finalizer and starts an empty cache, so child-side garbage
@@ -48,6 +52,10 @@ from repro.memory.manager import MemoryManager, TrackedBuffer
 
 #: cache keys: (plan fingerprint, backend name, semantic-options sig)
 CacheKey = Tuple[str, str, Tuple[Tuple[str, str], ...]]
+
+#: byte budgets of the memory and disk tiers (None = unbounded).
+BUDGET = 64 * 1024 * 1024
+SPILL_BUDGET = 256 * 1024 * 1024
 
 
 def serialize_value(value: Any) -> Tuple[bytes, str]:
@@ -133,7 +141,7 @@ class ResultCache:
     # -- lookup --------------------------------------------------------
 
     def get(
-        self, key: CacheKey, budget: Optional[int] = None
+        self, key: CacheKey, budget: Optional[int] = BUDGET
     ) -> Optional[Tuple[bytes, str]]:
         """Return ``(blob, kind)`` for ``key``, or ``None`` on a miss.
 
@@ -174,8 +182,8 @@ class ResultCache:
         key: CacheKey,
         blob: bytes,
         kind: str,
-        budget: Optional[int] = None,
-        spill_budget: Optional[int] = None,
+        budget: Optional[int] = BUDGET,
+        spill_budget: Optional[int] = SPILL_BUDGET,
     ) -> int:
         """Insert ``blob`` under ``key``; returns evictions performed.
 

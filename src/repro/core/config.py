@@ -1,9 +1,10 @@
 """Per-session configuration: a pandas-style dotted-key option layer.
 
 Every :class:`~repro.core.session.Session` owns a :class:`SessionOptions`
-instance; nothing here is process-global except the *registry of known
-option keys* (defaults + docs + validators), which is immutable at
-runtime.  The public surface mirrors pandas:
+instance; nothing here is process-global except :data:`OPTION_TABLE`,
+the one immutable table of known option keys (default, check, doc line
+and whether the option changes what a plan computes).  The public
+surface mirrors pandas:
 
 - ``lfp.options.optimizer.predicate_pushdown`` -- attribute-style access
   to the *current* session's options,
@@ -11,9 +12,13 @@ runtime.  The public surface mirrors pandas:
 - ``lfp.option_context("optimizer.metadata", False)`` -- a nestable
   context manager restoring prior values on exit.
 
-Every registered key, with its default and doc line, is listed by
-:func:`describe_options` (``lfp.describe_options()``): the registrations
-below are the one table, and that listing is read off them.
+Every key, with its default and doc line, is listed by
+:func:`describe_options` (``lfp.describe_options()``), read off the
+table.  A setting that only one value is ever used for is a constant of
+the module that reads it, not an option: the range-read retry policy
+(``io/fs.py``), the result cache's byte budgets
+(``cache/result_cache.py``) and the worker start method
+(``graph/scheduler/process.py``, from ``LAFP_PROCESS_START_METHOD``).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+from types import MappingProxyType
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 
@@ -37,56 +43,218 @@ FOREIGN_OPTION_ROOTS = (
     "display", "mode", "compute", "io", "plotting", "styler", "future",
 )
 
+Check = Callable[[object], None]
+
 
 @dataclasses.dataclass(frozen=True)
 class OptionSpec:
-    """One registered option: its default, doc line and validator."""
+    """One row of the option table."""
 
     key: str
     default: object
-    doc: str = ""
-    validator: Optional[Callable[[object], None]] = None
+    check: Check
+    doc: str
     #: True when the option changes *what a plan computes* (not just
     #: how fast): semantic options join the result-cache key, so
     #: flipping one can never serve a stale cached result.
     semantic: bool = False
 
 
-_REGISTRY: Dict[str, OptionSpec] = {}
+def _check(expected: str, ok: Callable[[object], bool],
+           optional: bool = False) -> Check:
+    """A check raising :class:`OptionError` unless ``ok(value)`` (or,
+    when ``optional``, the value is None)."""
+    if optional:
+        expected = "None or " + expected
+
+    def check(value: object) -> None:
+        if not ((optional and value is None) or ok(value)):
+            raise OptionError(f"expected {expected}, got {value!r}")
+
+    return check
 
 
-def register_option(
-    key: str,
-    default: object,
-    doc: str = "",
-    validator: Optional[Callable[[object], None]] = None,
-    semantic: bool = False,
-) -> None:
-    """Add a key to the option registry (done once, at import time)."""
-    _REGISTRY[key] = OptionSpec(key=key, default=default, doc=doc,
-                                validator=validator, semantic=semantic)
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def semantic_option_keys() -> Tuple[str, ...]:
-    """Registered keys flagged ``semantic`` (sorted, stable)."""
-    return tuple(sorted(k for k, s in _REGISTRY.items() if s.semantic))
+def _is_str(value: object) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _is_positive_int(value: object) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _one_of(*choices: object) -> Check:
+    return _check(" or ".join(map(repr, choices)),
+                  lambda value: value in choices)
+
+
+_BOOL = _check("a bool", lambda value: isinstance(value, bool))
+_STR = _check("a non-empty string", _is_str)
+_OPTIONAL_STR = _check("a non-empty string", _is_str, optional=True)
+_POSITIVE_INT = _check("a positive int", _is_positive_int)
+_OPTIONAL_POSITIVE_INT = _check("a positive int", _is_positive_int,
+                                optional=True)
+_OPTIONAL_BYTES = _check("a non-negative byte count",
+                         lambda value: _is_int(value) and value >= 0,
+                         optional=True)
+_NON_NEGATIVE = _check(
+    "a non-negative number",
+    lambda value: (_is_int(value) or isinstance(value, float))
+    and value >= 0)
+
+
+#: Every option, once: ``key -> OptionSpec``.  Immutable at runtime.
+OPTION_TABLE: Mapping[str, OptionSpec] = MappingProxyType({
+    spec.key: spec for spec in (
+        OptionSpec(
+            "backend.engine", "dask", _STR,
+            "Execution engine resolved through the session's EngineRegistry "
+            "(section 2.6; 'pandas', 'dask', or 'modin' by default)."),
+        OptionSpec(
+            "optimizer.predicate_pushdown", True, _BOOL,
+            "Move filters toward sources past safe points (section 3.2)."),
+        OptionSpec(
+            "optimizer.common_subexpression", True, _BOOL,
+            "Merge structurally identical nodes before execution."),
+        OptionSpec(
+            "optimizer.projection_pushdown", True, _BOOL,
+            "Narrow scan leaves, and the inputs of row copies and merges, "
+            "to the columns the graph actually uses; a sort + head becomes "
+            "a top-n."),
+        OptionSpec(
+            "optimizer.metadata", True, _BOOL,
+            "Metastore-driven dtype hints and category encoding (section "
+            "3.6)."),
+        OptionSpec(
+            "optimizer.partition_pruning", True, _BOOL,
+            "Drop scan partitions whose statistics (hive key values, exact "
+            "per-partition min/max from the metastore) prove the pushed "
+            "predicate can never match."),
+        OptionSpec(
+            "optimizer.reuse", False, _BOOL,
+            "Serve subplans whose fingerprint hits the process-global "
+            "result cache as pre-materialized from_cached leaves, and "
+            "insert this run's cache-worthy results for later sessions. "
+            "Off by default: the cache is shared process state, so reuse "
+            "is an explicit opt-in per session."),
+        OptionSpec(
+            "optimizer.shuffle", True, _BOOL,
+            "Give the partition cut a size limit: optimizer."
+            "shuffle_threshold_bytes if set, else the memory.budget "
+            "headroom.  On pandas and Modin the scans over it that feed a "
+            "merge / groupby-agg are cut per partition and the wide op "
+            "lowered (shuffle_write / shuffle_read / partial_agg / "
+            "combine_agg); the Dask engine cuts every plan and sizes its "
+            "broadcasts and buckets by it."),
+        OptionSpec(
+            "optimizer.shuffle_partitions", None, _OPTIONAL_POSITIVE_INT,
+            "Bucket count P for lowered shuffles (None = one per piece, "
+            "and under a size limit at least enough that one bucket is "
+            "roughly a quarter of it by the scan byte estimates, clamped "
+            "to [2, 32])."),
+        OptionSpec(
+            "optimizer.shuffle_threshold_bytes", None, _OPTIONAL_BYTES,
+            "Estimated-bytes limit above which merge / groupby inputs are "
+            "shuffled and below which a merge side may be broadcast "
+            "(None = use the current memory.budget headroom)."),
+        OptionSpec(
+            "executor.cache", True, _BOOL,
+            "live_df-driven persistence of shared subexpressions (section "
+            "3.5)."),
+        OptionSpec(
+            "executor.strategy",
+            os.environ.get("LAFP_EXECUTOR_STRATEGY", "serial"), _STR,
+            "Scheduler strategy resolved through the session's "
+            "ExecutorRegistry ('serial', 'threaded', 'fused', 'process', or "
+            "'async'); the LAFP_EXECUTOR_STRATEGY env var sets the process "
+            "default (the CI parallel-path leg uses it)."),
+        OptionSpec(
+            "executor.max_workers", 4, _POSITIVE_INT,
+            "Worker-pool size of the threaded, process, and async scheduler "
+            "strategies.  It bounds unbudgeted runs only: under "
+            "memory.budget every strategy runs one task at a time, in the "
+            "static order."),
+        OptionSpec(
+            "executor.static_order", True, _BOOL,
+            "Run the memory-aware static ordering pass (a Sethi-Ullman-style "
+            "DFS over per-node byte estimates) before executing: the serial "
+            "and fused strategies follow it as their execution order, the "
+            "threaded/process/async heaps use it as the tie-break ahead of "
+            "the node id.  Purely an ordering choice among independent "
+            "nodes; results are unaffected."),
+        OptionSpec(
+            "memory.budget", None, _OPTIONAL_BYTES,
+            "Per-session simulated memory budget in bytes (None = "
+            "unbudgeted).  Each session's allocations count only against "
+            "its own budget."),
+        OptionSpec(
+            "memory.spill_dir", None, _OPTIONAL_STR,
+            "Directory shuffle buckets spill to when headroom runs out "
+            "(None = the system temp dir); each store gets its own "
+            "mkdtemp underneath, removed on close."),
+        OptionSpec(
+            "io.prefetch", True, _BOOL,
+            "Let parallel scheduler strategies prefetch the byte ranges a "
+            "plan's scans will read (sources that can enumerate them, i.e. "
+            "columnar) so remote latency overlaps compute.  Purely a "
+            "latency optimization; reads fall back to direct fetches on "
+            "any miss."),
+        OptionSpec(
+            "cache.min_cost", 0.01, _NON_NEGATIVE,
+            "Cache-worthiness floor in byte-seconds: a result is inserted "
+            "only when its actual wall time x serialized size meets this "
+            "(a 64 B scalar computed in microseconds never qualifies; any "
+            "real scan/join/aggregate does)."),
+        OptionSpec(
+            "workload.data_dir", None, _OPTIONAL_STR,
+            "Directory benchmark programs read datasets from (replaces the "
+            "LAFP_DATA_DIR env var so parallel grid cells cannot race)."),
+        OptionSpec(
+            "workload.result_dir", None, _OPTIONAL_STR,
+            "Directory benchmark programs write results to (replaces the "
+            "LAFP_RESULT_DIR env var so parallel grid cells cannot race)."),
+        OptionSpec(
+            "workload.source_format", None,
+            _one_of(None, "csv", "jsonl", "dataset", "columnar"),
+            "Physical source format benchmark programs read (the runner's "
+            "--source-format axis): the format of the scan leaf "
+            "pd.read_csv builds.  None/'csv' scans the CSV itself; "
+            "'jsonl'/'dataset'/'columnar' scans the sibling dataset "
+            "variant when it exists.",
+            # flipping the format changes which physical files a program's
+            # read_csv resolves to, so a cached result keyed under one
+            # format must never serve a session running under another.
+            semantic=True),
+        OptionSpec(
+            "analysis.level", "warn", _one_of("off", "warn", "strict"),
+            "Static plan analysis before execution: 'off' skips it, 'warn' "
+            "emits a PlanDiagnosticsWarning for error-severity diagnostics, "
+            "'strict' raises PlanValidationError before any partition is "
+            "read."),
+    )
+})
+
+#: the ``semantic`` keys, sorted: the result-cache key embeds them.
+SEMANTIC_KEYS = tuple(sorted(
+    key for key, spec in OPTION_TABLE.items() if spec.semantic))
 
 
 def semantic_signature(options: "SessionOptions") -> Tuple[Tuple[str, str], ...]:
     """The semantics-relevant slice of a session's options, in the
     canonical form the result-cache key embeds: sorted
     ``(key, repr(value))`` pairs over every ``semantic`` option."""
-    return tuple(
-        (key, repr(options.get(key))) for key in semantic_option_keys()
-    )
+    return tuple((key, repr(options.get(key))) for key in SEMANTIC_KEYS)
 
 
 def canonical_key(key: str) -> str:
-    """``key`` if it is a registered option, else :class:`OptionError`."""
-    if key in _REGISTRY:
+    """``key`` if it is a table row, else :class:`OptionError`."""
+    if key in OPTION_TABLE:
         return key
     raise OptionError(
-        f"unknown option {key!r}; known options: {sorted(_REGISTRY)}"
+        f"unknown option {key!r}; known options: {sorted(OPTION_TABLE)}"
     )
 
 
@@ -95,316 +263,32 @@ def is_foreign_option_key(key: str) -> bool:
 
     True for keys in a pandas namespace (``display.*`` etc.) and for
     bare dotless keys (pandas accepts shorthand like ``"max_columns"``)
-    that are not LaFP keys.  Unknown *dotted* keys
-    outside the pandas namespaces are never foreign -- a typo'd LaFP
-    key must error, not silently no-op.
+    that are not LaFP keys.  Unknown *dotted* keys outside the pandas
+    namespaces are never foreign -- a typo'd LaFP key must error, not
+    silently no-op.  Under a root both use (``io``), a key exactly as
+    deep as LaFP's own keys there is a mistyped LaFP key
+    (``io.prefech``); pandas' deeper keys (``io.parquet.engine``) stay
+    foreign.
     """
-    if key in _REGISTRY:
+    if key in OPTION_TABLE:
         return False
     root = key.split(".", 1)[0]
-    return root in FOREIGN_OPTION_ROOTS or "." not in key
+    if root not in FOREIGN_OPTION_ROOTS:
+        return "." not in key
+    return key.count(".") not in {
+        own.count(".") for own in OPTION_TABLE
+        if own.split(".", 1)[0] == root
+    }
 
 
 def describe_options() -> str:
     """Human-readable listing of every option, default, and doc line."""
     lines = []
-    for key in sorted(_REGISTRY):
-        spec = _REGISTRY[key]
+    for key in sorted(OPTION_TABLE):
+        spec = OPTION_TABLE[key]
         lines.append(f"{key} (default: {spec.default!r})")
-        if spec.doc:
-            lines.append(f"    {spec.doc}")
+        lines.append(f"    {spec.doc}")
     return "\n".join(lines)
-
-
-def _validate_bool(value: object) -> None:
-    if not isinstance(value, bool):
-        raise OptionError(f"expected a bool, got {value!r}")
-
-
-def _validate_str(value: object) -> None:
-    if not isinstance(value, str) or not value:
-        raise OptionError(f"expected a non-empty string, got {value!r}")
-
-
-register_option(
-    "backend.engine", "dask",
-    doc="Execution engine resolved through the session's EngineRegistry "
-        "(section 2.6; 'pandas', 'dask', or 'modin' by default).",
-    validator=_validate_str,
-)
-register_option(
-    "optimizer.predicate_pushdown", True,
-    doc="Move filters toward sources past safe points (section 3.2).",
-    validator=_validate_bool,
-)
-register_option(
-    "optimizer.common_subexpression", True,
-    doc="Merge structurally identical nodes before execution.",
-    validator=_validate_bool,
-)
-register_option(
-    "optimizer.projection_pushdown", True,
-    doc="Narrow scan leaves, and the inputs of row copies and merges, "
-        "to the columns the graph actually uses; a sort + head becomes "
-        "a top-n.",
-    validator=_validate_bool,
-)
-register_option(
-    "optimizer.metadata", True,
-    doc="Metastore-driven dtype hints and category encoding (section 3.6).",
-    validator=_validate_bool,
-)
-register_option(
-    "optimizer.partition_pruning", True,
-    doc="Drop scan partitions whose statistics (hive key values, exact "
-        "per-partition min/max from the metastore) prove the pushed "
-        "predicate can never match.",
-    validator=_validate_bool,
-)
-def _validate_positive_int(value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise OptionError(f"expected a positive int, got {value!r}")
-
-
-def _validate_optional_positive_int(value: object) -> None:
-    if value is None:
-        return
-    _validate_positive_int(value)
-
-
-def _validate_optional_bytes(value: object) -> None:
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise OptionError(
-            f"expected None or a non-negative byte count, got {value!r}"
-        )
-
-
-def _validate_optional_str(value: object) -> None:
-    if value is not None and (not isinstance(value, str) or not value):
-        raise OptionError(f"expected None or a non-empty string, got {value!r}")
-
-
-register_option(
-    "executor.cache", True,
-    doc="live_df-driven persistence of shared subexpressions (section 3.5).",
-    validator=_validate_bool,
-)
-register_option(
-    "executor.strategy", os.environ.get("LAFP_EXECUTOR_STRATEGY", "serial"),
-    doc="Scheduler strategy resolved through the session's "
-        "ExecutorRegistry ('serial', 'threaded', 'fused', 'process', or "
-        "'async'); the LAFP_EXECUTOR_STRATEGY env var sets the process "
-        "default (the CI parallel-path leg uses it).",
-    validator=_validate_str,
-)
-def _validate_max_workers(value: object) -> None:
-    if value == "auto":
-        return
-    _validate_positive_int(value)
-
-
-register_option(
-    "executor.max_workers", 4,
-    doc="Worker-pool size of the threaded, process, and async scheduler "
-        "strategies ('auto': the CPU count, capped at 8).  It bounds "
-        "unbudgeted runs only: under memory.budget every strategy runs "
-        "one task at a time, in the static order.",
-    validator=_validate_max_workers,
-)
-register_option(
-    "executor.static_order", True,
-    doc="Run the memory-aware static ordering pass (a Sethi-Ullman-style "
-        "DFS over per-node byte estimates) before executing: the serial "
-        "and fused strategies follow it as their execution order, the "
-        "threaded/process/async heaps use it as the tie-break ahead of "
-        "the node id.  Purely an ordering choice among independent "
-        "nodes; results are unaffected.",
-    validator=_validate_bool,
-)
-
-
-def _validate_non_negative_int(value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise OptionError(f"expected a non-negative int, got {value!r}")
-
-
-def _validate_start_method(value: object) -> None:
-    if value is not None and value not in ("fork", "spawn", "forkserver"):
-        raise OptionError(
-            f"expected None, 'fork', 'spawn' or 'forkserver', got {value!r}"
-        )
-
-
-register_option(
-    "executor.process_start_method",
-    os.environ.get("LAFP_PROCESS_START_METHOD") or None,
-    doc="multiprocessing start method of the process strategy's worker "
-        "pool (None = 'fork' where available, else the platform "
-        "default).  'spawn'/'forkserver' workers import the package "
-        "fresh; 'fork' inherits the parent and is much faster to start. "
-        "The LAFP_PROCESS_START_METHOD env var sets the process default "
-        "(the CI spawn leg uses it).",
-    validator=_validate_start_method,
-)
-register_option(
-    "memory.budget", None,
-    doc="Per-session simulated memory budget in bytes (None = unbudgeted). "
-        "Each session's allocations count only against its own budget.",
-    validator=_validate_optional_bytes,
-)
-register_option(
-    "memory.spill_dir", None,
-    doc="Directory shuffle buckets spill to when headroom runs out "
-        "(None = the system temp dir); each store gets its own "
-        "mkdtemp underneath, removed on close.",
-    validator=_validate_optional_str,
-)
-register_option(
-    "optimizer.shuffle", True,
-    doc="Give the partition cut a size limit: optimizer."
-        "shuffle_threshold_bytes if set, else the memory.budget "
-        "headroom.  On pandas and Modin the scans over it that feed a "
-        "merge / groupby-agg are cut per partition and the wide op "
-        "lowered (shuffle_write / shuffle_read / partial_agg / "
-        "combine_agg); the Dask engine cuts every plan and sizes its "
-        "broadcasts and buckets by it.",
-    validator=_validate_bool,
-)
-register_option(
-    "optimizer.shuffle_partitions", None,
-    doc="Bucket count P for lowered shuffles (None = one per piece, "
-        "and under a size limit at least enough that one bucket is "
-        "roughly a quarter of it by the scan byte estimates, clamped "
-        "to [2, 32]).",
-    validator=_validate_optional_positive_int,
-)
-register_option(
-    "optimizer.shuffle_threshold_bytes", None,
-    doc="Estimated-bytes limit above which merge / groupby inputs are "
-        "shuffled and below which a merge side may be broadcast "
-        "(None = use the current memory.budget headroom).",
-    validator=_validate_optional_bytes,
-)
-register_option(
-    "workload.data_dir", None,
-    doc="Directory benchmark programs read datasets from (replaces the "
-        "LAFP_DATA_DIR env var so parallel grid cells cannot race).",
-    validator=_validate_optional_str,
-)
-register_option(
-    "workload.result_dir", None,
-    doc="Directory benchmark programs write results to (replaces the "
-        "LAFP_RESULT_DIR env var so parallel grid cells cannot race).",
-    validator=_validate_optional_str,
-)
-
-
-def _validate_source_format(value: object) -> None:
-    if value is None:
-        return
-    if value not in ("csv", "jsonl", "dataset", "columnar"):
-        raise OptionError(
-            f"expected None, 'csv', 'jsonl', 'dataset' or 'columnar', "
-            f"got {value!r}"
-        )
-
-
-register_option(
-    "workload.source_format", None,
-    doc="Physical source format benchmark programs read (the runner's "
-        "--source-format axis): the format of the scan leaf "
-        "pd.read_csv builds.  None/'csv' scans the CSV itself; "
-        "'jsonl'/'dataset'/'columnar' scans the sibling dataset "
-        "variant when it exists.",
-    validator=_validate_source_format,
-    # flipping the format changes which physical files a program's
-    # read_csv resolves to, so a cached result keyed under one format
-    # must never serve a session running under another.
-    semantic=True,
-)
-
-
-def _validate_analysis_level(value: object) -> None:
-    if value not in ("off", "warn", "strict"):
-        raise OptionError(
-            f"expected 'off', 'warn' or 'strict', got {value!r}"
-        )
-
-
-register_option(
-    "analysis.level", "warn",
-    doc="Static plan analysis before execution: 'off' skips it, 'warn' "
-        "emits a PlanDiagnosticsWarning for error-severity diagnostics, "
-        "'strict' raises PlanValidationError before any partition is "
-        "read.",
-    validator=_validate_analysis_level,
-)
-
-
-def _validate_non_negative_float(value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or value < 0:
-        raise OptionError(
-            f"expected a non-negative number, got {value!r}"
-        )
-
-
-register_option(
-    "io.retries", 2,
-    doc="How many times a transient range-read failure (the object "
-        "store's dropped-connection analogue) is retried with "
-        "exponential backoff before surfacing as ExecutionError.",
-    validator=_validate_non_negative_int,
-)
-register_option(
-    "io.retry_backoff", 0.005,
-    doc="Base backoff in seconds between range-read retries (doubles "
-        "per attempt).",
-    validator=_validate_non_negative_float,
-)
-register_option(
-    "io.prefetch", True,
-    doc="Let parallel scheduler strategies prefetch the byte ranges a "
-        "plan's scans will read (sources that can enumerate them, i.e. "
-        "columnar) so remote latency overlaps compute.  Purely a "
-        "latency optimization; reads fall back to direct fetches on "
-        "any miss.",
-    validator=_validate_bool,
-)
-register_option(
-    "optimizer.reuse", False,
-    doc="Serve subplans whose fingerprint hits the process-global "
-        "result cache as pre-materialized from_cached leaves, and "
-        "insert this run's cache-worthy results for later sessions. "
-        "Off by default: the cache is shared process state, so reuse "
-        "is an explicit opt-in per session.",
-    validator=_validate_bool,
-)
-register_option(
-    "cache.budget", 64 * 1024 * 1024,
-    doc="In-memory byte budget of the process-global result cache "
-        "(None = unbounded).  Admission demotes least-recently-used "
-        "entries to the disk tier first, so the cache's resident bytes "
-        "never overshoot this ceiling.",
-    validator=_validate_optional_bytes,
-)
-register_option(
-    "cache.spill_budget", 256 * 1024 * 1024,
-    doc="Disk-tier byte budget of the result cache (None = unbounded). "
-        "Beyond it, least-recently-used demoted entries are evicted "
-        "and their files deleted immediately.",
-    validator=_validate_optional_bytes,
-)
-register_option(
-    "cache.min_cost", 0.01,
-    doc="Cache-worthiness floor in byte-seconds: a result is inserted "
-        "only when its actual wall time x serialized size meets this "
-        "(a 64 B scalar computed in microseconds never qualifies; any "
-        "real scan/join/aggregate does).",
-    validator=_validate_non_negative_float,
-)
 
 
 def iter_option_pairs(args: tuple) -> Iterator[Tuple[str, object]]:
@@ -439,18 +323,16 @@ class SessionOptions:
         key = canonical_key(key)
         if key in self._values:
             return self._values[key]
-        return _REGISTRY[key].default
+        return OPTION_TABLE[key].default
 
     def set(self, key: str, value: object) -> None:
         key = canonical_key(key)
-        spec = _REGISTRY[key]
-        if spec.validator is not None:
-            spec.validator(value)
+        OPTION_TABLE[key].check(value)
         self._values[key] = value
 
     def to_dict(self) -> Dict[str, object]:
-        """Every registered key with its effective value."""
-        return {key: self.get(key) for key in sorted(_REGISTRY)}
+        """Every key of the table with its effective value."""
+        return {key: self.get(key) for key in sorted(OPTION_TABLE)}
 
     @contextlib.contextmanager
     def context(self, *args):
@@ -520,16 +402,16 @@ class OptionsNamespace:
         if name.startswith("_"):
             raise AttributeError(name)
         full = self._prefix + name
-        if full in _REGISTRY:
+        if full in OPTION_TABLE:
             return _current_options().get(full)
         nested = full + "."
-        if any(key.startswith(nested) for key in _REGISTRY):
+        if any(key.startswith(nested) for key in OPTION_TABLE):
             return OptionsNamespace(nested)
         if not self._prefix and name in FOREIGN_OPTION_ROOTS:
             return _ForeignOptionsNamespace()
         raise AttributeError(
             f"no option or option group {full!r}; "
-            f"known options: {sorted(_REGISTRY)}"
+            f"known options: {sorted(OPTION_TABLE)}"
         )
 
     def __setattr__(self, name: str, value) -> None:
@@ -537,14 +419,14 @@ class OptionsNamespace:
 
     def __dir__(self):
         names = set()
-        for key in _REGISTRY:
+        for key in OPTION_TABLE:
             if key.startswith(self._prefix):
                 names.add(key[len(self._prefix):].split(".", 1)[0])
         return sorted(names)
 
     def __repr__(self) -> str:
         values = {key: _current_options().get(key)
-                  for key in sorted(_REGISTRY)
+                  for key in sorted(OPTION_TABLE)
                   if key.startswith(self._prefix)}
         return f"options[{self._prefix or '*'}] -> {values!r}"
 

@@ -58,14 +58,10 @@ class CacheRunState:
         self,
         backend: str,
         signature,
-        budget: Optional[int],
-        spill_budget: Optional[int],
         min_cost: float,
     ) -> None:
         self.backend = backend
         self.signature = signature
-        self.budget = budget
-        self.spill_budget = spill_budget
         self.min_cost = min_cost
         #: raw-graph fingerprint key per eligible node id (cache misses
         #: the insertion seam may fill after execution)
@@ -99,10 +95,7 @@ class CacheRunState:
             self._offered.add(node.id)
         if wall_seconds * len(blob) < self.min_cost:
             return False
-        evicted = result_cache().put(
-            key, blob, kind,
-            budget=self.budget, spill_budget=self.spill_budget,
-        )
+        evicted = result_cache().put(key, blob, kind)
         count(cache_inserted=1, cache_evictions=evicted)
         return True
 
@@ -136,8 +129,6 @@ def substitute_cached_subplans(
     state = CacheRunState(
         backend=session.engine.name,
         signature=semantic_signature(opts),
-        budget=opts.get("cache.budget"),
-        spill_budget=opts.get("cache.spill_budget"),
         min_cost=float(opts.get("cache.min_cost")),
     )
     cache = result_cache()
@@ -157,7 +148,7 @@ def substitute_cached_subplans(
                 fp = None
             if fp is not None:
                 key: CacheKey = (fp, state.backend, state.signature)
-                hit = cache.get(key, budget=state.budget)
+                hit = cache.get(key)
                 if hit is not None:
                     blob, kind = hit
                     count(cache_hits=1, cache_bytes_reused=len(blob))

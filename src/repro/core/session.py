@@ -57,12 +57,6 @@ from repro.graph.scheduler import (
 from repro.memory.manager import MemoryManager
 
 
-def _auto_worker_cap() -> int:
-    """Pool size for ``executor.max_workers="auto"``: the CPU count,
-    capped at 8."""
-    return max(1, min(8, os.cpu_count() or 4))
-
-
 def _shutdown_pool(pool, wait: bool = True) -> None:
     """Best-effort pool shutdown (module-level so a session finalizer
     never keeps the session alive through its own cell)."""
@@ -195,10 +189,7 @@ class Session:
         )
 
     def _max_workers(self) -> int:
-        """``executor.max_workers``, with ``"auto"`` resolved to the CPU
-        cap."""
-        raw = self.options.get("executor.max_workers")
-        return _auto_worker_cap() if raw == "auto" else int(raw)
+        return int(self.options.get("executor.max_workers"))
 
     def process_pool(self, workers: Optional[int] = None):
         """The session's shared process-strategy worker pool.
@@ -212,13 +203,12 @@ class Session:
         from repro.graph.scheduler.process import create_worker_pool
 
         workers = self._max_workers() if workers is None else int(workers)
-        start_method = self.options.get("executor.process_start_method")
-        key = (workers, start_method, self.backend_name.lower())
+        key = (workers, self.backend_name.lower())
         if self._process_pool is not None and self._process_pool_key != key:
             self.close_pool()
         if self._process_pool is None:
             self._process_pool = create_worker_pool(
-                workers, start_method, self.engine.spec.factory
+                workers, self.engine.spec.factory
             )
             self._process_pool_key = key
             # wait=False: the collector runs this at whatever allocation

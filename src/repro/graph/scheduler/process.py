@@ -44,10 +44,13 @@ seam* of :meth:`Scheduler._drive_pool` -- what ships and how it lands,
 the retry, and the pool's lifecycle -- and nothing else.
 
 Workers are started through the session's cached pool
-(:meth:`~repro.core.session.Session.process_pool`; ``fork`` where
-available -- ``executor.process_start_method`` overrides) and
-initialized by :func:`_pool_worker_init`: forked children inherit the
-parent's session stack, simulated budget, and live spill-store
+(:meth:`~repro.core.session.Session.process_pool`), or a sessionless
+scheduler's private one, both with :data:`START_METHOD`: the
+``LAFP_PROCESS_START_METHOD`` env var, read once at import (the CI
+spawn leg sets ``spawn``), else ``fork`` where available (workers start
+in milliseconds and inherit loaded modules), else the platform default.
+They are initialized by :func:`_pool_worker_init`: forked children
+inherit the parent's session stack, simulated budget, and live spill-store
 finalizers, none of which belong to them (the ``os.register_at_fork``
 hooks in ``repro.core.session`` and ``repro.io.spill`` clear the
 dangerous parts for *any* fork; the initializer resets the rest).
@@ -55,6 +58,8 @@ dangerous parts for *any* fork; the initializer resets the rest).
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
 import time
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -75,6 +80,12 @@ _INLINE_OPS = frozenset({"shuffle_write", "shuffle_read"})
 #: is re-run before ExecutionError; shipped tasks are pure, so re-running
 #: is always safe.
 PROCESS_RETRIES = 1
+
+#: multiprocessing start method of every worker pool (see the module
+#: docstring); None is the platform default.
+START_METHOD = os.environ.get("LAFP_PROCESS_START_METHOD") or (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
 
 
 def _runs_inline(node: Node) -> bool:
@@ -170,28 +181,18 @@ def _run_task(payload: bytes) -> Tuple[
     return blob, counts, step_bytes
 
 
-def create_worker_pool(max_workers: int, start_method: Optional[str],
+def create_worker_pool(max_workers: int,
                        backend_factory: Callable[[], Any]):
-    """A ``ProcessPoolExecutor`` whose workers run LaFP tasks.
-
-    ``start_method=None`` picks ``fork`` where the platform has it
-    (workers start in milliseconds and inherit loaded modules), else
-    the platform default.  Sessions cache the pool across collects --
-    see :meth:`repro.core.session.Session.process_pool`.
+    """A ``ProcessPoolExecutor`` whose workers, started with
+    :data:`START_METHOD`, run LaFP tasks.  Sessions cache the pool
+    across collects -- see :meth:`repro.core.session.Session.
+    process_pool`.
     """
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else None
-    context = (
-        multiprocessing.get_context(start_method)
-        if start_method is not None else None
-    )
     return ProcessPoolExecutor(
         max_workers=max(1, int(max_workers)),
-        mp_context=context,
+        mp_context=multiprocessing.get_context(START_METHOD),
         initializer=_pool_worker_init,
         initargs=(backend_factory,),
     )
@@ -220,7 +221,7 @@ class ProcessScheduler(Scheduler):
 
             name = getattr(self.backend, "name", "pandas")
             self._private_pool = create_worker_pool(
-                self.max_workers, None, DEFAULT_REGISTRY.spec(name).factory)
+                self.max_workers, DEFAULT_REGISTRY.spec(name).factory)
         return self._private_pool
 
     def _discard_pool(self, pool) -> None:

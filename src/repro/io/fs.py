@@ -303,18 +303,12 @@ def decompress_chunk(data: bytes, codec: Optional[str]) -> bytes:
     return _CODECS[str(codec or "none").lower()][1](data)
 
 
-def _retry_policy() -> Tuple[int, float]:
-    """(retries, backoff seconds) from the active session's options."""
-    from repro.core.session import current_session
-
-    try:
-        session = current_session()
-        return (
-            int(session.get_option("io.retries")),
-            float(session.get_option("io.retry_backoff")),
-        )
-    except Exception:
-        return 2, 0.005
+#: how many times a transient range-read failure (the object store's
+#: dropped-connection analogue) is retried before surfacing as
+#: ExecutionError, and the base backoff in seconds between retries
+#: (doubled per attempt).
+RETRIES = 2
+RETRY_BACKOFF = 0.005
 
 
 def read_range_with_retry(
@@ -322,13 +316,11 @@ def read_range_with_retry(
     url: str,
     start: int,
     end: int,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
     counters: Optional[ExecutionStats] = None,
 ) -> bytes:
     """One range read with bounded retry-with-backoff.
 
-    :class:`TransientIOError` is retried up to ``io.retries`` times with
+    :class:`TransientIOError` is retried up to :data:`RETRIES` times with
     exponential backoff; exhaustion surfaces as the scheduler's
     :class:`~repro.graph.scheduler.base.ExecutionError` (infrastructure
     failure, not a plan bug).  Successful reads count ``bytes_read``
@@ -336,20 +328,16 @@ def read_range_with_retry(
     (a prefetch thread's explicit sink), else into the run bound on the
     calling thread.
     """
-    if retries is None or backoff is None:
-        opt_retries, opt_backoff = _retry_policy()
-        retries = opt_retries if retries is None else retries
-        backoff = opt_backoff if backoff is None else backoff
     add = counters.add if counters is not None else count
     last_error: Optional[Exception] = None
-    for attempt in range(int(retries) + 1):
+    for attempt in range(RETRIES + 1):
         try:
             data = fs.read_range(url, start, end)
         except TransientIOError as exc:
             last_error = exc
-            if attempt < retries:
+            if attempt < RETRIES:
                 add(io_retries=1)
-                time.sleep(backoff * (2 ** attempt))
+                time.sleep(RETRY_BACKOFF * (2 ** attempt))
             continue
         add(bytes_read=len(data))
         return data
@@ -357,5 +345,5 @@ def read_range_with_retry(
 
     raise ExecutionError(
         f"range read {url!r} [{start}, {end}) failed after "
-        f"{int(retries) + 1} attempts: {last_error}"
+        f"{RETRIES + 1} attempts: {last_error}"
     ) from last_error

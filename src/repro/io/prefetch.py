@@ -78,9 +78,7 @@ class RangeCache:
 
     def submit(self, url: str, start: int, end: int,
                counters: ExecutionStats, manager=None,
-               budget: Optional[int] = None,
-               retries: Optional[int] = None,
-               backoff: Optional[float] = None) -> bool:
+               budget: Optional[int] = None) -> bool:
         """Schedule one range fetch, counted into ``counters`` (the
         issuing run's record); False when already cached/in-flight."""
         key = (url, int(start), int(end))
@@ -92,17 +90,15 @@ class RangeCache:
         counters.add(ranges_prefetched=1)
         _fetch_pool().submit(
             self._fetch, key, entry, counters, manager, budget,
-            retries, backoff,
         )
         return True
 
     def _fetch(self, key, entry: _Entry, counters: ExecutionStats,
-               manager, budget, retries, backoff) -> None:
+               manager, budget) -> None:
         url, start, end = key
         try:
             data = read_range_with_retry(
-                resolve_filesystem(url), url, start, end,
-                retries=retries, backoff=backoff, counters=counters,
+                resolve_filesystem(url), url, start, end, counters=counters,
             )
         except Exception as exc:  # surfaced to the consumer
             with self._lock:
@@ -250,10 +246,8 @@ def prefetch_scan_node(node, session,
         )
     except Exception:
         return set()  # prefetch is an optimization: never fail the plan
-    retries = int(session.get_option("io.retries"))
-    backoff = float(session.get_option("io.retry_backoff"))
     manager = session.memory
     for url, start, end in ranges:
         _CACHE.submit(url, start, end, counters, manager=manager,
-                      budget=PREFETCH_BUDGET, retries=retries, backoff=backoff)
+                      budget=PREFETCH_BUDGET)
     return {url for url, _, _ in ranges}

@@ -17,6 +17,7 @@ from repro.core.session import Session
 from repro.frame import DataFrame
 from repro.graph.scheduler.base import ExecutionError
 from repro.graph.scheduler.stats import ExecutionStats
+from repro.io import fs
 from repro.io.fs import (
     InMemoryObjectStore,
     LocalFilesystem,
@@ -42,6 +43,15 @@ def _clean_io_state():
     yield
     memory_store().reset()
     range_cache().clear()
+
+
+@pytest.fixture
+def retries(monkeypatch):
+    """Set the range-read retry count for one test, with no backoff."""
+    def set_retries(count: int = fs.RETRIES) -> None:
+        monkeypatch.setattr(fs, "RETRIES", count)
+        monkeypatch.setattr(fs, "RETRY_BACKOFF", 0.0)
+    return set_retries
 
 
 def _record() -> ExecutionStats:
@@ -149,7 +159,8 @@ class TestCodecs:
 
 
 class TestRetry:
-    def test_transient_failures_absorbed_within_budget(self):
+    def test_transient_failures_absorbed_within_budget(self, retries):
+        retries(2)
         store = memory_store()
         with store.open_output("memory://b/k") as out:
             out.write(b"0123456789")
@@ -157,13 +168,13 @@ class TestRetry:
         counters = _record()
         for _ in range(2):  # the second read hits the injected failure
             data = read_range_with_retry(store, "memory://b/k", 0, 10,
-                                         retries=2, backoff=0.0,
                                          counters=counters)
             assert data == b"0123456789"
         assert counters.bytes_read == 20
         assert counters.io_retries >= 1
 
-    def test_exhaustion_raises_execution_error(self):
+    def test_exhaustion_raises_execution_error(self, retries):
+        retries(2)
         store = memory_store()
         with store.open_output("memory://b/k") as out:
             out.write(b"0123456789")
@@ -171,17 +182,17 @@ class TestRetry:
         counters = _record()
         with pytest.raises(ExecutionError, match="after 3 attempts"):
             read_range_with_retry(store, "memory://b/k", 0, 10,
-                                  retries=2, backoff=0.0, counters=counters)
+                                  counters=counters)
         assert counters.io_retries == 2  # retries, not attempts
         assert counters.bytes_read == 0
 
-    def test_policy_comes_from_session_options(self):
+    def test_policy_comes_from_the_module_constants(self, retries):
+        retries(0)
         store = memory_store()
         with store.open_output("memory://b/k") as out:
             out.write(b"abc")
         store.fail_every = 1
-        with Session(backend="pandas",
-                     options={"io.retries": 0, "io.retry_backoff": 0.0}):
+        with Session(backend="pandas"):
             with pytest.raises(ExecutionError, match="after 1 attempts"):
                 read_range_with_retry(store, "memory://b/k", 0, 3)
 
@@ -242,6 +253,10 @@ class TestRunRecord:
 
 
 class TestPrefetchCache:
+    @pytest.fixture(autouse=True)
+    def _no_retries(self, retries):
+        retries(0)
+
     def _put(self, key: str, payload: bytes) -> str:
         url = f"memory://b/{key}"
         with memory_store().open_output(url) as out:
@@ -252,7 +267,7 @@ class TestPrefetchCache:
         url = self._put("k", b"0123456789")
         counters = _record()
         cache = range_cache()
-        cache.submit(url, 2, 8, counters=counters, retries=0, backoff=0.0)
+        cache.submit(url, 2, 8, counters=counters)
         with counters.bound():
             data = fetch_range(url, 2, 8)
         assert data == b"234567"
@@ -264,7 +279,7 @@ class TestPrefetchCache:
         url = self._put("k", b"0123456789")
         counters = _record()
         cache = range_cache()
-        cache.submit(url, 0, 4, counters=counters, retries=0, backoff=0.0)
+        cache.submit(url, 0, 4, counters=counters)
         with counters.bound():
             fetch_range(url, 0, 4)
             before = memory_store().range_reads
@@ -277,8 +292,7 @@ class TestPrefetchCache:
         counters = _record()
         cache = range_cache()
         for i in range(5):
-            cache.submit(url, i * 10, i * 10 + 10, counters=counters,
-                         retries=0, backoff=0.0)
+            cache.submit(url, i * 10, i * 10 + 10, counters=counters)
         cache.purge_url(url)
         assert cache.pending_count() == 0
 
@@ -287,8 +301,7 @@ class TestPrefetchCache:
         cache = range_cache()
         urls = [self._put(f"k{i}", bytes(64)) for i in range(8)]
         for url in urls:
-            cache.submit(url, 0, 64, counters=counters, retries=0,
-                         backoff=0.0, budget=128)
+            cache.submit(url, 0, 64, counters=counters, budget=128)
         # drain workers deterministically: consuming forces completion
         held = sum(1 for url in urls if fetch_range(url, 0, 64))
         assert held == 8  # every consume still yields correct bytes
@@ -299,7 +312,7 @@ class TestPrefetchCache:
         memory_store().fail_every = 1
         counters = _record()
         cache = range_cache()
-        cache.submit(url, 0, 10, counters=counters, retries=0, backoff=0.0)
+        cache.submit(url, 0, 10, counters=counters)
         with pytest.raises(ExecutionError):
             cache.consume(url, 0, 10)
 
@@ -319,15 +332,15 @@ class TestFaultInjectionThroughScheduler:
         return url
 
     @pytest.mark.parametrize("strategy", ["serial", "threaded"])
-    def test_flaky_store_succeeds_within_retry_budget(self, strategy):
+    def test_flaky_store_succeeds_within_retry_budget(self, strategy,
+                                                      retries):
         import repro.lazyfatpandas.pandas as lfp
 
+        retries(8)
         url = self._columnar_url()
         memory_store().fail_every = 2  # every other read fails
         with Session(backend="pandas",
-                     options={"executor.strategy": strategy,
-                              "io.retries": 8,
-                              "io.retry_backoff": 0.0}) as session:
+                     options={"executor.strategy": strategy}) as session:
             lf = lfp.scan_columnar(url)
             out = lf[lf["a"] >= 390][["a"]].collect()
             retried = session.last_execution_stats.io_retries
@@ -335,14 +348,13 @@ class TestFaultInjectionThroughScheduler:
         assert retried >= 1
         assert range_cache().pending_count() == 0
 
-    def test_failures_beyond_budget_surface_cleanly(self):
+    def test_failures_beyond_budget_surface_cleanly(self, retries):
         import repro.lazyfatpandas.pandas as lfp
 
+        retries(1)
         url = self._columnar_url()
         memory_store().fail_every = 1  # nothing ever succeeds
-        with Session(backend="pandas",
-                     options={"io.retries": 1,
-                              "io.retry_backoff": 0.0}) as session:
+        with Session(backend="pandas") as session:
             live_before = session.memory.live
             lf = lfp.scan_columnar(url)
             with pytest.raises(Exception) as excinfo:
@@ -353,13 +365,13 @@ class TestFaultInjectionThroughScheduler:
             assert session.memory.live == live_before  # no leaked buffers
         assert range_cache().pending_count() == 0
 
-    def test_threaded_failure_leaves_no_pending_prefetches(self):
+    def test_threaded_failure_leaves_no_pending_prefetches(self, retries):
         import repro.lazyfatpandas.pandas as lfp
 
+        retries()
         url = self._columnar_url()
         with Session(backend="pandas",
-                     options={"executor.strategy": "threaded",
-                              "io.retry_backoff": 0.0}) as session:
+                     options={"executor.strategy": "threaded"}) as session:
             lf = lfp.scan_columnar(url)
             lf[["s"]].collect()  # warm run, prefetch issued and consumed
             live_before = session.memory.live

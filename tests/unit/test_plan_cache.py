@@ -660,37 +660,6 @@ class TestInvalidation:
         assert flipped.cache_hits >= 1
 
 
-class TestAutoWorkers:
-    def test_unbudgeted_resolves_to_cpu_cap(self):
-        # a budget no longer sizes the pool: one task runs at a time
-        for budget in (None, 30_000):
-            with Session(backend="pandas", options={
-                "executor.strategy": "threaded",
-                "executor.max_workers": "auto",
-                "memory.budget": budget,
-            }) as s:
-                resolved = s.scheduler().max_workers
-            assert resolved == max(1, min(8, os.cpu_count() or 4))
-
-    def test_auto_option_threads_through_session(self, make_csv):
-        path = make_csv({"x": list(range(50)), "y": list(range(50))})
-        with Session(backend="pandas", options={
-            "executor.strategy": "threaded",
-            "executor.max_workers": "auto",
-        }) as s:
-            _collect_sum(path)
-            stats = s.last_execution_stats
-        cap = max(1, min(8, os.cpu_count() or 4))
-        assert 1 <= stats.max_workers <= cap
-
-    def test_auto_rejected_values(self):
-        from repro.core.config import OptionError
-
-        with pytest.raises(OptionError):
-            Session(backend="pandas",
-                    options={"executor.max_workers": "many"})
-
-
 @pytest.mark.deadline(60)
 class TestProcessStrategyCache:
     """Reuse under the process strategy (the CI spawn leg runs this

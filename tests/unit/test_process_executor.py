@@ -17,6 +17,8 @@ import gc
 import os
 import pickle
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -358,7 +360,7 @@ class TestPoolLifecycle:
         """The worker entry point itself: steps replay against the
         worker's backend and the final result pickles back, beside the
         worker's account of the work (counters, bytes per step)."""
-        pool = create_worker_pool(1, None, PandasBackend)
+        pool = create_worker_pool(1, PandasBackend)
         try:
             steps = [
                 ("from_data", {"data": {"x": [2, 3]}}, []),
@@ -373,6 +375,34 @@ class TestPoolLifecycle:
             assert len(step_bytes) == 3 and step_bytes[0][0] > 0
         finally:
             pool.shutdown()
+
+    def test_start_method_env_var_reaches_every_pool(self):
+        """``LAFP_PROCESS_START_METHOD=spawn`` (the CI spawn leg's
+        switch) makes the session's pool and a sessionless scheduler's
+        private pool both spawn workers -- the leg cannot silently fall
+        back to fork.  No task is submitted, so no worker starts."""
+        snippet = (
+            "from repro.core.session import Session\n"
+            "from repro.graph.scheduler import ProcessScheduler, process\n"
+            "from repro.backends import PandasBackend\n"
+            "pools = [Session(backend='pandas').process_pool(1),\n"
+            "         ProcessScheduler(PandasBackend(), max_workers=1)._pool()]\n"
+            "print(process.START_METHOD,\n"
+            "      *(pool._mp_context.get_start_method() for pool in pools))\n"
+            "for pool in pools:\n"
+            "    pool.shutdown()\n"
+        )
+        env = dict(os.environ, LAFP_PROCESS_START_METHOD="spawn")
+        env["PYTHONPATH"] = (
+            "src" + os.pathsep + env.get("PYTHONPATH", "")
+        ).rstrip(os.pathsep)
+        out = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__)))),
+        )
+        assert out.stdout.split() == ["spawn"] * 3
 
 
 # ---------------------------------------------------------------------------

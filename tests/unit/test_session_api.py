@@ -6,14 +6,17 @@ backends at once), ``collect()`` / ``persist()``, and the deprecation
 shims for the retired process-global API.
 """
 
+import ast
+import importlib.util
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.lazyfatpandas.pandas as lfp
 from repro.backends.engine import DEFAULT_REGISTRY, EngineRegistry, EngineSpec
-from repro.core.config import OptionError, SessionOptions
+from repro.core.config import OPTION_TABLE, OptionError, SessionOptions
 from repro.core.session import (
     Session,
     current_session,
@@ -221,18 +224,61 @@ class TestOptions:
         assert session.get_option("executor.cache") is True
 
     def test_describe_options_is_the_option_table(self):
-        """The registrations are the one table: every registered key is
-        listed with its default (the hand-kept docstring copy had lost
-        the ``io.*`` options)."""
+        """Every key of the option table is listed with its default (the
+        hand-kept docstring copy had lost the ``io.*`` options)."""
         defaults = SessionOptions().to_dict()
-        assert {"io.prefetch", "io.retries",
-                "io.retry_backoff"} <= set(defaults)
+        assert "io.prefetch" in defaults
         text = lfp.describe_options()
         for key, default in defaults.items():
             assert f"{key} (default: {default!r})" in text
         headings = [line for line in text.splitlines()
                     if not line.startswith(" ")]
         assert len(headings) == len(defaults)
+
+    @pytest.mark.parametrize("call", ["set", "get", "context"])
+    @pytest.mark.parametrize("key", ["io.prefech", "io.retires"])
+    def test_mistyped_io_key_raises(self, call, key):
+        """``io`` is a pandas namespace and LaFP's own: a key as deep as
+        LaFP's ``io.*`` keys is a mistyped LaFP key, not a pandas no-op."""
+        with pytest.raises(OptionError):
+            if call == "set":
+                lfp.set_option(key, False)
+            elif call == "get":
+                lfp.get_option(key)
+            else:
+                lfp.option_context(key, False)
+        assert lfp.get_option("io.prefetch") is True
+
+    @pytest.mark.parametrize("key", [
+        "io.parquet.engine", "io.hdf.default_format", "io.excel.xlsx.writer",
+    ])
+    def test_deeper_pandas_io_keys_stay_tolerated(self, key):
+        with pytest.warns(UserWarning, match="ignoring pandas-compat"):
+            lfp.set_option(key, "auto")
+        assert lfp.get_option(key) is None
+
+    @pytest.mark.parametrize("key, value", [
+        ("io.retries", 2),
+        ("io.retry_backoff", 0.005),
+        ("cache.budget", 64 << 20),
+        ("cache.spill_budget", 256 << 20),
+        ("executor.process_start_method", "spawn"),
+        ("executor.max_workers", "auto"),
+    ])
+    def test_removed_options_are_rejected(self, key, value):
+        """Settings only one value was ever used for are constants of
+        the module that reads them, not options."""
+        with pytest.raises(OptionError):
+            Session(options={key: value})
+
+    @pytest.mark.parametrize("spec", list(OPTION_TABLE.values()),
+                             ids=lambda spec: spec.key)
+    def test_every_default_passes_its_own_check(self, spec):
+        spec.check(spec.default)
+
+    def test_the_table_is_immutable(self):
+        with pytest.raises(TypeError):
+            OPTION_TABLE["executor.cache"] = OPTION_TABLE["io.prefetch"]
 
     def test_constructor_overrides(self):
         session = Session(
@@ -252,6 +298,8 @@ class TestOptions:
         session = Session()
         with pytest.raises(OptionError):
             session.set_option("executor.cache", "yes")
+        with pytest.raises(OptionError):
+            session.set_option("executor.max_workers", "many")
 
     def test_option_context_nests_and_restores(self):
         session = Session()
@@ -689,3 +737,58 @@ class TestDeprecationShims:
             total = lfp.read_csv(numbers_csv).y.sum().collect()
             assert total == sum(i % 7 for i in range(60))
         lfp.BACKEND_ENGINE = lfp.BackendEngines.DASK
+
+
+class TestOneOptionTable:
+    """Invariant rule 17: every option read names a row of the table,
+    and every row is read somewhere."""
+
+    _TABLE = (
+        "OPTION_TABLE = MappingProxyType({spec.key: spec for spec in (\n"
+        "    OptionSpec('io.prefetch', True, _BOOL, 'read below'),\n"
+        "    OptionSpec('io.dead', 1, _POSITIVE_INT, 'read nowhere'),\n"
+        ")})\n"
+    )
+    _CLEAN = (
+        "def f(session, opts):\n"
+        "    session.get_option('io.prefetch')\n"
+        "    source.options.get('parse_dates')  # a source's options\n"
+    )
+
+    @staticmethod
+    def _tool():
+        path = (Path(__file__).resolve().parents[2] / "tools"
+                / "check_invariants.py")
+        spec = importlib.util.spec_from_file_location("check_invariants",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        return tool
+
+    def _failures(self, tool, module: str):
+        return list(tool.check_one_option_table({
+            "core/config.py": ast.parse(self._TABLE),
+            "io/prefetch.py": ast.parse(module),
+        }))
+
+    def test_invariant_tool_rejects_reads_of_unknown_keys(self):
+        tool = self._tool()
+        for offender in (
+            "session.get_option('io.retries')",
+            "get_option('cache.budget')",
+            "opts.get('executor.process_start_method')",
+            "options.get('io.prefech')",
+            "current_session().options.get('io.retry_backoff')",
+        ):
+            failures = self._failures(
+                tool, self._CLEAN + offender + "\nopts.get('io.dead')\n")
+            assert len(failures) == 1, offender
+            assert "is not a row" in failures[0], offender
+
+    def test_invariant_tool_rejects_a_dead_option(self):
+        tool = self._tool()
+        failures = self._failures(tool, self._CLEAN)
+        assert len(failures) == 1 and "'io.dead'" in failures[0]
+        assert "occurs nowhere else" in failures[0]
+        assert not self._failures(tool, self._CLEAN + "DEAD = 'io.dead'\n")
+        assert tool.run() == []

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Sixteen structural rules the linters cannot express, checked with
+Seventeen structural rules the linters cannot express, checked with
 nothing but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
-   singleton session; the registries (``OPS``, ``_REGISTRY`` options,
-   ``DEFAULT_SOURCES``, ``DEFAULT_ANALYZERS``, ``SCHEMA_RULES``) are the
+   singleton session; the registries (``OPS``, ``DEFAULT_SOURCES``,
+   ``DEFAULT_ANALYZERS``, ``SCHEMA_RULES``) are the
    sanctioned pattern for module-level mutable state.  Everything
    mutable at module scope that exists today is pinned in
    ``MUTABLE_GLOBAL_ALLOWLIST``; adding a new one fails this check so
@@ -158,6 +158,16 @@ nothing but the stdlib ``ast`` module:
     budget, and keeping it in step with the option is the repair
     machinery this rule keeps out.
 
+17. **One option table.**  Every option is one ``OptionSpec`` row of
+    ``core/config.py::OPTION_TABLE``.  Under ``src/repro`` every
+    string-literal key read through ``get_option(...)``, or through
+    ``.get(...)`` on a session's options (``options`` / ``opts`` /
+    ``x.options``, dotted keys), names a row -- a read of a deleted or
+    mistyped key fails here, not at run time.  And every row's key
+    occurs as a string literal outside ``core/config.py``: an option
+    no module reads is a dead option, a deletion candidate the table
+    must not keep.
+
 Usage::
 
     python tools/check_invariants.py          # repo root, exit 1 on fail
@@ -168,7 +178,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -209,7 +219,6 @@ MUTABLE_GLOBAL_ALLOWLIST = {
     ("analysis/plan/schema.py", "SCHEMA_RULES"),
     ("analysis/rewrite/forced_compute.py", "_LAZY_KINDS"),
     ("backends/base.py", "_BINOPS"),
-    ("core/config.py", "_REGISTRY"),
     ("core/lazyframe.py", "_BINOP_LABELS"),
     ("frame/dtypes.py", "_ALIASES"),
     ("graph/explain.py", "_ELIDED_ARGS"),
@@ -964,6 +973,78 @@ def check_one_budget_owner(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 17: one option table
+
+_OPTION_TABLE = "core/config.py"
+#: receivers whose ``.get(...)`` reads a session's options.
+_OPTIONS_RECEIVERS = frozenset({"options", "opts"})
+
+
+def _call_name(call: ast.Call) -> str:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr",
+                                                     None) or ""
+
+
+def _literal_key(call: ast.Call):
+    if call.args and isinstance(call.args[0], ast.Constant) \
+            and isinstance(call.args[0].value, str):
+        return call.args[0].value
+    return None
+
+
+def _reads_session_options(call: ast.Call) -> bool:
+    func = call.func
+    if not isinstance(func, ast.Attribute) or func.attr != "get":
+        return False
+    receiver = func.value
+    return (getattr(receiver, "id", None) in _OPTIONS_RECEIVERS
+            or getattr(receiver, "attr", None) == "options")
+
+
+def option_reads(tree: ast.Module) -> Iterator[Tuple[str, int]]:
+    """(key, line) of every string-literal option key the module reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        key = _literal_key(node)
+        if key is None:
+            continue
+        if _call_name(node) == "get_option" or (
+                "." in key and _reads_session_options(node)):
+            yield key, node.lineno
+
+
+def check_one_option_table(trees: Dict[str, ast.Module]) -> Iterator[str]:
+    """Rule 17 over every module's tree, keyed by its path relative to
+    ``src/repro``; the rows are the ``OptionSpec(...)`` calls of
+    ``core/config.py``."""
+    rows = {
+        key for node in ast.walk(trees[_OPTION_TABLE])
+        if isinstance(node, ast.Call) and _call_name(node) == "OptionSpec"
+        for key in [_literal_key(node)] if key is not None
+    }
+    mentioned = set()
+    for rel, tree in sorted(trees.items()):
+        for key, lineno in option_reads(tree):
+            if key not in rows:
+                yield (
+                    f"src/repro/{rel}:{lineno}: option {key!r} is not a "
+                    f"row of {_OPTION_TABLE}::OPTION_TABLE"
+                )
+        if rel != _OPTION_TABLE:
+            mentioned.update(
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str))
+    for key in sorted(rows - mentioned):
+        yield (
+            f"src/repro/{_OPTION_TABLE}: option {key!r} occurs nowhere "
+            f"else under src/repro -- a dead option; make it a constant "
+            f"or delete it"
+        )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
@@ -978,6 +1059,7 @@ def run(src: Path = SRC) -> List[str]:
     failures: List[str] = []
     loop_importers: dict = {}
     pinned_seen: set = set()
+    trees: Dict[str, ast.Module] = {}
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
         try:
@@ -985,6 +1067,7 @@ def run(src: Path = SRC) -> List[str]:
         except SyntaxError as exc:  # pragma: no cover - ruff catches first
             failures.append(f"src/repro/{rel}: syntax error: {exc}")
             continue
+        trees[rel] = tree
         for check in CHECKS:
             failures.extend(check(tree, rel))
         pinned_seen.update((rel, name) for name, _ in mutable_globals(tree))
@@ -993,6 +1076,7 @@ def run(src: Path = SRC) -> List[str]:
                 loop_importers.setdefault(name, set()).add(rel)
     failures.extend(check_one_ready_loop(loop_importers))
     failures.extend(check_allowlist_is_live(pinned_seen))
+    failures.extend(check_one_option_table(trees))
     return failures
 
 
