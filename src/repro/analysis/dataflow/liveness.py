@@ -4,7 +4,7 @@ LAA extends (section 2.3)."""
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Set
+from typing import Dict, FrozenSet, Set, Tuple
 
 from repro.analysis.scirpy.cfg import CFG
 from repro.analysis.scirpy.ir import IRStmt, StmtKind
@@ -14,11 +14,17 @@ Fact = FrozenSet[str]
 
 
 def live_variables(cfg: CFG) -> DataflowResult:
-    """Solve LVA; facts are plain variable names."""
+    """Solve LVA; facts are plain variable names.  Each statement's
+    gen/kill sets are computed once per solve, not once per fixpoint
+    iteration."""
+    gen_kill: Dict[int, Tuple[Fact, Fact]] = {}
 
     def transfer(stmt: IRStmt, out: Fact) -> Fact:
-        gen, kill = stmt_gen_kill(stmt)
-        return frozenset(gen | (set(out) - kill))
+        sets = gen_kill.get(stmt.id)
+        if sets is None:
+            gen, kill = stmt_gen_kill(stmt)
+            sets = gen_kill[stmt.id] = (frozenset(gen), frozenset(kill))
+        return sets[0] | (out - sets[1])
 
     return solve_backward(cfg, transfer)
 
@@ -59,8 +65,14 @@ def stmt_gen_kill(stmt: IRStmt):
 
 
 def _names(node: ast.AST) -> Set[str]:
-    return {
-        child.id
-        for child in ast.walk(node)
-        if isinstance(child, ast.Name) and isinstance(child.ctx, (ast.Load,))
-    }
+    """The names ``node`` loads, by one explicit stack walk."""
+    names: Set[str] = set()
+    stack = [node]
+    while stack:
+        child = stack.pop()
+        if isinstance(child, ast.Name):
+            if isinstance(child.ctx, ast.Load):
+                names.add(child.id)
+        else:
+            stack.extend(ast.iter_child_nodes(child))
+    return names

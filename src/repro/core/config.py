@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+import warnings
 from types import MappingProxyType
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
@@ -281,6 +282,22 @@ def is_foreign_option_key(key: str) -> bool:
     }
 
 
+def tolerated_key(key: str, stacklevel: int = 2) -> Optional[str]:
+    """The table key ``key`` names; ``None``, with a warning, for a
+    pandas key the facade tolerates as a no-op; :class:`OptionError` for
+    anything else.  One policy for ``set_option``, ``option_context``
+    and ``lfp.options.<key> = value``."""
+    if key in OPTION_TABLE:
+        return key
+    if not is_foreign_option_key(key):
+        canonical_key(key)  # raises
+    warnings.warn(
+        f"ignoring pandas-compat option {key!r} (not an LaFP option)",
+        stacklevel=stacklevel + 1,
+    )
+    return None
+
+
 def describe_options() -> str:
     """Human-readable listing of every option, default, and doc line."""
     lines = []
@@ -366,23 +383,9 @@ def _current_options() -> SessionOptions:
     return current_session().options
 
 
-class _ForeignOptionsNamespace:
-    """Sink for pandas-compat namespaces: assignments are no-ops
-    (``options.display.max_rows = 500``) and reads return ``None``,
-    matching what the facade's ``get_option`` reports for foreign keys."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str) -> None:
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return None
-
-    def __setattr__(self, name: str, value) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "<foreign pandas options: ignored>"
+class _UnknownOption(OptionError, AttributeError):
+    """An attribute that names no option: both a failed lookup
+    (``hasattr`` / ``getattr(..., default)`` work) and an option error."""
 
 
 class OptionsNamespace:
@@ -390,7 +393,11 @@ class OptionsNamespace:
 
     ``lfp.options.optimizer.predicate_pushdown`` reads; assignment
     writes.  The proxy is stateless: it always resolves the session at
-    access time, so it follows ``with Session(...):`` blocks.
+    access time, so it follows ``with Session(...):`` blocks.  A key is
+    judged as ``set_option`` / ``get_option`` judge it
+    (:func:`is_foreign_option_key`): a pandas key reads ``None`` and an
+    assignment to it warns and does nothing; a mistyped LaFP key raises
+    :class:`OptionError`.
     """
 
     __slots__ = ("_prefix",)
@@ -405,17 +412,24 @@ class OptionsNamespace:
         if full in OPTION_TABLE:
             return _current_options().get(full)
         nested = full + "."
-        if any(key.startswith(nested) for key in OPTION_TABLE):
+        if any(key.startswith(nested) for key in OPTION_TABLE) or (
+                not self._prefix and name in FOREIGN_OPTION_ROOTS):
             return OptionsNamespace(nested)
-        if not self._prefix and name in FOREIGN_OPTION_ROOTS:
-            return _ForeignOptionsNamespace()
-        raise AttributeError(
+        if self._prefix and is_foreign_option_key(full):
+            return None
+        if self._prefix and is_foreign_option_key(nested + "_"):
+            # ``io.parquet`` of ``io.parquet.engine``, or a mistyped
+            # ``io.prefech``: the next step of the access tells which
+            return _GroupOrTypo(nested)
+        raise _UnknownOption(
             f"no option or option group {full!r}; "
             f"known options: {sorted(OPTION_TABLE)}"
         )
 
     def __setattr__(self, name: str, value) -> None:
-        _current_options().set(self._prefix + name, value)
+        key = tolerated_key(self._prefix + name)
+        if key is not None:
+            _current_options().set(key, value)
 
     def __dir__(self):
         names = set()
@@ -429,6 +443,23 @@ class OptionsNamespace:
                   for key in sorted(OPTION_TABLE)
                   if key.startswith(self._prefix)}
         return f"options[{self._prefix or '*'}] -> {values!r}"
+
+
+class _GroupOrTypo(OptionsNamespace):
+    """An unknown key as deep as LaFP's own under a root pandas shares:
+    a pandas option group when the access goes deeper, else a mistyped
+    LaFP key -- used as a value, it raises :class:`OptionError`."""
+
+    __slots__ = ()
+
+    def _unknown(self, *args):
+        canonical_key(self._prefix[:-1])  # raises
+
+    __bool__ = __eq__ = __ne__ = __hash__ = __str__ = __format__ = _unknown
+    __int__ = __float__ = __index__ = __iter__ = __len__ = _unknown
+
+    def __repr__(self) -> str:
+        return f"<unknown option or pandas group {self._prefix[:-1]!r}>"
 
 
 #: The module-level proxy re-exported as ``lfp.options``.

@@ -55,18 +55,25 @@ def value_codes(values: np.ndarray):
 
 
 def _factorize_strings(cells: Sequence):
-    """``(codes, uniques)``: ``cells`` as int64 codes into ``uniques``,
-    the distinct cells in order of first appearance -- or ``None`` when
-    a cell is anything but ``str`` / ``None``."""
+    """``(codes, uniques)`` of :func:`factorize` -- or ``None`` when a
+    cell is anything but ``str`` / ``None``."""
     if not set(map(type, cells)) <= {str, type(None)}:
         return None
-    table = dict.fromkeys(cells)
-    for code, cell in enumerate(table):
-        table[cell] = code
+    return factorize(cells)
+
+
+def factorize(cells: Sequence):
+    """``(codes, uniques)``: hashable ``cells`` as int64 codes into
+    ``uniques``, the distinct cells in order of first appearance, with
+    no Python-level loop."""
+    uniques = list(dict.fromkeys(cells))
+    if len(uniques) == len(cells):
+        return np.arange(len(cells), dtype=np.int64), uniques
+    table = dict(zip(uniques, range(len(uniques))))
     codes = np.fromiter(
         map(table.__getitem__, cells), dtype=np.int64, count=len(cells)
     )
-    return codes, list(table)
+    return codes, uniques
 
 
 class _HeapStore:

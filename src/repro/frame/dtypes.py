@@ -118,11 +118,9 @@ def object_nbytes(values: np.ndarray) -> int:
     payloads; we charge ``8 + STRING_OVERHEAD + len(s)`` per element, which
     keeps wide string tables expensive exactly as the paper's datasets are.
     """
-    total = 8 * values.size
-    for value in values.ravel():
-        if isinstance(value, str):
-            total += STRING_OVERHEAD + len(value)
-    return total
+    strings = list(filter(str.__instancecheck__, values.ravel().tolist()))
+    return (8 * values.size + STRING_OVERHEAD * len(strings)
+            + sum(map(len, strings)))
 
 
 def array_nbytes(values: np.ndarray) -> int:

@@ -44,6 +44,12 @@ pandas defaults (dates stay strings unless ``parse_dates`` asks for
 them -- the paper's metadata optimization exists precisely because
 inference is this naive).  A ``category`` dtype hands the cells, ``""``
 as NA, straight to :meth:`Column.from_strings_as_category`.
+
+Writing is column-wise too: :func:`column_tokens` turns a column into
+text tokens by dtype kind under a format's :class:`TokenRules` (CSV's
+here, JSONL's in ``io/jsonl.py``), and rows are joined from the token
+columns -- the bytes ``csv.writer`` / ``json.JSONEncoder`` wrote row by
+row.
 """
 
 from __future__ import annotations
@@ -519,47 +525,170 @@ def to_datetime(data: Union[Series, Sequence[str]]) -> Series:
     return Series(Column(np.asarray(cleaned, dtype="datetime64[ns]")))
 
 
-def write_csv(frame: DataFrame, path: str, index: bool = False) -> None:
-    """Write a frame to CSV (NA as empty string, datetimes in ISO)."""
-    header = frame.columns
-    arrays = [frame.column(name).to_array() for name in header]
-    if index:
-        header = ["index", *header]
-        arrays.insert(0, frame.index.to_array())
-    # csv.writer renders None as "" and numbers with str()
-    cells = [column_cells(values, _cell) for values in arrays]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+# ---------------------------------------------------------------------------
+# Writing: one tokenizer per dtype kind, a column at a time.
+# ---------------------------------------------------------------------------
 
 
-def column_cells(values: np.ndarray, scalar) -> list:
-    """A column as plain Python values for a text writer, by dtype kind:
-    NA as ``None``, datetimes as ``YYYY-MM-DD HH:MM:SS`` strings, numbers
-    and strings as they are.  ``scalar`` converts the elements of an
-    object array that holds anything but strings and ``None``."""
+class TokenRules(NamedTuple):
+    """How a text format spells a cell.  :func:`column_tokens` applies
+    it a column at a time; CSV and JSONL differ only in these rules."""
+
+    #: a missing cell (NaN, NaT, ``None``, a category's NA code).
+    na: str
+    false: str
+    true: str
+    #: positive infinity; negative infinity is ``"-" + inf``.
+    inf: str
+    #: a list of ``str`` cells -> their tokens.
+    strings: Callable[[List[str]], List[str]]
+    #: one cell of a mixed object column -> its token.
+    scalar: Callable[[object], str]
+
+
+_STR_OR_NONE = frozenset({str, type(None)})
+
+
+def column_tokens(
+    column: Column, rules: TokenRules, rows: slice = slice(None)
+) -> List[str]:
+    """The ``rows`` of a column as text tokens.  A category column
+    tokenizes each category once and gathers the tokens by code."""
+    values = column.values[rows]
+    if column.categories is None:
+        return array_tokens(values, rules)
+    # the categories as to_array() decodes them: object cells
+    categories = np.empty(len(column.categories), dtype=object)
+    categories[:] = column.categories
+    table = np.array(array_tokens(categories, rules) + [rules.na],
+                     dtype=object)
+    return table[values].tolist()  # NA_CODE (-1) picks the trailing na
+
+
+def array_tokens(values: np.ndarray, rules: TokenRules) -> List[str]:
+    """An array's cells as text tokens, by dtype kind: ints and floats
+    through their ``repr``, bools and non-finite floats as the rules
+    spell them, datetimes as ``YYYY-MM-DD HH:MM:SS`` strings, ``str``
+    cells through ``rules.strings`` and any other object cell through
+    ``rules.scalar``."""
     kind = values.dtype.kind
+    if kind == "b":
+        return np.where(values, rules.true, rules.false).tolist()
+    if kind in "iu":
+        return list(map(int.__repr__, values.tolist()))
+    if kind == "f" and values.dtype.itemsize <= 8:
+        tokens = list(map(float.__repr__, values.tolist()))
+        odd = np.flatnonzero(~np.isfinite(values)).tolist()
+        for i, value in zip(odd, values[odd].tolist()):
+            if value != value:
+                tokens[i] = rules.na
+            else:
+                tokens[i] = rules.inf if value > 0 else "-" + rules.inf
+        return tokens
     if kind == "M":
-        text = np.datetime_as_string(values.astype("datetime64[s]")).tolist()
-        return [None if t == "NaT" else t.replace("T", " ") for t in text]
-    if kind == "f":
-        return np.where(np.isnan(values), None, values.astype(object)).tolist()
+        text = np.datetime_as_string(values.astype("datetime64[s]"))
+        tokens = rules.strings([t.replace("T", " ") for t in text.tolist()])
+        for i in np.flatnonzero(np.isnat(values)).tolist():
+            tokens[i] = rules.na
+        return tokens
     cells = values.tolist()
-    if kind == "O" and not set(map(type, cells)) <= {str, type(None)}:
-        return [scalar(value) for value in cells]
+    types = set(map(type, cells))
+    if not types <= _STR_OR_NONE:
+        return list(map(rules.scalar, cells))
+    if type(None) not in types:
+        return rules.strings(cells)
+    missing = np.flatnonzero(
+        np.equal(values.astype(object, copy=False), None)).tolist()
+    for i in missing:
+        cells[i] = ""
+    tokens = rules.strings(cells)
+    for i in missing:
+        tokens[i] = rules.na
+    return tokens
+
+
+#: what makes csv's minimal quoting quote a field.
+_CSV_SPECIAL = ',"\r\n'
+
+
+def _csv_strings(cells: List[str]) -> List[str]:
+    """csv's minimal quoting, decided once for the column: only a column
+    holding ``,`` ``"`` ``\\r`` or ``\\n`` looks at its cells one by one."""
+    joined = "".join(cells)
+    if any(c in joined for c in _CSV_SPECIAL):
+        return list(map(_csv_quote, cells))
     return cells
 
 
-def _cell(value) -> str:
+def _csv_quote(text: str) -> str:
+    if any(c in text for c in _CSV_SPECIAL):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_scalar(value) -> str:
+    """A mixed object column's cell: NA as empty, datetimes in ISO."""
     if value is None:
         return ""
-    if isinstance(value, float) and np.isnan(value):
+    if isinstance(value, (float, np.floating)) and np.isnan(value):
         return ""
     if isinstance(value, np.datetime64):
         if np.isnat(value):
             return ""
         return str(value.astype("datetime64[s]")).replace("T", " ")
-    if isinstance(value, np.floating) and np.isnan(value):
-        return ""
-    return str(value)
+    return _csv_quote(str(value))
+
+
+CSV_TOKENS = TokenRules(na="", false="False", true="True", inf="inf",
+                        strings=_csv_strings, scalar=_csv_scalar)
+
+
+def frame_tokens(
+    frame: DataFrame, names: Sequence[str], rules: TokenRules,
+    rows: slice = slice(None), index: bool = False,
+) -> List[List[str]]:
+    """The ``rows`` of the named columns (the index first when asked)
+    as token columns."""
+    tokens = [column_tokens(frame.column(name), rules, rows)
+              for name in names]
+    if index:
+        tokens.insert(0, array_tokens(frame.index.to_array()[rows], rules))
+    return tokens
+
+
+def csv_lines(tokens: List[List[str]]) -> List[str]:
+    """Token columns joined into CSV rows (no terminator).  Like
+    ``csv.writer``, a row that is one empty field reads ``""``."""
+    if len(tokens) == 1:
+        return [token or '""' for token in tokens[0]]
+    return list(map(",".join, zip(*tokens)))
+
+
+def csv_header(names: Sequence[object]) -> str:
+    """The header row, terminator included."""
+    cells = ["" if name is None else _csv_quote(str(name)) for name in names]
+    return ('""' if cells == [""] else ",".join(cells)) + "\r\n"
+
+
+def csv_text(lines: List[str]) -> str:
+    """Rows as the file holds them: each ends in ``\\r\\n``."""
+    return "\r\n".join(lines) + "\r\n" if lines else ""
+
+
+def row_batches(n_rows: int) -> Iterator[slice]:
+    """Row ranges encoded at a time: bounds a writer's token lists."""
+    for start in range(0, n_rows, _ROW_BATCH):
+        yield slice(start, start + _ROW_BATCH)
+
+
+def write_csv(frame: DataFrame, path: str, index: bool = False) -> None:
+    """Write a frame to CSV (NA as empty string, datetimes in ISO),
+    byte for byte what ``csv.writer`` writes over the same cells."""
+    names = frame.columns
+    with open(path, "w", newline="") as f:
+        f.write(csv_header(["index", *names] if index else names))
+        for rows in row_batches(len(frame)):
+            lines = csv_lines(frame_tokens(frame, names, CSV_TOKENS, rows,
+                                           index=index))
+            if lines:
+                f.write(csv_text(lines))

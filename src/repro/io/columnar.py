@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.frame import DataFrame
-from repro.frame.column import Column
+from repro.frame.column import Column, factorize
 from repro.io.fs import (
     compress_chunk,
     decompress_chunk,
@@ -98,47 +98,52 @@ def _encode_chunk(arr: np.ndarray, codec: Optional[str]) -> Tuple[bytes, dict]:
                     mem_bytes=int(arr.nbytes),
                     null_count=int(np.isnat(arr).sum()))
     else:
-        values = list(arr)
-        if all(isinstance(v, str) or _is_null(v) for v in values):
-            payload, dict_meta = _encode_dictionary(values)
+        cells = arr.tolist()
+        types = set(map(type, cells))
+        if not all(issubclass(t, _STR_OR_NONE) for t in types):
+            # NaN as NA, or values JSON holds: a cell at a time
+            cells = [None if _is_null(v) else v for v in cells]
+            types = set(map(type, cells))
+        if all(issubclass(t, _STR_OR_NONE) for t in types):
+            payload, dict_meta = _encode_dictionary(
+                cells, type(None) in types)
             meta.update(dict_meta)
         else:
-            cleaned = [None if _is_null(v) else v for v in values]
-            payload = json.dumps(cleaned).encode("utf-8")
+            payload = json.dumps(cells).encode("utf-8")
             meta.update(
                 encoding="json", dtype="object",
                 mem_bytes=len(payload),
-                null_count=sum(1 for v in cleaned if v is None),
+                null_count=sum(1 for v in cells if v is None),
             )
     return compress_chunk(payload, codec), meta
+
+
+_STR_OR_NONE = (str, type(None))
 
 
 def _is_null(value) -> bool:
     return value is None or (isinstance(value, float) and np.isnan(value))
 
 
-def _encode_dictionary(values: List[object]) -> Tuple[bytes, dict]:
-    categories: List[str] = []
-    index: Dict[str, int] = {}
-    codes = np.empty(len(values), dtype=np.int32)
+def _encode_dictionary(cells: list, has_null: bool) -> Tuple[bytes, dict]:
+    """``str`` / ``None`` cells -> int32 codes into the distinct strings
+    in order of first appearance, ``None`` as -1."""
+    codes, categories = factorize(cells)
     nulls = 0
-    for i, value in enumerate(values):
-        if _is_null(value):
-            codes[i] = -1
-            nulls += 1
-            continue
-        code = index.get(value)
-        if code is None:
-            code = len(categories)
-            index[value] = code
-            categories.append(value)
-        codes[i] = code
+    if has_null:
+        at = categories.index(None)
+        del categories[at]
+        null = codes == at
+        codes -= codes > at
+        codes[null] = -1
+        nulls = int(null.sum())
+    codes = codes.astype(np.int32)
     meta = {
         "encoding": "dict",
         "dtype": "object",
         "dict": categories,
         "null_count": nulls,
-        "mem_bytes": int(codes.nbytes) + sum(len(c) for c in categories),
+        "mem_bytes": int(codes.nbytes) + sum(map(len, categories)),
     }
     if categories:
         meta["min"] = min(categories)

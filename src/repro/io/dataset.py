@@ -30,9 +30,14 @@ import numpy as np
 
 from repro.frame import DataFrame
 from repro.frame.column import Column
-from repro.frame.io_csv import column_builders as csv_builders, read_header, write_csv
+from repro.frame.io_csv import (
+    CSV_TOKENS, column_builders as csv_builders, csv_header, csv_lines, csv_text,
+    frame_tokens, read_header,
+)
 from repro.io.csv_source import attach_file_stats
-from repro.io.jsonl import column_builders as jsonl_builders, read_jsonl_header, write_jsonl
+from repro.io.jsonl import (
+    column_builders as jsonl_builders, jsonl_lines, jsonl_text, read_jsonl_header,
+)
 from repro.io.source import DataSource, Partition
 
 _LEAF_EXTENSIONS = (".csv", ".jsonl")
@@ -83,21 +88,26 @@ def write_dataset(
     """Write ``frame`` as a hive-partitioned dataset; returns leaf paths.
 
     Rows are grouped by ``partition_on``; the key column lives only in
-    the directory names (read back as a constant column).
+    the directory names (read back as a constant column).  The payload
+    is encoded into row strings once; each leaf gets its rows' slice.
     """
     values = frame.column(partition_on).to_array()
-    payload = frame[[c for c in frame.columns if c != partition_on]]
+    names = [c for c in frame.columns if c != partition_on]
+    if fmt == "jsonl":
+        header, text = "", jsonl_text
+        lines = jsonl_lines(frame, names)
+    else:
+        header, text = csv_header(names), csv_text
+        lines = csv_lines(frame_tokens(frame, names, CSV_TOKENS))
+    rows = np.array(lines, dtype=object)
     paths = []
     for value in _ordered_unique(values):
-        mask = values == value
-        piece = payload.take(np.nonzero(mask)[0])
+        picked = rows[np.nonzero(values == value)[0]] if lines else rows
         leaf_dir = os.path.join(root, f"{partition_on}={value}")
         os.makedirs(leaf_dir, exist_ok=True)
         leaf = os.path.join(leaf_dir, f"part-0.{fmt}")
-        if fmt == "jsonl":
-            write_jsonl(piece, leaf)
-        else:
-            write_csv(piece, leaf)
+        with open(leaf, "w", newline=None if fmt == "jsonl" else "") as f:
+            f.write(header + text(picked.tolist()))
         paths.append(leaf)
     return paths
 

@@ -17,28 +17,62 @@ import json
 import os
 from contextlib import closing
 from functools import partial
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.frame import DataFrame
 from repro.frame.column import Column
-from repro.frame.io_csv import column_cells, read_line_blocks
+from repro.frame.io_csv import (
+    TokenRules, frame_tokens, read_line_blocks, row_batches,
+)
 from repro.io.csv_source import ByteRangeSource
 
 
 def write_jsonl(frame: DataFrame, path: str) -> None:
-    """Write a frame as one JSON object per line (NA as ``null``)."""
+    """Write a frame as one JSON object per line (NA as ``null``), byte
+    for byte what ``json.JSONEncoder().encode`` makes of each row."""
     names = frame.columns
-    cells = [
-        column_cells(frame.column(name).to_array(), _jsonable)
-        for name in names
-    ]
-    encode = json.JSONEncoder().encode
     with open(path, "w") as f:
-        f.writelines(
-            encode(dict(zip(names, row))) + "\n" for row in zip(*cells)
-        )
+        for rows in row_batches(len(frame)):
+            f.write(jsonl_text(jsonl_lines(frame, names, rows)))
+
+
+def jsonl_lines(
+    frame: DataFrame, names: Sequence[str], rows: slice = slice(None)
+) -> List[str]:
+    """The ``rows`` of the named columns as JSON objects, one string
+    each: every key is encoded once and each row is one ``"".join`` of
+    the keys interleaved with the row's tokens."""
+    if not names:
+        return []
+    parts: list = []
+    for i, (name, tokens) in enumerate(
+            zip(names, frame_tokens(frame, names, JSON_TOKENS, rows))):
+        key = _ENCODE({name: 0})[1:-2]  # '"name": '
+        parts += [repeat(("{" if i == 0 else ", ") + key), tokens]
+    parts.append(repeat("}"))
+    return list(map("".join, zip(*parts)))
+
+
+def jsonl_text(lines: List[str]) -> str:
+    """Objects as the file holds them, one a line."""
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+_ENCODE = json.JSONEncoder().encode
+
+
+def _json_strings(cells: List[str]) -> List[str]:
+    return list(map(encode_basestring_ascii, cells))
+
+
+def _json_scalar(value) -> str:
+    """A mixed object column's cell: numpy scalars as their Python
+    value, NA as ``null``, datetimes in ISO, anything else as text."""
+    return _ENCODE(_jsonable(value))
 
 
 def _jsonable(value):
@@ -55,6 +89,11 @@ def _jsonable(value):
             return None
         return str(value.astype("datetime64[s]")).replace("T", " ")
     return str(value)
+
+
+JSON_TOKENS = TokenRules(na="null", false="false", true="true",
+                         inf="Infinity", strings=_json_strings,
+                         scalar=_json_scalar)
 
 
 def read_jsonl_header(path: str) -> List[str]:

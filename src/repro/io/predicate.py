@@ -435,15 +435,29 @@ def conjuncts_from_mask(mask, source) -> Optional[List[dict]]:
     return convert(mask)
 
 
+class Conjuncts(list):
+    """A scan's ``predicate`` arg as :func:`merge_conjuncts` builds it:
+    the conjunct dicts, and in ``keys`` the dedup key of each, computed
+    when the conjunct joined -- so k filters folding into one scan key
+    k conjuncts, not k squared."""
+
+    __slots__ = ("keys",)
+
+
+def _conjunct_key(conjunct: dict) -> str:
+    return repr(sorted(conjunct.items()))
+
+
 def merge_conjuncts(existing, new) -> List[dict]:
     """Append ``new`` conjuncts onto an existing predicate arg,
     dropping exact duplicates (repeated folds of equal filters)."""
-    out: List[dict] = [dict(c) for c in (existing or [])]
-    seen = {repr(sorted(c.items())) for c in out}
+    out = Conjuncts(dict(c) for c in (existing or []))
+    out.keys = (set(existing.keys) if isinstance(existing, Conjuncts)
+                else set(map(_conjunct_key, out)))
     for conj in new:
-        key = repr(sorted(conj.items()))
-        if key not in seen:
-            seen.add(key)
+        key = _conjunct_key(conj)
+        if key not in out.keys:
+            out.keys.add(key)
             out.append(dict(conj))
     return out
 

@@ -41,7 +41,6 @@ import contextlib
 import enum
 import sys
 import types
-import warnings
 from typing import Optional, Sequence
 
 from repro.core.config import (
@@ -51,6 +50,7 @@ from repro.core.config import (
     is_foreign_option_key,
     iter_option_pairs,
     options,
+    tolerated_key,
 )
 from repro.core.lazyframe import LazyFrame, LazyObject, LazySeries
 from repro.core.session import Session, current_session, reset_root_session
@@ -148,20 +148,14 @@ def _canonical_pairs(args: tuple):
     typo is at least visible.  Unknown dotted keys
     outside the pandas namespaces raise -- a typo'd LaFP key must
     error, never silently no-op.  One policy for ``set_option``,
-    ``get_option`` and ``option_context``.
+    ``option_context`` and the ``options`` attribute form
+    (:func:`~repro.core.config.tolerated_key`).
     """
     pairs = []
     for k, v in iter_option_pairs(args):
-        key = str(k)
-        try:
-            pairs.append((canonical_key(key), v))
-        except OptionError:
-            if not is_foreign_option_key(key):
-                raise
-            warnings.warn(
-                f"ignoring pandas-compat option {key!r} (not an LaFP option)",
-                stacklevel=3,
-            )
+        key = tolerated_key(str(k), stacklevel=3)
+        if key is not None:
+            pairs.append((key, v))
     return pairs
 
 

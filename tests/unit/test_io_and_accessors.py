@@ -309,6 +309,34 @@ class TestColumnWiseWritersKeepTheirBytes:
             assert new.read_bytes() == old.read_bytes()
 
 
+class TestOneTextWriter:
+    """Invariant rule 18: no ``csv.writer(`` under ``src/repro``."""
+
+    def test_invariant_tool_rejects_csv_writer(self):
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        path = (Path(__file__).resolve().parents[2] / "tools"
+                / "check_invariants.py")
+        spec = importlib.util.spec_from_file_location("check_invariants",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        for offender in (
+            "w = csv.writer(f)",
+            "csv.writer(f).writerows(rows)",
+            "def g(f):\n    return csv.writer(f, lineterminator='\\n')",
+        ):
+            assert list(tool.check_one_text_writer(
+                ast.parse(offender), "io/jsonl.py")), offender
+        for fine in ("rows = csv.reader(f)", "writer = make_writer(f)",
+                     "out.writer(f)"):
+            assert not list(tool.check_one_text_writer(
+                ast.parse(fine), "io/jsonl.py")), fine
+        assert tool.run() == []
+
+
 class TestToDatetime:
     def test_series(self):
         out = to_datetime(Series(["2024-01-01", "2024-06-15"]))

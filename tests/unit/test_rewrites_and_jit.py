@@ -252,3 +252,40 @@ class TestUnparseNeedsNoLocations:
         assert len(plain) == 31 and "for i in range(2):" in plain[-1]
         for text in plain:
             compile(text, "<optimized>", "exec")
+
+
+class TestOptimizedSourcesArePinned:
+    #: per program, sha256 (first 16 hex digits) of ``optimize_source``
+    #: over the program under every runner header, pandas body then dask
+    #: body, headers in sorted order -- 120 optimized sources in all
+    DIGESTS = {
+        "ais": "67d167b0549a1c8a",
+        "cty": "09faf1cc33f5619b",
+        "dso": "b1dec14794890aef",
+        "emp": "9a3c9486f47c4f06",
+        "env": "f1e3c0f8ef8c4b66",
+        "fdb": "fe065cb62f44d673",
+        "mov": "4a7eeace33645051",
+        "nyt": "169c2618643d8a47",
+        "stu": "a3bf105b78b43bc9",
+        "zip": "7170d8b4ed963fa5",
+    }
+
+    def test_programs_optimize_to_the_pinned_sources(self):
+        """The JIT's analyses (liveness among them) may get faster, but
+        the ten programs must rewrite to the same text."""
+        import hashlib
+
+        from repro.workloads.programs import PROGRAMS
+        from repro.workloads.runner import _HEADERS
+
+        got = {}
+        for name in sorted(PROGRAMS):
+            digest = hashlib.sha256()
+            for mode in sorted(_HEADERS):
+                for engine in ("pandas", "dask"):
+                    digest.update(optimize_source(
+                        _HEADERS[mode] + PROGRAMS[name].body_for(engine)
+                    ).encode())
+            got[name] = digest.hexdigest()[:16]
+        assert got == self.DIGESTS

@@ -257,6 +257,44 @@ class TestOptions:
             lfp.set_option(key, "auto")
         assert lfp.get_option(key) is None
 
+    @pytest.mark.parametrize("key", [
+        "io.parquet.engine", "io.hdf.default_format",
+    ])
+    def test_attribute_form_tolerates_deeper_pandas_io_keys(self, key):
+        """``pd.options.io.parquet.engine = ...`` is what
+        ``set_option("io.parquet.engine", ...)`` is: a warned no-op, and
+        the key reads ``None``.  (A read of a pandas key is ``None``, so
+        the attribute form reaches no key below one: not
+        ``io.excel.xlsx.writer``.)"""
+        *groups, leaf = key.split(".")
+        with pytest.warns(UserWarning, match="ignoring pandas-compat"):
+            namespace = lfp.options
+            for group in groups:
+                namespace = getattr(namespace, group)
+            setattr(namespace, leaf, "auto")
+        assert getattr(namespace, leaf) is None
+        assert lfp.get_option(key) is None
+
+    def test_attribute_form_warns_on_a_pandas_display_key(self):
+        with pytest.warns(UserWarning, match="ignoring pandas-compat"):
+            lfp.options.display.max_rows = 1
+        assert lfp.options.display.max_rows is None
+
+    def test_attribute_form_raises_on_a_mistyped_io_key(self):
+        """A key as deep as LaFP's own ``io.*`` keys is a mistyped LaFP
+        key in the attribute form too: assigning it raises, and so does
+        using what reading it gives as a value."""
+        with pytest.raises(OptionError):
+            lfp.options.io.prefetchh = False
+        typo = lfp.options.io.prefetchh
+        with pytest.raises(OptionError):
+            bool(typo)
+        with pytest.raises(OptionError):
+            typo == False  # noqa: E712
+        with pytest.raises(OptionError):
+            lfp.get_option("io.prefetchh")
+        assert lfp.options.io.prefetch is True
+
     @pytest.mark.parametrize("key, value", [
         ("io.retries", 2),
         ("io.retry_backoff", 0.005),

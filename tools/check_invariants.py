@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Seventeen structural rules the linters cannot express, checked with
+Eighteen structural rules the linters cannot express, checked with
 nothing but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -167,6 +167,12 @@ nothing but the stdlib ``ast`` module:
     occurs as a string literal outside ``core/config.py``: an option
     no module reads is a dead option, a deletion candidate the table
     must not keep.
+
+18. **One way to write text.**  CSV and JSONL rows are joined from
+    token columns (``frame/io_csv.py::column_tokens``, one tokenizer
+    per dtype kind).  No ``csv.writer(`` call appears under
+    ``src/repro``: a row-at-a-time writer beside the tokenizer is a
+    second encoder whose bytes the first must keep matching.
 
 Usage::
 
@@ -1045,6 +1051,21 @@ def check_one_option_table(trees: Dict[str, ast.Module]) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 18: one way to write text
+
+
+def check_one_text_writer(tree: ast.Module, rel: str) -> Iterator[str]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "writer" \
+                and getattr(node.func.value, "id", None) == "csv":
+            yield (
+                f"src/repro/{rel}:{node.lineno}: csv.writer(...) -- text "
+                f"is written by joining column_tokens, not row by row"
+            )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
@@ -1052,7 +1073,7 @@ CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
           check_one_join_plan, check_one_memory_rule,
           check_one_partitioned_executor, check_one_source_per_session,
           check_one_scan_contract, check_one_partition_lowering,
-          check_one_budget_owner)
+          check_one_budget_owner, check_one_text_writer)
 
 
 def run(src: Path = SRC) -> List[str]:
