@@ -50,7 +50,7 @@ def test_fig12_applicability(runner, benchmark):
     )
     print_table(
         "Figure 12: programs successfully executed (of 10)",
-        ["Size"] + MODES,
+        ["Size", *MODES],
         rows,
     )
 

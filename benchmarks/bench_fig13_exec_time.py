@@ -32,7 +32,7 @@ def test_fig13_execution_time(runner, benchmark):
         rows.append(row)
     print_table(
         "Figure 13: execution time, size S (seconds)",
-        ["prog"] + MODES,
+        ["prog", *MODES],
         rows,
     )
 

@@ -84,8 +84,7 @@ def _measure(shape_fn, path, strategy):
             seconds.append(time.perf_counter() - started)
             stats = session.last_execution_stats
     return {
-        "strategy": strategy,
-        "effective_strategy": stats.effective_strategy,
+        "strategy": stats.strategy,
         "best_seconds": min(seconds),
         "mean_seconds": sum(seconds) / len(seconds),
         "nodes_executed_last_collect": stats.nodes_executed,

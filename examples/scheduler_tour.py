@@ -70,7 +70,7 @@ with Session(backend="pandas") as session:
     with pd.option_context("executor.strategy", "threaded"):
         by_group.collect()
     print("\nper-collect override ran as:",
-          session.last_execution_stats.effective_strategy)
+          session.last_execution_stats.strategy)
 
     # -- 3. explain(stats=True): the plan plus last run's node timings ------
     print()
@@ -85,7 +85,6 @@ with Session(backend="dask",
     _, avg = pipeline()
     avg.collect()
     stats = session.last_execution_stats
-    print(f"\ndask + threaded: requested={stats.strategy} "
-          f"ran-as={stats.effective_strategy} "
+    print(f"\ndask + threaded: ran as {stats.strategy} "
           f"(nodes cut per partition: "
           f"{session.last_optimize_report['partitions_cut']})")

@@ -19,11 +19,11 @@ from typing import Dict, List, Optional, Set, Tuple
 WILDCARD = "*"
 
 #: module paths whose import makes an alias "the pandas module".
-PANDAS_MODULES = {
+PANDAS_MODULES = frozenset({
     "pandas",
     "lazyfatpandas.pandas",
     "repro.lazyfatpandas.pandas",
-}
+})
 
 #: dotted-path prefixes that provide lazy-capable functions (not
 #: "external"); anything else imported is an external module whose calls
@@ -52,32 +52,35 @@ class Kind(enum.Enum):
 
 #: frame methods returning a frame with the *same columns* (derivation
 #: transfers liveness, rule (3) of section 3.1).
-FRAME_PRESERVING = {
+FRAME_PRESERVING = frozenset({
     "dropna", "fillna", "sort_values", "sort_index", "drop_duplicates",
     "head", "tail", "sample", "copy", "round", "astype", "abs",
-}
+})
 #: frame methods returning frames with different/unknown columns.
-FRAME_TRANSFORMING = {
+FRAME_TRANSFORMING = frozenset({
     "merge", "rename", "assign", "nlargest", "nsmallest", "describe",
     "select_dtypes", "reset_index", "set_index", "drop",
-}
+})
 #: frame methods returning a series.
-FRAME_TO_SERIES = {"apply", "count", "sum", "mean", "memory_usage"}
+FRAME_TO_SERIES = frozenset({"apply", "count", "sum", "mean", "memory_usage"})
 #: series methods returning a series.
-SERIES_METHODS = {
+SERIES_METHODS = frozenset({
     "fillna", "astype", "map", "apply", "abs", "round", "isin", "between",
     "isna", "notna", "isnull", "notnull", "dropna", "head", "sort_values",
     "value_counts", "rename", "nlargest", "nsmallest",
-}
+})
 #: series methods returning a scalar.
-SERIES_AGGS = {
+SERIES_AGGS = frozenset({
     "sum", "mean", "min", "max", "count", "std", "var", "median",
     "nunique", "quantile", "idxmax", "idxmin",
-}
+})
 #: group-by aggregation methods.
-GROUPBY_AGGS = {"sum", "mean", "min", "max", "count", "std", "size", "agg", "first", "nunique"}
+GROUPBY_AGGS = frozenset({
+    "sum", "mean", "min", "max", "count", "std", "size", "agg", "first",
+    "nunique",
+})
 #: informative calls whose column usage the paper's heuristic ignores.
-INFORMATIVE = {"head", "info", "describe", "tail"}
+INFORMATIVE = frozenset({"head", "info", "describe", "tail"})
 
 
 def module_aliases(tree: ast.Module) -> Tuple[Optional[str], Dict[str, str]]:

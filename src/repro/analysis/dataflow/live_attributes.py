@@ -33,10 +33,10 @@ from repro.analysis.dataflow.frames import (
 Fact = FrozenSet[Tuple[str, str]]
 
 #: frame methods whose result shares the source's columns (rule 3).
-_DERIVING = {
+_DERIVING = frozenset({
     "dropna", "fillna", "sort_values", "sort_index", "drop_duplicates",
     "head", "tail", "sample", "copy", "round", "astype", "abs", "reset_index",
-}
+})
 
 
 def live_attributes(

@@ -11,18 +11,19 @@ conservative about forcing computation.
 from __future__ import annotations
 
 import ast
+from types import MappingProxyType
 from typing import Dict, Optional
 
 from repro.analysis.scirpy.cfg import CFG
 from repro.analysis.dataflow.frames import Kind, expr_kind
 
-_PRIORITY = {
+_PRIORITY = MappingProxyType({
     Kind.FRAME: 4,
     Kind.GROUPBY: 3,
     Kind.SERIES: 2,
     Kind.SCALAR: 1,
     Kind.OTHER: 0,
-}
+})
 
 
 def infer_kinds(cfg: CFG, pandas_alias: Optional[str]) -> Dict[str, Kind]:

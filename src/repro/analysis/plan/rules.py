@@ -246,13 +246,13 @@ def check_merge_key_types(spec: RuleSpec,
 
 #: ops whose first input must be frame-like (a lazily computed scalar
 #: in that position is a graph-construction bug, not a valid plan).
-_FRAME_CONSUMING = {
+_FRAME_CONSUMING = frozenset({
     "filter", "getitem_column", "getitem_columns", "setitem", "dropna",
     "fillna", "astype", "rename", "drop", "sort_values", "sort_index",
     "drop_duplicates", "head", "tail", "sample", "nlargest", "nsmallest",
     "merge", "concat", "groupby_agg", "groupby_agg_multi", "groupby_size",
     "set_index", "reset_index", "describe", "apply", "to_csv",
-}
+})
 
 
 def check_scalar_as_frame(spec: RuleSpec,
@@ -372,7 +372,7 @@ def _all_columns_culprit(ctx: AnalysisContext, scan: Node,
 # Registration + the entry point.
 # ---------------------------------------------------------------------------
 
-BUILTIN_RULES = [
+BUILTIN_RULES = (
     RuleSpec(
         code="LFP001", rule="unknown-column", severity=Severity.ERROR,
         check=check_unknown_columns,
@@ -404,7 +404,7 @@ BUILTIN_RULES = [
         description="a foldable projection/predicate is capped by an "
                     "all-columns op",
     ),
-]
+)
 
 for _spec in BUILTIN_RULES:
     DEFAULT_ANALYZERS.register(_spec)

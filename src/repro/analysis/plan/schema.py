@@ -26,6 +26,7 @@ so a newly registered operator without schema semantics fails loudly.
 from __future__ import annotations
 
 import dataclasses
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.frame.groupby import agg_outputs
@@ -119,13 +120,13 @@ class NodeSchema:
 
 #: interned unknown schemas -- inference produces these constantly (the
 #: frozen dataclass is immutable, so sharing instances is safe).
-_UNKNOWN_SCHEMAS = {
+_UNKNOWN_SCHEMAS = MappingProxyType({
     kind: NodeSchema(kind=kind, columns=None)
     for kind in (UNKNOWN, FRAME, SERIES, SCALAR)
-}
+})
 
 #: dtype families for compatibility checks (merge keys) and widths.
-_NUMERIC_DTYPES = {"int64", "float64", "bool", "category"}
+_NUMERIC_DTYPES = frozenset({"int64", "float64", "bool", "category"})
 
 
 def dtype_family(dtype: Optional[str]) -> Optional[str]:

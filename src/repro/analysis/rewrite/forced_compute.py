@@ -21,7 +21,7 @@ from repro.analysis.scirpy.cfg import CFG
 from repro.analysis.dataflow.framework import DataflowResult
 from repro.analysis.dataflow.frames import Kind, expr_kind
 
-_LAZY_KINDS = {Kind.FRAME, Kind.SERIES, Kind.SCALAR}
+_LAZY_KINDS = frozenset({Kind.FRAME, Kind.SERIES, Kind.SCALAR})
 
 
 def apply_forced_compute(

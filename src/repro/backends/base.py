@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Callable, Dict, List
+from types import MappingProxyType
+from typing import Callable, List, Mapping
 
 from repro.graph.node import Node
 from repro.graph.scheduler.stats import count
@@ -125,7 +126,7 @@ def _is_framelike(value) -> bool:
 # Generic operator dispatch.
 # ---------------------------------------------------------------------------
 
-_BINOPS: Dict[str, Callable] = {
+_BINOPS: Mapping[str, Callable] = MappingProxyType({
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
@@ -140,7 +141,7 @@ _BINOPS: Dict[str, Callable] = {
     ">=": operator.ge,
     "&": operator.and_,
     "|": operator.or_,
-}
+})
 
 
 def apply_generic(backend: Backend, node: Node, inputs: List[object]):

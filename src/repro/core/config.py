@@ -168,13 +168,13 @@ OPTION_TABLE: Mapping[str, OptionSpec] = MappingProxyType({
         OptionSpec(
             "executor.strategy",
             os.environ.get("LAFP_EXECUTOR_STRATEGY", "serial"), _STR,
-            "Scheduler strategy resolved through the session's "
-            "ExecutorRegistry ('serial', 'threaded', 'fused', 'process', or "
-            "'async'); the LAFP_EXECUTOR_STRATEGY env var sets the process "
-            "default (the CI parallel-path leg uses it)."),
+            "Scheduler strategy of DEFAULT_EXECUTORS ('serial', "
+            "'threaded', 'fused', or 'process'); the LAFP_EXECUTOR_STRATEGY "
+            "env var sets the process default (the CI strategy legs use "
+            "it)."),
         OptionSpec(
             "executor.max_workers", 4, _POSITIVE_INT,
-            "Worker-pool size of the threaded, process, and async scheduler "
+            "Worker-pool size of the threaded and process scheduler "
             "strategies.  It bounds unbudgeted runs only: under "
             "memory.budget every strategy runs one task at a time, in the "
             "static order."),
@@ -183,7 +183,7 @@ OPTION_TABLE: Mapping[str, OptionSpec] = MappingProxyType({
             "Run the memory-aware static ordering pass (a Sethi-Ullman-style "
             "DFS over per-node byte estimates) before executing: the serial "
             "and fused strategies follow it as their execution order, the "
-            "threaded/process/async heaps use it as the tie-break ahead of "
+            "threaded/process heaps use it as the tie-break ahead of "
             "the node id.  Purely an ordering choice among independent "
             "nodes; results are unaffected."),
         OptionSpec(

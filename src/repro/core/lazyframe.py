@@ -18,6 +18,7 @@ variable, the nodes stay immutable.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import List, Optional, Sequence, Union
 
 from repro.graph.node import Node
@@ -623,7 +624,7 @@ class LazyScalar(LazyObject):
         return f"<LazyScalar node={self._node.id} op={self._node.op}>"
 
 
-_BINOP_LABELS = {">": "greater_than", "<": "less_than", "==": "equals"}
+_BINOP_LABELS = MappingProxyType({">": "greater_than", "<": "less_than", "==": "equals"})
 
 
 class LazyStringAccessor:

@@ -10,9 +10,10 @@ A :class:`Session` owns everything one logical program needs:
 - its own :class:`~repro.memory.manager.MemoryManager`, whose budget is
   the ``memory.budget`` option, so concurrent sessions account and
   budget their allocations independently -- the root session included,
-- an :class:`~repro.graph.scheduler.ExecutorRegistry` from which the
-  ``executor.strategy`` option picks the execution strategy (serial /
-  threaded / fused / process / async) for every ``collect()``,
+- a scheduler per ``collect()``, of the strategy the
+  ``executor.strategy`` option picks from
+  :data:`~repro.graph.scheduler.DEFAULT_EXECUTORS` (serial / threaded /
+  fused / process), and the process strategy's worker pool,
 - the chain of pending lazy-print nodes (section 3.3),
 - the set of persisted nodes from ``persist()`` / ``compute(live_df=...)``
   calls (section 3.5), released once no longer live,
@@ -48,12 +49,7 @@ from repro.backends.base import MARKER
 from repro.backends.engine import DEFAULT_REGISTRY, Engine, EngineRegistry
 from repro.core.config import SessionOptions
 from repro.graph import Node, collect_subgraph, physical_plan, render_plan
-from repro.graph.scheduler import (
-    DEFAULT_EXECUTORS,
-    ExecutionStats,
-    ExecutorRegistry,
-    Scheduler,
-)
+from repro.graph.scheduler import DEFAULT_EXECUTORS, ExecutionStats, Scheduler
 from repro.memory.manager import MemoryManager
 
 
@@ -80,13 +76,11 @@ class Session:
         options: Optional[dict] = None,
         registry: Optional[EngineRegistry] = None,
         metastore=None,
-        executors: Optional[ExecutorRegistry] = None,
     ):
         self.options = SessionOptions(options)
         if backend is not None:
             self.options.set("backend.engine", backend)
         self.registry = registry or DEFAULT_REGISTRY
-        self.executors = executors or DEFAULT_EXECUTORS
         self._engines: Dict[str, Engine] = {}
         self._memory = MemoryManager()
         self.last_print: Optional[Node] = None
@@ -180,10 +174,9 @@ class Session:
         running nodes on ``backend`` (default: this session's engine's;
         baseline Dask mode passes its own)."""
         strategy = str(self.options.get("executor.strategy")).lower()
-        return self.executors.spec(strategy).create(
+        return DEFAULT_EXECUTORS.spec(strategy).factory(
             self.backend if backend is None else backend,
             session=self,
-            memory=self.memory,
             max_workers=self._max_workers(),
             static_order=bool(self.options.get("executor.static_order")),
         )

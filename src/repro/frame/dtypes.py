@@ -18,6 +18,7 @@ array in :class:`repro.frame.column.Column`.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -64,7 +65,7 @@ class CategoricalDtype:
 
 DtypeLike = Union[str, type, np.dtype, CategoricalDtype]
 
-_ALIASES = {
+_ALIASES = MappingProxyType({
     "int": "int64",
     "int32": "int64",
     "integer": "int64",
@@ -81,7 +82,7 @@ _ALIASES = {
     "datetime64": "datetime64[ns]",
     "datetime64[ns]": "datetime64[ns]",
     "datetime": "datetime64[ns]",
-}
+})
 
 
 def normalize_dtype(dtype: DtypeLike) -> Union[np.dtype, CategoricalDtype]:

@@ -21,7 +21,7 @@ from repro.graph.taskgraph import topological_order
 REWRITE_NOTE = "rewrite: "
 
 #: args whose values are payloads, not plan structure.
-_ELIDED_ARGS = {"segments", "marker_map", "data", "frame", "blob", "node"}
+_ELIDED_ARGS = frozenset({"segments", "marker_map", "data", "frame", "blob", "node"})
 
 _MAX_VALUE_CHARS = 48
 
@@ -49,8 +49,8 @@ def _format_args(node: Node) -> str:
 
 #: scan args with dedicated renderings below (est_bytes is elided: a
 #: scheduling hint, not plan structure).
-_SCAN_SPECIAL = {"format", "path", "predicate", "partitions",
-                 "partitions_total", "columns", "est_bytes"}
+_SCAN_SPECIAL = frozenset({"format", "path", "predicate", "partitions",
+                           "partitions_total", "columns", "est_bytes"})
 
 
 def _format_scan_args(node: Node) -> str:

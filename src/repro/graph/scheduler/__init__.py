@@ -2,12 +2,13 @@
 
 Mirrors the engine layer: a :class:`SchedulerSpec` describes one
 strategy (its factory), an :class:`ExecutorRegistry` maps names to
-specs, and sessions pick a strategy through the ``executor.strategy``
-option -- the Dask split between a collection protocol and swappable
-``get`` functions, applied to the LaFP task graph.  Every strategy
-drives every engine: on the Dask engine the graph is already cut per
-partition (:mod:`repro.core.optimizer.partitions`), so the pool
-strategies run partitions in parallel.
+specs, and sessions pick a strategy of :data:`DEFAULT_EXECUTORS`
+through the ``executor.strategy`` option -- the Dask split between a
+collection protocol and swappable ``get`` functions, applied to the
+LaFP task graph.  Every strategy drives every engine: on the Dask
+engine the graph is already cut per partition
+(:mod:`repro.core.optimizer.partitions`), so the pool strategies run
+partitions in parallel.
 
 There is one scheduling core (:mod:`repro.graph.scheduler.base`): the
 :class:`~repro.graph.scheduler.base.ReadySet` state machine, one
@@ -21,10 +22,11 @@ grouped into tasks:
 - ``fused``    -- the inline seam over linear-chain tasks,
 - ``threaded`` -- the thread-pool seam,
 - ``process``  -- the process-pool seam: fused chains shipped through
-  the pickle seam, for CPU-bound operators the GIL serializes,
-- ``async``    -- the event-loop seam, with the awaitable
-  ``execute_async`` a server needs to multiplex many concurrent
-  collects over one scheduler.
+  the pickle seam, for CPU-bound operators the GIL serializes.
+
+A scheduler belongs to one session, which builds one per collect
+through :meth:`~repro.core.session.Session.scheduler`, the one
+constructor.
 
 The key of the ready heap is the memory-aware static ordering pass
 (:mod:`repro.graph.scheduler.order`, ``executor.static_order``); with
@@ -36,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from repro.graph.scheduler.async_ import AsyncScheduler
 from repro.graph.scheduler.base import ExecutionError, Scheduler
 from repro.graph.scheduler.fused import FusedScheduler, fuse_linear_chains
 from repro.graph.scheduler.process import ProcessScheduler
@@ -54,21 +55,14 @@ class SchedulerSpec:
     factory: Callable[..., Scheduler]
     description: str = ""
 
-    def create(self, backend, **kwargs) -> Scheduler:
-        return self.factory(backend, **kwargs)
-
 
 class ExecutorRegistry(SpecRegistry[SchedulerSpec]):
     """Name -> :class:`SchedulerSpec` lookup; sessions create instances."""
 
     noun, unknown_noun = "strategy", "executor strategy"
 
-    def create(self, name: str, backend, **kwargs) -> Scheduler:
-        """A fresh scheduler instance for one execution."""
-        return self.spec(name).create(backend, **kwargs)
 
-
-#: The stock registry with the five shipped strategies.
+#: The stock registry with the four shipped strategies.
 DEFAULT_EXECUTORS = ExecutorRegistry([
     SchedulerSpec(
         "serial", SerialScheduler,
@@ -87,16 +81,10 @@ DEFAULT_EXECUTORS = ExecutorRegistry([
         description="fused chains shipped to a process pool via the "
                     "pickle seam; inline fallback for unpicklable tasks",
     ),
-    SchedulerSpec(
-        "async", AsyncScheduler,
-        description="asyncio event-loop scheduling with an awaitable "
-                    "execute_async for concurrent collects",
-    ),
 ])
 
 
 __all__ = [
-    "AsyncScheduler",
     "DEFAULT_EXECUTORS",
     "ExecutionError",
     "ExecutionStats",

@@ -9,8 +9,8 @@ admission rule (:meth:`Scheduler._admit`: cached short-circuit, free
 slot, the one memory rule), per-node execution with stats capture, the
 run scope with its failure unwind, and the ``concurrent.futures`` driver
 both pool strategies share.  A strategy is its *submit seam* -- where an
-admitted task runs (inline, thread pool, process pool, event loop) --
-and nothing else.
+admitted task runs (inline, thread pool, process pool) -- and nothing
+else.
 
 The memory rule: a run whose memory manager has a budget admits a task
 only when nothing else is in flight.  Tasks still leave the heap in the
@@ -22,15 +22,12 @@ Unbudgeted runs keep ``max_workers`` tasks in flight.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import (
-    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.node import Node
 from repro.graph.scheduler.stats import ExecutionStats, NodeStat
@@ -157,10 +154,10 @@ class ReadySet:
 class Scheduler:
     """Runs task subgraphs against a backend (one strategy per class).
 
-    ``session`` (optional) is the owning :class:`repro.core.session.Session`;
-    parallel strategies activate it on their worker threads so buffers
-    allocated mid-node register with the right per-session memory
-    manager.  ``memory`` defaults to the current session's manager.
+    ``session`` is the owning :class:`repro.core.session.Session`, whose
+    memory manager the scheduler charges; parallel strategies activate
+    it on their worker threads so buffers allocated mid-node register
+    with that manager too.
     """
 
     name = "abstract"
@@ -172,12 +169,14 @@ class Scheduler:
     #: pool size when the caller names none.
     default_workers = 1
 
-    def __init__(self, backend, *, session=None,
-                 memory=None, max_workers: Optional[int] = None,
+    def __init__(self, backend, *, session,
+                 max_workers: Optional[int] = None,
                  static_order: bool = True):
         self.backend = backend
         self.session = session
-        self._memory = memory
+        #: the session's manager, read once: reading it writes the
+        #: ``memory.budget`` option in force now through to it.
+        self.memory = session.memory
         self.max_workers = max(1, int(max_workers or self.default_workers))
         #: apply the memory-aware static ordering pass
         #: (``executor.static_order``) before running.
@@ -191,56 +190,30 @@ class Scheduler:
         #: Session._run when ``optimizer.reuse`` is on; every strategy's
         #: node-completion path offers executed results through it.
         self.cache_state = None
-        #: node id -> predicted output bytes (filled per execute()).
+        #: node id -> predicted output bytes (set per execute()).
         self._estimates: Dict[int, int] = {}
-        #: node id -> static priority (filled per execute() when the
-        #: ordering pass ran): the ready heap's key ahead of the node id.
+        #: node id -> static priority (set per execute(); empty when the
+        #: ordering pass is off): the ready heap's key ahead of the node id.
         self._priorities: Dict[int, int] = {}
-
-    # -- memory ----------------------------------------------------------
-
-    @property
-    def memory(self):
-        if self._memory is not None:
-            return self._memory
-        from repro.memory import current_memory_manager
-
-        return current_memory_manager()
 
     # -- public API ------------------------------------------------------
 
     def execute(self, roots: Sequence[Node]) -> List[object]:
         """Compute ``roots``; returns their materialized results.
 
-        Statistics of the run land in :attr:`last_stats`.
-        """
-        with self._running(roots) as (ready, stats, started):
-            self._run(ready, stats)
-            return self._results(roots, started)
+        Statistics of the run land in :attr:`last_stats`.  Around the
+        strategy's driver: the run's record (bound here for the
+        coordinating thread: planning reads, inline nodes and the
+        roots' materialization count into it), planning, prefetch, and
+        -- when the driver raises -- the unwind.
 
-    def _fresh_stats(self) -> ExecutionStats:
-        return ExecutionStats(
-            strategy=self.name,
-            max_workers=self.max_workers,
-        )
-
-    # -- the run scope (shared with AsyncScheduler.execute_async) ---------
-
-    @contextlib.contextmanager
-    def _running(self, roots: Sequence[Node]) -> Iterator[
-            Tuple[ReadySet, ExecutionStats, float]]:
-        """Everything around a strategy's driver: the run's record
-        (bound here for the coordinating thread: planning reads, inline
-        nodes and the roots' materialization count into it),
-        planning, prefetch, and -- when the body raises -- the unwind.
-
-        The body's driver has let its in-flight work drain by the time
-        an exception reaches this scope, so every result the run
-        produced can be dropped (persisted ones stay, as
-        :meth:`Node.clear_result` defines): a failed run leaves the
-        tracked bytes, and the spill files they pin, as it found them.
-        Side-effect nodes stay done -- a print that reached stdout must
-        not be repeated by the next collect.
+        The driver has let its in-flight work drain by the time an
+        exception reaches the unwind, so every result the run produced
+        can be dropped (persisted ones stay, as :meth:`Node.clear_result`
+        defines): a failed run leaves the tracked bytes, and the spill
+        files they pin, as it found them.  Side-effect nodes stay done
+        -- a print that reached stdout must not be repeated by the next
+        collect.
         """
         stats, self.stats = self.stats, self._fresh_stats()
         self.last_stats = stats
@@ -254,7 +227,8 @@ class Scheduler:
             )
             started = time.perf_counter()
             try:
-                yield ready, stats, started
+                self._run(ready, stats)
+                return self._results(roots, started)
             except BaseException:
                 for node in order:
                     if node.id not in cached and not node.spec.side_effect:
@@ -267,13 +241,14 @@ class Scheduler:
                 stats.manager_peak_bytes = self.memory.peak
                 self._purge_prefetch(prefetched_urls)
 
-    def _plan(self, roots: Sequence[Node], stats: ExecutionStats):
-        """Cull, estimate, and statically order the subgraph.
+    def _fresh_stats(self) -> ExecutionStats:
+        return ExecutionStats(
+            strategy=self.name,
+            max_workers=self.max_workers,
+        )
 
-        Estimates and priorities *merge* into the scheduler's maps
-        (node ids are process-unique), so one async scheduler can plan
-        several concurrent executions without clobbering its own state.
-        """
+    def _plan(self, roots: Sequence[Node], stats: ExecutionStats):
+        """Cull, estimate, and statically order the subgraph."""
         order = topological_order(roots)
         needed = needed_nodes(roots)
         order = [n for n in order if n.id in needed]
@@ -288,14 +263,14 @@ class Scheduler:
             static_priorities,
         )
 
-        self._estimates.update(estimate_node_bytes(order, self.session))
-        if self.static_order:
-            # Memory-aware static ordering (ROADMAP item 2): finish the
-            # branch that frees the most bytes first.  The priorities
-            # key the ready heap of every strategy.
-            self._priorities.update(
-                static_priorities(order, self._estimates)
-            )
+        self._estimates = estimate_node_bytes(order, self.session)
+        # Memory-aware static ordering (ROADMAP item 2): finish the
+        # branch that frees the most bytes first.  The priorities key
+        # the ready heap of every strategy.
+        self._priorities = (
+            static_priorities(order, self._estimates)
+            if self.static_order else {}
+        )
         # the order a one-at-a-time drain of the ready set follows (node
         # id breaks every tie when the ordering pass is off); the edges
         # are walked once for ordering, task grouping and the run
@@ -426,11 +401,8 @@ class Scheduler:
         bound and the owning session active, so ``count()``,
         ``current_session()`` and the per-session memory manager every
         :class:`~repro.memory.manager.TrackedBuffer` resolves are right
-        inside backend calls.  Per call, not per thread: an event
-        loop's default pool threads are shared and long-lived."""
+        inside backend calls."""
         with stats.bound():
-            if self.session is None:
-                return self._execute_node(node, stats, ready_at)
             self.session.activate()
             try:
                 return self._execute_node(node, stats, ready_at)

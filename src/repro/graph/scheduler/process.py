@@ -44,11 +44,11 @@ seam* of :meth:`Scheduler._drive_pool` -- what ships and how it lands,
 the retry, and the pool's lifecycle -- and nothing else.
 
 Workers are started through the session's cached pool
-(:meth:`~repro.core.session.Session.process_pool`), or a sessionless
-scheduler's private one, both with :data:`START_METHOD`: the
-``LAFP_PROCESS_START_METHOD`` env var, read once at import (the CI
-spawn leg sets ``spawn``), else ``fork`` where available (workers start
-in milliseconds and inherit loaded modules), else the platform default.
+(:meth:`~repro.core.session.Session.process_pool`) with
+:data:`START_METHOD`: the ``LAFP_PROCESS_START_METHOD`` env var, read
+once at import (the CI spawn leg sets ``spawn``), else ``fork`` where
+available (workers start in milliseconds and inherit loaded modules),
+else the platform default.
 They are initialized by :func:`_pool_worker_init`: forked children
 inherit the parent's session stack, simulated budget, and live spill-store
 finalizers, none of which belong to them (the ``os.register_at_fork``
@@ -208,34 +208,6 @@ class ProcessScheduler(Scheduler):
 
     name = "process"
     default_workers = 4
-    #: pool created for a sessionless run, shut down afterwards.
-    _private_pool: Any = None
-
-    # -- pool management ---------------------------------------------------
-
-    def _pool(self):
-        if self.session is not None:
-            return self.session.process_pool(self.max_workers)
-        if self._private_pool is None:
-            from repro.backends.engine import DEFAULT_REGISTRY
-
-            name = getattr(self.backend, "name", "pandas")
-            self._private_pool = create_worker_pool(
-                self.max_workers, DEFAULT_REGISTRY.spec(name).factory)
-        return self._private_pool
-
-    def _discard_pool(self, pool) -> None:
-        """The pool broke (a worker died): drop it so the next shipped
-        task gets a fresh one."""
-        if self.session is not None:
-            self.session.discard_pool(pool)
-            return
-        if self._private_pool is pool:
-            self._private_pool = None
-        try:
-            pool.shutdown(wait=True, cancel_futures=True)
-        except Exception:  # noqa: BLE001 - broken pools may raise
-            pass
 
     # -- strategy hooks ----------------------------------------------------
 
@@ -256,14 +228,16 @@ class ProcessScheduler(Scheduler):
     def _run(self, ready: ReadySet, stats: ExecutionStats) -> None:
         from concurrent.futures.process import BrokenProcessPool
 
+        session = self.session
         #: head node id -> times the task was lost to a dying worker.
         attempts: Dict[int, int] = {}
 
         def retry(lost: List[Task]) -> None:
             """The pool broke under ``lost``: replace it and re-queue
             them (pure functions of materialized inputs), within the
-            :data:`PROCESS_RETRIES` budget."""
-            self._discard_pool(self._pool())
+            :data:`PROCESS_RETRIES` budget; the next shipped task gets
+            a fresh pool."""
+            session.discard_pool(session.process_pool(self.max_workers))
             now = time.perf_counter()
             for task in lost:
                 head = task[0].id
@@ -284,7 +258,8 @@ class ProcessScheduler(Scheduler):
                 self._run_inline(ready, task, ready_at, stats)
                 return None
             try:
-                return self._pool().submit(_run_task, payload)
+                return session.process_pool(self.max_workers).submit(
+                    _run_task, payload)
             except BrokenProcessPool:  # the pool broke while idle
                 retry([task])
                 return None
@@ -304,12 +279,7 @@ class ProcessScheduler(Scheduler):
             self._land_result(task, landed, submitted, ready_at, stats)
             self._finish(ready, task)
 
-        try:
-            self._drive_pool(ready, stats, submit, collect)
-        finally:
-            if self._private_pool is not None:
-                self._private_pool.shutdown(wait=True, cancel_futures=True)
-                self._private_pool = None
+        self._drive_pool(ready, stats, submit, collect)
 
     # -- shipping ----------------------------------------------------------
 

@@ -12,10 +12,10 @@ where the work happens.
 
 A count is written *where the work happens, into the run it belongs
 to*: the scheduler binds the run's record around everything it executes
-(:meth:`ExecutionStats.bound`, a context variable, so pool threads and
-concurrent event-loop tasks each see their own run) and the deep layers
--- source reads, range fetches, spills, shuffle operators, the reuse
-pass -- call :func:`count`, which adds to the bound record.  Work done
+(:meth:`ExecutionStats.bound`, a context variable, so each pool thread
+sees its own run) and the deep layers -- source reads, range fetches,
+spills, shuffle operators, the reuse pass -- call :func:`count`, which
+adds to the bound record.  Work done
 outside any run (metastore sampling, ``explain()``, the eager
 baselines) is counted nowhere.  A process-pool worker fills a record of
 its own and ships :meth:`~ExecutionStats.counters` back beside its
@@ -81,10 +81,8 @@ class ExecutionStats:
     The fields, in declaration order, are the keys of :meth:`to_dict`.
     """
 
-    #: the strategy the session asked for (``executor.strategy``).
+    #: the strategy that ran (``executor.strategy``).
     strategy: str
-    #: the strategy that actually ran (the scheduler's own name).
-    effective_strategy: Optional[str] = None
     max_workers: int = 1
     wall_seconds: float = 0.0
     nodes_executed: int = _counter("nodes that ran (one NodeStat each)")
@@ -154,7 +152,6 @@ class ExecutionStats:
     nodes: List[NodeStat] = dataclasses.field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.effective_strategy = self.effective_strategy or self.strategy
         self._lock = threading.Lock()
 
     # -- writing (thread-safe) -------------------------------------------
@@ -183,7 +180,7 @@ class ExecutionStats:
     @contextlib.contextmanager
     def bound(self) -> Iterator["ExecutionStats"]:
         """Make this the record :func:`count` writes to, for the calling
-        thread (or event-loop task) until the block exits."""
+        thread until the block exits."""
         token = _BOUND.set(self)
         try:
             yield self
@@ -242,7 +239,7 @@ class ExecutionStats:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<ExecutionStats {self.effective_strategy} "
+            f"<ExecutionStats {self.strategy} "
             f"nodes={self.nodes_executed} wall={self.wall_seconds:.4f}s>"
         )
 
@@ -303,7 +300,7 @@ def counter_lines(counts: Mapping[str, object],
 
 _BOUND: "contextvars.ContextVar[Optional[ExecutionStats]]" = (
     contextvars.ContextVar("repro_run_stats", default=None))
-#: the record of the run executing on this thread / event-loop task
+#: the record of the run executing on this thread
 #: (None outside any run).
 bound_record = _BOUND.get
 

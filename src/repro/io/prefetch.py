@@ -221,18 +221,16 @@ def prefetch_scan_node(node, session,
 
     Asks the node's source for ``prefetch_ranges`` (sources without the
     hook -- whole-file text formats -- simply don't prefetch) and
-    schedules each range against the active session's budget, counted
+    schedules each range against ``session``'s budget, counted
     into ``counters`` (the run's record; the fetch pool's threads are
     not the run's, so the sink is explicit).  Returns the URLs
     touched so the scheduler can purge leftovers after the run.
     """
     args = node.args
     try:
-        from repro.core.session import current_session
         from repro.io.predicate import Predicate
         from repro.io.source_table import session_source
 
-        session = session or current_session()
         if not session.get_option("io.prefetch"):
             return set()
         source = session_source(args, session.metastore, session)

@@ -60,7 +60,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_grid(args) -> int:
     runner = Runner(base_rows=args.rows, enforce_budget=not args.no_budget)
-    header = ["size"] + MODES
+    header = ["size", *MODES]
     print("  ".join(f"{h:>12}" for h in header))
     exit_code = 0
     for size in args.sizes:

@@ -26,7 +26,8 @@ dataset's natural low-cardinality column (:data:`PARTITION_KEYS`).
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterable
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Mapping
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from repro.frame import DataFrame
 BASE_ROWS = 12_000
 
 #: dataset -> the low-cardinality column its hive variant partitions on.
-PARTITION_KEYS: Dict[str, str] = {
+PARTITION_KEYS: Mapping[str, str] = MappingProxyType({
     "taxi": "payment_type",
     "ratings": "device",
     "movies": "genre",
@@ -49,7 +50,7 @@ PARTITION_KEYS: Dict[str, str] = {
     "orders": "qty",
     "items": "cuisine",
     "zips": "state",
-}
+})
 
 _GENERATORS: Dict[str, Callable[[str, int], None]] = {}
 

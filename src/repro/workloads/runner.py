@@ -37,7 +37,8 @@ import sys
 import tempfile
 import threading
 import time
-from typing import Dict, Iterable, List, Optional
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.core.session import Session
 from repro.metastore import MetaStore
@@ -47,14 +48,14 @@ from repro.workloads.programs import PROGRAMS
 from repro.workloads.resultio import file_md5
 
 #: size name -> row multiplier (paper: 1.4 / 4.2 / 12.6 GB = 1 : 3 : 9).
-SCALES: Dict[str, int] = {"S": 1, "M": 3, "L": 9}
+SCALES: Mapping[str, int] = MappingProxyType({"S": 1, "M": 3, "L": 9})
 
 #: the paper machine's RAM : largest-dataset ratio (32 GB : 12.6 GB).
 RAM_RATIO = 32 / 12.6
 
-MODES = ["pandas", "lafp_pandas", "modin", "lafp_modin", "dask", "lafp_dask"]
+MODES = ("pandas", "lafp_pandas", "modin", "lafp_modin", "dask", "lafp_dask")
 
-_HEADERS = {
+_HEADERS = MappingProxyType({
     "pandas": "import repro.workloads.pandas_compat as pd\n",
     "modin": "import repro.workloads.modin_compat as pd\n",
     "dask": "import repro.workloads.dask_compat as pd\n",
@@ -73,13 +74,13 @@ _HEADERS = {
         "pd.BACKEND_ENGINE = pd.BackendEngines.DASK\n"
         "pd.analyze()\n"
     ),
-}
+})
 
-_BACKEND_OF_MODE = {
+_BACKEND_OF_MODE = MappingProxyType({
     "lafp_pandas": "pandas",
     "lafp_modin": "modin",
     "lafp_dask": "dask",
-}
+})
 
 #: header for static linting: the lazy facade *without* ``pd.analyze()``
 #: (the source rewriter replaces execution; lint wants the program to
@@ -378,7 +379,7 @@ class Runner:
         them.
         """
         if mode not in _HEADERS:
-            raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
+            raise ValueError(f"unknown mode {mode!r}; choose from {list(MODES)}")
         spec = PROGRAMS[program]
         variants = [source_format] if source_format not in (None, "csv") else []
         self.prepare([size], programs=[program], variants=variants)
@@ -442,7 +443,7 @@ class Runner:
             result_hash=digest,
             stdout=captured.getvalue(),
             # report what actually ran
-            strategy=(exec_stats.effective_strategy if exec_stats
+            strategy=(exec_stats.strategy if exec_stats
                       else requested_strategy),
             source_format=source_format,
             execution_stats=exec_stats.to_dict() if exec_stats else None,

@@ -40,7 +40,7 @@ def _hard_deadline(request):
     """``@pytest.mark.deadline(seconds)``: a hung test fails instead of
     stalling the run.
 
-    For the tests that fork worker pools or drive an event loop: a
+    For the tests that fork worker pools or drive thread pools: a
     wedged pool leaves the parent waiting on a lock forever.
     ``SIGALRM`` interrupts that wait in the main thread; the handler
     dumps all stacks (the parent's wait is the informative one), kills

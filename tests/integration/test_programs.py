@@ -110,7 +110,7 @@ class TestSchedulerStrategies:
         assert result.ok, result.error
         stats = result.execution_stats
         assert stats is not None
-        assert stats["effective_strategy"] == "threaded"
+        assert stats["strategy"] == "threaded"
         assert stats["nodes_executed"] > 0
         assert stats["nodes"][0]["op"]
         # the whole record serializes (the runner's result JSON)
@@ -130,7 +130,7 @@ class TestSchedulerStrategies:
         assert result.ok, result.error
         assert result.strategy == "threaded"
         assert result.execution_stats["strategy"] == "threaded"
-        assert result.execution_stats["effective_strategy"] == "threaded"
+        assert result.execution_stats["strategy"] == "threaded"
 
     def test_concurrent_cells_do_not_race_on_paths(self, runner):
         """The env-var and redirect seams are gone: two cells running

@@ -33,7 +33,7 @@ from repro.graph.scheduler import DEFAULT_EXECUTORS
 BACKENDS = ["pandas", "modin", "dask"]
 STRATEGIES = DEFAULT_EXECUTORS.names()
 #: the strategies that overlap tasks when no budget holds them back
-PARALLEL_STRATEGIES = ("threaded", "process", "async")
+PARALLEL_STRATEGIES = ("threaded", "process")
 
 #: the grid runs every pool-backed strategy; the tier-1 hang (a dropped
 #: session's pool finalizer joining a thread from inside the collector)

@@ -518,7 +518,7 @@ class TestPartitionCut:
         ]
 
     @pytest.mark.parametrize("strategy",
-                             ["serial", "threaded", "process", "async"])
+                             ["serial", "threaded", "fused", "process"])
     def test_every_strategy_matches_pandas(self, wide_csv, strategy):
         from repro.core.session import Session
 
@@ -532,7 +532,7 @@ class TestPartitionCut:
                 got.append(query.collect())
                 assert session.last_optimize_report["partitions_cut"] > 0
                 stats = session.last_execution_stats
-                assert stats.effective_strategy == strategy
+                assert stats.strategy == strategy
                 tasks += stats.process_tasks
         if strategy == "process":
             assert tasks > 0  # per-partition chains pickled to workers

@@ -3,14 +3,21 @@
 import pytest
 
 from repro.backends import PandasBackend
+from repro.core.session import Session
 from repro.frame import DataFrame
 from repro.graph import Node, collect_subgraph, to_dot, topological_order
-from repro.graph.scheduler import SerialScheduler
 from repro.graph.taskgraph import consumer_counts
 
 
 def read_node(path):
     return Node("read_csv", args={"path": path})
+
+
+def serial_scheduler(backend):
+    """The serial strategy over ``backend``, built by a session."""
+    session = Session(backend="pandas",
+                      options={"executor.strategy": "serial"})
+    return session.scheduler(backend)
 
 
 class TestNode:
@@ -139,14 +146,14 @@ class TestExecutor:
         data = Node("from_data", args={"data": {"x": [1, 2, 3]}})
         col = Node("getitem_column", inputs=[data], args={"column": "x"})
         agg = Node("series_agg", inputs=[col], args={"func": "sum"})
-        result = SerialScheduler(PandasBackend()).execute([agg])
+        result = serial_scheduler(PandasBackend()).execute([agg])
         assert result == [6]
 
     def test_intermediate_results_cleared(self):
         data = Node("from_data", args={"data": {"x": [1, 2]}})
         col = Node("getitem_column", inputs=[data], args={"column": "x"})
         agg = Node("series_agg", inputs=[col], args={"func": "sum"})
-        SerialScheduler(PandasBackend()).execute([agg])
+        serial_scheduler(PandasBackend()).execute([agg])
         assert data.result is None  # released after its consumers ran
         assert col.result is None
         assert agg.result == 3
@@ -156,7 +163,7 @@ class TestExecutor:
         data.persist = True
         col = Node("getitem_column", inputs=[data], args={"column": "x"})
         agg = Node("series_agg", inputs=[col], args={"func": "sum"})
-        SerialScheduler(PandasBackend()).execute([agg])
+        serial_scheduler(PandasBackend()).execute([agg])
         assert isinstance(data.result, DataFrame)
 
     def test_cached_results_reused(self):
@@ -165,7 +172,7 @@ class TestExecutor:
         data.persist = True
         col = Node("getitem_column", inputs=[data], args={"column": "x"})
         agg = Node("series_agg", inputs=[col], args={"func": "sum"})
-        result = SerialScheduler(PandasBackend()).execute([agg])
+        result = serial_scheduler(PandasBackend()).execute([agg])
         assert result == [99]  # came from cache, not args
 
     def test_shared_input_executes_once(self):
@@ -181,7 +188,7 @@ class TestExecutor:
         c2 = Node("getitem_column", inputs=[data], args={"column": "x"})
         s1 = Node("series_agg", inputs=[c1], args={"func": "sum"})
         s2 = Node("series_agg", inputs=[c2], args={"func": "sum"})
-        SerialScheduler(CountingBackend()).execute([s1, s2])
+        serial_scheduler(CountingBackend()).execute([s1, s2])
         assert calls.count("from_data") == 1
 
     def test_multiple_roots_all_returned(self):
@@ -189,5 +196,5 @@ class TestExecutor:
         col = Node("getitem_column", inputs=[data], args={"column": "x"})
         s = Node("series_agg", inputs=[col], args={"func": "sum"})
         m = Node("series_agg", inputs=[col], args={"func": "max"})
-        out = SerialScheduler(PandasBackend()).execute([s, m])
+        out = serial_scheduler(PandasBackend()).execute([s, m])
         assert out == [3, 2]

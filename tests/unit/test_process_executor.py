@@ -1,4 +1,4 @@
-"""Process and async executor strategies, and the static ordering pass.
+"""The process executor strategy, and the static ordering pass.
 
 The process strategy ships fused-chain tasks across the pickle seam,
 so the suite covers the contract ends: what ships (and what falls back
@@ -7,11 +7,10 @@ worker-death fault tolerance (retry, then a clean ExecutionError with
 budget and spill files reclaimed), and pool lifecycle on the session.
 The pickle round-trip class is the regression net for the seam itself:
 every op's args must keep pickling or the strategy silently degrades
-to inline-only.  The async strategy's awaitable entry point and the
-memory-aware static ordering pass get direct unit coverage.
+to inline-only.  The memory-aware static ordering pass gets direct
+unit coverage.
 """
 
-import asyncio
 import functools
 import gc
 import os
@@ -29,9 +28,7 @@ from repro.core.session import Session
 from repro.graph import Node
 from repro.graph.scheduler import (
     DEFAULT_EXECUTORS,
-    AsyncScheduler,
     ExecutionError,
-    ProcessScheduler,
 )
 from repro.graph.scheduler.base import ReadySet
 from repro.graph.scheduler.order import (
@@ -43,7 +40,7 @@ from repro.graph.scheduler.process import _run_task, create_worker_pool
 from repro.io.predicate import Predicate
 from repro.io.source import Partition
 
-#: worker pools, forks and event loops: a wedged one must fail in a
+#: worker pools and forks: a wedged one must fail in a
 #: minute with stacks rather than hang the run (see tests/conftest.py)
 pytestmark = pytest.mark.deadline(60)
 
@@ -110,7 +107,7 @@ class TestProcessShipping:
         with _process_session() as session:
             assert pipeline().collect() == expected
             stats = session.last_execution_stats
-            assert stats.effective_strategy == "process"
+            assert stats.strategy == "process"
             assert stats.process_tasks >= 1
             assert any(
                 stat.worker == "process-pool" for stat in stats.nodes
@@ -165,7 +162,7 @@ class TestProcessShipping:
         with Session(backend="pandas"):
             expected = lfp.read_csv(numbers_csv).x.sum().collect()
         assert got == expected
-        assert stats.effective_strategy == "process"
+        assert stats.strategy == "process"
         assert stats.process_tasks >= 1
 
     def test_dask_engine_ships_partition_tasks(self, numbers_csv):
@@ -177,7 +174,7 @@ class TestProcessShipping:
             got = lfp.scan_csv(numbers_csv, partition_bytes=256).x.sum()
             assert got.collect() == expected
             stats = session.last_execution_stats
-            assert stats.strategy == stats.effective_strategy == "process"
+            assert stats.strategy == "process"
             assert stats.process_tasks > 1
 
     def test_print_side_effect_runs_on_parent_stdout(
@@ -322,15 +319,6 @@ class TestPoolLifecycle:
             with lfp.option_context("executor.max_workers", 3):
                 assert session.process_pool() is not pool
 
-    def test_sessionless_scheduler_uses_private_pool(self):
-        scheduler = ProcessScheduler(PandasBackend(), max_workers=2)
-        src = Node("from_data", args={"data": {"x": [1, 2, 3, 4]}})
-        column = Node("getitem_column", inputs=[src], args={"column": "x"})
-        total = Node("series_agg", inputs=[column], args={"func": "sum"})
-        (result,) = scheduler.execute([total])
-        assert result == 10
-        assert scheduler._private_pool is None  # shut down after the run
-
     def test_collected_session_never_waits_for_its_pool(self):
         """The garbage collector runs a dropped session's pool finalizer
         at an arbitrary allocation -- the tier-1 hang was one inside
@@ -378,19 +366,16 @@ class TestPoolLifecycle:
 
     def test_start_method_env_var_reaches_every_pool(self):
         """``LAFP_PROCESS_START_METHOD=spawn`` (the CI spawn leg's
-        switch) makes the session's pool and a sessionless scheduler's
-        private pool both spawn workers -- the leg cannot silently fall
-        back to fork.  No task is submitted, so no worker starts."""
+        switch) makes the session's pool spawn workers -- the leg cannot
+        silently fall back to fork.  No task is submitted, so no worker
+        starts."""
         snippet = (
             "from repro.core.session import Session\n"
-            "from repro.graph.scheduler import ProcessScheduler, process\n"
-            "from repro.backends import PandasBackend\n"
-            "pools = [Session(backend='pandas').process_pool(1),\n"
-            "         ProcessScheduler(PandasBackend(), max_workers=1)._pool()]\n"
+            "from repro.graph.scheduler import process\n"
+            "pool = Session(backend='pandas').process_pool(1)\n"
             "print(process.START_METHOD,\n"
-            "      *(pool._mp_context.get_start_method() for pool in pools))\n"
-            "for pool in pools:\n"
-            "    pool.shutdown()\n"
+            "      pool._mp_context.get_start_method())\n"
+            "pool.shutdown()\n"
         )
         env = dict(os.environ, LAFP_PROCESS_START_METHOD="spawn")
         env["PYTHONPATH"] = (
@@ -402,7 +387,7 @@ class TestPoolLifecycle:
             cwd=os.path.dirname(os.path.dirname(os.path.dirname(
                 os.path.abspath(__file__)))),
         )
-        assert out.stdout.split() == ["spawn"] * 3
+        assert out.stdout.split() == ["spawn"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -462,55 +447,6 @@ class TestPickleSeam:
         ])
         clone = pickle.loads(pickle.dumps(pred.to_arg()))
         assert clone == pred.to_arg()
-
-
-# ---------------------------------------------------------------------------
-# The async strategy.
-# ---------------------------------------------------------------------------
-
-
-class TestAsyncExecutor:
-    def test_collect_runs_on_event_loop(self, numbers_csv):
-        with Session(backend="pandas",
-                     options={"executor.strategy": "async",
-                              "executor.max_workers": 3}) as session:
-            got = lfp.read_csv(numbers_csv).x.sum().collect()
-            stats = session.last_execution_stats
-            assert stats.effective_strategy == "async"
-        with Session(backend="pandas"):
-            assert got == lfp.read_csv(numbers_csv).x.sum().collect()
-
-    def test_execute_async_multiplexes_concurrent_collects(self):
-        """One scheduler instance serves many awaited executions --
-        the serving-layer seam."""
-        with Session(backend="pandas",
-                     options={"executor.strategy": "async"}) as session:
-            scheduler = session.scheduler()
-            assert isinstance(scheduler, AsyncScheduler)
-            frames = [
-                lfp.DataFrame({"x": list(range(10 * (i + 1)))})
-                for i in range(4)
-            ]
-            roots = [(f.x * 2).sum()._node for f in frames]
-
-            async def serve():
-                return await asyncio.gather(
-                    *(scheduler.execute_async([root]) for root in roots)
-                )
-
-            results = asyncio.run(serve())
-        totals = [r[0] for r in results]
-        expected = [
-            2 * sum(range(10 * (i + 1))) for i in range(4)
-        ]
-        assert totals == expected
-
-    def test_async_node_errors_propagate(self):
-        with Session(backend="pandas",
-                     options={"executor.strategy": "async"}):
-            frame = lfp.DataFrame({"x": [1, 2]})
-            with pytest.raises(KeyError):
-                frame["missing"].sum().collect()
 
 
 # ---------------------------------------------------------------------------

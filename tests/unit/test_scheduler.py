@@ -7,8 +7,11 @@ per-node execution statistics, memory-aware admission, and per-session
 memory-budget isolation under concurrency.
 """
 
+import contextlib
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 
@@ -29,7 +32,6 @@ from repro.graph import (
     topological_order,
 )
 from repro.graph.scheduler import (
-    AsyncScheduler,
     FusedScheduler,
     ProcessScheduler,
     SerialScheduler,
@@ -45,15 +47,27 @@ from repro.graph.scheduler.stats import (
     count,
     counter_lines,
 )
-from repro.memory import MemoryManager, SimulatedMemoryError
+from repro.memory import SimulatedMemoryError
 
-STRATEGIES = ["serial", "threaded", "fused", "process", "async"]
+STRATEGIES = ["serial", "threaded", "fused", "process"]
 
-#: the drivers that overlap tasks: all three ask the one admission rule
-PARALLEL_SCHEDULERS = [ThreadedScheduler, AsyncScheduler, ProcessScheduler]
+#: the drivers that overlap tasks: both ask the one admission rule
+PARALLEL_SCHEDULERS = [ThreadedScheduler, ProcessScheduler]
 
-#: the grid forks worker pools and drives event loops (tests/conftest.py)
+#: the grid forks worker pools (tests/conftest.py)
 pytestmark = pytest.mark.deadline(60)
+
+
+@contextlib.contextmanager
+def _scheduler(strategy, backend=None, options=()):
+    """A ``strategy`` scheduler built the one way, by a session with
+    ``options``; the session's worker pool is shut down afterwards."""
+    session = Session(backend="pandas",
+                      options={"executor.strategy": strategy, **dict(options)})
+    try:
+        yield session.scheduler(backend)
+    finally:
+        session.close()
 
 
 def _diamond():
@@ -124,7 +138,7 @@ def numbers_csv(make_csv):
 class TestExecutorRegistry:
     def test_stock_strategies_registered(self):
         assert DEFAULT_EXECUTORS.names() == [
-            "async", "fused", "process", "serial", "threaded",
+            "fused", "process", "serial", "threaded",
         ]
         assert "threaded" in DEFAULT_EXECUTORS
 
@@ -141,31 +155,85 @@ class TestExecutorRegistry:
         )
         assert registry.spec("serial").factory is FusedScheduler
 
-    def test_session_custom_registry_is_pluggable(self):
-        """A new strategy plugs in as a spec -- the scale-out seam."""
-        class TracingScheduler(SerialScheduler):
-            name = "tracing"
+    @pytest.mark.parametrize(
+        "cls", [SerialScheduler, ThreadedScheduler, FusedScheduler,
+                ProcessScheduler],
+        ids=lambda cls: cls.name,
+    )
+    def test_scheduler_needs_a_session(self, cls):
+        with pytest.raises(TypeError, match="session"):
+            cls(PandasBackend())
 
-        registry = ExecutorRegistry([
-            DEFAULT_EXECUTORS.spec("serial"),
-            SchedulerSpec("tracing", TracingScheduler),
-        ])
-        session = Session(backend="pandas", executors=registry,
-                          options={"executor.strategy": "tracing"})
-        assert isinstance(session.scheduler(), TracingScheduler)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_session_builds_the_named_strategy(self, strategy):
+        """``Session.scheduler`` is the one constructor: the scheduler
+        it builds runs on the session's engine and holds the session,
+        its manager and the executor options in force."""
+        with _scheduler(strategy, options={
+            "executor.max_workers": 3,
+            "executor.static_order": False,
+            "memory.budget": 1 << 20,
+        }) as scheduler:
+            session = scheduler.session
+            assert type(scheduler) is DEFAULT_EXECUTORS.spec(strategy).factory
+            assert scheduler.backend is session.backend
+            assert scheduler.memory is session.memory
+            assert scheduler.memory.budget == 1 << 20
+            assert scheduler.max_workers == 3
+            assert scheduler.static_order is False
 
-    def test_create_builds_fresh_instances(self):
-        backend = PandasBackend()
-        a = DEFAULT_EXECUTORS.create("serial", backend)
-        b = DEFAULT_EXECUTORS.create("serial", backend)
-        assert a is not b
+    def test_each_call_builds_a_fresh_scheduler(self):
+        """One scheduler per collect: no run state is shared between
+        two calls, and a caller's backend replaces the engine's."""
+        with Session(backend="pandas") as session:
+            backend = PandasBackend()
+            first, second = session.scheduler(), session.scheduler(backend)
+            assert first is not second
+            assert first.backend is session.backend
+            assert second.backend is backend
+            assert first.memory is second.memory is session.memory
 
-    def test_unknown_strategy_errors_at_collect(self):
+    @pytest.mark.parametrize("strategy", ["warp", "async"])
+    def test_unknown_strategy_errors_at_collect(self, strategy):
+        """A strategy name that no longer exists (``async``, say, still
+        set in ``LAFP_EXECUTOR_STRATEGY``) fails cleanly at collect and
+        names the strategies there are."""
         with Session(backend="pandas",
-                     options={"executor.strategy": "warp"}):
+                     options={"executor.strategy": strategy}):
             frame = lfp.DataFrame({"x": [1, 2]})
-            with pytest.raises(ValueError, match="unknown executor strategy"):
+            with pytest.raises(ValueError) as caught:
                 frame.collect()
+        assert str(caught.value) == (
+            f"unknown executor strategy {strategy!r}; choose from "
+            "['fused', 'process', 'serial', 'threaded']"
+        )
+
+    def test_async_from_the_environment_fails_at_collect(self):
+        """``LAFP_EXECUTOR_STRATEGY=async`` left in an environment sets
+        the option's default; the first collect fails cleanly."""
+        snippet = (
+            "import repro.lazyfatpandas.pandas as lfp\n"
+            "from repro.core.session import Session\n"
+            "with Session(backend='pandas'):\n"
+            "    try:\n"
+            "        lfp.DataFrame({'x': [1, 2]}).collect()\n"
+            "    except ValueError as error:\n"
+            "        print(error)\n"
+        )
+        env = dict(os.environ, LAFP_EXECUTOR_STRATEGY="async")
+        env["PYTHONPATH"] = (
+            "src" + os.pathsep + env.get("PYTHONPATH", "")
+        ).rstrip(os.pathsep)
+        out = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__)))),
+        )
+        assert out.stdout.strip() == (
+            "unknown executor strategy 'async'; choose from "
+            "['fused', 'process', 'serial', 'threaded']"
+        )
 
 
 class TestReadySetHelpers:
@@ -239,10 +307,9 @@ class TestReadySetHelpers:
                 return super().apply(node, inputs)
 
         roots = GRAPH_ROOTS[shape]()
-        scheduler = DEFAULT_EXECUTORS.create(
-            strategy, RecordingBackend(), max_workers=1
-        )
-        scheduler.execute(roots)
+        with _scheduler(strategy, RecordingBackend(),
+                        {"executor.max_workers": 1}) as scheduler:
+            scheduler.execute(roots)
         expected = [
             node.id for node in priority_topological_order(
                 topological_order(roots), scheduler._priorities
@@ -251,6 +318,25 @@ class TestReadySetHelpers:
         assert [s.node_id for s in scheduler.last_stats.nodes] == expected
         if strategy != "process":  # its tasks run in the pool's workers
             assert applied == expected
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_planning_state_belongs_to_one_run(self, strategy):
+        """Estimates and priorities are assigned per run, never merged:
+        a second run plans, orders and records only its own nodes."""
+        with _scheduler(strategy, options={"executor.max_workers": 2}) \
+                as scheduler:
+            first = GRAPH_ROOTS["shared_subexpression"]()
+            second = GRAPH_ROOTS["shared_subexpression"]()
+            assert scheduler.execute(first) == [3, 2]
+            first_stats = scheduler.last_stats
+            # the first run left planning state behind
+            assert scheduler._estimates and scheduler._priorities
+            assert scheduler.execute(second) == [3, 2]
+            ids = {node.id for node in topological_order(second)}
+            assert set(scheduler._estimates) <= ids
+            assert set(scheduler._priorities) <= ids
+            assert scheduler.last_stats is not first_stats
+            assert {s.node_id for s in scheduler.last_stats.nodes} == ids
 
 
 class TestStrategyEquivalence:
@@ -272,9 +358,9 @@ class TestStrategyEquivalence:
                          options={"executor.strategy": strategy}) as s:
                 total, by_tag = self._pipeline(numbers_csv)
                 results[strategy] = (total.collect(), by_tag.collect())
-                assert s.last_execution_stats.effective_strategy == strategy
+                assert s.last_execution_stats.strategy == strategy
         base_total, base_series = results["serial"]
-        for strategy in ("threaded", "fused", "process", "async"):
+        for strategy in ("threaded", "fused", "process"):
             total, series = results[strategy]
             assert total == base_total
             assert _frames_equal(series, base_series)
@@ -287,7 +373,7 @@ class TestStrategyEquivalence:
                 with lfp.option_context("executor.strategy", strategy):
                     assert df.x.sum().collect() == expected
                 assert (
-                    session.last_execution_stats.effective_strategy == strategy
+                    session.last_execution_stats.strategy == strategy
                 )
 
     def test_threaded_runs_parallel_on_dask_engine(self, numbers_csv):
@@ -300,7 +386,7 @@ class TestStrategyEquivalence:
             expected = int((np.arange(120) - 17).sum())
             assert df.x.sum().collect() == expected
             stats = s.last_execution_stats
-            assert stats.strategy == stats.effective_strategy == "threaded"
+            assert stats.strategy == "threaded"
             assert s.last_optimize_report["partitions_cut"] > 0
             assert all(
                 stat.worker.startswith("lafp-worker") for stat in stats.nodes
@@ -313,7 +399,7 @@ class TestStrategyEquivalence:
             df = lfp.read_csv(numbers_csv)
             df.x.sum().collect()
             stats = s.last_execution_stats
-            assert stats.effective_strategy == "threaded"
+            assert stats.strategy == "threaded"
             assert all(
                 stat.worker.startswith("lafp-worker") for stat in stats.nodes
             )
@@ -358,13 +444,12 @@ class TestStrategyEquivalence:
                 df["c"].map(_raises).collect()
             gc.collect()
             assert s.memory.live == before
-            assert s.last_execution_stats.effective_strategy == strategy
+            assert s.last_execution_stats.strategy == strategy
             # nothing stale is served as a cache hit afterwards
             assert df["c"].sum().collect() == int(np.arange(5000).sum() * 3)
             assert s.last_execution_stats.cache_hits == 0
 
-    @pytest.mark.parametrize("strategy", ["threaded", "async"])
-    def test_coordinator_only_completion_under_stress(self, strategy):
+    def test_coordinator_only_completion_under_stress(self):
         """Workers only set their own node's result; release and
         readiness run on the coordinating thread without locks.  More
         workers than cores and a short switch interval: a lost update
@@ -385,11 +470,9 @@ class TestStrategyEquivalence:
                          args={"func": "sum"})
                     for _ in range(fan)
                 ]
-                scheduler = DEFAULT_EXECUTORS.create(
-                    strategy, PandasBackend(), max_workers=8,
-                    memory=MemoryManager(),
-                )
-                results = scheduler.execute(leaves)
+                with _scheduler("threaded", PandasBackend(),
+                                {"executor.max_workers": 8}) as scheduler:
+                    results = scheduler.execute(leaves)
                 assert results == [sum(range(rows))] * fan
                 assert scheduler.last_stats.nodes_executed == 2 + 2 * fan
                 # every intermediate was released exactly once
@@ -522,7 +605,7 @@ class TestExecutionStats:
 #: workload runner's JSON read.  A new counter is appended, never
 #: inserted.
 STATS_KEYS = [
-    "strategy", "effective_strategy", "max_workers", "wall_seconds",
+    "strategy", "max_workers", "wall_seconds",
     "nodes_executed", "cache_hits", "cache_misses", "cache_bytes_reused",
     "cache_evictions", "cache_inserted", "fused_chains", "fused_nodes",
     "throttle_waits", "bytes_registered", "bytes_released",
@@ -634,7 +717,7 @@ class TestOneStatsModel:
                 df = lfp.read_csv(path)
                 df[df.v > 10].groupby("k")["v"].sum().collect()
                 stats = s.last_execution_stats.to_dict()
-            assert stats["effective_strategy"] == strategy
+            assert stats["strategy"] == strategy
             seen[strategy] = {key: stats[key] for key in PLAN_COUNTS}
         assert seen["serial"]["cells_decoded"] == 10_000
         assert seen["serial"]["partitions_read"] == 1
@@ -809,9 +892,10 @@ def _peak_concurrency(cls, tmp_path, monkeypatch, budget) -> int:
             Node("from_data", args={"data": {"x": [i, i + 1]}})])
         for i in range(4)
     ]
-    scheduler = cls(PandasBackend(), memory=MemoryManager(budget=budget),
-                    max_workers=3)
-    scheduler.execute(roots)
+    with _scheduler(cls.name, PandasBackend(),
+                    {"executor.max_workers": 3,
+                     "memory.budget": budget}) as scheduler:
+        scheduler.execute(roots)
     monkeypatch.undo()
     events = []
     with open(log) as f:
@@ -877,15 +961,15 @@ class TestMemoryAwareAdmission:
 
     def test_never_throttles_an_empty_pool(self):
         for cls in PARALLEL_SCHEDULERS:
-            manager = MemoryManager(budget=10)
-            manager.register(10)
-            scheduler = cls(PandasBackend(), memory=manager)
-            assert not scheduler._throttled(0)
+            with _scheduler(cls.name,
+                            options={"memory.budget": 10}) as scheduler:
+                scheduler.memory.register(10)
+                assert not scheduler._throttled(0)
 
     def test_unbudgeted_manager_never_throttles(self):
         for cls in PARALLEL_SCHEDULERS:
-            scheduler = cls(PandasBackend(), memory=MemoryManager())
-            assert not scheduler._throttled(3)
+            with _scheduler(cls.name) as scheduler:
+                assert not scheduler._throttled(3)
 
     def test_threaded_completes_under_tight_budget(self, make_csv):
         path = make_csv({"x": np.arange(400), "y": np.arange(400) % 3},
@@ -900,7 +984,7 @@ class TestMemoryAwareAdmission:
                     b = df.y.sum()
                     c = (df.x * 2).sum()
                     assert a.collect() + b.collect() + c.collect() > 0
-                assert s.last_execution_stats.effective_strategy == cls.name
+                assert s.last_execution_stats.strategy == cls.name
 
 
 class TestPerSessionBudgets:

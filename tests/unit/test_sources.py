@@ -725,7 +725,7 @@ class TestScanEstimates:
             lf = lfp.scan_dataset(hive_root)
             total = lf["v"].sum()
             assert float(total.collect()) == float(sum(range(24)))
-            assert session.last_execution_stats.effective_strategy == "threaded"
+            assert session.last_execution_stats.strategy == "threaded"
 
 
 # ---------------------------------------------------------------------------

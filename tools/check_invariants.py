@@ -204,42 +204,18 @@ _MUTABLE_LITERALS = (
 #: every module-level mutable global that exists today, pinned.
 #: (path relative to src/repro, name).  Registry singletons
 #: (``*Registry()`` instantiations) are allowed structurally and do not
-#: need pinning.  To add a new entry, prefer one of the registries; if
-#: the table really is a new frozen lookup table, pin it here in the
-#: same commit that introduces it.
+#: need pinning, and neither does a lookup table nothing writes after
+#: import: make it a ``frozenset``, ``tuple`` or ``MappingProxyType``.
+#: What is pinned here is filled after import (by decorators, or as a
+#: cache).  To add a new entry, prefer one of the registries.
 MUTABLE_GLOBAL_ALLOWLIST = {
-    ("analysis/dataflow/frames.py", "PANDAS_MODULES"),
-    ("analysis/dataflow/frames.py", "FRAME_PRESERVING"),
-    ("analysis/dataflow/frames.py", "FRAME_TRANSFORMING"),
-    ("analysis/dataflow/frames.py", "FRAME_TO_SERIES"),
-    ("analysis/dataflow/frames.py", "SERIES_METHODS"),
-    ("analysis/dataflow/frames.py", "SERIES_AGGS"),
-    ("analysis/dataflow/frames.py", "GROUPBY_AGGS"),
-    ("analysis/dataflow/frames.py", "INFORMATIVE"),
-    ("analysis/dataflow/live_attributes.py", "_DERIVING"),
-    ("analysis/dataflow/typeinfer.py", "_PRIORITY"),
-    ("analysis/plan/rules.py", "_FRAME_CONSUMING"),
-    ("analysis/plan/rules.py", "BUILTIN_RULES"),
-    ("analysis/plan/schema.py", "_NUMERIC_DTYPES"),
-    ("analysis/plan/schema.py", "_UNKNOWN_SCHEMAS"),
     ("analysis/plan/schema.py", "SCHEMA_RULES"),
-    ("analysis/rewrite/forced_compute.py", "_LAZY_KINDS"),
-    ("backends/base.py", "_BINOPS"),
-    ("core/lazyframe.py", "_BINOP_LABELS"),
-    ("frame/dtypes.py", "_ALIASES"),
-    ("graph/explain.py", "_ELIDED_ARGS"),
-    ("graph/explain.py", "_SCAN_SPECIAL"),
     ("graph/node.py", "OPS"),
     ("io/columnar.py", "_FOOTER_CACHE"),
     ("io/fs.py", "_FILESYSTEMS"),
     ("io/fs.py", "_CODECS"),
-    ("workloads/datagen.py", "PARTITION_KEYS"),
     ("workloads/datagen.py", "_GENERATORS"),
     ("workloads/programs.py", "PROGRAMS"),
-    ("workloads/runner.py", "SCALES"),
-    ("workloads/runner.py", "MODES"),
-    ("workloads/runner.py", "_HEADERS"),
-    ("workloads/runner.py", "_BACKEND_OF_MODE"),
 }
 
 
