@@ -44,6 +44,18 @@ FOREIGN_OPTION_ROOTS = (
     "display", "mode", "compute", "io", "plotting", "styler", "future",
 )
 
+#: pandas' documented option groups below its roots (``io.excel.xlsx``
+#: of ``io.excel.xlsx.writer``).  The attribute form walks into them, so
+#: a pandas key at any depth gets ``set_option``'s policy there too.
+PANDAS_OPTION_GROUPS = frozenset({
+    "display.html", "display.latex", "display.unicode",
+    "io.excel", "io.excel.ods", "io.excel.xls", "io.excel.xlsb",
+    "io.excel.xlsm", "io.excel.xlsx", "io.hdf", "io.parquet", "io.sql",
+    "plotting.matplotlib",
+    "styler.format", "styler.html", "styler.latex", "styler.render",
+    "styler.sparse",
+})
+
 Check = Callable[[object], None]
 
 
@@ -396,8 +408,9 @@ class OptionsNamespace:
     access time, so it follows ``with Session(...):`` blocks.  A key is
     judged as ``set_option`` / ``get_option`` judge it
     (:func:`is_foreign_option_key`): a pandas key reads ``None`` and an
-    assignment to it warns and does nothing; a mistyped LaFP key raises
-    :class:`OptionError`.
+    assignment to it warns and does nothing, at any depth (a pandas
+    group, :data:`PANDAS_OPTION_GROUPS`, is a namespace); a mistyped
+    LaFP key raises :class:`OptionError`.
     """
 
     __slots__ = ("_prefix",)
@@ -413,6 +426,7 @@ class OptionsNamespace:
             return _current_options().get(full)
         nested = full + "."
         if any(key.startswith(nested) for key in OPTION_TABLE) or (
+                full in PANDAS_OPTION_GROUPS) or (
                 not self._prefix and name in FOREIGN_OPTION_ROOTS):
             return OptionsNamespace(nested)
         if self._prefix and is_foreign_option_key(full):

@@ -35,6 +35,10 @@ bytes, which are scanned with numpy over that same buffer:
   (terminators kept, so a quoted field may span blocks), and batches
   of rows are transposed into columns with ``zip(*rows)``.
 
+The JSONL reader (``io/jsonl.py``) is the grid's second user: a
+regular JSONL block's value spans are a :class:`_Grid` whose columns
+are the keys, typed with :meth:`_Grid.ints` and :meth:`_Grid.cells`.
+
 A whole-file read is the same code over the whole file.  Each wanted
 column is typed, over all the rows, when its *builder*
 (:func:`column_builders`) is called -- by ``read_csv`` all at once, by
@@ -329,22 +333,28 @@ class _Grid(NamedTuple):
         heap bytes of the non-empty ones when the lengths tell
         (:func:`repro.frame.dtypes.object_nbytes` without the walk).
 
-        The fields' bytes are gathered into one newline-separated run
-        -- no field holds a newline in a regular block -- decoded once
-        and split."""
-        starts, lens = self.starts[:, pos], self.lens[:, pos]
-        if not len(starts):
+        The fields' bytes are gathered into one run (:meth:`joined`),
+        decoded once and split."""
+        lens = self.lens[:, pos]
+        if not len(lens):
             return [], 0
+        cells = self.joined(pos).tobytes().decode("utf-8").split("\n")
+        del cells[-1]
+        if not self.ascii:
+            return cells, None
+        return cells, int(STRING_OVERHEAD * np.count_nonzero(lens) + lens.sum())
+
+    def joined(self, pos: int) -> np.ndarray:
+        """Column ``pos``'s fields' bytes gathered into one run, each
+        followed by ``\\n`` (no field holds a newline in a regular
+        block); the column has at least one row."""
+        starts, lens = self.starts[:, pos], self.lens[:, pos]
         step = lens + 1
         run_ends = np.cumsum(step)
         shift = starts - (run_ends - step)  # source minus output offset
         flat = self.buf[np.arange(run_ends[-1]) + np.repeat(shift, step)]
         flat[run_ends - 1] = _LF  # each run's last byte was its delimiter
-        cells = flat.tobytes().decode("utf-8").split("\n")
-        del cells[-1]
-        if not self.ascii:
-            return cells, None
-        return cells, int(STRING_OVERHEAD * np.count_nonzero(lens) + lens.sum())
+        return flat
 
 
 def _read_raw_columns(

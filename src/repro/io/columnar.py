@@ -6,10 +6,15 @@ Layout (single file, readable over any :class:`ByteRangeFilesystem`)::
 
 Rows are split into **row groups**; each group stores one contiguous
 **chunk** per column (numeric/bool/datetime as raw fixed-width bytes,
-strings dictionary-encoded as int32 codes with the dictionary in the
-footer, anything else as JSON), optionally compressed per chunk.  The
-JSON footer carries, per chunk: its byte extent, encoding, dtype, and
-exact ``min`` / ``max`` / ``null_count`` statistics.
+strings dictionary-encoded as int32 codes followed by the chunk's
+distinct strings, anything else as JSON), optionally compressed per
+chunk.  The JSON footer carries, per chunk: its byte extent, encoding,
+dtype, and exact ``min`` / ``max`` / ``null_count`` statistics -- no
+values, so it stays small however many distinct strings the file holds.
+
+A scan fetches each row group's wanted chunks as few ranges
+(:func:`chunk_runs`): chunks close enough in the file share one read,
+which matters when every read pays an object store's latency.
 
 That footer is why the format exists: projection fetches only the byte
 ranges of requested columns, and the per-chunk statistics are *proof
@@ -42,7 +47,7 @@ from repro.io.prefetch import fetch_range
 from repro.io.source import DataSource, Partition
 
 MAGIC = b"LAFC0001"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 #: footer length (u64) + trailing magic.
 TAIL_BYTES = 8 + len(MAGIC)
 #: default rows per row group (callers shrink it for small files).
@@ -127,7 +132,8 @@ def _is_null(value) -> bool:
 
 def _encode_dictionary(cells: list, has_null: bool) -> Tuple[bytes, dict]:
     """``str`` / ``None`` cells -> int32 codes into the distinct strings
-    in order of first appearance, ``None`` as -1."""
+    in order of first appearance, ``None`` as -1, followed by the
+    strings (:func:`_dictionary_bytes`)."""
     codes, categories = factorize(cells)
     nulls = 0
     if has_null:
@@ -138,17 +144,36 @@ def _encode_dictionary(cells: list, has_null: bool) -> Tuple[bytes, dict]:
         codes[null] = -1
         nulls = int(null.sum())
     codes = codes.astype(np.int32)
+    words, layout = _dictionary_bytes(categories)
     meta = {
         "encoding": "dict",
         "dtype": "object",
-        "dict": categories,
+        "dict_layout": layout,
         "null_count": nulls,
         "mem_bytes": int(codes.nbytes) + sum(map(len, categories)),
     }
     if categories:
         meta["min"] = min(categories)
         meta["max"] = max(categories)
-    return codes.tobytes(), meta
+    return codes.tobytes() + words, meta
+
+
+#: ends each string of a ``"joined"`` dictionary.
+_DICT_END = "\x00"
+
+
+def _dictionary_bytes(categories: List[str]) -> Tuple[bytes, str]:
+    """A chunk's strings as one UTF-8 blob, each ended by
+    :data:`_DICT_END`, and the layout name ``"joined"``; as a JSON list
+    (layout ``"json"``) when a string holds the terminator or is not
+    UTF-8 (a lone surrogate)."""
+    text = _DICT_END.join(categories) + _DICT_END if categories else ""
+    if text.count(_DICT_END) == len(categories):
+        try:
+            return text.encode("utf-8"), "joined"
+        except UnicodeEncodeError:
+            pass
+    return json.dumps(categories).encode("utf-8"), "json"
 
 
 def write_columnar(
@@ -258,14 +283,19 @@ def _decode_chunk(data: bytes, meta: dict, n_rows: int) -> Column:
             return Column(arr.view("datetime64[ns]"))
         return Column(np.frombuffer(data, dtype=dtype).copy())
     if encoding == "dict":
-        codes = np.frombuffer(data, dtype=np.int32)
-        categories = meta.get("dict") or []
+        codes = np.frombuffer(data, dtype=np.int32, count=n_rows)
+        text = str(data[4 * n_rows:], "utf-8")
+        if meta["dict_layout"] == "joined":
+            categories = text.split(_DICT_END)
+            del categories[-1]
+        else:
+            categories = json.loads(text)
         out = np.empty(n_rows, dtype=object)
-        cat_arr = np.asarray(categories, dtype=object)
         valid = codes >= 0
         if categories:
+            cat_arr = np.empty(len(categories), dtype=object)
+            cat_arr[:] = categories
             out[valid] = cat_arr[codes[valid]]
-        out[~valid] = None
         return Column(out)
     if encoding == "json":
         values = json.loads(data.decode("utf-8"))
@@ -365,23 +395,20 @@ class ColumnarSource(DataSource):
         if predicate is not None and not predicate.may_match(partition):
             # chunk skip: the stats prove no row matches; zero fetches.
             return self._typed_empty(columns)
+        chunks = group["chunks"]
+        payloads = {}
+        for start, end, names in chunk_runs(chunks, wanted):
+            run = fetch_range(self.path, start, end)
+            for name in names:
+                offset = chunks[name]["offset"] - start
+                payloads[name] = run[offset:offset + chunks[name]["length"]]
         parse_set = set(self.options.get("parse_dates") or [])
         builders = {
-            name: partial(self._read_chunk, group["chunks"][name],
+            name: partial(_read_chunk, payloads[name], chunks[name],
                           group["n_rows"], name in parse_set)
             for name in wanted
         }
         return self.assemble(group["n_rows"], builders, columns, predicate)
-
-    def _read_chunk(self, meta: dict, n_rows: int, parse_date: bool) -> Column:
-        """Fetch and decode one column chunk."""
-        data = fetch_range(
-            self.path, meta["offset"], meta["offset"] + meta["length"]
-        )
-        col = _decode_chunk(data, meta, n_rows)
-        if parse_date and col.values.dtype.kind == "O":
-            col = _parse_datetime_column(col)
-        return col
 
     def _typed_empty(self, columns: Optional[Sequence[str]]) -> DataFrame:
         dtypes = self.dtypes()
@@ -429,10 +456,32 @@ class ColumnarSource(DataSource):
             if predicate is not None and not predicate.may_match(part):
                 continue
             chunks = self.footer()["row_groups"][part.index]["chunks"]
-            for name in wanted:
-                meta = chunks[name]
-                ranges.append((
-                    self.path, meta["offset"],
-                    meta["offset"] + meta["length"],
-                ))
+            ranges += [(self.path, start, end)
+                       for start, end, _ in chunk_runs(chunks, wanted)]
         return ranges
+
+
+def chunk_runs(chunks: Dict[str, dict],
+               names: Sequence[str]) -> List[Tuple[int, int, List[str]]]:
+    """The byte runs that fetch the named chunks of one row group, in
+    file order, each with the chunks it holds: a chunk joins the run
+    before it when the gap between them is no longer than the chunk, so
+    a run never reads more than twice the bytes its chunks need."""
+    runs: List[Tuple[int, int, List[str]]] = []
+    for name in sorted(names, key=lambda name: chunks[name]["offset"]):
+        start = chunks[name]["offset"]
+        end = start + chunks[name]["length"]
+        if runs and start - runs[-1][1] <= end - start:
+            runs[-1] = (runs[-1][0], end, runs[-1][2] + [name])
+        else:
+            runs.append((start, end, [name]))
+    return runs
+
+
+def _read_chunk(data: bytes, meta: dict, n_rows: int,
+                parse_date: bool) -> Column:
+    """Decode one column chunk's fetched bytes."""
+    col = _decode_chunk(data, meta, n_rows)
+    if parse_date and col.values.dtype.kind == "O":
+        col = _parse_datetime_column(col)
+    return col

@@ -12,7 +12,8 @@ replaced live on here as references, and the bytes must be equal:
 - JSONL: ``json.JSONEncoder().encode`` of one dict per row;
 - hive dataset: each leaf as the reference writes the ``take`` of the
   leaf's rows;
-- ``.lfc``: the file written with the per-cell dictionary loop.
+- ``.lfc``: the file written with the per-cell dictionary loop, each
+  chunk's strings then appended after its codes one at a time.
 """
 
 import csv
@@ -130,20 +131,38 @@ def reference_encode_chunk(arr: np.ndarray, codec):
                 index[value] = code
                 categories.append(value)
             codes[i] = code
-        meta.update(encoding="dict", dtype="object", dict=categories,
+        words, layout = reference_dictionary(categories)
+        meta.update(encoding="dict", dtype="object", dict_layout=layout,
                     null_count=nulls,
                     mem_bytes=int(codes.nbytes)
                     + sum(len(c) for c in categories))
         if categories:
             meta["min"] = min(categories)
             meta["max"] = max(categories)
-        payload = codes.tobytes()
+        payload = codes.tobytes() + words
     else:
         cleaned = [None if is_null(v) else v for v in values]
         payload = json.dumps(cleaned).encode("utf-8")
         meta.update(encoding="json", dtype="object", mem_bytes=len(payload),
                     null_count=sum(1 for v in cleaned if v is None))
     return compress_chunk(payload, codec), meta
+
+
+def reference_dictionary(categories: list):
+    """The strings after a chunk's codes, one at a time: each as UTF-8
+    and a NUL, or the whole list as JSON when one holds a NUL or is not
+    UTF-8."""
+    words = b""
+    for category in categories:
+        if "\x00" in category:
+            break
+        try:
+            words += category.encode("utf-8") + b"\x00"
+        except UnicodeEncodeError:
+            break
+    else:
+        return words, "joined"
+    return json.dumps(categories).encode("utf-8"), "json"
 
 
 def read_text(path: str) -> str:

@@ -23,6 +23,7 @@ from repro.io import (
     write_columnar,
 )
 from repro.io.api import sibling_variant
+from repro.io.columnar import _decode_chunk
 from repro.io.prefetch import range_cache
 
 
@@ -117,7 +118,36 @@ class TestRoundTrip:
         strings = group["chunks"]["s"]
         assert strings["encoding"] == "dict"
         assert strings["null_count"] > 0
-        assert set(strings["dict"]) == {f"tag{i}" for i in range(5)}
+        with open(path, "rb") as f:
+            f.seek(strings["offset"])
+            payload = f.read(strings["length"])
+        decoded = _decode_chunk(payload, strings, 64).to_array()
+        assert set(decoded.tolist()) - {None} == {f"tag{i}" for i in range(5)}
+
+    @pytest.mark.parametrize("cells, layout", [
+        (["a", "", None, "a", "日本"], "joined"),
+        ([None, None], "joined"),
+        (["nul\x00inside", "b", None], "json"),
+        (["\ud800", "b"], "json"),
+    ])
+    def test_dictionary_follows_the_codes(self, tmp_path, cells, layout):
+        """A chunk's strings ride in its payload after the codes, NUL-
+        ended, or as a JSON list when one holds a NUL or is not UTF-8;
+        the footer keeps only their statistics."""
+        path = os.path.join(tmp_path, "d.lfc")
+        values = np.empty(len(cells), dtype=object)
+        values[:] = cells
+        write_columnar(DataFrame({"s": values}), path)
+        (group,) = read_columnar_footer(path)["row_groups"]
+        meta = group["chunks"]["s"]
+        assert meta["dict_layout"] == layout
+        assert set(meta) == {"codec", "min", "max", "null_count", "encoding",
+                             "dtype", "dict_layout", "mem_bytes", "offset",
+                             "length"}
+        source = ColumnarSource(path)
+        (part,) = source.partitions()
+        got = source.read_partition(part).column("s").to_array()
+        assert got.tolist() == cells
 
     def test_dtypes_come_from_footer(self, tmp_path):
         frame = _mixed_frame(16)
@@ -206,10 +236,10 @@ class TestChunkSkipping:
                                         predicate=predicate)
         footer = source.footer()
         group0 = footer["row_groups"][0]["chunks"]
-        expected = {
-            (group0[c]["offset"], group0[c]["offset"] + group0[c]["length"])
-            for c in ("k", "v")
-        }
+        # "k" and "v" are adjacent chunks of group 0: one run holds both,
+        # and the pruned groups contribute no range
+        expected = {(group0["k"]["offset"],
+                     group0["v"]["offset"] + group0["v"]["length"])}
         assert {(s, e) for _, s, e in ranges} == expected
 
 

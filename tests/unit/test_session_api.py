@@ -258,14 +258,15 @@ class TestOptions:
         assert lfp.get_option(key) is None
 
     @pytest.mark.parametrize("key", [
-        "io.parquet.engine", "io.hdf.default_format",
+        "io.parquet.engine", "io.hdf.default_format", "io.excel.xlsx.writer",
+        "display.html.border",
     ])
     def test_attribute_form_tolerates_deeper_pandas_io_keys(self, key):
         """``pd.options.io.parquet.engine = ...`` is what
         ``set_option("io.parquet.engine", ...)`` is: a warned no-op, and
-        the key reads ``None``.  (A read of a pandas key is ``None``, so
-        the attribute form reaches no key below one: not
-        ``io.excel.xlsx.writer``.)"""
+        the key reads ``None`` -- at any depth: a pandas option group
+        (``io.excel.xlsx``, ``display.html``) is a namespace, not a
+        ``None`` read."""
         *groups, leaf = key.split(".")
         with pytest.warns(UserWarning, match="ignoring pandas-compat"):
             namespace = lfp.options

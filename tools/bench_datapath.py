@@ -1,11 +1,17 @@
 #!/usr/bin/env python
 """Micro-benchmark of the out-of-core data path, before and after.
 
-Five probes over the ``out_of_core`` workload's fact table shape
+Seven probes over the ``out_of_core`` workload's fact table shape
 (``k,v,s``: a duplicate-heavy int key, a row number, a 7-value string):
 
 - ``read_csv`` at three projections (all columns, ``k,v``, ``k``), and
   of all columns with ``s`` as ``category``,
+- ``read_jsonl`` of the table written as JSONL, at the same three
+  projections,
+- a remote ``.lfc`` scan: ``ColumnarSource.read_partition`` of each of
+  8 row groups into ``k,v`` from a ``memory://`` store charging 5 ms a
+  range read, timed and with its range-read count
+  (``lfc.range_reads``, the same every time),
 - a filtered scan: ``CsvSource.read_partition`` of the whole table into
   ``k,v`` with a 1-in-7 predicate on ``s``, timed and with its tracked
   peak (``scan.predicate_peak_bytes``, the same every time),
@@ -18,8 +24,9 @@ Five probes over the ``out_of_core`` workload's fact table shape
 Each probe is timed ``--repeats`` times (at least 7 unless ``--quick``)
 per round and reported as median and quartiles in milliseconds.  Only
 the stdlib and numpy are used, and only names both sides of a comparison
-have: ``read_csv``, ``CsvSource``, ``merge``, ``DataFrame.groupby`` and
-``ShuffleStore``.
+have: ``read_csv``, ``read_jsonl`` / ``write_jsonl``, ``CsvSource``,
+``ColumnarSource`` / ``write_columnar`` / ``memory_store``, ``merge``,
+``DataFrame.groupby`` and ``ShuffleStore``.
 
     python tools/bench_datapath.py --quick            # this checkout, printed
     python tools/bench_datapath.py --parent-rev REV   # writes BENCH_datapath.json
@@ -47,6 +54,9 @@ import time
 
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUCKETS = 16
+#: the remote ``.lfc`` probe's row groups and per-range latency.
+LFC_ROW_GROUPS = 8
+LFC_LATENCY_SECONDS = 0.005
 
 
 def write_tables(directory: str, rows: int, seed: int) -> dict:
@@ -95,6 +105,9 @@ def run_probes(directory: str, rows: int, repeats: int, seed: int) -> dict:
     import numpy as np
 
     from repro.frame import DataFrame, merge, read_csv
+    from repro.io import (
+        ColumnarSource, memory_store, read_jsonl, write_columnar, write_jsonl,
+    )
     from repro.io.csv_source import CsvSource
     from repro.io.predicate import Predicate
     from repro.io.spill import ShuffleStore
@@ -107,6 +120,35 @@ def run_probes(directory: str, rows: int, repeats: int, seed: int) -> dict:
             lambda _: read_csv(paths["fact"], usecols=usecols), repeats)
     out["read_csv.category_ms"] = timed(
         lambda _: read_csv(paths["fact"], dtype={"s": "category"}), repeats)
+
+    fact_jsonl = os.path.join(directory, "fact.jsonl")
+    write_jsonl(read_csv(paths["fact"]), fact_jsonl)
+    for label, columns in (("full", None), ("k_v", ["k", "v"]),
+                           ("k", ["k"])):
+        out[f"read_jsonl.{label}_ms"] = timed(
+            lambda _: read_jsonl(fact_jsonl, columns=columns), repeats)
+
+    url = "memory://bench-datapath/fact.lfc"
+    store = memory_store()
+    write_columnar(read_csv(paths["fact"]), url,
+                   row_group_rows=-(-rows // LFC_ROW_GROUPS))
+    lfc = ColumnarSource(url)
+    lfc_parts = lfc.partitions()
+    lfc.footer()  # read once: the probe times the chunks
+    range_reads = []
+
+    def remote_scan(_):
+        before = store.range_reads
+        for lfc_part in lfc_parts:
+            lfc.read_partition(lfc_part, columns=["k", "v"])
+        range_reads.append(store.range_reads - before)
+
+    store.latency = LFC_LATENCY_SECONDS
+    try:
+        out["lfc.remote_scan_ms"] = timed(remote_scan, repeats)
+    finally:
+        store.latency = 0.0
+    out["lfc.range_reads"] = range_reads
 
     source = CsvSource(paths["fact"], partition_bytes=1 << 40)
     (part,) = source.partitions()
