@@ -5,7 +5,7 @@ Run:  python examples/analysis_tour.py
 PR 6 added a static analysis layer over the task graph
 (`repro.analysis.plan`): a schema inference pass walks the plan forward
 from its sources (CSV headers, dataset manifests, declared dtypes) and
-a registry of lint rules reads the inferred schemas to diagnose the
+a table of lint rules reads the inferred schemas to diagnose the
 plan -- all before a single partition is read.  This mirrors the
 paper's source-level JIT analysis, one layer down: the same "analyze
 first, execute later" budget applied to the logical plan itself.
@@ -18,9 +18,7 @@ The tour:
    naming the node, the bad column, and the columns that exist,
 3. the ``analysis.level`` option -- ``warn`` (default) emits a
    warning on ``collect()``; ``strict`` refuses to execute; ``off``
-   skips the gate entirely,
-4. a custom rule in a private ``AnalyzerRegistry``, showing the
-   fourth registry's extension point.
+   skips the gate entirely.
 """
 
 import os
@@ -30,14 +28,7 @@ import warnings
 import numpy as np
 
 import repro.lazyfatpandas.pandas as pd
-from repro.analysis.plan import (
-    AnalyzerRegistry,
-    PlanValidationError,
-    RuleSpec,
-    Severity,
-    analyze_plan,
-    render_diagnostics,
-)
+from repro.analysis.plan import PlanValidationError
 from repro.core.session import Session
 from repro.frame import DataFrame
 
@@ -99,26 +90,3 @@ with Session(backend="pandas") as session:
         except PlanValidationError as err:
             print(f"rejected statically: {err.errors[0].message}")
     print()
-
-    # 4. a custom rule in a private registry --------------------------------
-    def no_natural_joins(spec, ctx):
-        """Flag merges that rely on column-name intersection."""
-        for node in ctx.order:
-            if node.op == "merge" and not node.args.get("on"):
-                yield ctx.diagnostic(
-                    spec, node, "natural join: pass on= explicitly"
-                )
-
-    registry = AnalyzerRegistry([
-        RuleSpec(
-            code="EXM001",
-            rule="no-natural-join",
-            severity=Severity.WARNING,
-            check=no_natural_joins,
-        )
-    ])
-    joined = trips.merge(trips)  # natural join on every shared column
-    print("--- custom rule via a private AnalyzerRegistry ---")
-    print(render_diagnostics(
-        analyze_plan([joined.node], session=session, registry=registry)
-    ))

@@ -2,22 +2,24 @@
 
 Run:  python examples/scheduler_tour.py
 
-PR 2 split execution into a pluggable scheduler subsystem
-(`repro.graph.scheduler`): every `collect()` resolves the session's
-``executor.strategy`` option against an `ExecutorRegistry` and runs one
-of three strategies --
+PR 2 split execution into a scheduler subsystem
+(`repro.graph.scheduler`): every `collect()` looks the session's
+``executor.strategy`` option up in the fixed `STRATEGIES` table and
+runs one of four strategies --
 
 - ``serial``   the paper's section-2.6 loop: one node at a time,
                refcount-released,
 - ``threaded`` a ready-queue worker pool (``executor.max_workers``) that
-               runs independent nodes concurrently and throttles
-               admission when the session's memory budget runs out of
-               headroom,
+               runs independent nodes concurrently, and one task at a
+               time under a memory budget,
 - ``fused``    a pre-pass that fuses linear single-consumer chains into
-               one task to cut scheduling overhead on deep pipelines.
+               one task to cut scheduling overhead on deep pipelines,
+- ``process``  those fused chains shipped to a process pool, for
+               CPU-bound operators the GIL serializes.
 
-Each run records per-node wall time, queue wait, and bytes into an
-`ExecutionStats` surfaced through ``explain(stats=True)``.
+The tour runs the three in-process strategies.  Each run records
+per-node wall time, queue wait, and bytes into an `ExecutionStats`
+surfaced through ``explain(stats=True)``.
 """
 
 import tempfile

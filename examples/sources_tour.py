@@ -3,9 +3,9 @@
 Run:  python examples/sources_tour.py
 
 PR 5 unified data ingress behind the `DataSource` protocol
-(`repro.io`): a source declares its schema, its partitions (with
-whatever statistics are known), and capability flags, and the optimizer
-negotiates at that boundary --
+(`repro.io`): a source declares its schema and its partitions (with
+whatever statistics are known), reads only the columns and rows it is
+asked for, and the optimizer negotiates at that boundary --
 
 - `scan_csv`    byte-range partitioned CSV (the seed reader behind the
                 protocol),

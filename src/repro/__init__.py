@@ -35,8 +35,21 @@ __all__ = [
     "MemoryManager",
     "SimulatedMemoryError",
     "__version__",
+    "choose",
     *_SCAN_API,
 ]
+
+
+def choose(table, name: str, noun: str):
+    """``table[name]`` from one of the fixed name tables (engines,
+    executor strategies, scan formats, lint rules), or the
+    ``ValueError`` that names the choices."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown {noun} {name!r}; choose from {sorted(table)}"
+        ) from None
 
 
 def __getattr__(name: str):

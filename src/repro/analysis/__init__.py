@@ -18,7 +18,7 @@ package is the from-scratch equivalent:
 - :mod:`repro.analysis.jit` -- ``pd.analyze()``: reflection on the caller,
   rewrite, execute-optimized-instead (Figure 5).
 - :mod:`repro.analysis.plan` -- the same analyze-first budget applied to
-  the task graph: per-node schema inference, the ``AnalyzerRegistry`` of
+  the task graph: per-node schema inference, the ``RULES`` table of
   lint rules (LFP001..), and the ``analysis.level`` collect gate.
 """
 

@@ -9,11 +9,11 @@ dead work, blocked pushdowns) deterministically.
 
 Entry points:
 
-- :func:`analyze_plan` -- run the registered rules over a plan's roots,
+- :func:`analyze_plan` -- run the lint rules over a plan's roots,
 - :func:`infer_schemas` -- the forward schema pass on its own (also
   consumed by ``graph/scheduler/estimates.py`` for byte estimates),
-- :data:`DEFAULT_ANALYZERS` -- the fourth registry (after engines,
-  executors, sources); register a :class:`RuleSpec` to add a lint.
+- :data:`RULES` -- the lint rules (:class:`RuleSpec`), in code order;
+  :func:`rule` looks one up by its code.
 
 Users reach this layer through ``LazyFrame.validate()``,
 ``explain(diagnostics=True)``, the ``analysis.level`` session option,
@@ -26,12 +26,13 @@ from repro.analysis.plan.diagnostics import (
     Severity,
     render_diagnostics,
 )
-from repro.analysis.plan.registry import (
-    DEFAULT_ANALYZERS,
-    AnalyzerRegistry,
+from repro.analysis.plan.rules import (
+    RULES,
+    AnalysisContext,
     RuleSpec,
+    analyze_plan,
+    rule,
 )
-from repro.analysis.plan.rules import AnalysisContext, analyze_plan
 from repro.analysis.plan.schema import (
     SCHEMA_RULES,
     NodeSchema,
@@ -41,11 +42,10 @@ from repro.analysis.plan.schema import (
 
 __all__ = [
     "AnalysisContext",
-    "AnalyzerRegistry",
-    "DEFAULT_ANALYZERS",
     "Diagnostic",
     "NodeSchema",
     "PlanValidationError",
+    "RULES",
     "RuleSpec",
     "SCHEMA_RULES",
     "Severity",
@@ -53,4 +53,5 @@ __all__ = [
     "infer_schemas",
     "infer_schemas_for_roots",
     "render_diagnostics",
+    "rule",
 ]

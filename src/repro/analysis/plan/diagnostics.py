@@ -69,7 +69,7 @@ class Diagnostic:
 
 def sort_key(diag: Diagnostic):
     """Deterministic report order: plan position first, then severity
-    (highest first), then code -- stable under rule registration order."""
+    (highest first), then code -- independent of the rules' order."""
     return (diag.node, -int(diag.severity), diag.code, diag.message)
 
 

@@ -1,28 +1,28 @@
-"""Built-in lint rules and the :func:`analyze_plan` entry point.
+"""The lint rules and the :func:`analyze_plan` entry point.
 
-Each rule is a generator over one :class:`AnalysisContext` -- the
-topologically ordered plan, the inferred per-node schemas
-(:mod:`repro.analysis.plan.schema`), the consumer map, and the plan's
-deterministic ``N`` numbering (identical to
+A :class:`RuleSpec` binds a stable diagnostic code (``LFP001``) and rule
+name (``unknown-column``) to a check function, and :data:`RULES` holds
+them in code order.  Each check is a generator over one
+:class:`AnalysisContext` -- the topologically ordered plan, the inferred
+per-node schemas (:mod:`repro.analysis.plan.schema`), the consumer map,
+and the plan's deterministic ``N`` numbering (identical to
 :func:`repro.graph.explain.render_plan`, so a diagnostic's ``N3`` is the
 ``N3`` of the rendered plan next to it).
 
 Rules only fire on statically *known* facts: an unknown schema silences
-every column check rather than guessing.  All built-ins register into
-:data:`~repro.analysis.plan.registry.DEFAULT_ANALYZERS` at import time,
-the same way stock scan formats populate ``DEFAULT_SOURCES``.
+every column check rather than guessing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
-
-from repro.analysis.plan.diagnostics import Diagnostic, Severity, sort_key
-from repro.analysis.plan.registry import (
-    DEFAULT_ANALYZERS,
-    AnalyzerRegistry,
-    RuleSpec,
+import dataclasses
+from types import MappingProxyType
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
 )
+
+from repro import choose
+from repro.analysis.plan.diagnostics import Diagnostic, Severity, sort_key
 from repro.analysis.plan.schema import (
     SCALAR,
     NodeSchema,
@@ -33,6 +33,30 @@ from repro.analysis.plan.schema import (
 from repro.graph.explain import render_node_line
 from repro.graph.node import ALL_COLUMNS, Node, series_used_columns
 from repro.graph.taskgraph import topological_order
+
+
+@dataclasses.dataclass(frozen=True)
+class RuleSpec:
+    """Static description of one lint rule."""
+
+    code: str                   # stable diagnostic code, e.g. "LFP001"
+    rule: str                   # kebab-case rule name, e.g. "unknown-column"
+    severity: Severity          # default severity for this rule's findings
+    #: check(spec, ctx) yields the rule's diagnostics.
+    check: Callable[..., Iterator[Diagnostic]]
+    description: str = ""
+    #: session-wide rules (dead subgraph detection) only make sense when
+    #: analyzing everything a session built, not one frame's plan.
+    scope: str = "plan"         # "plan" | "session"
+
+    def diagnostic(self, message: str, node: int, op: str, path: str,
+                   severity: Optional[Severity] = None) -> Diagnostic:
+        """Build a finding stamped with this rule's code and name."""
+        return Diagnostic(
+            code=self.code, rule=self.rule,
+            severity=self.severity if severity is None else severity,
+            message=message, node=node, op=op, path=path,
+        )
 
 
 class AnalysisContext:
@@ -185,7 +209,7 @@ def check_unknown_columns(spec: RuleSpec,
 
 def check_filter_dropped(spec: RuleSpec,
                          ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    unknown_spec = DEFAULT_ANALYZERS.get("LFP001")
+    unknown_spec = rule("LFP001")
     for node in ctx.order:
         if node.op != "filter" or len(node.inputs) < 2:
             continue
@@ -302,7 +326,6 @@ def check_pushdown_blocked(spec: RuleSpec,
                            ctx: AnalysisContext) -> Iterator[Diagnostic]:
     from repro.core.optimizer.projection import _required_columns
     from repro.io.predicate import conjuncts_from_mask
-    from repro.io.registry import source_capabilities
 
     scans = [n for n in ctx.order if n.op == "scan"]
     if not scans:
@@ -312,13 +335,8 @@ def check_pushdown_blocked(spec: RuleSpec,
                                  schemas=ctx.schemas)
     root_ids = {r.id for r in ctx.roots}
     for scan in scans:
-        caps = source_capabilities(scan.args.get("format"))
-        can_project = caps is not None and caps.supports_projection
-        can_predicate = caps is not None and caps.supports_predicate
-        narrowed = scan.args.get("columns") is not None
-
         needs = required.get(scan.id)
-        if (can_project and not narrowed and needs
+        if (scan.args.get("columns") is None and needs
                 and ALL_COLUMNS in needs):
             culprit = _all_columns_culprit(ctx, scan, root_ids)
             if culprit is not None:
@@ -328,8 +346,6 @@ def check_pushdown_blocked(spec: RuleSpec,
                     f"pushdown into the N{ctx.number(scan)} {scan.op}",
                 )
 
-        if not can_predicate:
-            continue
         for consumer in ctx.consumers.get(scan.id, ()):
             if consumer.op != "filter" or len(consumer.inputs) < 2:
                 continue
@@ -369,10 +385,11 @@ def _all_columns_culprit(ctx: AnalysisContext, scan: Node,
 
 
 # ---------------------------------------------------------------------------
-# Registration + the entry point.
+# The rule table + the entry point.
 # ---------------------------------------------------------------------------
 
-BUILTIN_RULES = (
+#: every lint rule, in code order.
+RULES = (
     RuleSpec(
         code="LFP001", rule="unknown-column", severity=Severity.ERROR,
         check=check_unknown_columns,
@@ -406,18 +423,21 @@ BUILTIN_RULES = (
     ),
 )
 
-for _spec in BUILTIN_RULES:
-    DEFAULT_ANALYZERS.register(_spec)
+_BY_CODE = MappingProxyType({spec.code: spec for spec in RULES})
+
+
+def rule(code: str) -> RuleSpec:
+    """The rule with diagnostic code ``code``."""
+    return choose(_BY_CODE, str(code).upper(), "analyzer rule")
 
 
 def analyze_plan(
     roots: Sequence[Node],
     session=None,
-    registry: Optional[AnalyzerRegistry] = None,
     scope: str = "plan",
     computed_ids: Optional[Set[int]] = None,
 ) -> List[Diagnostic]:
-    """Run every registered rule over the plan; deterministic order.
+    """Run every rule of ``scope`` over the plan; deterministic order.
 
     A rule that raises is skipped (analysis must never be the thing
     that breaks a plan); its findings are simply absent.
@@ -426,7 +446,9 @@ def analyze_plan(
         roots, session=session, scope=scope, computed_ids=computed_ids
     )
     findings: List[Diagnostic] = []
-    for spec in (registry or DEFAULT_ANALYZERS).rules(scope=scope):
+    for spec in RULES:
+        if spec.scope not in ("plan", scope):
+            continue
         try:
             findings.extend(spec.check(spec, ctx))
         except Exception:  # noqa: BLE001 - a broken rule must not block plans

@@ -15,26 +15,26 @@ fall back to "convert to pandas, run, convert back" exactly as the paper
 describes for Dask incompatibilities (section 2.6).
 """
 
+from types import MappingProxyType
+
 from repro.backends.base import Backend, BackendUnsupported, apply_generic
 from repro.backends.pandas_backend import PandasBackend
 from repro.backends.dask_backend import DaskBackend
 from repro.backends.modin_backend import ModinBackend
-from repro.backends.engine import (
-    DEFAULT_REGISTRY,
-    Engine,
-    EngineRegistry,
-    EngineSpec,
-)
+
+#: engine name (the ``backend.engine`` option) -> backend class; a
+#: session builds one instance of each engine it runs.
+ENGINES = MappingProxyType({
+    backend.name: backend
+    for backend in (PandasBackend, DaskBackend, ModinBackend)
+})
 
 
 __all__ = [
     "Backend",
     "BackendUnsupported",
-    "DEFAULT_REGISTRY",
     "DaskBackend",
-    "Engine",
-    "EngineRegistry",
-    "EngineSpec",
+    "ENGINES",
     "ModinBackend",
     "PandasBackend",
     "apply_generic",

@@ -35,6 +35,12 @@ class Backend:
     """Base class for execution backends."""
 
     name = "abstract"
+    #: the partition cut policy (:mod:`repro.core.optimizer.shuffle`):
+    #: True cuts every plan per partition, so a budgeted run holds a
+    #: partition at a time and spills through the shuffle stores; False
+    #: cuts only the scans over the size limit that feed a merge or a
+    #: group-by, so a plan that fits runs whole.
+    out_of_core = False
     #: target bytes of a piece when a plan is cut per partition, before
     #: a memory budget shrinks it
     #: (:func:`repro.core.optimizer.partitions.partition_bytes`).

@@ -30,6 +30,7 @@ class DaskBackend(PandasBackend):
     """Partitioned out-of-core execution: eager per partition."""
 
     name = "dask"
+    out_of_core = True
 
     def __init__(self, partition_bytes: int = DEFAULT_PARTITION_BYTES):
         #: the partition target before a memory budget shrinks it

@@ -4,7 +4,7 @@ A LaFP plan on the Modin engine runs eager, node by node, like one on
 pandas: the backend "cannot perform optimization across nodes, and thus
 LaFP optimizations are even more important" (section 2.6).  The plan is
 cut per partition only where the size gate cuts it
-(:attr:`~repro.backends.engine.EngineSpec.out_of_core` is False), on
+(:attr:`~repro.backends.base.Backend.out_of_core` is False), on
 the session's scheduler.
 
 Baseline Modin mode (a pandas program with Modin's import swap) reads

@@ -124,8 +124,8 @@ OPTION_TABLE: Mapping[str, OptionSpec] = MappingProxyType({
     spec.key: spec for spec in (
         OptionSpec(
             "backend.engine", "dask", _STR,
-            "Execution engine resolved through the session's EngineRegistry "
-            "(section 2.6; 'pandas', 'dask', or 'modin' by default)."),
+            "Execution engine, one of repro.backends.ENGINES (section 2.6: "
+            "'pandas', 'dask', or 'modin')."),
         OptionSpec(
             "optimizer.predicate_pushdown", True, _BOOL,
             "Move filters toward sources past safe points (section 3.2)."),
@@ -180,10 +180,10 @@ OPTION_TABLE: Mapping[str, OptionSpec] = MappingProxyType({
         OptionSpec(
             "executor.strategy",
             os.environ.get("LAFP_EXECUTOR_STRATEGY", "serial"), _STR,
-            "Scheduler strategy of DEFAULT_EXECUTORS ('serial', "
-            "'threaded', 'fused', or 'process'); the LAFP_EXECUTOR_STRATEGY "
-            "env var sets the process default (the CI strategy legs use "
-            "it)."),
+            "Scheduler strategy of repro.graph.scheduler.STRATEGIES "
+            "('serial', 'threaded', 'fused', or 'process'); the "
+            "LAFP_EXECUTOR_STRATEGY env var sets the process default (the "
+            "CI strategy legs use it)."),
         OptionSpec(
             "executor.max_workers", 4, _POSITIVE_INT,
             "Worker-pool size of the threaded and process scheduler "

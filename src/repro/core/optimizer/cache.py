@@ -127,7 +127,7 @@ def substitute_cached_subplans(
     index = index or ConsumerIndex(roots)
     opts = session.options
     state = CacheRunState(
-        backend=session.engine.name,
+        backend=session.backend.name,
         signature=semantic_signature(opts),
         min_cost=float(opts.get("cache.min_cost")),
     )

@@ -28,7 +28,7 @@ finalized by a concat over them (Dask's ``core_blockwise`` and
 - a ``concat`` of cut frames is the list of their pieces.
 
 Which scans are cut is the engine's policy
-(:attr:`~repro.backends.engine.EngineSpec.out_of_core`): every scan on
+(:attr:`~repro.backends.base.Backend.out_of_core`): every scan on
 the Dask engine; on pandas and Modin only the scans over the size limit
 that reach a merge or a group-by through row-local ops, so a plan that
 fits is never cut.  Under a limit the right side of a merge is

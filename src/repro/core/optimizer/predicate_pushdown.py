@@ -30,8 +30,8 @@ filter, which computes its value (``ConsumerIndex.substitute``); the
 parents a pushed disjunction serves are rebuilt :data:`SERVED` over that
 copy, so no second one is pushed.  No node is changed in place.
 
-:func:`fold_predicates_into_scans` takes the final step for generic
-``scan`` sources whose format declares ``supports_predicate``: a filter
+:func:`fold_predicates_into_scans` takes the final step for ``scan``
+sources, every one of which filters rows while reading: a filter
 sitting directly on a scan -- typically the end state of the swaps
 above -- is converted to the serializable conjunct form
 (:mod:`repro.io.predicate`) and replaced by a fresh scan that carries
@@ -88,8 +88,8 @@ def push_down_predicates(
 def fold_predicates_into_scans(
     roots: List[Node], index: Optional[ConsumerIndex] = None
 ) -> int:
-    """Fold filters over capable ``scan`` sources into the scan's args;
-    returns the number of filters absorbed."""
+    """Fold filters over ``scan`` sources into the scan's args; returns
+    the number of filters absorbed."""
     index = index or ConsumerIndex(roots)
     # lowest first: once a filter folded, the next one up reads the scan
     return sum(
@@ -100,13 +100,9 @@ def fold_predicates_into_scans(
 
 def _fold(f: Node, index: ConsumerIndex) -> bool:
     from repro.io.predicate import conjuncts_from_mask, merge_conjuncts
-    from repro.io.registry import source_capabilities
 
     u = f.inputs[0]
     if u.op != "scan":
-        return False
-    spec = source_capabilities(u.args.get("format"))
-    if spec is None or not spec.supports_predicate:
         return False
     conjuncts = conjuncts_from_mask(f.inputs[1], u)
     if conjuncts is None or not _passable(u, [f], index):

@@ -17,8 +17,7 @@ flavours:
 The pass then makes four rewrites, each counted in the optimize
 report's ``projection``:
 
-1. a ``scan`` without ``columns`` whose registered format declares
-   ``supports_projection`` reads its informative demand;
+1. a ``scan`` without ``columns`` reads its informative demand;
 2. a ``scan`` whose ``columns`` came from a ``usecols`` (the user's or
    the JIT's) reads only the exact demand out of them -- a column that
    only a folded predicate reads is read for the mask alone
@@ -116,18 +115,9 @@ def push_down_projections(roots: List[Node], session=None,
     return top_n + narrowed + edges
 
 
-def _scan_supports_projection(node: Node) -> bool:
-    from repro.io.registry import source_capabilities
-
-    spec = source_capabilities(node.args.get("format"))
-    return spec is not None and spec.supports_projection
-
-
 def _narrowed_columns(node: Node, demands: "_Demands") -> Optional[List[str]]:
     """Rewrites 1 and 2 on one scan: the columns it should read, or
     ``None`` when they stay as they are."""
-    if not _scan_supports_projection(node):
-        return None
     columns = node.args.get("columns")
     needs = (demands.informative.get(node.id) if columns is None
              else demands.exact(node))

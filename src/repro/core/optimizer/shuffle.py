@@ -9,7 +9,7 @@ Merge -> Blockwise/Shuffle/broadcast lowering is the pattern):
   the session's ``memory.budget`` headroom; ``optimizer.shuffle=False``
   means no limit;
 - the **policy** is the engine's
-  :attr:`~repro.backends.engine.EngineSpec.out_of_core`: the Dask
+  :attr:`~repro.backends.base.Backend.out_of_core`: the Dask
   engine cuts every plan, the limit only sizing its broadcasts and
   buckets; pandas and Modin cut only the scans over the limit that
   feed a merge or a group-by, and nothing at all with no limit.
@@ -43,7 +43,7 @@ def lower_shuffle_nodes(
             limit = session.memory.headroom()
         if limit is not None and int(limit) <= 0:
             limit = None
-    every_scan = session.engine.spec.out_of_core
+    every_scan = session.backend.out_of_core
     if limit is None and not every_scan:
         return 0, 0
     limit = None if limit is None else int(limit)

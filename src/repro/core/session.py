@@ -4,15 +4,15 @@ A :class:`Session` owns everything one logical program needs:
 
 - its options (:class:`~repro.core.config.SessionOptions`, including the
   ``backend.engine`` choice -- default ``dask`` as in section 2.6),
-- per-session :class:`~repro.backends.engine.Engine` instances resolved
-  through an :class:`~repro.backends.engine.EngineRegistry`, so two
+- one backend instance per engine it runs, built from
+  :data:`~repro.backends.ENGINES` (pandas / dask / modin), so two
   sessions can run different backends concurrently,
 - its own :class:`~repro.memory.manager.MemoryManager`, whose budget is
   the ``memory.budget`` option, so concurrent sessions account and
   budget their allocations independently -- the root session included,
 - a scheduler per ``collect()``, of the strategy the
   ``executor.strategy`` option picks from
-  :data:`~repro.graph.scheduler.DEFAULT_EXECUTORS` (serial / threaded /
+  :data:`~repro.graph.scheduler.STRATEGIES` (serial / threaded /
   fused / process), and the process strategy's worker pool,
 - the chain of pending lazy-print nodes (section 3.3),
 - the set of persisted nodes from ``persist()`` / ``compute(live_df=...)``
@@ -45,11 +45,12 @@ import warnings
 import weakref
 from typing import Dict, List, Optional, Sequence
 
+from repro import choose
+from repro.backends import ENGINES, Backend
 from repro.backends.base import MARKER
-from repro.backends.engine import DEFAULT_REGISTRY, Engine, EngineRegistry
 from repro.core.config import SessionOptions
 from repro.graph import Node, collect_subgraph, physical_plan, render_plan
-from repro.graph.scheduler import DEFAULT_EXECUTORS, ExecutionStats, Scheduler
+from repro.graph.scheduler import STRATEGIES, ExecutionStats, Scheduler
 from repro.memory.manager import MemoryManager
 
 
@@ -74,14 +75,12 @@ class Session:
         self,
         backend: Optional[str] = None,
         options: Optional[dict] = None,
-        registry: Optional[EngineRegistry] = None,
         metastore=None,
     ):
         self.options = SessionOptions(options)
         if backend is not None:
             self.options.set("backend.engine", backend)
-        self.registry = registry or DEFAULT_REGISTRY
-        self._engines: Dict[str, Engine] = {}
+        self._backends: Dict[str, Backend] = {}
         self._memory = MemoryManager()
         self.last_print: Optional[Node] = None
         self.pending_prints: List[Node] = []
@@ -135,20 +134,15 @@ class Session:
         return str(self.options.get("backend.engine"))
 
     @property
-    def engine(self) -> Engine:
-        """The engine named by ``backend.engine``, instantiated per
-        session and cached, so its state survives switching away and
+    def backend(self) -> Backend:
+        """The backend of the engine ``backend.engine`` names, built
+        once per session, so its state survives switching away and
         back."""
         name = self.backend_name.lower()
-        engine = self._engines.get(name)
-        if engine is None:
-            engine = self.registry.create(name)
-            self._engines[name] = engine
-        return engine
-
-    @property
-    def backend(self):
-        return self.engine.backend
+        backend = self._backends.get(name)
+        if backend is None:
+            backend = self._backends[name] = choose(ENGINES, name, "backend")()
+        return backend
 
     def set_backend(self, name: str) -> None:
         """Routes through the options so there is one source of truth."""
@@ -174,7 +168,7 @@ class Session:
         running nodes on ``backend`` (default: this session's engine's;
         baseline Dask mode passes its own)."""
         strategy = str(self.options.get("executor.strategy")).lower()
-        return DEFAULT_EXECUTORS.spec(strategy).factory(
+        return choose(STRATEGIES, strategy, "executor strategy")(
             self.backend if backend is None else backend,
             session=self,
             max_workers=self._max_workers(),
@@ -201,7 +195,7 @@ class Session:
             self.close_pool()
         if self._process_pool is None:
             self._process_pool = create_worker_pool(
-                workers, self.engine.spec.factory
+                workers, type(self.backend)
             )
             self._process_pool_key = key
             # wait=False: the collector runs this at whatever allocation
@@ -599,7 +593,7 @@ def reset_root_session(
     global _root
     with _root_lock:
         # `backend=None` falls through to the options dict (or the
-        # registry default "dask"), so an options-supplied engine is
+        # option's default "dask"), so an options-supplied engine is
         # not clobbered.
         _root = Session(backend=backend, options=options)
         return _root

@@ -23,23 +23,15 @@ from repro.graph.taskgraph import (
     topological_order,
 )
 from repro.graph.explain import render_plan
-from repro.graph.scheduler import (
-    DEFAULT_EXECUTORS,
-    ExecutionStats,
-    ExecutorRegistry,
-    Scheduler,
-    SchedulerSpec,
-)
+from repro.graph.scheduler import STRATEGIES, ExecutionStats, Scheduler
 
 __all__ = [
-    "DEFAULT_EXECUTORS",
     "ExecutionStats",
-    "ExecutorRegistry",
     "Node",
     "OPS",
     "OpSpec",
+    "STRATEGIES",
     "Scheduler",
-    "SchedulerSpec",
     "collect_subgraph",
     "consumers_by_id",
     "dependency_counts",

@@ -1,14 +1,12 @@
-"""Pluggable execution strategies (the scheduler subsystem).
+"""The execution strategies (the scheduler subsystem).
 
-Mirrors the engine layer: a :class:`SchedulerSpec` describes one
-strategy (its factory), an :class:`ExecutorRegistry` maps names to
-specs, and sessions pick a strategy of :data:`DEFAULT_EXECUTORS`
-through the ``executor.strategy`` option -- the Dask split between a
-collection protocol and swappable ``get`` functions, applied to the
-LaFP task graph.  Every strategy drives every engine: on the Dask
-engine the graph is already cut per partition
-(:mod:`repro.core.optimizer.partitions`), so the pool strategies run
-partitions in parallel.
+:data:`STRATEGIES` maps each strategy's name to its :class:`Scheduler`
+class, and a session picks one through the ``executor.strategy``
+option -- the Dask split between a collection protocol and swappable
+``get`` functions, applied to the LaFP task graph.  Every strategy
+drives every engine: on the Dask engine the graph is already cut per
+partition (:mod:`repro.core.optimizer.partitions`), so the pool
+strategies run partitions in parallel.
 
 There is one scheduling core (:mod:`repro.graph.scheduler.base`): the
 :class:`~repro.graph.scheduler.base.ReadySet` state machine, one
@@ -35,8 +33,7 @@ the pass off every strategy falls back to node-id order.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable
+from types import MappingProxyType
 
 from repro.graph.scheduler.base import ExecutionError, Scheduler
 from repro.graph.scheduler.fused import FusedScheduler, fuse_linear_chains
@@ -44,56 +41,23 @@ from repro.graph.scheduler.process import ProcessScheduler
 from repro.graph.scheduler.serial import SerialScheduler
 from repro.graph.scheduler.stats import ExecutionStats, NodeStat
 from repro.graph.scheduler.threaded import ThreadedScheduler
-from repro.registry import SpecRegistry
 
-
-@dataclasses.dataclass(frozen=True)
-class SchedulerSpec:
-    """Static description of one execution strategy."""
-
-    name: str
-    factory: Callable[..., Scheduler]
-    description: str = ""
-
-
-class ExecutorRegistry(SpecRegistry[SchedulerSpec]):
-    """Name -> :class:`SchedulerSpec` lookup; sessions create instances."""
-
-    noun, unknown_noun = "strategy", "executor strategy"
-
-
-#: The stock registry with the four shipped strategies.
-DEFAULT_EXECUTORS = ExecutorRegistry([
-    SchedulerSpec(
-        "serial", SerialScheduler,
-        description="one node at a time in topological order",
-    ),
-    SchedulerSpec(
-        "threaded", ThreadedScheduler,
-        description="the ready set driven over a thread pool",
-    ),
-    SchedulerSpec(
-        "fused", FusedScheduler,
-        description="serial over fused linear single-consumer chains",
-    ),
-    SchedulerSpec(
-        "process", ProcessScheduler,
-        description="fused chains shipped to a process pool via the "
-                    "pickle seam; inline fallback for unpicklable tasks",
-    ),
-])
+#: strategy name (the ``executor.strategy`` option) -> scheduler class.
+STRATEGIES = MappingProxyType({
+    scheduler.name: scheduler
+    for scheduler in (SerialScheduler, ThreadedScheduler, FusedScheduler,
+                      ProcessScheduler)
+})
 
 
 __all__ = [
-    "DEFAULT_EXECUTORS",
     "ExecutionError",
     "ExecutionStats",
-    "ExecutorRegistry",
     "FusedScheduler",
     "NodeStat",
     "ProcessScheduler",
+    "STRATEGIES",
     "Scheduler",
-    "SchedulerSpec",
     "SerialScheduler",
     "ThreadedScheduler",
     "fuse_linear_chains",

@@ -114,16 +114,6 @@ class _StepNode:
         self.args = args
 
 
-class _UnpicklableResult:
-    """Marker a worker returns instead of a result that will not
-    pickle; the parent re-runs the task inline."""
-
-    __slots__ = ("type_name",)
-
-    def __init__(self, type_name: str) -> None:
-        self.type_name = type_name
-
-
 def _pool_worker_init(backend_factory: Callable[[], Any]) -> None:
     """Pool initializer: give the worker a clean runtime of its own.
 
@@ -132,8 +122,7 @@ def _pool_worker_init(backend_factory: Callable[[], Any]) -> None:
     must never OOM against the parent's budget, so the root session is
     rebuilt, with a fresh, unbudgeted manager.  Spawn-started workers
     import everything fresh and this is a no-op beyond backend setup.
-    The backend comes from the engine's own factory, so an engine of a
-    session's private registry runs in the worker too.
+    The backend is a fresh instance of the session's backend class.
     """
     global _WORKER_BACKEND
     from repro.core.session import reset_root_session
@@ -143,9 +132,11 @@ def _pool_worker_init(backend_factory: Callable[[], Any]) -> None:
 
 
 def _run_task(payload: bytes) -> Tuple[
-        bytes, Dict[str, int], List[Tuple[int, int]]]:
+        Optional[bytes], Dict[str, int], List[Tuple[int, int]]]:
     """Replay one shipped task; returns ``(pickled final result, the
-    counters the steps bumped, per-step (registered, released) bytes)``.
+    counters the steps bumped, per-step (registered, released) bytes)``,
+    the result ``None`` when it will not pickle (the parent re-runs the
+    task inline).
 
     ``payload`` decodes to ``(steps, externals)``: each step is
     ``(op, args, slots)`` where a slot ``("ext", i)`` reads the i-th
@@ -176,7 +167,7 @@ def _run_task(payload: bytes) -> Tuple[
     try:
         blob = pickle.dumps(final, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:  # noqa: BLE001 - anything unpicklable
-        blob = pickle.dumps(_UnpicklableResult(type(final).__name__))
+        blob = None
     counts = {k: v for k, v in stats.counters().items() if v}
     return blob, counts, step_bytes
 
@@ -276,8 +267,8 @@ class ProcessScheduler(Scheduler):
                 retry(lost)
                 return
             task, ready_at, submitted = pending.pop(future)
-            self._land_result(task, landed, submitted, ready_at, stats)
-            self._finish(ready, task)
+            self._land_result(ready, task, landed, submitted, ready_at,
+                              stats)
 
         self._drive_pool(ready, stats, submit, collect)
 
@@ -321,30 +312,36 @@ class ProcessScheduler(Scheduler):
         except Exception:  # noqa: BLE001 - unpicklable args or inputs
             return None
 
-    def _land_result(self, chain: Task, landed, submitted: float,
-                     ready_at: float, stats: ExecutionStats) -> None:
-        """Unpickle a worker's result on the coordination thread and
-        add the worker's account of the chain to the run's record.
+    def _land_result(self, ready: ReadySet, chain: Task, landed,
+                     submitted: float, ready_at: float,
+                     stats: ExecutionStats) -> None:
+        """Unpickle a worker's result on the coordination thread, add
+        the worker's account of the chain to the run's record, and
+        complete the chain.
 
         This thread has the owning session active, so the rebuilt
         column buffers register with the parent session's manager --
         the charge-back half of the shipping contract; the landing is
         charged to the chain's last node on top of what that step
-        registered in the worker.
+        registered in the worker.  The chain's inputs are released
+        first, as an inline run releases them before its last link
+        allocates: a landing beside inputs nothing will read again
+        charges the budget for both.
         """
         blob, counts, step_bytes = landed
+        if blob is None:
+            # the chain ran, but its result cannot cross the boundary
+            # (exotic op output); re-run it here -- and count that run,
+            # not the worker's.
+            stats.add(process_fallbacks=1)
+            self._run_inline(ready, chain, None, stats)
+            return
+        for node in chain:
+            ready.release(node)
         memory = self.memory
         reg_before = memory.total_registered
         rel_before = memory.total_released
         value = pickle.loads(blob)
-        if isinstance(value, _UnpicklableResult):
-            # the chain ran, but its result cannot cross the boundary
-            # (exotic op output); re-run it here -- and count that run,
-            # not the worker's.
-            for node in chain:
-                self._execute_node(node, stats)
-            stats.add(process_fallbacks=1)
-            return
         final = chain[-1]
         if final.persist:
             value = self.backend.persist(value)
@@ -372,3 +369,4 @@ class ProcessScheduler(Scheduler):
         ), process_tasks=1, **counts)
         if self.cache_state is not None:
             self.cache_state.offer(final, value, done - submitted)
+        ready.complete(chain)

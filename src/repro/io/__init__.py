@@ -1,12 +1,12 @@
-"""The LaFP source layer: pluggable scan formats behind one protocol.
+"""The LaFP source layer: four scan formats behind one protocol.
 
-Structure (mirrors the engine and scheduler subsystems):
+Structure:
 
 - :mod:`repro.io.source`    -- the :class:`DataSource` protocol and
   :class:`Partition` (per-piece statistics: row/byte estimates, exact
   min/max/null counts, hive key values),
-- :mod:`repro.io.registry`  -- :class:`SourceRegistry` +
-  :data:`DEFAULT_SOURCES` (csv / jsonl / dataset / columnar),
+- :mod:`repro.io.registry`  -- :data:`FORMATS`, format name -> source
+  class (csv / jsonl / dataset / columnar),
 - :mod:`repro.io.predicate` -- the serializable predicate fragment both
   the optimizer and the sources understand (AND/OR/NOT with
   three-valued statistics proofs),
@@ -40,20 +40,12 @@ from repro.io.fs import (
     LocalFilesystem,
     TransientIOError,
     memory_store,
-    register_codec,
-    register_filesystem,
     resolve_filesystem,
 )
 from repro.io.jsonl import JsonlSource, read_jsonl, write_jsonl
 from repro.io.predicate import Predicate, conjuncts_from_mask
 from repro.io.prefetch import fetch_range, prefetch_scan_node, range_cache
-from repro.io.registry import (
-    DEFAULT_SOURCES,
-    SourceRegistry,
-    SourceSpec,
-    resolve_source,
-    source_capabilities,
-)
+from repro.io.registry import FORMATS, resolve_source
 from repro.io.source import DataSource, Partition
 from repro.io.spill import ShuffleStore
 
@@ -61,9 +53,9 @@ __all__ = [
     "ByteRangeFilesystem",
     "ColumnarSource",
     "CsvSource",
-    "DEFAULT_SOURCES",
     "DataSource",
     "DatasetSource",
+    "FORMATS",
     "FileStat",
     "InMemoryObjectStore",
     "JsonlSource",
@@ -71,8 +63,6 @@ __all__ = [
     "Partition",
     "Predicate",
     "ShuffleStore",
-    "SourceRegistry",
-    "SourceSpec",
     "TransientIOError",
     "conjuncts_from_mask",
     "fetch_range",
@@ -81,11 +71,8 @@ __all__ = [
     "range_cache",
     "read_columnar_footer",
     "read_jsonl",
-    "register_codec",
-    "register_filesystem",
     "resolve_filesystem",
     "resolve_source",
-    "source_capabilities",
     "write_columnar",
     "write_dataset",
     "write_jsonl",

@@ -9,15 +9,15 @@ carrying the format name, the path, and the format's read options.
 There is no other file-source op in the graph, so everything that
 inspects a read (pushdown, pruning, prefetch, estimates, the I/O
 counters, the size gate) has one thing to look at.  The optimizer
-folds projections and predicates into those args when the format's
-registry spec says the source can execute them, and the pruning pass
-drops partitions whose statistics provably fail the folded predicate;
-backends look the args up in the session's source table
-(:mod:`repro.io.source_table`) at execution time.
+folds projections and predicates into those args (every format
+executes both while reading), and the pruning pass drops partitions
+whose statistics provably fail the folded predicate; backends look the
+args up in the session's source table (:mod:`repro.io.source_table`)
+at execution time.
 
-``scan_source()`` is the generic spelling custom formats use after
-registering a :class:`~repro.io.registry.SourceSpec`.  ``from_pandas()``
-wraps an already materialized eager frame.
+``scan_source()`` is the generic spelling, naming the format of
+:data:`~repro.io.registry.FORMATS` to read.  ``from_pandas()`` wraps an
+already materialized eager frame.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 from repro.core.lazyframe import LazyFrame
 from repro.core.session import current_session
 from repro.graph.node import Node
-from repro.io.registry import DEFAULT_SOURCES
 from repro.io.source_table import session_source
 
 
@@ -192,7 +191,6 @@ def sibling_variant(
 
 
 __all__ = [
-    "DEFAULT_SOURCES",
     "from_pandas",
     "scan_columnar",
     "scan_csv",

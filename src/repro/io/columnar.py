@@ -338,9 +338,6 @@ class ColumnarSource(DataSource):
     """
 
     format_name = "columnar"
-    supports_projection = True
-    supports_predicate = True
-    partitioned = True
 
     # -- footer-backed protocol ------------------------------------------
 

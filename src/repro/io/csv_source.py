@@ -51,8 +51,6 @@ class ByteRangeSource(DataSource):
     sequential: one range), carrying the metastore's statistics for
     the ranges they were computed over."""
 
-    partitioned = True
-
     def __init__(self, path: str, metastore=None, **options):
         super().__init__(path, metastore=metastore, **options)
         self.partition_bytes = int(
@@ -78,8 +76,6 @@ class CsvSource(ByteRangeSource):
     """Byte-range partitioned CSV (migrated from the ``io_csv`` path)."""
 
     format_name = "csv"
-    supports_projection = True
-    supports_predicate = True
 
     def schema(self) -> List[str]:
         return self.fact("schema", lambda: read_header(self.path))

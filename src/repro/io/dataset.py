@@ -126,9 +126,6 @@ class DatasetSource(DataSource):
     """One partition per leaf file; hive keys become constant columns."""
 
     format_name = "dataset"
-    supports_projection = True
-    supports_predicate = True
-    partitioned = True
 
     # -- layout -----------------------------------------------------------
 

@@ -11,11 +11,11 @@ Every remote-capable format reads through one small protocol,
   failure rates so remote behaviour (latency overlap, retry budgets) is
   exercised hermetically.
 
-On top of the protocol live the pieces every consumer shares: a
-pluggable compression-codec registry (gzip built-in) and bounded
-retry-with-backoff over transient range-read failures, counted
-(``bytes_read`` / ``io_retries``) into the record of the run the read
-is for (:mod:`repro.graph.scheduler.stats`).
+On top of the protocol live the pieces every consumer shares: the
+compression codecs (none, gzip) and bounded retry-with-backoff over
+transient range-read failures, counted (``bytes_read`` /
+``io_retries``) into the record of the run the read is for
+(:mod:`repro.graph.scheduler.stats`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import gzip as _gzip
 import os
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Optional, Tuple
 
 from repro.graph.scheduler.stats import ExecutionStats, count
 
@@ -223,22 +224,13 @@ class InMemoryObjectStore(ByteRangeFilesystem):
 _LOCAL = LocalFilesystem()
 _MEMORY = InMemoryObjectStore()
 
-_FILESYSTEMS: Dict[str, Callable[[], ByteRangeFilesystem]] = {
-    "file": lambda: _LOCAL,
-    "memory": lambda: _MEMORY,
-}
+#: URL scheme -> the filesystem serving it.
+_FILESYSTEMS = MappingProxyType({"file": _LOCAL, "memory": _MEMORY})
 
 
 def memory_store() -> InMemoryObjectStore:
     """The process-global ``memory://`` store (reset it between tests)."""
     return _MEMORY
-
-
-def register_filesystem(
-    scheme: str, factory: Callable[[], ByteRangeFilesystem]
-) -> None:
-    """Register a scheme -> filesystem factory (third-party stores)."""
-    _FILESYSTEMS[str(scheme).lower()] = factory
 
 
 def url_scheme(url: str) -> Optional[str]:
@@ -254,13 +246,13 @@ def resolve_filesystem(url: str) -> ByteRangeFilesystem:
     scheme = url_scheme(url)
     if scheme is None:
         return _LOCAL
-    factory = _FILESYSTEMS.get(scheme)
-    if factory is None:
+    filesystem = _FILESYSTEMS.get(scheme)
+    if filesystem is None:
         raise ValueError(
             f"no filesystem registered for scheme {scheme!r} "
             f"(known: {sorted(_FILESYSTEMS)})"
         )
-    return factory()
+    return filesystem
 
 
 def is_remote_url(url: str) -> bool:
@@ -273,22 +265,14 @@ def is_remote_url(url: str) -> bool:
 # Compression codecs.
 # ---------------------------------------------------------------------------
 
-_CODECS: Dict[str, Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]]
-_CODECS = {
+#: codec name -> (compress, decompress).
+_CODECS = MappingProxyType({
     "none": (lambda data: data, lambda data: data),
     "gzip": (
         lambda data: _gzip.compress(data, compresslevel=1),
         _gzip.decompress,
     ),
-}
-
-
-def register_codec(
-    name: str,
-    compress: Callable[[bytes], bytes],
-    decompress: Callable[[bytes], bytes],
-) -> None:
-    _CODECS[str(name).lower()] = (compress, decompress)
+})
 
 
 def codec_names() -> List[str]:

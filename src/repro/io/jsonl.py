@@ -615,8 +615,6 @@ class JsonlSource(ByteRangeSource):
     """Byte-range partitioned newline-delimited JSON."""
 
     format_name = "jsonl"
-    supports_projection = True
-    supports_predicate = True
 
     def schema(self) -> List[str]:
         return self.fact("schema", lambda: read_jsonl_header(self.path))

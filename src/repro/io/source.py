@@ -1,4 +1,4 @@
-"""The :class:`DataSource` protocol: what every scan format plugs into.
+"""The :class:`DataSource` protocol: what every scan format implements.
 
 A source owns one dataset (a file, a directory, an in-memory table) and
 exposes exactly what the lazy runtime negotiates at the scan boundary:
@@ -8,22 +8,18 @@ exposes exactly what the lazy runtime negotiates at the scan boundary:
                               carrying whatever statistics are known
                               (row/byte estimates, exact per-column
                               min/max, hive key values),
-- capability flags         -- ``supports_projection`` (the source can
-                              materialize only requested columns),
-                              ``supports_predicate`` (it can filter rows
-                              while reading), ``partitioned`` (it splits
-                              into more than one piece),
 - ``scan(...)``            -- an iterator of eager per-partition frames,
                               after projection and predicate are applied.
 
 Every format reads a partition by handing :meth:`DataSource.assemble`
 one *builder* per column (a function decoding it over all the rows).
 
-The optimizer folds pushdown *into* a ``scan`` node's args only when the
-source's flags say the fold is executable; partition pruning consults
-``Partition`` statistics; the scheduler's static order and the
-partition cut's size gate consume ``estimated_bytes``.  Formats register in
-:mod:`repro.io.registry`, mirroring the engine and executor registries.
+Every source reads only the requested columns and filters rows while
+reading, so the optimizer folds projections and predicates *into* a
+``scan`` node's args; partition pruning consults ``Partition``
+statistics; the scheduler's static order and the partition cut's size
+gate consume ``estimated_bytes``.  The formats are the fixed table
+:data:`repro.io.registry.FORMATS`.
 
 What a source reads about its file (header, footer, layout, metastore
 entries) is kept in :attr:`DataSource.facts`, which a session's source
@@ -76,12 +72,9 @@ class Partition:
 
 
 class DataSource:
-    """Base class for pluggable scan formats."""
+    """Base class of the scan formats."""
 
     format_name = "abstract"
-    supports_projection = False
-    supports_predicate = False
-    partitioned = False
 
     def __init__(self, path: str, metastore=None, **options):
         self.path = path

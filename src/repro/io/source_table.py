@@ -23,7 +23,7 @@ import threading
 from typing import Dict
 
 from repro.cache.fingerprint import source_signature
-from repro.io.registry import DEFAULT_SOURCES, STRUCTURAL_ARGS, resolve_source
+from repro.io.registry import STRUCTURAL_ARGS, resolve_source, source_class
 from repro.io.source import READ_OPTIONS, DataSource
 
 #: files held before the table starts over (a long-lived session that
@@ -54,7 +54,7 @@ class SourceTable:
         options = {k: v for k, v in args.items() if v is not None
                    and k not in STRUCTURAL_ARGS and k not in READ_OPTIONS}
         shape = repr(sorted(options.items())) if options else ""
-        key = (DEFAULT_SOURCES.spec(args["format"]), path, metastore)
+        key = (source_class(args["format"]), path, metastore)
         # the file's signature and the metastore's write count
         stamp = (source_signature(path), getattr(metastore, "generation", 0))
         with self._lock:

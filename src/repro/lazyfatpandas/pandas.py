@@ -123,7 +123,7 @@ def set_backend(engine) -> None:
     try:
         BACKEND_ENGINE = BackendEngines(name)
     except ValueError:
-        BACKEND_ENGINE = name  # custom-registry engines keep their name
+        BACKEND_ENGINE = name  # unknown: the first collect names the engines
 
 
 class _BackendSyncModule(types.ModuleType):

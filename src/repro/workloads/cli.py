@@ -17,9 +17,9 @@ import argparse
 import json
 import sys
 
-from repro.graph.scheduler import DEFAULT_EXECUTORS
+from repro.graph.scheduler import STRATEGIES
 from repro.graph.scheduler.stats import counter_lines
-from repro.io.registry import DEFAULT_SOURCES
+from repro.io.registry import FORMATS
 from repro.workloads.programs import PROGRAMS
 from repro.workloads.runner import MODES, Runner
 from repro.workloads.verify import verify_program
@@ -133,12 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-budget", action="store_true")
     run.add_argument("--show-output", action="store_true")
     run.add_argument(
-        "--strategy", choices=DEFAULT_EXECUTORS.names(), default=None,
+        "--strategy", choices=sorted(STRATEGIES), default=None,
         help="executor.strategy for the cell (default: session default)",
     )
     run.add_argument(
         "--source-format",
-        choices=DEFAULT_SOURCES.formats(), default=None,
+        choices=sorted(FORMATS), default=None,
         help="physical source format: generates the matching dataset "
              "variant; the program's pd.read_csv calls scan that format "
              "(lafp modes)",

@@ -28,10 +28,10 @@ from hypothesis import given, settings, strategies as st
 import repro.lazyfatpandas.pandas as lfp
 from repro.core.session import Session
 from repro.frame import DataFrame
-from repro.graph.scheduler import DEFAULT_EXECUTORS
+from repro.graph.scheduler import STRATEGIES as STRATEGY_TABLE
 
 BACKENDS = ["pandas", "modin", "dask"]
-STRATEGIES = DEFAULT_EXECUTORS.names()
+STRATEGIES = sorted(STRATEGY_TABLE)
 #: the strategies that overlap tasks when no budget holds them back
 PARALLEL_STRATEGIES = ("threaded", "process")
 

@@ -7,7 +7,7 @@ Three layers under test:
   the tightened ``used_attrs`` declarations are pinned so they cannot
   silently regress to over-claiming ``ALL_COLUMNS``,
 - **rules**: one positive and one clean-negative case per built-in rule
-  (LFP001..LFP006), plus registry mechanics,
+  (LFP001..LFP006), plus the rule table,
 - **surfacing**: ``validate()`` and strict ``collect()`` raise *before*
   any execution machinery runs, warn-mode emits
   :class:`PlanDiagnosticsWarning`, and ``explain(diagnostics=True)``
@@ -22,14 +22,13 @@ import pytest
 
 import repro.lazyfatpandas.pandas as lfp
 from repro.analysis.plan import (
-    DEFAULT_ANALYZERS,
-    AnalyzerRegistry,
+    RULES,
     PlanValidationError,
-    RuleSpec,
     Severity,
     analyze_plan,
     infer_schemas_for_roots,
     render_diagnostics,
+    rule,
 )
 from repro.analysis.plan.diagnostics import PlanDiagnosticsWarning
 from repro.analysis.plan.lint import LintSession, _LintValue
@@ -295,51 +294,24 @@ class TestRules:
 
 
 # ---------------------------------------------------------------------------
-# Registry mechanics.
+# The rule table.
 # ---------------------------------------------------------------------------
 
 
 class TestAnalyzerRegistry:
     def test_builtin_codes(self):
-        assert DEFAULT_ANALYZERS.codes() == [
+        assert [spec.code for spec in RULES] == [
             "LFP001", "LFP002", "LFP003", "LFP004", "LFP005", "LFP006",
         ]
 
-    def test_duplicate_registration_rejected(self):
-        spec = DEFAULT_ANALYZERS.spec("LFP001")
-        with pytest.raises(ValueError, match="already registered"):
-            DEFAULT_ANALYZERS.register(spec)
-
     def test_unknown_code_lists_choices(self):
         with pytest.raises(ValueError, match="LFP001"):
-            DEFAULT_ANALYZERS.spec("LFP999")
-
-    def test_custom_rule_in_private_registry(self, trips_csv):
-        def no_head(spec, ctx):
-            for node in ctx.order:
-                if node.op == "head":
-                    yield ctx.diagnostic(spec, node, "head is banned here")
-
-        registry = AnalyzerRegistry([RuleSpec(
-            code="XYZ001", rule="no-head", severity=Severity.WARNING,
-            check=no_head,
-        )])
-        with Session(backend="pandas") as session:
-            df = lfp.read_csv(trips_csv).head(3)
-            diags = analyze_plan(
-                [df.node], session=session, registry=registry
-            )
-        assert _codes(diags) == ["XYZ001"]
-        # the default registry is untouched
-        assert "XYZ001" not in DEFAULT_ANALYZERS
+            rule("LFP999")
 
     def test_session_scope_filter(self):
-        plan_rules = {s.code for s in DEFAULT_ANALYZERS.rules(scope="plan")}
-        session_rules = {
-            s.code for s in DEFAULT_ANALYZERS.rules(scope="session")
-        }
-        assert "LFP005" not in plan_rules
-        assert "LFP005" in session_rules
+        """Only the dead-subgraph rule needs a whole session's graph."""
+        assert {s.code for s in RULES if s.scope == "session"} == {"LFP005"}
+        assert rule("lfp005").scope == "session"
 
 
 # ---------------------------------------------------------------------------

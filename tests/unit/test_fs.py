@@ -29,7 +29,6 @@ from repro.io.fs import (
     local_path,
     memory_store,
     read_range_with_retry,
-    register_codec,
     resolve_filesystem,
     url_scheme,
 )
@@ -151,11 +150,6 @@ class TestCodecs:
         assert decompress_chunk(packed, "gzip") == data
         assert compress_chunk(data, None) == data
         assert "gzip" in codec_names() and "none" in codec_names()
-
-    def test_custom_codec_registration(self):
-        register_codec("rot13x", lambda d: d[::-1], lambda d: d[::-1])
-        assert decompress_chunk(compress_chunk(b"abcd", "rot13x"),
-                                "rot13x") == b"abcd"
 
 
 class TestRetry:

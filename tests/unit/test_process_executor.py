@@ -26,10 +26,7 @@ import repro.lazyfatpandas.pandas as lfp
 from repro.backends import PandasBackend
 from repro.core.session import Session
 from repro.graph import Node
-from repro.graph.scheduler import (
-    DEFAULT_EXECUTORS,
-    ExecutionError,
-)
+from repro.graph.scheduler import STRATEGIES, ExecutionError
 from repro.graph.scheduler.base import ReadySet
 from repro.graph.scheduler.order import (
     priority_topological_order,
@@ -568,7 +565,7 @@ class TestStaticOrder:
 
     def test_all_strategies_accept_static_order(self, numbers_csv):
         expected = None
-        for strategy in DEFAULT_EXECUTORS.names():
+        for strategy in sorted(STRATEGIES):
             with Session(backend="pandas",
                          options={"executor.strategy": strategy}):
                 got = lfp.read_csv(numbers_csv).x.sum().collect()

@@ -1,6 +1,6 @@
-"""Unit tests for the pluggable scheduler subsystem.
+"""Unit tests for the scheduler subsystem.
 
-Covers the executor registry, the ready-set taskgraph helpers on
+Covers the strategy table, the ready-set taskgraph helpers on
 diamond / multi-root / shared-subexpression shapes, strategy
 equivalence (serial == threaded == fused), linear-chain fusion,
 per-node execution statistics, memory-aware admission, and per-session
@@ -21,11 +21,10 @@ import pytest
 import repro.lazyfatpandas.pandas as lfp
 from repro.backends import PandasBackend
 from repro.core.session import Session
+from repro import choose
 from repro.graph import (
-    DEFAULT_EXECUTORS,
-    ExecutorRegistry,
+    STRATEGIES as STRATEGY_TABLE,
     Node,
-    SchedulerSpec,
     consumers_by_id,
     dependency_counts,
     ready_nodes,
@@ -137,23 +136,14 @@ def numbers_csv(make_csv):
 
 class TestExecutorRegistry:
     def test_stock_strategies_registered(self):
-        assert DEFAULT_EXECUTORS.names() == [
+        assert sorted(STRATEGY_TABLE) == [
             "fused", "process", "serial", "threaded",
         ]
-        assert "threaded" in DEFAULT_EXECUTORS
+        assert "threaded" in STRATEGY_TABLE
 
     def test_unknown_strategy_lists_choices(self):
         with pytest.raises(ValueError, match="fused.*process.*serial"):
-            DEFAULT_EXECUTORS.spec("quantum")
-
-    def test_duplicate_registration_rejected(self):
-        registry = ExecutorRegistry([SchedulerSpec("serial", SerialScheduler)])
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register(SchedulerSpec("serial", SerialScheduler))
-        registry.register(
-            SchedulerSpec("serial", FusedScheduler), replace=True
-        )
-        assert registry.spec("serial").factory is FusedScheduler
+            choose(STRATEGY_TABLE, "quantum", "executor strategy")
 
     @pytest.mark.parametrize(
         "cls", [SerialScheduler, ThreadedScheduler, FusedScheduler,
@@ -175,7 +165,7 @@ class TestExecutorRegistry:
             "memory.budget": 1 << 20,
         }) as scheduler:
             session = scheduler.session
-            assert type(scheduler) is DEFAULT_EXECUTORS.spec(strategy).factory
+            assert type(scheduler) is STRATEGY_TABLE[strategy]
             assert scheduler.backend is session.backend
             assert scheduler.memory is session.memory
             assert scheduler.memory.budget == 1 << 20

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro.lazyfatpandas.pandas as lfp
-from repro.backends.engine import DEFAULT_REGISTRY, EngineRegistry, EngineSpec
+from repro.backends import ENGINES
 from repro.core.config import OPTION_TABLE, OptionError, SessionOptions
 from repro.core.session import (
     Session,
@@ -494,7 +494,7 @@ class TestOptions:
 class TestEngines:
     def test_backend_option_resolves_engine(self):
         session = Session(backend="pandas")
-        assert session.engine.name == "pandas"
+        assert type(session.backend) is ENGINES["pandas"]
         assert session.backend.name == "pandas"
 
     def test_no_staleness_after_option_change(self):
@@ -516,7 +516,7 @@ class TestEngines:
         a.set_backend("pandas")
         _ = a.backend
         a.set_backend("dask")
-        assert a.engine is a._engines["dask"]
+        assert a.backend is a._backends["dask"]
 
     def test_unknown_engine_raises_value_error(self):
         session = Session()
@@ -525,28 +525,9 @@ class TestEngines:
             _ = session.backend
 
     def test_capability_descriptors(self):
-        dask = DEFAULT_REGISTRY.spec("dask")
-        assert dask.out_of_core
-        pandas = DEFAULT_REGISTRY.spec("pandas")
-        assert not pandas.out_of_core
-
-    def test_custom_registry_injection(self, numbers_csv):
-        from repro.backends.pandas_backend import PandasBackend
-
-        registry = EngineRegistry([
-            EngineSpec("toy", PandasBackend, description="pandas in a hat"),
-        ])
-        with Session(backend="toy", registry=registry):
-            total = lfp.read_csv(numbers_csv).y.sum().collect()
-        assert total == sum(i % 7 for i in range(60))
-
-    def test_duplicate_registration_rejected(self):
-        from repro.backends.pandas_backend import PandasBackend
-
-        registry = EngineRegistry([EngineSpec("toy", PandasBackend)])
-        with pytest.raises(ValueError):
-            registry.register(EngineSpec("toy", PandasBackend))
-        registry.register(EngineSpec("toy", PandasBackend), replace=True)
+        assert ENGINES["dask"].out_of_core
+        assert not ENGINES["pandas"].out_of_core
+        assert not ENGINES["modin"].out_of_core
 
 
 class TestConcurrentSessions:

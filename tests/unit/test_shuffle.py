@@ -300,7 +300,7 @@ class TestBroadcast:
 
 class TestForcedSpill:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", STRATEGIES + ["process"])
     def test_merge_spills_and_matches(self, tmp_path, spill_left_csv,
                                       rightbig_csv, backend, strategy):
         def pipeline():
@@ -369,7 +369,7 @@ class TestForcedSpill:
         assert _equal(first, second)
 
     @pytest.mark.parametrize("backend", ["pandas", "dask"])
-    @pytest.mark.parametrize("strategy", ["serial", "threaded"])
+    @pytest.mark.parametrize("strategy", ["serial", "threaded", "process"])
     def test_session_keeps_no_dropped_result(self, spill_left_csv,
                                              rightbig_csv, backend, strategy):
         """A session charges its budget only for values the program can

@@ -1,4 +1,4 @@
-"""The source layer: DataSource protocol, registry, pushdown folding,
+"""The source layer: DataSource protocol, format table, pushdown folding,
 partition pruning, and scan byte estimates.
 
 The correctness contract under test everywhere: folding a projection or
@@ -14,17 +14,17 @@ import pytest
 import repro
 import repro.lazyfatpandas.pandas as lfp
 from repro.core.session import Session
-from repro.frame import DataFrame
+from repro.frame import DataFrame, concat
 from repro.frame.column import Column
 from repro.io import (
+    FORMATS,
+    ColumnarSource,
     CsvSource,
-    DEFAULT_SOURCES,
     DataSource,
     DatasetSource,
     JsonlSource,
     Partition,
     Predicate,
-    SourceSpec,
     write_dataset,
     write_jsonl,
 )
@@ -145,7 +145,7 @@ class TestBuiltinSources:
 
 
 # ---------------------------------------------------------------------------
-# Registry round-trip with a custom source.
+# The protocol with a source of no file, and the format table.
 # ---------------------------------------------------------------------------
 
 
@@ -153,9 +153,6 @@ class _ArangeSource(DataSource):
     """In-test source: two partitions of consecutive integers."""
 
     format_name = "arange"
-    supports_projection = True
-    supports_predicate = False  # folding must respect this
-    partitioned = True
 
     def schema(self):
         return ["n", "double"]
@@ -176,74 +173,27 @@ class _ArangeSource(DataSource):
         return self.assemble(len(n), builders, columns, predicate)
 
 
-@pytest.fixture
-def arange_registered():
-    spec = SourceSpec.from_source(_ArangeSource, description="test source")
-    DEFAULT_SOURCES.register(spec)
-    try:
-        yield spec
-    finally:
-        DEFAULT_SOURCES.unregister("arange")
-
-
 class TestRegistry:
-    def test_custom_source_round_trip(self, arange_registered):
-        with Session(backend="pandas"):
-            lf = lfp.scan_source("arange", "memory://test")
-            out = lf.collect()
+    def test_custom_source_round_trip(self):
+        """A source reads through the protocol alone: its partitions,
+        each assembled from column builders, projected and filtered."""
+        source = _ArangeSource("memory://test")
+        out = concat(list(source.scan()))
         assert out.column("n").to_array().tolist() == list(range(10))
         assert out.column("double").to_array().tolist() == [
             2 * i for i in range(10)
         ]
-
-    def test_spec_carries_capability_flags(self, arange_registered):
-        spec = DEFAULT_SOURCES.spec("arange")
-        assert spec.supports_projection
-        assert not spec.supports_predicate
-        assert spec.partitioned
-
-    def test_projection_folds_but_predicate_stays(self, arange_registered):
-        """The optimizer must consult the spec: projection folds into the
-        scan, the filter stays a graph node (no supports_predicate)."""
-        with Session(backend="pandas"):
-            lf = lfp.scan_source("arange", "memory://test")
-            out = lf[lf["n"] >= 7][["double"]]
-            text = out.explain()
-            collected = out.collect()
-        optimized = text.split("== optimized plan ==")[1]
-        assert "columns=['double', 'n']" in optimized
-        assert "predicate" not in optimized
-        assert "filter" in optimized
-        assert collected.column("double").to_array().tolist() == [14, 16, 18]
-
-    def test_pruning_uses_partition_stats(self, arange_registered):
-        """Even without predicate *execution* support, the pruning pass
-        can still drop partitions the (graph-resident) filter's folded
-        conjuncts... it cannot -- no fold means no pruning predicate.
-        The scan must instead report totals untouched."""
-        with Session(backend="pandas") as session:
-            lf = lfp.scan_source("arange", "memory://test")
-            out = lf[lf["n"] >= 7]["double"].sum()
-            assert float(out.collect()) == 14 + 16 + 18
-            stats = session.last_execution_stats
-        assert stats.partitions_read == stats.partitions_total == 2
-
-    def test_duplicate_and_unknown_formats(self):
-        spec = SourceSpec.from_source(_ArangeSource)
-        DEFAULT_SOURCES.register(spec)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                DEFAULT_SOURCES.register(spec)
-            DEFAULT_SOURCES.register(spec, replace=True)  # explicit ok
-        finally:
-            DEFAULT_SOURCES.unregister("arange")
-        with pytest.raises(ValueError, match="unknown source format"):
-            DEFAULT_SOURCES.spec("arange")
-        assert DEFAULT_SOURCES.get("arange") is None
+        predicate = Predicate.from_arg([{"column": "n", "op": ">=",
+                                         "value": 7}])
+        (part,) = source.scan(["double"], predicate, partitions=[1])
+        assert part.columns == ["double"]
+        assert part.column("double").to_array().tolist() == [14, 16, 18]
 
     def test_builtin_formats_present(self):
-        for fmt in ("csv", "jsonl", "dataset"):
-            assert fmt in DEFAULT_SOURCES
+        assert dict(FORMATS) == {
+            "csv": CsvSource, "jsonl": JsonlSource,
+            "dataset": DatasetSource, "columnar": ColumnarSource,
+        }
 
 
 # ---------------------------------------------------------------------------

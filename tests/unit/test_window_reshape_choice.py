@@ -106,15 +106,15 @@ class TestCli:
 
     def test_run_takes_every_registered_strategy(self):
         """``--strategy`` / ``--source-format`` choices come from the
-        executor and source registries, so no strategy is missing."""
-        from repro.graph.scheduler import DEFAULT_EXECUTORS
+        strategy and format tables, so no strategy is missing."""
+        from repro.graph.scheduler import STRATEGIES
         from repro.workloads.cli import build_parser
 
         parser = build_parser()
         args = parser.parse_args(["run", "zip", "--strategy", "process",
                                   "--source-format", "columnar"])
         assert (args.strategy, args.source_format) == ("process", "columnar")
-        for strategy in DEFAULT_EXECUTORS.names():
+        for strategy in sorted(STRATEGIES):
             args = parser.parse_args(["run", "zip", "--strategy", strategy])
             assert args.strategy == strategy
 

@@ -5,13 +5,15 @@ Eighteen structural rules the linters cannot express, checked with
 nothing but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
-   singleton session; the registries (``OPS``, ``DEFAULT_SOURCES``,
-   ``DEFAULT_ANALYZERS``, ``SCHEMA_RULES``) are the
-   sanctioned pattern for module-level mutable state.  Everything
-   mutable at module scope that exists today is pinned in
-   ``MUTABLE_GLOBAL_ALLOWLIST``; adding a new one fails this check so
-   the pattern is adopted deliberately, not by drift.  An entry whose
-   global is gone fails too, so the list can only shrink.
+   singleton session; a name table nothing writes after import (the
+   engines, strategies, formats, lint rules, filesystems and codecs) is
+   a ``MappingProxyType`` or a ``tuple``.  What is still mutable at
+   module scope -- the tables filled at import by decorators (``OPS``,
+   ``SCHEMA_RULES``, ``_GENERATORS``, ``PROGRAMS``) and the ``.lfc``
+   footer cache -- is pinned in ``MUTABLE_GLOBAL_ALLOWLIST``; adding a
+   new one fails this check so the pattern is adopted deliberately, not
+   by drift.  An entry whose global is gone fails too, so the list can
+   only shrink.
 
 2. **No real-pandas shortcuts.**  The repro stack *simulates* the
    pandas surface; ``src/repro`` must never import the real thing (nor
@@ -202,29 +204,17 @@ _MUTABLE_LITERALS = (
 )
 
 #: every module-level mutable global that exists today, pinned.
-#: (path relative to src/repro, name).  Registry singletons
-#: (``*Registry()`` instantiations) are allowed structurally and do not
-#: need pinning, and neither does a lookup table nothing writes after
-#: import: make it a ``frozenset``, ``tuple`` or ``MappingProxyType``.
-#: What is pinned here is filled after import (by decorators, or as a
-#: cache).  To add a new entry, prefer one of the registries.
+#: (path relative to src/repro, name).  A lookup table nothing writes
+#: after import needs no pin: make it a ``frozenset``, ``tuple`` or
+#: ``MappingProxyType``.  What is pinned here is filled after import
+#: (by decorators, or as a cache).
 MUTABLE_GLOBAL_ALLOWLIST = {
     ("analysis/plan/schema.py", "SCHEMA_RULES"),
     ("graph/node.py", "OPS"),
     ("io/columnar.py", "_FOOTER_CACHE"),
-    ("io/fs.py", "_FILESYSTEMS"),
-    ("io/fs.py", "_CODECS"),
     ("workloads/datagen.py", "_GENERATORS"),
     ("workloads/programs.py", "PROGRAMS"),
 }
-
-
-def _is_registry_call(value: ast.expr) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    func = value.func
-    name = getattr(func, "id", None) or getattr(func, "attr", None) or ""
-    return name.endswith("Registry")
 
 
 def _is_mutable_value(value: ast.expr) -> bool:
@@ -249,9 +239,7 @@ def mutable_globals(tree: ast.Module) -> Iterator[Tuple[str, int]]:
             targets, value = [stmt.target], stmt.value
         else:
             continue
-        if value is None or _is_registry_call(value):
-            continue
-        if not _is_mutable_value(value):
+        if value is None or not _is_mutable_value(value):
             continue
         for target in targets:
             if target.id != "__all__":
@@ -263,7 +251,7 @@ def check_mutable_globals(tree: ast.Module, rel: str) -> Iterator[str]:
         if (rel, name) not in MUTABLE_GLOBAL_ALLOWLIST:
             yield (
                 f"src/repro/{rel}:{lineno}: new module-level mutable "
-                f"global '{name}' -- use a registry "
+                f"global '{name}' -- make it read-only "
                 f"(see tools/check_invariants.py) or pin it in "
                 f"MUTABLE_GLOBAL_ALLOWLIST"
             )
@@ -827,7 +815,7 @@ def check_one_partitioned_executor(tree: ast.Module,
 # check 13: one source per session
 
 #: the modules that may call ``resolve_source``: the session source
-#: table and the registry that defines it.
+#: table and the module that defines it.
 _RESOLVERS = frozenset({"io/source_table.py", "io/registry.py"})
 
 
