@@ -693,15 +693,15 @@ def _combine_agg_schema(node, inputs, ctx) -> NodeSchema:
 # -- opaque / effect operators ----------------------------------------------
 
 
-@schema_rule("describe", "apply", "assign", "select_columns_if")
+@schema_rule("describe", "apply")
 def _opaque_schema(node, inputs, ctx) -> NodeSchema:
-    # Output shape depends on runtime values (UDFs, dtype predicates,
-    # numeric-column selection): stay unknown rather than guess.
+    # Output shape depends on runtime values (UDFs, numeric-column
+    # selection): stay unknown rather than guess.
     kind = SERIES if node.op == "apply" else FRAME
     return NodeSchema.unknown(kind)
 
 
-@schema_rule("print", "to_csv", "plot_call")
+@schema_rule("print", "to_csv")
 def _effect_schema(node, inputs, ctx) -> NodeSchema:
     # Side-effect sinks pass their primary input through untouched.
     return _first(inputs)

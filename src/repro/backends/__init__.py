@@ -1,6 +1,6 @@
 """Execution backends for the LaFP task graph.
 
-Three backends mirror the paper's setup:
+Three engines mirror the paper's setup:
 
 - :class:`PandasBackend` -- eager, whole-frame, in-memory
   (:mod:`repro.frame` stands in for pandas),
@@ -10,22 +10,24 @@ Three backends mirror the paper's setup:
   Modin mode's partitioned frames run as each op is built
   (:mod:`repro.backends.modin_sim` stands in for Modin on Ray).
 
-All three consume the same operator nodes; ops a backend cannot express
-fall back to "convert to pandas, run, convert back" exactly as the paper
-describes for Dask incompatibilities (section 2.6).
+All three run every node through the one dispatch,
+:meth:`Backend.apply`, on :mod:`repro.frame`'s eager frames; they
+differ only in how a plan is cut per partition before it runs, which
+is where the paper's pandas fallback for Dask incompatibilities
+(section 2.6) is decided.
 """
 
 from types import MappingProxyType
 
-from repro.backends.base import Backend, BackendUnsupported, apply_generic
+from repro.backends.base import Backend, BackendUnsupported
 from repro.backends.pandas_backend import PandasBackend
 from repro.backends.dask_backend import DaskBackend
 from repro.backends.modin_backend import ModinBackend
 
-#: engine name (the ``backend.engine`` option) -> backend class; a
-#: session builds one instance of each engine it runs.
+#: engine name (the ``backend.engine`` option) -> the engine's backend.
+#: A backend holds no state, so one instance serves every session.
 ENGINES = MappingProxyType({
-    backend.name: backend
+    backend.name: backend()
     for backend in (PandasBackend, DaskBackend, ModinBackend)
 })
 
@@ -37,5 +39,4 @@ __all__ = [
     "ENGINES",
     "ModinBackend",
     "PandasBackend",
-    "apply_generic",
 ]

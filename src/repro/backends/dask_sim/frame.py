@@ -482,11 +482,11 @@ class DaskGroupBy(GroupBy):
         return frame._compute_node(node)
 
 
-def scan_csv(backend, path: str, usecols=None,
+def scan_csv(target_bytes: int, path: str, usecols=None,
              **options) -> Tuple[List[Node], List[str]]:
     """A baseline mode's ``read_csv``: one ``scan`` per partition of the
-    session's source (``backend.partition_bytes`` each, smaller under a
-    budget), and the columns they read."""
+    session's source (``target_bytes`` each, smaller under a budget),
+    and the columns they read."""
     from repro.core.session import current_session
     from repro.io.source_table import session_source
 
@@ -495,7 +495,7 @@ def scan_csv(backend, path: str, usecols=None,
         args["columns"] = list(usecols)
     session = current_session()
     parts = scan_parts(args, session.metastore, partition_bytes(
-        backend.partition_bytes, session.memory.budget))
+        target_bytes, session.memory.budget))
     columns = session_source(args, session.metastore, session).schema()
     if usecols is not None:
         keep = set(usecols)

@@ -62,8 +62,8 @@ def modin_read_csv(
     baseline Dask mode's scans, run and encoded one piece at a time."""
     from repro.backends.modin_backend import ModinBackend
 
-    backend = ModinBackend(partition_bytes)
-    scans, _columns = scan_csv(backend, path, usecols, dtype=dtype,
+    backend = ModinBackend()
+    scans, _columns = scan_csv(partition_bytes, path, usecols, dtype=dtype,
                                parse_dates=parse_dates)
 
     def read(scan: Node) -> Node:

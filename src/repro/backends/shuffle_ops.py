@@ -39,30 +39,30 @@ from repro.memory.manager import SimulatedMemoryError
 _NA_TOKEN = ("\0lafp-na",)
 
 
-def apply_shuffle_op(backend, node, inputs):
-    """Dispatch one shuffle-lowering node on ``backend``."""
+def apply_shuffle_op(node, inputs):
+    """Execute one shuffle-lowering node."""
     op = node.op
     if op == "shuffle_write":
-        return exec_shuffle_write(backend, node, inputs)
+        return exec_shuffle_write(node, inputs)
     if op == "shuffle_read":
         return drain_bucket(inputs, int(node.args["bucket"]))
     if op == "partial_agg":
-        return exec_partial_agg(backend, node, inputs)
+        return exec_partial_agg(node, inputs)
     if op == "combine_agg":
-        return exec_combine_agg(backend, node, inputs)
+        return exec_combine_agg(node, inputs)
     if op == "compact":
-        return exec_compact(backend, node, inputs)
+        return exec_compact(inputs)
     raise ValueError(f"not a shuffle op: {op!r}")
 
 
 # -- shuffle_write -----------------------------------------------------
 
 
-def exec_shuffle_write(backend, node, inputs) -> ShuffleStore:
+def exec_shuffle_write(node, inputs) -> ShuffleStore:
     """Hash-split one piece into its side's store: the store of the
     previous piece's write (a second input), else a new one."""
     args = node.args
-    return hash_split(backend.materialize(inputs[0]), args["keys"],
+    return hash_split(inputs[0], args["keys"],
                       int(args["n_buckets"]), args.get("pos_name"),
                       inputs[1] if len(inputs) > 1 else None)
 
@@ -166,7 +166,7 @@ def _split(frame: DataFrame, ids: np.ndarray):
     return pieces
 
 
-def exec_compact(backend, node, inputs):
+def exec_compact(inputs):
     """Rebuild a frame with payload-owning columns (identity values).
 
     Bucket-local merge/agg results derive their object columns from the
@@ -174,7 +174,7 @@ def exec_compact(backend, node, inputs):
     payload -- so a small per-bucket result would pin its whole input
     bucket's string payload until the final combine drains every
     bucket.  Re-owning here lets the bucket die with its payload."""
-    return backend.from_pandas(_owned_frame(backend.materialize(inputs[0])))
+    return _owned_frame(inputs[0])
 
 
 def _owned_frame(frame: DataFrame) -> DataFrame:
@@ -250,11 +250,11 @@ def drain_bucket(stores: List[ShuffleStore], bucket: int) -> DataFrame:
 # -- partial_agg -------------------------------------------------------
 
 
-def exec_partial_agg(backend, node, inputs) -> DataFrame:
+def exec_partial_agg(node, inputs) -> DataFrame:
     """Grouped partials of one piece (or bucket)."""
     args = node.args
     partial = partial_aggregate(
-        backend.materialize(inputs[0]), [str(k) for k in args["keys"]],
+        inputs[0], [str(k) for k in args["keys"]],
         [tuple(p) for p in args["pairs"]])
     # own the payload: the key columns are take-derived from the piece
     # and would pin its heap store
@@ -264,20 +264,19 @@ def exec_partial_agg(backend, node, inputs) -> DataFrame:
 # -- combine_agg -------------------------------------------------------
 
 
-def exec_combine_agg(backend, node, inputs):
+def exec_combine_agg(node, inputs):
     args = node.args
     if args.get("kind") == "scalar":
         return combine_scalars(args["func"], inputs)
-    frames = [backend.materialize(piece) for piece in inputs]
     if args.get("kind") == "merge":
-        return backend.from_pandas(restitch(frames, args["pos_names"]))
-    return backend.from_pandas(combine_partials(
-        _stack(frames),
+        return restitch(inputs, args["pos_names"])
+    return combine_partials(
+        _stack(inputs),
         [str(k) for k in args["keys"]],
         args["outputs"],
         as_index=args.get("as_index", True),
         series=args.get("name") if args.get("output") == "series" else None,
-    ))
+    )
 
 
 def combine_scalars(func: str, partials: list):

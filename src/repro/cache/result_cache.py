@@ -62,9 +62,9 @@ def serialize_value(value: Any) -> Tuple[bytes, str]:
     """Pickle an eager result into ``(blob, kind)`` form.
 
     Returns ``(blob, kind)`` where ``kind`` is ``"frame"``,
-    ``"series"``, or ``"scalar"``.  Raises :class:`TypeError` for
-    values that are not eager results (stores, lazy exprs) --
-    callers treat that as "not cacheable", never as an error.
+    ``"series"``, or ``"scalar"``.  Raises :class:`TypeError` for any
+    other value (a shuffle store, an array) -- callers treat that as
+    "not cacheable", never as an error.
     """
     from repro.frame import DataFrame, Series
 

@@ -74,8 +74,9 @@ class CacheRunState:
 
         Worthiness = the node was fingerprinted as a raw-plan miss AND
         its actual cost (wall seconds x serialized bytes) meets
-        ``cache.min_cost``.  Non-eager values (stores, lazy expressions)
-        are silently skipped.  Returns True on insert.
+        ``cache.min_cost``.  A value that is not a frame, series or
+        scalar (a shuffle store, a ``unique`` array) is silently
+        skipped.  Returns True on insert.
         """
         key = self.candidates.get(node.id)
         if key is None:
@@ -86,8 +87,7 @@ class CacheRunState:
         try:
             blob, kind = serialize_value(value)
         except TypeError:
-            # A lazy-backend interior value: the root offer after
-            # materialization may still succeed, so don't mark it done.
+            # not a cacheable kind of value
             return False
         with self._lock:
             if node.id in self._offered:

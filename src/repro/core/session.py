@@ -4,9 +4,9 @@ A :class:`Session` owns everything one logical program needs:
 
 - its options (:class:`~repro.core.config.SessionOptions`, including the
   ``backend.engine`` choice -- default ``dask`` as in section 2.6),
-- one backend instance per engine it runs, built from
-  :data:`~repro.backends.ENGINES` (pandas / dask / modin), so two
-  sessions can run different backends concurrently,
+- its engine choice, resolved through :data:`~repro.backends.ENGINES`
+  (pandas / dask / modin), so two sessions can run different engines
+  concurrently,
 - its own :class:`~repro.memory.manager.MemoryManager`, whose budget is
   the ``memory.budget`` option, so concurrent sessions account and
   budget their allocations independently -- the root session included,
@@ -80,7 +80,6 @@ class Session:
         self.options = SessionOptions(options)
         if backend is not None:
             self.options.set("backend.engine", backend)
-        self._backends: Dict[str, Backend] = {}
         self._memory = MemoryManager()
         self.last_print: Optional[Node] = None
         self.pending_prints: List[Node] = []
@@ -135,14 +134,9 @@ class Session:
 
     @property
     def backend(self) -> Backend:
-        """The backend of the engine ``backend.engine`` names, built
-        once per session, so its state survives switching away and
-        back."""
-        name = self.backend_name.lower()
-        backend = self._backends.get(name)
-        if backend is None:
-            backend = self._backends[name] = choose(ENGINES, name, "backend")()
-        return backend
+        """The backend of the engine ``backend.engine`` names: the
+        engine's one shared instance (a backend holds no state)."""
+        return choose(ENGINES, self.backend_name.lower(), "backend")
 
     def set_backend(self, name: str) -> None:
         """Routes through the options so there is one source of truth."""

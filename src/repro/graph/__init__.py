@@ -18,7 +18,6 @@ from repro.graph.taskgraph import (
     initial_refcounts,
     needed_nodes,
     physical_plan,
-    ready_nodes,
     to_dot,
     topological_order,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "initial_refcounts",
     "needed_nodes",
     "physical_plan",
-    "ready_nodes",
     "register_op",
     "render_plan",
     "series_used_columns",

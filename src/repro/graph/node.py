@@ -615,10 +615,6 @@ register_op(OpSpec(
 ))
 # UDF / runtime-dependent operators: column flow is unknowable, ALL stays.
 register_op(OpSpec("apply", mod_attrs=_NO_COLS, used_attrs=_ALL_COLS))
-register_op(OpSpec("assign", mod_attrs=_ALL_COLS, used_attrs=_ALL_COLS))
-register_op(OpSpec(
-    "select_columns_if", mod_attrs=_NO_COLS, used_attrs=_ALL_COLS,
-))
 register_op(OpSpec(
     # unseeded randomness: the value is not a function of the plan, so
     # it (and everything computed over it) must never be cached.
@@ -631,7 +627,4 @@ register_op(OpSpec(
 ))
 register_op(OpSpec(
     "to_csv", mod_attrs=_NO_COLS, used_attrs=_ALL_COLS, side_effect=True,
-))
-register_op(OpSpec(
-    "plot_call", mod_attrs=_NO_COLS, used_attrs=_ALL_COLS, side_effect=True,
 ))

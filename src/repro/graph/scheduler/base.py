@@ -228,7 +228,7 @@ class Scheduler:
             started = time.perf_counter()
             try:
                 self._run(ready, stats)
-                return self._results(roots, started)
+                return self._results(roots)
             except BaseException:
                 for node in order:
                     if node.id not in cached and not node.spec.side_effect:
@@ -290,19 +290,12 @@ class Scheduler:
         strategy fuses linear chains."""
         return [[node] for node in order]
 
-    def _results(self, roots: Sequence[Node], started: float) -> List[object]:
+    def _results(self, roots: Sequence[Node]) -> List[object]:
         results = []
         for root in roots:
             value = self.backend.materialize(root.result)
             root.result = value
             results.append(value)
-        if self.cache_state is not None:
-            # Roots, after materialization.  The whole run's wall is
-            # the honest replacement cost -- serving the root from
-            # cache skips exactly this run.
-            wall = time.perf_counter() - started
-            for root, value in zip(roots, results):
-                self.cache_state.offer(root, value, wall)
         return results
 
     # -- prefetch --------------------------------------------------------

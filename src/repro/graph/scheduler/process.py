@@ -104,8 +104,8 @@ _WORKER_BACKEND = None
 
 class _StepNode:
     """The slice of :class:`~repro.graph.node.Node` the backend dispatch
-    reads (``apply_generic`` and the shuffle ops use ``op`` and ``args``
-    only), rebuilt worker-side from a shipped step."""
+    reads (:meth:`~repro.backends.base.Backend.apply` uses ``op`` and
+    ``args`` only), rebuilt worker-side from a shipped step."""
 
     __slots__ = ("op", "args")
 

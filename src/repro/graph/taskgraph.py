@@ -140,12 +140,6 @@ def dependency_counts(
     return counts
 
 
-def ready_nodes(order: Sequence[Node],
-                dep_counts: Dict[int, int]) -> List[Node]:
-    """The initial ready set, in deterministic (topological) order."""
-    return [node for node in order if dep_counts[node.id] == 0]
-
-
 def consumers_by_id(order: Sequence[Node]) -> Dict[int, List[Node]]:
     """Map node id -> distinct in-graph consumers over data *and*
     ordering edges (the reverse adjacency the ready-queue scheduler
@@ -161,17 +155,6 @@ def consumers_by_id(order: Sequence[Node]) -> Dict[int, List[Node]]:
                 seen.add(dep.id)
                 out.setdefault(dep.id, []).append(node)
     return out
-
-
-def consumer_counts(nodes: Iterable[Node]) -> Dict[int, int]:
-    """Number of consumers (data edges only) of each node within the set."""
-    counts: Dict[int, int] = {}
-    node_ids = {n.id for n in nodes}
-    for node in nodes:
-        for dep in node.inputs:
-            if dep.id in node_ids:
-                counts[dep.id] = counts.get(dep.id, 0) + 1
-    return counts
 
 
 class ConsumerIndex:

@@ -11,12 +11,25 @@ collection is its partition nodes), so each call makes its own.
 from __future__ import annotations
 
 from repro.backends.dask_backend import DaskBackend
-from repro.backends.dask_sim.frame import DaskFrame, DaskSeries, from_pandas
+from repro.backends.dask_sim.frame import (
+    DaskFrame,
+    DaskSeries,
+    from_pandas,
+    scan_csv,
+)
 from repro.frame import DataFrame as _EagerFrame
 
 
-def read_csv(path: str, **kwargs) -> DaskFrame:
-    return DaskBackend().read_csv(path=path, **kwargs)
+def read_csv(path: str, usecols=None, index_col=None, **options) -> DaskFrame:
+    """A lazy frame of one ``scan`` per partition.  The paper's
+    incompatibility example is kept: Dask's ``read_csv`` has no
+    ``index_col``, so the port issues a ``set_index`` after the read."""
+    parts, columns = scan_csv(DaskBackend.partition_bytes, path, usecols,
+                              **options)
+    frame = DaskFrame(parts, DaskBackend(), columns=columns)
+    if index_col is not None:
+        frame = frame.set_index(index_col)
+    return frame
 
 
 def DataFrame(data) -> DaskFrame:

@@ -9,7 +9,7 @@ is that import target.  Frames are eager and partitioned
 from __future__ import annotations
 
 from repro.backends.dask_sim.frame import from_pandas
-from repro.backends.modin_backend import DEFAULT_PARTITION_BYTES, ModinBackend
+from repro.backends.modin_backend import ModinBackend
 from repro.backends.modin_sim.frame import (
     ModinFrame,
     ModinSeries,
@@ -23,12 +23,12 @@ from repro.frame import to_datetime as _eager_to_datetime
 def _split(frame: _EagerFrame) -> ModinFrame:
     """An eager frame in pieces of about the partition size."""
     backend = ModinBackend()
-    pieces = max(1, frame.nbytes // DEFAULT_PARTITION_BYTES)
+    pieces = max(1, frame.nbytes // ModinBackend.partition_bytes)
     return ModinFrame(from_pandas(frame, backend, int(pieces)).parts, backend)
 
 
 def read_csv(path: str, **kwargs) -> ModinFrame:
-    return modin_read_csv(path, DEFAULT_PARTITION_BYTES, **kwargs)
+    return modin_read_csv(path, ModinBackend.partition_bytes, **kwargs)
 
 
 def DataFrame(data) -> ModinFrame:

@@ -1,17 +1,19 @@
-"""Integration: the pandas-fallback conversion path (section 2.6).
+"""Integration: the pandas fallback (section 2.6).
 
 "If a chosen back-end does not support a specific Pandas API
 functionality, LaFP is able to convert data from the back-end
 representation back to Pandas, to execute the original Pandas function"
--- these tests drive unsupported-on-Dask operations through the full
-LaFP stack and check results against eager execution.
+-- on the Dask engine that fallback is the partition cut's gather of the
+pieces.  These tests drive unsupported-on-Dask operations through the
+full LaFP stack and check results against eager execution.
 """
 
 import numpy as np
 import pytest
 
 import repro.lazyfatpandas.pandas as lfp
-from repro.core.session import reset_root_session
+from repro.backends import BackendUnsupported
+from repro.core.session import Session, reset_root_session
 from repro.frame import read_csv
 
 
@@ -127,3 +129,18 @@ class TestBackendSwitchMidSession:
         df2 = lfp.read_csv(taxi_csv)
         total_pandas = int(df2.passenger_count.sum().compute())
         assert total_dask == total_pandas
+
+
+class TestUnsupportedOp:
+    """An op the eager frame lacks fails alike on every engine and
+    strategy: nothing runs it a second time elsewhere."""
+
+    @pytest.mark.parametrize("strategy", ["serial", "threaded"])
+    @pytest.mark.parametrize("engine", ["pandas", "dask", "modin"])
+    def test_missing_series_method_raises(self, taxi_csv, engine, strategy):
+        with Session(backend=engine,
+                     options={"executor.strategy": strategy}):
+            fare = lfp.scan_csv(taxi_csv, partition_bytes=1024).fare_amount
+            with pytest.raises(BackendUnsupported) as caught:
+                fare._call("rolling_nope").collect()
+        assert str(caught.value) == "series method 'rolling_nope'"

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro.lazyfatpandas.pandas as lfp
 from repro.analysis.scirpy import cfg_to_source, lower_source
-from repro.backends import DaskBackend
 from repro.core.session import reset_root_session
 from repro.frame import DataFrame, read_csv
+from repro.workloads import dask_compat
 
 ints = st.integers(min_value=-100, max_value=100)
 keys = st.sampled_from(["a", "b", "c", "d"])
@@ -41,8 +41,9 @@ class TestDaskEquivalence:
         eager = read_csv(path).groupby("k")["v"].sum()
 
         size = os.path.getsize(path)
-        backend = DaskBackend(partition_bytes=max(1, size // nparts))
-        lazy = backend.read_csv(path=path).groupby("k")["v"].sum()
+        lazy = dask_compat.read_csv(
+            path, partition_bytes=max(1, size // nparts)
+        ).groupby("k")["v"].sum()
 
         got = dict(zip(lazy.index.to_array(), lazy.values))
         want = dict(zip(eager.index.to_array(), eager.values))
@@ -59,8 +60,8 @@ class TestDaskEquivalence:
         expected = sorted(eager[eager["v"] > threshold]["v"].to_list())
 
         size = os.path.getsize(path)
-        backend = DaskBackend(partition_bytes=max(1, size // nparts))
-        lazy = backend.read_csv(path=path)
+        lazy = dask_compat.read_csv(
+            path, partition_bytes=max(1, size // nparts))
         got = sorted(lazy[lazy["v"] > threshold].compute()["v"].to_list())
         assert got == expected
 

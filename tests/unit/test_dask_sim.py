@@ -12,12 +12,18 @@ from repro.backends import BackendUnsupported, DaskBackend
 from repro.backends.dask_sim.frame import DaskFrame, DaskScalar, from_pandas
 from repro.core.session import Session
 from repro.frame import DataFrame, read_csv
-from repro.workloads import pandas_compat
+from repro.workloads import dask_compat, pandas_compat
+
+
+def read(path, partition_bytes=2_000, **kwargs):
+    """Baseline Dask mode's read, in pieces of ``partition_bytes``."""
+    return dask_compat.read_csv(path, partition_bytes=partition_bytes,
+                                **kwargs)
 
 
 @pytest.fixture
 def backend():
-    return DaskBackend(partition_bytes=2_000)
+    return DaskBackend()
 
 
 @pytest.fixture
@@ -36,8 +42,8 @@ def wide_csv(make_csv):
 
 
 class TestLazyReads:
-    def test_read_is_partitioned_and_lazy(self, backend, wide_csv):
-        frame = backend.read_csv(path=wide_csv)
+    def test_read_is_partitioned_and_lazy(self, wide_csv):
+        frame = read(wide_csv)
         assert isinstance(frame, DaskFrame)
         assert frame.npartitions > 1
         # one scan per partition, each carrying its byte range
@@ -47,96 +53,95 @@ class TestLazyReads:
                   for part in frame.parts]
         assert ranges == sorted(ranges) and len(set(ranges)) == len(ranges)
 
-    def test_compute_assembles_all_rows(self, backend, wide_csv):
-        frame = backend.read_csv(path=wide_csv)
+    def test_compute_assembles_all_rows(self, wide_csv):
+        frame = read(wide_csv)
         assert len(frame.compute()) == 500
 
-    def test_len_counts_without_full_concat(self, backend, wide_csv):
-        assert len(backend.read_csv(path=wide_csv)) == 500
+    def test_len_counts_without_full_concat(self, wide_csv):
+        assert len(read(wide_csv)) == 500
 
-    def test_usecols_pushed_into_partitions(self, backend, wide_csv):
-        frame = backend.read_csv(path=wide_csv, usecols=["k", "v"])
+    def test_usecols_pushed_into_partitions(self, wide_csv):
+        frame = read(wide_csv, usecols=["k", "v"])
         out = frame.compute()
         assert out.columns == ["k", "v"]
 
-    def test_index_col_emulated_with_set_index(self, backend, wide_csv):
-        frame = backend.read_csv(path=wide_csv, index_col="pad")
+    def test_index_col_emulated_with_set_index(self, wide_csv):
+        frame = read(wide_csv, index_col="pad")
         assert "pad" not in frame.columns
 
-    def test_head_reads_leading_partitions_only(self, backend, wide_csv):
-        frame = backend.read_csv(path=wide_csv)
+    def test_head_reads_leading_partitions_only(self, wide_csv):
+        frame = read(wide_csv)
         head = frame.head(5)
         assert isinstance(head, DataFrame)
         assert len(head) == 5
 
 
 class TestBlockwise:
-    def test_filter_matches_eager(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_filter_matches_eager(self, wide_csv):
+        lazy = read(wide_csv)
         out = lazy[lazy["v"] > 50.0].compute()
         eager = read_csv(wide_csv)
         expected = eager[eager["v"] > 50.0]
         assert len(out) == len(expected)
         assert sorted(out["v"].to_list()) == sorted(expected["v"].to_list())
 
-    def test_with_column(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_with_column(self, wide_csv):
+        lazy = read(wide_csv)
         lazy = lazy.with_column("double", lazy["v"] * 2)
         out = lazy.compute()
         assert np.allclose(out["double"].values, out["v"].values * 2)
 
-    def test_setitem_mutates_wrapper(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_setitem_mutates_wrapper(self, wide_csv):
+        lazy = read(wide_csv)
         lazy["flag"] = lazy["v"] > 10
         assert "flag" in lazy.columns
 
-    def test_str_accessor(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_str_accessor(self, wide_csv):
+        lazy = read(wide_csv)
         out = lazy["g"].str.upper().compute()
         assert out.values[0].startswith("G")
 
-    def test_series_methods(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_series_methods(self, wide_csv):
+        lazy = read(wide_csv)
         assert lazy["k"].isin([1, 2]).compute().values.dtype == bool
         assert lazy["v"].between(10, 20).compute().values.dtype == bool
         assert (~(lazy["v"] > 50)).compute().values.dtype == bool
 
-    def test_dropna_fillna(self, backend, make_csv):
+    def test_dropna_fillna(self, make_csv):
         path = make_csv({"a": [1.0, np.nan, 3.0] * 30}, "na.csv")
-        b = DaskBackend(partition_bytes=200)
-        lazy = b.read_csv(path=path)
+        lazy = read(path, partition_bytes=200)
         assert len(lazy.dropna().compute()) == 60
         filled = lazy.fillna(0.0).compute()
         assert not np.isnan(filled["a"].values).any()
 
 
 class TestAggregations:
-    def test_groupby_sum_matches_eager(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_groupby_sum_matches_eager(self, wide_csv):
+        lazy = read(wide_csv)
         out = lazy.groupby("g")["v"].sum()
         eager = read_csv(wide_csv).groupby("g")["v"].sum()
         got = dict(zip(out.index.to_array(), np.round(out.values, 6)))
         want = dict(zip(eager.index.to_array(), np.round(eager.values, 6)))
         assert got == want
 
-    def test_groupby_mean_decomposes(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_groupby_mean_decomposes(self, wide_csv):
+        lazy = read(wide_csv)
         out = lazy.groupby("g")["v"].mean()
         eager = read_csv(wide_csv).groupby("g")["v"].mean()
         assert np.allclose(np.sort(out.values), np.sort(eager.values))
 
-    def test_groupby_size(self, backend, wide_csv):
-        out = backend.read_csv(path=wide_csv).groupby("g").size()
+    def test_groupby_size(self, wide_csv):
+        out = read(wide_csv).groupby("g").size()
         assert out.values.sum() == 500
 
-    def test_groupby_agg_dict(self, backend, wide_csv):
-        out = backend.read_csv(path=wide_csv).groupby("g").agg(
+    def test_groupby_agg_dict(self, wide_csv):
+        out = read(wide_csv).groupby("g").agg(
             {"v": "max", "k": "min"}
         )
         assert set(out.columns) == {"v", "k"}
 
-    def test_scalar_reductions(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_scalar_reductions(self, wide_csv):
+        lazy = read(wide_csv)
         eager = read_csv(wide_csv)
         assert float(lazy["v"].sum().compute()) == pytest.approx(eager["v"].sum())
         assert float(lazy["v"].mean().compute()) == pytest.approx(eager["v"].mean())
@@ -144,8 +149,8 @@ class TestAggregations:
         assert float(lazy["v"].max().compute()) == pytest.approx(eager["v"].max())
         assert int(lazy["v"].count().compute()) == 500
 
-    def test_scalar_arithmetic_stays_lazy(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)["v"]
+    def test_scalar_arithmetic_stays_lazy(self, wide_csv):
+        lazy = read(wide_csv)["v"]
         eager = read_csv(wide_csv)["v"]
         total = 1 - lazy.sum() / (lazy.count() * 2) + lazy.max()
         assert isinstance(total, DaskScalar)
@@ -172,34 +177,34 @@ class TestAggregations:
             got = wide(lfp).compute()
         assert float(got) == pytest.approx(expected, rel=1e-12)
 
-    def test_nunique_and_unique(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_nunique_and_unique(self, wide_csv):
+        lazy = read(wide_csv)
         assert lazy["g"].nunique() == 7
         assert len(lazy["g"].unique()) == 7
 
-    def test_value_counts(self, backend, wide_csv):
-        counts = backend.read_csv(path=wide_csv)["g"].value_counts()
+    def test_value_counts(self, wide_csv):
+        counts = read(wide_csv)["g"].value_counts()
         assert counts.values.sum() == 500
 
-    def test_drop_duplicates_tree(self, backend, wide_csv):
-        out = backend.read_csv(path=wide_csv).drop_duplicates(subset=["g"])
+    def test_drop_duplicates_tree(self, wide_csv):
+        out = read(wide_csv).drop_duplicates(subset=["g"])
         assert len(out.compute()) == 7
 
-    def test_nlargest_tree(self, backend, wide_csv):
-        out = backend.read_csv(path=wide_csv).nlargest(3, "v").compute()
+    def test_nlargest_tree(self, wide_csv):
+        out = read(wide_csv).nlargest(3, "v").compute()
         eager = read_csv(wide_csv).nlargest(3, "v")
         assert sorted(out["v"].to_list()) == sorted(eager["v"].to_list())
 
 
 class TestMerges:
-    def test_broadcast_merge(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_broadcast_merge(self, wide_csv):
+        lazy = read(wide_csv)
         dim = DataFrame({"k": list(range(20)), "label": [f"L{i}" for i in range(20)]})
         out = lazy.merge(dim, on="k").compute()
         assert len(out) == 500
         assert "label" in out.columns
 
-    def test_shuffle_merge_matches_eager(self, backend, make_csv):
+    def test_shuffle_merge_matches_eager(self, make_csv):
         n = 300
         rng = np.random.default_rng(5)
         left_path = make_csv(
@@ -213,9 +218,8 @@ class TestMerges:
             },
             "right.csv",
         )
-        b = DaskBackend(partition_bytes=500)
-        left = b.read_csv(path=left_path)
-        right = b.read_csv(path=right_path)
+        left = read(left_path, partition_bytes=500)
+        right = read(right_path, partition_bytes=500)
         assert left.npartitions > 1 and right.npartitions > 1
         out = left.merge(right, on="k").compute()
         expected = read_csv(left_path).merge(read_csv(right_path), on="k")
@@ -259,8 +263,8 @@ class TestMerges:
         assert live_store_count() == 0
         assert os.listdir(spill_dir) == []
 
-    def test_merge_tracks_columns(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_merge_tracks_columns(self, wide_csv):
+        lazy = read(wide_csv)
         dim = DataFrame({"k": [1], "label": ["x"]})
         out = lazy.merge(dim, on="k")
         assert "label" in out.columns
@@ -289,7 +293,7 @@ class TestPartitionCountMismatch:
 
     def test_blockwise_over_different_cuts_is_unsupported(self, backend,
                                                           wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = read(wide_csv)
         one = from_pandas(read_csv(wide_csv), backend, npartitions=1)["v"]
         assert lazy.npartitions > 1 and one.npartitions == 1
         with pytest.raises(BackendUnsupported):
@@ -366,31 +370,31 @@ def _join_tables(make_csv):
 
 
 class TestUnsupportedOps:
-    def test_sort_values_raises(self, backend, wide_csv):
+    def test_sort_values_raises(self, wide_csv):
         with pytest.raises(BackendUnsupported):
-            backend.read_csv(path=wide_csv).sort_values("v")
+            read(wide_csv).sort_values("v")
 
-    def test_describe_raises(self, backend, wide_csv):
+    def test_describe_raises(self, wide_csv):
         with pytest.raises(BackendUnsupported):
-            backend.read_csv(path=wide_csv).describe()
+            read(wide_csv).describe()
 
-    def test_iloc_raises(self, backend, wide_csv):
+    def test_iloc_raises(self, wide_csv):
         with pytest.raises(BackendUnsupported):
-            backend.read_csv(path=wide_csv).iloc
+            read(wide_csv).iloc
 
-    def test_apply_without_meta_raises(self, backend, wide_csv):
+    def test_apply_without_meta_raises(self, wide_csv):
         with pytest.raises(BackendUnsupported):
-            backend.read_csv(path=wide_csv).apply(lambda r: r, axis=1)
+            read(wide_csv).apply(lambda r: r, axis=1)
 
-    def test_apply_with_meta_works(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_apply_with_meta_works(self, wide_csv):
+        lazy = read(wide_csv)
         out = lazy.apply(lambda row: row["k"] * 2, axis=1, meta="int64")
         assert len(out.compute()) == 500
 
 
 class TestPersistAndSpill:
-    def test_persist_materializes(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+    def test_persist_materializes(self, wide_csv):
+        lazy = read(wide_csv)
         pinned = lazy.persist()
         assert all(part.computed and part.persist for part in pinned.parts)
         assert len(pinned.compute()) == 500
@@ -401,9 +405,8 @@ class TestPersistAndSpill:
         left_path, right_path = _join_tables(make_csv)
         expected = read_csv(left_path).merge(read_csv(right_path), on="k")
         with Session(options={"memory.budget": 300_000}) as session:
-            b = DaskBackend(partition_bytes=8192)
-            lazy = b.read_csv(path=left_path)
-            right = b.read_csv(path=right_path, partition_bytes=256)
+            lazy = read(left_path, partition_bytes=8192)
+            right = read(right_path, partition_bytes=256)
             assert lazy.npartitions > 1 and right.npartitions > 1
             out = lazy.merge(right, on="k").compute()
             stats = session.last_execution_stats
@@ -421,8 +424,7 @@ class TestPersistAndSpill:
         )
         frame_bytes = read_csv(path).nbytes
         with Session(options={"memory.budget": int(frame_bytes * 0.5)}):
-            b = DaskBackend(partition_bytes=2_000)
-            lazy = b.read_csv(path=path)
+            lazy = read(path)
             with pytest.raises(MemoryError):
                 lazy.compute()  # full materialization cannot fit
 
@@ -434,8 +436,8 @@ class TestPinnedPartitionsSurviveMaterialize:
     its inputs, which emptied the pinned partitions (``KeyError:
     ['service']``) whenever there were at least two of them."""
 
-    def test_compute_leaves_pinned_partitions_intact(self, backend, wide_csv):
-        pinned = backend.read_csv(path=wide_csv).persist()
+    def test_compute_leaves_pinned_partitions_intact(self, wide_csv):
+        pinned = read(wide_csv).persist()
         assert pinned.npartitions >= 2
         first = pinned.compute()
         again = pinned.compute()

@@ -1,12 +1,22 @@
 """Unit tests for the LaFP task graph and refcounting executor."""
 
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.backends import PandasBackend
 from repro.core.session import Session
 from repro.frame import DataFrame
-from repro.graph import Node, collect_subgraph, to_dot, topological_order
-from repro.graph.taskgraph import consumer_counts
+from repro.graph import (
+    Node,
+    collect_subgraph,
+    consumers_by_id,
+    to_dot,
+    topological_order,
+)
 
 
 def read_node(path):
@@ -121,12 +131,12 @@ class TestGraphAlgorithms:
         with pytest.raises(ValueError, match="cycle"):
             topological_order([b])
 
-    def test_consumer_counts(self):
+    def test_consumers_by_id(self):
         src = Node("from_data", args={"data": {}})
         c1 = Node("identity", inputs=[src])
         c2 = Node("identity", inputs=[src])
-        counts = consumer_counts([src, c1, c2])
-        assert counts[src.id] == 2
+        consumers = consumers_by_id([src, c1, c2])
+        assert [c.id for c in consumers[src.id]] == [c1.id, c2.id]
 
     def test_order_deps_in_subgraph(self):
         first = Node("print", args={"segments": []})
@@ -198,3 +208,56 @@ class TestExecutor:
         m = Node("series_agg", inputs=[col], args={"func": "max"})
         out = serial_scheduler(PandasBackend()).execute([s, m])
         assert out == [3, 2]
+
+
+def _invariant_tool():
+    path = Path(__file__).resolve().parents[2] / "tools" / "check_invariants.py"
+    spec = importlib.util.spec_from_file_location("check_invariants", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+class TestRegistryInvariants:
+    def test_every_registered_op_has_a_dispatch_branch(self):
+        """Rule 19 names each registered op no branch of the dispatch
+        runs."""
+        tool = _invariant_tool()
+        trees = {
+            rel: ast.parse((tool.SRC / rel).read_text())
+            for rel in ("graph/node.py", "backends/base.py",
+                        "backends/shuffle_ops.py")
+        }
+        assert list(tool.check_every_op_dispatched(trees)) == []
+        dead = ("assign", "select_columns_if", "plot_call")
+        trees["graph/node.py"] = ast.parse(
+            (tool.SRC / "graph/node.py").read_text() + "".join(
+                f'register_op(OpSpec("{op}", mod_attrs=_NO_COLS, '
+                f'used_attrs=_ALL_COLS))\n' for op in dead))
+        failures = list(tool.check_every_op_dispatched(trees))
+        assert [re.search(r"op '(\w+)'", f).group(1)
+                for f in failures] == list(dead)
+        assert tool.run() == []
+
+    def test_module_level_instance_is_a_mutable_global(self):
+        """Rule 1: an instance of a class defined under src/repro, or a
+        weak container, is mutable at module scope; a NamedTuple or a
+        frozen dataclass is not."""
+        tool = _invariant_tool()
+        tree = ast.parse(
+            "class FooRegistry:\n    pass\n"
+            "class Point(NamedTuple):\n    x: int\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class Spec:\n    x: int\n"
+            "X = FooRegistry()\n"
+            "LIVE = weakref.WeakSet()\n"
+            "ORIGIN = Point(0)\n"
+            "DEFAULT = Spec(1)\n"
+            "TABLE = MappingProxyType({'a': FooRegistry()})\n"
+        )
+        classes = tool.mutable_classes({"io/foo.py": tree})
+        failures = list(tool.check_mutable_globals(tree, "io/foo.py",
+                                                   classes))
+        assert [re.search(r"global '(\w+)'", f).group(1)
+                for f in failures] == ["X", "LIVE"]
+

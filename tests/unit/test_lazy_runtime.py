@@ -238,15 +238,15 @@ class TestSession:
 
     def test_persisted_node_reused(self, taxi_csv, monkeypatch):
         calls = []
-        from repro.backends.pandas_backend import PandasBackend
+        from repro.backends import base
 
-        original = PandasBackend.scan
+        original = base._scan
 
-        def counting(self, args):
+        def counting(args):
             calls.append(1)
-            return original(self, args)
+            return original(args)
 
-        monkeypatch.setattr(PandasBackend, "scan", counting)
+        monkeypatch.setattr(base, "_scan", counting)
         frame = lazy_taxi(taxi_csv)
         frame = frame[frame.fare_amount > 0]
         # serial: the patched reader counts in this process only

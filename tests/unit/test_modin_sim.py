@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.backends import ModinBackend
 from repro.backends.modin_sim.frame import ModinFrame, ModinSeries, modin_read_csv
 from repro.frame import DataFrame, read_csv
 from repro.core.session import Session
+from repro.workloads import modin_compat
 
 
 @pytest.fixture
@@ -149,9 +149,8 @@ class TestMemoryBehaviour:
             with pytest.raises(MemoryError):
                 modin_read_csv(path, partition_bytes=2_000)
 
-    def test_backend_wrapper(self, shop_csv):
-        backend = ModinBackend()
-        frame = backend.read_csv(path=shop_csv)
+    def test_import_swap_read(self, shop_csv):
+        frame = modin_compat.read_csv(shop_csv)
         assert isinstance(frame, ModinFrame)
         assert isinstance(frame.to_pandas(), DataFrame)
 

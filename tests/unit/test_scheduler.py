@@ -27,7 +27,6 @@ from repro.graph import (
     Node,
     consumers_by_id,
     dependency_counts,
-    ready_nodes,
     topological_order,
 )
 from repro.graph.scheduler import (
@@ -235,13 +234,13 @@ class TestReadySetHelpers:
         assert counts[left.id] == 1
         assert counts[right.id] == 1
         assert counts[join.id] == 2
-        assert ready_nodes(order, counts) == [src]
+        assert [n for n in order if counts[n.id] == 0] == [src]
 
     def test_multi_root_ready_set(self):
         src_a, src_b, col_a, col_b = _multi_root()
         order = topological_order([col_a, col_b])
         counts = dependency_counts(order)
-        assert set(n.id for n in ready_nodes(order, counts)) == {
+        assert {n.id for n in order if counts[n.id] == 0} == {
             src_a.id, src_b.id
         }
         # multi-root topological order still places deps first
@@ -274,7 +273,7 @@ class TestReadySetHelpers:
         order = topological_order([second])
         counts = dependency_counts(order)
         assert counts[second.id] == 1
-        assert ready_nodes(order, counts) == [first]
+        assert [n for n in order if counts[n.id] == 0] == [first]
 
     def test_binop_on_same_input_counts_one_dependency(self):
         src = Node("from_data", args={"data": {"x": [1.0]}})

@@ -54,7 +54,7 @@ def test_unknown_name_lists_the_choices(tmp_path, run, message):
 
 
 @pytest.mark.parametrize("table, key, value", [
-    (ENGINES, "toy", PandasBackend),
+    (ENGINES, "toy", PandasBackend()),
     (STRATEGIES, "serial", SerialScheduler),
     (FORMATS, "tsv", CsvSource),
     (RULES, 0, RULES[1]),

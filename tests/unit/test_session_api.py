@@ -494,7 +494,7 @@ class TestOptions:
 class TestEngines:
     def test_backend_option_resolves_engine(self):
         session = Session(backend="pandas")
-        assert type(session.backend) is ENGINES["pandas"]
+        assert session.backend is ENGINES["pandas"]
         assert session.backend.name == "pandas"
 
     def test_no_staleness_after_option_change(self):
@@ -508,15 +508,16 @@ class TestEngines:
         session.set_backend("pandas")
         assert session.backend.name == "pandas"
 
-    def test_engine_instances_are_per_session(self):
+    def test_engine_instance_is_shared(self):
+        """A backend holds no state: every session on an engine runs
+        its one instance, switching away and back included."""
         a = Session(backend="dask")
         b = Session(backend="dask")
-        assert a.backend is not b.backend
-        # switching away and back keeps the same instance (state survives)
+        assert a.backend is b.backend is ENGINES["dask"]
         a.set_backend("pandas")
-        _ = a.backend
+        assert a.backend is ENGINES["pandas"]
         a.set_backend("dask")
-        assert a.backend is a._backends["dask"]
+        assert a.backend is b.backend
 
     def test_unknown_engine_raises_value_error(self):
         session = Session()
@@ -594,16 +595,16 @@ class TestCollectPersistExplain:
             )
 
     def test_persist_pins_and_reuses(self, numbers_csv, monkeypatch):
-        from repro.backends.pandas_backend import PandasBackend
+        from repro.backends import base
 
         calls = []
-        original = PandasBackend.scan
+        original = base._scan
 
-        def counting(self, args):
+        def counting(args):
             calls.append(1)
-            return original(self, args)
+            return original(args)
 
-        monkeypatch.setattr(PandasBackend, "scan", counting)
+        monkeypatch.setattr(base, "_scan", counting)
         # serial: the patched reader counts in this process only
         with Session(backend="pandas",
                      options={"executor.strategy": "serial"}):

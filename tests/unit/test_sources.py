@@ -130,15 +130,15 @@ class TestBuiltinSources:
         # typed like a real read, not degraded to object columns
         assert empty.column("v").to_array().dtype.kind == "i"
 
-    def test_backend_byte_range_read(self, make_csv):
-        """PandasBackend.read_csv honors an explicit byte_range instead
-        of silently reading the whole file."""
-        from repro.backends.pandas_backend import PandasBackend
+    def test_eager_byte_range_read(self, make_csv):
+        """The eager reader honors an explicit byte_range instead of
+        silently reading the whole file."""
+        from repro.frame import read_csv
         from repro.frame.io_csv import scan_partitions
 
         path = make_csv({"a": np.arange(200)})
         first, second = scan_partitions(path, 2)
-        piece = PandasBackend().read_csv(path, byte_range=second)
+        piece = read_csv(path, byte_range=second)
         values = piece.column("a").to_array()
         assert 0 < len(values) < 200
         assert values[-1] == 199 and values[0] > 0

@@ -1,18 +1,22 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Eighteen structural rules the linters cannot express, checked with
+Nineteen structural rules the linters cannot express, checked with
 nothing but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
    singleton session; a name table nothing writes after import (the
    engines, strategies, formats, lint rules, filesystems and codecs) is
-   a ``MappingProxyType`` or a ``tuple``.  What is still mutable at
-   module scope -- the tables filled at import by decorators (``OPS``,
-   ``SCHEMA_RULES``, ``_GENERATORS``, ``PROGRAMS``) and the ``.lfc``
-   footer cache -- is pinned in ``MUTABLE_GLOBAL_ALLOWLIST``; adding a
-   new one fails this check so the pattern is adopted deliberately, not
-   by drift.  An entry whose global is gone fails too, so the list can
+   a ``MappingProxyType`` or a ``tuple``.  Mutable at module scope is a
+   container literal or call (``WeakSet`` and ``WeakValueDictionary``
+   included) and an instance of a class defined under ``src/repro``,
+   unless the class is a ``NamedTuple`` or a frozen dataclass.  What is
+   still mutable there -- the tables filled at import by decorators
+   (``OPS``, ``SCHEMA_RULES``, ``_GENERATORS``, ``PROGRAMS``), the
+   process-wide caches and stores, and a few stateless instances -- is
+   pinned in ``MUTABLE_GLOBAL_ALLOWLIST`` with its reason; adding a new
+   one fails this check so the pattern is adopted deliberately, not by
+   drift.  An entry whose global is gone fails too, so the list can
    only shrink.
 
 2. **No real-pandas shortcuts.**  The repro stack *simulates* the
@@ -176,6 +180,14 @@ nothing but the stdlib ``ast`` module:
     ``src/repro``: a row-at-a-time writer beside the tokenizer is a
     second encoder whose bytes the first must keep matching.
 
+19. **Every op has a dispatch branch.**  Every engine computes a node
+    through one dispatch, ``Backend.apply`` (``backends/base.py``, with
+    the shuffle ops of ``backends/shuffle_ops.py``).  Every
+    ``register_op`` name but ``held`` (a value already computed, which
+    the scheduler never executes) is compared against ``op`` there: a
+    registered op no branch runs is a dead op whose schema rule and
+    column contract nothing exercises.
+
 Usage::
 
     python tools/check_invariants.py          # repo root, exit 1 on fail
@@ -196,39 +208,92 @@ SRC = REPO / "src" / "repro"
 
 
 #: constructor calls that produce mutable containers.
-_MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict"}
+_MUTABLE_CALLS = frozenset({
+    "dict", "list", "set", "defaultdict", "OrderedDict",
+    "WeakSet", "WeakValueDictionary",
+})
 
 #: value node types that are mutable container literals.
 _MUTABLE_LITERALS = (
     ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp,
 )
 
-#: every module-level mutable global that exists today, pinned.
-#: (path relative to src/repro, name).  A lookup table nothing writes
-#: after import needs no pin: make it a ``frozenset``, ``tuple`` or
-#: ``MappingProxyType``.  What is pinned here is filled after import
-#: (by decorators, or as a cache).
+#: every module-level mutable global that exists today, pinned:
+#: (path relative to src/repro, name) -> why it is mutable.  A lookup
+#: table nothing writes after import needs no pin: make it a
+#: ``frozenset``, ``tuple`` or ``MappingProxyType``.
 MUTABLE_GLOBAL_ALLOWLIST = {
-    ("analysis/plan/schema.py", "SCHEMA_RULES"),
-    ("graph/node.py", "OPS"),
-    ("io/columnar.py", "_FOOTER_CACHE"),
-    ("workloads/datagen.py", "_GENERATORS"),
-    ("workloads/programs.py", "PROGRAMS"),
+    ("analysis/plan/schema.py", "SCHEMA_RULES"):
+        "filled at import by the @schema_rule decorator",
+    ("core/config.py", "options"):
+        "the stateless lfp.options proxy; its writes go to the current "
+        "session's options",
+    ("core/session.py", "_nodes_by_id"):
+        "weak map of every live node, so an f-string marker resolves "
+        "across sessions",
+    ("graph/node.py", "OPS"):
+        "filled at import by register_op",
+    ("io/columnar.py", "_FOOTER_CACHE"):
+        "process-wide cache of parsed .lfc footers",
+    ("io/fs.py", "_LOCAL"):
+        "the local-disk filesystem; it holds no state",
+    ("io/fs.py", "_MEMORY"):
+        "the memory:// object store, shared by every session of the "
+        "process",
+    ("io/prefetch.py", "_CACHE"):
+        "process-wide cache of prefetched byte ranges",
+    ("io/spill.py", "_LIVE_STORES"):
+        "weak set of the live shuffle stores a spill may evict from",
+    ("workloads/datagen.py", "_GENERATORS"):
+        "filled at import by the @dataset decorator",
+    ("workloads/plotlib.py", "state"):
+        "the plotting stand-in's artists and saved figures, like "
+        "pyplot's global state",
+    ("workloads/programs.py", "PROGRAMS"):
+        "filled at import by _program",
 }
 
 
-def _is_mutable_value(value: ast.expr) -> bool:
+def _name(func: ast.expr):
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def mutable_classes(trees: Dict[str, ast.Module]) -> frozenset:
+    """Names of the classes defined under ``src/repro`` whose instances
+    can change: every class but a ``NamedTuple`` and a frozen
+    dataclass."""
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and not _is_frozen_class(node):
+                names.add(node.name)
+    return frozenset(names)
+
+
+def _is_frozen_class(cls: ast.ClassDef) -> bool:
+    if any(_name(base) == "NamedTuple" for base in cls.bases):
+        return True
+    return any(
+        isinstance(dec, ast.Call) and _name(dec.func) == "dataclass"
+        and any(kw.arg == "frozen" and getattr(kw.value, "value", False)
+                for kw in dec.keywords)
+        for dec in cls.decorator_list
+    )
+
+
+def _is_mutable_value(value: ast.expr, classes: frozenset) -> bool:
     if isinstance(value, _MUTABLE_LITERALS):
         return True
     if isinstance(value, ast.Call):
-        func = value.func
-        name = getattr(func, "id", None) or getattr(func, "attr", None)
-        return name in _MUTABLE_CALLS
+        name = _name(value.func)
+        return name in _MUTABLE_CALLS or name in classes
     return False
 
 
-def mutable_globals(tree: ast.Module) -> Iterator[Tuple[str, int]]:
-    """(name, line) of every module-level mutable container."""
+def mutable_globals(tree: ast.Module,
+                    classes: frozenset) -> Iterator[Tuple[str, int]]:
+    """(name, line) of every module-level mutable container, or
+    instance of one of ``classes`` (see :func:`mutable_classes`)."""
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign):
             targets = [t for t in stmt.targets if isinstance(t, ast.Name)]
@@ -239,15 +304,16 @@ def mutable_globals(tree: ast.Module) -> Iterator[Tuple[str, int]]:
             targets, value = [stmt.target], stmt.value
         else:
             continue
-        if value is None or not _is_mutable_value(value):
+        if value is None or not _is_mutable_value(value, classes):
             continue
         for target in targets:
             if target.id != "__all__":
                 yield target.id, stmt.lineno
 
 
-def check_mutable_globals(tree: ast.Module, rel: str) -> Iterator[str]:
-    for name, lineno in mutable_globals(tree):
+def check_mutable_globals(tree: ast.Module, rel: str,
+                          classes: frozenset) -> Iterator[str]:
+    for name, lineno in mutable_globals(tree, classes):
         if (rel, name) not in MUTABLE_GLOBAL_ALLOWLIST:
             yield (
                 f"src/repro/{rel}:{lineno}: new module-level mutable "
@@ -258,7 +324,7 @@ def check_mutable_globals(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 def check_allowlist_is_live(pinned_seen: set) -> Iterator[str]:
-    for rel, name in sorted(MUTABLE_GLOBAL_ALLOWLIST - pinned_seen):
+    for rel, name in sorted(set(MUTABLE_GLOBAL_ALLOWLIST) - pinned_seen):
         yield (
             f"tools/check_invariants.py: MUTABLE_GLOBAL_ALLOWLIST pins "
             f"('{rel}', '{name}'), which no longer exists -- drop the entry"
@@ -951,8 +1017,7 @@ _OPTIONS_RECEIVERS = frozenset({"options", "opts"})
 
 
 def _call_name(call: ast.Call) -> str:
-    return getattr(call.func, "id", None) or getattr(call.func, "attr",
-                                                     None) or ""
+    return _name(call.func) or ""
 
 
 def _literal_key(call: ast.Call):
@@ -1030,8 +1095,57 @@ def check_one_text_writer(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 19: every op has a dispatch branch
 
-CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
+#: the modules whose op comparisons are the one dispatch
+_DISPATCH_MODULES = ("backends/base.py", "backends/shuffle_ops.py")
+#: the registered op no dispatch branch runs: a ``held`` leaf's value
+#: is already computed, so the scheduler never executes it
+_UNDISPATCHED_OPS = frozenset({"held"})
+
+
+def registered_ops(tree: ast.Module) -> Iterator[Tuple[str, int]]:
+    """(name, line) of every ``register_op(OpSpec("name", ...))``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _call_name(node) == "register_op" \
+                and node.args and isinstance(node.args[0], ast.Call):
+            name = _literal_key(node.args[0])
+            if name is not None:
+                yield name, node.lineno
+
+
+def dispatched_ops(tree: ast.Module) -> Iterator[str]:
+    """The strings an ``op`` or ``x.op`` is compared against."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and _name(node.left) == "op":
+            for comparator in node.comparators:
+                for const in ast.walk(comparator):
+                    if isinstance(const, ast.Constant) \
+                            and isinstance(const.value, str):
+                        yield const.value
+
+
+def check_every_op_dispatched(trees: Dict[str, ast.Module]
+                              ) -> Iterator[str]:
+    """Rule 19 over every module's tree, keyed by its path relative to
+    ``src/repro``."""
+    dispatched = {
+        op for rel in _DISPATCH_MODULES if rel in trees
+        for op in dispatched_ops(trees[rel])
+    }
+    for rel, tree in sorted(trees.items()):
+        for name, lineno in registered_ops(tree):
+            if name not in dispatched and name not in _UNDISPATCHED_OPS:
+                yield (
+                    f"src/repro/{rel}:{lineno}: op {name!r} is registered "
+                    f"but no branch of {' or '.join(_DISPATCH_MODULES)} "
+                    f"runs it -- a dead op; delete it"
+                )
+
+
+# ---------------------------------------------------------------------------
+
+CHECKS = (check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
           check_one_aggregate_plan, check_one_stats_model,
           check_one_join_plan, check_one_memory_rule,
@@ -1048,20 +1162,23 @@ def run(src: Path = SRC) -> List[str]:
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
         try:
-            tree = ast.parse(path.read_text(), filename=str(path))
+            trees[rel] = ast.parse(path.read_text(), filename=str(path))
         except SyntaxError as exc:  # pragma: no cover - ruff catches first
             failures.append(f"src/repro/{rel}: syntax error: {exc}")
-            continue
-        trees[rel] = tree
+    classes = mutable_classes(trees)
+    for rel, tree in trees.items():
+        failures.extend(check_mutable_globals(tree, rel, classes))
         for check in CHECKS:
             failures.extend(check(tree, rel))
-        pinned_seen.update((rel, name) for name, _ in mutable_globals(tree))
+        pinned_seen.update(
+            (rel, name) for name, _ in mutable_globals(tree, classes))
         if rel.startswith(_SCHEDULER_DIR):
             for name in ready_loop_imports(tree):
                 loop_importers.setdefault(name, set()).add(rel)
     failures.extend(check_one_ready_loop(loop_importers))
     failures.extend(check_allowlist_is_live(pinned_seen))
     failures.extend(check_one_option_table(trees))
+    failures.extend(check_every_op_dispatched(trees))
     return failures
 
 
