@@ -1,20 +1,12 @@
-"""Executor-strategy benchmark: process-pool speedup and static order.
+"""Executor-strategy benchmark: the memory-aware static order.
 
-Two legs, each a paper-style claim in numbers:
-
-- *CPU-bound grid* -- a fan of independent pipelines whose hot operator
-  is a pure-Python named map (GIL-held for its whole runtime).  The
-  threaded strategy cannot overlap these; the process strategy ships
-  each fused chain to a ``ProcessPoolExecutor`` worker.  Correctness is
-  asserted bit-for-bit against serial; wall-clock ratios are reported
-  (and ``process_tasks`` proves the work actually left the parent).
-- *Static ordering* -- a wide reduction whose scan nodes are all
-  created before any of the reductions, so plain node-id order runs
-  every scan before releasing anything (the pessimal level order).
-  The memory-aware pass of ``graph/scheduler/order.py`` finishes one
-  branch at a time instead; the benchmark asserts the estimated peak
-  live bytes drop measurably for both the serial and threaded
-  strategies, and reports the manager-measured peak alongside.
+A wide reduction whose scan nodes are all created before any of the
+reductions, so plain node-id order runs every scan before releasing
+anything (the pessimal level order).  The memory-aware pass of
+``graph/scheduler/order.py`` finishes one branch at a time instead; the
+benchmark asserts the estimated peak live bytes drop measurably for
+both the serial and threaded strategies, and reports the
+manager-measured peak alongside.
 
 Emits JSON like the other benches -- ``LAFP_BENCH_JSON`` names the
 output path and the report merges in as an ``executor_strategies``
@@ -25,7 +17,6 @@ import json
 import os
 import shutil
 import tempfile
-import time
 
 import numpy as np
 import pytest
@@ -36,22 +27,7 @@ import repro.lazyfatpandas.pandas as lfp
 from repro.core.session import Session
 
 ROWS = int(os.environ.get("LAFP_BENCH_ROWS", "3000"))
-GRID = 6
 BRANCHES = 8
-REPEATS = 3
-#: below this size pool startup and pickling drown the map runtime;
-#: the smoke leg runs tiny and only checks results.
-PERF_ASSERT_MIN_ROWS = 2000
-
-
-def _cpu_heavy(value):
-    """A deliberately GIL-bound operator: repeated string hashing."""
-    h = 0
-    data = str(value)
-    for _ in range(60):
-        for ch in data:
-            h = (h * 131 + ord(ch)) & 0xFFFFFFFF
-    return h
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +38,7 @@ def dataset():
     root = tempfile.mkdtemp(prefix="lafp-exec-bench-")
     rng = np.random.RandomState(7)
     paths = []
-    for b in range(max(GRID, 2 * BRANCHES)):
+    for b in range(2 * BRANCHES):
         path = os.path.join(root, f"part{b}.csv")
         with open(path, "w") as f:
             f.write("k,v,s\n")
@@ -73,47 +49,6 @@ def dataset():
         paths.append(path)
     yield paths
     shutil.rmtree(root, ignore_errors=True)
-
-
-def _grid_pipeline(paths):
-    """GRID independent scan -> named-map -> head pipelines, concat'd."""
-    parts = []
-    for path in paths[:GRID]:
-        frame = lfp.scan_csv(path, partition_bytes=1 << 30)
-        frame["h"] = frame["s"].map(_cpu_heavy)
-        parts.append(frame.head(50))
-    return lfp.concat(parts)
-
-
-def _measure_strategy(path, strategy, workers=4):
-    seconds = []
-    frame = None
-    stats = None
-    for _ in range(REPEATS):
-        with Session(backend="pandas", options={
-            "executor.strategy": strategy,
-            "executor.max_workers": workers,
-        }) as session:
-            started = time.perf_counter()
-            frame = _grid_pipeline(path).collect()
-            seconds.append(time.perf_counter() - started)
-            stats = session.last_execution_stats.to_dict()
-    return {
-        "strategy": strategy,
-        "best_seconds": min(seconds),
-        "mean_seconds": sum(seconds) / len(seconds),
-        "result_rows": len(frame),
-        "process_tasks": stats["process_tasks"],
-    }, frame
-
-
-def _frames_identical(a, b) -> bool:
-    if list(a.columns) != list(b.columns) or len(a) != len(b):
-        return False
-    return all(
-        np.array_equal(a.column(c).to_array(), b.column(c).to_array())
-        for c in a.columns
-    )
 
 
 def _wide_reduction(paths):
@@ -158,16 +93,6 @@ def _peak_for(path, strategy, static_order):
 
 @pytest.mark.bench
 def test_bench_executor_strategies(dataset):
-    serial, serial_frame = _measure_strategy(dataset, "serial")
-    threaded, threaded_frame = _measure_strategy(dataset, "threaded")
-    process, process_frame = _measure_strategy(dataset, "process")
-
-    # correctness first: the strategy must be invisible in the data
-    assert _frames_identical(serial_frame, threaded_frame)
-    assert _frames_identical(serial_frame, process_frame)
-    # ... and the process leg must actually have shipped work
-    assert process["process_tasks"] > 0
-
     peaks = [
         _peak_for(dataset, strategy, static_order)
         for strategy in ("serial", "threaded")
@@ -220,35 +145,16 @@ def test_bench_executor_strategies(dataset):
         )
     static_vs_node_id = static_peak / node_id_peak
 
-    process_ratio = process["best_seconds"] / threaded["best_seconds"]
     report = {
         "rows": ROWS,
-        "grid": GRID,
         "branches": BRANCHES,
-        "repeats": REPEATS,
-        "process_vs_threaded": process_ratio,
         "static_vs_node_id_by_strategy": reductions,
         "static_vs_node_id_order": static_vs_node_id,
         "node_id_order_peak_bytes": node_id_peak,
         "static_order_peak_bytes": static_peak,
-        "strategies": [serial, threaded, process],
         "peaks": peaks,
     }
 
-    print_table(
-        f"CPU-bound grid: {GRID} pipelines x {ROWS} rows (ms)",
-        ["strategy", "best", "mean", "rows", "shipped"],
-        [
-            [
-                r["strategy"],
-                f"{r['best_seconds'] * 1e3:.2f}",
-                f"{r['mean_seconds'] * 1e3:.2f}",
-                r["result_rows"],
-                r["process_tasks"],
-            ]
-            for r in report["strategies"]
-        ],
-    )
     print_table(
         f"Static ordering: {BRANCHES}-branch wide reduction",
         ["strategy", "order", "est peak B", "manager peak B"],
@@ -262,7 +168,6 @@ def test_bench_executor_strategies(dataset):
             for p in peaks
         ],
     )
-    print(f"process vs threaded (best/best): {process_ratio:.2f}x")
     print(
         f"static vs node-id order (est peak): {static_vs_node_id:.2f}x "
         f"({static_peak} vs {node_id_peak} bytes)"
@@ -284,11 +189,3 @@ def test_bench_executor_strategies(dataset):
             f.write(json.dumps(trajectory, indent=2) + "\n")
     else:
         print(json.dumps(report, indent=2))
-
-    if ROWS >= PERF_ASSERT_MIN_ROWS:
-        # at full size the GIL-bound map dominates; shipping it must
-        # at least not lose to threads that cannot overlap it (a
-        # loose bar -- pool startup and result pickling are real)
-        assert process_ratio <= 1.5, (
-            f"process {process_ratio:.2f}x threaded on a GIL-bound grid"
-        )

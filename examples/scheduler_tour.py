@@ -2,24 +2,21 @@
 
 Run:  python examples/scheduler_tour.py
 
-PR 2 split execution into a scheduler subsystem
-(`repro.graph.scheduler`): every `collect()` looks the session's
-``executor.strategy`` option up in the fixed `STRATEGIES` table and
-runs one of four strategies --
+Execution is a scheduler subsystem (`repro.graph.scheduler`): every
+`collect()` looks the session's ``executor.strategy`` option up in the
+fixed `STRATEGIES` table and runs one of three strategies --
 
 - ``serial``   the paper's section-2.6 loop: one node at a time,
                refcount-released,
-- ``threaded`` a ready-queue worker pool (``executor.max_workers``) that
+- ``threaded`` a ready-queue thread pool (``executor.max_workers``) that
                runs independent nodes concurrently, and one task at a
                time under a memory budget,
 - ``fused``    a pre-pass that fuses linear single-consumer chains into
-               one task to cut scheduling overhead on deep pipelines,
-- ``process``  those fused chains shipped to a process pool, for
-               CPU-bound operators the GIL serializes.
+               one task to cut scheduling overhead on deep pipelines.
 
-The tour runs the three in-process strategies.  Each run records
-per-node wall time, queue wait, and bytes into an `ExecutionStats`
-surfaced through ``explain(stats=True)``.
+The tour runs all three.  Each run records per-node wall time, queue
+wait, and bytes into an `ExecutionStats` surfaced through
+``explain(stats=True)``.
 """
 
 import tempfile
@@ -79,7 +76,7 @@ with Session(backend="pandas") as session:
     print(by_group.explain(stats=True))
 
 # -- 4. every engine runs every strategy ------------------------------------
-# The Dask engine's plan is cut per partition, so the pool runs its
+# The Dask engine's plan is cut per partition, so the thread pool runs its
 # partitions like any other independent nodes.
 
 with Session(backend="dask",

@@ -6,8 +6,8 @@ per source partition and every op downstream per-partition copies,
 partial aggregates and their combines, so a node only ever computes on
 one partition's eager frame -- "the API call is transformed to the
 compatible API call for the selected lazy backend" (section 2.6), with
-the scheduler running the partitions, in parallel under the pool
-strategies.  Ops Dask cannot run partition-wise read a ``concat`` of
+the scheduler running the partitions, in parallel under the threaded
+strategy.  Ops Dask cannot run partition-wise read a ``concat`` of
 the pieces: the pandas fallback, decided when the plan is cut.
 
 Baseline Dask mode (a program written against the Dask API) reads

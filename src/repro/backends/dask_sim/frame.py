@@ -48,13 +48,13 @@ from repro.frame.merge import join_keys, join_labels
 from repro.graph.node import Node
 
 
-def _run(backend, roots: Sequence[Node]) -> list:
+def _run(roots: Sequence[Node]) -> list:
     """Execute ``roots`` on the current session's scheduler, whose
     record becomes the session's last execution stats."""
     from repro.core.session import current_session
 
     session = current_session()
-    scheduler = session.scheduler(backend)
+    scheduler = session.scheduler()
     try:
         return scheduler.execute(list(roots))
     finally:
@@ -64,9 +64,8 @@ def _run(backend, roots: Sequence[Node]) -> list:
 class DaskCollection:
     """Shared collection plumbing: ``parts`` are the partition nodes."""
 
-    def __init__(self, parts: Sequence[Node], backend):
+    def __init__(self, parts: Sequence[Node]):
         self.parts = list(parts)
-        self.backend = backend
 
     @property
     def npartitions(self) -> int:
@@ -83,7 +82,7 @@ class DaskCollection:
         return blockwise(op, args, inputs)
 
     def _compute_node(self, node: Node):
-        return _run(self.backend, [node])[0]
+        return _run([node])[0]
 
     def compute(self):
         """Materialize to an eager value (a fresh root over the parts)."""
@@ -94,7 +93,7 @@ class DaskCollection:
 
     def persist(self):
         """Compute every partition and keep the values on their nodes."""
-        _run(self.backend, self.parts)
+        _run(self.parts)
         for part in self.parts:
             part.persist = True
         return self
@@ -111,18 +110,18 @@ class DaskCollection:
 class DaskFrame(DaskCollection):
     """Lazy partitioned dataframe."""
 
-    def __init__(self, parts: Sequence[Node], backend,
+    def __init__(self, parts: Sequence[Node],
                  columns: Optional[List[str]] = None):
-        super().__init__(parts, backend)
+        super().__init__(parts)
         self.columns = columns
 
     # -- class hooks: the collections an op builds are this class's --------
 
     def _frame(self, parts, columns=None) -> "DaskFrame":
-        return type(self)(parts, self.backend, columns=columns)
+        return type(self)(parts, columns=columns)
 
     def _series(self, parts, name=None) -> "DaskSeries":
-        return DaskSeries(parts, self.backend, name=name)
+        return DaskSeries(parts, name=name)
 
     def _map(self, op: str, /, **args) -> "DaskFrame":
         """A row-local op that keeps the columns."""
@@ -144,7 +143,7 @@ class DaskFrame(DaskCollection):
         raise BackendUnsupported(f"getitem with {type(key).__name__}")
 
     def __getattr__(self, name: str):
-        if name.startswith("_") or name in ("parts", "backend", "columns"):
+        if name.startswith("_") or name in ("parts", "columns"):
             raise AttributeError(name)
         if self.columns is not None and name in self.columns:
             return self[name]
@@ -238,7 +237,7 @@ class DaskFrame(DaskCollection):
         against a one-partition right side when the broadcast rule allows
         it, else through the shuffle ops (one store per side)."""
         if isinstance(right, DataFrame):
-            right = from_pandas(right, self.backend, npartitions=1)
+            right = from_pandas(right, npartitions=1)
         keys = join_keys(self.columns, right.columns, **kwargs)
         if keys is None or not joinable(keys):
             raise BackendUnsupported("natural join over unknown columns")
@@ -296,25 +295,23 @@ def _reduction_method(func: str):
 class DaskSeries(DaskCollection):
     """Lazy partitioned series."""
 
-    def __init__(self, parts: Sequence[Node], backend,
-                 name: Optional[str] = None):
-        super().__init__(parts, backend)
+    def __init__(self, parts: Sequence[Node], name: Optional[str] = None):
+        super().__init__(parts)
         self.name = name
 
     # -- class hooks: the collections an op builds are this class's --------
 
     def _map(self, op: str, /, *others: "DaskSeries",
              **args) -> "DaskSeries":
-        return type(self)(self._blockwise(op, args, *others), self.backend,
-                          name=self.name)
+        return type(self)(self._blockwise(op, args, *others), name=self.name)
 
     def _frame(self, parts) -> DaskFrame:
-        return DaskFrame(parts, self.backend)
+        return DaskFrame(parts)
 
     def _scalar(self, node: Node):
         """A reduction's result: a :class:`DaskScalar`, lazy until
         computed."""
-        return DaskScalar(node, self.backend)
+        return DaskScalar(node)
 
     # -- elementwise --------------------------------------------------------
 
@@ -403,12 +400,11 @@ class DaskScalar:
     """Lazy scalar produced by a reduction.  Arithmetic with another
     scalar, lazy or plain, stays lazy: one more ``binop`` node."""
 
-    def __init__(self, node: Node, backend):
+    def __init__(self, node: Node):
         self.node = node
-        self.backend = backend
 
     def compute(self):
-        return _run(self.backend, [self.node])[0]
+        return _run([self.node])[0]
 
     def __float__(self) -> float:
         return float(self.compute())
@@ -422,7 +418,7 @@ class DaskScalar:
         else:
             node = Node("binop", [self.node],
                         {"op": symbol, "right": other, "reflected": reflected})
-        return DaskScalar(node, self.backend)
+        return DaskScalar(node)
 
     __add__, __radd__ = _binop_method("+"), _binop_method("+", True)
     __sub__, __rsub__ = _binop_method("-"), _binop_method("-", True)
@@ -503,12 +499,11 @@ def scan_csv(target_bytes: int, path: str, usecols=None,
     return parts, columns
 
 
-def from_pandas(frame: DataFrame, backend,
-                npartitions: int = 4) -> DaskFrame:
+def from_pandas(frame: DataFrame, npartitions: int = 4) -> DaskFrame:
     """Split an eager frame into a lazy partitioned one."""
     n = len(frame)
     npartitions = max(1, min(npartitions, max(1, n)))
     bounds = np.linspace(0, n, npartitions + 1).astype(int)
     parts = [Node("from_pandas", [], {"frame": frame[int(lo):int(hi)]})
              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return DaskFrame(parts, backend, columns=list(frame.columns))
+    return DaskFrame(parts, columns=list(frame.columns))

@@ -7,7 +7,7 @@ Reproduces the Modin properties that matter to the paper:
   section 2.6),
 - **row partitioning**: a frame is Dask's per-partition collection
   (:mod:`repro.backends.dask_sim`), its pieces run on the session's
-  scheduler -- in parallel under the pool strategies,
+  scheduler -- in parallel under the threaded strategy,
 - **Arrow-like storage**: string columns are dictionary-encoded on read,
   which is why Modin survives a few more programs than pandas in
   Figure 12 despite being equally memory-bound,

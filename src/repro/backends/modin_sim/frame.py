@@ -38,12 +38,12 @@ def _leaf(value) -> Node:
     return node
 
 
-def _eager(parts: Sequence[Node], backend) -> List[Node]:
+def _eager(parts: Sequence[Node]) -> List[Node]:
     """Run ``parts`` now; each value in a fresh leaf, the nodes that ran
     keep nothing."""
     if all(part.computed and not part.inputs for part in parts):
         return list(parts)  # leaves already
-    values = _run(backend, parts)
+    values = _run(parts)
     for part in parts:
         part.clear_result()
     return [_leaf(value) for value in values]
@@ -60,18 +60,15 @@ def modin_read_csv(
 ) -> "ModinFrame":
     """Partitioned eager CSV read with Arrow-style string compaction:
     baseline Dask mode's scans, run and encoded one piece at a time."""
-    from repro.backends.modin_backend import ModinBackend
-
-    backend = ModinBackend()
     scans, _columns = scan_csv(partition_bytes, path, usecols, dtype=dtype,
                                parse_dates=parse_dates)
 
     def read(scan: Node) -> Node:
-        value = _run(backend, [scan])[0]
+        value = _run([scan])[0]
         scan.clear_result()
         return _leaf(_dictionary_encode(value) if compact_strings else value)
 
-    frame = ModinFrame([read(scan) for scan in scans], backend)
+    frame = ModinFrame([read(scan) for scan in scans])
     return frame if index_col is None else frame.set_index(index_col)
 
 
@@ -111,15 +108,14 @@ class _Eager:
 class ModinFrame(_Eager, DaskFrame):
     """Row-partitioned eager dataframe."""
 
-    def __init__(self, parts: Sequence[Node], backend, columns=None):
+    def __init__(self, parts: Sequence[Node], columns=None):
         # the computed pieces name the columns; ``columns`` is what
         # Dask's ops derive before anything runs
-        parts = _eager(parts, backend)
-        super().__init__(parts, backend,
-                         columns=list(parts[0].result.columns))
+        parts = _eager(parts)
+        super().__init__(parts, columns=list(parts[0].result.columns))
 
     def _series(self, parts, name=None) -> "ModinSeries":
-        return ModinSeries(parts, self.backend, name=name)
+        return ModinSeries(parts, name=name)
 
     def _whole(self, op: str, **args) -> Node:
         """``op`` on the gathered frame."""
@@ -163,12 +159,11 @@ class ModinFrame(_Eager, DaskFrame):
 class ModinSeries(_Eager, DaskSeries):
     """Row-partitioned eager series."""
 
-    def __init__(self, parts: Sequence[Node], backend,
-                 name: Optional[str] = None):
-        super().__init__(_eager(parts, backend), backend, name=name)
+    def __init__(self, parts: Sequence[Node], name: Optional[str] = None):
+        super().__init__(_eager(parts), name=name)
 
     def _frame(self, parts) -> ModinFrame:
-        return ModinFrame(parts, self.backend)
+        return ModinFrame(parts)
 
     def _scalar(self, node: Node):
         return self._compute_node(node)

@@ -1,12 +1,10 @@
 """Process-global result cache keyed by plan fingerprints.
 
 The cache stores *serialized* results (pickle blobs of DataFrame /
-Series / scalar values -- the exact round-trip the process executor
-ships results through, so bit identity is already a pinned contract).
-A hit deserializes into the consuming session, which means the rebuilt
-column buffers charge the *consumer's* memory budget, exactly like a
-result landed from a worker process; the cache itself only ever holds
-inert bytes.
+Series / scalar values).  A hit deserializes into the consuming
+session, which means the rebuilt column buffers charge the
+*consumer's* memory budget; the cache itself only ever holds inert
+bytes.
 
 Keys are ``(fingerprint, backend, semantic-options signature)`` -- see
 :func:`repro.cache.fingerprint.fingerprint_node` for the first

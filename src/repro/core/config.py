@@ -16,9 +16,8 @@ Every key, with its default and doc line, is listed by
 :func:`describe_options` (``lfp.describe_options()``), read off the
 table.  A setting that only one value is ever used for is a constant of
 the module that reads it, not an option: the range-read retry policy
-(``io/fs.py``), the result cache's byte budgets
-(``cache/result_cache.py``) and the worker start method
-(``graph/scheduler/process.py``, from ``LAFP_PROCESS_START_METHOD``).
+(``io/fs.py``) and the result cache's byte budgets
+(``cache/result_cache.py``).
 """
 
 from __future__ import annotations
@@ -181,21 +180,20 @@ OPTION_TABLE: Mapping[str, OptionSpec] = MappingProxyType({
             "executor.strategy",
             os.environ.get("LAFP_EXECUTOR_STRATEGY", "serial"), _STR,
             "Scheduler strategy of repro.graph.scheduler.STRATEGIES "
-            "('serial', 'threaded', 'fused', or 'process'); the "
+            "('serial', 'threaded' or 'fused'); the "
             "LAFP_EXECUTOR_STRATEGY env var sets the process default (the "
             "CI strategy legs use it)."),
         OptionSpec(
             "executor.max_workers", 4, _POSITIVE_INT,
-            "Worker-pool size of the threaded and process scheduler "
-            "strategies.  It bounds unbudgeted runs only: under "
-            "memory.budget every strategy runs one task at a time, in the "
-            "static order."),
+            "Thread-pool size of the threaded scheduler strategy.  It "
+            "bounds unbudgeted runs only: under memory.budget every "
+            "strategy runs one task at a time, in the static order."),
         OptionSpec(
             "executor.static_order", True, _BOOL,
             "Run the memory-aware static ordering pass (a Sethi-Ullman-style "
             "DFS over per-node byte estimates) before executing: the serial "
             "and fused strategies follow it as their execution order, the "
-            "threaded/process heaps use it as the tie-break ahead of "
+            "threaded strategy's heap uses it as the tie-break ahead of "
             "the node id.  Purely an ordering choice among independent "
             "nodes; results are unaffected."),
         OptionSpec(

@@ -50,8 +50,8 @@ class CacheRunState:
     and the scheduler's post-execution insertion seam.  What either
     did is counted into the run's record, not here.
 
-    ``offer`` is called from scheduler worker threads (and the process
-    strategy's coordination thread); everything it touches is guarded.
+    ``offer`` is called from scheduler worker threads; everything it
+    touches is guarded.
     """
 
     def __init__(

@@ -19,8 +19,8 @@ one.  The kept :class:`~repro.io.source.Partition` objects land in the
 in the old one's place -- it reads the same rows -- where
 backends, ``explain()``, and the scheduler's
 :class:`~repro.graph.scheduler.stats.ExecutionStats` read them.  They
-carry their byte ranges: a process worker reads exactly the pieces
-pruned here, whatever partition set its own metastore would list.
+carry their byte ranges: the scan reads exactly the pieces kept here,
+without listing the source again.
 """
 
 from __future__ import annotations

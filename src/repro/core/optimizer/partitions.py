@@ -7,8 +7,8 @@ finalized by a concat over them (Dask's ``core_blockwise`` and
 ``__dask_postcompute__``) -- out of the ops every engine already runs:
 
 - a ``scan`` over N source partitions becomes N scans, each carrying
-  its :class:`~repro.io.source.Partition` (byte range included), so any
-  worker process reads exactly that piece;
+  its :class:`~repro.io.source.Partition` (byte range included), so
+  whichever thread runs it reads exactly that piece;
 - a row-local op becomes N copies, copy ``i`` reading piece ``i`` of
   each input (a scalar input is read whole by every copy);
 - a group-by aggregate becomes N ``partial_agg`` and one

@@ -13,7 +13,7 @@ A :class:`Session` owns everything one logical program needs:
 - a scheduler per ``collect()``, of the strategy the
   ``executor.strategy`` option picks from
   :data:`~repro.graph.scheduler.STRATEGIES` (serial / threaded /
-  fused / process), and the process strategy's worker pool,
+  fused),
 - the chain of pending lazy-print nodes (section 3.3),
 - the set of persisted nodes from ``persist()`` / ``compute(live_df=...)``
   calls (section 3.5), released once no longer live,
@@ -52,15 +52,6 @@ from repro.core.config import SessionOptions
 from repro.graph import Node, collect_subgraph, physical_plan, render_plan
 from repro.graph.scheduler import STRATEGIES, ExecutionStats, Scheduler
 from repro.memory.manager import MemoryManager
-
-
-def _shutdown_pool(pool, wait: bool = True) -> None:
-    """Best-effort pool shutdown (module-level so a session finalizer
-    never keeps the session alive through its own cell)."""
-    try:
-        pool.shutdown(wait=wait, cancel_futures=True)
-    except Exception:  # noqa: BLE001 - already-broken pools may raise
-        pass
 
 
 class Session:
@@ -106,12 +97,6 @@ class Session:
         #: ``optimizer.reuse`` off): where the reuse pass leaves it for
         #: _run to hand to the scheduler.
         self._cache_run = None
-        #: lazily-created process-strategy worker pool (see
-        #: :meth:`process_pool`), its creation key, and the finalizer
-        #: that shuts it down when the session is garbage-collected.
-        self._process_pool = None
-        self._process_pool_key: Optional[tuple] = None
-        self._pool_finalizer: Optional[weakref.finalize] = None
 
     # -- options -----------------------------------------------------------
 
@@ -157,77 +142,15 @@ class Session:
 
     # -- scheduling --------------------------------------------------------
 
-    def scheduler(self, backend=None) -> Scheduler:
+    def scheduler(self) -> Scheduler:
         """Build the scheduler the ``executor.strategy`` option names,
-        running nodes on ``backend`` (default: this session's engine's;
-        baseline Dask mode passes its own)."""
+        running nodes on this session's engine."""
         strategy = str(self.options.get("executor.strategy")).lower()
         return choose(STRATEGIES, strategy, "executor strategy")(
-            self.backend if backend is None else backend,
             session=self,
-            max_workers=self._max_workers(),
+            max_workers=int(self.options.get("executor.max_workers")),
             static_order=bool(self.options.get("executor.static_order")),
         )
-
-    def _max_workers(self) -> int:
-        return int(self.options.get("executor.max_workers"))
-
-    def process_pool(self, workers: Optional[int] = None):
-        """The session's shared process-strategy worker pool.
-
-        Created on first use by :class:`~repro.graph.scheduler.process.
-        ProcessScheduler` and reused across ``collect()`` calls (forking
-        a pool per execution would dominate small plans); resized when
-        ``executor.max_workers`` changes.  ``close()`` shuts it down; a
-        finalizer does the same when the session is garbage-collected.
-        """
-        from repro.graph.scheduler.process import create_worker_pool
-
-        workers = self._max_workers() if workers is None else int(workers)
-        key = (workers, self.backend_name.lower())
-        if self._process_pool is not None and self._process_pool_key != key:
-            self.close_pool()
-        if self._process_pool is None:
-            self._process_pool = create_worker_pool(
-                workers, type(self.backend)
-            )
-            self._process_pool_key = key
-            # wait=False: the collector runs this at whatever allocation
-            # it likes, including one inside ``threading``'s own
-            # bookkeeping lock -- joining the pool's manager thread
-            # there deadlocks, and every later ``Thread.start()`` with it
-            self._pool_finalizer = weakref.finalize(
-                self, _shutdown_pool, self._process_pool, False
-            )
-        return self._process_pool
-
-    def discard_pool(self, pool) -> None:
-        """Forget ``pool`` (it broke); a fresh one is built on next use."""
-        if self._process_pool is pool:
-            self._process_pool = None
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-                self._pool_finalizer = None
-        _shutdown_pool(pool)
-
-    def close_pool(self) -> None:
-        """Shut down the process-strategy worker pool, if one exists."""
-        pool, self._process_pool = self._process_pool, None
-        if self._pool_finalizer is not None:
-            self._pool_finalizer.detach()
-            self._pool_finalizer = None
-        if pool is not None:
-            _shutdown_pool(pool)
-
-    def close(self) -> None:
-        """Release the session's external resources (worker pools).
-
-        Idempotent; the session remains usable afterwards (pools are
-        recreated on demand).  ``with Session(...)`` blocks do *not*
-        close on exit -- a session can be re-entered -- so servers that
-        own long-lived sessions call this explicitly.
-        """
-        self.close_pool()
 
     # -- activation --------------------------------------------------------
 
@@ -547,10 +470,10 @@ def _stack() -> List[Session]:
 
 
 def _clear_stack_after_fork() -> None:
-    # A forked child (e.g. a process-strategy worker) inherits the
-    # forking thread's active-session stack; those sessions -- and
-    # their memory budgets -- belong to the parent, so the child
-    # starts from the root session.
+    # A forked child (say, a worker the program forks itself) inherits
+    # the forking thread's active-session stack; those sessions -- and
+    # their memory budgets -- belong to the parent, so the child starts
+    # from the root session.
     _stack().clear()
 
 

@@ -4,9 +4,9 @@ Nodes represent dataframe operations; an edge A -> B means *B depends on
 A's result* (data dependency) or *B must run after A* (ordering edge, used
 by lazy print).  The graph is built implicitly by the lazy wrapper objects
 in :mod:`repro.core` and executed by a strategy from
-:mod:`repro.graph.scheduler` (serial / threaded / fused / process,
-selected via the ``executor.strategy`` session option): one ready-set
-loop behind all four, which frees an intermediate result as
+:mod:`repro.graph.scheduler` (serial / threaded / fused, selected via
+the ``executor.strategy`` session option): one ready-set loop behind
+all three, which frees an intermediate result as
 soon as its last consumer has run (section 2.6).
 """
 

@@ -5,22 +5,20 @@ class, and a session picks one through the ``executor.strategy``
 option -- the Dask split between a collection protocol and swappable
 ``get`` functions, applied to the LaFP task graph.  Every strategy
 drives every engine: on the Dask engine the graph is already cut per
-partition (:mod:`repro.core.optimizer.partitions`), so the pool
-strategies run partitions in parallel.
+partition (:mod:`repro.core.optimizer.partitions`), so the threaded
+strategy runs partitions in parallel.
 
 There is one scheduling core (:mod:`repro.graph.scheduler.base`): the
 :class:`~repro.graph.scheduler.base.ReadySet` state machine, one
 admission rule (static-priority order, a free slot, one task at a time
-under a memory budget), one release rule, one failure unwind.  A strategy is where an admitted
-task runs -- its *submit seam* -- plus, for two of them, how nodes are
-grouped into tasks:
+under a memory budget), one release rule, one failure unwind.  A
+strategy is where an admitted task runs -- its *submit seam* -- plus,
+for ``fused``, how nodes are grouped into tasks:
 
 - ``serial``   -- the inline seam, one node per task: the paper's
   single loop (section 2.6),
 - ``fused``    -- the inline seam over linear-chain tasks,
-- ``threaded`` -- the thread-pool seam,
-- ``process``  -- the process-pool seam: fused chains shipped through
-  the pickle seam, for CPU-bound operators the GIL serializes.
+- ``threaded`` -- the thread-pool seam.
 
 A scheduler belongs to one session, which builds one per collect
 through :meth:`~repro.core.session.Session.scheduler`, the one
@@ -37,7 +35,6 @@ from types import MappingProxyType
 
 from repro.graph.scheduler.base import ExecutionError, Scheduler
 from repro.graph.scheduler.fused import FusedScheduler, fuse_linear_chains
-from repro.graph.scheduler.process import ProcessScheduler
 from repro.graph.scheduler.serial import SerialScheduler
 from repro.graph.scheduler.stats import ExecutionStats, NodeStat
 from repro.graph.scheduler.threaded import ThreadedScheduler
@@ -45,8 +42,7 @@ from repro.graph.scheduler.threaded import ThreadedScheduler
 #: strategy name (the ``executor.strategy`` option) -> scheduler class.
 STRATEGIES = MappingProxyType({
     scheduler.name: scheduler
-    for scheduler in (SerialScheduler, ThreadedScheduler, FusedScheduler,
-                      ProcessScheduler)
+    for scheduler in (SerialScheduler, ThreadedScheduler, FusedScheduler)
 })
 
 
@@ -55,7 +51,6 @@ __all__ = [
     "ExecutionStats",
     "FusedScheduler",
     "NodeStat",
-    "ProcessScheduler",
     "STRATEGIES",
     "Scheduler",
     "SerialScheduler",

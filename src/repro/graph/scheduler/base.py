@@ -6,11 +6,10 @@ subgraph and the static ordering pass (:meth:`Scheduler._plan`), the
 :class:`ReadySet` state machine (task-level in-degrees, the one ready
 heap, queue-wait stamps, the section-2.6 release rule), the one
 admission rule (:meth:`Scheduler._admit`: cached short-circuit, free
-slot, the one memory rule), per-node execution with stats capture, the
-run scope with its failure unwind, and the ``concurrent.futures`` driver
-both pool strategies share.  A strategy is its *submit seam* -- where an
-admitted task runs (inline, thread pool, process pool) -- and nothing
-else.
+slot, the one memory rule), per-node execution with stats capture, and
+the run scope with its failure unwind.  A strategy is its *submit seam*
+-- where an admitted task runs (inline or on a thread pool) -- and
+nothing else.
 
 The memory rule: a run whose memory manager has a budget admits a task
 only when nothing else is in flight.  Tasks still leave the heap in the
@@ -23,10 +22,8 @@ Unbudgeted runs keep ``max_workers`` tasks in flight.
 from __future__ import annotations
 
 import heapq
-import queue
 import threading
 import time
-from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.node import Node
@@ -48,9 +45,9 @@ Task = List[Node]
 
 class ExecutionError(RuntimeError):
     """A strategy failed to complete a plan for an infrastructure
-    reason (e.g. the process pool's workers kept dying), as opposed to
-    the plan itself raising.  The scheduler guarantees budget and spill
-    files were reclaimed before this surfaces."""
+    reason (tasks left unreachable), as opposed to the plan itself
+    raising.  The scheduler guarantees budget and spill files were
+    reclaimed before this surfaces."""
 
 
 def release_inputs(node: Node, refcounts: Dict[int, int],
@@ -152,32 +149,30 @@ class ReadySet:
 
 
 class Scheduler:
-    """Runs task subgraphs against a backend (one strategy per class).
+    """Runs task subgraphs on a session's engine (one strategy per
+    class).
 
     ``session`` is the owning :class:`repro.core.session.Session`, whose
-    memory manager the scheduler charges; parallel strategies activate
-    it on their worker threads so buffers allocated mid-node register
-    with that manager too.
+    backend runs the nodes and whose memory manager the scheduler
+    charges; the threaded strategy activates it on its worker threads so
+    buffers allocated mid-node register with that manager too.
     """
 
     name = "abstract"
-    #: parallel strategies set this True: after planning they issue
+    #: the threaded strategy sets this True: after planning it issues
     #: prefetches for the byte ranges the plan's scans will read, so
-    #: remote latency overlaps compute (serial strategies gain nothing
-    #: -- the scan is the next thing they run anyway).
+    #: remote latency overlaps compute (the inline strategies gain
+    #: nothing -- the scan is the next thing they run anyway).
     prefetches_ranges = False
-    #: pool size when the caller names none.
-    default_workers = 1
 
-    def __init__(self, backend, *, session,
-                 max_workers: Optional[int] = None,
+    def __init__(self, *, session, max_workers: int = 1,
                  static_order: bool = True):
-        self.backend = backend
+        self.backend = session.backend
         self.session = session
         #: the session's manager, read once: reading it writes the
         #: ``memory.budget`` option in force now through to it.
         self.memory = session.memory
-        self.max_workers = max(1, int(max_workers or self.default_workers))
+        self.max_workers = max_workers
         #: apply the memory-aware static ordering pass
         #: (``executor.static_order``) before running.
         self.static_order = bool(static_order)
@@ -370,12 +365,6 @@ class Scheduler:
 
     # -- shared plumbing -------------------------------------------------
 
-    def _finish(self, ready: ReadySet, task: Task) -> None:
-        """``task`` ran to completion (coordinating thread only)."""
-        for node in task:
-            ready.release(node)
-        ready.complete(task)
-
     def _run_inline(self, ready: ReadySet, task: Task,
                     ready_at: Optional[float],
                     stats: ExecutionStats) -> None:
@@ -387,54 +376,6 @@ class Scheduler:
             ready.release(node)
             ready_at = None
         ready.complete(task)
-
-    def _on_pool_thread(self, node: Node, stats: ExecutionStats,
-                        ready_at: Optional[float]) -> None:
-        """:meth:`_execute_node` on a pool thread: the run's record
-        bound and the owning session active, so ``count()``,
-        ``current_session()`` and the per-session memory manager every
-        :class:`~repro.memory.manager.TrackedBuffer` resolves are right
-        inside backend calls."""
-        with stats.bound():
-            self.session.activate()
-            try:
-                return self._execute_node(node, stats, ready_at)
-            finally:
-                self.session.deactivate()
-
-    def _drive_pool(self, ready: ReadySet, stats: ExecutionStats,
-                    submit, collect) -> None:
-        """The ``concurrent.futures`` driver of both pool strategies.
-
-        ``submit(task, ready_at)`` returns the future running the task,
-        or ``None`` when it dealt with the task itself (ran it inline,
-        re-queued it); ``collect(future, pending)`` pops the finished
-        future from ``pending`` (future -> ``(task, ready_at, submitted
-        at)``) and completes its task.  Futures announce themselves on
-        a queue (measured ~11 us cheaper per completion than arming a
-        ``wait(FIRST_COMPLETED)``) and are collected on this thread
-        only, which is what lets :class:`ReadySet` go unlocked.
-        """
-        done: queue.SimpleQueue = queue.SimpleQueue()
-        pending: Dict[Future, Tuple[Task, float, float]] = {}
-        try:
-            while ready.remaining:
-                while len(pending) < self.max_workers:
-                    admitted = self._admit(ready, len(pending), stats)
-                    if admitted is None:
-                        break
-                    future = submit(*admitted)
-                    if future is not None:
-                        pending[future] = (*admitted, time.perf_counter())
-                        future.add_done_callback(done.put)
-                if pending:
-                    future = done.get()
-                    if future in pending:  # else lost with a broken pool
-                        collect(future, pending)
-        except BaseException:
-            for future in pending:
-                future.cancel()
-            raise
 
     def _execute_node(self, node: Node, stats: ExecutionStats,
                       ready_at: Optional[float] = None) -> None:

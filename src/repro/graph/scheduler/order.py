@@ -6,7 +6,7 @@ results are alive at once.  Its output is a priority per node, and the
 priority is the key of the one ready heap
 (:class:`~repro.graph.scheduler.base.ReadySet`): the inline strategies
 pop it one task at a time, which *is* the memory-minimizing serial
-order, and the pool strategies admit in that same order as slots
+order, and the threaded strategy admits in that same order as slots
 free.
 
 The assignment is a generalized Sethi--Ullman numbering over byte

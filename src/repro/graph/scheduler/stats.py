@@ -17,9 +17,7 @@ sees its own run) and the deep layers -- source reads, range fetches,
 spills, shuffle operators, the reuse pass -- call :func:`count`, which
 adds to the bound record.  Work done
 outside any run (metastore sampling, ``explain()``, the eager
-baselines) is counted nowhere.  A process-pool worker fills a record of
-its own and ships :meth:`~ExecutionStats.counters` back beside its
-result; the parent adds it.
+baselines) is counted nowhere.
 
 Per-node byte attribution diffs the memory manager's monotonic totals
 around the node: exact when nodes run one at a time, an approximation
@@ -34,9 +32,7 @@ import dataclasses
 import string
 import threading
 from types import MappingProxyType
-from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
 
 @dataclasses.dataclass
@@ -137,12 +133,6 @@ class ExecutionStats:
     #: used (the eager-release simulation over per-node estimates);
     #: None when the scheduler never planned an order.
     estimated_peak_bytes: Optional[int] = None
-    process_tasks: int = _counter("tasks shipped to pool workers")
-    process_fallbacks: int = _counter(
-        "tasks run in the parent instead (unpicklable args or "
-        "results, store inputs, side effects)")
-    process_retries: int = _counter(
-        "tasks re-run after a worker died mid-flight")
     #: the session manager's high-water mark when the run finished.
     #: The manager's peak is *not* reset per run (the workload runner
     #: measures whole-program peaks on the same manager), so this can
@@ -190,8 +180,7 @@ class ExecutionStats:
     # -- export ----------------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
-        """The declared counters' values (what a pool worker ships back
-        for its parent to :meth:`add`)."""
+        """The declared counters' values."""
         with self._lock:
             return {name: getattr(self, name) for name in COUNTERS}
 
@@ -213,15 +202,12 @@ class ExecutionStats:
             f" wall={self.wall_seconds:.4f}s"
             f" manager_peak={self.manager_peak_bytes}B"
         )
-        counts = self.counters()
-        lines = [head, *counter_lines(
-            counts, [group for group in _LINES if group != "process"])]
+        lines = [head, *counter_lines(self.counters())]
         if self.estimated_peak_bytes is not None:
             lines.append(
                 f"estimated peak live bytes: {self.estimated_peak_bytes}"
                 + (" (static order)" if self.static_order else "")
             )
-        lines += counter_lines(counts, ["process"])
         for stat in self.nodes:
             label = f" {stat.label}" if stat.label else ""
             estimate = (
@@ -252,27 +238,22 @@ COUNTERS: Mapping[str, str] = MappingProxyType({
 })
 
 #: the summary lines of ``render()``, in order.  A line is shown when a
-#: counter its template names is non-zero; a template after the first
-#: is a suffix that is added when one of its own is.
-_LINES: Mapping[str, Tuple[str, ...]] = MappingProxyType({
+#: counter its template names is non-zero.
+_LINES: Mapping[str, str] = MappingProxyType({
     "result cache": (
         "result cache: {cache_bytes_reused}B reused, {cache_misses} misses,"
-        " {cache_inserted} inserted, {cache_evictions} evictions",),
-    "fusion": ("fused {fused_nodes} nodes into {fused_chains} chains",),
-    "throttle": ("memory throttle waits: {throttle_waits}",),
-    "scan": ("scan partitions read: {partitions_read}/{partitions_total}",),
-    "decode": ("scan cells decoded: {cells_decoded}",),
+        " {cache_inserted} inserted, {cache_evictions} evictions"),
+    "fusion": "fused {fused_nodes} nodes into {fused_chains} chains",
+    "throttle": "memory throttle waits: {throttle_waits}",
+    "scan": "scan partitions read: {partitions_read}/{partitions_total}",
+    "decode": "scan cells decoded: {cells_decoded}",
     "shuffle": (
         "shuffle buckets: {shuffle_partitions} "
-        "(spilled {bytes_spilled}B in {spill_files} files)",),
-    "broadcast": ("broadcast joins: {broadcast_joins}",),
+        "(spilled {bytes_spilled}B in {spill_files} files)"),
+    "broadcast": "broadcast joins: {broadcast_joins}",
     "io": (
         "io: {bytes_read}B read, {ranges_prefetched} ranges prefetched,"
-        " {prefetch_hits} prefetch hits, {io_retries} retries",),
-    "process": (
-        "process tasks: {process_tasks} shipped,"
-        " {process_fallbacks} inline",
-        ", {process_retries} retried"),
+        " {prefetch_hits} prefetch hits, {io_retries} retries"),
 })
 
 
@@ -288,14 +269,11 @@ def counter_lines(counts: Mapping[str, object],
     ExecutionStats.counters` or its ``to_dict()``, e.g. back from the
     runner's JSON): every line of :data:`_LINES`, or those of
     ``groups`` in the order given."""
-    lines = []
-    for group in _LINES if groups is None else groups:
-        line, *suffixes = _LINES[group]
-        if _counts_any(line, counts):
-            shown = [line] + [
-                part for part in suffixes if _counts_any(part, counts)]
-            lines.append("".join(shown).format_map(counts))
-    return lines
+    return [
+        _LINES[group].format_map(counts)
+        for group in (_LINES if groups is None else groups)
+        if _counts_any(_LINES[group], counts)
+    ]
 
 
 _BOUND: "contextvars.ContextVar[Optional[ExecutionStats]]" = (

@@ -13,8 +13,7 @@ sources of one file share its facts, stamped with
 :func:`repro.cache.fingerprint.source_signature` (``memory://`` versions
 and dataset directories included) and dropped when the stamp changes or a
 write goes through the metastore.  Inserts are locked, so a
-pooled run's threads may look sources up; a process worker resolves
-through a session of its own.
+threaded run's workers may look sources up.
 """
 
 from __future__ import annotations

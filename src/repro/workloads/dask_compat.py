@@ -4,8 +4,8 @@ The paper had to rewrite programs by hand to run on Dask: forcing
 computation before prints, avoiding position-based access, passing
 dtypes to ``apply``, working around unsupported APIs.  The ``dask_body``
 variants in :mod:`repro.workloads.programs` are those manual ports; they
-import this module.  The backend holds no state between calls (a
-collection is its partition nodes), so each call makes its own.
+import this module.  A collection is its partition nodes, run on the
+current session's scheduler and engine.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ def read_csv(path: str, usecols=None, index_col=None, **options) -> DaskFrame:
     ``index_col``, so the port issues a ``set_index`` after the read."""
     parts, columns = scan_csv(DaskBackend.partition_bytes, path, usecols,
                               **options)
-    frame = DaskFrame(parts, DaskBackend(), columns=columns)
+    frame = DaskFrame(parts, columns=columns)
     if index_col is not None:
         frame = frame.set_index(index_col)
     return frame
 
 
 def DataFrame(data) -> DaskFrame:
-    return from_pandas(_EagerFrame(data), DaskBackend())
+    return from_pandas(_EagerFrame(data))
 
 
 def merge(left: DaskFrame, right, **kwargs) -> DaskFrame:
@@ -42,11 +42,11 @@ def merge(left: DaskFrame, right, **kwargs) -> DaskFrame:
 
 def concat(objs, ignore_index: bool = True) -> DaskFrame:
     frames = [
-        obj if isinstance(obj, DaskFrame) else from_pandas(obj, DaskBackend())
+        obj if isinstance(obj, DaskFrame) else from_pandas(obj)
         for obj in objs
     ]
     return DaskFrame([part for frame in frames for part in frame.parts],
-                     DaskBackend(), columns=frames[0].columns)
+                     columns=frames[0].columns)
 
 
 def to_datetime(series: DaskSeries) -> DaskSeries:

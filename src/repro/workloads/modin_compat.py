@@ -22,9 +22,8 @@ from repro.frame import to_datetime as _eager_to_datetime
 
 def _split(frame: _EagerFrame) -> ModinFrame:
     """An eager frame in pieces of about the partition size."""
-    backend = ModinBackend()
     pieces = max(1, frame.nbytes // ModinBackend.partition_bytes)
-    return ModinFrame(from_pandas(frame, backend, int(pieces)).parts, backend)
+    return ModinFrame(from_pandas(frame, int(pieces)).parts)
 
 
 def read_csv(path: str, **kwargs) -> ModinFrame:

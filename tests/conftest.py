@@ -1,12 +1,14 @@
-"""Shared fixtures: clean session/memory state and CSV builders."""
+"""Shared fixtures: clean session/memory state, CSV builders and the
+invariant tool."""
 
 from __future__ import annotations
 
 import faulthandler
-import multiprocessing
+import importlib.util
 import os
 import signal
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,12 +42,10 @@ def _hard_deadline(request):
     """``@pytest.mark.deadline(seconds)``: a hung test fails instead of
     stalling the run.
 
-    For the tests that fork worker pools or drive thread pools: a
-    wedged pool leaves the parent waiting on a lock forever.
-    ``SIGALRM`` interrupts that wait in the main thread; the handler
-    dumps all stacks (the parent's wait is the informative one), kills
-    the worker processes so that neither the pool's shutdown nor its
-    exit hook can wait on a stuck one, and raises.  It re-arms itself:
+    For the tests that drive thread pools or fork: a wedged pool leaves
+    the test waiting on a lock forever.  ``SIGALRM`` interrupts that
+    wait in the main thread; the handler dumps all stacks (the waiting
+    thread's is the informative one) and raises.  It re-arms itself:
     hypothesis replays a failing example, which may hang again.
     """
     marker = request.node.get_closest_marker("deadline")
@@ -56,8 +56,6 @@ def _hard_deadline(request):
 
     def expired(signum, frame):
         faulthandler.dump_traceback(file=sys.__stderr__, all_threads=True)
-        for child in multiprocessing.active_children():
-            child.kill()
         signal.alarm(seconds)
         raise TimeoutError(
             f"{request.node.nodeid} exceeded its {seconds} s deadline"
@@ -90,6 +88,17 @@ def _clean_state():
     yield
     _clear_session_stack()
     reset_root_session("pandas")
+
+
+@pytest.fixture(scope="session")
+def invariants():
+    """``tools/check_invariants.py``, loaded as a module: the tests of
+    its rules feed it offending snippets and run it over ``src/``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "check_invariants.py"
+    spec = importlib.util.spec_from_file_location("check_invariants", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 @pytest.fixture

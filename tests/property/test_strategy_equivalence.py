@@ -32,12 +32,9 @@ from repro.graph.scheduler import STRATEGIES as STRATEGY_TABLE
 
 BACKENDS = ["pandas", "modin", "dask"]
 STRATEGIES = sorted(STRATEGY_TABLE)
-#: the strategies that overlap tasks when no budget holds them back
-PARALLEL_STRATEGIES = ("threaded", "process")
 
-#: the grid runs every pool-backed strategy; the tier-1 hang (a dropped
-#: session's pool finalizer joining a thread from inside the collector)
-#: surfaced here, so a wedge fails with stacks (tests/conftest.py)
+#: the grid runs the thread pool on every backend, so a wedge fails
+#: with stacks (tests/conftest.py)
 pytestmark = pytest.mark.deadline(120)
 
 _dirs = itertools.count()
@@ -507,7 +504,7 @@ class TestStrategyEquivalence:
                         f"forced-spill run diverged: {backend}/{strategy}"
                     )
                 spilled[strategy] = stats["bytes_spilled"]
-                if strategy in PARALLEL_STRATEGIES:
+                if strategy == "threaded":  # overlaps tasks unbudgeted
                     assert stats["throttle_waits"] > 0, (
                         f"{backend}/{strategy} never held a task back")
             assert len(set(spilled.values())) == 1, (

@@ -8,7 +8,7 @@ LaFP plan on the Dask engine is cut into the same nodes
 import numpy as np
 import pytest
 
-from repro.backends import BackendUnsupported, DaskBackend
+from repro.backends import BackendUnsupported
 from repro.backends.dask_sim.frame import DaskFrame, DaskScalar, from_pandas
 from repro.core.session import Session
 from repro.frame import DataFrame, read_csv
@@ -19,11 +19,6 @@ def read(path, partition_bytes=2_000, **kwargs):
     """Baseline Dask mode's read, in pieces of ``partition_bytes``."""
     return dask_compat.read_csv(path, partition_bytes=partition_bytes,
                                 **kwargs)
-
-
-@pytest.fixture
-def backend():
-    return DaskBackend()
 
 
 @pytest.fixture
@@ -291,10 +286,9 @@ class TestPartitionCountMismatch:
         assert out["t"].to_list() == (eager["a"] + eager["b"]).to_list()
         assert out["m"].to_list() == eager["a"].cummax().to_list()
 
-    def test_blockwise_over_different_cuts_is_unsupported(self, backend,
-                                                          wide_csv):
+    def test_blockwise_over_different_cuts_is_unsupported(self, wide_csv):
         lazy = read(wide_csv)
-        one = from_pandas(read_csv(wide_csv), backend, npartitions=1)["v"]
+        one = from_pandas(read_csv(wide_csv), npartitions=1)["v"]
         assert lazy.npartitions > 1 and one.npartitions == 1
         with pytest.raises(BackendUnsupported):
             lazy.with_column("w", one)
@@ -477,16 +471,16 @@ class TestRecombineKeepsTheGatherLabels:
         ("nsmallest", {"n": 3, "columns": ["v"]}),
         ("head", {"n": 3}),
     ])
-    def test_recombine_equals_gather_then_op(self, backend, op, args):
+    def test_recombine_equals_gather_then_op(self, op, args):
         from repro.backends.dask_sim.frame import _run
         from repro.core.optimizer.partitions import gather, recombine
         from repro.graph.node import Node
 
         frame = DataFrame({"k": [1, 0, 1, 2, 3, 1, 3, 4],
                            "v": [5.0, -1.0, 7.0, 9.0, 8.0, -2.0, 9.5, 6.0]})
-        lazy = from_pandas(frame, backend, npartitions=2)
+        lazy = from_pandas(frame, npartitions=2)
         pieces = lazy[lazy["v"] > 0].parts  # p0: 0, 2, 3; p1: 4, 6, 7
-        want, got = _run(backend, [
+        want, got = _run([
             Node(op, [gather(pieces)], dict(args)),
             recombine(pieces, op, args),
         ])
@@ -519,8 +513,7 @@ class TestPartitionCut:
             df.sort_values("v"),  # no partition-wise form: the fallback
         ]
 
-    @pytest.mark.parametrize("strategy",
-                             ["serial", "threaded", "fused", "process"])
+    @pytest.mark.parametrize("strategy", ["serial", "threaded", "fused"])
     def test_every_strategy_matches_pandas(self, wide_csv, strategy):
         from repro.core.session import Session
 
@@ -529,15 +522,11 @@ class TestPartitionCut:
         with Session(backend="dask", options={
             "executor.strategy": strategy, "executor.max_workers": 2,
         }) as session:
-            got, tasks = [], 0
+            got = []
             for query in self._queries(wide_csv):
                 got.append(query.collect())
                 assert session.last_optimize_report["partitions_cut"] > 0
-                stats = session.last_execution_stats
-                assert stats.strategy == strategy
-                tasks += stats.process_tasks
-        if strategy == "process":
-            assert tasks > 0  # per-partition chains pickled to workers
+                assert session.last_execution_stats.strategy == strategy
         for want, have in zip(expected, got):
             if isinstance(want, DataFrame):
                 assert have.columns == want.columns
@@ -582,17 +571,9 @@ class TestPartitionCut:
         assert peaks["dask"] == peaks["pandas"]
         np.testing.assert_array_equal(values["dask"], values["pandas"])
 
-    def test_invariant_tool_rejects_a_second_executor(self):
+    def test_invariant_tool_rejects_a_second_executor(self, invariants):
         import ast
-        import importlib.util
-        from pathlib import Path
 
-        path = (Path(__file__).resolve().parents[2] / "tools"
-                / "check_invariants.py")
-        spec = importlib.util.spec_from_file_location("check_invariants",
-                                                      path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         for second in (
             "class Expr:\n    pass",
             "class Evaluator:\n    pass",
@@ -604,10 +585,10 @@ class TestPartitionCut:
             "if session.engine.is_lazy:\n    pass",
             "is_lazy = True",
         ):
-            assert list(tool.check_one_partitioned_executor(
+            assert list(invariants.check_one_partitioned_executor(
                 ast.parse(second), "backends/dask_backend.py")), second
         # other classes and names pass
-        assert not list(tool.check_one_partitioned_executor(
+        assert not list(invariants.check_one_partitioned_executor(
             ast.parse("class DaskFrame:\n    is_lazy_safe = 1"),
             "backends/dask_sim/frame.py"))
-        assert tool.run() == []
+        assert invariants.run() == []

@@ -1,9 +1,7 @@
 """Unit tests for the LaFP task graph and refcounting executor."""
 
 import ast
-import importlib.util
 import re
-from pathlib import Path
 
 import pytest
 
@@ -24,10 +22,13 @@ def read_node(path):
 
 
 def serial_scheduler(backend):
-    """The serial strategy over ``backend``, built by a session."""
+    """The serial strategy, built by a session, running its nodes on
+    ``backend`` instead of the session's engine."""
     session = Session(backend="pandas",
                       options={"executor.strategy": "serial"})
-    return session.scheduler(backend)
+    scheduler = session.scheduler()
+    scheduler.backend = backend
+    return scheduler
 
 
 class TestNode:
@@ -210,40 +211,30 @@ class TestExecutor:
         assert out == [3, 2]
 
 
-def _invariant_tool():
-    path = Path(__file__).resolve().parents[2] / "tools" / "check_invariants.py"
-    spec = importlib.util.spec_from_file_location("check_invariants", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 class TestRegistryInvariants:
-    def test_every_registered_op_has_a_dispatch_branch(self):
+    def test_every_registered_op_has_a_dispatch_branch(self, invariants):
         """Rule 19 names each registered op no branch of the dispatch
         runs."""
-        tool = _invariant_tool()
         trees = {
-            rel: ast.parse((tool.SRC / rel).read_text())
+            rel: ast.parse((invariants.SRC / rel).read_text())
             for rel in ("graph/node.py", "backends/base.py",
                         "backends/shuffle_ops.py")
         }
-        assert list(tool.check_every_op_dispatched(trees)) == []
+        assert list(invariants.check_every_op_dispatched(trees)) == []
         dead = ("assign", "select_columns_if", "plot_call")
         trees["graph/node.py"] = ast.parse(
-            (tool.SRC / "graph/node.py").read_text() + "".join(
+            (invariants.SRC / "graph/node.py").read_text() + "".join(
                 f'register_op(OpSpec("{op}", mod_attrs=_NO_COLS, '
                 f'used_attrs=_ALL_COLS))\n' for op in dead))
-        failures = list(tool.check_every_op_dispatched(trees))
+        failures = list(invariants.check_every_op_dispatched(trees))
         assert [re.search(r"op '(\w+)'", f).group(1)
                 for f in failures] == list(dead)
-        assert tool.run() == []
+        assert invariants.run() == []
 
-    def test_module_level_instance_is_a_mutable_global(self):
+    def test_module_level_instance_is_a_mutable_global(self, invariants):
         """Rule 1: an instance of a class defined under src/repro, or a
         weak container, is mutable at module scope; a NamedTuple or a
         frozen dataclass is not."""
-        tool = _invariant_tool()
         tree = ast.parse(
             "class FooRegistry:\n    pass\n"
             "class Point(NamedTuple):\n    x: int\n"
@@ -255,8 +246,8 @@ class TestRegistryInvariants:
             "DEFAULT = Spec(1)\n"
             "TABLE = MappingProxyType({'a': FooRegistry()})\n"
         )
-        classes = tool.mutable_classes({"io/foo.py": tree})
-        failures = list(tool.check_mutable_globals(tree, "io/foo.py",
+        classes = invariants.mutable_classes({"io/foo.py": tree})
+        failures = list(invariants.check_mutable_globals(tree, "io/foo.py",
                                                    classes))
         assert [re.search(r"global '(\w+)'", f).group(1)
                 for f in failures] == ["X", "LIVE"]

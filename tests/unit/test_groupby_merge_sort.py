@@ -224,22 +224,16 @@ class TestOneAggregatePlan:
             }
 
 
-    def test_invariant_tool_rejects_a_second_aggregate_table(self):
+    def test_invariant_tool_rejects_a_second_aggregate_table(self, invariants):
         import ast
-        import importlib.util
-        from pathlib import Path
 
-        path = Path(__file__).resolve().parents[2] / "tools" / "check_invariants.py"
-        spec = importlib.util.spec_from_file_location("check_invariants", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         table = ast.parse(
             'class G:\n    _RECOMBINE = {"sum": "sum", "count": "sum", "min": "min"}'
         )
         for sim in ("backends/modin_sim/frame.py", "core/optimizer/shuffle.py"):
-            assert list(tool.check_one_aggregate_plan(table, sim))
-        assert not list(tool.check_one_aggregate_plan(table, "frame/groupby.py"))
-        assert tool.run() == []
+            assert list(invariants.check_one_aggregate_plan(table, sim))
+        assert not list(invariants.check_one_aggregate_plan(table, "frame/groupby.py"))
+        assert invariants.run() == []
 
 
 # -- one join plan: every backend and partition shape against frame.merge ----
@@ -353,24 +347,18 @@ class TestOneJoinPlan:
         assert [how for how in ("inner", "left", "right", "outer")
                 if can_broadcast(how)] == ["inner", "left"]
 
-    def test_invariant_tool_rejects_a_second_join_plan(self):
+    def test_invariant_tool_rejects_a_second_join_plan(self, invariants):
         import ast
-        import importlib.util
-        from pathlib import Path
 
-        path = Path(__file__).resolve().parents[2] / "tools" / "check_invariants.py"
-        spec = importlib.util.spec_from_file_location("check_invariants", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         flip = ast.parse("def _flip_merge_kwargs(kwargs):\n    return kwargs")
         rule = ast.parse("ok = how in ('left', 'inner')")
         for module in ("backends/dask_sim/frame.py", "core/optimizer/shuffle.py"):
-            assert list(tool.check_one_join_plan(flip, module))
-            assert list(tool.check_one_join_plan(rule, module))
-        assert not list(tool.check_one_join_plan(rule, "frame/merge.py"))
-        assert not list(tool.check_one_join_plan(
+            assert list(invariants.check_one_join_plan(flip, module))
+            assert list(invariants.check_one_join_plan(rule, module))
+        assert not list(invariants.check_one_join_plan(rule, "frame/merge.py"))
+        assert not list(invariants.check_one_join_plan(
             ast.parse("x = how in ('left', 'outer')"), "frame/merge.py"))
-        assert tool.run() == []
+        assert invariants.run() == []
 
 
 class TestMerge:

@@ -312,29 +312,21 @@ class TestColumnWiseWritersKeepTheirBytes:
 class TestOneTextWriter:
     """Invariant rule 18: no ``csv.writer(`` under ``src/repro``."""
 
-    def test_invariant_tool_rejects_csv_writer(self):
+    def test_invariant_tool_rejects_csv_writer(self, invariants):
         import ast
-        import importlib.util
-        from pathlib import Path
 
-        path = (Path(__file__).resolve().parents[2] / "tools"
-                / "check_invariants.py")
-        spec = importlib.util.spec_from_file_location("check_invariants",
-                                                      path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         for offender in (
             "w = csv.writer(f)",
             "csv.writer(f).writerows(rows)",
             "def g(f):\n    return csv.writer(f, lineterminator='\\n')",
         ):
-            assert list(tool.check_one_text_writer(
+            assert list(invariants.check_one_text_writer(
                 ast.parse(offender), "io/jsonl.py")), offender
         for fine in ("rows = csv.reader(f)", "writer = make_writer(f)",
                      "out.writer(f)"):
-            assert not list(tool.check_one_text_writer(
+            assert not list(invariants.check_one_text_writer(
                 ast.parse(fine), "io/jsonl.py")), fine
-        assert tool.run() == []
+        assert invariants.run() == []
 
 
 class TestToDatetime:

@@ -214,17 +214,9 @@ class TestMemoryBudgetContext:
 
 
 class TestOneBudgetOwner:
-    def test_invariant_tool_rejects_a_module_level_manager(self):
+    def test_invariant_tool_rejects_a_module_level_manager(self, invariants):
         import ast
-        import importlib.util
-        from pathlib import Path
 
-        path = (Path(__file__).resolve().parents[2] / "tools"
-                / "check_invariants.py")
-        spec = importlib.util.spec_from_file_location("check_invariants",
-                                                      path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         for owner in (
             "ROOT_MEMORY = MemoryManager()",
             "ROOT: MemoryManager = manager.MemoryManager(budget=None)",
@@ -233,12 +225,12 @@ class TestOneBudgetOwner:
             "def run(memory=MemoryManager()): ...",
             "@cache(MemoryManager())\ndef run(): ...",
         ):
-            assert list(tool.check_one_budget_owner(
+            assert list(invariants.check_one_budget_owner(
                 ast.parse(owner), "memory/manager.py")), owner
         # a manager built when a session (or a test) asks for one passes
-        assert not list(tool.check_one_budget_owner(
+        assert not list(invariants.check_one_budget_owner(
             ast.parse("class Session:\n    def __init__(self):\n"
                       "        self._memory = MemoryManager()\n"
                       "fresh = lambda: MemoryManager()"),
             "core/session.py"))
-        assert tool.run() == []
+        assert invariants.run() == []

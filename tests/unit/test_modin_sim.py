@@ -171,17 +171,9 @@ class TestMemoryBehaviour:
             del pieces
             assert session.memory.live == 0
 
-    def test_invariant_tool_rejects_a_second_executor(self):
+    def test_invariant_tool_rejects_a_second_executor(self, invariants):
         import ast
-        import importlib.util
-        from pathlib import Path
 
-        path = (Path(__file__).resolve().parents[2] / "tools"
-                / "check_invariants.py")
-        spec = importlib.util.spec_from_file_location("check_invariants",
-                                                      path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         for second in (
             "from concurrent.futures import ThreadPoolExecutor",
             "_POOL = futures.ThreadPoolExecutor(max_workers=4)",
@@ -191,13 +183,13 @@ class TestMemoryBehaviour:
             "return _resplit(whole, self.npartitions)",
             "from repro.backends.modin_sim.frame import _split_series",
         ):
-            assert list(tool.check_one_partitioned_executor(
+            assert list(invariants.check_one_partitioned_executor(
                 ast.parse(second), "backends/modin_sim/frame.py")), second
         # the scheduler's own pools pass, and so do Dask's hooks
-        assert not list(tool.check_one_partitioned_executor(
+        assert not list(invariants.check_one_partitioned_executor(
             ast.parse("from concurrent.futures import ThreadPoolExecutor"),
             "graph/scheduler/threaded.py"))
-        assert not list(tool.check_one_partitioned_executor(
+        assert not list(invariants.check_one_partitioned_executor(
             ast.parse("out = self._map('dropna', subset=None)"),
             "backends/modin_sim/frame.py"))
-        assert tool.run() == []
+        assert invariants.run() == []

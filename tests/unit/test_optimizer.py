@@ -246,20 +246,12 @@ class TestCSE:
 
 
 class TestPlansArePrivate:
-    def test_invariant_tool_rejects_an_in_place_rewrite(self):
+    def test_invariant_tool_rejects_an_in_place_rewrite(self, invariants):
         """Rule 7: outside graph/ nothing assigns a node's op, inputs,
         order deps or args -- into them neither, nor through a dict
         method; a pass builds a fresh node instead."""
         import ast
-        import importlib.util
-        from pathlib import Path
 
-        path = (Path(__file__).resolve().parents[2] / "tools"
-                / "check_invariants.py")
-        spec = importlib.util.spec_from_file_location("check_invariants",
-                                                      path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         for rewrite in (
             "old.op = 'identity'",
             "node.inputs = list(sort.inputs)",
@@ -269,9 +261,9 @@ class TestPlansArePrivate:
             "del node.inputs[1]",
         ):
             for module in ("core/optimizer/projection.py", "core/session.py"):
-                assert list(tool.check_plan_is_private(
+                assert list(invariants.check_plan_is_private(
                     ast.parse(rewrite), module)), (rewrite, module)
-            assert not list(tool.check_plan_is_private(
+            assert not list(invariants.check_plan_is_private(
                 ast.parse(rewrite), "graph/taskgraph.py")), rewrite
         for stamp in (
             "node.args = {}",
@@ -284,9 +276,9 @@ class TestPlansArePrivate:
             "node.args.clear()",
         ):
             for module in ("core/optimizer/projection.py", "backends/base.py"):
-                assert list(tool.check_plan_is_private(
+                assert list(invariants.check_plan_is_private(
                     ast.parse(stamp), module)), (stamp, module)
-            assert not list(tool.check_plan_is_private(
+            assert not list(invariants.check_plan_is_private(
                 ast.parse(stamp), "graph/node.py")), stamp
         # what is no node's args stays allowed: a pin's persistence, a
         # local dict, and the JIT's edit of an ``ast.Call``'s arguments
@@ -296,9 +288,9 @@ class TestPlansArePrivate:
             ("call.args[i] = _wrap_compute(arg, live_out)",
              "analysis/rewrite/forced_compute.py"),
         ):
-            assert not list(tool.check_plan_is_private(
+            assert not list(invariants.check_plan_is_private(
                 ast.parse(allowed), module)), allowed
-        assert tool.run() == []
+        assert invariants.run() == []
 
 
 class TestProjectionPushdown:

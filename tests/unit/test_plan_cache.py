@@ -658,28 +658,3 @@ class TestInvalidation:
                 _collect_sum(path)
                 flipped = s.last_execution_stats
         assert flipped.cache_hits >= 1
-
-
-@pytest.mark.deadline(60)
-class TestProcessStrategyCache:
-    """Reuse under the process strategy (the CI spawn leg runs this
-    file with LAFP_PROCESS_START_METHOD=spawn, so both start methods
-    stay covered)."""
-
-    def test_process_strategy_warm_hit(self, make_csv):
-        path = make_csv({"x": list(range(30)), "y": list(range(30))})
-        opts = dict(REUSE)
-        opts.update({
-            "executor.strategy": "process",
-            "executor.max_workers": 2,
-        })
-        with Session(backend="pandas", options=opts) as s1:
-            cold = _collect_sum(path)
-            assert s1.last_execution_stats.cache_inserted >= 1
-            s1.close()
-        with Session(backend="pandas", options=opts) as s2:
-            warm = _collect_sum(path)
-            stats = s2.last_execution_stats
-            s2.close()
-        assert warm == cold
-        assert stats.cache_hits >= 1

@@ -3,11 +3,11 @@
 Covers the strategy table, the ready-set taskgraph helpers on
 diamond / multi-root / shared-subexpression shapes, strategy
 equivalence (serial == threaded == fused), linear-chain fusion,
-per-node execution statistics, memory-aware admission, and per-session
-memory-budget isolation under concurrency.
+per-node execution statistics, memory-aware admission, per-session
+memory-budget isolation under concurrency, the memory-aware static
+ordering pass, and the deadline that fails a hung test with stacks.
 """
 
-import contextlib
 import os
 import re
 import subprocess
@@ -31,13 +31,17 @@ from repro.graph import (
 )
 from repro.graph.scheduler import (
     FusedScheduler,
-    ProcessScheduler,
     SerialScheduler,
     ThreadedScheduler,
     fuse_linear_chains,
 )
 from repro.graph.scheduler import stats as stats_module
-from repro.graph.scheduler.order import priority_topological_order
+from repro.graph.scheduler.base import ReadySet
+from repro.graph.scheduler.order import (
+    priority_topological_order,
+    simulate_peak_bytes,
+    static_priorities,
+)
 from repro.graph.scheduler.stats import (
     COUNTERS,
     ExecutionStats,
@@ -47,25 +51,23 @@ from repro.graph.scheduler.stats import (
 )
 from repro.memory import SimulatedMemoryError
 
-STRATEGIES = ["serial", "threaded", "fused", "process"]
+STRATEGIES = ["serial", "threaded", "fused"]
 
-#: the drivers that overlap tasks: both ask the one admission rule
-PARALLEL_SCHEDULERS = [ThreadedScheduler, ProcessScheduler]
-
-#: the grid forks worker pools (tests/conftest.py)
+#: the grid drives thread pools; a wedged one fails with stacks
+#: (tests/conftest.py)
 pytestmark = pytest.mark.deadline(60)
 
 
-@contextlib.contextmanager
 def _scheduler(strategy, backend=None, options=()):
     """A ``strategy`` scheduler built the one way, by a session with
-    ``options``; the session's worker pool is shut down afterwards."""
+    ``options``; ``backend``, when given, runs its nodes instead of the
+    session's engine."""
     session = Session(backend="pandas",
                       options={"executor.strategy": strategy, **dict(options)})
-    try:
-        yield session.scheduler(backend)
-    finally:
-        session.close()
+    scheduler = session.scheduler()
+    if backend is not None:
+        scheduler.backend = backend
+    return scheduler
 
 
 def _diamond():
@@ -135,58 +137,53 @@ def numbers_csv(make_csv):
 
 class TestExecutorRegistry:
     def test_stock_strategies_registered(self):
-        assert sorted(STRATEGY_TABLE) == [
-            "fused", "process", "serial", "threaded",
-        ]
+        assert sorted(STRATEGY_TABLE) == ["fused", "serial", "threaded"]
         assert "threaded" in STRATEGY_TABLE
 
     def test_unknown_strategy_lists_choices(self):
-        with pytest.raises(ValueError, match="fused.*process.*serial"):
+        with pytest.raises(ValueError, match="fused.*serial.*threaded"):
             choose(STRATEGY_TABLE, "quantum", "executor strategy")
 
     @pytest.mark.parametrize(
-        "cls", [SerialScheduler, ThreadedScheduler, FusedScheduler,
-                ProcessScheduler],
+        "cls", [SerialScheduler, ThreadedScheduler, FusedScheduler],
         ids=lambda cls: cls.name,
     )
     def test_scheduler_needs_a_session(self, cls):
         with pytest.raises(TypeError, match="session"):
-            cls(PandasBackend())
+            cls()
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_session_builds_the_named_strategy(self, strategy):
         """``Session.scheduler`` is the one constructor: the scheduler
         it builds runs on the session's engine and holds the session,
         its manager and the executor options in force."""
-        with _scheduler(strategy, options={
+        scheduler = _scheduler(strategy, options={
             "executor.max_workers": 3,
             "executor.static_order": False,
             "memory.budget": 1 << 20,
-        }) as scheduler:
-            session = scheduler.session
-            assert type(scheduler) is STRATEGY_TABLE[strategy]
-            assert scheduler.backend is session.backend
-            assert scheduler.memory is session.memory
-            assert scheduler.memory.budget == 1 << 20
-            assert scheduler.max_workers == 3
-            assert scheduler.static_order is False
+        })
+        session = scheduler.session
+        assert type(scheduler) is STRATEGY_TABLE[strategy]
+        assert scheduler.backend is session.backend
+        assert scheduler.memory is session.memory
+        assert scheduler.memory.budget == 1 << 20
+        assert scheduler.max_workers == 3
+        assert scheduler.static_order is False
 
     def test_each_call_builds_a_fresh_scheduler(self):
         """One scheduler per collect: no run state is shared between
-        two calls, and a caller's backend replaces the engine's."""
-        with Session(backend="pandas") as session:
-            backend = PandasBackend()
-            first, second = session.scheduler(), session.scheduler(backend)
+        two calls, and each runs on the session's engine."""
+        with Session(backend="dask") as session:
+            first, second = session.scheduler(), session.scheduler()
             assert first is not second
-            assert first.backend is session.backend
-            assert second.backend is backend
+            assert first.backend is second.backend is session.backend
             assert first.memory is second.memory is session.memory
 
-    @pytest.mark.parametrize("strategy", ["warp", "async"])
+    @pytest.mark.parametrize("strategy", ["warp", "async", "process"])
     def test_unknown_strategy_errors_at_collect(self, strategy):
-        """A strategy name that no longer exists (``async``, say, still
-        set in ``LAFP_EXECUTOR_STRATEGY``) fails cleanly at collect and
-        names the strategies there are."""
+        """A strategy name that no longer exists (``async`` or
+        ``process``, say, still set in ``LAFP_EXECUTOR_STRATEGY``) fails
+        cleanly at collect and names the strategies there are."""
         with Session(backend="pandas",
                      options={"executor.strategy": strategy}):
             frame = lfp.DataFrame({"x": [1, 2]})
@@ -194,7 +191,7 @@ class TestExecutorRegistry:
                 frame.collect()
         assert str(caught.value) == (
             f"unknown executor strategy {strategy!r}; choose from "
-            "['fused', 'process', 'serial', 'threaded']"
+            "['fused', 'serial', 'threaded']"
         )
 
     def test_async_from_the_environment_fails_at_collect(self):
@@ -221,7 +218,7 @@ class TestExecutorRegistry:
         )
         assert out.stdout.strip() == (
             "unknown executor strategy 'async'; choose from "
-            "['fused', 'process', 'serial', 'threaded']"
+            "['fused', 'serial', 'threaded']"
         )
 
 
@@ -296,36 +293,34 @@ class TestReadySetHelpers:
                 return super().apply(node, inputs)
 
         roots = GRAPH_ROOTS[shape]()
-        with _scheduler(strategy, RecordingBackend(),
-                        {"executor.max_workers": 1}) as scheduler:
-            scheduler.execute(roots)
+        scheduler = _scheduler(strategy, RecordingBackend(),
+                               {"executor.max_workers": 1})
+        scheduler.execute(roots)
         expected = [
             node.id for node in priority_topological_order(
                 topological_order(roots), scheduler._priorities
             )
         ]
         assert [s.node_id for s in scheduler.last_stats.nodes] == expected
-        if strategy != "process":  # its tasks run in the pool's workers
-            assert applied == expected
+        assert applied == expected
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_planning_state_belongs_to_one_run(self, strategy):
         """Estimates and priorities are assigned per run, never merged:
         a second run plans, orders and records only its own nodes."""
-        with _scheduler(strategy, options={"executor.max_workers": 2}) \
-                as scheduler:
-            first = GRAPH_ROOTS["shared_subexpression"]()
-            second = GRAPH_ROOTS["shared_subexpression"]()
-            assert scheduler.execute(first) == [3, 2]
-            first_stats = scheduler.last_stats
-            # the first run left planning state behind
-            assert scheduler._estimates and scheduler._priorities
-            assert scheduler.execute(second) == [3, 2]
-            ids = {node.id for node in topological_order(second)}
-            assert set(scheduler._estimates) <= ids
-            assert set(scheduler._priorities) <= ids
-            assert scheduler.last_stats is not first_stats
-            assert {s.node_id for s in scheduler.last_stats.nodes} == ids
+        scheduler = _scheduler(strategy, options={"executor.max_workers": 2})
+        first = GRAPH_ROOTS["shared_subexpression"]()
+        second = GRAPH_ROOTS["shared_subexpression"]()
+        assert scheduler.execute(first) == [3, 2]
+        first_stats = scheduler.last_stats
+        # the first run left planning state behind
+        assert scheduler._estimates and scheduler._priorities
+        assert scheduler.execute(second) == [3, 2]
+        ids = {node.id for node in topological_order(second)}
+        assert set(scheduler._estimates) <= ids
+        assert set(scheduler._priorities) <= ids
+        assert scheduler.last_stats is not first_stats
+        assert {s.node_id for s in scheduler.last_stats.nodes} == ids
 
 
 class TestStrategyEquivalence:
@@ -349,7 +344,7 @@ class TestStrategyEquivalence:
                 results[strategy] = (total.collect(), by_tag.collect())
                 assert s.last_execution_stats.strategy == strategy
         base_total, base_series = results["serial"]
-        for strategy in ("threaded", "fused", "process"):
+        for strategy in ("threaded", "fused"):
             total, series = results[strategy]
             assert total == base_total
             assert _frames_equal(series, base_series)
@@ -459,9 +454,9 @@ class TestStrategyEquivalence:
                          args={"func": "sum"})
                     for _ in range(fan)
                 ]
-                with _scheduler("threaded", PandasBackend(),
-                                {"executor.max_workers": 8}) as scheduler:
-                    results = scheduler.execute(leaves)
+                scheduler = _scheduler("threaded", PandasBackend(),
+                                       {"executor.max_workers": 8})
+                results = scheduler.execute(leaves)
                 assert results == [sum(range(rows))] * fan
                 assert scheduler.last_stats.nodes_executed == 2 + 2 * fan
                 # every intermediate was released exactly once
@@ -601,8 +596,8 @@ STATS_KEYS = [
     "bytes_estimated", "partitions_read", "partitions_total",
     "shuffle_partitions", "bytes_spilled", "broadcast_joins", "bytes_read",
     "ranges_prefetched", "prefetch_hits", "io_retries", "cells_decoded",
-    "spill_files", "static_order", "estimated_peak_bytes", "process_tasks",
-    "process_fallbacks", "process_retries", "manager_peak_bytes", "nodes",
+    "spill_files", "static_order", "estimated_peak_bytes",
+    "manager_peak_bytes", "nodes",
 ]
 
 #: counts that follow from the plan alone: the same on every strategy
@@ -666,8 +661,8 @@ class TestOneStatsModel:
         # every counter shows: on the line whose template names it, or
         # in the head (the three byte totals are the per-node lines' sums)
         text = stats.render()
-        shown = set(re.findall(r"\{(\w+)\}", "".join(
-            part for parts in stats_module._LINES.values() for part in parts)))
+        shown = set(re.findall(r"\{(\w+)\}",
+                               "".join(stats_module._LINES.values())))
         assert shown <= set(COUNTERS)
         assert set(COUNTERS) - shown == {
             "nodes_executed", "cache_hits", "bytes_registered",
@@ -679,25 +674,21 @@ class TestOneStatsModel:
         assert "nodes=1 cache_hits=1" in text
 
     def test_render_keeps_its_line_order(self):
-        """``explain(stats=True)`` text is what it was before the lines
-        came from a table: the process line follows the peak estimate,
-        and retries are its suffix, shown only when there were any."""
-        stats = ExecutionStats(strategy="process")
+        """``explain(stats=True)`` text: the counter lines in the
+        table's order, then the peak estimate."""
+        stats = ExecutionStats(strategy="fused")
         stats.estimated_peak_bytes = 64
         stats.static_order = True
-        stats.add(bytes_read=8, process_tasks=3, process_fallbacks=1)
+        stats.add(bytes_read=8, fused_chains=1, fused_nodes=3)
         assert stats.render().splitlines()[1:] == [
+            "fused 3 nodes into 1 chains",
             "io: 8B read, 0 ranges prefetched, 0 prefetch hits, 0 retries",
             "estimated peak live bytes: 64 (static order)",
-            "process tasks: 3 shipped, 1 inline",
         ]
-        stats.add(process_retries=2)
-        assert stats.render().splitlines()[-1] == \
-            "process tasks: 3 shipped, 1 inline, 2 retried"
 
     def test_plan_counts_agree_across_strategies(self, tmp_path):
-        """The Motivation's plan: a shipped scan's cells used to stay in
-        the worker (``cells_decoded`` 0 under ``process``)."""
+        """Counts that follow from the plan are the same whichever seam
+        ran its nodes: a scan on a pool thread counts into the run."""
         path = _write_kv(tmp_path / "kv.csv", 5000)
         seen = {}
         for strategy in STRATEGIES:
@@ -820,15 +811,9 @@ class TestOneStatsModel:
         assert stats.bytes_spilled == sum(forced) > 0
         assert stats.spill_files == 2  # one per store
 
-    def test_invariant_tool_rejects_a_second_stats_route(self):
+    def test_invariant_tool_rejects_a_second_stats_route(self, invariants):
         import ast
-        import importlib.util
-        from pathlib import Path
 
-        path = Path(__file__).resolve().parents[2] / "tools" / "check_invariants.py"
-        spec = importlib.util.spec_from_file_location("check_invariants", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         for second_route in (
             "class IOCounters:\n    pass",
             "from repro.io.fs import session_io_counters",
@@ -836,61 +821,53 @@ class TestOneStatsModel:
             "class Scheduler:\n    def _record_op_stats(self): ...",
             "class ExecutionStats:\n    def record_scan(self, n): ...",
         ):
-            assert list(tool.check_one_stats_model(
+            assert list(invariants.check_one_stats_model(
                 ast.parse(second_route), "io/fs.py")), second_route
         fine = "class ExecutionStats:\n    def add(self, **deltas): ..."
-        assert not list(tool.check_one_stats_model(ast.parse(fine), "x.py"))
-        assert tool.run() == []
+        assert not list(invariants.check_one_stats_model(ast.parse(fine), "x.py"))
+        assert invariants.run() == []
 
-    def test_a_worker_ships_its_account_back(self, numbers_csv):
-        """Per-node bytes of a shipped chain are the worker's, not 0."""
+    def test_a_pool_thread_charges_the_owning_session(self, numbers_csv):
+        """Buffers a node allocates on a pool thread register with the
+        owning session's manager, per node and in the run's total."""
         with Session(backend="pandas",
-                     options={"executor.strategy": "process"}) as s:
-            lfp.read_csv(numbers_csv).x.sum().collect()
+                     options={"executor.strategy": "threaded"}) as s:
+            frame = lfp.read_csv(numbers_csv)
+            out = frame[frame.x > 0].collect()
             stats = s.last_execution_stats
-        assert stats.process_tasks >= 1
+            assert len(out) > 0 and s.memory.live > 0
         scan = next(st for st in stats.nodes if st.op == "scan")
-        assert scan.worker == "process-pool" and scan.bytes_registered > 0
+        assert scan.worker.startswith("lafp-worker")
+        assert scan.bytes_registered > 0
         assert stats.bytes_registered == sum(
             st.bytes_registered for st in stats.nodes)
 
 
-def _peak_concurrency(cls, tmp_path, monkeypatch, budget) -> int:
-    """Run four independent two-node chains on ``cls`` (three workers)
-    and return how many ``Backend.apply`` calls were ever running at
-    once.  Each call appends its interval to a log file, so calls in
-    forked pool workers are seen too."""
-    from repro.backends.base import Backend
+def _peak_concurrency(budget) -> int:
+    """Run four independent two-node chains on the threaded strategy
+    (three workers) and return how many ``Backend.apply`` calls were
+    ever running at once."""
+    intervals = []
 
-    log = str(tmp_path / f"{cls.name}-{budget}.log")
-    apply = Backend.apply
+    class TimedBackend(PandasBackend):
+        def apply(self, node, inputs):
+            start = time.monotonic()
+            time.sleep(0.05)  # long enough for overlapping calls to meet
+            try:
+                return super().apply(node, inputs)
+            finally:
+                intervals.append((start, time.monotonic()))
 
-    def timed_apply(backend, node, inputs):
-        start = time.monotonic()
-        time.sleep(0.05)  # long enough for overlapping calls to meet
-        try:
-            return apply(backend, node, inputs)
-        finally:
-            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-            os.write(fd, f"{start!r} {time.monotonic()!r}\n".encode())
-            os.close(fd)
-
-    monkeypatch.setattr(Backend, "apply", timed_apply)
     roots = [
         Node("getitem_column", args={"column": "x"}, inputs=[
             Node("from_data", args={"data": {"x": [i, i + 1]}})])
         for i in range(4)
     ]
-    with _scheduler(cls.name, PandasBackend(),
-                    {"executor.max_workers": 3,
-                     "memory.budget": budget}) as scheduler:
-        scheduler.execute(roots)
-    monkeypatch.undo()
-    events = []
-    with open(log) as f:
-        for line in f:
-            start, end = map(float, line.split())
-            events += [(start, 1), (end, -1)]
+    _scheduler("threaded", TimedBackend(),
+               {"executor.max_workers": 3,
+                "memory.budget": budget}).execute(roots)
+    events = [(when, delta) for start, end in intervals
+              for when, delta in ((start, 1), (end, -1))]
     peak = running = 0
     for _when, delta in sorted(events):  # an end sorts before a start
         running += delta
@@ -899,29 +876,15 @@ def _peak_concurrency(cls, tmp_path, monkeypatch, budget) -> int:
 
 
 class TestMemoryAwareAdmission:
-    # each case runs over the three parallel drivers in its body, not
-    # through parametrize: the test ids are pinned by the floor list
+    def test_budgeted_run_keeps_one_task_in_flight(self):
+        assert _peak_concurrency(budget=1 << 30) == 1
 
-    def test_budgeted_run_keeps_one_task_in_flight(self, tmp_path,
-                                                    monkeypatch):
-        for cls in PARALLEL_SCHEDULERS:
-            assert _peak_concurrency(
-                cls, tmp_path, monkeypatch, budget=1 << 30) == 1, cls.name
+    def test_unbudgeted_run_fills_the_pool(self):
+        assert _peak_concurrency(budget=None) == 3
 
-    def test_unbudgeted_run_fills_the_pool(self, tmp_path, monkeypatch):
-        for cls in PARALLEL_SCHEDULERS:
-            assert _peak_concurrency(
-                cls, tmp_path, monkeypatch, budget=None) == 3, cls.name
-
-    def test_invariant_tool_rejects_an_oom_repair(self):
+    def test_invariant_tool_rejects_an_oom_repair(self, invariants):
         import ast
-        import importlib.util
-        from pathlib import Path
 
-        path = Path(__file__).resolve().parents[2] / "tools" / "check_invariants.py"
-        spec = importlib.util.spec_from_file_location("check_invariants", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         catch = ("def drain_bucket(store, bucket):\n"
                  "    try:\n        return store.read_bucket(bucket)\n"
                  "    except SimulatedMemoryError:\n        pass\n")
@@ -937,43 +900,38 @@ class TestMemoryAwareAdmission:
         ):
             for module in ("backends/dask_sim/compute.py",
                            "graph/scheduler/base.py"):
-                assert list(tool.check_one_memory_rule(
+                assert list(invariants.check_one_memory_rule(
                     ast.parse(repair), module)), (repair, module)
         # the one fallback, and code outside the two layers, pass
-        assert list(tool.check_one_memory_rule(
+        assert list(invariants.check_one_memory_rule(
             ast.parse(catch), "backends/dask_sim/compute.py"))
-        assert not list(tool.check_one_memory_rule(
+        assert not list(invariants.check_one_memory_rule(
             ast.parse(catch), "backends/shuffle_ops.py"))
-        assert not list(tool.check_one_memory_rule(
+        assert not list(invariants.check_one_memory_rule(
             ast.parse("import time\ntime.sleep(0.1)"), "io/fs.py"))
-        assert tool.run() == []
+        assert invariants.run() == []
 
     def test_never_throttles_an_empty_pool(self):
-        for cls in PARALLEL_SCHEDULERS:
-            with _scheduler(cls.name,
-                            options={"memory.budget": 10}) as scheduler:
-                scheduler.memory.register(10)
-                assert not scheduler._throttled(0)
+        scheduler = _scheduler("threaded", options={"memory.budget": 10})
+        scheduler.memory.register(10)
+        assert not scheduler._throttled(0)
 
     def test_unbudgeted_manager_never_throttles(self):
-        for cls in PARALLEL_SCHEDULERS:
-            with _scheduler(cls.name) as scheduler:
-                assert not scheduler._throttled(3)
+        assert not _scheduler("threaded")._throttled(3)
 
     def test_threaded_completes_under_tight_budget(self, make_csv):
         path = make_csv({"x": np.arange(400), "y": np.arange(400) % 3},
                         "tight.csv")
-        for cls in PARALLEL_SCHEDULERS:
-            with Session(backend="pandas",
-                         options={"executor.strategy": cls.name,
-                                  "executor.max_workers": 4}) as s:
-                with s.option_context("memory.budget", 1 << 20):
-                    df = lfp.read_csv(path)
-                    a = df.x.sum()
-                    b = df.y.sum()
-                    c = (df.x * 2).sum()
-                    assert a.collect() + b.collect() + c.collect() > 0
-                assert s.last_execution_stats.strategy == cls.name
+        with Session(backend="pandas",
+                     options={"executor.strategy": "threaded",
+                              "executor.max_workers": 4}) as s:
+            with s.option_context("memory.budget", 1 << 20):
+                df = lfp.read_csv(path)
+                a = df.x.sum()
+                b = df.y.sum()
+                c = (df.x * 2).sum()
+                assert a.collect() + b.collect() + c.collect() > 0
+            assert s.last_execution_stats.strategy == "threaded"
 
 
 class TestPerSessionBudgets:
@@ -1061,3 +1019,136 @@ class TestPerSessionBudgets:
         session = Session(backend="pandas")
         session.memory.budget = 1 << 30  # a direct write does not stick
         assert session.memory.budget is None
+
+
+class TestStaticOrder:
+    def _reduction_dag(self, branches=4):
+        """N independent source -> aggregate branches into one concat.
+        Running all the big sources before any aggregate (level order)
+        keeps every source live at once; finishing each branch first
+        (what the static order picks) holds one source plus the small
+        aggregates.  Estimates: source 100 bytes, aggregate 10."""
+        from repro.graph.taskgraph import topological_order
+
+        estimates = {}
+        sources, aggs = [], []
+        for index in range(branches):
+            src = Node("from_data",
+                       args={"data": {f"c{index}": list(range(8))}})
+            agg = Node("identity", inputs=[src])
+            sources.append(src)
+            aggs.append(agg)
+        join = Node("concat", inputs=aggs)
+        order = topological_order([join])
+        for src in sources:
+            estimates[src.id] = 100
+        for agg in aggs:
+            estimates[agg.id] = 10
+        estimates[join.id] = 10
+        return order, estimates, join, sources, aggs
+
+    def test_priorities_cover_graph_and_respect_deps(self):
+        order, estimates, join, _, _ = self._reduction_dag()
+        priorities = static_priorities(order, estimates)
+        assert set(priorities) == {node.id for node in order}
+        ordered = priority_topological_order(order, priorities)
+        seen = set()
+        for node in ordered:
+            assert all(dep.id in seen for dep in node.all_deps())
+            seen.add(node.id)
+        assert {n.id for n in ordered} == {n.id for n in order}
+
+    def test_static_order_reduces_simulated_peak(self):
+        order, estimates, join, sources, aggs = self._reduction_dag()
+        root_ids = {join.id}
+        # pessimal but valid baseline: level order (all sources, then
+        # all aggregates) -- every 100-byte source is live at once
+        level_order = sources + aggs + [join]
+        baseline = simulate_peak_bytes(level_order, estimates, root_ids)
+        priorities = static_priorities(order, estimates)
+        ordered = priority_topological_order(order, priorities)
+        optimized = simulate_peak_bytes(ordered, estimates, root_ids)
+        assert baseline >= 400  # 4 sources resident together
+        assert optimized <= 150  # one source + accumulated aggregates
+
+    @pytest.mark.parametrize("branches", [1, 4, 7])
+    @pytest.mark.parametrize("with_estimates", [True, False])
+    def test_simulated_peak_is_the_drained_peak(self, branches,
+                                                with_estimates):
+        """The simulation and the run apply one release rule: draining
+        a ReadySet serially keeps exactly the simulated bytes live."""
+        order, estimates, join, _, _ = self._reduction_dag(branches)
+        priorities = static_priorities(
+            order, estimates if with_estimates else {}
+        )
+        ready = ReadySet([[node] for node in order], priorities, {join.id})
+        peak = 0
+        while ready.remaining:
+            task, _ = ready.pop()
+            task[0].set_result(object())
+            peak = max(peak, sum(
+                estimates[node.id] for node in order if node.computed
+            ))
+            ready.release(task[0])
+            ready.complete(task)
+        assert peak == simulate_peak_bytes(
+            priority_topological_order(order, priorities),
+            estimates, {join.id},
+        )
+        assert [node.computed for node in order] == [
+            node is join for node in order
+        ]
+
+    def test_missing_estimates_degrade_to_depth_first(self):
+        order, _, join, _, _ = self._reduction_dag()
+        priorities = static_priorities(order, {})
+        ordered = priority_topological_order(order, priorities)
+        # depth-first still finishes one branch before the other:
+        # the branch positions must not interleave
+        branch_of = {}
+        for node in ordered[:-1]:
+            dep = node.inputs[0].id if node.inputs else node.id
+            branch_of[node.id] = branch_of.get(dep, node.id)
+        positions = {}
+        for index, node in enumerate(ordered[:-1]):
+            positions.setdefault(branch_of[node.id], []).append(index)
+        spans = sorted(
+            (min(ps), max(ps)) for ps in positions.values()
+        )
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert end < start
+
+    def test_stats_record_estimated_peak(self, numbers_csv):
+        with Session(backend="pandas") as session:
+            lfp.read_csv(numbers_csv).x.sum().collect()
+            stats = session.last_execution_stats
+            assert stats.static_order is True
+            assert stats.estimated_peak_bytes is not None
+            assert stats.estimated_peak_bytes > 0
+            assert "estimated peak live bytes" in stats.render()
+
+    def test_static_order_option_toggles(self, numbers_csv):
+        with Session(backend="pandas",
+                     options={"executor.static_order": False}) as session:
+            lfp.read_csv(numbers_csv).x.sum().collect()
+            assert session.last_execution_stats.static_order is False
+
+    def test_all_strategies_accept_static_order(self, numbers_csv):
+        expected = None
+        for strategy in sorted(STRATEGY_TABLE):
+            with Session(backend="pandas",
+                         options={"executor.strategy": strategy}):
+                got = lfp.read_csv(numbers_csv).x.sum().collect()
+            if expected is None:
+                expected = got
+            assert got == expected
+
+
+class TestDeadline:
+    @pytest.mark.deadline(1)
+    def test_a_hung_wait_fails_with_stacks(self, capfd):
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="1 s deadline"):
+            threading.Event().wait(30)  # what a deadlocked pool looks like
+        assert time.monotonic() - start < 10
+        assert "most recent call first" in capfd.readouterr().err

@@ -39,7 +39,7 @@ def _collect_format(tmp_path):
      "unknown backend 'spark'; choose from ['dask', 'modin', 'pandas']"),
     (lambda tmp: _collect_with_strategy(),
      "unknown executor strategy 'warp'; choose from "
-     "['fused', 'process', 'serial', 'threaded']"),
+     "['fused', 'serial', 'threaded']"),
     (_collect_format,
      "unknown source format 'parquet'; choose from "
      "['columnar', 'csv', 'dataset', 'jsonl']"),

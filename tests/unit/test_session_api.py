@@ -7,9 +7,7 @@ shims for the retired process-global API.
 """
 
 import ast
-import importlib.util
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -776,24 +774,13 @@ class TestOneOptionTable:
         "    source.options.get('parse_dates')  # a source's options\n"
     )
 
-    @staticmethod
-    def _tool():
-        path = (Path(__file__).resolve().parents[2] / "tools"
-                / "check_invariants.py")
-        spec = importlib.util.spec_from_file_location("check_invariants",
-                                                      path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        return tool
-
     def _failures(self, tool, module: str):
         return list(tool.check_one_option_table({
             "core/config.py": ast.parse(self._TABLE),
             "io/prefetch.py": ast.parse(module),
         }))
 
-    def test_invariant_tool_rejects_reads_of_unknown_keys(self):
-        tool = self._tool()
+    def test_invariant_tool_rejects_reads_of_unknown_keys(self, invariants):
         for offender in (
             "session.get_option('io.retries')",
             "get_option('cache.budget')",
@@ -802,14 +789,13 @@ class TestOneOptionTable:
             "current_session().options.get('io.retry_backoff')",
         ):
             failures = self._failures(
-                tool, self._CLEAN + offender + "\nopts.get('io.dead')\n")
+                invariants, self._CLEAN + offender + "\nopts.get('io.dead')\n")
             assert len(failures) == 1, offender
             assert "is not a row" in failures[0], offender
 
-    def test_invariant_tool_rejects_a_dead_option(self):
-        tool = self._tool()
-        failures = self._failures(tool, self._CLEAN)
+    def test_invariant_tool_rejects_a_dead_option(self, invariants):
+        failures = self._failures(invariants, self._CLEAN)
         assert len(failures) == 1 and "'io.dead'" in failures[0]
         assert "occurs nowhere else" in failures[0]
-        assert not self._failures(tool, self._CLEAN + "DEAD = 'io.dead'\n")
-        assert tool.run() == []
+        assert not self._failures(invariants, self._CLEAN + "DEAD = 'io.dead'\n")
+        assert invariants.run() == []

@@ -122,7 +122,7 @@ class TestStaleness:
 
 class TestPooledStrategies:
     @pytest.mark.deadline(120)
-    @pytest.mark.parametrize("strategy", ["threaded", "process"])
+    @pytest.mark.parametrize("strategy", ["threaded"])
     def test_two_scans_of_one_file_match_serial(self, make_csv, store,
                                                 strategy):
         path = _table(make_csv)
@@ -136,7 +136,6 @@ class TestPooledStrategies:
                 both = plain[plain.x > 50].merge(
                     hinted[["x", "y"]], on="x", suffixes=("", "_h"))
                 frame = both.collect()
-                s.close()
             arrays = {name: frame.column(name).to_array()
                       for name in frame.columns}
             return {name: (str(a.dtype), a.tolist())
@@ -192,17 +191,9 @@ class TestConcurrentLookups:
 
 
 class TestOneSourcePerSession:
-    def test_invariant_tool_rejects_a_fresh_source(self):
+    def test_invariant_tool_rejects_a_fresh_source(self, invariants):
         import ast
-        import importlib.util
-        from pathlib import Path
 
-        path = (Path(__file__).resolve().parents[2] / "tools"
-                / "check_invariants.py")
-        spec = importlib.util.spec_from_file_location("check_invariants",
-                                                      path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         for fresh in (
             "source = resolve_source(node.args, metastore=metastore)",
             "columns = registry.resolve_source(args).schema()",
@@ -210,15 +201,15 @@ class TestOneSourcePerSession:
         ):
             for module in ("core/optimizer/partition_pruning.py",
                            "backends/base.py", "io/prefetch.py"):
-                assert list(tool.check_one_source_per_session(
+                assert list(invariants.check_one_source_per_session(
                     ast.parse(fresh), module)), (fresh, module)
         # the table, the registry, and imports or mentions without a call
         call = "source = resolve_source(args, metastore=metastore)"
         for module in ("io/source_table.py", "io/registry.py"):
-            assert not list(tool.check_one_source_per_session(
+            assert not list(invariants.check_one_source_per_session(
                 ast.parse(call), module))
-        assert not list(tool.check_one_source_per_session(
+        assert not list(invariants.check_one_source_per_session(
             ast.parse("from repro.io.registry import resolve_source\n"
                       "__all__ = ['resolve_source']"), "io/__init__.py"))
-        assert tool.run() == []
+        assert invariants.run() == []
 

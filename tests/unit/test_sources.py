@@ -474,7 +474,7 @@ class TestPartitionPruning:
         assert got.column("v").to_array().tolist() == list(range(18, 24))
 
     @pytest.mark.parametrize("backend", ["pandas", "dask"])
-    @pytest.mark.parametrize("strategy", ["serial", "threaded", "process"])
+    @pytest.mark.parametrize("strategy", ["serial", "threaded"])
     def test_dataset_leaves_split_into_byte_range_partitions(
         self, hive_root, metastore, strategy, backend
     ):
@@ -838,17 +838,9 @@ class TestTopLevelApi:
 
 
 class TestOneScanContract:
-    def test_invariant_tool_rejects_a_filter_after_the_read(self):
+    def test_invariant_tool_rejects_a_filter_after_the_read(self, invariants):
         import ast
-        import importlib.util
-        from pathlib import Path
 
-        path = (Path(__file__).resolve().parents[2] / "tools"
-                / "check_invariants.py")
-        spec = importlib.util.spec_from_file_location("check_invariants",
-                                                      path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
         for whole in (
             "frame = frame[predicate.mask(frame)]",
             "keep = predicate.mask(frame)",
@@ -858,18 +850,18 @@ class TestOneScanContract:
         ):
             for module in ("io/csv_source.py", "io/jsonl.py",
                            "io/dataset.py", "io/source.py"):
-                assert list(tool.check_one_scan_contract(
+                assert list(invariants.check_one_scan_contract(
                     ast.parse(whole), module)), (whole, module)
         # the assembly step, and code outside the source layer
         assembly = ("class DataSource:\n"
                     "    def assemble(self, n, builders, columns, p):\n"
                     "        mask = p.mask(frame)\n"
                     "        return column.filter(mask)\n")
-        assert not list(tool.check_one_scan_contract(
+        assert not list(invariants.check_one_scan_contract(
             ast.parse(assembly), "io/source.py"))
-        assert list(tool.check_one_scan_contract(
+        assert list(invariants.check_one_scan_contract(
             ast.parse(assembly), "io/columnar.py"))
-        assert not list(tool.check_one_scan_contract(
+        assert not list(invariants.check_one_scan_contract(
             ast.parse("frame = frame[predicate.mask(frame)]"),
             "backends/base.py"))
-        assert tool.run() == []
+        assert invariants.run() == []

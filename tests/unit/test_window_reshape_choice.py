@@ -111,9 +111,9 @@ class TestCli:
         from repro.workloads.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(["run", "zip", "--strategy", "process",
+        args = parser.parse_args(["run", "zip", "--strategy", "fused",
                                   "--source-format", "columnar"])
-        assert (args.strategy, args.source_format) == ("process", "columnar")
+        assert (args.strategy, args.source_format) == ("fused", "columnar")
         for strategy in sorted(STRATEGIES):
             args = parser.parse_args(["run", "zip", "--strategy", strategy])
             assert args.strategy == strategy
