@@ -363,6 +363,35 @@ def _join_tables(make_csv):
     return left, right
 
 
+class TestRunsOnTheSessionEngine:
+    """A baseline collection holds no engine of its own: it is its
+    partition nodes, run by the scheduler of the session it is computed
+    in, on that session's engine."""
+
+    @pytest.mark.parametrize("engine", ["pandas", "dask", "modin"])
+    def test_compute_applies_its_nodes_on_the_session_engine(
+            self, engine, wide_csv, monkeypatch):
+        with Session(backend=engine) as session:
+            applied = []
+            apply = session.backend.apply
+
+            def spy(node, inputs):
+                applied.append(node.op)
+                return apply(node, inputs)
+
+            monkeypatch.setattr(session.backend, "apply", spy)
+            lazy = read(wide_csv)
+            out = lazy[lazy.k > 3].groupby("g")["v"].sum()
+            assert session.last_execution_stats.nodes_executed == \
+                len(applied)
+        assert applied
+        eager = read_csv(wide_csv)
+        eager = eager[eager["k"] > 3].groupby("g")["v"].sum()
+        got = dict(zip(out.index.to_array(), np.round(out.values, 6)))
+        want = dict(zip(eager.index.to_array(), np.round(eager.values, 6)))
+        assert got == want
+
+
 class TestUnsupportedOps:
     def test_sort_values_raises(self, wide_csv):
         with pytest.raises(BackendUnsupported):

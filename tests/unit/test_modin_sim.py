@@ -137,6 +137,31 @@ class TestGroupBy:
         assert frame["sku"].nunique() == 400
 
 
+class TestRunsOnTheSessionEngine:
+    """A Modin frame holds no engine of its own: each eager step runs
+    on the scheduler and engine of the session it is made in."""
+
+    @pytest.mark.parametrize("engine", ["pandas", "dask", "modin"])
+    def test_each_step_applies_its_nodes_on_the_session_engine(
+            self, engine, shop_csv, monkeypatch):
+        with Session(backend=engine) as session:
+            applied = []
+            apply = session.backend.apply
+
+            def spy(node, inputs):
+                applied.append(node.op)
+                return apply(node, inputs)
+
+            monkeypatch.setattr(session.backend, "apply", spy)
+            frame = load(shop_csv)
+            reads = len(applied)
+            assert reads == frame.npartitions > 1
+            out = frame[frame["units"] > 5]
+            assert len(applied) > reads
+        eager = read_csv(shop_csv)
+        assert len(out) == len(eager[eager["units"] > 5])
+
+
 class TestMemoryBehaviour:
     def test_no_spill_means_oom_under_budget(self, make_csv):
         n = 2000

@@ -658,3 +658,21 @@ class TestInvalidation:
                 _collect_sum(path)
                 flipped = s.last_execution_stats
         assert flipped.cache_hits >= 1
+
+    @pytest.mark.parametrize("strategy", ["serial", "threaded", "fused"])
+    def test_a_warm_session_hits_under_every_strategy(self, make_csv,
+                                                      strategy):
+        """The strategy is not part of a result's key: a result cached
+        by a serial run is served to a run under any strategy."""
+        path = make_csv({"x": list(range(30)), "y": list(range(30))})
+        with Session(backend="pandas", options=REUSE) as s1:
+            cold = _collect_sum(path)
+            assert s1.last_execution_stats.cache_inserted >= 1
+        opts = dict(REUSE, **{"executor.strategy": strategy,
+                              "executor.max_workers": 2})
+        with Session(backend="pandas", options=opts) as s2:
+            warm = _collect_sum(path)
+            stats = s2.last_execution_stats
+        assert warm == cold
+        assert stats.strategy == strategy
+        assert stats.cache_hits >= 1

@@ -477,6 +477,85 @@ class TestStrategyEquivalence:
         assert capsys.readouterr().out.count("once") == 1
 
 
+ENGINES = ["pandas", "dask", "modin"]
+
+
+def _triple(value):
+    return value * 3
+
+
+class TestEveryEngineAndStrategy:
+    """The strategy-independent half of a run's contract, held on each
+    engine under each strategy: one plan has one answer, a plan error
+    keeps its type, a result's bytes are charged to the session that
+    ran it, and a lazy print reaches stdout."""
+
+    def _pipeline(self, path):
+        df = lfp.scan_csv(path, partition_bytes=512)
+        df = df[df.x > 0]
+        df["z"] = df.x.map(_triple) + df.y
+        return df.z.sum(), df.groupby(["y"])["z"].sum()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_plan_has_one_answer(self, numbers_csv, engine, strategy):
+        with Session(backend="pandas"):
+            total, by_y = self._pipeline(numbers_csv)
+            expected = (total.collect(), by_y.collect())
+        with Session(backend=engine,
+                     options={"executor.strategy": strategy,
+                              "executor.max_workers": 2}) as session:
+            total, by_y = self._pipeline(numbers_csv)
+            got = (total.collect(), by_y.collect())
+            assert session.last_execution_stats.strategy == strategy
+        assert got[0] == expected[0]
+        assert got[1].index.to_array().tolist() == \
+            expected[1].index.to_array().tolist()
+        assert got[1].to_list() == expected[1].to_list()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_plan_errors_keep_their_type(self, numbers_csv, engine,
+                                         strategy):
+        """A missing column is the program's error, not the
+        scheduler's: it surfaces as a ``KeyError`` everywhere.  (The
+        static analysis that would warn first is off: the error comes
+        from the run.)"""
+        with Session(backend=engine,
+                     options={"executor.strategy": strategy,
+                              "analysis.level": "off"}):
+            frame = lfp.scan_csv(numbers_csv, partition_bytes=512)
+            with pytest.raises(KeyError):
+                frame["missing"].sum().collect()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_result_bytes_are_charged_to_the_session(self, numbers_csv,
+                                                     strategy):
+        with Session(backend="pandas",
+                     options={"executor.strategy": strategy,
+                              "executor.max_workers": 2}) as session:
+            frame = lfp.read_csv(numbers_csv)
+            out = frame[frame.x > 0].collect()
+            assert len(out) == int((np.arange(120) - 17 > 0).sum())
+            assert session.memory.live > 0
+            assert any(stat.bytes_registered
+                       for stat in session.last_execution_stats.nodes)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_lazy_print_reaches_stdout(self, numbers_csv, capsys,
+                                         strategy):
+        from repro.lazyfatpandas.func import print as lazy_print
+
+        with Session(backend="pandas",
+                     options={"executor.strategy": strategy}):
+            frame = lfp.read_csv(numbers_csv)
+            lazy_print("total:", frame.x.sum())
+            assert capsys.readouterr().out == ""
+            lfp.flush()
+        expected = int((np.arange(120) - 17).sum())
+        assert capsys.readouterr().out == f"total: {expected}\n"
+
+
 class TestFusion:
     def _chain_nodes(self, depth):
         src = Node("from_data", args={"data": {"x": list(range(8))}})

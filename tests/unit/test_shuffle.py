@@ -261,7 +261,7 @@ class TestBroadcast:
         assert stats["bytes_spilled"] == 0
         assert _equal(base, out)
 
-    @pytest.mark.parametrize("strategy", ["serial", "threaded"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_a_dask_merge_against_one_piece_counts_its_broadcast(
             self, wide_csv, tiny_csv, strategy):
         """The Dask engine's per-piece merges against a one-piece right
@@ -278,6 +278,26 @@ class TestBroadcast:
         assert stats["broadcast_joins"] == 1
         assert stats["shuffle_partitions"] == 0
         assert _equal(base, out)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_failed_udf_after_a_broadcast_merge_releases_everything(
+            self, spill_left_csv, tiny_csv, strategy):
+        """Each left piece is merged against the broadcast right side on
+        its own; a UDF failing after the merge unwinds the run with the
+        pieces' results and the broadcast side dropped."""
+        with Session(backend="pandas", options={
+            "executor.strategy": strategy,
+            "memory.budget": 150_000,
+            "optimizer.shuffle_threshold_bytes": THRESHOLD,
+        }) as session:
+            left = lfp.scan_csv(spill_left_csv, partition_bytes=2048)
+            right = lfp.scan_csv(tiny_csv, partition_bytes=512)
+            merged = left.merge(right, on="k", how="inner")
+            with pytest.raises(ValueError, match="boom"):
+                merged["v"].map(_raise_boom).sum().collect()
+            assert session.last_execution_stats.broadcast_joins == 1
+            gc.collect()
+            assert session.memory.live == 0
 
     def test_right_join_cannot_broadcast(self, wide_csv, tiny_csv):
         """A right/outer join must see unmatched right rows, which the
@@ -403,7 +423,7 @@ class TestForcedSpill:
         assert _equal(first, second)
 
     @pytest.mark.parametrize("backend", ["pandas", "dask"])
-    @pytest.mark.parametrize("strategy", ["serial", "threaded"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_session_keeps_no_dropped_result(self, spill_left_csv,
                                              rightbig_csv, backend, strategy):
         """A session charges its budget only for values the program can

@@ -474,16 +474,15 @@ class TestPartitionPruning:
         assert got.column("v").to_array().tolist() == list(range(18, 24))
 
     @pytest.mark.parametrize("backend", ["pandas", "dask"])
-    @pytest.mark.parametrize("strategy", ["serial", "threaded"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_dataset_leaves_split_into_byte_range_partitions(
         self, hive_root, metastore, strategy, backend
     ):
         """Per-byte-range stats on hive leaves turn each leaf into
         several prunable pieces: a payload predicate then prunes at
-        sub-file granularity, not just whole leaves.  The scan ships the
-        kept pieces' byte ranges, so a pool worker -- which has no
-        handle on a metastore injected into the parent's session --
-        reads exactly those."""
+        sub-file granularity, not just whole leaves.  The scan carries
+        the kept pieces' byte ranges, so every strategy reads exactly
+        those."""
         from repro.frame.io_csv import scan_partitions
 
         source = DatasetSource(hive_root)
