@@ -69,7 +69,7 @@ class Backend:
         args = node.args
 
         if op == "scan":
-            # stamped by the pruning pass; a scan cut per partition reads
+            # set by the pruning pass; a scan cut per partition reads
             # one each, and its first piece carries the source's total
             kept, total = args.get("partitions"), args.get("partitions_total")
             if kept is not None or total is not None:

@@ -22,10 +22,9 @@ encoding (callables above all -- a UDF's identity is not its repr)
 raise :class:`Unfingerprintable`, and the caller treats the plan as
 uncacheable rather than risking a false hit.
 
-Steady-state cost is ~µs: fingerprints are memoized per (node,
-graph-version) on the session -- the same pattern as the analysis
-gate -- and a memo hit only re-stats the source files it depends on
-before trusting the stored digest.
+Nothing is memoized across runs: the reuse pass hands one node id ->
+digest dict to every :func:`fingerprint_node` call of its walk, so each
+node is hashed, and each source stat'ed, once per ``collect()``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import hashlib
 import os
 import stat
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +43,8 @@ from repro.graph.node import Node
 #: cross-process cache keys can never alias new ones.
 _VERSION = b"lafp-fp-2"
 
-#: the facade's hints to a scan for its dtypes: not what it reads.
-_HINT_ARGS = frozenset({"read_only_cols", "mutated_cols"})
+#: the facade's hint to a scan for its dtypes: not what it reads.
+_HINT_ARGS = frozenset({"mutated_cols"})
 
 
 class Unfingerprintable(ValueError):
@@ -214,9 +213,8 @@ def source_signature(path: str) -> StatSig:
 # ---------------------------------------------------------------------------
 
 
-def _node_digest(node: Node, memo: Dict[int, str],
-                 stat_deps: List[Tuple[str, StatSig]]) -> str:
-    cached = memo.get(node.id)
+def _node_digest(node: Node, digests: Dict[int, str]) -> str:
+    cached = digests.get(node.id)
     if cached is not None:
         return cached
     if node.op == "from_cached":
@@ -224,7 +222,7 @@ def _node_digest(node: Node, memo: Dict[int, str],
         return node.args["key"]
     if node.op == "held":
         # a held value stands for the raw plan that produced it
-        return _node_digest(node.args["node"], memo, stat_deps)
+        return _node_digest(node.args["node"], digests)
     h = hashlib.sha256(_VERSION)
     _update(h, b"o", node.op.encode())
     spec = node.spec
@@ -233,42 +231,25 @@ def _node_digest(node: Node, memo: Dict[int, str],
     for path_arg in ("path", "filepath"):
         path = node.args.get(path_arg)
         if spec.is_source and isinstance(path, str):
-            sig = source_signature(path)
-            stat_deps.append((os.path.abspath(path), sig))
             _update(h, b"P")
-            _hash_value(h, [list(entry) for entry in sig])
+            _hash_value(h, [list(entry) for entry in source_signature(path)])
     _update(h, b"I", str(len(node.inputs)).encode())
     for inp in node.inputs:
-        _update(h, b"n", _node_digest(inp, memo, stat_deps).encode())
+        _update(h, b"n", _node_digest(inp, digests).encode())
     digest = h.hexdigest()
-    memo[node.id] = digest
+    digests[node.id] = digest
     return digest
 
 
-def fingerprint_node(node: Node, session=None) -> str:
+def fingerprint_node(node: Node, session=None, *,
+                     digests: Optional[Dict[int, str]] = None) -> str:
     """Hex digest of the plan rooted at ``node``.
 
     Raises :class:`Unfingerprintable` when any value in the subgraph
-    has no canonical encoding.  With a ``session``, digests are
-    memoized per (node id, graph-version) -- valid because the raw
-    graph is append-only and a node's op and args never change (a run's
-    plan keeps the raw ids only for twins, which share their args, and
-    the optimizer fingerprints it before any rewrite) -- and a memo hit
-    re-stats the source files it depends on before being trusted.
+    has no canonical encoding.  ``session`` is not read: a digest is a
+    function of the nodes and their sources' stat signatures alone.
+    ``digests`` (node id -> digest) is the memo of a walk that
+    fingerprints many nodes of one plan, so each node is hashed, and
+    each source stat'ed, once per walk however many consumers ask.
     """
-    store = getattr(session, "_fingerprint_cache", None) if session else None
-    version = session.graph_version if session is not None else -1
-    if store is not None:
-        hit = store.get(node.id)
-        if hit is not None and hit[0] == version:
-            deps: Tuple[Tuple[str, StatSig], ...] = hit[1]
-            if all(source_signature(path) == sig for path, sig in deps):
-                return hit[2]
-            store.pop(node.id, None)
-    stat_deps: List[Tuple[str, StatSig]] = []
-    digest = _node_digest(node, {}, stat_deps)
-    if store is not None:
-        if len(store) >= 256:
-            store.clear()
-        store[node.id] = (version, tuple(stat_deps), digest)
-    return digest
+    return _node_digest(node, {} if digests is None else digests)

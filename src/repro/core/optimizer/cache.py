@@ -7,7 +7,7 @@ will produce (a ``held`` leaf fingerprints as the raw node whose value
 it carries).  A miss's key names the value its node holds, and
 ``ConsumerIndex.substitute`` keeps it true.  No rewrite changes a node:
 each puts a fresh one in its place.  When the new node computes the old
-one's value (a CSE merge, a cache hit, a pruning stamp, the partition
+one's value (a CSE merge, a cache hit, a pruned scan, the partition
 cut), the key moves to it.  When it does not (a sunk or folded filter, a
 top-n, a narrowed scan or edge, a dtype hint), the old node's key goes,
 and so do the keys of the nodes above it, which now read a different
@@ -133,6 +133,7 @@ def substitute_cached_subplans(
     )
     cache = result_cache()
     cacheable_memo: Dict[int, bool] = {}
+    digests: Dict[int, str] = {}
     seen: Set[int] = set()
 
     def visit(node: Node) -> None:
@@ -143,7 +144,7 @@ def substitute_cached_subplans(
             return  # the value is in hand already
         if _subtree_cacheable(node, cacheable_memo):
             try:
-                fp = fingerprint_node(node, session)
+                fp = fingerprint_node(node, digests=digests)
             except Unfingerprintable:
                 fp = None
             if fp is not None:

@@ -8,11 +8,11 @@ session source decoded (:mod:`repro.io.source_table`) and:
   object fallbacks),
 - declare low-cardinality *read-only* string columns as ``category``.
 
-Read-only status comes from two places, intersected with the metastore's
-cardinality candidates:
+A column is read-only unless one of two checks names it (the read-only
+ones are then intersected with the metastore's cardinality candidates):
 
-- the static rewriter passes ``read_only_cols`` (kill-set analysis,
-  section 3.1) into the read call;
+- the static rewriter passes the columns a program assigns as
+  ``mutated_cols`` (kill-set analysis, section 3.1) into the read call;
 - at runtime, any column that appears in a downstream ``setitem`` /
   modifying op is excluded -- the dynamic mirror of the same check, so a
   later assignment can never hit a closed category domain.
@@ -20,7 +20,7 @@ cardinality candidates:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 from repro.graph.node import ALL_COLUMNS, Node
 from repro.graph.taskgraph import ConsumerIndex, collect_subgraph
@@ -46,16 +46,8 @@ def apply_metadata_hints(roots: List[Node], metastore,
         meta = session_source(node.args, metastore).file_meta()
         if meta is None:
             continue
-        static_read_only = node.args.get("read_only_cols")
-        if static_read_only is None and "mutated_cols" in node.args:
-            static_read_only = [
-                c
-                for c in meta.columns
-                if c not in set(node.args["mutated_cols"])
-            ]
-        read_only = _effective_read_only(
-            meta.columns.keys(), static_read_only, modified_columns
-        )
+        mutated = modified_columns.union(node.args.get("mutated_cols") or ())
+        read_only = [c for c in meta.columns if c not in mutated]
         hints = meta.dtype_hints(read_only_columns=sorted(read_only))
         parse_dates = set(node.args.get("parse_dates") or [])
         existing = dict(node.args.get("dtype") or {})
@@ -85,14 +77,3 @@ def _modified_columns(nodes) -> Set[str]:
         modified |= mods
     return modified
 
-
-def _effective_read_only(
-    all_columns,
-    static_read_only: Optional[Sequence[str]],
-    modified: Set[str],
-) -> Set[str]:
-    if static_read_only is not None:
-        base = set(static_read_only)
-    else:
-        base = set(all_columns)
-    return {c for c in base if c not in modified}

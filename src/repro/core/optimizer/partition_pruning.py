@@ -55,21 +55,12 @@ def prune_scan_partitions(
             parts = source.partitions()
         except Exception:  # noqa: BLE001 - missing path, unknown format
             continue
-        stamps = {"partitions_total": len(parts)}
+        narrowed = {"partitions_total": len(parts)}
         predicate = Predicate.from_arg(node.args.get("predicate"))
         if prune and predicate is not None and parts:
             kept = [p for p in parts if predicate.may_match(p)]
             if len(kept) < len(parts):
-                stamps["partitions"] = kept
+                narrowed["partitions"] = kept
                 pruned += len(parts) - len(kept)
-        # Stamp the post-pruning byte estimate while the source is in
-        # hand -- the scheduler's per-node estimator reads it from the
-        # args.
-        estimate = source.estimated_bytes(
-            columns=node.args.get("columns"),
-            partitions=stamps.get("partitions"),
-        )
-        if estimate is not None:
-            stamps["est_bytes"] = int(estimate)
-        index.substitute(node, node.rebuilt(**stamps))
+        index.substitute(node, node.rebuilt(**narrowed))
     return pruned

@@ -58,6 +58,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.frame.groupby import agg_outputs, decompose
 from repro.frame.merge import POSITION_COLUMNS, can_broadcast
 from repro.graph.node import Node
+from repro.graph.scheduler.estimates import estimate_scan_bytes
 from repro.graph.scheduler.stats import count
 from repro.graph.taskgraph import (ConsumerIndex, collect_subgraph,
                                    topological_order)
@@ -298,31 +299,23 @@ def scan_parts(args: dict, metastore, piece_bytes: int) -> List[Node]:
     if len(parts) <= 1:
         return [Node("scan", [], args)]
     total = len(parts) if total is None else total
-    pieces = []
-    for i, part in enumerate(parts):
-        piece = dict(args, partitions=[part],
-                     partitions_total=None if i else total)
-        piece.pop("est_bytes", None)
-        est = source.estimated_bytes(columns=args.get("columns"),
-                                     partitions=[part])
-        if est is not None:
-            piece["est_bytes"] = int(est)
-        pieces.append(Node("scan", [], piece))
-    return pieces
+    return [Node("scan", [], dict(args, partitions=[part],
+                                  partitions_total=None if i else total))
+            for i, part in enumerate(parts)]
 
 
 # -- the pass ------------------------------------------------------------
 
 
-def _side_bytes(node: Node) -> Optional[int]:
+def _side_bytes(node: Node, metastore) -> Optional[int]:
     """An upper bound of a frame's bytes: its leaves' estimates (a
-    scan's stamped ``est_bytes``, a held value's size), ``None`` when
-    one is unknown."""
+    scan's source estimate, a held value's size), ``None`` when one is
+    unknown."""
     total = 0
     for leaf in collect_subgraph([node]):
         if leaf.inputs:
             continue
-        size = (leaf.args.get("est_bytes") if leaf.op == "scan"
+        size = (estimate_scan_bytes(leaf, metastore) if leaf.op == "scan"
                 else getattr(leaf.result, "nbytes", None))
         if size is None:
             return None
@@ -330,9 +323,10 @@ def _side_bytes(node: Node) -> Optional[int]:
     return total
 
 
-def _over(scan: Node, limit: Optional[int]) -> bool:
-    """Is the scan's stamped estimate over the size limit?"""
-    return limit is not None and int(scan.args.get("est_bytes") or 0) > limit
+def _over(scan: Node, limit: Optional[int], metastore) -> bool:
+    """Is the scan's source estimate over the size limit?"""
+    return limit is not None and (
+        estimate_scan_bytes(scan, metastore) or 0) > limit
 
 
 def _bucket_count(opts, pieces: int, est: Optional[int],
@@ -357,7 +351,8 @@ def _lowerable(node: Node) -> bool:
     return node.op in _GROUPBY_OPS and groupby_spec(node) is not None
 
 
-def _oversized_feeds(order: Sequence[Node], limit: int) -> Set[int]:
+def _oversized_feeds(order: Sequence[Node], limit: int,
+                     metastore) -> Set[int]:
     """Ids of the scans over ``limit`` that reach a merge or a group-by
     through row-local ops: what the pandas / Modin policy cuts."""
     stack = [inp for node in order if _lowerable(node)
@@ -370,7 +365,7 @@ def _oversized_feeds(order: Sequence[Node], limit: int) -> Set[int]:
             continue
         seen.add(node.id)
         if node.op == "scan":
-            if _over(node, limit):
+            if _over(node, limit, metastore):
                 found.add(node.id)
         elif node.op in ROW_LOCAL_OPS:
             stack.extend(node.inputs)
@@ -397,7 +392,9 @@ def cut_partitions(roots: List[Node], session, limit: Optional[int],
     order = topological_order(roots)
     held = {node.id for node in topological_order(
         [root for root in roots if root.persist])}
-    wanted = None if every_scan else _oversized_feeds(order, limit)
+    metastore = session.metastore
+    wanted = None if every_scan else _oversized_feeds(order, limit,
+                                                      metastore)
     pieces: Dict[int, List[Node]] = {}
     #: cut node id -> the id its pieces' rows pair up by
     origins: Dict[int, int] = {}
@@ -422,12 +419,12 @@ def cut_partitions(roots: List[Node], session, limit: Optional[int],
                                    and node.id not in wanted):
                 continue
             try:
-                parts = scan_parts(node.args, session.metastore, piece_bytes)
+                parts = scan_parts(node.args, metastore, piece_bytes)
             except OSError:  # a missing path: the run reports it
                 continue
             # a scan over the limit is lowered even when it is one piece,
             # and then is its own piece
-            big = _over(node, limit)
+            big = _over(node, limit, metastore)
             if len(parts) > 1 or big:
                 pieces[node.id] = parts if len(parts) > 1 else [node]
                 origins[node.id] = node.id
@@ -462,7 +459,8 @@ def cut_partitions(roots: List[Node], session, limit: Optional[int],
             if joinable(keys):
                 broadcast, est = None, None
                 if limit is not None:
-                    left, right = map(_side_bytes, node.inputs)
+                    left, right = (_side_bytes(inp, metastore)
+                                   for inp in node.inputs)
                     broadcast = right is not None and right <= max(
                         1, limit // 4)
                     if left is not None and right is not None:
@@ -480,7 +478,7 @@ def cut_partitions(roots: List[Node], session, limit: Optional[int],
             if spec is not None:
                 est = None
                 if limit is not None and decompose(spec[1]) is None:
-                    est = _side_bytes(node.inputs[0])
+                    est = _side_bytes(node.inputs[0], metastore)
                 replacement = aggregate(
                     ins[0], *spec,
                     n_buckets=_bucket_count(opts, len(ins[0]), est, limit))

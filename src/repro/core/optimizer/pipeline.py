@@ -94,10 +94,11 @@ def optimize(
     for pin in roots[len(slots):]:
         pin.persist = True
     report["persisted"] = len(pins)
-    # Last, after pruning stamped per-scan byte estimates: the size gate
-    # cuts the plan per partition as the engine's policy says.  A node
-    # the cut replaces hands its candidacy to the replacement, which
-    # gathers or recombines the same value (a pin's plan is not cut).
+    # Last, after pruning: the size gate reads each scan's post-pruning
+    # byte estimate and cuts the plan per partition as the engine's
+    # policy says.  A node the cut replaces hands its candidacy to the
+    # replacement, which gathers or recombines the same value (a pin's
+    # plan is not cut).
     lowered, cut = lower_shuffle_nodes(roots, session, index=index)
     report["shuffle_lowered"], report["partitions_cut"] = lowered, cut
     slots[:], pins[:] = roots[:len(slots)], roots[len(slots):]

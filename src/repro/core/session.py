@@ -77,8 +77,6 @@ class Session:
         #: nodes an f-string escape marker was minted for (see
         #: :meth:`marker`), kept so the marker resolves.
         self._marked: Dict[int, Node] = {}
-        #: bumped by every :meth:`register`: "was any node built since?"
-        self.graph_version = 0
         self.persisted: List[Node] = []
         self.metastore = metastore  # set lazily; tests may inject one
         from repro.io.source_table import SourceTable
@@ -87,12 +85,6 @@ class Session:
         self.stats = {"computes": 0, "nodes_executed": 0}
         self.last_optimize_report: Optional[dict] = None
         self.last_execution_stats: Optional[ExecutionStats] = None
-        #: analysis-gate memo: roots key -> (graph version, diagnostics).
-        self._analysis_cache: Dict[tuple, tuple] = {}
-        #: plan-fingerprint memo: node id -> (graph version, source stat
-        #: deps, digest); same versioning scheme as the analysis gate
-        #: (see repro.cache.fingerprint).
-        self._fingerprint_cache: Dict[int, tuple] = {}
         #: the CacheRunState of the last ``optimize()`` (None with
         #: ``optimizer.reuse`` off): where the reuse pass leaves it for
         #: _run to hand to the scheduler.
@@ -206,8 +198,9 @@ class Session:
 
     def register(self, node: Node) -> Node:
         """Note that ``node`` was built in this session.  Nothing keeps
-        it: the program's frames do."""
-        self.graph_version += 1
+        it: the program's frames do (a
+        :class:`~repro.analysis.plan.lint.LintSession` keeps what it
+        built, for its report)."""
         return node
 
     def marker(self, node: Node) -> str:
@@ -320,20 +313,7 @@ class Session:
         from repro.analysis.plan import PlanValidationError, analyze_plan
         from repro.analysis.plan.diagnostics import PlanDiagnosticsWarning
 
-        # Re-collecting an unchanged plan (the common steady state: the
-        # same frame computed in a loop) reuses the previous analysis --
-        # the raw graph is append-only between computations, so "same
-        # roots + no new nodes" means "same plan".
-        key = tuple(sorted({r.id for r in roots}))
-        version = self.graph_version
-        cached = self._analysis_cache.get(key)
-        if cached is not None and cached[0] == version:
-            diagnostics = cached[1]
-        else:
-            diagnostics = analyze_plan(roots, session=self)
-            if len(self._analysis_cache) >= 64:
-                self._analysis_cache.clear()
-            self._analysis_cache[key] = (version, diagnostics)
+        diagnostics = analyze_plan(roots, session=self)
         errors = [d for d in diagnostics if d.is_error]
         if not errors:
             return

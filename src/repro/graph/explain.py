@@ -47,10 +47,9 @@ def _format_args(node: Node) -> str:
     return ", ".join(parts)
 
 
-#: scan args with dedicated renderings below (est_bytes is elided: a
-#: scheduling hint, not plan structure).
+#: scan args with dedicated renderings below.
 _SCAN_SPECIAL = frozenset({"format", "path", "predicate", "partitions",
-                           "partitions_total", "columns", "est_bytes"})
+                           "partitions_total", "columns"})
 
 
 def _format_scan_args(node: Node) -> str:

@@ -140,11 +140,8 @@ def _estimate(
 def estimate_scan_bytes(node: Node, metastore) -> Optional[int]:
     """Predicted in-memory bytes of one ``scan`` leaf, as its source
     sees it (``None`` = unknown): the one size model of a read, shared
-    by the static order and the stats."""
-    stamped = node.args.get("est_bytes")
-    if stamped is not None:
-        # the pruning pass computed this with the source in hand
-        return int(stamped)
+    by the static order, the stats and the partition cut.  The source
+    comes from the session's table, which has it in hand already."""
     from repro.io.source_table import session_source
 
     try:

@@ -81,7 +81,6 @@ def scan_csv(
     nrows: Optional[int] = None,
     index_col: Optional[str] = None,
     partition_bytes: Optional[int] = None,
-    read_only_cols: Optional[Sequence[str]] = None,
     mutated_cols: Optional[Sequence[str]] = None,
 ) -> LazyFrame:
     """Lazy CSV scan (``pd.read_csv`` builds exactly this node)."""
@@ -90,8 +89,6 @@ def scan_csv(
         dtype=dict(dtype) if dtype else None,
         parse_dates=list(parse_dates) if parse_dates else None,
         nrows=nrows, partition_bytes=partition_bytes,
-        # an empty list is a statement ("nothing is read-only"), not a default
-        read_only_cols=None if read_only_cols is None else list(read_only_cols),
         mutated_cols=None if mutated_cols is None else list(mutated_cols),
     )
 

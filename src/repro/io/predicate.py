@@ -7,7 +7,7 @@ understand: a conjunction of simple per-column comparisons that
 
 - serializes to plain lists/dicts (it travels inside a ``scan`` node's
   ``args``, so it must survive ``repr``-based structural comparison and
-  the session's snapshot/restore),
+  the plan fingerprint's canonical encoding),
 - evaluates against an eager frame (sources filter each partition right
   after reading it),
 - evaluates against partition *statistics* (min/max from the metastore,

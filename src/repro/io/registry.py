@@ -21,7 +21,7 @@ from repro.io.source import DataSource
 #: scan-node arg keys owned by the runtime, not the source constructor.
 STRUCTURAL_ARGS = frozenset({
     "format", "path", "columns", "predicate", "partitions",
-    "partitions_total", "est_bytes", "read_only_cols", "mutated_cols",
+    "partitions_total", "mutated_cols",
 })
 
 #: format name (a ``scan`` node's ``format`` arg) -> source class: a

@@ -224,16 +224,15 @@ def read_csv(
     parse_dates: Optional[Sequence[str]] = None,
     nrows: Optional[int] = None,
     index_col: Optional[str] = None,
-    read_only_cols: Optional[Sequence[str]] = None,
     mutated_cols: Optional[Sequence[str]] = None,
 ) -> LazyFrame:
     """Lazy CSV read: the pandas spelling of :func:`scan_csv`.
 
-    ``read_only_cols`` / ``mutated_cols`` carry the static analyzer's
-    kill-set result (section 3.6): either the columns proven read-only,
-    or the columns the program assigns (read-only = header minus
-    mutated).  The runtime optimizer intersects them with metastore
-    cardinality candidates to choose ``category`` dtypes safely.
+    ``mutated_cols`` carries the static analyzer's kill-set result
+    (section 3.6): the columns the program assigns (read-only = header
+    minus mutated).  The runtime optimizer intersects the read-only
+    columns with metastore cardinality candidates to choose
+    ``category`` dtypes safely.
 
     The session's ``workload.source_format`` option (the runner's
     ``--source-format`` axis) picks the leaf's format: the program text
@@ -250,8 +249,6 @@ def read_csv(
         dtype=dict(dtype) if dtype else None,
         parse_dates=list(parse_dates) if parse_dates else None,
         nrows=nrows,
-        # (an empty kill set is a statement, not a default: see scan_csv)
-        read_only_cols=None if read_only_cols is None else list(read_only_cols),
         mutated_cols=None if mutated_cols is None else list(mutated_cols),
     )
 

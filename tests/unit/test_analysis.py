@@ -401,46 +401,6 @@ class TestSurfacing:
         assert render_diagnostics([]) == "(no diagnostics)"
 
 
-class TestAnalysisGateCache:
-    """The gate memoizes on (roots, graph version): re-running an
-    unchanged plan must not re-run analysis; building any new node
-    invalidates.  (The root's result is dropped between the collects: a
-    root that still holds it is handed back without reaching the gate.)"""
-
-    @pytest.fixture
-    def counted_analyze(self, monkeypatch):
-        import repro.analysis.plan as plan_pkg
-
-        calls = []
-        real = plan_pkg.analyze_plan
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(plan_pkg, "analyze_plan", counting)
-        return calls
-
-    def test_repeat_collect_analyzes_once(self, trips_csv, counted_analyze):
-        with Session(backend="pandas"):
-            total = lfp.read_csv(trips_csv)["fare"].sum()
-            first = total.collect()
-            total.node.clear_result()
-            second = total.collect()
-        assert first == second
-        assert len(counted_analyze) == 1
-
-    def test_new_node_invalidates_cache(self, trips_csv, counted_analyze):
-        with Session(backend="pandas"):
-            df = lfp.read_csv(trips_csv)
-            total = df["fare"].sum()
-            total.collect()
-            df["fare2"] = df.fare * 2  # any new node: plan may differ
-            total.node.clear_result()
-            total.collect()
-        assert len(counted_analyze) == 2
-
-
 class TestLintSession:
     def test_nothing_executes(self, trips_csv):
         with LintSession(backend="pandas") as session:

@@ -292,6 +292,40 @@ class TestPlansArePrivate:
                 ast.parse(allowed), module)), allowed
         assert invariants.run() == []
 
+    def test_invariant_tool_rejects_memos_and_derived_scan_args(
+            self, invariants):
+        """Rule 20: no graph-version stamp, no session memo dict and no
+        derived ``est_bytes`` scan arg under src/repro; a partition's own
+        ``est_bytes`` field stays allowed."""
+        import ast
+
+        for planted, module in (
+            ("self.graph_version = 0", "core/session.py"),
+            ("self.graph_version += 1", "analysis/plan/lint.py"),
+            ("version = session.graph_version", "cache/fingerprint.py"),
+            ("self._analysis_cache = {}", "core/session.py"),
+            ("store = getattr(session, '_fingerprint_cache', None)",
+             "cache/fingerprint.py"),
+            ("stamps['est_bytes'] = int(estimate)",
+             "core/optimizer/partition_pruning.py"),
+            ("size = leaf.args.get('est_bytes')",
+             "core/optimizer/partitions.py"),
+            ("new = node.rebuilt(est_bytes=est)",
+             "core/optimizer/partition_pruning.py"),
+            ("piece = dict(args, est_bytes=est)",
+             "core/optimizer/partitions.py"),
+        ):
+            assert list(invariants.check_nodes_carry_what_they_compute(
+                ast.parse(planted), module)), planted
+        for allowed in (
+            "part.est_bytes = stat.n_bytes",
+            "Partition(0, path, byte_range=rng, est_bytes=rng[1] - rng[0])",
+            "known = [p.est_bytes for p in parts]",
+            "node.rebuilt(partitions_total=len(parts))",
+        ):
+            assert not list(invariants.check_nodes_carry_what_they_compute(
+                ast.parse(allowed), "io/csv_source.py")), allowed
+
 
 class TestProjectionPushdown:
     def test_usecols_inferred_for_aggregation(self, taxi_csv):

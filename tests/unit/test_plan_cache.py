@@ -153,16 +153,13 @@ class TestFingerprint:
         assert before != after
 
     def test_volatile_args_excluded(self, make_csv):
-        """The facade's hints to a scan (``read_only_cols``,
-        ``mutated_cols``) say nothing about what it reads; they must
-        not shift the digest."""
+        """The facade's hint to a scan (``mutated_cols``) says nothing
+        about what it reads; it must not shift the digest."""
         path = make_csv({"x": [1, 2, 3]})
         with Session(backend="pandas"):
             base = fingerprint_node(lfp.read_csv(path).x.sum().node)
-            hinted = lfp.read_csv(path, read_only_cols=["x"],
-                                  mutated_cols=[])
-            assert hinted.node.args["read_only_cols"] == ["x"]
-            assert hinted.node.args["mutated_cols"] == []
+            hinted = lfp.read_csv(path, mutated_cols=["x"])
+            assert hinted.node.args["mutated_cols"] == ["x"]
             assert fingerprint_node(hinted.x.sum().node) == base
 
     def test_pieces_of_one_file_digest_apart(self, make_csv):
@@ -383,6 +380,31 @@ class TestSubstitution:
         assert warm_stats.cache_bytes_reused > 0
         # the whole plan collapsed to one from_cached leaf
         assert warm_stats.nodes_executed == 1
+
+    def test_one_walk_stats_each_source_once(self, make_csv, monkeypatch):
+        """The reuse pass probes every node of a 40-filter chain, and
+        each probe's digest covers the whole chain below it: one walk
+        hashes each node, and stats the CSV, once."""
+        import repro.cache.fingerprint as fingerprint
+
+        stats = []
+        real = fingerprint.source_signature
+
+        def counting(path):
+            stats.append(path)
+            return real(path)
+
+        path = make_csv({"x": list(range(100))})
+        with Session(backend="pandas", options=REUSE) as session:
+            frame = lfp.read_csv(path)
+            for bound in range(40):
+                frame = frame[frame.x > bound]
+            monkeypatch.setattr(fingerprint, "source_signature", counting)
+            total = frame.x.sum().collect()
+            report = session.last_optimize_report
+        assert total == sum(range(40, 100))
+        assert report["reuse_misses"] > 40
+        assert len(stats) == 1
 
     def test_reuse_off_never_touches_cache(self, make_csv):
         path = make_csv({"x": [1, 2, 3], "y": [4, 5, 6]})

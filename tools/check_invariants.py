@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Nineteen structural rules the linters cannot express, checked with
+Twenty structural rules the linters cannot express, checked with
 nothing but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -187,6 +187,17 @@ nothing but the stdlib ``ast`` module:
     the scheduler never executes) is compared against ``op`` there: a
     registered op no branch runs is a dead op whose schema rule and
     column contract nothing exercises.
+
+20. **A node carries only what it computes.**  A node's op and args
+    never change once it is built (rule 7), so a run computes what it
+    needs from the nodes and the session's source table, and no memo
+    needs a version stamp to stay valid.  The repair machinery must not
+    come back under ``src/repro``: a ``graph_version``, a session memo
+    dict (``_analysis_cache``, ``_fingerprint_cache``), or a derived
+    ``"est_bytes"`` scan arg (a string key, or ``rebuilt(est_bytes=...)``
+    / ``dict(..., est_bytes=...)``) that three modules had to exclude
+    again.  A source's :class:`~repro.io.source.Partition` keeps its own
+    ``est_bytes`` field: that is what the source reads.
 
 Usage::
 
@@ -1144,6 +1155,61 @@ def check_every_op_dispatched(trees: Dict[str, ast.Module]
 
 
 # ---------------------------------------------------------------------------
+# check 20: a node carries only what it computes
+
+#: the per-session memos and the version stamp that kept them valid.
+_MEMO_NAMES = frozenset({"graph_version", "_analysis_cache",
+                         "_fingerprint_cache"})
+#: the derived scan arg a source answers for itself.
+_DERIVED_SCAN_ARG = "est_bytes"
+#: the calls whose keywords are a node's args.
+_ARG_BUILDERS = ("rebuilt", "dict")
+
+
+def _identifiers(node: ast.AST) -> Iterator[str]:
+    """The name ``node`` binds, reads or spells as a string."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, ast.arg):
+        yield node.arg
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+
+
+def check_nodes_carry_what_they_compute(tree: ast.Module,
+                                        rel: str) -> Iterator[str]:
+    for node in ast.walk(tree):
+        for name in _identifiers(node):
+            if name in _MEMO_NAMES:
+                yield (
+                    f"src/repro/{rel}:{node.lineno}: {name} -- a node's op "
+                    f"and args never change, so a run computes what it "
+                    f"needs from the nodes; nothing to memoize per session "
+                    f"or re-stamp"
+                )
+            elif name == _DERIVED_SCAN_ARG and isinstance(node, ast.Constant):
+                yield (
+                    f"src/repro/{rel}:{node.lineno}: {name!r} as a scan arg -- "
+                    f"the session's source answers estimate_scan_bytes; "
+                    f"a scan carries only what it reads"
+                )
+        if isinstance(node, ast.Call) and _name(node.func) in _ARG_BUILDERS:
+            for keyword in node.keywords:
+                if keyword.arg == _DERIVED_SCAN_ARG:
+                    yield (
+                        f"src/repro/{rel}:{node.lineno}: "
+                        f"{_name(node.func)}({keyword.arg}=...) -- the "
+                        f"session's source answers estimate_scan_bytes; a "
+                        f"scan carries only what it reads"
+                    )
+
+
+# ---------------------------------------------------------------------------
 
 CHECKS = (check_real_pandas, check_register_op,
           check_no_sweep_cap, check_one_scan_leaf, check_plan_is_private,
@@ -1151,7 +1217,8 @@ CHECKS = (check_real_pandas, check_register_op,
           check_one_join_plan, check_one_memory_rule,
           check_one_partitioned_executor, check_one_source_per_session,
           check_one_scan_contract, check_one_partition_lowering,
-          check_one_budget_owner, check_one_text_writer)
+          check_one_budget_owner, check_one_text_writer,
+          check_nodes_carry_what_they_compute)
 
 
 def run(src: Path = SRC) -> List[str]:
