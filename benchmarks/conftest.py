@@ -13,10 +13,6 @@ import pytest
 from repro.workloads.runner import Runner
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "bench: benchmark harness tests")
-
-
 @pytest.fixture(scope="session")
 def runner():
     rows = int(os.environ.get("LAFP_BENCH_ROWS", "3000"))

@@ -30,9 +30,7 @@ class RewriteFlags:
     """Per-rewrite toggles (ablation knobs mirroring the runtime flags)."""
 
     column_selection: bool = True
-    lazy_print: bool = True
     forced_compute: bool = True
-    metadata_hints: bool = True
 
 
 @dataclasses.dataclass
@@ -68,9 +66,8 @@ def optimize_program(
         laa = live_attributes(cfg, kinds, pandas_alias)
         report.usecols_added = apply_column_selection(cfg, laa, pandas_alias)
 
-    if flags.metadata_hints:
-        mutated = mutated_columns(cfg, kinds)
-        report.metadata_hints = apply_metadata_hints(cfg, mutated, pandas_alias)
+    mutated = mutated_columns(cfg, kinds)
+    report.metadata_hints = apply_metadata_hints(cfg, mutated, pandas_alias)
 
     if flags.forced_compute:
         lda = live_dataframes(cfg, kinds)
@@ -80,27 +77,6 @@ def optimize_program(
 
     region = build_regions(cfg)
     module = ast.Module(body=region_to_stmts(region), type_ignores=[])
-
-    if flags.lazy_print:
-        module = rewrite_shell(module, pandas_alias)
-    else:
-        module = rewrite_shell_no_print(module, pandas_alias)
-
+    module = rewrite_shell(module, pandas_alias)
     return ast.unparse(module), report
 
-
-def rewrite_shell_no_print(module: ast.Module, pandas_alias) -> ast.Module:
-    """Shell rewrite without the lazy-print override (ablation mode).
-
-    The import rewrite and analyze-call removal still apply; flush is
-    still appended because forced-compute boundaries may leave pending
-    output nodes even without overridden prints.
-    """
-    from repro.analysis.rewrite.program_shell import (
-        _is_analyze_call,
-        _rewrite_import,
-    )
-
-    body = [_rewrite_import(s) for s in module.body]
-    body = [s for s in body if not _is_analyze_call(s, pandas_alias)]
-    return ast.Module(body=body, type_ignores=[])

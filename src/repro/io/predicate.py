@@ -29,9 +29,9 @@ Statistics evaluation over them is **three-valued**: a term proves
 ``False`` (no row can match), ``True`` (every row matches -- what NOT
 needs to prune), or ``None`` (unknown, never prune).  Proofs are
 null-aware where it matters: ``!=`` matches NA rows, so its
-cannot-match proof consults the partition's ``null_counts`` when the
-source recorded them (columnar footers do; sampled text stats keep the
-legacy min/max-only behaviour).
+cannot-match proof needs the partition's ``null_counts`` to record zero
+NA rows (columnar footers record them; text-format stats do not, so
+``!=`` prunes a text partition only by a hive key).
 """
 
 from __future__ import annotations
@@ -282,9 +282,8 @@ def _prove_leaf(conj: dict, partition) -> Optional[bool]:
     if not _range_may_match(lo, hi, conj):
         # no non-null value can match.  NA rows still match ``!=`` (NaN
         # != v is True), so that proof additionally needs a recorded
-        # null_count of zero; sources without null counts keep the
-        # legacy min/max-only prune.
-        if conj["op"] != "!=" or nulls is None or nulls == 0:
+        # null_count of zero.
+        if conj["op"] != "!=" or nulls == 0:
             return False
         return None
     if _range_all_match(lo, hi, nulls, conj):

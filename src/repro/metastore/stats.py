@@ -122,17 +122,6 @@ class FileMetadata:
                 hints[name] = stats.dtype
         return hints
 
-    def estimated_bytes(self, columns: Optional[List[str]] = None) -> int:
-        """Predicted in-memory footprint of reading ``columns`` (or all)."""
-        names = columns if columns is not None else list(self.columns)
-        total = 0.0
-        for name in names:
-            stats = self.columns.get(name)
-            if stats is None:
-                continue
-            total += stats.avg_width * self.n_rows
-        return int(total)
-
     def to_dict(self) -> dict:
         return {
             "path": self.path,

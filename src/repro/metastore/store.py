@@ -78,21 +78,6 @@ class MetaStore:
         self.put(meta)
         return meta
 
-    def get_or_compute(
-        self,
-        data_path: str,
-        sample_rows: Optional[int] = 10_000,
-        fmt: str = "csv",
-        partition_ranges=None,
-    ) -> FileMetadata:
-        meta = self.get(data_path)
-        if meta is None:
-            meta = self.compute_and_store(
-                data_path, sample_rows=sample_rows, fmt=fmt,
-                partition_ranges=partition_ranges,
-            )
-        return meta
-
     def invalidate(self, data_path: str) -> None:
         entry = self._entry_path(data_path)
         if os.path.exists(entry):

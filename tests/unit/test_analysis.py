@@ -292,6 +292,38 @@ class TestRules:
             out = df[df.fare > 0].groupby(["hour"])["passengers"].sum()
             assert analyze_plan([out.node], session=session) == []
 
+    @pytest.mark.parametrize("backend", ["pandas", "dask"])
+    def test_clean_paper_plan_has_no_diagnostics(self, make_csv, backend):
+        """The deepest paper-shaped plan -- two reads, a merge, derived
+        columns, chained filters, a dropped column and a grouped mean --
+        is correct, and both pushdowns apply to it: no rule fires."""
+        trips = make_csv({
+            "pickup_time": np.array(
+                [f"2024-06-{i % 28 + 1:02d} {i % 24:02d}:00:00"
+                 for i in range(60)], dtype=object),
+            "zone": np.arange(60) % 8,
+            "passengers": np.arange(60) % 6 + 1,
+            "fare": np.arange(60) * 1.5 - 2,
+            "tip": np.arange(60) % 7 * 0.5,
+        }, "trips.csv")
+        zones = make_csv({
+            "zone": np.arange(8),
+            "borough": np.array([f"b{i % 3}" for i in range(8)], dtype=object),
+            "note": np.array([f"n{i}" for i in range(8)], dtype=object),
+        }, "zones.csv")
+        with Session(backend=backend) as session:
+            df = lfp.read_csv(trips, parse_dates=["pickup_time"])
+            df["hour"] = df.pickup_time.dt.hour
+            df = df[df.fare > 0]
+            df["tip_rate"] = df.tip / df.fare
+            df = df[df.passengers <= 4]
+            joined = df.merge(lfp.read_csv(zones), on="zone")
+            joined = joined.drop(columns=["note"])
+            busy = joined[joined.hour >= 7]
+            out = busy.groupby(["borough"])["tip_rate"].mean()
+            assert analyze_plan([out.node], session=session) == []
+            assert len(out.collect()) > 0
+
 
 # ---------------------------------------------------------------------------
 # The rule table.

@@ -327,6 +327,32 @@ class TestSchedulerPrefetch:
         assert stats["ranges_prefetched"] == 0
         assert stats["bytes_read"] > 0
 
+    def test_prefetch_changes_neither_the_rows_nor_the_bytes(self):
+        """Prefetch only overlaps the range waits: a threaded run with
+        it collects what a serial run without it does, fetching the
+        same bytes, and its scan reads come from the prefetched ranges."""
+        url = "memory://lake/p4.lfc"
+        write_columnar(DataFrame({
+            "k": np.arange(400, dtype=np.int64),
+            "v": np.arange(400) * 0.5,
+            "pad": np.array([f"p{i:06d}" for i in range(400)], dtype=object),
+        }), url, row_group_rows=50)
+        runs = {}
+        for strategy, prefetch in (("serial", False), ("threaded", True)):
+            range_cache().clear()
+            with Session(backend="pandas", options={
+                "executor.strategy": strategy, "io.prefetch": prefetch,
+            }) as session:
+                out = lfp.scan_columnar(url)[["k", "v"]].collect()
+                runs[strategy] = (out, session.last_execution_stats.to_dict())
+        (serial, serial_stats), (threaded, threaded_stats) = (
+            runs["serial"], runs["threaded"])
+        assert _frames_equal(serial, threaded)
+        assert len(threaded) == 400
+        assert threaded_stats["bytes_read"] == serial_stats["bytes_read"]
+        assert serial_stats["ranges_prefetched"] == 0
+        assert threaded_stats["prefetch_hits"] > 0
+
     def test_prefetch_disabled_by_option(self):
         url = "memory://lake/p3.lfc"
         write_columnar(DataFrame({"a": np.arange(100)}), url,

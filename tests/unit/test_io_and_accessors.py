@@ -475,17 +475,6 @@ class TestMetastore:
             f.write("3\n")
         assert store.get(path) is None
 
-    def test_get_or_compute(self, make_csv, tmp_path):
-        path = make_csv({"a": [1]})
-        store = MetaStore(os.path.join(tmp_path, "ms"))
-        meta = store.get_or_compute(path)
-        assert meta.n_rows == 1
-
-    def test_estimated_bytes_subset_smaller(self, make_csv, tmp_path):
-        path = make_csv({"a": [1] * 50, "s": ["xxxxxxxx"] * 50})
-        meta = compute_metadata(path, sample_rows=None)
-        assert meta.estimated_bytes(["a"]) < meta.estimated_bytes()
-
     def test_row_estimation_from_sample(self, make_csv):
         path = make_csv({"a": list(range(1000))})
         meta = compute_metadata(path, sample_rows=100)

@@ -581,6 +581,44 @@ class TestSubstitution:
             stats = session.last_execution_stats
         assert stats.cache_hits >= 1 and stats.nodes_executed > 1
 
+    def test_a_shared_prefix_is_reused_under_a_shuffle_threshold(
+        self, make_csv
+    ):
+        """Results are keyed by the raw plan and looked up before the
+        merge is lowered, so a session whose threshold lowers the merge
+        to a hash shuffle still hits the prefix a cold session cached
+        for another suffix, and answers what a reuse-off lowered run
+        answers."""
+        left = make_csv({"k": np.arange(400) % 20, "fare": np.arange(400),
+                         "n": np.arange(400) % 3}, "l.csv")
+        right = make_csv({"k": np.arange(20), "pop": np.arange(20) * 7},
+                         "r.csv")
+
+        def prefix():
+            trips = lfp.scan_csv(left, partition_bytes=1024)
+            joined = trips.merge(lfp.scan_csv(right), on="k")
+            joined["total"] = joined.fare + joined["pop"]
+            return joined
+
+        def count():
+            return prefix().groupby(["k"])["n"].agg("count")
+
+        shuffled = {"optimizer.shuffle_threshold_bytes": 100}
+        with Session(backend="pandas", options=shuffled) as session:
+            expected = count().collect()
+            assert session.last_optimize_report["shuffle_lowered"] == 1
+        with Session(backend="pandas", options=REUSE):
+            prefix().groupby(["k"])["total"].agg("sum").collect()
+        with Session(backend="pandas",
+                     options={**REUSE, **shuffled}) as session:
+            got = count().collect()
+            stats = session.last_execution_stats
+        assert stats.cache_hits >= 1
+        assert got.index.to_array().tolist() == \
+            expected.index.to_array().tolist()
+        assert got.column.to_array().tolist() == \
+            expected.column.to_array().tolist()
+
     def test_a_folded_root_is_cached_under_its_raw_key(self, make_csv):
         """A root filter that folds into its scan is replaced by the
         scan: the value goes into the cache under the root's raw key --

@@ -251,8 +251,9 @@ class TestPredicate:
                              ).may_match(part)
 
     def test_single_value_partition_not_equal(self):
-        # lo == hi == value is the only provable != prune
-        part = Partition(0, "p", min_values={"x": 5}, max_values={"x": 5})
+        # lo == hi == value with no NA rows is the only provable != prune
+        part = Partition(0, "p", min_values={"x": 5}, max_values={"x": 5},
+                         null_counts={"x": 0})
         assert not Predicate([{"column": "x", "op": "!=", "value": 5}]
                              ).may_match(part)
 
@@ -307,9 +308,9 @@ class TestPredicate:
         with_nulls = Partition(0, "p", min_values={"x": 5},
                                max_values={"x": 5}, null_counts={"x": 2})
         assert Predicate(conj).may_match(with_nulls)
-        # sources that never recorded null counts keep the legacy prune
-        legacy = Partition(0, "p", min_values={"x": 5}, max_values={"x": 5})
-        assert not Predicate(conj).may_match(legacy)
+        # an unrecorded null count proves nothing: the chunk may hold NA
+        unrecorded = Partition(0, "p", min_values={"x": 5}, max_values={"x": 5})
+        assert Predicate(conj).may_match(unrecorded)
 
     def test_nested_or_with_hive_keys(self):
         part = Partition(0, "p", key_values={"year": 2022},
@@ -569,6 +570,37 @@ class TestPartitionPruning:
             stats = session.last_execution_stats
         assert stats.partitions_read == stats.partitions_total  # no pruning
         assert got.column("k").to_array().tolist() == list(range(50))
+
+    def test_not_equal_keeps_na_rows_of_single_value_chunks(
+        self, make_csv, metastore
+    ):
+        """CSV partition stats record no null counts, so a chunk whose
+        non-null values are all 5 may still hold NA rows, which
+        ``x != 5`` keeps (NaN != 5 is True): pruning must not drop it."""
+        x = np.arange(600, dtype=np.float64)
+        x[:400] = np.where(np.arange(400) % 3 == 0, np.nan, 5.0)
+        path = make_csv({"x": x, "i": np.arange(600)})
+        probe = CsvSource(path, partition_bytes=300)
+        ranges = [p.byte_range for p in probe.partitions()]
+        metastore.compute_and_store(
+            path, sample_rows=None, partition_ranges=ranges
+        )
+
+        def collect(pruning):
+            with Session(backend="pandas", options={
+                "optimizer.partition_pruning": pruning,
+            }) as session:
+                session.metastore = metastore
+                lf = lfp.scan_csv(path, partition_bytes=300)
+                got = lf[lf["x"] != 5].collect()
+                return got, session.last_execution_stats
+
+        pruned, stats = collect(True)
+        full, _ = collect(False)
+        assert stats.partitions_total == len(ranges) > 3
+        kept = pruned.column("i").to_array().tolist()
+        assert kept == full.column("i").to_array().tolist()
+        assert kept == list(range(0, 400, 3)) + list(range(400, 600))
 
     def test_all_partitions_pruned_yields_empty_frame(self, hive_root):
         with Session(backend="pandas") as session:
