@@ -5,8 +5,8 @@ Three layers:
 - :mod:`repro.cache.fingerprint` -- deterministic recursive content
   hashes over plan nodes (``tokenize()``-style), with source stat
   signatures so file mutation invalidates.
-- :mod:`repro.cache.result_cache` -- the process-global two-tier
-  (memory + disk) LRU blob cache, keyed by
+- :mod:`repro.cache.result_cache` -- the process-global blob cache,
+  one in-memory LRU, keyed by
   ``(fingerprint, backend, semantic options)``.
 - :mod:`repro.core.optimizer.cache` -- the substitution pass (behind
   ``optimizer.reuse``) that rewrites cache-hit subgraphs into
@@ -20,7 +20,6 @@ from repro.cache.fingerprint import (
     source_signature,
 )
 from repro.cache.result_cache import (
-    CacheEntry,
     ResultCache,
     deserialize_value,
     result_cache,
@@ -28,7 +27,6 @@ from repro.cache.result_cache import (
 )
 
 __all__ = [
-    "CacheEntry",
     "ResultCache",
     "Unfingerprintable",
     "deserialize_value",

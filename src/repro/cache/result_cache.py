@@ -13,47 +13,33 @@ last -- so a plan executed under ``modin`` never serves a ``dask``
 session, and flipping a semantics-relevant option (e.g.
 ``workload.source_format``) mid-session is a clean miss.
 
-Residency is two-tiered with byte-cost LRU:
+Residency is one in-memory LRU: an ordered map of key -> ``(blob,
+kind)`` plus a byte count, both under one lock.  Admission evicts the
+least-recently-used entries until the new blob fits :data:`BUDGET`, so
+the count never exceeds it; a blob larger than the whole budget is not
+admitted.  A hit refreshes its entry's recency.
 
-- **memory** -- blobs charged to a private :class:`~repro.memory.
-  manager.MemoryManager` via :class:`~repro.memory.manager.
-  TrackedBuffer`; total held within :data:`BUDGET`.  Admission
-  *demotes* least-recently-used blobs to disk first, so the manager's
-  peak never overshoots the budget.
-- **disk** -- per-entry pickle files under a ``tempfile.mkdtemp``
-  (reusing the spill idiom of :mod:`repro.io.spill`), held within
-  :data:`SPILL_BUDGET`.  Eviction from the disk tier deletes the
-  file *immediately* -- a cached-then-evicted result must never leak
-  spill files until interpreter exit.
+The budget is the cache's own constant, not a session option: the
+cache is shared by every session, so no session's admission may evict
+the others' entries under a budget of its own choosing.
 
-Both budgets are the cache's own constants, not session options: the
-cache is shared by every session, so no session's admission may demote
-or evict the others' entries under a budget of its own choosing.
-
-Fork safety follows ``io/spill.py``: a forked child detaches the
-directory finalizer and starts an empty cache, so child-side garbage
-collection can never delete the parent's entry files.
+A forked child starts with an empty cache (see
+:func:`_reset_after_fork`), never with a lock a parent thread held.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import shutil
-import tempfile
 import threading
-import weakref
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
-
-from repro.memory.manager import MemoryManager, TrackedBuffer
 
 #: cache keys: (plan fingerprint, backend name, semantic-options sig)
 CacheKey = Tuple[str, str, Tuple[Tuple[str, str], ...]]
 
-#: byte budgets of the memory and disk tiers (None = unbounded).
+#: byte budget of the cache's blobs
 BUDGET = 64 * 1024 * 1024
-SPILL_BUDGET = 256 * 1024 * 1024
 
 
 def serialize_value(value: Any) -> Tuple[bytes, str]:
@@ -94,246 +80,89 @@ def deserialize_value(blob: bytes) -> Any:
     return pickle.loads(blob)
 
 
-class CacheEntry:
-    """One cached result: an in-memory blob or an on-disk file."""
-
-    __slots__ = ("key", "nbytes", "kind", "blob", "path", "buffer", "hits")
-
-    def __init__(self, key: CacheKey, nbytes: int, kind: str) -> None:
-        self.key = key
-        self.nbytes = nbytes
-        self.kind = kind
-        self.blob: Optional[bytes] = None
-        self.path: Optional[str] = None
-        self.buffer: Optional[TrackedBuffer] = None
-        self.hits = 0
-
-    @property
-    def in_memory(self) -> bool:
-        return self.blob is not None
-
-
 class ResultCache:
-    """Thread-safe two-tier LRU blob cache (see module docstring)."""
+    """Thread-safe byte-bounded LRU blob cache (see module docstring)."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
-        #: private accounting for in-memory blobs only; budget stays
-        #: ``None`` (never raises) -- admission enforces the byte
-        #: ceiling by demoting *before* registering, so ``peak`` is a
-        #: proof the budget was never overshot.
-        self.memory = MemoryManager()
-        self._dir: Optional[str] = None
-        self._finalizer: Optional[weakref.finalize] = None
-        self._seq = 0
-        self._disk_bytes = 0
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[CacheKey, Tuple[bytes, str]]" = (
+            OrderedDict()
+        )
+        #: bytes of the held blobs; never above the admitting budget
+        self.nbytes = 0
         # lifetime counters (surfaced by info() and the CLI)
         self.hits = 0
         self.misses = 0
         self.insertions = 0
         self.evictions = 0
-        self.demotions = 0
-        self.rejected = 0
-
-    # -- lookup --------------------------------------------------------
 
     def get(
         self, key: CacheKey, budget: Optional[int] = BUDGET
     ) -> Optional[Tuple[bytes, str]]:
-        """Return ``(blob, kind)`` for ``key``, or ``None`` on a miss.
-
-        A disk-tier hit is promoted back into memory when ``budget``
-        allows (demoting colder entries to make room).  An unreadable
-        entry file is treated as a miss and the entry dropped.
-        """
+        """Return ``(blob, kind)`` for ``key`` and mark it most recently
+        used, or ``None`` on a miss.  ``budget`` is unread."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            if entry.blob is not None:
-                blob = entry.blob
-            else:
-                assert entry.path is not None
-                try:
-                    with open(entry.path, "rb") as fh:
-                        blob = fh.read()
-                except OSError:
-                    self._drop(entry, count_eviction=False)
-                    self.misses += 1
-                    return None
-                self._promote(entry, blob, budget)
-            entry.hits += 1
-            self.hits += 1
             self._entries.move_to_end(key)
-            return blob, entry.kind
-
-    def contains(self, key: CacheKey) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    # -- admission -----------------------------------------------------
+            self.hits += 1
+            return entry
 
     def put(
         self,
         key: CacheKey,
         blob: bytes,
         kind: str,
-        budget: Optional[int] = BUDGET,
-        spill_budget: Optional[int] = SPILL_BUDGET,
+        budget: int = BUDGET,
+        spill_budget: Optional[int] = None,
     ) -> int:
         """Insert ``blob`` under ``key``; returns evictions performed.
 
-        Admission never overshoots: colder in-memory entries are
-        demoted to disk until the blob fits ``budget`` (a blob larger
-        than the whole budget goes straight to disk), and disk-tier
-        entries are *evicted* -- their files deleted immediately --
-        until the disk tier fits ``spill_budget``.  A blob larger than
-        ``spill_budget`` is rejected outright.
+        Least-recently-used entries are evicted until the blob fits
+        ``budget``; a blob larger than ``budget`` is not admitted.
+        ``spill_budget`` is unread.
         """
         nbytes = len(blob)
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 return 0
-            if spill_budget is not None and nbytes > spill_budget:
-                self.rejected += 1
+            if nbytes > budget:
                 return 0
-            entry = CacheEntry(key, nbytes, kind)
-            if budget is not None and nbytes > budget:
-                self._write_file(entry, blob)
-            else:
-                self._make_room_memory(nbytes, budget)
-                entry.blob = blob
-                entry.buffer = TrackedBuffer(nbytes, manager=self.memory)
-            evicted = self._enforce_disk_budget(spill_budget)
-            self._entries[key] = entry
+            evicted = 0
+            while self.nbytes + nbytes > budget:
+                _, (old, _) = self._entries.popitem(last=False)
+                self.nbytes -= len(old)
+                evicted += 1
+            self._entries[key] = (blob, kind)
+            self.nbytes += nbytes
             self.insertions += 1
             self.evictions += evicted
             return evicted
 
-    # -- maintenance ---------------------------------------------------
-
     def clear(self) -> None:
-        """Drop every entry, releasing buffers and deleting files."""
+        """Drop every entry."""
         with self._lock:
-            for entry in list(self._entries.values()):
-                self._drop(entry, count_eviction=False)
+            self._entries.clear()
+            self.nbytes = 0
 
     def info(self) -> Dict[str, Any]:
         """Counters and residency snapshot (CLI ``cache`` command)."""
         with self._lock:
-            in_mem = sum(1 for e in self._entries.values() if e.in_memory)
             return {
                 "entries": len(self._entries),
-                "entries_in_memory": in_mem,
-                "entries_on_disk": len(self._entries) - in_mem,
-                "memory_bytes": self.memory.live,
-                "memory_peak_bytes": self.memory.peak,
-                "disk_bytes": self._disk_bytes,
+                "bytes": self.nbytes,
                 "hits": self.hits,
                 "misses": self.misses,
                 "insertions": self.insertions,
                 "evictions": self.evictions,
-                "demotions": self.demotions,
-                "rejected": self.rejected,
             }
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    # -- internals (call with the lock held) ---------------------------
-
-    def _make_room_memory(self, nbytes: int, budget: Optional[int]) -> None:
-        if budget is None:
-            return
-        while self.memory.live + nbytes > budget:
-            victim = self._coldest(in_memory=True)
-            if victim is None:
-                break
-            assert victim.blob is not None
-            self._write_file(victim, victim.blob)
-            victim.blob = None
-            if victim.buffer is not None:
-                victim.buffer.release()
-                victim.buffer = None
-            self.demotions += 1
-
-    def _enforce_disk_budget(self, spill_budget: Optional[int]) -> int:
-        if spill_budget is None:
-            return 0
-        evicted = 0
-        while self._disk_bytes > spill_budget:
-            victim = self._coldest(in_memory=False)
-            if victim is None:  # pragma: no cover - defensive
-                break
-            self._drop(victim, count_eviction=False)
-            evicted += 1
-        return evicted
-
-    def _promote(
-        self, entry: CacheEntry, blob: bytes, budget: Optional[int]
-    ) -> None:
-        if budget is not None and entry.nbytes > budget:
-            return
-        self._make_room_memory(entry.nbytes, budget)
-        entry.blob = blob
-        entry.buffer = TrackedBuffer(entry.nbytes, manager=self.memory)
-        self._delete_file(entry)
-
-    def _coldest(self, in_memory: bool) -> Optional[CacheEntry]:
-        for entry in self._entries.values():
-            if entry.in_memory == in_memory:
-                return entry
-        return None
-
-    def _drop(self, entry: CacheEntry, count_eviction: bool) -> None:
-        self._entries.pop(entry.key, None)
-        if entry.buffer is not None:
-            entry.buffer.release()
-            entry.buffer = None
-        entry.blob = None
-        self._delete_file(entry)
-        if count_eviction:
-            self.evictions += 1
-
-    def _write_file(self, entry: CacheEntry, blob: bytes) -> None:
-        path = os.path.join(self._ensure_dir(), f"e{self._seq:08d}.bin")
-        self._seq += 1
-        with open(path, "wb") as fh:
-            fh.write(blob)
-        entry.path = path
-        self._disk_bytes += entry.nbytes
-
-    def _delete_file(self, entry: CacheEntry) -> None:
-        if entry.path is None:
-            return
-        try:
-            os.unlink(entry.path)
-        except OSError:  # pragma: no cover - best effort
-            pass
-        self._disk_bytes -= entry.nbytes
-        entry.path = None
-
-    def _ensure_dir(self) -> str:
-        if self._dir is None:
-            self._dir = tempfile.mkdtemp(prefix="lafp-cache-")
-            self._finalizer = weakref.finalize(
-                self, shutil.rmtree, self._dir, True
-            )
-        return self._dir
-
-    def _disarm(self) -> None:
-        # forked child: forget everything without touching the
-        # parent's files (mirror of spill._disarm_after_fork)
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        self._entries = OrderedDict()
-        self._dir = None
-        self._disk_bytes = 0
 
 
 _GLOBAL_LOCK = threading.Lock()
@@ -350,10 +179,9 @@ def result_cache() -> ResultCache:
 
 
 def _reset_after_fork() -> None:
+    # a forked child starts a fresh cache: the parent's may be locked
+    # by a thread that does not exist in the child
     global _GLOBAL
-    cache = _GLOBAL
-    if cache is not None:
-        cache._disarm()
     _GLOBAL = None
 
 

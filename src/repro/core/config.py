@@ -16,7 +16,7 @@ Every key, with its default and doc line, is listed by
 :func:`describe_options` (``lfp.describe_options()``), read off the
 table.  A setting that only one value is ever used for is a constant of
 the module that reads it, not an option: the range-read retry policy
-(``io/fs.py``) and the result cache's byte budgets
+(``io/fs.py``) and the result cache's byte budget
 (``cache/result_cache.py``).
 """
 

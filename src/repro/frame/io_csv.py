@@ -177,15 +177,24 @@ def read_header(path: str) -> List[str]:
 
 
 def scan_partitions(path: str, n_partitions: int) -> List[Tuple[int, int]]:
-    """Split the data region of a CSV into ~equal byte ranges.
+    """Split the data region of a CSV (past its header line) into ~equal
+    byte ranges; see :func:`split_byte_ranges`."""
+    with open(path, "rb") as f:
+        f.readline()  # header
+        data_start = f.tell()
+    return split_byte_ranges(path, n_partitions, data_start)
+
+
+def split_byte_ranges(
+    path: str, n_partitions: int, data_start: int = 0
+) -> List[Tuple[int, int]]:
+    """Split ``[data_start, size)`` of a text file into ~equal byte
+    ranges.
 
     Ranges are aligned downstream to newline boundaries by the reader, so
     every row lands in exactly one partition.
     """
     size = os.path.getsize(path)
-    with open(path, "rb") as f:
-        f.readline()  # header
-        data_start = f.tell()
     n_partitions = max(1, n_partitions)
     span = max(1, (size - data_start) // n_partitions)
     ranges = []

@@ -45,6 +45,7 @@ from repro.frame.column import Column
 from repro.frame.dtypes import STRING_OVERHEAD
 from repro.frame.io_csv import (
     TokenRules, _Grid, frame_tokens, read_line_blocks, row_batches,
+    split_byte_ranges,
 )
 from repro.io.csv_source import ByteRangeSource
 
@@ -594,23 +595,6 @@ def _string_column(spans: List[_Grid], kinds: List[np.ndarray]) -> Column:
     return Column(np.concatenate(parts), heap_nbytes=heap)
 
 
-def jsonl_partitions(path: str, n_partitions: int) -> List[Tuple[int, int]]:
-    """Split a JSONL file into ~equal byte ranges (no header to skip);
-    ranges align to newlines downstream exactly like the CSV reader."""
-    size = os.path.getsize(path)
-    n_partitions = max(1, n_partitions)
-    span = max(1, size // n_partitions)
-    ranges = []
-    start = 0
-    for i in range(n_partitions):
-        end = size if i == n_partitions - 1 else min(size, start + span)
-        if start >= size:
-            break
-        ranges.append((start, end))
-        start = end
-    return ranges
-
-
 class JsonlSource(ByteRangeSource):
     """Byte-range partitioned newline-delimited JSON."""
 
@@ -620,7 +604,7 @@ class JsonlSource(ByteRangeSource):
         return self.fact("schema", lambda: read_jsonl_header(self.path))
 
     def byte_ranges(self, n: int) -> List[Tuple[int, int]]:
-        return jsonl_partitions(self.path, n)
+        return split_byte_ranges(self.path, n)  # no header to skip
 
     def read_partition(self, partition, columns=None, predicate=None):
         n_rows, builders = column_builders(

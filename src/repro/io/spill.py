@@ -52,13 +52,11 @@ _EMPTY_IDX = np.empty(0, dtype=np.int64)
 #: *execution* that created it and die with ``close()`` (or the
 #: finalizer) -- at session close at the latest.  Results that outlive
 #: their creating session belong to the cross-session
-#: :class:`repro.cache.result_cache.ResultCache` instead, which keeps
-#: its own directory and deletes an entry's file at *eviction* time,
-#: never waiting for any session to close.  The two tiers never share
-#: files: caching a shuffle-derived result serializes the materialized
-#: value into the cache's directory, so evicting it can never touch a
-#: live store's chunks (and a store closing can never strand a cached
-#: result).
+#: :class:`repro.cache.result_cache.ResultCache` instead, which holds
+#: them as in-memory blobs and writes no file.  Caching a
+#: shuffle-derived result serializes the materialized value, so
+#: evicting it can never touch a live store's chunks (and a store
+#: closing can never strand a cached result).
 _LIVE_STORES: "weakref.WeakSet[ShuffleStore]" = weakref.WeakSet()
 
 

@@ -13,7 +13,6 @@ from repro.memory.manager import (
     SimulatedMemoryError,
     TrackedBuffer,
     current_memory_manager,
-    memory_budget,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "SimulatedMemoryError",
     "TrackedBuffer",
     "current_memory_manager",
-    "memory_budget",
 ]

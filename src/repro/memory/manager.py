@@ -33,8 +33,7 @@ from __future__ import annotations
 import threading
 import warnings
 import weakref
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class SimulatedMemoryError(MemoryError):
@@ -68,23 +67,16 @@ class MemoryManager:
         self._peak = 0
         self._total_registered = 0
         self._total_released = 0
-        #: bumped by reset(): releases of buffers registered before a
-        #: reset are stale (their bytes were already zeroed) and must
-        #: not be mistaken for double-releases.
-        self._epoch = 0
         self.budget = budget
         self.oom_count = 0
         self.double_release_count = 0
 
     # -- accounting ------------------------------------------------------
 
-    def register(self, nbytes: int) -> int:
+    def register(self, nbytes: int) -> None:
         """Account for ``nbytes`` of new buffer memory.
 
-        Returns the registration epoch (pass it back to
-        :meth:`_release_epoch` so releases straddling a :meth:`reset`
-        are dropped, not double-counted).  Raises
-        :class:`SimulatedMemoryError` if a budget is set and the
+        Raises :class:`SimulatedMemoryError` if a budget is set and the
         allocation would push ``live`` past it.
         """
         if nbytes < 0:
@@ -97,24 +89,11 @@ class MemoryManager:
             self._total_registered += nbytes
             if self._live > self._peak:
                 self._peak = self._live
-            return self._epoch
 
     def release(self, nbytes: int) -> None:
         """Return ``nbytes`` to the pool (buffer freed or spilled)."""
-        self._release_epoch(nbytes, self._epoch)
-
-    def _release_epoch(self, nbytes: int, epoch: int) -> None:
-        """Release bound to the registration epoch.
-
-        Buffer finalizers capture the epoch at registration; a
-        :meth:`reset` in between (benchmark cell teardown) already
-        zeroed their bytes, so their late releases are dropped instead
-        of being miscounted as double-releases.
-        """
         underflow = False
         with self._lock:
-            if epoch != self._epoch:
-                return
             self._live -= nbytes
             self._total_released += nbytes
             if self._live < 0:
@@ -165,21 +144,6 @@ class MemoryManager:
         with self._lock:
             self._peak = self._live
 
-    def reset(self) -> None:
-        """Clear all counters (used between benchmark runs).
-
-        Buffers registered before the reset may still be alive; their
-        eventual releases are recognised by epoch and ignored.
-        """
-        with self._lock:
-            self._live = 0
-            self._peak = 0
-            self._total_registered = 0
-            self._total_released = 0
-            self._epoch += 1
-            self.oom_count = 0
-            self.double_release_count = 0
-
 
 def current_memory_manager() -> MemoryManager:
     """The memory manager of the calling thread's current session."""
@@ -204,33 +168,12 @@ class TrackedBuffer:
     def __init__(self, nbytes: int, manager: Optional[MemoryManager] = None):
         if manager is None:
             manager = current_memory_manager()
-        epoch = manager.register(nbytes)
+        manager.register(nbytes)
         self.nbytes = nbytes
-        self._finalizer = weakref.finalize(
-            self, manager._release_epoch, nbytes, epoch
-        )
+        self._finalizer = weakref.finalize(self, manager.release, nbytes)
 
     def release(self) -> None:
         """Deregister now (idempotent); used when spilling to disk."""
         if self._finalizer.alive:
             self._finalizer()
 
-
-@contextmanager
-def memory_budget(budget: Optional[int]) -> Iterator[MemoryManager]:
-    """Temporarily budget the *current session's* manager at ``budget``.
-
-    Sets the session's ``memory.budget`` option for the context's scope
-    (the option is the budget's one source), and resets peak tracking
-    on entry so the recorded peak reflects only the governed region.
-    """
-    from repro.core.session import current_session
-
-    session = current_session()
-    try:
-        with session.option_context("memory.budget", budget):
-            manager = session.memory  # write the override through
-            manager.reset_peak()
-            yield manager
-    finally:
-        session.memory  # eagerly restore the pre-context budget

@@ -10,7 +10,8 @@ a sample (the paper computes stats from a sample, types from the full file
 - distinct-count estimate and selectivity (distinct/rows),
 - average encoded width (bytes),
 
-plus file-level row count, average row size, and modified time.
+plus file-level row count, average row size, and the file's size and
+modified time.
 
 Partitioned reads get their own layer: passing ``partition_ranges``
 (the byte ranges a :class:`~repro.io.csv_source.CsvSource` or
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.frame.io_csv import read_csv, read_header
+from repro.frame.io_csv import read_csv
 
 #: Columns with at most this many distinct values *and* a selectivity
 #: below 10% are proposed as ``category`` dtype.
@@ -95,7 +96,8 @@ class FileMetadata:
     """Everything the metastore knows about one file."""
 
     path: str
-    mtime: float
+    #: ``(size, mtime_ns)`` of the file the entry was computed from
+    stamp: Tuple[int, int]
     n_rows: int
     row_size: float
     columns: Dict[str, ColumnStats]
@@ -125,7 +127,7 @@ class FileMetadata:
     def to_dict(self) -> dict:
         return {
             "path": self.path,
-            "mtime": self.mtime,
+            "stamp": list(self.stamp),
             "n_rows": self.n_rows,
             "row_size": self.row_size,
             "sampled": self.sampled,
@@ -137,7 +139,7 @@ class FileMetadata:
     def from_dict(cls, data: dict) -> "FileMetadata":
         return cls(
             path=data["path"],
-            mtime=data["mtime"],
+            stamp=tuple(data["stamp"]),
             n_rows=data["n_rows"],
             row_size=data["row_size"],
             sampled=data["sampled"],
@@ -165,27 +167,30 @@ def compute_metadata(
     range read in full -- pruning needs proof, see the module docstring).
     """
     if fmt == "jsonl":
-        return _compute_jsonl_metadata(path, sample_rows, partition_ranges)
-    header = read_header(path)
-    frame = read_csv(path, nrows=sample_rows)
+        # Deferred import: repro.io imports this module for PartitionStats.
+        from repro.io.jsonl import read_jsonl as read
+    else:
+        read = read_csv
+    stamp = file_stamp(path)
+    frame = read(path, nrows=sample_rows)
     sampled = sample_rows is not None and len(frame) >= sample_rows
 
     n_rows = len(frame)
     if sampled:
-        n_rows = _estimate_total_rows(path, len(frame))
+        n_rows = _estimate_total_rows(path, len(frame),
+                                      has_header=fmt != "jsonl")
 
-    columns = _column_stats(frame, header, n_rows, sampled)
+    columns = _column_stats(frame, n_rows, sampled)
     partitions: List[PartitionStats] = []
     if partition_ranges:
         partitions = _partition_stats(
-            partition_ranges,
-            lambda rng: read_csv(path, byte_range=rng),
+            partition_ranges, lambda rng: read(path, byte_range=rng),
         )
 
     row_size = sum(s.avg_width for s in columns.values())
     return FileMetadata(
         path=os.path.abspath(path),
-        mtime=os.path.getmtime(path),
+        stamp=stamp,
         n_rows=n_rows,
         row_size=row_size,
         columns=columns,
@@ -194,41 +199,19 @@ def compute_metadata(
     )
 
 
-def _compute_jsonl_metadata(
-    path: str,
-    sample_rows: Optional[int],
-    partition_ranges: Optional[Sequence[Tuple[int, int]]],
-) -> FileMetadata:
-    # Deferred import: repro.io imports this module for PartitionStats.
-    from repro.io.jsonl import read_jsonl
+def file_stamp(path: str) -> Tuple[int, int]:
+    """``(size, mtime_ns)`` of ``path``: the stat signature
+    (:func:`repro.cache.fingerprint.source_signature`) the metastore
+    checks an entry against."""
+    from repro.cache.fingerprint import source_signature
 
-    frame = read_jsonl(path, nrows=sample_rows)
-    sampled = sample_rows is not None and len(frame) >= sample_rows
-    n_rows = len(frame)
-    if sampled:
-        n_rows = _estimate_total_rows(path, len(frame), has_header=False)
-    columns = _column_stats(frame, frame.columns, n_rows, sampled)
-    partitions: List[PartitionStats] = []
-    if partition_ranges:
-        partitions = _partition_stats(
-            partition_ranges,
-            lambda rng: read_jsonl(path, byte_range=rng),
-        )
-    row_size = sum(s.avg_width for s in columns.values())
-    return FileMetadata(
-        path=os.path.abspath(path),
-        mtime=os.path.getmtime(path),
-        n_rows=n_rows,
-        row_size=row_size,
-        columns=columns,
-        sampled=sampled,
-        partitions=partitions,
-    )
+    (_, size, mtime_ns), = source_signature(path)
+    return size, mtime_ns
 
 
-def _column_stats(frame, names, n_rows: int, sampled: bool) -> Dict[str, ColumnStats]:
+def _column_stats(frame, n_rows: int, sampled: bool) -> Dict[str, ColumnStats]:
     columns: Dict[str, ColumnStats] = {}
-    for name in names:
+    for name in frame.columns:
         col = frame.column(name)
         stats = ColumnStats(name=name, dtype=_dtype_name(col))
         sample_n = max(1, len(col))

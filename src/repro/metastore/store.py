@@ -1,9 +1,10 @@
-"""Persistent metadata store with modified-time invalidation.
+"""Persistent metadata store with size and modified-time invalidation.
 
 Metadata is kept as one JSON file per data file (hashed path name) under a
 store directory (default ``~/.lafp_metastore`` or ``$LAFP_METASTORE``).
-``get`` returns ``None`` when metadata is missing or stale, so callers can
-fall back to un-hinted reads (the paper: outdated metadata "is not used").
+``get`` returns ``None`` when metadata is missing or stale -- the file's
+``(size, mtime_ns)`` differs from the entry's -- so callers can fall back
+to un-hinted reads (the paper: outdated metadata "is not used").
 Writes are counted (``generation``), so a session's source table drops
 the entries it decoded before a write.
 """
@@ -15,9 +16,7 @@ import json
 import os
 from typing import Optional
 
-from repro.metastore.stats import FileMetadata, compute_metadata
-
-_MTIME_TOLERANCE = 1e-6
+from repro.metastore.stats import FileMetadata, compute_metadata, file_stamp
 
 
 class MetaStore:
@@ -44,14 +43,13 @@ class MetaStore:
     def get(self, data_path: str) -> Optional[FileMetadata]:
         """Metadata for ``data_path`` if present and not stale."""
         entry = self._entry_path(data_path)
-        if not os.path.exists(entry) or not os.path.exists(data_path):
+        if not os.path.exists(entry):
             return None
         with open(entry) as f:
-            meta = FileMetadata.from_dict(json.load(f))
-        current_mtime = os.path.getmtime(data_path)
-        if abs(current_mtime - meta.mtime) > _MTIME_TOLERANCE:
+            data = json.load(f)
+        if data.get("stamp") != list(file_stamp(data_path)):
             return None  # file changed since metadata was computed
-        return meta
+        return FileMetadata.from_dict(data)
 
     def put(self, meta: FileMetadata) -> None:
         with open(self._entry_path(meta.path), "w") as f:

@@ -39,7 +39,7 @@ from hypothesis import given, settings, strategies as st
 from repro.frame import DataFrame, io_csv
 from repro.io import jsonl, memory_store
 from repro.io.columnar import ColumnarSource, chunk_runs, write_columnar
-from repro.io.jsonl import jsonl_partitions, read_jsonl, write_jsonl
+from repro.io.jsonl import read_jsonl, write_jsonl
 from repro.io.prefetch import range_cache
 
 
@@ -276,7 +276,7 @@ def test_a_block_the_writer_makes_takes_the_grid(frame, n_parts):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.jsonl")
         write_jsonl(frame, path)
-        for byte_range in [None, *jsonl_partitions(path, n_parts)]:
+        for byte_range in [None, *io_csv.split_byte_ranges(path, n_parts)]:
             want = outcome(partial(json_path, path, byte_range=byte_range))
             if not _without_escapes(frame):
                 assert outcome(partial(read_jsonl, path,
@@ -310,7 +310,7 @@ def test_the_benchmark_table_takes_the_grid_at_the_real_floor(
     monkeypatch.setattr(io_csv, "_GRID_MIN_BYTES", 1 << 13)
     path = str(tmp_path / "t.jsonl")
     write_jsonl(_bench_table(800), path)
-    parts = jsonl_partitions(path, 4)
+    parts = io_csv.split_byte_ranges(path, 4)
     want = {
         (tuple(cols or ()), rng): outcome(partial(
             json_path, path, columns=cols, byte_range=rng))

@@ -475,6 +475,35 @@ class TestMetastore:
             f.write("3\n")
         assert store.get(path) is None
 
+    def test_a_rewrite_that_keeps_the_mtime_is_stale(self, tmp_path):
+        """``cp -p``, ``rsync -t``, ``tar x`` and ``os.utime`` put the
+        old mtime on new bytes: the entry's size tells it is stale, so
+        the read does not take the old int dtype for a string column."""
+        import repro.lazyfatpandas.pandas as lfp
+        from repro.core.session import Session
+
+        path = os.path.join(tmp_path, "data.csv")
+        keys = list(range(300))
+        DataFrame({"k": keys, "x": keys}).to_csv(path)
+        store = MetaStore(os.path.join(tmp_path, "ms"))
+        store.compute_and_store(path)
+        st = os.stat(path)
+        DataFrame({"k": keys, "x": [f"v{i}" for i in keys]}).to_csv(path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert store.get(path) is None
+        with Session(backend="pandas", metastore=store):
+            assert lfp.read_csv(path)["x"].nunique().collect() == 300
+
+    def test_an_entry_without_a_stamp_is_stale(self, make_csv, tmp_path):
+        path = make_csv({"a": [1, 2]})
+        store = MetaStore(os.path.join(tmp_path, "ms"))
+        meta = store.compute_and_store(path).to_dict()
+        del meta["stamp"]
+        meta["mtime"] = os.path.getmtime(path)  # the old format's field
+        with open(store._entry_path(path), "w") as f:
+            json.dump(meta, f)
+        assert store.get(path) is None
+
     def test_row_estimation_from_sample(self, make_csv):
         path = make_csv({"a": list(range(1000))})
         meta = compute_metadata(path, sample_rows=100)

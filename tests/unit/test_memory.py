@@ -10,7 +10,6 @@ from repro.memory import (
     SimulatedMemoryError,
     TrackedBuffer,
     current_memory_manager,
-    memory_budget,
 )
 
 
@@ -106,20 +105,6 @@ class TestMemoryManager:
         assert manager.double_release_count == 2
         assert manager.live == 0
 
-    def test_release_after_reset_is_not_a_double_release(self):
-        """Finalizers of buffers that straddle a reset() are stale, not
-        buggy: their releases are dropped by epoch, never warned."""
-        import warnings as _warnings
-
-        manager = MemoryManager()
-        buffer = TrackedBuffer(256, manager)
-        manager.reset()
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            buffer.release()
-        assert manager.live == 0
-        assert manager.double_release_count == 0
-
     def test_lifetime_totals_are_monotonic(self):
         manager = MemoryManager()
         manager.register(100)
@@ -128,13 +113,14 @@ class TestMemoryManager:
         assert manager.total_registered == 110
         assert manager.total_released == 40
 
-    def test_reset_clears_everything(self):
+    def test_reset_peak_starts_from_live(self):
         manager = MemoryManager()
         manager.register(10)
-        manager.reset()
-        assert manager.live == 0
-        assert manager.peak == 0
-        assert manager.total_registered == 0
+        manager.release(4)
+        assert manager.peak == 10
+        manager.reset_peak()
+        assert manager.live == manager.peak == 6
+        assert manager.total_registered == 10
 
     def test_thread_safety_of_register_release(self):
         manager = MemoryManager()
@@ -175,28 +161,35 @@ class TestTrackedBuffer:
 
 
 class TestMemoryBudgetContext:
+    """A budget for a scope is the session's ``memory.budget`` option
+    under ``option_context``."""
+
+    def _budget(self, budget):
+        from repro.core.session import current_session
+
+        return current_session().option_context("memory.budget", budget)
+
     def test_budget_installed_and_restored(self):
         assert current_memory_manager().budget is None
-        with memory_budget(1 << 20):
+        with self._budget(1 << 20):
             assert current_memory_manager().budget == 1 << 20
         assert current_memory_manager().budget is None
 
     def test_budget_restored_on_error(self):
         with pytest.raises(RuntimeError):
-            with memory_budget(1 << 20):
+            with self._budget(1 << 20):
                 raise RuntimeError("boom")
         assert current_memory_manager().budget is None
 
     def test_budget_context_overrides_option_driven_budget(self):
-        """memory_budget() must win over a session's memory.budget
-        option for its scope -- the option's write-through used to
-        clobber a directly-assigned budget on the next allocation."""
+        """A scoped budget wins over a session's own memory.budget for
+        its scope, and the session's comes back after it."""
         from repro.core.session import Session
 
         with Session(backend="pandas",
                      options={"memory.budget": 1_000_000}) as session:
-            with memory_budget(100) as manager:
-                assert manager is session.memory
+            with self._budget(100):
+                assert current_memory_manager() is session.memory
                 with pytest.raises(SimulatedMemoryError):
                     TrackedBuffer(500)
             assert session.memory.budget == 1_000_000
@@ -207,8 +200,9 @@ class TestMemoryBudgetContext:
         from repro.core.session import Session, root_session
 
         with Session(backend="pandas") as session:
-            with memory_budget(64) as manager:
-                assert manager is session.memory
+            with self._budget(64):
+                assert current_memory_manager() is session.memory
+                assert session.memory.budget == 64
                 assert root_session().memory.budget is None
             assert session.memory.budget is None
 

@@ -1,13 +1,13 @@
 """Plan fingerprinting and the cross-session result cache (PR 9).
 
 Three layers under test: the deterministic content fingerprint
-(``repro.cache.fingerprint``), the process-global two-tier LRU blob
-store (``repro.cache.result_cache``), and the ``optimizer.reuse``
-substitution pass that rewires fingerprint-hit subplans into
-``from_cached`` leaves.  The correctness edges the cache must never
-get wrong -- source mutation invalidation, semantic-option keying,
-eviction reclaiming every byte and file, concurrent insert/evict on
-one key -- each get a direct test.
+(``repro.cache.fingerprint``), the process-global blob store, one
+in-memory LRU (``repro.cache.result_cache``), and the
+``optimizer.reuse`` substitution pass that rewires fingerprint-hit
+subplans into ``from_cached`` leaves.  The correctness edges the cache
+must never get wrong -- source mutation invalidation, semantic-option
+keying, eviction holding the byte count within the budget, concurrent
+insert/evict on one key -- each get a direct test.
 """
 
 import os
@@ -228,111 +228,88 @@ class TestResultCache:
         cache = ResultCache()
         blob, kind = self._blob("x")
         budget = len(blob) * 2 + 10
+        evicted = 0
         for i in range(8):
-            cache.put(self._key(f"k{i}"), blob, kind, budget=budget)
-        assert cache.memory.peak <= budget
-        assert cache.memory.live <= budget
+            evicted += cache.put(self._key(f"k{i}"), blob, kind,
+                                 budget=budget)
+            assert cache.nbytes <= budget
         info = cache.info()
-        assert info["entries"] == 8
-        assert info["demotions"] >= 6  # the cold ones went to disk
+        assert info["entries"] == 2 and info["bytes"] == 2 * len(blob)
+        assert evicted == info["evictions"] == 6  # the cold ones went
         cache.clear()
 
-    def test_lru_demotes_coldest_first(self):
+    def test_lru_evicts_coldest_first(self):
         cache = ResultCache()
         blob, kind = self._blob("x")
         budget = len(blob) * 2 + 10
         cache.put(self._key("a"), blob, kind, budget=budget)
         cache.put(self._key("b"), blob, kind, budget=budget)
-        cache.get(self._key("a"), budget=budget)  # refresh a
-        cache.put(self._key("c"), blob, kind, budget=budget)
-        in_memory = {
-            e.key[0] for e in cache._entries.values() if e.in_memory
-        }
-        assert "b" not in in_memory  # b was coldest
-        assert "a" in in_memory and "c" in in_memory
+        cache.get(self._key("a"))  # refresh a
+        assert cache.put(self._key("c"), blob, kind, budget=budget) == 1
+        assert cache.get(self._key("b")) is None  # b was coldest
+        assert cache.get(self._key("a")) == (blob, kind)
+        assert cache.get(self._key("c")) == (blob, kind)
         cache.clear()
 
-    def test_disk_promotion_restores_memory_tier(self):
+    def test_clear_empties_the_cache(self):
         cache = ResultCache()
         blob, kind = self._blob("x")
-        budget = len(blob) + 10
-        cache.put(self._key("a"), blob, kind, budget=budget)
-        cache.put(self._key("b"), blob, kind, budget=budget)  # demotes a
-        entry_a = cache._entries[self._key("a")]
-        assert not entry_a.in_memory and entry_a.path is not None
-        hit = cache.get(self._key("a"), budget=budget)  # promotes a
-        assert hit is not None and hit[0] == blob
-        assert entry_a.in_memory and entry_a.path is None
-        cache.clear()
-
-    def test_eviction_deletes_files_immediately(self):
-        """Satellite (f): a cached-then-evicted result's spill file is
-        gone at eviction time, not at interpreter/session close."""
-        cache = ResultCache()
-        blob, kind = self._blob("x")
-        budget = len(blob) + 10
-        spill_budget = len(blob) * 2 + 10
-        paths = []
-        evicted = 0
-        for i in range(6):
-            evicted += cache.put(
-                self._key(f"k{i}"), blob, kind,
-                budget=budget, spill_budget=spill_budget,
-            )
-            paths.extend(
-                e.path for e in cache._entries.values() if e.path
-            )
-        assert evicted > 0
-        live_paths = {e.path for e in cache._entries.values() if e.path}
-        for path in paths:
-            if path not in live_paths:
-                assert not os.path.exists(path), (
-                    "evicted entry file leaked until close"
-                )
-        info = cache.info()
-        assert info["disk_bytes"] <= spill_budget
-        cache.clear()
-
-    def test_eviction_releases_bytes_without_double_release(self):
-        cache = ResultCache()
-        blob, kind = self._blob("x")
-        budget = len(blob) * 2 + 10
         for i in range(10):
-            cache.put(self._key(f"k{i}"), blob, kind, budget=budget)
+            cache.put(self._key(f"k{i}"), blob, kind)
         cache.clear()
-        assert cache.memory.live == 0
-        assert cache.memory.double_release_count == 0
+        assert len(cache) == 0 and cache.nbytes == 0
+        assert cache.get(self._key("k9")) is None
 
     def test_oversized_blob_rejected(self):
         cache = ResultCache()
         blob, kind = self._blob("x")
+        cache.put(self._key("small"), b"x", "scalar", budget=len(blob))
         assert cache.put(
-            self._key("big"), blob, kind,
-            budget=10, spill_budget=len(blob) - 1,
+            self._key("big"), blob, kind, budget=len(blob) - 1,
         ) == 0
-        assert len(cache) == 0
-        assert cache.info()["rejected"] == 1
+        assert len(cache) == 1  # and nothing was evicted for it
+        assert cache.get(self._key("big")) is None
         cache.clear()
 
-    def test_concurrent_insert_evict_race_on_one_key(self):
-        """Sessions race put/get/clear on a shared key; the cache must
-        stay consistent: no exception, no double release, no leaked
-        file, no budget overshoot."""
+    def test_churn_writes_no_file(self, tmp_path, monkeypatch):
+        """A put/evict/clear cycle over a working set larger than the
+        budget leaves nothing in the temp dir: the cache holds bytes in
+        memory only."""
+        import tempfile
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        assert tempfile.gettempdir() == str(tmp_path)
         cache = ResultCache()
         blob, kind = self._blob("x")
         budget = len(blob) * 2 + 10
-        spill_budget = len(blob) * 3 + 10
+        evicted = 0
+        for i in range(12):
+            evicted += cache.put(self._key(f"k{i}"), blob, kind,
+                                 budget=budget)
+            cache.get(self._key(f"k{i // 2}"))
+        cache.clear()
+        assert evicted > 0
+        assert os.listdir(tmp_path) == []
+
+    def test_concurrent_insert_evict_race_on_one_key(self):
+        """Sessions race put/get/clear on a shared key; the cache must
+        stay consistent: no exception, no torn entry, no budget
+        overshoot after any put."""
+        cache = ResultCache()
+        blob, kind = self._blob("x")
+        budget = len(blob) * 2 + 10
         errors = []
 
         def hammer(worker: int) -> None:
             try:
                 for i in range(60):
                     key = self._key(f"k{i % 4}")
-                    cache.put(blob=blob, kind=kind, key=key,
-                              budget=budget, spill_budget=spill_budget)
-                    hit = cache.get(key, budget=budget)
+                    cache.put(blob=blob, kind=kind, key=key, budget=budget)
+                    assert cache.info()["bytes"] <= budget
+                    hit = cache.get(key)
                     if hit is not None:
-                        assert hit[0] == blob
+                        assert hit == (blob, kind)
                     if i % 17 == worker:
                         cache.clear()
             except Exception as exc:  # pragma: no cover - failure path
@@ -346,10 +323,9 @@ class TestResultCache:
         for t in threads:
             t.join()
         assert not errors
-        assert cache.memory.peak <= budget
-        assert cache.memory.double_release_count == 0
+        info = cache.info()
+        assert info["bytes"] == info["entries"] * len(blob) <= budget
         cache.clear()
-        assert cache.memory.live == 0
 
 
 def _collect_sum(path):

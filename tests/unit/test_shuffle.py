@@ -950,9 +950,8 @@ class TestOneSpillFilePerStore:
         store.close()
 
     def test_a_mid_drain_oom_leaves_the_bucket_in_place(self, tmp_path):
-        from repro.memory import (
-            SimulatedMemoryError, current_memory_manager, memory_budget,
-        )
+        from repro.core.session import current_session
+        from repro.memory import SimulatedMemoryError, current_memory_manager
 
         store, expected = _filled_store(tmp_path)
         chunk_bytes = store.appended_bytes // 12
@@ -961,7 +960,9 @@ class TestOneSpillFilePerStore:
         manager = current_memory_manager()
         live = manager.live
         # two of the bucket's three chunks load, the third does not
-        with memory_budget(live + 2 * chunk_bytes + chunk_bytes // 2):
+        budget = live + 2 * chunk_bytes + chunk_bytes // 2
+        with current_session().option_context("memory.budget", budget):
+            manager.reset_peak()
             with pytest.raises(SimulatedMemoryError):
                 store.read_bucket(1)
             assert manager.peak >= live + 2 * chunk_bytes
