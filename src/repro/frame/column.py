@@ -208,6 +208,20 @@ class Column:
         )
         return cls(lookup[codes], categories=np.array(categories, dtype=object))
 
+    def with_categories(self, declared: Sequence) -> "Column":
+        """This category column coded against a declared category set:
+        a value outside it is NA.  The categories are the declared ones
+        sorted -- the order every category column keeps, which
+        :meth:`concat` relies on -- where pandas keeps the declared
+        order.  Only the column's own categories are looked up."""
+        categories = np.array(sorted(set(declared)), dtype=object)
+        rank = dict(zip(categories.tolist(), range(len(categories))))
+        # NA_CODE (-1) picks the trailing NA
+        lookup = np.array(
+            [rank.get(c, NA_CODE) for c in self.categories.tolist()]
+            + [NA_CODE], dtype=np.int32)
+        return Column(lookup[self.values], categories=categories)
+
     @classmethod
     def from_codes(cls, codes: np.ndarray, categories: np.ndarray) -> "Column":
         """Build a categorical column from prepared codes + categories."""

@@ -24,11 +24,19 @@ bytes, which are scanned with numpy over that same buffer:
   row exactly the header's number of fields -- is a byte grid
   (:class:`_Grid`): the positions of its ``,`` and ``\n`` bytes
   reshaped to ``(rows, fields)`` give every field's offset and length
-  without touching a cell.  Only the wanted columns are then
-  materialized: a column whose fields all read ``-?[0-9]{1,18}`` is
-  summed from its digit bytes straight into int64; any other column is
-  gathered, decoded once and split into the same ``str`` cells the row
-  reader would have produced.
+  without touching a cell.  The check is one classification pass: NUL,
+  ``\r``, ``\n``, ``"`` and ``,`` all sort at or below ``,``, so one
+  comparison over the block finds them (with any space or other low
+  byte), and the counts and placements are checked on that subset.
+  Only the wanted columns are then materialized: a column whose fields
+  all read ``-?[0-9]{1,18}`` is summed from its digit bytes straight
+  into int64; a ``category`` column of ASCII fields of at most 8 bytes
+  is encoded from one big-endian uint64 *key* per field (its bytes,
+  NUL-padded: the keys sort as the strings do and 0 is the empty
+  field), so ``np.unique`` of the keys gives the codes and only the
+  distinct values are decoded; any other column is gathered, decoded
+  once and split into the same ``str`` cells the row reader would have
+  produced.
 - From the first block that is not regular (or too small to repay the
   grid's fixed cost; always under ``nrows``) the rest of the range goes
   through one stdlib ``csv.reader`` chained over the remaining blocks
@@ -46,8 +54,13 @@ a scan source one at a time (``DataSource.assemble``).  Type inference
 tries int64 -> float64 -> object per column over the cells, mirroring
 pandas defaults (dates stay strings unless ``parse_dates`` asks for
 them -- the paper's metadata optimization exists precisely because
-inference is this naive).  A ``category`` dtype hands the cells, ``""``
-as NA, straight to :meth:`Column.from_strings_as_category`.
+inference is this naive).  A cast is skipped when the first cell is
+one ``int()`` / ``float()`` rejects (numpy parses each cell as those
+do, and a failed cast fails only after converting every cell), and
+whether a cell is empty comes from the grids' field lengths.  A
+``category`` column not byte-keyed hands the cells, ``""`` as NA, to
+:meth:`Column.from_strings_as_category`; a declared category set then
+recodes it (:meth:`Column.with_categories`).
 
 Writing is column-wise too: :func:`column_tokens` turns a column into
 text tokens by dtype kind under a format's :class:`TokenRules` (CSV's
@@ -71,11 +84,10 @@ from typing import (
 
 import numpy as np
 
-from repro.frame.column import Column
+from repro.frame.column import NA_CODE, Column
 from repro.frame.dataframe import DataFrame
 from repro.frame.dtypes import (
     STRING_OVERHEAD,
-    CategoricalDtype,
     is_categorical,
     normalize_dtype,
 )
@@ -96,9 +108,16 @@ _ROW_BATCH = 1 << 16
 _GRID_MIN_BYTES = 1 << 13
 
 _COMMA, _LF, _CR, _QUOTE, _MINUS, _ZERO = b',\n\r"-0'
+_DATETIME = np.dtype("datetime64[ns]")
 #: most digits whose value always fits int64
 _MAX_DIGITS = 18
 _POW10 = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
+#: longest field a category key holds, and per field length the mask
+#: that keeps that many leading bytes of a big-endian uint64
+_KEY_BYTES = 8
+_KEY_MASK = np.array(
+    [~np.uint64(0) << np.uint64(64 - 8 * n) if n else 0
+     for n in range(_KEY_BYTES + 1)], dtype=np.uint64)
 
 
 def read_csv(
@@ -145,29 +164,47 @@ def column_builders(
 
     dtype = dtype or {}
     parse_set = set(parse_dates or [])
+    # the grids hold the wanted fields only, in the same order
     return n_rows, {
-        name: partial(_build_column, grids, pos, cells, dtype.get(name),
+        name: partial(_build_column, grids, i, cells, dtype.get(name),
                       name in parse_set)
-        for name, pos, cells in zip(wanted, positions, tail)
+        for i, (name, cells) in enumerate(zip(wanted, tail))
     }
 
 
 def _build_column(grids: List["_Grid"], pos: int, tail_cells: List[str],
                   spec, parse_date: bool) -> Column:
     target = None if spec is None else normalize_dtype(spec)
-    if not parse_date and (
-        target is None or (not is_categorical(target) and target.kind == "i")
-    ):
-        # what int64 inference / conversion of the cells would give
-        ints = _int_column(grids, pos, tail_cells)
-        if ints is not None:
-            return Column(ints)
-    values, heap_nbytes = _cell_list(grids, pos, tail_cells)
     if parse_date:
-        return _parse_datetime(values)
+        target = _DATETIME
+    if is_categorical(target):
+        keys = _grid_parts(grids, _Grid.keys, pos, tail_cells)
+        if keys:
+            column = _keyed_category(keys)
+        else:
+            cells, _ = _cell_list(grids, pos, tail_cells)
+            column = Column.from_strings_as_category(cells, na_value="")
+        if target.categories is None:
+            return column
+        return column.with_categories(target.categories)
+    if target is None or target.kind == "i":
+        # what int64 inference / conversion of the cells would give
+        ints = _grid_parts(grids, _Grid.ints, pos, tail_cells)
+        if ints is not None:
+            return Column(np.concatenate(ints) if ints
+                          else np.empty(0, dtype=np.int64))
+    if target is not None and target.kind == "M":
+        # numpy's parser over the fields' bytes is the one np.asarray
+        # runs over the cells: the same values and the same errors
+        texts = _grid_parts(grids, _Grid.texts, pos, tail_cells)
+        if texts:
+            return Column(np.concatenate(texts).astype(_DATETIME))
+    has_empty = "" in tail_cells or not all(
+        grid.lens[:, pos].all() for grid in grids)
+    values, heap_nbytes = _cell_list(grids, pos, tail_cells)
     if target is not None:
-        return _convert_with_dtype(values, target, heap_nbytes)
-    return _infer_column(values, heap_nbytes)
+        return _convert_with_dtype(values, target, has_empty, heap_nbytes)
+    return _infer_column(values, has_empty, heap_nbytes)
 
 
 def read_header(path: str) -> List[str]:
@@ -254,6 +291,13 @@ def read_line_blocks(
             yield memoryview(block)[:cut]
 
 
+def _words(buf: np.ndarray) -> np.ndarray:
+    """Every 8 bytes of ``buf`` at every offset as a big-endian
+    uint64: a strided view, nothing copied."""
+    return np.ndarray(max(len(buf) - 7, 0), dtype=">u8", buffer=buf,
+                      strides=(1,))
+
+
 class _Grid(NamedTuple):
     """Where the fields of one regular block are (see the module doc).
 
@@ -269,39 +313,51 @@ class _Grid(NamedTuple):
 
     @classmethod
     def of(
-        cls, block: Union[bytes, memoryview], n_fields: int
+        cls, block: Union[bytes, memoryview], n_fields: int,
+        positions: Sequence[int],
     ) -> Optional["_Grid"]:
-        """The grid of ``block``, or ``None`` when it is not regular."""
+        """The grid of ``block``, or ``None`` when it is not regular.
+        Its columns are the fields at ``positions``."""
         buf = np.frombuffer(block, dtype=np.uint8)
-        if (
-            len(buf) < _GRID_MIN_BYTES
-            or block[-1:] != b"\n"
-            or (buf == _QUOTE).any()
-            or not buf.all()  # a NUL byte
-        ):
+        if len(buf) < _GRID_MIN_BYTES or block[-1:] != b"\n":
             return None
-        delims = np.flatnonzero((buf == _COMMA) | (buf == _LF))
-        if len(delims) % n_fields:
+        # NUL, "\r", "\n", '"' and "," all sort at or below ",": one
+        # pass finds them, and the checks run on that subset
+        special = np.flatnonzero(buf <= _COMMA)
+        kinds = buf[special]
+        is_lf, is_comma, is_cr = (kinds == _LF, kinds == _COMMA,
+                                  kinds == _CR)
+        n_lf, n_comma, n_cr = map(np.count_nonzero, (is_lf, is_comma, is_cr))
+        # every row reads ", , ... \n" (exactly n_fields fields), and
+        # "\r\n" ends every row or none (a lone "\r" is itself a line
+        # break to the row reader)
+        if n_comma != n_lf * (n_fields - 1) or n_cr not in (0, n_lf):
             return None
-        delims = delims.reshape(-1, n_fields)
-        # every row reads ", , ... \n": exactly n_fields fields
-        kinds = buf[delims]
-        if (kinds[:, -1] != _LF).any() or (kinds[:, :-1] != _COMMA).any():
-            return None
-        starts = np.empty_like(delims)
-        starts[0, 0] = 0
-        starts[1:, 0] = delims[:-1, -1] + 1
-        starts[:, 1:] = delims[:, :-1] + 1
-        lens = delims - starts
-        n_cr = np.count_nonzero(buf == _CR)
-        if n_cr:
-            # "\r\n" ends every row or the terminators are mixed (a
-            # lone "\r" is itself a line break to the row reader)
-            if n_cr != len(delims) or (buf[delims[:, -1] - 1] != _CR).any():
+        if n_lf + n_comma + n_cr < len(special):  # a space, a quote, ...
+            if not kinds.all() or (kinds == _QUOTE).any():  # NUL, quote
                 return None
-            lens[:, -1] -= 1
-        if n_fields == 1 and not lens.all():
+            keep = np.flatnonzero(is_lf | is_comma | is_cr)
+            special, kinds = special[keep], kinds[keep]
+        # the counts agree, so rows that end "\n" (after their "\r")
+        # place every delimiter
+        width = n_fields + (n_cr > 0)
+        delims, kinds = special.reshape(-1, width), kinds.reshape(-1, width)
+        if (kinds[:, -1] != _LF).any():
+            return None
+        if n_cr and ((kinds[:, -2] != _CR).any()
+                     or (delims[:, -1] - delims[:, -2] != 1).any()):
+            return None
+        row_starts = np.empty(len(delims), dtype=delims.dtype)
+        row_starts[0] = 0
+        row_starts[1:] = delims[:-1, -1] + 1
+        if n_fields == 1 and (delims[:, 0] == row_starts).any():
             return None  # a blank line, which the row reader skips
+        # offsets of the wanted fields only: field p ends at its
+        # delimiter and starts past field p - 1's (field 0 at its row's)
+        fields = np.asarray(positions, dtype=np.intp)
+        starts = delims[:, fields - 1] + 1
+        starts[:, fields == 0] = row_starts[:, None]
+        lens = delims[:, fields] - starts
         ascii = bool(buf.max() < 0x80)
         if not ascii:
             str(block, "utf-8")  # malformed text raises, wanted or not
@@ -336,6 +392,45 @@ class _Grid(NamedTuple):
         digits[pad] = 0
         value = digits.astype(np.int64) @ _POW10[-width:]
         return np.where(negative, -value, value)
+
+    def keys(self, pos: int) -> Optional[np.ndarray]:
+        """Column ``pos`` as one uint64 per field -- its bytes read
+        big-endian, NUL-padded, so the keys sort as the fields do and 0
+        is the empty field -- or ``None`` when the block is not ASCII or
+        a field is longer than 8 bytes.  Each key is one unaligned
+        8-byte load; a field in the block's last 8 bytes is loaded from
+        a zero-padded copy of its tail."""
+        starts, lens = self.starts[:, pos], self.lens[:, pos]
+        if not self.ascii or (len(lens) and lens.max() > _KEY_BYTES):
+            return None
+        buf = self.buf
+        late = np.searchsorted(starts, len(buf) - _KEY_BYTES, side="right")
+        lo = max(len(buf) - _KEY_BYTES, 0)
+        tail = np.zeros(len(buf) - lo + _KEY_BYTES, dtype=np.uint8)
+        tail[:len(buf) - lo] = buf[lo:]
+        keys = np.empty(len(starts), dtype=np.uint64)
+        keys[:late] = _words(buf)[starts[:late]]
+        keys[late:] = _words(tail)[starts[late:] - lo]
+        keys &= _KEY_MASK[lens]
+        return keys
+
+    def texts(self, pos: int) -> Optional[np.ndarray]:
+        """Column ``pos`` as fixed-width bytes (``S`` as wide as its
+        longest field, shorter ones NUL-padded: the bytes numpy's
+        parsers read in the cells), or ``None`` when the block is not
+        ASCII."""
+        starts, lens = self.starts[:, pos], self.lens[:, pos]
+        if not self.ascii:
+            return None
+        width = int(lens.max(initial=1))
+        at = starts[:, None] + np.arange(width)
+        if lens.min(initial=width) == width:
+            chars = self.buf[at]
+        else:
+            pad = at >= (starts + lens)[:, None]
+            chars = self.buf[np.where(pad, 0, at)]
+            chars[pad] = 0
+        return chars.view(f"S{width}").ravel()
 
     def cells(self, pos: int) -> Tuple[List[str], Optional[int]]:
         """Column ``pos`` as the row reader's ``str`` cells, and the
@@ -373,9 +468,10 @@ def _read_raw_columns(
     nrows: Optional[int],
     n_fields: int,
 ) -> Tuple[List[_Grid], List[List[str]], int]:
-    """The grids of the range's leading regular blocks, the cells at
-    ``positions`` of the rows from the first block that is not regular
-    on, by column, and the number of rows."""
+    """The grids of the range's leading regular blocks (of the fields
+    at ``positions``), the cells at ``positions`` of the rows from the
+    first block that is not regular on, by column, and the number of
+    rows."""
     grids: List[_Grid] = []
     skip_header = byte_range is None
     with closing(read_line_blocks(path, byte_range)) as blocks:
@@ -383,7 +479,7 @@ def _read_raw_columns(
         if nrows is None and n_fields:
             rest = ()
             for block in blocks:
-                grid = _Grid.of(block, n_fields)
+                grid = _Grid.of(block, n_fields, positions)
                 if grid is None:
                     rest = chain([block], blocks)
                     break
@@ -434,19 +530,21 @@ def _read_rows(
     return raw, n_rows
 
 
-def _int_column(
-    grids: List[_Grid], pos: int, tail_cells: List[str]
-) -> Optional[np.ndarray]:
-    """The column as int64 when the digit kernel parses all of it."""
+def _grid_parts(
+    grids: List[_Grid], kernel: Callable[[_Grid, int], Optional[np.ndarray]],
+    pos: int, tail_cells: List[str],
+) -> Optional[List[np.ndarray]]:
+    """``kernel(grid, pos)`` of every grid, or ``None`` when there are
+    tail cells or a grid has none."""
     if tail_cells:
         return None
     parts = []
     for grid in grids:
-        part = grid.ints(pos)
+        part = kernel(grid, pos)
         if part is None:
             return None
         parts.append(part)
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return parts
 
 
 def _cell_list(
@@ -466,28 +564,59 @@ def _cell_list(
     return cells, None if None in sizes else sum(sizes)
 
 
-def _as_float64(values: List[str]) -> np.ndarray:
-    """Parse as float64 with '' as NaN."""
-    if "" in values:
+def _keyed_category(keys: List[np.ndarray]) -> Column:
+    """The column as ``category`` from its grids' :meth:`_Grid.keys`.
+    The keys' ``np.unique`` is ``np.unique`` over the strings, key 0
+    (the empty field) reads as NA, and only the distinct values are
+    decoded -- :meth:`Column.from_strings_as_category` of the cells,
+    ``""`` as NA, without making the cells."""
+    uniques, codes = np.unique(np.concatenate(keys), return_inverse=True)
+    codes = codes.astype(np.int32)
+    if len(uniques) and uniques[0] == 0:
+        codes[codes == 0] = NA_CODE
+    categories = uniques.astype(">u8").view("S8").astype(str).astype(object)
+    return Column(codes, categories=categories)
+
+
+def _as_float64(values: List[str], has_empty: bool) -> np.ndarray:
+    """Parse as float64 with '' (there when ``has_empty``) as NaN."""
+    if has_empty:
         values = ["nan" if v == "" else v for v in values]
     return np.asarray(values, dtype=np.float64)
 
 
+def _may_parse(parse: Callable[[str], object], cell: str) -> bool:
+    """False when ``cell`` is not empty and ``parse`` (``int`` /
+    ``float``) rejects it.  numpy's casts from ``str`` parse each cell
+    as those do, so a cast of a column holding the cell would fail --
+    but only after converting every other cell."""
+    if not cell:
+        return True
+    try:
+        parse(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _infer_column(
-    values: List[str], heap_nbytes: Optional[int] = None
+    values: List[str], has_empty: bool, heap_nbytes: Optional[int] = None
 ) -> Column:
-    """int64 -> float64 -> object inference with '' as NA.
-    ``heap_nbytes``: the cells' string payload, when the caller knows."""
-    has_empty = "" in values
-    if not has_empty:
+    """int64 -> float64 -> object inference with '' as NA; a cast is not
+    tried when the first cell rules it out.  ``has_empty``: some cell is
+    ''.  ``heap_nbytes``: the cells' string payload, when the caller
+    knows."""
+    first = values[0] if values else ""
+    if not has_empty and _may_parse(int, first):
         try:
             return Column(np.asarray(values, dtype=np.int64))
         except (ValueError, OverflowError):
             pass
-    try:
-        return Column(_as_float64(values))
-    except ValueError:
-        pass
+    if _may_parse(float, first):
+        try:
+            return Column(_as_float64(values, has_empty))
+        except ValueError:
+            pass
     obj = np.asarray(values, dtype=object)
     if has_empty:
         obj = np.where(obj == "", None, obj)
@@ -495,25 +624,23 @@ def _infer_column(
 
 
 def _convert_with_dtype(
-    values: List[str], dtype_spec, heap_nbytes: Optional[int] = None
+    values: List[str], target, has_empty: bool,
+    heap_nbytes: Optional[int] = None,
 ) -> Column:
-    target = normalize_dtype(dtype_spec)
-    if is_categorical(target):
-        col = Column.from_strings_as_category(values, na_value="")
-        if isinstance(target, CategoricalDtype) and target.categories is not None:
-            # Re-encode against the declared category set.
-            return Column.from_values(col.to_array(), dtype=target)
-        return col
+    """The cells as the declared non-category dtype ``target``."""
     if target.kind == "f":
-        return Column(_as_float64(values))
+        return Column(_as_float64(values, has_empty))
     if target.kind == "i":
-        try:
-            return Column(np.asarray(values, dtype=np.int64))
-        except ValueError:
-            # NA present: silently promote, as pandas does for int columns.
-            return Column(_as_float64(values))
+        if not has_empty:
+            try:
+                return Column(np.asarray(values, dtype=np.int64))
+            except ValueError:
+                pass
+        # NA present: silently promote, as pandas does for int columns.
+        return Column(_as_float64(values, has_empty))
     if target.kind == "M":
-        return _parse_datetime(values)
+        # "" parses as NaT
+        return Column(np.asarray(values, dtype=_DATETIME))
     if target.kind == "b":
         arr = np.asarray(
             [v in ("True", "true", "1") for v in values], dtype=bool
@@ -522,12 +649,6 @@ def _convert_with_dtype(
     obj = np.asarray(values, dtype=object)
     obj = np.where(obj == "", None, obj)
     return Column(obj, heap_nbytes=heap_nbytes)
-
-
-def _parse_datetime(values: List[str]) -> Column:
-    if "" in values:
-        values = ["NaT" if v == "" else v for v in values]
-    return Column(np.asarray(values, dtype="datetime64[ns]"))
 
 
 def to_datetime(data: Union[Series, Sequence[str]]) -> Series:

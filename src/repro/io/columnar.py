@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.frame import DataFrame
 from repro.frame.column import Column, factorize
+from repro.frame.dtypes import STRING_OVERHEAD
 from repro.io.fs import (
     compress_chunk,
     decompress_chunk,
@@ -284,19 +285,34 @@ def _decode_chunk(data: bytes, meta: dict, n_rows: int) -> Column:
         return Column(np.frombuffer(data, dtype=dtype).copy())
     if encoding == "dict":
         codes = np.frombuffer(data, dtype=np.int32, count=n_rows)
-        text = str(data[4 * n_rows:], "utf-8")
-        if meta["dict_layout"] == "joined":
+        words = data[4 * n_rows:]
+        text = str(words, "utf-8")
+        joined = meta["dict_layout"] == "joined"
+        if joined:
             categories = text.split(_DICT_END)
             del categories[-1]
         else:
             categories = json.loads(text)
         out = np.empty(n_rows, dtype=object)
         valid = codes >= 0
+        heap_nbytes = 0
         if categories:
             cat_arr = np.empty(len(categories), dtype=object)
             cat_arr[:] = categories
-            out[valid] = cat_arr[codes[valid]]
-        return Column(out)
+            valid_codes = codes[valid]
+            out[valid] = cat_arr[valid_codes]
+            # object_nbytes without the walk: the distinct strings'
+            # lengths (an ASCII blob's from where its terminators sit)
+            # gathered by code
+            if joined and len(text) == len(words):  # ASCII
+                ends = np.flatnonzero(np.frombuffer(words, np.uint8) == 0)
+                lengths = np.diff(ends, prepend=-1) - 1
+            else:
+                lengths = np.fromiter(map(len, categories), dtype=np.int64,
+                                      count=len(categories))
+            heap_nbytes = int(STRING_OVERHEAD * len(valid_codes)
+                              + lengths[valid_codes].sum())
+        return Column(out, heap_nbytes=heap_nbytes)
     if encoding == "json":
         values = json.loads(data.decode("utf-8"))
         out = np.empty(n_rows, dtype=object)

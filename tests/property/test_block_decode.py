@@ -16,7 +16,12 @@ every block that is regular goes through the grid and every other one
 through the chained ``csv.reader``, and the second half of the CSV
 section aims files at the line between the two (decorated integers,
 terminator mixes, a quote or NUL in a late block, ragged rows) and
-compares typed columns and their tracked bytes.
+compares typed columns and their tracked bytes.  The block check's
+one-pass classification answers to the four whole-block scans it
+replaced (kept here as the oracle) on raw lines whose fields hold any
+byte below ``,``; reads through it, and dates parsed from the fields'
+bytes, answer to the row reader alone; inference that skips the casts
+the first cell rules out answers to trying every cast.
 """
 
 import csv
@@ -29,9 +34,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.frame import io_csv
+from repro.frame.column import Column
 from repro.frame.dtypes import array_nbytes
 from repro.frame.io_csv import read_csv, read_line_blocks
 from repro.io.jsonl import read_jsonl
@@ -236,8 +242,15 @@ int_cells = st.one_of(
         "1_0", "+3", " 5", "5 ", "-", "--1", "1-", "",
     ]),
 )
-float_cells = st.sampled_from(["1.5", "-2e3", "nan", "", "7", "inf"])
-text_cells = st.sampled_from(["", "x", "ab c", "é", "日本", "7é", "-", "ünï"])
+float_cells = st.sampled_from([
+    "1.5", "-2e3", "nan", "", "7", "inf", "1e5", " 2.5", "+nan", "1_0.5",
+    "-Infinity", "0x1",
+])
+#: spaces and other bytes below "," inside fields, non-ASCII
+text_cells = st.sampled_from([
+    "", "x", "ab c", "é", "日本", "7é", "-", "ünï", "a+b", "#!", "(x)",
+    "t\tab", "\x01", "$%&'*", "1 2",
+])
 
 
 @st.composite
@@ -265,12 +278,32 @@ def kernel_files(draw):
     return data, cuts, draw(st.sampled_from([7, 40, 1 << 20]))
 
 
+def oracle_infer(values):
+    """int64 -> float64 -> object by trying each cast over all the
+    cells (the inference body the first-cell shortcut replaced)."""
+    has_empty = "" in values
+    if not has_empty:
+        try:
+            return Column(np.asarray(values, dtype=np.int64))
+        except (ValueError, OverflowError):
+            pass
+    try:
+        return Column(np.asarray(
+            ["nan" if v == "" else v for v in values], dtype=np.float64))
+    except ValueError:
+        pass
+    obj = np.asarray(values, dtype=object)
+    if has_empty:
+        obj = np.where(obj == "", None, obj)
+    return Column(obj)
+
+
 def _oracle_columns(path, byte_range, positions):
     """The oracle's rows as inferred columns, or the IndexError the
     row-at-a-time reader raised on a row too short for ``positions``."""
     rows = list(oracle_csv_rows(path, byte_range))
     cells = [[row[p] for row in rows] for p in positions]
-    return [io_csv._infer_column(values) for values in cells]
+    return [oracle_infer(values) for values in cells]
 
 
 def _assert_same_column(got, expected):
@@ -318,6 +351,173 @@ def test_grid_kernel_equals_the_oracle(file):
             io_csv.read_line_blocks = original
 
 
+def oracle_grid_of(block, n_fields):
+    """The block check as four whole-block scans (quote, NUL, the
+    delimiter mask, the ``\\r`` count) and a second gather of the
+    delimiters' bytes: the body the one-pass classification replaced,
+    without the size floor."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    if block[-1:] != b"\n" or (buf == ord('"')).any() or not buf.all():
+        return None
+    delims = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if len(delims) % n_fields:
+        return None
+    delims = delims.reshape(-1, n_fields)
+    kinds = buf[delims]
+    if (kinds[:, -1] != ord("\n")).any() or (
+            kinds[:, :-1] != ord(",")).any():
+        return None
+    starts = np.empty_like(delims)
+    starts[0, 0] = 0
+    starts[1:, 0] = delims[:-1, -1] + 1
+    starts[:, 1:] = delims[:, :-1] + 1
+    lens = delims - starts
+    n_cr = np.count_nonzero(buf == ord("\r"))
+    if n_cr:
+        if n_cr != len(delims) or (
+                buf[delims[:, -1] - 1] != ord("\r")).any():
+            return None
+        lens[:, -1] -= 1
+    if n_fields == 1 and not lens.all():
+        return None
+    return starts, lens, bool(buf.max() < 0x80)
+
+
+#: fields a regular block may hold: spaces and other bytes below ",",
+#: text and non-ASCII
+block_fields = st.text(alphabet="ab7é \t!#$%&'()*+\x01", max_size=4)
+#: fields that may hold any byte below "," (a quote, a NUL, a lone
+#: "\\r", a delimiter)
+odd_fields = st.text(alphabet="".join(map(chr, range(0x2D))) + "ab7é",
+                     max_size=4)
+
+
+@st.composite
+def raw_blocks(draw):
+    """(block, n_fields): lines of fields joined by "," with no quoting,
+    each ended by "\\n" or "\\r\\n" (one kind, or mixed), and sometimes
+    one odd line: ragged, blank, or holding a quote, a NUL, a lone
+    "\\r" or any other byte below ","."""
+    n_fields = draw(st.integers(1, 3))
+    lines = draw(st.lists(
+        st.lists(block_fields, min_size=n_fields, max_size=n_fields)
+        .map(",".join), min_size=1, max_size=12))
+    for odd in draw(st.lists(st.lists(odd_fields, min_size=1, max_size=4)
+                             .map(",".join), max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    eols = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"]]))
+    text = "".join(line + draw(st.sampled_from(eols)) for line in lines)
+    return text.encode("utf-8"), n_fields
+
+
+@given(raw_blocks())
+@example((b"a,b\rx\nc,d\ry\n", 2))  # every row one "\r", none a terminator
+@example((b"a,b\r\nc,d\r\n", 2))
+@settings(max_examples=400, deadline=None)
+def test_block_check_equals_the_whole_block_scans(block):
+    """The one-pass classification takes exactly the blocks the four
+    scans took, with the same offsets, lengths and ASCII flag (of the
+    wanted fields only, when asked), and a grid's fields are the cells
+    the row reader parses from the block."""
+    data, n_fields = block
+    got = io_csv._Grid.of(data, n_fields, range(n_fields))
+    expected = oracle_grid_of(data, n_fields)
+    assert (got is None) == (expected is None)
+    if got is None:
+        return
+    np.testing.assert_array_equal(got.starts, expected[0])
+    np.testing.assert_array_equal(got.lens, expected[1])
+    assert got.ascii == expected[2]
+    # a grid of some of the fields holds just their columns
+    some = io_csv._Grid.of(data, n_fields, [n_fields - 1, 0])
+    np.testing.assert_array_equal(some.starts, expected[0][:, [-1, 0]])
+    np.testing.assert_array_equal(some.lens, expected[1][:, [-1, 0]])
+    rows = [row for row in csv.reader(io.StringIO(data.decode("utf-8"),
+                                                  newline="")) if row]
+    for pos in range(n_fields):
+        assert got.cells(pos)[0] == [row[pos] for row in rows]
+
+
+@given(raw_blocks(), st.sampled_from([7, 40, 1 << 20]))
+@settings(max_examples=200, deadline=None)
+def test_grid_reads_equal_the_row_reader(block, block_bytes):
+    """A file of such lines reads the same (columns, dtypes, tracked
+    bytes, or the same exception) through the grid and blocks of any
+    size as through the chained row reader alone."""
+    data, n_fields = block
+    header = ",".join(HEADER[:n_fields]).encode() + b"\n"
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(directory, "t.csv", header + data)
+
+        def read():
+            try:
+                frame = read_csv(path)
+            except (IndexError, ValueError) as exc:
+                return type(exc)
+            return [frame.column(name) for name in frame.columns]
+
+        blocks = partial(read_line_blocks, block_bytes=block_bytes)
+        original, io_csv.read_line_blocks = io_csv.read_line_blocks, blocks
+        try:
+            got = read()
+            io_csv._GRID_MIN_BYTES = 1 << 30
+            expected = read()
+        finally:
+            io_csv.read_line_blocks = original
+            io_csv._GRID_MIN_BYTES = 0
+    if not isinstance(expected, list):
+        assert got == expected
+        return
+    assert len(got) == len(expected)
+    for column, oracle in zip(got, expected):
+        _assert_same_column(column, oracle)
+
+
+date_cells = st.sampled_from([
+    "2024-01-31 10:00:00", "2023-12-01 23:59:59", "", "NaT", "2024-01-01",
+    " 2024-01-01", "2024-02-29 00:00:00", "1500-01-01", "2024-02-30",
+    "2024-13-01 00:00:00", "x", "2024-01-01é",
+])
+
+
+@given(st.lists(date_cells, max_size=12), st.sampled_from([7, 40, 1 << 20]),
+       st.sampled_from([{"parse_dates": ["a"]}, {"dtype": {"a": "datetime64"}}]))
+@settings(max_examples=150, deadline=None)
+def test_dates_parsed_from_the_bytes_equal_the_row_reader(cells, block_bytes,
+                                                          how):
+    """A date column parsed from its fields' bytes has the values (or
+    raises the error) that parsing the row reader's cells gave."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(directory, "d.csv", "".join(
+            f"{c},1\n" for c in ["a", *cells]).encode("utf-8"))
+
+        def read():
+            try:
+                return read_csv(path, **how).column("a").values.tolist()
+            except ValueError as exc:
+                return str(exc)
+
+        blocks = partial(read_line_blocks, block_bytes=block_bytes)
+        original, io_csv.read_line_blocks = io_csv.read_line_blocks, blocks
+        try:
+            got = read()
+            io_csv._GRID_MIN_BYTES = 1 << 30
+            expected = read()
+        finally:
+            io_csv.read_line_blocks = original
+            io_csv._GRID_MIN_BYTES = 0
+    assert got == expected
+
+
+@given(st.lists(st.one_of(int_cells, float_cells, text_cells), max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_inference_equals_trying_every_cast(values):
+    """The first-cell shortcut and the carried empty-cell flag give the
+    column trying every cast gave: dtype, values and tracked bytes."""
+    _assert_same_column(io_csv._infer_column(values, "" in values),
+                        oracle_infer(values))
+
+
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
 def test_regular_blocks_take_the_grid_and_the_rest_the_row_reader(
     tmp_path, monkeypatch, eol
@@ -326,8 +526,8 @@ def test_regular_blocks_take_the_grid_and_the_rest_the_row_reader(
     seen = []
     grid_of = io_csv._Grid.of.__func__
 
-    def spy(cls, block, n_fields):
-        grid = grid_of(cls, block, n_fields)
+    def spy(cls, block, n_fields, positions):
+        grid = grid_of(cls, block, n_fields, positions)
         seen.append(grid is not None)
         return grid
 
@@ -358,7 +558,7 @@ def test_regular_blocks_take_the_grid_and_the_rest_the_row_reader(
 def test_small_blocks_go_to_the_row_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(io_csv, "_GRID_MIN_BYTES", 1 << 13)
     path = _write(str(tmp_path), "s.csv", b"a,b\n1,2\n3,4\n")
-    assert io_csv._Grid.of(b"1,2\n3,4\n", 2) is None
+    assert io_csv._Grid.of(b"1,2\n3,4\n", 2, [0, 1]) is None
     assert _rows(read_csv(path)) == [(1, 2), (3, 4)]
 
 

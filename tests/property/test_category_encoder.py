@@ -6,7 +6,10 @@ replaced lives on here as the oracle, and the two must agree bit for
 bit: codes, categories, dtypes and tracked bytes.  The CSV reader feeds
 the encoder its raw cells, ``""`` read as NA, so ``read_csv(dtype=
 {c: "category"})`` answers to the same oracle over the rows a
-``csv.reader`` sees, at any block size and either line terminator.
+``csv.reader`` sees, at any block size and either line terminator --
+whether the column was encoded from its fields' byte keys (ASCII, at
+most 8 bytes) or from its cells -- and a declared category set is the
+column's categories.
 
 ``read_line_blocks`` hands out views of one over-read buffer per block,
 and a line longer than the over-read reads its block again; ``_Grid.of``
@@ -26,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.frame import io_csv
 from repro.frame.column import NA_CODE, Column
+from repro.frame.dtypes import CategoricalDtype
 from repro.frame.io_csv import read_csv, read_line_blocks
 
 
@@ -129,7 +133,12 @@ def _write(directory, name, data):
     return path
 
 
-text_cells = st.sampled_from(["", "x", "ab c", "é", "日本", "-", "7", "x"])
+#: byte-keyed (ASCII, at most 8 bytes, "" as key 0) and not (9 bytes,
+#: non-ASCII)
+text_cells = st.sampled_from([
+    "", "x", "ab c", "é", "日本", "-", "7", "x", "abcdefgh", "abcdefg",
+    "abcdefghi", "zz zz zz", "a+b", "\t",
+])
 
 
 @given(
@@ -154,6 +163,74 @@ def test_read_csv_category_equals_the_oracle(tmp_path_factory, rows, eol,
         _assert_same_encoding(
             frame.column(name),
             oracle_category([row[pos] or None for row in parsed]))
+
+
+@given(
+    st.lists(st.sampled_from([
+        "", "a", "ab", "abcdefgh", "abcdefg", "b", "zzzzzzzz", "a b", "7",
+    ]), max_size=40),
+    st.sampled_from([7, 40, 1 << 20]),
+    st.sampled_from(["", "abcdefghi", "é"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_byte_keyed_categories_equal_the_cell_encoder(
+        tmp_path_factory, cells, block_bytes, spoiler):
+    """A column of ASCII fields of at most 8 bytes is encoded from its
+    byte keys, over every block it spans; a 9-byte or non-ASCII field
+    anywhere sends it to the cell encoder.  Both equal
+    ``from_strings_as_category`` of the cells, ``""`` as NA."""
+    if spoiler:
+        cells = cells + [spoiler]
+    directory = str(tmp_path_factory.mktemp("keys"))
+    path = _write(directory, "k.csv",
+                  "".join(f"{c},1\n" for c in ["a", *cells]).encode())
+    keyed = []
+    keys = io_csv._Grid.keys
+
+    def spy(grid, pos):
+        got = keys(grid, pos)
+        keyed.append(got is not None)
+        return got
+
+    original = io_csv.read_line_blocks
+    io_csv.read_line_blocks = partial(read_line_blocks, block_bytes=block_bytes)
+    io_csv._Grid.keys = spy
+    try:
+        column = read_csv(path, dtype={"a": "category"}).column("a")
+    finally:
+        io_csv.read_line_blocks = original
+        io_csv._Grid.keys = keys
+    _assert_same_encoding(
+        column, Column.from_strings_as_category(cells, na_value=""))
+    _assert_same_encoding(column, oracle_category([c or None for c in cells]))
+    if not spoiler:
+        assert keyed and all(keyed)
+    else:
+        assert not all(keyed)
+
+
+@pytest.mark.parametrize("grid_floor", [0, 1 << 30])
+def test_declared_categories_are_kept(tmp_path, monkeypatch, grid_floor):
+    """A declared category set is the column's categories, sorted (the
+    order every category column keeps; pandas keeps the declared
+    order); a cell outside it, and an empty one, is NA."""
+    monkeypatch.setattr(io_csv, "_GRID_MIN_BYTES", grid_floor)
+    cells = ["a", "b", "", "0", "b", "a", "a", "b", "0", "a"]
+    path = _write(str(tmp_path), "d.csv",
+                  "".join(f"{c},{i}\n" for i, c in
+                          enumerate(["x", *cells])).encode())
+    frame = read_csv(path, dtype={"x": CategoricalDtype(["z", "b", "a"])})
+    column = frame.column("x")
+    assert column.categories.tolist() == ["a", "b", "z"]
+    assert column.to_array().tolist() == [
+        c if c in ("a", "b") else None for c in cells]
+    # the partitions of a scan concatenate against the same set
+    parts = [read_csv(path, dtype={"x": CategoricalDtype(["z", "b", "a"])},
+                      byte_range=rng).column("x")
+             for rng in [(2, 12), (12, os.path.getsize(path))]]
+    whole = Column.concat(parts)
+    assert whole.categories.tolist() == ["a", "b", "z"]
+    assert whole.values.tolist() == column.values.tolist()
 
 
 # -- the block checks -----------------------------------------------------------------
@@ -195,12 +272,12 @@ def test_stray_carriage_return_sends_the_block_to_the_row_reader(
     rows[8] = "8\r,s8"  # a lone "\r" is a line break to the row reader
     data = eol.join(["a,b", *rows, ""]).encode()
     path = _write(str(tmp_path), "cr.csv", data)
-    assert io_csv._Grid.of(data, 2) is None
+    assert io_csv._Grid.of(data, 2, [0, 1]) is None
     seen = []
     grid_of = io_csv._Grid.of.__func__
 
-    def spy(cls, block, n_fields):
-        grid = grid_of(cls, block, n_fields)
+    def spy(cls, block, n_fields, positions):
+        grid = grid_of(cls, block, n_fields, positions)
         seen.append(grid is not None)
         return grid
 

@@ -15,6 +15,7 @@ import pytest
 import repro.lazyfatpandas.pandas as lfp
 from repro.core.session import Session
 from repro.frame import DataFrame
+from repro.frame.dtypes import object_nbytes
 from repro.io import (
     ColumnarSource,
     Predicate,
@@ -126,6 +127,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("cells, layout", [
         (["a", "", None, "a", "日本"], "joined"),
+        (["ab", "", None, "ab", "xyz", "ab"], "joined"),
         ([None, None], "joined"),
         (["nul\x00inside", "b", None], "json"),
         (["\ud800", "b"], "json"),
@@ -133,7 +135,8 @@ class TestRoundTrip:
     def test_dictionary_follows_the_codes(self, tmp_path, cells, layout):
         """A chunk's strings ride in its payload after the codes, NUL-
         ended, or as a JSON list when one holds a NUL or is not UTF-8;
-        the footer keeps only their statistics."""
+        the footer keeps only their statistics.  The decoded column's
+        tracked bytes are what walking its cells charges."""
         path = os.path.join(tmp_path, "d.lfc")
         values = np.empty(len(cells), dtype=object)
         values[:] = cells
@@ -146,8 +149,9 @@ class TestRoundTrip:
                              "length"}
         source = ColumnarSource(path)
         (part,) = source.partitions()
-        got = source.read_partition(part).column("s").to_array()
-        assert got.tolist() == cells
+        column = source.read_partition(part).column("s")
+        assert column.to_array().tolist() == cells
+        assert column.nbytes == object_nbytes(column.values)
 
     def test_dtypes_come_from_footer(self, tmp_path):
         frame = _mixed_frame(16)

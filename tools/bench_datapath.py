@@ -1,11 +1,15 @@
 #!/usr/bin/env python
 """Micro-benchmark of the out-of-core data path, before and after.
 
-Seven probes over the ``out_of_core`` workload's fact table shape
+Probes over the ``out_of_core`` workload's fact table shape
 (``k,v,s``: a duplicate-heavy int key, a row number, a 7-value string):
 
 - ``read_csv`` at three projections (all columns, ``k,v``, ``k``), and
   of all columns with ``s`` as ``category``,
+- ``read_csv`` of 3 of a 22-field table's columns (an int, a float and
+  a 5-value ``category``; the rest 20-byte strings), the projected read
+  a paper program's scan makes -- where the 3-field table's probes
+  leave the block check little to skip,
 - ``read_jsonl`` of the table written as JSONL, at the same three
   projections,
 - a remote ``.lfc`` scan: ``ColumnarSource.read_partition`` of each of
@@ -54,19 +58,22 @@ import time
 
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUCKETS = 16
+#: the wide table's string fields beside its 3 read ones: 22 in all.
+WIDE_PADS = 19
 #: the remote ``.lfc`` probe's row groups and per-range latency.
 LFC_ROW_GROUPS = 8
 LFC_LATENCY_SECONDS = 0.005
 
 
 def write_tables(directory: str, rows: int, seed: int) -> dict:
-    """The fact and dimension tables, written as ``to_csv`` writes."""
+    """The fact, dimension and wide tables, written as ``to_csv``
+    writes."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
     keys = max(40, rows // 60)
     paths = {name: os.path.join(directory, f"{name}.csv")
-             for name in ("fact", "dim")}
+             for name in ("fact", "dim", "wide")}
     with open(paths["fact"], "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["k", "v", "s"])
@@ -84,6 +91,18 @@ def write_tables(directory: str, rows: int, seed: int) -> dict:
         writer.writerows(zip(
             rng.permutation(np.concatenate([hits, misses])).tolist(),
             rng.integers(0, 1000, dim_rows).tolist(),
+        ))
+    with open(paths["wide"], "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["id", "amount", "kind"]
+                        + [f"pad_{i:02d}" for i in range(WIDE_PADS)])
+        kinds = np.array(["cash", "card", "credit", "voucher", "other"])
+        writer.writerows(zip(
+            range(rows),
+            np.round(rng.uniform(0, 500, rows), 2).tolist(),
+            kinds[rng.integers(0, len(kinds), rows)].tolist(),
+            *([f"w{i:02d}-{j:08d}-{'x' * 8}" for j in range(rows)]
+              for i in range(WIDE_PADS)),
         ))
     return paths
 
@@ -120,6 +139,9 @@ def run_probes(directory: str, rows: int, repeats: int, seed: int) -> dict:
             lambda _: read_csv(paths["fact"], usecols=usecols), repeats)
     out["read_csv.category_ms"] = timed(
         lambda _: read_csv(paths["fact"], dtype={"s": "category"}), repeats)
+    out["read_csv.wide_projected_ms"] = timed(
+        lambda _: read_csv(paths["wide"], usecols=["id", "amount", "kind"],
+                           dtype={"kind": "category"}), repeats)
 
     fact_jsonl = os.path.join(directory, "fact.jsonl")
     write_jsonl(read_csv(paths["fact"]), fact_jsonl)
